@@ -38,9 +38,9 @@ from .concentration import (
     concentration_tail,
     random_densities,
 )
-from .curvature import curvature_matrix, kappa_limit
+from .curvature import SMOOTHING_AGREEMENT_TOL, curvature_matrix, kappa_limit
 from .digraph import DirectedGraph, distances, load_graph, sample_lipschitz_functions
-from .errors import GraphCurvatureError
+from .errors import GraphCurvatureError, ParseError
 from .heat import (
     curvature_time_limit,
     heat_kernel,
@@ -88,8 +88,9 @@ def _tolerances(config: RunConfig) -> dict:
         "adjointness": chain.ADJOINTNESS_TOL,
         "lp_feasibility": lp.FEASIBILITY_TOL,
         "lp_gap": lp.GAP_TOL,
-        "certificate": 1e-9,
+        "certificate": config.certificate_tol,
         "curvature_limit": config.curvature_limit_tol,
+        "smoothing_agreement": SMOOTHING_AGREEMENT_TOL,
     }
 
 
@@ -175,8 +176,7 @@ def run_analysis(g: DirectedGraph, config: RunConfig, command: str = "analyze") 
         tolerances=_tolerances(config),
     )
 
-    curv = curvature_matrix(M, dm, jobs=config.jobs, cross_check=config.cross_check,
-                            eps_grid=config.eps_grid)
+    curv = curvature_matrix(M, dm, cross_check=config.cross_check, eps_grid=config.eps_grid)
     K = curv.K if config.k_override is None else config.k_override
     report.sections["distance"] = {
         "lambda": dm.lam,
@@ -197,9 +197,9 @@ def run_analysis(g: DirectedGraph, config: RunConfig, command: str = "analyze") 
                 name="curvature_smoothing_agreement",
                 hypothesis={"eps_grid": list(config.eps_grid)},
                 lhs=worst,
-                rhs=1e-4,
-                margin=1e-4 - worst,
-                passed=worst <= 1e-4,
+                rhs=SMOOTHING_AGREEMENT_TOL,
+                margin=SMOOTHING_AGREEMENT_TOL - worst,
+                passed=worst <= SMOOTHING_AGREEMENT_TOL,
                 tol=0.0,
             )
         )
@@ -248,7 +248,7 @@ def run_functional(g: DirectedGraph, config: RunConfig) -> VerificationReport:
     dm = distances(g)
     M = markov_data(g)
     rng = np.random.default_rng(config.seed)
-    curv = curvature_matrix(M, dm, jobs=config.jobs)
+    curv = curvature_matrix(M, dm)
     K = curv.K if config.k_override is None else config.k_override
     report = VerificationReport(
         command="verify-functional",
@@ -270,15 +270,22 @@ def run_functional(g: DirectedGraph, config: RunConfig) -> VerificationReport:
 def _parse_measure(spec: str, n: int) -> np.ndarray:
     """Either dirac:<vertex> or a file of one weight per line."""
     if spec.startswith("dirac:"):
-        x = int(spec.split(":", 1)[1])
+        token = spec.split(":", 1)[1]
+        try:
+            x = int(token)
+        except ValueError:
+            raise ParseError(f"dirac vertex {token!r} is not an integer") from None
         if not 0 <= x < n:
             raise GraphCurvatureError(f"dirac vertex {x} out of range for n={n}")
         nu = np.zeros(n)
         nu[x] = 1.0
         return nu
     values = []
-    for line in Path(spec).read_text(encoding="utf-8").split():
-        values.append(float(line))
+    for token in Path(spec).read_text(encoding="utf-8").split():
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ParseError(f"measure file {spec}: {token!r} is not a number") from None
     nu = np.asarray(values, dtype=float)
     if nu.shape != (n,):
         raise GraphCurvatureError(f"measure file {spec} has {nu.size} entries, expected {n}")
@@ -319,7 +326,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--format", choices=("json", "table", "csv"), default="json")
     p.add_argument("--out", default=None, help="write the result here instead of stdout")
-    p.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(seed=args.seed, jobs=args.jobs)
+    config = RunConfig(seed=args.seed)
     for name in ("k_override", "cross_check", "certificate_tol", "lipschitz_samples",
                  "density_samples", "function_samples"):
         if hasattr(args, name):
@@ -418,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
                 payload = records[0] if len(records) == 1 else records
                 _print_or_save(render_json(payload) + "\n", args.out)
                 return 0
-            curv = curvature_matrix(M, dm, jobs=config.jobs, cross_check=args.cross_check,
+            curv = curvature_matrix(M, dm, cross_check=args.cross_check,
                                     eps_grid=config.eps_grid)
             if args.format == "csv":
                 _print_or_save(_csv_matrix(curv.kappa), args.out)

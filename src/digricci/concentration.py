@@ -199,15 +199,6 @@ def concentration_tail(
     )
 
 
-def chernoff_tail_from_laplace(c: float, r: float) -> float:
-    """Tail bound exp(-c r^2 / 2) implied by m(exp(lam f)) <= exp(lam^2 / 2c)."""
-    if c <= 0:
-        raise HypothesisUnmetError(f"Chernoff route needs c > 0, got {c}")
-    if r < 0:
-        raise HypothesisUnmetError(f"radius must be non-negative, got {r}")
-    return float(np.exp(-c * r * r / 2.0))
-
-
 def fisher_information(M: MarkovData, rho: np.ndarray) -> float:
     """I(rho) = 4 m(Gamma(sqrt rho)) = 2 sum (sqrt rho(y) - sqrt rho(x))^2 m_xy.
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import transport
 from .certificates import InequalityCertificate, certificate_from_samples
 from .chain import MarkovData
-from .digraph import DistanceMatrix, gradient_matrix, lipschitz_constant
+from .digraph import DistanceMatrix, lipschitz_constant
 from .errors import NegativeTimeError, NonSymmetricResidualError, NumericsError
 
 # symmetry required of the conjugated kernel before eigendecomposition
@@ -225,8 +225,3 @@ def curvature_time_limit(
     g1, g2 = estimates[-2], estimates[-1]
     extrapolated = (t1 * g2 - t2 * g1) / (t1 - t2)
     return float(extrapolated), float(max(estimates) - min(estimates))
-
-
-def gradient_of_heat(H: HeatOperator, dm: DistanceMatrix, f: np.ndarray, t: float) -> np.ndarray:
-    """All difference quotients of P_t f; convenience for witnesses."""
-    return gradient_matrix(H.apply(t, f), dm)

@@ -1,12 +1,14 @@
 """Dense two-phase simplex with Bland's rule.
 
-One pivot core backs every optimisation in the package: the coupling
-problems behind the Wasserstein distance, their duals over Lipschitz
-potentials, and the per-pair curvature programs.  Problems stay small
-(hundreds of variables at the target scale), so a dense tableau is
-simpler than a revised method and fast enough.  Bland's entering and
-leaving rule guarantees termination on the heavily degenerate tableaus
-that transport instances produce.
+One pivot core backs every optimisation in the package: the arc-flow
+program behind the Wasserstein distance (n balance rows, one variable
+per arc) and the per-pair curvature programs (one Lipschitz row per
+arc).  Problems stay small (hundreds of variables at the target scale),
+so a dense tableau is simpler than a revised method and fast enough.
+Bland's entering and leaving rule guarantees termination on the heavily
+degenerate tableaus that transport instances produce.  solve_transport
+solves the n^2-variable coupling program; the library itself does not
+call it, and the tests hold the flow form to it as a reference.
 """
 
 from __future__ import annotations

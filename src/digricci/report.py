@@ -33,7 +33,6 @@ class RunConfig:
     lipschitz_samples: int = 200
     density_samples: int = 100
     function_samples: int = 100
-    jobs: int = 1
     k_override: float | None = None
     curvature_limit_tol: float = 1e-3
     certificate_tol: float = 1e-9

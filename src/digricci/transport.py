@@ -2,9 +2,18 @@
 
 W(nu0, nu1) is the least total cost of moving nu0 onto nu1 where moving
 unit mass from x to y costs d(x, y).  Because d is non-symmetric, so is
-W.  The dual formulation maximises sum f (nu1 - nu0) over functions
-with f(w) - f(z) <= d(z, w) for every ordered pair; solving both sides
-and comparing them certifies each distance computed in verify mode.
+W.  The hop metric is a path metric, so W is also the cheapest flow
+over the arcs alone (the Beckmann form, Peyre & Cuturi 2019, sec. 6):
+one variable g >= 0 per arc, cost sum g, and one balance row per vertex
+fixing outflow - inflow = nu0 - nu1.  That program has |A| variables
+and n rows where the coupling program has n^2 variables and 2n rows.
+
+Its row duals are a Kantorovich potential f with f(w) - f(z) <= 1 on
+every arc; summing along geodesics, that is f(w) - f(z) <= d(z, w) on
+every ordered pair, so one solve yields both sides of the duality and
+certifies each distance computed in verify mode.  The all-pairs dual
+program stays here as kantorovich_dual, the reference the tests pin
+the flow potential to.
 """
 
 from __future__ import annotations
@@ -23,15 +32,17 @@ MASS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Optimal coupling with its certificate.
+    """Optimal transport with its certificate.
 
-    dual_f and duality_gap are filled in verify mode; fast mode solves
-    the primal only and leaves them None.
+    Verify mode fills pi (a coupling split from the optimal flow),
+    dual_f and duality_gap, and marginal_residual is the largest error
+    in the marginals of pi.  Fast mode returns the value only, with
+    marginal_residual the largest flow-balance error.
     """
 
     value: float
-    pi: np.ndarray
     marginal_residual: float
+    pi: np.ndarray | None = None
     dual_f: np.ndarray | None = None
     duality_gap: float | None = None
 
@@ -40,6 +51,8 @@ def _check_probability(nu: np.ndarray, n: int, name: str) -> np.ndarray:
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (n,):
         raise MarginalMismatchError(f"{name} must have length {n}")
+    if not np.isfinite(nu).all():
+        raise MarginalMismatchError(f"{name} has a non-finite entry")
     if nu.min(initial=0.0) < 0:
         raise MarginalMismatchError(f"{name} has a negative entry")
     if abs(nu.sum() - 1.0) > MASS_TOL:
@@ -50,13 +63,14 @@ def _check_probability(nu: np.ndarray, n: int, name: str) -> np.ndarray:
 def kantorovich_dual(
     nu0: np.ndarray, nu1: np.ndarray, dm: DistanceMatrix
 ) -> tuple[float, np.ndarray]:
-    """Best Lipschitz potential: max sum f (nu1 - nu0), f(w)-f(z) <= d(z,w).
+    """All-pairs oracle: max sum f (nu1 - nu0) with f(w)-f(z) <= d(z,w).
 
     The potential is pinned at f(0) = 0; the objective is invariant
     under adding constants because the two measures carry equal mass.
-    All n(n-1) ordered-pair constraints are kept, never only the arcs:
-    the hop metric makes many of them redundant but the program stays
-    tiny at this scale and the full set is immune to bookkeeping slips.
+    Every one of the n(n-1) ordered-pair constraints is kept, so the
+    program needs no path-metric argument.  wasserstein takes its
+    potential from the arc-flow duals instead; this program is the
+    independent reference the tests compare that potential against.
     """
     d = dm.d
     n = d.shape[0]
@@ -93,6 +107,59 @@ def kantorovich_dual(
     return float(solution.value), f
 
 
+def _flow_program(arcs: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> lp.LinearProgram:
+    """min sum g over g >= 0 on the arcs with outflow - inflow = nu0 - nu1.
+
+    arcs holds one (tail, head) row per arc.  The n balance rows sum to
+    zero, so one of them is redundant, which the two-phase solve drops.
+    """
+    n = nu0.shape[0]
+    k = np.arange(len(arcs))
+    A = np.zeros((n, len(arcs)))
+    A[arcs[:, 0], k] = 1.0
+    A[arcs[:, 1], k] = -1.0
+    return lp.LinearProgram(c=np.ones(len(arcs)), A=A, b=nu0 - nu1, senses=("=",) * n)
+
+
+def _flow_to_coupling(
+    arcs: np.ndarray, flow: np.ndarray, nu0: np.ndarray, nu1: np.ndarray
+) -> np.ndarray:
+    """Split an acyclic arc flow from nu0 to nu1 into a coupling.
+
+    Vertices are visited in a topological order of the flow's support.
+    Each holds its own nu0 mass plus what its in-arcs brought, tagged by
+    origin; it keeps nu1 of it and sends the rest down its out-arcs,
+    every share mixing the origins in the same proportion.  Mass moves
+    only along support arcs, and an optimal flow uses those only on
+    geodesics, so the coupling costs exactly sum(flow).
+    """
+    n = nu0.shape[0]
+    used = flow > 0
+    tails, heads, amounts = arcs[used, 0], arcs[used, 1], flow[used]
+    waiting = np.bincount(heads, minlength=n)
+    ready = [v for v in range(n) if waiting[v] == 0]
+    held = np.diag(nu0)  # held[s, v]: mass from origin s present at v
+    pi = np.zeros((n, n))
+    visited = 0
+    while ready:
+        v = ready.pop()
+        visited += 1
+        out = tails == v
+        total = held[:, v].sum()
+        if total > 0:
+            share = held[:, v] / total
+            pi[:, v] = share * nu1[v]
+            for w, g in zip(heads[out], amounts[out]):
+                held[:, w] += share * g
+        for w in heads[out]:
+            waiting[w] -= 1
+            if waiting[w] == 0:
+                ready.append(int(w))
+    if visited < n:
+        raise NumericsError("optimal transport flow has a cycle in its support")
+    return pi
+
+
 def wasserstein(
     nu0: np.ndarray,
     nu1: np.ndarray,
@@ -101,27 +168,36 @@ def wasserstein(
 ) -> TransportPlan:
     """Directed transport distance between two probability vectors.
 
-    verify=True also solves the dual program and records the gap,
-    raising if primal and dual disagree beyond lp.GAP_TOL; fast mode
-    skips the second solve for the inner loops that call this often.
+    Solves the arc-flow program once.  verify=True also reads the
+    potential f = -(row duals), shifted to f(0) = 0, off that solve and
+    raises NumericsError unless f(w) - f(z) <= 1 + lp.GAP_TOL on every
+    arc and |W - f.(nu1 - nu0)| <= lp.GAP_TOL; it then splits the flow
+    into the coupling pi.  Fast mode, for the inner loops that call this
+    often, returns the value alone.
     """
     n = dm.d.shape[0]
     nu0 = _check_probability(nu0, n, "nu0")
     nu1 = _check_probability(nu1, n, "nu1")
-    solution = lp.solve_transport(dm.d.astype(float), nu0, nu1)
-    dual_f = None
-    gap = None
-    if verify:
-        dual_value, dual_f = kantorovich_dual(nu0, nu1, dm)
-        gap = abs(solution.value - dual_value)
-        if gap > lp.GAP_TOL:
-            raise NumericsError(
-                f"transport duality gap {gap:.3e} exceeds {lp.GAP_TOL:.1e}"
-            )
+    arcs = np.argwhere(dm.d == 1)
+    solution = lp.solve_lp(_flow_program(arcs, nu0, nu1))
+    if solution.status != "optimal":
+        raise LpFailureError(f"transport flow solve ended with status {solution.status!r}")
+    value = float(solution.value)
+    if not verify:
+        return TransportPlan(value=value, marginal_residual=float(solution.feasibility_residual))
+
+    f = solution.duals[0] - solution.duals
+    stretch = float((f[arcs[:, 1]] - f[arcs[:, 0]]).max(initial=0.0))
+    if stretch > 1.0 + lp.GAP_TOL:
+        raise NumericsError(f"transport potential stretches an arc to {stretch:.17g}")
+    gap = abs(value - float(f @ (nu1 - nu0)))
+    if gap > lp.GAP_TOL:
+        raise NumericsError(f"transport duality gap {gap:.3e} exceeds {lp.GAP_TOL:.1e}")
+    pi = _flow_to_coupling(arcs, solution.x, nu0, nu1)
+    marginal_residual = max(
+        float(np.abs(pi.sum(axis=1) - nu0).max()),
+        float(np.abs(pi.sum(axis=0) - nu1).max()),
+    )
     return TransportPlan(
-        value=solution.value,
-        pi=solution.pi,
-        marginal_residual=solution.marginal_residual,
-        dual_f=dual_f,
-        duality_gap=gap,
+        value=value, marginal_residual=marginal_residual, pi=pi, dual_f=f, duality_gap=gap
     )

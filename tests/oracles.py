@@ -116,6 +116,30 @@ def linprog_transport(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> flo
     return float(res.fun)
 
 
+def kappa_all_pairs_program(L: np.ndarray, d: np.ndarray, x: int, y: int):
+    """The curvature program of (x, y) with a Lipschitz row for every ordered pair.
+
+    Variables are f(z) for z != x in increasing order, f(x) = 0.
+    Returns (c, A_ub, b_ub, A_eq, b_eq): minimise c.f subject to
+    f(w) - f(z) <= d(z, w) for all z != w and f(y) = d(x, y).
+    """
+    n = d.shape[0]
+    keep = [z for z in range(n) if z != x]
+    rows, rhs = [], []
+    for z in range(n):
+        for w in range(n):
+            if z != w:
+                row = np.zeros(n)
+                row[w] += 1.0
+                row[z] -= 1.0
+                rows.append(row[keep])
+                rhs.append(float(d[z, w]))
+    eq = np.zeros(n)
+    eq[y] = 1.0
+    c = ((L[y] - L[x]) / d[x, y])[keep]
+    return c, np.asarray(rows), np.asarray(rhs), eq[keep][None, :], np.array([float(d[x, y])])
+
+
 def linprog_general(
     c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), presolve=True
 ):

@@ -128,14 +128,6 @@ class TestCurvatureMatrix:
         assert report.K == pytest.approx(1.5, abs=1e-6)
         assert set(report.witnesses) == {(x, y) for x in range(3) for y in range(3) if x != y}
 
-    def test_parallel_equals_serial(self, g_tri):
-        M = markov_data(g_tri)
-        dm = distances(g_tri)
-        serial = curvature_matrix(M, dm, jobs=1)
-        parallel = curvature_matrix(M, dm, jobs=4)
-        off = ~np.eye(3, dtype=bool)
-        assert np.array_equal(serial.kappa[off], parallel.kappa[off])
-
     def test_cross_check_residuals(self, g_tri):
         M = markov_data(g_tri)
         dm = distances(g_tri)

@@ -11,6 +11,7 @@ import pytest
 from conftest import C3_EDGES, K3_EDGES, TRI_EDGES
 from digricci import InequalityCertificate, render_json
 from digricci.cli import main
+from digricci.curvature import SMOOTHING_AGREEMENT_TOL
 from digricci.report import VerificationReport, certificate_to_dict
 
 
@@ -125,6 +126,15 @@ class TestCliAnalyze:
         failed = {c["name"] for c in payload["certificates"] if not c["pass"]}
         assert "lipschitz_contraction" in failed
 
+    def test_reports_tolerances_used(self, c3_file, capsys):
+        code = main(["analyze", c3_file, "--certificate-tol", "1e-6"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["tolerances"]["certificate"] == 1e-6
+        tols = {c["name"]: c["tol"] for c in payload["certificates"]}
+        assert tols["lipschitz_contraction"] == tols["transport_contraction"] == 1e-6
+        assert payload["tolerances"]["smoothing_agreement"] == SMOOTHING_AGREEMENT_TOL
+
     def test_not_strongly_connected_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.edges"
         path.write_text("0 1\n1 2\n", encoding="utf-8")
@@ -227,6 +237,19 @@ class TestCliWasserstein:
         mfile = tmp_path / "nu.txt"
         mfile.write_text("0.2\n0.3\n0.4\n", encoding="utf-8")
         assert main(["wasserstein", c3_file, str(mfile), "dirac:0"]) == 2
+
+    @pytest.mark.parametrize(
+        "contents", ["0.5\nnan\n0.5\n", "0.5\ninf\n0.5\n", "0.5\nabc\n0.5\n"]
+    )
+    def test_bad_measure_file_exits_2(self, c3_file, tmp_path, capsys, contents):
+        mfile = tmp_path / "nu.txt"
+        mfile.write_text(contents, encoding="utf-8")
+        assert main(["wasserstein", c3_file, str(mfile), "dirac:0"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_integer_dirac_exits_2(self, c3_file, capsys):
+        assert main(["wasserstein", c3_file, "dirac:x", "dirac:0"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestCliOther:
