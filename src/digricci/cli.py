@@ -17,6 +17,7 @@ fails, 2 on invalid input.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -120,7 +121,7 @@ def functional_certificates(
         _merge_certificates(
             "exp_chain_rule_bound",
             [
-                check_exp_chain_rule_bound(M, f, lam)
+                check_exp_chain_rule_bound(M, f, lam, tol=tol)
                 for f in free_fs
                 for lam in config.lambda_grid
             ],
@@ -129,7 +130,7 @@ def functional_certificates(
     certs.append(
         _merge_certificates(
             "exp_square_chain_rule_bound",
-            [check_exp_square_chain_rule_bound(M, f) for f in free_fs],
+            [check_exp_square_chain_rule_bound(M, f, tol=tol) for f in free_fs],
         )
     )
 
@@ -267,29 +268,66 @@ def run_functional(g: DirectedGraph, config: RunConfig) -> VerificationReport:
     return report
 
 
+def _parse_vertex(token: str, n: int, what: str) -> int:
+    try:
+        x = int(token)
+    except ValueError:
+        raise ParseError(f"{what} {token!r} is not an integer") from None
+    if not 0 <= x < n:
+        raise ParseError(f"{what} {x} out of range for n={n}")
+    return x
+
+
+def _parse_pair(spec: str, n: int) -> tuple[int, int]:
+    """An ordered pair written x,y of two distinct vertices."""
+    tokens = spec.split(",")
+    if len(tokens) != 2:
+        raise ParseError(f"pair {spec!r} is not of the form x,y")
+    x, y = (_parse_vertex(tok, n, "pair vertex") for tok in tokens)
+    if x == y:
+        raise ParseError(f"pair {spec!r} needs two distinct vertices")
+    return x, y
+
+
 def _parse_measure(spec: str, n: int) -> np.ndarray:
-    """Either dirac:<vertex> or a file of one weight per line."""
+    """Either dirac:<vertex> or a file of one finite weight per line."""
     if spec.startswith("dirac:"):
-        token = spec.split(":", 1)[1]
-        try:
-            x = int(token)
-        except ValueError:
-            raise ParseError(f"dirac vertex {token!r} is not an integer") from None
-        if not 0 <= x < n:
-            raise GraphCurvatureError(f"dirac vertex {x} out of range for n={n}")
         nu = np.zeros(n)
-        nu[x] = 1.0
+        nu[_parse_vertex(spec.split(":", 1)[1], n, "dirac vertex")] = 1.0
         return nu
     values = []
     for token in Path(spec).read_text(encoding="utf-8").split():
         try:
-            values.append(float(token))
+            value = float(token)
         except ValueError:
             raise ParseError(f"measure file {spec}: {token!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ParseError(f"measure file {spec}: {token!r} is not finite")
+        values.append(value)
     nu = np.asarray(values, dtype=float)
     if nu.shape != (n,):
         raise GraphCurvatureError(f"measure file {spec} has {nu.size} entries, expected {n}")
     return nu
+
+
+# the output formats each subcommand renders (curvature --pairs: json only)
+FORMATS = {
+    "analyze": ("json", "table"),
+    "verify-functional": ("json", "table"),
+    "curvature": ("json", "table", "csv"),
+    "wasserstein": ("json",),
+    "heat": ("json",),
+    "perron": ("json", "table"),
+}
+
+
+def _check_format(args: argparse.Namespace) -> None:
+    """Reject a --format the subcommand does not render."""
+    supported = FORMATS[args.command]
+    if args.command == "curvature" and args.pairs is not None:
+        supported = ("json",)
+    if args.format not in supported:
+        raise ParseError(f"{args.command} does not support --format {args.format}")
 
 
 def _print_or_save(text: str, out: str | None) -> None:
@@ -364,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--f", default=None, help="dirac:<v> or a file of values")
-    group.add_argument("--kernel", type=int, default=None, metavar="X",
+    group.add_argument("--kernel", default=None, metavar="X",
                        help="print the heat-kernel row of vertex X")
 
     p = sub.add_parser("perron", help="stationary measure of the walk")
@@ -392,6 +430,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_format(args)
+        if args.command == "heat" and not (math.isfinite(args.t) and args.t >= 0):
+            raise ParseError(f"--t must be a finite non-negative time, got {args.t}")
         g = load_graph(args.graph)
         config = _config_from_args(args)
 
@@ -412,8 +453,7 @@ def main(argv: list[str] | None = None) -> int:
                 from .curvature import kappa_lp
 
                 records = []
-                for spec in args.pairs:
-                    x, y = (int(tok) for tok in spec.split(","))
+                for x, y in [_parse_pair(spec, g.n) for spec in args.pairs]:
                     value, witness = kappa_lp(x, y, M, dm)
                     record = {"pair": [x, y], "kappa": value, "witness": witness.tolist()}
                     if args.cross_check:
@@ -460,8 +500,9 @@ def main(argv: list[str] | None = None) -> int:
             M = markov_data(g)
             H = heat_operator(M)
             if args.kernel is not None:
-                row = heat_kernel(H, args.kernel, args.t)
-                payload = {"t": args.t, "x": args.kernel, "kernel_row": row.tolist()}
+                x = _parse_vertex(args.kernel, g.n, "vertex")
+                row = heat_kernel(H, x, args.t)
+                payload = {"t": args.t, "x": x, "kernel_row": row.tolist()}
             else:
                 f = _parse_measure(args.f, g.n)
                 value = H.apply(args.t, f)

@@ -1,19 +1,28 @@
-"""Dense two-phase simplex with Bland's rule.
+"""Dense simplex with Bland's rule: two-phase primal, or dual from a basis.
 
 One pivot core backs every optimisation in the package: the arc-flow
-program behind the Wasserstein distance (n balance rows, one variable
-per arc) and the per-pair curvature programs (one Lipschitz row per
-arc).  Problems stay small (hundreds of variables at the target scale),
-so a dense tableau is simpler than a revised method and fast enough.
-Bland's entering and leaving rule guarantees termination on the heavily
-degenerate tableaus that transport instances produce.  solve_transport
-solves the n^2-variable coupling program; the library itself does not
-call it, and the tests hold the flow form to it as a reference.
+program behind the Wasserstein distance (n - 1 balance rows, one
+variable per arc) and the per-pair curvature programs (one Lipschitz
+row per arc).  Problems stay small (hundreds of variables at the target
+scale), so a dense tableau is simpler than a revised method and fast
+enough.  Bland's entering and leaving rule guarantees termination on
+the heavily degenerate tableaus that transport instances produce.
+
+solve_lp has two entry points.  A program without a starting basis goes
+through the two-phase primal simplex (phase 1 on artificial columns,
+then phase 2).  A program that carries a dual-feasible basis (all rows
+equalities, every variable in [0, inf)) skips phase 1: its tableau is
+built as B^-1 [A | b] and a dual simplex pivots it to primal
+feasibility.  The arc-flow program takes the second path with a
+shortest-path-tree basis.  solve_transport solves the n^2-variable
+coupling program; the library itself does not call it, and the tests
+hold the flow form to it as a reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +36,10 @@ GAP_TOL = 1e-8
 PIVOT_TOL = 1e-9
 # reduced-cost threshold below which a column may still enter
 RC_TOL = 1e-10
+# dual simplex: a basic variable below -PRIMAL_TOL leaves; smaller
+# negatives are rounding in B^-1 b (values are masses of order 1) and
+# are read as zero
+PRIMAL_TOL = 1e-15
 # marginal mass agreement for transport instances
 MARGINAL_TOL = 1e-12
 
@@ -39,7 +52,9 @@ class LinearProgram:
 
     senses holds one of "<=" or "=" per row.  bounds holds one
     (lower, upper) pair per variable with None for unbounded; the
-    default is (0, None) for every variable.
+    default is (0, None) for every variable.  basis, when given, holds
+    one column index per row whose columns form a dual-feasible basis;
+    it needs every row to be "=" and every bound to be (0, None).
     """
 
     c: np.ndarray
@@ -48,6 +63,7 @@ class LinearProgram:
     senses: tuple[str, ...]
     bounds: tuple[Bound, ...] | None = None
     maximize: bool = False
+    basis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
@@ -61,11 +77,17 @@ class LinearProgram:
             raise ValueError('senses must give "<=" or "=" per row')
         self.senses = senses
         if self.bounds is None:
-            self.bounds = tuple((0.0, None) for _ in range(n))
+            self.bounds = ((0.0, None),) * n
         else:
             self.bounds = tuple(self.bounds)
             if len(self.bounds) != n:
                 raise ValueError("one (lower, upper) pair per variable required")
+        if self.basis is not None:
+            self.basis = np.asarray(self.basis, dtype=int)
+            if any(s != "=" for s in senses) or any(bd != (0.0, None) for bd in self.bounds):
+                raise ValueError('a starting basis needs "=" rows and (0, None) bounds')
+            if self.basis.shape != (m,) or not ((0 <= self.basis) & (self.basis < n)).all():
+                raise ValueError("a starting basis holds one column index per row")
 
 
 @dataclass
@@ -110,6 +132,12 @@ def _pivot(T: np.ndarray, r: int, j: int) -> None:
     T[r, j] = 1.0
 
 
+def _lowest_tie(ratios: np.ndarray) -> np.ndarray:
+    """Indices whose ratio is the minimum, up to rounding."""
+    best = float(ratios.min())
+    return np.nonzero(ratios <= best + 1e-12 * max(1.0, abs(best)))[0]
+
+
 def _run_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int]:
     """Pivot to optimality under Bland's rule.
 
@@ -131,8 +159,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, 
             return "unbounded", iterations
         with np.errstate(divide="ignore"):
             ratios = np.where(positive, T[:m, -1] / np.where(positive, col, 1.0), np.inf)
-        best = float(ratios.min())
-        ties = np.nonzero(ratios <= best + 1e-12 * max(1.0, abs(best)))[0]
+        ties = _lowest_tie(ratios)
         r = int(ties[np.argmin(basis[ties])])
         _pivot(T, r, j)
         basis[r] = j
@@ -141,100 +168,217 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, 
             raise NumericsError(f"simplex exceeded {max_iter} pivots; tableau may be cycling")
 
 
-def solve_lp(problem: LinearProgram) -> LpSolution:
-    """Two-phase simplex solve of a small dense linear program."""
-    m0, n0 = problem.A.shape
+def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int]:
+    """Pivot a dual-feasible tableau to primal feasibility under Bland's rule.
+
+    Leaving: the lowest-index basic variable below -PRIMAL_TOL.
+    Entering: among the columns with a negative entry in its row, the
+    lowest index of minimum ratio (reduced cost) / -(entry), which keeps
+    every reduced cost non-negative.  A leaving row with no negative
+    entry proves the program infeasible.
+    """
+    iterations = 0
+    m = T.shape[0] - 1
+    while True:
+        short = np.nonzero(T[:m, -1] < -PRIMAL_TOL)[0]
+        if not short.size:
+            return "optimal", iterations
+        r = int(short[np.argmin(basis[short])])
+        row = T[r, :-1]
+        negative = row < -PIVOT_TOL
+        if not negative.any():
+            return "infeasible", iterations
+        ratios = np.where(negative, T[-1, :-1] / np.where(negative, -row, 1.0), np.inf)
+        j = int(_lowest_tie(ratios)[0])
+        _pivot(T, r, j)
+        basis[r] = j
+        iterations += 1
+        if iterations > max_iter:
+            raise NumericsError(f"dual simplex exceeded {max_iter} pivots; tableau may be cycling")
+
+
+def _bound_arrays(bounds: tuple[Bound, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds as float arrays, NaN where unbounded."""
+    lo_hi = np.array(bounds, dtype=float).reshape(len(bounds), 2)
+    return lo_hi[:, 0], lo_hi[:, 1]
+
+
+def _certificate(
+    A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, float, float, float]:
+    """Duals of a basis of min c.x, A x = b, x >= 0, and what they certify.
+
+    Returns (y, c.x, |c.x - y.b|, max |x * (c - A^T y)|).
+    """
+    try:
+        y = np.linalg.solve(A[:, basis].T, c[basis])
+    except np.linalg.LinAlgError:
+        raise NumericsError("optimal basis matrix is singular") from None
+    primal = float(c @ x)
+    gap = abs(primal - float(y @ b))
+    reduced = c - A.T @ y
+    complementarity = float(np.abs(x * reduced).max()) if x.size else 0.0
+    return y, primal, gap, complementarity
+
+
+def _feasibility_residual(problem: LinearProgram, x: np.ndarray) -> float:
+    """Largest violation by x of the original rows and bounds."""
+    err = problem.A @ x - problem.b
+    eq = np.asarray(problem.senses) == "="
+    lo, hi = _bound_arrays(problem.bounds)
+    return float(
+        max(
+            0.0,
+            np.where(eq, np.abs(err), err).max(initial=0.0),
+            np.max(lo - x, where=~np.isnan(lo), initial=0.0),
+            np.max(x - hi, where=~np.isnan(hi), initial=0.0),
+        )
+    )
+
+
+def _solve_from_basis(problem: LinearProgram) -> LpSolution:
+    """Dual simplex from the program's starting basis (no phase 1)."""
+    A, b = problem.A, problem.b
+    m, n = A.shape
+    c = -problem.c if problem.maximize else problem.c
+    basis = problem.basis.copy()
+
+    T = np.empty((m + 1, n + 1))
+    try:
+        T[:m] = np.linalg.solve(A[:, basis], np.column_stack([A, b]))
+    except np.linalg.LinAlgError:
+        raise NumericsError("starting basis matrix is singular") from None
+    T[:m, basis] = np.eye(m)
+    T[-1, :n] = c
+    T[-1, -1] = 0.0
+    T[-1] -= c[basis] @ T[:m]
+    T[-1, basis] = 0.0
+    worst = float(T[-1, :n].min(initial=0.0))
+    if worst < -RC_TOL:
+        raise NumericsError(f"starting basis is not dual feasible: reduced cost {worst:.3e}")
+
+    status, iterations = _run_dual_simplex(T, basis, 1000 + 50 * (m + n))
+    if status != "optimal":
+        return LpSolution(status=status, iterations=iterations)
+    x = np.zeros(n)
+    x[basis] = np.maximum(T[:m, -1], 0.0)
+    y, primal, gap, complementarity = _certificate(A, b, c, basis, x)
+    return LpSolution(
+        status="optimal",
+        x=x,
+        value=-primal if problem.maximize else primal,
+        duals=-y if problem.maximize else y,
+        feasibility_residual=_feasibility_residual(problem, x),
+        duality_gap=gap,
+        complementarity=complementarity,
+        iterations=iterations,
+    )
+
+
+class _StandardForm(NamedTuple):
+    """min c.z subject to A z = b, z >= 0, with b >= 0.
+
+    The structural columns come first, then one slack per "<=" row.
+    Original variable j is base[j] plus sign[k] * z[k] summed over the
+    columns k with src[k] == j.  row_sign[i] is -1 where row i was
+    negated to make b[i] >= 0; slack_basis[i] is the slack column that
+    can start basic in row i, or -1 where row i needs an artificial.
+    offset is the objective's constant part.
+    """
+
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    row_sign: np.ndarray
+    slack_basis: np.ndarray
+    src: np.ndarray
+    sign: np.ndarray
+    base: np.ndarray
+    offset: float
+
+
+def _standard_form(problem: LinearProgram) -> _StandardForm | None:
+    """The program in standard form, or None if some upper bound < lower bound.
+
+    Each variable gets one column, negated where only an upper bound is
+    given (x = hi - u), and a free variable gets a second, negated
+    column (x = u - v).  A boxed variable gets a row u <= hi - lo.
+    """
+    n0 = problem.A.shape[1]
     c_sign = -1.0 if problem.maximize else 1.0
+    lo, hi = _bound_arrays(problem.bounds)
+    has_lo, has_hi = ~np.isnan(lo), ~np.isnan(hi)
+    boxed = has_lo & has_hi
+    if (hi[boxed] < lo[boxed]).any():
+        return None
+    free = ~has_lo & ~has_hi
+    reps = 1 + free
+    src = np.repeat(np.arange(n0), reps)
+    first = np.cumsum(reps) - reps
+    sign = np.repeat(np.where(has_lo | free, 1.0, -1.0), reps)
+    sign[first[free] + 1] = -1.0
+    base = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
 
-    # ---- variable transform: everything becomes x_std >= 0 ----
-    cols: list[np.ndarray] = []
-    costs: list[float] = []
-    col_map: list[tuple[int, float]] = []  # (original index, sign)
-    base = np.zeros(n0)  # constant part of each original variable
-    extra_rows: list[np.ndarray] = []
-    extra_rhs: list[float] = []
-    for j, (lo, hi) in enumerate(problem.bounds):
-        a = problem.A[:, j]
-        if lo is None and hi is None:
-            cols.append(a)
-            costs.append(c_sign * problem.c[j])
-            col_map.append((j, 1.0))
-            cols.append(-a)
-            costs.append(-c_sign * problem.c[j])
-            col_map.append((j, -1.0))
-        elif lo is not None:
-            base[j] = lo
-            cols.append(a)
-            costs.append(c_sign * problem.c[j])
-            col_map.append((j, 1.0))
-            if hi is not None:
-                if hi < lo:
-                    return LpSolution(status="infeasible")
-                row = np.zeros(len(cols))
-                row[-1] = 1.0
-                extra_rows.append(row)
-                extra_rhs.append(hi - lo)
-        else:
-            # upper bound only: substitute x = hi - u
-            base[j] = hi
-            cols.append(-a)
-            costs.append(-c_sign * problem.c[j])
-            col_map.append((j, -1.0))
-
-    n_struct = len(cols)
-    A = np.column_stack(cols) if cols else np.zeros((m0, 0))
+    n_struct = len(src)
+    A = problem.A[:, src] * sign
     b = problem.b - problem.A @ base
-    senses = list(problem.senses)
-    if extra_rows:
-        pad = np.zeros((len(extra_rows), n_struct))
-        for i, row in enumerate(extra_rows):
-            pad[i, : row.shape[0]] = row
+    le = np.asarray(problem.senses) == "<="
+    n_box = int(boxed.sum())
+    if n_box:
+        pad = np.zeros((n_box, n_struct))
+        pad[np.arange(n_box), first[boxed]] = 1.0
         A = np.vstack([A, pad])
-        b = np.concatenate([b, np.asarray(extra_rhs)])
-        senses += ["<="] * len(extra_rows)
-    offset = float(c_sign * problem.c @ base)
+        b = np.concatenate([b, (hi - lo)[boxed]])
+        le = np.concatenate([le, np.ones(n_box, dtype=bool)])
     m = A.shape[0]
 
-    # ---- slacks, b >= 0 normalisation, initial basis ----
-    n_le = sum(1 for s in senses if s == "<=")
-    A_std = np.hstack([A, np.zeros((m, n_le))])
-    c_std = np.concatenate([np.asarray(costs), np.zeros(n_le)])
-    slack_of = {}
-    k = n_struct
-    for i, s in enumerate(senses):
-        if s == "<=":
-            A_std[i, k] = 1.0
-            slack_of[i] = k
-            k += 1
-    row_sign = np.ones(m)
-    for i in range(m):
-        if b[i] < 0:
-            A_std[i] *= -1.0
-            b[i] *= -1.0
-            row_sign[i] = -1.0
-    b_std = b.copy()
+    n_le = int(le.sum())
+    A = np.hstack([A, np.zeros((m, n_le))])
+    slack_col = n_struct + np.cumsum(le) - 1
+    A[le, slack_col[le]] = 1.0
+    flip = b < 0
+    A[flip] *= -1.0
+    slack_basis = np.where(le & ~flip, slack_col, -1)
+    return _StandardForm(
+        A=A,
+        b=np.where(flip, -b, b),
+        c=np.concatenate([c_sign * problem.c[src] * sign, np.zeros(n_le)]),
+        row_sign=np.where(flip, -1.0, 1.0),
+        slack_basis=slack_basis,
+        src=src,
+        sign=sign,
+        base=base,
+        offset=float(c_sign * problem.c @ base),
+    )
 
-    n_total = A_std.shape[1]
-    basis = np.full(m, -1, dtype=int)
-    art_rows = []
-    for i in range(m):
-        j = slack_of.get(i)
-        if j is not None and A_std[i, j] > 0:
-            basis[i] = j
-        else:
-            art_rows.append(i)
+
+def solve_lp(problem: LinearProgram) -> LpSolution:
+    """Simplex solve of a small dense linear program.
+
+    With problem.basis set, a dual simplex from that basis, which must
+    be dual feasible (NumericsError otherwise); else the two-phase
+    primal simplex.
+    """
+    if problem.basis is not None:
+        return _solve_from_basis(problem)
+    sf = _standard_form(problem)
+    if sf is None:
+        return LpSolution(status="infeasible")
+    A_std, b_std, c_std = sf.A, sf.b, sf.c
+    m, n_total = A_std.shape
+    basis = sf.slack_basis.copy()
+    art_rows = np.nonzero(basis < 0)[0]
 
     keep = np.ones(m, dtype=bool)
     iterations = 0
 
-    if art_rows:
-        n_art = len(art_rows)
+    if art_rows.size:
+        n_art = art_rows.size
         T = np.zeros((m + 1, n_total + n_art + 1))
         T[:m, :n_total] = A_std
         T[:m, -1] = b_std
-        for k_art, i in enumerate(art_rows):
-            T[i, n_total + k_art] = 1.0
-            basis[i] = n_total + k_art
+        T[art_rows, n_total + np.arange(n_art)] = 1.0
+        basis[art_rows] = n_total + np.arange(n_art)
         # phase-1 objective: sum of artificials, reduced against the basis
         T[-1, n_total : n_total + n_art] = 1.0
         for i in art_rows:
@@ -283,51 +427,31 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     x_std = np.maximum(x_std, 0.0)
 
     # ---- reconstruct the original variables ----
-    x = base.copy()
-    for k_col, (j, sign) in enumerate(col_map):
-        x[j] += sign * x_std[k_col]
+    x = sf.base.copy()
+    np.add.at(x, sf.src, sf.sign * x_std[: len(sf.src)])
 
     # ---- duals and optimality certificate in standard form ----
     kept_idx = np.nonzero(keep)[0]
-    B = A_std[kept_idx][:, basis]
-    try:
-        y_kept = np.linalg.solve(B.T, c_std[basis])
-    except np.linalg.LinAlgError:
-        raise NumericsError("optimal basis matrix is singular") from None
-    primal_std = float(c_std @ x_std)
-    dual_std = float(y_kept @ b_std[kept_idx])
-    gap = abs(primal_std - dual_std)
-    reduced = c_std - A_std[kept_idx].T @ y_kept
-    complementarity = float(np.abs(x_std * reduced).max()) if n_total else 0.0
+    y_kept, primal_std, gap, complementarity = _certificate(
+        A_std[kept_idx], b_std[kept_idx], c_std, basis, x_std
+    )
 
     duals = np.zeros(m)
-    duals[kept_idx] = y_kept * row_sign[kept_idx]
-    duals = duals[:m0]
+    duals[kept_idx] = y_kept * sf.row_sign[kept_idx]
+    duals = duals[: problem.A.shape[0]]
     if problem.maximize:
         duals = -duals
 
-    value = primal_std + offset
+    value = primal_std + sf.offset
     if problem.maximize:
         value = -value
-
-    # ---- feasibility of the reported point against the original data ----
-    resid = 0.0
-    Ax = problem.A @ x
-    for i, s in enumerate(problem.senses):
-        err = Ax[i] - problem.b[i]
-        resid = max(resid, abs(err) if s == "=" else max(0.0, err))
-    for j, (lo, hi) in enumerate(problem.bounds):
-        if lo is not None:
-            resid = max(resid, lo - x[j])
-        if hi is not None:
-            resid = max(resid, x[j] - hi)
 
     return LpSolution(
         status="optimal",
         x=x,
         value=value,
         duals=duals,
-        feasibility_residual=float(resid),
+        feasibility_residual=_feasibility_residual(problem, x),
         duality_gap=gap,
         complementarity=complementarity,
         iterations=iterations,

@@ -7,13 +7,22 @@ over the arcs alone (the Beckmann form, Peyre & Cuturi 2019, sec. 6):
 one variable g >= 0 per arc, cost sum g, and one balance row per vertex
 fixing outflow - inflow = nu0 - nu1.  That program has |A| variables
 and n rows where the coupling program has n^2 variables and 2n rows.
+The balance rows sum to zero, so the row of a root vertex r is dropped.
 
-Its row duals are a Kantorovich potential f with f(w) - f(z) <= 1 on
-every arc; summing along geodesics, that is f(w) - f(z) <= d(z, w) on
-every ordered pair, so one solve yields both sides of the duality and
-certifies each distance computed in verify mode.  The all-pairs dual
-program stays here as kantorovich_dual, the reference the tests pin
-the flow potential to.
+The solve needs no phase 1.  A BFS out-tree of r (one arc z -> w with
+d(r, z) = d(r, w) - 1 into every w != r) is a basis whose duals are the
+potential -d(r, .), and under it every arc prices at
+1 + d(r, z) - d(r, w) >= 0: the basis is dual feasible whatever the
+measures, and a dual simplex pivots it to the optimal flow.  The root
+is the vertex with the largest excess nu0 - nu1, so for point masses
+the tree path is already optimal.
+
+The row duals of the final basis are a Kantorovich potential f with
+f(w) - f(z) <= 1 on every arc; summing along geodesics, that is
+f(w) - f(z) <= d(z, w) on every ordered pair, so one solve yields both
+sides of the duality and certifies each distance computed in verify
+mode.  The all-pairs dual program stays here as kantorovich_dual, the
+reference the tests pin the flow potential to.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ class TransportPlan:
     Verify mode fills pi (a coupling split from the optimal flow),
     dual_f and duality_gap, and marginal_residual is the largest error
     in the marginals of pi.  Fast mode returns the value only, with
-    marginal_residual the largest flow-balance error.
+    marginal_residual the largest flow-balance error over the vertices.
     """
 
     value: float
@@ -107,18 +116,37 @@ def kantorovich_dual(
     return float(solution.value), f
 
 
-def _flow_program(arcs: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> lp.LinearProgram:
+def _flow_program(
+    arcs: np.ndarray, d: np.ndarray, nu0: np.ndarray, nu1: np.ndarray
+) -> tuple[lp.LinearProgram, int]:
     """min sum g over g >= 0 on the arcs with outflow - inflow = nu0 - nu1.
 
-    arcs holds one (tail, head) row per arc.  The n balance rows sum to
-    zero, so one of them is redundant, which the two-phase solve drops.
+    arcs holds one (tail, head) row per arc, in the row-major order of
+    d.  The balance row of the root r = argmax(nu0 - nu1) (lowest index
+    on ties) is dropped as redundant, leaving one row per other vertex.
+    The starting basis gives the row of w the first arc z -> w with
+    d(r, z) = d(r, w) - 1: a BFS out-tree of r, dual feasible for any
+    measures.  Returns the program and r.
     """
     n = nu0.shape[0]
+    excess = nu0 - nu1
+    r = int(np.argmax(excess))
     k = np.arange(len(arcs))
     A = np.zeros((n, len(arcs)))
     A[arcs[:, 0], k] = 1.0
     A[arcs[:, 1], k] = -1.0
-    return lp.LinearProgram(c=np.ones(len(arcs)), A=A, b=nu0 - nu1, senses=("=",) * n)
+    dr = d[r]
+    tree = np.nonzero(dr[arcs[:, 0]] == dr[arcs[:, 1]] - 1)[0]
+    # heads of the tree arcs cover every w != r; keep the first arc per head
+    _heads, first = np.unique(arcs[tree, 1], return_index=True)
+    problem = lp.LinearProgram(
+        c=np.ones(len(arcs)),
+        A=np.delete(A, r, axis=0),
+        b=np.delete(excess, r),
+        senses=("=",) * (n - 1),
+        basis=tree[first],
+    )
+    return problem, r
 
 
 def _flow_to_coupling(
@@ -168,25 +196,33 @@ def wasserstein(
 ) -> TransportPlan:
     """Directed transport distance between two probability vectors.
 
-    Solves the arc-flow program once.  verify=True also reads the
-    potential f = -(row duals), shifted to f(0) = 0, off that solve and
-    raises NumericsError unless f(w) - f(z) <= 1 + lp.GAP_TOL on every
-    arc and |W - f.(nu1 - nu0)| <= lp.GAP_TOL; it then splits the flow
-    into the coupling pi.  Fast mode, for the inner loops that call this
-    often, returns the value alone.
+    Solves the arc-flow program once, by a dual simplex from the BFS
+    out-tree of the root r = argmax(nu0 - nu1) (see the module
+    docstring).  verify=True also reads the potential off that solve,
+    f = -(row duals) with f(r) = 0, shifted to f(0) = 0, and raises
+    NumericsError unless f(w) - f(z) <= 1 + lp.GAP_TOL on every arc and
+    |W - f.(nu1 - nu0)| <= lp.GAP_TOL; it then splits the flow, which
+    lives on a tree and so is acyclic, into the coupling pi.  Fast mode,
+    for the inner loops that call this often, returns the value alone.
     """
     n = dm.d.shape[0]
     nu0 = _check_probability(nu0, n, "nu0")
     nu1 = _check_probability(nu1, n, "nu1")
     arcs = np.argwhere(dm.d == 1)
-    solution = lp.solve_lp(_flow_program(arcs, nu0, nu1))
+    problem, r = _flow_program(arcs, dm.d, nu0, nu1)
+    solution = lp.solve_lp(problem)
     if solution.status != "optimal":
         raise LpFailureError(f"transport flow solve ended with status {solution.status!r}")
     value = float(solution.value)
     if not verify:
-        return TransportPlan(value=value, marginal_residual=float(solution.feasibility_residual))
+        # every vertex's balance, the root's too, whose row the solve dropped
+        g = solution.x
+        balance = np.bincount(arcs[:, 0], g, n) - np.bincount(arcs[:, 1], g, n)
+        residual = float(np.abs(balance - (nu0 - nu1)).max())
+        return TransportPlan(value=value, marginal_residual=residual)
 
-    f = solution.duals[0] - solution.duals
+    y = np.insert(solution.duals, r, 0.0)
+    f = y[0] - y
     stretch = float((f[arcs[:, 1]] - f[arcs[:, 0]]).max(initial=0.0))
     if stretch > 1.0 + lp.GAP_TOL:
         raise NumericsError(f"transport potential stretches an arc to {stretch:.17g}")

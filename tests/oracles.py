@@ -95,8 +95,21 @@ def expm_heat(Pmean: np.ndarray, t: float) -> np.ndarray:
     return scipy.linalg.expm(-t * (np.eye(Pmean.shape[0]) - Pmean))
 
 
-def linprog_transport(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> float:
-    """Optimal coupling value via scipy's HiGHS solver."""
+def linprog_transport(
+    cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray, tight: bool = False
+) -> float:
+    """Optimal coupling value via scipy's HiGHS solver.
+
+    HiGHS accepts a basis whose rows hold to its feasibility tolerance
+    (1e-7 by default), so on measures with entries near 1e-9 its value
+    can be off by 1e-8.  tight=True runs its dual simplex without
+    presolve at the smallest tolerances it accepts (1e-10).
+    """
+    method, options = "highs", {}
+    if tight:
+        method = "highs-ds"
+        options = {"presolve": False, "primal_feasibility_tolerance": 1e-10,
+                   "dual_feasibility_tolerance": 1e-10}
     n0, n1 = cost.shape
     A_eq = []
     for i in range(n0):
@@ -110,7 +123,7 @@ def linprog_transport(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> flo
     b_eq = np.concatenate([nu0, nu1])
     res = scipy.optimize.linprog(
         cost.reshape(-1), A_eq=np.asarray(A_eq), b_eq=b_eq, bounds=(0, None),
-        method="highs",
+        method=method, options=options,
     )
     assert res.status == 0, res.message
     return float(res.fun)

@@ -5,6 +5,9 @@ transport becomes a min-cost flow with one variable per arc, and the
 curvature program keeps one Lipschitz row per arc.  These properties
 pin both to the programs that enumerate every ordered pair, over
 random strongly connected graphs and random (often sparse) measures.
+The flow program is solved by a dual simplex from a BFS-tree basis;
+further properties pin that path to the two-phase solve of the same
+program and to scipy, and unit tests pin how bad starting bases fail.
 """
 
 from __future__ import annotations
@@ -17,8 +20,11 @@ from hypothesis import strategies as st
 import oracles
 from digricci import (
     LinearProgram,
+    NumericsError,
     build_graph,
     distances,
+    heat_kernel_matrix,
+    heat_operator,
     kantorovich_dual,
     kappa_lp,
     markov_data,
@@ -26,6 +32,7 @@ from digricci import (
     solve_transport,
     wasserstein,
 )
+from digricci.transport import _flow_program
 
 PROPERTY_SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
@@ -134,3 +141,139 @@ def test_kappa_arc_rows_match_all_pairs_rows_and_scipy(instance):
     f = np.delete(witness, x)
     assert (A_ub @ f <= b_ub + 1e-9).all()
     assert witness[y] == pytest.approx(dm.d[x, y], abs=1e-9)
+
+
+@st.composite
+def tree_basis_instances(draw):
+    """Measures that stress the tree-basis start.
+
+    Point masses (the tree path is already optimal), heat-kernel rows at
+    a small and a large time (nearly equal rows, tiny flows), equal
+    measures (zero right-hand side: every pivot would be degenerate),
+    equal measures but for 1e-9 of mass moved from x to y (tree flows of
+    -1e-9 that must still leave) and random sparse measures.
+    """
+    g = draw(graphs())
+    n = g.n
+    kind = draw(st.sampled_from(["dirac", "heat_1e-4", "heat_5", "equal", "nudged", "random"]))
+    x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "dirac":
+        nu0, nu1 = np.eye(n)[x], np.eye(n)[y]
+    elif kind.startswith("heat"):
+        rows = heat_kernel_matrix(heat_operator(markov_data(g)), float(kind[5:]))
+        nu0, nu1 = rows[x], rows[y]
+    elif kind in ("equal", "nudged"):
+        nu0 = draw(measures(n))
+        nu1 = nu0.copy()
+        if kind == "nudged" and x != y and nu0[x] > 0:
+            nu1[x] -= 1e-9
+            nu1[y] += 1e-9
+    else:
+        nu0, nu1 = draw(measures(n)), draw(measures(n))
+    return g, nu0, nu1
+
+
+@PROPERTY_SETTINGS
+@given(tree_basis_instances())
+def test_tree_basis_solve_matches_two_phase_and_scipy(instance):
+    """Same program, same value; scipy to its own accuracy.
+
+    HiGHS cannot go below 1e-10 feasibility tolerance, and heat rows at
+    t = 1e-4 hold entries near 1e-9, so scipy is held to 1e-9.  The two
+    properties below bound W from both sides to 1e-12 without it: the
+    potential attains W from below, the plan from above.
+    """
+    g, nu0, nu1 = instance
+    dm = distances(g)
+    problem, _root = _flow_program(np.argwhere(dm.d == 1), dm.d, nu0, nu1)
+    tree = solve_lp(problem)
+    two_phase = solve_lp(LinearProgram(problem.c, problem.A, problem.b, problem.senses))
+    assert tree.status == two_phase.status == "optimal"
+    assert abs(tree.value - two_phase.value) <= 1e-12
+    assert abs(tree.value - oracles.linprog_transport(dm.d, nu0, nu1, tight=True)) <= 1e-9
+    assert wasserstein(nu0, nu1, dm, verify=False).value == tree.value
+
+
+@PROPERTY_SETTINGS
+@given(tree_basis_instances())
+def test_tree_basis_potential_is_lipschitz_and_attains_w(instance):
+    g, nu0, nu1 = instance
+    plan = wasserstein(nu0, nu1, distances(g), verify=True)
+    f = plan.dual_f
+    assert f[0] == 0.0
+    assert oracles.is_one_lipschitz(f, oracles.hop_distances(oracles.mu_of(g)), slack=1e-12)
+    assert abs(float(f @ (nu1 - nu0)) - plan.value) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(tree_basis_instances())
+def test_tree_basis_plan_has_the_marginals_and_costs_w(instance):
+    g, nu0, nu1 = instance
+    dm = distances(g)
+    plan = wasserstein(nu0, nu1, dm, verify=True)
+    pi = plan.pi
+    assert (pi >= 0).all()
+    assert np.abs(pi.sum(axis=1) - nu0).max() <= 1e-12
+    assert np.abs(pi.sum(axis=0) - nu1).max() <= 1e-12
+    assert abs(float((pi * dm.d).sum()) - plan.value) <= 1e-12
+
+
+class TestStartingBasis:
+    """min x0 + 2 x1 subject to x0 + x1 = b, x >= 0, from a given basis."""
+
+    @staticmethod
+    def program(b=1.0, basis=(0,), **kwargs):
+        return LinearProgram(
+            c=[1.0, 2.0], A=[[1.0, 1.0]], b=[b], senses=("=",), basis=basis, **kwargs
+        )
+
+    def test_dual_feasible_basis_matches_two_phase(self):
+        for maximize in (False, True):
+            problem = self.program(basis=(1,) if maximize else (0,), maximize=maximize)
+            ref = solve_lp(LinearProgram(problem.c, problem.A, problem.b, problem.senses,
+                                         maximize=maximize))
+            sol = solve_lp(problem)
+            assert sol.status == "optimal"
+            assert sol.value == ref.value
+            assert np.array_equal(sol.x, ref.x)
+            assert np.array_equal(sol.duals, ref.duals)
+            assert sol.duality_gap == 0.0 and sol.iterations == 0
+
+    def test_not_dual_feasible_raises(self):
+        # under the basis {x1} the dual is 2, pricing x0 at 1 - 2 < 0
+        with pytest.raises(NumericsError, match="not dual feasible"):
+            solve_lp(self.program(basis=(1,)))
+
+    def test_singular_basis_raises(self):
+        problem = LinearProgram(
+            c=[1.0, 1.0], A=[[1.0, 1.0], [2.0, 2.0]], b=[1.0, 2.0], senses=("=", "="),
+            basis=(0, 1),
+        )
+        with pytest.raises(NumericsError, match="singular"):
+            solve_lp(problem)
+
+    @pytest.mark.parametrize("basis", [(0, 1), (), (2,), (-1,)])
+    def test_basis_of_wrong_length_or_range_raises(self, basis):
+        with pytest.raises(ValueError, match="one column index per row"):
+            self.program(basis=basis)
+
+    def test_basis_with_inequality_rows_raises(self):
+        with pytest.raises(ValueError, match="needs"):
+            LinearProgram(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[1.0], senses=("<=",), basis=(0,))
+
+    def test_basis_with_other_bounds_raises(self):
+        with pytest.raises(ValueError, match="needs"):
+            self.program(bounds=((0.0, None), (None, None)))
+
+    def test_infeasible_program(self):
+        # x0 + x1 = -1 has no non-negative solution; the leaving row has no negative entry
+        assert solve_lp(self.program(b=-1.0)).status == "infeasible"
+
+    def test_dual_simplex_pivots_to_the_optimum(self):
+        # the basis {x0} of x0 - x1 = -1 gives x0 = -1; one pivot brings in x1
+        problem = LinearProgram(c=[1.0, 2.0], A=[[1.0, -1.0]], b=[-1.0], senses=("=",),
+                                basis=(0,))
+        sol = solve_lp(problem)
+        assert sol.status == "optimal" and sol.iterations == 1
+        assert np.array_equal(sol.x, [0.0, 1.0])
+        assert sol.value == 2.0

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from conftest import SEED
 from digricci import LinearProgram, MarginalMismatchError, solve_lp, solve_transport
-from digricci.lp import GAP_TOL, MARGINAL_TOL, assemble_transport_lp
+from digricci.lp import GAP_TOL, MARGINAL_TOL, _standard_form, assemble_transport_lp
 
 
 def random_lp(rng: np.random.Generator) -> LinearProgram:
@@ -144,6 +144,85 @@ class TestAgainstScipy:
             assert sol.duality_gap <= GAP_TOL
             assert sol.complementarity <= 1e-7
             assert sol.feasibility_residual <= 1e-9
+
+
+def loop_standard_form(problem: LinearProgram):
+    """The standard form built one variable and one row at a time.
+
+    The reference that _standard_form's array operations must match
+    entry for entry, so that the tableau, and with it the pivot
+    sequence, stays the same.
+    """
+    m0, n0 = problem.A.shape
+    c_sign = -1.0 if problem.maximize else 1.0
+    cols, costs, src, sign = [], [], [], []
+    base = np.zeros(n0)
+    box_cols, box_rhs = [], []
+    for j, (lo, hi) in enumerate(problem.bounds):
+        a = problem.A[:, j]
+        if lo is not None and hi is not None and hi < lo:
+            return None
+        signs = (1.0, -1.0) if lo is None and hi is None else (1.0,) if lo is not None else (-1.0,)
+        if lo is not None:
+            base[j] = lo
+            if hi is not None:
+                box_cols.append(len(cols))
+                box_rhs.append(hi - lo)
+        elif hi is not None:
+            base[j] = hi
+        for s in signs:
+            cols.append(a if s > 0 else -a)
+            costs.append(c_sign * problem.c[j] if s > 0 else -c_sign * problem.c[j])
+            src.append(j)
+            sign.append(s)
+    A = np.column_stack(cols) if cols else np.zeros((m0, 0))
+    b = problem.b - problem.A @ base
+    senses = list(problem.senses)
+    for k, rhs in zip(box_cols, box_rhs):
+        row = np.zeros(len(cols))
+        row[k] = 1.0
+        A = np.vstack([A, row])
+        b = np.concatenate([b, [rhs]])
+        senses.append("<=")
+    m = A.shape[0]
+    n_le = senses.count("<=")
+    A_std = np.hstack([A, np.zeros((m, n_le))])
+    slack_basis = np.full(m, -1)
+    k = len(cols)
+    for i, s in enumerate(senses):
+        if s == "<=":
+            A_std[i, k] = 1.0
+            slack_basis[i] = k
+            k += 1
+    row_sign = np.ones(m)
+    for i in range(m):
+        if b[i] < 0:
+            A_std[i] *= -1.0
+            b[i] *= -1.0
+            row_sign[i] = -1.0
+            slack_basis[i] = -1
+    return (A_std, b, np.concatenate([np.asarray(costs), np.zeros(n_le)]), row_sign,
+            slack_basis, np.asarray(src), np.asarray(sign), base,
+            float(c_sign * problem.c @ base))
+
+
+class TestStandardForm:
+    def test_matches_the_loop_reference_bit_for_bit(self):
+        rng = np.random.default_rng(SEED + 3)
+        for _ in range(300):
+            lp = random_lp(rng)
+            # random_lp draws no upper-bound-only variables; add some
+            lp.bounds = tuple(
+                (None, float(rng.normal())) if rng.random() < 0.2 else bd for bd in lp.bounds
+            )
+            ours, ref = _standard_form(lp), loop_standard_form(lp)
+            assert (ours is None) == (ref is None)
+            if ours is None:
+                continue
+            for name, got, want in zip(ours._fields, ours, ref):
+                got, want = np.asarray(got), np.asarray(want)
+                assert got.shape == want.shape, name
+                assert got.tobytes() == want.astype(got.dtype).tobytes(), name
 
 
 class TestTransport:

@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import C3_EDGES, K3_EDGES, TRI_EDGES
-from digricci import InequalityCertificate, render_json
+from conftest import C3_EDGES, K3_EDGES, SEED, TRI_EDGES
+from digricci import InequalityCertificate, lp, render_json, transport
 from digricci.cli import main
 from digricci.curvature import SMOOTHING_AGREEMENT_TOL
 from digricci.report import VerificationReport, certificate_to_dict
@@ -132,7 +132,10 @@ class TestCliAnalyze:
         assert code == 0
         assert payload["tolerances"]["certificate"] == 1e-6
         tols = {c["name"]: c["tol"] for c in payload["certificates"]}
-        assert tols["lipschitz_contraction"] == tols["transport_contraction"] == 1e-6
+        # the agreement certificates carry their tolerance as rhs, with tol 0
+        assert tols.pop("curvature_heat_limit_agreement") == 0.0
+        assert len(tols) == 11
+        assert tols == dict.fromkeys(tols, 1e-6)
         assert payload["tolerances"]["smoothing_agreement"] == SMOOTHING_AGREEMENT_TOL
 
     def test_not_strongly_connected_exits_2(self, tmp_path, capsys):
@@ -290,3 +293,91 @@ class TestCliOther:
         assert code == 0
         assert payload["curvature"]["K"] == pytest.approx(1.5, abs=1e-6)
         assert payload["distance"]["lambda"] == 1.0
+
+
+def assert_input_error(code: int, capsys) -> None:
+    """Exit 2 with exactly one error: line and no output or traceback."""
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+
+
+class TestCliInputContract:
+    def test_heat_non_finite_measure_file(self, c3_file, tmp_path, capsys):
+        mfile = tmp_path / "f.txt"
+        mfile.write_text("0.5\nnan\n0.5\n", encoding="utf-8")
+        assert_input_error(main(["heat", c3_file, "--t", "1.0", "--f", str(mfile)]), capsys)
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
+    def test_heat_bad_time(self, c3_file, capsys, t):
+        assert_input_error(main(["heat", c3_file, "--t", t, "--kernel", "0"]), capsys)
+
+    @pytest.mark.parametrize("x", ["9", "-1", "a"])
+    def test_heat_kernel_vertex_out_of_range(self, c3_file, capsys, x):
+        assert_input_error(main(["heat", c3_file, "--t", "0.5", "--kernel", x]), capsys)
+
+    @pytest.mark.parametrize("pair", ["0,9", "0,-1"])
+    def test_pair_vertex_out_of_range(self, c3_file, capsys, pair):
+        assert_input_error(main(["curvature", c3_file, "--pairs", pair]), capsys)
+
+    @pytest.mark.parametrize("pair", ["0-1", "0,1,2", "a,1", ","])
+    def test_malformed_pair(self, c3_file, capsys, pair):
+        assert_input_error(main(["curvature", c3_file, "--pairs", "0,1", pair]), capsys)
+
+    def test_pair_of_one_vertex(self, c3_file, capsys):
+        assert_input_error(main(["curvature", c3_file, "--pairs", "1,1"]), capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{g}", "--format", "csv"],
+            ["verify-functional", "{g}", "--format", "csv"],
+            ["curvature", "{g}", "--pairs", "0,1", "--format", "table"],
+            ["wasserstein", "{g}", "dirac:0", "dirac:1", "--format", "csv"],
+            ["heat", "{g}", "--t", "0.5", "--kernel", "0", "--format", "table"],
+            ["perron", "{g}", "--format", "csv"],
+        ],
+    )
+    def test_unsupported_format(self, c3_file, capsys, argv):
+        assert_input_error(main([a.format(g=c3_file) for a in argv]), capsys)
+
+
+def test_k8_analyze_solve_count(tmp_path, monkeypatch, capsys):
+    """analyze on a weighted K_8 makes 988 LP solves, 932 of them for W.
+
+    56 curvature programs, one flow program per pair transport of the
+    small-time heat limit (3 times) and of transport contraction (4
+    times), and 5 x (100 + 8) density transports in the functional
+    suite: 56 + 7 x 56 + 540.  The benchmark's count canary expects
+    exactly these numbers.
+    """
+    rng = np.random.default_rng(SEED)
+    path = tmp_path / "k8.edges"
+    path.write_text(
+        "".join(f"{x} {y} {rng.uniform(0.5, 2.0)!r}\n"
+                for x in range(8) for y in range(8) if x != y),
+        encoding="utf-8",
+    )
+    counts = {"solves": 0, "under_wasserstein": 0}
+    depth = [0]
+    solve_lp, wasserstein = lp.solve_lp, transport.wasserstein
+
+    def counting_solve(problem):
+        counts["solves"] += 1
+        counts["under_wasserstein"] += depth[0] > 0
+        return solve_lp(problem)
+
+    def counting_wasserstein(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return wasserstein(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(lp, "solve_lp", counting_solve)
+    monkeypatch.setattr(transport, "wasserstein", counting_wasserstein)
+    assert main(["analyze", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["curvature"]["K"] > 0
+    assert counts == {"solves": 988, "under_wasserstein": 932}
