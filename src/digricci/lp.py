@@ -132,12 +132,6 @@ def _pivot(T: np.ndarray, r: int, j: int) -> None:
     T[r, j] = 1.0
 
 
-def _lowest_tie(ratios: np.ndarray) -> np.ndarray:
-    """Indices whose ratio is the minimum, up to rounding."""
-    best = float(ratios.min())
-    return np.nonzero(ratios <= best + 1e-12 * max(1.0, abs(best)))[0]
-
-
 def _run_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int]:
     """Pivot to optimality under Bland's rule.
 
@@ -159,7 +153,8 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, 
             return "unbounded", iterations
         with np.errstate(divide="ignore"):
             ratios = np.where(positive, T[:m, -1] / np.where(positive, col, 1.0), np.inf)
-        ties = _lowest_tie(ratios)
+        best = float(ratios.min())
+        ties = np.nonzero(ratios <= best + 1e-12 * max(1.0, abs(best)))[0]
         r = int(ties[np.argmin(basis[ties])])
         _pivot(T, r, j)
         basis[r] = j
@@ -189,7 +184,8 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[
         if not negative.any():
             return "infeasible", iterations
         ratios = np.where(negative, T[-1, :-1] / np.where(negative, -row, 1.0), np.inf)
-        j = int(_lowest_tie(ratios)[0])
+        best = float(ratios.min())
+        j = int(np.argmax(ratios <= best + 1e-12 * max(1.0, abs(best))))
         _pivot(T, r, j)
         basis[r] = j
         iterations += 1
@@ -224,16 +220,11 @@ def _certificate(
 def _feasibility_residual(problem: LinearProgram, x: np.ndarray) -> float:
     """Largest violation by x of the original rows and bounds."""
     err = problem.A @ x - problem.b
-    eq = np.asarray(problem.senses) == "="
+    eq = [s == "=" for s in problem.senses]
     lo, hi = _bound_arrays(problem.bounds)
-    return float(
-        max(
-            0.0,
-            np.where(eq, np.abs(err), err).max(initial=0.0),
-            np.max(lo - x, where=~np.isnan(lo), initial=0.0),
-            np.max(x - hi, where=~np.isnan(hi), initial=0.0),
-        )
-    )
+    # fmax skips the NaN of a missing bound
+    violations = np.concatenate([np.where(eq, np.abs(err), err), lo - x, x - hi])
+    return float(np.fmax.reduce(violations, initial=0.0))
 
 
 def _solve_from_basis(problem: LinearProgram) -> LpSolution:
@@ -304,45 +295,41 @@ def _standard_form(problem: LinearProgram) -> _StandardForm | None:
     given (x = hi - u), and a free variable gets a second, negated
     column (x = u - v).  A boxed variable gets a row u <= hi - lo.
     """
-    n0 = problem.A.shape[1]
+    m0, n0 = problem.A.shape
     c_sign = -1.0 if problem.maximize else 1.0
     lo, hi = _bound_arrays(problem.bounds)
     has_lo, has_hi = ~np.isnan(lo), ~np.isnan(hi)
     boxed = has_lo & has_hi
     if (hi[boxed] < lo[boxed]).any():
         return None
-    free = ~has_lo & ~has_hi
+    free = ~(has_lo | has_hi)
     reps = 1 + free
     src = np.repeat(np.arange(n0), reps)
-    first = np.cumsum(reps) - reps
     sign = np.repeat(np.where(has_lo | free, 1.0, -1.0), reps)
-    sign[first[free] + 1] = -1.0
+    last = np.cumsum(reps) - 1  # a free variable's second column, else its only one
+    sign[last[free]] = -1.0
     base = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
 
     n_struct = len(src)
-    A = problem.A[:, src] * sign
-    b = problem.b - problem.A @ base
-    le = np.asarray(problem.senses) == "<="
     n_box = int(boxed.sum())
-    if n_box:
-        pad = np.zeros((n_box, n_struct))
-        pad[np.arange(n_box), first[boxed]] = 1.0
-        A = np.vstack([A, pad])
-        b = np.concatenate([b, (hi - lo)[boxed]])
-        le = np.concatenate([le, np.ones(n_box, dtype=bool)])
-    m = A.shape[0]
-
-    n_le = int(le.sum())
-    A = np.hstack([A, np.zeros((m, n_le))])
-    slack_col = n_struct + np.cumsum(le) - 1
-    A[le, slack_col[le]] = 1.0
+    m = m0 + n_box
+    le_rows = np.flatnonzero([s == "<=" for s in problem.senses])
+    le_rows = np.concatenate([le_rows, np.arange(m0, m)])
+    slack = n_struct + np.arange(len(le_rows))
+    A = np.zeros((m, n_struct + len(slack)))
+    A[:m0, :n_struct] = problem.A[:, src] * sign
+    A[np.arange(m0, m), last[boxed]] = 1.0
+    A[le_rows, slack] = 1.0
+    b = np.concatenate([problem.b - problem.A @ base, (hi - lo)[boxed]])
     flip = b < 0
     A[flip] *= -1.0
-    slack_basis = np.where(le & ~flip, slack_col, -1)
+    slack_basis = np.full(m, -1)
+    slack_basis[le_rows] = slack
+    slack_basis[flip] = -1
     return _StandardForm(
         A=A,
         b=np.where(flip, -b, b),
-        c=np.concatenate([c_sign * problem.c[src] * sign, np.zeros(n_le)]),
+        c=np.concatenate([c_sign * problem.c[src] * sign, np.zeros(len(slack))]),
         row_sign=np.where(flip, -1.0, 1.0),
         slack_basis=slack_basis,
         src=src,
