@@ -11,6 +11,18 @@ exact route solves a single linear program
 whose feasible set contains f = d(x, .), so the program always has an
 optimum.  The two must agree in the small-eps limit, which the tests
 and the verification pipeline exercise against each other.
+
+The exact program is solved through its LP dual, a min-cost flow over
+the arcs like the one behind W (transport.arc_flow_program).  With
+c = (L[y] - L[x]) / d(x, y), it has one variable g >= 0 of cost 1 per
+arc, one virtual arc y -> x carrying lambda >= 0 at cost -d(x, y), and
+one balance row outflow - inflow = c(v) per vertex v != x.  Its row
+duals are -f: the arc columns give f(w) - f(z) <= 1, the virtual one
+f(y) - f(x) >= d(x, y), and the two together pin f(y) = d(x, y), so
+the flow optimum is -kappa.  The BFS out-tree of x is a dual-feasible
+starting basis for every pair: its potential d(x, .) prices each arc
+at 1 + d(x, z) - d(x, w) >= 0 and the virtual arc at exactly 0.  No
+phase 1 is needed.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ import numpy as np
 from . import lp, transport
 from .chain import MarkovData
 from .digraph import DistanceMatrix
-from .errors import EpsOutOfRangeError, LpFailureError, SameVertexError
+from .errors import EpsOutOfRangeError, LpFailureError, NumericsError, SameVertexError
 
 # default smoothing grid: small enough to sit in the linear regime,
 # two points so the spread reports whether that actually happened
@@ -71,38 +83,42 @@ def kappa_lp(
 ) -> tuple[float, np.ndarray]:
     """Exact curvature by the limit-free program, with an optimal witness.
 
-    Variables are f(z) for z != x with f(x) pinned to 0.  Constraints:
-    one Lipschitz row f(w) - f(z) <= 1 per arc z -> w, plus the
-    normalisation f(y) = d(x, y) that fixes the unit gradient along
-    (x, y).  The objective is grad_xy (L f) as a linear form in f.  The
-    hop metric is a path metric, so the arc rows already imply
+    The program minimises grad_xy (L f) over f with f(x) = 0, one
+    Lipschitz row f(w) - f(z) <= 1 per arc z -> w, and f(y) = d(x, y).
+    The hop metric is a path metric, so the arc rows already imply
     f(w) - f(z) <= d(z, w) for every ordered pair (sum them along a
-    geodesic): the program has |A| + 1 rows, not n(n-1) + 1.
+    geodesic).  One solve of its dual flow (see the module docstring),
+    by a dual simplex from the BFS out-tree of x, gives kappa as minus
+    the flow optimum and the witness f as minus the row duals, with
+    f(x) = 0.  NumericsError unless f(w) - f(z) <= 1 + lp.GAP_TOL on
+    every arc, |f(y) - d(x, y)| <= lp.GAP_TOL and
+    |kappa - grad_xy (L f)| <= lp.GAP_TOL.
     """
     if x == y:
         raise SameVertexError("curvature needs two distinct vertices")
     d = dm.d
-    n = d.shape[0]
     dxy = float(d[x, y])
     L = M.laplacian.matrix
+    c = (L[y] - L[x]) / dxy
     arcs = np.argwhere(d == 1)
-    k = np.arange(len(arcs))
-    A = np.zeros((len(arcs) + 1, n))
-    A[k, arcs[:, 1]] = 1.0
-    A[k, arcs[:, 0]] = -1.0
-    A[-1, y] = 1.0
-    problem = lp.LinearProgram(
-        c=np.delete((L[y] - L[x]) / dxy, x),
-        A=np.delete(A, x, axis=1),
-        b=np.concatenate([np.ones(len(arcs)), [dxy]]),
-        senses=("<=",) * len(arcs) + ("=",),
-        bounds=((None, None),) * (n - 1),
+    problem = transport.arc_flow_program(
+        np.vstack([arcs, [y, x]]), np.append(np.ones(len(arcs)), -dxy), c, d, x
     )
     solution = lp.solve_lp(problem)
     if solution.status != "optimal":
         raise LpFailureError(f"curvature program ended with status {solution.status!r}")
-    witness = np.insert(solution.x, x, 0.0)
-    return float(solution.value), witness
+    kappa = -float(solution.value)
+    # 0.0 - duals, not -duals: a zero dual must not become -0.0
+    witness = np.insert(0.0 - solution.duals, x, 0.0)
+    stretch = float((witness[arcs[:, 1]] - witness[arcs[:, 0]]).max(initial=0.0))
+    if stretch > 1.0 + lp.GAP_TOL:
+        raise NumericsError(f"curvature witness stretches an arc to {stretch:.17g}")
+    if abs(witness[y] - dxy) > lp.GAP_TOL:
+        raise NumericsError(f"curvature witness has f(y) = {witness[y]:.17g}, not {dxy:g}")
+    gap = abs(kappa - float(c @ witness))
+    if gap > lp.GAP_TOL:
+        raise NumericsError(f"curvature duality gap {gap:.3e} exceeds {lp.GAP_TOL:.1e}")
+    return kappa, witness
 
 
 def kappa_limit(

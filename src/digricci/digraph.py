@@ -77,6 +77,9 @@ def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> Direct
     n = mu.shape[0]
     if n == 0:
         raise ParseError("graph must have at least one vertex")
+    if not np.isfinite(mu).all():
+        x, y = np.argwhere(~np.isfinite(mu))[0]
+        raise ParseError(f"arc {x} -> {y} has non-finite weight {mu[x, y]}")
     if np.any(mu < 0):
         x, y = np.argwhere(mu < 0)[0]
         raise NegativeWeightError(f"arc {x} -> {y} has negative weight {mu[x, y]}")
@@ -283,23 +286,36 @@ def _parse_edge_list(text: str) -> tuple[np.ndarray, None]:
     return mu, None
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; bool is a subclass of int, but true is no number."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_json_document(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "n" not in doc or "arcs" not in doc:
         raise ParseError('JSON graph needs keys "n" and "arcs"')
     n = doc["n"]
-    if not isinstance(n, int) or n <= 0:
+    if not _is_int(n) or n <= 0:
         raise ParseError(f'"n" must be a positive integer, got {n!r}')
+    if not isinstance(doc["arcs"], list):
+        raise ParseError('"arcs" must be a list of arcs')
     mu = np.zeros((n, n))
     for k, arc in enumerate(doc["arcs"]):
         if not isinstance(arc, (list, tuple)) or len(arc) not in (2, 3):
             raise ParseError(f"arc #{k}: expected [src, dst] or [src, dst, weight]")
         src, dst = arc[0], arc[1]
-        weight = float(arc[2]) if len(arc) == 3 else 1.0
-        if not isinstance(src, int) or not isinstance(dst, int):
+        weight = arc[2] if len(arc) == 3 else 1.0
+        if not (_is_int(weight) or isinstance(weight, float)):
+            raise ParseError(f"arc #{k}: weight must be a number, got {json.dumps(weight)}")
+        try:
+            weight = float(weight)
+        except OverflowError:
+            raise ParseError(f"arc #{k}: weight is too large for a float") from None
+        if not _is_int(src) or not _is_int(dst):
             raise ParseError(f"arc #{k}: vertex ids must be integers")
         if not (0 <= src < n and 0 <= dst < n):
             raise ParseError(f"arc #{k}: vertex id out of range for n={n}")

@@ -1,22 +1,25 @@
 """Dense simplex with Bland's rule: two-phase primal, or dual from a basis.
 
-One pivot core backs every optimisation in the package: the arc-flow
-program behind the Wasserstein distance (n - 1 balance rows, one
-variable per arc) and the per-pair curvature programs (one Lipschitz
-row per arc).  Problems stay small (hundreds of variables at the target
-scale), so a dense tableau is simpler than a revised method and fast
-enough.  Bland's entering and leaving rule guarantees termination on
-the heavily degenerate tableaus that transport instances produce.
+One pivot core backs every optimisation in the package.  The library
+solves two programs, both min-cost flows over the arcs with n - 1
+balance rows: the flow behind the Wasserstein distance (one variable
+per arc) and the dual of each per-pair curvature program (one variable
+per arc plus one virtual arc).  Problems stay small (hundreds of
+variables at the target scale), so a dense tableau is simpler than a
+revised method and fast enough.  Bland's entering and leaving rule
+guarantees termination on the heavily degenerate tableaus that
+transport instances produce.
 
-solve_lp has two entry points.  A program without a starting basis goes
+solve_lp has two entry points.  A program that carries a dual-feasible
+basis (all rows equalities, every variable in [0, inf)) skips phase 1:
+its tableau is built as B^-1 [A | b] and a dual simplex pivots it to
+primal feasibility.  Both library programs take this path, with a
+shortest-path-tree basis.  A program without a starting basis goes
 through the two-phase primal simplex (phase 1 on artificial columns,
-then phase 2).  A program that carries a dual-feasible basis (all rows
-equalities, every variable in [0, inf)) skips phase 1: its tableau is
-built as B^-1 [A | b] and a dual simplex pivots it to primal
-feasibility.  The arc-flow program takes the second path with a
-shortest-path-tree basis.  solve_transport solves the n^2-variable
-coupling program; the library itself does not call it, and the tests
-hold the flow form to it as a reference.
+then phase 2).  That path serves the reference programs: the
+n^2-variable coupling program of solve_transport and the all-pairs
+dual of transport.kantorovich_dual, which the library does not call
+and the tests hold the flow forms to.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ potential -d(r, .), and under it every arc prices at
 1 + d(r, z) - d(r, w) >= 0: the basis is dual feasible whatever the
 measures, and a dual simplex pivots it to the optimal flow.  The root
 is the vertex with the largest excess nu0 - nu1, so for point masses
-the tree path is already optimal.
+the tree path is already optimal.  arc_flow_program builds this
+program for any arc costs and root; the curvature module solves its
+dual flow with it too.
 
 The row duals of the final basis are a Kantorovich potential f with
 f(w) - f(z) <= 1 on every arc; summing along geodesics, that is
@@ -116,37 +118,49 @@ def kantorovich_dual(
     return float(solution.value), f
 
 
+def arc_flow_program(
+    arcs: np.ndarray, cost: np.ndarray, excess: np.ndarray, d: np.ndarray, root: int
+) -> lp.LinearProgram:
+    """min cost.g over g >= 0 on the arcs with outflow - inflow = excess.
+
+    arcs holds one (tail, head) row per arc and cost one entry per arc.
+    excess sums to zero, so the balance row of root is dropped as
+    redundant, leaving one row per other vertex.  The starting basis
+    gives the row of w the first arc z -> w with d(root, z) =
+    d(root, w) - 1: a BFS out-tree of root.  With unit cost on its arcs
+    the basis duals are the potential -d(root, .), which prices arc
+    z -> w at cost + d(root, z) - d(root, w), so the basis is dual
+    feasible whenever no arc costs less than d(root, w) - d(root, z).
+    """
+    k = np.arange(len(arcs))
+    A = np.zeros((len(excess), len(arcs)))
+    A[arcs[:, 0], k] = 1.0
+    A[arcs[:, 1], k] = -1.0
+    dr = d[root]
+    tree = np.nonzero(dr[arcs[:, 0]] == dr[arcs[:, 1]] - 1)[0]
+    # heads of the tree arcs cover every w != root; keep the first arc per head
+    _heads, first = np.unique(arcs[tree, 1], return_index=True)
+    return lp.LinearProgram(
+        c=cost,
+        A=np.delete(A, root, axis=0),
+        b=np.delete(excess, root),
+        senses=("=",) * (len(excess) - 1),
+        basis=tree[first],
+    )
+
+
 def _flow_program(
     arcs: np.ndarray, d: np.ndarray, nu0: np.ndarray, nu1: np.ndarray
 ) -> tuple[lp.LinearProgram, int]:
-    """min sum g over g >= 0 on the arcs with outflow - inflow = nu0 - nu1.
+    """The transport flow program: unit cost on every arc, root r.
 
-    arcs holds one (tail, head) row per arc, in the row-major order of
-    d.  The balance row of the root r = argmax(nu0 - nu1) (lowest index
-    on ties) is dropped as redundant, leaving one row per other vertex.
-    The starting basis gives the row of w the first arc z -> w with
-    d(r, z) = d(r, w) - 1: a BFS out-tree of r, dual feasible for any
-    measures.  Returns the program and r.
+    arcs is in the row-major order of d and r = argmax(nu0 - nu1)
+    (lowest index on ties).  Unit costs make the BFS-tree basis dual
+    feasible for any measures.  Returns the program and r.
     """
-    n = nu0.shape[0]
     excess = nu0 - nu1
     r = int(np.argmax(excess))
-    k = np.arange(len(arcs))
-    A = np.zeros((n, len(arcs)))
-    A[arcs[:, 0], k] = 1.0
-    A[arcs[:, 1], k] = -1.0
-    dr = d[r]
-    tree = np.nonzero(dr[arcs[:, 0]] == dr[arcs[:, 1]] - 1)[0]
-    # heads of the tree arcs cover every w != r; keep the first arc per head
-    _heads, first = np.unique(arcs[tree, 1], return_index=True)
-    problem = lp.LinearProgram(
-        c=np.ones(len(arcs)),
-        A=np.delete(A, r, axis=0),
-        b=np.delete(excess, r),
-        senses=("=",) * (n - 1),
-        basis=tree[first],
-    )
-    return problem, r
+    return arc_flow_program(arcs, np.ones(len(arcs)), excess, d, r), r
 
 
 def _flow_to_coupling(

@@ -8,6 +8,8 @@ random strongly connected graphs and random (often sparse) measures.
 The flow program is solved by a dual simplex from a BFS-tree basis;
 further properties pin that path to the two-phase solve of the same
 program and to scipy, and unit tests pin how bad starting bases fail.
+The curvature program is solved through its dual flow from the same
+kind of basis; its witness is checked for optimality on its own.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from digricci import (
     heat_operator,
     kantorovich_dual,
     kappa_lp,
+    lp,
     markov_data,
     solve_lp,
     solve_transport,
@@ -141,6 +144,37 @@ def test_kappa_arc_rows_match_all_pairs_rows_and_scipy(instance):
     f = np.delete(witness, x)
     assert (A_ub @ f <= b_ub + 1e-9).all()
     assert witness[y] == pytest.approx(dm.d[x, y], abs=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(curvature_instances())
+def test_kappa_witness_is_an_optimal_potential(instance):
+    g, x, y = instance
+    value, f = kappa_lp(x, y, markov_data(g), distances(g))
+    mu = oracles.mu_of(g)
+    d = oracles.hop_distances(mu)
+    _P, _m, Pmean, _mxy = oracles.reference_chain(mu)
+    L = np.eye(g.n) - Pmean
+    assert f[x] == 0.0 and not np.signbit(f[x])
+    assert abs(f[y] - d[x, y]) <= 1e-12
+    assert oracles.is_one_lipschitz(f, d, slack=1e-12)
+    assert abs(float((L[y] - L[x]) @ f) / d[x, y] - value) <= 1e-12
+
+
+def test_kappa_lp_solves_the_flow_dual_from_a_basis(g_tri, monkeypatch):
+    """One solve per pair: n - 1 balance rows, a column per arc plus the virtual one."""
+    problems = []
+    solve_lp = lp.solve_lp
+
+    def recording_solve(problem):
+        problems.append(problem)
+        return solve_lp(problem)
+
+    monkeypatch.setattr(lp, "solve_lp", recording_solve)
+    kappa_lp(0, 2, markov_data(g_tri), distances(g_tri))
+    (problem,) = problems
+    assert problem.basis is not None
+    assert problem.A.shape == (g_tri.n - 1, g_tri.arc_count + 1)
 
 
 @st.composite

@@ -94,6 +94,12 @@ class TestBuildGraph:
         with pytest.raises(NegativeWeightError):
             build_graph(mu)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_naming_the_arc(self, bad):
+        mu = np.array([[0.0, 1.0], [bad, 0.0]])
+        with pytest.raises(ParseError, match="arc 1 -> 0 has non-finite weight"):
+            build_graph(mu)
+
     def test_mu_is_read_only(self, g_c3):
         with pytest.raises(ValueError):
             g_c3.mu[0, 1] = 5.0

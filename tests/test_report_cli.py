@@ -330,6 +330,36 @@ class TestCliInputContract:
         assert_input_error(main(["curvature", c3_file, "--pairs", "1,1"]), capsys)
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            "0 1 inf\n1 2 1\n2 0 1\n",
+            "0 1 1e400\n1 2 1\n2 0 1\n",
+            "0 1 nan\n1 2 1\n2 0 1\n",
+            *(
+                '{"n": 3, "arcs": [[0, 1, %s], [1, 2, 1], [2, 0, 1]]}' % w
+                for w in ("Infinity", "1e400", "NaN", "true", '"2"', "null", "1" + "0" * 400)
+            ),
+        ],
+    )
+    def test_bad_arc_weight(self, tmp_path, capsys, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        assert_input_error(main(["analyze", str(path)]), capsys)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"n": true, "arcs": [[0, 0]]}',
+            '{"n": 2, "arcs": [[false, true], [true, false]]}',
+            '{"n": 2, "arcs": 5}',
+        ],
+    )
+    def test_json_bool_or_scalar_is_no_graph(self, tmp_path, capsys, doc):
+        path = tmp_path / "g.json"
+        path.write_text(doc, encoding="utf-8")
+        assert_input_error(main(["analyze", str(path)]), capsys)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["analyze", "{g}", "--format", "csv"],
