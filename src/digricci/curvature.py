@@ -100,15 +100,15 @@ def kappa_lp(
     dxy = float(d[x, y])
     L = M.laplacian.matrix
     c = (L[y] - L[x]) / dxy
-    arcs = np.argwhere(d == 1)
+    arcs = dm.arcs
     problem = transport.arc_flow_program(
         np.vstack([arcs, [y, x]]), np.append(np.ones(len(arcs)), -dxy), c, d, x
     )
     solution = lp.solve_lp(problem)
     if solution.status != "optimal":
         raise LpFailureError(f"curvature program ended with status {solution.status!r}")
-    kappa = -float(solution.value)
-    # 0.0 - duals, not -duals: a zero dual must not become -0.0
+    # 0.0 - v, not -v: a zero optimum or dual must not become -0.0
+    kappa = 0.0 - float(solution.value)
     witness = np.insert(0.0 - solution.duals, x, 0.0)
     stretch = float((witness[arcs[:, 1]] - witness[arcs[:, 0]]).max(initial=0.0))
     if stretch > 1.0 + lp.GAP_TOL:

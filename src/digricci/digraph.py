@@ -61,12 +61,14 @@ class DistanceMatrix:
     dsym[x, y] max(d[x, y], d[y, x])
     dvert[x]   max of dsym[x, y] over neighbours y of x (both directions)
     lam        max of dvert over all vertices
+    arcs[k]    (tail, head) of the k-th arc, the pairs with d = 1 in row-major order
     """
 
     d: np.ndarray
     dsym: np.ndarray
     dvert: np.ndarray
     lam: int
+    arcs: np.ndarray
 
 
 def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> DirectedGraph:
@@ -184,9 +186,12 @@ def distances(g: DirectedGraph) -> DistanceMatrix:
     dsym = np.maximum(d, d.T)
     nbr = (g.mu > 0) | (g.mu.T > 0)
     dvert = np.where(nbr, dsym, 0).max(axis=1)
-    for a in (d, dsym, dvert):
+    arcs = np.argwhere(d == 1)
+    for a in (d, dsym, dvert, arcs):
         a.flags.writeable = False
-    return DistanceMatrix(d=d, dsym=dsym, dvert=dvert, lam=int(dvert.max()) if n > 1 else 0)
+    return DistanceMatrix(
+        d=d, dsym=dsym, dvert=dvert, lam=int(dvert.max()) if n > 1 else 0, arcs=arcs
+    )
 
 
 def gradient(f: np.ndarray, x: int, y: int, dm: DistanceMatrix) -> float:

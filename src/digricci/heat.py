@@ -9,6 +9,13 @@ against each other at small times recovers the curvature of each pair,
 and at a global rate K the flow contracts both Lipschitz constants and
 transport distances like exp(-K t).  A truncated series
 exp(-t) sum_k t^k Pbar^k / k! stays available as an independent oracle.
+
+The hop metric is a path metric, so the transport inequality is local:
+a geodesic x = x_0 -> ... -> x_k = y splits d(x, y) = k into arcs, and
+the triangle inequality for W bounds W(p_x_t, p_y_t) by the sum of the
+W over those arcs.  If every arc satisfies W <= exp(-K t), every pair
+satisfies W <= exp(-K t) d(x, y), so the contraction certificate is
+checked over the arcs alone (Ollivier, J. Funct. Anal. 256, 2009).
 """
 
 from __future__ import annotations
@@ -153,13 +160,14 @@ def verify_gradient_estimate(
     tol: float = 1e-9,
 ) -> InequalityCertificate:
     """Check Lip(P_t f) <= exp(-K t) Lip(f) on every sample and time."""
+    fs = np.atleast_2d(fs)
+    lip_fs = [lipschitz_constant(f, dm) for f in fs]
     comparisons = []
     for t in ts:
         if t < 0:
             raise NegativeTimeError(f"time must be non-negative, got {t}")
         shrink = float(np.exp(-K * t))
-        for i, f in enumerate(np.atleast_2d(fs)):
-            lip_f = lipschitz_constant(f, dm)
+        for i, (f, lip_f) in enumerate(zip(fs, lip_fs)):
             lip_heat = lipschitz_constant(H.apply(t, f), dm)
             comparisons.append(
                 (lip_heat, shrink * lip_f, {"t": t, "f_index": i, "lip_f": lip_f})
@@ -176,24 +184,31 @@ def verify_transport_contraction(
     ts: tuple[float, ...] = DEFAULT_TIME_GRID,
     tol: float = 1e-9,
 ) -> InequalityCertificate:
-    """Check W(p_x_t, p_y_t) <= exp(-K t) d(x, y) over all ordered pairs."""
-    n = H.n
+    """Check W(p_x_t, p_y_t) <= exp(-K t) d(x, y) over all ordered pairs.
+
+    The loop runs over the arcs (d(x, y) = 1) only; the module docstring
+    says why that covers every pair.  A pair at distance k has at least
+    the sum of the margins of the k arcs of a geodesic, so at tol = 0
+    the verdict is the all-pairs verdict, and while every arc passes the
+    worst pair margin is the worst arc margin (both up to the roundoff
+    of the W solves).  With tol > 0, a pass bounds every pair's W by
+    exp(-K t) d(x, y) within d(x, y) * tol.  When an arc fails, a pair at
+    distance k may fail by up to k times the reported margin.
+    """
     comparisons = []
     for t in ts:
         if t < 0:
             raise NegativeTimeError(f"time must be non-negative, got {t}")
         kernel = heat_kernel_matrix(H, t)
         shrink = float(np.exp(-K * t))
-        for x in range(n):
-            for y in range(n):
-                if x == y:
-                    continue
-                plan = transport.wasserstein(kernel[x], kernel[y], dm, verify=False)
-                comparisons.append(
-                    (plan.value, shrink * float(dm.d[x, y]), {"t": t, "pair": (x, y)})
-                )
+        for x, y in dm.arcs.tolist():
+            plan = transport.wasserstein(kernel[x], kernel[y], dm, verify=False)
+            comparisons.append((plan.value, shrink, {"t": t, "pair": (x, y)}))
     return certificate_from_samples(
-        "transport_contraction", {"K": K, "times": list(ts)}, comparisons, tol
+        "transport_contraction",
+        {"K": K, "times": list(ts), "pairs": "arcs"},
+        comparisons,
+        tol,
     )
 
 

@@ -15,6 +15,8 @@ from typing import Any
 import numpy as np
 
 from .certificates import InequalityCertificate
+from .curvature import DEFAULT_EPS_GRID
+from .heat import DEFAULT_LIMIT_GRID, DEFAULT_TIME_GRID
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 424242
@@ -25,9 +27,9 @@ class RunConfig:
     """Knobs shared by the CLI commands."""
 
     seed: int = DEFAULT_SEED
-    time_grid: tuple[float, ...] = (0.01, 0.1, 1.0, 5.0)
-    limit_time_grid: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
-    eps_grid: tuple[float, ...] = (1e-3, 5e-4)
+    time_grid: tuple[float, ...] = DEFAULT_TIME_GRID
+    limit_time_grid: tuple[float, ...] = DEFAULT_LIMIT_GRID
+    eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID
     lambda_grid: tuple[float, ...] = (0.5, 1.0, 2.0)
     r_grid: tuple[float, ...] = tuple(0.25 * k for k in range(1, 13))
     lipschitz_samples: int = 200

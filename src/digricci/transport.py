@@ -222,7 +222,7 @@ def wasserstein(
     n = dm.d.shape[0]
     nu0 = _check_probability(nu0, n, "nu0")
     nu1 = _check_probability(nu1, n, "nu1")
-    arcs = np.argwhere(dm.d == 1)
+    arcs = dm.arcs
     problem, r = _flow_program(arcs, dm.d, nu0, nu1)
     solution = lp.solve_lp(problem)
     if solution.status != "optimal":

@@ -10,6 +10,8 @@ further properties pin that path to the two-phase solve of the same
 program and to scipy, and unit tests pin how bad starting bases fail.
 The curvature program is solved through its dual flow from the same
 kind of basis; its witness is checked for optimality on its own.
+Transport contraction along the heat flow is checked over the arcs
+only; a property pins its verdict and margin to the all-pairs loop.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from digricci import (
     LinearProgram,
     NumericsError,
     build_graph,
+    curvature_matrix,
     distances,
     heat_kernel_matrix,
     heat_operator,
@@ -33,6 +36,7 @@ from digricci import (
     markov_data,
     solve_lp,
     solve_transport,
+    verify_transport_contraction,
     wasserstein,
 )
 from digricci.transport import _flow_program
@@ -175,6 +179,21 @@ def test_kappa_lp_solves_the_flow_dual_from_a_basis(g_tri, monkeypatch):
     (problem,) = problems
     assert problem.basis is not None
     assert problem.A.shape == (g_tri.n - 1, g_tri.arc_count + 1)
+
+
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_contraction_over_arcs_matches_all_pairs(g):
+    """At K and above it, the arc check and the all-pairs check agree."""
+    M, dm = markov_data(g), distances(g)
+    H = heat_operator(M)
+    K = curvature_matrix(M, dm).K
+    for rate in (K, K + 0.05, K + 0.5):
+        arcs = verify_transport_contraction(H, dm, rate, tol=0.0)
+        ref = oracles.transport_contraction_all_pairs(H, dm, rate, tol=0.0)
+        assert arcs.passed == ref.passed
+        if arcs.passed:
+            assert abs(arcs.margin - ref.margin) <= 1e-12
 
 
 @st.composite

@@ -182,6 +182,12 @@ class TestDistances:
                 assert dm.dvert[x] == dm.dsym[x, nbr[x]].max()
             assert dm.lam == dm.dvert.max()
 
+    def test_arcs_are_the_weighted_pairs_in_row_major_order(self, corpus):
+        for g in corpus:
+            arcs = distances(g).arcs
+            assert np.array_equal(arcs, np.argwhere(np.asarray(g.mu) > 0))
+            assert not arcs.flags.writeable
+
     def test_triangle_inequality(self, corpus):
         for g in corpus:
             d = distances(g).d

@@ -374,6 +374,36 @@ class TestCliInputContract:
         assert_input_error(main([a.format(g=c3_file) for a in argv]), capsys)
 
 
+def test_sparse_analyze_solves_kappa_per_pair_and_heat_flow_per_arc(
+    tmp_path, monkeypatch, capsys
+):
+    """A directed 8-cycle with the chord 0 -> 4 has 9 arcs and K < 0.
+
+    analyze solves kappa on all 56 ordered pairs, and W on the 9 arcs at
+    the 4 contraction times and the 3 heat-limit times: 56 + 7 x 9.
+    """
+    rng = np.random.default_rng(SEED)
+    arcs = [(x, (x + 1) % 8) for x in range(8)] + [(0, 4)]
+    path = tmp_path / "ring8.edges"
+    path.write_text(
+        "".join(f"{x} {y} {rng.uniform(0.5, 2.0)!r}\n" for x, y in arcs), encoding="utf-8"
+    )
+    calls = []
+    solve_lp, wasserstein = lp.solve_lp, transport.wasserstein
+    monkeypatch.setattr(lp, "solve_lp", lambda p: calls.append("lp") or solve_lp(p))
+    monkeypatch.setattr(
+        transport, "wasserstein", lambda *a, **k: calls.append("W") or wasserstein(*a, **k)
+    )
+    assert main(["analyze", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["curvature"]["K"] < 0
+    certs = {c["name"]: c for c in out["certificates"]}
+    for name in ("transport_contraction", "curvature_heat_limit_agreement"):
+        assert certs[name]["hypothesis"]["pairs"] == "arcs"
+    # one LP per W, so 63 of the LPs are the heat-flow transports
+    assert (calls.count("lp"), calls.count("W")) == (56 + 7 * 9, 7 * 9)
+
+
 def test_k8_analyze_solve_count(tmp_path, monkeypatch, capsys):
     """analyze on a weighted K_8 makes 988 LP solves, 932 of them for W.
 
