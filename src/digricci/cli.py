@@ -17,6 +17,7 @@ fails, 2 on invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -418,6 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(seed=args.seed)
     for name in ("k_override", "cross_check", "certificate_tol", "lipschitz_samples",
@@ -428,7 +435,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_format(args)
         if args.command == "heat" and not (math.isfinite(args.t) and args.t >= 0):

@@ -13,7 +13,7 @@ optimum.  The two must agree in the small-eps limit, which the tests
 and the verification pipeline exercise against each other.
 
 The exact program is solved through its LP dual, a min-cost flow over
-the arcs like the one behind W (transport.arc_flow_program).  With
+the arcs like the one behind W.  With
 c = (L[y] - L[x]) / d(x, y), it has one variable g >= 0 of cost 1 per
 arc, one virtual arc y -> x carrying lambda >= 0 at cost -d(x, y), and
 one balance row outflow - inflow = c(v) per vertex v != x.  Its row
@@ -22,7 +22,11 @@ f(y) - f(x) >= d(x, y), and the two together pin f(y) = d(x, y), so
 the flow optimum is -kappa.  The BFS out-tree of x is a dual-feasible
 starting basis for every pair: its potential d(x, .) prices each arc
 at 1 + d(x, z) - d(x, w) >= 0 and the virtual arc at exactly 0.  No
-phase 1 is needed.
+phase 1 is needed.  That tree is the one transport.root_basis builds
+for root x, so the n - 1 programs of a row x share its incidence and
+its B^-1.  The virtual arc is never a tree arc; with the row of x
+dropped its column is the unit vector of y, which the start tableau
+B^-1 [A | b] turns into column y of B^-1.
 """
 
 from __future__ import annotations
@@ -101,8 +105,18 @@ def kappa_lp(
     L = M.laplacian.matrix
     c = (L[y] - L[x]) / dxy
     arcs = dm.arcs
-    problem = transport.arc_flow_program(
-        np.vstack([arcs, [y, x]]), np.append(np.ones(len(arcs)), -dxy), c, d, x
+    basis = transport.root_basis(dm, x)
+    n = M.n
+    # the virtual arc y -> x: +1 in the row of y, and x's row is dropped
+    virtual = np.zeros((n - 1, 1))
+    virtual[y - (y > x)] = 1.0
+    problem = lp.LinearProgram(
+        c=np.append(np.ones(len(arcs)), -dxy),
+        A=np.hstack([basis.A, virtual]),
+        b=np.delete(c, x),
+        senses=("=",) * (n - 1),
+        basis=basis.tree,
+        basis_inverse=basis.inverse,
     )
     solution = lp.solve_lp(problem)
     if solution.status != "optimal":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +62,9 @@ class DistanceMatrix:
     dvert[x]   max of dsym[x, y] over neighbours y of x (both directions)
     lam        max of dvert over all vertices
     arcs[k]    (tail, head) of the k-th arc, the pairs with d = 1 in row-major order
+
+    _root_bases holds transport.root_basis's per-root flow bases, built
+    on first use; it is private to that function and never compared.
     """
 
     d: np.ndarray
@@ -69,6 +72,7 @@ class DistanceMatrix:
     dvert: np.ndarray
     lam: int
     arcs: np.ndarray
+    _root_bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> DirectedGraph:
@@ -217,11 +221,16 @@ def lipschitz_constant(f: np.ndarray, dm: DistanceMatrix) -> float:
 
     A function is c-Lipschitz exactly when this value is <= c; note the
     sup runs over both orientations of every pair, which matters because
-    d is non-symmetric.
+    d is non-symmetric.  The hop metric is a path metric, so the sup is
+    the largest f(w) - f(z) over the arcs z -> w: along a geodesic from
+    x to y, f(y) - f(x) is a sum of d(x, y) arc differences.  Only
+    rounding separates this from the max of gradient_matrix, the
+    all-pairs form, which it never exceeds.
     """
     if dm.d.shape[0] < 2:
         return 0.0
-    return float(gradient_matrix(f, dm).max())
+    f = np.asarray(f, dtype=float)
+    return float((f[dm.arcs[:, 1]] - f[dm.arcs[:, 0]]).max())
 
 
 def sample_lipschitz_functions(

@@ -11,10 +11,14 @@ guarantees termination on the heavily degenerate tableaus that
 transport instances produce.
 
 solve_lp has two entry points.  A program that carries a dual-feasible
-basis (all rows equalities, every variable in [0, inf)) skips phase 1:
-its tableau is built as B^-1 [A | b] and a dual simplex pivots it to
+basis (all rows equalities, every variable in [0, inf)) together with
+that basis's inverse skips phase 1: its tableau is B^-1 [A | b], two
+matrix products and no factorisation, and a dual simplex pivots it to
 primal feasibility.  Both library programs take this path, with a
-shortest-path-tree basis.  A program without a starting basis goes
+shortest-path-tree basis whose inverse, the tree's path matrix, the
+transport module builds once per graph and root.  The solve checks
+that the inverse it is given does invert the basis columns, and that
+the basis is dual feasible.  A program without a starting basis goes
 through the two-phase primal simplex (phase 1 on artificial columns,
 then phase 2).  That path serves the reference programs: the
 n^2-variable coupling program of solve_transport and the all-pairs
@@ -45,6 +49,8 @@ RC_TOL = 1e-10
 PRIMAL_TOL = 1e-15
 # marginal mass agreement for transport instances
 MARGINAL_TOL = 1e-12
+# largest entry of |B^-1 B - I| accepted from a supplied basis inverse
+INVERSE_TOL = 1e-9
 
 Bound = tuple[float | None, float | None]
 
@@ -57,7 +63,8 @@ class LinearProgram:
     (lower, upper) pair per variable with None for unbounded; the
     default is (0, None) for every variable.  basis, when given, holds
     one column index per row whose columns form a dual-feasible basis;
-    it needs every row to be "=" and every bound to be (0, None).
+    it needs every row to be "=", every bound to be (0, None), and
+    basis_inverse, the inverse of A[:, basis].
     """
 
     c: np.ndarray
@@ -67,6 +74,7 @@ class LinearProgram:
     bounds: tuple[Bound, ...] | None = None
     maximize: bool = False
     basis: np.ndarray | None = None
+    basis_inverse: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
@@ -87,10 +95,15 @@ class LinearProgram:
                 raise ValueError("one (lower, upper) pair per variable required")
         if self.basis is not None:
             self.basis = np.asarray(self.basis, dtype=int)
-            if any(s != "=" for s in senses) or any(bd != (0.0, None) for bd in self.bounds):
+            if senses.count("=") != m or self.bounds.count((0.0, None)) != n:
                 raise ValueError('a starting basis needs "=" rows and (0, None) bounds')
             if self.basis.shape != (m,) or not ((0 <= self.basis) & (self.basis < n)).all():
                 raise ValueError("a starting basis holds one column index per row")
+            if self.basis_inverse is None:
+                raise ValueError("a starting basis needs its basis_inverse")
+            self.basis_inverse = np.asarray(self.basis_inverse, dtype=float)
+            if self.basis_inverse.shape != (m, m):
+                raise ValueError("basis_inverse must be square, one row per constraint")
 
 
 @dataclass
@@ -223,6 +236,9 @@ def _certificate(
 def _feasibility_residual(problem: LinearProgram, x: np.ndarray) -> float:
     """Largest violation by x of the original rows and bounds."""
     err = problem.A @ x - problem.b
+    if problem.basis is not None:
+        # "=" rows and x >= 0 only, as validation guarantees
+        return max(0.0, float(np.abs(err).max(initial=0.0)), float(-x.min(initial=0.0)))
     eq = [s == "=" for s in problem.senses]
     lo, hi = _bound_arrays(problem.bounds)
     # fmax skips the NaN of a missing bound
@@ -231,18 +247,24 @@ def _feasibility_residual(problem: LinearProgram, x: np.ndarray) -> float:
 
 
 def _solve_from_basis(problem: LinearProgram) -> LpSolution:
-    """Dual simplex from the program's starting basis (no phase 1)."""
+    """Dual simplex from the program's starting basis (no phase 1).
+
+    NumericsError unless problem.basis_inverse inverts A[:, basis] to
+    within INVERSE_TOL and the basis is dual feasible.
+    """
     A, b = problem.A, problem.b
     m, n = A.shape
     c = -problem.c if problem.maximize else problem.c
     basis = problem.basis.copy()
 
     T = np.empty((m + 1, n + 1))
-    try:
-        T[:m] = np.linalg.solve(A[:, basis], np.column_stack([A, b]))
-    except np.linalg.LinAlgError:
-        raise NumericsError("starting basis matrix is singular") from None
-    T[:m, basis] = np.eye(m)
+    T[:m, :n] = problem.basis_inverse @ A
+    T[:m, n] = problem.basis_inverse @ b
+    eye = np.eye(m)
+    off = float(np.abs(T[:m, basis] - eye).max(initial=0.0))
+    if not off <= INVERSE_TOL:
+        raise NumericsError(f"basis_inverse does not invert the starting basis: off by {off:.3e}")
+    T[:m, basis] = eye
     T[-1, :n] = c
     T[-1, -1] = 0.0
     T[-1] -= c[basis] @ T[:m]
@@ -346,8 +368,8 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     """Simplex solve of a small dense linear program.
 
     With problem.basis set, a dual simplex from that basis, which must
-    be dual feasible (NumericsError otherwise); else the two-phase
-    primal simplex.
+    be dual feasible and inverted by problem.basis_inverse
+    (NumericsError otherwise); else the two-phase primal simplex.
     """
     if problem.basis is not None:
         return _solve_from_basis(problem)

@@ -15,9 +15,13 @@ potential -d(r, .), and under it every arc prices at
 1 + d(r, z) - d(r, w) >= 0: the basis is dual feasible whatever the
 measures, and a dual simplex pivots it to the optimal flow.  The root
 is the vertex with the largest excess nu0 - nu1, so for point masses
-the tree path is already optimal.  arc_flow_program builds this
-program for any arc costs and root; the curvature module solves its
-dual flow with it too.
+the tree path is already optimal.  The basis depends on r alone, so
+root_basis builds it once per root and keeps it on the DistanceMatrix:
+the incidence without r's row, the tree, and B^-1.  A spanning tree's
+inverse incidence is its path matrix (Ahuja, Magnanti & Orlin, Network
+Flows, 1993, ch. 11), so B^-1 comes from one walk down the tree, with
+no factorisation, and every solve from r starts from B^-1 [A | b].
+The curvature module's dual flows from r start from the same record.
 
 The row duals of the final basis are a Kantorovich potential f with
 f(w) - f(z) <= 1 on every arc; summing along geodesics, that is
@@ -30,6 +34,7 @@ reference the tests pin the flow potential to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,49 +123,62 @@ def kantorovich_dual(
     return float(solution.value), f
 
 
-def arc_flow_program(
-    arcs: np.ndarray, cost: np.ndarray, excess: np.ndarray, d: np.ndarray, root: int
-) -> lp.LinearProgram:
-    """min cost.g over g >= 0 on the arcs with outflow - inflow = excess.
+class RootBasis(NamedTuple):
+    """The start basis of every arc-flow program rooted at r, built once.
 
-    arcs holds one (tail, head) row per arc and cost one entry per arc.
-    excess sums to zero, so the balance row of root is dropped as
-    redundant, leaving one row per other vertex.  The starting basis
-    gives the row of w the first arc z -> w with d(root, z) =
-    d(root, w) - 1: a BFS out-tree of root.  With unit cost on its arcs
-    the basis duals are the potential -d(root, .), which prices arc
-    z -> w at cost + d(root, z) - d(root, w), so the basis is dual
-    feasible whenever no arc costs less than d(root, w) - d(root, z).
+    A is the n x |A| arc incidence (+1 at the tail, -1 at the head of
+    each arc) with the row of r dropped, leaving one row per other
+    vertex in vertex order.  tree[i] is the arc basic in row i: the
+    first arc z -> w with d(r, z) = d(r, w) - 1 into the vertex w of
+    that row, so the tree arcs form a BFS out-tree of r.  inverse is
+    B^-1 for B = A[:, tree], the tree's path matrix: its column for w
+    is -1 on the rows of the tree arcs on the path r -> w, 0 elsewhere.
+    All three arrays are read-only.
     """
+
+    A: np.ndarray
+    tree: np.ndarray
+    inverse: np.ndarray
+
+
+def _build_root_basis(d: np.ndarray, arcs: np.ndarray, r: int) -> RootBasis:
+    """The RootBasis of r; NumericsError unless inverse @ B is exactly I."""
+    n = d.shape[0]
+    A = np.zeros((n, len(arcs)))
     k = np.arange(len(arcs))
-    A = np.zeros((len(excess), len(arcs)))
     A[arcs[:, 0], k] = 1.0
     A[arcs[:, 1], k] = -1.0
-    dr = d[root]
+    A = np.delete(A, r, axis=0)
+    dr = d[r]
     tree = np.nonzero(dr[arcs[:, 0]] == dr[arcs[:, 1]] - 1)[0]
-    # heads of the tree arcs cover every w != root; keep the first arc per head
+    # heads of the tree arcs cover every w != r; keep the first arc per head
     _heads, first = np.unique(arcs[tree, 1], return_index=True)
-    return lp.LinearProgram(
-        c=cost,
-        A=np.delete(A, root, axis=0),
-        b=np.delete(excess, root),
-        senses=("=",) * (len(excess) - 1),
-        basis=tree[first],
-    )
+    tree = tree[first]
+    row = np.arange(n) - (np.arange(n) > r)  # the row of vertex v once r's is dropped
+    inverse = np.zeros((n - 1, n - 1))
+    # in BFS order, the path to w is the path to its tree parent plus w's own arc
+    for w in np.argsort(dr, kind="stable")[1:]:
+        parent = arcs[tree[row[w]], 0]
+        if parent != r:
+            inverse[:, row[w]] = inverse[:, row[parent]]
+        inverse[row[w], row[w]] = -1.0
+    if not np.array_equal(inverse @ A[:, tree], np.eye(n - 1)):
+        raise NumericsError(f"the tree path matrix of root {r} does not invert its basis")
+    for a in (A, tree, inverse):
+        a.flags.writeable = False
+    return RootBasis(A=A, tree=tree, inverse=inverse)
 
 
-def _flow_program(
-    arcs: np.ndarray, d: np.ndarray, nu0: np.ndarray, nu1: np.ndarray
-) -> tuple[lp.LinearProgram, int]:
-    """The transport flow program: unit cost on every arc, root r.
+def root_basis(dm: DistanceMatrix, r: int) -> RootBasis:
+    """The arc-flow start basis of root r, built on first use and kept on dm.
 
-    arcs is in the row-major order of d and r = argmax(nu0 - nu1)
-    (lowest index on ties).  Unit costs make the BFS-tree basis dual
-    feasible for any measures.  Returns the program and r.
+    Every W solve rooted at r and every curvature program of a pair
+    (r, y) starts from it; the record lives as long as dm.
     """
-    excess = nu0 - nu1
-    r = int(np.argmax(excess))
-    return arc_flow_program(arcs, np.ones(len(arcs)), excess, d, r), r
+    basis = dm._root_bases.get(r)
+    if basis is None:
+        basis = dm._root_bases[r] = _build_root_basis(dm.d, dm.arcs, r)
+    return basis
 
 
 def _flow_to_coupling(
@@ -223,7 +241,17 @@ def wasserstein(
     nu0 = _check_probability(nu0, n, "nu0")
     nu1 = _check_probability(nu1, n, "nu1")
     arcs = dm.arcs
-    problem, r = _flow_program(arcs, dm.d, nu0, nu1)
+    excess = nu0 - nu1
+    r = int(np.argmax(excess))
+    basis = root_basis(dm, r)
+    problem = lp.LinearProgram(
+        c=np.ones(len(arcs)),
+        A=basis.A,
+        b=np.delete(excess, r),
+        senses=("=",) * (n - 1),
+        basis=basis.tree,
+        basis_inverse=basis.inverse,
+    )
     solution = lp.solve_lp(problem)
     if solution.status != "optimal":
         raise LpFailureError(f"transport flow solve ended with status {solution.status!r}")
@@ -232,7 +260,7 @@ def wasserstein(
         # every vertex's balance, the root's too, whose row the solve dropped
         g = solution.x
         balance = np.bincount(arcs[:, 0], g, n) - np.bincount(arcs[:, 1], g, n)
-        residual = float(np.abs(balance - (nu0 - nu1)).max())
+        residual = float(np.abs(balance - excess).max())
         return TransportPlan(value=value, marginal_residual=residual)
 
     y = np.insert(solution.duals, r, 0.0)

@@ -5,13 +5,17 @@ transport becomes a min-cost flow with one variable per arc, and the
 curvature program keeps one Lipschitz row per arc.  These properties
 pin both to the programs that enumerate every ordered pair, over
 random strongly connected graphs and random (often sparse) measures.
-The flow program is solved by a dual simplex from a BFS-tree basis;
-further properties pin that path to the two-phase solve of the same
-program and to scipy, and unit tests pin how bad starting bases fail.
+The flow program is solved by a dual simplex from a BFS-tree basis,
+built once per root with its inverse, the tree's path matrix; further
+properties pin that inverse to be exact for every root, the solve to
+the two-phase solve of the same program and to scipy, and unit tests
+pin how bad starting bases and inverses fail.
 The curvature program is solved through its dual flow from the same
 kind of basis; its witness is checked for optimality on its own.
 Transport contraction along the heat flow is checked over the arcs
 only; a property pins its verdict and margin to the all-pairs loop.
+The Lipschitz constant is taken over the arcs too, pinned to the
+all-pairs difference quotients.
 """
 
 from __future__ import annotations
@@ -28,10 +32,12 @@ from digricci import (
     build_graph,
     curvature_matrix,
     distances,
+    gradient_matrix,
     heat_kernel_matrix,
     heat_operator,
     kantorovich_dual,
     kappa_lp,
+    lipschitz_constant,
     lp,
     markov_data,
     solve_lp,
@@ -39,7 +45,8 @@ from digricci import (
     verify_transport_contraction,
     wasserstein,
 )
-from digricci.transport import _flow_program
+from digricci import transport
+from digricci.transport import root_basis
 
 PROPERTY_SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
@@ -238,7 +245,13 @@ def test_tree_basis_solve_matches_two_phase_and_scipy(instance):
     """
     g, nu0, nu1 = instance
     dm = distances(g)
-    problem, _root = _flow_program(np.argwhere(dm.d == 1), dm.d, nu0, nu1)
+    excess = nu0 - nu1
+    r = int(np.argmax(excess))
+    basis = root_basis(dm, r)
+    problem = LinearProgram(
+        c=np.ones(len(dm.arcs)), A=basis.A, b=np.delete(excess, r), senses=("=",) * (g.n - 1),
+        basis=basis.tree, basis_inverse=basis.inverse,
+    )
     tree = solve_lp(problem)
     two_phase = solve_lp(LinearProgram(problem.c, problem.A, problem.b, problem.senses))
     assert tree.status == two_phase.status == "optimal"
@@ -271,14 +284,59 @@ def test_tree_basis_plan_has_the_marginals_and_costs_w(instance):
     assert abs(float((pi * dm.d).sum()) - plan.value) <= 1e-12
 
 
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_root_basis_inverts_the_tree_exactly_for_every_root(g):
+    """The path matrix is B^-1 with no rounding, and the record is the one of r."""
+    dm = distances(g)
+    n, arcs = g.n, dm.arcs
+    incidence = np.zeros((n, len(arcs)))
+    incidence[arcs[:, 0], np.arange(len(arcs))] = 1.0
+    incidence[arcs[:, 1], np.arange(len(arcs))] = -1.0
+    for r in range(n):
+        basis = root_basis(dm, r)
+        assert np.array_equal(basis.A, np.delete(incidence, r, axis=0))
+        # one tree arc into each w != r, in vertex order, one BFS level down
+        tails, heads = arcs[basis.tree, 0], arcs[basis.tree, 1]
+        assert np.array_equal(heads, np.delete(np.arange(n), r))
+        assert (dm.d[r, tails] == dm.d[r, heads] - 1).all()
+        assert np.array_equal(basis.inverse @ basis.A[:, basis.tree], np.eye(n - 1))
+        assert set(np.unique(basis.inverse)) <= {-1.0, 0.0}
+        assert not any(a.flags.writeable for a in basis)
+
+
+def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatch):
+    built = []
+    build = transport._build_root_basis
+
+    def recording_build(d, arcs, r):
+        built.append(r)
+        return build(d, arcs, r)
+
+    monkeypatch.setattr(transport, "_build_root_basis", recording_build)
+    dm = distances(g_tri)
+    nu0, nu1 = np.eye(3)[0], np.eye(3)[2]
+    first = wasserstein(nu0, nu1, dm, verify=True).value
+    assert wasserstein(nu0, nu1, dm, verify=False).value == first
+    kappa_lp(0, 1, markov_data(g_tri), dm)
+    assert built == [0]
+    kappa_lp(1, 0, markov_data(g_tri), dm)
+    assert built == [0, 1]
+    # a second distances() result holds its own records
+    other = distances(g_tri)
+    assert root_basis(other, 0) is not root_basis(dm, 0)
+    assert built == [0, 1, 0]
+
+
 class TestStartingBasis:
     """min x0 + 2 x1 subject to x0 + x1 = b, x >= 0, from a given basis."""
 
     @staticmethod
     def program(b=1.0, basis=(0,), **kwargs):
-        return LinearProgram(
-            c=[1.0, 2.0], A=[[1.0, 1.0]], b=[b], senses=("=",), basis=basis, **kwargs
-        )
+        A = np.array([[1.0, 1.0]])
+        # both columns are 1, so every one-column basis has this inverse
+        kwargs.setdefault("basis_inverse", np.linalg.inv(A[:, :1]))
+        return LinearProgram(c=[1.0, 2.0], A=A, b=[b], senses=("=",), basis=basis, **kwargs)
 
     def test_dual_feasible_basis_matches_two_phase(self):
         for maximize in (False, True):
@@ -297,13 +355,29 @@ class TestStartingBasis:
         with pytest.raises(NumericsError, match="not dual feasible"):
             solve_lp(self.program(basis=(1,)))
 
-    def test_singular_basis_raises(self):
+    def test_wrong_basis_inverse_raises(self):
+        # the columns of a singular basis have no inverse; any matrix offered is wrong
+        A = np.array([[1.0, 1.0], [2.0, 2.0]])
         problem = LinearProgram(
-            c=[1.0, 1.0], A=[[1.0, 1.0], [2.0, 2.0]], b=[1.0, 2.0], senses=("=", "="),
-            basis=(0, 1),
+            c=[1.0, 1.0], A=A, b=[1.0, 2.0], senses=("=", "="), basis=(0, 1),
+            basis_inverse=np.linalg.pinv(A),
         )
-        with pytest.raises(NumericsError, match="singular"):
+        with pytest.raises(NumericsError, match="does not invert"):
             solve_lp(problem)
+        # an inverse of other columns, here of a permuted basis
+        A = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
+        problem = LinearProgram(
+            c=[1.0, 1.0, 1.0], A=A, b=[1.0, 1.0], senses=("=", "="), basis=(0, 1),
+            basis_inverse=np.linalg.inv(A[:, [1, 0]]),
+        )
+        with pytest.raises(NumericsError, match="does not invert"):
+            solve_lp(problem)
+
+    def test_basis_needs_its_inverse(self):
+        with pytest.raises(ValueError, match="basis_inverse"):
+            LinearProgram(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[1.0], senses=("=",), basis=(0,))
+        with pytest.raises(ValueError, match="basis_inverse"):
+            self.program(basis_inverse=np.eye(2))
 
     @pytest.mark.parametrize("basis", [(0, 1), (), (2,), (-1,)])
     def test_basis_of_wrong_length_or_range_raises(self, basis):
@@ -325,8 +399,21 @@ class TestStartingBasis:
     def test_dual_simplex_pivots_to_the_optimum(self):
         # the basis {x0} of x0 - x1 = -1 gives x0 = -1; one pivot brings in x1
         problem = LinearProgram(c=[1.0, 2.0], A=[[1.0, -1.0]], b=[-1.0], senses=("=",),
-                                basis=(0,))
+                                basis=(0,), basis_inverse=[[1.0]])
         sol = solve_lp(problem)
         assert sol.status == "optimal" and sol.iterations == 1
         assert np.array_equal(sol.x, [0.0, 1.0])
         assert sol.value == 2.0
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_lipschitz_constant_over_arcs_matches_all_pairs(data):
+    """The arc maximum never exceeds the all-pairs one and differs by rounding only."""
+    g = data.draw(graphs())
+    dm = distances(g)
+    f = np.asarray(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=g.n, max_size=g.n)))
+    arcs = lipschitz_constant(f, dm)
+    all_pairs = float(gradient_matrix(f, dm).max())
+    assert arcs <= all_pairs
+    assert all_pairs - arcs <= 1e-15 * abs(all_pairs)

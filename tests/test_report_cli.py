@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,30 @@ class TestCliAnalyze:
         main(["analyze", c3_file])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_parser_is_built_once_and_keeps_no_options(self, c3_file, capsys):
+        from digricci import cli
+
+        main(["analyze", c3_file])
+        plain = capsys.readouterr().out
+        assert main(["analyze", c3_file, "--k-override", "0.5", "--certificate-tol", "1e-6"]) == 0
+        assert capsys.readouterr().out != plain
+        main(["analyze", c3_file])
+        assert capsys.readouterr().out == plain
+        assert cli._parser() is cli._parser()
+
+    def test_vacuous_moment_bounds_print_no_warning(self, tmp_path, capsys):
+        """A tiny K overflows exp(lam^2 Lambda^2 / 4K) and exp(lam^2 / 2c) to inf."""
+        path = tmp_path / "k4.edges"
+        path.write_text("".join(f"{x} {y}\n" for x in range(4) for y in range(4) if x != y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", str(path), "--k-override", "0.001"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        certs = {c["name"]: c for c in json.loads(out)["certificates"]}
+        assert certs["laplace_moment_bound"]["pass"] is True
+        assert certs["transport_entropy_laplace_link"]["pass"] is True
 
     def test_k_override_fails(self, c3_file, capsys):
         code = main(["analyze", c3_file, "--k-override", "1.6"])
