@@ -122,11 +122,6 @@ def markov_data(g: DirectedGraph) -> MarkovData:
     return mean_kernel(P, perron_measure(P))
 
 
-def laplacian_apply(M: MarkovData, f: np.ndarray) -> np.ndarray:
-    """L f (x) = f(x) - sum_y Pbar(x, y) f(y)."""
-    return M.laplacian.apply(f)
-
-
 def gamma(f0: np.ndarray, f1: np.ndarray, M: MarkovData) -> np.ndarray:
     """Carre du champ: Gamma(f0, f1)(x) = (1/2) sum_y df0 df1 Pbar(x, y)."""
     f0 = np.asarray(f0, dtype=float)

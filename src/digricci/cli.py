@@ -88,7 +88,7 @@ def _tolerances(config: RunConfig) -> dict:
         "balance": chain.BALANCE_TOL,
         "reversibility": chain.REVERSIBILITY_TOL,
         "adjointness": chain.ADJOINTNESS_TOL,
-        "lp_feasibility": lp.FEASIBILITY_TOL,
+        "lp_feasibility": lp.PRIMAL_TOL,
         "lp_gap": lp.GAP_TOL,
         "certificate": config.certificate_tol,
         "curvature_limit": config.curvature_limit_tol,

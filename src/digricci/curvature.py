@@ -114,7 +114,6 @@ def kappa_lp(
         c=np.append(np.ones(len(arcs)), -dxy),
         A=np.hstack([basis.A, virtual]),
         b=np.delete(c, x),
-        senses=("=",) * (n - 1),
         basis=basis.tree,
         basis_inverse=basis.inverse,
     )

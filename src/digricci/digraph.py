@@ -155,11 +155,6 @@ def strongly_connected_components(mu: np.ndarray) -> list[list[int]]:
     return components
 
 
-def is_strongly_connected(g: DirectedGraph) -> bool:
-    """True iff every ordered pair of vertices is joined by a directed path."""
-    return g.strongly_connected
-
-
 def reversed_graph(g: DirectedGraph) -> DirectedGraph:
     """The graph with every arc flipped; weights carried along."""
     return build_graph(np.array(g.mu.T), labels=g.labels)
@@ -259,6 +254,14 @@ def sample_lipschitz_functions(
     return out
 
 
+def _weight_matrix(n: int) -> np.ndarray:
+    """The n x n zero weight matrix; ParseError when n vertices cannot be held."""
+    try:
+        return np.zeros((n, n))
+    except (ValueError, MemoryError):
+        raise ParseError(f"{n} vertices are too many for a dense weight matrix") from None
+
+
 def _parse_edge_list(text: str) -> tuple[np.ndarray, None]:
     arcs: dict[tuple[int, int], float] = {}
     max_vertex = -1
@@ -294,7 +297,7 @@ def _parse_edge_list(text: str) -> tuple[np.ndarray, None]:
     if not arcs:
         raise ParseError("no arcs found")
     n = max_vertex + 1
-    mu = np.zeros((n, n))
+    mu = _weight_matrix(n)
     for (src, dst), weight in arcs.items():
         mu[src, dst] = weight
     return mu, None
@@ -317,7 +320,7 @@ def _parse_json_document(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]
         raise ParseError(f'"n" must be a positive integer, got {n!r}')
     if not isinstance(doc["arcs"], list):
         raise ParseError('"arcs" must be a list of arcs')
-    mu = np.zeros((n, n))
+    mu = _weight_matrix(n)
     for k, arc in enumerate(doc["arcs"]):
         if not isinstance(arc, (list, tuple)) or len(arc) not in (2, 3):
             raise ParseError(f"arc #{k}: expected [src, dst] or [src, dst, weight]")

@@ -1,80 +1,70 @@
-"""Dense simplex with Bland's rule: two-phase primal, or dual from a basis.
+"""Dense dual simplex with Bland's rule, started from a given tree basis.
 
-One pivot core backs every optimisation in the package.  The library
-solves two programs, both min-cost flows over the arcs with n - 1
-balance rows: the flow behind the Wasserstein distance (one variable
-per arc) and the dual of each per-pair curvature program (one variable
-per arc plus one virtual arc).  Problems stay small (hundreds of
+One pivot core backs every optimisation in the package: solve_lp
+minimises c.x subject to A x = b, x >= 0, by a dual simplex from a
+dual-feasible basis that the program carries together with that
+basis's inverse.  There is no standard form and no phase 1.  The start
+tableau is B^-1 [A | b], two matrix products and no factorisation; the
+solve checks that the inverse does invert the basis columns and that
+the basis is dual feasible, then pivots to primal feasibility.
+
+Every program solved is a flow on a graph whose balance rows sum to
+zero, with one of them dropped, and a spanning tree of that graph is a
+basis (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 11).  The
+library's two programs, the flow behind the Wasserstein distance and
+the dual of each per-pair curvature program, start from a
+shortest-path tree whose inverse, the tree's path matrix, the
+transport module builds once per graph and root.  Two reference
+programs the tests hold those to take the same path: the coupling
+program of solve_transport, a flow on the complete bipartite graph of
+the two supports, drops the row sum of row 0 and starts from the tree
+that assemble_transport_lp builds, and transport.kantorovich_dual
+starts its all-pairs flow from a star.  Problems stay small (hundreds of
 variables at the target scale), so a dense tableau is simpler than a
-revised method and fast enough.  Bland's entering and leaving rule
+revised method and fast enough.  Bland's leaving and entering rule
 guarantees termination on the heavily degenerate tableaus that
 transport instances produce.
-
-solve_lp has two entry points.  A program that carries a dual-feasible
-basis (all rows equalities, every variable in [0, inf)) together with
-that basis's inverse skips phase 1: its tableau is B^-1 [A | b], two
-matrix products and no factorisation, and a dual simplex pivots it to
-primal feasibility.  Both library programs take this path, with a
-shortest-path-tree basis whose inverse, the tree's path matrix, the
-transport module builds once per graph and root.  The solve checks
-that the inverse it is given does invert the basis columns, and that
-the basis is dual feasible.  A program without a starting basis goes
-through the two-phase primal simplex (phase 1 on artificial columns,
-then phase 2).  That path serves the reference programs: the
-n^2-variable coupling program of solve_transport and the all-pairs
-dual of transport.kantorovich_dual, which the library does not call
-and the tests hold the flow forms to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import LpFailureError, MarginalMismatchError, NumericsError
 
-# constraint violation accepted when echoing a solution back
-FEASIBILITY_TOL = 1e-9
 # primal-dual agreement required of an optimal basis
 GAP_TOL = 1e-8
 # smallest pivot element the tableau will accept
 PIVOT_TOL = 1e-9
-# reduced-cost threshold below which a column may still enter
+# reduced-cost threshold below which the starting basis is not dual feasible
 RC_TOL = 1e-10
-# dual simplex: a basic variable below -PRIMAL_TOL leaves; smaller
-# negatives are rounding in B^-1 b (values are masses of order 1) and
-# are read as zero
+# a basic variable below -PRIMAL_TOL leaves; smaller negatives are
+# rounding in B^-1 b (values are masses of order 1) and are read as zero
 PRIMAL_TOL = 1e-15
 # marginal mass agreement for transport instances
 MARGINAL_TOL = 1e-12
 # largest entry of |B^-1 B - I| accepted from a supplied basis inverse
 INVERSE_TOL = 1e-9
 
-Bound = tuple[float | None, float | None]
-
 
 @dataclass
 class LinearProgram:
-    """min (or max) c.x subject to A x (<= or =) b and variable bounds.
+    """min c.x subject to A x = b, x >= 0, with its starting basis.
 
-    senses holds one of "<=" or "=" per row.  bounds holds one
-    (lower, upper) pair per variable with None for unbounded; the
-    default is (0, None) for every variable.  basis, when given, holds
-    one column index per row whose columns form a dual-feasible basis;
-    it needs every row to be "=", every bound to be (0, None), and
-    basis_inverse, the inverse of A[:, basis].
+    basis holds one column index per row; basis[i] is the column basic
+    in row i of the start tableau.  Those columns must form a dual
+    feasible basis (every reduced cost c - c_B B^-1 A >= 0), and
+    basis_inverse must be B^-1 for B = A[:, basis].  Both are required,
+    and solve_lp checks both.
     """
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    senses: tuple[str, ...]
-    bounds: tuple[Bound, ...] | None = None
-    maximize: bool = False
-    basis: np.ndarray | None = None
-    basis_inverse: np.ndarray | None = None
+    basis: np.ndarray
+    basis_inverse: np.ndarray
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
@@ -83,36 +73,22 @@ class LinearProgram:
         m, n = self.A.shape
         if self.c.shape != (n,) or self.b.shape != (m,):
             raise ValueError("objective/rhs shapes do not match the matrix")
-        senses = tuple("=" if s in ("=", "==") else s for s in self.senses)
-        if len(senses) != m or any(s not in ("<=", "=") for s in senses):
-            raise ValueError('senses must give "<=" or "=" per row')
-        self.senses = senses
-        if self.bounds is None:
-            self.bounds = ((0.0, None),) * n
-        else:
-            self.bounds = tuple(self.bounds)
-            if len(self.bounds) != n:
-                raise ValueError("one (lower, upper) pair per variable required")
-        if self.basis is not None:
-            self.basis = np.asarray(self.basis, dtype=int)
-            if senses.count("=") != m or self.bounds.count((0.0, None)) != n:
-                raise ValueError('a starting basis needs "=" rows and (0, None) bounds')
-            if self.basis.shape != (m,) or not ((0 <= self.basis) & (self.basis < n)).all():
-                raise ValueError("a starting basis holds one column index per row")
-            if self.basis_inverse is None:
-                raise ValueError("a starting basis needs its basis_inverse")
-            self.basis_inverse = np.asarray(self.basis_inverse, dtype=float)
-            if self.basis_inverse.shape != (m, m):
-                raise ValueError("basis_inverse must be square, one row per constraint")
+        self.basis = np.asarray(self.basis, dtype=int)
+        if self.basis.shape != (m,) or not ((0 <= self.basis) & (self.basis < n)).all():
+            raise ValueError("a starting basis holds one column index per row")
+        self.basis_inverse = np.asarray(self.basis_inverse, dtype=float)
+        if self.basis_inverse.shape != (m, m):
+            raise ValueError("basis_inverse must be square, one row per constraint")
 
 
 @dataclass
 class LpSolution:
     """Outcome of a solve, with the optimality certificate pieces.
 
-    duals has one multiplier per original row (zeros on rows found
-    redundant).  duality_gap and complementarity are computed in the
-    internal standard form, where they certify optimality exactly.
+    duals has one multiplier per row of the program, the solution y of
+    B^T y = c_B on the final basis.  duality_gap is |c.x - y.b| and
+    complementarity max |x * (c - A^T y)|; both are computed on that
+    basis, where they certify optimality exactly.
     """
 
     status: str
@@ -127,7 +103,12 @@ class LpSolution:
 
 @dataclass
 class TransportSolution:
-    """Optimal coupling of two mass vectors under a cost matrix."""
+    """Optimal coupling of two mass vectors under a cost matrix.
+
+    row_duals and col_duals are potentials u, v with u[i] + v[j] <= c[i, j]
+    for every entry, tight on the support of pi.  The program drops the
+    row sum of row 0, so u[0] = 0.
+    """
 
     value: float
     pi: np.ndarray
@@ -146,37 +127,6 @@ def _pivot(T: np.ndarray, r: int, j: int) -> None:
     # keep the entering column numerically exact
     T[:, j] = 0.0
     T[r, j] = 1.0
-
-
-def _run_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int]:
-    """Pivot to optimality under Bland's rule.
-
-    Entering: lowest-index column with reduced cost < -RC_TOL.
-    Leaving: among the minimum-ratio rows, the one whose basic variable
-    has the lowest index.  The pair prevents cycling.
-    """
-    iterations = 0
-    m = T.shape[0] - 1
-    while True:
-        rc = T[-1, :-1]
-        negative = rc < -RC_TOL
-        if not negative.any():
-            return "optimal", iterations
-        j = int(np.argmax(negative))
-        col = T[:m, j]
-        positive = col > PIVOT_TOL
-        if not positive.any():
-            return "unbounded", iterations
-        with np.errstate(divide="ignore"):
-            ratios = np.where(positive, T[:m, -1] / np.where(positive, col, 1.0), np.inf)
-        best = float(ratios.min())
-        ties = np.nonzero(ratios <= best + 1e-12 * max(1.0, abs(best)))[0]
-        r = int(ties[np.argmin(basis[ties])])
-        _pivot(T, r, j)
-        basis[r] = j
-        iterations += 1
-        if iterations > max_iter:
-            raise NumericsError(f"simplex exceeded {max_iter} pivots; tableau may be cycling")
 
 
 def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int]:
@@ -209,12 +159,6 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[
             raise NumericsError(f"dual simplex exceeded {max_iter} pivots; tableau may be cycling")
 
 
-def _bound_arrays(bounds: tuple[Bound, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds as float arrays, NaN where unbounded."""
-    lo_hi = np.array(bounds, dtype=float).reshape(len(bounds), 2)
-    return lo_hi[:, 0], lo_hi[:, 1]
-
-
 def _certificate(
     A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, float, float, float]:
@@ -234,27 +178,21 @@ def _certificate(
 
 
 def _feasibility_residual(problem: LinearProgram, x: np.ndarray) -> float:
-    """Largest violation by x of the original rows and bounds."""
+    """Largest violation by x of A x = b and x >= 0."""
     err = problem.A @ x - problem.b
-    if problem.basis is not None:
-        # "=" rows and x >= 0 only, as validation guarantees
-        return max(0.0, float(np.abs(err).max(initial=0.0)), float(-x.min(initial=0.0)))
-    eq = [s == "=" for s in problem.senses]
-    lo, hi = _bound_arrays(problem.bounds)
-    # fmax skips the NaN of a missing bound
-    violations = np.concatenate([np.where(eq, np.abs(err), err), lo - x, x - hi])
-    return float(np.fmax.reduce(violations, initial=0.0))
+    return max(0.0, float(np.abs(err).max(initial=0.0)), float(-x.min(initial=0.0)))
 
 
-def _solve_from_basis(problem: LinearProgram) -> LpSolution:
-    """Dual simplex from the program's starting basis (no phase 1).
+def solve_lp(problem: LinearProgram) -> LpSolution:
+    """Dual simplex from the program's starting basis.
 
     NumericsError unless problem.basis_inverse inverts A[:, basis] to
-    within INVERSE_TOL and the basis is dual feasible.
+    within INVERSE_TOL and the basis is dual feasible.  The status is
+    "optimal", or "infeasible" when a leaving row has no entry that can
+    enter.
     """
-    A, b = problem.A, problem.b
+    A, b, c = problem.A, problem.b, problem.c
     m, n = A.shape
-    c = -problem.c if problem.maximize else problem.c
     basis = problem.basis.copy()
 
     T = np.empty((m + 1, n + 1))
@@ -282,187 +220,8 @@ def _solve_from_basis(problem: LinearProgram) -> LpSolution:
     return LpSolution(
         status="optimal",
         x=x,
-        value=-primal if problem.maximize else primal,
-        duals=-y if problem.maximize else y,
-        feasibility_residual=_feasibility_residual(problem, x),
-        duality_gap=gap,
-        complementarity=complementarity,
-        iterations=iterations,
-    )
-
-
-class _StandardForm(NamedTuple):
-    """min c.z subject to A z = b, z >= 0, with b >= 0.
-
-    The structural columns come first, then one slack per "<=" row.
-    Original variable j is base[j] plus sign[k] * z[k] summed over the
-    columns k with src[k] == j.  row_sign[i] is -1 where row i was
-    negated to make b[i] >= 0; slack_basis[i] is the slack column that
-    can start basic in row i, or -1 where row i needs an artificial.
-    offset is the objective's constant part.
-    """
-
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    row_sign: np.ndarray
-    slack_basis: np.ndarray
-    src: np.ndarray
-    sign: np.ndarray
-    base: np.ndarray
-    offset: float
-
-
-def _standard_form(problem: LinearProgram) -> _StandardForm | None:
-    """The program in standard form, or None if some upper bound < lower bound.
-
-    Each variable gets one column, negated where only an upper bound is
-    given (x = hi - u), and a free variable gets a second, negated
-    column (x = u - v).  A boxed variable gets a row u <= hi - lo.
-    """
-    m0, n0 = problem.A.shape
-    c_sign = -1.0 if problem.maximize else 1.0
-    lo, hi = _bound_arrays(problem.bounds)
-    has_lo, has_hi = ~np.isnan(lo), ~np.isnan(hi)
-    boxed = has_lo & has_hi
-    if (hi[boxed] < lo[boxed]).any():
-        return None
-    free = ~(has_lo | has_hi)
-    reps = 1 + free
-    src = np.repeat(np.arange(n0), reps)
-    sign = np.repeat(np.where(has_lo | free, 1.0, -1.0), reps)
-    last = np.cumsum(reps) - 1  # a free variable's second column, else its only one
-    sign[last[free]] = -1.0
-    base = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-
-    n_struct = len(src)
-    n_box = int(boxed.sum())
-    m = m0 + n_box
-    le_rows = np.flatnonzero([s == "<=" for s in problem.senses])
-    le_rows = np.concatenate([le_rows, np.arange(m0, m)])
-    slack = n_struct + np.arange(len(le_rows))
-    A = np.zeros((m, n_struct + len(slack)))
-    A[:m0, :n_struct] = problem.A[:, src] * sign
-    A[np.arange(m0, m), last[boxed]] = 1.0
-    A[le_rows, slack] = 1.0
-    b = np.concatenate([problem.b - problem.A @ base, (hi - lo)[boxed]])
-    flip = b < 0
-    A[flip] *= -1.0
-    slack_basis = np.full(m, -1)
-    slack_basis[le_rows] = slack
-    slack_basis[flip] = -1
-    return _StandardForm(
-        A=A,
-        b=np.where(flip, -b, b),
-        c=np.concatenate([c_sign * problem.c[src] * sign, np.zeros(len(slack))]),
-        row_sign=np.where(flip, -1.0, 1.0),
-        slack_basis=slack_basis,
-        src=src,
-        sign=sign,
-        base=base,
-        offset=float(c_sign * problem.c @ base),
-    )
-
-
-def solve_lp(problem: LinearProgram) -> LpSolution:
-    """Simplex solve of a small dense linear program.
-
-    With problem.basis set, a dual simplex from that basis, which must
-    be dual feasible and inverted by problem.basis_inverse
-    (NumericsError otherwise); else the two-phase primal simplex.
-    """
-    if problem.basis is not None:
-        return _solve_from_basis(problem)
-    sf = _standard_form(problem)
-    if sf is None:
-        return LpSolution(status="infeasible")
-    A_std, b_std, c_std = sf.A, sf.b, sf.c
-    m, n_total = A_std.shape
-    basis = sf.slack_basis.copy()
-    art_rows = np.nonzero(basis < 0)[0]
-
-    keep = np.ones(m, dtype=bool)
-    iterations = 0
-
-    if art_rows.size:
-        n_art = art_rows.size
-        T = np.zeros((m + 1, n_total + n_art + 1))
-        T[:m, :n_total] = A_std
-        T[:m, -1] = b_std
-        T[art_rows, n_total + np.arange(n_art)] = 1.0
-        basis[art_rows] = n_total + np.arange(n_art)
-        # phase-1 objective: sum of artificials, reduced against the basis
-        T[-1, n_total : n_total + n_art] = 1.0
-        for i in art_rows:
-            T[-1] -= T[i]
-        max_iter = 1000 + 50 * (m + n_total)
-        status, it1 = _run_simplex(T, basis, max_iter)
-        iterations += it1
-        if status != "optimal":  # pragma: no cover - phase 1 is always bounded
-            raise NumericsError("phase 1 terminated abnormally")
-        if -T[-1, -1] > FEASIBILITY_TOL:
-            return LpSolution(status="infeasible", iterations=iterations)
-        # drive leftover artificials out of the basis or drop their rows
-        for i in range(m):
-            if basis[i] >= n_total:
-                row = T[i, :n_total]
-                candidates = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
-                if candidates.size:
-                    _pivot(T, i, int(candidates[0]))
-                    basis[i] = int(candidates[0])
-                else:
-                    keep[i] = False
-        # drop the artificial columns but keep the rhs, then any redundant rows
-        T = np.hstack([T[:, :n_total], T[:, -1:]])
-        if not keep.all():
-            T = np.delete(T, np.nonzero(~keep)[0], axis=0)
-            basis = basis[keep]
-    else:
-        T = np.zeros((m + 1, n_total + 1))
-        T[:m, :n_total] = A_std
-        T[:m, -1] = b_std
-
-    # ---- phase 2 ----
-    rows = T.shape[0] - 1
-    T[-1, :] = 0.0
-    T[-1, :n_total] = c_std
-    for r in range(rows):
-        T[-1] -= T[-1, basis[r]] * T[r]
-    max_iter = 1000 + 50 * (rows + n_total)
-    status, it2 = _run_simplex(T, basis, max_iter)
-    iterations += it2
-    if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=iterations)
-
-    x_std = np.zeros(n_total)
-    x_std[basis] = T[:rows, -1]
-    x_std = np.maximum(x_std, 0.0)
-
-    # ---- reconstruct the original variables ----
-    x = sf.base.copy()
-    np.add.at(x, sf.src, sf.sign * x_std[: len(sf.src)])
-
-    # ---- duals and optimality certificate in standard form ----
-    kept_idx = np.nonzero(keep)[0]
-    y_kept, primal_std, gap, complementarity = _certificate(
-        A_std[kept_idx], b_std[kept_idx], c_std, basis, x_std
-    )
-
-    duals = np.zeros(m)
-    duals[kept_idx] = y_kept * sf.row_sign[kept_idx]
-    duals = duals[: problem.A.shape[0]]
-    if problem.maximize:
-        duals = -duals
-
-    value = primal_std + sf.offset
-    if problem.maximize:
-        value = -value
-
-    return LpSolution(
-        status="optimal",
-        x=x,
-        value=value,
-        duals=duals,
+        value=primal,
+        duals=y,
         feasibility_residual=_feasibility_residual(problem, x),
         duality_gap=gap,
         complementarity=complementarity,
@@ -471,26 +230,41 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
 
 
 def assemble_transport_lp(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> LinearProgram:
-    """The coupling program as an explicit LinearProgram.
+    """The coupling program with a dual-feasible spanning-tree basis.
 
-    Variables are the n0*n1 entries of the coupling, row-major; the
-    first n0 equality rows fix the row sums to nu0, the last n1 fix the
-    column sums to nu1 (one of these rows is redundant, which the
-    two-phase solve handles).
+    Variables are the n0*n1 entries of the coupling, row-major.  The
+    rows fix the row sums of rows 1, ..., n0 - 1 to nu0[1:], then the
+    column sums to nu1; the row sum of row 0 follows from these and the
+    equal masses, so it is dropped.  The basis is a spanning tree of the
+    complete bipartite graph: every entry (0, j), and in each row i > 0
+    the entry (i, j*) with j* = argmin_j (c[i, j] - c[0, j]).  Its
+    potentials u = (0, min_j (c[i, j] - c[0, j])) and v = c[0] make
+    every tree entry tight and price every entry at
+    c[i, j] - u[i] - v[j] >= 0, so the basis is dual feasible for any
+    cost, square or rectangular.  basis_inverse is np.linalg.inv of the
+    tree columns, which solve_lp checks.
     """
     cost = np.asarray(cost, dtype=float)
     n0, n1 = cost.shape
-    A = np.zeros((n0 + n1, n0 * n1))
-    for i in range(n0):
-        A[i, i * n1 : (i + 1) * n1] = 1.0
+    A = np.zeros((n0 - 1 + n1, n0 * n1))
+    for i in range(1, n0):
+        A[i - 1, i * n1 : (i + 1) * n1] = 1.0
     for j in range(n1):
-        A[n0 + j, j::n1] = 1.0
-    b = np.concatenate([nu0, nu1])
-    return LinearProgram(c=cost.ravel(), A=A, b=b, senses=("=",) * (n0 + n1))
+        A[n0 - 1 + j, j::n1] = 1.0
+    b = np.concatenate([nu0[1:], nu1])
+    rest = np.arange(1, n0) * n1 + np.argmin(cost[1:] - cost[0], axis=1)
+    tree = np.concatenate([np.arange(n1), rest])
+    return LinearProgram(
+        c=cost.ravel(), A=A, b=b, basis=tree, basis_inverse=np.linalg.inv(A[:, tree])
+    )
 
 
 def solve_transport(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> TransportSolution:
-    """Optimal transport between two equal-mass non-negative vectors."""
+    """Optimal transport between two equal-mass non-negative vectors.
+
+    One solve_lp from the tree basis of assemble_transport_lp; the
+    marginal residual covers row 0's row sum, which the program drops.
+    """
     cost = np.asarray(cost, dtype=float)
     nu0 = np.asarray(nu0, dtype=float)
     nu1 = np.asarray(nu1, dtype=float)
@@ -514,8 +288,8 @@ def solve_transport(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> Trans
     return TransportSolution(
         value=float(solution.value),
         pi=pi,
-        row_duals=solution.duals[:n0],
-        col_duals=solution.duals[n0:],
+        row_duals=np.concatenate([[0.0], solution.duals[: n0 - 1]]),
+        col_duals=solution.duals[n0 - 1 :],
         marginal_residual=marginal_residual,
         duality_gap=float(solution.duality_gap),
         iterations=solution.iterations,

@@ -27,7 +27,8 @@ The row duals of the final basis are a Kantorovich potential f with
 f(w) - f(z) <= 1 on every arc; summing along geodesics, that is
 f(w) - f(z) <= d(z, w) on every ordered pair, so one solve yields both
 sides of the duality and certifies each distance computed in verify
-mode.  The all-pairs dual program stays here as kantorovich_dual, the
+mode.  kantorovich_dual keeps every ordered pair instead (one flow
+column per pair, started from the star of pairs 0 -> w); it is the
 reference the tests pin the flow potential to.
 """
 
@@ -81,12 +82,18 @@ def kantorovich_dual(
 ) -> tuple[float, np.ndarray]:
     """All-pairs oracle: max sum f (nu1 - nu0) with f(w)-f(z) <= d(z,w).
 
-    The potential is pinned at f(0) = 0; the objective is invariant
-    under adding constants because the two measures carry equal mass.
-    Every one of the n(n-1) ordered-pair constraints is kept, so the
-    program needs no path-metric argument.  wasserstein takes its
-    potential from the arc-flow duals instead; this program is the
-    independent reference the tests compare that potential against.
+    Solved through its LP dual, a min-cost flow with one column of cost
+    d(z, w) per ordered pair z -> w and the balance row of vertex 0
+    dropped.  The start basis is the star of pairs 0 -> w: B = -I, so
+    B^-1 = -I, and its potential d(0, .) prices z -> w at
+    d(z, w) + d(0, z) - d(0, w) >= 0 by the triangle inequality alone.
+    The potential is f = -(row duals) with f(0) = 0; the objective is
+    invariant under adding constants because the two measures carry
+    equal mass.  Every one of the n(n-1) ordered-pair constraints is
+    kept, so the program needs no path-metric argument.  wasserstein
+    takes its potential from the arc-flow duals instead; this program
+    is the independent reference the tests compare that potential
+    against.
     """
     d = dm.d
     n = d.shape[0]
@@ -94,32 +101,23 @@ def kantorovich_dual(
     nu1 = _check_probability(nu1, n, "nu1")
     if n == 1:
         return 0.0, np.zeros(1)
-    weight = nu1 - nu0
-    rows = []
-    rhs = []
-    for z in range(n):
-        for w in range(n):
-            if z == w:
-                continue
-            row = np.zeros(n - 1)
-            if w > 0:
-                row[w - 1] += 1.0
-            if z > 0:
-                row[z - 1] -= 1.0
-            rows.append(row)
-            rhs.append(float(d[z, w]))
+    # every ordered pair, row-major: the star 0 -> w comes first
+    pairs = np.argwhere(~np.eye(n, dtype=bool))
+    k = np.arange(len(pairs))
+    A = np.zeros((n, len(pairs)))
+    A[pairs[:, 0], k] = 1.0
+    A[pairs[:, 1], k] = -1.0
     problem = lp.LinearProgram(
-        c=weight[1:],
-        A=np.asarray(rows),
-        b=np.asarray(rhs),
-        senses=("<=",) * len(rows),
-        bounds=((None, None),) * (n - 1),
-        maximize=True,
+        c=d[pairs[:, 0], pairs[:, 1]],
+        A=A[1:],
+        b=(nu0 - nu1)[1:],
+        basis=np.arange(n - 1),
+        basis_inverse=-np.eye(n - 1),
     )
     solution = lp.solve_lp(problem)
     if solution.status != "optimal":
         raise LpFailureError(f"dual potential solve ended with status {solution.status!r}")
-    f = np.concatenate([[0.0], solution.x])
+    f = np.concatenate([[0.0], 0.0 - solution.duals])
     return float(solution.value), f
 
 
@@ -248,7 +246,6 @@ def wasserstein(
         c=np.ones(len(arcs)),
         A=basis.A,
         b=np.delete(excess, r),
-        senses=("=",) * (n - 1),
         basis=basis.tree,
         basis_inverse=basis.inverse,
     )

@@ -163,6 +163,13 @@ class TestCliAnalyze:
         assert tols == dict.fromkeys(tols, 1e-6)
         assert payload["tolerances"]["smoothing_agreement"] == SMOOTHING_AGREEMENT_TOL
 
+    def test_reports_the_lp_tolerances_the_dual_simplex_uses(self, c3_file, capsys):
+        # lp_feasibility is the threshold below which a basic variable leaves
+        assert main(["analyze", c3_file]) == 0
+        tolerances = json.loads(capsys.readouterr().out)["tolerances"]
+        assert tolerances["lp_feasibility"] == lp.PRIMAL_TOL
+        assert tolerances["lp_gap"] == lp.GAP_TOL
+
     def test_not_strongly_connected_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.edges"
         path.write_text("0 1\n1 2\n", encoding="utf-8")
