@@ -360,11 +360,42 @@ def _csv_matrix(matrix: np.ndarray) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _checked(kind: type, option: str, least: float = -math.inf):
+    """An argparse type for option: a finite kind(token) of at least least.
+
+    It raises ParseError, which argparse lets through, so that main
+    exits 2 with one error: line rather than argparse's usage text.
+    """
+    what = "an integer" if kind is int else "a finite number"
+    if least > -math.inf:
+        what += f" >= {least:g}"
+
+    def parse(token: str):
+        try:
+            value = kind(token)
+        except ValueError:
+            value = None
+        if value is None or not (math.isfinite(value) and value >= least):
+            raise ParseError(f"{option} must be {what}, got {token!r}")
+        return value
+
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", help="edge-list or JSON graph file (or inline text)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_checked(int, "--seed", 0), default=DEFAULT_SEED)
     p.add_argument("--format", choices=("json", "table", "csv"), default="json")
     p.add_argument("--out", default=None, help="write the result here instead of stdout")
+
+
+def _add_suite_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--certificate-tol", type=_checked(float, "--certificate-tol", 0),
+                   default=1e-9)
+    p.add_argument("--density-samples", type=_checked(int, "--density-samples", 0),
+                   default=100)
+    p.add_argument("--function-samples", type=_checked(int, "--function-samples", 1),
+                   default=100)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,14 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run the full verification pipeline")
     _add_common(p)
-    p.add_argument("--k-override", type=float, default=None,
+    p.add_argument("--k-override", type=_checked(float, "--k-override"), default=None,
                    help="verify the contraction statements at this rate instead of the computed K")
     p.add_argument("--cross-check", action="store_true",
                    help="also compare the exact curvature against the smoothing route")
-    p.add_argument("--certificate-tol", type=float, default=1e-9)
-    p.add_argument("--lipschitz-samples", type=int, default=200)
-    p.add_argument("--density-samples", type=int, default=100)
-    p.add_argument("--function-samples", type=int, default=100)
+    _add_suite_options(p)
+    p.add_argument("--lipschitz-samples", type=_checked(int, "--lipschitz-samples", 0),
+                   default=200)
 
     p = sub.add_parser("curvature", help="curvature matrix and K")
     _add_common(p)
@@ -400,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heat", help="evolve a function or print a kernel row")
     _add_common(p)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_checked(float, "--t", 0), required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--f", default=None, help="dirac:<v> or a file of values")
     group.add_argument("--kernel", default=None, metavar="X",
@@ -411,10 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-functional", help="only the functional-inequality suite")
     _add_common(p)
-    p.add_argument("--k-override", type=float, default=None)
-    p.add_argument("--certificate-tol", type=float, default=1e-9)
-    p.add_argument("--density-samples", type=int, default=100)
-    p.add_argument("--function-samples", type=int, default=100)
+    p.add_argument("--k-override", type=_checked(float, "--k-override"), default=None)
+    _add_suite_options(p)
 
     return parser
 
@@ -435,11 +463,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         _check_format(args)
-        if args.command == "heat" and not (math.isfinite(args.t) and args.t >= 0):
-            raise ParseError(f"--t must be a finite non-negative time, got {args.t}")
         g = load_graph(args.graph)
         config = _config_from_args(args)
 

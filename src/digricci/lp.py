@@ -13,8 +13,9 @@ zero, with one of them dropped, and a spanning tree of that graph is a
 basis (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 11).  The
 library's two programs, the flow behind the Wasserstein distance and
 the dual of each per-pair curvature program, start from a
-shortest-path tree whose inverse, the tree's path matrix, the
-transport module builds once per graph and root.  Two reference
+shortest-path tree (into or out of a root) whose inverse, the tree's
+path matrix, the transport module builds once per graph, root and
+direction.  Two reference
 programs the tests hold those to take the same path: the coupling
 program of solve_transport, a flow on the complete bipartite graph of
 the two supports, drops the row sum of row 0 and starts from the tree
@@ -23,7 +24,11 @@ starts its all-pairs flow from a star.  Problems stay small (hundreds of
 variables at the target scale), so a dense tableau is simpler than a
 revised method and fast enough.  Bland's leaving and entering rule
 guarantees termination on the heavily degenerate tableaus that
-transport instances produce.
+transport instances produce.  The pivot loop keeps the numpy calls per
+pivot few: one masked argmin picks the leaving row, the ratio test
+runs on the candidate columns alone, and the pivot is one broadcast
+rank-1 update of the whole tableau.  The tests hold it, bit for bit,
+to a plain reference loop.
 """
 
 from __future__ import annotations
@@ -119,16 +124,6 @@ class TransportSolution:
     iterations: int
 
 
-def _pivot(T: np.ndarray, r: int, j: int) -> None:
-    T[r] /= T[r, j]
-    col = T[:, j].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
-    # keep the entering column numerically exact
-    T[:, j] = 0.0
-    T[r, j] = 1.0
-
-
 def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int]:
     """Pivot a dual-feasible tableau to primal feasibility under Bland's rule.
 
@@ -136,23 +131,31 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[
     Entering: among the columns with a negative entry in its row, the
     lowest index of minimum ratio (reduced cost) / -(entry), which keeps
     every reduced cost non-negative.  A leaving row with no negative
-    entry proves the program infeasible.
+    entry proves the program infeasible.  Each pivot is one rank-1
+    update of the whole tableau; the entering column is then written
+    exactly.
     """
     iterations = 0
     m = T.shape[0] - 1
+    n = T.shape[1] - 1  # no column index reaches n, so it marks "no row is short"
     while True:
-        short = np.nonzero(T[:m, -1] < -PRIMAL_TOL)[0]
-        if not short.size:
+        leaving = np.where(T[:m, -1] < -PRIMAL_TOL, basis, n)
+        r = int(leaving.argmin())
+        if leaving[r] == n:
             return "optimal", iterations
-        r = int(short[np.argmin(basis[short])])
         row = T[r, :-1]
-        negative = row < -PIVOT_TOL
-        if not negative.any():
+        entering = np.flatnonzero(row < -PIVOT_TOL)
+        if not entering.size:
             return "infeasible", iterations
-        ratios = np.where(negative, T[-1, :-1] / np.where(negative, -row, 1.0), np.inf)
+        ratios = T[-1, entering] / -row[entering]
         best = float(ratios.min())
-        j = int(np.argmax(ratios <= best + 1e-12 * max(1.0, abs(best))))
-        _pivot(T, r, j)
+        j = int(entering[np.argmax(ratios <= best + 1e-12 * max(1.0, abs(best)))])
+        pivot_row = T[r] / T[r, j]
+        T -= T[:, j, None] * pivot_row
+        # + 0.0 turns -0.0 into 0.0, as subtracting 0 * pivot_row from it would
+        np.add(pivot_row, 0.0, out=T[r])
+        T[:, j] = 0.0
+        T[r, j] = 1.0
         basis[r] = j
         iterations += 1
         if iterations > max_iter:
@@ -183,18 +186,14 @@ def _feasibility_residual(problem: LinearProgram, x: np.ndarray) -> float:
     return max(0.0, float(np.abs(err).max(initial=0.0)), float(-x.min(initial=0.0)))
 
 
-def solve_lp(problem: LinearProgram) -> LpSolution:
-    """Dual simplex from the program's starting basis.
+def _start_tableau(problem: LinearProgram) -> np.ndarray:
+    """B^-1 [A | b] over the reduced costs c - c_B B^-1 [A | b].
 
     NumericsError unless problem.basis_inverse inverts A[:, basis] to
-    within INVERSE_TOL and the basis is dual feasible.  The status is
-    "optimal", or "infeasible" when a leaving row has no entry that can
-    enter.
+    within INVERSE_TOL and every reduced cost is at least -RC_TOL.
     """
-    A, b, c = problem.A, problem.b, problem.c
+    A, b, c, basis = problem.A, problem.b, problem.c, problem.basis
     m, n = A.shape
-    basis = problem.basis.copy()
-
     T = np.empty((m + 1, n + 1))
     T[:m, :n] = problem.basis_inverse @ A
     T[:m, n] = problem.basis_inverse @ b
@@ -210,7 +209,21 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     worst = float(T[-1, :n].min(initial=0.0))
     if worst < -RC_TOL:
         raise NumericsError(f"starting basis is not dual feasible: reduced cost {worst:.3e}")
+    return T
 
+
+def solve_lp(problem: LinearProgram) -> LpSolution:
+    """Dual simplex from the program's starting basis.
+
+    NumericsError unless problem.basis_inverse inverts A[:, basis] to
+    within INVERSE_TOL and the basis is dual feasible.  The status is
+    "optimal", or "infeasible" when a leaving row has no entry that can
+    enter.
+    """
+    A, b, c = problem.A, problem.b, problem.c
+    m, n = A.shape
+    basis = problem.basis.copy()
+    T = _start_tableau(problem)
     status, iterations = _run_dual_simplex(T, basis, 1000 + 50 * (m + n))
     if status != "optimal":
         return LpSolution(status=status, iterations=iterations)

@@ -13,15 +13,25 @@ The solve needs no phase 1.  A BFS out-tree of r (one arc z -> w with
 d(r, z) = d(r, w) - 1 into every w != r) is a basis whose duals are the
 potential -d(r, .), and under it every arc prices at
 1 + d(r, z) - d(r, w) >= 0: the basis is dual feasible whatever the
-measures, and a dual simplex pivots it to the optimal flow.  The root
-is the vertex with the largest excess nu0 - nu1, so for point masses
-the tree path is already optimal.  The basis depends on r alone, so
-root_basis builds it once per root and keeps it on the DistanceMatrix:
-the incidence without r's row, the tree, and B^-1.  A spanning tree's
-inverse incidence is its path matrix (Ahuja, Magnanti & Orlin, Network
-Flows, 1993, ch. 11), so B^-1 comes from one walk down the tree, with
-no factorisation, and every solve from r starts from B^-1 [A | b].
-The curvature module's dual flows from r start from the same record.
+measures, and a dual simplex pivots it to the optimal flow.  So is a
+BFS in-tree of s (one arc w -> z with d(z, s) = d(w, s) - 1 out of
+every w != s), with potential d(., s) and arc prices
+1 + d(z, s) - d(w, s) >= 0.  Every basis of the program is a spanning
+tree (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 11).  The
+basic flow of the out-tree ships every vertex's balance from r along
+geodesics, that of the in-tree ships it into s; when most of the mass
+leaves r, or enters s, that flow is nearly optimal and few pivots
+remain.  With e = nu0 - nu1, the start is therefore the in-tree of
+s = argmin e when the largest deficit -e(s) exceeds the largest
+excess, and otherwise the out-tree of r = argmax e.  Point masses tie
+and take the out-tree, whose tree path is already optimal.  A tree
+depends on its root and direction alone, so root_basis builds it once
+and keeps it on the DistanceMatrix: the incidence without the root's
+row, the tree, and B^-1.  A spanning tree's inverse incidence is its path
+matrix, so B^-1 comes from one walk down the tree, with no
+factorisation, and every solve starts from B^-1 [A | b].  The
+curvature module's dual flows from x start from the out-tree record
+of x.
 
 The row duals of the final basis are a Kantorovich potential f with
 f(w) - f(z) <= 1 on every arc; summing along geodesics, that is
@@ -126,12 +136,14 @@ class RootBasis(NamedTuple):
 
     A is the n x |A| arc incidence (+1 at the tail, -1 at the head of
     each arc) with the row of r dropped, leaving one row per other
-    vertex in vertex order.  tree[i] is the arc basic in row i: the
-    first arc z -> w with d(r, z) = d(r, w) - 1 into the vertex w of
-    that row, so the tree arcs form a BFS out-tree of r.  inverse is
-    B^-1 for B = A[:, tree], the tree's path matrix: its column for w
-    is -1 on the rows of the tree arcs on the path r -> w, 0 elsewhere.
-    All three arrays are read-only.
+    vertex in vertex order.  tree[i] is the arc basic in row i.  In the
+    out-tree of r it is the first arc z -> w with d(r, z) = d(r, w) - 1
+    into the vertex w of that row, and inverse, B^-1 for B = A[:, tree],
+    is the tree's path matrix: its column for w is -1 on the rows of
+    the tree arcs on the path r -> w, 0 elsewhere.  In the in-tree of r
+    it is the first arc w -> z with d(z, r) = d(w, r) - 1 out of w, and
+    the column of B^-1 for w is +1 on the rows of the tree arcs on the
+    path w -> r.  All three arrays are read-only.
     """
 
     A: np.ndarray
@@ -140,7 +152,7 @@ class RootBasis(NamedTuple):
 
 
 def _build_root_basis(d: np.ndarray, arcs: np.ndarray, r: int) -> RootBasis:
-    """The RootBasis of r; NumericsError unless inverse @ B is exactly I."""
+    """The out-tree RootBasis of r; NumericsError unless inverse @ B is exactly I."""
     n = d.shape[0]
     A = np.zeros((n, len(arcs)))
     k = np.arange(len(arcs))
@@ -162,20 +174,30 @@ def _build_root_basis(d: np.ndarray, arcs: np.ndarray, r: int) -> RootBasis:
         inverse[row[w], row[w]] = -1.0
     if not np.array_equal(inverse @ A[:, tree], np.eye(n - 1)):
         raise NumericsError(f"the tree path matrix of root {r} does not invert its basis")
-    for a in (A, tree, inverse):
-        a.flags.writeable = False
     return RootBasis(A=A, tree=tree, inverse=inverse)
 
 
-def root_basis(dm: DistanceMatrix, r: int) -> RootBasis:
+def root_basis(dm: DistanceMatrix, r: int, inward: bool = False) -> RootBasis:
     """The arc-flow start basis of root r, built on first use and kept on dm.
 
-    Every W solve rooted at r and every curvature program of a pair
-    (r, y) starts from it; the record lives as long as dm.
+    inward=False gives the BFS out-tree of r, inward=True its BFS
+    in-tree.  The in-tree is the out-tree of r in the reversed graph,
+    whose incidence is -A and so whose inverse is -B^-1; both are
+    negated back (as 0.0 - x, so that no -0.0 appears).  Every W solve
+    from that tree and every curvature program of a pair (r, y), which
+    uses the out-tree, starts from it; the record lives as long as dm.
     """
-    basis = dm._root_bases.get(r)
+    key = (r, inward)
+    basis = dm._root_bases.get(key)
     if basis is None:
-        basis = dm._root_bases[r] = _build_root_basis(dm.d, dm.arcs, r)
+        if inward:
+            out = _build_root_basis(dm.d.T, dm.arcs[:, ::-1], r)
+            basis = RootBasis(A=0.0 - out.A, tree=out.tree, inverse=0.0 - out.inverse)
+        else:
+            basis = _build_root_basis(dm.d, dm.arcs, r)
+        for a in basis:
+            a.flags.writeable = False
+        dm._root_bases[key] = basis
     return basis
 
 
@@ -218,6 +240,34 @@ def _flow_to_coupling(
     return pi
 
 
+def _start_tree(excess: np.ndarray) -> tuple[int, bool]:
+    """The root and direction of the BFS tree a W solve starts from.
+
+    The in-tree of the vertex of largest deficit when that deficit
+    exceeds the largest excess, otherwise (ties included, so point
+    masses too) the out-tree of the vertex of largest excess.
+    """
+    r = int(np.argmax(excess))
+    s = int(np.argmin(excess))
+    if -excess[s] > excess[r]:
+        return s, True
+    return r, False
+
+
+def _flow_program(
+    dm: DistanceMatrix, excess: np.ndarray, r: int, inward: bool
+) -> lp.LinearProgram:
+    """The arc-flow program of excess without r's row, from root_basis(dm, r, inward)."""
+    basis = root_basis(dm, r, inward)
+    return lp.LinearProgram(
+        c=np.ones(len(dm.arcs)),
+        A=basis.A,
+        b=np.delete(excess, r),
+        basis=basis.tree,
+        basis_inverse=basis.inverse,
+    )
+
+
 def wasserstein(
     nu0: np.ndarray,
     nu1: np.ndarray,
@@ -227,8 +277,10 @@ def wasserstein(
     """Directed transport distance between two probability vectors.
 
     Solves the arc-flow program once, by a dual simplex from the BFS
-    out-tree of the root r = argmax(nu0 - nu1) (see the module
-    docstring).  verify=True also reads the potential off that solve,
+    in-tree of the largest deficit or the out-tree of the largest excess
+    of nu0 - nu1, whichever is larger (the out-tree on a tie; see the
+    module docstring), with the row of that tree's root r dropped.
+    verify=True also reads the potential off that solve,
     f = -(row duals) with f(r) = 0, shifted to f(0) = 0, and raises
     NumericsError unless f(w) - f(z) <= 1 + lp.GAP_TOL on every arc and
     |W - f.(nu1 - nu0)| <= lp.GAP_TOL; it then splits the flow, which
@@ -240,15 +292,8 @@ def wasserstein(
     nu1 = _check_probability(nu1, n, "nu1")
     arcs = dm.arcs
     excess = nu0 - nu1
-    r = int(np.argmax(excess))
-    basis = root_basis(dm, r)
-    problem = lp.LinearProgram(
-        c=np.ones(len(arcs)),
-        A=basis.A,
-        b=np.delete(excess, r),
-        basis=basis.tree,
-        basis_inverse=basis.inverse,
-    )
+    r, inward = _start_tree(excess)
+    problem = _flow_program(dm, excess, r, inward)
     solution = lp.solve_lp(problem)
     if solution.status != "optimal":
         raise LpFailureError(f"transport flow solve ended with status {solution.status!r}")

@@ -7,6 +7,8 @@ scipy.optimize.linprog, and the heat semigroup via scipy.linalg.expm.
 The one exception is transport_contraction_all_pairs, the all-pairs
 loop the library's arc-only contraction check is pinned to; it reuses
 the library's heat kernel and W so that the two agree to roundoff.
+reference_dual_simplex is the plain pivot loop the library's dual
+simplex kernel must match bit for bit.
 The HAND dict holds values worked out by hand for the three fixtures.
 """
 
@@ -16,7 +18,8 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from digricci import certificate_from_samples, heat_kernel_matrix, wasserstein
+from digricci import certificate_from_samples, heat_kernel_matrix, lp, wasserstein
+from digricci.errors import NumericsError
 from digricci.heat import DEFAULT_TIME_GRID
 
 INF = float("inf")
@@ -200,3 +203,59 @@ def transport_contraction_all_pairs(H, dm, K: float, ts=DEFAULT_TIME_GRID, tol=1
     return certificate_from_samples(
         "transport_contraction", {"K": K, "times": list(ts)}, comparisons, tol
     )
+
+
+def _reference_pivot(T: np.ndarray, r: int, j: int) -> None:
+    T[r] /= T[r, j]
+    col = T[:, j].copy()
+    col[r] = 0.0
+    T -= np.outer(col, T[r])
+    # keep the entering column numerically exact
+    T[:, j] = 0.0
+    T[r, j] = 1.0
+
+
+def assert_kernel_matches_reference(problem) -> None:
+    """lp's dual simplex kernel and reference_dual_simplex end on the same bits.
+
+    Both run from the start tableau of problem; the final tableaus must
+    agree byte for byte (signed zeros included), and so must the bases,
+    statuses and pivot counts.
+    """
+    T = lp._start_tableau(problem)
+    ref_T = T.copy()
+    basis, ref_basis = problem.basis.copy(), problem.basis.copy()
+    max_iter = 1000 + 50 * sum(problem.A.shape)
+    outcome = lp._run_dual_simplex(T, basis, max_iter)
+    assert outcome == reference_dual_simplex(ref_T, ref_basis, max_iter)
+    assert T.tobytes() == ref_T.tobytes()
+    assert np.array_equal(basis, ref_basis)
+
+
+def reference_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int]:
+    """Bland's-rule dual simplex written plainly, one full-length mask per step.
+
+    Leaving: the lowest-index basic variable below -PRIMAL_TOL.
+    Entering: the lowest index of minimum ratio (reduced cost) / -(entry)
+    among the columns with an entry below -PIVOT_TOL in its row.
+    Pivots T and basis in place; returns (status, pivots).
+    """
+    iterations = 0
+    m = T.shape[0] - 1
+    while True:
+        short = np.nonzero(T[:m, -1] < -lp.PRIMAL_TOL)[0]
+        if not short.size:
+            return "optimal", iterations
+        r = int(short[np.argmin(basis[short])])
+        row = T[r, :-1]
+        negative = row < -lp.PIVOT_TOL
+        if not negative.any():
+            return "infeasible", iterations
+        ratios = np.where(negative, T[-1, :-1] / np.where(negative, -row, 1.0), np.inf)
+        best = float(ratios.min())
+        j = int(np.argmax(ratios <= best + 1e-12 * max(1.0, abs(best))))
+        _reference_pivot(T, r, j)
+        basis[r] = j
+        iterations += 1
+        if iterations > max_iter:
+            raise NumericsError(f"dual simplex exceeded {max_iter} pivots; tableau may be cycling")

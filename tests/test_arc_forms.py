@@ -6,9 +6,12 @@ curvature program keeps one Lipschitz row per arc.  These properties
 pin both to the programs that enumerate every ordered pair, over
 random strongly connected graphs and random (often sparse) measures.
 The flow program is solved by a dual simplex from a BFS-tree basis,
-built once per root with its inverse, the tree's path matrix; further
-properties pin that inverse to be exact for every root and the solve
-to scipy, and unit tests pin how bad starting bases and inverses fail.
+the out-tree of the largest excess or the in-tree of the largest
+deficit, built once per root and direction with its inverse, the
+tree's path matrix; further properties pin that inverse to be exact
+for every root, the solve from either tree to scipy and the pivot
+kernel to the reference loop, and unit tests pin how bad starting
+bases and inverses fail.
 The curvature program is solved through its dual flow from the same
 kind of basis; its witness is checked for optimality on its own.
 Transport contraction along the heat flow is checked over the arcs
@@ -235,16 +238,67 @@ def test_tree_basis_solve_matches_scipy(instance):
     g, nu0, nu1 = instance
     dm = distances(g)
     excess = nu0 - nu1
-    r = int(np.argmax(excess))
-    basis = root_basis(dm, r)
-    problem = LinearProgram(
-        c=np.ones(len(dm.arcs)), A=basis.A, b=np.delete(excess, r),
-        basis=basis.tree, basis_inverse=basis.inverse,
-    )
+    problem = transport._flow_program(dm, excess, *transport._start_tree(excess))
     tree = solve_lp(problem)
     assert tree.status == "optimal"
     assert abs(tree.value - oracles.linprog_transport(dm.d, nu0, nu1, tight=True)) <= 1e-9
     assert wasserstein(nu0, nu1, dm, verify=False).value == tree.value
+
+
+def both_starts(excess: np.ndarray) -> list[tuple[int, bool]]:
+    """The out-tree of argmax excess and the in-tree of argmin excess."""
+    return [(int(np.argmax(excess)), False), (int(np.argmin(excess)), True)]
+
+
+@PROPERTY_SETTINGS
+@given(tree_basis_instances())
+def test_either_start_tree_gives_the_same_w(instance):
+    """The out-tree of argmax e and the in-tree of argmin e, e = nu0 - nu1, agree."""
+    g, nu0, nu1 = instance
+    dm = distances(g)
+    excess = nu0 - nu1
+    values = []
+    for r, inward in both_starts(excess):
+        solution = solve_lp(transport._flow_program(dm, excess, r, inward))
+        assert solution.status == "optimal"
+        values.append(solution.value)
+    assert abs(values[0] - values[1]) <= 1e-12
+    ref = oracles.linprog_transport(dm.d, nu0, nu1, tight=True)
+    assert all(abs(v - ref) <= 1e-9 for v in values)
+
+
+def test_start_rule_takes_the_tree_of_the_larger_imbalance():
+    """In-tree of the largest deficit only when it beats the largest excess."""
+    third = np.full(3, 1 / 3)
+    # point masses tie: the out-tree of the source, as for every Dirac pair
+    assert transport._start_tree(np.eye(3)[0] - np.eye(3)[2]) == (0, False)
+    assert transport._start_tree(third - np.eye(3)[2]) == (2, True)
+    assert transport._start_tree(np.eye(3)[1] - third) == (1, False)
+    assert transport._start_tree(np.zeros(3)) == (0, False)
+
+
+@PROPERTY_SETTINGS
+@given(tree_basis_instances())
+def test_dual_simplex_kernel_is_the_reference_loop_on_flow_programs(instance):
+    """Both W starts and every kappa_lp program of the graph pivot bit for bit alike."""
+    g, nu0, nu1 = instance
+    dm = distances(g)
+    excess = nu0 - nu1
+    for r, inward in both_starts(excess):
+        oracles.assert_kernel_matches_reference(transport._flow_program(dm, excess, r, inward))
+    problems = []
+    solve = lp.solve_lp
+
+    def recording_solve(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "solve_lp", recording_solve)
+        curvature_matrix(markov_data(g), dm)
+    assert len(problems) == g.n * (g.n - 1)
+    for problem in problems:
+        oracles.assert_kernel_matches_reference(problem)
 
 
 @PROPERTY_SETTINGS
@@ -290,6 +344,33 @@ def test_root_basis_inverts_the_tree_exactly_for_every_root(g):
         assert np.array_equal(basis.inverse @ basis.A[:, basis.tree], np.eye(n - 1))
         assert set(np.unique(basis.inverse)) <= {-1.0, 0.0}
         assert not any(a.flags.writeable for a in basis)
+
+
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_in_tree_basis_inverts_the_tree_exactly_for_every_sink(g):
+    """The in-tree of s: one arc out of each w != s, one BFS level toward s."""
+    dm = distances(g)
+    n, arcs = g.n, dm.arcs
+    incidence = np.zeros((n, len(arcs)))
+    incidence[arcs[:, 0], np.arange(len(arcs))] = 1.0
+    incidence[arcs[:, 1], np.arange(len(arcs))] = -1.0
+    for s in range(n):
+        basis = root_basis(dm, s, inward=True)
+        assert np.array_equal(basis.A, np.delete(incidence, s, axis=0))
+        tails, heads = arcs[basis.tree, 0], arcs[basis.tree, 1]
+        assert np.array_equal(tails, np.delete(np.arange(n), s))
+        assert (dm.d[heads, s] == dm.d[tails, s] - 1).all()
+        # the first such arc out of each tail
+        for w, k in zip(tails, basis.tree):
+            toward = (arcs[:, 0] == w) & (dm.d[arcs[:, 1], s] == dm.d[w, s] - 1)
+            assert k == np.flatnonzero(toward)[0]
+        assert np.array_equal(basis.inverse @ basis.A[:, basis.tree], np.eye(n - 1))
+        assert set(np.unique(basis.inverse)) <= {0.0, 1.0}
+        assert not np.signbit(basis.inverse).any() and not np.signbit(basis.A[basis.A == 0]).any()
+        assert not any(a.flags.writeable for a in basis)
+        assert root_basis(dm, s, inward=True) is basis
+        assert root_basis(dm, s) is not basis
 
 
 def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatch):

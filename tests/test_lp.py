@@ -15,7 +15,7 @@ import pytest
 import oracles
 from conftest import SEED
 from digricci import MarginalMismatchError, solve_transport
-from digricci.lp import GAP_TOL, MARGINAL_TOL
+from digricci.lp import GAP_TOL, MARGINAL_TOL, assemble_transport_lp
 
 
 def sparse_measure(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -65,6 +65,14 @@ class TestDegenerateSweep:
             assert reduced.min() >= -1e-9, family
             assert sol.row_duals[0] == 0.0
         assert seen == {"integer ties", "equal", "1 x k", "k x 1", "zero mass"}
+
+
+class TestKernel:
+    def test_matches_the_reference_loop_on_the_degenerate_families(self):
+        """The lean pivot loop ends on the reference loop's tableau, bit for bit."""
+        rng = np.random.default_rng(SEED + 5)
+        for _family, cost, nu0, nu1 in degenerate_instances(rng, 20):
+            oracles.assert_kernel_matches_reference(assemble_transport_lp(cost, nu0, nu1))
 
 
 class TestTransport:

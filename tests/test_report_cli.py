@@ -143,6 +143,23 @@ class TestCliAnalyze:
         assert certs["laplace_moment_bound"]["pass"] is True
         assert certs["transport_entropy_laplace_link"]["pass"] is True
 
+    @pytest.mark.parametrize("k, met", [("2e-311", 102), ("1e308", 0)])
+    def test_extreme_k_prints_no_warning(self, tmp_path, capsys, k, met):
+        """c = sqrt(2) K / Lambda makes c * c underflow to 0 or overflow to inf."""
+        path = tmp_path / "c2.edges"
+        path.write_text("0 1\n1 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", str(path), f"--k-override={k}"])
+        out, err = capsys.readouterr()
+        assert err == ""
+        payload = json.loads(out)
+        assert code == (0 if payload["all_pass"] else 1)
+        cert = {c["name"]: c for c in payload["certificates"]}["information_to_entropy_bound"]
+        assert cert["pass"] is True and cert["witness"]["hypothesis_met"] == met
+        if met:
+            assert cert["rhs"] == "Infinity"
+
     def test_k_override_fails(self, c3_file, capsys):
         code = main(["analyze", c3_file, "--k-override", "1.6"])
         payload = json.loads(capsys.readouterr().out)
@@ -404,6 +421,42 @@ class TestCliInputContract:
     )
     def test_unsupported_format(self, c3_file, capsys, argv):
         assert_input_error(main([a.format(g=c3_file) for a in argv]), capsys)
+
+    @pytest.mark.parametrize("command", ["analyze", "verify-functional"])
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--function-samples", "-1"],
+            ["--function-samples", "0"],
+            ["--function-samples", "1.5"],
+            ["--density-samples", "-1"],
+            ["--density-samples", "x"],
+            ["--k-override", "nan"],
+            ["--k-override", "inf"],
+            ["--k-override=-inf"],
+            ["--certificate-tol", "nan"],
+            ["--certificate-tol", "-1"],
+            ["--certificate-tol", "inf"],
+            ["--seed", "-1"],
+        ],
+        ids="=".join,
+    )
+    def test_bad_numeric_option(self, c3_file, capsys, command, option):
+        assert_input_error(main([command, c3_file, *option]), capsys)
+
+    def test_bad_lipschitz_sample_count(self, c3_file, capsys):
+        assert_input_error(main(["analyze", c3_file, "--lipschitz-samples", "-1"]), capsys)
+
+    def test_smallest_sample_counts_and_zero_tolerance_run(self, c3_file, capsys):
+        argv = ["analyze", c3_file, "--function-samples", "1", "--density-samples", "0",
+                "--lipschitz-samples", "0"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # a zero tolerance is valid input: the report comes back, whatever its verdict
+        code = main(["analyze", c3_file, "--certificate-tol", "0"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == (0 if payload["all_pass"] else 1)
+        assert payload["tolerances"]["certificate"] == 0.0
 
 
 def test_sparse_analyze_solves_kappa_per_pair_and_heat_flow_per_arc(
