@@ -9,7 +9,7 @@ that can be serialised and rechecked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 DEFAULT_TOL = 1e-9
@@ -52,4 +52,19 @@ def certificate_from_samples(
         passed=bool(margin >= -tol),
         tol=tol,
         witness=witness,
+    )
+
+
+def worst_certificate(name: str, certs: list[InequalityCertificate]) -> InequalityCertificate:
+    """The worst-margin member of per-sample certificates, renamed.
+
+    It passes only when every member passed, and its witness adds the
+    member count as "samples".  The members are left unchanged.
+    """
+    worst = min(certs, key=lambda cert: cert.margin)
+    return replace(
+        worst,
+        name=name,
+        passed=all(cert.passed for cert in certs),
+        witness={**worst.witness, "samples": len(certs)},
     )

@@ -17,6 +17,7 @@ fails, 2 on invalid input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -25,9 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certificates import InequalityCertificate
+from .certificates import InequalityCertificate, certificate_from_samples, worst_certificate
 from .chain import markov_data
 from .concentration import (
+    DEFAULT_LAMBDA_GRID,
     centered_lipschitz_samples,
     check_bobkov_goetze,
     check_exp_chain_rule_bound,
@@ -40,10 +42,12 @@ from .concentration import (
     concentration_tail,
     random_densities,
 )
-from .curvature import SMOOTHING_AGREEMENT_TOL, curvature_matrix, kappa_limit
+from .curvature import DEFAULT_EPS_GRID, SMOOTHING_AGREEMENT_TOL, curvature_matrix, kappa_limit
 from .digraph import DirectedGraph, distances, load_graph, sample_lipschitz_functions
 from .errors import GraphCurvatureError, ParseError
 from .heat import (
+    DEFAULT_LIMIT_GRID,
+    HEAT_LIMIT_AGREEMENT_TOL,
     curvature_time_limit,
     heat_kernel,
     heat_operator,
@@ -52,23 +56,6 @@ from .heat import (
 )
 from .report import DEFAULT_SEED, RunConfig, VerificationReport, render_json
 from .transport import wasserstein
-
-
-def _merge_certificates(name: str, certs: list[InequalityCertificate]) -> InequalityCertificate:
-    """Collapse per-sample certificates into their worst-margin member."""
-    worst = min(certs, key=lambda c: c.margin)
-    merged = InequalityCertificate(
-        name=name,
-        hypothesis=worst.hypothesis,
-        lhs=worst.lhs,
-        rhs=worst.rhs,
-        margin=worst.margin,
-        passed=all(c.passed for c in certs),
-        tol=worst.tol,
-        witness=dict(worst.witness),
-    )
-    merged.witness["samples"] = len(certs)
-    return merged
 
 
 def _graph_summary(g: DirectedGraph, path: str) -> dict:
@@ -91,7 +78,7 @@ def _tolerances(config: RunConfig) -> dict:
         "lp_feasibility": lp.PRIMAL_TOL,
         "lp_gap": lp.GAP_TOL,
         "certificate": config.certificate_tol,
-        "curvature_limit": config.curvature_limit_tol,
+        "curvature_limit": HEAT_LIMIT_AGREEMENT_TOL,
         "smoothing_agreement": SMOOTHING_AGREEMENT_TOL,
     }
 
@@ -103,33 +90,31 @@ def functional_certificates(
     tol = config.certificate_tol
     certs: list[InequalityCertificate] = []
     certs.append(
-        check_laplace_bound(
-            M, dm, K, lam_max, config.lambda_grid, config.function_samples, rng, tol=tol
-        )
+        check_laplace_bound(M, dm, K, lam_max, samples=config.function_samples, rng=rng, tol=tol)
     )
 
     fs = centered_lipschitz_samples(M, dm, config.function_samples, rng)
     certs.append(
-        _merge_certificates(
+        worst_certificate(
             "lipschitz_tail_bound",
-            [concentration_tail(M, dm, K, lam_max, f, config.r_grid, tol=tol) for f in fs],
+            [concentration_tail(M, dm, K, lam_max, f, tol=tol) for f in fs],
         )
     )
 
     # the chain-rule surrogates hold for every function, not only Lipschitz ones
     free_fs = rng.normal(0.0, 1.0, size=(config.function_samples, M.n))
     certs.append(
-        _merge_certificates(
+        worst_certificate(
             "exp_chain_rule_bound",
             [
                 check_exp_chain_rule_bound(M, f, lam, tol=tol)
                 for f in free_fs
-                for lam in config.lambda_grid
+                for lam in DEFAULT_LAMBDA_GRID
             ],
         )
     )
     certs.append(
-        _merge_certificates(
+        worst_certificate(
             "exp_square_chain_rule_bound",
             [check_exp_square_chain_rule_bound(M, f, tol=tol) for f in free_fs],
         )
@@ -137,27 +122,25 @@ def functional_certificates(
 
     rhos = random_densities(M, config.density_samples, rng)
     certs.append(
-        _merge_certificates(
+        worst_certificate(
             "transport_edge_variation_bound",
             [check_transport_l1_bound(M, dm, K, lam_max, r.rho, tol=tol) for r in rhos],
         )
     )
     certs.append(
-        _merge_certificates(
+        worst_certificate(
             "transport_information_bound",
             [check_transport_information(M, dm, K, lam_max, r.rho, tol=tol) for r in rhos],
         )
     )
     certs.append(
-        _merge_certificates(
+        worst_certificate(
             "transport_entropy_bound",
             [check_transport_entropy(M, dm, K, lam_max, r.rho, tol=tol) for r in rhos],
         )
     )
     certs.append(
-        check_bobkov_goetze(
-            M, dm, 2.0 * K / (lam_max * lam_max), rhos, config.lambda_grid, fs, tol=tol
-        )
+        check_bobkov_goetze(M, dm, 2.0 * K / (lam_max * lam_max), rhos, fs=fs, tol=tol)
     )
     certs.append(
         check_info_to_entropy(M, dm, np.sqrt(2.0) * K / lam_max, lam_max, rhos, tol=tol)
@@ -165,20 +148,20 @@ def functional_certificates(
     return certs
 
 
-def run_analysis(g: DirectedGraph, config: RunConfig, command: str = "analyze") -> VerificationReport:
+def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
     dm = distances(g)
     M = markov_data(g)
     H = heat_operator(M)
     rng = np.random.default_rng(config.seed)
 
     report = VerificationReport(
-        command=command,
+        command="analyze",
         graph=_graph_summary(g, "-"),
         seed=config.seed,
         tolerances=_tolerances(config),
     )
 
-    curv = curvature_matrix(M, dm, cross_check=config.cross_check, eps_grid=config.eps_grid)
+    curv = curvature_matrix(M, dm, cross_check=config.cross_check)
     K = curv.K if config.k_override is None else config.k_override
     report.sections["distance"] = {
         "lambda": dm.lam,
@@ -193,35 +176,30 @@ def run_analysis(g: DirectedGraph, config: RunConfig, command: str = "analyze") 
     }
 
     if config.cross_check:
-        worst = float(np.nanmax(curv.cross_check))
         report.certificates.append(
-            InequalityCertificate(
-                name="curvature_smoothing_agreement",
-                hypothesis={"eps_grid": list(config.eps_grid)},
-                lhs=worst,
-                rhs=SMOOTHING_AGREEMENT_TOL,
-                margin=SMOOTHING_AGREEMENT_TOL - worst,
-                passed=worst <= SMOOTHING_AGREEMENT_TOL,
+            certificate_from_samples(
+                "curvature_smoothing_agreement",
+                {"eps_grid": list(DEFAULT_EPS_GRID)},
+                [(np.nanmax(curv.cross_check), SMOOTHING_AGREEMENT_TOL, {})],
                 tol=0.0,
             )
         )
 
-    # the arc kappa are the ones that set K; kappa_lp certified every entry
+    # the arc kappa are the ones that set K; kappa_lp certified every entry.
+    # certificate_from_samples keeps the first of equal margins, so the arcs
+    # go in reversed: of equal deviations, the last arc in row-major order binds.
     deviations = []
-    for x, y in dm.arcs.tolist():
-        limit, _spread = curvature_time_limit(H, dm, x, y, config.limit_time_grid)
-        deviations.append((abs(limit - curv.kappa[x, y]), (x, y)))
-    worst_dev, worst_pair = max(deviations)
+    for x, y in dm.arcs[::-1].tolist():
+        limit, _spread = curvature_time_limit(H, dm, x, y)
+        deviations.append(
+            (abs(limit - curv.kappa[x, y]), HEAT_LIMIT_AGREEMENT_TOL, {"pair": [x, y]})
+        )
     report.certificates.append(
-        InequalityCertificate(
-            name="curvature_heat_limit_agreement",
-            hypothesis={"time_grid": list(config.limit_time_grid), "pairs": "arcs"},
-            lhs=worst_dev,
-            rhs=config.curvature_limit_tol,
-            margin=config.curvature_limit_tol - worst_dev,
-            passed=worst_dev <= config.curvature_limit_tol,
+        certificate_from_samples(
+            "curvature_heat_limit_agreement",
+            {"time_grid": list(DEFAULT_LIMIT_GRID), "pairs": "arcs"},
+            deviations,
             tol=0.0,
-            witness={"pair": list(worst_pair)},
         )
     )
 
@@ -229,12 +207,10 @@ def run_analysis(g: DirectedGraph, config: RunConfig, command: str = "analyze") 
     witness_fs = np.asarray(list(curv.witnesses.values()))
     all_fs = np.vstack([fs, witness_fs])
     report.certificates.append(
-        verify_gradient_estimate(H, dm, K, all_fs, config.time_grid,
-                                 tol=config.certificate_tol)
+        verify_gradient_estimate(H, dm, K, all_fs, tol=config.certificate_tol)
     )
     report.certificates.append(
-        verify_transport_contraction(H, dm, K, config.time_grid,
-                                     tol=config.certificate_tol)
+        verify_transport_contraction(H, dm, K, tol=config.certificate_tol)
     )
 
     if K > 0:
@@ -360,6 +336,17 @@ def _csv_matrix(matrix: np.ndarray) -> str:
     return "\n".join(rows) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ParseError.
+
+    main then exits 2 with one error: line, not argparse's usage text
+    and SystemExit.  Subparsers are built from the same class.
+    """
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def _checked(kind: type, option: str, least: float = -math.inf):
     """An argparse type for option: a finite kind(token) of at least least.
 
@@ -399,7 +386,7 @@ def _add_suite_options(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="digricci",
         description="curvature, heat flow, and concentration certificates for directed graphs",
     )
@@ -454,12 +441,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(seed=args.seed)
-    for name in ("k_override", "cross_check", "certificate_tol", "lipschitz_samples",
-                 "density_samples", "function_samples"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    return config
+    """The RunConfig fields the parsed subcommand has options for."""
+    return RunConfig(**{
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(RunConfig)
+        if hasattr(args, field.name)
+    })
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -467,11 +454,10 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         _check_format(args)
         g = load_graph(args.graph)
-        config = _config_from_args(args)
 
         if args.command in ("analyze", "verify-functional"):
             runner = run_analysis if args.command == "analyze" else run_functional
-            report = runner(g, config)
+            report = runner(g, _config_from_args(args))
             report.graph["source"] = args.graph
             if args.format == "table":
                 _print_or_save(_report_table(report), args.out)
@@ -490,15 +476,14 @@ def main(argv: list[str] | None = None) -> int:
                     value, witness = kappa_lp(x, y, M, dm)
                     record = {"pair": [x, y], "kappa": value, "witness": witness.tolist()}
                     if args.cross_check:
-                        limit, spread = kappa_limit(x, y, M, dm, config.eps_grid)
+                        limit, spread = kappa_limit(x, y, M, dm)
                         record["kappa_limit"] = limit
                         record["limit_spread"] = spread
                     records.append(record)
                 payload = records[0] if len(records) == 1 else records
                 _print_or_save(render_json(payload) + "\n", args.out)
                 return 0
-            curv = curvature_matrix(M, dm, cross_check=args.cross_check,
-                                    eps_grid=config.eps_grid)
+            curv = curvature_matrix(M, dm, cross_check=args.cross_check)
             if args.format == "csv":
                 _print_or_save(_csv_matrix(curv.kappa), args.out)
             elif args.format == "table":

@@ -346,64 +346,50 @@ def check_bobkov_goetze(
     if fs is None:
         fs = centered_lipschitz_samples(M, dm, samples, rng)
 
-    moment_worst = None
+    name = "transport_entropy_laplace_link"
+    hypothesis = {"c": c, "lambda_grid": list(lambda_grid)}
+    comparisons = []
     for lam in lambda_grid:
         # a small c overflows the bound to inf: vacuous, and correct
         with np.errstate(over="ignore"):
             bound = float(np.exp(lam * lam / (2.0 * c)))
         for i, f in enumerate(fs):
-            value = mean(np.exp(lam * f), M.m)
-            entry = (value, bound, {"side": "moment", "lambda": lam, "f_index": i})
-            if moment_worst is None or entry[1] - entry[0] < moment_worst[1] - moment_worst[0]:
-                moment_worst = entry
-    moment_holds = moment_worst[1] - moment_worst[0] >= -tol
+            witness = {"side": "moment", "lambda": lam, "f_index": i}
+            comparisons.append((mean(np.exp(lam * f), M.m), bound, witness))
+    moment_side = certificate_from_samples(name, hypothesis, comparisons, tol)
 
-    transport_worst = None
+    comparisons = []
     for fixture in rhos:
         rho = _require_density(M, fixture.rho)
         plan = transport.wasserstein(M.m, rho * M.m, dm, verify=False)
-        w2 = plan.value * plan.value
         rhs = 2.0 / c * relative_entropy(M, rho)
-        entry = (w2, rhs, {"side": "transport", "rho": fixture.provenance})
-        if transport_worst is None or entry[1] - entry[0] < transport_worst[1] - transport_worst[0]:
-            transport_worst = entry
-    transport_holds = transport_worst[1] - transport_worst[0] >= -tol
+        comparisons.append(
+            (plan.value * plan.value, rhs, {"side": "transport", "rho": fixture.provenance})
+        )
+    transport_side = certificate_from_samples(name, hypothesis, comparisons, tol)
 
     # an implication is informative only when its hypothesis held
-    if moment_holds and transport_holds:
-        lhs, rhs, witness = max(
-            (moment_worst, transport_worst), key=lambda e: e[0] - e[1]
-        )
-        passed = True
-    elif moment_holds and not transport_holds:
-        lhs, rhs, witness = transport_worst
-        passed = False
-    elif transport_holds and not moment_holds:
-        lhs, rhs, witness = moment_worst
-        passed = False
+    if moment_side.passed and transport_side.passed:
+        verdict = min(moment_side, transport_side, key=lambda cert: cert.margin)
+    elif moment_side.passed:
+        verdict = transport_side
+    elif transport_side.passed:
+        verdict = moment_side
     else:
-        lhs, rhs, witness = 0.0, 0.0, {"side": "none"}
-        passed = True
-    witness = dict(witness)
-    witness.update(
+        verdict = InequalityCertificate(
+            name=name, hypothesis=hypothesis, lhs=0.0, rhs=0.0, margin=0.0, passed=True, tol=tol,
+            witness={"side": "none"},
+        )
+    verdict.witness.update(
         {
-            "moment_holds_on_samples": moment_holds,
-            "transport_holds_on_samples": transport_holds,
-            "moment_worst_margin": float(moment_worst[1] - moment_worst[0]),
-            "transport_worst_margin": float(transport_worst[1] - transport_worst[0]),
+            "moment_holds_on_samples": moment_side.passed,
+            "transport_holds_on_samples": transport_side.passed,
+            "moment_worst_margin": moment_side.margin,
+            "transport_worst_margin": transport_side.margin,
             "necessary_conditions_only": True,
         }
     )
-    return InequalityCertificate(
-        name="transport_entropy_laplace_link",
-        hypothesis={"c": c, "lambda_grid": list(lambda_grid)},
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(rhs - lhs),
-        passed=bool(passed),
-        tol=tol,
-        witness=witness,
-    )
+    return verdict
 
 
 def check_info_to_entropy(

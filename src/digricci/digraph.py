@@ -77,7 +77,12 @@ class DistanceMatrix:
 
 
 def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> DirectedGraph:
-    """Validate a weight matrix and wrap it in a DirectedGraph."""
+    """Validate a weight matrix and wrap it in a DirectedGraph.
+
+    The graph is strongly connected when vertex 0 reaches every vertex
+    and every vertex reaches 0: one breadth-first search along the arcs
+    and one against them, each linear in the arcs.
+    """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
         raise ParseError(f"weight matrix must be square, got shape {mu.shape}")
@@ -99,61 +104,27 @@ def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> Direct
             raise ParseError(f"expected {n} labels, got {len(labels)}")
     mu = mu.copy()
     mu.flags.writeable = False
-    components = strongly_connected_components(mu)
-    return DirectedGraph(n=n, mu=mu, strongly_connected=len(components) == 1, labels=labels)
+    strong = all((_bfs(_adjacency(m), 0) >= 0).all() for m in (mu, mu.T))
+    return DirectedGraph(n=n, mu=mu, strongly_connected=strong, labels=labels)
 
 
-def strongly_connected_components(mu: np.ndarray) -> list[list[int]]:
-    """Tarjan's algorithm, iterative, single pass.
+def _adjacency(mu: np.ndarray) -> list[list[int]]:
+    """The out-neighbours of each vertex, as lists."""
+    return [np.flatnonzero(row > 0).tolist() for row in mu]
 
-    Returns the components as vertex lists in reverse topological order.
-    """
-    n = mu.shape[0]
-    adj = [np.nonzero(mu[x] > 0)[0].tolist() for x in range(n)]
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
 
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        # explicit DFS stack of (vertex, iterator position)
-        work = [(root, 0)]
-        while work:
-            v, pos = work.pop()
-            if pos == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pos, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return components
+def _bfs(adj: list[list[int]], s: int) -> np.ndarray:
+    """Hop counts from s along adj; -1 where s cannot reach."""
+    seen = np.full(len(adj), -1, dtype=int)
+    seen[s] = 0
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if seen[w] == -1:
+                seen[w] = seen[v] + 1
+                queue.append(w)
+    return seen
 
 
 def reversed_graph(g: DirectedGraph) -> DirectedGraph:
@@ -162,7 +133,7 @@ def reversed_graph(g: DirectedGraph) -> DirectedGraph:
 
 
 def distances(g: DirectedGraph) -> DistanceMatrix:
-    """All-pairs hop distances by BFS from every source.
+    """All-pairs hop distances by one breadth-first search from every source.
 
     Requires strong connectivity, which also guarantees every vertex has
     at least one out- and one in-neighbour once n >= 2.
@@ -170,19 +141,8 @@ def distances(g: DirectedGraph) -> DistanceMatrix:
     if not g.strongly_connected:
         raise NotStronglyConnectedError("distances need a strongly connected graph")
     n = g.n
-    adj = [np.nonzero(g.mu[x] > 0)[0].tolist() for x in range(n)]
-    d = np.zeros((n, n), dtype=int)
-    for s in range(n):
-        seen = np.full(n, -1, dtype=int)
-        seen[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if seen[w] == -1:
-                    seen[w] = seen[v] + 1
-                    queue.append(w)
-        d[s] = seen
+    adj = _adjacency(g.mu)
+    d = np.array([_bfs(adj, s) for s in range(n)])
     dsym = np.maximum(d, d.T)
     nbr = (g.mu > 0) | (g.mu.T > 0)
     dvert = np.where(nbr, dsym, 0).max(axis=1)

@@ -40,6 +40,8 @@ KERNEL_NEG_CLAMP = 1e-12
 DEFAULT_TIME_GRID = (0.01, 0.1, 1.0, 5.0)
 # default times for the small-time curvature limit
 DEFAULT_LIMIT_GRID = (1e-2, 1e-3, 1e-4)
+# largest |exact - heat limit| over the arcs that counts as agreement
+HEAT_LIMIT_AGREEMENT_TOL = 1e-3
 
 
 @dataclass(frozen=True)

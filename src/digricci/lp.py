@@ -4,9 +4,10 @@ One pivot core backs every optimisation in the package: solve_lp
 minimises c.x subject to A x = b, x >= 0, by a dual simplex from a
 dual-feasible basis that the program carries together with that
 basis's inverse.  There is no standard form and no phase 1.  The start
-tableau is B^-1 [A | b], two matrix products and no factorisation; the
-solve checks that the inverse does invert the basis columns and that
-the basis is dual feasible, then pivots to primal feasibility.
+tableau is B^-1 [A | b], two matrix products; the solve checks that the
+inverse does invert the basis columns and that the basis is dual
+feasible, then pivots to primal feasibility.  The optimal duals are one
+more product with the same inverse, so solve_lp factorises nothing.
 
 Every program solved is a flow on a graph whose balance rows sum to
 zero, with one of them dropped, and a spanning tree of that graph is a
@@ -15,8 +16,8 @@ library's two programs, the flow behind the Wasserstein distance and
 the dual of each per-pair curvature program, start from a
 shortest-path tree (into or out of a root) whose inverse, the tree's
 path matrix, the transport module builds once per graph, root and
-direction.  Two reference
-programs the tests hold those to take the same path: the coupling
+direction.  Two reference programs the tests hold those to take the
+same path: the coupling
 program of solve_transport, a flow on the complete bipartite graph of
 the two supports, drops the row sum of row 0 and starts from the tree
 that assemble_transport_lp builds, and transport.kantorovich_dual
@@ -90,10 +91,10 @@ class LinearProgram:
 class LpSolution:
     """Outcome of a solve, with the optimality certificate pieces.
 
-    duals has one multiplier per row of the program, the solution y of
-    B^T y = c_B on the final basis.  duality_gap is |c.x - y.b| and
-    complementarity max |x * (c - A^T y)|; both are computed on that
-    basis, where they certify optimality exactly.
+    duals has one multiplier per row of the program: y = c_B B^-1 on
+    the final basis, read off the final cost row c - y A through the
+    start basis's inverse.  duality_gap is |c.x - y.b|, which certifies
+    optimality on that basis.
     """
 
     status: str
@@ -102,7 +103,6 @@ class LpSolution:
     duals: np.ndarray | None = None
     feasibility_residual: float | None = None
     duality_gap: float | None = None
-    complementarity: float | None = None
     iterations: int = 0
 
 
@@ -162,24 +162,6 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[
             raise NumericsError(f"dual simplex exceeded {max_iter} pivots; tableau may be cycling")
 
 
-def _certificate(
-    A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, float, float, float]:
-    """Duals of a basis of min c.x, A x = b, x >= 0, and what they certify.
-
-    Returns (y, c.x, |c.x - y.b|, max |x * (c - A^T y)|).
-    """
-    try:
-        y = np.linalg.solve(A[:, basis].T, c[basis])
-    except np.linalg.LinAlgError:
-        raise NumericsError("optimal basis matrix is singular") from None
-    primal = float(c @ x)
-    gap = abs(primal - float(y @ b))
-    reduced = c - A.T @ y
-    complementarity = float(np.abs(x * reduced).max()) if x.size else 0.0
-    return y, primal, gap, complementarity
-
-
 def _feasibility_residual(problem: LinearProgram, x: np.ndarray) -> float:
     """Largest violation by x of A x = b and x >= 0."""
     err = problem.A @ x - problem.b
@@ -229,15 +211,17 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
         return LpSolution(status=status, iterations=iterations)
     x = np.zeros(n)
     x[basis] = np.maximum(T[:m, -1], 0.0)
-    y, primal, gap, complementarity = _certificate(A, b, c, basis, x)
+    # the cost row is c - y A, so on the start basis B0 it is c[b0] - y B0
+    start = problem.basis
+    y = (c[start] - T[-1, start]) @ problem.basis_inverse
+    primal = float(c @ x)
     return LpSolution(
         status="optimal",
         x=x,
         value=primal,
         duals=y,
         feasibility_residual=_feasibility_residual(problem, x),
-        duality_gap=gap,
-        complementarity=complementarity,
+        duality_gap=abs(primal - float(y @ b)),
         iterations=iterations,
     )
 

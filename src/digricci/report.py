@@ -15,8 +15,6 @@ from typing import Any
 import numpy as np
 
 from .certificates import InequalityCertificate
-from .curvature import DEFAULT_EPS_GRID
-from .heat import DEFAULT_LIMIT_GRID, DEFAULT_TIME_GRID
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 424242
@@ -24,19 +22,13 @@ DEFAULT_SEED = 424242
 
 @dataclass
 class RunConfig:
-    """Knobs shared by the CLI commands."""
+    """What the analyze and verify-functional options set."""
 
     seed: int = DEFAULT_SEED
-    time_grid: tuple[float, ...] = DEFAULT_TIME_GRID
-    limit_time_grid: tuple[float, ...] = DEFAULT_LIMIT_GRID
-    eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID
-    lambda_grid: tuple[float, ...] = (0.5, 1.0, 2.0)
-    r_grid: tuple[float, ...] = tuple(0.25 * k for k in range(1, 13))
     lipschitz_samples: int = 200
     density_samples: int = 100
     function_samples: int = 100
     k_override: float | None = None
-    curvature_limit_tol: float = 1e-3
     certificate_tol: float = 1e-9
     cross_check: bool = False
 

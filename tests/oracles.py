@@ -8,7 +8,8 @@ The one exception is transport_contraction_all_pairs, the all-pairs
 loop the library's arc-only contraction check is pinned to; it reuses
 the library's heat kernel and W so that the two agree to roundoff.
 reference_dual_simplex is the plain pivot loop the library's dual
-simplex kernel must match bit for bit.
+simplex kernel must match bit for bit, and lu_duals the dense solve its
+duals, read off the final cost row, are held to.
 The HAND dict holds values worked out by hand for the three fixtures.
 """
 
@@ -215,12 +216,13 @@ def _reference_pivot(T: np.ndarray, r: int, j: int) -> None:
     T[r, j] = 1.0
 
 
-def assert_kernel_matches_reference(problem) -> None:
+def assert_kernel_matches_reference(problem, duals_tol: float = 0.0) -> None:
     """lp's dual simplex kernel and reference_dual_simplex end on the same bits.
 
     Both run from the start tableau of problem; the final tableaus must
     agree byte for byte (signed zeros included), and so must the bases,
-    statuses and pivot counts.
+    statuses and pivot counts.  On an optimal end, solve_lp's duals must
+    be within duals_tol of lu_duals on the final basis.
     """
     T = lp._start_tableau(problem)
     ref_T = T.copy()
@@ -230,6 +232,14 @@ def assert_kernel_matches_reference(problem) -> None:
     assert outcome == reference_dual_simplex(ref_T, ref_basis, max_iter)
     assert T.tobytes() == ref_T.tobytes()
     assert np.array_equal(basis, ref_basis)
+    if outcome[0] == "optimal":
+        duals = lp.solve_lp(problem).duals
+        assert np.abs(duals - lu_duals(problem, basis)).max(initial=0.0) <= duals_tol
+
+
+def lu_duals(problem, basis: np.ndarray) -> np.ndarray:
+    """The duals y of a basis by an LU solve of B^T y = c_B, B = A[:, basis]."""
+    return np.linalg.solve(problem.A[:, basis].T, problem.c[basis])
 
 
 def reference_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int]:

@@ -2,8 +2,9 @@
 
 0 means every certificate passed, 1 that some certificate failed and 2
 that the input was bad.  Hypothesis feeds cli.main edge lists and JSON
-graphs with tokens swapped for junk, measure files with junk lines and
---pairs specs built from junk, next to well-formed ones.  Whatever the
+graphs with tokens swapped for junk, measure files with junk lines,
+--pairs specs built from junk and argv with junk option tokens, next
+to well-formed ones.  Whatever the
 input, main must return (an escaping exception is a traceback), exit 2
 must come with exactly one error: line and nothing on stdout, and
 exit 1 only with a report in which some certificate failed.
@@ -28,6 +29,12 @@ FUZZ_SETTINGS = settings(
 # tokens that break a number, a vertex id, a line or a document
 JUNK = ("nan", "inf", "-inf", "1e400", "-1", "0", "-0", "7", "1.5", "x", "#", ",", ":",
         "{", "]", '"', "true", "null", "1" + "0" * 400, "")
+
+# option tokens argparse rejects: unknown options, missing or bad values,
+# a value it reads as an option; none abbreviates --help, --version or --out
+JUNK_OPTIONS = ("--bogus", "-x", "--", "-", "7", "nan", "-inf", "--seed", "--seed=-1",
+                "--format", "--format=xml", "--k-override", "--cross-check=1", "--pairs",
+                "--t", "--kernel", "--lipschitz-samples")
 
 # analyze with few samples, so one example stays cheap
 SMALL_ANALYZE = ("--lipschitz-samples", "4", "--density-samples", "3",
@@ -135,18 +142,14 @@ def measure_texts(draw, n: int) -> str:
 
 @st.composite
 def pair_specs(draw) -> list[str]:
-    """--pairs arguments x,y on the three-vertex fixtures, some malformed.
-
-    argparse reads an argument that starts with "-" as an option, so no
-    spec starts with one; "-1" still appears after the comma.
-    """
+    """--pairs arguments x,y on the three-vertex fixtures, some malformed."""
     vertex = st.integers(0, 2).map(str)
     broken = draw(st.booleans())
     specs = []
     for _ in range(draw(st.integers(1, 3))):
         count = draw(st.sampled_from([2, 2, 2, 1, 3])) if broken else 2
         specs.append(",".join(tokens(draw, vertex, broken) for _ in range(count)))
-    return [s for s in specs if not s.startswith("-")] or ["0,1"]
+    return specs
 
 
 @FUZZ_SETTINGS
@@ -179,3 +182,14 @@ def test_fuzzed_measure_files_exit_by_the_contract(tmp_path_factory, data):
 def test_fuzzed_pairs_exit_by_the_contract(graph, specs, cross_check):
     argv = ["curvature", graph, "--pairs", *specs]
     assert_contract(argv + ["--cross-check"] if cross_check else argv)
+
+
+@FUZZ_SETTINGS
+@given(st.sampled_from([None, "analyze", "curvature", "heat", "perron"]),
+       st.lists(st.sampled_from(JUNK_OPTIONS), min_size=1, max_size=4))
+def test_junk_options_exit_by_the_contract(command, junk):
+    if command is None:
+        assert_contract(junk)
+    else:
+        small = list(SMALL_ANALYZE) if command == "analyze" else []
+        assert_contract([command, C3_EDGES, *small, *junk])

@@ -22,9 +22,8 @@ from digricci import (
     load_graph,
     reversed_graph,
     sample_lipschitz_functions,
-    strongly_connected_components,
 )
-from conftest import SEED, random_strongly_connected
+from conftest import random_strongly_connected
 
 
 class TestParsing:
@@ -117,29 +116,17 @@ class TestStrongConnectivity:
         g = load_graph("0 1\n1 2\n")
         assert not g.strongly_connected
 
-    def test_components_of_two_cycles(self):
-        g = load_graph("0 1\n1 0\n2 3\n3 2\n1 2\n")
-        comps = strongly_connected_components(np.asarray(g.mu))
-        assert sorted(sorted(c) for c in comps) == [[0, 1], [2, 3]]
-
-    def test_tarjan_matches_reachability_oracle(self):
-        """Same-component iff mutually reachable under Floyd-Warshall."""
-        rng = np.random.default_rng(SEED)
-        for _ in range(50):
-            n = int(rng.integers(2, 8))
-            mask = rng.random((n, n)) < rng.uniform(0.15, 0.6)
-            np.fill_diagonal(mask, False)
-            mu = mask.astype(float)
-            comps = strongly_connected_components(mu)
-            comp_of = {}
-            for idx, comp in enumerate(comps):
-                for v in comp:
-                    comp_of[v] = idx
-            d = oracles.hop_distances(mu)
-            for x in range(n):
-                for y in range(n):
-                    mutually = d[x, y] < oracles.INF and d[y, x] < oracles.INF
-                    assert (comp_of[x] == comp_of[y]) == mutually
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n).map(
+            lambda bits: np.reshape(bits, (n, n))
+        )
+    ))
+    def test_flag_holds_iff_every_hop_distance_is_finite(self, mask):
+        mu = np.where(mask, 1.0, 0.0)
+        np.fill_diagonal(mu, 0.0)
+        expected = bool((oracles.hop_distances(mu) < oracles.INF).all())
+        assert build_graph(mu).strongly_connected == expected
 
 
 class TestDistances:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
@@ -10,10 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import C3_EDGES, K3_EDGES, SEED, TRI_EDGES
-from digricci import InequalityCertificate, lp, render_json, transport
+from digricci import InequalityCertificate, __version__, cli, lp, render_json, transport
+from digricci.certificates import worst_certificate
 from digricci.cli import main
 from digricci.curvature import SMOOTHING_AGREEMENT_TOL
-from digricci.report import VerificationReport, certificate_to_dict
+from digricci.heat import HEAT_LIMIT_AGREEMENT_TOL
+from digricci.report import RunConfig, VerificationReport, certificate_to_dict
 
 
 @pytest.fixture()
@@ -95,6 +98,25 @@ class TestReportShape:
         assert report.to_dict()["schema_version"] == 1
 
 
+class TestWorstCertificate:
+    def test_is_the_worst_member_renamed_and_leaves_the_members_alone(self):
+        certs = [
+            InequalityCertificate(
+                name="sample", hypothesis={"K": 1.0}, lhs=1.0 - margin, rhs=1.0,
+                margin=margin, passed=margin >= 0, tol=1e-9, witness={"f_index": i},
+            )
+            for i, margin in enumerate([0.5, -0.25, 0.125])
+        ]
+        before = [dataclasses.replace(c, witness=dict(c.witness)) for c in certs]
+        worst = worst_certificate("merged", certs)
+        assert worst.name == "merged"
+        assert (worst.lhs, worst.rhs, worst.margin) == (1.25, 1.0, -0.25)
+        assert worst.passed is False
+        assert worst.witness == {"f_index": 1, "samples": 3}
+        assert certs == before
+        assert worst_certificate("merged", certs[::2]).passed is True
+
+
 class TestCliAnalyze:
     def test_c3_passes_end_to_end(self, c3_file, capsys):
         code = main(["analyze", c3_file])
@@ -129,6 +151,16 @@ class TestCliAnalyze:
         main(["analyze", c3_file])
         assert capsys.readouterr().out == plain
         assert cli._parser() is cli._parser()
+
+    def test_every_run_config_field_is_set_by_an_analyze_option(self, c3_file):
+        argv = ["analyze", c3_file, "--seed", "7", "--k-override", "0.5", "--cross-check",
+                "--certificate-tol", "1e-6", "--lipschitz-samples", "3",
+                "--density-samples", "4", "--function-samples", "5"]
+        config = cli._config_from_args(cli._parser().parse_args(argv))
+        expected = {"seed": 7, "k_override": 0.5, "cross_check": True, "certificate_tol": 1e-6,
+                    "lipschitz_samples": 3, "density_samples": 4, "function_samples": 5}
+        assert dataclasses.asdict(config) == expected
+        assert all(expected[field.name] != field.default for field in dataclasses.fields(RunConfig))
 
     def test_vacuous_moment_bounds_print_no_warning(self, tmp_path, capsys):
         """A tiny K overflows exp(lam^2 Lambda^2 / 4K) and exp(lam^2 / 2c) to inf."""
@@ -179,6 +211,7 @@ class TestCliAnalyze:
         assert len(tols) == 11
         assert tols == dict.fromkeys(tols, 1e-6)
         assert payload["tolerances"]["smoothing_agreement"] == SMOOTHING_AGREEMENT_TOL
+        assert payload["tolerances"]["curvature_limit"] == HEAT_LIMIT_AGREEMENT_TOL
 
     def test_reports_the_lp_tolerances_the_dual_simplex_uses(self, c3_file, capsys):
         # lp_feasibility is the threshold below which a basic variable leaves
@@ -443,6 +476,29 @@ class TestCliInputContract:
     )
     def test_bad_numeric_option(self, c3_file, capsys, command, option):
         assert_input_error(main([command, c3_file, *option]), capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{g}", "--k-override", "-inf"],
+            ["analyze", "{g}", "--bogus"],
+            ["analyze"],
+            [],
+            ["analyze", "{g}", "--format", "xml"],
+        ],
+        ids=["option-like value", "unknown option", "no graph", "no subcommand", "bad choice"],
+    )
+    def test_usage_error(self, c3_file, capsys, argv):
+        """argparse's own errors keep the contract too: exit 2, one error: line."""
+        assert_input_error(main([a.format(g=c3_file) for a in argv]), capsys)
+
+    def test_help_and_version_still_exit_0(self, capsys):
+        for argv in (["--help"], ["analyze", "--help"], ["--version"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "usage: digricci analyze" in out and out.endswith(f"digricci {__version__}\n")
 
     def test_bad_lipschitz_sample_count(self, c3_file, capsys):
         assert_input_error(main(["analyze", c3_file, "--lipschitz-samples", "-1"]), capsys)
