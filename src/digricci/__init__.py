@@ -20,7 +20,6 @@ from .chain import (
     MarkovData,
     check_integration_by_parts,
     gamma,
-    gamma_via_delta,
     inner,
     markov_data,
     mean,
@@ -40,7 +39,6 @@ from .concentration import (
     check_transport_information,
     check_transport_l1_bound,
     concentration_tail,
-    entropy_dual_pairing,
     fisher_information,
     random_densities,
     relative_entropy,
@@ -58,11 +56,8 @@ from .digraph import (
     DistanceMatrix,
     build_graph,
     distances,
-    gradient,
-    gradient_matrix,
     lipschitz_constant,
     load_graph,
-    reversed_graph,
     sample_lipschitz_functions,
 )
 from .errors import (
@@ -89,7 +84,6 @@ from .heat import (
     heat_kernel,
     heat_kernel_matrix,
     heat_operator,
-    uniformization_matrix,
     verify_gradient_estimate,
     verify_transport_contraction,
 )
@@ -145,12 +139,8 @@ __all__ = [
     "curvature_matrix",
     "curvature_time_limit",
     "distances",
-    "entropy_dual_pairing",
     "fisher_information",
     "gamma",
-    "gamma_via_delta",
-    "gradient",
-    "gradient_matrix",
     "heat_kernel",
     "heat_kernel_matrix",
     "heat_operator",
@@ -168,12 +158,10 @@ __all__ = [
     "random_densities",
     "relative_entropy",
     "render_json",
-    "reversed_graph",
     "sample_lipschitz_functions",
     "smoothed_measure",
     "solve_lp",
     "solve_transport",
-    "uniformization_matrix",
     "verify_gradient_estimate",
     "verify_transport_contraction",
     "wasserstein",

@@ -131,17 +131,6 @@ def gamma(f0: np.ndarray, f1: np.ndarray, M: MarkovData) -> np.ndarray:
     return 0.5 * (d0 * d1 * M.Pmean).sum(axis=1)
 
 
-def gamma_via_delta(f0: np.ndarray, f1: np.ndarray, M: MarkovData) -> np.ndarray:
-    """Same quantity through (1/2)(Delta(f0 f1) - f0 Delta f1 - f1 Delta f0).
-
-    Kept as an independent route; tests pin the two formulas together.
-    """
-    f0 = np.asarray(f0, dtype=float)
-    f1 = np.asarray(f1, dtype=float)
-    delta = M.laplacian.delta
-    return 0.5 * (delta @ (f0 * f1) - f0 * (delta @ f1) - f1 * (delta @ f0))
-
-
 def inner(f0: np.ndarray, f1: np.ndarray, m: np.ndarray) -> float:
     """Stationary inner product (f0, f1) = sum f0 f1 m."""
     return float(np.sum(np.asarray(f0) * np.asarray(f1) * m))

@@ -287,33 +287,6 @@ def _parse_measure(spec: str, n: int) -> np.ndarray:
     return nu
 
 
-# the output formats each subcommand renders (curvature --pairs: json only)
-FORMATS = {
-    "analyze": ("json", "table"),
-    "verify-functional": ("json", "table"),
-    "curvature": ("json", "table", "csv"),
-    "wasserstein": ("json",),
-    "heat": ("json",),
-    "perron": ("json", "table"),
-}
-
-
-def _check_format(args: argparse.Namespace) -> None:
-    """Reject a --format the subcommand does not render."""
-    supported = FORMATS[args.command]
-    if args.command == "curvature" and args.pairs is not None:
-        supported = ("json",)
-    if args.format not in supported:
-        raise ParseError(f"{args.command} does not support --format {args.format}")
-
-
-def _print_or_save(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _report_table(report: VerificationReport) -> str:
     lines = [f"graph: n={report.graph['n']} arcs={report.graph['arcs']}"]
     if "distance" in report.sections:
@@ -369,14 +342,16 @@ def _checked(kind: type, option: str, least: float = -math.inf):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> None:
+    """The graph, --out, and --format when the subcommand renders more than JSON."""
     p.add_argument("graph", help="edge-list or JSON graph file (or inline text)")
-    p.add_argument("--seed", type=_checked(int, "--seed", 0), default=DEFAULT_SEED)
-    p.add_argument("--format", choices=("json", "table", "csv"), default="json")
+    if formats:
+        p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--out", default=None, help="write the result here instead of stdout")
 
 
 def _add_suite_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=_checked(int, "--seed", 0), default=DEFAULT_SEED)
     p.add_argument("--certificate-tol", type=_checked(float, "--certificate-tol", 0),
                    default=1e-9)
     p.add_argument("--density-samples", type=_checked(int, "--density-samples", 0),
@@ -394,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="run the full verification pipeline")
-    _add_common(p)
+    _add_common(p, ("json", "table"))
     p.add_argument("--k-override", type=_checked(float, "--k-override"), default=None,
                    help="verify the contraction statements at this rate instead of the computed K")
     p.add_argument("--cross-check", action="store_true",
@@ -404,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=200)
 
     p = sub.add_parser("curvature", help="curvature matrix and K")
-    _add_common(p)
+    _add_common(p, ("json", "table", "csv"))
     p.add_argument("--pairs", nargs="+", metavar="X,Y", default=None,
-                   help="restrict to these ordered pairs, each written x,y")
+                   help="restrict to these ordered pairs, each written x,y (json only)")
     p.add_argument("--cross-check", action="store_true")
 
     p = sub.add_parser("wasserstein", help="transport distance between two measures")
@@ -424,10 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the heat-kernel row of vertex X")
 
     p = sub.add_parser("perron", help="stationary measure of the walk")
-    _add_common(p)
+    _add_common(p, ("json", "table"))
 
     p = sub.add_parser("verify-functional", help="only the functional-inequality suite")
-    _add_common(p)
+    _add_common(p, ("json", "table"))
     p.add_argument("--k-override", type=_checked(float, "--k-override"), default=None)
     _add_suite_options(p)
 
@@ -452,20 +427,19 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        _check_format(args)
+        if args.command == "curvature" and args.pairs is not None and args.format != "json":
+            raise ParseError(f"curvature --pairs prints JSON only, not --format {args.format}")
         g = load_graph(args.graph)
+        code = 0
 
         if args.command in ("analyze", "verify-functional"):
             runner = run_analysis if args.command == "analyze" else run_functional
             report = runner(g, _config_from_args(args))
             report.graph["source"] = args.graph
-            if args.format == "table":
-                _print_or_save(_report_table(report), args.out)
-            else:
-                _print_or_save(report.to_json(), args.out)
-            return 0 if report.all_pass else 1
+            text = _report_table(report) if args.format == "table" else report.to_json()
+            code = 0 if report.all_pass else 1
 
-        if args.command == "curvature":
+        elif args.command == "curvature":
             dm = distances(g)
             M = markov_data(g)
             if args.pairs is not None:
@@ -480,25 +454,22 @@ def main(argv: list[str] | None = None) -> int:
                         record["kappa_limit"] = limit
                         record["limit_spread"] = spread
                     records.append(record)
-                payload = records[0] if len(records) == 1 else records
-                _print_or_save(render_json(payload) + "\n", args.out)
-                return 0
-            curv = curvature_matrix(M, dm, cross_check=args.cross_check)
-            if args.format == "csv":
-                _print_or_save(_csv_matrix(curv.kappa), args.out)
-            elif args.format == "table":
-                lines = [f"K = {curv.K:.12g}"]
-                for row in curv.kappa:
-                    lines.append("  ".join("   nan" if np.isnan(v) else f"{v:6.3f}" for v in row))
-                _print_or_save("\n".join(lines) + "\n", args.out)
+                text = render_json(records[0] if len(records) == 1 else records) + "\n"
             else:
-                payload = {"kappa": curv.kappa.tolist(), "K": curv.K, "method": curv.method}
-                if args.cross_check:
-                    payload["smoothing_residual"] = curv.cross_check.tolist()
-                _print_or_save(render_json(payload) + "\n", args.out)
-            return 0
+                curv = curvature_matrix(M, dm, cross_check=args.cross_check)
+                if args.format == "csv":
+                    text = _csv_matrix(curv.kappa)
+                elif args.format == "table":
+                    rows = ("  ".join("   nan" if np.isnan(v) else f"{v:6.3f}" for v in row)
+                            for row in curv.kappa)
+                    text = "\n".join([f"K = {curv.K:.12g}", *rows]) + "\n"
+                else:
+                    payload = {"kappa": curv.kappa.tolist(), "K": curv.K, "method": curv.method}
+                    if args.cross_check:
+                        payload["smoothing_residual"] = curv.cross_check.tolist()
+                    text = render_json(payload) + "\n"
 
-        if args.command == "wasserstein":
+        elif args.command == "wasserstein":
             dm = distances(g)
             nu0 = _parse_measure(args.nu0, g.n)
             nu1 = _parse_measure(args.nu1, g.n)
@@ -511,10 +482,9 @@ def main(argv: list[str] | None = None) -> int:
             }
             if args.plan:
                 payload["plan"] = plan.pi.tolist()
-            _print_or_save(render_json(payload) + "\n", args.out)
-            return 0
+            text = render_json(payload) + "\n"
 
-        if args.command == "heat":
+        elif args.command == "heat":
             M = markov_data(g)
             H = heat_operator(M)
             if args.kernel is not None:
@@ -525,25 +495,22 @@ def main(argv: list[str] | None = None) -> int:
                 f = _parse_measure(args.f, g.n)
                 value = H.apply(args.t, f)
                 payload = {"t": args.t, "heat_of_f": value.tolist()}
-            _print_or_save(render_json(payload) + "\n", args.out)
-            return 0
+            text = render_json(payload) + "\n"
 
-        if args.command == "perron":
+        else:  # perron
             M = markov_data(g)
-            residual = float(np.abs(M.m @ M.P - M.m).max())
-            payload = {"perron": M.m.tolist(), "balance_residual": residual}
             if args.format == "table":
                 text = "\n".join(f"{i}: {v:.17g}" for i, v in enumerate(M.m)) + "\n"
-                _print_or_save(text, args.out)
             else:
-                _print_or_save(render_json(payload) + "\n", args.out)
-            return 0
+                residual = float(np.abs(M.m @ M.P - M.m).max())
+                text = render_json({"perron": M.m.tolist(), "balance_residual": residual}) + "\n"
 
-        raise AssertionError(f"unhandled command {args.command!r}")
-    except GraphCurvatureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return code
+    except (GraphCurvatureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

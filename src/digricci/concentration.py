@@ -100,22 +100,6 @@ def _require_density(M: MarkovData, rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def laplace_lower_bound(
-    M: MarkovData,
-    dm: DistanceMatrix,
-    lam: float,
-    samples: int,
-    rng: np.random.Generator,
-) -> float:
-    """Best sampled value of m(exp(lam f)) over centred 1-Lipschitz f.
-
-    A lower bound for the true Laplace functional; the certified upper
-    bound lives in check_laplace_bound.
-    """
-    fs = centered_lipschitz_samples(M, dm, samples, rng)
-    return float(max(mean(np.exp(lam * f), M.m) for f in fs))
-
-
 def check_laplace_bound(
     M: MarkovData,
     dm: DistanceMatrix,
@@ -226,14 +210,6 @@ def relative_entropy(M: MarkovData, rho: np.ndarray) -> float:
     positive = rho > 0
     terms[positive] = rho[positive] * np.log(rho[positive])
     return mean(terms, M.m)
-
-
-def entropy_dual_pairing(M: MarkovData, rho: np.ndarray, g: np.ndarray) -> float:
-    """(g, rho) for a test function with m(exp g) <= 1; lower-bounds the entropy."""
-    g = np.asarray(g, dtype=float)
-    if mean(np.exp(g), M.m) > 1.0 + 1e-12:
-        raise HypothesisUnmetError("dual pairing needs m(exp g) <= 1")
-    return inner(g, np.asarray(rho, dtype=float), M.m)
 
 
 def _edge_variation(M: MarkovData, rho: np.ndarray) -> float:

@@ -22,7 +22,6 @@ from .errors import (
     NegativeWeightError,
     NotStronglyConnectedError,
     ParseError,
-    SameVertexError,
     SelfLoopError,
 )
 
@@ -44,10 +43,6 @@ class DirectedGraph:
     @property
     def arc_count(self) -> int:
         return int(np.count_nonzero(self.mu))
-
-    def out_weight(self) -> np.ndarray:
-        """Total outgoing weight mu(x) = sum_y mu[x, y] per vertex."""
-        return self.mu.sum(axis=1)
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
@@ -127,11 +122,6 @@ def _bfs(adj: list[list[int]], s: int) -> np.ndarray:
     return seen
 
 
-def reversed_graph(g: DirectedGraph) -> DirectedGraph:
-    """The graph with every arc flipped; weights carried along."""
-    return build_graph(np.array(g.mu.T), labels=g.labels)
-
-
 def distances(g: DirectedGraph) -> DistanceMatrix:
     """All-pairs hop distances by one breadth-first search from every source.
 
@@ -154,24 +144,6 @@ def distances(g: DirectedGraph) -> DistanceMatrix:
     )
 
 
-def gradient(f: np.ndarray, x: int, y: int, dm: DistanceMatrix) -> float:
-    """Difference quotient (f(y) - f(x)) / d(x, y) along the ordered pair."""
-    if x == y:
-        raise SameVertexError(f"gradient needs two distinct vertices, got {x}")
-    return float((f[y] - f[x]) / dm.d[x, y])
-
-
-def gradient_matrix(f: np.ndarray, dm: DistanceMatrix) -> np.ndarray:
-    """All difference quotients at once; the diagonal is set to -inf."""
-    f = np.asarray(f, dtype=float)
-    n = f.shape[0]
-    diff = f[None, :] - f[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grad = diff / dm.d
-    np.fill_diagonal(grad, -np.inf)
-    return grad
-
-
 def lipschitz_constant(f: np.ndarray, dm: DistanceMatrix) -> float:
     """sup over ordered pairs x != y of the difference quotient.
 
@@ -180,8 +152,8 @@ def lipschitz_constant(f: np.ndarray, dm: DistanceMatrix) -> float:
     d is non-symmetric.  The hop metric is a path metric, so the sup is
     the largest f(w) - f(z) over the arcs z -> w: along a geodesic from
     x to y, f(y) - f(x) is a sum of d(x, y) arc differences.  Only
-    rounding separates this from the max of gradient_matrix, the
-    all-pairs form, which it never exceeds.
+    rounding separates this from the max over all pairs, which it never
+    exceeds.
     """
     if dm.d.shape[0] < 2:
         return 0.0

@@ -123,36 +123,6 @@ def heat_kernel(H: HeatOperator, x: int, t: float) -> np.ndarray:
     return heat_kernel_matrix(H, t)[x]
 
 
-def uniformization_matrix(M: MarkovData, t: float, tol: float = 1e-16) -> np.ndarray:
-    """Independent route to P_t: exp(-t) sum_k t^k Pbar^k / k!.
-
-    All terms are non-negative, so the truncation error is bounded by
-    the neglected Poisson tail mass; the loop stops once that falls
-    under tol.  Kept as a cross-check oracle for the spectral route.
-    """
-    if t < 0:
-        raise NegativeTimeError(f"time must be non-negative, got {t}")
-    n = M.n
-    term = np.eye(n)
-    coeff = np.exp(-t)
-    total = coeff
-    result = coeff * np.eye(n)
-    k = 0
-    while 1.0 - total > tol:
-        k += 1
-        term = term @ M.Pmean
-        coeff *= t / k
-        result += coeff * term
-        new_total = total + coeff
-        if new_total == total:
-            # the tail no longer moves the accumulator: below one ulp
-            break
-        total = new_total
-        if k > 1000 + int(10 * t):
-            raise NumericsError("uniformization series failed to converge")
-    return result
-
-
 def verify_gradient_estimate(
     H: HeatOperator,
     dm: DistanceMatrix,

@@ -8,6 +8,7 @@ seed.  NaN (the curvature diagonal) becomes null.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -41,6 +42,11 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+# One encoder for every string: json.dumps with a non-default option builds
+# a new encoder per call, which costs several times the escaping itself.
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def render_json(value: Any, indent: int = 0) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
     pad = "  " * indent
@@ -60,9 +66,7 @@ def render_json(value: Any, indent: int = 0) -> str:
         parts = [f"{inner}{render_json(v, indent + 1)}" for v in seq]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     if isinstance(value, str):
-        out = value.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{out}"'
+        return _json_string(value)
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
     if value is None:

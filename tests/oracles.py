@@ -10,6 +10,12 @@ the library's heat kernel and W so that the two agree to roundoff.
 reference_dual_simplex is the plain pivot loop the library's dual
 simplex kernel must match bit for bit, and lu_duals the dense solve its
 duals, read off the final cost row, are held to.
+At the end sit second routes to library quantities, built on the
+library's primitives: gradient and gradient_matrix (difference
+quotients over every pair), reversed_graph, gamma_via_delta (Gamma
+through the Laplacian), uniformization_matrix (P_t as a Poisson
+series), and the sampled lower bounds laplace_lower_bound and
+entropy_dual_pairing.
 The HAND dict holds values worked out by hand for the three fixtures.
 """
 
@@ -19,8 +25,25 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from digricci import certificate_from_samples, heat_kernel_matrix, lp, wasserstein
-from digricci.errors import NumericsError
+from digricci import (
+    DirectedGraph,
+    DistanceMatrix,
+    MarkovData,
+    build_graph,
+    centered_lipschitz_samples,
+    certificate_from_samples,
+    heat_kernel_matrix,
+    inner,
+    lp,
+    mean,
+    wasserstein,
+)
+from digricci.errors import (
+    HypothesisUnmetError,
+    NegativeTimeError,
+    NumericsError,
+    SameVertexError,
+)
 from digricci.heat import DEFAULT_TIME_GRID
 
 INF = float("inf")
@@ -269,3 +292,90 @@ def reference_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> t
         iterations += 1
         if iterations > max_iter:
             raise NumericsError(f"dual simplex exceeded {max_iter} pivots; tableau may be cycling")
+
+
+def reversed_graph(g: DirectedGraph) -> DirectedGraph:
+    """The graph with every arc flipped; weights carried along."""
+    return build_graph(np.array(g.mu.T), labels=g.labels)
+
+
+def gradient(f: np.ndarray, x: int, y: int, dm: DistanceMatrix) -> float:
+    """Difference quotient (f(y) - f(x)) / d(x, y) along the ordered pair."""
+    if x == y:
+        raise SameVertexError(f"gradient needs two distinct vertices, got {x}")
+    return float((f[y] - f[x]) / dm.d[x, y])
+
+
+def gradient_matrix(f: np.ndarray, dm: DistanceMatrix) -> np.ndarray:
+    """All difference quotients at once; the diagonal is set to -inf."""
+    f = np.asarray(f, dtype=float)
+    diff = f[None, :] - f[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = diff / dm.d
+    np.fill_diagonal(grad, -np.inf)
+    return grad
+
+
+def gamma_via_delta(f0: np.ndarray, f1: np.ndarray, M: MarkovData) -> np.ndarray:
+    """Same quantity through (1/2)(Delta(f0 f1) - f0 Delta f1 - f1 Delta f0).
+
+    Kept as an independent route; tests pin the two formulas together.
+    """
+    f0 = np.asarray(f0, dtype=float)
+    f1 = np.asarray(f1, dtype=float)
+    delta = M.laplacian.delta
+    return 0.5 * (delta @ (f0 * f1) - f0 * (delta @ f1) - f1 * (delta @ f0))
+
+
+def uniformization_matrix(M: MarkovData, t: float, tol: float = 1e-16) -> np.ndarray:
+    """Independent route to P_t: exp(-t) sum_k t^k Pbar^k / k!.
+
+    All terms are non-negative, so the truncation error is bounded by
+    the neglected Poisson tail mass; the loop stops once that falls
+    under tol.  Kept as a cross-check oracle for the spectral route.
+    """
+    if t < 0:
+        raise NegativeTimeError(f"time must be non-negative, got {t}")
+    n = M.n
+    term = np.eye(n)
+    coeff = np.exp(-t)
+    total = coeff
+    result = coeff * np.eye(n)
+    k = 0
+    while 1.0 - total > tol:
+        k += 1
+        term = term @ M.Pmean
+        coeff *= t / k
+        result += coeff * term
+        new_total = total + coeff
+        if new_total == total:
+            # the tail no longer moves the accumulator: below one ulp
+            break
+        total = new_total
+        if k > 1000 + int(10 * t):
+            raise NumericsError("uniformization series failed to converge")
+    return result
+
+
+def laplace_lower_bound(
+    M: MarkovData,
+    dm: DistanceMatrix,
+    lam: float,
+    samples: int,
+    rng: np.random.Generator,
+) -> float:
+    """Best sampled value of m(exp(lam f)) over centred 1-Lipschitz f.
+
+    A lower bound for the true Laplace functional; the certified upper
+    bound lives in check_laplace_bound.
+    """
+    fs = centered_lipschitz_samples(M, dm, samples, rng)
+    return float(max(mean(np.exp(lam * f), M.m) for f in fs))
+
+
+def entropy_dual_pairing(M: MarkovData, rho: np.ndarray, g: np.ndarray) -> float:
+    """(g, rho) for a test function with m(exp g) <= 1; lower-bounds the entropy."""
+    g = np.asarray(g, dtype=float)
+    if mean(np.exp(g), M.m) > 1.0 + 1e-12:
+        raise HypothesisUnmetError("dual pairing needs m(exp g) <= 1")
+    return inner(g, np.asarray(rho, dtype=float), M.m)

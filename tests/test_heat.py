@@ -16,7 +16,6 @@ from digricci import (
     kappa_lp,
     markov_data,
     sample_lipschitz_functions,
-    uniformization_matrix,
     verify_gradient_estimate,
     verify_transport_contraction,
 )
@@ -36,7 +35,7 @@ class TestOperator:
             M = markov_data(g)
             H = heat_operator(M)
             for t in (0.1, 1.0):
-                assert np.abs(H.matrix(t) - uniformization_matrix(M, t)).max() <= 1e-12
+                assert np.abs(H.matrix(t) - oracles.uniformization_matrix(M, t)).max() <= 1e-12
 
     def test_c3_closed_form(self, g_c3):
         # every non-constant mode decays at rate exactly 3/2

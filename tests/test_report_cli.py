@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import math
@@ -39,11 +40,13 @@ class TestRenderJson:
             "a": [1, 2.5, None, True, False],
             "b": {"nested": "tab\there \"quoted\" back\\slash"},
             "c": (0.1, 0.2),
+            "d": "control \x01 \b \f \x1f chars",
         }
         parsed = json.loads(render_json(value))
         assert parsed["a"] == [1, 2.5, None, True, False]
         assert parsed["b"]["nested"] == 'tab\there "quoted" back\\slash'
         assert parsed["c"] == [0.1, 0.2]
+        assert parsed["d"] == "control \x01 \b \f \x1f chars"
 
     def test_floats_keep_17_digits(self):
         x = 1.0 / 3.0
@@ -255,6 +258,16 @@ class TestCliAnalyze:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["all_pass"] is True
 
+    def test_labels_with_control_characters_round_trip(self, tmp_path, capsys):
+        labels = ["a\u0001b", "tab\tand\fform", "\x1f"]
+        path = tmp_path / "g.json"
+        path.write_text(
+            json.dumps({"n": 3, "arcs": [[0, 1], [1, 2], [2, 0]], "labels": labels}),
+            encoding="utf-8",
+        )
+        assert main(["analyze", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["graph"]["labels"] == labels
+
 
 class TestCliCurvature:
     def test_csv_matrix(self, c3_file, capsys):
@@ -454,6 +467,35 @@ class TestCliInputContract:
     )
     def test_unsupported_format(self, c3_file, capsys, argv):
         assert_input_error(main([a.format(g=c3_file) for a in argv]), capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curvature", "{g}"],
+            ["wasserstein", "{g}", "dirac:0", "dirac:1"],
+            ["heat", "{g}", "--t", "0.5", "--kernel", "0"],
+            ["perron", "{g}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_seed_only_where_samples_are_drawn(self, c3_file, capsys, argv):
+        assert_input_error(main([a.format(g=c3_file) for a in argv] + ["--seed", "1"]), capsys)
+
+    def test_each_subcommand_offers_the_formats_it_renders(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        formats = {
+            name: next((a.choices for a in sub._actions if a.dest == "format"), None)
+            for name, sub in commands.choices.items()
+        }
+        assert formats == {
+            "analyze": ("json", "table"),
+            "verify-functional": ("json", "table"),
+            "perron": ("json", "table"),
+            "curvature": ("json", "table", "csv"),
+            "wasserstein": None,
+            "heat": None,
+        }
 
     @pytest.mark.parametrize("command", ["analyze", "verify-functional"])
     @pytest.mark.parametrize(
