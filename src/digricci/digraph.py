@@ -144,7 +144,7 @@ def distances(g: DirectedGraph) -> DistanceMatrix:
     )
 
 
-def lipschitz_constant(f: np.ndarray, dm: DistanceMatrix) -> float:
+def lipschitz_constant(f: np.ndarray, dm: DistanceMatrix) -> float | np.ndarray:
     """sup over ordered pairs x != y of the difference quotient.
 
     A function is c-Lipschitz exactly when this value is <= c; note the
@@ -153,12 +153,14 @@ def lipschitz_constant(f: np.ndarray, dm: DistanceMatrix) -> float:
     the largest f(w) - f(z) over the arcs z -> w: along a geodesic from
     x to y, f(y) - f(x) is a sum of d(x, y) arc differences.  Only
     rounding separates this from the max over all pairs, which it never
-    exceeds.
+    exceeds.  f may be a stack of functions, the vertex on the last
+    axis; the result is then an array of one constant per function.
     """
-    if dm.d.shape[0] < 2:
-        return 0.0
     f = np.asarray(f, dtype=float)
-    return float((f[dm.arcs[:, 1]] - f[dm.arcs[:, 0]]).max())
+    if dm.d.shape[0] < 2:
+        return np.zeros(f.shape[:-1]) if f.ndim > 1 else 0.0
+    lip = (f[..., dm.arcs[:, 1]] - f[..., dm.arcs[:, 0]]).max(axis=-1)
+    return lip if f.ndim > 1 else float(lip)
 
 
 def sample_lipschitz_functions(

@@ -70,13 +70,17 @@ class HeatOperator:
         return (core * self.sqrt_m[None, :]) / self.sqrt_m[:, None]
 
     def apply(self, t: float, f: np.ndarray) -> np.ndarray:
-        """P_t f without forming the full matrix."""
+        """P_t f without forming the full matrix.
+
+        f may be a stack of functions, the vertex on the last axis; each
+        is smoothed alone.
+        """
         if t < 0:
             raise NegativeTimeError(f"time must be non-negative, got {t}")
         f = np.asarray(f, dtype=float)
-        coeff = self.Q.T @ (self.sqrt_m * f)
+        coeff = (self.sqrt_m * f) @ self.Q
         coeff *= np.exp(-t * self.eigenvalues)
-        return (self.Q @ coeff) / self.sqrt_m
+        return (coeff @ self.Q.T) / self.sqrt_m
 
 
 def heat_operator(M: MarkovData) -> HeatOperator:
@@ -131,19 +135,20 @@ def verify_gradient_estimate(
     ts: tuple[float, ...] = DEFAULT_TIME_GRID,
     tol: float = 1e-9,
 ) -> InequalityCertificate:
-    """Check Lip(P_t f) <= exp(-K t) Lip(f) on every sample and time."""
+    """Check Lip(P_t f) <= exp(-K t) Lip(f) on every sample and time.
+
+    Each time smooths the whole stack of samples in one apply.
+    """
     fs = np.atleast_2d(fs)
-    lip_fs = [lipschitz_constant(f, dm) for f in fs]
+    lip_fs = lipschitz_constant(fs, dm).tolist()
     comparisons = []
     for t in ts:
-        if t < 0:
-            raise NegativeTimeError(f"time must be non-negative, got {t}")
+        lip_heats = lipschitz_constant(H.apply(t, fs), dm).tolist()
         shrink = float(np.exp(-K * t))
-        for i, (f, lip_f) in enumerate(zip(fs, lip_fs)):
-            lip_heat = lipschitz_constant(H.apply(t, f), dm)
-            comparisons.append(
-                (lip_heat, shrink * lip_f, {"t": t, "f_index": i, "lip_f": lip_f})
-            )
+        comparisons += [
+            (lip_heat, shrink * lip_f, {"t": t, "f_index": i, "lip_f": lip_f})
+            for i, (lip_heat, lip_f) in enumerate(zip(lip_heats, lip_fs))
+        ]
     return certificate_from_samples(
         "lipschitz_contraction", {"K": K, "times": list(ts)}, comparisons, tol
     )

@@ -1,4 +1,4 @@
-"""Dense dual simplex with Bland's rule, started from a given tree basis.
+"""Dense dual simplex, started from a given tree basis.
 
 One pivot core backs every optimisation in the package: solve_lp
 minimises c.x subject to A x = b, x >= 0, by a dual simplex from a
@@ -23,13 +23,17 @@ the two supports, drops the row sum of row 0 and starts from the tree
 that assemble_transport_lp builds, and transport.kantorovich_dual
 starts its all-pairs flow from a star.  Problems stay small (hundreds of
 variables at the target scale), so a dense tableau is simpler than a
-revised method and fast enough.  Bland's leaving and entering rule
-guarantees termination on the heavily degenerate tableaus that
-transport instances produce.  The pivot loop keeps the numpy calls per
-pivot few: one masked argmin picks the leaving row, the ratio test
-runs on the candidate columns alone, and the pivot is one broadcast
-rank-1 update of the whole tableau.  The tests hold it, bit for bit,
-to a plain reference loop.
+revised method and fast enough.  The most negative basic variable
+leaves, which takes fewer pivots than the lowest-index one; transport
+instances are heavily degenerate, though, and that rule alone can
+cycle, so after as many pivots in a row as there are rows that leave
+the objective unchanged the solve finishes under Bland's rule, which
+terminates.  The entering column is the lowest index of minimum ratio
+under both rules.  The pivot loop keeps the numpy calls per pivot few:
+one argmin picks the leaving row, the ratio test runs on the candidate
+columns alone, and the pivot is one broadcast rank-1 update of the
+whole tableau.  The tests hold it, bit for bit, to a plain reference
+loop.
 """
 
 from __future__ import annotations
@@ -125,24 +129,36 @@ class TransportSolution:
 
 
 def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int]:
-    """Pivot a dual-feasible tableau to primal feasibility under Bland's rule.
+    """Pivot a dual-feasible tableau to primal feasibility.
 
-    Leaving: the lowest-index basic variable below -PRIMAL_TOL.
-    Entering: among the columns with a negative entry in its row, the
-    lowest index of minimum ratio (reduced cost) / -(entry), which keeps
-    every reduced cost non-negative.  A leaving row with no negative
-    entry proves the program infeasible.  Each pivot is one rank-1
+    Leaving: the most negative basic variable below -PRIMAL_TOL, the
+    lowest row on a tie.  Entering: among the columns with a negative
+    entry in its row, the lowest index of minimum ratio
+    (reduced cost) / -(entry), which keeps every reduced cost
+    non-negative.  A leaving row with no negative entry proves the
+    program infeasible.  The most-infeasible rule alone can cycle, so
+    after m consecutive pivots of ratio 0 (the objective did not move),
+    m the row count, the leaving row becomes the lowest-index short
+    basic variable for the rest of the solve: Bland's rule, which
+    terminates from any dual-feasible basis.  Each pivot is one rank-1
     update of the whole tableau; the entering column is then written
     exactly.
     """
     iterations = 0
+    stalled = 0  # consecutive ratio-0 pivots; Bland's rule from m on
     m = T.shape[0] - 1
     n = T.shape[1] - 1  # no column index reaches n, so it marks "no row is short"
+    rhs = T[:m, -1]
     while True:
-        leaving = np.where(T[:m, -1] < -PRIMAL_TOL, basis, n)
-        r = int(leaving.argmin())
-        if leaving[r] == n:
-            return "optimal", iterations
+        if stalled < m:
+            r = int(rhs.argmin())
+            if not rhs[r] < -PRIMAL_TOL:
+                return "optimal", iterations
+        else:
+            leaving = np.where(rhs < -PRIMAL_TOL, basis, n)
+            r = int(leaving.argmin())
+            if leaving[r] == n:
+                return "optimal", iterations
         row = T[r, :-1]
         entering = np.flatnonzero(row < -PIVOT_TOL)
         if not entering.size:
@@ -150,6 +166,8 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[
         ratios = T[-1, entering] / -row[entering]
         best = float(ratios.min())
         j = int(entering[np.argmax(ratios <= best + 1e-12 * max(1.0, abs(best)))])
+        if stalled < m:
+            stalled = stalled + 1 if best <= 0.0 else 0
         pivot_row = T[r] / T[r, j]
         T -= T[:, j, None] * pivot_row
         # + 0.0 turns -0.0 into 0.0, as subtracting 0 * pivot_row from it would

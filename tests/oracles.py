@@ -4,9 +4,11 @@ Everything here avoids the library's own code paths: distances via
 min-plus Floyd-Warshall instead of BFS, the stationary measure via a
 null-space computation, transport and general linear programs via
 scipy.optimize.linprog, and the heat semigroup via scipy.linalg.expm.
-The one exception is transport_contraction_all_pairs, the all-pairs
-loop the library's arc-only contraction check is pinned to; it reuses
-the library's heat kernel and W so that the two agree to roundoff.
+The exceptions are transport_contraction_all_pairs, the all-pairs
+loop the library's arc-only contraction check is pinned to, and
+gradient_estimate_per_sample, the per-sample loop its batched gradient
+estimate is pinned to; both reuse the library's heat flow so that the
+two sides agree to roundoff.
 reference_dual_simplex is the plain pivot loop the library's dual
 simplex kernel must match bit for bit, and lu_duals the dense solve its
 duals, read off the final cost row, are held to.
@@ -34,6 +36,7 @@ from digricci import (
     certificate_from_samples,
     heat_kernel_matrix,
     inner,
+    lipschitz_constant,
     lp,
     mean,
     wasserstein,
@@ -229,6 +232,25 @@ def transport_contraction_all_pairs(H, dm, K: float, ts=DEFAULT_TIME_GRID, tol=1
     )
 
 
+def gradient_estimate_per_sample(H, dm, K: float, fs, ts=DEFAULT_TIME_GRID, tol=1e-9):
+    """The gradient-estimate certificate with one apply per sample and time.
+
+    The loop verify_gradient_estimate ran before it smoothed the whole
+    stack at once; the batched certificate is pinned to it.
+    """
+    fs = np.atleast_2d(fs)
+    lip_fs = [lipschitz_constant(f, dm) for f in fs]
+    comparisons = []
+    for t in ts:
+        shrink = float(np.exp(-K * t))
+        for i, (f, lip_f) in enumerate(zip(fs, lip_fs)):
+            lip_heat = lipschitz_constant(H.apply(t, f), dm)
+            comparisons.append((lip_heat, shrink * lip_f, {"t": t, "f_index": i, "lip_f": lip_f}))
+    return certificate_from_samples(
+        "lipschitz_contraction", {"K": K, "times": list(ts)}, comparisons, tol
+    )
+
+
 def _reference_pivot(T: np.ndarray, r: int, j: int) -> None:
     T[r] /= T[r, j]
     col = T[:, j].copy()
@@ -239,25 +261,28 @@ def _reference_pivot(T: np.ndarray, r: int, j: int) -> None:
     T[r, j] = 1.0
 
 
-def assert_kernel_matches_reference(problem, duals_tol: float = 0.0) -> None:
+def assert_kernel_matches_reference(problem, duals_tol: float = 0.0) -> bool:
     """lp's dual simplex kernel and reference_dual_simplex end on the same bits.
 
     Both run from the start tableau of problem; the final tableaus must
     agree byte for byte (signed zeros included), and so must the bases,
     statuses and pivot counts.  On an optimal end, solve_lp's duals must
-    be within duals_tol of lu_duals on the final basis.
+    be within duals_tol of lu_duals on the final basis.  Returns whether
+    the reference switched to Bland's rule.
     """
     T = lp._start_tableau(problem)
     ref_T = T.copy()
     basis, ref_basis = problem.basis.copy(), problem.basis.copy()
     max_iter = 1000 + 50 * sum(problem.A.shape)
     outcome = lp._run_dual_simplex(T, basis, max_iter)
-    assert outcome == reference_dual_simplex(ref_T, ref_basis, max_iter)
+    *ref_outcome, switched = reference_dual_simplex(ref_T, ref_basis, max_iter)
+    assert outcome == tuple(ref_outcome)
     assert T.tobytes() == ref_T.tobytes()
     assert np.array_equal(basis, ref_basis)
     if outcome[0] == "optimal":
         duals = lp.solve_lp(problem).duals
         assert np.abs(duals - lu_duals(problem, basis)).max(initial=0.0) <= duals_tol
+    return switched
 
 
 def lu_duals(problem, basis: np.ndarray) -> np.ndarray:
@@ -265,28 +290,38 @@ def lu_duals(problem, basis: np.ndarray) -> np.ndarray:
     return np.linalg.solve(problem.A[:, basis].T, problem.c[basis])
 
 
-def reference_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int]:
-    """Bland's-rule dual simplex written plainly, one full-length mask per step.
+def reference_dual_simplex(
+    T: np.ndarray, basis: np.ndarray, max_iter: int
+) -> tuple[str, int, bool]:
+    """The dual simplex kernel's rule written plainly, one full-length mask per step.
 
-    Leaving: the lowest-index basic variable below -PRIMAL_TOL.
-    Entering: the lowest index of minimum ratio (reduced cost) / -(entry)
-    among the columns with an entry below -PIVOT_TOL in its row.
-    Pivots T and basis in place; returns (status, pivots).
+    Leaving: the most negative basic variable below -PRIMAL_TOL, the
+    lowest row on a tie; after m consecutive pivots of ratio 0 (m the
+    row count), the lowest-index short basic variable for the rest of
+    the solve (Bland's rule).  Entering: the lowest index of minimum
+    ratio (reduced cost) / -(entry) among the columns with an entry
+    below -PIVOT_TOL in its row.  Pivots T and basis in place; returns
+    (status, pivots, whether it switched to Bland's rule).
     """
     iterations = 0
+    stalled = 0
     m = T.shape[0] - 1
     while True:
+        bland = stalled >= m
         short = np.nonzero(T[:m, -1] < -lp.PRIMAL_TOL)[0]
         if not short.size:
-            return "optimal", iterations
-        r = int(short[np.argmin(basis[short])])
+            return "optimal", iterations, bland
+        key = basis[short] if bland else T[short, -1]
+        r = int(short[np.argmin(key)])
         row = T[r, :-1]
         negative = row < -lp.PIVOT_TOL
         if not negative.any():
-            return "infeasible", iterations
+            return "infeasible", iterations, bland
         ratios = np.where(negative, T[-1, :-1] / np.where(negative, -row, 1.0), np.inf)
         best = float(ratios.min())
         j = int(np.argmax(ratios <= best + 1e-12 * max(1.0, abs(best))))
+        if not bland:
+            stalled = stalled + 1 if best <= 0.0 else 0
         _reference_pivot(T, r, j)
         basis[r] = j
         iterations += 1

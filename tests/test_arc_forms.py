@@ -17,7 +17,8 @@ kind of basis; its witness is checked for optimality on its own.
 Transport contraction along the heat flow is checked over the arcs
 only; a property pins its verdict and margin to the all-pairs loop.
 The Lipschitz constant is taken over the arcs too, pinned to the
-all-pairs difference quotients.
+all-pairs difference quotients, and the gradient estimate smooths its
+whole stack of samples at once, pinned to the per-sample loop.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ from digricci import (
     lipschitz_constant,
     lp,
     markov_data,
+    sample_lipschitz_functions,
     solve_lp,
     solve_transport,
+    verify_gradient_estimate,
     verify_transport_contraction,
     wasserstein,
 )
@@ -473,3 +476,27 @@ def test_lipschitz_constant_over_arcs_matches_all_pairs(data):
     all_pairs = float(oracles.gradient_matrix(f, dm).max())
     assert arcs <= all_pairs
     assert all_pairs - arcs <= 1e-15 * abs(all_pairs)
+
+
+@PROPERTY_SETTINGS
+@given(graphs(), st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(-2.0, 2.0))
+def test_batched_gradient_estimate_matches_the_per_sample_loop(g, seed, count, K):
+    """One apply per time over the stack of samples: the per-sample loop's certificate.
+
+    Same verdict, lhs and margin within 1e-12.  The witness is the same
+    but on a near tie, which roundoff may break the other way: the
+    sample it names then has a per-sample margin within 1e-12 of the
+    worst.
+    """
+    dm = distances(g)
+    H = heat_operator(markov_data(g))
+    fs = sample_lipschitz_functions(dm, count, np.random.default_rng(seed), scale=(0.5, 2.0))
+    batched = verify_gradient_estimate(H, dm, K, fs)
+    ref = oracles.gradient_estimate_per_sample(H, dm, K, fs)
+    assert batched.passed == ref.passed
+    assert abs(batched.lhs - ref.lhs) <= 1e-12
+    assert abs(batched.margin - ref.margin) <= 1e-12
+    if batched.witness != ref.witness:
+        t, i = batched.witness["t"], batched.witness["f_index"]
+        named = oracles.gradient_estimate_per_sample(H, dm, K, fs[[i]], ts=(t,))
+        assert abs(named.margin - ref.margin) <= 1e-12

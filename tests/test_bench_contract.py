@@ -1,18 +1,56 @@
-"""The benchmark's tracer still finds every name it patches.
+"""The benchmark's tracer and output checks, run on the current code.
 
 bench/tracing.py wraps library functions at each module that looks
-them up; a rename or a moved import makes install() raise.  Running it
-here catches that in the unit tests instead of in a traced benchmark run.
+them up; a rename or a moved import makes install() raise.  The
+output checks of bench/checks.py hold analyze, the exact Dirac plan
+and potential, the pair curvature witness, heat rows and the Perron
+vector to values the benchmark computes itself.  Running both here
+catches a break in the unit tests instead of in a benchmark run.
 """
 
 from __future__ import annotations
 
+import importlib
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import digricci
-from digricci import cli
+from digricci import chain, cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+# questions of the queries workload run here: two on each of its four graphs
+QUESTIONS = 8
+
+
+@pytest.fixture
+def bench(monkeypatch) -> SimpleNamespace:
+    """bench/'s checks and workloads modules."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    return SimpleNamespace(
+        checks=importlib.import_module("checks"),
+        workloads=importlib.import_module("workloads"),
+    )
+
+
+def run_twice(capsys, argv: list[str]) -> tuple[int, str]:
+    """cli.main's exit code and stdout, which a second call must repeat byte for byte."""
+    outputs = []
+    for _ in range(2):
+        code = cli.main(argv)
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1], argv
+    return outputs[0]
+
+
+def write_graphs(workload, directory: Path) -> list[str]:
+    paths = []
+    for graph in workload.graphs:
+        path = directory / f"{graph.name}.edges"
+        path.write_text(graph.text(), encoding="utf-8")
+        paths.append(str(path))
+    return paths
 
 
 def test_tracer_installs_on_every_target_and_uninstalls(monkeypatch):
@@ -27,3 +65,26 @@ def test_tracer_installs_on_every_target_and_uninstalls(monkeypatch):
         # install() leaves earlier patches in place when a look-up raises
         tracer.uninstall()
     assert cli.run_analysis is original
+
+
+def test_analyze_sparse_passes_the_benchmark_checks(bench, tmp_path, capsys):
+    workload = bench.workloads.build("analyze_sparse", 1)
+    for graph, path in zip(workload.graphs, write_graphs(workload, tmp_path)):
+        assert bench.checks.check_analyze(graph, *run_twice(capsys, ["analyze", path])) is None
+
+
+def test_queries_pass_the_benchmark_checks(bench, tmp_path, capsys):
+    workload = bench.workloads.build("queries", 1)
+    paths = write_graphs(workload, tmp_path)
+    checks = bench.checks
+    for request in workload.requests[:QUESTIONS]:
+        graph, path = workload.graphs[request.graph], paths[request.graph]
+        x, y = request.pair
+        plan = run_twice(capsys, ["wasserstein", path, f"dirac:{x}", f"dirac:{y}", "--plan"])
+        assert checks.check_wasserstein(graph.dist, x, y, *plan) is None
+        pair = run_twice(capsys, ["curvature", path, "--pairs", f"{x},{y}", "--cross-check"])
+        assert checks.check_pair_curvature(graph.dist, x, y, *pair) is None
+        row = run_twice(capsys, ["heat", path, "--t", "0.5", "--kernel", str(x)])
+        assert checks.check_heat_row(graph.n, x, *row) is None
+        perron = run_twice(capsys, ["perron", path])
+        assert checks.check_perron(graph, chain.BALANCE_TOL, *perron) is None

@@ -4,7 +4,11 @@ solve_transport drops the row sum of row 0 and starts from a tree of
 the complete bipartite graph that is dual feasible for every cost, so
 there is no phase 1.  These tests hold it to scipy's HiGHS solver and
 to its own certificate, on random costs and on the degenerate families
-where Bland's rule has to earn its keep.
+where the pivot rule has to earn its keep: the most-infeasible leaving
+row, and the Bland's-rule fallback it takes after a run of pivots that
+leave the objective unchanged.  The kernel is held bit for bit to the
+plain reference loop in oracles, on those families and on a pinned
+instance where the fallback fires.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import pytest
 import oracles
 from conftest import SEED
 from digricci import MarginalMismatchError, solve_transport
+from digricci import lp
 from digricci.lp import GAP_TOL, MARGINAL_TOL, assemble_transport_lp
 
 
@@ -79,6 +84,69 @@ class TestKernel:
         for _family, cost, nu0, nu1 in degenerate_instances(rng, 20):
             problem = assemble_transport_lp(cost, nu0, nu1)
             oracles.assert_kernel_matches_reference(problem, duals_tol=1e-12)
+
+    def test_switches_to_blands_rule_on_a_degenerate_coupling(self):
+        """An "equal" instance: the 224th draw of degenerate_instances at seed 22.
+
+        Equal measures make every off-diagonal basic flow zero; 13 pivots
+        in a row leave the objective unchanged, as many as the program
+        has rows, so the solve ends under Bland's rule.
+        """
+        cost = np.array(
+            [
+                [0, 2, 0, 0, 0, 1, 0],
+                [1, 0, 1, 1, 2, 1, 1],
+                [1, 2, 2, 0, 0, 0, 0],
+                [0, 0, 0, 2, 1, 0, 0],
+                [1, 1, 1, 0, 2, 0, 0],
+                [0, 0, 0, 2, 2, 1, 0],
+                [1, 1, 2, 1, 1, 1, 1],
+            ],
+            dtype=float,
+        )
+        nu = np.array(
+            [
+                0.07541569565692668,
+                0.0028576476099587407,
+                0.13186527212850307,
+                0.01008539859705576,
+                0.19465995720799975,
+                0.1388785913418996,
+                0.4462374374576564,
+            ]
+        )
+        problem = assemble_transport_lp(cost, nu, nu)
+        expected = oracles.linprog_transport(cost, nu, nu, tight=True)
+        assert_solved_under_blands_rule(problem, expected, pivots=19)
+
+    def test_blands_rule_picks_the_leaving_row_after_the_switch(self):
+        """min x4 + x7 over [I | N] x = b, x >= 0, from the slack basis.
+
+        The first three pivots have ratio 0.  Then rows 1 and 2 are short,
+        holding x5 = -11/3 and x3 = -10/3.  The most-infeasible rule would
+        take row 1 and need two more pivots.  Bland's rule takes row 2,
+        the lower variable index, and ends in one.
+        """
+        N = np.array([[2, -2, 1, 2, 3], [0, 2, -3, -3, 1], [-3, -2, 3, 0, -1]], dtype=float)
+        A = np.hstack([np.eye(3), N])
+        problem = lp.LinearProgram(
+            c=np.array([0, 0, 0, 0, 1, 0, 0, 1], dtype=float),
+            A=A,
+            b=np.array([-1, -3, -1], dtype=float),
+            basis=np.arange(3),
+            basis_inverse=np.eye(3),
+        )
+        expected = oracles.linprog_general(problem.c, A_eq=A, b_eq=problem.b).fun
+        assert_solved_under_blands_rule(problem, expected, pivots=4)
+
+
+def assert_solved_under_blands_rule(problem, expected: float, pivots: int) -> None:
+    """The reference switches; the kernel matches it bit for bit and scipy within 1e-9."""
+    assert oracles.assert_kernel_matches_reference(problem, duals_tol=1e-12)
+    solution = lp.solve_lp(problem)
+    assert solution.status == "optimal"
+    assert solution.iterations == pivots
+    assert abs(solution.value - expected) <= 1e-9
 
 
 class TestTransport:
