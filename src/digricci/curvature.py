@@ -145,12 +145,24 @@ def kappa_limit(
 
     Near zero the smoothed curvature is linear in eps, so the quotients
     stabilise; the spread (max - min over the grid) reports how far into
-    that regime the grid reached.
+    that regime the grid reached.  The W of the grid are one program
+    with moving measures, so they are solved in ascending eps, each
+    from the previous eps's optimal basis (transport.wasserstein's
+    start).
     """
     if not eps_grid:
         raise EpsOutOfRangeError("eps grid must be non-empty")
-    quotients = [kappa_eps(x, y, e, M, dm) / e for e in sorted(eps_grid, reverse=True)]
-    return quotients[-1], float(max(quotients) - min(quotients))
+    if x == y:
+        raise SameVertexError("curvature needs two distinct vertices")
+    dxy = float(dm.d[x, y])
+    quotients = []
+    plan = None
+    for e in sorted(eps_grid):
+        nu_x = smoothed_measure(x, e, M)
+        nu_y = smoothed_measure(y, e, M)
+        plan = transport.wasserstein(nu_x, nu_y, dm, verify=False, start=plan)
+        quotients.append((1.0 - plan.value / dxy) / e)
+    return quotients[0], float(max(quotients) - min(quotients))
 
 
 def curvature_matrix(

@@ -16,11 +16,20 @@ the triangle inequality for W bounds W(p_x_t, p_y_t) by the sum of the
 W over those arcs.  If every arc satisfies W <= exp(-K t), every pair
 satisfies W <= exp(-K t) d(x, y), so the contraction certificate is
 checked over the arcs alone (Ollivier, J. Funct. Anal. 256, 2009).
+
+Both W certificates, the contraction and the small-time limit, solve
+each arc at several times of one program: its cost and constraint
+matrix do not depend on t, only the right-hand side p_x_t - p_y_t
+does.  So each arc is solved along its times in ascending order, each
+solve starting from the previous time's optimal basis
+(transport.wasserstein's start), which stays dual feasible and at
+small t is usually optimal already.  Each time's kernel matrix is
+built once per operator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +61,8 @@ class HeatOperator:
     sqrt_m: np.ndarray
     Q: np.ndarray
     eigenvalues: np.ndarray  # of L, ascending
+    # heat_kernel_matrix's clamped kernels by time, built on first use
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -113,13 +124,20 @@ def heat_kernel_matrix(H: HeatOperator, t: float) -> np.ndarray:
 
     Entries may round slightly negative; dips beyond KERNEL_NEG_CLAMP
     mean something upstream broke and raise instead of being hidden.
+    The matrix is built once per operator and time, kept on H and
+    read-only.
     """
-    rows = H.matrix(t)
-    worst = float(rows.min())
-    if worst < -KERNEL_NEG_CLAMP:
-        raise NumericsError(f"heat kernel entry {worst:.3e} below clamp threshold")
-    rows = np.maximum(rows, 0.0)
-    return rows / rows.sum(axis=1, keepdims=True)
+    kernel = H._kernels.get(t)
+    if kernel is None:
+        rows = H.matrix(t)
+        worst = float(rows.min())
+        if worst < -KERNEL_NEG_CLAMP:
+            raise NumericsError(f"heat kernel entry {worst:.3e} below clamp threshold")
+        rows = np.maximum(rows, 0.0)
+        kernel = rows / rows.sum(axis=1, keepdims=True)
+        kernel.flags.writeable = False
+        H._kernels[t] = kernel
+    return kernel
 
 
 def heat_kernel(H: HeatOperator, x: int, t: float) -> np.ndarray:
@@ -171,16 +189,31 @@ def verify_transport_contraction(
     of the W solves).  With tol > 0, a pass bounds every pair's W by
     exp(-K t) d(x, y) within d(x, y) * tol.  When an arc fails, a pair at
     distance k may fail by up to k times the reported margin.
+
+    Each arc is solved once per distinct time, in ascending order, each
+    solve from the previous time's optimal basis (see the module
+    docstring); the comparisons are listed as ts gives the times, arcs
+    in order within each.
     """
-    comparisons = []
     for t in ts:
         if t < 0:
             raise NegativeTimeError(f"time must be non-negative, got {t}")
-        kernel = heat_kernel_matrix(H, t)
+    times = sorted(set(ts))
+    kernels = [heat_kernel_matrix(H, t) for t in times]
+    arcs = dm.arcs.tolist()
+    w = np.empty((len(times), len(arcs)))
+    for k, (x, y) in enumerate(arcs):
+        plan = None
+        for i, kernel in enumerate(kernels):
+            plan = transport.wasserstein(kernel[x], kernel[y], dm, verify=False, start=plan)
+            w[i, k] = plan.value
+    comparisons = []
+    for t in ts:
         shrink = float(np.exp(-K * t))
-        for x, y in dm.arcs.tolist():
-            plan = transport.wasserstein(kernel[x], kernel[y], dm, verify=False)
-            comparisons.append((plan.value, shrink, {"t": t, "pair": (x, y)}))
+        comparisons += [
+            (value, shrink, {"t": t, "pair": (x, y)})
+            for value, (x, y) in zip(w[times.index(t)].tolist(), arcs)
+        ]
     return certificate_from_samples(
         "transport_contraction",
         {"K": K, "times": list(ts), "pairs": "arcs"},
@@ -199,21 +232,25 @@ def curvature_time_limit(
     """Small-time curvature (1/t)(1 - W(p_x_t, p_y_t) / d(x, y)).
 
     Returns the two-point Richardson extrapolation through the two
-    smallest grid times together with the spread (max - min) of the
-    finite-time estimates, which reports how settled the limit is.
+    smallest distinct grid times together with the spread (max - min)
+    of the finite-time estimates, which reports how settled the limit
+    is; a grid of one distinct time gives its estimate and spread 0.
+    The W are solved over the distinct times in ascending order, each
+    from the previous time's optimal basis (see the module docstring).
     """
-    ts = sorted(t_grid, reverse=True)
-    if not ts or ts[-1] <= 0:
+    ts = sorted(set(t_grid))
+    if not ts or ts[0] <= 0:
         raise NegativeTimeError("limit grid must contain positive times")
     dxy = float(dm.d[x, y])
     estimates = []
+    plan = None
     for t in ts:
         kernel = heat_kernel_matrix(H, t)
-        plan = transport.wasserstein(kernel[x], kernel[y], dm, verify=False)
+        plan = transport.wasserstein(kernel[x], kernel[y], dm, verify=False, start=plan)
         estimates.append((1.0 - plan.value / dxy) / t)
     if len(estimates) == 1:
         return estimates[0], 0.0
-    t1, t2 = ts[-2], ts[-1]
-    g1, g2 = estimates[-2], estimates[-1]
+    t1, t2 = ts[1], ts[0]
+    g1, g2 = estimates[1], estimates[0]
     extrapolated = (t1 * g2 - t2 * g1) / (t1 - t2)
     return float(extrapolated), float(max(estimates) - min(estimates))

@@ -8,6 +8,11 @@ tableau is B^-1 [A | b], two matrix products; the solve checks that the
 inverse does invert the basis columns and that the basis is dual
 feasible, then pivots to primal feasibility.  The optimal duals are one
 more product with the same inverse, so solve_lp factorises nothing.
+The final basis comes back with the solution, and its inverse is one
+m x m product more, T[:m, b0] B0^-1, made only for a caller that reads
+it.  A basis dual feasible for c and A stays so for every b, so a
+caller that solves one c and A for a sequence of right-hand sides
+starts each solve from the previous optimum.
 
 Every program solved is a flow on a graph whose balance rows sum to
 zero, with one of them dropped, and a spanning tree of that graph is a
@@ -16,8 +21,9 @@ library's two programs, the flow behind the Wasserstein distance and
 the dual of each per-pair curvature program, start from a
 shortest-path tree (into or out of a root) whose inverse, the tree's
 path matrix, the transport module builds once per graph, root and
-direction.  Two reference programs the tests hold those to take the
-same path: the coupling
+direction; the heat-flow and smoothing W of one pair then go on from
+the previous time's or smoothing's optimal tree.  Two reference
+programs the tests hold those to take the same path: the coupling
 program of solve_transport, a flow on the complete bipartite graph of
 the two supports, drops the row sum of row 0 and starts from the tree
 that assemble_transport_lp builds, and transport.kantorovich_dual
@@ -38,7 +44,8 @@ loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -98,7 +105,10 @@ class LpSolution:
     duals has one multiplier per row of the program: y = c_B B^-1 on
     the final basis, read off the final cost row c - y A through the
     start basis's inverse.  duality_gap is |c.x - y.b|, which certifies
-    optimality on that basis.
+    optimality on that basis.  An optimal solve also keeps the program
+    it solved and its final basis, one column index per row;
+    basis_inverse is that basis's inverse (see solve_lp), formed on
+    first read, so a caller that never reads it never pays for it.
     """
 
     status: str
@@ -108,6 +118,15 @@ class LpSolution:
     feasibility_residual: float | None = None
     duality_gap: float | None = None
     iterations: int = 0
+    problem: LinearProgram | None = field(default=None, repr=False)
+    basis: np.ndarray | None = None
+    # the final tableau's constraint rows, B_f^-1 [A | b]
+    _rows: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def basis_inverse(self) -> np.ndarray:
+        """B_f^-1 = (B_f^-1 B_0) B_0^-1: the final rows' start-basis columns times B_0^-1."""
+        return self._rows[:, self.problem.basis] @ self.problem.basis_inverse
 
 
 @dataclass
@@ -148,6 +167,8 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[
     stalled = 0  # consecutive ratio-0 pivots; Bland's rule from m on
     m = T.shape[0] - 1
     n = T.shape[1] - 1  # no column index reaches n, so it marks "no row is short"
+    if not m:  # no rows: x = 0 is the basic solution, and nothing is short
+        return "optimal", 0
     rhs = T[:m, -1]
     while True:
         if stalled < m:
@@ -218,7 +239,12 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     NumericsError unless problem.basis_inverse inverts A[:, basis] to
     within INVERSE_TOL and the basis is dual feasible.  The status is
     "optimal", or "infeasible" when a leaving row has no entry that can
-    enter.
+    enter.  An optimal solution carries its final basis B_f; the final
+    tableau rows are B_f^-1 [A | b], so their start-basis columns are
+    B_f^-1 B_0, and its basis_inverse is those times B_0^-1, one m x m
+    product made only when read.  That basis is dual feasible for any
+    program with the same c and A, so a solve of such a program with
+    another b may start from it and its inverse.
     """
     A, b, c = problem.A, problem.b, problem.c
     m, n = A.shape
@@ -241,6 +267,9 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
         feasibility_residual=_feasibility_residual(problem, x),
         duality_gap=abs(primal - float(y @ b)),
         iterations=iterations,
+        problem=problem,
+        basis=basis,
+        _rows=T[:m],
     )
 
 

@@ -29,9 +29,18 @@ depends on its root and direction alone, so root_basis builds it once
 and keeps it on the DistanceMatrix: the incidence without the root's
 row, the tree, and B^-1.  A spanning tree's inverse incidence is its path
 matrix, so B^-1 comes from one walk down the tree, with no
-factorisation, and every solve starts from B^-1 [A | b].  The
+factorisation, and a solve starts from B^-1 [A | b].  The
 curvature module's dual flows from x start from the out-tree record
 of x.
+
+A solve may start from another plan's final basis instead.  The
+program's cost and incidence depend on the graph and r alone, so the
+optimal tree of one pair of measures stays dual feasible for any other
+pair on the same root, and its inverse is one product off the final
+tableau (lp.solve_lp).  The heat module solves each arc along
+increasing t, and the curvature module each pair along increasing
+smoothing, each solve from the previous optimum: the measures move
+little, and at small t the optimal tree mostly stops changing.
 
 The row duals of the final basis are a Kantorovich potential f with
 f(w) - f(z) <= 1 on every arc; summing along geodesics, that is
@@ -44,7 +53,7 @@ reference the tests pin the flow potential to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -65,6 +74,10 @@ class TransportPlan:
     dual_f and duality_gap, and marginal_residual is the largest error
     in the marginals of pi.  Fast mode returns the value only, with
     marginal_residual the largest flow-balance error over the vertices.
+    Both modes keep root, the vertex whose balance row the solve
+    dropped, and flow, the optimal solve itself with its final basis,
+    which a later solve on the same graph may start from (wasserstein's
+    start).
     """
 
     value: float
@@ -72,6 +85,8 @@ class TransportPlan:
     pi: np.ndarray | None = None
     dual_f: np.ndarray | None = None
     duality_gap: float | None = None
+    root: int | None = None
+    flow: lp.LpSolution | None = field(default=None, repr=False, compare=False)
 
 
 def _check_probability(nu: np.ndarray, n: int, name: str) -> np.ndarray:
@@ -273,27 +288,42 @@ def wasserstein(
     nu1: np.ndarray,
     dm: DistanceMatrix,
     verify: bool = True,
+    start: TransportPlan | None = None,
 ) -> TransportPlan:
     """Directed transport distance between two probability vectors.
 
-    Solves the arc-flow program once, by a dual simplex from the BFS
-    in-tree of the largest deficit or the out-tree of the largest excess
-    of nu0 - nu1, whichever is larger (the out-tree on a tie; see the
-    module docstring), with the row of that tree's root r dropped.
-    verify=True also reads the potential off that solve,
-    f = -(row duals) with f(r) = 0, shifted to f(0) = 0, and raises
-    NumericsError unless f(w) - f(z) <= 1 + lp.GAP_TOL on every arc and
-    |W - f.(nu1 - nu0)| <= lp.GAP_TOL; it then splits the flow, which
-    lives on a tree and so is acyclic, into the coupling pi.  Fast mode,
-    for the inner loops that call this often, returns the value alone.
+    Solves the arc-flow program once, by a dual simplex.  Without start
+    it starts from the BFS in-tree of the largest deficit or the
+    out-tree of the largest excess of nu0 - nu1, whichever is larger
+    (the out-tree on a tie; see the module docstring), with the row of
+    that tree's root r dropped.  start is a plan this function returned
+    for other measures on the same dm: the solve keeps its root r and
+    starts from its final basis and that basis's inverse, which solve_lp
+    checks as it checks a tree.  verify=True also reads the potential
+    off that solve, f = -(row duals) with f(r) = 0, shifted to
+    f(0) = 0, and raises NumericsError unless f(w) - f(z) <= 1 + lp.GAP_TOL
+    on every arc and |W - f.(nu1 - nu0)| <= lp.GAP_TOL; it then splits
+    the flow, which lives on a tree and so is acyclic, into the coupling
+    pi.  Fast mode, for the inner loops that call this often, returns the
+    value alone.
     """
     n = dm.d.shape[0]
     nu0 = _check_probability(nu0, n, "nu0")
     nu1 = _check_probability(nu1, n, "nu1")
     arcs = dm.arcs
     excess = nu0 - nu1
-    r, inward = _start_tree(excess)
-    problem = _flow_program(dm, excess, r, inward)
+    if start is None:
+        r, inward = _start_tree(excess)
+        problem = _flow_program(dm, excess, r, inward)
+    else:
+        r, previous = start.root, start.flow
+        problem = lp.LinearProgram(
+            c=previous.problem.c,
+            A=previous.problem.A,
+            b=np.delete(excess, r),
+            basis=previous.basis,
+            basis_inverse=previous.basis_inverse,
+        )
     solution = lp.solve_lp(problem)
     if solution.status != "optimal":
         raise LpFailureError(f"transport flow solve ended with status {solution.status!r}")
@@ -303,7 +333,7 @@ def wasserstein(
         g = solution.x
         balance = np.bincount(arcs[:, 0], g, n) - np.bincount(arcs[:, 1], g, n)
         residual = float(np.abs(balance - excess).max())
-        return TransportPlan(value=value, marginal_residual=residual)
+        return TransportPlan(value=value, marginal_residual=residual, root=r, flow=solution)
 
     y = np.insert(solution.duals, r, 0.0)
     f = y[0] - y
@@ -319,5 +349,11 @@ def wasserstein(
         float(np.abs(pi.sum(axis=0) - nu1).max()),
     )
     return TransportPlan(
-        value=value, marginal_residual=marginal_residual, pi=pi, dual_f=f, duality_gap=gap
+        value=value,
+        marginal_residual=marginal_residual,
+        pi=pi,
+        dual_f=f,
+        duality_gap=gap,
+        root=r,
+        flow=solution,
     )

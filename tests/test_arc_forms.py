@@ -11,7 +11,11 @@ deficit, built once per root and direction with its inverse, the
 tree's path matrix; further properties pin that inverse to be exact
 for every root, the solve from either tree to scipy and the pivot
 kernel to the reference loop, and unit tests pin how bad starting
-bases and inverses fail.
+bases and inverses fail.  A solve may also start from an earlier
+plan's final basis, as the heat flow's W of one arc do along t: that
+chain is pinned to cold solves and scipy, and a warm start from a
+wrong inverse or a basis that is not dual feasible fails as a tree
+start does.
 The curvature program is solved through its dual flow from the same
 kind of basis; its witness is checked for optimality on its own.
 Transport contraction along the heat flow is checked over the arcs
@@ -22,6 +26,8 @@ whole stack of samples at once, pinned to the per-sample loop.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -50,6 +56,7 @@ from digricci import (
     wasserstein,
 )
 from digricci import transport
+from digricci.heat import DEFAULT_LIMIT_GRID, DEFAULT_TIME_GRID
 from digricci.transport import root_basis
 
 PROPERTY_SETTINGS = settings(
@@ -277,6 +284,91 @@ def test_start_rule_takes_the_tree_of_the_larger_imbalance():
     assert transport._start_tree(third - np.eye(3)[2]) == (2, True)
     assert transport._start_tree(np.eye(3)[1] - third) == (1, False)
     assert transport._start_tree(np.zeros(3)) == (0, False)
+
+
+@st.composite
+def warm_chains(draw):
+    """A graph, an arc x -> y and the measure pairs of one W chain on it.
+
+    "heat": p_x_t and p_y_t at every time of both heat grids in
+    ascending order, as the heat module solves them; "random": three
+    unrelated pairs, whose optimal trees may share nothing.
+    """
+    g = draw(graphs())
+    dm = distances(g)
+    x, y = (int(v) for v in dm.arcs[draw(st.integers(0, len(dm.arcs) - 1))])
+    if draw(st.booleans()):
+        H = heat_operator(markov_data(g))
+        times = sorted(set(DEFAULT_TIME_GRID + DEFAULT_LIMIT_GRID))
+        pairs = [(heat_kernel_matrix(H, t)[x], heat_kernel_matrix(H, t)[y]) for t in times]
+    else:
+        pairs = [(draw(measures(g.n)), draw(measures(g.n))) for _ in range(3)]
+    return g, pairs
+
+
+@PROPERTY_SETTINGS
+@given(warm_chains(), st.booleans())
+def test_warm_chain_matches_cold_solves_and_scipy(instance, verify):
+    """Each W from the previous plan's basis: a cold solve within 1e-12, scipy within 1e-9."""
+    g, pairs = instance
+    dm = distances(g)
+    plan = None
+    for nu0, nu1 in pairs:
+        plan = wasserstein(nu0, nu1, dm, verify=verify, start=plan)
+        cold = wasserstein(nu0, nu1, dm, verify=False)
+        assert abs(plan.value - cold.value) <= 1e-12
+        assert abs(plan.value - oracles.linprog_transport(dm.d, nu0, nu1, tight=True)) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(transport_instances(), st.booleans())
+def test_warm_start_from_its_own_optimum_takes_no_pivot(instance, verify):
+    """The final basis is optimal for its own measures: 0 pivots, the same W."""
+    g, nu0, nu1 = instance
+    dm = distances(g)
+    plan = wasserstein(nu0, nu1, dm, verify=verify)
+    again = wasserstein(nu0, nu1, dm, verify=verify, start=plan)
+    assert again.flow.iterations == 0
+    assert np.array_equal(again.flow.basis, plan.flow.basis)
+    assert abs(again.value - plan.value) <= 1e-15
+
+
+class TestWarmStart:
+    """Warm starts on 0 -> 1, 0 -> 2, 1 -> 0, 1 -> 2, 2 -> 0 (arcs in this order).
+
+    dirac(0) to dirac(2) starts from the BFS out-tree of 0, {0 -> 1, 0 -> 2}.
+    """
+
+    @staticmethod
+    def plan():
+        mu = np.zeros((3, 3))
+        for x, y in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0)):
+            mu[x, y] = 1.0
+        dm = distances(build_graph(mu))
+        plan = wasserstein(np.eye(3)[0], np.eye(3)[2], dm, verify=False)
+        assert plan.root == 0 and plan.value == 1.0
+        return dm, plan
+
+    def test_final_inverse_is_the_exact_inverse_of_the_final_basis(self):
+        dm, plan = self.plan()
+        flow = plan.flow
+        assert np.array_equal(flow.basis_inverse @ flow.problem.A[:, flow.basis], np.eye(2))
+
+    def test_wrong_inverse_raises(self):
+        dm, plan = self.plan()
+        flow = dataclasses.replace(plan.flow)
+        flow.basis_inverse = plan.flow.basis_inverse + 1e-6
+        with pytest.raises(NumericsError, match="does not invert"):
+            wasserstein(np.eye(3)[1], np.eye(3)[2], dm, start=dataclasses.replace(plan, flow=flow))
+
+    def test_basis_that_is_not_dual_feasible_raises(self):
+        # the tree 0 -> 1 -> 2 prices the arc 0 -> 2 at 1 + 0 - 2 < 0
+        dm, plan = self.plan()
+        tree = np.array([0, 3])
+        flow = dataclasses.replace(plan.flow, basis=tree)
+        flow.basis_inverse = np.linalg.inv(plan.flow.problem.A[:, tree])
+        with pytest.raises(NumericsError, match="not dual feasible"):
+            wasserstein(np.eye(3)[1], np.eye(3)[2], dm, start=dataclasses.replace(plan, flow=flow))
 
 
 @PROPERTY_SETTINGS

@@ -1,7 +1,8 @@
 """The benchmark's tracer and output checks, run on the current code.
 
 bench/tracing.py wraps library functions at each module that looks
-them up; a rename or a moved import makes install() raise.  The
+them up; a rename or a moved import makes install() raise, and the
+traced K_8 analyze must make the solve counts bench/run.py expects.  The
 output checks of bench/checks.py hold analyze, the exact Dirac plan
 and potential, the pair curvature witness, heat rows and the Perron
 vector to values the benchmark computes itself.  Running both here
@@ -11,6 +12,7 @@ catches a break in the unit tests instead of in a benchmark run.
 from __future__ import annotations
 
 import importlib
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -65,6 +67,29 @@ def test_tracer_installs_on_every_target_and_uninstalls(monkeypatch):
         # install() leaves earlier patches in place when a look-up raises
         tracer.uninstall()
     assert cli.run_analysis is original
+
+
+def test_traced_k8_analyze_keeps_the_count_canary(bench, monkeypatch, tmp_path, capsys):
+    """The K_8 request of analyze_dense, traced, makes the solves run.count_canary expects."""
+    # run.py sets these at import; monkeypatch restores them afterwards
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    run = importlib.import_module("run")
+    workload = bench.workloads.build("analyze_dense", 1)
+    paths = write_graphs(workload, tmp_path)
+    k8 = [i for i, r in enumerate(workload.requests)
+          if r.kind == "analyze" and len(workload.graphs[r.graph].arcs) == 8 * 7]
+    assert k8
+    tracer = run.Tracer()
+    tracer.request = k8[0]
+    argv = ["analyze", paths[workload.requests[k8[0]].graph]]
+    try:
+        tracer.install(digricci)
+        assert tracer.call("cli.main.analyze", cli.main, argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert run.count_canary(tracer, workload) is None
 
 
 def test_analyze_sparse_passes_the_benchmark_checks(bench, tmp_path, capsys):

@@ -119,6 +119,14 @@ class TestKernelProperties:
                 checked += 1
         assert checked >= 100
 
+    def test_kernel_matrix_is_built_once_per_time_and_read_only(self, g_tri):
+        H = heat_operator(markov_data(g_tri))
+        kernel = heat_kernel_matrix(H, 0.5)
+        assert heat_kernel_matrix(H, 0.5) is kernel
+        assert heat_kernel_matrix(H, 0.25) is not kernel
+        assert not kernel.flags.writeable
+        assert heat_kernel_matrix(heat_operator(markov_data(g_tri)), 0.5) is not kernel
+
     def test_pairing_against_kernel_row(self, g_tri, rng):
         M = markov_data(g_tri)
         H = heat_operator(M)
@@ -193,3 +201,13 @@ class TestTimeLimit:
                     value, _ = kappa_lp(x, y, M, dm)
                     limit, _ = curvature_time_limit(H, dm, x, y)
                     assert abs(limit - value) <= 1e-3
+
+    def test_repeated_time_counts_once(self, g_tri):
+        H = heat_operator(markov_data(g_tri))
+        dm = distances(g_tri)
+        single = curvature_time_limit(H, dm, 0, 1, (1e-3,))
+        assert single[1] == 0.0
+        assert curvature_time_limit(H, dm, 0, 1, (1e-3, 1e-3)) == single
+        assert curvature_time_limit(H, dm, 0, 1, (1e-4, 1e-2, 1e-3, 1e-4)) == (
+            curvature_time_limit(H, dm, 0, 1)
+        )

@@ -587,6 +587,33 @@ def test_sparse_analyze_solves_kappa_per_pair_and_heat_flow_per_arc(
     assert (calls.count("lp"), calls.count("W")) == (56 + 7 * 9, 7 * 9)
 
 
+def test_sparse_analyze_heat_flow_pivots(tmp_path, monkeypatch, capsys):
+    """The 63 heat-flow W of the 8-cycle + chord take 28 pivots in all.
+
+    Each arc is solved along increasing t, each solve from the previous
+    time's optimal basis; from a BFS tree every time they took 91.  K < 0
+    skips the functional suite, so every W of the run is a heat-flow W.
+    """
+    rng = np.random.default_rng(SEED)
+    arcs = [(x, (x + 1) % 8) for x in range(8)] + [(0, 4)]
+    path = tmp_path / "ring8.edges"
+    path.write_text(
+        "".join(f"{x} {y} {rng.uniform(0.5, 2.0)!r}\n" for x, y in arcs), encoding="utf-8"
+    )
+    pivots = []
+    wasserstein = transport.wasserstein
+
+    def counting_wasserstein(*args, **kwargs):
+        plan = wasserstein(*args, **kwargs)
+        pivots.append(plan.flow.iterations)
+        return plan
+
+    monkeypatch.setattr(transport, "wasserstein", counting_wasserstein)
+    assert main(["analyze", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["curvature"]["K"] < 0
+    assert (len(pivots), sum(pivots)) == (7 * 9, 28)
+
+
 def test_k8_analyze_solve_count(tmp_path, monkeypatch, capsys):
     """analyze on a weighted K_8 makes 988 LP solves, 932 of them for W.
 

@@ -9,6 +9,7 @@ import oracles
 from conftest import SEED
 from digricci import (
     MarginalMismatchError,
+    build_graph,
     distances,
     kantorovich_dual,
     wasserstein,
@@ -67,6 +68,16 @@ class TestSolverContract:
                 ours = wasserstein(nu0, nu1, dm, verify=False).value
                 ref = oracles.linprog_transport(dm.d, nu0, nu1)
                 assert ours == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_single_vertex_program_has_no_rows(self, verify):
+        # one vertex, no arcs: the flow program has no variable and no row
+        dm = distances(build_graph(np.zeros((1, 1))))
+        plan = wasserstein(np.ones(1), np.ones(1), dm, verify=verify)
+        assert plan.value == 0.0 and plan.marginal_residual == 0.0
+        assert plan.flow.iterations == 0
+        if verify:
+            assert np.array_equal(plan.pi, [[1.0]])
 
     def test_mass_mismatch_rejected(self, g_c3):
         dm = distances(g_c3)
