@@ -4,12 +4,14 @@ A certificate records the worst sample of a family of comparisons
 lhs_i <= rhs_i + tol: the binding pair, its margin rhs - lhs, and a
 witness describing where it occurred.  pass holds exactly when the
 worst margin is >= -tol, so a certificate is a self-contained verdict
-that can be serialised and rechecked.
+that can be serialised and rechecked.  certificate_from_samples is the
+one reducer: each check lists the comparisons of its whole sample
+family and makes one call, so the witness names the binding sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 DEFAULT_TOL = 1e-9
@@ -54,17 +56,3 @@ def certificate_from_samples(
         witness=witness,
     )
 
-
-def worst_certificate(name: str, certs: list[InequalityCertificate]) -> InequalityCertificate:
-    """The worst-margin member of per-sample certificates, renamed.
-
-    It passes only when every member passed, and its witness adds the
-    member count as "samples".  The members are left unchanged.
-    """
-    worst = min(certs, key=lambda cert: cert.margin)
-    return replace(
-        worst,
-        name=name,
-        passed=all(cert.passed for cert in certs),
-        witness={**worst.witness, "samples": len(certs)},
-    )

@@ -25,8 +25,6 @@ BALANCE_TOL = 1e-12
 REVERSIBILITY_TOL = 1e-14
 # self-adjointness and integration-by-parts residuals
 ADJOINTNESS_TOL = 1e-10
-# agreement of the two carre-du-champ formulas
-GAMMA_CROSSCHECK_TOL = 1e-12
 
 
 @dataclass(frozen=True)

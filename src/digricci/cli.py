@@ -26,10 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certificates import InequalityCertificate, certificate_from_samples, worst_certificate
+from .certificates import InequalityCertificate, certificate_from_samples
 from .chain import markov_data
 from .concentration import (
-    DEFAULT_LAMBDA_GRID,
     centered_lipschitz_samples,
     check_bobkov_goetze,
     check_exp_chain_rule_bound,
@@ -88,64 +87,22 @@ def functional_certificates(
 ) -> list[InequalityCertificate]:
     """The concentration and transport inequality suite at level K."""
     tol = config.certificate_tol
-    certs: list[InequalityCertificate] = []
-    certs.append(
-        check_laplace_bound(M, dm, K, lam_max, samples=config.function_samples, rng=rng, tol=tol)
-    )
-
+    laplace_fs = centered_lipschitz_samples(M, dm, config.function_samples, rng)
     fs = centered_lipschitz_samples(M, dm, config.function_samples, rng)
-    certs.append(
-        worst_certificate(
-            "lipschitz_tail_bound",
-            [concentration_tail(M, dm, K, lam_max, f, tol=tol) for f in fs],
-        )
-    )
-
     # the chain-rule surrogates hold for every function, not only Lipschitz ones
     free_fs = rng.normal(0.0, 1.0, size=(config.function_samples, M.n))
-    certs.append(
-        worst_certificate(
-            "exp_chain_rule_bound",
-            [
-                check_exp_chain_rule_bound(M, f, lam, tol=tol)
-                for f in free_fs
-                for lam in DEFAULT_LAMBDA_GRID
-            ],
-        )
-    )
-    certs.append(
-        worst_certificate(
-            "exp_square_chain_rule_bound",
-            [check_exp_square_chain_rule_bound(M, f, tol=tol) for f in free_fs],
-        )
-    )
-
     rhos = random_densities(M, config.density_samples, rng)
-    certs.append(
-        worst_certificate(
-            "transport_edge_variation_bound",
-            [check_transport_l1_bound(M, dm, K, lam_max, r.rho, tol=tol) for r in rhos],
-        )
-    )
-    certs.append(
-        worst_certificate(
-            "transport_information_bound",
-            [check_transport_information(M, dm, K, lam_max, r.rho, tol=tol) for r in rhos],
-        )
-    )
-    certs.append(
-        worst_certificate(
-            "transport_entropy_bound",
-            [check_transport_entropy(M, dm, K, lam_max, r.rho, tol=tol) for r in rhos],
-        )
-    )
-    certs.append(
-        check_bobkov_goetze(M, dm, 2.0 * K / (lam_max * lam_max), rhos, fs=fs, tol=tol)
-    )
-    certs.append(
-        check_info_to_entropy(M, dm, np.sqrt(2.0) * K / lam_max, lam_max, rhos, tol=tol)
-    )
-    return certs
+    return [
+        check_laplace_bound(M, dm, K, lam_max, laplace_fs, tol=tol),
+        concentration_tail(M, dm, K, lam_max, fs, tol=tol),
+        check_exp_chain_rule_bound(M, free_fs, tol=tol),
+        check_exp_square_chain_rule_bound(M, free_fs, tol=tol),
+        check_transport_l1_bound(M, dm, K, lam_max, rhos, tol=tol),
+        check_transport_information(M, dm, K, lam_max, rhos, tol=tol),
+        check_transport_entropy(M, dm, K, lam_max, rhos, tol=tol),
+        check_bobkov_goetze(M, dm, 2.0 * K / (lam_max * lam_max), rhos, fs, tol=tol),
+        check_info_to_entropy(M, dm, np.sqrt(2.0) * K / lam_max, lam_max, rhos, tol=tol),
+    ]
 
 
 def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:

@@ -7,8 +7,11 @@ behaviour of the stationary measure: exponential moments of centred
 tails decay like exp(-K r^2 / Lambda^2), and the transport distance
 from m to any perturbed density rho m is controlled by the total
 variation of rho along edges, by the Fisher information, and by the
-relative entropy.  Every statement here is certified numerically on
-sampled functions and densities; certificates carry the binding sample.
+relative entropy.  Every statement here is certified numerically on a
+sample family: a stack of functions, the vertex on the last axis (a 1-D
+f is a family of one), or a list of DensityFixture.  Each check returns
+one certificate whose witness names the binding sample, by f_index or
+by the density's provenance under "rho".
 """
 
 from __future__ import annotations
@@ -100,20 +103,23 @@ def _require_density(M: MarkovData, rho: np.ndarray) -> np.ndarray:
     return rho
 
 
+def _stack(fs: np.ndarray) -> np.ndarray:
+    """A family of functions, the vertex on the last axis; a 1-D f is a family of one."""
+    return np.atleast_2d(np.asarray(fs, dtype=float))
+
+
 def check_laplace_bound(
     M: MarkovData,
     dm: DistanceMatrix,
     K: float,
     lam_max: float,
+    fs: np.ndarray,
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
-    samples: int = 100,
-    rng: np.random.Generator | None = None,
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
-    """m(exp(lam f)) <= exp(lam^2 Lambda^2 / 4K) on sampled centred f."""
+    """m(exp(lam f)) <= exp(lam^2 Lambda^2 / 4K) on the centred functions fs."""
     _require_positive_K(K)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    fs = centered_lipschitz_samples(M, dm, samples, rng)
+    fs = _stack(fs)
     comparisons = []
     for lam in lambda_grid:
         # a small K overflows the bound to inf: vacuous, and correct
@@ -132,30 +138,44 @@ def check_laplace_bound(
 
 
 def check_exp_chain_rule_bound(
-    M: MarkovData, f: np.ndarray, lam: float, tol: float = 1e-10
+    M: MarkovData,
+    fs: np.ndarray,
+    lambda_grid: tuple[float, ...] | float = DEFAULT_LAMBDA_GRID,
+    tol: float = 1e-10,
 ) -> InequalityCertificate:
-    """m(Gamma(f, exp(lam f))) <= lam (exp(lam f), Gamma(f))."""
-    if lam < 0:
-        raise HypothesisUnmetError(f"lambda must be non-negative, got {lam}")
-    f = np.asarray(f, dtype=float)
-    ef = np.exp(lam * f)
-    lhs = mean(gamma(f, ef, M), M.m)
-    rhs = lam * inner(ef, gamma(f, f, M), M.m)
-    return certificate_from_samples(
-        "exp_chain_rule_bound", {"lambda": lam}, [(lhs, rhs, {})], tol
-    )
+    """m(Gamma(f, exp(lam f))) <= lam (exp(lam f), Gamma(f)) for each f and lam.
+
+    A bare float lambda_grid is a grid of one.
+    """
+    lambda_grid = np.atleast_1d(lambda_grid).tolist()
+    if min(lambda_grid) < 0:
+        raise HypothesisUnmetError(f"lambda must be non-negative, got {min(lambda_grid)}")
+    fs = _stack(fs)
+    comparisons = []
+    for i, f in enumerate(fs):
+        gamma_f = gamma(f, f, M)
+        for lam in lambda_grid:
+            ef = np.exp(lam * f)
+            lhs = mean(gamma(f, ef, M), M.m)
+            rhs = lam * inner(ef, gamma_f, M.m)
+            comparisons.append((lhs, rhs, {"f_index": i, "lambda": lam}))
+    hypothesis = {"lambda_grid": lambda_grid, "samples": len(fs)}
+    return certificate_from_samples("exp_chain_rule_bound", hypothesis, comparisons, tol)
 
 
 def check_exp_square_chain_rule_bound(
-    M: MarkovData, f: np.ndarray, tol: float = 1e-10
+    M: MarkovData, fs: np.ndarray, tol: float = 1e-10
 ) -> InequalityCertificate:
-    """m(Gamma(exp f)) <= (exp 2f, Gamma(f))."""
-    f = np.asarray(f, dtype=float)
-    ef = np.exp(f)
-    lhs = mean(gamma(ef, ef, M), M.m)
-    rhs = inner(np.exp(2.0 * f), gamma(f, f, M), M.m)
+    """m(Gamma(exp f)) <= (exp 2f, Gamma(f)) for each f."""
+    fs = _stack(fs)
+    comparisons = []
+    for i, f in enumerate(fs):
+        ef = np.exp(f)
+        lhs = mean(gamma(ef, ef, M), M.m)
+        rhs = inner(np.exp(2.0 * f), gamma(f, f, M), M.m)
+        comparisons.append((lhs, rhs, {"f_index": i}))
     return certificate_from_samples(
-        "exp_square_chain_rule_bound", {}, [(lhs, rhs, {})], tol
+        "exp_square_chain_rule_bound", {"samples": len(fs)}, comparisons, tol
     )
 
 
@@ -164,25 +184,25 @@ def concentration_tail(
     dm: DistanceMatrix,
     K: float,
     lam_max: float,
-    f: np.ndarray,
+    fs: np.ndarray,
     r_grid: tuple[float, ...] = DEFAULT_R_GRID,
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
-    """Exact tail mass m({f >= m(f) + r}) against exp(-K r^2 / Lambda^2)."""
+    """Exact tail masses m({f >= m(f) + r}) against exp(-K r^2 / Lambda^2)."""
     _require_positive_K(K)
-    f = np.asarray(f, dtype=float)
-    lip = lipschitz_constant(f, dm)
-    if lip > 1.0 + LIPSCHITZ_SLACK:
-        raise NotLipschitzError(f"tail bound needs Lip f <= 1, got {lip:.17g}")
-    mu_f = mean(f, M.m)
+    fs = _stack(fs)
+    bounds = [float(np.exp(-K * r * r / (lam_max * lam_max))) for r in r_grid]
     comparisons = []
-    for r in r_grid:
-        tail = float(M.m[f >= mu_f + r].sum())
-        bound = float(np.exp(-K * r * r / (lam_max * lam_max)))
-        comparisons.append((tail, bound, {"r": r}))
-    return certificate_from_samples(
-        "lipschitz_tail_bound", {"K": K, "Lambda": lam_max}, comparisons, tol
-    )
+    for i, (f, lip) in enumerate(zip(fs, lipschitz_constant(fs, dm).tolist())):
+        if lip > 1.0 + LIPSCHITZ_SLACK:
+            raise NotLipschitzError(f"tail bound needs Lip f <= 1, got {lip:.17g} at f_index {i}")
+        mu_f = mean(f, M.m)
+        comparisons += [
+            (float(M.m[f >= mu_f + r].sum()), bound, {"f_index": i, "r": r})
+            for r, bound in zip(r_grid, bounds)
+        ]
+    hypothesis = {"K": K, "Lambda": lam_max, "samples": len(fs)}
+    return certificate_from_samples("lipschitz_tail_bound", hypothesis, comparisons, tol)
 
 
 def fisher_information(M: MarkovData, rho: np.ndarray) -> float:
@@ -218,25 +238,31 @@ def _edge_variation(M: MarkovData, rho: np.ndarray) -> float:
     return float((diff * M.mxy).sum())
 
 
+def _transports(M: MarkovData, dm: DistanceMatrix, rhos: list[DensityFixture]):
+    """(provenance, rho, W(m, rho m)) for each density, W solved in fast mode."""
+    for fixture in rhos:
+        rho = _require_density(M, fixture.rho)
+        plan = transport.wasserstein(M.m, rho * M.m, dm, verify=False)
+        yield fixture.provenance, rho, plan.value
+
+
 def check_transport_l1_bound(
     M: MarkovData,
     dm: DistanceMatrix,
     K: float,
     lam_max: float,
-    rho: np.ndarray,
+    rhos: list[DensityFixture],
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
-    """W(m, rho m) <= (Lambda / 2K) sum |rho(y) - rho(x)| m_xy."""
+    """W(m, rho m) <= (Lambda / 2K) sum |rho(y) - rho(x)| m_xy for each density."""
     _require_positive_K(K)
-    rho = _require_density(M, rho)
-    plan = transport.wasserstein(M.m, rho * M.m, dm, verify=False)
-    rhs = lam_max / (2.0 * K) * _edge_variation(M, rho)
-    return certificate_from_samples(
-        "transport_edge_variation_bound",
-        {"K": K, "Lambda": lam_max},
-        [(plan.value, rhs, {"W": plan.value})],
-        tol,
-    )
+    factor = lam_max / (2.0 * K)
+    comparisons = [
+        (w, factor * _edge_variation(M, rho), {"rho": provenance, "W": w})
+        for provenance, rho, w in _transports(M, dm, rhos)
+    ]
+    hypothesis = {"K": K, "Lambda": lam_max, "samples": len(rhos)}
+    return certificate_from_samples("transport_edge_variation_bound", hypothesis, comparisons, tol)
 
 
 def check_transport_information(
@@ -244,31 +270,31 @@ def check_transport_information(
     dm: DistanceMatrix,
     K: float,
     lam_max: float,
-    rho: np.ndarray,
+    rhos: list[DensityFixture],
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
-    """W(m, rho m)^2 against the Fisher information.
+    """W(m, rho m)^2 against the Fisher information, for each density.
 
     The refined bound (Lambda^2 / 2K^2) I (1 - I/8) is checked whenever
     I <= 8 (the normalisation forces that in exact arithmetic) and the
     relaxed bound (Lambda^2 / 2K^2) I always.
     """
     _require_positive_K(K)
-    rho = _require_density(M, rho)
-    plan = transport.wasserstein(M.m, rho * M.m, dm, verify=False)
-    w2 = plan.value * plan.value
-    info = fisher_information(M, rho)
     # K * K underflows to 0 for a tiny K: the bound is inf, vacuous and correct
     with np.errstate(divide="ignore", over="ignore"):
         factor = float(np.float64(lam_max * lam_max) / (2.0 * K * K))
-    comparisons = [(w2, factor * info, {"fisher_information": info, "form": "relaxed"})]
-    if info <= 8.0:
-        comparisons.append(
-            (w2, factor * info * (1.0 - info / 8.0), {"fisher_information": info, "form": "refined"})
-        )
-    return certificate_from_samples(
-        "transport_information_bound", {"K": K, "Lambda": lam_max}, comparisons, tol
-    )
+    comparisons = []
+    for provenance, rho, w in _transports(M, dm, rhos):
+        w2 = w * w
+        info = fisher_information(M, rho)
+        witness = {"rho": provenance, "fisher_information": info}
+        comparisons.append((w2, factor * info, {**witness, "form": "relaxed"}))
+        if info <= 8.0:
+            comparisons.append(
+                (w2, factor * info * (1.0 - info / 8.0), {**witness, "form": "refined"})
+            )
+    hypothesis = {"K": K, "Lambda": lam_max, "samples": len(rhos)}
+    return certificate_from_samples("transport_information_bound", hypothesis, comparisons, tol)
 
 
 def check_transport_entropy(
@@ -276,21 +302,18 @@ def check_transport_entropy(
     dm: DistanceMatrix,
     K: float,
     lam_max: float,
-    rho: np.ndarray,
+    rhos: list[DensityFixture],
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
-    """W(m, rho m)^2 <= (2 Lambda^2 / K) Ent(rho)."""
+    """W(m, rho m)^2 <= (2 Lambda^2 / K) Ent(rho) for each density."""
     _require_positive_K(K)
-    rho = _require_density(M, rho)
-    plan = transport.wasserstein(M.m, rho * M.m, dm, verify=False)
-    w2 = plan.value * plan.value
-    rhs = 2.0 * lam_max * lam_max / K * relative_entropy(M, rho)
-    return certificate_from_samples(
-        "transport_entropy_bound",
-        {"K": K, "Lambda": lam_max},
-        [(w2, rhs, {"W": plan.value})],
-        tol,
-    )
+    factor = 2.0 * lam_max * lam_max / K
+    comparisons = [
+        (w * w, factor * relative_entropy(M, rho), {"rho": provenance, "W": w})
+        for provenance, rho, w in _transports(M, dm, rhos)
+    ]
+    hypothesis = {"K": K, "Lambda": lam_max, "samples": len(rhos)}
+    return certificate_from_samples("transport_entropy_bound", hypothesis, comparisons, tol)
 
 
 def check_bobkov_goetze(
@@ -298,10 +321,8 @@ def check_bobkov_goetze(
     dm: DistanceMatrix,
     c: float,
     rhos: list[DensityFixture],
+    fs: np.ndarray,
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
-    fs: np.ndarray | None = None,
-    samples: int = 100,
-    rng: np.random.Generator | None = None,
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Sample-level link between the Laplace bound and transport-entropy.
@@ -318,9 +339,7 @@ def check_bobkov_goetze(
     """
     if c <= 0:
         raise HypothesisUnmetError(f"equivalence check needs c > 0, got {c}")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    if fs is None:
-        fs = centered_lipschitz_samples(M, dm, samples, rng)
+    fs = _stack(fs)
 
     name = "transport_entropy_laplace_link"
     hypothesis = {"c": c, "lambda_grid": list(lambda_grid)}
@@ -334,14 +353,10 @@ def check_bobkov_goetze(
             comparisons.append((mean(np.exp(lam * f), M.m), bound, witness))
     moment_side = certificate_from_samples(name, hypothesis, comparisons, tol)
 
-    comparisons = []
-    for fixture in rhos:
-        rho = _require_density(M, fixture.rho)
-        plan = transport.wasserstein(M.m, rho * M.m, dm, verify=False)
-        rhs = 2.0 / c * relative_entropy(M, rho)
-        comparisons.append(
-            (plan.value * plan.value, rhs, {"side": "transport", "rho": fixture.provenance})
-        )
+    comparisons = [
+        (w * w, 2.0 / c * relative_entropy(M, rho), {"side": "transport", "rho": provenance})
+        for provenance, rho, w in _transports(M, dm, rhos)
+    ]
     transport_side = certificate_from_samples(name, hypothesis, comparisons, tol)
 
     # an implication is informative only when its hypothesis held
@@ -385,10 +400,8 @@ def check_info_to_entropy(
         raise HypothesisUnmetError(f"implication check needs c > 0, got {c}")
     comparisons = []
     hypothesis_met = 0
-    for fixture in rhos:
-        rho = _require_density(M, fixture.rho)
-        plan = transport.wasserstein(M.m, rho * M.m, dm, verify=False)
-        w2 = plan.value * plan.value
+    for provenance, rho, w in _transports(M, dm, rhos):
+        w2 = w * w
         info = fisher_information(M, rho)
         # an extreme c over- or underflows c * c: the hypothesis bound is 0 or inf
         with np.errstate(divide="ignore", over="ignore"):
@@ -396,7 +409,7 @@ def check_info_to_entropy(
                 continue
             rhs = float(np.sqrt(2.0) * lam_max / c * relative_entropy(M, rho))
         hypothesis_met += 1
-        comparisons.append((w2, rhs, {"rho": fixture.provenance}))
+        comparisons.append((w2, rhs, {"rho": provenance}))
     if not comparisons:
         certificate = InequalityCertificate(
             name="information_to_entropy_bound",

@@ -231,16 +231,17 @@ def test_criterion_6_functional_suite(bundles):
             skipped += 1
             continue
         lam = float(b.dm.lam)
-        record(check_laplace_bound(b.M, b.dm, K, lam, samples=100, rng=rng))
+        laplace_fs = centered_lipschitz_samples(b.M, b.dm, 100, rng)
+        record(check_laplace_bound(b.M, b.dm, K, lam, laplace_fs))
         free_fs = rng.normal(0.0, 1.0, size=(100, b.g.n))
         for f in free_fs:
             record(check_exp_chain_rule_bound(b.M, f, 1.0))
             record(check_exp_square_chain_rule_bound(b.M, f))
         rhos = random_densities(b.M, 100, rng)
         for fixture in rhos:
-            record(check_transport_l1_bound(b.M, b.dm, K, lam, fixture.rho))
-            record(check_transport_information(b.M, b.dm, K, lam, fixture.rho))
-            record(check_transport_entropy(b.M, b.dm, K, lam, fixture.rho))
+            record(check_transport_l1_bound(b.M, b.dm, K, lam, [fixture]))
+            record(check_transport_information(b.M, b.dm, K, lam, [fixture]))
+            record(check_transport_entropy(b.M, b.dm, K, lam, [fixture]))
         record(check_info_to_entropy(b.M, b.dm, np.sqrt(2.0) * K / lam, lam, rhos))
     elapsed = time.perf_counter() - start
     total_violations = sum(counts.values())

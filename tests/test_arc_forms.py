@@ -31,7 +31,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -572,13 +572,15 @@ def test_lipschitz_constant_over_arcs_matches_all_pairs(data):
 
 @PROPERTY_SETTINGS
 @given(graphs(), st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(-2.0, 2.0))
+# a near tie of two samples with lhs 3.8e-6 and 0.216, which roundoff breaks both ways
+@example(build_graph(np.array([[0.0, 1.0], [1.0, 0.0]])), 0, 2, 2.0)
 def test_batched_gradient_estimate_matches_the_per_sample_loop(g, seed, count, K):
     """One apply per time over the stack of samples: the per-sample loop's certificate.
 
-    Same verdict, lhs and margin within 1e-12.  The witness is the same
-    but on a near tie, which roundoff may break the other way: the
-    sample it names then has a per-sample margin within 1e-12 of the
-    worst.
+    Same verdict and margin within 1e-12.  The witness, and with it the
+    lhs, is the same but on a near tie, which roundoff may break the
+    other way: the sample it names then has a per-sample margin within
+    1e-12 of the worst, and the lhs is that sample's.
     """
     dm = distances(g)
     H = heat_operator(markov_data(g))
@@ -586,9 +588,11 @@ def test_batched_gradient_estimate_matches_the_per_sample_loop(g, seed, count, K
     batched = verify_gradient_estimate(H, dm, K, fs)
     ref = oracles.gradient_estimate_per_sample(H, dm, K, fs)
     assert batched.passed == ref.passed
-    assert abs(batched.lhs - ref.lhs) <= 1e-12
     assert abs(batched.margin - ref.margin) <= 1e-12
-    if batched.witness != ref.witness:
+    if batched.witness == ref.witness:
+        assert abs(batched.lhs - ref.lhs) <= 1e-12
+    else:
         t, i = batched.witness["t"], batched.witness["f_index"]
         named = oracles.gradient_estimate_per_sample(H, dm, K, fs[[i]], ts=(t,))
         assert abs(named.margin - ref.margin) <= 1e-12
+        assert abs(named.lhs - batched.lhs) <= 1e-12

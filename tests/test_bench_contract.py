@@ -92,6 +92,14 @@ def test_traced_k8_analyze_keeps_the_count_canary(bench, monkeypatch, tmp_path, 
     assert run.count_canary(tracer, workload) is None
 
 
+def test_analyze_dense_passes_the_benchmark_checks(bench, tmp_path, capsys):
+    """analyze_dense is one K_8 (K > 0): the one workload graph that runs the functional suite."""
+    workload = bench.workloads.build("analyze_dense", 1)
+    (graph,) = workload.graphs
+    (path,) = write_graphs(workload, tmp_path)
+    assert bench.checks.check_analyze(graph, *run_twice(capsys, ["analyze", path])) is None
+
+
 def test_analyze_sparse_passes_the_benchmark_checks(bench, tmp_path, capsys):
     workload = bench.workloads.build("analyze_sparse", 1)
     for graph, path in zip(workload.graphs, write_graphs(workload, tmp_path)):

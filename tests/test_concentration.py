@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import SEED
+from conftest import SEED, random_strongly_connected
 from digricci import (
+    DensityFixture,
     HypothesisUnmetError,
     NotLipschitzError,
     centered_lipschitz_samples,
@@ -71,7 +76,9 @@ class TestLaplaceBound:
         for g, K, lam_max in ((g_c3, 1.5, 2.0), (g_k3, 1.5, 1.0)):
             M = markov_data(g)
             dm = distances(g)
-            cert = check_laplace_bound(M, dm, K, lam_max, rng=rng)
+            cert = check_laplace_bound(
+                M, dm, K, lam_max, centered_lipschitz_samples(M, dm, 100, rng)
+            )
             assert cert.passed
             assert cert.name == "laplace_moment_bound"
 
@@ -109,7 +116,7 @@ class TestLaplaceBound:
         M = markov_data(g_tri)
         dm = distances(g_tri)
         with pytest.raises(HypothesisUnmetError):
-            check_laplace_bound(M, dm, 0.0, 2.0, rng=rng)
+            check_laplace_bound(M, dm, 0.0, 2.0, centered_lipschitz_samples(M, dm, 100, rng))
 
 
 class TestTailBound:
@@ -224,10 +231,10 @@ class TestTransportInequalities:
     def test_tri_point_mass_hand_numbers(self, tri_setup):
         M, dm, K = tri_setup
         assert K > 0
-        rho = np.array([0.0, 0.0, 5.0])
-        l1 = check_transport_l1_bound(M, dm, K, float(dm.lam), rho)
-        info = check_transport_information(M, dm, K, float(dm.lam), rho)
-        ent = check_transport_entropy(M, dm, K, float(dm.lam), rho)
+        rhos = [DensityFixture(np.array([0.0, 0.0, 5.0]), "hand")]
+        l1 = check_transport_l1_bound(M, dm, K, float(dm.lam), rhos)
+        info = check_transport_information(M, dm, K, float(dm.lam), rhos)
+        ent = check_transport_entropy(M, dm, K, float(dm.lam), rhos)
         assert l1.passed and info.passed and ent.passed
         # every bound sees the same exact transport cost 6/5
         assert l1.lhs == pytest.approx(1.2, abs=1e-9)
@@ -245,22 +252,23 @@ class TestTransportInequalities:
             if K <= 0:
                 continue
             for fixture in random_densities(M, 8, rng):
-                assert check_transport_l1_bound(M, dm, K, float(dm.lam), fixture.rho).passed
-                assert check_transport_information(M, dm, K, float(dm.lam), fixture.rho).passed
-                assert check_transport_entropy(M, dm, K, float(dm.lam), fixture.rho).passed
+                assert check_transport_l1_bound(M, dm, K, float(dm.lam), [fixture]).passed
+                assert check_transport_information(M, dm, K, float(dm.lam), [fixture]).passed
+                assert check_transport_entropy(M, dm, K, float(dm.lam), [fixture]).passed
 
     def test_refined_information_branch_binds(self, tri_setup, rng):
         # with I < 8 the refined bound is strictly tighter, so it is the
         # comparison the certificate keeps as its worst case
         M, dm, K = tri_setup
-        rho = random_densities(M, 1, rng, include_point_masses=False)[0].rho
-        assert fisher_information(M, rho) < 8.0
-        cert = check_transport_information(M, dm, K, float(dm.lam), rho)
+        rhos = random_densities(M, 1, rng, include_point_masses=False)
+        assert fisher_information(M, rhos[0].rho) < 8.0
+        cert = check_transport_information(M, dm, K, float(dm.lam), rhos)
         assert cert.witness["form"] == "refined"
 
     def test_uniform_density_trivial(self, tri_setup):
         M, dm, K = tri_setup
-        cert = check_transport_entropy(M, dm, K, float(dm.lam), np.ones(3))
+        uniform = [DensityFixture(np.ones(3), "uniform")]
+        cert = check_transport_entropy(M, dm, K, float(dm.lam), uniform)
         assert cert.passed
         assert cert.lhs == pytest.approx(0.0, abs=1e-12)
 
@@ -273,7 +281,7 @@ class TestSampledImplications:
             K = curvature_matrix(M, dm).K
             c = 2.0 * K / dm.lam**2
             rhos = random_densities(M, 20, rng)
-            cert = check_bobkov_goetze(M, dm, c, rhos, rng=rng)
+            cert = check_bobkov_goetze(M, dm, c, rhos, centered_lipschitz_samples(M, dm, 100, rng))
             assert cert.passed
             assert cert.witness["necessary_conditions_only"] is True
 
@@ -287,3 +295,44 @@ class TestSampledImplications:
             cert = check_info_to_entropy(M, dm, c, float(dm.lam), rhos)
             assert cert.passed
             assert cert.witness["hypothesis_met"] <= cert.witness["total"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(0.05, 20.0))
+def test_family_checks_are_their_worst_one_sample_check(seed, count, K):
+    """One certificate per family: the first one-sample certificate of least margin.
+
+    Same lhs, rhs and margin; passed exactly when every sample passed
+    alone; and the witness names that sample, by f_index or by "rho".
+    K runs past the curvature of the drawn graph, so both verdicts occur.
+    """
+    rng = np.random.default_rng(seed)
+    g = random_strongly_connected(rng, n_max=5, n_min=2)
+    M, dm = markov_data(g), distances(g)
+    lam = float(dm.lam)
+    fs = centered_lipschitz_samples(M, dm, count, rng)
+    free_fs = rng.normal(0.0, 2.0, size=(count, g.n))
+    rhos = random_densities(M, count, rng)
+    # each check with its family, and that family split into families of one
+    cases = [
+        (functools.partial(concentration_tail, M, dm, K, lam), fs, list(fs)),
+        (functools.partial(check_exp_chain_rule_bound, M), free_fs, list(free_fs)),
+        (functools.partial(check_exp_square_chain_rule_bound, M), free_fs, list(free_fs)),
+    ]
+    cases += [
+        (functools.partial(check, M, dm, K, lam), rhos, [[rho] for rho in rhos])
+        for check in (check_transport_l1_bound, check_transport_information,
+                      check_transport_entropy)
+    ]
+    for check, family, alone in cases:
+        together = check(family)
+        singles = [check(sample) for sample in alone]
+        i = int(np.argmin([cert.margin for cert in singles]))
+        worst = singles[i]
+        assert (together.lhs, together.rhs, together.margin) == (worst.lhs, worst.rhs, worst.margin)
+        assert together.passed == all(cert.passed for cert in singles)
+        if family is rhos:
+            assert together.witness == worst.witness
+            assert together.witness["rho"] == rhos[i].provenance
+        else:
+            assert together.witness == {**worst.witness, "f_index": i}

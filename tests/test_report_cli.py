@@ -13,7 +13,6 @@ import pytest
 
 from conftest import C3_EDGES, K3_EDGES, SEED, TRI_EDGES
 from digricci import InequalityCertificate, __version__, cli, lp, render_json, transport
-from digricci.certificates import worst_certificate
 from digricci.cli import main
 from digricci.curvature import SMOOTHING_AGREEMENT_TOL
 from digricci.heat import HEAT_LIMIT_AGREEMENT_TOL
@@ -98,26 +97,7 @@ class TestReportShape:
 
     def test_schema_version_present(self):
         report = VerificationReport(command="x", graph={"n": 1}, seed=1, tolerances={})
-        assert report.to_dict()["schema_version"] == 1
-
-
-class TestWorstCertificate:
-    def test_is_the_worst_member_renamed_and_leaves_the_members_alone(self):
-        certs = [
-            InequalityCertificate(
-                name="sample", hypothesis={"K": 1.0}, lhs=1.0 - margin, rhs=1.0,
-                margin=margin, passed=margin >= 0, tol=1e-9, witness={"f_index": i},
-            )
-            for i, margin in enumerate([0.5, -0.25, 0.125])
-        ]
-        before = [dataclasses.replace(c, witness=dict(c.witness)) for c in certs]
-        worst = worst_certificate("merged", certs)
-        assert worst.name == "merged"
-        assert (worst.lhs, worst.rhs, worst.margin) == (1.25, 1.0, -0.25)
-        assert worst.passed is False
-        assert worst.witness == {"f_index": 1, "samples": 3}
-        assert certs == before
-        assert worst_certificate("merged", certs[::2]).passed is True
+        assert report.to_dict()["schema_version"] == 2
 
 
 class TestCliAnalyze:
@@ -126,7 +106,7 @@ class TestCliAnalyze:
         out = capsys.readouterr().out
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["all_pass"] is True
         assert payload["curvature"]["K"] == pytest.approx(1.5, abs=1e-6)
         assert payload["distance"]["lambda"] == 2.0
@@ -388,6 +368,9 @@ class TestCliOther:
         assert code == 0
         assert payload["curvature"]["K"] == pytest.approx(1.5, abs=1e-6)
         assert payload["distance"]["lambda"] == 1.0
+        # each witness names the function, density or arc that bound its certificate
+        for cert in payload["certificates"]:
+            assert {"f_index", "rho", "pair"} & cert["witness"].keys(), cert["name"]
 
 
 def assert_input_error(code: int, capsys) -> None:
