@@ -23,10 +23,13 @@ the flow optimum is -kappa.  The BFS out-tree of x is a dual-feasible
 starting basis for every pair: its potential d(x, .) prices each arc
 at 1 + d(x, z) - d(x, w) >= 0 and the virtual arc at exactly 0.  No
 phase 1 is needed.  That tree is the one transport.root_basis builds
-for root x, so the n - 1 programs of a row x share its incidence and
-its B^-1.  The virtual arc is never a tree arc; with the row of x
-dropped its column is the unit vector of y, which the start tableau
-B^-1 [A | b] turns into column y of B^-1.
+for root x, so the n - 1 programs of a row x share its start: the
+incidence, B^-1 and the tableau rows [B^-1 A ; c - c_B B^-1 A], built
+and checked once.  The virtual arc is never a tree arc; with the row of
+x dropped its column is the unit vector of y, so each program adds to
+that start one tableau column, column y of B^-1 over the virtual arc's
+reduced cost, which is the one new entry to check
+(lp.Start.with_column).  A solve then forms B^-1 b and pivots.
 """
 
 from __future__ import annotations
@@ -97,6 +100,14 @@ def kappa_lp(
     f(x) = 0.  NumericsError unless f(w) - f(z) <= 1 + lp.GAP_TOL on
     every arc, |f(y) - d(x, y)| <= lp.GAP_TOL and
     |kappa - grad_xy (L f)| <= lp.GAP_TOL.
+
+    kappa is unique, the witness is not: the optimal potentials of the
+    program often form a face, and the witness is the one vertex of it
+    that the pivot sequence ends on (the duals of the final basis).  A
+    change of pivot rule may return another witness with the same
+    kappa.  What reads the witness itself sees that choice: analyze's
+    lipschitz_contraction certificate takes every kappa witness among
+    its Lipschitz samples, and curvature --pairs prints it.
     """
     if x == y:
         raise SameVertexError("curvature needs two distinct vertices")
@@ -105,24 +116,18 @@ def kappa_lp(
     L = M.laplacian.matrix
     c = (L[y] - L[x]) / dxy
     arcs = dm.arcs
-    basis = transport.root_basis(dm, x)
-    n = M.n
+    tree = transport.root_basis(dm, x)
     # the virtual arc y -> x: +1 in the row of y, and x's row is dropped
-    virtual = np.zeros((n - 1, 1))
+    virtual = np.zeros(M.n - 1)
     virtual[y - (y > x)] = 1.0
-    problem = lp.LinearProgram(
-        c=np.append(np.ones(len(arcs)), -dxy),
-        A=np.hstack([basis.A, virtual]),
-        b=np.delete(c, x),
-        basis=basis.tree,
-        basis_inverse=basis.inverse,
-    )
+    problem = lp.LinearProgram(tree.start.with_column(-dxy, virtual), c[tree.vertices])
     solution = lp.solve_lp(problem)
     if solution.status != "optimal":
         raise LpFailureError(f"curvature program ended with status {solution.status!r}")
     # 0.0 - v, not -v: a zero optimum or dual must not become -0.0
     kappa = 0.0 - float(solution.value)
-    witness = np.insert(0.0 - solution.duals, x, 0.0)
+    witness = np.zeros(M.n)
+    witness[tree.vertices] = 0.0 - solution.duals
     stretch = float((witness[arcs[:, 1]] - witness[arcs[:, 0]]).max(initial=0.0))
     if stretch > 1.0 + lp.GAP_TOL:
         raise NumericsError(f"curvature witness stretches an arc to {stretch:.17g}")

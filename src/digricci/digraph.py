@@ -58,9 +58,9 @@ class DistanceMatrix:
     lam        max of dvert over all vertices
     arcs[k]    (tail, head) of the k-th arc, the pairs with d = 1 in row-major order
 
-    _root_bases holds transport.root_basis's flow bases, one per root
-    and tree direction, built on first use; it is private to that
-    function and never compared.
+    _root_bases holds transport.root_basis's flow starts, one per root
+    and tree direction, built on first use; it is private to the
+    transport module and never compared.
     """
 
     d: np.ndarray

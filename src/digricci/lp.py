@@ -1,28 +1,35 @@
-"""Dense dual simplex, started from a given tree basis.
+"""Dense dual simplex, started from a given dual-feasible basis.
 
 One pivot core backs every optimisation in the package: solve_lp
 minimises c.x subject to A x = b, x >= 0, by a dual simplex from a
-dual-feasible basis that the program carries together with that
-basis's inverse.  There is no standard form and no phase 1.  The start
-tableau is B^-1 [A | b], two matrix products; the solve checks that the
-inverse does invert the basis columns and that the basis is dual
-feasible, then pivots to primal feasibility.  The optimal duals are one
-more product with the same inverse, so solve_lp factorises nothing.
-The final basis comes back with the solution, and its inverse is one
-m x m product more, T[:m, b0] B0^-1, made only for a caller that reads
-it.  A basis dual feasible for c and A stays so for every b, so a
-caller that solves one c and A for a sequence of right-hand sides
-starts each solve from the previous optimum.
+start.  A start is a basis of c and A that is dual feasible, together
+with its inverse and the b-independent part of its tableau,
+[B^-1 A ; c - c_B B^-1 A].  It is built and checked once: the inverse
+must invert the basis columns to within INVERSE_TOL, and every reduced
+cost must be at least -RC_TOL.  A basis dual feasible for c and A stays
+so for every b, so one start serves every right-hand side, and a solve
+only forms B^-1 b and its cost entry before it pivots to primal
+feasibility.  There is no standard form and no phase 1, and the
+optimal duals are one product of the final cost row with the start's
+inverse, so solve_lp factorises nothing.  Starts come three ways:
+Start.from_basis multiplies out the tableau of a given basis and its
+inverse; with_column adds one column to a start and checks that
+column's reduced cost alone; and an optimal solution's warm_start
+carries its final tableau over to the next b, so a caller that solves
+one c and A for a sequence of right-hand sides starts each solve from
+the previous optimum without multiplying B^-1 A again.  Its inverse is
+the one m x m product T[:m, b0] B0^-1 off the final tableau.
 
 Every program solved is a flow on a graph whose balance rows sum to
 zero, with one of them dropped, and a spanning tree of that graph is a
 basis (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 11).  The
 library's two programs, the flow behind the Wasserstein distance and
 the dual of each per-pair curvature program, start from a
-shortest-path tree (into or out of a root) whose inverse, the tree's
-path matrix, the transport module builds once per graph, root and
-direction; the heat-flow and smoothing W of one pair then go on from
-the previous time's or smoothing's optimal tree.  Two reference
+shortest-path tree (into or out of a root) whose start the transport
+module builds once per graph, root and direction, with the tree's path
+matrix as its exact inverse; each curvature program adds its virtual
+column to that start, and the heat-flow and smoothing W of one pair go
+on from the previous time's or smoothing's warm start.  Two reference
 programs the tests hold those to take the same path: the coupling
 program of solve_transport, a flow on the complete bipartite graph of
 the two supports, drops the row sum of row 0 and starts from the tree
@@ -66,36 +73,102 @@ MARGINAL_TOL = 1e-12
 INVERSE_TOL = 1e-9
 
 
-@dataclass
-class LinearProgram:
-    """min c.x subject to A x = b, x >= 0, with its starting basis.
+@dataclass(frozen=True, eq=False)
+class Start:
+    """A basis of c and A that is dual feasible, with its tableau.
 
     basis holds one column index per row; basis[i] is the column basic
-    in row i of the start tableau.  Those columns must form a dual
-    feasible basis (every reduced cost c - c_B B^-1 A >= 0), and
-    basis_inverse must be B^-1 for B = A[:, basis].  Both are required,
-    and solve_lp checks both.
+    in row i.  inverse is B^-1 for B = A[:, basis].  tableau is the
+    start tableau without its b column, [B^-1 A ; c - c_B B^-1 A], of
+    shape (m + 1) x n; the basis columns are the unit vectors over a
+    zero reduced cost.  A dual-feasible basis stays dual feasible for
+    every b, so one start serves every program min c.x, A x = b,
+    x >= 0.  from_basis, with_column and LpSolution.warm_start build
+    starts and check them; nothing changes a start after that.
     """
 
     c: np.ndarray
     A: np.ndarray
-    b: np.ndarray
     basis: np.ndarray
-    basis_inverse: np.ndarray
+    inverse: np.ndarray
+    tableau: np.ndarray
+
+    @classmethod
+    def from_basis(cls, c, A, basis, basis_inverse) -> Start:
+        """The start of a basis and its inverse, with B^-1 A and the reduced costs multiplied out.
+
+        ValueError unless c has one entry per column of A, basis one
+        column index per row and basis_inverse one row and column per
+        row.  NumericsError unless basis_inverse inverts A[:, basis] to
+        within INVERSE_TOL and every reduced cost is at least -RC_TOL.
+        """
+        c = np.asarray(c, dtype=float)
+        A = np.asarray(A, dtype=float)
+        m, n = A.shape
+        if c.shape != (n,):
+            raise ValueError("the objective does not match the matrix")
+        basis = np.asarray(basis, dtype=int)
+        if basis.shape != (m,) or not ((0 <= basis) & (basis < n)).all():
+            raise ValueError("a starting basis holds one column index per row")
+        basis_inverse = np.asarray(basis_inverse, dtype=float)
+        if basis_inverse.shape != (m, m):
+            raise ValueError("basis_inverse must be square, one row per constraint")
+        T = np.empty((m + 1, n))
+        T[:m] = basis_inverse @ A
+        eye = np.eye(m)
+        off = np.abs(T[:m, basis] - eye).max(initial=0.0)
+        T[:m, basis] = eye
+        T[-1] = c - c[basis] @ T[:m]
+        T[-1, basis] = 0.0
+        _check(off, T[-1].min(initial=0.0))
+        return cls(c, A, basis, basis_inverse, T)
+
+    def with_column(self, cost: float, column: np.ndarray) -> Start:
+        """This start with one more column of A, priced at cost.
+
+        The basis and its inverse stay, so the new column's tableau
+        entries are B^-1 column, and its reduced cost is the one check:
+        NumericsError unless it is at least -RC_TOL.
+        """
+        m, n = self.A.shape
+        T = np.empty((m + 1, n + 1))
+        T[:, :n] = self.tableau
+        T[:m, n] = self.inverse @ column
+        T[m, n] = cost - self.c[self.basis] @ T[:m, n]
+        _check(0.0, T[m, n])
+        c = np.concatenate((self.c, [cost]))
+        A = np.concatenate((self.A, column[:, None]), axis=1)
+        return Start(c, A, self.basis, self.inverse, T)
+
+
+def _check(off: float, worst: float) -> None:
+    """NumericsError unless off, the largest entry of |B^-1 B - I|, is within
+    INVERSE_TOL and worst, the least reduced cost, is at least -RC_TOL."""
+    if not off <= INVERSE_TOL:
+        raise NumericsError(f"basis_inverse does not invert the starting basis: off by {off:.3e}")
+    if worst < -RC_TOL:
+        raise NumericsError(f"starting basis is not dual feasible: reduced cost {worst:.3e}")
+
+
+@dataclass
+class LinearProgram:
+    """min c.x subject to A x = b, x >= 0, solved from start, a start of its c and A."""
+
+    start: Start
+    b: np.ndarray
 
     def __post_init__(self) -> None:
-        self.c = np.asarray(self.c, dtype=float)
-        self.A = np.asarray(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
-        m, n = self.A.shape
-        if self.c.shape != (n,) or self.b.shape != (m,):
-            raise ValueError("objective/rhs shapes do not match the matrix")
-        self.basis = np.asarray(self.basis, dtype=int)
-        if self.basis.shape != (m,) or not ((0 <= self.basis) & (self.basis < n)).all():
-            raise ValueError("a starting basis holds one column index per row")
-        self.basis_inverse = np.asarray(self.basis_inverse, dtype=float)
-        if self.basis_inverse.shape != (m, m):
-            raise ValueError("basis_inverse must be square, one row per constraint")
+        if self.b.shape != self.start.A.shape[:1]:
+            raise ValueError("the right-hand side does not match the matrix")
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.start.c
+
+    @property
+    def A(self) -> np.ndarray:
+        return self.start.A
 
 
 @dataclass
@@ -104,11 +177,11 @@ class LpSolution:
 
     duals has one multiplier per row of the program: y = c_B B^-1 on
     the final basis, read off the final cost row c - y A through the
-    start basis's inverse.  duality_gap is |c.x - y.b|, which certifies
+    start's inverse.  duality_gap is |c.x - y.b|, which certifies
     optimality on that basis.  An optimal solve also keeps the program
-    it solved and its final basis, one column index per row;
-    basis_inverse is that basis's inverse (see solve_lp), formed on
-    first read, so a caller that never reads it never pays for it.
+    it solved, its final basis, one column index per row, and its final
+    tableau; basis_inverse is that basis's inverse, formed on first
+    read, and warm_start makes the basis the start of another b.
     """
 
     status: str
@@ -120,13 +193,30 @@ class LpSolution:
     iterations: int = 0
     problem: LinearProgram | None = field(default=None, repr=False)
     basis: np.ndarray | None = None
-    # the final tableau's constraint rows, B_f^-1 [A | b]
-    _rows: np.ndarray | None = field(default=None, repr=False)
+    # the final tableau, [B_f^-1 A | B_f^-1 b ; c - c_B B_f^-1 A | -c_B B_f^-1 b]
+    _tableau: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def basis_inverse(self) -> np.ndarray:
         """B_f^-1 = (B_f^-1 B_0) B_0^-1: the final rows' start-basis columns times B_0^-1."""
-        return self._rows[:, self.problem.basis] @ self.problem.basis_inverse
+        start = self.problem.start
+        return self._tableau[:-1, start.basis] @ start.inverse
+
+    def warm_start(self) -> Start:
+        """The final basis as the start of the same c and A with another b.
+
+        Its tableau is the final tableau without the b column, carried
+        over as it stands, and its inverse is basis_inverse.
+        NumericsError unless that inverse inverts the final basis
+        columns to within INVERSE_TOL and every reduced cost is at least
+        -RC_TOL.
+        """
+        start = self.problem.start
+        inverse = self.basis_inverse
+        tableau = self._tableau[:, :-1]
+        off = np.abs(inverse @ start.A[:, self.basis] - np.eye(len(inverse))).max(initial=0.0)
+        _check(off, tableau[-1].min(initial=0.0))
+        return Start(start.c, start.A, self.basis, inverse, tableau)
 
 
 @dataclass
@@ -161,7 +251,8 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[
     basic variable for the rest of the solve: Bland's rule, which
     terminates from any dual-feasible basis.  Each pivot is one rank-1
     update of the whole tableau; the entering column is then written
-    exactly.
+    exactly.  The loop calls ndarray methods on views taken once, and
+    keeps numpy scalars as they come: the same arithmetic, fewer calls.
     """
     iterations = 0
     stalled = 0  # consecutive ratio-0 pivots; Bland's rule from m on
@@ -169,24 +260,26 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[
     n = T.shape[1] - 1  # no column index reaches n, so it marks "no row is short"
     if not m:  # no rows: x = 0 is the basic solution, and nothing is short
         return "optimal", 0
+    rows = T[:, :-1]
+    costs = rows[-1]
     rhs = T[:m, -1]
     while True:
         if stalled < m:
-            r = int(rhs.argmin())
+            r = rhs.argmin()
             if not rhs[r] < -PRIMAL_TOL:
                 return "optimal", iterations
         else:
             leaving = np.where(rhs < -PRIMAL_TOL, basis, n)
-            r = int(leaving.argmin())
+            r = leaving.argmin()
             if leaving[r] == n:
                 return "optimal", iterations
-        row = T[r, :-1]
-        entering = np.flatnonzero(row < -PIVOT_TOL)
+        row = rows[r]
+        entering = (row < -PIVOT_TOL).nonzero()[0]
         if not entering.size:
             return "infeasible", iterations
-        ratios = T[-1, entering] / -row[entering]
-        best = float(ratios.min())
-        j = int(entering[np.argmax(ratios <= best + 1e-12 * max(1.0, abs(best)))])
+        ratios = costs[entering] / -row[entering]
+        best = ratios.min()
+        j = entering[(ratios <= best + 1e-12 * max(1.0, abs(best))).argmax()]
         if stalled < m:
             stalled = stalled + 1 if best <= 0.0 else 0
         pivot_row = T[r] / T[r, j]
@@ -207,69 +300,51 @@ def _feasibility_residual(problem: LinearProgram, x: np.ndarray) -> float:
     return max(0.0, float(np.abs(err).max(initial=0.0)), float(-x.min(initial=0.0)))
 
 
-def _start_tableau(problem: LinearProgram) -> np.ndarray:
-    """B^-1 [A | b] over the reduced costs c - c_B B^-1 [A | b].
-
-    NumericsError unless problem.basis_inverse inverts A[:, basis] to
-    within INVERSE_TOL and every reduced cost is at least -RC_TOL.
-    """
-    A, b, c, basis = problem.A, problem.b, problem.c, problem.basis
-    m, n = A.shape
+def _tableau(problem: LinearProgram) -> np.ndarray:
+    """The start tableau of problem: its start's rows beside B^-1 b, over -c_B B^-1 b."""
+    start = problem.start
+    m, n = start.A.shape
     T = np.empty((m + 1, n + 1))
-    T[:m, :n] = problem.basis_inverse @ A
-    T[:m, n] = problem.basis_inverse @ b
-    eye = np.eye(m)
-    off = float(np.abs(T[:m, basis] - eye).max(initial=0.0))
-    if not off <= INVERSE_TOL:
-        raise NumericsError(f"basis_inverse does not invert the starting basis: off by {off:.3e}")
-    T[:m, basis] = eye
-    T[-1, :n] = c
-    T[-1, -1] = 0.0
-    T[-1] -= c[basis] @ T[:m]
-    T[-1, basis] = 0.0
-    worst = float(T[-1, :n].min(initial=0.0))
-    if worst < -RC_TOL:
-        raise NumericsError(f"starting basis is not dual feasible: reduced cost {worst:.3e}")
+    T[:, :n] = start.tableau
+    T[:m, n] = start.inverse @ problem.b
+    T[m, n] = 0.0 - start.c[start.basis] @ T[:m, n]
     return T
 
 
 def solve_lp(problem: LinearProgram) -> LpSolution:
-    """Dual simplex from the program's starting basis.
+    """Dual simplex from the program's start.
 
-    NumericsError unless problem.basis_inverse inverts A[:, basis] to
-    within INVERSE_TOL and the basis is dual feasible.  The status is
-    "optimal", or "infeasible" when a leaving row has no entry that can
-    enter.  An optimal solution carries its final basis B_f; the final
-    tableau rows are B_f^-1 [A | b], so their start-basis columns are
-    B_f^-1 B_0, and its basis_inverse is those times B_0^-1, one m x m
-    product made only when read.  That basis is dual feasible for any
-    program with the same c and A, so a solve of such a program with
-    another b may start from it and its inverse.
+    The start was checked when it was built (see Start), so the solve
+    forms B^-1 b and pivots.  The status is "optimal", or "infeasible"
+    when a leaving row has no entry that can enter.  An optimal
+    solution carries its final basis B_f and final tableau; its
+    warm_start starts a solve of the same c and A with another b from
+    B_f.
     """
-    A, b, c = problem.A, problem.b, problem.c
-    m, n = A.shape
-    basis = problem.basis.copy()
-    T = _start_tableau(problem)
+    start = problem.start
+    m, n = start.A.shape
+    basis = start.basis.copy()
+    T = _tableau(problem)
     status, iterations = _run_dual_simplex(T, basis, 1000 + 50 * (m + n))
     if status != "optimal":
         return LpSolution(status=status, iterations=iterations)
     x = np.zeros(n)
     x[basis] = np.maximum(T[:m, -1], 0.0)
     # the cost row is c - y A, so on the start basis B0 it is c[b0] - y B0
-    start = problem.basis
-    y = (c[start] - T[-1, start]) @ problem.basis_inverse
-    primal = float(c @ x)
+    b0 = start.basis
+    y = (start.c[b0] - T[-1, b0]) @ start.inverse
+    primal = float(start.c @ x)
     return LpSolution(
         status="optimal",
         x=x,
         value=primal,
         duals=y,
         feasibility_residual=_feasibility_residual(problem, x),
-        duality_gap=abs(primal - float(y @ b)),
+        duality_gap=abs(primal - float(y @ problem.b)),
         iterations=iterations,
         problem=problem,
         basis=basis,
-        _rows=T[:m],
+        _tableau=T,
     )
 
 
@@ -285,8 +360,8 @@ def assemble_transport_lp(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) ->
     potentials u = (0, min_j (c[i, j] - c[0, j])) and v = c[0] make
     every tree entry tight and price every entry at
     c[i, j] - u[i] - v[j] >= 0, so the basis is dual feasible for any
-    cost, square or rectangular.  basis_inverse is np.linalg.inv of the
-    tree columns, which solve_lp checks.
+    cost, square or rectangular.  Its inverse is np.linalg.inv of the
+    tree columns, which Start.from_basis checks.
     """
     cost = np.asarray(cost, dtype=float)
     n0, n1 = cost.shape
@@ -295,12 +370,10 @@ def assemble_transport_lp(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) ->
         A[i - 1, i * n1 : (i + 1) * n1] = 1.0
     for j in range(n1):
         A[n0 - 1 + j, j::n1] = 1.0
-    b = np.concatenate([nu0[1:], nu1])
     rest = np.arange(1, n0) * n1 + np.argmin(cost[1:] - cost[0], axis=1)
     tree = np.concatenate([np.arange(n1), rest])
-    return LinearProgram(
-        c=cost.ravel(), A=A, b=b, basis=tree, basis_inverse=np.linalg.inv(A[:, tree])
-    )
+    start = Start.from_basis(cost.ravel(), A, tree, np.linalg.inv(A[:, tree]))
+    return LinearProgram(start, np.concatenate([nu0[1:], nu1]))
 
 
 def solve_transport(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> TransportSolution:

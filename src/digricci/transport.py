@@ -25,22 +25,30 @@ remain.  With e = nu0 - nu1, the start is therefore the in-tree of
 s = argmin e when the largest deficit -e(s) exceeds the largest
 excess, and otherwise the out-tree of r = argmax e.  Point masses tie
 and take the out-tree, whose tree path is already optimal.  A tree
-depends on its root and direction alone, so root_basis builds it once
-and keeps it on the DistanceMatrix: the incidence without the root's
-row, the tree, and B^-1.  A spanning tree's inverse incidence is its path
-matrix, so B^-1 comes from one walk down the tree, with no
-factorisation, and a solve starts from B^-1 [A | b].  The
-curvature module's dual flows from x start from the out-tree record
-of x.
+depends on its root and direction alone, so root_basis builds its
+start once (lp.Start: the incidence without the root's row, the tree,
+B^-1 and the tableau rows [B^-1 A ; c - c_B B^-1 A] with every cost
+c 1), checks it once and
+keeps it on the DistanceMatrix, with the vertex of each row.  A
+spanning tree's inverse incidence is its path matrix, so B^-1 comes
+from one walk down the tree, with no factorisation; a solve from the
+tree then only forms B^-1 b, and its right-hand side, potential and
+coupling are indexed through the row vertices.  The curvature
+module's dual flows from x add their virtual column to the out-tree
+start of x.
 
 A solve may start from another plan's final basis instead.  The
 program's cost and incidence depend on the graph and r alone, so the
 optimal tree of one pair of measures stays dual feasible for any other
-pair on the same root, and its inverse is one product off the final
-tableau (lp.solve_lp).  The heat module solves each arc along
-increasing t, and the curvature module each pair along increasing
-smoothing, each solve from the previous optimum: the measures move
-little, and at small t the optimal tree mostly stops changing.
+pair on the same root, and the plan's final tableau is already that
+tree's start: its rows are carried into the next solve as they stand,
+and only the inverse is formed, one m x m product off the final
+tableau (lp.LpSolution.warm_start).  The start belongs to the
+DistanceMatrix whose record it came from, and a plan of another one is
+refused.  The heat module solves each arc along increasing t, and the
+curvature module each pair along increasing smoothing, each solve from
+the previous optimum: the measures move little, and at small t the
+optimal tree mostly stops changing.
 
 The row duals of the final basis are a Kantorovich potential f with
 f(w) - f(z) <= 1 on every arc; summing along geodesics, that is
@@ -74,9 +82,10 @@ class TransportPlan:
     dual_f and duality_gap, and marginal_residual is the largest error
     in the marginals of pi.  Fast mode returns the value only, with
     marginal_residual the largest flow-balance error over the vertices.
-    Both modes keep root, the vertex whose balance row the solve
-    dropped, and flow, the optimal solve itself with its final basis,
-    which a later solve on the same graph may start from (wasserstein's
+    Both modes keep root and inward, the tree the solve started from
+    (root_basis; the solve dropped the balance row of root), and flow,
+    the optimal solve itself with its final tableau, which a later
+    solve on the same DistanceMatrix may start from (wasserstein's
     start).
     """
 
@@ -86,6 +95,7 @@ class TransportPlan:
     dual_f: np.ndarray | None = None
     duality_gap: float | None = None
     root: int | None = None
+    inward: bool | None = None
     flow: lp.LpSolution | None = field(default=None, repr=False, compare=False)
 
 
@@ -132,14 +142,8 @@ def kantorovich_dual(
     A = np.zeros((n, len(pairs)))
     A[pairs[:, 0], k] = 1.0
     A[pairs[:, 1], k] = -1.0
-    problem = lp.LinearProgram(
-        c=d[pairs[:, 0], pairs[:, 1]],
-        A=A[1:],
-        b=(nu0 - nu1)[1:],
-        basis=np.arange(n - 1),
-        basis_inverse=-np.eye(n - 1),
-    )
-    solution = lp.solve_lp(problem)
+    start = lp.Start.from_basis(d[pairs[:, 0], pairs[:, 1]], A[1:], np.arange(n - 1), -np.eye(n - 1))
+    solution = lp.solve_lp(lp.LinearProgram(start, (nu0 - nu1)[1:]))
     if solution.status != "optimal":
         raise LpFailureError(f"dual potential solve ended with status {solution.status!r}")
     f = np.concatenate([[0.0], 0.0 - solution.duals])
@@ -147,27 +151,30 @@ def kantorovich_dual(
 
 
 class RootBasis(NamedTuple):
-    """The start basis of every arc-flow program rooted at r, built once.
+    """The start of every arc-flow program rooted at r, built once.
 
-    A is the n x |A| arc incidence (+1 at the tail, -1 at the head of
-    each arc) with the row of r dropped, leaving one row per other
-    vertex in vertex order.  tree[i] is the arc basic in row i.  In the
-    out-tree of r it is the first arc z -> w with d(r, z) = d(r, w) - 1
-    into the vertex w of that row, and inverse, B^-1 for B = A[:, tree],
-    is the tree's path matrix: its column for w is -1 on the rows of
-    the tree arcs on the path r -> w, 0 elsewhere.  In the in-tree of r
-    it is the first arc w -> z with d(z, r) = d(w, r) - 1 out of w, and
-    the column of B^-1 for w is +1 on the rows of the tree arcs on the
-    path w -> r.  All three arrays are read-only.
+    The program's A is the n x |A| arc incidence (+1 at the tail, -1 at
+    the head of each arc) with the row of r dropped, leaving one row per
+    other vertex in vertex order; vertices[i] is the vertex of row i.
+    Every arc costs 1.  start.basis[i] is the tree arc basic in row i.
+    In the out-tree of r it is the first arc z -> w with
+    d(r, z) = d(r, w) - 1 into the vertex w of that row, and
+    start.inverse, B^-1 for B = A[:, start.basis], is the tree's path
+    matrix: its column for w is -1 on the rows of the tree arcs on the
+    path r -> w, 0 elsewhere.  In the in-tree of r it is the first arc
+    w -> z with d(z, r) = d(w, r) - 1 out of w, and the column of B^-1
+    for w is +1 on the rows of the tree arcs on the path w -> r.  Every
+    array of the record is read-only.
     """
 
-    A: np.ndarray
-    tree: np.ndarray
-    inverse: np.ndarray
+    start: lp.Start
+    vertices: np.ndarray
 
 
-def _build_root_basis(d: np.ndarray, arcs: np.ndarray, r: int) -> RootBasis:
-    """The out-tree RootBasis of r; NumericsError unless inverse @ B is exactly I."""
+def _build_root_basis(
+    d: np.ndarray, arcs: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The out-tree of r: A, the tree and B^-1; NumericsError unless B^-1 B is exactly I."""
     n = d.shape[0]
     A = np.zeros((n, len(arcs)))
     k = np.arange(len(arcs))
@@ -189,11 +196,11 @@ def _build_root_basis(d: np.ndarray, arcs: np.ndarray, r: int) -> RootBasis:
         inverse[row[w], row[w]] = -1.0
     if not np.array_equal(inverse @ A[:, tree], np.eye(n - 1)):
         raise NumericsError(f"the tree path matrix of root {r} does not invert its basis")
-    return RootBasis(A=A, tree=tree, inverse=inverse)
+    return A, tree, inverse
 
 
 def root_basis(dm: DistanceMatrix, r: int, inward: bool = False) -> RootBasis:
-    """The arc-flow start basis of root r, built on first use and kept on dm.
+    """The arc-flow start of root r, built and checked on first use and kept on dm.
 
     inward=False gives the BFS out-tree of r, inward=True its BFS
     in-tree.  The in-tree is the out-tree of r in the reversed graph,
@@ -206,11 +213,13 @@ def root_basis(dm: DistanceMatrix, r: int, inward: bool = False) -> RootBasis:
     basis = dm._root_bases.get(key)
     if basis is None:
         if inward:
-            out = _build_root_basis(dm.d.T, dm.arcs[:, ::-1], r)
-            basis = RootBasis(A=0.0 - out.A, tree=out.tree, inverse=0.0 - out.inverse)
+            A, tree, inverse = _build_root_basis(dm.d.T, dm.arcs[:, ::-1], r)
+            A, inverse = 0.0 - A, 0.0 - inverse
         else:
-            basis = _build_root_basis(dm.d, dm.arcs, r)
-        for a in basis:
+            A, tree, inverse = _build_root_basis(dm.d, dm.arcs, r)
+        start = lp.Start.from_basis(np.ones(len(dm.arcs)), A, tree, inverse)
+        basis = RootBasis(start=start, vertices=np.flatnonzero(np.arange(len(dm.d)) != r))
+        for a in (*vars(start).values(), basis.vertices):
             a.flags.writeable = False
         dm._root_bases[key] = basis
     return basis
@@ -269,20 +278,6 @@ def _start_tree(excess: np.ndarray) -> tuple[int, bool]:
     return r, False
 
 
-def _flow_program(
-    dm: DistanceMatrix, excess: np.ndarray, r: int, inward: bool
-) -> lp.LinearProgram:
-    """The arc-flow program of excess without r's row, from root_basis(dm, r, inward)."""
-    basis = root_basis(dm, r, inward)
-    return lp.LinearProgram(
-        c=np.ones(len(dm.arcs)),
-        A=basis.A,
-        b=np.delete(excess, r),
-        basis=basis.tree,
-        basis_inverse=basis.inverse,
-    )
-
-
 def wasserstein(
     nu0: np.ndarray,
     nu1: np.ndarray,
@@ -293,19 +288,22 @@ def wasserstein(
     """Directed transport distance between two probability vectors.
 
     Solves the arc-flow program once, by a dual simplex.  Without start
-    it starts from the BFS in-tree of the largest deficit or the
-    out-tree of the largest excess of nu0 - nu1, whichever is larger
-    (the out-tree on a tie; see the module docstring), with the row of
-    that tree's root r dropped.  start is a plan this function returned
-    for other measures on the same dm: the solve keeps its root r and
-    starts from its final basis and that basis's inverse, which solve_lp
-    checks as it checks a tree.  verify=True also reads the potential
-    off that solve, f = -(row duals) with f(r) = 0, shifted to
-    f(0) = 0, and raises NumericsError unless f(w) - f(z) <= 1 + lp.GAP_TOL
-    on every arc and |W - f.(nu1 - nu0)| <= lp.GAP_TOL; it then splits
-    the flow, which lives on a tree and so is acyclic, into the coupling
-    pi.  Fast mode, for the inner loops that call this often, returns the
-    value alone.
+    it starts from root_basis's start of the BFS in-tree of the largest
+    deficit or the out-tree of the largest excess of nu0 - nu1,
+    whichever is larger (the out-tree on a tie; see the module
+    docstring), with the row of that tree's root r dropped.  start is a
+    plan this function returned for other measures on the same dm: the
+    solve keeps its root r and tree direction and starts from its final
+    basis and tableau (lp.LpSolution.warm_start, which checks them as
+    root_basis checks a tree).  ValueError if start was solved on
+    another DistanceMatrix, whose program is another one.  verify=True
+    also reads the potential off that solve, f = -(row duals) with
+    f(r) = 0, shifted to f(0) = 0, and raises NumericsError unless
+    f(w) - f(z) <= 1 + lp.GAP_TOL on every arc and
+    |W - f.(nu1 - nu0)| <= lp.GAP_TOL; it then splits the flow, which
+    lives on a tree and so is acyclic, into the coupling pi.  Fast
+    mode, for the inner loops that call this often, returns the value
+    alone.
     """
     n = dm.d.shape[0]
     nu0 = _check_probability(nu0, n, "nu0")
@@ -314,17 +312,15 @@ def wasserstein(
     excess = nu0 - nu1
     if start is None:
         r, inward = _start_tree(excess)
-        problem = _flow_program(dm, excess, r, inward)
+        tree = root_basis(dm, r, inward)
+        first = tree.start
     else:
-        r, previous = start.root, start.flow
-        problem = lp.LinearProgram(
-            c=previous.problem.c,
-            A=previous.problem.A,
-            b=np.delete(excess, r),
-            basis=previous.basis,
-            basis_inverse=previous.basis_inverse,
-        )
-    solution = lp.solve_lp(problem)
+        r, inward = start.root, start.inward
+        tree = dm._root_bases.get((r, inward))
+        if tree is None or tree.start.A is not start.flow.problem.A:
+            raise ValueError("start is a plan solved on another DistanceMatrix")
+        first = start.flow.warm_start()
+    solution = lp.solve_lp(lp.LinearProgram(first, excess[tree.vertices]))
     if solution.status != "optimal":
         raise LpFailureError(f"transport flow solve ended with status {solution.status!r}")
     value = float(solution.value)
@@ -333,9 +329,10 @@ def wasserstein(
         g = solution.x
         balance = np.bincount(arcs[:, 0], g, n) - np.bincount(arcs[:, 1], g, n)
         residual = float(np.abs(balance - excess).max())
-        return TransportPlan(value=value, marginal_residual=residual, root=r, flow=solution)
+        return TransportPlan(value, residual, root=r, inward=inward, flow=solution)
 
-    y = np.insert(solution.duals, r, 0.0)
+    y = np.zeros(n)
+    y[tree.vertices] = solution.duals
     f = y[0] - y
     stretch = float((f[arcs[:, 1]] - f[arcs[:, 0]]).max(initial=0.0))
     if stretch > 1.0 + lp.GAP_TOL:
@@ -355,5 +352,6 @@ def wasserstein(
         dual_f=f,
         duality_gap=gap,
         root=r,
+        inward=inward,
         flow=solution,
     )

@@ -10,8 +10,10 @@ gradient_estimate_per_sample, the per-sample loop its batched gradient
 estimate is pinned to; both reuse the library's heat flow so that the
 two sides agree to roundoff.
 reference_dual_simplex is the plain pivot loop the library's dual
-simplex kernel must match bit for bit, and lu_duals the dense solve its
-duals, read off the final cost row, are held to.
+simplex kernel must match bit for bit, start_tableau the per-solve
+B^-1 [A | b] the library's starts, built once and reused, must match
+bit for bit, and lu_duals the dense solve its duals, read off the final
+cost row, are held to.
 At the end sit second routes to library quantities, built on the
 library's primitives: gradient and gradient_matrix (difference
 quotients over every pair), reversed_graph, gamma_via_delta (Gamma
@@ -270,9 +272,9 @@ def assert_kernel_matches_reference(problem, duals_tol: float = 0.0) -> bool:
     be within duals_tol of lu_duals on the final basis.  Returns whether
     the reference switched to Bland's rule.
     """
-    T = lp._start_tableau(problem)
+    T = lp._tableau(problem)
     ref_T = T.copy()
-    basis, ref_basis = problem.basis.copy(), problem.basis.copy()
+    basis, ref_basis = problem.start.basis.copy(), problem.start.basis.copy()
     max_iter = 1000 + 50 * sum(problem.A.shape)
     outcome = lp._run_dual_simplex(T, basis, max_iter)
     *ref_outcome, switched = reference_dual_simplex(ref_T, ref_basis, max_iter)
@@ -283,6 +285,25 @@ def assert_kernel_matches_reference(problem, duals_tol: float = 0.0) -> bool:
         duals = lp.solve_lp(problem).duals
         assert np.abs(duals - lu_duals(problem, basis)).max(initial=0.0) <= duals_tol
     return switched
+
+
+def start_tableau(c, A, b, basis, basis_inverse) -> np.ndarray:
+    """B^-1 [A | b] over the reduced costs c - c_B B^-1 [A | b], multiplied out.
+
+    The start tableau of one program, as a solve built it before starts
+    were built once: both products, the basis columns set to the unit
+    vectors and the reduced costs taken over the b column too.
+    """
+    m, n = A.shape
+    T = np.empty((m + 1, n + 1))
+    T[:m, :n] = basis_inverse @ A
+    T[:m, n] = basis_inverse @ b
+    T[:m, basis] = np.eye(m)
+    T[-1, :n] = c
+    T[-1, -1] = 0.0
+    T[-1] -= c[basis] @ T[:m]
+    T[-1, basis] = 0.0
+    return T
 
 
 def lu_duals(problem, basis: np.ndarray) -> np.ndarray:

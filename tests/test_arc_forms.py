@@ -11,11 +11,14 @@ deficit, built once per root and direction with its inverse, the
 tree's path matrix; further properties pin that inverse to be exact
 for every root, the solve from either tree to scipy and the pivot
 kernel to the reference loop, and unit tests pin how bad starting
-bases and inverses fail.  A solve may also start from an earlier
-plan's final basis, as the heat flow's W of one arc do along t: that
-chain is pinned to cold solves and scipy, and a warm start from a
-wrong inverse or a basis that is not dual feasible fails as a tree
-start does.
+bases and inverses fail.  Each tree's start tableau is built once and
+reused, and each curvature program adds its virtual column to it; a
+property pins every such start to the tableau multiplied out for its
+own program.  A solve may also start from an earlier plan's final
+basis, as the heat flow's W of one arc do along t: that chain is
+pinned to cold solves and scipy, the carried final tableau to the one
+its basis multiplies out, and a warm start from a wrong inverse, a
+tableau that is not dual feasible or a plan of another graph fails.
 The curvature program is solved through its dual flow from the same
 kind of basis; its witness is checked for optimality on its own.
 Transport contraction along the heat flow is checked over the arcs
@@ -185,7 +188,7 @@ def test_kappa_lp_solves_the_flow_dual_from_a_basis(g_tri, monkeypatch):
     monkeypatch.setattr(lp, "solve_lp", recording_solve)
     kappa_lp(0, 2, markov_data(g_tri), distances(g_tri))
     (problem,) = problems
-    assert problem.basis is not None
+    assert problem.start.basis is not None
     assert problem.A.shape == (g_tri.n - 1, g_tri.arc_count + 1)
 
 
@@ -247,11 +250,17 @@ def test_tree_basis_solve_matches_scipy(instance):
     g, nu0, nu1 = instance
     dm = distances(g)
     excess = nu0 - nu1
-    problem = transport._flow_program(dm, excess, *transport._start_tree(excess))
+    problem = flow_program(dm, excess, *transport._start_tree(excess))
     tree = solve_lp(problem)
     assert tree.status == "optimal"
     assert abs(tree.value - oracles.linprog_transport(dm.d, nu0, nu1, tight=True)) <= 1e-9
     assert wasserstein(nu0, nu1, dm, verify=False).value == tree.value
+
+
+def flow_program(dm, excess: np.ndarray, r: int, inward: bool) -> LinearProgram:
+    """The arc-flow program of excess from root_basis(dm, r, inward), as wasserstein solves it."""
+    tree = root_basis(dm, r, inward)
+    return LinearProgram(tree.start, excess[tree.vertices])
 
 
 def both_starts(excess: np.ndarray) -> list[tuple[int, bool]]:
@@ -268,7 +277,7 @@ def test_either_start_tree_gives_the_same_w(instance):
     excess = nu0 - nu1
     values = []
     for r, inward in both_starts(excess):
-        solution = solve_lp(transport._flow_program(dm, excess, r, inward))
+        solution = solve_lp(flow_program(dm, excess, r, inward))
         assert solution.status == "optimal"
         values.append(solution.value)
     assert abs(values[0] - values[1]) <= 1e-12
@@ -333,6 +342,57 @@ def test_warm_start_from_its_own_optimum_takes_no_pivot(instance, verify):
     assert abs(again.value - plan.value) <= 1e-15
 
 
+@PROPERTY_SETTINGS
+@given(warm_chains())
+def test_warm_start_carries_the_tableau_its_final_basis_multiplies_out(instance):
+    """The carried final tableau is B_f^-1 [A | b] of the final basis, bit for bit.
+
+    A warm start reuses the final rows instead of multiplying B_f^-1 A
+    out again; on these network programs the two agree exactly, so the
+    chain pivots as it would from the multiplied-out tableau.
+    """
+    g, pairs = instance
+    dm = distances(g)
+    plan = None
+    for nu0, nu1 in pairs:
+        if plan is not None:
+            flow = plan.flow
+            b = (nu0 - nu1)[root_basis(dm, plan.root, plan.inward).vertices]
+            ref = oracles.start_tableau(flow.problem.c, flow.problem.A, b, flow.basis,
+                                        flow.basis_inverse)
+            problem = LinearProgram(flow.warm_start(), b)
+            assert lp._tableau(problem)[:, :-1].tobytes() == ref[:, :-1].tobytes()
+            assert lp._tableau(problem)[:-1, -1].tobytes() == ref[:-1, -1].tobytes()
+        plan = wasserstein(nu0, nu1, dm, verify=False, start=plan)
+
+
+def test_start_from_a_plan_of_another_distance_matrix_raises():
+    """The 4-cycle with chord 0 -> 2 and with chord 0 -> 3: same shapes, other programs.
+
+    W(dirac 0, dirac 3) is 2 on the first and 1 on the second.  Started
+    from the first graph's plan, the second graph's solve would solve
+    the first graph's program and return 2.
+    """
+    def graph(chord):
+        mu = np.zeros((4, 4))
+        for x, y in ((0, 1), (1, 2), (2, 3), (3, 0), chord):
+            mu[x, y] = 1.0
+        return distances(build_graph(mu))
+
+    dm1, dm2 = graph((0, 2)), graph((0, 3))
+    nu0, nu1 = np.eye(4)[0], np.eye(4)[3]
+    plan = wasserstein(nu0, nu1, dm1, verify=False)
+    assert plan.value == 2.0
+    for verify in (False, True):
+        with pytest.raises(ValueError, match="another DistanceMatrix"):
+            wasserstein(nu0, nu1, dm2, verify=verify, start=plan)
+    assert wasserstein(nu0, nu1, dm2).value == 1.0
+    # the same graph's distances computed twice are two DistanceMatrix records
+    with pytest.raises(ValueError, match="another DistanceMatrix"):
+        wasserstein(nu0, nu1, graph((0, 2)), start=plan)
+    assert wasserstein(nu0, nu1, dm1, start=plan).flow.iterations == 0
+
+
 class TestWarmStart:
     """Warm starts on 0 -> 1, 0 -> 2, 1 -> 0, 1 -> 2, 2 -> 0 (arcs in this order).
 
@@ -362,11 +422,17 @@ class TestWarmStart:
             wasserstein(np.eye(3)[1], np.eye(3)[2], dm, start=dataclasses.replace(plan, flow=flow))
 
     def test_basis_that_is_not_dual_feasible_raises(self):
-        # the tree 0 -> 1 -> 2 prices the arc 0 -> 2 at 1 + 0 - 2 < 0
+        # the tree 0 -> 1 -> 2 prices the arc 0 -> 2 at 1 + 0 - 2 < 0.  A warm
+        # start carries the final tableau, so the flow ends on that tree's
+        # tableau here; its basis_inverse follows from it.
         dm, plan = self.plan()
         tree = np.array([0, 3])
-        flow = dataclasses.replace(plan.flow, basis=tree)
-        flow.basis_inverse = np.linalg.inv(plan.flow.problem.A[:, tree])
+        A = plan.flow.problem.A
+        rows = np.linalg.inv(A[:, tree]) @ A
+        tableau = np.zeros((3, 6))
+        tableau[:2, :5] = rows
+        tableau[2, :5] = 1.0 - rows.sum(axis=0)
+        flow = dataclasses.replace(plan.flow, basis=tree, _tableau=tableau)
         with pytest.raises(NumericsError, match="not dual feasible"):
             wasserstein(np.eye(3)[1], np.eye(3)[2], dm, start=dataclasses.replace(plan, flow=flow))
 
@@ -379,7 +445,7 @@ def test_dual_simplex_kernel_is_the_reference_loop_on_flow_programs(instance):
     dm = distances(g)
     excess = nu0 - nu1
     for r, inward in both_starts(excess):
-        oracles.assert_kernel_matches_reference(transport._flow_program(dm, excess, r, inward))
+        oracles.assert_kernel_matches_reference(flow_program(dm, excess, r, inward))
     problems = []
     solve = lp.solve_lp
 
@@ -429,15 +495,17 @@ def test_root_basis_inverts_the_tree_exactly_for_every_root(g):
     incidence[arcs[:, 0], np.arange(len(arcs))] = 1.0
     incidence[arcs[:, 1], np.arange(len(arcs))] = -1.0
     for r in range(n):
-        basis = root_basis(dm, r)
+        record = root_basis(dm, r)
+        basis = record.start
+        assert np.array_equal(record.vertices, np.delete(np.arange(n), r))
         assert np.array_equal(basis.A, np.delete(incidence, r, axis=0))
         # one tree arc into each w != r, in vertex order, one BFS level down
-        tails, heads = arcs[basis.tree, 0], arcs[basis.tree, 1]
-        assert np.array_equal(heads, np.delete(np.arange(n), r))
+        tails, heads = arcs[basis.basis, 0], arcs[basis.basis, 1]
+        assert np.array_equal(heads, record.vertices)
         assert (dm.d[r, tails] == dm.d[r, heads] - 1).all()
-        assert np.array_equal(basis.inverse @ basis.A[:, basis.tree], np.eye(n - 1))
+        assert np.array_equal(basis.inverse @ basis.A[:, basis.basis], np.eye(n - 1))
         assert set(np.unique(basis.inverse)) <= {-1.0, 0.0}
-        assert not any(a.flags.writeable for a in basis)
+        assert not any(a.flags.writeable for a in (*vars(basis).values(), record.vertices))
 
 
 @PROPERTY_SETTINGS
@@ -450,44 +518,127 @@ def test_in_tree_basis_inverts_the_tree_exactly_for_every_sink(g):
     incidence[arcs[:, 0], np.arange(len(arcs))] = 1.0
     incidence[arcs[:, 1], np.arange(len(arcs))] = -1.0
     for s in range(n):
-        basis = root_basis(dm, s, inward=True)
+        record = root_basis(dm, s, inward=True)
+        basis = record.start
         assert np.array_equal(basis.A, np.delete(incidence, s, axis=0))
-        tails, heads = arcs[basis.tree, 0], arcs[basis.tree, 1]
+        tails, heads = arcs[basis.basis, 0], arcs[basis.basis, 1]
+        assert np.array_equal(tails, record.vertices)
         assert np.array_equal(tails, np.delete(np.arange(n), s))
         assert (dm.d[heads, s] == dm.d[tails, s] - 1).all()
         # the first such arc out of each tail
-        for w, k in zip(tails, basis.tree):
+        for w, k in zip(tails, basis.basis):
             toward = (arcs[:, 0] == w) & (dm.d[arcs[:, 1], s] == dm.d[w, s] - 1)
             assert k == np.flatnonzero(toward)[0]
-        assert np.array_equal(basis.inverse @ basis.A[:, basis.tree], np.eye(n - 1))
+        assert np.array_equal(basis.inverse @ basis.A[:, basis.basis], np.eye(n - 1))
         assert set(np.unique(basis.inverse)) <= {0.0, 1.0}
         assert not np.signbit(basis.inverse).any() and not np.signbit(basis.A[basis.A == 0]).any()
-        assert not any(a.flags.writeable for a in basis)
-        assert root_basis(dm, s, inward=True) is basis
-        assert root_basis(dm, s) is not basis
+        assert not any(a.flags.writeable for a in (*vars(basis).values(), record.vertices))
+        assert root_basis(dm, s, inward=True) is record
+        assert root_basis(dm, s) is not record
+
+
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_starts_are_the_start_tableau_of_each_program(g):
+    """Every root start and every kappa start is oracles.start_tableau, bit for bit.
+
+    A start is built once per root and direction, and a kappa program
+    adds its virtual column y -> x to the out-tree start of x; the
+    tableau each solve begins from must still be B^-1 [A | b] of its own
+    program multiplied out, the b column included.
+    """
+    dm = distances(g)
+    M = markov_data(g)
+    n, arcs = g.n, dm.arcs
+    incidence = np.zeros((n, len(arcs)))
+    incidence[arcs[:, 0], np.arange(len(arcs))] = 1.0
+    incidence[arcs[:, 1], np.arange(len(arcs))] = -1.0
+    b = np.arange(n) / 7.0 - 0.3
+    for r in range(n):
+        for inward in (False, True):
+            start = root_basis(dm, r, inward).start
+            A, rhs = np.delete(incidence, r, axis=0), np.delete(b, r)
+            ref = oracles.start_tableau(np.ones(len(arcs)), A, rhs, start.basis, start.inverse)
+            assert start.tableau.tobytes() == ref[:, :-1].tobytes()
+            T = lp._tableau(LinearProgram(start, rhs))
+            assert T[:-1, -1].tobytes() == ref[:-1, -1].tobytes()
+    problems = []
+    solve = lp.solve_lp
+
+    def recording_solve(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "solve_lp", recording_solve)
+        curvature_matrix(M, dm)
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    L = M.laplacian.matrix
+    for (x, y), problem in zip(pairs, problems, strict=True):
+        tree = root_basis(dm, x).start
+        virtual = np.delete(np.eye(n)[y], x)[:, None]
+        A = np.hstack([np.delete(incidence, x, axis=0), virtual])
+        c = np.append(np.ones(len(arcs)), -float(dm.d[x, y]))
+        rhs = np.delete((L[y] - L[x]) / float(dm.d[x, y]), x)
+        ref = oracles.start_tableau(c, A, rhs, tree.basis, tree.inverse)
+        assert np.array_equal(problem.A, A) and np.array_equal(problem.c, c)
+        assert problem.b.tobytes() == rhs.tobytes()
+        assert problem.start.tableau.tobytes() == ref[:, :-1].tobytes()
+        assert lp._tableau(problem)[:-1, -1].tobytes() == ref[:-1, -1].tobytes()
 
 
 def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatch):
-    built = []
-    build = transport._build_root_basis
+    """One tree and one start per root, direction and DistanceMatrix.
+
+    Every later solve from that tree reuses its start; a kappa program
+    adds its column to it, and a warm start carries the final tableau,
+    so neither multiplies B^-1 A out again.
+    """
+    built, starts, problems = [], [], []
+    build, from_basis, solve = transport._build_root_basis, lp.Start.from_basis, lp.solve_lp
 
     def recording_build(d, arcs, r):
         built.append(r)
         return build(d, arcs, r)
 
+    def recording_from_basis(*args):
+        starts.append(from_basis(*args))
+        return starts[-1]
+
+    def recording_solve(problem):
+        problems.append(problem)
+        return solve(problem)
+
     monkeypatch.setattr(transport, "_build_root_basis", recording_build)
+    monkeypatch.setattr(lp.Start, "from_basis", recording_from_basis)
+    monkeypatch.setattr(lp, "solve_lp", recording_solve)
     dm = distances(g_tri)
+    M = markov_data(g_tri)
     nu0, nu1 = np.eye(3)[0], np.eye(3)[2]
-    first = wasserstein(nu0, nu1, dm, verify=True).value
-    assert wasserstein(nu0, nu1, dm, verify=False).value == first
-    kappa_lp(0, 1, markov_data(g_tri), dm)
+    plan = wasserstein(nu0, nu1, dm, verify=True)
+    assert wasserstein(nu0, nu1, dm, verify=False).value == plan.value
+    kappa_lp(0, 1, M, dm)
+    kappa_lp(0, 2, M, dm)
     assert built == [0]
-    kappa_lp(1, 0, markov_data(g_tri), dm)
+    (start,) = starts
+    assert start is root_basis(dm, 0).start
+    assert problems[0].start is start and problems[1].start is start
+    # each kappa start is the root's tableau with the virtual column beside it
+    for problem in problems[2:]:
+        assert problem.start.tableau[:, :-1].tobytes() == start.tableau.tobytes()
+    wasserstein(nu1, nu0, dm, verify=False, start=plan)
+    assert problems[-1].start.basis is not start.basis and len(starts) == 1
+    kappa_lp(1, 0, M, dm)
     assert built == [0, 1]
+    # the in-tree of 2 has its own record, built once too
+    third = np.full(3, 1 / 3)
+    for _ in range(2):
+        assert wasserstein(third, nu1, dm, verify=False).inward
+    assert built == [0, 1, 2] and len(starts) == 3
     # a second distances() result holds its own records
     other = distances(g_tri)
     assert root_basis(other, 0) is not root_basis(dm, 0)
-    assert built == [0, 1, 0]
+    assert built == [0, 1, 2, 0] and len(starts) == 4
 
 
 class TestStartingBasis:
@@ -498,7 +649,7 @@ class TestStartingBasis:
         A = np.array([[1.0, 1.0]])
         # both columns are 1, so every one-column basis has this inverse
         kwargs.setdefault("basis_inverse", np.linalg.inv(A[:, :1]))
-        return LinearProgram(c=[1.0, 2.0], A=A, b=[b], basis=basis, **kwargs)
+        return LinearProgram(lp.Start.from_basis([1.0, 2.0], A, basis, **kwargs), [b])
 
     def test_dual_feasible_basis_is_the_hand_optimum(self):
         # {x0} prices x1 at 2 - 1 >= 0 and holds x0 = 1: optimal before any pivot
@@ -517,24 +668,18 @@ class TestStartingBasis:
     def test_wrong_basis_inverse_raises(self):
         # the columns of a singular basis have no inverse; any matrix offered is wrong
         A = np.array([[1.0, 1.0], [2.0, 2.0]])
-        problem = LinearProgram(
-            c=[1.0, 1.0], A=A, b=[1.0, 2.0], basis=(0, 1),
-            basis_inverse=np.linalg.pinv(A),
-        )
         with pytest.raises(NumericsError, match="does not invert"):
-            solve_lp(problem)
+            lp.Start.from_basis([1.0, 1.0], A, basis=(0, 1), basis_inverse=np.linalg.pinv(A))
         # an inverse of other columns, here of a permuted basis
         A = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
-        problem = LinearProgram(
-            c=[1.0, 1.0, 1.0], A=A, b=[1.0, 1.0], basis=(0, 1),
-            basis_inverse=np.linalg.inv(A[:, [1, 0]]),
-        )
         with pytest.raises(NumericsError, match="does not invert"):
-            solve_lp(problem)
+            lp.Start.from_basis(
+                [1.0, 1.0, 1.0], A, basis=(0, 1), basis_inverse=np.linalg.inv(A[:, [1, 0]])
+            )
 
     def test_basis_needs_its_inverse(self):
         with pytest.raises((TypeError, ValueError), match="basis_inverse"):
-            LinearProgram(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[1.0], basis=(0,))
+            lp.Start.from_basis([1.0, 2.0], [[1.0, 1.0]], basis=(0,))
         with pytest.raises(ValueError, match="basis_inverse"):
             self.program(basis_inverse=np.eye(2))
 
@@ -549,9 +694,8 @@ class TestStartingBasis:
 
     def test_dual_simplex_pivots_to_the_optimum(self):
         # the basis {x0} of x0 - x1 = -1 gives x0 = -1; one pivot brings in x1
-        problem = LinearProgram(c=[1.0, 2.0], A=[[1.0, -1.0]], b=[-1.0], basis=(0,),
-                                basis_inverse=[[1.0]])
-        sol = solve_lp(problem)
+        start = lp.Start.from_basis([1.0, 2.0], [[1.0, -1.0]], basis=(0,), basis_inverse=[[1.0]])
+        sol = solve_lp(LinearProgram(start, [-1.0]))
         assert sol.status == "optimal" and sol.iterations == 1
         assert np.array_equal(sol.x, [0.0, 1.0])
         assert sol.value == 2.0

@@ -3,9 +3,10 @@
 bench/tracing.py wraps library functions at each module that looks
 them up; a rename or a moved import makes install() raise, and the
 traced K_8 analyze must make the solve counts bench/run.py expects.  The
-output checks of bench/checks.py hold analyze, the exact Dirac plan
-and potential, the pair curvature witness, heat rows and the Perron
-vector to values the benchmark computes itself.  Running both here
+output checks of bench/checks.py hold analyze, the curvature matrix,
+the exact Dirac plan and potential, the pair curvature witness, heat
+rows and the Perron vector to values the benchmark computes itself; each
+workload runs some of its requests through them.  Running both here
 catches a break in the unit tests instead of in a benchmark run.
 """
 
@@ -104,6 +105,15 @@ def test_analyze_sparse_passes_the_benchmark_checks(bench, tmp_path, capsys):
     workload = bench.workloads.build("analyze_sparse", 1)
     for graph, path in zip(workload.graphs, write_graphs(workload, tmp_path)):
         assert bench.checks.check_analyze(graph, *run_twice(capsys, ["analyze", path])) is None
+
+
+def test_curvature_sparse_passes_the_benchmark_checks(bench, tmp_path, capsys):
+    """curvature_sparse is four ring+chords n=12 (K < 0): the full kappa matrix of each."""
+    workload = bench.workloads.build("curvature_sparse", 1)
+    assert len(workload.graphs) == 4 and {graph.n for graph in workload.graphs} == {12}
+    for graph, path in zip(workload.graphs, write_graphs(workload, tmp_path)):
+        output = run_twice(capsys, ["curvature", path])
+        assert bench.checks.check_curvature_matrix(graph, *output) is None
 
 
 def test_queries_pass_the_benchmark_checks(bench, tmp_path, capsys):

@@ -129,12 +129,10 @@ class TestKernel:
         """
         N = np.array([[2, -2, 1, 2, 3], [0, 2, -3, -3, 1], [-3, -2, 3, 0, -1]], dtype=float)
         A = np.hstack([np.eye(3), N])
+        c = np.array([0, 0, 0, 0, 1, 0, 0, 1], dtype=float)
         problem = lp.LinearProgram(
-            c=np.array([0, 0, 0, 0, 1, 0, 0, 1], dtype=float),
-            A=A,
+            lp.Start.from_basis(c, A, basis=np.arange(3), basis_inverse=np.eye(3)),
             b=np.array([-1, -3, -1], dtype=float),
-            basis=np.arange(3),
-            basis_inverse=np.eye(3),
         )
         expected = oracles.linprog_general(problem.c, A_eq=A, b_eq=problem.b).fun
         assert_solved_under_blands_rule(problem, expected, pivots=4)
