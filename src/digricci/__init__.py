@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 from .certificates import InequalityCertificate, certificate_from_samples
 from .chain import (
     MarkovData,
-    check_integration_by_parts,
     gamma,
     inner,
     markov_data,
@@ -118,7 +117,6 @@ __all__ = [
     "check_exp_chain_rule_bound",
     "check_exp_square_chain_rule_bound",
     "check_info_to_entropy",
-    "check_integration_by_parts",
     "check_laplace_bound",
     "check_transport_entropy",
     "check_transport_information",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import DirectedGraph
-from .errors import EmptySubsetError, SingularSystemError, ZeroOutDegreeError
+from .errors import SingularSystemError, ZeroOutDegreeError
 
 # residual tolerance for the stationary balance equations
 BALANCE_TOL = 1e-12
@@ -32,10 +32,6 @@ class LaplacianOperator:
     """L f = f - Pbar f as a dense matrix, with Delta = -L."""
 
     matrix: np.ndarray
-
-    @property
-    def delta(self) -> np.ndarray:
-        return -self.matrix
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(f, dtype=float)
@@ -137,71 +133,3 @@ def inner(f0: np.ndarray, f1: np.ndarray, m: np.ndarray) -> float:
 def mean(f: np.ndarray, m: np.ndarray) -> float:
     """Stationary mean m(f) = sum f m."""
     return float(np.sum(np.asarray(f) * m))
-
-
-@dataclass(frozen=True)
-class ByPartsReport:
-    """Residuals of the summation-by-parts identity on a vertex subset.
-
-    On a subset S the identity reads
-
-        sum_{x in S} L f0(x) f1(x) m(x)
-            = (1/2) sum_{x,y in S} (f0(y)-f0(x)) (f1(y)-f1(x)) m_xy
-              - sum_{x in S, y not in S} (f0(y)-f0(x)) f1(x) m_xy
-
-    and with S = V the boundary term vanishes, giving
-    (L f0, f1) = m(Gamma(f0, f1)) = (f0, L f1).
-    """
-
-    lhs: float
-    interior: float
-    boundary: float
-    subset_residual: float
-    adjoint_residual: float
-    gamma_residual: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.subset_residual, self.adjoint_residual, self.gamma_residual)
-
-
-def check_integration_by_parts(
-    M: MarkovData, omega: list[int] | np.ndarray, f0: np.ndarray, f1: np.ndarray
-) -> ByPartsReport:
-    """Evaluate both sides of the subset identity plus the global ones."""
-    omega = np.asarray(sorted(set(int(x) for x in np.asarray(omega).ravel())), dtype=int)
-    if omega.size == 0:
-        raise EmptySubsetError("integration by parts needs a non-empty subset")
-    f0 = np.asarray(f0, dtype=float)
-    f1 = np.asarray(f1, dtype=float)
-    n = M.n
-    inside = np.zeros(n, dtype=bool)
-    inside[omega] = True
-
-    Lf0 = M.laplacian.apply(f0)
-    lhs = float(np.sum(Lf0[omega] * f1[omega] * M.m[omega]))
-
-    d0 = f0[None, :] - f0[:, None]
-    d1 = f1[None, :] - f1[:, None]
-    pair = inside[:, None] & inside[None, :]
-    interior = 0.5 * float((d0 * d1 * M.mxy)[pair].sum())
-    cross = inside[:, None] & ~inside[None, :]
-    boundary = float((d0 * f1[:, None] * M.mxy)[cross].sum())
-
-    subset_residual = abs(lhs - (interior - boundary))
-
-    Lf1 = M.laplacian.apply(f1)
-    left = inner(Lf0, f1, M.m)
-    right = inner(f0, Lf1, M.m)
-    middle = mean(gamma(f0, f1, M), M.m)
-    adjoint_residual = abs(left - right)
-    gamma_residual = max(abs(left - middle), abs(right - middle))
-
-    return ByPartsReport(
-        lhs=lhs,
-        interior=interior,
-        boundary=boundary,
-        subset_residual=subset_residual,
-        adjoint_residual=adjoint_residual,
-        gamma_residual=gamma_residual,
-    )

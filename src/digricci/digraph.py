@@ -7,12 +7,16 @@ distance D(x, y) = max(d(x, y), d(y, x)) and its maximum over the
 neighbourhood of x (out- and in-neighbours together) control the
 constants in every concentration statement, so both are precomputed
 here alongside the raw hop counts.
+
+The hop counts come from one frontier expansion over all sources at
+once, one matrix product per breadth-first level, and are computed
+once per graph: build_graph keeps them, strong connectivity is "every
+count is finite", and distances reads them instead of searching again.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,19 +37,21 @@ class DirectedGraph:
     mu[x, y] > 0 exactly when the arc x -> y exists.  The diagonal is
     zero (no self loops) and all weights are non-negative.  Strong
     connectivity is checked once at construction and recorded.
+
+    _hops holds the hop count of every ordered pair, -1 where the head
+    cannot be reached; build_graph computes it once and distances reads
+    it.  It is private to this module and never compared.
     """
 
     n: int
     mu: np.ndarray
     strongly_connected: bool
+    _hops: np.ndarray = field(repr=False, compare=False)
     labels: tuple[str, ...] | None = None
 
     @property
     def arc_count(self) -> int:
         return int(np.count_nonzero(self.mu))
-
-    def label(self, x: int) -> str:
-        return self.labels[x] if self.labels is not None else str(x)
 
 
 @dataclass(frozen=True)
@@ -74,9 +80,9 @@ class DistanceMatrix:
 def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> DirectedGraph:
     """Validate a weight matrix and wrap it in a DirectedGraph.
 
-    The graph is strongly connected when vertex 0 reaches every vertex
-    and every vertex reaches 0: one breadth-first search along the arcs
-    and one against them, each linear in the arcs.
+    The hop counts of all ordered pairs are computed here, once per
+    graph (_hop_matrix); the graph is strongly connected exactly when
+    every one of them is finite.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
@@ -99,31 +105,41 @@ def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> Direct
             raise ParseError(f"expected {n} labels, got {len(labels)}")
     mu = mu.copy()
     mu.flags.writeable = False
-    strong = all((_bfs(_adjacency(m), 0) >= 0).all() for m in (mu, mu.T))
-    return DirectedGraph(n=n, mu=mu, strongly_connected=strong, labels=labels)
+    hops = _hop_matrix(mu)
+    hops.flags.writeable = False
+    strong = bool((hops >= 0).all())
+    return DirectedGraph(n=n, mu=mu, strongly_connected=strong, _hops=hops, labels=labels)
 
 
-def _adjacency(mu: np.ndarray) -> list[list[int]]:
-    """The out-neighbours of each vertex, as lists."""
-    return [np.flatnonzero(row > 0).tolist() for row in mu]
+def _hop_matrix(mu: np.ndarray) -> np.ndarray:
+    """Hop counts from every source at once; -1 where the head is unreachable.
 
-
-def _bfs(adj: list[list[int]], s: int) -> np.ndarray:
-    """Hop counts from s along adj; -1 where s cannot reach."""
-    seen = np.full(len(adj), -1, dtype=int)
-    seen[s] = 0
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if seen[w] == -1:
-                seen[w] = seen[v] + 1
-                queue.append(w)
-    return seen
+    Row s of the frontier marks the vertices first reached from s at the
+    current level, so the next level is (frontier @ A > 0) & ~reached
+    for the 0/1 arc matrix A: one n x n product per level, at most n
+    levels.  The products count paths of 0/1 matrices, so they are exact
+    integers in float64, which goes through BLAS where integer products
+    do not.
+    """
+    n = mu.shape[0]
+    adjacency = (mu > 0).astype(float)
+    d = np.full((n, n), -1, dtype=int)
+    np.fill_diagonal(d, 0)
+    reached = np.eye(n, dtype=bool)
+    frontier = np.eye(n)
+    level = 0
+    while True:
+        level += 1
+        new = (frontier @ adjacency > 0) & ~reached
+        if not new.any():
+            return d
+        d[new] = level
+        reached |= new
+        frontier = new.astype(float)
 
 
 def distances(g: DirectedGraph) -> DistanceMatrix:
-    """All-pairs hop distances by one breadth-first search from every source.
+    """All-pairs hop distances, read from the graph's once-computed hop counts.
 
     Requires strong connectivity, which also guarantees every vertex has
     at least one out- and one in-neighbour once n >= 2.
@@ -131,13 +147,12 @@ def distances(g: DirectedGraph) -> DistanceMatrix:
     if not g.strongly_connected:
         raise NotStronglyConnectedError("distances need a strongly connected graph")
     n = g.n
-    adj = _adjacency(g.mu)
-    d = np.array([_bfs(adj, s) for s in range(n)])
+    d = g._hops
     dsym = np.maximum(d, d.T)
     nbr = (g.mu > 0) | (g.mu.T > 0)
     dvert = np.where(nbr, dsym, 0).max(axis=1)
     arcs = np.argwhere(d == 1)
-    for a in (d, dsym, dvert, arcs):
+    for a in (dsym, dvert, arcs):
         a.flags.writeable = False
     return DistanceMatrix(
         d=d, dsym=dsym, dvert=dvert, lam=int(dvert.max()) if n > 1 else 0, arcs=arcs

@@ -68,10 +68,6 @@ class HeatOperator:
     def n(self) -> int:
         return self.m.shape[0]
 
-    @property
-    def spectral_gap(self) -> float:
-        return float(self.eigenvalues[1]) if self.n > 1 else 0.0
-
     def matrix(self, t: float) -> np.ndarray:
         """Dense P_t; rows are the heat-kernel measures before clamping."""
         if t < 0:

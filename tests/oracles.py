@@ -16,14 +16,18 @@ bit for bit, and lu_duals the dense solve its duals, read off the final
 cost row, are held to.
 At the end sit second routes to library quantities, built on the
 library's primitives: gradient and gradient_matrix (difference
-quotients over every pair), reversed_graph, gamma_via_delta (Gamma
-through the Laplacian), uniformization_matrix (P_t as a Poisson
-series), and the sampled lower bounds laplace_lower_bound and
-entropy_dual_pairing.
+quotients over every pair), reversed_graph, label (a vertex's name),
+laplacian_delta and gamma_via_delta (Gamma through the Laplacian),
+spectral_gap, uniformization_matrix (P_t as a Poisson series), the
+sampled lower bounds laplace_lower_bound and entropy_dual_pairing, and
+check_integration_by_parts (both sides of the summation-by-parts
+identity on a vertex subset).
 The HAND dict holds values worked out by hand for the three fixtures.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -36,6 +40,7 @@ from digricci import (
     build_graph,
     centered_lipschitz_samples,
     certificate_from_samples,
+    gamma,
     heat_kernel_matrix,
     inner,
     lipschitz_constant,
@@ -44,6 +49,7 @@ from digricci import (
     wasserstein,
 )
 from digricci.errors import (
+    EmptySubsetError,
     HypothesisUnmetError,
     NegativeTimeError,
     NumericsError,
@@ -355,6 +361,11 @@ def reversed_graph(g: DirectedGraph) -> DirectedGraph:
     return build_graph(np.array(g.mu.T), labels=g.labels)
 
 
+def label(g: DirectedGraph, x: int) -> str:
+    """The name of vertex x: its label when the graph has labels, else x."""
+    return g.labels[x] if g.labels is not None else str(x)
+
+
 def gradient(f: np.ndarray, x: int, y: int, dm: DistanceMatrix) -> float:
     """Difference quotient (f(y) - f(x)) / d(x, y) along the ordered pair."""
     if x == y:
@@ -372,6 +383,11 @@ def gradient_matrix(f: np.ndarray, dm: DistanceMatrix) -> np.ndarray:
     return grad
 
 
+def laplacian_delta(M: MarkovData) -> np.ndarray:
+    """Delta = -L as a dense matrix."""
+    return -M.laplacian.matrix
+
+
 def gamma_via_delta(f0: np.ndarray, f1: np.ndarray, M: MarkovData) -> np.ndarray:
     """Same quantity through (1/2)(Delta(f0 f1) - f0 Delta f1 - f1 Delta f0).
 
@@ -379,8 +395,13 @@ def gamma_via_delta(f0: np.ndarray, f1: np.ndarray, M: MarkovData) -> np.ndarray
     """
     f0 = np.asarray(f0, dtype=float)
     f1 = np.asarray(f1, dtype=float)
-    delta = M.laplacian.delta
+    delta = laplacian_delta(M)
     return 0.5 * (delta @ (f0 * f1) - f0 * (delta @ f1) - f1 * (delta @ f0))
+
+
+def spectral_gap(H) -> float:
+    """The second-smallest eigenvalue of L (the smallest is 0); 0 on one vertex."""
+    return float(H.eigenvalues[1]) if H.n > 1 else 0.0
 
 
 def uniformization_matrix(M: MarkovData, t: float, tol: float = 1e-16) -> np.ndarray:
@@ -435,3 +456,71 @@ def entropy_dual_pairing(M: MarkovData, rho: np.ndarray, g: np.ndarray) -> float
     if mean(np.exp(g), M.m) > 1.0 + 1e-12:
         raise HypothesisUnmetError("dual pairing needs m(exp g) <= 1")
     return inner(g, np.asarray(rho, dtype=float), M.m)
+
+
+@dataclass(frozen=True)
+class ByPartsReport:
+    """Residuals of the summation-by-parts identity on a vertex subset.
+
+    On a subset S the identity reads
+
+        sum_{x in S} L f0(x) f1(x) m(x)
+            = (1/2) sum_{x,y in S} (f0(y)-f0(x)) (f1(y)-f1(x)) m_xy
+              - sum_{x in S, y not in S} (f0(y)-f0(x)) f1(x) m_xy
+
+    and with S = V the boundary term vanishes, giving
+    (L f0, f1) = m(Gamma(f0, f1)) = (f0, L f1).
+    """
+
+    lhs: float
+    interior: float
+    boundary: float
+    subset_residual: float
+    adjoint_residual: float
+    gamma_residual: float
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.subset_residual, self.adjoint_residual, self.gamma_residual)
+
+
+def check_integration_by_parts(
+    M: MarkovData, omega: list[int] | np.ndarray, f0: np.ndarray, f1: np.ndarray
+) -> ByPartsReport:
+    """Evaluate both sides of the subset identity plus the global ones."""
+    omega = np.asarray(sorted(set(int(x) for x in np.asarray(omega).ravel())), dtype=int)
+    if omega.size == 0:
+        raise EmptySubsetError("integration by parts needs a non-empty subset")
+    f0 = np.asarray(f0, dtype=float)
+    f1 = np.asarray(f1, dtype=float)
+    n = M.n
+    inside = np.zeros(n, dtype=bool)
+    inside[omega] = True
+
+    Lf0 = M.laplacian.apply(f0)
+    lhs = float(np.sum(Lf0[omega] * f1[omega] * M.m[omega]))
+
+    d0 = f0[None, :] - f0[:, None]
+    d1 = f1[None, :] - f1[:, None]
+    pair = inside[:, None] & inside[None, :]
+    interior = 0.5 * float((d0 * d1 * M.mxy)[pair].sum())
+    cross = inside[:, None] & ~inside[None, :]
+    boundary = float((d0 * f1[:, None] * M.mxy)[cross].sum())
+
+    subset_residual = abs(lhs - (interior - boundary))
+
+    Lf1 = M.laplacian.apply(f1)
+    left = inner(Lf0, f1, M.m)
+    right = inner(f0, Lf1, M.m)
+    middle = mean(gamma(f0, f1, M), M.m)
+    adjoint_residual = abs(left - right)
+    gamma_residual = max(abs(left - middle), abs(right - middle))
+
+    return ByPartsReport(
+        lhs=lhs,
+        interior=interior,
+        boundary=boundary,
+        subset_residual=subset_residual,
+        adjoint_residual=adjoint_residual,
+        gamma_residual=gamma_residual,
+    )

@@ -59,8 +59,8 @@ class TestParsing:
 
     def test_json_labels(self):
         g = load_graph('{"n": 2, "arcs": [[0, 1], [1, 0]], "labels": ["a", "b"]}')
-        assert g.label(0) == "a"
-        assert g.label(1) == "b"
+        assert oracles.label(g, 0) == "a"
+        assert oracles.label(g, 1) == "b"
 
     def test_json_rejects_out_of_range(self):
         with pytest.raises(ParseError):
@@ -153,6 +153,30 @@ class TestDistances:
         for g in corpus:
             dm = distances(g)
             assert np.array_equal(dm.d, oracles.hop_distances(np.asarray(g.mu)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.floats(0.0, 1.0),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_hop_expansion_is_floyd_warshall_exactly(self, n, density, ring, seed):
+        # a ring under sparse chords makes long geodesics, so many levels;
+        # without it, low densities give graphs that are not strongly connected
+        mask = np.random.default_rng(seed).random((n, n)) < density
+        if ring:
+            mask[np.arange(n), (np.arange(n) + 1) % n] = True
+        mu = np.where(mask, 1.0, 0.0)
+        np.fill_diagonal(mu, 0.0)
+        expected = oracles.hop_distances(mu)
+        g = build_graph(mu)
+        assert g.strongly_connected == bool((expected < oracles.INF).all())
+        if g.strongly_connected:
+            d = distances(g).d
+            assert d.dtype.kind == "i"
+            assert not d.flags.writeable
+            assert np.array_equal(d, expected)
 
     def test_symmetrized_distance_definition(self, corpus):
         for g in corpus[:10]:

@@ -64,6 +64,76 @@ class TestRenderJson:
         parsed = json.loads(out)
         assert parsed == {"m": [0.5, 0.5], "n": 3, "flag": True}
 
+    def test_layout_is_byte_frozen(self):
+        # every leaf type reports hold, in the exact bytes reports are compared by
+        value = {
+            "np_float64": np.float64(0.1),
+            "np_float32": np.float32(0.1),
+            "np_int64": np.int64(-7),
+            "np_bool": np.bool_(True),
+            "bool": False,
+            "int": 3,
+            "none": None,
+            "text": 'a "quoted" \u00e9',
+            "floats": [1.0, -0.0, 1e-300, 2.5e16, [float("nan"), float("inf"), -float("inf")]],
+            "matrix": np.array([[1.5, 1 / 3], [np.nan, -np.inf]]),
+            "tuple": (1, 2.5, "x"),
+            "empty_list": [],
+            "empty_dict": {},
+            "nested": {"rows": [[0, 1], []], 7: {"deep": np.float64(2.0) / 3}},
+        }
+        expected = r"""{
+  "np_float64": 0.10000000000000001,
+  "np_float32": 0.10000000149011612,
+  "np_int64": -7,
+  "np_bool": true,
+  "bool": false,
+  "int": 3,
+  "none": null,
+  "text": "a \"quoted\" é",
+  "floats": [
+    1,
+    -0,
+    1e-300,
+    25000000000000000,
+    [
+      null,
+      "Infinity",
+      "-Infinity"
+    ]
+  ],
+  "matrix": [
+    [
+      1.5,
+      0.33333333333333331
+    ],
+    [
+      null,
+      "-Infinity"
+    ]
+  ],
+  "tuple": [
+    1,
+    2.5,
+    "x"
+  ],
+  "empty_list": [],
+  "empty_dict": {},
+  "nested": {
+    "rows": [
+      [
+        0,
+        1
+      ],
+      []
+    ],
+    "7": {
+      "deep": 0.66666666666666663
+    }
+  }
+}"""
+        assert render_json(value) == expected
+
     def test_deterministic(self):
         value = {"x": [1.0, float("nan")], "y": "text"}
         assert render_json(value) == render_json(value)
