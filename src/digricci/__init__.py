@@ -45,7 +45,6 @@ from .concentration import (
 )
 from .curvature import (
     curvature_matrix,
-    kappa_eps,
     kappa_limit,
     kappa_lp,
     smoothed_measure,
@@ -60,7 +59,6 @@ from .digraph import (
     sample_lipschitz_functions,
 )
 from .errors import (
-    EmptySubsetError,
     EpsOutOfRangeError,
     GraphCurvatureError,
     HypothesisUnmetError,
@@ -77,13 +75,12 @@ from .errors import (
 )
 from .heat import (
     curvature_time_limit,
-    heat_kernel,
     heat_kernel_matrix,
     heat_operator,
     verify_gradient_estimate,
     verify_transport_contraction,
 )
-from .lp import LinearProgram, solve_lp, solve_transport
+from .lp import solve_lp, solve_transport
 from .report import RunConfig, VerificationReport, render_json
 from .transport import kantorovich_dual, wasserstein
 
@@ -91,12 +88,10 @@ __all__ = [
     "DensityFixture",
     "DirectedGraph",
     "DistanceMatrix",
-    "EmptySubsetError",
     "EpsOutOfRangeError",
     "GraphCurvatureError",
     "HypothesisUnmetError",
     "InequalityCertificate",
-    "LinearProgram",
     "MarginalMismatchError",
     "MarkovData",
     "NegativeTimeError",
@@ -127,12 +122,10 @@ __all__ = [
     "distances",
     "fisher_information",
     "gamma",
-    "heat_kernel",
     "heat_kernel_matrix",
     "heat_operator",
     "inner",
     "kantorovich_dual",
-    "kappa_eps",
     "kappa_limit",
     "kappa_lp",
     "lipschitz_constant",

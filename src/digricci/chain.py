@@ -28,25 +28,17 @@ ADJOINTNESS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class LaplacianOperator:
-    """L f = f - Pbar f as a dense matrix, with Delta = -L."""
-
-    matrix: np.ndarray
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(f, dtype=float)
-
-
-@dataclass(frozen=True)
 class MarkovData:
-    """Kernel, stationary measure, reversal, mean kernel, edge weights."""
+    """Kernel, stationary measure, mean kernel, edge weights, and L = I - Pbar.
+
+    Every array is read-only.
+    """
 
     P: np.ndarray
     m: np.ndarray
-    Prev: np.ndarray
     Pmean: np.ndarray
     mxy: np.ndarray
-    laplacian: LaplacianOperator
+    L: np.ndarray
 
     @property
     def n(self) -> int:
@@ -91,7 +83,7 @@ def perron_measure(P: np.ndarray, tol: float = BALANCE_TOL) -> np.ndarray:
 
 
 def mean_kernel(P: np.ndarray, m: np.ndarray) -> MarkovData:
-    """Assemble the reversal, the mean kernel, and the mean Laplacian.
+    """Assemble the mean kernel, the edge weights and the mean Laplacian.
 
     The symmetric weights are built as m_xy = (m(x) P(x,y) + m(y) P(y,x)) / 2,
     which is exactly symmetric in floating point; Pbar is recovered from
@@ -105,9 +97,9 @@ def mean_kernel(P: np.ndarray, m: np.ndarray) -> MarkovData:
     w = m[:, None] * P
     mxy = 0.5 * (w + w.T)
     L = np.eye(P.shape[0]) - Pmean
-    for a in (P, Prev, Pmean, mxy, L, m):
+    for a in (P, Pmean, mxy, L, m):
         a.flags.writeable = False
-    return MarkovData(P=P, m=m, Prev=Prev, Pmean=Pmean, mxy=mxy, laplacian=LaplacianOperator(L))
+    return MarkovData(P=P, m=m, Pmean=Pmean, mxy=mxy, L=L)
 
 
 def markov_data(g: DirectedGraph) -> MarkovData:

@@ -48,7 +48,7 @@ from .heat import (
     DEFAULT_LIMIT_GRID,
     HEAT_LIMIT_AGREEMENT_TOL,
     curvature_time_limit,
-    heat_kernel,
+    heat_kernel_matrix,
     heat_operator,
     verify_gradient_estimate,
     verify_transport_contraction,
@@ -446,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
             H = heat_operator(M)
             if args.kernel is not None:
                 x = _parse_vertex(args.kernel, g.n, "vertex")
-                row = heat_kernel(H, x, args.t)
+                row = heat_kernel_matrix(H, args.t)[x]
                 payload = {"t": args.t, "x": x, "kernel_row": row.tolist()}
             else:
                 f = _parse_measure(args.f, g.n)

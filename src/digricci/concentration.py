@@ -48,9 +48,8 @@ def random_densities(
     M: MarkovData,
     count: int,
     rng: np.random.Generator,
-    include_point_masses: bool = True,
 ) -> list[DensityFixture]:
-    """Positive random densities normalised to m(rho) = 1.
+    """count positive random densities normalised to m(rho) = 1, then n point masses.
 
     Draws i.i.d. positive entries and rescales; the extremal point-mass
     densities delta_x / m(x) are appended because they bind most of the
@@ -61,11 +60,10 @@ def random_densities(
     for i in range(count):
         g = rng.gamma(shape=2.0, scale=1.0, size=n) + 1e-3
         out.append(DensityFixture(rho=g / mean(g, M.m), provenance=f"random[{i}]"))
-    if include_point_masses:
-        for x in range(n):
-            rho = np.zeros(n)
-            rho[x] = 1.0 / M.m[x]
-            out.append(DensityFixture(rho=rho, provenance=f"point_mass[{x}]"))
+    for x in range(n):
+        rho = np.zeros(n)
+        rho[x] = 1.0 / M.m[x]
+        out.append(DensityFixture(rho=rho, provenance=f"point_mass[{x}]"))
     return out
 
 

@@ -2,9 +2,9 @@
 
 kappa(x, y) compares how fast lazy random-walk clouds started at x and
 at y approach each other relative to d(x, y).  The smoothing route
-computes kappa_eps(x, y) = 1 - W(nu_x_eps, nu_y_eps) / d(x, y) with
-nu_x_eps = (1 - eps) delta_x + eps Pbar(x, .) and divides by eps; the
-exact route solves a single linear program
+takes the smoothed curvature 1 - W(nu_x_eps, nu_y_eps) / d(x, y) with
+nu_x_eps = (1 - eps) delta_x + eps Pbar(x, .) and divides it by eps;
+the exact route solves a single linear program
 
     kappa(x, y) = inf { grad_xy (L f) : Lip f <= 1, grad_xy f = 1 }
 
@@ -75,16 +75,6 @@ def smoothed_measure(x: int, eps: float, M: MarkovData) -> np.ndarray:
     return nu
 
 
-def kappa_eps(x: int, y: int, eps: float, M: MarkovData, dm: DistanceMatrix) -> float:
-    """Smoothed curvature 1 - W(nu_x_eps, nu_y_eps) / d(x, y)."""
-    if x == y:
-        raise SameVertexError("curvature needs two distinct vertices")
-    nu_x = smoothed_measure(x, eps, M)
-    nu_y = smoothed_measure(y, eps, M)
-    plan = transport.wasserstein(nu_x, nu_y, dm, verify=False)
-    return 1.0 - plan.value / float(dm.d[x, y])
-
-
 def kappa_lp(
     x: int, y: int, M: MarkovData, dm: DistanceMatrix
 ) -> tuple[float, np.ndarray]:
@@ -113,15 +103,13 @@ def kappa_lp(
         raise SameVertexError("curvature needs two distinct vertices")
     d = dm.d
     dxy = float(d[x, y])
-    L = M.laplacian.matrix
-    c = (L[y] - L[x]) / dxy
+    c = (M.L[y] - M.L[x]) / dxy
     arcs = dm.arcs
     tree = transport.root_basis(dm, x)
     # the virtual arc y -> x: +1 in the row of y, and x's row is dropped
     virtual = np.zeros(M.n - 1)
     virtual[y - (y > x)] = 1.0
-    problem = lp.LinearProgram(tree.start.with_column(-dxy, virtual), c[tree.vertices])
-    solution = lp.solve_lp(problem)
+    solution = lp.solve_lp(tree.start.with_column(-dxy, virtual), c[tree.vertices])
     if solution.status != "optimal":
         raise LpFailureError(f"curvature program ended with status {solution.status!r}")
     # 0.0 - v, not -v: a zero optimum or dual must not become -0.0
@@ -146,23 +134,26 @@ def kappa_limit(
     dm: DistanceMatrix,
     eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID,
 ) -> tuple[float, float]:
-    """kappa_eps / eps at the smallest eps, plus the spread over the grid.
+    """The smoothed curvature over eps at the smallest eps, and the spread.
 
-    Near zero the smoothed curvature is linear in eps, so the quotients
-    stabilise; the spread (max - min over the grid) reports how far into
-    that regime the grid reached.  The W of the grid are one program
+    The smoothed curvature is 1 - W(nu_x_eps, nu_y_eps) / d(x, y).
+    Near zero it is linear in eps, so the quotients stabilise; the
+    spread (max - min over the grid) reports how far into that regime
+    the grid reached.  EpsOutOfRangeError unless the grid is non-empty
+    and every eps lies in (0, 1].  The W of the grid are one program
     with moving measures, so they are solved in ascending eps, each
     from the previous eps's optimal basis (transport.wasserstein's
     start).
     """
-    if not eps_grid:
-        raise EpsOutOfRangeError("eps grid must be non-empty")
+    grid = sorted(eps_grid)
+    if not grid or not grid[0] > 0:
+        raise EpsOutOfRangeError("eps grid must be non-empty and positive")
     if x == y:
         raise SameVertexError("curvature needs two distinct vertices")
     dxy = float(dm.d[x, y])
     quotients = []
     plan = None
-    for e in sorted(eps_grid):
+    for e in grid:
         nu_x = smoothed_measure(x, e, M)
         nu_y = smoothed_measure(y, e, M)
         plan = transport.wasserstein(nu_x, nu_y, dm, verify=False, start=plan)

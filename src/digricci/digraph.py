@@ -59,8 +59,7 @@ class DistanceMatrix:
     """Hop distances plus the symmetrised quantities derived from them.
 
     d[x, y]    directed hop distance (non-symmetric in general)
-    dsym[x, y] max(d[x, y], d[y, x])
-    dvert[x]   max of dsym[x, y] over neighbours y of x (both directions)
+    dvert[x]   max of max(d[x, y], d[y, x]) over neighbours y of x (both directions)
     lam        max of dvert over all vertices
     arcs[k]    (tail, head) of the k-th arc, the pairs with d = 1 in row-major order
 
@@ -70,7 +69,6 @@ class DistanceMatrix:
     """
 
     d: np.ndarray
-    dsym: np.ndarray
     dvert: np.ndarray
     lam: int
     arcs: np.ndarray
@@ -152,11 +150,9 @@ def distances(g: DirectedGraph) -> DistanceMatrix:
     nbr = (g.mu > 0) | (g.mu.T > 0)
     dvert = np.where(nbr, dsym, 0).max(axis=1)
     arcs = np.argwhere(d == 1)
-    for a in (dsym, dvert, arcs):
+    for a in (dvert, arcs):
         a.flags.writeable = False
-    return DistanceMatrix(
-        d=d, dsym=dsym, dvert=dvert, lam=int(dvert.max()) if n > 1 else 0, arcs=arcs
-    )
+    return DistanceMatrix(d=d, dvert=dvert, lam=int(dvert.max()) if n > 1 else 0, arcs=arcs)
 
 
 def lipschitz_constant(f: np.ndarray, dm: DistanceMatrix) -> float | np.ndarray:

@@ -37,10 +37,6 @@ class SingularSystemError(GraphCurvatureError):
     """The stationary-measure linear system could not be solved reliably."""
 
 
-class EmptySubsetError(GraphCurvatureError):
-    """A vertex subset argument was empty."""
-
-
 class NonSymmetricResidualError(GraphCurvatureError):
     """The symmetrised kernel is not symmetric; reversibility broke upstream."""
 

@@ -7,8 +7,9 @@ roundoff) and keeps the semigroup law and self-adjointness tight.  The
 row measures p_x_t of P_t are probability vectors; transporting them
 against each other at small times recovers the curvature of each pair,
 and at a global rate K the flow contracts both Lipschitz constants and
-transport distances like exp(-K t).  A truncated series
-exp(-t) sum_k t^k Pbar^k / k! stays available as an independent oracle.
+transport distances like exp(-K t).  The tests hold this route to an
+independent one, the truncated series exp(-t) sum_k t^k Pbar^k / k!
+(tests/oracles.uniformization_matrix).
 
 The hop metric is a path metric, so the transport inequality is local:
 a geodesic x = x_0 -> ... -> x_k = y splits d(x, y) = k into arcs, and
@@ -116,7 +117,7 @@ def heat_operator(M: MarkovData) -> HeatOperator:
 
 
 def heat_kernel_matrix(H: HeatOperator, t: float) -> np.ndarray:
-    """All heat-kernel rows at time t, clamped and renormalised.
+    """All heat-kernel rows at time t, clamped and renormalised: row x is p_x_t.
 
     Entries may round slightly negative; dips beyond KERNEL_NEG_CLAMP
     mean something upstream broke and raise instead of being hidden.
@@ -134,11 +135,6 @@ def heat_kernel_matrix(H: HeatOperator, t: float) -> np.ndarray:
         kernel.flags.writeable = False
         H._kernels[t] = kernel
     return kernel
-
-
-def heat_kernel(H: HeatOperator, x: int, t: float) -> np.ndarray:
-    """Probability measure p_x_t = row x of P_t."""
-    return heat_kernel_matrix(H, t)[x]
 
 
 def verify_gradient_estimate(

@@ -151,35 +151,14 @@ def _check(off: float, worst: float) -> None:
 
 
 @dataclass
-class LinearProgram:
-    """min c.x subject to A x = b, x >= 0, solved from start, a start of its c and A."""
-
-    start: Start
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.b = np.asarray(self.b, dtype=float)
-        if self.b.shape != self.start.A.shape[:1]:
-            raise ValueError("the right-hand side does not match the matrix")
-
-    @property
-    def c(self) -> np.ndarray:
-        return self.start.c
-
-    @property
-    def A(self) -> np.ndarray:
-        return self.start.A
-
-
-@dataclass
 class LpSolution:
     """Outcome of a solve, with the optimality certificate pieces.
 
     duals has one multiplier per row of the program: y = c_B B^-1 on
     the final basis, read off the final cost row c - y A through the
     start's inverse.  duality_gap is |c.x - y.b|, which certifies
-    optimality on that basis.  An optimal solve also keeps the program
-    it solved, its final basis, one column index per row, and its final
+    optimality on that basis.  An optimal solve also keeps the start it
+    began from, its final basis, one column index per row, and its final
     tableau; basis_inverse is that basis's inverse, formed on first
     read, and warm_start makes the basis the start of another b.
     """
@@ -191,7 +170,7 @@ class LpSolution:
     feasibility_residual: float | None = None
     duality_gap: float | None = None
     iterations: int = 0
-    problem: LinearProgram | None = field(default=None, repr=False)
+    start: Start | None = field(default=None, repr=False)
     basis: np.ndarray | None = None
     # the final tableau, [B_f^-1 A | B_f^-1 b ; c - c_B B_f^-1 A | -c_B B_f^-1 b]
     _tableau: np.ndarray | None = field(default=None, repr=False)
@@ -199,8 +178,7 @@ class LpSolution:
     @cached_property
     def basis_inverse(self) -> np.ndarray:
         """B_f^-1 = (B_f^-1 B_0) B_0^-1: the final rows' start-basis columns times B_0^-1."""
-        start = self.problem.start
-        return self._tableau[:-1, start.basis] @ start.inverse
+        return self._tableau[:-1, self.start.basis] @ self.start.inverse
 
     def warm_start(self) -> Start:
         """The final basis as the start of the same c and A with another b.
@@ -211,7 +189,7 @@ class LpSolution:
         columns to within INVERSE_TOL and every reduced cost is at least
         -RC_TOL.
         """
-        start = self.problem.start
+        start = self.start
         inverse = self.basis_inverse
         tableau = self._tableau[:, :-1]
         off = np.abs(inverse @ start.A[:, self.basis] - np.eye(len(inverse))).max(initial=0.0)
@@ -294,37 +272,32 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[
             raise NumericsError(f"dual simplex exceeded {max_iter} pivots; tableau may be cycling")
 
 
-def _feasibility_residual(problem: LinearProgram, x: np.ndarray) -> float:
-    """Largest violation by x of A x = b and x >= 0."""
-    err = problem.A @ x - problem.b
-    return max(0.0, float(np.abs(err).max(initial=0.0)), float(-x.min(initial=0.0)))
-
-
-def _tableau(problem: LinearProgram) -> np.ndarray:
-    """The start tableau of problem: its start's rows beside B^-1 b, over -c_B B^-1 b."""
-    start = problem.start
+def _tableau(start: Start, b: np.ndarray) -> np.ndarray:
+    """The start tableau of the program of b: start's rows beside B^-1 b, over -c_B B^-1 b."""
     m, n = start.A.shape
     T = np.empty((m + 1, n + 1))
     T[:, :n] = start.tableau
-    T[:m, n] = start.inverse @ problem.b
+    T[:m, n] = start.inverse @ b
     T[m, n] = 0.0 - start.c[start.basis] @ T[:m, n]
     return T
 
 
-def solve_lp(problem: LinearProgram) -> LpSolution:
-    """Dual simplex from the program's start.
+def solve_lp(start: Start, b: np.ndarray) -> LpSolution:
+    """min c.x subject to A x = b, x >= 0, by a dual simplex from start, a start of c and A.
 
-    The start was checked when it was built (see Start), so the solve
-    forms B^-1 b and pivots.  The status is "optimal", or "infeasible"
-    when a leaving row has no entry that can enter.  An optimal
-    solution carries its final basis B_f and final tableau; its
-    warm_start starts a solve of the same c and A with another b from
-    B_f.
+    ValueError unless b has one entry per row of A.  The start was
+    checked when it was built (see Start), so the solve forms B^-1 b
+    and pivots.  The status is "optimal", or "infeasible" when a leaving
+    row has no entry that can enter.  An optimal solution carries its
+    final basis B_f and final tableau; its warm_start starts a solve of
+    the same c and A with another b from B_f.
     """
-    start = problem.start
+    b = np.asarray(b, dtype=float)
     m, n = start.A.shape
+    if b.shape != (m,):
+        raise ValueError("the right-hand side does not match the matrix")
     basis = start.basis.copy()
-    T = _tableau(problem)
+    T = _tableau(start, b)
     status, iterations = _run_dual_simplex(T, basis, 1000 + 50 * (m + n))
     if status != "optimal":
         return LpSolution(status=status, iterations=iterations)
@@ -334,22 +307,26 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     b0 = start.basis
     y = (start.c[b0] - T[-1, b0]) @ start.inverse
     primal = float(start.c @ x)
+    # the largest violation by x of A x = b and x >= 0
+    err = float(np.abs(start.A @ x - b).max(initial=0.0))
     return LpSolution(
         status="optimal",
         x=x,
         value=primal,
         duals=y,
-        feasibility_residual=_feasibility_residual(problem, x),
-        duality_gap=abs(primal - float(y @ problem.b)),
+        feasibility_residual=max(0.0, err, float(-x.min(initial=0.0))),
+        duality_gap=abs(primal - float(y @ b)),
         iterations=iterations,
-        problem=problem,
+        start=start,
         basis=basis,
         _tableau=T,
     )
 
 
-def assemble_transport_lp(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> LinearProgram:
-    """The coupling program with a dual-feasible spanning-tree basis.
+def assemble_transport_lp(
+    cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray
+) -> tuple[Start, np.ndarray]:
+    """The coupling program as the start of a dual-feasible spanning-tree basis and its b.
 
     Variables are the n0*n1 entries of the coupling, row-major.  The
     rows fix the row sums of rows 1, ..., n0 - 1 to nu0[1:], then the
@@ -373,7 +350,7 @@ def assemble_transport_lp(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) ->
     rest = np.arange(1, n0) * n1 + np.argmin(cost[1:] - cost[0], axis=1)
     tree = np.concatenate([np.arange(n1), rest])
     start = Start.from_basis(cost.ravel(), A, tree, np.linalg.inv(A[:, tree]))
-    return LinearProgram(start, np.concatenate([nu0[1:], nu1]))
+    return start, np.concatenate([nu0[1:], nu1])
 
 
 def solve_transport(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> TransportSolution:
@@ -394,7 +371,7 @@ def solve_transport(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> Trans
         raise MarginalMismatchError(
             f"marginal masses differ: {nu0.sum():.17g} vs {nu1.sum():.17g}"
         )
-    solution = solve_lp(assemble_transport_lp(cost, nu0, nu1))
+    solution = solve_lp(*assemble_transport_lp(cost, nu0, nu1))
     if solution.status != "optimal":
         raise LpFailureError(f"transport solve ended with status {solution.status!r}")
     pi = np.maximum(solution.x.reshape(n0, n1), 0.0)

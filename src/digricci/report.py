@@ -87,31 +87,16 @@ def render_json(value: Any, indent: int = 0) -> str:
 
 
 def certificate_to_dict(cert: InequalityCertificate) -> dict[str, Any]:
-    witness = {k: _jsonable(v) for k, v in cert.witness.items()}
     return {
         "name": cert.name,
-        "hypothesis": {k: _jsonable(v) for k, v in cert.hypothesis.items()},
+        "hypothesis": cert.hypothesis,
         "lhs": cert.lhs,
         "rhs": cert.rhs,
         "margin": cert.margin,
         "tol": cert.tol,
         "pass": cert.passed,
-        "witness": witness,
+        "witness": cert.witness,
     }
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 @dataclass

@@ -143,7 +143,7 @@ def kantorovich_dual(
     A[pairs[:, 0], k] = 1.0
     A[pairs[:, 1], k] = -1.0
     start = lp.Start.from_basis(d[pairs[:, 0], pairs[:, 1]], A[1:], np.arange(n - 1), -np.eye(n - 1))
-    solution = lp.solve_lp(lp.LinearProgram(start, (nu0 - nu1)[1:]))
+    solution = lp.solve_lp(start, (nu0 - nu1)[1:])
     if solution.status != "optimal":
         raise LpFailureError(f"dual potential solve ended with status {solution.status!r}")
     f = np.concatenate([[0.0], 0.0 - solution.duals])
@@ -317,10 +317,10 @@ def wasserstein(
     else:
         r, inward = start.root, start.inward
         tree = dm._root_bases.get((r, inward))
-        if tree is None or tree.start.A is not start.flow.problem.A:
+        if tree is None or tree.start.A is not start.flow.start.A:
             raise ValueError("start is a plan solved on another DistanceMatrix")
         first = start.flow.warm_start()
-    solution = lp.solve_lp(lp.LinearProgram(first, excess[tree.vertices]))
+    solution = lp.solve_lp(first, excess[tree.vertices])
     if solution.status != "optimal":
         raise LpFailureError(f"transport flow solve ended with status {solution.status!r}")
     value = float(solution.value)

@@ -21,7 +21,7 @@ laplacian_delta and gamma_via_delta (Gamma through the Laplacian),
 spectral_gap, uniformization_matrix (P_t as a Poisson series), the
 sampled lower bounds laplace_lower_bound and entropy_dual_pairing, and
 check_integration_by_parts (both sides of the summation-by-parts
-identity on a vertex subset).
+identity on a vertex subset; EmptySubsetError on an empty one).
 The HAND dict holds values worked out by hand for the three fixtures.
 """
 
@@ -49,7 +49,7 @@ from digricci import (
     wasserstein,
 )
 from digricci.errors import (
-    EmptySubsetError,
+    GraphCurvatureError,
     HypothesisUnmetError,
     NegativeTimeError,
     NumericsError,
@@ -269,27 +269,27 @@ def _reference_pivot(T: np.ndarray, r: int, j: int) -> None:
     T[r, j] = 1.0
 
 
-def assert_kernel_matches_reference(problem, duals_tol: float = 0.0) -> bool:
+def assert_kernel_matches_reference(start, b, duals_tol: float = 0.0) -> bool:
     """lp's dual simplex kernel and reference_dual_simplex end on the same bits.
 
-    Both run from the start tableau of problem; the final tableaus must
-    agree byte for byte (signed zeros included), and so must the bases,
-    statuses and pivot counts.  On an optimal end, solve_lp's duals must
+    Both run from the start tableau of the program of start and b; the
+    final tableaus must agree byte for byte (signed zeros included), and
+    so must the bases, statuses and pivot counts.  On an optimal end, solve_lp's duals must
     be within duals_tol of lu_duals on the final basis.  Returns whether
     the reference switched to Bland's rule.
     """
-    T = lp._tableau(problem)
+    T = lp._tableau(start, b)
     ref_T = T.copy()
-    basis, ref_basis = problem.start.basis.copy(), problem.start.basis.copy()
-    max_iter = 1000 + 50 * sum(problem.A.shape)
+    basis, ref_basis = start.basis.copy(), start.basis.copy()
+    max_iter = 1000 + 50 * sum(start.A.shape)
     outcome = lp._run_dual_simplex(T, basis, max_iter)
     *ref_outcome, switched = reference_dual_simplex(ref_T, ref_basis, max_iter)
     assert outcome == tuple(ref_outcome)
     assert T.tobytes() == ref_T.tobytes()
     assert np.array_equal(basis, ref_basis)
     if outcome[0] == "optimal":
-        duals = lp.solve_lp(problem).duals
-        assert np.abs(duals - lu_duals(problem, basis)).max(initial=0.0) <= duals_tol
+        duals = lp.solve_lp(start, b).duals
+        assert np.abs(duals - lu_duals(start, basis)).max(initial=0.0) <= duals_tol
     return switched
 
 
@@ -312,9 +312,9 @@ def start_tableau(c, A, b, basis, basis_inverse) -> np.ndarray:
     return T
 
 
-def lu_duals(problem, basis: np.ndarray) -> np.ndarray:
-    """The duals y of a basis by an LU solve of B^T y = c_B, B = A[:, basis]."""
-    return np.linalg.solve(problem.A[:, basis].T, problem.c[basis])
+def lu_duals(start, basis: np.ndarray) -> np.ndarray:
+    """The duals y of a basis of start's c and A: an LU solve of B^T y = c_B, B = A[:, basis]."""
+    return np.linalg.solve(start.A[:, basis].T, start.c[basis])
 
 
 def reference_dual_simplex(
@@ -385,7 +385,7 @@ def gradient_matrix(f: np.ndarray, dm: DistanceMatrix) -> np.ndarray:
 
 def laplacian_delta(M: MarkovData) -> np.ndarray:
     """Delta = -L as a dense matrix."""
-    return -M.laplacian.matrix
+    return -M.L
 
 
 def gamma_via_delta(f0: np.ndarray, f1: np.ndarray, M: MarkovData) -> np.ndarray:
@@ -458,6 +458,10 @@ def entropy_dual_pairing(M: MarkovData, rho: np.ndarray, g: np.ndarray) -> float
     return inner(g, np.asarray(rho, dtype=float), M.m)
 
 
+class EmptySubsetError(GraphCurvatureError):
+    """check_integration_by_parts was given an empty vertex subset."""
+
+
 @dataclass(frozen=True)
 class ByPartsReport:
     """Residuals of the summation-by-parts identity on a vertex subset.
@@ -497,7 +501,7 @@ def check_integration_by_parts(
     inside = np.zeros(n, dtype=bool)
     inside[omega] = True
 
-    Lf0 = M.laplacian.apply(f0)
+    Lf0 = M.L @ f0
     lhs = float(np.sum(Lf0[omega] * f1[omega] * M.m[omega]))
 
     d0 = f0[None, :] - f0[:, None]
@@ -509,7 +513,7 @@ def check_integration_by_parts(
 
     subset_residual = abs(lhs - (interior - boundary))
 
-    Lf1 = M.laplacian.apply(f1)
+    Lf1 = M.L @ f1
     left = inner(Lf0, f1, M.m)
     right = inner(f0, Lf1, M.m)
     middle = mean(gamma(f0, f1, M), M.m)

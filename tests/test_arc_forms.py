@@ -39,7 +39,6 @@ from hypothesis import strategies as st
 
 import oracles
 from digricci import (
-    LinearProgram,
     NumericsError,
     build_graph,
     curvature_matrix,
@@ -181,15 +180,15 @@ def test_kappa_lp_solves_the_flow_dual_from_a_basis(g_tri, monkeypatch):
     problems = []
     solve_lp = lp.solve_lp
 
-    def recording_solve(problem):
-        problems.append(problem)
-        return solve_lp(problem)
+    def recording_solve(start, b):
+        problems.append((start, b))
+        return solve_lp(start, b)
 
     monkeypatch.setattr(lp, "solve_lp", recording_solve)
     kappa_lp(0, 2, markov_data(g_tri), distances(g_tri))
-    (problem,) = problems
-    assert problem.start.basis is not None
-    assert problem.A.shape == (g_tri.n - 1, g_tri.arc_count + 1)
+    ((start, b),) = problems
+    assert start.basis is not None
+    assert start.A.shape == (g_tri.n - 1, g_tri.arc_count + 1)
 
 
 @PROPERTY_SETTINGS
@@ -250,17 +249,19 @@ def test_tree_basis_solve_matches_scipy(instance):
     g, nu0, nu1 = instance
     dm = distances(g)
     excess = nu0 - nu1
-    problem = flow_program(dm, excess, *transport._start_tree(excess))
-    tree = solve_lp(problem)
+    tree = solve_lp(*flow_program(dm, excess, *transport._start_tree(excess)))
     assert tree.status == "optimal"
     assert abs(tree.value - oracles.linprog_transport(dm.d, nu0, nu1, tight=True)) <= 1e-9
     assert wasserstein(nu0, nu1, dm, verify=False).value == tree.value
 
 
-def flow_program(dm, excess: np.ndarray, r: int, inward: bool) -> LinearProgram:
-    """The arc-flow program of excess from root_basis(dm, r, inward), as wasserstein solves it."""
+def flow_program(dm, excess: np.ndarray, r: int, inward: bool) -> tuple[lp.Start, np.ndarray]:
+    """The start and b of the arc-flow program of excess from root_basis(dm, r, inward).
+
+    wasserstein solves the same program from the same start.
+    """
     tree = root_basis(dm, r, inward)
-    return LinearProgram(tree.start, excess[tree.vertices])
+    return tree.start, excess[tree.vertices]
 
 
 def both_starts(excess: np.ndarray) -> list[tuple[int, bool]]:
@@ -277,7 +278,7 @@ def test_either_start_tree_gives_the_same_w(instance):
     excess = nu0 - nu1
     values = []
     for r, inward in both_starts(excess):
-        solution = solve_lp(flow_program(dm, excess, r, inward))
+        solution = solve_lp(*flow_program(dm, excess, r, inward))
         assert solution.status == "optimal"
         values.append(solution.value)
     assert abs(values[0] - values[1]) <= 1e-12
@@ -358,11 +359,11 @@ def test_warm_start_carries_the_tableau_its_final_basis_multiplies_out(instance)
         if plan is not None:
             flow = plan.flow
             b = (nu0 - nu1)[root_basis(dm, plan.root, plan.inward).vertices]
-            ref = oracles.start_tableau(flow.problem.c, flow.problem.A, b, flow.basis,
+            ref = oracles.start_tableau(flow.start.c, flow.start.A, b, flow.basis,
                                         flow.basis_inverse)
-            problem = LinearProgram(flow.warm_start(), b)
-            assert lp._tableau(problem)[:, :-1].tobytes() == ref[:, :-1].tobytes()
-            assert lp._tableau(problem)[:-1, -1].tobytes() == ref[:-1, -1].tobytes()
+            T = lp._tableau(flow.warm_start(), b)
+            assert T[:, :-1].tobytes() == ref[:, :-1].tobytes()
+            assert T[:-1, -1].tobytes() == ref[:-1, -1].tobytes()
         plan = wasserstein(nu0, nu1, dm, verify=False, start=plan)
 
 
@@ -412,7 +413,7 @@ class TestWarmStart:
     def test_final_inverse_is_the_exact_inverse_of_the_final_basis(self):
         dm, plan = self.plan()
         flow = plan.flow
-        assert np.array_equal(flow.basis_inverse @ flow.problem.A[:, flow.basis], np.eye(2))
+        assert np.array_equal(flow.basis_inverse @ flow.start.A[:, flow.basis], np.eye(2))
 
     def test_wrong_inverse_raises(self):
         dm, plan = self.plan()
@@ -427,7 +428,7 @@ class TestWarmStart:
         # tableau here; its basis_inverse follows from it.
         dm, plan = self.plan()
         tree = np.array([0, 3])
-        A = plan.flow.problem.A
+        A = plan.flow.start.A
         rows = np.linalg.inv(A[:, tree]) @ A
         tableau = np.zeros((3, 6))
         tableau[:2, :5] = rows
@@ -445,20 +446,20 @@ def test_dual_simplex_kernel_is_the_reference_loop_on_flow_programs(instance):
     dm = distances(g)
     excess = nu0 - nu1
     for r, inward in both_starts(excess):
-        oracles.assert_kernel_matches_reference(flow_program(dm, excess, r, inward))
+        oracles.assert_kernel_matches_reference(*flow_program(dm, excess, r, inward))
     problems = []
     solve = lp.solve_lp
 
-    def recording_solve(problem):
-        problems.append(problem)
-        return solve(problem)
+    def recording_solve(start, b):
+        problems.append((start, b))
+        return solve(start, b)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "solve_lp", recording_solve)
         curvature_matrix(markov_data(g), dm)
     assert len(problems) == g.n * (g.n - 1)
-    for problem in problems:
-        oracles.assert_kernel_matches_reference(problem)
+    for start, b in problems:
+        oracles.assert_kernel_matches_reference(start, b)
 
 
 @PROPERTY_SETTINGS
@@ -560,31 +561,31 @@ def test_starts_are_the_start_tableau_of_each_program(g):
             A, rhs = np.delete(incidence, r, axis=0), np.delete(b, r)
             ref = oracles.start_tableau(np.ones(len(arcs)), A, rhs, start.basis, start.inverse)
             assert start.tableau.tobytes() == ref[:, :-1].tobytes()
-            T = lp._tableau(LinearProgram(start, rhs))
+            T = lp._tableau(start, rhs)
             assert T[:-1, -1].tobytes() == ref[:-1, -1].tobytes()
     problems = []
     solve = lp.solve_lp
 
-    def recording_solve(problem):
-        problems.append(problem)
-        return solve(problem)
+    def recording_solve(start, b):
+        problems.append((start, b))
+        return solve(start, b)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "solve_lp", recording_solve)
         curvature_matrix(M, dm)
     pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
-    L = M.laplacian.matrix
-    for (x, y), problem in zip(pairs, problems, strict=True):
+    L = M.L
+    for (x, y), (start, b) in zip(pairs, problems, strict=True):
         tree = root_basis(dm, x).start
         virtual = np.delete(np.eye(n)[y], x)[:, None]
         A = np.hstack([np.delete(incidence, x, axis=0), virtual])
         c = np.append(np.ones(len(arcs)), -float(dm.d[x, y]))
         rhs = np.delete((L[y] - L[x]) / float(dm.d[x, y]), x)
         ref = oracles.start_tableau(c, A, rhs, tree.basis, tree.inverse)
-        assert np.array_equal(problem.A, A) and np.array_equal(problem.c, c)
-        assert problem.b.tobytes() == rhs.tobytes()
-        assert problem.start.tableau.tobytes() == ref[:, :-1].tobytes()
-        assert lp._tableau(problem)[:-1, -1].tobytes() == ref[:-1, -1].tobytes()
+        assert np.array_equal(start.A, A) and np.array_equal(start.c, c)
+        assert b.tobytes() == rhs.tobytes()
+        assert start.tableau.tobytes() == ref[:, :-1].tobytes()
+        assert lp._tableau(start, b)[:-1, -1].tobytes() == ref[:-1, -1].tobytes()
 
 
 def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatch):
@@ -594,7 +595,7 @@ def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatc
     adds its column to it, and a warm start carries the final tableau,
     so neither multiplies B^-1 A out again.
     """
-    built, starts, problems = [], [], []
+    built, starts, solved_from = [], [], []
     build, from_basis, solve = transport._build_root_basis, lp.Start.from_basis, lp.solve_lp
 
     def recording_build(d, arcs, r):
@@ -605,9 +606,9 @@ def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatc
         starts.append(from_basis(*args))
         return starts[-1]
 
-    def recording_solve(problem):
-        problems.append(problem)
-        return solve(problem)
+    def recording_solve(start, b):
+        solved_from.append(start)
+        return solve(start, b)
 
     monkeypatch.setattr(transport, "_build_root_basis", recording_build)
     monkeypatch.setattr(lp.Start, "from_basis", recording_from_basis)
@@ -622,12 +623,12 @@ def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatc
     assert built == [0]
     (start,) = starts
     assert start is root_basis(dm, 0).start
-    assert problems[0].start is start and problems[1].start is start
+    assert solved_from[0] is start and solved_from[1] is start
     # each kappa start is the root's tableau with the virtual column beside it
-    for problem in problems[2:]:
-        assert problem.start.tableau[:, :-1].tobytes() == start.tableau.tobytes()
+    for kappa_start in solved_from[2:]:
+        assert kappa_start.tableau[:, :-1].tobytes() == start.tableau.tobytes()
     wasserstein(nu1, nu0, dm, verify=False, start=plan)
-    assert problems[-1].start.basis is not start.basis and len(starts) == 1
+    assert solved_from[-1].basis is not start.basis and len(starts) == 1
     kappa_lp(1, 0, M, dm)
     assert built == [0, 1]
     # the in-tree of 2 has its own record, built once too
@@ -649,11 +650,11 @@ class TestStartingBasis:
         A = np.array([[1.0, 1.0]])
         # both columns are 1, so every one-column basis has this inverse
         kwargs.setdefault("basis_inverse", np.linalg.inv(A[:, :1]))
-        return LinearProgram(lp.Start.from_basis([1.0, 2.0], A, basis, **kwargs), [b])
+        return lp.Start.from_basis([1.0, 2.0], A, basis, **kwargs), [b]
 
     def test_dual_feasible_basis_is_the_hand_optimum(self):
         # {x0} prices x1 at 2 - 1 >= 0 and holds x0 = 1: optimal before any pivot
-        sol = solve_lp(self.program())
+        sol = solve_lp(*self.program())
         assert sol.status == "optimal"
         assert np.array_equal(sol.x, [1.0, 0.0])
         assert np.array_equal(sol.duals, [1.0])
@@ -663,7 +664,7 @@ class TestStartingBasis:
     def test_not_dual_feasible_raises(self):
         # under the basis {x1} the dual is 2, pricing x0 at 1 - 2 < 0
         with pytest.raises(NumericsError, match="not dual feasible"):
-            solve_lp(self.program(basis=(1,)))
+            solve_lp(*self.program(basis=(1,)))
 
     def test_wrong_basis_inverse_raises(self):
         # the columns of a singular basis have no inverse; any matrix offered is wrong
@@ -688,14 +689,20 @@ class TestStartingBasis:
         with pytest.raises(ValueError, match="one column index per row"):
             self.program(basis=basis)
 
+    @pytest.mark.parametrize("b", [[], [1.0, 2.0], [[1.0]]])
+    def test_right_hand_side_of_the_wrong_shape_raises(self, b):
+        start, _b = self.program()
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve_lp(start, b)
+
     def test_infeasible_program(self):
         # x0 + x1 = -1 has no non-negative solution; the leaving row has no negative entry
-        assert solve_lp(self.program(b=-1.0)).status == "infeasible"
+        assert solve_lp(*self.program(b=-1.0)).status == "infeasible"
 
     def test_dual_simplex_pivots_to_the_optimum(self):
         # the basis {x0} of x0 - x1 = -1 gives x0 = -1; one pivot brings in x1
         start = lp.Start.from_basis([1.0, 2.0], [[1.0, -1.0]], basis=(0,), basis_inverse=[[1.0]])
-        sol = solve_lp(LinearProgram(start, [-1.0]))
+        sol = solve_lp(start, [-1.0])
         assert sol.status == "optimal" and sol.iterations == 1
         assert np.array_equal(sol.x, [0.0, 1.0])
         assert sol.value == 2.0

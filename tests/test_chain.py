@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from digricci import (
-    EmptySubsetError,
     ZeroOutDegreeError,
     build_graph,
     gamma,
@@ -114,11 +113,11 @@ class TestLaplacian:
     def test_hand_value(self, g_c3):
         M = markov_data(g_c3)
         f = np.array([0.0, 1.0, 2.0])
-        assert M.laplacian.apply(f)[0] == oracles.HAND["c3"]["lf0_of_identity"]
+        assert (M.L @ f)[0] == oracles.HAND["c3"]["lf0_of_identity"]
 
     def test_spectrum_frozen(self, g_c3, g_tri):
         for g, key in ((g_c3, "c3"), (g_tri, "tri")):
-            L = markov_data(g).laplacian.matrix
+            L = markov_data(g).L
             eigs = np.sort(np.linalg.eigvals(L).real)
             assert np.abs(eigs - oracles.HAND[key]["laplacian_eigs"]).max() <= 1e-12
 
@@ -129,8 +128,8 @@ class TestLaplacian:
             for _ in range(4):
                 f0 = rng.normal(size=g.n)
                 f1 = rng.normal(size=g.n)
-                left = inner(M.laplacian.apply(f0), f1, M.m)
-                right = inner(f0, M.laplacian.apply(f1), M.m)
+                left = inner(M.L @ f0, f1, M.m)
+                right = inner(f0, M.L @ f1, M.m)
                 assert abs(left - right) <= ADJOINTNESS_TOL
                 checked += 1
         assert checked >= 100
@@ -138,7 +137,7 @@ class TestLaplacian:
     def test_kills_constants(self, corpus):
         for g in corpus:
             M = markov_data(g)
-            assert np.abs(M.laplacian.apply(np.ones(g.n))).max() <= 1e-15
+            assert np.abs(M.L @ np.ones(g.n)).max() <= 1e-15
 
 
 class TestGamma:
@@ -167,7 +166,7 @@ class TestGamma:
             M = markov_data(g)
             f0 = rng.normal(size=g.n)
             f1 = rng.normal(size=g.n)
-            left = inner(M.laplacian.apply(f0), f1, M.m)
+            left = inner(M.L @ f0, f1, M.m)
             middle = mean(gamma(f0, f1, M), M.m)
             assert abs(left - middle) <= 1e-12
 
@@ -206,7 +205,7 @@ class TestIntegrationByParts:
 
     def test_empty_subset_rejected(self, g_tri):
         M = markov_data(g_tri)
-        with pytest.raises(EmptySubsetError):
+        with pytest.raises(oracles.EmptySubsetError):
             oracles.check_integration_by_parts(M, [], np.zeros(3), np.zeros(3))
 
 

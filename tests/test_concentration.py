@@ -217,7 +217,7 @@ class TestFisherEntropy:
 
     def test_dual_pairing_attained_at_log_density(self, g_tri, rng):
         M = markov_data(g_tri)
-        rho = random_densities(M, 1, rng, include_point_masses=False)[0].rho
+        rho = random_densities(M, 1, rng)[0].rho
         pairing = oracles.entropy_dual_pairing(M, rho, np.log(rho))
         assert pairing == pytest.approx(relative_entropy(M, rho), abs=1e-12)
 
@@ -260,7 +260,7 @@ class TestTransportInequalities:
         # with I < 8 the refined bound is strictly tighter, so it is the
         # comparison the certificate keeps as its worst case
         M, dm, K = tri_setup
-        rhos = random_densities(M, 1, rng, include_point_masses=False)
+        rhos = random_densities(M, 1, rng)[:1]
         assert fisher_information(M, rhos[0].rho) < 8.0
         cert = check_transport_information(M, dm, K, float(dm.lam), rhos)
         assert cert.witness["form"] == "refined"

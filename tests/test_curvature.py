@@ -13,7 +13,6 @@ from digricci import (
     build_graph,
     curvature_matrix,
     distances,
-    kappa_eps,
     kappa_limit,
     kappa_lp,
     lipschitz_constant,
@@ -62,11 +61,11 @@ class TestFixtureExactness:
                     assert abs(value - oracles.HAND["k3"]["kappa"]) <= 1e-6
 
     def test_c3_smoothing_is_exactly_linear(self, g_c3):
-        # on the cycle the quotient kappa_eps / eps is constant in eps
+        # on the cycle the smoothed curvature over eps is constant in eps
         M = markov_data(g_c3)
         dm = distances(g_c3)
         for eps in (1e-3, 1e-2, 0.1):
-            assert kappa_eps(0, 1, eps, M, dm) / eps == pytest.approx(1.5, abs=1e-10)
+            assert kappa_limit(0, 1, M, dm, (eps,))[0] == pytest.approx(1.5, abs=1e-10)
 
     def test_limit_route_agrees_on_fixtures(self, g_c3, g_k3):
         for g, key in ((g_c3, "c3"), (g_k3, "k3")):
@@ -93,7 +92,7 @@ class TestLpWitness:
                     assert f[x] == pytest.approx(0.0, abs=1e-12)
                     assert oracles.gradient(f, x, y, dm) == pytest.approx(1.0, abs=1e-9)
                     assert lipschitz_constant(f, dm) <= 1.0 + 1e-9
-                    lf = M.laplacian.apply(f)
+                    lf = M.L @ f
                     assert oracles.gradient(lf, x, y, dm) == pytest.approx(value, abs=1e-9)
 
     def test_distance_row_is_feasible_never_better(self, corpus):
@@ -106,7 +105,7 @@ class TestLpWitness:
                     if x == y:
                         continue
                     value, _ = kappa_lp(x, y, M, dm)
-                    lf = M.laplacian.apply(dm.d[x])
+                    lf = M.L @ dm.d[x]
                     assert value <= oracles.gradient(lf, x, y, dm) + 1e-9
 
     def test_same_vertex_rejected(self, g_c3):
@@ -169,9 +168,16 @@ class TestEpsRoute:
                 assert abs(limit - lp_value) <= 1e-4
                 assert spread <= 1e-6
 
+    def test_limit_grid_must_be_non_empty_and_positive(self, g_c3):
+        # eps = 0 would divide the smoothed curvature by zero
+        M, dm = markov_data(g_c3), distances(g_c3)
+        for grid in ((0.0, 1e-3), (1e-3, -1e-4), ()):
+            with pytest.raises(EpsOutOfRangeError):
+                kappa_limit(0, 1, M, dm, grid)
+
     def test_eps_one_is_full_smoothing(self, g_k3):
         M = markov_data(g_k3)
         dm = distances(g_k3)
-        value = kappa_eps(0, 1, 1.0, M, dm)
+        value, _spread = kappa_limit(0, 1, M, dm, (1.0,))
         # nu_x^1 = Pbar(x, .); on the bidirected triangle these couple at cost 1/2
         assert value == pytest.approx(0.5, abs=1e-9)

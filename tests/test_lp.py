@@ -82,8 +82,8 @@ class TestKernel:
         """
         rng = np.random.default_rng(SEED + 5)
         for _family, cost, nu0, nu1 in degenerate_instances(rng, 20):
-            problem = assemble_transport_lp(cost, nu0, nu1)
-            oracles.assert_kernel_matches_reference(problem, duals_tol=1e-12)
+            start, b = assemble_transport_lp(cost, nu0, nu1)
+            oracles.assert_kernel_matches_reference(start, b, duals_tol=1e-12)
 
     def test_switches_to_blands_rule_on_a_degenerate_coupling(self):
         """An "equal" instance: the 224th draw of degenerate_instances at seed 22.
@@ -115,9 +115,9 @@ class TestKernel:
                 0.4462374374576564,
             ]
         )
-        problem = assemble_transport_lp(cost, nu, nu)
+        start, b = assemble_transport_lp(cost, nu, nu)
         expected = oracles.linprog_transport(cost, nu, nu, tight=True)
-        assert_solved_under_blands_rule(problem, expected, pivots=19)
+        assert_solved_under_blands_rule(start, b, expected, pivots=19)
 
     def test_blands_rule_picks_the_leaving_row_after_the_switch(self):
         """min x4 + x7 over [I | N] x = b, x >= 0, from the slack basis.
@@ -130,18 +130,16 @@ class TestKernel:
         N = np.array([[2, -2, 1, 2, 3], [0, 2, -3, -3, 1], [-3, -2, 3, 0, -1]], dtype=float)
         A = np.hstack([np.eye(3), N])
         c = np.array([0, 0, 0, 0, 1, 0, 0, 1], dtype=float)
-        problem = lp.LinearProgram(
-            lp.Start.from_basis(c, A, basis=np.arange(3), basis_inverse=np.eye(3)),
-            b=np.array([-1, -3, -1], dtype=float),
-        )
-        expected = oracles.linprog_general(problem.c, A_eq=A, b_eq=problem.b).fun
-        assert_solved_under_blands_rule(problem, expected, pivots=4)
+        start = lp.Start.from_basis(c, A, basis=np.arange(3), basis_inverse=np.eye(3))
+        b = np.array([-1, -3, -1], dtype=float)
+        expected = oracles.linprog_general(c, A_eq=A, b_eq=b).fun
+        assert_solved_under_blands_rule(start, b, expected, pivots=4)
 
 
-def assert_solved_under_blands_rule(problem, expected: float, pivots: int) -> None:
+def assert_solved_under_blands_rule(start, b, expected: float, pivots: int) -> None:
     """The reference switches; the kernel matches it bit for bit and scipy within 1e-9."""
-    assert oracles.assert_kernel_matches_reference(problem, duals_tol=1e-12)
-    solution = lp.solve_lp(problem)
+    assert oracles.assert_kernel_matches_reference(start, b, duals_tol=1e-12)
+    solution = lp.solve_lp(start, b)
     assert solution.status == "optimal"
     assert solution.iterations == pivots
     assert abs(solution.value - expected) <= 1e-9

@@ -626,7 +626,7 @@ def test_sparse_analyze_solves_kappa_per_pair_and_heat_flow_per_arc(
     )
     calls = []
     solve_lp, wasserstein = lp.solve_lp, transport.wasserstein
-    monkeypatch.setattr(lp, "solve_lp", lambda p: calls.append("lp") or solve_lp(p))
+    monkeypatch.setattr(lp, "solve_lp", lambda *a: calls.append("lp") or solve_lp(*a))
     monkeypatch.setattr(
         transport, "wasserstein", lambda *a, **k: calls.append("W") or wasserstein(*a, **k)
     )
@@ -687,10 +687,10 @@ def test_k8_analyze_solve_count(tmp_path, monkeypatch, capsys):
     depth = [0]
     solve_lp, wasserstein = lp.solve_lp, transport.wasserstein
 
-    def counting_solve(problem):
+    def counting_solve(start, b):
         counts["solves"] += 1
         counts["under_wasserstein"] += depth[0] > 0
-        return solve_lp(problem)
+        return solve_lp(start, b)
 
     def counting_wasserstein(*args, **kwargs):
         depth[0] += 1
