@@ -138,14 +138,11 @@ def check_laplace_bound(
 def check_exp_chain_rule_bound(
     M: MarkovData,
     fs: np.ndarray,
-    lambda_grid: tuple[float, ...] | float = DEFAULT_LAMBDA_GRID,
+    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
     tol: float = 1e-10,
 ) -> InequalityCertificate:
-    """m(Gamma(f, exp(lam f))) <= lam (exp(lam f), Gamma(f)) for each f and lam.
-
-    A bare float lambda_grid is a grid of one.
-    """
-    lambda_grid = np.atleast_1d(lambda_grid).tolist()
+    """m(Gamma(f, exp(lam f))) <= lam (exp(lam f), Gamma(f)) for each f and lam."""
+    lambda_grid = list(lambda_grid)
     if min(lambda_grid) < 0:
         raise HypothesisUnmetError(f"lambda must be non-negative, got {min(lambda_grid)}")
     fs = _stack(fs)
@@ -365,10 +362,7 @@ def check_bobkov_goetze(
     elif transport_side.passed:
         verdict = moment_side
     else:
-        verdict = InequalityCertificate(
-            name=name, hypothesis=hypothesis, lhs=0.0, rhs=0.0, margin=0.0, passed=True, tol=tol,
-            witness={"side": "none"},
-        )
+        verdict = certificate_from_samples(name, hypothesis, [(0.0, 0.0, {"side": "none"})], tol)
     verdict.witness.update(
         {
             "moment_holds_on_samples": moment_side.passed,
@@ -392,12 +386,12 @@ def check_info_to_entropy(
     """If W^2 <= I(rho)/c^2 on a sample, then W^2 <= (sqrt 2 Lambda / c) Ent(rho).
 
     Samples failing the hypothesis are skipped and counted; the verdict
-    covers only those where the hypothesis held.
+    covers only those where the hypothesis held, and is a vacuous pass
+    at margin 0 when none did.
     """
     if c <= 0:
         raise HypothesisUnmetError(f"implication check needs c > 0, got {c}")
     comparisons = []
-    hypothesis_met = 0
     for provenance, rho, w in _transports(M, dm, rhos):
         w2 = w * w
         info = fisher_information(M, rho)
@@ -406,22 +400,12 @@ def check_info_to_entropy(
             if w2 > info / (c * c) + tol:
                 continue
             rhs = float(np.sqrt(2.0) * lam_max / c * relative_entropy(M, rho))
-        hypothesis_met += 1
         comparisons.append((w2, rhs, {"rho": provenance}))
-    if not comparisons:
-        certificate = InequalityCertificate(
-            name="information_to_entropy_bound",
-            hypothesis={"c": c, "Lambda": lam_max},
-            lhs=0.0,
-            rhs=0.0,
-            margin=0.0,
-            passed=True,
-            tol=tol,
-            witness={"hypothesis_met": 0, "total": len(rhos)},
-        )
-        return certificate
+    counts = {"hypothesis_met": len(comparisons), "total": len(rhos)}
+    # no sample met the hypothesis: a vacuous pass
+    comparisons = comparisons or [(0.0, 0.0, {})]
     certificate = certificate_from_samples(
         "information_to_entropy_bound", {"c": c, "Lambda": lam_max}, comparisons, tol
     )
-    certificate.witness.update({"hypothesis_met": hypothesis_met, "total": len(rhos)})
+    certificate.witness.update(counts)
     return certificate

@@ -29,7 +29,9 @@ and checked once.  The virtual arc is never a tree arc; with the row of
 x dropped its column is the unit vector of y, so each program adds to
 that start one tableau column, column y of B^-1 over the virtual arc's
 reduced cost, which is the one new entry to check
-(lp.Start.with_column).  A solve then forms B^-1 b and pivots.
+(lp.Start.with_column).  A solve then forms B^-1 b and pivots.  The
+root's transport.RootBasis maps c onto the rows and reads the witness
+back off the duals, so this module indexes no row.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from . import lp, transport
 from .chain import MarkovData
 from .digraph import DistanceMatrix
-from .errors import EpsOutOfRangeError, LpFailureError, NumericsError, SameVertexError
+from .errors import EpsOutOfRangeError, NumericsError, SameVertexError
 
 # default smoothing grid: small enough to sit in the linear regime,
 # two points so the spread reports whether that actually happened
@@ -87,39 +89,34 @@ def kappa_lp(
     geodesic).  One solve of its dual flow (see the module docstring),
     by a dual simplex from the BFS out-tree of x, gives kappa as minus
     the flow optimum and the witness f as minus the row duals, with
-    f(x) = 0.  NumericsError unless f(w) - f(z) <= 1 + lp.GAP_TOL on
-    every arc, |f(y) - d(x, y)| <= lp.GAP_TOL and
+    f(x) = 0 (transport.RootBasis.potential).  Every basis is a spanning
+    tree plus the virtual arc and every cost an integer, so f is an
+    integer vector, and three checks are exact: NumericsError unless f
+    is integral, f(w) - f(z) <= 1 on every arc and f(y) == d(x, y).
+    The value gap is the one check with a tolerance, as the rounding of
+    the right-hand side enters there: NumericsError unless
     |kappa - grad_xy (L f)| <= lp.GAP_TOL.
 
     kappa is unique, the witness is not: the optimal potentials of the
-    program often form a face, and the witness is the one vertex of it
-    that the pivot sequence ends on (the duals of the final basis).  A
-    change of pivot rule may return another witness with the same
-    kappa.  What reads the witness itself sees that choice: analyze's
-    lipschitz_contraction certificate takes every kappa witness among
-    its Lipschitz samples, and curvature --pairs prints it.
+    program often form a face, and the witness is the one integer
+    vertex of it that the pivot sequence ends on (the duals of the
+    final basis).  A change of pivot rule may return another witness
+    with the same kappa.  What reads the witness itself sees that
+    choice: analyze's lipschitz_contraction certificate takes every
+    kappa witness among its Lipschitz samples, and curvature --pairs
+    prints it.
     """
     if x == y:
         raise SameVertexError("curvature needs two distinct vertices")
-    d = dm.d
-    dxy = float(d[x, y])
+    dxy = float(dm.d[x, y])
     c = (M.L[y] - M.L[x]) / dxy
-    arcs = dm.arcs
     tree = transport.root_basis(dm, x)
     # the virtual arc y -> x: +1 in the row of y, and x's row is dropped
-    virtual = np.zeros(M.n - 1)
-    virtual[y - (y > x)] = 1.0
-    solution = lp.solve_lp(tree.start.with_column(-dxy, virtual), c[tree.vertices])
-    if solution.status != "optimal":
-        raise LpFailureError(f"curvature program ended with status {solution.status!r}")
-    # 0.0 - v, not -v: a zero optimum or dual must not become -0.0
+    solution = tree.solve(c, tree.start.with_column(-dxy, (tree.vertices == y).astype(float)))
+    # 0.0 - v, not -v: a zero optimum must not become -0.0
     kappa = 0.0 - float(solution.value)
-    witness = np.zeros(M.n)
-    witness[tree.vertices] = 0.0 - solution.duals
-    stretch = float((witness[arcs[:, 1]] - witness[arcs[:, 0]]).max(initial=0.0))
-    if stretch > 1.0 + lp.GAP_TOL:
-        raise NumericsError(f"curvature witness stretches an arc to {stretch:.17g}")
-    if abs(witness[y] - dxy) > lp.GAP_TOL:
+    witness = tree.potential(solution, dm.arcs)
+    if witness[y] != dxy:
         raise NumericsError(f"curvature witness has f(y) = {witness[y]:.17g}, not {dxy:g}")
     gap = abs(kappa - float(c @ witness))
     if gap > lp.GAP_TOL:
@@ -162,10 +159,7 @@ def kappa_limit(
 
 
 def curvature_matrix(
-    M: MarkovData,
-    dm: DistanceMatrix,
-    cross_check: bool = False,
-    eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID,
+    M: MarkovData, dm: DistanceMatrix, cross_check: bool = False
 ) -> CurvatureReport:
     """kappa over all ordered pairs; K is the minimum entry."""
     n = M.n
@@ -178,7 +172,7 @@ def curvature_matrix(
                 continue
             kappa[x, y], witnesses[(x, y)] = kappa_lp(x, y, M, dm)
             if cross_check:
-                limit, _spread = kappa_limit(x, y, M, dm, eps_grid)
+                limit, _spread = kappa_limit(x, y, M, dm)
                 residuals[x, y] = abs(kappa[x, y] - limit)
     K = float(np.nanmin(kappa))
     return CurvatureReport(

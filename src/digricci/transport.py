@@ -54,7 +54,10 @@ The row duals of the final basis are a Kantorovich potential f with
 f(w) - f(z) <= 1 on every arc; summing along geodesics, that is
 f(w) - f(z) <= d(z, w) on every ordered pair, so one solve yields both
 sides of the duality and certifies each distance computed in verify
-mode.  kantorovich_dual keeps every ordered pair instead (one flow
+mode.  The basis is a spanning tree and every cost an integer, so f
+is an integer vector, and RootBasis.potential checks integrality and
+the arc rows exactly; the curvature module reads its witness the same
+way.  kantorovich_dual keeps every ordered pair instead (one flow
 column per pair, started from the star of pairs 0 -> w); it is the
 reference the tests pin the flow potential to.
 """
@@ -112,6 +115,23 @@ def _check_probability(nu: np.ndarray, n: int, name: str) -> np.ndarray:
     return nu
 
 
+def _incidence(n: int, arcs: np.ndarray) -> np.ndarray:
+    """The n x len(arcs) incidence: +1 at the tail, -1 at the head of each arc."""
+    A = np.zeros((n, len(arcs)))
+    k = np.arange(len(arcs))
+    A[arcs[:, 0], k] = 1.0
+    A[arcs[:, 1], k] = -1.0
+    return A
+
+
+def _solve(start: lp.Start, b: np.ndarray) -> lp.LpSolution:
+    """The optimal solve of b from start; LpFailureError unless it is optimal."""
+    solution = lp.solve_lp(start, b)
+    if solution.status != "optimal":
+        raise LpFailureError(f"flow solve ended with status {solution.status!r}")
+    return solution
+
+
 def kantorovich_dual(
     nu0: np.ndarray, nu1: np.ndarray, dm: DistanceMatrix
 ) -> tuple[float, np.ndarray]:
@@ -138,14 +158,9 @@ def kantorovich_dual(
         return 0.0, np.zeros(1)
     # every ordered pair, row-major: the star 0 -> w comes first
     pairs = np.argwhere(~np.eye(n, dtype=bool))
-    k = np.arange(len(pairs))
-    A = np.zeros((n, len(pairs)))
-    A[pairs[:, 0], k] = 1.0
-    A[pairs[:, 1], k] = -1.0
-    start = lp.Start.from_basis(d[pairs[:, 0], pairs[:, 1]], A[1:], np.arange(n - 1), -np.eye(n - 1))
-    solution = lp.solve_lp(start, (nu0 - nu1)[1:])
-    if solution.status != "optimal":
-        raise LpFailureError(f"dual potential solve ended with status {solution.status!r}")
+    A = _incidence(n, pairs)[1:]
+    start = lp.Start.from_basis(d[pairs[:, 0], pairs[:, 1]], A, np.arange(n - 1), -np.eye(n - 1))
+    solution = _solve(start, (nu0 - nu1)[1:])
     f = np.concatenate([[0.0], 0.0 - solution.duals])
     return float(solution.value), f
 
@@ -164,62 +179,86 @@ class RootBasis(NamedTuple):
     path r -> w, 0 elsewhere.  In the in-tree of r it is the first arc
     w -> z with d(z, r) = d(w, r) - 1 out of w, and the column of B^-1
     for w is +1 on the rows of the tree arcs on the path w -> r.  Every
-    array of the record is read-only.
+    array of the record is read-only.  This record is the one place
+    that knows the program's rows: solve maps a balance onto them, and
+    potential reads the duals back as a vertex function.
     """
 
     start: lp.Start
     vertices: np.ndarray
 
+    def solve(self, balance: np.ndarray, start: lp.Start | None = None) -> lp.LpSolution:
+        """The optimal flow of balance, one entry per vertex (r's is dropped).
 
-def _build_root_basis(
-    d: np.ndarray, arcs: np.ndarray, r: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The out-tree of r: A, the tree and B^-1; NumericsError unless B^-1 B is exactly I."""
-    n = d.shape[0]
-    A = np.zeros((n, len(arcs)))
-    k = np.arange(len(arcs))
-    A[arcs[:, 0], k] = 1.0
-    A[arcs[:, 1], k] = -1.0
-    A = np.delete(A, r, axis=0)
-    dr = d[r]
-    tree = np.nonzero(dr[arcs[:, 0]] == dr[arcs[:, 1]] - 1)[0]
-    # heads of the tree arcs cover every w != r; keep the first arc per head
-    _heads, first = np.unique(arcs[tree, 1], return_index=True)
-    tree = tree[first]
-    row = np.arange(n) - (np.arange(n) > r)  # the row of vertex v once r's is dropped
-    inverse = np.zeros((n - 1, n - 1))
-    # in BFS order, the path to w is the path to its tree parent plus w's own arc
-    for w in np.argsort(dr, kind="stable")[1:]:
-        parent = arcs[tree[row[w]], 0]
-        if parent != r:
-            inverse[:, row[w]] = inverse[:, row[parent]]
-        inverse[row[w], row[w]] = -1.0
-    if not np.array_equal(inverse @ A[:, tree], np.eye(n - 1)):
-        raise NumericsError(f"the tree path matrix of root {r} does not invert its basis")
-    return A, tree, inverse
+        start is a start of this program, or of it with added columns;
+        by default the tree's own.  LpFailureError unless the solve is
+        optimal.
+        """
+        return _solve(self.start if start is None else start, balance[self.vertices])
+
+    def potential(self, solution: lp.LpSolution, arcs: np.ndarray) -> np.ndarray:
+        """The potential f = -(row duals) of solution, with f(r) = 0.
+
+        Every basis is a spanning tree (plus a curvature program's
+        virtual arc) and every cost an integer, so f is an integer
+        vector (Ahuja, Magnanti & Orlin, ch. 11); a dual with
+        f(head) - f(tail) <= 1 on every arc of arcs is 1-Lipschitz for
+        the hop metric.  Both are checked exactly: NumericsError unless
+        f is integral and no arc is stretched.
+        """
+        f = np.zeros(len(self.vertices) + 1)
+        # 0.0 - v, not -v: a zero dual must not become -0.0
+        f[self.vertices] = 0.0 - solution.duals
+        if not (f == f.round()).all():
+            raise NumericsError(f"flow potential has a non-integral entry {f[f != f.round()][0]!r}")
+        stretch = (f[arcs[:, 1]] - f[arcs[:, 0]]).max(initial=0.0)
+        if stretch > 1.0:
+            raise NumericsError(f"flow potential stretches an arc to {stretch:.17g}")
+        return f
 
 
 def root_basis(dm: DistanceMatrix, r: int, inward: bool = False) -> RootBasis:
     """The arc-flow start of root r, built and checked on first use and kept on dm.
 
     inward=False gives the BFS out-tree of r, inward=True its BFS
-    in-tree.  The in-tree is the out-tree of r in the reversed graph,
-    whose incidence is -A and so whose inverse is -B^-1; both are
-    negated back (as 0.0 - x, so that no -0.0 appears).  Every W solve
-    from that tree and every curvature program of a pair (r, y), which
-    uses the out-tree, starts from it; the record lives as long as dm.
+    in-tree.  One builder makes both on the forward arcs: an arc's near
+    end is its tail in the out-tree and its head in the in-tree, its far
+    end the other, and the depth is d(r, .) or d(., r).  The tree holds
+    the first arc into each far end one level deeper than its near end,
+    and B^-1, walked down the tree in order of depth, puts -1 (out-tree)
+    or +1 (in-tree) on the rows of the tree path.  NumericsError unless
+    B^-1 B is exactly I.  Every W solve from that tree and every
+    curvature program of a pair (r, y), which uses the out-tree, starts
+    from it; the record lives as long as dm.
     """
     key = (r, inward)
     basis = dm._root_bases.get(key)
     if basis is None:
+        arcs = dm.arcs
+        n = len(dm.d)
         if inward:
-            A, tree, inverse = _build_root_basis(dm.d.T, dm.arcs[:, ::-1], r)
-            A, inverse = 0.0 - A, 0.0 - inverse
+            near, far, depth, sign = arcs[:, 1], arcs[:, 0], dm.d[:, r], 1.0
         else:
-            A, tree, inverse = _build_root_basis(dm.d, dm.arcs, r)
-        start = lp.Start.from_basis(np.ones(len(dm.arcs)), A, tree, inverse)
-        basis = RootBasis(start=start, vertices=np.flatnonzero(np.arange(len(dm.d)) != r))
-        for a in (*vars(start).values(), basis.vertices):
+            near, far, depth, sign = arcs[:, 0], arcs[:, 1], dm.d[r], -1.0
+        tree = np.flatnonzero(depth[near] == depth[far] - 1)
+        # far ends of the tree arcs cover every w != r; keep the first arc per far end
+        _far, first = np.unique(far[tree], return_index=True)
+        tree = tree[first]
+        vertices = np.flatnonzero(np.arange(n) != r)
+        row = np.arange(n) - (np.arange(n) > r)  # the row of vertex v once r's is dropped
+        inverse = np.zeros((n - 1, n - 1))
+        # in BFS order, the path of w is the path of its tree parent plus w's own arc
+        for w in np.argsort(depth, kind="stable")[1:]:
+            parent = near[tree[row[w]]]
+            if parent != r:
+                inverse[:, row[w]] = inverse[:, row[parent]]
+            inverse[row[w], row[w]] = sign
+        A = _incidence(n, arcs)[vertices]
+        if not np.array_equal(inverse @ A[:, tree], np.eye(n - 1)):
+            raise NumericsError(f"the tree path matrix of root {r} does not invert its basis")
+        start = lp.Start.from_basis(np.ones(len(arcs)), A, tree, inverse)
+        basis = RootBasis(start=start, vertices=vertices)
+        for a in (*vars(start).values(), vertices):
             a.flags.writeable = False
         dm._root_bases[key] = basis
     return basis
@@ -297,10 +336,11 @@ def wasserstein(
     basis and tableau (lp.LpSolution.warm_start, which checks them as
     root_basis checks a tree).  ValueError if start was solved on
     another DistanceMatrix, whose program is another one.  verify=True
-    also reads the potential off that solve, f = -(row duals) with
-    f(r) = 0, shifted to f(0) = 0, and raises NumericsError unless
-    f(w) - f(z) <= 1 + lp.GAP_TOL on every arc and
-    |W - f.(nu1 - nu0)| <= lp.GAP_TOL; it then splits the flow, which
+    also reads the potential off that solve (RootBasis.potential, which
+    raises NumericsError unless it is integral and f(w) - f(z) <= 1 on
+    every arc, both exactly), shifted to f(0) = 0, and raises
+    NumericsError unless |W - f.(nu1 - nu0)| <= lp.GAP_TOL, the one
+    check where rounding enters; it then splits the flow, which
     lives on a tree and so is acyclic, into the coupling pi.  Fast
     mode, for the inner loops that call this often, returns the value
     alone.
@@ -313,16 +353,13 @@ def wasserstein(
     if start is None:
         r, inward = _start_tree(excess)
         tree = root_basis(dm, r, inward)
-        first = tree.start
+        solution = tree.solve(excess)
     else:
         r, inward = start.root, start.inward
         tree = dm._root_bases.get((r, inward))
         if tree is None or tree.start.A is not start.flow.start.A:
             raise ValueError("start is a plan solved on another DistanceMatrix")
-        first = start.flow.warm_start()
-    solution = lp.solve_lp(first, excess[tree.vertices])
-    if solution.status != "optimal":
-        raise LpFailureError(f"transport flow solve ended with status {solution.status!r}")
+        solution = tree.solve(excess, start.flow.warm_start())
     value = float(solution.value)
     if not verify:
         # every vertex's balance, the root's too, whose row the solve dropped
@@ -331,12 +368,8 @@ def wasserstein(
         residual = float(np.abs(balance - excess).max())
         return TransportPlan(value, residual, root=r, inward=inward, flow=solution)
 
-    y = np.zeros(n)
-    y[tree.vertices] = solution.duals
-    f = y[0] - y
-    stretch = float((f[arcs[:, 1]] - f[arcs[:, 0]]).max(initial=0.0))
-    if stretch > 1.0 + lp.GAP_TOL:
-        raise NumericsError(f"transport potential stretches an arc to {stretch:.17g}")
+    f = tree.potential(solution, arcs)
+    f = f - f[0]
     gap = abs(value - float(f @ (nu1 - nu0)))
     if gap > lp.GAP_TOL:
         raise NumericsError(f"transport duality gap {gap:.3e} exceeds {lp.GAP_TOL:.1e}")

@@ -235,7 +235,7 @@ def test_criterion_6_functional_suite(bundles):
         record(check_laplace_bound(b.M, b.dm, K, lam, laplace_fs))
         free_fs = rng.normal(0.0, 1.0, size=(100, b.g.n))
         for f in free_fs:
-            record(check_exp_chain_rule_bound(b.M, f, 1.0))
+            record(check_exp_chain_rule_bound(b.M, f, (1.0,)))
             record(check_exp_square_chain_rule_bound(b.M, f))
         rhos = random_densities(b.M, 100, rng)
         for fixture in rhos:

@@ -367,6 +367,67 @@ def test_warm_start_carries_the_tableau_its_final_basis_multiplies_out(instance)
         plan = wasserstein(nu0, nu1, dm, verify=False, start=plan)
 
 
+@PROPERTY_SETTINGS
+@given(warm_chains())
+def test_flow_tableaus_stay_integral(instance):
+    """After every kappa solve and every warm-chained W solve, B^-1 A is in {-1, 0, 1}.
+
+    Every basis is a spanning tree of the arc incidence, plus the
+    virtual arc for kappa, and every cost is an integer, so the final
+    tableau's body is the incidence seen from a tree and its cost row is
+    integral; only the b column carries rounding.
+    """
+    g, pairs = instance
+    dm = distances(g)
+    solutions = []
+    solve = lp.solve_lp
+
+    def recording_solve(start, b):
+        solutions.append(solve(start, b))
+        return solutions[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "solve_lp", recording_solve)
+        curvature_matrix(markov_data(g), dm)
+        plan = None
+        for nu0, nu1 in pairs:
+            plan = wasserstein(nu0, nu1, dm, verify=False, start=plan)
+    assert len(solutions) == g.n * (g.n - 1) + len(pairs)
+    for solution in solutions:
+        body, costs = solution._tableau[:-1, :-1], solution._tableau[-1, :-1]
+        assert set(np.unique(body)) <= {-1.0, 0.0, 1.0}
+        assert np.array_equal(costs, np.round(costs))
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda M, dm: kappa_lp(0, 1, M, dm),
+        lambda M, dm: wasserstein(np.eye(3)[0], np.eye(3)[2], dm, verify=True),
+    ],
+    ids=["kappa_lp", "wasserstein"],
+)
+@pytest.mark.parametrize("move, error", [(1e-12, "non-integral"), (-2.0, "stretches an arc")])
+def test_a_dual_moved_off_the_integers_raises(g_tri, monkeypatch, solve, move, error):
+    """The potentials are checked exactly: a dual moved by 1e-12 is no integer.
+
+    That move is far inside lp.GAP_TOL, so a check within that
+    tolerance would pass it.  Moved by -2 instead, the dual stays
+    integral but lifts f at vertex 1 by 2, which stretches its in-arcs.
+    """
+    lp_solve = lp.solve_lp
+
+    def moved_solve(start, b):
+        solution = lp_solve(start, b)
+        solution.duals = solution.duals + move * np.eye(len(solution.duals))[0]
+        return solution
+
+    M, dm = markov_data(g_tri), distances(g_tri)
+    monkeypatch.setattr(lp, "solve_lp", moved_solve)
+    with pytest.raises(NumericsError, match=error):
+        solve(M, dm)
+
+
 def test_start_from_a_plan_of_another_distance_matrix_raises():
     """The 4-cycle with chord 0 -> 2 and with chord 0 -> 3: same shapes, other programs.
 
@@ -593,14 +654,12 @@ def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatc
 
     Every later solve from that tree reuses its start; a kappa program
     adds its column to it, and a warm start carries the final tableau,
-    so neither multiplies B^-1 A out again.
+    so neither multiplies B^-1 A out again.  Each Start.from_basis call
+    here builds one root's start, and built() names the (root, inward)
+    record that holds it.
     """
-    built, starts, solved_from = [], [], []
-    build, from_basis, solve = transport._build_root_basis, lp.Start.from_basis, lp.solve_lp
-
-    def recording_build(d, arcs, r):
-        built.append(r)
-        return build(d, arcs, r)
+    starts, solved_from = [], []
+    from_basis, solve = lp.Start.from_basis, lp.solve_lp
 
     def recording_from_basis(*args):
         starts.append(from_basis(*args))
@@ -610,7 +669,10 @@ def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatc
         solved_from.append(start)
         return solve(start, b)
 
-    monkeypatch.setattr(transport, "_build_root_basis", recording_build)
+    def built(*dms):
+        records = {id(rec.start): key for d in dms for key, rec in d._root_bases.items()}
+        return [records[id(start)] for start in starts]
+
     monkeypatch.setattr(lp.Start, "from_basis", recording_from_basis)
     monkeypatch.setattr(lp, "solve_lp", recording_solve)
     dm = distances(g_tri)
@@ -620,7 +682,7 @@ def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatc
     assert wasserstein(nu0, nu1, dm, verify=False).value == plan.value
     kappa_lp(0, 1, M, dm)
     kappa_lp(0, 2, M, dm)
-    assert built == [0]
+    assert built(dm) == [(0, False)]
     (start,) = starts
     assert start is root_basis(dm, 0).start
     assert solved_from[0] is start and solved_from[1] is start
@@ -630,16 +692,17 @@ def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatc
     wasserstein(nu1, nu0, dm, verify=False, start=plan)
     assert solved_from[-1].basis is not start.basis and len(starts) == 1
     kappa_lp(1, 0, M, dm)
-    assert built == [0, 1]
+    assert built(dm) == [(0, False), (1, False)]
     # the in-tree of 2 has its own record, built once too
     third = np.full(3, 1 / 3)
     for _ in range(2):
         assert wasserstein(third, nu1, dm, verify=False).inward
-    assert built == [0, 1, 2] and len(starts) == 3
+    assert built(dm) == [(0, False), (1, False), (2, True)] and len(starts) == 3
     # a second distances() result holds its own records
     other = distances(g_tri)
     assert root_basis(other, 0) is not root_basis(dm, 0)
-    assert built == [0, 1, 2, 0] and len(starts) == 4
+    assert built(dm, other) == [(0, False), (1, False), (2, True), (0, False)]
+    assert starts[-1] is root_basis(other, 0).start and len(starts) == 4
 
 
 class TestStartingBasis:

@@ -152,7 +152,7 @@ class TestTailBound:
 class TestChainRuleBounds:
     def test_zero_function_gives_equality(self, g_tri):
         M = markov_data(g_tri)
-        cert = check_exp_chain_rule_bound(M, np.zeros(3), 1.0)
+        cert = check_exp_chain_rule_bound(M, np.zeros(3), (1.0,))
         assert cert.passed
         assert cert.lhs == pytest.approx(cert.rhs, abs=1e-15)
 
@@ -163,7 +163,7 @@ class TestChainRuleBounds:
             for _ in range(4):
                 f = rng.normal(0.0, 2.0, size=g.n)
                 for lam in (0.5, 1.0, 2.0):
-                    assert check_exp_chain_rule_bound(M, f, lam).passed
+                    assert check_exp_chain_rule_bound(M, f, (lam,)).passed
                 assert check_exp_square_chain_rule_bound(M, f).passed
 
 

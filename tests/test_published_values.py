@@ -86,6 +86,9 @@ def test_zero_curvature_prints_no_negative_zero(tmp_path, capsys):
     path.write_text("".join(f"{x} {y}\n{y} {x}\n" for x, y in _cycle(6)), encoding="utf-8")
     negative_zero = re.compile(r"(?<![\de.])-0(?![\d.])")
     for argv in (["analyze", str(path)], ["curvature", str(path), "--format", "csv"]):
-        assert main(argv) == 0
+        code = main(argv)
         text = capsys.readouterr().out
-        assert not negative_zero.search(text), argv
+        found = negative_zero.search(text)
+        # on failure, name the exit code, the match and the text around it
+        context = found and (found.group(), text[max(0, found.start() - 60) : found.end() + 60])
+        assert code == 0 and not found, (argv, code, context)

@@ -245,6 +245,25 @@ class TestCliAnalyze:
         if met:
             assert cert["rhs"] == "Infinity"
 
+    def test_link_with_neither_side_holding_is_a_vacuous_pass(self, tmp_path, capsys):
+        """K = 5 on K_4 breaks both sides of the Bobkov-Goetze link on the samples."""
+        path = tmp_path / "k4.edges"
+        path.write_text("".join(f"{x} {y}\n" for x in range(4) for y in range(4) if x != y))
+        code = main(["analyze", str(path), "--k-override=5"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1 and payload["all_pass"] is False
+        cert = {c["name"]: c for c in payload["certificates"]}["transport_entropy_laplace_link"]
+        assert [cert[k] for k in ("lhs", "rhs", "margin", "tol", "pass")] == [0, 0, 0, 1e-9, True]
+        witness = cert["witness"]
+        assert list(witness) == [
+            "side", "moment_holds_on_samples", "transport_holds_on_samples",
+            "moment_worst_margin", "transport_worst_margin", "necessary_conditions_only",
+        ]
+        assert witness["side"] == "none"
+        assert witness["moment_holds_on_samples"] is False
+        assert witness["transport_holds_on_samples"] is False
+        assert witness["moment_worst_margin"] < 0 and witness["transport_worst_margin"] < 0
+
     def test_k_override_fails(self, c3_file, capsys):
         code = main(["analyze", c3_file, "--k-override", "1.6"])
         payload = json.loads(capsys.readouterr().out)
