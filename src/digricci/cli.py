@@ -57,9 +57,10 @@ from .report import DEFAULT_SEED, RunConfig, VerificationReport, render_json
 from .transport import wasserstein
 
 
-def _graph_summary(g: DirectedGraph, path: str) -> dict:
+def _graph_summary(g: DirectedGraph) -> dict:
+    """The graph's shape; main sets "source", which stays the first key."""
     return {
-        "source": path,
+        "source": "-",
         "n": g.n,
         "arcs": g.arc_count,
         "strongly_connected": g.strongly_connected,
@@ -113,7 +114,7 @@ def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
 
     report = VerificationReport(
         command="analyze",
-        graph=_graph_summary(g, "-"),
+        graph=_graph_summary(g),
         seed=config.seed,
         tolerances=_tolerances(config),
     )
@@ -187,7 +188,7 @@ def run_functional(g: DirectedGraph, config: RunConfig) -> VerificationReport:
     K = curv.K if config.k_override is None else config.k_override
     report = VerificationReport(
         command="verify-functional",
-        graph=_graph_summary(g, "-"),
+        graph=_graph_summary(g),
         seed=config.seed,
         tolerances=_tolerances(config),
     )

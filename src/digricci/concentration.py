@@ -12,6 +12,10 @@ sample family: a stack of functions, the vertex on the last axis (a 1-D
 f is a family of one), or a list of DensityFixture.  Each check returns
 one certificate whose witness names the binding sample, by f_index or
 by the density's provenance under "rho".
+
+DensityFixture.of(M, rho, provenance) checks rho and computes rho m,
+Ent(rho), I(rho) and the edge variation once; the transport checks read
+those fields and solve only W(m, rho m) themselves, in fast mode.
 """
 
 from __future__ import annotations
@@ -38,10 +42,33 @@ DEFAULT_R_GRID = tuple(0.25 * k for k in range(1, 13))
 
 @dataclass(frozen=True)
 class DensityFixture:
-    """A probability density rho relative to m, with its provenance."""
+    """A probability density rho relative to m, checked once, with what the suite reads of it.
+
+    Build one with DensityFixture.of(M, rho, provenance): it checks rho
+    and fills measure = rho m, the relative entropy Ent(rho), the Fisher
+    information I(rho) and the edge variation sum |rho(y) - rho(x)| m_xy.
+    """
 
     rho: np.ndarray
     provenance: str
+    measure: np.ndarray
+    entropy: float
+    fisher_information: float
+    edge_variation: float
+
+    @classmethod
+    def of(cls, M: MarkovData, rho: np.ndarray, provenance: str) -> DensityFixture:
+        """The record of rho; HypothesisUnmetError unless rho is a density for m."""
+        rho = _require_density(M, rho)
+        diff = np.abs(rho[None, :] - rho[:, None])
+        return cls(
+            rho=rho,
+            provenance=provenance,
+            measure=rho * M.m,
+            entropy=_relative_entropy(M, rho),
+            fisher_information=_fisher_information(M, rho),
+            edge_variation=float((diff * M.mxy).sum()),
+        )
 
 
 def random_densities(
@@ -59,11 +86,11 @@ def random_densities(
     n = M.n
     for i in range(count):
         g = rng.gamma(shape=2.0, scale=1.0, size=n) + 1e-3
-        out.append(DensityFixture(rho=g / mean(g, M.m), provenance=f"random[{i}]"))
+        out.append(DensityFixture.of(M, g / mean(g, M.m), f"random[{i}]"))
     for x in range(n):
         rho = np.zeros(n)
         rho[x] = 1.0 / M.m[x]
-        out.append(DensityFixture(rho=rho, provenance=f"point_mass[{x}]"))
+        out.append(DensityFixture.of(M, rho, f"point_mass[{x}]"))
     return out
 
 
@@ -92,11 +119,17 @@ def _require_positive_K(K: float) -> None:
 
 
 def _require_density(M: MarkovData, rho: np.ndarray) -> np.ndarray:
+    """rho as floats, or HypothesisUnmetError unless it is a probability density for m.
+
+    The m-mass is held to transport.MASS_TOL, the tolerance W holds rho m to.
+    """
     rho = np.asarray(rho, dtype=float)
+    if rho.shape != (M.n,) or not np.isfinite(rho).all():
+        raise HypothesisUnmetError(f"density must be {M.n} finite numbers")
     if rho.min(initial=0.0) < 0:
         raise HypothesisUnmetError("density has a negative entry")
     total = mean(rho, M.m)
-    if abs(total - 1.0) > 1e-10:
+    if abs(total - 1.0) > transport.MASS_TOL:
         raise HypothesisUnmetError(f"density has m-mass {total:.17g}, expected 1")
     return rho
 
@@ -200,13 +233,7 @@ def concentration_tail(
     return certificate_from_samples("lipschitz_tail_bound", hypothesis, comparisons, tol)
 
 
-def fisher_information(M: MarkovData, rho: np.ndarray) -> float:
-    """I(rho) = 4 m(Gamma(sqrt rho)) = 2 sum (sqrt rho(y) - sqrt rho(x))^2 m_xy.
-
-    Both routes are evaluated; disagreement past FISHER_CROSSCHECK_TOL
-    means the edge weights and the mean kernel fell out of sync.
-    """
-    rho = _require_density(M, rho)
+def _fisher_information(M: MarkovData, rho: np.ndarray) -> float:
     s = np.sqrt(rho)
     via_gamma = 4.0 * mean(gamma(s, s, M), M.m)
     ds = s[None, :] - s[:, None]
@@ -218,27 +245,31 @@ def fisher_information(M: MarkovData, rho: np.ndarray) -> float:
     return via_edges
 
 
-def relative_entropy(M: MarkovData, rho: np.ndarray) -> float:
-    """Ent(rho) = m(rho log rho) with 0 log 0 = 0."""
-    rho = _require_density(M, rho)
+def _relative_entropy(M: MarkovData, rho: np.ndarray) -> float:
     terms = np.zeros_like(rho)
     positive = rho > 0
     terms[positive] = rho[positive] * np.log(rho[positive])
     return mean(terms, M.m)
 
 
-def _edge_variation(M: MarkovData, rho: np.ndarray) -> float:
-    """sum over ordered pairs of |rho(y) - rho(x)| m_xy."""
-    diff = np.abs(rho[None, :] - rho[:, None])
-    return float((diff * M.mxy).sum())
+def fisher_information(M: MarkovData, rho: np.ndarray) -> float:
+    """I(rho) = 4 m(Gamma(sqrt rho)) = 2 sum (sqrt rho(y) - sqrt rho(x))^2 m_xy.
+
+    Both routes are evaluated; disagreement past FISHER_CROSSCHECK_TOL
+    means the edge weights and the mean kernel fell out of sync.
+    """
+    return _fisher_information(M, _require_density(M, rho))
+
+
+def relative_entropy(M: MarkovData, rho: np.ndarray) -> float:
+    """Ent(rho) = m(rho log rho) with 0 log 0 = 0."""
+    return _relative_entropy(M, _require_density(M, rho))
 
 
 def _transports(M: MarkovData, dm: DistanceMatrix, rhos: list[DensityFixture]):
-    """(provenance, rho, W(m, rho m)) for each density, W solved in fast mode."""
-    for fixture in rhos:
-        rho = _require_density(M, fixture.rho)
-        plan = transport.wasserstein(M.m, rho * M.m, dm, verify=False)
-        yield fixture.provenance, rho, plan.value
+    """(record, W(m, rho m)) for each density record, W solved in fast mode."""
+    for record in rhos:
+        yield record, transport.wasserstein(M.m, record.measure, dm, verify=False).value
 
 
 def check_transport_l1_bound(
@@ -253,8 +284,8 @@ def check_transport_l1_bound(
     _require_positive_K(K)
     factor = lam_max / (2.0 * K)
     comparisons = [
-        (w, factor * _edge_variation(M, rho), {"rho": provenance, "W": w})
-        for provenance, rho, w in _transports(M, dm, rhos)
+        (w, factor * record.edge_variation, {"rho": record.provenance, "W": w})
+        for record, w in _transports(M, dm, rhos)
     ]
     hypothesis = {"K": K, "Lambda": lam_max, "samples": len(rhos)}
     return certificate_from_samples("transport_edge_variation_bound", hypothesis, comparisons, tol)
@@ -279,10 +310,10 @@ def check_transport_information(
     with np.errstate(divide="ignore", over="ignore"):
         factor = float(np.float64(lam_max * lam_max) / (2.0 * K * K))
     comparisons = []
-    for provenance, rho, w in _transports(M, dm, rhos):
+    for record, w in _transports(M, dm, rhos):
         w2 = w * w
-        info = fisher_information(M, rho)
-        witness = {"rho": provenance, "fisher_information": info}
+        info = record.fisher_information
+        witness = {"rho": record.provenance, "fisher_information": info}
         comparisons.append((w2, factor * info, {**witness, "form": "relaxed"}))
         if info <= 8.0:
             comparisons.append(
@@ -304,8 +335,8 @@ def check_transport_entropy(
     _require_positive_K(K)
     factor = 2.0 * lam_max * lam_max / K
     comparisons = [
-        (w * w, factor * relative_entropy(M, rho), {"rho": provenance, "W": w})
-        for provenance, rho, w in _transports(M, dm, rhos)
+        (w * w, factor * record.entropy, {"rho": record.provenance, "W": w})
+        for record, w in _transports(M, dm, rhos)
     ]
     hypothesis = {"K": K, "Lambda": lam_max, "samples": len(rhos)}
     return certificate_from_samples("transport_entropy_bound", hypothesis, comparisons, tol)
@@ -349,8 +380,8 @@ def check_bobkov_goetze(
     moment_side = certificate_from_samples(name, hypothesis, comparisons, tol)
 
     comparisons = [
-        (w * w, 2.0 / c * relative_entropy(M, rho), {"side": "transport", "rho": provenance})
-        for provenance, rho, w in _transports(M, dm, rhos)
+        (w * w, 2.0 / c * record.entropy, {"side": "transport", "rho": record.provenance})
+        for record, w in _transports(M, dm, rhos)
     ]
     transport_side = certificate_from_samples(name, hypothesis, comparisons, tol)
 
@@ -392,15 +423,15 @@ def check_info_to_entropy(
     if c <= 0:
         raise HypothesisUnmetError(f"implication check needs c > 0, got {c}")
     comparisons = []
-    for provenance, rho, w in _transports(M, dm, rhos):
+    for record, w in _transports(M, dm, rhos):
         w2 = w * w
-        info = fisher_information(M, rho)
+        info = record.fisher_information
         # an extreme c over- or underflows c * c: the hypothesis bound is 0 or inf
         with np.errstate(divide="ignore", over="ignore"):
             if w2 > info / (c * c) + tol:
                 continue
-            rhs = float(np.sqrt(2.0) * lam_max / c * relative_entropy(M, rho))
-        comparisons.append((w2, rhs, {"rho": provenance}))
+            rhs = float(np.sqrt(2.0) * lam_max / c * record.entropy)
+        comparisons.append((w2, rhs, {"rho": record.provenance}))
     counts = {"hypothesis_met": len(comparisons), "total": len(rhos)}
     # no sample met the hypothesis: a vacuous pass
     comparisons = comparisons or [(0.0, 0.0, {})]

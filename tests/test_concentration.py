@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from digricci import (
     random_densities,
     relative_entropy,
 )
+from digricci import concentration, transport
 from digricci.chain import mean
+from digricci.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -231,7 +234,7 @@ class TestTransportInequalities:
     def test_tri_point_mass_hand_numbers(self, tri_setup):
         M, dm, K = tri_setup
         assert K > 0
-        rhos = [DensityFixture(np.array([0.0, 0.0, 5.0]), "hand")]
+        rhos = [DensityFixture.of(M, np.array([0.0, 0.0, 5.0]), "hand")]
         l1 = check_transport_l1_bound(M, dm, K, float(dm.lam), rhos)
         info = check_transport_information(M, dm, K, float(dm.lam), rhos)
         ent = check_transport_entropy(M, dm, K, float(dm.lam), rhos)
@@ -267,10 +270,27 @@ class TestTransportInequalities:
 
     def test_uniform_density_trivial(self, tri_setup):
         M, dm, K = tri_setup
-        uniform = [DensityFixture(np.ones(3), "uniform")]
+        uniform = [DensityFixture.of(M, np.ones(3), "uniform")]
         cert = check_transport_entropy(M, dm, K, float(dm.lam), uniform)
         assert cert.passed
         assert cert.lhs == pytest.approx(0.0, abs=1e-12)
+
+    def test_density_mass_is_held_to_the_transport_tolerance(self, g_k3):
+        # m-mass 1 + 5e-11 is off by more than transport.MASS_TOL, which W
+        # holds rho m to: every entry point refuses it up front
+        M = markov_data(g_k3)
+        rho = (1.0 + 5e-11) * np.ones(3)
+        for entry in (fisher_information, relative_entropy):
+            with pytest.raises(HypothesisUnmetError, match="m-mass 1.00000000005"):
+                entry(M, rho)
+        with pytest.raises(HypothesisUnmetError, match="m-mass 1.00000000005"):
+            DensityFixture.of(M, rho, "heavy")
+        assert DensityFixture.of(M, (1.0 + 1e-13) * np.ones(3), "close").entropy >= 0.0
+
+    @pytest.mark.parametrize("rho", [[1.0, 1.0], [1.0, np.nan, 2.0], [3.0, 0.0, np.inf]])
+    def test_density_of_wrong_length_or_not_finite_raises(self, g_k3, rho):
+        with pytest.raises(HypothesisUnmetError, match="3 finite numbers"):
+            DensityFixture.of(markov_data(g_k3), np.array(rho), "bad")
 
 
 class TestSampledImplications:
@@ -336,3 +356,36 @@ def test_family_checks_are_their_worst_one_sample_check(seed, count, K):
             assert together.witness["rho"] == rhos[i].provenance
         else:
             assert together.witness == {**worst.witness, "f_index": i}
+
+
+def test_functional_suite_checks_each_density_once(tmp_path, monkeypatch, capsys):
+    """verify-functional builds one record per density: one density check,
+    one two-route Fisher information and one entropy each, while each of
+    the five transport checks still solves W(m, rho m) once per density."""
+    path = tmp_path / "k4.edges"
+    path.write_text("".join(f"{x} {y}\n" for x in range(4) for y in range(4) if x != y),
+                    encoding="utf-8")
+    counts = dict.fromkeys(
+        ("_require_density", "_fisher_information", "_relative_entropy", "wasserstein"), 0
+    )
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("_require_density", "_fisher_information", "_relative_entropy"):
+        counting(concentration, name)
+    counting(transport, "wasserstein")
+    samples = 7
+    argv = ["verify-functional", str(path), "--density-samples", str(samples),
+            "--function-samples", "5"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["curvature"]["K"] > 0
+    densities = samples + 4
+    assert counts == {"_require_density": densities, "_fisher_information": densities,
+                      "_relative_entropy": densities, "wasserstein": 5 * densities}

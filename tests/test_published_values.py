@@ -80,15 +80,29 @@ def test_arc_curvature_matches_published_value(name):
     assert abs(curvature_matrix(M, dm).K - min(expected.values())) <= 1e-12
 
 
-def test_zero_curvature_prints_no_negative_zero(tmp_path, capsys):
-    """On C6 kappa and K are exactly zero, and print as 0, never -0."""
-    path = tmp_path / "c6.edges"
+def _assert_c6_prints_no_negative_zero(directory, capsys):
+    path = directory / "c6.edges"
     path.write_text("".join(f"{x} {y}\n{y} {x}\n" for x, y in _cycle(6)), encoding="utf-8")
     negative_zero = re.compile(r"(?<![\de.])-0(?![\d.])")
+    # every number is printed outside the JSON strings, which hold names and paths
+    json_string = re.compile(r'"(?:[^"\\]|\\.)*"')
     for argv in (["analyze", str(path)], ["curvature", str(path), "--format", "csv"]):
         code = main(argv)
-        text = capsys.readouterr().out
+        text = json_string.sub('""', capsys.readouterr().out)
         found = negative_zero.search(text)
         # on failure, name the exit code, the match and the text around it
         context = found and (found.group(), text[max(0, found.start() - 60) : found.end() + 60])
         assert code == 0 and not found, (argv, code, context)
+
+
+def test_zero_curvature_prints_no_negative_zero(tmp_path, capsys):
+    """On C6 kappa and K are exactly zero, and print as 0, never -0."""
+    _assert_c6_prints_no_negative_zero(tmp_path, capsys)
+
+
+def test_negative_zero_check_does_not_read_the_graph_path(tmp_path, capsys):
+    """The report echoes the graph's path, and pytest names the first base
+    temp directory on a machine pytest-0: that path is no number."""
+    directory = tmp_path / "pytest-0"
+    directory.mkdir()
+    _assert_c6_prints_no_negative_zero(directory, capsys)
