@@ -71,7 +71,6 @@ from .errors import (
     ParseError,
     SameVertexError,
     SelfLoopError,
-    ZeroOutDegreeError,
 )
 from .heat import (
     curvature_time_limit,
@@ -104,7 +103,6 @@ __all__ = [
     "SameVertexError",
     "SelfLoopError",
     "VerificationReport",
-    "ZeroOutDegreeError",
     "build_graph",
     "centered_lipschitz_samples",
     "certificate_from_samples",

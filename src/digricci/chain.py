@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import DirectedGraph
-from .errors import SingularSystemError, ZeroOutDegreeError
+from .errors import SingularSystemError
 
 # residual tolerance for the stationary balance equations
 BALANCE_TOL = 1e-12
@@ -46,12 +46,12 @@ class MarkovData:
 
 
 def transition_kernel(g: DirectedGraph) -> np.ndarray:
-    """Row-stochastic kernel of the outgoing-weight random walk."""
-    out = g.mu.sum(axis=1)
-    if np.any(out <= 0):
-        x = int(np.nonzero(out <= 0)[0][0])
-        raise ZeroOutDegreeError(f"vertex {x} has no outgoing arc")
-    return g.mu / out[:, None]
+    """Row-stochastic kernel of the outgoing-weight random walk.
+
+    build_graph made every out-weight sum finite and, by strong
+    connectivity, positive, so each row divides by a positive number.
+    """
+    return g.mu / g.mu.sum(axis=1)[:, None]
 
 
 def perron_measure(P: np.ndarray, tol: float = BALANCE_TOL) -> np.ndarray:

@@ -8,10 +8,16 @@ neighbourhood of x (out- and in-neighbours together) control the
 constants in every concentration statement, so both are precomputed
 here alongside the raw hop counts.
 
-The hop counts come from one frontier expansion over all sources at
-once, one matrix product per breadth-first level, and are computed
-once per graph: build_graph keeps them, strong connectivity is "every
-count is finite", and distances reads them instead of searching again.
+build_graph is the one place that decides what a valid graph is:
+square, finite, non-negative, no self loop, at least one arc, finite
+out-weight sums, and strongly connected.  Every DirectedGraph holds
+these by construction, so it has n >= 2 and an in- and an out-arc at
+every vertex, and nothing downstream checks them again.  The hop
+counts come from one frontier expansion over all sources at once, one
+matrix product per breadth-first level, and are computed once per
+graph: build_graph decides strong connectivity from them ("every count
+is finite") and keeps them, and distances reads them instead of
+searching again.
 """
 
 from __future__ import annotations
@@ -32,20 +38,20 @@ from .errors import (
 
 @dataclass(frozen=True)
 class DirectedGraph:
-    """Simple weighted directed graph on vertices 0..n-1.
+    """Simple, strongly connected weighted directed graph on vertices 0..n-1.
 
     mu[x, y] > 0 exactly when the arc x -> y exists.  The diagonal is
-    zero (no self loops) and all weights are non-negative.  Strong
-    connectivity is checked once at construction and recorded.
+    zero (no self loops), all weights are finite and non-negative, and
+    every row sums to a finite positive value.  build_graph, the one
+    constructor, checks all of this and strong connectivity, so n >= 2.
 
-    _hops holds the hop count of every ordered pair, -1 where the head
-    cannot be reached; build_graph computes it once and distances reads
-    it.  It is private to this module and never compared.
+    _hops holds the hop count of every ordered pair, all finite;
+    build_graph computes it once and distances reads it.  It is private
+    to this module and never compared.
     """
 
     n: int
     mu: np.ndarray
-    strongly_connected: bool
     _hops: np.ndarray = field(repr=False, compare=False)
     labels: tuple[str, ...] | None = None
 
@@ -78,16 +84,20 @@ class DistanceMatrix:
 def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> DirectedGraph:
     """Validate a weight matrix and wrap it in a DirectedGraph.
 
+    Every graph rule is decided here, in this order: ParseError unless
+    mu is square and finite, NegativeWeightError on a negative weight,
+    SelfLoopError on a diagonal entry, ParseError("no arcs found") when
+    no weight is positive, ParseError when a vertex's out-weights sum
+    past the float range or labels does not name n vertices, and
+    NotStronglyConnectedError when some vertex cannot reach another.
     The hop counts of all ordered pairs are computed here, once per
-    graph (_hop_matrix); the graph is strongly connected exactly when
-    every one of them is finite.
+    graph (_hop_matrix), and decide the last check: the graph is
+    strongly connected exactly when every one of them is finite.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
         raise ParseError(f"weight matrix must be square, got shape {mu.shape}")
     n = mu.shape[0]
-    if n == 0:
-        raise ParseError("graph must have at least one vertex")
     if not np.isfinite(mu).all():
         x, y = np.argwhere(~np.isfinite(mu))[0]
         raise ParseError(f"arc {x} -> {y} has non-finite weight {mu[x, y]}")
@@ -97,6 +107,13 @@ def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> Direct
     if np.any(np.diag(mu) != 0):
         x = int(np.nonzero(np.diag(mu))[0][0])
         raise SelfLoopError(f"vertex {x} has a self loop")
+    if not mu.any():
+        raise ParseError("no arcs found")
+    with np.errstate(over="ignore"):
+        out = mu.sum(axis=1)
+    if not np.isfinite(out).all():
+        x = int(np.nonzero(~np.isfinite(out))[0][0])
+        raise ParseError(f"vertex {x} has out-weights whose sum is not a finite float")
     if labels is not None:
         labels = tuple(str(s) for s in labels)
         if len(labels) != n:
@@ -104,9 +121,13 @@ def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> Direct
     mu = mu.copy()
     mu.flags.writeable = False
     hops = _hop_matrix(mu)
+    if (hops < 0).any():
+        x, y = np.argwhere(hops < 0)[0]
+        raise NotStronglyConnectedError(
+            f"graph is not strongly connected: no path from {x} to {y}"
+        )
     hops.flags.writeable = False
-    strong = bool((hops >= 0).all())
-    return DirectedGraph(n=n, mu=mu, strongly_connected=strong, _hops=hops, labels=labels)
+    return DirectedGraph(n=n, mu=mu, _hops=hops, labels=labels)
 
 
 def _hop_matrix(mu: np.ndarray) -> np.ndarray:
@@ -137,14 +158,7 @@ def _hop_matrix(mu: np.ndarray) -> np.ndarray:
 
 
 def distances(g: DirectedGraph) -> DistanceMatrix:
-    """All-pairs hop distances, read from the graph's once-computed hop counts.
-
-    Requires strong connectivity, which also guarantees every vertex has
-    at least one out- and one in-neighbour once n >= 2.
-    """
-    if not g.strongly_connected:
-        raise NotStronglyConnectedError("distances need a strongly connected graph")
-    n = g.n
+    """All-pairs hop distances, read from the graph's once-computed hop counts."""
     d = g._hops
     dsym = np.maximum(d, d.T)
     nbr = (g.mu > 0) | (g.mu.T > 0)
@@ -152,7 +166,7 @@ def distances(g: DirectedGraph) -> DistanceMatrix:
     arcs = np.argwhere(d == 1)
     for a in (dvert, arcs):
         a.flags.writeable = False
-    return DistanceMatrix(d=d, dvert=dvert, lam=int(dvert.max()) if n > 1 else 0, arcs=arcs)
+    return DistanceMatrix(d=d, dvert=dvert, lam=int(dvert.max()), arcs=arcs)
 
 
 def lipschitz_constant(f: np.ndarray, dm: DistanceMatrix) -> float | np.ndarray:
@@ -168,8 +182,6 @@ def lipschitz_constant(f: np.ndarray, dm: DistanceMatrix) -> float | np.ndarray:
     axis; the result is then an array of one constant per function.
     """
     f = np.asarray(f, dtype=float)
-    if dm.d.shape[0] < 2:
-        return np.zeros(f.shape[:-1]) if f.ndim > 1 else 0.0
     lip = (f[..., dm.arcs[:, 1]] - f[..., dm.arcs[:, 0]]).max(axis=-1)
     return lip if f.ndim > 1 else float(lip)
 
@@ -200,12 +212,35 @@ def sample_lipschitz_functions(
     return out
 
 
-def _weight_matrix(n: int) -> np.ndarray:
-    """The n x n zero weight matrix; ParseError when n vertices cannot be held."""
+def _weight_matrix(n: int, arcs: dict[tuple[int, int], float]) -> np.ndarray:
+    """The n x n weight matrix of arcs; ParseError when n vertices cannot be held."""
     try:
-        return np.zeros((n, n))
+        mu = np.zeros((n, n))
     except (ValueError, MemoryError):
         raise ParseError(f"{n} vertices are too many for a dense weight matrix") from None
+    for (src, dst), weight in arcs.items():
+        mu[src, dst] = weight
+    return mu
+
+
+def _add_arc(
+    arcs: dict[tuple[int, int], float], src: int, dst: int, weight: float, where: str, k: int
+) -> None:
+    """Record arc src -> dst in arcs, the one per-arc check of both parsers.
+
+    A self loop, a negative or zero weight and an arc given twice are
+    refused as the arc is read, so each error starts with where and k
+    ("line 3", "arc #2"); build_graph checks the graph as a whole.
+    """
+    if src == dst:
+        raise SelfLoopError(f"{where}{k}: self loop at vertex {src}")
+    if weight < 0:
+        raise NegativeWeightError(f"{where}{k}: negative weight {weight}")
+    if weight == 0:
+        raise ParseError(f"{where}{k}: zero-weight arc; omit it instead")
+    if (src, dst) in arcs:
+        raise ParseError(f"{where}{k}: duplicate arc {src} -> {dst}")
+    arcs[(src, dst)] = weight
 
 
 def _parse_edge_list(text: str) -> tuple[np.ndarray, None]:
@@ -230,23 +265,9 @@ def _parse_edge_list(text: str) -> tuple[np.ndarray, None]:
                 weight = float(parts[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad weight {parts[2]!r}") from None
-        if src == dst:
-            raise SelfLoopError(f"line {lineno}: self loop at vertex {src}")
-        if weight < 0:
-            raise NegativeWeightError(f"line {lineno}: negative weight {weight}")
-        if weight == 0:
-            raise ParseError(f"line {lineno}: zero-weight arc; omit the line instead")
-        if (src, dst) in arcs:
-            raise ParseError(f"line {lineno}: duplicate arc {src} -> {dst}")
-        arcs[(src, dst)] = weight
+        _add_arc(arcs, src, dst, weight, "line ", lineno)
         max_vertex = max(max_vertex, src, dst)
-    if not arcs:
-        raise ParseError("no arcs found")
-    n = max_vertex + 1
-    mu = _weight_matrix(n)
-    for (src, dst), weight in arcs.items():
-        mu[src, dst] = weight
-    return mu, None
+    return _weight_matrix(max_vertex + 1, arcs), None
 
 
 def _is_int(value) -> bool:
@@ -266,7 +287,7 @@ def _parse_json_document(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]
         raise ParseError(f'"n" must be a positive integer, got {n!r}')
     if not isinstance(doc["arcs"], list):
         raise ParseError('"arcs" must be a list of arcs')
-    mu = _weight_matrix(n)
+    arcs: dict[tuple[int, int], float] = {}
     for k, arc in enumerate(doc["arcs"]):
         if not isinstance(arc, (list, tuple)) or len(arc) not in (2, 3):
             raise ParseError(f"arc #{k}: expected [src, dst] or [src, dst, weight]")
@@ -282,17 +303,8 @@ def _parse_json_document(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]
             raise ParseError(f"arc #{k}: vertex ids must be integers")
         if not (0 <= src < n and 0 <= dst < n):
             raise ParseError(f"arc #{k}: vertex id out of range for n={n}")
-        if src == dst:
-            raise SelfLoopError(f"arc #{k}: self loop at vertex {src}")
-        if weight < 0:
-            raise NegativeWeightError(f"arc #{k}: negative weight {weight}")
-        if weight == 0:
-            raise ParseError(f"arc #{k}: zero-weight arc; omit it instead")
-        if mu[src, dst] != 0:
-            raise ParseError(f"arc #{k}: duplicate arc {src} -> {dst}")
-        mu[src, dst] = weight
-    if mu.max(initial=0.0) == 0.0:
-        raise ParseError("no arcs found")
+        _add_arc(arcs, src, dst, weight, "arc #", k)
+    mu = _weight_matrix(n, arcs)
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != n:

@@ -21,10 +21,6 @@ class NegativeWeightError(GraphCurvatureError):
     """An arc weight is negative."""
 
 
-class ZeroOutDegreeError(GraphCurvatureError):
-    """A vertex has no outgoing arc, so the random walk is undefined there."""
-
-
 class NotStronglyConnectedError(GraphCurvatureError):
     """The graph is not strongly connected."""
 

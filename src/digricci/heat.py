@@ -185,11 +185,10 @@ def verify_transport_contraction(
     Each arc is solved once per distinct time, in ascending order, each
     solve from the previous time's optimal basis (see the module
     docstring); the comparisons are listed as ts gives the times, arcs
-    in order within each.
+    in order within each.  Every kernel is built before the first
+    solve, so a negative time raises NegativeTimeError (from
+    HeatOperator.matrix) before any W is solved.
     """
-    for t in ts:
-        if t < 0:
-            raise NegativeTimeError(f"time must be non-negative, got {t}")
     times = sorted(set(ts))
     kernels = [heat_kernel_matrix(H, t) for t in times]
     arcs = dm.arcs.tolist()

@@ -154,8 +154,6 @@ def kantorovich_dual(
     n = d.shape[0]
     nu0 = _check_probability(nu0, n, "nu0")
     nu1 = _check_probability(nu1, n, "nu1")
-    if n == 1:
-        return 0.0, np.zeros(1)
     # every ordered pair, row-major: the star 0 -> w comes first
     pairs = np.argwhere(~np.eye(n, dtype=bool))
     A = _incidence(n, pairs)[1:]

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from digricci import (
-    ZeroOutDegreeError,
+    NotStronglyConnectedError,
     build_graph,
     gamma,
     inner,
@@ -30,10 +30,10 @@ class TestTransitionKernel:
             assert np.allclose(transition_kernel(g).sum(axis=1), 1.0, atol=1e-15)
 
     def test_zero_out_degree_rejected(self):
+        # vertex 1 has no outgoing arc, so no kernel row: build_graph refuses the graph
         mu = np.array([[0.0, 1.0], [0.0, 0.0]])
-        g = build_graph(mu)
-        with pytest.raises(ZeroOutDegreeError):
-            transition_kernel(g)
+        with pytest.raises(NotStronglyConnectedError, match="no path from 1 to 0"):
+            build_graph(mu)
 
 
 class TestPerron:

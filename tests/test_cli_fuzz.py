@@ -7,7 +7,8 @@ graphs with tokens swapped for junk, measure files with junk lines,
 to well-formed ones.  Whatever the
 input, main must return (an escaping exception is a traceback), exit 2
 must come with exactly one error: line and nothing on stdout, and
-exit 1 only with a report in which some certificate failed.
+exit 1 only with a report in which some certificate failed.  perron
+exits 0 only on a strongly connected graph.
 """
 
 from __future__ import annotations
@@ -16,10 +17,13 @@ import contextlib
 import io
 import json
 
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import C3_EDGES, TRI_EDGES
+from digricci import load_graph
 from digricci.cli import main
 
 FUZZ_SETTINGS = settings(
@@ -57,6 +61,10 @@ def assert_contract(argv: list[str]) -> None:
         assert len(lines) == 1 and lines[0].startswith("error:"), err
         return
     assert "Traceback" not in err
+    if argv[0] == "perron" and code == 0:
+        # only a strongly connected graph has a stationary measure to print
+        mu = np.asarray(load_graph(argv[1]).mu)
+        assert (oracles.hop_distances(mu) < oracles.INF).all()
     if argv[0] in ("analyze", "verify-functional"):
         passed = [c["pass"] for c in json.loads(out)["certificates"]]
         assert code == (0 if all(passed) else 1), passed
@@ -154,6 +162,8 @@ def pair_specs(draw) -> list[str]:
 
 @FUZZ_SETTINGS
 @given(st.one_of(cycle_graphs(), edge_lists(), json_graphs()))
+# every vertex has an out-arc, but vertex 1 has no in-arc
+@example("0 2 1.5\n0 3 1.3\n1 0 0.7\n1 2 0.5\n1 3 0.5\n2 0 3\n2 3 1.3\n3 0 1.3\n")
 def test_fuzzed_graphs_exit_by_the_contract(text):
     assert_contract(["perron", text])
 

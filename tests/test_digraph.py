@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from digricci import digraph
 from digricci import (
     NegativeWeightError,
     NotStronglyConnectedError,
@@ -104,14 +105,23 @@ class TestBuildGraph:
         assert np.array_equal(np.asarray(rg.mu), np.asarray(g_tri.mu).T)
 
 
+def build_or_none(mu: np.ndarray):
+    """build_graph(mu), or None when it refuses mu as not strongly connected."""
+    try:
+        return build_graph(mu)
+    except NotStronglyConnectedError:
+        return None
+
+
 class TestStrongConnectivity:
     def test_fixtures_strong(self, g_c3, g_tri, g_k3):
         for g in (g_c3, g_tri, g_k3):
-            assert g.strongly_connected
+            assert (oracles.hop_distances(np.asarray(g.mu)) < oracles.INF).all()
+            assert (distances(g).d == oracles.hop_distances(np.asarray(g.mu))).all()
 
     def test_path_graph_not_strong(self):
-        g = load_graph("0 1\n1 2\n")
-        assert not g.strongly_connected
+        with pytest.raises(NotStronglyConnectedError, match="no path from 1 to 0"):
+            load_graph("0 1\n1 2\n")
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 8).flatmap(
@@ -120,10 +130,15 @@ class TestStrongConnectivity:
         )
     ))
     def test_flag_holds_iff_every_hop_distance_is_finite(self, mask):
+        # build_graph accepts a graph with arcs exactly when every hop distance is finite
         mu = np.where(mask, 1.0, 0.0)
         np.fill_diagonal(mu, 0.0)
+        if not mu.any():
+            with pytest.raises(ParseError, match="no arcs found"):
+                build_graph(mu)
+            return
         expected = bool((oracles.hop_distances(mu) < oracles.INF).all())
-        assert build_graph(mu).strongly_connected == expected
+        assert (build_or_none(mu) is not None) == expected
 
 
 class TestDistances:
@@ -170,9 +185,13 @@ class TestDistances:
         mu = np.where(mask, 1.0, 0.0)
         np.fill_diagonal(mu, 0.0)
         expected = oracles.hop_distances(mu)
-        g = build_graph(mu)
-        assert g.strongly_connected == bool((expected < oracles.INF).all())
-        if g.strongly_connected:
+        # every mask, strongly connected or not: -1 marks an unreachable head
+        hops = digraph._hop_matrix(mu)
+        assert hops.dtype.kind == "i"
+        assert np.array_equal(np.where(hops < 0, oracles.INF, hops), expected)
+        g = build_or_none(mu) if mu.any() else None
+        assert (g is not None) == bool(mu.any() and (expected < oracles.INF).all())
+        if g is not None:
             d = distances(g).d
             assert d.dtype.kind == "i"
             assert not d.flags.writeable
@@ -201,10 +220,21 @@ class TestDistances:
             for y in range(n):
                 assert (d <= d[:, y, None] + d[None, y, :] + 1e-12).all()
 
-    def test_requires_strong_connectivity(self):
-        g = load_graph("0 1\n1 2\n")
-        with pytest.raises(NotStronglyConnectedError):
-            distances(g)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 6), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_requires_strong_connectivity(self, n, density, seed):
+        # no graph reaches distances unless every hop distance is finite
+        mask = np.random.default_rng(seed).random((n, n)) < density
+        mu = np.where(mask, 1.0, 0.0)
+        np.fill_diagonal(mu, 0.0)
+        if not mu.any():
+            return
+        expected = oracles.hop_distances(mu)
+        if (expected < oracles.INF).all():
+            assert np.array_equal(distances(build_graph(mu)).d, expected)
+        else:
+            with pytest.raises(NotStronglyConnectedError):
+                build_graph(mu)
 
     def test_permutation_invariance(self, rng):
         g = random_strongly_connected(rng)

@@ -18,6 +18,7 @@ from digricci import (
     verify_gradient_estimate,
     verify_transport_contraction,
 )
+from digricci import transport
 
 
 class TestOperator:
@@ -165,6 +166,21 @@ class TestContractionCertificates:
         cert = verify_transport_contraction(H, dm, 1.6)
         assert not cert.passed
         assert cert.name == "transport_contraction"
+
+    def test_transport_contraction_rejects_a_negative_time_before_any_solve(
+        self, g_tri, monkeypatch
+    ):
+        M = markov_data(g_tri)
+        dm = distances(g_tri)
+        H = heat_operator(M)
+        calls = []
+        wasserstein = transport.wasserstein
+        monkeypatch.setattr(
+            transport, "wasserstein", lambda *a, **k: calls.append(1) or wasserstein(*a, **k)
+        )
+        with pytest.raises(NegativeTimeError, match="time must be non-negative, got -1"):
+            verify_transport_contraction(H, dm, 0.1, ts=(0.5, -1.0, 1.0))
+        assert calls == []
 
     def test_certificate_carries_worst_witness(self, g_tri, rng):
         M = markov_data(g_tri)

@@ -12,7 +12,18 @@ import numpy as np
 import pytest
 
 from conftest import C3_EDGES, K3_EDGES, SEED, TRI_EDGES
-from digricci import InequalityCertificate, __version__, cli, lp, render_json, transport
+from digricci import (
+    InequalityCertificate,
+    __version__,
+    cli,
+    curvature_matrix,
+    distances,
+    load_graph,
+    lp,
+    markov_data,
+    render_json,
+    transport,
+)
 from digricci.cli import main
 from digricci.curvature import SMOOTHING_AGREEMENT_TOL
 from digricci.heat import HEAT_LIMIT_AGREEMENT_TOL
@@ -292,6 +303,17 @@ class TestCliAnalyze:
         assert tolerances["lp_feasibility"] == lp.PRIMAL_TOL
         assert tolerances["lp_gap"] == lp.GAP_TOL
 
+    def test_cross_check_witness_names_the_binding_pair(self, tri_file, capsys):
+        assert main(["analyze", tri_file, "--cross-check"]) == 0
+        certs = json.loads(capsys.readouterr().out)["certificates"]
+        cert = next(c for c in certs if c["name"] == "curvature_smoothing_agreement")
+        g = load_graph(tri_file)
+        residuals = curvature_matrix(markov_data(g), distances(g), cross_check=True).cross_check
+        x, y = cert["witness"]["pair"]
+        assert x != y
+        assert residuals[x, y] == cert["lhs"] == np.nanmax(residuals)
+        assert cert["rhs"] == SMOOTHING_AGREEMENT_TOL
+
     def test_not_strongly_connected_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.edges"
         path.write_text("0 1\n1 2\n", encoding="utf-8")
@@ -462,13 +484,18 @@ class TestCliOther:
             assert {"f_index", "rho", "pair"} & cert["witness"].keys(), cert["name"]
 
 
-def assert_input_error(code: int, capsys) -> None:
-    """Exit 2 with exactly one error: line and no output or traceback."""
+# 0 2, 0 3, 1 0, 1 2, 1 3, 2 0, 2 3, 3 0: every vertex has an out-arc, vertex 1 no in-arc
+NO_IN_ARC_EDGES = "0 2 1.5\n0 3 1.3\n1 0 0.7\n1 2 0.5\n1 3 0.5\n2 0 3\n2 3 1.3\n3 0 1.3\n"
+
+
+def assert_input_error(code: int, capsys) -> str:
+    """Exit 2 with exactly one error: line and no output or traceback; returns the line."""
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    return lines[0]
 
 
 class TestCliInputContract:
@@ -525,6 +552,37 @@ class TestCliInputContract:
         path = tmp_path / "g.json"
         path.write_text(doc, encoding="utf-8")
         assert_input_error(main(["analyze", str(path)]), capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["perron", "{g}"],
+            ["heat", "{g}", "--t", "0.5", "--kernel", "0"],
+            ["curvature", "{g}"],
+            ["wasserstein", "{g}", "dirac:0", "dirac:1"],
+            ["analyze", "{g}"],
+            ["verify-functional", "{g}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_subcommand_rejects_a_graph_that_is_not_strongly_connected(
+        self, tmp_path, capsys, argv
+    ):
+        # vertex 1 has no in-arc, so its stationary mass would be rounding noise
+        path = tmp_path / "no-in-arc.edges"
+        path.write_text(NO_IN_ARC_EDGES, encoding="utf-8")
+        line = assert_input_error(main([a.format(g=path) for a in argv]), capsys)
+        assert line == "error: graph is not strongly connected: no path from 0 to 1"
+
+    def test_out_weights_past_the_float_range_exit_2_naming_the_vertex(self, tmp_path, capsys):
+        # every weight is finite, but vertex 0's out-weights sum to inf
+        path = tmp_path / "huge.edges"
+        path.write_text("0 1 1e308\n0 2 1e308\n1 0\n1 2\n2 0\n2 1\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would be more stderr
+            code = main(["perron", str(path)])
+        line = assert_input_error(code, capsys)
+        assert line.startswith("error: vertex 0 has out-weights")
 
     @pytest.mark.parametrize(
         "argv",

@@ -9,8 +9,8 @@ import oracles
 from conftest import SEED
 from digricci import (
     MarginalMismatchError,
-    build_graph,
     distances,
+    lp,
     kantorovich_dual,
     wasserstein,
 )
@@ -71,13 +71,17 @@ class TestSolverContract:
 
     @pytest.mark.parametrize("verify", [True, False])
     def test_single_vertex_program_has_no_rows(self, verify):
-        # one vertex, no arcs: the flow program has no variable and no row
-        dm = distances(build_graph(np.zeros((1, 1))))
-        plan = wasserstein(np.ones(1), np.ones(1), dm, verify=verify)
-        assert plan.value == 0.0 and plan.marginal_residual == 0.0
-        assert plan.flow.iterations == 0
+        # the flow program of one vertex: its row is dropped, so none is left.
+        # build_graph refuses a one-vertex graph, so the program is built here;
+        # verify also restarts it from its final basis
+        start = lp.Start.from_basis(np.zeros(0), np.zeros((0, 0)), [], np.zeros((0, 0)))
+        solution = lp.solve_lp(start, np.zeros(0))
         if verify:
-            assert np.array_equal(plan.pi, [[1.0]])
+            solution = lp.solve_lp(solution.warm_start(), np.zeros(0))
+        assert solution.status == "optimal" and solution.iterations == 0
+        assert solution.value == 0.0 and solution.duality_gap == 0.0
+        assert solution.x.shape == (0,) and solution.duals.shape == (0,)
+        assert solution.feasibility_residual == 0.0
 
     def test_mass_mismatch_rejected(self, g_c3):
         dm = distances(g_c3)
