@@ -192,23 +192,33 @@ def sample_lipschitz_functions(
     rng: np.random.Generator,
     scale: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """Random 1-Lipschitz functions, optionally rescaled.
+    """count random 1-Lipschitz functions, optionally rescaled, one per row.
 
     Each sample is f(z) = min over a random anchor set A of d(a, z) + c_a
     with random offsets c_a.  Every piece satisfies the directed triangle
     inequality, and a pointwise min of 1-Lipschitz functions is again
     1-Lipschitz, so Lip f <= 1 by construction.  When scale = (lo, hi)
     each sample is multiplied by an independent uniform draw from it.
+
+    The family is drawn as arrays, in this order: the anchor counts
+    k ~ U{1, ..., n}, one per sample; keys U[0, 1) of shape (count, n),
+    whose k smallest in a row pick a uniform k-subset of anchors; offsets
+    U[0, lam + 1) of shape (count, n), of which the anchors' are used;
+    and with scale, one factor U[lo, hi) per sample.  The min runs over
+    the n anchor rows in turn, so no count x n x n array is formed.
     """
     n = dm.d.shape[0]
-    out = np.empty((count, n))
-    for i in range(count):
-        k = int(rng.integers(1, n + 1))
-        anchors = rng.choice(n, size=k, replace=False)
-        offsets = rng.uniform(0.0, dm.lam + 1.0, size=k)
-        out[i] = (dm.d[anchors] + offsets[:, None]).min(axis=0)
-        if scale is not None:
-            out[i] *= rng.uniform(scale[0], scale[1])
+    k = rng.integers(1, n + 1, size=count)
+    keys = rng.random((count, n))
+    offsets = rng.uniform(0.0, dm.lam + 1.0, size=(count, n))
+    # a vertex is an anchor of its sample when its key ranks below k
+    anchor = keys.argsort(axis=1).argsort(axis=1) < k[:, None]
+    offsets = np.where(anchor, offsets, np.inf)
+    out = np.full((count, n), np.inf)
+    for a in range(n):
+        np.minimum(out, offsets[:, a, None] + dm.d[a], out=out)
+    if scale is not None:
+        out *= rng.uniform(scale[0], scale[1], size=count)[:, None]
     return out
 
 
@@ -320,7 +330,10 @@ def load_graph(source: str | Path) -> DirectedGraph:
     (default 1.0); '#' starts a comment and blank lines are skipped.
     A JSON document is an object {"n": ..., "arcs": [[src, dst, w], ...]}
     with an optional "labels" list.  A Path, or a string naming an
-    existing file, is read first and then parsed the same way.
+    existing file, is read first and then parsed the same way.  A
+    one-line string that names no file and does not parse either raises
+    ParseError("no such file and not valid edge text: ...") followed by
+    the parser's own message.
     """
     pathlike = False
     if isinstance(source, Path):
@@ -344,8 +357,8 @@ def load_graph(source: str | Path) -> DirectedGraph:
             mu, labels = _parse_json_document(text)
         else:
             mu, labels = _parse_edge_list(text)
-    except ParseError:
+    except ParseError as exc:
         if pathlike:
-            raise ParseError(f"no such file and not valid edge text: {source!r}") from None
+            raise ParseError(f"no such file and not valid edge text: {source!r}: {exc}") from None
         raise
     return build_graph(mu, labels=labels)

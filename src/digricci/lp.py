@@ -11,14 +11,15 @@ so for every b, so one start serves every right-hand side, and a solve
 only forms B^-1 b and its cost entry before it pivots to primal
 feasibility.  There is no standard form and no phase 1, and the
 optimal duals are one product of the final cost row with the start's
-inverse, so solve_lp factorises nothing.  Starts come three ways:
-Start.from_basis multiplies out the tableau of a given basis and its
-inverse; with_column adds one column to a start and checks that
-column's reduced cost alone; and an optimal solution's warm_start
-carries its final tableau over to the next b, so a caller that solves
-one c and A for a sequence of right-hand sides starts each solve from
-the previous optimum without multiplying B^-1 A again.  Its inverse is
-the one m x m product T[:m, b0] B0^-1 off the final tableau.
+inverse, formed only when read, so solve_lp factorises nothing.
+Starts come three ways: Start.from_basis multiplies out the tableau
+of a given basis and its inverse; with_column adds one column to a
+start and checks that column's reduced cost alone; and an optimal
+solution's warm_start carries its final tableau over to the next b,
+so a caller that solves one c and A for a sequence of right-hand
+sides starts each solve from the previous optimum without multiplying
+B^-1 A again.  Its inverse is the one m x m product T[:m, b0] B0^-1
+off the final tableau.
 
 Every program solved is a flow on a graph whose balance rows sum to
 zero, with one of them dropped, and a spanning tree of that graph is a
@@ -154,26 +155,56 @@ def _check(off: float, worst: float) -> None:
 class LpSolution:
     """Outcome of a solve, with the optimality certificate pieces.
 
-    duals has one multiplier per row of the program: y = c_B B^-1 on
-    the final basis, read off the final cost row c - y A through the
-    start's inverse.  duality_gap is |c.x - y.b|, which certifies
-    optimality on that basis.  An optimal solve also keeps the start it
-    began from, its final basis, one column index per row, and its final
-    tableau; basis_inverse is that basis's inverse, formed on first
-    read, and warm_start makes the basis the start of another b.
+    An optimal solve keeps the start it began from, its right-hand side
+    b, its final basis, one column index per row, and its final tableau.
+    x and value are formed by the solve; the certificate pieces are
+    formed on first read, off the final tableau, so a caller that reads
+    only the value pays for none of them.  duals has one multiplier per
+    row of the program: y = c_B B^-1 on the final basis, read off the
+    final cost row c - y A through the start's inverse.  duality_gap is
+    |c.x - y.b|, which certifies optimality on that basis.
+    feasibility_residual is the largest violation of A x = b and x >= 0
+    by the final basic values as the tableau holds them, before x clips
+    the ones PRIMAL_TOL reads as zero, so an exactly infeasible final
+    basis shows.  basis_inverse is the final basis's inverse, and
+    warm_start makes the basis the start of another b.  A solve that is
+    not optimal keeps only its status and pivot count, and its three
+    certificate pieces read None.
     """
 
     status: str
     x: np.ndarray | None = None
     value: float | None = None
-    duals: np.ndarray | None = None
-    feasibility_residual: float | None = None
-    duality_gap: float | None = None
     iterations: int = 0
     start: Start | None = field(default=None, repr=False)
+    b: np.ndarray | None = field(default=None, repr=False)
     basis: np.ndarray | None = None
     # the final tableau, [B_f^-1 A | B_f^-1 b ; c - c_B B_f^-1 A | -c_B B_f^-1 b]
     _tableau: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def duals(self) -> np.ndarray | None:
+        """y = c_B B_f^-1: the cost row is c - y A, so on the start basis B0 it is c[b0] - y B0."""
+        if self._tableau is None:
+            return None
+        b0 = self.start.basis
+        return (self.start.c[b0] - self._tableau[-1, b0]) @ self.start.inverse
+
+    @cached_property
+    def duality_gap(self) -> float | None:
+        """|c.x - y.b|."""
+        if self._tableau is None:
+            return None
+        return abs(self.value - float(self.duals @ self.b))
+
+    @cached_property
+    def feasibility_residual(self) -> float | None:
+        """The largest violation of A x = b and x >= 0 by the unclipped basic values."""
+        if self._tableau is None:
+            return None
+        basic = self._tableau[:-1, -1]
+        err = float(np.abs(self.start.A[:, self.basis] @ basic - self.b).max(initial=0.0))
+        return max(0.0, err, float(-basic.min(initial=0.0)))
 
     @cached_property
     def basis_inverse(self) -> np.ndarray:
@@ -288,11 +319,12 @@ def solve_lp(start: Start, b: np.ndarray) -> LpSolution:
     ValueError unless b has one entry per row of A.  The start was
     checked when it was built (see Start), so the solve forms B^-1 b
     and pivots.  The status is "optimal", or "infeasible" when a leaving
-    row has no entry that can enter.  An optimal solution carries its
-    final basis B_f and final tableau; its warm_start starts a solve of
-    the same c and A with another b from B_f.
+    row has no entry that can enter.  An optimal solution carries b,
+    x, its value, its final basis B_f and final tableau, and forms its
+    duals and residuals when they are read; its warm_start starts a
+    solve of the same c and A with another b from B_f.
     """
-    b = np.asarray(b, dtype=float)
+    b = np.array(b, dtype=float)  # a copy: the certificate pieces read it later
     m, n = start.A.shape
     if b.shape != (m,):
         raise ValueError("the right-hand side does not match the matrix")
@@ -303,21 +335,13 @@ def solve_lp(start: Start, b: np.ndarray) -> LpSolution:
         return LpSolution(status=status, iterations=iterations)
     x = np.zeros(n)
     x[basis] = np.maximum(T[:m, -1], 0.0)
-    # the cost row is c - y A, so on the start basis B0 it is c[b0] - y B0
-    b0 = start.basis
-    y = (start.c[b0] - T[-1, b0]) @ start.inverse
-    primal = float(start.c @ x)
-    # the largest violation by x of A x = b and x >= 0
-    err = float(np.abs(start.A @ x - b).max(initial=0.0))
     return LpSolution(
         status="optimal",
         x=x,
-        value=primal,
-        duals=y,
-        feasibility_residual=max(0.0, err, float(-x.min(initial=0.0))),
-        duality_gap=abs(primal - float(y @ b)),
+        value=float(start.c @ x),
         iterations=iterations,
         start=start,
+        b=b,
         basis=basis,
         _tableau=T,
     )

@@ -103,7 +103,15 @@ class TransportPlan:
 
 
 def _check_probability(nu: np.ndarray, n: int, name: str) -> np.ndarray:
+    """nu as a float array; MarginalMismatchError unless it is a probability vector on n vertices.
+
+    A valid measure passes in one pass: a NaN fails the min, and an inf
+    fails the min or the mass.  Anything else goes through the checks
+    in order, so the first rule it breaks names the error.
+    """
     nu = np.asarray(nu, dtype=float)
+    if nu.shape == (n,) and nu.min(initial=0.0) >= 0 and abs(nu.sum() - 1.0) <= MASS_TOL:
+        return nu
     if nu.shape != (n,):
         raise MarginalMismatchError(f"{name} must have length {n}")
     if not np.isfinite(nu).all():

@@ -8,7 +8,10 @@ The exceptions are transport_contraction_all_pairs, the all-pairs
 loop the library's arc-only contraction check is pinned to, and
 gradient_estimate_per_sample, the per-sample loop its batched gradient
 estimate is pinned to; both reuse the library's heat flow so that the
-two sides agree to roundoff.
+two sides agree to roundoff.  lipschitz_samples_per_sample is the
+per-sample loop the array-drawn Lipschitz family must match bit for
+bit, and eager_certificate the duals, gap and residual of a solve
+formed at once, which the ones LpSolution forms on read must match.
 reference_dual_simplex is the plain pivot loop the library's dual
 simplex kernel must match bit for bit, start_tableau the per-solve
 B^-1 [A | b] the library's starts, built once and reused, must match
@@ -257,6 +260,44 @@ def gradient_estimate_per_sample(H, dm, K: float, fs, ts=DEFAULT_TIME_GRID, tol=
     return certificate_from_samples(
         "lipschitz_contraction", {"K": K, "times": list(ts)}, comparisons, tol
     )
+
+
+def lipschitz_samples_per_sample(dm, count: int, rng: np.random.Generator, scale=None):
+    """sample_lipschitz_functions one sample at a time, from the same four draws.
+
+    The anchors of sample i are the k[i] vertices of smallest key, taken
+    by sorting that row alone, and f is the min of their offset
+    distance rows, times the sample's factor under scale.
+    """
+    n = dm.d.shape[0]
+    k = rng.integers(1, n + 1, size=count)
+    keys = rng.random((count, n))
+    offsets = rng.uniform(0.0, dm.lam + 1.0, size=(count, n))
+    factors = rng.uniform(scale[0], scale[1], size=count) if scale is not None else None
+    out = np.empty((count, n))
+    for i in range(count):
+        anchors = np.argsort(keys[i])[: k[i]]
+        out[i] = (dm.d[anchors] + offsets[i, anchors][:, None]).min(axis=0)
+        if factors is not None:
+            out[i] *= factors[i]
+    return out
+
+
+def eager_certificate(solution) -> tuple[np.ndarray, float, float]:
+    """An optimal solve's duals, duality gap and feasibility residual, formed at once.
+
+    The pieces as solve_lp formed them when every solve paid for them:
+    y off the final cost row through the start's inverse, |c.x - y.b|,
+    and the largest violation of A x = b and x >= 0 by the unclipped
+    basic values of the final tableau.
+    """
+    start, T, basis, b = solution.start, solution._tableau, solution.basis, solution.b
+    b0 = start.basis
+    y = (start.c[b0] - T[-1, b0]) @ start.inverse
+    gap = abs(float(start.c @ solution.x) - float(y @ b))
+    basic = T[:-1, -1]
+    err = float(np.abs(start.A[:, basis] @ basic - b).max(initial=0.0))
+    return y, gap, max(0.0, err, float(-basic.min(initial=0.0)))
 
 
 def _reference_pivot(T: np.ndarray, r: int, j: int) -> None:

@@ -25,7 +25,9 @@ Transport contraction along the heat flow is checked over the arcs
 only; a property pins its verdict and margin to the all-pairs loop.
 The Lipschitz constant is taken over the arcs too, pinned to the
 all-pairs difference quotients, and the gradient estimate smooths its
-whole stack of samples at once, pinned to the per-sample loop.
+whole stack of samples at once, pinned to the per-sample loop.  A
+solve forms its duals, gap and residual only when read: a fast-mode W
+forms none, and each one read is the eager formula's, bit for bit.
 """
 
 from __future__ import annotations
@@ -331,6 +333,20 @@ def test_warm_chain_matches_cold_solves_and_scipy(instance, verify):
         cold = wasserstein(nu0, nu1, dm, verify=False)
         assert abs(plan.value - cold.value) <= 1e-12
         assert abs(plan.value - oracles.linprog_transport(dm.d, nu0, nu1, tight=True)) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(tree_basis_instances(), st.booleans())
+def test_the_lp_certificate_is_formed_on_read_as_it_was_at_once(instance, verify):
+    """Fast mode forms no duals, gap or residual; once read, each is the eager one, bit for bit."""
+    g, nu0, nu1 = instance
+    flow = wasserstein(nu0, nu1, distances(g), verify=verify).flow
+    if not verify:
+        assert not {"duals", "duality_gap", "feasibility_residual"} & vars(flow).keys()
+    duals, gap, residual = oracles.eager_certificate(flow)
+    assert flow.duals.tobytes() == duals.tobytes()
+    assert np.float64(flow.duality_gap).tobytes() == np.float64(gap).tobytes()
+    assert np.float64(flow.feasibility_residual).tobytes() == np.float64(residual).tobytes()
 
 
 @PROPERTY_SETTINGS

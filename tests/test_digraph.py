@@ -67,6 +67,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             load_graph('{"n": 2, "arcs": [[0, 5]]}')
 
+    def test_one_line_text_that_names_no_file_reports_the_parse_error(self):
+        """The path-or-text message keeps its prefix and ends with the parser's own."""
+        with pytest.raises(ParseError) as excinfo:
+            load_graph('{"n": 2, "arcs": [[0, 1, 0]]}')
+        message = str(excinfo.value)
+        assert message.startswith("no such file and not valid edge text: ")
+        assert message.endswith(": arc #0: zero-weight arc; omit it instead")
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("0 1\n1 0\n", encoding="utf-8")
@@ -293,11 +301,39 @@ class TestLipschitzSampler:
         for f in sample_lipschitz_functions(dm, 50, rng, scale=(0.5, 2.0)):
             assert lipschitz_constant(f, dm) <= 2.0 + 1e-12
 
+    def test_no_samples_is_an_empty_stack(self, g_tri):
+        dm = distances(g_tri)
+        for scale in (None, (0.5, 2.0)):
+            fs = sample_lipschitz_functions(dm, 0, np.random.default_rng(7), scale=scale)
+            assert fs.shape == (0, 3)
+
     def test_deterministic_given_seed(self, g_tri):
         dm = distances(g_tri)
         a = sample_lipschitz_functions(dm, 10, np.random.default_rng(7))
         b = sample_lipschitz_functions(dm, 10, np.random.default_rng(7))
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=0, max_value=30),
+    st.sampled_from([None, (0.5, 2.0), (0.25, 1.0)]),
+)
+def test_array_drawn_samples_are_the_per_sample_loop(seed, count, scale):
+    """Bit for bit the per-sample oracle, from the same four draws in the same order.
+
+    Every sample is 1-Lipschitz times its factor, so at most the scale's
+    top: 1-Lipschitz without a scale or under (0.25, 1.0).
+    """
+    g = random_strongly_connected(np.random.default_rng(seed), n_max=7)
+    dm = distances(g)
+    fs = sample_lipschitz_functions(dm, count, np.random.default_rng(seed), scale=scale)
+    ref = oracles.lipschitz_samples_per_sample(dm, count, np.random.default_rng(seed), scale)
+    assert fs.shape == ref.shape == (count, g.n)
+    assert fs.tobytes() == ref.tobytes()
+    top = 1.0 if scale is None else scale[1]
+    assert (lipschitz_constant(fs, dm) <= top + 1e-12).all()
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,17 +8,28 @@ where the pivot rule has to earn its keep: the most-infeasible leaving
 row, and the Bland's-rule fallback it takes after a run of pivots that
 leave the objective unchanged.  The kernel is held bit for bit to the
 plain reference loop in oracles, on those families and on a pinned
-instance where the fallback fires.
+instance where the fallback fires.  A solve's certificate pieces read
+None when it is not optimal, and its feasibility residual shows a
+final basis that is infeasible in exact arithmetic.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import SEED
-from digricci import MarginalMismatchError, solve_transport
+from digricci import (
+    MarginalMismatchError,
+    build_graph,
+    distances,
+    kappa_lp,
+    markov_data,
+    solve_transport,
+)
 from digricci import lp
 from digricci.lp import GAP_TOL, MARGINAL_TOL, assemble_transport_lp
 
@@ -176,3 +187,56 @@ class TestTransport:
         cost = np.zeros((2, 2))
         with pytest.raises(MarginalMismatchError):
             solve_transport(cost, np.array([-0.1, 1.1]), np.array([0.5, 0.5]))
+
+
+def ring_chords(n: int, seed: int):
+    """A directed n-cycle plus chords random((n, n)) < 3/n, weights U(0.5, 2), one rng."""
+    rng = np.random.default_rng(seed)
+    ring = {(x, (x + 1) % n) for x in range(n)}
+    chords = rng.random((n, n)) < 3.0 / n
+    pairs = sorted(ring | {(x, y) for x in range(n) for y in range(n) if x != y and chords[x, y]})
+    mu = np.zeros((n, n))
+    for (x, y), w in zip(pairs, rng.uniform(0.5, 2.0, size=len(pairs))):
+        mu[x, y] = w
+    return build_graph(mu)
+
+
+class TestCertificate:
+    def test_a_solve_that_is_not_optimal_has_no_certificate(self):
+        """x0 + x1 = -1 has no solution with x >= 0."""
+        start = lp.Start.from_basis(np.zeros(2), np.ones((1, 2)), [0], np.eye(1))
+        solution = lp.solve_lp(start, [-1.0])
+        assert solution.status == "infeasible"
+        assert solution.duals is None
+        assert solution.duality_gap is None
+        assert solution.feasibility_residual is None
+
+    def test_the_residual_shows_an_exactly_infeasible_final_basis(self, monkeypatch):
+        """kappa(1, 11) on ring+chords n=16 (seed 1) ends on a basis that is infeasible.
+
+        One basic variable is negative in exact arithmetic: the basis
+        inverse is a 0/+-1 matrix, so B^-1 b is exact in Fractions.  It
+        lies above -PRIMAL_TOL, so the solve reads it as zero and clips
+        it out of x; the residual is taken before the clip and shows it.
+        """
+        g = ring_chords(16, 1)
+        solutions = []
+        solve = lp.solve_lp
+
+        def keep(start, b):
+            solutions.append(solve(start, b))
+            return solutions[-1]
+
+        monkeypatch.setattr(lp, "solve_lp", keep)
+        kappa_lp(1, 11, markov_data(g), distances(g))
+        (solution,) = solutions
+        basic = solution._tableau[:-1, -1]
+        inverse = solution.basis_inverse
+        assert set(np.unique(inverse)) <= {-1.0, 0.0, 1.0}
+        exact = [sum(Fraction(int(a)) * Fraction(float(v)) for a, v in zip(row, solution.b))
+                 for row in inverse]
+        assert min(exact) < 0
+        assert -lp.PRIMAL_TOL <= basic.min() < 0
+        assert solution.x.min() == 0.0
+        assert solution.feasibility_residual > 0
+        assert solution.feasibility_residual >= -basic.min()

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import digricci
@@ -23,3 +26,24 @@ def test_all_names_resolve_once_and_are_used():
                *sorted((ROOT / "tests").glob("*.py"))]
     text = "\n".join(p.read_text(encoding="utf-8") for p in sources)
     assert [n for n in names if not re.search(rf"\b{re.escape(n)}\b", text)] == []
+
+
+def test_importing_the_package_loads_no_test_only_module():
+    """numpy is the one runtime dependency: scipy, hypothesis and pytest serve the tests alone.
+
+    A fresh interpreter imports the package and its CLI, as the console
+    script does, and lists the top-level modules it then holds.
+    """
+    code = (
+        "import sys, digricci, digricci.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'hypothesis', 'pytest'}))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

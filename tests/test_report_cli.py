@@ -520,6 +520,11 @@ class TestCliInputContract:
     def test_malformed_pair(self, c3_file, capsys, pair):
         assert_input_error(main(["curvature", c3_file, "--pairs", "0,1", pair]), capsys)
 
+    def test_one_line_inline_graph_reports_its_parse_error(self, capsys):
+        line = assert_input_error(main(["analyze", '{"n": 2, "arcs": [[0, 1, 0]]}']), capsys)
+        assert line.startswith("error: no such file and not valid edge text: ")
+        assert line.endswith(": arc #0: zero-weight arc; omit it instead")
+
     def test_pair_of_one_vertex(self, c3_file, capsys):
         assert_input_error(main(["curvature", c3_file, "--pairs", "1,1"]), capsys)
 

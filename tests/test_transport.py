@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,26 @@ class TestMetricStructure:
             w = wasserstein(nu0, nu1, dm, verify=False).value
             if np.abs(nu0 - nu1).max() > 1e-9:
                 assert w > 0
+
+
+@pytest.mark.parametrize(
+    "nu, message",
+    [
+        ([0.5, 0.5], "nu0 must have length 3"),
+        ([0.5, np.nan, 0.5], "nu0 has a non-finite entry"),
+        ([0.5, np.inf, 0.0], "nu0 has a non-finite entry"),
+        ([0.5, -np.inf, 0.5], "nu0 has a non-finite entry"),
+        ([0.75, -0.25, 0.5], "nu0 has a negative entry"),
+        ([0.5, 0.25, 0.25 + 2e-12], None),
+        ([0.5, 0.25, 0.25 - 2e-12], None),
+    ],
+    ids=["length", "nan", "inf", "-inf", "negative", "mass+2e-12", "mass-2e-12"],
+)
+def test_a_bad_measure_names_the_first_rule_it_breaks(g_tri, nu, message):
+    """A valid measure passes in one pass; any other takes the ordered checks and their message."""
+    nu = np.asarray(nu)
+    if message is None:
+        message = f"nu0 has mass {nu.sum():.17g}, expected 1"
+    with pytest.raises(MarginalMismatchError, match=f"^{re.escape(message)}$") as excinfo:
+        wasserstein(nu, dirac(0, 3), distances(g_tri))
+    assert excinfo.type is MarginalMismatchError
