@@ -109,19 +109,39 @@ def markov_data(g: DirectedGraph) -> MarkovData:
 
 
 def gamma(f0: np.ndarray, f1: np.ndarray, M: MarkovData) -> np.ndarray:
-    """Carre du champ: Gamma(f0, f1)(x) = (1/2) sum_y df0 df1 Pbar(x, y)."""
+    """Carre du champ: Gamma(f0, f1)(x) = (1/2) sum_y df0 df1 Pbar(x, y).
+
+    f0 and f1 may be stacks of functions, the vertex on the last axis;
+    the result then has one row per pair.  The sum runs one vertex x at
+    a time, as a (count, n) product summed over the last axis, so no
+    count x n x n array is formed and each row gets the bits of a 1-D
+    call.
+    """
     f0 = np.asarray(f0, dtype=float)
     f1 = np.asarray(f1, dtype=float)
-    d0 = f0[None, :] - f0[:, None]
-    d1 = f1[None, :] - f1[:, None]
-    return 0.5 * (d0 * d1 * M.Pmean).sum(axis=1)
+    out = np.empty(np.broadcast_shapes(f0.shape, f1.shape))
+    for x in range(M.n):
+        d0 = f0 - f0[..., x, None]
+        d1 = f1 - f1[..., x, None]
+        out[..., x] = (d0 * d1 * M.Pmean[x]).sum(axis=-1)
+    return 0.5 * out
 
 
-def inner(f0: np.ndarray, f1: np.ndarray, m: np.ndarray) -> float:
-    """Stationary inner product (f0, f1) = sum f0 f1 m."""
-    return float(np.sum(np.asarray(f0) * np.asarray(f1) * m))
+def inner(f0: np.ndarray, f1: np.ndarray, m: np.ndarray) -> float | np.ndarray:
+    """Stationary inner product (f0, f1) = sum f0 f1 m.
+
+    On stacks, the vertex on the last axis, the result is an array of
+    one product per row, each with the bits of a 1-D call.
+    """
+    total = (np.asarray(f0) * np.asarray(f1) * m).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
-def mean(f: np.ndarray, m: np.ndarray) -> float:
-    """Stationary mean m(f) = sum f m."""
-    return float(np.sum(np.asarray(f) * m))
+def mean(f: np.ndarray, m: np.ndarray) -> float | np.ndarray:
+    """Stationary mean m(f) = sum f m.
+
+    On a stack, the vertex on the last axis, the result is an array of
+    one mean per row, each with the bits of a 1-D call.
+    """
+    total = (np.asarray(f) * m).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total

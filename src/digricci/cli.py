@@ -347,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, ("json", "table", "csv"))
     p.add_argument("--pairs", nargs="+", metavar="X,Y", default=None,
                    help="restrict to these ordered pairs, each written x,y (json only)")
-    p.add_argument("--cross-check", action="store_true")
+    p.add_argument("--cross-check", action="store_true",
+                   help="also compare kappa with the smoothing route (json only)")
 
     p = sub.add_parser("wasserstein", help="transport distance between two measures")
     _add_common(p)
@@ -392,8 +393,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if args.command == "curvature" and args.pairs is not None and args.format != "json":
-            raise ParseError(f"curvature --pairs prints JSON only, not --format {args.format}")
+        if args.command == "curvature" and args.format != "json":
+            # a csv or a table has no place for pair records or smoothing residuals
+            for option, given in (("--pairs", args.pairs is not None),
+                                  ("--cross-check", args.cross_check)):
+                if given:
+                    raise ParseError(
+                        f"curvature {option} prints JSON only, not --format {args.format}"
+                    )
         g = load_graph(args.graph)
         code = 0
 

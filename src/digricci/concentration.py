@@ -13,9 +13,15 @@ f is a family of one), or a list of DensityFixture.  Each check returns
 one certificate whose witness names the binding sample, by f_index or
 by the density's provenance under "rho".
 
-DensityFixture.of(M, rho, provenance) checks rho and computes rho m,
-Ent(rho), I(rho) and the edge variation once; the transport checks read
-those fields and solve only W(m, rho m) themselves, in fast mode.
+The suite computes on stacks.  A moment, tail or chain-rule check forms
+its lhs and rhs as arrays over the whole family, through the stacked
+chain.gamma, chain.mean and chain.inner, and lists them for
+certificate_from_samples in sample order, so each value has the bits of
+a one-sample computation and ties bind as they would one at a time.
+DensityFixture.of_stack checks a stack of densities and computes rho m,
+Ent(rho), I(rho) and the edge variation for every row in one pass;
+DensityFixture.of is that builder on one row.  The transport checks
+read those fields and solve only W(m, rho m) themselves, in fast mode.
 """
 
 from __future__ import annotations
@@ -44,9 +50,10 @@ DEFAULT_R_GRID = tuple(0.25 * k for k in range(1, 13))
 class DensityFixture:
     """A probability density rho relative to m, checked once, with what the suite reads of it.
 
-    Build one with DensityFixture.of(M, rho, provenance): it checks rho
-    and fills measure = rho m, the relative entropy Ent(rho), the Fisher
-    information I(rho) and the edge variation sum |rho(y) - rho(x)| m_xy.
+    Build one with DensityFixture.of(M, rho, provenance), or a list with
+    DensityFixture.of_stack: each checks rho and fills measure = rho m,
+    the relative entropy Ent(rho), the Fisher information I(rho) and the
+    edge variation sum |rho(y) - rho(x)| m_xy.
     """
 
     rho: np.ndarray
@@ -59,16 +66,68 @@ class DensityFixture:
     @classmethod
     def of(cls, M: MarkovData, rho: np.ndarray, provenance: str) -> DensityFixture:
         """The record of rho; HypothesisUnmetError unless rho is a density for m."""
-        rho = _require_density(M, rho)
-        diff = np.abs(rho[None, :] - rho[:, None])
-        return cls(
-            rho=rho,
-            provenance=provenance,
-            measure=rho * M.m,
-            entropy=_relative_entropy(M, rho),
-            fisher_information=_fisher_information(M, rho),
-            edge_variation=float((diff * M.mxy).sum()),
-        )
+        return cls.of_stack(M, np.asarray(rho, dtype=float)[None], [provenance])[0]
+
+    @classmethod
+    def of_stack(
+        cls, M: MarkovData, rhos: np.ndarray, provenances: list[str]
+    ) -> list[DensityFixture]:
+        """The records of the rows of rhos, row i named by provenances[i].
+
+        Each row must be a probability density for m: n finite entries,
+        none negative, m-mass within transport.MASS_TOL (the tolerance W
+        holds rho m to), and the two carre-du-champ routes to I(rho)
+        agreeing to FISHER_CROSSCHECK_TOL.  Otherwise HypothesisUnmetError
+        names the first rule that the first bad row breaks, as a
+        row-by-row check would.  Every field is computed over the whole
+        stack with the bits of a one-row computation; the two n x n sums,
+        the edge route of I and the edge variation, run per row.
+        """
+        rhos = np.asarray(rhos, dtype=float)
+        if rhos.shape[1:] != (M.n,):
+            raise HypothesisUnmetError(f"density must be {M.n} finite numbers")
+        # each rule reads only the rows before the first failure found so
+        # far, so the last failure found is the first bad row's first rule
+        end, error = len(rhos), None
+        bad = ~np.isfinite(rhos).all(axis=1)
+        if bad.any():
+            end, error = int(bad.argmax()), f"density must be {M.n} finite numbers"
+        bad = (rhos[:end] < 0).any(axis=1)
+        if bad.any():
+            end, error = int(bad.argmax()), "density has a negative entry"
+        total = mean(rhos[:end], M.m)
+        bad = np.abs(total - 1.0) > transport.MASS_TOL
+        if bad.any():
+            end = int(bad.argmax())
+            error = f"density has m-mass {total[end]:.17g}, expected 1"
+        rows = rhos[:end]
+        roots = np.sqrt(rows)
+        via_gamma = 4.0 * mean(gamma(roots, roots, M), M.m)
+        via_edges, variation = [], []
+        for rho, s in zip(rows, roots):
+            ds = s[None, :] - s[:, None]
+            via_edges.append(2.0 * float((ds * ds * M.mxy).sum()))
+            variation.append(float((np.abs(rho[None, :] - rho[:, None]) * M.mxy).sum()))
+        edges = np.asarray(via_edges)
+        bad = np.abs(via_gamma - edges) > FISHER_CROSSCHECK_TOL * np.maximum(1.0, np.abs(edges))
+        if bad.any():
+            end = int(bad.argmax())
+            error = (
+                f"Fisher information routes disagree: "
+                f"{via_gamma[end]:.17g} vs {via_edges[end]:.17g}"
+            )
+        if error is not None:
+            raise HypothesisUnmetError(error)
+        terms = np.zeros_like(rows)
+        positive = rows > 0
+        terms[positive] = rows[positive] * np.log(rows[positive])
+        return [
+            cls(rho=rho, provenance=name, measure=measure, entropy=entropy,
+                fisher_information=info, edge_variation=edge_variation)
+            for rho, name, measure, entropy, info, edge_variation in zip(
+                rows, provenances, rows * M.m, mean(terms, M.m).tolist(), via_edges, variation
+            )
+        ]
 
 
 def random_densities(
@@ -80,18 +139,14 @@ def random_densities(
 
     Draws i.i.d. positive entries and rescales; the extremal point-mass
     densities delta_x / m(x) are appended because they bind most of the
-    transport inequalities hardest.
+    transport inequalities hardest.  The entries come from one
+    Gamma(2, 1) draw of shape (count, n), which numpy fills in the order
+    count draws of n would, and the records from one of_stack pass.
     """
-    out = []
-    n = M.n
-    for i in range(count):
-        g = rng.gamma(shape=2.0, scale=1.0, size=n) + 1e-3
-        out.append(DensityFixture.of(M, g / mean(g, M.m), f"random[{i}]"))
-    for x in range(n):
-        rho = np.zeros(n)
-        rho[x] = 1.0 / M.m[x]
-        out.append(DensityFixture.of(M, rho, f"point_mass[{x}]"))
-    return out
+    g = rng.gamma(shape=2.0, scale=1.0, size=(count, M.n)) + 1e-3
+    rhos = np.vstack([g / mean(g, M.m)[:, None], np.diag(1.0 / M.m)])
+    names = [f"random[{i}]" for i in range(count)] + [f"point_mass[{x}]" for x in range(M.n)]
+    return DensityFixture.of_stack(M, rhos, names)
 
 
 def centered_lipschitz_samples(
@@ -118,25 +173,30 @@ def _require_positive_K(K: float) -> None:
         raise HypothesisUnmetError(f"certificate needs K > 0, got K = {K}")
 
 
-def _require_density(M: MarkovData, rho: np.ndarray) -> np.ndarray:
-    """rho as floats, or HypothesisUnmetError unless it is a probability density for m.
-
-    The m-mass is held to transport.MASS_TOL, the tolerance W holds rho m to.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (M.n,) or not np.isfinite(rho).all():
-        raise HypothesisUnmetError(f"density must be {M.n} finite numbers")
-    if rho.min(initial=0.0) < 0:
-        raise HypothesisUnmetError("density has a negative entry")
-    total = mean(rho, M.m)
-    if abs(total - 1.0) > transport.MASS_TOL:
-        raise HypothesisUnmetError(f"density has m-mass {total:.17g}, expected 1")
-    return rho
-
-
 def _stack(fs: np.ndarray) -> np.ndarray:
     """A family of functions, the vertex on the last axis; a 1-D f is a family of one."""
     return np.atleast_2d(np.asarray(fs, dtype=float))
+
+
+def _moments(M: MarkovData, fs: np.ndarray, lam: float) -> list[float]:
+    """m(exp(lam f)) for each row f of fs."""
+    return mean(np.exp(lam * fs), M.m).tolist()
+
+
+def _masses(m: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """sum of m over the True entries of each row of mask, with the bits of m[row].sum().
+
+    Each row's chosen entries move to its front in vertex order, and the
+    rows with k chosen sum their first k columns together: numpy sums
+    the rows of a stack as it sums each row alone.
+    """
+    counts = mask.sum(axis=-1)
+    chosen = m[np.argsort(~mask, axis=-1, kind="stable")]
+    out = np.empty(len(mask))
+    for k in np.flatnonzero(np.bincount(counts)).tolist():
+        rows = counts == k
+        out[rows] = chosen[rows, :k].sum(axis=-1)
+    return out
 
 
 def check_laplace_bound(
@@ -156,10 +216,10 @@ def check_laplace_bound(
         # a small K overflows the bound to inf: vacuous, and correct
         with np.errstate(over="ignore"):
             bound = float(np.exp(lam * lam * lam_max * lam_max / (4.0 * K)))
-        for i, f in enumerate(fs):
-            comparisons.append(
-                (mean(np.exp(lam * f), M.m), bound, {"lambda": lam, "f_index": i})
-            )
+        comparisons += [
+            (moment, bound, {"lambda": lam, "f_index": i})
+            for i, moment in enumerate(_moments(M, fs, lam))
+        ]
     return certificate_from_samples(
         "laplace_moment_bound",
         {"K": K, "Lambda": lam_max, "lambda_grid": list(lambda_grid), "samples": len(fs)},
@@ -179,14 +239,19 @@ def check_exp_chain_rule_bound(
     if min(lambda_grid) < 0:
         raise HypothesisUnmetError(f"lambda must be non-negative, got {min(lambda_grid)}")
     fs = _stack(fs)
-    comparisons = []
-    for i, f in enumerate(fs):
-        gamma_f = gamma(f, f, M)
-        for lam in lambda_grid:
-            ef = np.exp(lam * f)
-            lhs = mean(gamma(f, ef, M), M.m)
-            rhs = lam * inner(ef, gamma_f, M.m)
-            comparisons.append((lhs, rhs, {"f_index": i, "lambda": lam}))
+    gamma_f = gamma(fs, fs, M)
+    lhs, rhs = [], []
+    for lam in lambda_grid:
+        ef = np.exp(lam * fs)
+        lhs.append(mean(gamma(fs, ef, M), M.m))
+        rhs.append(lam * inner(ef, gamma_f, M.m))
+    # one row per sample, so the comparisons run sample-major as before
+    lhs, rhs = np.column_stack(lhs).tolist(), np.column_stack(rhs).tolist()
+    comparisons = [
+        (left, right, {"f_index": i, "lambda": lam})
+        for i, (lefts, rights) in enumerate(zip(lhs, rhs))
+        for left, right, lam in zip(lefts, rights, lambda_grid)
+    ]
     hypothesis = {"lambda_grid": lambda_grid, "samples": len(fs)}
     return certificate_from_samples("exp_chain_rule_bound", hypothesis, comparisons, tol)
 
@@ -196,12 +261,10 @@ def check_exp_square_chain_rule_bound(
 ) -> InequalityCertificate:
     """m(Gamma(exp f)) <= (exp 2f, Gamma(f)) for each f."""
     fs = _stack(fs)
-    comparisons = []
-    for i, f in enumerate(fs):
-        ef = np.exp(f)
-        lhs = mean(gamma(ef, ef, M), M.m)
-        rhs = inner(np.exp(2.0 * f), gamma(f, f, M), M.m)
-        comparisons.append((lhs, rhs, {"f_index": i}))
+    ef = np.exp(fs)
+    lhs = mean(gamma(ef, ef, M), M.m).tolist()
+    rhs = inner(np.exp(2.0 * fs), gamma(fs, fs, M), M.m).tolist()
+    comparisons = [(left, right, {"f_index": i}) for i, (left, right) in enumerate(zip(lhs, rhs))]
     return certificate_from_samples(
         "exp_square_chain_rule_bound", {"samples": len(fs)}, comparisons, tol
     )
@@ -220,36 +283,21 @@ def concentration_tail(
     _require_positive_K(K)
     fs = _stack(fs)
     bounds = [float(np.exp(-K * r * r / (lam_max * lam_max))) for r in r_grid]
-    comparisons = []
-    for i, (f, lip) in enumerate(zip(fs, lipschitz_constant(fs, dm).tolist())):
-        if lip > 1.0 + LIPSCHITZ_SLACK:
-            raise NotLipschitzError(f"tail bound needs Lip f <= 1, got {lip:.17g} at f_index {i}")
-        mu_f = mean(f, M.m)
-        comparisons += [
-            (float(M.m[f >= mu_f + r].sum()), bound, {"f_index": i, "r": r})
-            for r, bound in zip(r_grid, bounds)
-        ]
+    lips = lipschitz_constant(fs, dm)
+    steep = lips > 1.0 + LIPSCHITZ_SLACK
+    if steep.any():
+        i = int(steep.argmax())
+        raise NotLipschitzError(f"tail bound needs Lip f <= 1, got {lips[i]:.17g} at f_index {i}")
+    levels = mean(fs, M.m)[:, None] + np.asarray(r_grid, dtype=float)
+    above = fs[:, None, :] >= levels[:, :, None]
+    masses = _masses(M.m, above.reshape(-1, M.n)).reshape(levels.shape).tolist()
+    comparisons = [
+        (mass, bound, {"f_index": i, "r": r})
+        for i, row in enumerate(masses)
+        for mass, r, bound in zip(row, r_grid, bounds)
+    ]
     hypothesis = {"K": K, "Lambda": lam_max, "samples": len(fs)}
     return certificate_from_samples("lipschitz_tail_bound", hypothesis, comparisons, tol)
-
-
-def _fisher_information(M: MarkovData, rho: np.ndarray) -> float:
-    s = np.sqrt(rho)
-    via_gamma = 4.0 * mean(gamma(s, s, M), M.m)
-    ds = s[None, :] - s[:, None]
-    via_edges = 2.0 * float((ds * ds * M.mxy).sum())
-    if abs(via_gamma - via_edges) > FISHER_CROSSCHECK_TOL * max(1.0, abs(via_edges)):
-        raise HypothesisUnmetError(
-            f"Fisher information routes disagree: {via_gamma:.17g} vs {via_edges:.17g}"
-        )
-    return via_edges
-
-
-def _relative_entropy(M: MarkovData, rho: np.ndarray) -> float:
-    terms = np.zeros_like(rho)
-    positive = rho > 0
-    terms[positive] = rho[positive] * np.log(rho[positive])
-    return mean(terms, M.m)
 
 
 def fisher_information(M: MarkovData, rho: np.ndarray) -> float:
@@ -258,12 +306,12 @@ def fisher_information(M: MarkovData, rho: np.ndarray) -> float:
     Both routes are evaluated; disagreement past FISHER_CROSSCHECK_TOL
     means the edge weights and the mean kernel fell out of sync.
     """
-    return _fisher_information(M, _require_density(M, rho))
+    return DensityFixture.of(M, rho, "rho").fisher_information
 
 
 def relative_entropy(M: MarkovData, rho: np.ndarray) -> float:
     """Ent(rho) = m(rho log rho) with 0 log 0 = 0."""
-    return _relative_entropy(M, _require_density(M, rho))
+    return DensityFixture.of(M, rho, "rho").entropy
 
 
 def _transports(M: MarkovData, dm: DistanceMatrix, rhos: list[DensityFixture]):
@@ -374,9 +422,10 @@ def check_bobkov_goetze(
         # a small c overflows the bound to inf: vacuous, and correct
         with np.errstate(over="ignore"):
             bound = float(np.exp(lam * lam / (2.0 * c)))
-        for i, f in enumerate(fs):
-            witness = {"side": "moment", "lambda": lam, "f_index": i}
-            comparisons.append((mean(np.exp(lam * f), M.m), bound, witness))
+        comparisons += [
+            (moment, bound, {"side": "moment", "lambda": lam, "f_index": i})
+            for i, moment in enumerate(_moments(M, fs, lam))
+        ]
     moment_side = certificate_from_samples(name, hypothesis, comparisons, tol)
 
     comparisons = [

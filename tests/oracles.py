@@ -12,6 +12,12 @@ two sides agree to roundoff.  lipschitz_samples_per_sample is the
 per-sample loop the array-drawn Lipschitz family must match bit for
 bit, and eager_certificate the duals, gap and residual of a solve
 formed at once, which the ones LpSolution forms on read must match.
+The suite's per-sample loops stay here as the references its array
+forms must match bit for bit: gamma_dense (Gamma as one n x n product),
+density_record_per_row (one density checked and measured alone),
+laplace_bound_per_sample, exp_chain_rule_per_sample,
+exp_square_chain_rule_per_sample, tail_per_sample and
+bobkov_goetze_per_sample.
 reference_dual_simplex is the plain pivot loop the library's dual
 simplex kernel must match bit for bit, start_tableau the per-solve
 B^-1 [A | b] the library's starts, built once and reused, must match
@@ -37,6 +43,7 @@ import scipy.linalg
 import scipy.optimize
 
 from digricci import (
+    DensityFixture,
     DirectedGraph,
     DistanceMatrix,
     MarkovData,
@@ -51,14 +58,23 @@ from digricci import (
     mean,
     wasserstein,
 )
+from digricci.certificates import DEFAULT_TOL
+from digricci.concentration import (
+    DEFAULT_LAMBDA_GRID,
+    DEFAULT_R_GRID,
+    FISHER_CROSSCHECK_TOL,
+    LIPSCHITZ_SLACK,
+)
 from digricci.errors import (
     GraphCurvatureError,
     HypothesisUnmetError,
     NegativeTimeError,
+    NotLipschitzError,
     NumericsError,
     SameVertexError,
 )
 from digricci.heat import DEFAULT_TIME_GRID
+from digricci.transport import MASS_TOL
 
 INF = float("inf")
 
@@ -281,6 +297,164 @@ def lipschitz_samples_per_sample(dm, count: int, rng: np.random.Generator, scale
         if factors is not None:
             out[i] *= factors[i]
     return out
+
+
+def gamma_dense(f0: np.ndarray, f1: np.ndarray, M: MarkovData) -> np.ndarray:
+    """Gamma(f0, f1) of two functions as one n x n product summed over its rows.
+
+    The form chain.gamma had before it took stacks; its row loop must
+    give these bits.
+    """
+    d0 = f0[None, :] - f0[:, None]
+    d1 = f1[None, :] - f1[:, None]
+    return 0.5 * (d0 * d1 * M.Pmean).sum(axis=1)
+
+
+def density_record_per_row(M: MarkovData, rho, provenance: str) -> DensityFixture:
+    """One density checked and measured alone, rule by rule and field by field.
+
+    The record DensityFixture.of built before the suite checked densities
+    as stacks, with the same HypothesisUnmetError and message for each
+    rule a density can break.
+    """
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != (M.n,) or not np.isfinite(rho).all():
+        raise HypothesisUnmetError(f"density must be {M.n} finite numbers")
+    if rho.min(initial=0.0) < 0:
+        raise HypothesisUnmetError("density has a negative entry")
+    total = mean(rho, M.m)
+    if abs(total - 1.0) > MASS_TOL:
+        raise HypothesisUnmetError(f"density has m-mass {total:.17g}, expected 1")
+    terms = np.zeros_like(rho)
+    positive = rho > 0
+    terms[positive] = rho[positive] * np.log(rho[positive])
+    s = np.sqrt(rho)
+    via_gamma = 4.0 * mean(gamma_dense(s, s, M), M.m)
+    ds = s[None, :] - s[:, None]
+    via_edges = 2.0 * float((ds * ds * M.mxy).sum())
+    if abs(via_gamma - via_edges) > FISHER_CROSSCHECK_TOL * max(1.0, abs(via_edges)):
+        raise HypothesisUnmetError(
+            f"Fisher information routes disagree: {via_gamma:.17g} vs {via_edges:.17g}"
+        )
+    diff = np.abs(rho[None, :] - rho[:, None])
+    return DensityFixture(
+        rho=rho,
+        provenance=provenance,
+        measure=rho * M.m,
+        entropy=mean(terms, M.m),
+        fisher_information=via_edges,
+        edge_variation=float((diff * M.mxy).sum()),
+    )
+
+
+def laplace_bound_per_sample(
+    M, dm, K: float, lam_max: float, fs, lambda_grid=DEFAULT_LAMBDA_GRID, tol=DEFAULT_TOL
+):
+    """check_laplace_bound with one moment per sample and lambda (K > 0 assumed)."""
+    fs = np.atleast_2d(fs)
+    comparisons = []
+    for lam in lambda_grid:
+        with np.errstate(over="ignore"):
+            bound = float(np.exp(lam * lam * lam_max * lam_max / (4.0 * K)))
+        for i, f in enumerate(fs):
+            comparisons.append(
+                (mean(np.exp(lam * f), M.m), bound, {"lambda": lam, "f_index": i})
+            )
+    return certificate_from_samples(
+        "laplace_moment_bound",
+        {"K": K, "Lambda": lam_max, "lambda_grid": list(lambda_grid), "samples": len(fs)},
+        comparisons,
+        tol,
+    )
+
+
+def exp_chain_rule_per_sample(M, fs, lambda_grid=DEFAULT_LAMBDA_GRID, tol=1e-10):
+    """check_exp_chain_rule_bound with two Gamma products per sample and lambda."""
+    lambda_grid = list(lambda_grid)
+    fs = np.atleast_2d(fs)
+    comparisons = []
+    for i, f in enumerate(fs):
+        gamma_f = gamma_dense(f, f, M)
+        for lam in lambda_grid:
+            ef = np.exp(lam * f)
+            lhs = mean(gamma_dense(f, ef, M), M.m)
+            rhs = lam * inner(ef, gamma_f, M.m)
+            comparisons.append((lhs, rhs, {"f_index": i, "lambda": lam}))
+    hypothesis = {"lambda_grid": lambda_grid, "samples": len(fs)}
+    return certificate_from_samples("exp_chain_rule_bound", hypothesis, comparisons, tol)
+
+
+def exp_square_chain_rule_per_sample(M, fs, tol=1e-10):
+    """check_exp_square_chain_rule_bound with its Gamma products one sample at a time."""
+    fs = np.atleast_2d(fs)
+    comparisons = []
+    for i, f in enumerate(fs):
+        ef = np.exp(f)
+        lhs = mean(gamma_dense(ef, ef, M), M.m)
+        rhs = inner(np.exp(2.0 * f), gamma_dense(f, f, M), M.m)
+        comparisons.append((lhs, rhs, {"f_index": i}))
+    return certificate_from_samples(
+        "exp_square_chain_rule_bound", {"samples": len(fs)}, comparisons, tol
+    )
+
+
+def tail_per_sample(M, dm, K: float, lam_max: float, fs, r_grid=DEFAULT_R_GRID, tol=DEFAULT_TOL):
+    """concentration_tail with one Lipschitz test and one tail mass per sample and radius."""
+    fs = np.atleast_2d(fs)
+    bounds = [float(np.exp(-K * r * r / (lam_max * lam_max))) for r in r_grid]
+    comparisons = []
+    for i, f in enumerate(fs):
+        lip = lipschitz_constant(f, dm)
+        if lip > 1.0 + LIPSCHITZ_SLACK:
+            raise NotLipschitzError(f"tail bound needs Lip f <= 1, got {lip:.17g} at f_index {i}")
+        mu_f = mean(f, M.m)
+        comparisons += [
+            (float(M.m[f >= mu_f + r].sum()), bound, {"f_index": i, "r": r})
+            for r, bound in zip(r_grid, bounds)
+        ]
+    hypothesis = {"K": K, "Lambda": lam_max, "samples": len(fs)}
+    return certificate_from_samples("lipschitz_tail_bound", hypothesis, comparisons, tol)
+
+
+def bobkov_goetze_per_sample(M, dm, c: float, rhos, fs, lambda_grid=DEFAULT_LAMBDA_GRID,
+                             tol=DEFAULT_TOL):
+    """check_bobkov_goetze with its moment side one sample at a time (c > 0 assumed)."""
+    fs = np.atleast_2d(fs)
+    name = "transport_entropy_laplace_link"
+    hypothesis = {"c": c, "lambda_grid": list(lambda_grid)}
+    comparisons = []
+    for lam in lambda_grid:
+        with np.errstate(over="ignore"):
+            bound = float(np.exp(lam * lam / (2.0 * c)))
+        for i, f in enumerate(fs):
+            witness = {"side": "moment", "lambda": lam, "f_index": i}
+            comparisons.append((mean(np.exp(lam * f), M.m), bound, witness))
+    moment_side = certificate_from_samples(name, hypothesis, comparisons, tol)
+    comparisons = []
+    for record in rhos:
+        w = wasserstein(M.m, record.measure, dm, verify=False).value
+        comparisons.append(
+            (w * w, 2.0 / c * record.entropy, {"side": "transport", "rho": record.provenance})
+        )
+    transport_side = certificate_from_samples(name, hypothesis, comparisons, tol)
+    if moment_side.passed and transport_side.passed:
+        verdict = min(moment_side, transport_side, key=lambda cert: cert.margin)
+    elif moment_side.passed:
+        verdict = transport_side
+    elif transport_side.passed:
+        verdict = moment_side
+    else:
+        verdict = certificate_from_samples(name, hypothesis, [(0.0, 0.0, {"side": "none"})], tol)
+    verdict.witness.update(
+        {
+            "moment_holds_on_samples": moment_side.passed,
+            "transport_holds_on_samples": transport_side.passed,
+            "moment_worst_margin": moment_side.margin,
+            "transport_worst_margin": transport_side.margin,
+            "necessary_conditions_only": True,
+        }
+    )
+    return verdict
 
 
 def eager_certificate(solution) -> tuple[np.ndarray, float, float]:

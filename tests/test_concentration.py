@@ -361,31 +361,37 @@ def test_family_checks_are_their_worst_one_sample_check(seed, count, K):
 def test_functional_suite_checks_each_density_once(tmp_path, monkeypatch, capsys):
     """verify-functional builds one record per density: one density check,
     one two-route Fisher information and one entropy each, while each of
-    the five transport checks still solves W(m, rho m) once per density."""
+    the five transport checks still solves W(m, rho m) once per density.
+
+    DensityFixture.of_stack is where a density is checked and where its
+    I and Ent are computed; fisher_information, relative_entropy and
+    DensityFixture.of all go through it.  So the rows that pass through
+    it count the density checks, the Fisher informations and the
+    entropies alike, and the whole family passes through in one call."""
     path = tmp_path / "k4.edges"
     path.write_text("".join(f"{x} {y}\n" for x in range(4) for y in range(4) if x != y),
                     encoding="utf-8")
-    counts = dict.fromkeys(
-        ("_require_density", "_fisher_information", "_relative_entropy", "wasserstein"), 0
-    )
+    counts = dict.fromkeys(("of_stack calls", "density rows", "wasserstein"), 0)
+    of_stack = DensityFixture.of_stack.__func__
 
-    def counting(module, name):
-        original = getattr(module, name)
+    def counting_of_stack(cls, M, rhos, provenances):
+        counts["of_stack calls"] += 1
+        counts["density rows"] += len(rhos)
+        return of_stack(cls, M, rhos, provenances)
 
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
+    wasserstein = transport.wasserstein
 
-        monkeypatch.setattr(module, name, wrapper)
+    def counting_wasserstein(*args, **kwargs):
+        counts["wasserstein"] += 1
+        return wasserstein(*args, **kwargs)
 
-    for name in ("_require_density", "_fisher_information", "_relative_entropy"):
-        counting(concentration, name)
-    counting(transport, "wasserstein")
+    monkeypatch.setattr(DensityFixture, "of_stack", classmethod(counting_of_stack))
+    monkeypatch.setattr(transport, "wasserstein", counting_wasserstein)
     samples = 7
     argv = ["verify-functional", str(path), "--density-samples", str(samples),
             "--function-samples", "5"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["curvature"]["K"] > 0
     densities = samples + 4
-    assert counts == {"_require_density": densities, "_fisher_information": densities,
-                      "_relative_entropy": densities, "wasserstein": 5 * densities}
+    assert counts == {"of_stack calls": 1, "density rows": densities,
+                      "wasserstein": 5 * densities}

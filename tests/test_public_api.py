@@ -47,3 +47,26 @@ def test_importing_the_package_loads_no_test_only_module():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def _python_m_digricci(*argv: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "digricci", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_python_m_digricci_runs_the_cli():
+    """python -m digricci is main: --version exits 0, a bad graph exits 2 with one error: line."""
+    result = _python_m_digricci("--version")
+    assert result.returncode == 0
+    assert result.stdout == f"digricci {digricci.__version__}\n"
+    # vertex 1 has no out-arc, so the graph is not strongly connected
+    result = _python_m_digricci("perron", "0 1\n")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr

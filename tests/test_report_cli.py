@@ -603,6 +603,19 @@ class TestCliInputContract:
     def test_unsupported_format(self, c3_file, capsys, argv):
         assert_input_error(main([a.format(g=c3_file) for a in argv]), capsys)
 
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_cross_check_prints_json_only(self, c3_file, capsys, monkeypatch, fmt):
+        """A csv or a table has no place for the smoothing residuals, so nothing is solved."""
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("curvature solved before rejecting --cross-check")
+
+        monkeypatch.setattr(cli, "curvature_matrix", unexpected)
+        line = assert_input_error(
+            main(["curvature", c3_file, "--format", fmt, "--cross-check"]), capsys
+        )
+        assert line == f"error: curvature --cross-check prints JSON only, not --format {fmt}"
+
     @pytest.mark.parametrize(
         "argv",
         [
