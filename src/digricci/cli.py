@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, chain, lp
 from .certificates import InequalityCertificate, certificate_from_samples
 from .chain import markov_data
 from .concentration import (
@@ -57,30 +57,32 @@ from .report import DEFAULT_SEED, RunConfig, VerificationReport, render_json
 from .transport import wasserstein
 
 
-def _graph_summary(g: DirectedGraph) -> dict:
-    """The graph's shape; main sets "source", which stays the first key."""
-    return {
-        "source": "-",
-        "n": g.n,
-        "arcs": g.arc_count,
-        "strongly_connected": True,  # build_graph rejects every other graph
-        "labels": list(g.labels) if g.labels is not None else None,
-    }
+def _new_report(command: str, g: DirectedGraph, config: RunConfig) -> VerificationReport:
+    """A report of command on g with its header: the graph's shape, seed and tolerances.
 
-
-def _tolerances(config: RunConfig) -> dict:
-    from . import chain, lp
-
-    return {
-        "balance": chain.BALANCE_TOL,
-        "reversibility": chain.REVERSIBILITY_TOL,
-        "adjointness": chain.ADJOINTNESS_TOL,
-        "lp_feasibility": lp.PRIMAL_TOL,
-        "lp_gap": lp.GAP_TOL,
-        "certificate": config.certificate_tol,
-        "curvature_limit": HEAT_LIMIT_AGREEMENT_TOL,
-        "smoothing_agreement": SMOOTHING_AGREEMENT_TOL,
-    }
+    main sets the graph's "source", which stays its first key.
+    """
+    return VerificationReport(
+        command=command,
+        graph={
+            "source": "-",
+            "n": g.n,
+            "arcs": g.arc_count,
+            "strongly_connected": True,  # build_graph rejects every other graph
+            "labels": list(g.labels) if g.labels is not None else None,
+        },
+        seed=config.seed,
+        tolerances={
+            "balance": chain.BALANCE_TOL,
+            "reversibility": chain.REVERSIBILITY_TOL,
+            "adjointness": chain.ADJOINTNESS_TOL,
+            "lp_feasibility": lp.PRIMAL_TOL,
+            "lp_gap": lp.GAP_TOL,
+            "certificate": config.certificate_tol,
+            "curvature_limit": HEAT_LIMIT_AGREEMENT_TOL,
+            "smoothing_agreement": SMOOTHING_AGREEMENT_TOL,
+        },
+    )
 
 
 def functional_certificates(
@@ -88,6 +90,11 @@ def functional_certificates(
 ) -> list[InequalityCertificate]:
     """The concentration and transport inequality suite at level K."""
     tol = config.certificate_tol
+    # a tiny K underflows a rate to 0; the least positive float, a rate at
+    # least as strong, keeps every bound it enters a vacuous inf
+    link_c, info_c = np.maximum(
+        [2.0 * K / (lam_max * lam_max), np.sqrt(2.0) * K / lam_max], math.ulp(0.0)
+    ).tolist()
     laplace_fs = centered_lipschitz_samples(M, dm, config.function_samples, rng)
     fs = centered_lipschitz_samples(M, dm, config.function_samples, rng)
     # the chain-rule surrogates hold for every function, not only Lipschitz ones
@@ -101,9 +108,19 @@ def functional_certificates(
         check_transport_l1_bound(M, dm, K, lam_max, rhos, tol=tol),
         check_transport_information(M, dm, K, lam_max, rhos, tol=tol),
         check_transport_entropy(M, dm, K, lam_max, rhos, tol=tol),
-        check_bobkov_goetze(M, dm, 2.0 * K / (lam_max * lam_max), rhos, fs, tol=tol),
-        check_info_to_entropy(M, dm, np.sqrt(2.0) * K / lam_max, lam_max, rhos, tol=tol),
+        check_bobkov_goetze(M, dm, link_c, rhos, fs, tol=tol),
+        check_info_to_entropy(M, dm, info_c, lam_max, rhos, tol=tol),
     ]
+
+
+def _functional_suite(
+    report: VerificationReport, M, dm, K: float, config: RunConfig, rng: np.random.Generator
+) -> None:
+    """Add the functional suite at level K to report, or say why it was skipped."""
+    if K > 0:
+        report.certificates.extend(functional_certificates(M, dm, K, float(dm.lam), config, rng))
+    else:
+        report.sections["functional_suite"] = f"skipped: needs K > 0, computed K = {K:.17g}"
 
 
 def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
@@ -111,13 +128,7 @@ def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
     M = markov_data(g)
     H = heat_operator(M)
     rng = np.random.default_rng(config.seed)
-
-    report = VerificationReport(
-        command="analyze",
-        graph=_graph_summary(g),
-        seed=config.seed,
-        tolerances=_tolerances(config),
-    )
+    report = _new_report("analyze", g, config)
 
     curv = curvature_matrix(M, dm, cross_check=config.cross_check)
     K = curv.K if config.k_override is None else config.k_override
@@ -178,12 +189,7 @@ def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
         verify_transport_contraction(H, dm, K, tol=config.certificate_tol)
     )
 
-    if K > 0:
-        report.certificates.extend(
-            functional_certificates(M, dm, K, float(dm.lam), config, rng)
-        )
-    else:
-        report.sections["functional_suite"] = f"skipped: needs K > 0, computed K = {K:.17g}"
+    _functional_suite(report, M, dm, K, config, rng)
     return report
 
 
@@ -193,20 +199,10 @@ def run_functional(g: DirectedGraph, config: RunConfig) -> VerificationReport:
     rng = np.random.default_rng(config.seed)
     curv = curvature_matrix(M, dm)
     K = curv.K if config.k_override is None else config.k_override
-    report = VerificationReport(
-        command="verify-functional",
-        graph=_graph_summary(g),
-        seed=config.seed,
-        tolerances=_tolerances(config),
-    )
+    report = _new_report("verify-functional", g, config)
     report.sections["curvature"] = {"K": curv.K, "K_used": K}
     report.sections["distance"] = {"lambda": dm.lam}
-    if K <= 0:
-        report.sections["functional_suite"] = f"skipped: needs K > 0, computed K = {K:.17g}"
-        return report
-    report.certificates.extend(
-        functional_certificates(M, dm, K, float(dm.lam), config, rng)
-    )
+    _functional_suite(report, M, dm, K, config, rng)
     return report
 
 

@@ -475,9 +475,9 @@ def check_info_to_entropy(
     for record, w in _transports(M, dm, rhos):
         w2 = w * w
         info = record.fisher_information
-        # an extreme c over- or underflows c * c: the hypothesis bound is 0 or inf
+        # an extreme c over- or underflows c^2: the hypothesis bound is 0 or inf
         with np.errstate(divide="ignore", over="ignore"):
-            if w2 > info / (c * c) + tol:
+            if w2 > info / np.square(c) + tol:
                 continue
             rhs = float(np.sqrt(2.0) * lam_max / c * record.entropy)
         comparisons.append((w2, rhs, {"rho": record.provenance}))

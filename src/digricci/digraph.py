@@ -12,12 +12,13 @@ build_graph is the one place that decides what a valid graph is:
 square, finite, non-negative, no self loop, at least one arc, finite
 out-weight sums, and strongly connected.  Every DirectedGraph holds
 these by construction, so it has n >= 2 and an in- and an out-arc at
-every vertex, and nothing downstream checks them again.  The hop
-counts come from one frontier expansion over all sources at once, one
-matrix product per breadth-first level, and are computed once per
-graph: build_graph decides strong connectivity from them ("every count
-is finite") and keeps them, and distances reads them instead of
-searching again.
+every vertex, and nothing downstream checks them again.  Strong
+connectivity takes one search from vertex 0 along the arcs and one
+against them, each linear in the vertices and arcs.  The hop counts of
+all ordered pairs are built only by distances, by one frontier
+expansion over all sources at once, one matrix product per
+breadth-first level; the heat flow and the Perron measure never read
+them, so they never pay for them.
 """
 
 from __future__ import annotations
@@ -44,15 +45,10 @@ class DirectedGraph:
     zero (no self loops), all weights are finite and non-negative, and
     every row sums to a finite positive value.  build_graph, the one
     constructor, checks all of this and strong connectivity, so n >= 2.
-
-    _hops holds the hop count of every ordered pair, all finite;
-    build_graph computes it once and distances reads it.  It is private
-    to this module and never compared.
     """
 
     n: int
     mu: np.ndarray
-    _hops: np.ndarray = field(repr=False, compare=False)
     labels: tuple[str, ...] | None = None
 
     @property
@@ -90,9 +86,12 @@ def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> Direct
     no weight is positive, ParseError when a vertex's out-weights sum
     past the float range or labels does not name n vertices, and
     NotStronglyConnectedError when some vertex cannot reach another.
-    The hop counts of all ordered pairs are computed here, once per
-    graph (_hop_matrix), and decide the last check: the graph is
-    strongly connected exactly when every one of them is finite.
+    That last check is one search from vertex 0 along the arcs and one
+    against them: the graph is strongly connected exactly when 0 reaches
+    every vertex and every vertex reaches 0.  Otherwise the error names
+    the first ordered pair in row-major order with no path, which is
+    (0, v) for the least v that 0 cannot reach, or failing that (v, 0)
+    for the least v that cannot reach 0.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
@@ -120,14 +119,31 @@ def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> Direct
             raise ParseError(f"expected {n} labels, got {len(labels)}")
     mu = mu.copy()
     mu.flags.writeable = False
-    hops = _hop_matrix(mu)
-    if (hops < 0).any():
-        x, y = np.argwhere(hops < 0)[0]
-        raise NotStronglyConnectedError(
-            f"graph is not strongly connected: no path from {x} to {y}"
-        )
-    hops.flags.writeable = False
-    return DirectedGraph(n=n, mu=mu, _hops=hops, labels=labels)
+    for forward in (True, False):
+        v = _first_unreached(mu if forward else mu.T)
+        if v is not None:
+            x, y = (0, v) if forward else (v, 0)
+            raise NotStronglyConnectedError(
+                f"graph is not strongly connected: no path from {x} to {y}"
+            )
+    return DirectedGraph(n=n, mu=mu, labels=labels)
+
+
+def _first_unreached(mu: np.ndarray) -> int | None:
+    """The least vertex that 0 cannot reach along the arcs of mu, or None.
+
+    One depth-first search over adjacency lists, linear in the vertices
+    and arcs.
+    """
+    heads = [row.nonzero()[0].tolist() for row in mu]
+    seen = [True] + [False] * (len(heads) - 1)
+    stack = [0]
+    while stack:
+        for y in heads[stack.pop()]:
+            if not seen[y]:
+                seen[y] = True
+                stack.append(y)
+    return None if all(seen) else seen.index(False)
 
 
 def _hop_matrix(mu: np.ndarray) -> np.ndarray:
@@ -158,13 +174,13 @@ def _hop_matrix(mu: np.ndarray) -> np.ndarray:
 
 
 def distances(g: DirectedGraph) -> DistanceMatrix:
-    """All-pairs hop distances, read from the graph's once-computed hop counts."""
-    d = g._hops
+    """All-pairs hop distances (_hop_matrix) and the quantities derived from them."""
+    d = _hop_matrix(g.mu)
     dsym = np.maximum(d, d.T)
     nbr = (g.mu > 0) | (g.mu.T > 0)
     dvert = np.where(nbr, dsym, 0).max(axis=1)
     arcs = np.argwhere(d == 1)
-    for a in (dvert, arcs):
+    for a in (d, dvert, arcs):
         a.flags.writeable = False
     return DistanceMatrix(d=d, dvert=dvert, lam=int(dvert.max()), arcs=arcs)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -147,6 +147,36 @@ class TestStrongConnectivity:
             return
         expected = bool((oracles.hop_distances(mu) < oracles.INF).all())
         assert (build_or_none(mu) is not None) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.floats(0.0, 1.0),
+        st.one_of(st.none(), st.integers(0, 39)),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(n=40, density=0.0, cut=20, seed=0)
+    @example(n=40, density=0.0, cut=39, seed=0)
+    def test_refusal_names_the_first_pair_with_no_path(self, n, density, cut, seed):
+        # cut None: a random mask.  Otherwise a ring without the arc cut -> cut + 1
+        # under sparse chords, so the searches from 0 meet long geodesics
+        rng = np.random.default_rng(seed)
+        if cut is None:
+            mask = rng.random((n, n)) < density
+        else:
+            mask = rng.random((n, n)) < density / n
+            ring = np.arange(n)
+            mask[ring, (ring + 1) % n] = True
+            mask[cut % n, (cut + 1) % n] = False
+        mu = np.where(mask, 1.0, 0.0)
+        np.fill_diagonal(mu, 0.0)
+        expected = oracles.hop_distances(mu)
+        if not mu.any() or (expected < oracles.INF).all():
+            return
+        x, y = np.argwhere(expected == oracles.INF)[0]
+        with pytest.raises(NotStronglyConnectedError) as excinfo:
+            build_graph(mu)
+        assert str(excinfo.value) == f"graph is not strongly connected: no path from {x} to {y}"
 
 
 class TestDistances:

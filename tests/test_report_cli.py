@@ -17,6 +17,7 @@ from digricci import (
     __version__,
     cli,
     curvature_matrix,
+    digraph,
     distances,
     load_graph,
     lp,
@@ -255,6 +256,21 @@ class TestCliAnalyze:
         assert cert["pass"] is True and cert["witness"]["hypothesis_met"] == met
         if met:
             assert cert["rhs"] == "Infinity"
+
+    @pytest.mark.parametrize("command", ["analyze", "verify-functional"])
+    def test_underflowed_rates_are_vacuous(self, c3_file, capsys, command):
+        """K = 5e-324 on C3 underflows both 2K / Lambda^2 and sqrt(2) K / Lambda to 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, c3_file, "--k-override=5e-324"])
+        out, err = capsys.readouterr()
+        assert err == ""
+        payload = json.loads(out)
+        assert code == (0 if payload["all_pass"] else 1)
+        certs = {c["name"]: c for c in payload["certificates"]}
+        assert len(certs) == (12 if command == "analyze" else 9)
+        for name in ("transport_entropy_laplace_link", "information_to_entropy_bound"):
+            assert certs[name]["pass"] is True and certs[name]["rhs"] == "Infinity"
 
     def test_link_with_neither_side_holding_is_a_vacuous_pass(self, tmp_path, capsys):
         """K = 5 on K_4 breaks both sides of the Bobkov-Goetze link on the samples."""
@@ -703,6 +719,23 @@ class TestCliInputContract:
         payload = json.loads(capsys.readouterr().out)
         assert code == (0 if payload["all_pass"] else 1)
         assert payload["tolerances"]["certificate"] == 0.0
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["perron"], 0),
+    (["heat", "--t", "0.5", "--kernel", "0"], 0),
+    (["analyze"], 1),
+    (["curvature"], 1),
+    (["wasserstein", "dirac:0", "dirac:1"], 1),
+])
+def test_hop_counts_are_built_once_and_only_where_read(c3_file, monkeypatch, capsys, argv, calls):
+    """distances builds the hop matrix; the heat flow and the Perron measure never read it."""
+    counted = []
+    hop_matrix = digraph._hop_matrix
+    monkeypatch.setattr(digraph, "_hop_matrix", lambda mu: counted.append(1) or hop_matrix(mu))
+    assert main([argv[0], c3_file, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(counted) == calls
 
 
 def test_sparse_analyze_solves_kappa_per_pair_and_heat_flow_per_arc(
