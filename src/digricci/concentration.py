@@ -428,8 +428,11 @@ def check_bobkov_goetze(
         ]
     moment_side = certificate_from_samples(name, hypothesis, comparisons, tol)
 
+    # a small numpy-scalar c overflows 2 / c to inf, as a Python float does silently
+    with np.errstate(over="ignore"):
+        scale = 2.0 / c
     comparisons = [
-        (w * w, 2.0 / c * record.entropy, {"side": "transport", "rho": record.provenance})
+        (w * w, scale * record.entropy, {"side": "transport", "rho": record.provenance})
         for record, w in _transports(M, dm, rhos)
     ]
     transport_side = certificate_from_samples(name, hypothesis, comparisons, tol)

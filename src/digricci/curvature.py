@@ -95,7 +95,9 @@ def kappa_lp(
     is integral, f(w) - f(z) <= 1 on every arc and f(y) == d(x, y).
     The value gap is the one check with a tolerance, as the rounding of
     the right-hand side enters there: NumericsError unless
-    |kappa - grad_xy (L f)| <= lp.GAP_TOL.
+    |kappa - grad_xy (L f)| <= lp.GAP_TOL.  For an arc (d(x, y) = 1) the
+    optimal solve is kept on dm as a transport.ArcStart, as it stands:
+    the heat module's W chains of the arc start from it.
 
     kappa is unique, the witness is not: the optimal potentials of the
     program often form a face, and the witness is the one integer
@@ -121,6 +123,8 @@ def kappa_lp(
     gap = abs(kappa - float(c @ witness))
     if gap > lp.GAP_TOL:
         raise NumericsError(f"curvature duality gap {gap:.3e} exceeds {lp.GAP_TOL:.1e}")
+    if dxy == 1.0:
+        dm._arc_starts[(x, y)] = transport.ArcStart(x, solution, tree.start)
     return kappa, witness
 
 

@@ -66,8 +66,10 @@ class DistanceMatrix:
     arcs[k]    (tail, head) of the k-th arc, the pairs with d = 1 in row-major order
 
     _root_bases holds transport.root_basis's flow starts, one per root
-    and tree direction, built on first use; it is private to the
-    transport module and never compared.
+    and tree direction, built on first use.  _arc_starts holds, per arc
+    (x, y) whose curvature kappa_lp solved, that optimum as a
+    transport.ArcStart, the start of the arc's heat-flow W chains.
+    Neither is compared.
     """
 
     d: np.ndarray
@@ -75,6 +77,7 @@ class DistanceMatrix:
     lam: int
     arcs: np.ndarray
     _root_bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _arc_starts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> DirectedGraph:

@@ -24,8 +24,12 @@ matrix do not depend on t, only the right-hand side p_x_t - p_y_t
 does.  So each arc is solved along its times in ascending order, each
 solve starting from the previous time's optimal basis
 (transport.wasserstein's start), which stays dual feasible and at
-small t is usually optimal already.  Each time's kernel matrix is
-built once per operator.
+small t is usually optimal already.  The first time starts from the
+arc's curvature optimum when kappa_lp has solved the arc on the same
+DistanceMatrix (transport.ArcStart): the curvature program is the
+first-order problem of W as t -> 0, so that basis is nearly optimal
+for every time.  Otherwise it starts from a BFS tree.  Each time's
+kernel matrix is built once per operator.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ SYMMETRY_TOL = 1e-10
 SPECTRUM_TOL = 1e-10
 # kernel rows may dip this far below zero before renormalisation refuses
 KERNEL_NEG_CLAMP = 1e-12
+# largest |P_0 - I| entry the spectral form may leave
+IDENTITY_TOL = 1e-10
 # default times for the contraction certificates
 DEFAULT_TIME_GRID = (0.01, 0.1, 1.0, 5.0)
 # default times for the small-time curvature limit
@@ -92,7 +98,15 @@ class HeatOperator:
 
 
 def heat_operator(M: MarkovData) -> HeatOperator:
-    """Eigendecompose the measure-symmetrised mean kernel."""
+    """Eigendecompose the measure-symmetrised mean kernel.
+
+    Conjugating back by sqrt(m) scales the eigenvector roundoff in
+    entry (x, y) of P_t by sqrt(m(y) / m(x)), which a stationary measure
+    spread over hundreds of orders of magnitude makes large.  So the
+    operator is checked at t = 0: NumericsError unless every entry of
+    P_0 is within IDENTITY_TOL of the identity's, naming the worst
+    entry and max m / min m.
+    """
     sqrt_m = np.sqrt(M.m)
     S = (sqrt_m[:, None] * M.Pmean) / sqrt_m[None, :]
     asym = float(np.abs(S - S.T).max())
@@ -113,7 +127,15 @@ def heat_operator(M: MarkovData) -> HeatOperator:
     eigenvalues[0] = 0.0
     for a in (sqrt_m, Q, eigenvalues):
         a.flags.writeable = False
-    return HeatOperator(m=M.m, sqrt_m=sqrt_m, Q=Q, eigenvalues=eigenvalues)
+    H = HeatOperator(m=M.m, sqrt_m=sqrt_m, Q=Q, eigenvalues=eigenvalues)
+    off = H.matrix(0.0) - np.eye(M.n)
+    x, y = np.unravel_index(np.abs(off).argmax(), off.shape)
+    if not abs(off[x, y]) <= IDENTITY_TOL:
+        raise NumericsError(
+            f"heat operator misses P_0 = I by {off[x, y]:.3e} at entry ({x}, {y});"
+            f" max m / min m = {float(M.m.max()) / float(M.m.min()):.3e}"
+        )
+    return H
 
 
 def heat_kernel_matrix(H: HeatOperator, t: float) -> np.ndarray:
@@ -182,8 +204,9 @@ def verify_transport_contraction(
     exp(-K t) d(x, y) within d(x, y) * tol.  When an arc fails, a pair at
     distance k may fail by up to k times the reported margin.
 
-    Each arc is solved once per distinct time, in ascending order, each
-    solve from the previous time's optimal basis (see the module
+    Each arc is solved once per distinct time, in ascending order, the
+    first solve from the arc's kappa optimum when dm holds one, each
+    later one from the previous time's optimal basis (see the module
     docstring); the comparisons are listed as ts gives the times, arcs
     in order within each.  Every kernel is built before the first
     solve, so a negative time raises NegativeTimeError (from
@@ -194,7 +217,7 @@ def verify_transport_contraction(
     arcs = dm.arcs.tolist()
     w = np.empty((len(times), len(arcs)))
     for k, (x, y) in enumerate(arcs):
-        plan = None
+        plan = dm._arc_starts.get((x, y))
         for i, kernel in enumerate(kernels):
             plan = transport.wasserstein(kernel[x], kernel[y], dm, verify=False, start=plan)
             w[i, k] = plan.value
@@ -226,15 +249,17 @@ def curvature_time_limit(
     smallest distinct grid times together with the spread (max - min)
     of the finite-time estimates, which reports how settled the limit
     is; a grid of one distinct time gives its estimate and spread 0.
-    The W are solved over the distinct times in ascending order, each
-    from the previous time's optimal basis (see the module docstring).
+    The W are solved over the distinct times in ascending order, the
+    first from the arc's kappa optimum when x -> y is an arc whose kappa
+    dm holds, each later one from the previous time's optimal basis (see
+    the module docstring).
     """
     ts = sorted(set(t_grid))
     if not ts or ts[0] <= 0:
         raise NegativeTimeError("limit grid must contain positive times")
     dxy = float(dm.d[x, y])
     estimates = []
-    plan = None
+    plan = dm._arc_starts.get((x, y))
     for t in ts:
         kernel = heat_kernel_matrix(H, t)
         plan = transport.wasserstein(kernel[x], kernel[y], dm, verify=False, start=plan)

@@ -12,14 +12,16 @@ only forms B^-1 b and its cost entry before it pivots to primal
 feasibility.  There is no standard form and no phase 1, and the
 optimal duals are one product of the final cost row with the start's
 inverse, formed only when read, so solve_lp factorises nothing.
-Starts come three ways: Start.from_basis multiplies out the tableau
+Starts come four ways: Start.from_basis multiplies out the tableau
 of a given basis and its inverse; with_column adds one column to a
-start and checks that column's reduced cost alone; and an optimal
+start and checks that column's reduced cost alone; an optimal
 solution's warm_start carries its final tableau over to the next b,
 so a caller that solves one c and A for a sequence of right-hand
 sides starts each solve from the previous optimum without multiplying
-B^-1 A again.  Its inverse is the one m x m product T[:m, b0] B0^-1
-off the final tableau.
+B^-1 A again (its inverse is the one m x m product T[:m, b0] B0^-1
+off the final tableau); and Start.carried takes a basis, inverse and
+tableau that a caller formed off another solve's final tableau, and
+checks them as from_basis checks its own.
 
 Every program solved is a flow on a graph whose balance rows sum to
 zero, with one of them dropped, and a spanning tree of that graph is a
@@ -29,8 +31,10 @@ the dual of each per-pair curvature program, start from a
 shortest-path tree (into or out of a root) whose start the transport
 module builds once per graph, root and direction, with the tree's path
 matrix as its exact inverse; each curvature program adds its virtual
-column to that start, and the heat-flow and smoothing W of one pair go
-on from the previous time's or smoothing's warm start.  Two reference
+column to that start, and the smoothing W of one pair go on from the
+previous smoothing's warm start.  The heat-flow W of an arc start from
+its curvature optimum, the virtual column swapped for the arc (a
+carried start), and go on from the previous time's.  Two reference
 programs the tests hold those to take the same path: the coupling
 program of solve_transport, a flow on the complete bipartite graph of
 the two supports, drops the row sum of row 0 and starts from the tree
@@ -141,6 +145,18 @@ class Start:
         A = np.concatenate((self.A, column[:, None]), axis=1)
         return Start(c, A, self.basis, self.inverse, T)
 
+    @classmethod
+    def carried(cls, c, A, basis, inverse, tableau) -> Start:
+        """The start of a basis whose inverse and tableau another solve formed, taken as they stand.
+
+        Nothing is multiplied out again; the checks are from_basis's:
+        NumericsError unless inverse inverts A[:, basis] to within
+        INVERSE_TOL and every reduced cost is at least -RC_TOL.
+        """
+        off = np.abs(inverse @ A[:, basis] - np.eye(len(inverse))).max(initial=0.0)
+        _check(off, tableau[-1].min(initial=0.0))
+        return cls(c, A, basis, inverse, tableau)
+
 
 def _check(off: float, worst: float) -> None:
     """NumericsError unless off, the largest entry of |B^-1 B - I|, is within
@@ -215,17 +231,11 @@ class LpSolution:
         """The final basis as the start of the same c and A with another b.
 
         Its tableau is the final tableau without the b column, carried
-        over as it stands, and its inverse is basis_inverse.
-        NumericsError unless that inverse inverts the final basis
-        columns to within INVERSE_TOL and every reduced cost is at least
-        -RC_TOL.
+        over as it stands, and its inverse is basis_inverse; both are
+        checked as Start.carried checks them.
         """
         start = self.start
-        inverse = self.basis_inverse
-        tableau = self._tableau[:, :-1]
-        off = np.abs(inverse @ start.A[:, self.basis] - np.eye(len(inverse))).max(initial=0.0)
-        _check(off, tableau[-1].min(initial=0.0))
-        return Start(start.c, start.A, self.basis, inverse, tableau)
+        return Start.carried(start.c, start.A, self.basis, self.basis_inverse, self._tableau[:, :-1])
 
 
 @dataclass

@@ -48,7 +48,14 @@ DistanceMatrix whose record it came from, and a plan of another one is
 refused.  The heat module solves each arc along increasing t, and the
 curvature module each pair along increasing smoothing, each solve from
 the previous optimum: the measures move little, and at small t the
-optimal tree mostly stops changing.
+optimal tree mostly stops changing.  The first heat-flow solve of an
+arc x -> y starts from the arc's curvature optimum instead, when
+kappa_lp has solved it on the same DistanceMatrix (ArcStart): as
+t -> 0, p_x_t - p_y_t = (delta_x - delta_y) + t (L[y] - L[x]) + O(t^2),
+and the curvature program is that first-order problem, so its optimal
+basis, with the virtual arc y -> x swapped for x -> y, is optimal for
+W at t -> 0 and usually still at the first t.  Without it the chain
+starts from the BFS tree above.
 
 The row duals of the final basis are a Kantorovich potential f with
 f(w) - f(z) <= 1 on every arc; summing along geodesics, that is
@@ -65,6 +72,7 @@ reference the tests pin the flow potential to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -84,22 +92,88 @@ class TransportPlan:
     Verify mode fills pi (a coupling split from the optimal flow),
     dual_f and duality_gap, and marginal_residual is the largest error
     in the marginals of pi.  Fast mode returns the value only, with
-    marginal_residual the largest flow-balance error over the vertices.
-    Both modes keep root and inward, the tree the solve started from
-    (root_basis; the solve dropped the balance row of root), and flow,
-    the optimal solve itself with its final tableau, which a later
-    solve on the same DistanceMatrix may start from (wasserstein's
+    marginal_residual the largest flow-balance error over the vertices,
+    formed on first read from nu0 - nu1 and the arcs the plan keeps, so
+    a caller that reads only the value pays for none of it.  Both modes
+    keep root and inward, the tree the solve started from (root_basis;
+    the solve dropped the balance row of root), and flow, the optimal
+    solve itself with its final tableau, which warm_start makes the
+    start of a later solve on the same DistanceMatrix (wasserstein's
     start).
     """
 
     value: float
-    marginal_residual: float
     pi: np.ndarray | None = None
     dual_f: np.ndarray | None = None
     duality_gap: float | None = None
     root: int | None = None
     inward: bool | None = None
     flow: lp.LpSolution | None = field(default=None, repr=False, compare=False)
+    # verify mode's residual, formed at once; fast mode forms its own from the other two
+    _pi_residual: float | None = field(default=None, repr=False, compare=False)
+    _excess: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _arcs: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def marginal_residual(self) -> float:
+        """The largest error in pi's marginals, or without pi in any vertex's flow balance."""
+        if self.pi is not None:
+            return self._pi_residual
+        # every vertex's balance, the root's too, whose row the solve dropped
+        g, tails, heads, n = self.flow.x, self._arcs[:, 0], self._arcs[:, 1], len(self._excess)
+        balance = np.bincount(tails, g, n) - np.bincount(heads, g, n)
+        return float(np.abs(balance - self._excess).max())
+
+    def warm_start(self) -> lp.Start:
+        """The final basis as the start of another W on the same DistanceMatrix."""
+        return self.flow.warm_start()
+
+
+@dataclass(eq=False)
+class ArcStart:
+    """kappa_lp's optimum of an arc x -> y, kept as the start of the arc's W chains.
+
+    The curvature program of the arc is the arc-flow program of root x
+    (program, root_basis's out-tree start of x) plus the virtual arc
+    y -> x, whose column is +1 in the row of y at cost -1; the arc
+    x -> y is -1 there at cost +1.  So when the virtual column is basic
+    in kappa's final basis B_f, in row i say, swapping it for x -> y
+    multiplies B_f by the sign flip of row i: B^-1 and the tableau rows
+    [B^-1 A] get row i negated, the duals c_B B^-1 stay, and with them
+    every reduced cost.  The swapped basis is dual feasible for W, and
+    it is the optimum of W(delta_x, delta_y), the limit t -> 0 of the
+    heat-flow W of the arc, whose first-order term is kappa's own
+    right-hand side.  When the virtual column is nonbasic, B_f is a
+    basis of W already and stays as it is.  warm_start forms that start
+    off kappa's final tableau on first use and keeps it; kappa_lp pays
+    for none of it.  wasserstein starts from it as from a plan of root
+    x's out-tree.
+    """
+
+    root: int
+    kappa: lp.LpSolution = field(repr=False)
+    program: lp.Start = field(repr=False)
+    _start: lp.Start | None = field(default=None, init=False, repr=False)
+    inward = False
+
+    def warm_start(self) -> lp.Start:
+        """The W start of kappa's final basis; lp.Start.carried checks it."""
+        if self._start is None:
+            kappa = self.kappa.warm_start()
+            c, A = self.program.c, self.program.A
+            virtual = kappa.A[:, -1]
+            # drop the virtual column, the last one; every other column is W's
+            basis, inverse, tableau = kappa.basis, kappa.inverse, kappa.tableau[:, :-1]
+            rows = np.flatnonzero(basis == len(c))
+            if rows.size:
+                basis, inverse, tableau = basis.copy(), inverse.copy(), tableau.copy()
+                # the arc x -> y, whose column is the virtual one's negative
+                basis[rows] = np.flatnonzero((A == -virtual[:, None]).all(axis=0))
+                # 0.0 - v, not -v: a zero entry must not become -0.0
+                inverse[rows] = 0.0 - inverse[rows]
+                tableau[rows] = 0.0 - tableau[rows]
+            self._start = lp.Start.carried(c, A, basis, inverse, tableau)
+        return self._start
 
 
 def _check_probability(nu: np.ndarray, n: int, name: str) -> np.ndarray:
@@ -328,7 +402,7 @@ def wasserstein(
     nu1: np.ndarray,
     dm: DistanceMatrix,
     verify: bool = True,
-    start: TransportPlan | None = None,
+    start: TransportPlan | ArcStart | None = None,
 ) -> TransportPlan:
     """Directed transport distance between two probability vectors.
 
@@ -337,19 +411,21 @@ def wasserstein(
     deficit or the out-tree of the largest excess of nu0 - nu1,
     whichever is larger (the out-tree on a tie; see the module
     docstring), with the row of that tree's root r dropped.  start is a
-    plan this function returned for other measures on the same dm: the
-    solve keeps its root r and tree direction and starts from its final
-    basis and tableau (lp.LpSolution.warm_start, which checks them as
-    root_basis checks a tree).  ValueError if start was solved on
-    another DistanceMatrix, whose program is another one.  verify=True
-    also reads the potential off that solve (RootBasis.potential, which
-    raises NumericsError unless it is integral and f(w) - f(z) <= 1 on
-    every arc, both exactly), shifted to f(0) = 0, and raises
-    NumericsError unless |W - f.(nu1 - nu0)| <= lp.GAP_TOL, the one
-    check where rounding enters; it then splits the flow, which
-    lives on a tree and so is acyclic, into the coupling pi.  Fast
-    mode, for the inner loops that call this often, returns the value
-    alone.
+    plan this function returned for other measures on the same dm, or
+    the ArcStart kappa_lp kept on dm for an arc: the solve keeps its
+    root r and tree direction and starts from its warm_start (the
+    plan's final basis and tableau, lp.LpSolution.warm_start, or
+    kappa's, each checked as root_basis checks a tree).  ValueError if
+    start was solved on another DistanceMatrix, whose program is
+    another one.  verify=True also reads the potential off that solve
+    (RootBasis.potential, which raises NumericsError unless it is
+    integral and f(w) - f(z) <= 1 on every arc, both exactly), shifted
+    to f(0) = 0, and raises NumericsError unless
+    |W - f.(nu1 - nu0)| <= lp.GAP_TOL, the one check where rounding
+    enters; it then splits the flow, which lives on a tree and so is
+    acyclic, into the coupling pi.  Fast mode, for the inner loops that
+    call this often, returns the value alone, and forms its residual
+    only when it is read.
     """
     n = dm.d.shape[0]
     nu0 = _check_probability(nu0, n, "nu0")
@@ -363,16 +439,15 @@ def wasserstein(
     else:
         r, inward = start.root, start.inward
         tree = dm._root_bases.get((r, inward))
-        if tree is None or tree.start.A is not start.flow.start.A:
+        warm = start.warm_start()
+        if tree is None or tree.start.A is not warm.A:
             raise ValueError("start is a plan solved on another DistanceMatrix")
-        solution = tree.solve(excess, start.flow.warm_start())
+        solution = tree.solve(excess, warm)
     value = float(solution.value)
     if not verify:
-        # every vertex's balance, the root's too, whose row the solve dropped
-        g = solution.x
-        balance = np.bincount(arcs[:, 0], g, n) - np.bincount(arcs[:, 1], g, n)
-        residual = float(np.abs(balance - excess).max())
-        return TransportPlan(value, residual, root=r, inward=inward, flow=solution)
+        return TransportPlan(
+            value, root=r, inward=inward, flow=solution, _excess=excess, _arcs=arcs
+        )
 
     f = tree.potential(solution, arcs)
     f = f - f[0]
@@ -386,11 +461,11 @@ def wasserstein(
     )
     return TransportPlan(
         value=value,
-        marginal_residual=marginal_residual,
         pi=pi,
         dual_f=f,
         duality_gap=gap,
         root=r,
         inward=inward,
         flow=solution,
+        _pi_residual=marginal_residual,
     )

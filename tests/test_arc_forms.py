@@ -19,6 +19,9 @@ basis, as the heat flow's W of one arc do along t: that chain is
 pinned to cold solves and scipy, the carried final tableau to the one
 its basis multiplies out, and a warm start from a wrong inverse, a
 tableau that is not dual feasible or a plan of another graph fails.
+An arc's chain may start from the arc's kappa optimum instead, its
+virtual column swapped for the arc: that chain is pinned to cold solves
+and scipy, and the swapped start to the one its basis multiplies out.
 The curvature program is solved through its dual flow from the same
 kind of basis; its witness is checked for optimality on its own.
 Transport contraction along the heat flow is checked over the arcs
@@ -26,8 +29,9 @@ only; a property pins its verdict and margin to the all-pairs loop.
 The Lipschitz constant is taken over the arcs too, pinned to the
 all-pairs difference quotients, and the gradient estimate smooths its
 whole stack of samples at once, pinned to the per-sample loop.  A
-solve forms its duals, gap and residual only when read: a fast-mode W
-forms none, and each one read is the eager formula's, bit for bit.
+solve forms its duals, gap and residual only when read, and a fast-mode
+W its marginal residual: a fast-mode W forms none of them, and each one
+read is the eager formula's, bit for bit.
 """
 
 from __future__ import annotations
@@ -318,14 +322,14 @@ def warm_chains(draw):
         pairs = [(heat_kernel_matrix(H, t)[x], heat_kernel_matrix(H, t)[y]) for t in times]
     else:
         pairs = [(draw(measures(g.n)), draw(measures(g.n))) for _ in range(3)]
-    return g, pairs
+    return g, (x, y), pairs
 
 
 @PROPERTY_SETTINGS
 @given(warm_chains(), st.booleans())
 def test_warm_chain_matches_cold_solves_and_scipy(instance, verify):
     """Each W from the previous plan's basis: a cold solve within 1e-12, scipy within 1e-9."""
-    g, pairs = instance
+    g, _arc, pairs = instance
     dm = distances(g)
     plan = None
     for nu0, nu1 in pairs:
@@ -333,6 +337,95 @@ def test_warm_chain_matches_cold_solves_and_scipy(instance, verify):
         cold = wasserstein(nu0, nu1, dm, verify=False)
         assert abs(plan.value - cold.value) <= 1e-12
         assert abs(plan.value - oracles.linprog_transport(dm.d, nu0, nu1, tight=True)) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(warm_chains(), st.booleans())
+def test_kappa_started_chain_matches_cold_solves_and_scipy(instance, verify):
+    """The arc's chain from kappa_lp's optimum: a cold solve within 1e-12, scipy within 1e-9.
+
+    Every solve of it keeps root x and the out-tree direction, kappa's.
+    """
+    g, (x, y), pairs = instance
+    dm = distances(g)
+    kappa_lp(x, y, markov_data(g), dm)
+    plan = dm._arc_starts[(x, y)]
+    for nu0, nu1 in pairs:
+        plan = wasserstein(nu0, nu1, dm, verify=verify, start=plan)
+        assert (plan.root, plan.inward) == (x, False)
+        cold = wasserstein(nu0, nu1, dm, verify=False)
+        assert abs(plan.value - cold.value) <= 1e-12
+        assert abs(plan.value - oracles.linprog_transport(dm.d, nu0, nu1, tight=True)) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_kappa_start_is_the_start_its_basis_multiplies_out(g):
+    """Each arc's W start, formed off kappa's final tableau, is Start.from_basis's, bit for bit.
+
+    kappa_lp keeps its optimum for the arcs alone.  The virtual column
+    y -> x is basic in each (the nonbasic case has its own test), so the
+    start holds the arc x -> y in its place, on root x's own c and A.
+    The inverse is the swapped basis's exact inverse (its entries are
+    integers, so the rounded LU inverse is exact), and the tableau is
+    the one from_basis multiplies out with it.  The start is formed on
+    first use, once.
+    """
+    dm = distances(g)
+    curvature_matrix(markov_data(g), dm)
+    arcs = dm.arcs.tolist()
+    assert sorted(dm._arc_starts) == sorted(map(tuple, arcs))
+    for (x, y), arc_start in dm._arc_starts.items():
+        assert arc_start._start is None
+        start = arc_start.warm_start()
+        program = root_basis(dm, x).start
+        assert start.c is program.c and start.A is program.A
+        assert arcs.index([x, y]) in start.basis
+        inverse = np.linalg.inv(program.A[:, start.basis]).round() + 0.0
+        ref = lp.Start.from_basis(program.c, program.A, start.basis, inverse)
+        assert start.inverse.tobytes() == ref.inverse.tobytes()
+        assert start.tableau.tobytes() == ref.tableau.tobytes()
+        assert arc_start.warm_start() is start
+
+
+def test_kappa_start_with_the_virtual_arc_nonbasic_is_kappas_basis_as_it_stands(g_tri):
+    """A kappa optimum that holds no virtual column is a basis of W already.
+
+    No kappa_lp optimum drawn ends that way, so this one is made to: a
+    right-hand side that the BFS out-tree of x carries with positive
+    flow is optimal on that tree before any pivot.  The W start is then
+    the tree's own start, bit for bit, and the chain from it gives the
+    cold chain's W.
+    """
+    dm, M = distances(g_tri), markov_data(g_tri)
+    x, y = (int(v) for v in dm.arcs[0])
+    tree = root_basis(dm, x)
+    program = tree.start.with_column(-1.0, (tree.vertices == y).astype(float))
+    kappa = solve_lp(program, program.A[:, program.basis].sum(axis=1))
+    assert kappa.iterations == 0 and len(tree.start.c) not in kappa.basis
+    arc_start = transport.ArcStart(x, kappa, tree.start)
+    start = arc_start.warm_start()
+    for name in ("c", "A", "basis", "inverse", "tableau"):
+        assert getattr(start, name).tobytes() == getattr(tree.start, name).tobytes(), name
+    H = heat_operator(M)
+    plan = arc_start
+    for t in DEFAULT_LIMIT_GRID[::-1] + DEFAULT_TIME_GRID:
+        kernel = heat_kernel_matrix(H, t)
+        plan = wasserstein(kernel[x], kernel[y], dm, verify=False, start=plan)
+        assert abs(plan.value - wasserstein(kernel[x], kernel[y], dm, verify=False).value) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(tree_basis_instances())
+def test_fast_mode_residual_is_formed_on_read_as_it_was_at_once(instance):
+    """A fast-mode plan forms no marginal residual until it is read; then the eager one, bit for bit."""
+    g, nu0, nu1 = instance
+    dm = distances(g)
+    plan = wasserstein(nu0, nu1, dm, verify=False)
+    assert "marginal_residual" not in vars(plan)
+    eager = oracles.flow_balance_residual(dm.arcs, plan.flow.x, nu0, nu1)
+    assert np.float64(plan.marginal_residual).tobytes() == np.float64(eager).tobytes()
+    assert "marginal_residual" in vars(plan)
 
 
 @PROPERTY_SETTINGS
@@ -371,7 +464,7 @@ def test_warm_start_carries_the_tableau_its_final_basis_multiplies_out(instance)
     out again; on these network programs the two agree exactly, so the
     chain pivots as it would from the multiplied-out tableau.
     """
-    g, pairs = instance
+    g, _arc, pairs = instance
     dm = distances(g)
     plan = None
     for nu0, nu1 in pairs:
@@ -396,7 +489,7 @@ def test_flow_tableaus_stay_integral(instance):
     tableau's body is the incidence seen from a tree and its cost row is
     integral; only the b column carries rounding.
     """
-    g, pairs = instance
+    g, _arc, pairs = instance
     dm = distances(g)
     solutions = []
     solve = lp.solve_lp

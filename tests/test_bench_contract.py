@@ -2,7 +2,8 @@
 
 bench/tracing.py wraps library functions at each module that looks
 them up; a rename or a moved import makes install() raise, and the
-traced K_8 analyze must make the solve counts bench/run.py expects.  The
+traced K_8 analyze must make the solve counts bench/run.py expects, as
+the traced analyze_sparse requests must make theirs.  The
 output checks of bench/checks.py hold analyze, the curvature matrix,
 the exact Dirac plan and potential, the pair curvature witness, heat
 rows and the Perron vector to values the benchmark computes itself; each
@@ -70,12 +71,17 @@ def test_tracer_installs_on_every_target_and_uninstalls(monkeypatch):
     assert cli.run_analysis is original
 
 
-def test_traced_k8_analyze_keeps_the_count_canary(bench, monkeypatch, tmp_path, capsys):
-    """The K_8 request of analyze_dense, traced, makes the solves run.count_canary expects."""
+@pytest.fixture
+def run(bench, monkeypatch):
+    """bench/run.py, imported with the BLAS settings it makes restored afterwards."""
     # run.py sets these at import; monkeypatch restores them afterwards
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, os.environ.get(var, "1"))
-    run = importlib.import_module("run")
+    return importlib.import_module("run")
+
+
+def test_traced_k8_analyze_keeps_the_count_canary(bench, run, tmp_path, capsys):
+    """The K_8 request of analyze_dense, traced, makes the solves run.count_canary expects."""
     workload = bench.workloads.build("analyze_dense", 1)
     paths = write_graphs(workload, tmp_path)
     k8 = [i for i, r in enumerate(workload.requests)
@@ -91,6 +97,32 @@ def test_traced_k8_analyze_keeps_the_count_canary(bench, monkeypatch, tmp_path, 
         tracer.uninstall()
     capsys.readouterr()
     assert run.count_canary(tracer, workload) is None
+
+
+def test_traced_analyze_sparse_keeps_its_solve_counts(bench, run, tmp_path, capsys):
+    """analyze_sparse seed 1, traced: 413 LP solves, 301 of them under wasserstein.
+
+    Its two ring+chords n=8 have 43 arcs and K < 0, so no functional
+    suite runs: 2 x 56 curvature programs and one W per arc at each of
+    the 3 heat-limit and 4 contraction times.
+    """
+    workload = bench.workloads.build("analyze_sparse", 1)
+    paths = write_graphs(workload, tmp_path)
+    assert sum(len(graph.arcs) for graph in workload.graphs) == 43
+    tracer = run.Tracer()
+    try:
+        tracer.install(digricci)
+        for i, request in enumerate(workload.requests):
+            assert request.kind == "analyze"
+            tracer.request = i
+            assert tracer.call("cli.main.analyze", cli.main, ["analyze", paths[request.graph]]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    solves = [s for s in tracer.spans if s.name == "lp.solve_lp"]
+    via_w = sum(1 for s in solves
+                if any(a.name == "transport.wasserstein" for a in tracer.ancestors(s)))
+    assert (len(solves), via_w) == (2 * 56 + 7 * 43, 7 * 43) == (413, 301)
 
 
 def test_analyze_dense_passes_the_benchmark_checks(bench, tmp_path, capsys):

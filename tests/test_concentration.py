@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,16 @@ class TestSampledImplications:
             cert = check_bobkov_goetze(M, dm, c, rhos, centered_lipschitz_samples(M, dm, 100, rng))
             assert cert.passed
             assert cert.witness["necessary_conditions_only"] is True
+
+    def test_bobkov_goetze_with_a_tiny_numpy_c_is_vacuous_and_silent(self, g_c3, rng):
+        """c = np.float64(1e-310) overflows both bounds to inf, as a Python float does, silently."""
+        M, dm = markov_data(g_c3), distances(g_c3)
+        rhos = random_densities(M, 5, rng)
+        fs = centered_lipschitz_samples(M, dm, 10, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = check_bobkov_goetze(M, dm, np.float64(1e-310), rhos, fs)
+        assert cert.passed and cert.rhs == np.inf
 
     def test_info_to_entropy_on_fixtures(self, g_c3, g_tri, rng):
         for g in (g_c3, g_tri):

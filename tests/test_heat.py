@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 import oracles
 from digricci import (
     NegativeTimeError,
+    curvature_matrix,
     curvature_time_limit,
     distances,
     heat_kernel_matrix,
@@ -19,6 +22,7 @@ from digricci import (
     verify_transport_contraction,
 )
 from digricci import transport
+from digricci.cli import main
 
 
 class TestOperator:
@@ -49,6 +53,27 @@ class TestOperator:
     def test_time_zero_is_identity(self, g_tri):
         H = heat_operator(markov_data(g_tri))
         assert np.abs(H.matrix(0.0) - np.eye(3)).max() <= 1e-12
+
+    def test_extreme_weights_are_refused_at_time_zero(self, tmp_path, capsys):
+        """m = (0.5, 5e-301, 0.5): the sqrt(m) conjugation scales roundoff by up to 1e150.
+
+        P_0 is then far from I, so heat_operator refuses the chain, naming
+        the worst entry and max m / min m, and the three commands that
+        build it exit 2 with that one line; perron and curvature never
+        build it.
+        """
+        path = tmp_path / "extreme.edges"
+        path.write_text("0 1 1e-300\n1 2 1e300\n2 0 1\n0 2 1\n", encoding="utf-8")
+        refused = (r"error: heat operator misses P_0 = I by \S+ at entry \(\d, \d\);"
+                   r" max m / min m = 1\.000e\+300\n")
+        for command, *options in (
+            ["analyze"], ["heat", "--t", "0", "--f", "dirac:0"], ["heat", "--t", "0.5", "--kernel", "0"]
+        ):
+            assert main([command, str(path), *options]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and re.fullmatch(refused, err), err
+        for command in ("perron", "curvature"):
+            assert main([command, str(path)]) == 0
 
     def test_negative_time_rejected(self, g_tri):
         H = heat_operator(markov_data(g_tri))
@@ -216,6 +241,25 @@ class TestTimeLimit:
                     value, _ = kappa_lp(x, y, M, dm)
                     limit, _ = curvature_time_limit(H, dm, x, y)
                     assert abs(limit - value) <= 1e-3
+
+    def test_kappa_started_chains_move_w_by_roundoff_only(self, corpus):
+        """With kappa on dm, each arc's W chains start from its optimum instead of a BFS tree.
+
+        The bases differ, so W may differ in its last bits; the heat
+        limit divides that by t and extrapolates, and the contraction
+        margin takes it as it is.
+        """
+        for g in corpus[:8]:
+            M = markov_data(g)
+            H = heat_operator(M)
+            bfs, kappa = distances(g), distances(g)
+            curvature_matrix(M, kappa)
+            for x, y in kappa.arcs.tolist():
+                limits = [curvature_time_limit(H, dm, x, y) for dm in (bfs, kappa)]
+                assert np.abs(np.subtract(*limits)).max() <= 1e-9
+            certs = [verify_transport_contraction(H, dm, 0.1) for dm in (bfs, kappa)]
+            assert certs[0].passed == certs[1].passed
+            assert abs(certs[0].margin - certs[1].margin) <= 1e-14
 
     def test_repeated_time_counts_once(self, g_tri):
         H = heat_operator(markov_data(g_tri))

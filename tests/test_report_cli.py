@@ -769,11 +769,14 @@ def test_sparse_analyze_solves_kappa_per_pair_and_heat_flow_per_arc(
 
 
 def test_sparse_analyze_heat_flow_pivots(tmp_path, monkeypatch, capsys):
-    """The 63 heat-flow W of the 8-cycle + chord take 28 pivots in all.
+    """The 63 heat-flow W of the 8-cycle + chord take 10 pivots in all.
 
-    Each arc is solved along increasing t, each solve from the previous
-    time's optimal basis; from a BFS tree every time they took 91.  K < 0
-    skips the functional suite, so every W of the run is a heat-flow W.
+    Each arc's two chains (the heat limit's times, then the contraction's)
+    start from the arc's kappa optimum, the optimal basis of W as t -> 0,
+    and go along increasing t, each solve from the previous time's
+    optimal basis.  Started from a BFS tree instead, the chains took 28,
+    and with a BFS tree every time 91.  K < 0 skips the functional
+    suite, so every W of the run is a heat-flow W.
     """
     rng = np.random.default_rng(SEED)
     arcs = [(x, (x + 1) % 8) for x in range(8)] + [(0, 4)]
@@ -792,7 +795,7 @@ def test_sparse_analyze_heat_flow_pivots(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(transport, "wasserstein", counting_wasserstein)
     assert main(["analyze", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["curvature"]["K"] < 0
-    assert (len(pivots), sum(pivots)) == (7 * 9, 28)
+    assert (len(pivots), sum(pivots)) == (7 * 9, 10)
 
 
 def test_k8_analyze_solve_count(tmp_path, monkeypatch, capsys):
