@@ -74,8 +74,6 @@ def _new_report(command: str, g: DirectedGraph, config: RunConfig) -> Verificati
         seed=config.seed,
         tolerances={
             "balance": chain.BALANCE_TOL,
-            "reversibility": chain.REVERSIBILITY_TOL,
-            "adjointness": chain.ADJOINTNESS_TOL,
             "lp_feasibility": lp.PRIMAL_TOL,
             "lp_gap": lp.GAP_TOL,
             "certificate": config.certificate_tol,

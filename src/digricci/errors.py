@@ -33,10 +33,6 @@ class SingularSystemError(GraphCurvatureError):
     """The stationary-measure linear system could not be solved reliably."""
 
 
-class NonSymmetricResidualError(GraphCurvatureError):
-    """The symmetrised kernel is not symmetric; reversibility broke upstream."""
-
-
 class MarginalMismatchError(GraphCurvatureError):
     """Transport marginals are not probability vectors of matching mass."""
 
@@ -46,7 +42,7 @@ class EpsOutOfRangeError(GraphCurvatureError):
 
 
 class NegativeTimeError(GraphCurvatureError):
-    """Heat-flow time must be non-negative."""
+    """Heat-flow time must be finite and non-negative."""
 
 
 class NotLipschitzError(GraphCurvatureError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .certificates import InequalityCertificate
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DEFAULT_SEED = 424242
 
 

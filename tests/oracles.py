@@ -27,11 +27,15 @@ At the end sit second routes to library quantities, built on the
 library's primitives: gradient and gradient_matrix (difference
 quotients over every pair), reversed_graph, label (a vertex's name),
 laplacian_delta and gamma_via_delta (Gamma through the Laplacian),
-spectral_gap, uniformization_matrix (P_t as a Poisson series), the
-sampled lower bounds laplace_lower_bound and entropy_dual_pairing, and
+spectral_decomposition, spectral_matrix and spectral_gap (L's
+spectrum, P_t and the gap of L from one eigendecomposition of the
+m-symmetrised kernel), the sampled lower bounds laplace_lower_bound
+and entropy_dual_pairing, and
 check_integration_by_parts (both sides of the summation-by-parts
 identity on a vertex subset; EmptySubsetError on an empty one).
-The HAND dict holds values worked out by hand for the three fixtures.
+The HAND dict holds values worked out by hand for the three fixtures,
+and REVERSIBILITY_TOL and ADJOINTNESS_TOL the residuals the chain's
+reversibility and self-adjointness tests allow.
 """
 
 from __future__ import annotations
@@ -77,6 +81,10 @@ from digricci.heat import DEFAULT_TIME_GRID
 from digricci.transport import MASS_TOL
 
 INF = float("inf")
+# reversibility of the mean kernel: |m(x) Pbar(x,y) - m(y) Pbar(y,x)|
+REVERSIBILITY_TOL = 1e-14
+# self-adjointness and integration-by-parts residuals
+ADJOINTNESS_TOL = 1e-10
 
 E = np.e
 HAND = {
@@ -624,39 +632,36 @@ def gamma_via_delta(f0: np.ndarray, f1: np.ndarray, M: MarkovData) -> np.ndarray
     return 0.5 * (delta @ (f0 * f1) - f0 * (delta @ f1) - f1 * (delta @ f0))
 
 
-def spectral_gap(H) -> float:
-    """The second-smallest eigenvalue of L (the smallest is 0); 0 on one vertex."""
-    return float(H.eigenvalues[1]) if H.n > 1 else 0.0
+def spectral_decomposition(M: MarkovData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sqrt(m), the eigenvalues of L ascending, and their eigenvectors.
+
+    The vectors are those of the m-symmetrised kernel sqrt(m) Pbar / sqrt(m),
+    made exactly symmetric before eigh.
+    """
+    sqrt_m = np.sqrt(M.m)
+    S = (sqrt_m[:, None] * M.Pmean) / sqrt_m[None, :]
+    sigma, Q = np.linalg.eigh(0.5 * (S + S.T))
+    return sqrt_m, (1.0 - sigma)[::-1], Q[:, ::-1]
 
 
-def uniformization_matrix(M: MarkovData, t: float, tol: float = 1e-16) -> np.ndarray:
-    """Independent route to P_t: exp(-t) sum_k t^k Pbar^k / k!.
+def spectral_matrix(M: MarkovData, t: float) -> np.ndarray:
+    """Independent route to P_t: the spectral form of the symmetrised kernel.
 
-    All terms are non-negative, so the truncation error is bounded by
-    the neglected Poisson tail mass; the loop stops once that falls
-    under tol.  Kept as a cross-check oracle for the spectral route.
+    Pbar is self-adjoint for m, so one real eigendecomposition of
+    sqrt(m) Pbar / sqrt(m) gives exp(-t L) conjugated back by sqrt(m).
+    Nothing makes its entries non-negative or P_0 = I; it is the
+    reference the library's series is held to.
     """
     if t < 0:
         raise NegativeTimeError(f"time must be non-negative, got {t}")
-    n = M.n
-    term = np.eye(n)
-    coeff = np.exp(-t)
-    total = coeff
-    result = coeff * np.eye(n)
-    k = 0
-    while 1.0 - total > tol:
-        k += 1
-        term = term @ M.Pmean
-        coeff *= t / k
-        result += coeff * term
-        new_total = total + coeff
-        if new_total == total:
-            # the tail no longer moves the accumulator: below one ulp
-            break
-        total = new_total
-        if k > 1000 + int(10 * t):
-            raise NumericsError("uniformization series failed to converge")
-    return result
+    sqrt_m, eigenvalues, Q = spectral_decomposition(M)
+    core = (Q * np.exp(-t * eigenvalues)[None, :]) @ Q.T
+    return (core * sqrt_m[None, :]) / sqrt_m[:, None]
+
+
+def spectral_gap(M: MarkovData) -> float:
+    """The second-smallest eigenvalue of L (the smallest is 0); 0 on one vertex."""
+    return float(spectral_decomposition(M)[1][1]) if M.n > 1 else 0.0
 
 
 def laplace_lower_bound(

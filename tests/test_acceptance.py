@@ -317,11 +317,10 @@ def test_criterion_8_operator_identities(bundles):
         twice = b.H.apply(s, b.H.apply(t, f0))
         worst["semigroup"] = max(worst["semigroup"], float(np.abs(once - twice).max()))
 
-        kernel = b.H.matrix(t)
-        weighted = b.M.m[:, None] * kernel
+        rows = heat_kernel_matrix(b.H, t)
+        weighted = b.M.m[:, None] * rows
         worst["symmetry"] = max(worst["symmetry"], float(np.abs(weighted - weighted.T).max()))
 
-        rows = heat_kernel_matrix(b.H, t)
         worst["mass"] = max(worst["mass"], float(np.abs(rows.sum(axis=1) - 1.0).max()))
         assert (rows >= 0).all()
         cases += 1

@@ -8,7 +8,9 @@ to well-formed ones.  Whatever the
 input, main must return (an escaping exception is a traceback), exit 2
 must come with exactly one error: line and nothing on stdout, and
 exit 1 only with a report in which some certificate failed.  perron
-exits 0 only on a strongly connected graph.
+exits 0 only on a strongly connected graph.  heat answers at every
+finite time from 0 to the largest float, also on a graph whose weights
+1e-300 and 1e300 sit side by side.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import C3_EDGES, TRI_EDGES
-from digricci import load_graph
+from digricci import load_graph, markov_data
 from digricci.cli import main
+from digricci.transport import MASS_TOL
 
 FUZZ_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -203,3 +207,25 @@ def test_junk_options_exit_by_the_contract(command, junk):
     else:
         small = list(SMALL_ANALYZE) if command == "analyze" else []
         assert_contract([command, C3_EDGES, *small, *junk])
+
+
+# weights 1e-300 and 1e300 side by side: m = (0.5, 5e-301, 0.5)
+EXTREME_EDGES = "0 1 1e-300\n1 2 1e300\n2 0 1\n0 2 1\n"
+
+
+@pytest.mark.parametrize("graph", [C3_EDGES, EXTREME_EDGES], ids=["c3", "extreme"])
+@pytest.mark.parametrize("t", ["0", "5e-324", "1e6", "1.7976931348623157e308"])
+def test_heat_answers_at_extreme_times(graph, t):
+    """The series and its squarings neither overflow nor lose mass, whatever the time.
+
+    At the largest float the kernel row is the stationary measure, and
+    at the least positive one the identity row, each within MASS_TOL.
+    """
+    assert_contract(["heat", graph, "--t", t, "--kernel", "0"])
+    assert_contract(["heat", graph, "--t", t, "--f", "dirac:0"])
+    row = np.array(json.loads(run_cli(["heat", graph, "--t", t, "--kernel", "0"])[1])["kernel_row"])
+    if float(t) == 1.7976931348623157e308:
+        m = markov_data(load_graph(graph)).m
+        assert np.abs(row - m).max() <= MASS_TOL
+    elif float(t) < 1.0:
+        assert np.abs(row - np.eye(3)[0]).max() <= MASS_TOL

@@ -1,8 +1,8 @@
-"""Heat semigroup: spectral route, series route, contraction certificates."""
+"""Heat semigroup: the series route against its oracles, and the contraction certificates."""
 
 from __future__ import annotations
 
-import re
+import json
 
 import numpy as np
 import pytest
@@ -25,6 +25,11 @@ from digricci import transport
 from digricci.cli import main
 
 
+# the times every kernel is pinned at: zero, the least positive float,
+# the certificates' grids, and the largest float
+EXACTNESS_TIMES = (0.0, 5e-324, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 1e6, 1.7976931348623157e308)
+
+
 class TestOperator:
     def test_matches_expm_oracle(self, corpus):
         for g in corpus[:10]:
@@ -32,14 +37,15 @@ class TestOperator:
             H = heat_operator(M)
             for t in (0.05, 0.7, 3.0):
                 ref = oracles.expm_heat(M.Pmean, t)
-                assert np.abs(H.matrix(t) - ref).max() <= 1e-10
+                assert np.abs(heat_kernel_matrix(H, t) - ref).max() <= 1e-10
 
     def test_series_route_agrees(self, corpus):
+        # the library's uniformized series against the spectral oracle
         for g in corpus[:10]:
             M = markov_data(g)
             H = heat_operator(M)
             for t in (0.1, 1.0):
-                assert np.abs(H.matrix(t) - oracles.uniformization_matrix(M, t)).max() <= 1e-12
+                assert np.abs(heat_kernel_matrix(H, t) - oracles.spectral_matrix(M, t)).max() <= 1e-12
 
     def test_c3_closed_form(self, g_c3):
         # every non-constant mode decays at rate exactly 3/2
@@ -52,42 +58,54 @@ class TestOperator:
 
     def test_time_zero_is_identity(self, g_tri):
         H = heat_operator(markov_data(g_tri))
-        assert np.abs(H.matrix(0.0) - np.eye(3)).max() <= 1e-12
+        assert (heat_kernel_matrix(H, 0.0) == np.eye(3)).all()
 
-    def test_extreme_weights_are_refused_at_time_zero(self, tmp_path, capsys):
-        """m = (0.5, 5e-301, 0.5): the sqrt(m) conjugation scales roundoff by up to 1e150.
+    def test_kernels_are_stochastic_exactly(self, corpus):
+        """Entries >= 0 and P_0 = I bit for bit, row sums within 1e-14 of 1, at every time."""
+        for g in corpus:
+            H = heat_operator(markov_data(g))
+            for t in EXACTNESS_TIMES:
+                kernel = heat_kernel_matrix(H, t)
+                assert kernel.min() >= 0.0
+                assert np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-14
+            assert (heat_kernel_matrix(H, 0.0) == np.eye(g.n)).all()
 
-        P_0 is then far from I, so heat_operator refuses the chain, naming
-        the worst entry and max m / min m, and the three commands that
-        build it exit 2 with that one line; perron and curvature never
-        build it.
+    def test_extreme_weights_are_answered(self, tmp_path, capsys):
+        """m = (0.5, 5e-301, 0.5): weights 1e-300 and 1e300 side by side.
+
+        A spectral form conjugated by sqrt(m) scales its roundoff by up
+        to 1e150 there; the series has no such step, so every command
+        answers, and P_0 is the identity.
         """
         path = tmp_path / "extreme.edges"
         path.write_text("0 1 1e-300\n1 2 1e300\n2 0 1\n0 2 1\n", encoding="utf-8")
-        refused = (r"error: heat operator misses P_0 = I by \S+ at entry \(\d, \d\);"
-                   r" max m / min m = 1\.000e\+300\n")
         for command, *options in (
-            ["analyze"], ["heat", "--t", "0", "--f", "dirac:0"], ["heat", "--t", "0.5", "--kernel", "0"]
+            ["analyze"], ["heat", "--t", "0.5", "--kernel", "0"], ["perron"], ["curvature"]
         ):
-            assert main([command, str(path), *options]) == 2
-            out, err = capsys.readouterr()
-            assert out == "" and re.fullmatch(refused, err), err
-        for command in ("perron", "curvature"):
-            assert main([command, str(path)]) == 0
+            assert main([command, str(path), *options]) == 0
+            capsys.readouterr()
+        assert main(["heat", str(path), "--t", "0", "--f", "dirac:0"]) == 0
+        assert json.loads(capsys.readouterr().out)["heat_of_f"] == [1, 0, 0]
 
     def test_negative_time_rejected(self, g_tri):
         H = heat_operator(markov_data(g_tri))
         with pytest.raises(NegativeTimeError):
             H.apply(-0.1, np.zeros(3))
 
+    @pytest.mark.parametrize("t", [float("inf"), float("nan")])
+    def test_non_finite_time_rejected(self, g_tri, t):
+        H = heat_operator(markov_data(g_tri))
+        with pytest.raises(NegativeTimeError, match=f"time must be finite, got {t}"):
+            heat_kernel_matrix(H, t)
+
     def test_spectrum_contract(self, corpus):
         for g in corpus:
-            H = heat_operator(markov_data(g))
-            eigs = H.eigenvalues
-            assert eigs[0] == 0.0
-            assert eigs[1] > 0
+            M = markov_data(g)
+            _, eigs, _ = oracles.spectral_decomposition(M)
+            assert abs(eigs[0]) <= 1e-12
+            assert eigs[1] > 1e-12
             assert eigs[-1] <= 2.0 + 1e-12
-            assert oracles.spectral_gap(H) == pytest.approx(eigs[1])
+            assert oracles.spectral_gap(M) == eigs[1]
 
 
 class TestKernelProperties:
@@ -109,7 +127,7 @@ class TestKernelProperties:
             M = markov_data(g)
             H = heat_operator(M)
             for t in rng.uniform(0.01, 5.0, size=4):
-                kernel = H.matrix(float(t))
+                kernel = heat_kernel_matrix(H, float(t))
                 weighted = M.m[:, None] * kernel
                 assert np.abs(weighted - weighted.T).max() <= 1e-10
                 checked += 1

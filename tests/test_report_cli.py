@@ -179,7 +179,7 @@ class TestReportShape:
 
     def test_schema_version_present(self):
         report = VerificationReport(command="x", graph={"n": 1}, seed=1, tolerances={})
-        assert report.to_dict()["schema_version"] == 2
+        assert report.to_dict()["schema_version"] == 3
 
 
 class TestCliAnalyze:
@@ -188,7 +188,7 @@ class TestCliAnalyze:
         out = capsys.readouterr().out
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["all_pass"] is True
         assert payload["curvature"]["K"] == pytest.approx(1.5, abs=1e-6)
         assert payload["distance"]["lambda"] == 2.0
@@ -303,6 +303,11 @@ class TestCliAnalyze:
         code = main(["analyze", c3_file, "--certificate-tol", "1e-6"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
+        # only tolerances the run applies: none for reversibility or adjointness
+        assert set(payload["tolerances"]) == {
+            "balance", "lp_feasibility", "lp_gap", "certificate", "curvature_limit",
+            "smoothing_agreement",
+        }
         assert payload["tolerances"]["certificate"] == 1e-6
         tols = {c["name"]: c["tol"] for c in payload["certificates"]}
         # the agreement certificates carry their tolerance as rhs, with tol 0
