@@ -37,12 +37,14 @@ matrix do not depend on t, only the right-hand side p_x_t - p_y_t
 does.  So each arc is solved along its times in ascending order, each
 solve starting from the previous time's optimal basis
 (transport.wasserstein's start), which stays dual feasible and at
-small t is usually optimal already.  The first time starts from the
-arc's curvature optimum when kappa_lp has solved the arc on the same
-DistanceMatrix (transport.ArcStart): the curvature program is the
-first-order problem of W as t -> 0, so that basis is nearly optimal
-for every time.  Otherwise it starts from a BFS tree.  Each time's
-kernel matrix is built once per operator.
+small t is usually optimal already: a solve that took no pivot hands
+its start on unchanged, so such a step costs neither a product nor a
+check.  The first time starts from the arc's curvature optimum when
+kappa_lp has solved the arc on the same DistanceMatrix
+(transport.ArcStart, formed and checked once): the curvature program
+is the first-order problem of W as t -> 0, so that basis is nearly
+optimal for every time.  Otherwise it starts from a BFS tree.  Each
+time's kernel matrix is built once per operator.
 """
 
 from __future__ import annotations

@@ -15,13 +15,15 @@ inverse, formed only when read, so solve_lp factorises nothing.
 Starts come four ways: Start.from_basis multiplies out the tableau
 of a given basis and its inverse; with_column adds one column to a
 start and checks that column's reduced cost alone; an optimal
-solution's warm_start carries its final tableau over to the next b,
+solution's warm_start makes its final basis the start of the next b,
 so a caller that solves one c and A for a sequence of right-hand
 sides starts each solve from the previous optimum without multiplying
-B^-1 A again (its inverse is the one m x m product T[:m, b0] B0^-1
-off the final tableau); and Start.carried takes a basis, inverse and
-tableau that a caller formed off another solve's final tableau, and
-checks them as from_basis checks its own.
+B^-1 A again: a solve that took no pivot ended on its start and hands
+that start on unchanged, and one that pivoted carries its final
+tableau over, with the one m x m product T[:m, b0] B0^-1 as its
+inverse; and Start.carried takes a basis, inverse and tableau that a
+caller formed off another solve's final tableau, and checks them as
+from_basis checks its own.
 
 Every program solved is a flow on a graph whose balance rows sum to
 zero, with one of them dropped, and a spanning tree of that graph is a
@@ -34,12 +36,12 @@ matrix as its exact inverse; each curvature program adds its virtual
 column to that start, and the smoothing W of one pair go on from the
 previous smoothing's warm start.  The heat-flow W of an arc start from
 its curvature optimum, the virtual column swapped for the arc (a
-carried start), and go on from the previous time's.  Two reference
-programs the tests hold those to take the same path: the coupling
-program of solve_transport, a flow on the complete bipartite graph of
-the two supports, drops the row sum of row 0 and starts from the tree
-that assemble_transport_lp builds, and transport.kantorovich_dual
-starts its all-pairs flow from a star.  Problems stay small (hundreds of
+carried start, checked once), and go on from the previous time's.
+Two reference programs the tests hold those to take the same path: the
+coupling program of solve_transport, a flow on the complete bipartite
+graph of the two supports, drops the row sum of row 0 and starts from
+the tree that assemble_transport_lp builds, and
+transport.kantorovich_dual starts its all-pairs flow from a star.  Problems stay small (hundreds of
 variables at the target scale), so a dense tableau is simpler than a
 revised method and fast enough.  The most negative basic variable
 leaves, which takes fewer pivots than the lowest-index one; transport
@@ -88,8 +90,9 @@ class Start:
     shape (m + 1) x n; the basis columns are the unit vectors over a
     zero reduced cost.  A dual-feasible basis stays dual feasible for
     every b, so one start serves every program min c.x, A x = b,
-    x >= 0.  from_basis, with_column and LpSolution.warm_start build
-    starts and check them; nothing changes a start after that.
+    x >= 0.  from_basis, with_column, carried and LpSolution.warm_start
+    build starts and check them; nothing changes a start after that, so
+    a start is handed on as it stands when a solve from it takes no pivot.
     """
 
     c: np.ndarray
@@ -224,18 +227,33 @@ class LpSolution:
 
     @cached_property
     def basis_inverse(self) -> np.ndarray:
-        """B_f^-1 = (B_f^-1 B_0) B_0^-1: the final rows' start-basis columns times B_0^-1."""
+        """B_f^-1 = (B_f^-1 B_0) B_0^-1: the final rows' start-basis columns times B_0^-1.
+
+        ValueError unless the solve is optimal: only an optimal one keeps its final basis.
+        """
+        self._check_optimal()
         return self._tableau[:-1, self.start.basis] @ self.start.inverse
 
     def warm_start(self) -> Start:
         """The final basis as the start of the same c and A with another b.
 
-        Its tableau is the final tableau without the b column, carried
-        over as it stands, and its inverse is basis_inverse; both are
-        checked as Start.carried checks them.
+        A solve that took no pivot ended on its start: the same basis,
+        the same tableau rows, bit for bit, and B_f^-1 = I B_0^-1, so
+        that start, checked when it was built, is handed on unchanged.
+        Otherwise the tableau is the final tableau without the b column,
+        carried over as it stands, and the inverse is basis_inverse;
+        both are checked as Start.carried checks them.  ValueError
+        unless the solve is optimal.
         """
+        self._check_optimal()
         start = self.start
+        if not self.iterations:
+            return start
         return Start.carried(start.c, start.A, self.basis, self.basis_inverse, self._tableau[:, :-1])
+
+    def _check_optimal(self) -> None:
+        if self.status != "optimal":
+            raise ValueError(f"a solve with status {self.status!r} has no final basis")
 
 
 @dataclass

@@ -41,9 +41,11 @@ A solve may start from another plan's final basis instead.  The
 program's cost and incidence depend on the graph and r alone, so the
 optimal tree of one pair of measures stays dual feasible for any other
 pair on the same root, and the plan's final tableau is already that
-tree's start: its rows are carried into the next solve as they stand,
-and only the inverse is formed, one m x m product off the final
-tableau (lp.LpSolution.warm_start).  The start belongs to the
+tree's start (lp.LpSolution.warm_start).  A solve that took no pivot,
+as most along a chain do, ended on its own start, which is handed on
+unchanged; otherwise the final rows are carried into the next solve as
+they stand, and only the inverse is formed, one m x m product off the
+final tableau, and checked with them.  The start belongs to the
 DistanceMatrix whose record it came from, and a plan of another one is
 refused.  The heat module solves each arc along increasing t, and the
 curvature module each pair along increasing smoothing, each solve from
@@ -145,9 +147,10 @@ class ArcStart:
     heat-flow W of the arc, whose first-order term is kappa's own
     right-hand side.  When the virtual column is nonbasic, B_f is a
     basis of W already and stays as it is.  warm_start forms that start
-    off kappa's final tableau on first use and keeps it; kappa_lp pays
-    for none of it.  wasserstein starts from it as from a plan of root
-    x's out-tree.
+    on first use in one step, off kappa's final basis, its inverse and
+    its final tableau without the virtual and b columns, checks it once
+    (lp.Start.carried) and keeps it; kappa_lp pays for none of it.
+    wasserstein starts from it as from a plan of root x's out-tree.
     """
 
     root: int
@@ -157,18 +160,17 @@ class ArcStart:
     inward = False
 
     def warm_start(self) -> lp.Start:
-        """The W start of kappa's final basis; lp.Start.carried checks it."""
+        """The W start of kappa's final basis; lp.Start.carried checks it, once."""
         if self._start is None:
-            kappa = self.kappa.warm_start()
+            kappa = self.kappa
             c, A = self.program.c, self.program.A
-            virtual = kappa.A[:, -1]
-            # drop the virtual column, the last one; every other column is W's
-            basis, inverse, tableau = kappa.basis, kappa.inverse, kappa.tableau[:, :-1]
+            # drop the virtual and b columns, the last two; every other column is W's
+            basis, inverse, tableau = kappa.basis, kappa.basis_inverse, kappa._tableau[:, :-2]
             rows = np.flatnonzero(basis == len(c))
             if rows.size:
                 basis, inverse, tableau = basis.copy(), inverse.copy(), tableau.copy()
                 # the arc x -> y, whose column is the virtual one's negative
-                basis[rows] = np.flatnonzero((A == -virtual[:, None]).all(axis=0))
+                basis[rows] = np.flatnonzero((A == -kappa.start.A[:, -1, None]).all(axis=0))
                 # 0.0 - v, not -v: a zero entry must not become -0.0
                 inverse[rows] = 0.0 - inverse[rows]
                 tableau[rows] = 0.0 - tableau[rows]
@@ -415,9 +417,9 @@ def wasserstein(
     the ArcStart kappa_lp kept on dm for an arc: the solve keeps its
     root r and tree direction and starts from its warm_start (the
     plan's final basis and tableau, lp.LpSolution.warm_start, or
-    kappa's, each checked as root_basis checks a tree).  ValueError if
-    start was solved on another DistanceMatrix, whose program is
-    another one.  verify=True also reads the potential off that solve
+    kappa's, each checked once, when it is formed, as root_basis checks
+    a tree).  ValueError if start was solved on another DistanceMatrix,
+    whose program is another one.  verify=True also reads the potential off that solve
     (RootBasis.potential, which raises NumericsError unless it is
     integral and f(w) - f(z) <= 1 on every arc, both exactly), shifted
     to f(0) = 0, and raises NumericsError unless

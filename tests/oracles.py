@@ -21,8 +21,10 @@ bobkov_goetze_per_sample.
 reference_dual_simplex is the plain pivot loop the library's dual
 simplex kernel must match bit for bit, start_tableau the per-solve
 B^-1 [A | b] the library's starts, built once and reused, must match
-bit for bit, and lu_duals the dense solve its duals, read off the final
-cost row, are held to.
+bit for bit, carried_warm_start and two_step_arc_start the warm starts
+re-formed and re-checked at every step, which the W chains' starts
+must match bit for bit, and lu_duals the dense solve its duals, read
+off the final cost row, are held to.
 At the end sit second routes to library quantities, built on the
 library's primitives: gradient and gradient_matrix (difference
 quotients over every pair), reversed_graph, label (a vertex's name),
@@ -543,6 +545,39 @@ def start_tableau(c, A, b, basis, basis_inverse) -> np.ndarray:
     T[-1] -= c[basis] @ T[:m]
     T[-1, basis] = 0.0
     return T
+
+
+def carried_warm_start(solution) -> lp.Start:
+    """An optimal solve's warm start, re-formed whatever the solve did.
+
+    The final basis, its inverse as the one m x m product
+    (B_f^-1 B_0) B_0^-1 and the final tableau without its b column,
+    checked by Start.carried: the route every warm start took before a
+    solve that took no pivot handed its own start on.
+    """
+    start, T = solution.start, solution._tableau
+    inverse = T[:-1, start.basis] @ start.inverse
+    return lp.Start.carried(start.c, start.A, solution.basis, inverse, T[:, :-1])
+
+
+def two_step_arc_start(arc_start) -> lp.Start:
+    """An ArcStart's W start in two checked steps: kappa's own warm start, then the swap.
+
+    carried_warm_start makes kappa's final basis the start of its own
+    program; dropping the virtual column and, where that column is
+    basic, putting the arc x -> y in its place with its row negated
+    gives the start of W, which Start.carried checks again.
+    """
+    kappa = carried_warm_start(arc_start.kappa)
+    c, A = arc_start.program.c, arc_start.program.A
+    basis, inverse, tableau = kappa.basis, kappa.inverse, kappa.tableau[:, :-1]
+    rows = np.flatnonzero(basis == len(c))
+    if rows.size:
+        basis, inverse, tableau = basis.copy(), inverse.copy(), tableau.copy()
+        basis[rows] = np.flatnonzero((A == -kappa.A[:, -1, None]).all(axis=0))
+        inverse[rows] = 0.0 - inverse[rows]
+        tableau[rows] = 0.0 - tableau[rows]
+    return lp.Start.carried(c, A, basis, inverse, tableau)
 
 
 def lu_duals(start, basis: np.ndarray) -> np.ndarray:

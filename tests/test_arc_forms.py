@@ -22,6 +22,9 @@ tableau that is not dual feasible or a plan of another graph fails.
 An arc's chain may start from the arc's kappa optimum instead, its
 virtual column swapped for the arc: that chain is pinned to cold solves
 and scipy, and the swapped start to the one its basis multiplies out.
+A solve that took no pivot hands its own start on, and an arc's start
+is formed and checked once: both chains are pinned, step by step and
+bit for bit, to chains that re-form and re-check every start.
 The curvature program is solved through its dual flow from the same
 kind of basis; its witness is checked for optimality on its own.
 Transport contraction along the heat flow is checked over the arcs
@@ -479,6 +482,46 @@ def test_warm_start_carries_the_tableau_its_final_basis_multiplies_out(instance)
         plan = wasserstein(nu0, nu1, dm, verify=False, start=plan)
 
 
+def same_start(start: lp.Start, ref: lp.Start) -> bool:
+    """The two starts hold the same program, basis, inverse and tableau, bit for bit."""
+    return all(getattr(start, name).tobytes() == getattr(ref, name).tobytes()
+               for name in ("c", "A", "basis", "inverse", "tableau"))
+
+
+@PROPERTY_SETTINGS
+@given(warm_chains(), st.booleans())
+def test_warm_chains_match_the_chains_that_re_form_every_start(instance, from_kappa):
+    """Each W of a chain solves as it would from a start re-formed and re-checked, bit for bit.
+
+    A solve that took no pivot hands on its own start, and an arc's
+    start is formed off kappa's final solve in one step; the reference
+    chain re-forms every start by oracles.carried_warm_start, and the
+    arc's by oracles.two_step_arc_start.  At every step the value,
+    final basis, pivot count, final tableau and the next start agree.
+    The chain starts from a BFS tree or from the arc's kappa optimum.
+    """
+    g, (x, y), pairs = instance
+    dm = distances(g)
+    plan = ref_start = None
+    if from_kappa:
+        kappa_lp(x, y, markov_data(g), dm)
+        plan = dm._arc_starts[(x, y)]
+        ref_start = oracles.two_step_arc_start(plan)
+        assert same_start(plan.warm_start(), ref_start)
+    for nu0, nu1 in pairs:
+        plan = wasserstein(nu0, nu1, dm, verify=False, start=plan)
+        ref = root_basis(dm, plan.root, plan.inward).solve(nu0 - nu1, ref_start)
+        flow = plan.flow
+        assert np.float64(flow.value).tobytes() == np.float64(ref.value).tobytes()
+        assert flow.basis.tobytes() == ref.basis.tobytes()
+        assert flow.iterations == ref.iterations
+        assert flow._tableau.tobytes() == ref._tableau.tobytes()
+        start, ref_start = plan.warm_start(), oracles.carried_warm_start(ref)
+        if not flow.iterations:
+            assert start is flow.start
+        assert same_start(start, ref_start)
+
+
 @PROPERTY_SETTINGS
 @given(warm_chains())
 def test_flow_tableaus_stay_integral(instance):
@@ -570,7 +613,10 @@ def test_start_from_a_plan_of_another_distance_matrix_raises():
 class TestWarmStart:
     """Warm starts on 0 -> 1, 0 -> 2, 1 -> 0, 1 -> 2, 2 -> 0 (arcs in this order).
 
-    dirac(0) to dirac(2) starts from the BFS out-tree of 0, {0 -> 1, 0 -> 2}.
+    dirac(0) to dirac(2) starts from the BFS out-tree of 0, {0 -> 1, 0 -> 2},
+    which is optimal already.  A solve that took no pivot hands its own
+    start on, so the tests that spoil its final pieces mark it as one
+    that pivoted, whose warm start is formed and checked.
     """
 
     @staticmethod
@@ -590,7 +636,7 @@ class TestWarmStart:
 
     def test_wrong_inverse_raises(self):
         dm, plan = self.plan()
-        flow = dataclasses.replace(plan.flow)
+        flow = dataclasses.replace(plan.flow, iterations=1)
         flow.basis_inverse = plan.flow.basis_inverse + 1e-6
         with pytest.raises(NumericsError, match="does not invert"):
             wasserstein(np.eye(3)[1], np.eye(3)[2], dm, start=dataclasses.replace(plan, flow=flow))
@@ -606,7 +652,7 @@ class TestWarmStart:
         tableau = np.zeros((3, 6))
         tableau[:2, :5] = rows
         tableau[2, :5] = 1.0 - rows.sum(axis=0)
-        flow = dataclasses.replace(plan.flow, basis=tree, _tableau=tableau)
+        flow = dataclasses.replace(plan.flow, iterations=1, basis=tree, _tableau=tableau)
         with pytest.raises(NumericsError, match="not dual feasible"):
             wasserstein(np.eye(3)[1], np.eye(3)[2], dm, start=dataclasses.replace(plan, flow=flow))
 
@@ -765,10 +811,11 @@ def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatc
     """One tree and one start per root, direction and DistanceMatrix.
 
     Every later solve from that tree reuses its start; a kappa program
-    adds its column to it, and a warm start carries the final tableau,
-    so neither multiplies B^-1 A out again.  Each Start.from_basis call
-    here builds one root's start, and built() names the (root, inward)
-    record that holds it.
+    adds its column to it, and a warm start carries the final tableau
+    (or, after no pivot, is the start itself), so neither multiplies
+    B^-1 A out again.  Each Start.from_basis call here builds one
+    root's start, and built() names the (root, inward) record that
+    holds it.
     """
     starts, solved_from = [], []
     from_basis, solve = lp.Start.from_basis, lp.solve_lp
@@ -801,8 +848,10 @@ def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatc
     # each kappa start is the root's tableau with the virtual column beside it
     for kappa_start in solved_from[2:]:
         assert kappa_start.tableau[:, :-1].tobytes() == start.tableau.tobytes()
+    # the plan took no pivot, so its warm start is the root's start, handed on
+    assert plan.flow.iterations == 0
     wasserstein(nu1, nu0, dm, verify=False, start=plan)
-    assert solved_from[-1].basis is not start.basis and len(starts) == 1
+    assert solved_from[-1] is start and len(starts) == 1
     kappa_lp(1, 0, M, dm)
     assert built(dm) == [(0, False), (1, False)]
     # the in-tree of 2 has its own record, built once too

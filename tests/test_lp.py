@@ -9,8 +9,9 @@ row, and the Bland's-rule fallback it takes after a run of pivots that
 leave the objective unchanged.  The kernel is held bit for bit to the
 plain reference loop in oracles, on those families and on a pinned
 instance where the fallback fires.  A solve's certificate pieces read
-None when it is not optimal, and its feasibility residual shows a
-final basis that is infeasible in exact arithmetic.
+None when it is not optimal, its warm start and final inverse raise,
+and its feasibility residual shows a final basis that is infeasible in
+exact arithmetic.
 """
 
 from __future__ import annotations
@@ -210,6 +211,20 @@ class TestCertificate:
         assert solution.duals is None
         assert solution.duality_gap is None
         assert solution.feasibility_residual is None
+
+    def test_a_solve_that_is_not_optimal_has_no_warm_start(self):
+        """x0 + x1 = -1 is infeasible after 0 pivots: no final basis to start from or invert.
+
+        Its pivot count is the one a zero-pivot optimum hands its own
+        start on for, so the status has to be checked first.
+        """
+        start = lp.Start.from_basis([1.0, 1.0], [[1.0, 1.0]], [0], [[1.0]])
+        solution = lp.solve_lp(start, [-1.0])
+        assert (solution.status, solution.iterations) == ("infeasible", 0)
+        with pytest.raises(ValueError, match="'infeasible'"):
+            solution.warm_start()
+        with pytest.raises(ValueError, match="'infeasible'"):
+            solution.basis_inverse
 
     def test_the_residual_shows_an_exactly_infeasible_final_basis(self, monkeypatch):
         """kappa(1, 11) on ring+chords n=16 (seed 1) ends on a basis that is infeasible.

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -741,6 +743,47 @@ def test_hop_counts_are_built_once_and_only_where_read(c3_file, monkeypatch, cap
     assert main([argv[0], c3_file, *argv[1:]]) == 0
     capsys.readouterr()
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize("workload, carried, solves, pivots", [
+    ("analyze_dense", 64, 988, 2772),
+    ("analyze_sparse", 77, 413, 549),
+])
+def test_warm_starts_are_checked_only_where_a_solve_pivoted(
+    workload, carried, solves, pivots, tmp_path, monkeypatch, capsys
+):
+    """Start.carried runs once per arc start and once per chain step that pivoted.
+
+    One analyze on each graph of the benchmark workload (seed 1): the
+    K_8 of analyze_dense, and the two ring+chords n=8 of analyze_sparse.
+    A solve that took no pivot hands its own start on unchecked, and an
+    arc's start off its kappa optimum is checked once, so of 392 and 301
+    warm starts formed, 64 and 77 are checked; the solves and pivots are
+    those of re-forming and re-checking every start.
+    """
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    counts = {"carried": 0, "solves": 0, "pivots": 0}
+    carried_start, solve_lp = lp.Start.carried.__func__, lp.solve_lp
+
+    def counting_carried(cls, *args):
+        counts["carried"] += 1
+        return carried_start(cls, *args)
+
+    def counting_solve(start, b):
+        solution = solve_lp(start, b)
+        counts["solves"] += 1
+        counts["pivots"] += solution.iterations
+        return solution
+
+    monkeypatch.setattr(lp.Start, "carried", classmethod(counting_carried))
+    monkeypatch.setattr(lp, "solve_lp", counting_solve)
+    for graph in workloads.build(workload, 1).graphs:
+        path = tmp_path / f"{graph.name}.edges"
+        path.write_text(graph.text(), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 0
+    capsys.readouterr()
+    assert counts == {"carried": carried, "solves": solves, "pivots": pivots}
 
 
 def test_sparse_analyze_solves_kappa_per_pair_and_heat_flow_per_arc(
