@@ -50,7 +50,7 @@ def transition_kernel(g: DirectedGraph) -> np.ndarray:
     return g.mu / g.mu.sum(axis=1)[:, None]
 
 
-def perron_measure(P: np.ndarray, tol: float = BALANCE_TOL) -> np.ndarray:
+def perron_measure(P: np.ndarray) -> np.ndarray:
     """Unique stationary probability measure of an irreducible kernel.
 
     Solves (P^T - I) m = 0 directly with one row replaced by the
@@ -60,8 +60,6 @@ def perron_measure(P: np.ndarray, tol: float = BALANCE_TOL) -> np.ndarray:
     irreducible.
     """
     n = P.shape[0]
-    if n == 1:
-        return np.ones(1)
     A = P.T - np.eye(n)
     A[-1, :] = 1.0
     b = np.zeros(n)
@@ -71,7 +69,7 @@ def perron_measure(P: np.ndarray, tol: float = BALANCE_TOL) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"stationary system is singular: {exc}") from None
     residual = float(np.abs(m @ P - m).max())
-    if residual > tol or m.min() <= 0:
+    if residual > BALANCE_TOL or m.min() <= 0:
         raise SingularSystemError(
             f"stationary solve failed: balance residual {residual:.3e}, min entry {m.min():.3e}"
         )

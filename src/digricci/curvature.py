@@ -64,7 +64,6 @@ class CurvatureReport:
     kappa: np.ndarray
     K: float
     witnesses: dict[tuple[int, int], np.ndarray]
-    method: str = "lp"
     cross_check: np.ndarray | None = None
 
 
@@ -179,6 +178,4 @@ def curvature_matrix(
                 limit, _spread = kappa_limit(x, y, M, dm)
                 residuals[x, y] = abs(kappa[x, y] - limit)
     K = float(np.nanmin(kappa))
-    return CurvatureReport(
-        kappa=kappa, K=K, witnesses=witnesses, method="lp", cross_check=residuals
-    )
+    return CurvatureReport(kappa=kappa, K=K, witnesses=witnesses, cross_check=residuals)

@@ -172,66 +172,56 @@ def _check(off: float, worst: float) -> None:
 
 @dataclass
 class LpSolution:
-    """Outcome of a solve, with the optimality certificate pieces.
+    """An optimal solve, with the optimality certificate pieces.
 
-    An optimal solve keeps the start it began from, its right-hand side
-    b, its final basis, one column index per row, and its final tableau.
-    x and value are formed by the solve; the certificate pieces are
-    formed on first read, off the final tableau, so a caller that reads
-    only the value pays for none of them.  duals has one multiplier per
-    row of the program: y = c_B B^-1 on the final basis, read off the
-    final cost row c - y A through the start's inverse.  duality_gap is
+    It keeps the start it began from, its right-hand side b, its final
+    basis, one column index per row, and its final tableau.  x and
+    value are formed by the solve; the certificate pieces are formed on
+    first read, off the final tableau, so a caller that reads only the
+    value pays for none of them.  duals has one multiplier per row of
+    the program: y = c_B B^-1 on the final basis, read off the final
+    cost row c - y A through the start's inverse.  duality_gap is
     |c.x - y.b|, which certifies optimality on that basis.
     feasibility_residual is the largest violation of A x = b and x >= 0
     by the final basic values as the tableau holds them, before x clips
     the ones PRIMAL_TOL reads as zero, so an exactly infeasible final
     basis shows.  basis_inverse is the final basis's inverse, and
-    warm_start makes the basis the start of another b.  A solve that is
-    not optimal keeps only its status and pivot count, and its three
-    certificate pieces read None.
+    warm_start makes the basis the start of another b.  solve_lp raises
+    instead of returning a solve that is not optimal.
     """
 
-    status: str
-    x: np.ndarray | None = None
-    value: float | None = None
-    iterations: int = 0
-    start: Start | None = field(default=None, repr=False)
-    b: np.ndarray | None = field(default=None, repr=False)
-    basis: np.ndarray | None = None
+    # solve_lp returns optimal solves only; kept for readers of the status
+    status = "optimal"
+    x: np.ndarray
+    value: float
+    iterations: int
+    start: Start = field(repr=False)
+    b: np.ndarray = field(repr=False)
+    basis: np.ndarray
     # the final tableau, [B_f^-1 A | B_f^-1 b ; c - c_B B_f^-1 A | -c_B B_f^-1 b]
-    _tableau: np.ndarray | None = field(default=None, repr=False)
+    _tableau: np.ndarray = field(repr=False)
 
     @cached_property
-    def duals(self) -> np.ndarray | None:
+    def duals(self) -> np.ndarray:
         """y = c_B B_f^-1: the cost row is c - y A, so on the start basis B0 it is c[b0] - y B0."""
-        if self._tableau is None:
-            return None
         b0 = self.start.basis
         return (self.start.c[b0] - self._tableau[-1, b0]) @ self.start.inverse
 
     @cached_property
-    def duality_gap(self) -> float | None:
+    def duality_gap(self) -> float:
         """|c.x - y.b|."""
-        if self._tableau is None:
-            return None
         return abs(self.value - float(self.duals @ self.b))
 
     @cached_property
-    def feasibility_residual(self) -> float | None:
+    def feasibility_residual(self) -> float:
         """The largest violation of A x = b and x >= 0 by the unclipped basic values."""
-        if self._tableau is None:
-            return None
         basic = self._tableau[:-1, -1]
         err = float(np.abs(self.start.A[:, self.basis] @ basic - self.b).max(initial=0.0))
         return max(0.0, err, float(-basic.min(initial=0.0)))
 
     @cached_property
     def basis_inverse(self) -> np.ndarray:
-        """B_f^-1 = (B_f^-1 B_0) B_0^-1: the final rows' start-basis columns times B_0^-1.
-
-        ValueError unless the solve is optimal: only an optimal one keeps its final basis.
-        """
-        self._check_optimal()
+        """B_f^-1 = (B_f^-1 B_0) B_0^-1: the final rows' start-basis columns times B_0^-1."""
         return self._tableau[:-1, self.start.basis] @ self.start.inverse
 
     def warm_start(self) -> Start:
@@ -242,18 +232,12 @@ class LpSolution:
         that start, checked when it was built, is handed on unchanged.
         Otherwise the tableau is the final tableau without the b column,
         carried over as it stands, and the inverse is basis_inverse;
-        both are checked as Start.carried checks them.  ValueError
-        unless the solve is optimal.
+        both are checked as Start.carried checks them.
         """
-        self._check_optimal()
         start = self.start
         if not self.iterations:
             return start
         return Start.carried(start.c, start.A, self.basis, self.basis_inverse, self._tableau[:, :-1])
-
-    def _check_optimal(self) -> None:
-        if self.status != "optimal":
-            raise ValueError(f"a solve with status {self.status!r} has no final basis")
 
 
 @dataclass
@@ -346,11 +330,14 @@ def solve_lp(start: Start, b: np.ndarray) -> LpSolution:
 
     ValueError unless b has one entry per row of A.  The start was
     checked when it was built (see Start), so the solve forms B^-1 b
-    and pivots.  The status is "optimal", or "infeasible" when a leaving
-    row has no entry that can enter.  An optimal solution carries b,
-    x, its value, its final basis B_f and final tableau, and forms its
-    duals and residuals when they are read; its warm_start starts a
-    solve of the same c and A with another b from B_f.
+    and pivots.  LpFailureError, naming the status and the pivot count,
+    when the solve ends without an optimum: a leaving row has no entry
+    that can enter, so the program is infeasible.  Every program the
+    library solves is feasible by construction, so that end is a
+    numerical fault.  The solution carries b, x, its value, its final
+    basis B_f and final tableau, and forms its duals and residuals when
+    they are read; its warm_start starts a solve of the same c and A
+    with another b from B_f.
     """
     b = np.array(b, dtype=float)  # a copy: the certificate pieces read it later
     m, n = start.A.shape
@@ -360,11 +347,10 @@ def solve_lp(start: Start, b: np.ndarray) -> LpSolution:
     T = _tableau(start, b)
     status, iterations = _run_dual_simplex(T, basis, 1000 + 50 * (m + n))
     if status != "optimal":
-        return LpSolution(status=status, iterations=iterations)
+        raise LpFailureError(f"solve ended with status {status!r} after {iterations} pivots")
     x = np.zeros(n)
     x[basis] = np.maximum(T[:m, -1], 0.0)
     return LpSolution(
-        status="optimal",
         x=x,
         value=float(start.c @ x),
         iterations=iterations,
@@ -424,8 +410,6 @@ def solve_transport(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> Trans
             f"marginal masses differ: {nu0.sum():.17g} vs {nu1.sum():.17g}"
         )
     solution = solve_lp(*assemble_transport_lp(cost, nu0, nu1))
-    if solution.status != "optimal":
-        raise LpFailureError(f"transport solve ended with status {solution.status!r}")
     pi = np.maximum(solution.x.reshape(n0, n1), 0.0)
     marginal_residual = max(
         float(np.abs(pi.sum(axis=1) - nu0).max()),

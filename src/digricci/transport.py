@@ -81,7 +81,7 @@ import numpy as np
 
 from . import lp
 from .digraph import DistanceMatrix
-from .errors import LpFailureError, MarginalMismatchError, NumericsError
+from .errors import MarginalMismatchError, NumericsError
 
 # probability vectors must carry this close to unit mass
 MASS_TOL = 1e-12
@@ -208,14 +208,6 @@ def _incidence(n: int, arcs: np.ndarray) -> np.ndarray:
     return A
 
 
-def _solve(start: lp.Start, b: np.ndarray) -> lp.LpSolution:
-    """The optimal solve of b from start; LpFailureError unless it is optimal."""
-    solution = lp.solve_lp(start, b)
-    if solution.status != "optimal":
-        raise LpFailureError(f"flow solve ended with status {solution.status!r}")
-    return solution
-
-
 def kantorovich_dual(
     nu0: np.ndarray, nu1: np.ndarray, dm: DistanceMatrix
 ) -> tuple[float, np.ndarray]:
@@ -242,7 +234,7 @@ def kantorovich_dual(
     pairs = np.argwhere(~np.eye(n, dtype=bool))
     A = _incidence(n, pairs)[1:]
     start = lp.Start.from_basis(d[pairs[:, 0], pairs[:, 1]], A, np.arange(n - 1), -np.eye(n - 1))
-    solution = _solve(start, (nu0 - nu1)[1:])
+    solution = lp.solve_lp(start, (nu0 - nu1)[1:])
     f = np.concatenate([[0.0], 0.0 - solution.duals])
     return float(solution.value), f
 
@@ -273,10 +265,10 @@ class RootBasis(NamedTuple):
         """The optimal flow of balance, one entry per vertex (r's is dropped).
 
         start is a start of this program, or of it with added columns;
-        by default the tree's own.  LpFailureError unless the solve is
-        optimal.
+        by default the tree's own.  lp.solve_lp raises LpFailureError
+        if the solve ends without an optimum.
         """
-        return _solve(self.start if start is None else start, balance[self.vertices])
+        return lp.solve_lp(self.start if start is None else start, balance[self.vertices])
 
     def potential(self, solution: lp.LpSolution, arcs: np.ndarray) -> np.ndarray:
         """The potential f = -(row duals) of solution, with f(r) = 0.

@@ -251,7 +251,7 @@ def mu_of(g) -> np.ndarray:
 
 def transport_contraction_all_pairs(H, dm, K: float, ts=DEFAULT_TIME_GRID, tol=1e-9):
     """W(p_x_t, p_y_t) <= exp(-K t) d(x, y) checked over every ordered pair."""
-    n = H.n
+    n = H.Pmean.shape[0]
     comparisons = []
     for t in ts:
         kernel = heat_kernel_matrix(H, t)

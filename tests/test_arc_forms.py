@@ -26,7 +26,9 @@ A solve that took no pivot hands its own start on, and an arc's start
 is formed and checked once: both chains are pinned, step by step and
 bit for bit, to chains that re-form and re-check every start.
 The curvature program is solved through its dual flow from the same
-kind of basis; its witness is checked for optimality on its own.
+kind of basis; its witness is checked for optimality on its own, and
+the least arc kappa, verify-functional's K, is the all-pairs K bit for
+bit.
 Transport contraction along the heat flow is checked over the arcs
 only; a property pins its verdict and margin to the all-pairs loop.
 The Lipschitz constant is taken over the arcs too, pinned to the
@@ -69,6 +71,7 @@ from digricci import (
     wasserstein,
 )
 from digricci import transport
+from digricci.errors import LpFailureError
 from digricci.heat import DEFAULT_LIMIT_GRID, DEFAULT_TIME_GRID
 from digricci.transport import root_basis
 
@@ -185,6 +188,15 @@ def test_kappa_witness_is_an_optimal_potential(instance):
     assert abs(f[y] - d[x, y]) <= 1e-12
     assert oracles.is_one_lipschitz(f, d, slack=1e-12)
     assert abs(float((L[y] - L[x]) @ f) / d[x, y] - value) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(graphs(n_max=9))
+def test_least_arc_kappa_is_the_all_pairs_k(g):
+    """verify-functional's K over the arcs is analyze's K over every ordered pair, bit for bit."""
+    M, dm = markov_data(g), distances(g)
+    arc_k = min(kappa_lp(x, y, M, dm)[0] for x, y in dm.arcs.tolist())
+    assert arc_k == curvature_matrix(M, dm).K
 
 
 def test_kappa_lp_solves_the_flow_dual_from_a_basis(g_tri, monkeypatch):
@@ -921,7 +933,8 @@ class TestStartingBasis:
 
     def test_infeasible_program(self):
         # x0 + x1 = -1 has no non-negative solution; the leaving row has no negative entry
-        assert solve_lp(*self.program(b=-1.0)).status == "infeasible"
+        with pytest.raises(LpFailureError, match="'infeasible' after 0 pivots"):
+            solve_lp(*self.program(b=-1.0))
 
     def test_dual_simplex_pivots_to_the_optimum(self):
         # the basis {x0} of x0 - x1 = -1 gives x0 = -1; one pivot brings in x1

@@ -51,6 +51,10 @@ class TestPerron:
         m = perron_measure(transition_kernel(g))
         assert np.abs(m - 1.0 / 3.0).max() <= 1e-15
 
+    def test_one_vertex_kernel_is_solved_as_any_other(self):
+        # A = P^T - I with its last row replaced by the normalisation is [[1]]
+        assert perron_measure(np.ones((1, 1))).tolist() == [1.0]
+
     def test_matches_nullspace_oracle(self, corpus):
         for g in corpus:
             P = transition_kernel(g)

@@ -8,10 +8,9 @@ where the pivot rule has to earn its keep: the most-infeasible leaving
 row, and the Bland's-rule fallback it takes after a run of pivots that
 leave the objective unchanged.  The kernel is held bit for bit to the
 plain reference loop in oracles, on those families and on a pinned
-instance where the fallback fires.  A solve's certificate pieces read
-None when it is not optimal, its warm start and final inverse raise,
-and its feasibility residual shows a final basis that is infeasible in
-exact arithmetic.
+instance where the fallback fires.  A solve that is not optimal raises,
+and a solve's feasibility residual shows a final basis that is
+infeasible in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ from digricci import (
     markov_data,
     solve_transport,
 )
-from digricci import lp
+from digricci import lp, transport
+from digricci.errors import LpFailureError
 from digricci.lp import GAP_TOL, MARGINAL_TOL, assemble_transport_lp
 
 
@@ -202,29 +202,34 @@ def ring_chords(n: int, seed: int):
     return build_graph(mu)
 
 
+# the whole message solve_lp raises when x0 + x1 = -1 ends its first pricing
+NOT_OPTIMAL = r"^solve ended with status 'infeasible' after 0 pivots$"
+
+
 class TestCertificate:
     def test_a_solve_that_is_not_optimal_has_no_certificate(self):
-        """x0 + x1 = -1 has no solution with x >= 0."""
+        """x0 + x1 = -1 has no solution with x >= 0: infeasible after 0 pivots.
+
+        solve_lp returns optimal solves only, so it raises, naming the
+        status and the pivot count, and no certificate is formed.
+        """
         start = lp.Start.from_basis(np.zeros(2), np.ones((1, 2)), [0], np.eye(1))
-        solution = lp.solve_lp(start, [-1.0])
-        assert solution.status == "infeasible"
-        assert solution.duals is None
-        assert solution.duality_gap is None
-        assert solution.feasibility_residual is None
+        with pytest.raises(LpFailureError, match=NOT_OPTIMAL):
+            lp.solve_lp(start, [-1.0])
 
     def test_a_solve_that_is_not_optimal_has_no_warm_start(self):
         """x0 + x1 = -1 is infeasible after 0 pivots: no final basis to start from or invert.
 
         Its pivot count is the one a zero-pivot optimum hands its own
-        start on for, so the status has to be checked first.
+        start on for, so solve_lp raises before any solution exists;
+        RootBasis.solve lets that error through as it is.
         """
         start = lp.Start.from_basis([1.0, 1.0], [[1.0, 1.0]], [0], [[1.0]])
-        solution = lp.solve_lp(start, [-1.0])
-        assert (solution.status, solution.iterations) == ("infeasible", 0)
-        with pytest.raises(ValueError, match="'infeasible'"):
-            solution.warm_start()
-        with pytest.raises(ValueError, match="'infeasible'"):
-            solution.basis_inverse
+        with pytest.raises(LpFailureError, match=NOT_OPTIMAL):
+            lp.solve_lp(start, [-1.0])
+        tree = transport.RootBasis(start=start, vertices=np.array([1]))
+        with pytest.raises(LpFailureError, match=NOT_OPTIMAL):
+            tree.solve(np.array([0.0, -1.0]))
 
     def test_the_residual_shows_an_exactly_infeasible_final_basis(self, monkeypatch):
         """kappa(1, 11) on ring+chords n=16 (seed 1) ends on a basis that is infeasible.

@@ -18,6 +18,7 @@ from digricci import (
     InequalityCertificate,
     __version__,
     cli,
+    curvature,
     curvature_matrix,
     digraph,
     distances,
@@ -259,6 +260,32 @@ class TestCliAnalyze:
         if met:
             assert cert["rhs"] == "Infinity"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "edges, k, vacuous",
+        [
+            # exp(-K t) overflows at t = 5 only
+            pytest.param(C3_EDGES, "-1000", False, id="c3-minus-1e3"),
+            # and here at every time
+            pytest.param(C3_EDGES, "-1e308", True, id="c3-minus-1e308"),
+            pytest.param("0 1 1e-300\n1 2 1e300\n2 0 1\n0 2 1\n", "-1e5", True,
+                         id="extreme-weights-minus-1e5"),
+        ],
+    )
+    def test_overflowed_contraction_bounds_print_no_warning(
+        self, tmp_path, capsys, edges, k, vacuous
+    ):
+        """A large negative K overflows the bound exp(-K t) of both contraction certificates."""
+        path = tmp_path / "g.edges"
+        path.write_text(edges)
+        code = main(["analyze", str(path), f"--k-override={k}"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        certs = {c["name"]: c for c in json.loads(out)["certificates"]}
+        for name in ("lipschitz_contraction", "transport_contraction"):
+            assert certs[name]["pass"] is True
+            assert (certs[name]["rhs"] == "Infinity") is vacuous
+
     @pytest.mark.parametrize("command", ["analyze", "verify-functional"])
     def test_underflowed_rates_are_vacuous(self, c3_file, capsys, command):
         """K = 5e-324 on C3 underflows both 2K / Lambda^2 and sqrt(2) K / Lambda to 0."""
@@ -493,6 +520,25 @@ class TestCliOther:
         names = {c["name"] for c in payload["certificates"]}
         assert "transport_entropy_bound" in names
         assert "lipschitz_contraction" not in names
+
+    def test_verify_functional_solves_kappa_on_the_arcs_only(self, tri_file, capsys, monkeypatch):
+        """K is the least arc kappa: 4 solves on the triangle, not one per ordered pair."""
+        pairs = []
+        kappa_lp = curvature.kappa_lp
+
+        def recording_kappa_lp(x, y, M, dm):
+            pairs.append((x, y))
+            return kappa_lp(x, y, M, dm)
+
+        monkeypatch.setattr(curvature, "kappa_lp", recording_kappa_lp)
+        assert main(["verify-functional", tri_file]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        g = load_graph(tri_file)
+        assert pairs == [(0, 1), (1, 0), (1, 2), (2, 0)]
+        assert payload["curvature"]["K"] == curvature_matrix(markov_data(g), distances(g)).K
+        pairs.clear()
+        assert main(["curvature", tri_file, "--pairs", "0,2", "2,1"]) == 0
+        assert pairs == [(0, 2), (2, 1)]
 
     def test_k3_analyze(self, tmp_path, capsys):
         path = tmp_path / "k3.edges"
