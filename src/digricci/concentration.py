@@ -21,7 +21,8 @@ a one-sample computation and ties bind as they would one at a time.
 DensityFixture.of_stack checks a stack of densities and computes rho m,
 Ent(rho), I(rho) and the edge variation for every row in one pass;
 DensityFixture.of is that builder on one row.  The transport checks
-read those fields and solve only W(m, rho m) themselves, in fast mode.
+read those fields and solve only W(m, rho m) themselves, in fast mode,
+each check its whole family as one table of transport.wasserstein.
 """
 
 from __future__ import annotations
@@ -315,9 +316,14 @@ def relative_entropy(M: MarkovData, rho: np.ndarray) -> float:
 
 
 def _transports(M: MarkovData, dm: DistanceMatrix, rhos: list[DensityFixture]):
-    """(record, W(m, rho m)) for each density record, W solved in fast mode."""
-    for record in rhos:
-        yield record, transport.wasserstein(M.m, record.measure, dm, verify=False).value
+    """(record, W(m, rho m)) for each density record.
+
+    The W are one table in fast mode (transport.wasserstein), a cold
+    column of one pair per density.
+    """
+    measures = np.array([record.measure for record in rhos]).reshape(1, len(rhos), M.n)
+    nu0 = np.broadcast_to(M.m, measures.shape)
+    return zip(rhos, transport.wasserstein(nu0, measures, dm, verify=False).values[0].tolist())
 
 
 def check_transport_l1_bound(

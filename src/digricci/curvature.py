@@ -141,23 +141,20 @@ def kappa_limit(
     spread (max - min over the grid) reports how far into that regime
     the grid reached.  EpsOutOfRangeError unless the grid is non-empty
     and every eps lies in (0, 1].  The W of the grid are one program
-    with moving measures, so they are solved in ascending eps, each
-    from the previous eps's optimal basis (transport.wasserstein's
-    start).
+    with moving measures, so they are solved as one column of a table
+    (transport.wasserstein), once per distinct eps in ascending order,
+    each from the previous eps's optimal basis.
     """
-    grid = sorted(eps_grid)
+    grid = sorted(set(eps_grid))
     if not grid or not grid[0] > 0:
         raise EpsOutOfRangeError("eps grid must be non-empty and positive")
     if x == y:
         raise SameVertexError("curvature needs two distinct vertices")
+    # one column of pairs: axes (vertex x or y, eps, column, entry)
+    nu = np.array([[[smoothed_measure(v, e, M)] for e in grid] for v in (x, y)])
+    w = transport.wasserstein(nu[0], nu[1], dm, verify=False).values[:, 0].tolist()
     dxy = float(dm.d[x, y])
-    quotients = []
-    plan = None
-    for e in grid:
-        nu_x = smoothed_measure(x, e, M)
-        nu_y = smoothed_measure(y, e, M)
-        plan = transport.wasserstein(nu_x, nu_y, dm, verify=False, start=plan)
-        quotients.append((1.0 - plan.value / dxy) / e)
+    quotients = [(1.0 - value / dxy) / e for value, e in zip(w, grid)]
     return quotients[0], float(max(quotients) - min(quotients))
 
 

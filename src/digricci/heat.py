@@ -34,16 +34,20 @@ checked over the arcs alone (Ollivier, J. Funct. Anal. 256, 2009).
 Both W certificates, the contraction and the small-time limit, solve
 each arc at several times of one program: its cost and constraint
 matrix do not depend on t, only the right-hand side p_x_t - p_y_t
-does.  So each arc is solved along its times in ascending order, each
-solve starting from the previous time's optimal basis
-(transport.wasserstein's start), which stays dual feasible and at
-small t is usually optimal already: a solve that took no pivot hands
-its start on unchanged, so such a step costs neither a product nor a
-check.  The first time starts from the arc's curvature optimum when
-kappa_lp has solved the arc on the same DistanceMatrix
-(transport.ArcStart, formed and checked once): the curvature program
-is the first-order problem of W as t -> 0, so that basis is nearly
-optimal for every time.  Otherwise it starts from a BFS tree.  Each
+does.  So each certificate's W are one call of transport.wasserstein
+in its table form, times x arcs: each arc is a column solved along its
+times in ascending order, each solve starting from the previous time's
+optimal basis, which stays dual feasible and at small t is usually
+optimal already: a solve that took no pivot hands its start on
+unchanged, so such a step costs neither a product nor a check.  The
+table checks every kernel row once and builds no plan per solve.  The
+first time starts from the arc's curvature optimum when kappa_lp has
+solved the arc on the same DistanceMatrix (transport.ArcStart, formed
+and checked once): the curvature program is the first-order problem
+of W as t -> 0, so that basis is nearly optimal for every time.
+Otherwise it starts from a BFS tree.  The table runs inside
+wasserstein, under the certificate that asked for it, so the solves
+stay counted under that certificate and under wasserstein.  Each
 time's kernel matrix is built once per operator.
 """
 
@@ -58,7 +62,7 @@ from . import transport
 from .certificates import InequalityCertificate, certificate_from_samples
 from .chain import MarkovData
 from .digraph import DistanceMatrix, lipschitz_constant
-from .errors import NegativeTimeError
+from .errors import NegativeTimeError, SameVertexError
 
 # default times for the contraction certificates
 DEFAULT_TIME_GRID = (0.01, 0.1, 1.0, 5.0)
@@ -147,7 +151,9 @@ def verify_gradient_estimate(
     """Check Lip(P_t f) <= exp(-K t) Lip(f) on every sample and time.
 
     Each time smooths the whole stack of samples in one apply.
+    NegativeTimeError, before any kernel is built, if ts is empty.
     """
+    _require_times(ts)
     fs = np.atleast_2d(fs)
     lip_fs = lipschitz_constant(fs, dm).tolist()
     comparisons = []
@@ -163,6 +169,27 @@ def verify_gradient_estimate(
     return certificate_from_samples(
         "lipschitz_contraction", {"K": K, "times": list(ts)}, comparisons, tol
     )
+
+
+def _require_times(ts: tuple[float, ...]) -> None:
+    """NegativeTimeError unless the time grid holds a time."""
+    if not len(ts):
+        raise NegativeTimeError("time grid must contain a time")
+
+
+def _heat_flow_w(
+    H: HeatOperator, dm: DistanceMatrix, times: list[float], xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """W(p_x_t, p_y_t) at each of the ascending times (rows) for each pair (columns).
+
+    One table (transport.wasserstein): every kernel is built before the
+    first solve, and a pair's column starts from its arc's kappa
+    optimum when dm holds one, otherwise from a BFS tree.
+    """
+    kernels = np.stack([heat_kernel_matrix(H, t) for t in times])
+    starts = [dm._arc_starts.get(pair) for pair in zip(xs.tolist(), ys.tolist())]
+    table = transport.wasserstein(kernels[:, xs], kernels[:, ys], dm, verify=False, start=starts)
+    return table.values
 
 
 def verify_transport_contraction(
@@ -183,23 +210,19 @@ def verify_transport_contraction(
     exp(-K t) d(x, y) within d(x, y) * tol.  When an arc fails, a pair at
     distance k may fail by up to k times the reported margin.
 
-    Each arc is solved once per distinct time, in ascending order, the
-    first solve from the arc's kappa optimum when dm holds one, each
-    later one from the previous time's optimal basis (see the module
-    docstring); the comparisons are listed as ts gives the times, arcs
-    in order within each.  Every kernel is built before the first
-    solve, so a negative time raises NegativeTimeError (from
+    The W form one table (transport.wasserstein): a column per arc, its
+    distinct times in ascending order, the first solve from the arc's
+    kappa optimum when dm holds one, each later one from the previous
+    time's optimal basis (see the module docstring); the comparisons
+    are listed as ts gives the times, arcs in order within each.  Every
+    kernel is built before the first solve, so an empty grid or a
+    negative time raises NegativeTimeError (the latter from
     heat_kernel_matrix) before any W is solved.
     """
+    _require_times(ts)
     times = sorted(set(ts))
-    kernels = [heat_kernel_matrix(H, t) for t in times]
+    values = _heat_flow_w(H, dm, times, *dm.arcs.T).tolist()
     arcs = dm.arcs.tolist()
-    w = np.empty((len(times), len(arcs)))
-    for k, (x, y) in enumerate(arcs):
-        plan = dm._arc_starts.get((x, y))
-        for i, kernel in enumerate(kernels):
-            plan = transport.wasserstein(kernel[x], kernel[y], dm, verify=False, start=plan)
-            w[i, k] = plan.value
     comparisons = []
     for t in ts:
         # a large negative K overflows the bound to inf: vacuous, and correct
@@ -207,7 +230,7 @@ def verify_transport_contraction(
             shrink = float(np.exp(-K * t))
         comparisons += [
             (value, shrink, {"t": t, "pair": (x, y)})
-            for value, (x, y) in zip(w[times.index(t)].tolist(), arcs)
+            for value, (x, y) in zip(values[times.index(t)], arcs)
         ]
     return certificate_from_samples(
         "transport_contraction",
@@ -220,34 +243,35 @@ def verify_transport_contraction(
 def curvature_time_limit(
     H: HeatOperator,
     dm: DistanceMatrix,
-    x: int,
-    y: int,
+    xs: np.ndarray,
+    ys: np.ndarray,
     t_grid: tuple[float, ...] = DEFAULT_LIMIT_GRID,
-) -> tuple[float, float]:
-    """Small-time curvature (1/t)(1 - W(p_x_t, p_y_t) / d(x, y)).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Small-time curvature (1/t)(1 - W(p_x_t, p_y_t) / d(x, y)) of each pair (xs[j], ys[j]).
 
-    Returns the two-point Richardson extrapolation through the two
-    smallest distinct grid times together with the spread (max - min)
-    of the finite-time estimates, which reports how settled the limit
-    is; a grid of one distinct time gives its estimate and spread 0.
-    The W are solved over the distinct times in ascending order, the
-    first from the arc's kappa optimum when x -> y is an arc whose kappa
-    dm holds, each later one from the previous time's optimal basis (see
-    the module docstring).
+    Returns, per pair, the two-point Richardson extrapolation through
+    the two smallest distinct grid times together with the spread
+    (max - min) of the finite-time estimates, which reports how settled
+    the limit is; a grid of one distinct time gives its estimate and
+    spread 0.  The W form one table (transport.wasserstein): a column
+    per pair over the distinct times in ascending order, the first from
+    the arc's kappa optimum when x -> y is an arc whose kappa dm holds,
+    each later one from the previous time's optimal basis (see the
+    module docstring).  NegativeTimeError unless the grid holds a time
+    and every time is positive; SameVertexError if a pair repeats a
+    vertex.
     """
     ts = sorted(set(t_grid))
     if not ts or ts[0] <= 0:
         raise NegativeTimeError("limit grid must contain positive times")
-    dxy = float(dm.d[x, y])
-    estimates = []
-    plan = dm._arc_starts.get((x, y))
-    for t in ts:
-        kernel = heat_kernel_matrix(H, t)
-        plan = transport.wasserstein(kernel[x], kernel[y], dm, verify=False, start=plan)
-        estimates.append((1.0 - plan.value / dxy) / t)
-    if len(estimates) == 1:
-        return estimates[0], 0.0
+    xs, ys = np.asarray(xs, dtype=int), np.asarray(ys, dtype=int)
+    if (xs == ys).any():
+        raise SameVertexError("curvature needs two distinct vertices")
+    w = _heat_flow_w(H, dm, ts, xs, ys)
+    estimates = (1.0 - w / dm.d[xs, ys].astype(float)) / np.asarray(ts)[:, None]
+    if len(ts) == 1:
+        return estimates[0], np.zeros(len(xs))
     t1, t2 = ts[1], ts[0]
     g1, g2 = estimates[1], estimates[0]
     extrapolated = (t1 * g2 - t2 * g1) / (t1 - t2)
-    return float(extrapolated), float(max(estimates) - min(estimates))
+    return extrapolated, estimates.max(axis=0) - estimates.min(axis=0)

@@ -59,6 +59,22 @@ basis, with the virtual arc y -> x swapped for x -> y, is optimal for
 W at t -> 0 and usually still at the first t.  Without it the chain
 starts from the BFS tree above.
 
+Those chains run inside wasserstein itself, as its table form: given
+nu0 and nu1 of shape (k, a, n), fast mode only, it solves column j as
+a chain of k measure pairs, the first from start[j] (an ArcStart, a
+plan, or None for the column's own BFS tree) and each later one from
+the previous pair's optimum.  Both stacks are checked once, the excess
+is formed once and gathered onto each column's rows once, and a step
+hands its LpSolution.warm_start() on without building a plan; a
+column's last step forms no start.  The heat module's time grids over
+the arcs, the curvature module's eps grid and the concentration
+module's densities (cold columns of one pair) are one table each.  The
+table is a form of wasserstein rather than a function of its own so
+that every W solve runs under wasserstein, called by the certificate
+that needs it: a tracer that attributes each LP solve to the caller of
+wasserstein sees the same solves under the same callers, one
+wasserstein call per table.
+
 The row duals of the final basis are a Kantorovich potential f with
 f(w) - f(z) <= 1 on every arc; summing along geodesics, that is
 f(w) - f(z) <= d(z, w) on every ordered pair, so one solve yields both
@@ -73,6 +89,7 @@ reference the tests pin the flow potential to.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -121,14 +138,38 @@ class TransportPlan:
         """The largest error in pi's marginals, or without pi in any vertex's flow balance."""
         if self.pi is not None:
             return self._pi_residual
-        # every vertex's balance, the root's too, whose row the solve dropped
-        g, tails, heads, n = self.flow.x, self._arcs[:, 0], self._arcs[:, 1], len(self._excess)
-        balance = np.bincount(tails, g, n) - np.bincount(heads, g, n)
-        return float(np.abs(balance - self._excess).max())
+        return _balance_residual(self.flow.x[None], self._excess[None], self._arcs)
 
     def warm_start(self) -> lp.Start:
         """The final basis as the start of another W on the same DistanceMatrix."""
         return self.flow.warm_start()
+
+
+@dataclass(frozen=True, eq=False)
+class TransportTable:
+    """W over a table of measure pairs, wasserstein's table form (fast mode).
+
+    values[i, j] is W of pair i of column j.  marginal_residual is the
+    largest flow-balance error over every solve of the table, formed on
+    first read from the excess and the flows the table keeps, as a
+    fast-mode plan forms its own; each solve's error has the bits of
+    that plan's.  The table keeps no solve itself: a column of one pair
+    per density would hold a final tableau per density.
+    """
+
+    values: np.ndarray
+    _excess: np.ndarray = field(repr=False)
+    # every solve's flow, column by column
+    _x: list = field(repr=False)
+    _arcs: np.ndarray = field(repr=False)
+
+    @cached_property
+    def marginal_residual(self) -> float:
+        """The largest error in any vertex's flow balance, over every pair of the table."""
+        n = self._excess.shape[-1]
+        excess = self._excess.transpose(1, 0, 2).reshape(-1, n)
+        flows = np.array(self._x).reshape(len(excess), len(self._arcs))
+        return _balance_residual(flows, excess, self._arcs)
 
 
 @dataclass(eq=False)
@@ -178,14 +219,28 @@ class ArcStart:
         return self._start
 
 
-def _check_probability(nu: np.ndarray, n: int, name: str) -> np.ndarray:
-    """nu as a float array; MarginalMismatchError unless it is a probability vector on n vertices.
+def _check_probability(nu: np.ndarray, n: int, name: str, lead: tuple = ()) -> np.ndarray:
+    """nu as a float array of shape lead + (n,); MarginalMismatchError unless each row is a
+    probability vector on n vertices.
 
-    A valid measure passes in one pass: a NaN fails the min, and an inf
-    fails the min or the mass.  Anything else goes through the checks
-    in order, so the first rule it breaks names the error.
+    A valid measure or stack passes in one pass: a NaN fails the min,
+    and an inf fails the min or a mass.  Anything else goes through the
+    checks in order, a stack row by row, so the first rule that the
+    first bad row breaks names the error, and the row's index names the
+    row.
     """
     nu = np.asarray(nu, dtype=float)
+    if lead:
+        shape = (*lead, n)
+        if nu.shape == shape and nu.min(initial=0.0) >= 0 and (
+            abs(nu.sum(axis=-1) - 1.0) <= MASS_TOL
+        ).all():
+            return nu
+        if nu.shape != shape:
+            raise MarginalMismatchError(f"{name} must have shape {shape}")
+        for index in np.ndindex(lead):
+            _check_probability(nu[index], n, f"{name}[{', '.join(map(str, index))}]")
+        return nu
     if nu.shape == (n,) and nu.min(initial=0.0) >= 0 and abs(nu.sum() - 1.0) <= MASS_TOL:
         return nu
     if nu.shape != (n,):
@@ -197,6 +252,25 @@ def _check_probability(nu: np.ndarray, n: int, name: str) -> np.ndarray:
     if abs(nu.sum() - 1.0) > MASS_TOL:
         raise MarginalMismatchError(f"{name} has mass {nu.sum():.17g}, expected 1")
     return nu
+
+
+def _balance_residual(flows: np.ndarray, excess: np.ndarray, arcs: np.ndarray) -> float:
+    """The largest error of any vertex's balance, outflow - inflow against excess, over the rows.
+
+    Row i of flows is a flow over arcs for the balance in row i of
+    excess; every vertex counts, the root's too, whose row the solve
+    dropped.  Each end of the arcs is one bincount over all rows, whose
+    bins gather in arc order, so each row has the bits of a bincount of
+    its own.
+    """
+    rows, n = excess.shape
+    offsets = n * np.arange(rows)[:, None]
+
+    def through(ends: np.ndarray) -> np.ndarray:
+        return np.bincount((ends + offsets).ravel(), flows.ravel(), rows * n).reshape(rows, n)
+
+    balance = through(arcs[:, 0]) - through(arcs[:, 1])
+    return float(np.abs(balance - excess).max(initial=0.0))
 
 
 def _incidence(n: int, arcs: np.ndarray) -> np.ndarray:
@@ -253,9 +327,10 @@ class RootBasis(NamedTuple):
     path r -> w, 0 elsewhere.  In the in-tree of r it is the first arc
     w -> z with d(z, r) = d(w, r) - 1 out of w, and the column of B^-1
     for w is +1 on the rows of the tree arcs on the path w -> r.  Every
-    array of the record is read-only.  This record is the one place
-    that knows the program's rows: solve maps a balance onto them, and
-    potential reads the duals back as a vertex function.
+    array of the record is read-only.  The record holds the program's
+    rows: solve maps a balance onto them (wasserstein's table form maps
+    a whole column's balances at once, through vertices), and potential
+    reads the duals back as a vertex function.
     """
 
     start: lp.Start
@@ -377,18 +452,72 @@ def _flow_to_coupling(
     return pi
 
 
-def _start_tree(excess: np.ndarray) -> tuple[int, bool]:
-    """The root and direction of the BFS tree a W solve starts from.
+def _start_trees(excess: np.ndarray) -> list[tuple[int, bool]]:
+    """The root and direction of the BFS tree each W solve starts from, one per row of excess.
 
     The in-tree of the vertex of largest deficit when that deficit
     exceeds the largest excess, otherwise (ties included, so point
-    masses too) the out-tree of the vertex of largest excess.
+    masses too) the out-tree of the vertex of largest excess.  Every
+    row is decided in the same few array operations.
     """
-    r = int(np.argmax(excess))
-    s = int(np.argmin(excess))
-    if -excess[s] > excess[r]:
-        return s, True
-    return r, False
+    rows = np.arange(len(excess))
+    r = excess.argmax(axis=1)
+    s = excess.argmin(axis=1)
+    inward = -excess[rows, s] > excess[rows, r]
+    return list(zip(np.where(inward, s, r).tolist(), inward.tolist()))
+
+
+def _warm_tree(dm: DistanceMatrix, start: TransportPlan | ArcStart) -> tuple[RootBasis, lp.Start]:
+    """The tree of start's root and direction on dm, and start's warm start.
+
+    ValueError if start was solved on another DistanceMatrix, whose
+    program is another one.
+    """
+    tree = dm._root_bases.get((start.root, start.inward))
+    warm = start.warm_start()
+    if tree is None or tree.start.A is not warm.A:
+        raise ValueError("start is a plan solved on another DistanceMatrix")
+    return tree, warm
+
+
+def _table(
+    nu0: np.ndarray,
+    nu1: np.ndarray,
+    dm: DistanceMatrix,
+    start: Sequence[TransportPlan | ArcStart | None] | None,
+) -> TransportTable:
+    """wasserstein's table form: column j is a warm chain of pairs from start[j]."""
+    n = dm.d.shape[0]
+    lead = np.shape(nu0)[:2]
+    nu0 = _check_probability(nu0, n, "nu0", lead)
+    nu1 = _check_probability(nu1, n, "nu1", lead)
+    k, a = lead
+    if not k:
+        raise MarginalMismatchError("a table needs at least one pair of measures per column")
+    starts = (None,) * a if start is None else tuple(start)
+    if len(starts) != a:
+        raise ValueError(f"a table of {a} columns takes {a} starts, got {len(starts)}")
+    excess = nu0 - nu1
+    values, xs = [], []
+    for column, first, cold in zip(excess.transpose(1, 0, 2), starts, _start_trees(excess[0])):
+        if first is None:
+            tree = root_basis(dm, *cold)
+            warm = tree.start
+        else:
+            tree, warm = _warm_tree(dm, first)
+        solution = None
+        for b in column[:, tree.vertices]:
+            if solution is not None:
+                warm = solution.warm_start()
+            solution = lp.solve_lp(warm, b)
+            values.append(solution.value)
+            xs.append(solution.x)
+    return TransportTable(
+        values=np.array(values).reshape(a, k).T,
+        _excess=excess,
+        _x=xs,
+        _arcs=dm.arcs,
+    )
 
 
 def wasserstein(
@@ -396,9 +525,9 @@ def wasserstein(
     nu1: np.ndarray,
     dm: DistanceMatrix,
     verify: bool = True,
-    start: TransportPlan | ArcStart | None = None,
-) -> TransportPlan:
-    """Directed transport distance between two probability vectors.
+    start: TransportPlan | ArcStart | Sequence[TransportPlan | ArcStart | None] | None = None,
+) -> TransportPlan | TransportTable:
+    """Directed transport distance between two probability vectors, or over a table of pairs.
 
     Solves the arc-flow program once, by a dual simplex.  Without start
     it starts from root_basis's start of the BFS in-tree of the largest
@@ -420,22 +549,33 @@ def wasserstein(
     acyclic, into the coupling pi.  Fast mode, for the inner loops that
     call this often, returns the value alone, and forms its residual
     only when it is read.
+
+    The table form, fast mode only (ValueError with verify=True), takes
+    nu0 and nu1 of shape (k, a, n), k >= 1, and start as None or one
+    start per column, each a plan, an ArcStart or None.  Column j is a
+    chain: pair 0 solves as a single W from start[j] would, and pair i
+    from pair i - 1's optimal basis, as if started from its plan.  Each
+    row of both stacks is checked as a single measure is, once per
+    table; the error names the first bad row, nu0[i, j] say.  It
+    returns a TransportTable: values of shape (k, a) and the residual
+    over every solve.
     """
+    if np.ndim(nu0) == 3:
+        if verify:
+            raise ValueError("the table form of wasserstein is fast mode only")
+        return _table(nu0, nu1, dm, start)
     n = dm.d.shape[0]
     nu0 = _check_probability(nu0, n, "nu0")
     nu1 = _check_probability(nu1, n, "nu1")
     arcs = dm.arcs
     excess = nu0 - nu1
     if start is None:
-        r, inward = _start_tree(excess)
+        ((r, inward),) = _start_trees(excess[None])
         tree = root_basis(dm, r, inward)
         solution = tree.solve(excess)
     else:
         r, inward = start.root, start.inward
-        tree = dm._root_bases.get((r, inward))
-        warm = start.warm_start()
-        if tree is None or tree.start.A is not warm.A:
-            raise ValueError("start is a plan solved on another DistanceMatrix")
+        tree, warm = _warm_tree(dm, start)
         solution = tree.solve(excess, warm)
     value = float(solution.value)
     if not verify:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from digricci import DirectedGraph, NotStronglyConnectedError, build_graph
+from digricci import DirectedGraph, NotStronglyConnectedError, build_graph, lp, transport
 
 # default seed everywhere so failures replay exactly
 SEED = 424242
@@ -79,3 +79,30 @@ def small_corpus(corpus) -> list[DirectedGraph]:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(SEED)
+
+
+@pytest.fixture()
+def lp_solves(monkeypatch) -> list[tuple[bool, int]]:
+    """Every LP solve from here on, as (made under transport.wasserstein, its pivots).
+
+    wasserstein solves a single pair or a whole table of pairs in one
+    call, so its solves, not its calls, count the transports.
+    """
+    solves, depth = [], [0]
+    solve_lp, wasserstein = lp.solve_lp, transport.wasserstein
+
+    def counting_solve(start, b):
+        solution = solve_lp(start, b)
+        solves.append((depth[0] > 0, solution.iterations))
+        return solution
+
+    def counting_wasserstein(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return wasserstein(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(lp, "solve_lp", counting_solve)
+    monkeypatch.setattr(transport, "wasserstein", counting_wasserstein)
+    return solves

@@ -273,7 +273,7 @@ def test_tree_basis_solve_matches_scipy(instance):
     g, nu0, nu1 = instance
     dm = distances(g)
     excess = nu0 - nu1
-    tree = solve_lp(*flow_program(dm, excess, *transport._start_tree(excess)))
+    tree = solve_lp(*flow_program(dm, excess, *transport._start_trees(excess[None])[0]))
     assert tree.status == "optimal"
     assert abs(tree.value - oracles.linprog_transport(dm.d, nu0, nu1, tight=True)) <= 1e-9
     assert wasserstein(nu0, nu1, dm, verify=False).value == tree.value
@@ -313,11 +313,9 @@ def test_either_start_tree_gives_the_same_w(instance):
 def test_start_rule_takes_the_tree_of_the_larger_imbalance():
     """In-tree of the largest deficit only when it beats the largest excess."""
     third = np.full(3, 1 / 3)
+    rows = [np.eye(3)[0] - np.eye(3)[2], third - np.eye(3)[2], np.eye(3)[1] - third, np.zeros(3)]
     # point masses tie: the out-tree of the source, as for every Dirac pair
-    assert transport._start_tree(np.eye(3)[0] - np.eye(3)[2]) == (0, False)
-    assert transport._start_tree(third - np.eye(3)[2]) == (2, True)
-    assert transport._start_tree(np.eye(3)[1] - third) == (1, False)
-    assert transport._start_tree(np.zeros(3)) == (0, False)
+    assert transport._start_trees(np.array(rows)) == [(0, False), (2, True), (1, False), (0, False)]
 
 
 @st.composite
@@ -534,6 +532,93 @@ def test_warm_chains_match_the_chains_that_re_form_every_start(instance, from_ka
         assert same_start(start, ref_start)
 
 
+def recorded_solves(run):
+    """run()'s result, and every solution lp.solve_lp returned meanwhile, in call order."""
+    solutions, solve_lp = [], lp.solve_lp
+
+    def recording(start, b):
+        solutions.append(solve_lp(start, b))
+        return solutions[-1]
+
+    lp.solve_lp = recording
+    try:
+        return run(), solutions
+    finally:
+        lp.solve_lp = solve_lp
+
+
+@st.composite
+def tables(draw, k: int, a: int):
+    """A graph, a table of k x a measure pairs, and per column an arc and a start kind.
+
+    "bfs" leaves the column to its own BFS tree, "arc" starts it from
+    its arc's kappa optimum and "plan" from a W solved for other
+    measures.  Half the tables are heat-flow grids over the columns'
+    arcs, as the heat module solves them; the other half are random
+    pairs, whose optimal trees may share nothing.
+    """
+    g = draw(graphs())
+    arcs = distances(g).arcs.tolist()
+    arcs = [arcs[draw(st.integers(0, len(arcs) - 1))] for _ in range(a)]
+    kinds = draw(st.lists(st.sampled_from(["bfs", "arc", "plan"]), min_size=a, max_size=a))
+    if draw(st.booleans()):
+        grid = st.sampled_from(sorted(set(DEFAULT_TIME_GRID + DEFAULT_LIMIT_GRID)))
+        times = sorted(draw(st.lists(grid, min_size=k, max_size=k, unique=True)))
+        H = heat_operator(markov_data(g))
+        kernels = np.stack([heat_kernel_matrix(H, t) for t in times])
+        xs, ys = np.array(arcs).T
+        nu0, nu1 = kernels[:, xs], kernels[:, ys]
+    else:
+        nu0, nu1 = (np.array([[draw(measures(g.n)) for _ in range(a)] for _ in range(k)])
+                    for _ in range(2))
+    return g, arcs, kinds, nu0, nu1
+
+
+@pytest.mark.parametrize("k, a", [(1, 1), (1, 3), (3, 1), (3, 3)])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_a_table_solves_each_column_as_the_chain_of_single_solves(k, a, data):
+    """Each column of a W table makes the solves of the chain of single W, bit for bit.
+
+    The reference solves column j pair by pair with
+    wasserstein(start=plan), from the column's start: a BFS tree, the
+    arc's kappa optimum or an unrelated plan.  Every solve has the same
+    value, final basis and pivot count, and the table's residual is the
+    largest residual of the chain's plans.
+    """
+    g, arcs, kinds, nu0, nu1 = data.draw(tables(k, a))
+    dm, M = distances(g), markov_data(g)
+    starts = []
+    for kind, (x, y) in zip(kinds, arcs):
+        if kind == "arc":
+            kappa_lp(x, y, M, dm)
+            starts.append(dm._arc_starts[(x, y)])
+        elif kind == "plan":
+            starts.append(wasserstein(np.eye(g.n)[y], np.eye(g.n)[x], dm, verify=False))
+        else:
+            starts.append(None)
+
+    def chains():
+        plans = []
+        for j, plan in enumerate(starts):
+            for i in range(k):
+                plan = wasserstein(nu0[i, j], nu1[i, j], dm, verify=False, start=plan)
+                plans.append(plan)
+        return plans
+
+    table, solves = recorded_solves(lambda: wasserstein(nu0, nu1, dm, verify=False, start=starts))
+    plans, ref = recorded_solves(chains)
+    assert table.values.shape == (k, a) and len(solves) == len(ref) == k * a
+    for solution, expected in zip(solves, ref):
+        assert np.float64(solution.value).tobytes() == np.float64(expected.value).tobytes()
+        assert solution.basis.tobytes() == expected.basis.tobytes()
+        assert solution.iterations == expected.iterations
+    # the solves run column by column
+    assert table.values.T.tobytes() == np.array([plan.value for plan in plans]).tobytes()
+    residual = max(plan.marginal_residual for plan in plans)
+    assert np.float64(table.marginal_residual).tobytes() == np.float64(residual).tobytes()
+
+
 @PROPERTY_SETTINGS
 @given(warm_chains())
 def test_flow_tableaus_stay_integral(instance):
@@ -615,6 +700,8 @@ def test_start_from_a_plan_of_another_distance_matrix_raises():
     for verify in (False, True):
         with pytest.raises(ValueError, match="another DistanceMatrix"):
             wasserstein(nu0, nu1, dm2, verify=verify, start=plan)
+    with pytest.raises(ValueError, match="another DistanceMatrix"):
+        wasserstein(nu0[None, None], nu1[None, None], dm2, verify=False, start=[plan])
     assert wasserstein(nu0, nu1, dm2).value == 1.0
     # the same graph's distances computed twice are two DistanceMatrix records
     with pytest.raises(ValueError, match="another DistanceMatrix"):

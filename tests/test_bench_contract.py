@@ -81,7 +81,14 @@ def run(bench, monkeypatch):
 
 
 def test_traced_k8_analyze_keeps_the_count_canary(bench, run, tmp_path, capsys):
-    """The K_8 request of analyze_dense, traced, makes the solves run.count_canary expects."""
+    """The K_8 request of analyze_dense, traced, makes the solves run.count_canary expects.
+
+    The tracer also attributes each solve to the traced function that
+    called for it: 56 to kappa_lp, and under wasserstein 3 x 56 to the
+    heat limit, 4 x 56 to transport contraction and 5 x 108 to the
+    functional suite's transport checks.  A table of W solved outside
+    the traced caller's span would move its solves to "other".
+    """
     workload = bench.workloads.build("analyze_dense", 1)
     paths = write_graphs(workload, tmp_path)
     k8 = [i for i, r in enumerate(workload.requests)
@@ -97,6 +104,12 @@ def test_traced_k8_analyze_keeps_the_count_canary(bench, run, tmp_path, capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert run.count_canary(tracer, workload) is None
+    metrics = run.layer_metrics(tracer)
+    by_caller = {key: metrics[f"lp.solves.by.{key}"] for key in (
+        "kappa_lp", "curvature_time_limit", "verify_transport_contraction", "transport_checks",
+        "other")}
+    assert by_caller == {"kappa_lp": 56, "curvature_time_limit": 168,
+                         "verify_transport_contraction": 224, "transport_checks": 540, "other": 0}
 
 
 def test_traced_analyze_sparse_keeps_its_solve_counts(bench, run, tmp_path, capsys):

@@ -35,7 +35,6 @@ from digricci import (
     random_densities,
     relative_entropy,
 )
-from digricci import concentration, transport
 from digricci.chain import mean
 from digricci.cli import main
 
@@ -369,7 +368,7 @@ def test_family_checks_are_their_worst_one_sample_check(seed, count, K):
             assert together.witness == {**worst.witness, "f_index": i}
 
 
-def test_functional_suite_checks_each_density_once(tmp_path, monkeypatch, capsys):
+def test_functional_suite_checks_each_density_once(tmp_path, lp_solves, monkeypatch, capsys):
     """verify-functional builds one record per density: one density check,
     one two-route Fisher information and one entropy each, while each of
     the five transport checks still solves W(m, rho m) once per density.
@@ -378,11 +377,13 @@ def test_functional_suite_checks_each_density_once(tmp_path, monkeypatch, capsys
     I and Ent are computed; fisher_information, relative_entropy and
     DensityFixture.of all go through it.  So the rows that pass through
     it count the density checks, the Fisher informations and the
-    entropies alike, and the whole family passes through in one call."""
+    entropies alike, and the whole family passes through in one call.
+    A transport check solves its densities' W as one wasserstein table,
+    so the W are counted as the LP solves under wasserstein."""
     path = tmp_path / "k4.edges"
     path.write_text("".join(f"{x} {y}\n" for x in range(4) for y in range(4) if x != y),
                     encoding="utf-8")
-    counts = dict.fromkeys(("of_stack calls", "density rows", "wasserstein"), 0)
+    counts = dict.fromkeys(("of_stack calls", "density rows"), 0)
     of_stack = DensityFixture.of_stack.__func__
 
     def counting_of_stack(cls, M, rhos, provenances):
@@ -390,19 +391,13 @@ def test_functional_suite_checks_each_density_once(tmp_path, monkeypatch, capsys
         counts["density rows"] += len(rhos)
         return of_stack(cls, M, rhos, provenances)
 
-    wasserstein = transport.wasserstein
-
-    def counting_wasserstein(*args, **kwargs):
-        counts["wasserstein"] += 1
-        return wasserstein(*args, **kwargs)
-
     monkeypatch.setattr(DensityFixture, "of_stack", classmethod(counting_of_stack))
-    monkeypatch.setattr(transport, "wasserstein", counting_wasserstein)
     samples = 7
     argv = ["verify-functional", str(path), "--density-samples", str(samples),
             "--function-samples", "5"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["curvature"]["K"] > 0
     densities = samples + 4
+    counts["W solves"] = sum(w for w, _pivots in lp_solves)
     assert counts == {"of_stack calls": 1, "density rows": densities,
-                      "wasserstein": 5 * densities}
+                      "W solves": 5 * densities}

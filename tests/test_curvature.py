@@ -175,6 +175,14 @@ class TestEpsRoute:
             with pytest.raises(EpsOutOfRangeError):
                 kappa_limit(0, 1, M, dm, grid)
 
+    def test_a_repeated_eps_is_solved_once(self, g_tri, lp_solves):
+        """kappa_limit solves W once per distinct eps; the value and spread are the grid's."""
+        M, dm = markov_data(g_tri), distances(g_tri)
+        once = kappa_limit(0, 1, M, dm, (1e-3, 5e-4))
+        assert len(lp_solves) == 2
+        assert kappa_limit(0, 1, M, dm, (5e-4, 1e-3, 5e-4, 1e-3)) == once
+        assert len(lp_solves) == 4
+
     def test_eps_one_is_full_smoothing(self, g_k3):
         M = markov_data(g_k3)
         dm = distances(g_k3)

@@ -10,6 +10,7 @@ import pytest
 import oracles
 from digricci import (
     NegativeTimeError,
+    SameVertexError,
     curvature_matrix,
     curvature_time_limit,
     distances,
@@ -23,6 +24,7 @@ from digricci import (
 )
 from digricci import transport
 from digricci.cli import main
+from digricci.heat import DEFAULT_LIMIT_GRID
 
 
 # the times every kernel is pinned at: zero, the least positive float,
@@ -225,6 +227,20 @@ class TestContractionCertificates:
             verify_transport_contraction(H, dm, 0.1, ts=(0.5, -1.0, 1.0))
         assert calls == []
 
+    @pytest.mark.parametrize("certificate", ["contraction", "gradient"])
+    def test_an_empty_time_grid_raises_before_any_kernel_or_solve(
+        self, g_tri, lp_solves, certificate
+    ):
+        """An empty grid is a bad time grid, a GraphCurvatureError, not a ValueError of the reducer."""
+        dm = distances(g_tri)
+        H = heat_operator(markov_data(g_tri))
+        with pytest.raises(NegativeTimeError, match="time grid must contain a time"):
+            if certificate == "contraction":
+                verify_transport_contraction(H, dm, 0.1, ts=())
+            else:
+                verify_gradient_estimate(H, dm, 0.1, np.eye(3), ts=())
+        assert H._kernels == {} and lp_solves == []
+
     def test_certificate_carries_worst_witness(self, g_tri, rng):
         M = markov_data(g_tri)
         dm = distances(g_tri)
@@ -241,13 +257,12 @@ class TestTimeLimit:
             M = markov_data(g)
             dm = distances(g)
             H = heat_operator(M)
-            for x in range(3):
-                for y in range(3):
-                    if x != y:
-                        limit, spread = curvature_time_limit(H, dm, x, y)
-                        assert abs(limit - oracles.HAND[key]["kappa"]) <= 1e-3
-                        # raw finite-time estimates drift at order t * kappa^2 / 2
-                        assert spread <= 0.05
+            xs, ys = np.nonzero(~np.eye(3, dtype=bool))
+            limits, spreads = curvature_time_limit(H, dm, xs, ys)
+            assert limits.shape == spreads.shape == (6,)
+            assert (np.abs(limits - oracles.HAND[key]["kappa"]) <= 1e-3).all()
+            # raw finite-time estimates drift at order t * kappa^2 / 2
+            assert (spreads <= 0.05).all()
 
     def test_matches_lp_on_tri(self, g_tri):
         M = markov_data(g_tri)
@@ -257,7 +272,7 @@ class TestTimeLimit:
             for y in range(3):
                 if x != y:
                     value, _ = kappa_lp(x, y, M, dm)
-                    limit, _ = curvature_time_limit(H, dm, x, y)
+                    (limit,), _ = curvature_time_limit(H, dm, [x], [y])
                     assert abs(limit - value) <= 1e-3
 
     def test_kappa_started_chains_move_w_by_roundoff_only(self, corpus):
@@ -272,19 +287,25 @@ class TestTimeLimit:
             H = heat_operator(M)
             bfs, kappa = distances(g), distances(g)
             curvature_matrix(M, kappa)
-            for x, y in kappa.arcs.tolist():
-                limits = [curvature_time_limit(H, dm, x, y) for dm in (bfs, kappa)]
-                assert np.abs(np.subtract(*limits)).max() <= 1e-9
+            xs, ys = kappa.arcs.T
+            limits = [np.array(curvature_time_limit(H, dm, xs, ys)) for dm in (bfs, kappa)]
+            assert np.abs(np.subtract(*limits)).max() <= 1e-9
             certs = [verify_transport_contraction(H, dm, 0.1) for dm in (bfs, kappa)]
             assert certs[0].passed == certs[1].passed
             assert abs(certs[0].margin - certs[1].margin) <= 1e-14
 
+    def test_a_pair_needs_two_vertices(self, g_tri):
+        H, dm = heat_operator(markov_data(g_tri)), distances(g_tri)
+        with pytest.raises(SameVertexError):
+            curvature_time_limit(H, dm, [0, 1], [1, 1])
+
     def test_repeated_time_counts_once(self, g_tri):
         H = heat_operator(markov_data(g_tri))
         dm = distances(g_tri)
-        single = curvature_time_limit(H, dm, 0, 1, (1e-3,))
-        assert single[1] == 0.0
-        assert curvature_time_limit(H, dm, 0, 1, (1e-3, 1e-3)) == single
-        assert curvature_time_limit(H, dm, 0, 1, (1e-4, 1e-2, 1e-3, 1e-4)) == (
-            curvature_time_limit(H, dm, 0, 1)
-        )
+        def limit(grid):
+            return np.array(curvature_time_limit(H, dm, [0], [1], grid)).tobytes()
+
+        single = curvature_time_limit(H, dm, [0], [1], (1e-3,))
+        assert single[1].tolist() == [0.0]
+        assert limit((1e-3, 1e-3)) == np.array(single).tobytes()
+        assert limit((1e-4, 1e-2, 1e-3, 1e-4)) == limit(DEFAULT_LIMIT_GRID)

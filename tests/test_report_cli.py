@@ -26,7 +26,6 @@ from digricci import (
     lp,
     markov_data,
     render_json,
-    transport,
 )
 from digricci.cli import main
 from digricci.curvature import SMOOTHING_AGREEMENT_TOL
@@ -833,7 +832,7 @@ def test_warm_starts_are_checked_only_where_a_solve_pivoted(
 
 
 def test_sparse_analyze_solves_kappa_per_pair_and_heat_flow_per_arc(
-    tmp_path, monkeypatch, capsys
+    tmp_path, lp_solves, capsys
 ):
     """A directed 8-cycle with the chord 0 -> 4 has 9 arcs and K < 0.
 
@@ -846,23 +845,18 @@ def test_sparse_analyze_solves_kappa_per_pair_and_heat_flow_per_arc(
     path.write_text(
         "".join(f"{x} {y} {rng.uniform(0.5, 2.0)!r}\n" for x, y in arcs), encoding="utf-8"
     )
-    calls = []
-    solve_lp, wasserstein = lp.solve_lp, transport.wasserstein
-    monkeypatch.setattr(lp, "solve_lp", lambda *a: calls.append("lp") or solve_lp(*a))
-    monkeypatch.setattr(
-        transport, "wasserstein", lambda *a, **k: calls.append("W") or wasserstein(*a, **k)
-    )
     assert main(["analyze", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["curvature"]["K"] < 0
     certs = {c["name"]: c for c in out["certificates"]}
     for name in ("transport_contraction", "curvature_heat_limit_agreement"):
         assert certs[name]["hypothesis"]["pairs"] == "arcs"
-    # one LP per W, so 63 of the LPs are the heat-flow transports
-    assert (calls.count("lp"), calls.count("W")) == (56 + 7 * 9, 7 * 9)
+    # 63 of the LPs are the heat-flow transports, solved under wasserstein
+    under_w = sum(w for w, _pivots in lp_solves)
+    assert (len(lp_solves), under_w) == (56 + 7 * 9, 7 * 9)
 
 
-def test_sparse_analyze_heat_flow_pivots(tmp_path, monkeypatch, capsys):
+def test_sparse_analyze_heat_flow_pivots(tmp_path, lp_solves, capsys):
     """The 63 heat-flow W of the 8-cycle + chord take 10 pivots in all.
 
     Each arc's two chains (the heat limit's times, then the contraction's)
@@ -878,21 +872,13 @@ def test_sparse_analyze_heat_flow_pivots(tmp_path, monkeypatch, capsys):
     path.write_text(
         "".join(f"{x} {y} {rng.uniform(0.5, 2.0)!r}\n" for x, y in arcs), encoding="utf-8"
     )
-    pivots = []
-    wasserstein = transport.wasserstein
-
-    def counting_wasserstein(*args, **kwargs):
-        plan = wasserstein(*args, **kwargs)
-        pivots.append(plan.flow.iterations)
-        return plan
-
-    monkeypatch.setattr(transport, "wasserstein", counting_wasserstein)
     assert main(["analyze", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["curvature"]["K"] < 0
+    pivots = [p for under_w, p in lp_solves if under_w]
     assert (len(pivots), sum(pivots)) == (7 * 9, 10)
 
 
-def test_k8_analyze_solve_count(tmp_path, monkeypatch, capsys):
+def test_k8_analyze_solve_count(tmp_path, lp_solves, capsys):
     """analyze on a weighted K_8 makes 988 LP solves, 932 of them for W.
 
     56 curvature programs, one flow program per pair transport of the
@@ -908,24 +894,6 @@ def test_k8_analyze_solve_count(tmp_path, monkeypatch, capsys):
                 for x in range(8) for y in range(8) if x != y),
         encoding="utf-8",
     )
-    counts = {"solves": 0, "under_wasserstein": 0}
-    depth = [0]
-    solve_lp, wasserstein = lp.solve_lp, transport.wasserstein
-
-    def counting_solve(start, b):
-        counts["solves"] += 1
-        counts["under_wasserstein"] += depth[0] > 0
-        return solve_lp(start, b)
-
-    def counting_wasserstein(*args, **kwargs):
-        depth[0] += 1
-        try:
-            return wasserstein(*args, **kwargs)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(lp, "solve_lp", counting_solve)
-    monkeypatch.setattr(transport, "wasserstein", counting_wasserstein)
     assert main(["analyze", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["curvature"]["K"] > 0
-    assert counts == {"solves": 988, "under_wasserstein": 932}
+    assert (len(lp_solves), sum(w for w, _pivots in lp_solves)) == (988, 932)

@@ -165,3 +165,38 @@ def test_a_bad_measure_names_the_first_rule_it_breaks(g_tri, nu, message):
     with pytest.raises(MarginalMismatchError, match=f"^{re.escape(message)}$") as excinfo:
         wasserstein(nu, dirac(0, 3), distances(g_tri))
     assert excinfo.type is MarginalMismatchError
+
+
+def test_a_table_names_its_first_bad_row(g_tri):
+    """A table checks both stacks once, row by row on failure: the first bad row names the error.
+
+    nu0[0, 1] breaks the mass rule and nu0[1, 0] comes later with a
+    negative entry; a single measure's rules and messages apply, with
+    the row's index in the name.  nu1 is checked after nu0.
+    """
+    dm = distances(g_tri)
+    third = np.full(3, 1 / 3)
+    nu0 = np.tile(third, (2, 2, 1))
+    nu1 = np.tile(dirac(0, 3), (2, 2, 1))
+    nu0[0, 1] = [0.5, 0.25, 0.5]
+    nu0[1, 0] = [0.75, -0.25, 0.5]
+    with pytest.raises(MarginalMismatchError, match=r"^nu0\[0, 1\] has mass 1.25, expected 1$"):
+        wasserstein(nu0, nu1, dm, verify=False)
+    nu0 = np.tile(third, (2, 2, 1))
+    nu1[1, 1, 2] = np.nan
+    with pytest.raises(MarginalMismatchError, match=r"^nu1\[1, 1\] has a non-finite entry$"):
+        wasserstein(nu0, nu1, dm, verify=False)
+    with pytest.raises(MarginalMismatchError, match=r"^nu1 must have shape \(2, 2, 3\)$"):
+        wasserstein(nu0, nu1[:, :1], dm, verify=False)
+
+
+def test_a_table_is_fast_mode_with_a_pair_and_a_start_per_column(g_tri):
+    dm = distances(g_tri)
+    nu0, nu1 = np.tile(dirac(0, 3), (1, 2, 1)), np.tile(dirac(2, 3), (1, 2, 1))
+    assert wasserstein(nu0, nu1, dm, verify=False).values.tolist() == [[2.0, 2.0]]
+    with pytest.raises(ValueError, match="fast mode only"):
+        wasserstein(nu0, nu1, dm)
+    with pytest.raises(ValueError, match="takes 2 starts, got 1"):
+        wasserstein(nu0, nu1, dm, verify=False, start=[None])
+    with pytest.raises(MarginalMismatchError, match="at least one pair"):
+        wasserstein(nu0[:0], nu1[:0], dm, verify=False)
