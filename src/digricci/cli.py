@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -57,10 +58,14 @@ from .report import DEFAULT_SEED, RunConfig, VerificationReport, render_json
 from .transport import wasserstein
 
 
-def _new_report(command: str, g: DirectedGraph, config: RunConfig) -> VerificationReport:
+def _new_report(
+    command: str, g: DirectedGraph, config: RunConfig, **applied: float
+) -> VerificationReport:
     """A report of command on g with its header: the graph's shape, seed and tolerances.
 
-    main sets the graph's "source", which stays its first key.
+    The tolerances are the ones every run applies, then applied, those
+    only this run's checks apply.  main sets the graph's "source", which
+    stays its first key.
     """
     return VerificationReport(
         command=command,
@@ -77,8 +82,7 @@ def _new_report(command: str, g: DirectedGraph, config: RunConfig) -> Verificati
             "lp_feasibility": lp.PRIMAL_TOL,
             "lp_gap": lp.GAP_TOL,
             "certificate": config.certificate_tol,
-            "curvature_limit": HEAT_LIMIT_AGREEMENT_TOL,
-            "smoothing_agreement": SMOOTHING_AGREEMENT_TOL,
+            **applied,
         },
     )
 
@@ -126,7 +130,10 @@ def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
     M = markov_data(g)
     H = heat_operator(M)
     rng = np.random.default_rng(config.seed)
-    report = _new_report("analyze", g, config)
+    applied = {"curvature_limit": HEAT_LIMIT_AGREEMENT_TOL}
+    if config.cross_check:
+        applied["smoothing_agreement"] = SMOOTHING_AGREEMENT_TOL
+    report = _new_report("analyze", g, config, **applied)
 
     curv = curvature_matrix(M, dm, cross_check=config.cross_check)
     K = curv.K if config.k_override is None else config.k_override
@@ -277,7 +284,17 @@ class _Parser(argparse.ArgumentParser):
 
     main then exits 2 with one error: line, not argparse's usage text
     and SystemExit.  Subparsers are built from the same class.
+    argparse takes a token for a negative number, a value rather than
+    an option name, only in the forms -1 and -.5; this parser also
+    takes exponents (-1e3, -1E-3, -.5e1), inf and nan, so that an
+    option's type decides whether the value is good.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
 
     def error(self, message: str):
         raise ParseError(message)

@@ -40,15 +40,15 @@ times in ascending order, each solve starting from the previous time's
 optimal basis, which stays dual feasible and at small t is usually
 optimal already: a solve that took no pivot hands its start on
 unchanged, so such a step costs neither a product nor a check.  The
-table checks every kernel row once and builds no plan per solve.  The
-first time starts from the arc's curvature optimum when kappa_lp has
-solved the arc on the same DistanceMatrix (transport.ArcStart, formed
-and checked once): the curvature program is the first-order problem
-of W as t -> 0, so that basis is nearly optimal for every time.
-Otherwise it starts from a BFS tree.  The table runs inside
-wasserstein, under the certificate that asked for it, so the solves
-stay counted under that certificate and under wasserstein.  Each
-time's kernel matrix is built once per operator.
+table checks every kernel row once.  The first time starts from the
+arc's curvature optimum when kappa_lp has solved the arc on the same
+DistanceMatrix (transport.ArcStart, formed and checked once): the
+curvature program is the first-order problem of W as t -> 0, so that
+basis is nearly optimal for every time.  Otherwise it starts from a
+BFS tree.  The table runs inside wasserstein, under the certificate
+that asked for it, so the solves stay counted under that certificate
+and under wasserstein.  Each time's kernel matrix is built once per
+operator.
 """
 
 from __future__ import annotations

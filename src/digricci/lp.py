@@ -190,7 +190,8 @@ class LpSolution:
     instead of returning a solve that is not optimal.
     """
 
-    # solve_lp returns optimal solves only; kept for readers of the status
+    # solve_lp returns optimal solves only; kept because the benchmark tracer
+    # (bench/tracing.py) reads it off every solve
     status = "optimal"
     x: np.ndarray
     value: float

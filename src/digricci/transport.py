@@ -37,43 +37,44 @@ coupling are indexed through the row vertices.  The curvature
 module's dual flows from x add their virtual column to the out-tree
 start of x.
 
-A solve may start from another plan's final basis instead.  The
+A solve may start from another solve's final basis instead.  The
 program's cost and incidence depend on the graph and r alone, so the
 optimal tree of one pair of measures stays dual feasible for any other
-pair on the same root, and the plan's final tableau is already that
+pair on the same root, and the solve's final tableau is already that
 tree's start (lp.LpSolution.warm_start).  A solve that took no pivot,
 as most along a chain do, ended on its own start, which is handed on
 unchanged; otherwise the final rows are carried into the next solve as
 they stand, and only the inverse is formed, one m x m product off the
-final tableau, and checked with them.  The start belongs to the
-DistanceMatrix whose record it came from, and a plan of another one is
-refused.  The heat module solves each arc along increasing t, and the
-curvature module each pair along increasing smoothing, each solve from
-the previous optimum: the measures move little, and at small t the
-optimal tree mostly stops changing.  The first heat-flow solve of an
-arc x -> y starts from the arc's curvature optimum instead, when
-kappa_lp has solved it on the same DistanceMatrix (ArcStart): as
-t -> 0, p_x_t - p_y_t = (delta_x - delta_y) + t (L[y] - L[x]) + O(t^2),
-and the curvature program is that first-order problem, so its optimal
+final tableau, and checked with them.  The heat module solves each arc
+along increasing t, and the curvature module each pair along
+increasing smoothing, each solve from the previous optimum: the
+measures move little, and at small t the optimal tree mostly stops
+changing.  The first heat-flow solve of an arc x -> y starts from the
+arc's curvature optimum instead, when kappa_lp has solved it on the
+same DistanceMatrix (ArcStart): as t -> 0,
+p_x_t - p_y_t = (delta_x - delta_y) + t (L[y] - L[x]) + O(t^2), and
+the curvature program is that first-order problem, so its optimal
 basis, with the virtual arc y -> x swapped for x -> y, is optimal for
-W at t -> 0 and usually still at the first t.  Without it the chain
-starts from the BFS tree above.
+W at t -> 0 and usually still at the first t.  The start belongs to
+the DistanceMatrix kappa_lp solved on, and one of another is refused.
+Without it the chain starts from the BFS tree above.
 
-Those chains run inside wasserstein itself, as its table form: given
-nu0 and nu1 of shape (k, a, n), fast mode only, it solves column j as
-a chain of k measure pairs, the first from start[j] (an ArcStart, a
-plan, or None for the column's own BFS tree) and each later one from
-the previous pair's optimum.  Both stacks are checked once, the excess
-is formed once and gathered onto each column's rows once, and a step
-hands its LpSolution.warm_start() on without building a plan; a
-column's last step forms no start.  The heat module's time grids over
-the arcs, the curvature module's eps grid and the concentration
-module's densities (cold columns of one pair) are one table each.  The
-table is a form of wasserstein rather than a function of its own so
-that every W solve runs under wasserstein, called by the certificate
-that needs it: a tracer that attributes each LP solve to the caller of
-wasserstein sees the same solves under the same callers, one
-wasserstein call per table.
+Those chains are wasserstein's table form: given nu0 and nu1 of shape
+(k, a, n), fast mode only, it solves column j as a chain of k measure
+pairs, the first from start[j] (an ArcStart, or None for the column's
+own BFS tree) and each later one from the previous pair's optimum.
+Both stacks are checked once, the excess is formed once and gathered
+onto each column's rows once, and a step hands its
+LpSolution.warm_start() on; a column's last step forms no start.  The
+heat module's time grids over the arcs, the curvature module's eps
+grid and the concentration module's densities (cold columns of one
+pair) are one table each.  A single pair is verify mode only, solved
+by the same loop as a table of one pair, and reads its potential and
+coupling off that solve.  The table is a form of wasserstein rather
+than a function of its own so that every W solve runs under
+wasserstein, called by the certificate that needs it: a tracer that
+attributes each LP solve to the caller of wasserstein sees the same
+solves under the same callers, one wasserstein call per table.
 
 The row duals of the final basis are a Kantorovich potential f with
 f(w) - f(z) <= 1 on every arc; summing along geodesics, that is
@@ -89,7 +90,7 @@ reference the tests pin the flow potential to.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -106,43 +107,18 @@ MASS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Optimal transport with its certificate.
+    """Optimal transport of one pair of measures with its certificate (wasserstein's verify mode).
 
-    Verify mode fills pi (a coupling split from the optimal flow),
-    dual_f and duality_gap, and marginal_residual is the largest error
-    in the marginals of pi.  Fast mode returns the value only, with
-    marginal_residual the largest flow-balance error over the vertices,
-    formed on first read from nu0 - nu1 and the arcs the plan keeps, so
-    a caller that reads only the value pays for none of it.  Both modes
-    keep root and inward, the tree the solve started from (root_basis;
-    the solve dropped the balance row of root), and flow, the optimal
-    solve itself with its final tableau, which warm_start makes the
-    start of a later solve on the same DistanceMatrix (wasserstein's
-    start).
+    pi is a coupling split from the optimal flow, dual_f the Kantorovich
+    potential read off the same solve, duality_gap |W - f.(nu1 - nu0)|
+    and marginal_residual the largest error in the marginals of pi.
     """
 
     value: float
-    pi: np.ndarray | None = None
-    dual_f: np.ndarray | None = None
-    duality_gap: float | None = None
-    root: int | None = None
-    inward: bool | None = None
-    flow: lp.LpSolution | None = field(default=None, repr=False, compare=False)
-    # verify mode's residual, formed at once; fast mode forms its own from the other two
-    _pi_residual: float | None = field(default=None, repr=False, compare=False)
-    _excess: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _arcs: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def marginal_residual(self) -> float:
-        """The largest error in pi's marginals, or without pi in any vertex's flow balance."""
-        if self.pi is not None:
-            return self._pi_residual
-        return _balance_residual(self.flow.x[None], self._excess[None], self._arcs)
-
-    def warm_start(self) -> lp.Start:
-        """The final basis as the start of another W on the same DistanceMatrix."""
-        return self.flow.warm_start()
+    pi: np.ndarray
+    dual_f: np.ndarray
+    duality_gap: float
+    marginal_residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,11 +126,12 @@ class TransportTable:
     """W over a table of measure pairs, wasserstein's table form (fast mode).
 
     values[i, j] is W of pair i of column j.  marginal_residual is the
-    largest flow-balance error over every solve of the table, formed on
-    first read from the excess and the flows the table keeps, as a
-    fast-mode plan forms its own; each solve's error has the bits of
-    that plan's.  The table keeps no solve itself: a column of one pair
-    per density would hold a final tableau per density.
+    largest flow-balance error over every solve of the table, every
+    vertex's outflow - inflow against its excess, formed on first read
+    from the excess and the flows the table keeps, so a caller that
+    reads only the values pays for none of it.  The table keeps no
+    solve itself: a column of one pair per density would hold a final
+    tableau per density.
     """
 
     values: np.ndarray
@@ -191,14 +168,14 @@ class ArcStart:
     on first use in one step, off kappa's final basis, its inverse and
     its final tableau without the virtual and b columns, checks it once
     (lp.Start.carried) and keeps it; kappa_lp pays for none of it.
-    wasserstein starts from it as from a plan of root x's out-tree.
+    A column of wasserstein's table form starts from it on root x's
+    out-tree.
     """
 
     root: int
     kappa: lp.LpSolution = field(repr=False)
     program: lp.Start = field(repr=False)
     _start: lp.Start | None = field(default=None, init=False, repr=False)
-    inward = False
 
     def warm_start(self) -> lp.Start:
         """The W start of kappa's final basis; lp.Start.carried checks it, once."""
@@ -467,24 +444,47 @@ def _start_trees(excess: np.ndarray) -> list[tuple[int, bool]]:
     return list(zip(np.where(inward, s, r).tolist(), inward.tolist()))
 
 
-def _warm_tree(dm: DistanceMatrix, start: TransportPlan | ArcStart) -> tuple[RootBasis, lp.Start]:
-    """The tree of start's root and direction on dm, and start's warm start.
+def _warm_tree(dm: DistanceMatrix, start: ArcStart) -> tuple[RootBasis, lp.Start]:
+    """The out-tree of start's root on dm, and start's warm start.
 
     ValueError if start was solved on another DistanceMatrix, whose
     program is another one.
     """
-    tree = dm._root_bases.get((start.root, start.inward))
+    tree = dm._root_bases.get((start.root, False))
     warm = start.warm_start()
     if tree is None or tree.start.A is not warm.A:
-        raise ValueError("start is a plan solved on another DistanceMatrix")
+        raise ValueError("start is an arc's curvature optimum on another DistanceMatrix")
     return tree, warm
+
+
+def _chains(
+    excess: np.ndarray, dm: DistanceMatrix, starts: Sequence[ArcStart | None]
+) -> Iterator[tuple[RootBasis, lp.LpSolution]]:
+    """Each solve of a table, column by column: its tree and its optimum.
+
+    excess has shape (k, a, n).  Column j is a warm chain of k solves,
+    the first from starts[j] (the BFS tree of _start_trees when None)
+    and each later one from the previous solve's optimum.
+    """
+    for column, first, cold in zip(excess.transpose(1, 0, 2), starts, _start_trees(excess[0])):
+        if first is None:
+            tree = root_basis(dm, *cold)
+            warm = tree.start
+        else:
+            tree, warm = _warm_tree(dm, first)
+        solution = None
+        for b in column[:, tree.vertices]:
+            if solution is not None:
+                warm = solution.warm_start()
+            solution = lp.solve_lp(warm, b)
+            yield tree, solution
 
 
 def _table(
     nu0: np.ndarray,
     nu1: np.ndarray,
     dm: DistanceMatrix,
-    start: Sequence[TransportPlan | ArcStart | None] | None,
+    start: Sequence[ArcStart | None] | None,
 ) -> TransportTable:
     """wasserstein's table form: column j is a warm chain of pairs from start[j]."""
     n = dm.d.shape[0]
@@ -498,24 +498,11 @@ def _table(
     if len(starts) != a:
         raise ValueError(f"a table of {a} columns takes {a} starts, got {len(starts)}")
     excess = nu0 - nu1
-    values, xs = [], []
-    for column, first, cold in zip(excess.transpose(1, 0, 2), starts, _start_trees(excess[0])):
-        if first is None:
-            tree = root_basis(dm, *cold)
-            warm = tree.start
-        else:
-            tree, warm = _warm_tree(dm, first)
-        solution = None
-        for b in column[:, tree.vertices]:
-            if solution is not None:
-                warm = solution.warm_start()
-            solution = lp.solve_lp(warm, b)
-            values.append(solution.value)
-            xs.append(solution.x)
+    solutions = [solution for _tree, solution in _chains(excess, dm, starts)]
     return TransportTable(
-        values=np.array(values).reshape(a, k).T,
+        values=np.array([s.value for s in solutions]).reshape(a, k).T,
         _excess=excess,
-        _x=xs,
+        _x=[s.x for s in solutions],
         _arcs=dm.arcs,
     )
 
@@ -525,81 +512,58 @@ def wasserstein(
     nu1: np.ndarray,
     dm: DistanceMatrix,
     verify: bool = True,
-    start: TransportPlan | ArcStart | Sequence[TransportPlan | ArcStart | None] | None = None,
+    start: Sequence[ArcStart | None] | None = None,
 ) -> TransportPlan | TransportTable:
     """Directed transport distance between two probability vectors, or over a table of pairs.
 
-    Solves the arc-flow program once, by a dual simplex.  Without start
-    it starts from root_basis's start of the BFS in-tree of the largest
-    deficit or the out-tree of the largest excess of nu0 - nu1,
-    whichever is larger (the out-tree on a tie; see the module
-    docstring), with the row of that tree's root r dropped.  start is a
-    plan this function returned for other measures on the same dm, or
-    the ArcStart kappa_lp kept on dm for an arc: the solve keeps its
-    root r and tree direction and starts from its warm_start (the
-    plan's final basis and tableau, lp.LpSolution.warm_start, or
-    kappa's, each checked once, when it is formed, as root_basis checks
-    a tree).  ValueError if start was solved on another DistanceMatrix,
-    whose program is another one.  verify=True also reads the potential off that solve
-    (RootBasis.potential, which raises NumericsError unless it is
-    integral and f(w) - f(z) <= 1 on every arc, both exactly), shifted
-    to f(0) = 0, and raises NumericsError unless
-    |W - f.(nu1 - nu0)| <= lp.GAP_TOL, the one check where rounding
-    enters; it then splits the flow, which lives on a tree and so is
-    acyclic, into the coupling pi.  Fast mode, for the inner loops that
-    call this often, returns the value alone, and forms its residual
-    only when it is read.
+    A single pair is verify mode only: ValueError with verify=False or
+    a start, which belong to the table form.  It is solved as a table
+    of one pair, from root_basis's start of the BFS in-tree of the
+    largest deficit or the out-tree of the largest excess of
+    nu0 - nu1, whichever is larger (the out-tree on a tie; see the
+    module docstring), with the row of that tree's root dropped.  The
+    potential is read off that solve (RootBasis.potential, which
+    raises NumericsError unless it is integral and f(w) - f(z) <= 1 on
+    every arc, both exactly), shifted to f(0) = 0, and NumericsError
+    unless |W - f.(nu1 - nu0)| <= lp.GAP_TOL, the one check where
+    rounding enters; the flow, which lives on a tree and so is
+    acyclic, is then split into the coupling pi.
 
     The table form, fast mode only (ValueError with verify=True), takes
     nu0 and nu1 of shape (k, a, n), k >= 1, and start as None or one
-    start per column, each a plan, an ArcStart or None.  Column j is a
-    chain: pair 0 solves as a single W from start[j] would, and pair i
-    from pair i - 1's optimal basis, as if started from its plan.  Each
-    row of both stacks is checked as a single measure is, once per
-    table; the error names the first bad row, nu0[i, j] say.  It
-    returns a TransportTable: values of shape (k, a) and the residual
-    over every solve.
+    start per column, each the ArcStart kappa_lp kept on dm for an arc
+    or None.  Column j is a chain: pair 0 solves from start[j] (its
+    warm_start on the out-tree of its root, checked once when it is
+    formed) or, for None, from the BFS tree a single pair would take,
+    and pair i from pair i - 1's optimal basis.  ValueError if a start
+    was solved on another DistanceMatrix, whose program is another
+    one.  Each row of both stacks is checked as a single measure is,
+    once per table; the error names the first bad row, nu0[i, j] say.
+    It returns a TransportTable: values of shape (k, a) and the
+    residual over every solve.
     """
     if np.ndim(nu0) == 3:
         if verify:
             raise ValueError("the table form of wasserstein is fast mode only")
         return _table(nu0, nu1, dm, start)
+    if not verify or start is not None:
+        raise ValueError(
+            "a single pair is verify mode only, without a start: "
+            "solve pairs in fast mode as a table of shape (k, a, n)"
+        )
     n = dm.d.shape[0]
     nu0 = _check_probability(nu0, n, "nu0")
     nu1 = _check_probability(nu1, n, "nu1")
-    arcs = dm.arcs
-    excess = nu0 - nu1
-    if start is None:
-        ((r, inward),) = _start_trees(excess[None])
-        tree = root_basis(dm, r, inward)
-        solution = tree.solve(excess)
-    else:
-        r, inward = start.root, start.inward
-        tree, warm = _warm_tree(dm, start)
-        solution = tree.solve(excess, warm)
+    ((tree, solution),) = _chains((nu0 - nu1)[None, None], dm, (None,))
     value = float(solution.value)
-    if not verify:
-        return TransportPlan(
-            value, root=r, inward=inward, flow=solution, _excess=excess, _arcs=arcs
-        )
-
-    f = tree.potential(solution, arcs)
+    f = tree.potential(solution, dm.arcs)
     f = f - f[0]
     gap = abs(value - float(f @ (nu1 - nu0)))
     if gap > lp.GAP_TOL:
         raise NumericsError(f"transport duality gap {gap:.3e} exceeds {lp.GAP_TOL:.1e}")
-    pi = _flow_to_coupling(arcs, solution.x, nu0, nu1)
+    pi = _flow_to_coupling(dm.arcs, solution.x, nu0, nu1)
     marginal_residual = max(
         float(np.abs(pi.sum(axis=1) - nu0).max()),
         float(np.abs(pi.sum(axis=0) - nu1).max()),
     )
-    return TransportPlan(
-        value=value,
-        pi=pi,
-        dual_f=f,
-        duality_gap=gap,
-        root=r,
-        inward=inward,
-        flow=solution,
-        _pi_residual=marginal_residual,
-    )
+    return TransportPlan(value, pi, f, gap, marginal_residual)

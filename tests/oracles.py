@@ -23,8 +23,9 @@ simplex kernel must match bit for bit, start_tableau the per-solve
 B^-1 [A | b] the library's starts, built once and reused, must match
 bit for bit, carried_warm_start and two_step_arc_start the warm starts
 re-formed and re-checked at every step, which the W chains' starts
-must match bit for bit, and lu_duals the dense solve its duals, read
-off the final cost row, are held to.
+must match bit for bit, w_chain the chain of single solves each
+column of a W table must make, and lu_duals the dense solve its duals,
+read off the final cost row, are held to.
 At the end sit second routes to library quantities, built on the
 library's primitives: gradient and gradient_matrix (difference
 quotients over every pair), reversed_graph, label (a vertex's name),
@@ -62,6 +63,7 @@ from digricci import (
     lipschitz_constant,
     lp,
     mean,
+    transport,
     wasserstein,
 )
 from digricci.certificates import DEFAULT_TOL
@@ -260,7 +262,7 @@ def transport_contraction_all_pairs(H, dm, K: float, ts=DEFAULT_TIME_GRID, tol=1
             for y in range(n):
                 if x == y:
                     continue
-                plan = wasserstein(kernel[x], kernel[y], dm, verify=False)
+                plan = wasserstein(kernel[x], kernel[y], dm, verify=True)
                 comparisons.append(
                     (plan.value, shrink * float(dm.d[x, y]), {"t": t, "pair": (x, y)})
                 )
@@ -442,7 +444,7 @@ def bobkov_goetze_per_sample(M, dm, c: float, rhos, fs, lambda_grid=DEFAULT_LAMB
     moment_side = certificate_from_samples(name, hypothesis, comparisons, tol)
     comparisons = []
     for record in rhos:
-        w = wasserstein(M.m, record.measure, dm, verify=False).value
+        w = wasserstein(M.m, record.measure, dm, verify=True).value
         comparisons.append(
             (w * w, 2.0 / c * record.entropy, {"side": "transport", "rho": record.provenance})
         )
@@ -487,7 +489,7 @@ def eager_certificate(solution) -> tuple[np.ndarray, float, float]:
 def flow_balance_residual(arcs, g, nu0, nu1) -> float:
     """The largest error in any vertex's balance outflow - inflow = nu0 - nu1 of the arc flow g.
 
-    wasserstein's fast-mode marginal_residual, as it formed it at once.
+    The residual of one solve of a W table, formed at once.
     """
     n = len(nu0)
     balance = np.bincount(arcs[:, 0], g, n) - np.bincount(arcs[:, 1], g, n)
@@ -578,6 +580,34 @@ def two_step_arc_start(arc_start) -> lp.Start:
         inverse[rows] = 0.0 - inverse[rows]
         tableau[rows] = 0.0 - tableau[rows]
     return lp.Start.carried(c, A, basis, inverse, tableau)
+
+
+def w_chain(dm, nu0, nu1, arc_start=None, re_form=False) -> list:
+    """The solves of one W chain, pair by pair: what a column of a W table must make.
+
+    nu0 and nu1 hold one measure per row.  Without arc_start the chain
+    starts from the BFS tree of the first pair, the in-tree of the
+    largest deficit of nu0 - nu1 when it exceeds the largest excess and
+    otherwise the out-tree of the largest excess; with it, from the
+    arc's W start on the out-tree of its root.  Each later pair solves
+    from the previous optimum's warm start.  re_form re-forms and
+    re-checks every start, the arc's by two_step_arc_start and the
+    others by carried_warm_start.
+    """
+    excess = np.asarray(nu0) - np.asarray(nu1)
+    if arc_start is None:
+        r, s = int(excess[0].argmax()), int(excess[0].argmin())
+        inward = bool(-excess[0, s] > excess[0, r])
+        tree = transport.root_basis(dm, s if inward else r, inward)
+        start = tree.start
+    else:
+        tree = transport.root_basis(dm, arc_start.root)
+        start = two_step_arc_start(arc_start) if re_form else arc_start.warm_start()
+    solutions = []
+    for e in excess:
+        solutions.append(tree.solve(e, start))
+        start = (carried_warm_start if re_form else lp.LpSolution.warm_start)(solutions[-1])
+    return solutions
 
 
 def lu_duals(start, basis: np.ndarray) -> np.ndarray:

@@ -281,9 +281,9 @@ def test_criterion_7_transport_soundness(bundles):
     for i in range(100):
         b = bundles[i % len(bundles)]
         nus = [rng.dirichlet(np.ones(b.g.n)) for _ in range(3)]
-        w02 = wasserstein(nus[0], nus[2], b.dm, verify=False).value
-        w01 = wasserstein(nus[0], nus[1], b.dm, verify=False).value
-        w12 = wasserstein(nus[1], nus[2], b.dm, verify=False).value
+        w02 = wasserstein(nus[0], nus[2], b.dm, verify=True).value
+        w01 = wasserstein(nus[0], nus[1], b.dm, verify=True).value
+        w12 = wasserstein(nus[1], nus[2], b.dm, verify=True).value
         triangle_ok = triangle_ok and (w02 <= w01 + w12 + 1e-9)
 
     ok = worst_gap <= 1e-8 and worst_marginal <= 1e-10 and triangle_ok

@@ -14,17 +14,18 @@ kernel to the reference loop, and unit tests pin how bad starting
 bases and inverses fail.  Each tree's start tableau is built once and
 reused, and each curvature program adds its virtual column to it; a
 property pins every such start to the tableau multiplied out for its
-own program.  A solve may also start from an earlier plan's final
-basis, as the heat flow's W of one arc do along t: that chain is
-pinned to cold solves and scipy, the carried final tableau to the one
-its basis multiplies out, and a warm start from a wrong inverse, a
-tableau that is not dual feasible or a plan of another graph fails.
-An arc's chain may start from the arc's kappa optimum instead, its
-virtual column swapped for the arc: that chain is pinned to cold solves
-and scipy, and the swapped start to the one its basis multiplies out.
-A solve that took no pivot hands its own start on, and an arc's start
-is formed and checked once: both chains are pinned, step by step and
-bit for bit, to chains that re-form and re-check every start.
+own program.  A column of a W table solves each pair from the previous
+pair's final basis, as the heat flow's W of one arc do along t: that
+chain is pinned to cold solves and scipy, the carried final tableau to
+the one its basis multiplies out, and a warm start from a wrong
+inverse or a tableau that is not dual feasible fails.  An arc's column
+may start from the arc's kappa optimum instead, its virtual column
+swapped for the arc: that chain is pinned to cold solves and scipy,
+the swapped start to the one its basis multiplies out, and a start of
+another graph fails.  A solve that took no pivot hands its own start
+on, and an arc's start is formed and checked once: each column is
+pinned, step by step and bit for bit, to the chain of single solves
+and to a chain that re-forms and re-checks every start.
 The curvature program is solved through its dual flow from the same
 kind of basis; its witness is checked for optimality on its own, and
 the least arc kappa, verify-functional's K, is the all-pairs K bit for
@@ -34,9 +35,9 @@ only; a property pins its verdict and margin to the all-pairs loop.
 The Lipschitz constant is taken over the arcs too, pinned to the
 all-pairs difference quotients, and the gradient estimate smooths its
 whole stack of samples at once, pinned to the per-sample loop.  A
-solve forms its duals, gap and residual only when read, and a fast-mode
-W its marginal residual: a fast-mode W forms none of them, and each one
-read is the eager formula's, bit for bit.
+solve forms its duals, gap and residual only when read, and a W table
+its marginal residual: a table forms none of them, and each one read
+is the eager formula's, bit for bit.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def curvature_instances(draw):
 def test_flow_value_matches_coupling_lp_and_scipy(instance):
     g, nu0, nu1 = instance
     dm = distances(g)
-    flow = wasserstein(nu0, nu1, dm, verify=False).value
+    flow = wasserstein(nu0, nu1, dm, verify=True).value
     assert flow == pytest.approx(solve_transport(dm.d, nu0, nu1).value, abs=1e-9)
     assert flow == pytest.approx(oracles.linprog_transport(dm.d, nu0, nu1), abs=1e-9)
 
@@ -276,7 +277,7 @@ def test_tree_basis_solve_matches_scipy(instance):
     tree = solve_lp(*flow_program(dm, excess, *transport._start_trees(excess[None])[0]))
     assert tree.status == "optimal"
     assert abs(tree.value - oracles.linprog_transport(dm.d, nu0, nu1, tight=True)) <= 1e-9
-    assert wasserstein(nu0, nu1, dm, verify=False).value == tree.value
+    assert wasserstein(nu0, nu1, dm, verify=True).value == tree.value
 
 
 def flow_program(dm, excess: np.ndarray, r: int, inward: bool) -> tuple[lp.Start, np.ndarray]:
@@ -338,37 +339,38 @@ def warm_chains(draw):
     return g, (x, y), pairs
 
 
+def chain_table(pairs, dm, start=None):
+    """W of the pairs as one column of a table, each from the previous pair's optimum."""
+    nu0, nu1 = (np.array([pair[i] for pair in pairs])[:, None] for i in (0, 1))
+    return wasserstein(nu0, nu1, dm, verify=False, start=None if start is None else [start])
+
+
 @PROPERTY_SETTINGS
-@given(warm_chains(), st.booleans())
-def test_warm_chain_matches_cold_solves_and_scipy(instance, verify):
-    """Each W from the previous plan's basis: a cold solve within 1e-12, scipy within 1e-9."""
+@given(warm_chains())
+def test_warm_chain_matches_cold_solves_and_scipy(instance):
+    """Each W of a table's column: a cold solve within 1e-12, scipy within 1e-9."""
     g, _arc, pairs = instance
     dm = distances(g)
-    plan = None
-    for nu0, nu1 in pairs:
-        plan = wasserstein(nu0, nu1, dm, verify=verify, start=plan)
-        cold = wasserstein(nu0, nu1, dm, verify=False)
-        assert abs(plan.value - cold.value) <= 1e-12
-        assert abs(plan.value - oracles.linprog_transport(dm.d, nu0, nu1, tight=True)) <= 1e-9
+    for (nu0, nu1), value in zip(pairs, chain_table(pairs, dm).values[:, 0], strict=True):
+        assert abs(value - wasserstein(nu0, nu1, dm, verify=True).value) <= 1e-12
+        assert abs(value - oracles.linprog_transport(dm.d, nu0, nu1, tight=True)) <= 1e-9
 
 
 @PROPERTY_SETTINGS
-@given(warm_chains(), st.booleans())
-def test_kappa_started_chain_matches_cold_solves_and_scipy(instance, verify):
-    """The arc's chain from kappa_lp's optimum: a cold solve within 1e-12, scipy within 1e-9.
+@given(warm_chains())
+def test_kappa_started_chain_matches_cold_solves_and_scipy(instance):
+    """The arc's column from kappa_lp's optimum: a cold solve within 1e-12, scipy within 1e-9.
 
     Every solve of it keeps root x and the out-tree direction, kappa's.
     """
     g, (x, y), pairs = instance
     dm = distances(g)
     kappa_lp(x, y, markov_data(g), dm)
-    plan = dm._arc_starts[(x, y)]
-    for nu0, nu1 in pairs:
-        plan = wasserstein(nu0, nu1, dm, verify=verify, start=plan)
-        assert (plan.root, plan.inward) == (x, False)
-        cold = wasserstein(nu0, nu1, dm, verify=False)
-        assert abs(plan.value - cold.value) <= 1e-12
-        assert abs(plan.value - oracles.linprog_transport(dm.d, nu0, nu1, tight=True)) <= 1e-9
+    table, solves = recorded_solves(lambda: chain_table(pairs, dm, dm._arc_starts[(x, y)]))
+    assert all(solution.start.A is root_basis(dm, x).start.A for solution in solves)
+    for (nu0, nu1), value in zip(pairs, table.values[:, 0], strict=True):
+        assert abs(value - wasserstein(nu0, nu1, dm, verify=True).value) <= 1e-12
+        assert abs(value - oracles.linprog_transport(dm.d, nu0, nu1, tight=True)) <= 1e-9
 
 
 @PROPERTY_SETTINGS
@@ -421,32 +423,34 @@ def test_kappa_start_with_the_virtual_arc_nonbasic_is_kappas_basis_as_it_stands(
     for name in ("c", "A", "basis", "inverse", "tableau"):
         assert getattr(start, name).tobytes() == getattr(tree.start, name).tobytes(), name
     H = heat_operator(M)
-    plan = arc_start
-    for t in DEFAULT_LIMIT_GRID[::-1] + DEFAULT_TIME_GRID:
-        kernel = heat_kernel_matrix(H, t)
-        plan = wasserstein(kernel[x], kernel[y], dm, verify=False, start=plan)
-        assert abs(plan.value - wasserstein(kernel[x], kernel[y], dm, verify=False).value) <= 1e-12
+    kernels = [heat_kernel_matrix(H, t) for t in DEFAULT_LIMIT_GRID[::-1] + DEFAULT_TIME_GRID]
+    pairs = [(kernel[x], kernel[y]) for kernel in kernels]
+    for (nu0, nu1), value in zip(pairs, chain_table(pairs, dm, arc_start).values[:, 0]):
+        assert abs(value - wasserstein(nu0, nu1, dm, verify=True).value) <= 1e-12
 
 
 @PROPERTY_SETTINGS
 @given(tree_basis_instances())
 def test_fast_mode_residual_is_formed_on_read_as_it_was_at_once(instance):
-    """A fast-mode plan forms no marginal residual until it is read; then the eager one, bit for bit."""
+    """A W table forms no marginal residual until it is read; then the eager one, bit for bit."""
     g, nu0, nu1 = instance
     dm = distances(g)
-    plan = wasserstein(nu0, nu1, dm, verify=False)
-    assert "marginal_residual" not in vars(plan)
-    eager = oracles.flow_balance_residual(dm.arcs, plan.flow.x, nu0, nu1)
-    assert np.float64(plan.marginal_residual).tobytes() == np.float64(eager).tobytes()
-    assert "marginal_residual" in vars(plan)
+    table, (flow,) = recorded_solves(
+        lambda: wasserstein(nu0[None, None], nu1[None, None], dm, verify=False)
+    )
+    assert "marginal_residual" not in vars(table)
+    eager = oracles.flow_balance_residual(dm.arcs, flow.x, nu0, nu1)
+    assert np.float64(table.marginal_residual).tobytes() == np.float64(eager).tobytes()
+    assert "marginal_residual" in vars(table)
 
 
 @PROPERTY_SETTINGS
 @given(tree_basis_instances(), st.booleans())
 def test_the_lp_certificate_is_formed_on_read_as_it_was_at_once(instance, verify):
-    """Fast mode forms no duals, gap or residual; once read, each is the eager one, bit for bit."""
+    """A W table forms no duals, gap or residual; once read, each is the eager one, bit for bit."""
     g, nu0, nu1 = instance
-    flow = wasserstein(nu0, nu1, distances(g), verify=verify).flow
+    pair = (nu0, nu1) if verify else (nu0[None, None], nu1[None, None])
+    _result, (flow,) = recorded_solves(lambda: wasserstein(*pair, distances(g), verify=verify))
     if not verify:
         assert not {"duals", "duality_gap", "feasibility_residual"} & vars(flow).keys()
     duals, gap, residual = oracles.eager_certificate(flow)
@@ -456,16 +460,19 @@ def test_the_lp_certificate_is_formed_on_read_as_it_was_at_once(instance, verify
 
 
 @PROPERTY_SETTINGS
-@given(transport_instances(), st.booleans())
-def test_warm_start_from_its_own_optimum_takes_no_pivot(instance, verify):
-    """The final basis is optimal for its own measures: 0 pivots, the same W."""
+@given(transport_instances())
+def test_warm_start_from_its_own_optimum_takes_no_pivot(instance):
+    """The final basis is optimal for its own measures: 0 pivots, the same basis and W.
+
+    The pair is a column's first and second pair, so the second solve
+    starts from the first one's optimum.
+    """
     g, nu0, nu1 = instance
     dm = distances(g)
-    plan = wasserstein(nu0, nu1, dm, verify=verify)
-    again = wasserstein(nu0, nu1, dm, verify=verify, start=plan)
-    assert again.flow.iterations == 0
-    assert np.array_equal(again.flow.basis, plan.flow.basis)
-    assert abs(again.value - plan.value) <= 1e-15
+    table, (first, again) = recorded_solves(lambda: chain_table([(nu0, nu1)] * 2, dm))
+    assert again.iterations == 0
+    assert np.array_equal(again.basis, first.basis)
+    assert abs(table.values[1, 0] - table.values[0, 0]) <= 1e-15
 
 
 @PROPERTY_SETTINGS
@@ -478,18 +485,12 @@ def test_warm_start_carries_the_tableau_its_final_basis_multiplies_out(instance)
     chain pivots as it would from the multiplied-out tableau.
     """
     g, _arc, pairs = instance
-    dm = distances(g)
-    plan = None
-    for nu0, nu1 in pairs:
-        if plan is not None:
-            flow = plan.flow
-            b = (nu0 - nu1)[root_basis(dm, plan.root, plan.inward).vertices]
-            ref = oracles.start_tableau(flow.start.c, flow.start.A, b, flow.basis,
-                                        flow.basis_inverse)
-            T = lp._tableau(flow.warm_start(), b)
-            assert T[:, :-1].tobytes() == ref[:, :-1].tobytes()
-            assert T[:-1, -1].tobytes() == ref[:-1, -1].tobytes()
-        plan = wasserstein(nu0, nu1, dm, verify=False, start=plan)
+    _table, solves = recorded_solves(lambda: chain_table(pairs, distances(g)))
+    for flow, b in zip(solves, [later.b for later in solves[1:]]):
+        ref = oracles.start_tableau(flow.start.c, flow.start.A, b, flow.basis, flow.basis_inverse)
+        T = lp._tableau(flow.warm_start(), b)
+        assert T[:, :-1].tobytes() == ref[:, :-1].tobytes()
+        assert T[:-1, -1].tobytes() == ref[:-1, -1].tobytes()
 
 
 def same_start(start: lp.Start, ref: lp.Start) -> bool:
@@ -501,35 +502,33 @@ def same_start(start: lp.Start, ref: lp.Start) -> bool:
 @PROPERTY_SETTINGS
 @given(warm_chains(), st.booleans())
 def test_warm_chains_match_the_chains_that_re_form_every_start(instance, from_kappa):
-    """Each W of a chain solves as it would from a start re-formed and re-checked, bit for bit.
+    """Each W of a table's column solves as from a start re-formed and re-checked, bit for bit.
 
     A solve that took no pivot hands on its own start, and an arc's
     start is formed off kappa's final solve in one step; the reference
-    chain re-forms every start by oracles.carried_warm_start, and the
-    arc's by oracles.two_step_arc_start.  At every step the value,
-    final basis, pivot count, final tableau and the next start agree.
-    The chain starts from a BFS tree or from the arc's kappa optimum.
+    chain, oracles.w_chain with re_form, re-forms every start by
+    oracles.carried_warm_start, and the arc's by
+    oracles.two_step_arc_start.  At every step the start, value, final
+    basis, pivot count and final tableau agree.  The column starts from
+    a BFS tree or from the arc's kappa optimum.
     """
     g, (x, y), pairs = instance
     dm = distances(g)
-    plan = ref_start = None
+    arc_start = None
     if from_kappa:
         kappa_lp(x, y, markov_data(g), dm)
-        plan = dm._arc_starts[(x, y)]
-        ref_start = oracles.two_step_arc_start(plan)
-        assert same_start(plan.warm_start(), ref_start)
-    for nu0, nu1 in pairs:
-        plan = wasserstein(nu0, nu1, dm, verify=False, start=plan)
-        ref = root_basis(dm, plan.root, plan.inward).solve(nu0 - nu1, ref_start)
-        flow = plan.flow
+        arc_start = dm._arc_starts[(x, y)]
+    _table, solves = recorded_solves(lambda: chain_table(pairs, dm, arc_start))
+    nu0, nu1 = np.array(pairs).transpose(1, 0, 2)
+    refs = oracles.w_chain(dm, nu0, nu1, arc_start, re_form=True)
+    for i, (flow, ref) in enumerate(zip(solves, refs, strict=True)):
+        assert same_start(flow.start, ref.start)
+        if i and not solves[i - 1].iterations:
+            assert flow.start is solves[i - 1].start
         assert np.float64(flow.value).tobytes() == np.float64(ref.value).tobytes()
         assert flow.basis.tobytes() == ref.basis.tobytes()
         assert flow.iterations == ref.iterations
         assert flow._tableau.tobytes() == ref._tableau.tobytes()
-        start, ref_start = plan.warm_start(), oracles.carried_warm_start(ref)
-        if not flow.iterations:
-            assert start is flow.start
-        assert same_start(start, ref_start)
 
 
 def recorded_solves(run):
@@ -551,16 +550,15 @@ def recorded_solves(run):
 def tables(draw, k: int, a: int):
     """A graph, a table of k x a measure pairs, and per column an arc and a start kind.
 
-    "bfs" leaves the column to its own BFS tree, "arc" starts it from
-    its arc's kappa optimum and "plan" from a W solved for other
-    measures.  Half the tables are heat-flow grids over the columns'
-    arcs, as the heat module solves them; the other half are random
-    pairs, whose optimal trees may share nothing.
+    "bfs" leaves the column to its own BFS tree and "arc" starts it
+    from its arc's kappa optimum.  Half the tables are heat-flow grids
+    over the columns' arcs, as the heat module solves them; the other
+    half are random pairs, whose optimal trees may share nothing.
     """
     g = draw(graphs())
     arcs = distances(g).arcs.tolist()
     arcs = [arcs[draw(st.integers(0, len(arcs) - 1))] for _ in range(a)]
-    kinds = draw(st.lists(st.sampled_from(["bfs", "arc", "plan"]), min_size=a, max_size=a))
+    kinds = draw(st.lists(st.sampled_from(["bfs", "arc"]), min_size=a, max_size=a))
     if draw(st.booleans()):
         grid = st.sampled_from(sorted(set(DEFAULT_TIME_GRID + DEFAULT_LIMIT_GRID)))
         times = sorted(draw(st.lists(grid, min_size=k, max_size=k, unique=True)))
@@ -578,13 +576,14 @@ def tables(draw, k: int, a: int):
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_a_table_solves_each_column_as_the_chain_of_single_solves(k, a, data):
-    """Each column of a W table makes the solves of the chain of single W, bit for bit.
+    """Each column of a W table makes the solves of the chain of single solves, bit for bit.
 
-    The reference solves column j pair by pair with
-    wasserstein(start=plan), from the column's start: a BFS tree, the
-    arc's kappa optimum or an unrelated plan.  Every solve has the same
-    value, final basis and pivot count, and the table's residual is the
-    largest residual of the chain's plans.
+    The reference, oracles.w_chain, solves column j pair by pair with
+    root_basis(...).solve from the column's start, a BFS tree or the
+    arc's kappa optimum, and each later pair from the previous
+    optimum's LpSolution.warm_start.  Every solve has the same value,
+    final basis and pivot count, and the table's residual is the
+    largest flow-balance residual of the chain's solves.
     """
     g, arcs, kinds, nu0, nu1 = data.draw(tables(k, a))
     dm, M = distances(g), markov_data(g)
@@ -593,29 +592,22 @@ def test_a_table_solves_each_column_as_the_chain_of_single_solves(k, a, data):
         if kind == "arc":
             kappa_lp(x, y, M, dm)
             starts.append(dm._arc_starts[(x, y)])
-        elif kind == "plan":
-            starts.append(wasserstein(np.eye(g.n)[y], np.eye(g.n)[x], dm, verify=False))
         else:
             starts.append(None)
 
-    def chains():
-        plans = []
-        for j, plan in enumerate(starts):
-            for i in range(k):
-                plan = wasserstein(nu0[i, j], nu1[i, j], dm, verify=False, start=plan)
-                plans.append(plan)
-        return plans
-
     table, solves = recorded_solves(lambda: wasserstein(nu0, nu1, dm, verify=False, start=starts))
-    plans, ref = recorded_solves(chains)
-    assert table.values.shape == (k, a) and len(solves) == len(ref) == k * a
-    for solution, expected in zip(solves, ref):
+    ref = [oracles.w_chain(dm, nu0[:, j], nu1[:, j], start) for j, start in enumerate(starts)]
+    assert table.values.shape == (k, a) and len(solves) == k * a
+    # the solves run column by column
+    for solution, expected in zip(solves, [s for column in ref for s in column], strict=True):
         assert np.float64(solution.value).tobytes() == np.float64(expected.value).tobytes()
         assert solution.basis.tobytes() == expected.basis.tobytes()
         assert solution.iterations == expected.iterations
-    # the solves run column by column
-    assert table.values.T.tobytes() == np.array([plan.value for plan in plans]).tobytes()
-    residual = max(plan.marginal_residual for plan in plans)
+    assert table.values.T.tobytes() == np.array([[s.value for s in c] for c in ref]).tobytes()
+    residual = max(
+        oracles.flow_balance_residual(dm.arcs, ref[j][i].x, nu0[i, j], nu1[i, j])
+        for i in range(k) for j in range(a)
+    )
     assert np.float64(table.marginal_residual).tobytes() == np.float64(residual).tobytes()
 
 
@@ -641,9 +633,7 @@ def test_flow_tableaus_stay_integral(instance):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "solve_lp", recording_solve)
         curvature_matrix(markov_data(g), dm)
-        plan = None
-        for nu0, nu1 in pairs:
-            plan = wasserstein(nu0, nu1, dm, verify=False, start=plan)
+        chain_table(pairs, dm)
     assert len(solutions) == g.n * (g.n - 1) + len(pairs)
     for solution in solutions:
         body, costs = solution._tableau[:-1, :-1], solution._tableau[-1, :-1]
@@ -680,80 +670,77 @@ def test_a_dual_moved_off_the_integers_raises(g_tri, monkeypatch, solve, move, e
         solve(M, dm)
 
 
-def test_start_from_a_plan_of_another_distance_matrix_raises():
+def test_start_from_an_arc_start_of_another_distance_matrix_raises():
     """The 4-cycle with chord 0 -> 2 and with chord 0 -> 3: same shapes, other programs.
 
     W(dirac 0, dirac 3) is 2 on the first and 1 on the second.  Started
-    from the first graph's plan, the second graph's solve would solve
-    the first graph's program and return 2.
+    from the first graph's kappa optimum of the arc 0 -> 1, the second
+    graph's column would solve the first graph's program and return 2.
     """
     def graph(chord):
         mu = np.zeros((4, 4))
         for x, y in ((0, 1), (1, 2), (2, 3), (3, 0), chord):
             mu[x, y] = 1.0
-        return distances(build_graph(mu))
+        return build_graph(mu)
 
-    dm1, dm2 = graph((0, 2)), graph((0, 3))
-    nu0, nu1 = np.eye(4)[0], np.eye(4)[3]
-    plan = wasserstein(nu0, nu1, dm1, verify=False)
-    assert plan.value == 2.0
-    for verify in (False, True):
-        with pytest.raises(ValueError, match="another DistanceMatrix"):
-            wasserstein(nu0, nu1, dm2, verify=verify, start=plan)
+    g1 = graph((0, 2))
+    dm1, dm2 = distances(g1), distances(graph((0, 3)))
+    kappa_lp(0, 1, markov_data(g1), dm1)
+    start = [dm1._arc_starts[(0, 1)]]
+    nu0, nu1 = np.eye(4)[0][None, None], np.eye(4)[3][None, None]
+    assert wasserstein(nu0, nu1, dm1, verify=False, start=start).values[0, 0] == 2.0
     with pytest.raises(ValueError, match="another DistanceMatrix"):
-        wasserstein(nu0[None, None], nu1[None, None], dm2, verify=False, start=[plan])
-    assert wasserstein(nu0, nu1, dm2).value == 1.0
+        wasserstein(nu0, nu1, dm2, verify=False, start=start)
+    assert wasserstein(nu0, nu1, dm2, verify=False).values[0, 0] == 1.0
     # the same graph's distances computed twice are two DistanceMatrix records
     with pytest.raises(ValueError, match="another DistanceMatrix"):
-        wasserstein(nu0, nu1, graph((0, 2)), start=plan)
-    assert wasserstein(nu0, nu1, dm1, start=plan).flow.iterations == 0
+        wasserstein(nu0, nu1, distances(g1), verify=False, start=start)
 
 
 class TestWarmStart:
     """Warm starts on 0 -> 1, 0 -> 2, 1 -> 0, 1 -> 2, 2 -> 0 (arcs in this order).
 
-    dirac(0) to dirac(2) starts from the BFS out-tree of 0, {0 -> 1, 0 -> 2},
-    which is optimal already.  A solve that took no pivot hands its own
-    start on, so the tests that spoil its final pieces mark it as one
-    that pivoted, whose warm start is formed and checked.
+    dirac(0) to dirac(2) solves from the BFS out-tree of 0,
+    {0 -> 1, 0 -> 2}, which is optimal already.  A solve that took no
+    pivot hands its own start on, so the tests that spoil its final
+    pieces mark it as one that pivoted, whose warm start is formed and
+    checked, as a W table forms the start of each later pair.
     """
 
     @staticmethod
-    def plan():
+    def flow():
         mu = np.zeros((3, 3))
         for x, y in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0)):
             mu[x, y] = 1.0
-        dm = distances(build_graph(mu))
-        plan = wasserstein(np.eye(3)[0], np.eye(3)[2], dm, verify=False)
-        assert plan.root == 0 and plan.value == 1.0
-        return dm, plan
+        flow = root_basis(distances(build_graph(mu)), 0).solve(np.eye(3)[0] - np.eye(3)[2])
+        assert flow.value == 1.0 and flow.iterations == 0
+        return flow
 
     def test_final_inverse_is_the_exact_inverse_of_the_final_basis(self):
-        dm, plan = self.plan()
-        flow = plan.flow
+        flow = self.flow()
         assert np.array_equal(flow.basis_inverse @ flow.start.A[:, flow.basis], np.eye(2))
 
     def test_wrong_inverse_raises(self):
-        dm, plan = self.plan()
-        flow = dataclasses.replace(plan.flow, iterations=1)
-        flow.basis_inverse = plan.flow.basis_inverse + 1e-6
+        solved = self.flow()
+        flow = dataclasses.replace(solved, iterations=1)
+        flow.basis_inverse = solved.basis_inverse + 1e-6
         with pytest.raises(NumericsError, match="does not invert"):
-            wasserstein(np.eye(3)[1], np.eye(3)[2], dm, start=dataclasses.replace(plan, flow=flow))
+            flow.warm_start()
 
     def test_basis_that_is_not_dual_feasible_raises(self):
         # the tree 0 -> 1 -> 2 prices the arc 0 -> 2 at 1 + 0 - 2 < 0.  A warm
         # start carries the final tableau, so the flow ends on that tree's
         # tableau here; its basis_inverse follows from it.
-        dm, plan = self.plan()
+        solved = self.flow()
         tree = np.array([0, 3])
-        A = plan.flow.start.A
+        A = solved.start.A
         rows = np.linalg.inv(A[:, tree]) @ A
         tableau = np.zeros((3, 6))
         tableau[:2, :5] = rows
         tableau[2, :5] = 1.0 - rows.sum(axis=0)
-        flow = dataclasses.replace(plan.flow, iterations=1, basis=tree, _tableau=tableau)
+        flow = dataclasses.replace(solved, iterations=1, basis=tree, _tableau=tableau)
         with pytest.raises(NumericsError, match="not dual feasible"):
-            wasserstein(np.eye(3)[1], np.eye(3)[2], dm, start=dataclasses.replace(plan, flow=flow))
+            flow.warm_start()
 
 
 @PROPERTY_SETTINGS
@@ -937,26 +924,26 @@ def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatc
     M = markov_data(g_tri)
     nu0, nu1 = np.eye(3)[0], np.eye(3)[2]
     plan = wasserstein(nu0, nu1, dm, verify=True)
-    assert wasserstein(nu0, nu1, dm, verify=False).value == plan.value
+    # a column of two pairs: the first solve, as the plan's, takes no pivot,
+    # so its warm start is the root's start, handed on to the second
+    table = wasserstein(np.stack([[nu0], [nu1]]), np.stack([[nu1], [nu0]]), dm, verify=False)
+    assert table.values[0, 0] == plan.value
     kappa_lp(0, 1, M, dm)
     kappa_lp(0, 2, M, dm)
     assert built(dm) == [(0, False)]
     (start,) = starts
     assert start is root_basis(dm, 0).start
-    assert solved_from[0] is start and solved_from[1] is start
+    assert all(solved is start for solved in solved_from[:3])
     # each kappa start is the root's tableau with the virtual column beside it
-    for kappa_start in solved_from[2:]:
+    for kappa_start in solved_from[3:]:
         assert kappa_start.tableau[:, :-1].tobytes() == start.tableau.tobytes()
-    # the plan took no pivot, so its warm start is the root's start, handed on
-    assert plan.flow.iterations == 0
-    wasserstein(nu1, nu0, dm, verify=False, start=plan)
-    assert solved_from[-1] is start and len(starts) == 1
     kappa_lp(1, 0, M, dm)
     assert built(dm) == [(0, False), (1, False)]
     # the in-tree of 2 has its own record, built once too
     third = np.full(3, 1 / 3)
     for _ in range(2):
-        assert wasserstein(third, nu1, dm, verify=False).inward
+        wasserstein(third, nu1, dm, verify=True)
+        assert solved_from[-1] is root_basis(dm, 2, inward=True).start
     assert built(dm) == [(0, False), (1, False), (2, True)] and len(starts) == 3
     # a second distances() result holds its own records
     other = distances(g_tri)

@@ -173,11 +173,29 @@ def test_fuzzed_graphs_exit_by_the_contract(text):
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.one_of(cycle_graphs(), edge_lists()), st.floats(-1.0, 3.0))
-def test_fuzzed_analyze_exits_1_only_on_a_failed_certificate(text, k):
-    # a K above the graph's curvature makes certificates fail: exit 1
-    # "=" keeps argparse from reading a value such as -6e-258 as an option
-    assert_contract(["analyze", text, f"--k-override={k!r}", *SMALL_ANALYZE])
+@given(st.one_of(cycle_graphs(), edge_lists()), st.floats(-1.0, 3.0), st.booleans())
+def test_fuzzed_analyze_exits_1_only_on_a_failed_certificate(text, k, spaced):
+    # a K above the graph's curvature makes certificates fail: exit 1.
+    # The value goes after "=" or as its own token, where a value such
+    # as -6e-258 must still be read as a number, not an option
+    k_override = ["--k-override", repr(k)] if spaced else [f"--k-override={k!r}"]
+    assert_contract(["analyze", text, *k_override, *SMALL_ANALYZE])
+
+
+@pytest.mark.parametrize("value", ["-1e3", "-1E-3", "-.5e1", "-inf", "-nan"])
+def test_a_negative_number_is_a_value_in_either_form(value):
+    """Either form of --k-override reaches its type, which accepts finite numbers alone."""
+    small = ["--density-samples", "3", "--function-samples", "3"]
+    outcomes = {run_cli(["verify-functional", C3_EDGES, *form, *small])
+                for form in (["--k-override", value], [f"--k-override={value}"])}
+    assert len(outcomes) == 1
+    ((code, out, err),) = outcomes
+    if value in ("-inf", "-nan"):
+        assert (code, out) == (2, "")
+        assert err == f"error: --k-override must be a finite number, got {value!r}\n"
+    else:
+        assert code in (0, 1)
+        assert json.loads(out)["curvature"]["K_used"] == float(value)
 
 
 @FUZZ_SETTINGS

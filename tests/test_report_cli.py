@@ -331,19 +331,24 @@ class TestCliAnalyze:
         code = main(["analyze", c3_file, "--certificate-tol", "1e-6"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
-        # only tolerances the run applies: none for reversibility or adjointness
-        assert set(payload["tolerances"]) == {
-            "balance", "lp_feasibility", "lp_gap", "certificate", "curvature_limit",
-            "smoothing_agreement",
-        }
+        # only tolerances the run applies: none for reversibility or adjointness,
+        # and the smoothing agreement only with --cross-check
+        common = {"balance", "lp_feasibility", "lp_gap", "certificate"}
+        assert set(payload["tolerances"]) == common | {"curvature_limit"}
         assert payload["tolerances"]["certificate"] == 1e-6
         tols = {c["name"]: c["tol"] for c in payload["certificates"]}
         # the agreement certificates carry their tolerance as rhs, with tol 0
         assert tols.pop("curvature_heat_limit_agreement") == 0.0
         assert len(tols) == 11
         assert tols == dict.fromkeys(tols, 1e-6)
-        assert payload["tolerances"]["smoothing_agreement"] == SMOOTHING_AGREEMENT_TOL
         assert payload["tolerances"]["curvature_limit"] == HEAT_LIMIT_AGREEMENT_TOL
+        assert main(["analyze", c3_file, "--cross-check"]) == 0
+        tolerances = json.loads(capsys.readouterr().out)["tolerances"]
+        assert set(tolerances) == common | {"curvature_limit", "smoothing_agreement"}
+        assert tolerances["smoothing_agreement"] == SMOOTHING_AGREEMENT_TOL
+        # verify-functional checks no curvature agreement
+        assert main(["verify-functional", c3_file]) == 0
+        assert set(json.loads(capsys.readouterr().out)["tolerances"]) == common
 
     def test_reports_the_lp_tolerances_the_dual_simplex_uses(self, c3_file, capsys):
         # lp_feasibility is the threshold below which a basic variable leaves

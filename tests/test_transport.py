@@ -45,7 +45,7 @@ class TestHandValues:
             dm = distances(g)
             for x in range(g.n):
                 for y in range(g.n):
-                    w = wasserstein(dirac(x, g.n), dirac(y, g.n), dm, verify=False)
+                    w = wasserstein(dirac(x, g.n), dirac(y, g.n), dm, verify=True)
                     assert w.value == pytest.approx(dm.d[x, y], abs=1e-12)
 
 
@@ -67,7 +67,7 @@ class TestSolverContract:
             for _ in range(3):
                 nu0 = rng.dirichlet(np.ones(g.n))
                 nu1 = rng.dirichlet(np.ones(g.n))
-                ours = wasserstein(nu0, nu1, dm, verify=False).value
+                ours = wasserstein(nu0, nu1, dm, verify=True).value
                 ref = oracles.linprog_transport(dm.d, nu0, nu1)
                 assert ours == pytest.approx(ref, abs=1e-9)
 
@@ -97,7 +97,7 @@ class TestDual:
             dm = distances(g)
             nu0 = rng.dirichlet(np.ones(g.n))
             nu1 = rng.dirichlet(np.ones(g.n))
-            primal = wasserstein(nu0, nu1, dm, verify=False).value
+            primal = wasserstein(nu0, nu1, dm, verify=True).value
             value, f = kantorovich_dual(nu0, nu1, dm)
             assert value == pytest.approx(primal, abs=1e-9)
             assert float(f @ (nu1 - nu0)) == pytest.approx(value, abs=1e-12)
@@ -128,9 +128,9 @@ class TestMetricStructure:
             g = graphs[checked % len(graphs)]
             dm = distances(g)
             nus = [rng.dirichlet(np.ones(g.n)) for _ in range(3)]
-            w02 = wasserstein(nus[0], nus[2], dm, verify=False).value
-            w01 = wasserstein(nus[0], nus[1], dm, verify=False).value
-            w12 = wasserstein(nus[1], nus[2], dm, verify=False).value
+            w02 = wasserstein(nus[0], nus[2], dm, verify=True).value
+            w01 = wasserstein(nus[0], nus[1], dm, verify=True).value
+            w12 = wasserstein(nus[1], nus[2], dm, verify=True).value
             assert w02 <= w01 + w12 + 1e-9
             checked += 1
 
@@ -139,7 +139,7 @@ class TestMetricStructure:
             dm = distances(g)
             nu0 = rng.dirichlet(np.ones(g.n))
             nu1 = rng.dirichlet(np.ones(g.n))
-            w = wasserstein(nu0, nu1, dm, verify=False).value
+            w = wasserstein(nu0, nu1, dm, verify=True).value
             if np.abs(nu0 - nu1).max() > 1e-9:
                 assert w > 0
 
@@ -200,3 +200,14 @@ def test_a_table_is_fast_mode_with_a_pair_and_a_start_per_column(g_tri):
         wasserstein(nu0, nu1, dm, verify=False, start=[None])
     with pytest.raises(MarginalMismatchError, match="at least one pair"):
         wasserstein(nu0[:0], nu1[:0], dm, verify=False)
+
+
+def test_a_single_pair_is_verify_mode_only_without_a_start(g_tri):
+    """Fast mode and starts belong to the table form; a single pair asks for neither."""
+    dm = distances(g_tri)
+    nu0, nu1 = dirac(0, 3), dirac(2, 3)
+    with pytest.raises(ValueError, match="verify mode only"):
+        wasserstein(nu0, nu1, dm, verify=False)
+    with pytest.raises(ValueError, match="verify mode only"):
+        wasserstein(nu0, nu1, dm, start=[None])
+    assert wasserstein(nu0, nu1, dm).value == 2.0
