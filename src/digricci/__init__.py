@@ -39,9 +39,7 @@ from .concentration import (
     check_transport_information,
     check_transport_l1_bound,
     concentration_tail,
-    fisher_information,
     random_densities,
-    relative_entropy,
 )
 from .curvature import (
     curvature_matrix,
@@ -118,7 +116,6 @@ __all__ = [
     "curvature_matrix",
     "curvature_time_limit",
     "distances",
-    "fisher_information",
     "gamma",
     "heat_kernel_matrix",
     "heat_operator",
@@ -133,12 +130,12 @@ __all__ = [
     "mean_kernel",
     "perron_measure",
     "random_densities",
-    "relative_entropy",
     "render_json",
     "sample_lipschitz_functions",
     "smoothed_measure",
     "solve_lp",
     "solve_transport",
+    "transition_kernel",
     "verify_gradient_estimate",
     "verify_transport_contraction",
     "wasserstein",

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from .errors import HypothesisUnmetError
+
 DEFAULT_TOL = 1e-9
 
 
@@ -39,9 +41,13 @@ def certificate_from_samples(
     comparisons: list[tuple[float, float, dict[str, Any]]],
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
-    """Reduce (lhs, rhs, witness) triples to their worst-margin member."""
+    """Reduce (lhs, rhs, witness) triples to their worst-margin member.
+
+    HypothesisUnmetError if there are none: an empty sample family or
+    grid certifies nothing.
+    """
     if not comparisons:
-        raise ValueError(f"certificate {name!r} needs at least one comparison")
+        raise HypothesisUnmetError(f"certificate {name!r} needs at least one comparison")
     worst = min(comparisons, key=lambda item: item[1] - item[0])
     lhs, rhs, witness = worst
     margin = rhs - lhs

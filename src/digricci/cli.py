@@ -88,30 +88,25 @@ def _new_report(
 
 
 def functional_certificates(
-    M, dm, K: float, lam_max: float, config: RunConfig, rng: np.random.Generator
+    M, dm, K: float, config: RunConfig, rng: np.random.Generator
 ) -> list[InequalityCertificate]:
     """The concentration and transport inequality suite at level K."""
     tol = config.certificate_tol
-    # a tiny K underflows a rate to 0; the least positive float, a rate at
-    # least as strong, keeps every bound it enters a vacuous inf
-    link_c, info_c = np.maximum(
-        [2.0 * K / (lam_max * lam_max), np.sqrt(2.0) * K / lam_max], math.ulp(0.0)
-    ).tolist()
     laplace_fs = centered_lipschitz_samples(M, dm, config.function_samples, rng)
     fs = centered_lipschitz_samples(M, dm, config.function_samples, rng)
     # the chain-rule surrogates hold for every function, not only Lipschitz ones
     free_fs = rng.normal(0.0, 1.0, size=(config.function_samples, M.n))
     rhos = random_densities(M, config.density_samples, rng)
     return [
-        check_laplace_bound(M, dm, K, lam_max, laplace_fs, tol=tol),
-        concentration_tail(M, dm, K, lam_max, fs, tol=tol),
+        check_laplace_bound(M, dm, K, laplace_fs, tol=tol),
+        concentration_tail(M, dm, K, fs, tol=tol),
         check_exp_chain_rule_bound(M, free_fs, tol=tol),
         check_exp_square_chain_rule_bound(M, free_fs, tol=tol),
-        check_transport_l1_bound(M, dm, K, lam_max, rhos, tol=tol),
-        check_transport_information(M, dm, K, lam_max, rhos, tol=tol),
-        check_transport_entropy(M, dm, K, lam_max, rhos, tol=tol),
-        check_bobkov_goetze(M, dm, link_c, rhos, fs, tol=tol),
-        check_info_to_entropy(M, dm, info_c, lam_max, rhos, tol=tol),
+        check_transport_l1_bound(M, dm, K, rhos, tol=tol),
+        check_transport_information(M, dm, K, rhos, tol=tol),
+        check_transport_entropy(M, dm, K, rhos, tol=tol),
+        check_bobkov_goetze(M, dm, K, rhos, fs, tol=tol),
+        check_info_to_entropy(M, dm, K, rhos, tol=tol),
     ]
 
 
@@ -120,7 +115,7 @@ def _functional_suite(
 ) -> None:
     """Add the functional suite at level K to report, or say why it was skipped."""
     if K > 0:
-        report.certificates.extend(functional_certificates(M, dm, K, float(dm.lam), config, rng))
+        report.certificates.extend(functional_certificates(M, dm, K, config, rng))
     else:
         report.sections["functional_suite"] = f"skipped: needs K > 0, computed K = {K:.17g}"
 

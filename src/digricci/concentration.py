@@ -11,7 +11,15 @@ relative entropy.  Every statement here is certified numerically on a
 sample family: a stack of functions, the vertex on the last axis (a 1-D
 f is a family of one), or a list of DensityFixture.  Each check returns
 one certificate whose witness names the binding sample, by f_index or
-by the density's provenance under "rho".
+by the density's provenance under "rho".  An empty family or grid
+certifies nothing and raises HypothesisUnmetError, except in
+check_info_to_entropy, which passes vacuously when no sample meets its
+hypothesis.
+
+A check takes the curvature level K alone.  Lambda is a constant of
+the graph, so each check reads it from dm.lam; the two link checks,
+check_bobkov_goetze and check_info_to_entropy, form their constants
+c = 2K / Lambda^2 and sqrt 2 K / Lambda from K and Lambda.
 
 The suite computes on stacks.  A moment, tail or chain-rule check forms
 its lhs and rhs as arrays over the whole family, through the stacked
@@ -27,6 +35,7 @@ each check its whole family as one table of transport.wasserstein.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +62,9 @@ class DensityFixture:
 
     Build one with DensityFixture.of(M, rho, provenance), or a list with
     DensityFixture.of_stack: each checks rho and fills measure = rho m,
-    the relative entropy Ent(rho), the Fisher information I(rho) and the
-    edge variation sum |rho(y) - rho(x)| m_xy.
+    the relative entropy Ent(rho) = m(rho log rho) with 0 log 0 = 0, the
+    Fisher information I(rho) = 4 m(Gamma(sqrt rho)) = 2 sum (sqrt rho(y)
+    - sqrt rho(x))^2 m_xy and the edge variation sum |rho(y) - rho(x)| m_xy.
     """
 
     rho: np.ndarray
@@ -204,13 +214,13 @@ def check_laplace_bound(
     M: MarkovData,
     dm: DistanceMatrix,
     K: float,
-    lam_max: float,
     fs: np.ndarray,
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """m(exp(lam f)) <= exp(lam^2 Lambda^2 / 4K) on the centred functions fs."""
     _require_positive_K(K)
+    lam_max = float(dm.lam)
     fs = _stack(fs)
     comparisons = []
     for lam in lambda_grid:
@@ -237,7 +247,7 @@ def check_exp_chain_rule_bound(
 ) -> InequalityCertificate:
     """m(Gamma(f, exp(lam f))) <= lam (exp(lam f), Gamma(f)) for each f and lam."""
     lambda_grid = list(lambda_grid)
-    if min(lambda_grid) < 0:
+    if min(lambda_grid, default=0.0) < 0:
         raise HypothesisUnmetError(f"lambda must be non-negative, got {min(lambda_grid)}")
     fs = _stack(fs)
     gamma_f = gamma(fs, fs, M)
@@ -247,7 +257,7 @@ def check_exp_chain_rule_bound(
         lhs.append(mean(gamma(fs, ef, M), M.m))
         rhs.append(lam * inner(ef, gamma_f, M.m))
     # one row per sample, so the comparisons run sample-major as before
-    lhs, rhs = np.column_stack(lhs).tolist(), np.column_stack(rhs).tolist()
+    lhs, rhs = np.transpose(lhs).tolist(), np.transpose(rhs).tolist()
     comparisons = [
         (left, right, {"f_index": i, "lambda": lam})
         for i, (lefts, rights) in enumerate(zip(lhs, rhs))
@@ -275,13 +285,13 @@ def concentration_tail(
     M: MarkovData,
     dm: DistanceMatrix,
     K: float,
-    lam_max: float,
     fs: np.ndarray,
     r_grid: tuple[float, ...] = DEFAULT_R_GRID,
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Exact tail masses m({f >= m(f) + r}) against exp(-K r^2 / Lambda^2)."""
     _require_positive_K(K)
+    lam_max = float(dm.lam)
     fs = _stack(fs)
     bounds = [float(np.exp(-K * r * r / (lam_max * lam_max))) for r in r_grid]
     lips = lipschitz_constant(fs, dm)
@@ -301,20 +311,6 @@ def concentration_tail(
     return certificate_from_samples("lipschitz_tail_bound", hypothesis, comparisons, tol)
 
 
-def fisher_information(M: MarkovData, rho: np.ndarray) -> float:
-    """I(rho) = 4 m(Gamma(sqrt rho)) = 2 sum (sqrt rho(y) - sqrt rho(x))^2 m_xy.
-
-    Both routes are evaluated; disagreement past FISHER_CROSSCHECK_TOL
-    means the edge weights and the mean kernel fell out of sync.
-    """
-    return DensityFixture.of(M, rho, "rho").fisher_information
-
-
-def relative_entropy(M: MarkovData, rho: np.ndarray) -> float:
-    """Ent(rho) = m(rho log rho) with 0 log 0 = 0."""
-    return DensityFixture.of(M, rho, "rho").entropy
-
-
 def _transports(M: MarkovData, dm: DistanceMatrix, rhos: list[DensityFixture]):
     """(record, W(m, rho m)) for each density record.
 
@@ -330,12 +326,12 @@ def check_transport_l1_bound(
     M: MarkovData,
     dm: DistanceMatrix,
     K: float,
-    lam_max: float,
     rhos: list[DensityFixture],
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """W(m, rho m) <= (Lambda / 2K) sum |rho(y) - rho(x)| m_xy for each density."""
     _require_positive_K(K)
+    lam_max = float(dm.lam)
     factor = lam_max / (2.0 * K)
     comparisons = [
         (w, factor * record.edge_variation, {"rho": record.provenance, "W": w})
@@ -349,7 +345,6 @@ def check_transport_information(
     M: MarkovData,
     dm: DistanceMatrix,
     K: float,
-    lam_max: float,
     rhos: list[DensityFixture],
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
@@ -360,6 +355,7 @@ def check_transport_information(
     relaxed bound (Lambda^2 / 2K^2) I always.
     """
     _require_positive_K(K)
+    lam_max = float(dm.lam)
     # K * K underflows to 0 for a tiny K: the bound is inf, vacuous and correct
     with np.errstate(divide="ignore", over="ignore"):
         factor = float(np.float64(lam_max * lam_max) / (2.0 * K * K))
@@ -381,12 +377,12 @@ def check_transport_entropy(
     M: MarkovData,
     dm: DistanceMatrix,
     K: float,
-    lam_max: float,
     rhos: list[DensityFixture],
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """W(m, rho m)^2 <= (2 Lambda^2 / K) Ent(rho) for each density."""
     _require_positive_K(K)
+    lam_max = float(dm.lam)
     factor = 2.0 * lam_max * lam_max / K
     comparisons = [
         (w * w, factor * record.entropy, {"rho": record.provenance, "W": w})
@@ -399,13 +395,13 @@ def check_transport_entropy(
 def check_bobkov_goetze(
     M: MarkovData,
     dm: DistanceMatrix,
-    c: float,
+    K: float,
     rhos: list[DensityFixture],
     fs: np.ndarray,
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
-    """Sample-level link between the Laplace bound and transport-entropy.
+    """Sample-level link between the Laplace bound and transport-entropy at c = 2K / Lambda^2.
 
     The two properties
 
@@ -417,8 +413,11 @@ def check_bobkov_goetze(
     whenever one side holds on every sample, the other must too.  The
     witness records which sides held, with their worst margins.
     """
-    if c <= 0:
-        raise HypothesisUnmetError(f"equivalence check needs c > 0, got {c}")
+    _require_positive_K(K)
+    lam_max = float(dm.lam)
+    # a tiny K underflows c to 0; the least positive float, a rate at
+    # least as strong, keeps every bound it enters a vacuous inf
+    c = max(2.0 * K / (lam_max * lam_max), math.ulp(0.0))
     fs = _stack(fs)
 
     name = "transport_entropy_laplace_link"
@@ -467,19 +466,20 @@ def check_bobkov_goetze(
 def check_info_to_entropy(
     M: MarkovData,
     dm: DistanceMatrix,
-    c: float,
-    lam_max: float,
+    K: float,
     rhos: list[DensityFixture],
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """If W^2 <= I(rho)/c^2 on a sample, then W^2 <= (sqrt 2 Lambda / c) Ent(rho).
 
-    Samples failing the hypothesis are skipped and counted; the verdict
-    covers only those where the hypothesis held, and is a vacuous pass
-    at margin 0 when none did.
+    Here c = sqrt 2 K / Lambda, floored at the least positive float as
+    check_bobkov_goetze floors its c.  Samples failing the hypothesis
+    are skipped and counted; the verdict covers only those where the
+    hypothesis held, and is a vacuous pass at margin 0 when none did.
     """
-    if c <= 0:
-        raise HypothesisUnmetError(f"implication check needs c > 0, got {c}")
+    _require_positive_K(K)
+    lam_max = float(dm.lam)
+    c = max(math.sqrt(2.0) * K / lam_max, math.ulp(0.0))
     comparisons = []
     for record, w in _transports(M, dm, rhos):
         w2 = w * w

@@ -202,32 +202,28 @@ def _check_probability(nu: np.ndarray, n: int, name: str, lead: tuple = ()) -> n
 
     A valid measure or stack passes in one pass: a NaN fails the min,
     and an inf fails the min or a mass.  Anything else goes through the
-    checks in order, a stack row by row, so the first rule that the
-    first bad row breaks names the error, and the row's index names the
-    row.
+    checks in order, row by row (one measure is the one row of lead =
+    ()), so the first rule that the first bad row breaks names the
+    error, and a stack row's index names the row.
     """
     nu = np.asarray(nu, dtype=float)
-    if lead:
-        shape = (*lead, n)
-        if nu.shape == shape and nu.min(initial=0.0) >= 0 and (
-            abs(nu.sum(axis=-1) - 1.0) <= MASS_TOL
-        ).all():
-            return nu
-        if nu.shape != shape:
-            raise MarginalMismatchError(f"{name} must have shape {shape}")
-        for index in np.ndindex(lead):
-            _check_probability(nu[index], n, f"{name}[{', '.join(map(str, index))}]")
+    shape = (*lead, n)
+    if nu.shape == shape and nu.min(initial=0.0) >= 0 and (
+        abs(nu.sum(axis=-1) - 1.0) <= MASS_TOL
+    ).all():
         return nu
-    if nu.shape == (n,) and nu.min(initial=0.0) >= 0 and abs(nu.sum() - 1.0) <= MASS_TOL:
-        return nu
-    if nu.shape != (n,):
-        raise MarginalMismatchError(f"{name} must have length {n}")
-    if not np.isfinite(nu).all():
-        raise MarginalMismatchError(f"{name} has a non-finite entry")
-    if nu.min(initial=0.0) < 0:
-        raise MarginalMismatchError(f"{name} has a negative entry")
-    if abs(nu.sum() - 1.0) > MASS_TOL:
-        raise MarginalMismatchError(f"{name} has mass {nu.sum():.17g}, expected 1")
+    if nu.shape != shape:
+        raise MarginalMismatchError(
+            f"{name} must have shape {shape}" if lead else f"{name} must have length {n}"
+        )
+    for index in np.ndindex(lead):
+        row, label = nu[index], f"{name}[{', '.join(map(str, index))}]" if lead else name
+        if not np.isfinite(row).all():
+            raise MarginalMismatchError(f"{label} has a non-finite entry")
+        if row.min(initial=0.0) < 0:
+            raise MarginalMismatchError(f"{label} has a negative entry")
+        if abs(row.sum() - 1.0) > MASS_TOL:
+            raise MarginalMismatchError(f"{label} has mass {row.sum():.17g}, expected 1")
     return nu
 
 

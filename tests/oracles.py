@@ -359,10 +359,10 @@ def density_record_per_row(M: MarkovData, rho, provenance: str) -> DensityFixtur
     )
 
 
-def laplace_bound_per_sample(
-    M, dm, K: float, lam_max: float, fs, lambda_grid=DEFAULT_LAMBDA_GRID, tol=DEFAULT_TOL
-):
+def laplace_bound_per_sample(M, dm, K: float, fs, lambda_grid=DEFAULT_LAMBDA_GRID,
+                             tol=DEFAULT_TOL):
     """check_laplace_bound with one moment per sample and lambda (K > 0 assumed)."""
+    lam_max = float(dm.lam)
     fs = np.atleast_2d(fs)
     comparisons = []
     for lam in lambda_grid:
@@ -410,8 +410,9 @@ def exp_square_chain_rule_per_sample(M, fs, tol=1e-10):
     )
 
 
-def tail_per_sample(M, dm, K: float, lam_max: float, fs, r_grid=DEFAULT_R_GRID, tol=DEFAULT_TOL):
+def tail_per_sample(M, dm, K: float, fs, r_grid=DEFAULT_R_GRID, tol=DEFAULT_TOL):
     """concentration_tail with one Lipschitz test and one tail mass per sample and radius."""
+    lam_max = float(dm.lam)
     fs = np.atleast_2d(fs)
     bounds = [float(np.exp(-K * r * r / (lam_max * lam_max))) for r in r_grid]
     comparisons = []
@@ -428,9 +429,10 @@ def tail_per_sample(M, dm, K: float, lam_max: float, fs, r_grid=DEFAULT_R_GRID, 
     return certificate_from_samples("lipschitz_tail_bound", hypothesis, comparisons, tol)
 
 
-def bobkov_goetze_per_sample(M, dm, c: float, rhos, fs, lambda_grid=DEFAULT_LAMBDA_GRID,
+def bobkov_goetze_per_sample(M, dm, K: float, rhos, fs, lambda_grid=DEFAULT_LAMBDA_GRID,
                              tol=DEFAULT_TOL):
-    """check_bobkov_goetze with its moment side one sample at a time (c > 0 assumed)."""
+    """check_bobkov_goetze with its moment side one sample at a time (K > 0, c > 0 assumed)."""
+    c = 2.0 * K / float(dm.lam) ** 2
     fs = np.atleast_2d(fs)
     name = "transport_entropy_laplace_link"
     hypothesis = {"c": c, "lambda_grid": list(lambda_grid)}

@@ -197,7 +197,7 @@ def test_criterion_5_concentration(bundles):
         graphs_checked += 1
         fs = centered_lipschitz_samples(b.M, b.dm, 100, rng)
         for f in fs:
-            cert = concentration_tail(b.M, b.dm, K, float(b.dm.lam), f)
+            cert = concentration_tail(b.M, b.dm, K, f)
             samples_checked += 1
             if not cert.passed:
                 violations += 1
@@ -227,19 +227,18 @@ def test_criterion_6_functional_suite(bundles):
         if K <= 0:
             skipped += 1
             continue
-        lam = float(b.dm.lam)
         laplace_fs = centered_lipschitz_samples(b.M, b.dm, 100, rng)
-        record(check_laplace_bound(b.M, b.dm, K, lam, laplace_fs))
+        record(check_laplace_bound(b.M, b.dm, K, laplace_fs))
         free_fs = rng.normal(0.0, 1.0, size=(100, b.g.n))
         for f in free_fs:
             record(check_exp_chain_rule_bound(b.M, f, (1.0,)))
             record(check_exp_square_chain_rule_bound(b.M, f))
         rhos = random_densities(b.M, 100, rng)
         for fixture in rhos:
-            record(check_transport_l1_bound(b.M, b.dm, K, lam, [fixture]))
-            record(check_transport_information(b.M, b.dm, K, lam, [fixture]))
-            record(check_transport_entropy(b.M, b.dm, K, lam, [fixture]))
-        record(check_info_to_entropy(b.M, b.dm, np.sqrt(2.0) * K / lam, lam, rhos))
+            record(check_transport_l1_bound(b.M, b.dm, K, [fixture]))
+            record(check_transport_information(b.M, b.dm, K, [fixture]))
+            record(check_transport_entropy(b.M, b.dm, K, [fixture]))
+        record(check_info_to_entropy(b.M, b.dm, K, rhos))
     elapsed = time.perf_counter() - start
     total_violations = sum(counts.values())
     margin_log = ", ".join(f"{k}={v:.3g}" for k, v in sorted(margins.items()))

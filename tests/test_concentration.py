@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import SEED, random_strongly_connected
+from conftest import random_strongly_connected
 from digricci import (
     DensityFixture,
     HypothesisUnmetError,
@@ -29,14 +29,15 @@ from digricci import (
     concentration_tail,
     curvature_matrix,
     distances,
-    fisher_information,
+    heat_operator,
     lipschitz_constant,
     markov_data,
     random_densities,
-    relative_entropy,
+    verify_gradient_estimate,
 )
 from digricci.chain import mean
-from digricci.cli import main
+from digricci.cli import functional_certificates, main
+from digricci.report import RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -76,12 +77,11 @@ class TestSamplers:
 
 class TestLaplaceBound:
     def test_passes_on_fixtures(self, g_c3, g_k3, rng):
-        for g, K, lam_max in ((g_c3, 1.5, 2.0), (g_k3, 1.5, 1.0)):
+        for g, lam in ((g_c3, 2.0), (g_k3, 1.0)):
             M = markov_data(g)
             dm = distances(g)
-            cert = check_laplace_bound(
-                M, dm, K, lam_max, centered_lipschitz_samples(M, dm, 100, rng)
-            )
+            cert = check_laplace_bound(M, dm, 1.5, centered_lipschitz_samples(M, dm, 100, rng))
+            assert cert.hypothesis["Lambda"] == lam
             assert cert.passed
             assert cert.name == "laplace_moment_bound"
 
@@ -119,7 +119,7 @@ class TestLaplaceBound:
         M = markov_data(g_tri)
         dm = distances(g_tri)
         with pytest.raises(HypothesisUnmetError):
-            check_laplace_bound(M, dm, 0.0, 2.0, centered_lipschitz_samples(M, dm, 100, rng))
+            check_laplace_bound(M, dm, 0.0, centered_lipschitz_samples(M, dm, 100, rng))
 
 
 class TestTailBound:
@@ -127,10 +127,10 @@ class TestTailBound:
         M = markov_data(g_c3)
         dm = distances(g_c3)
         f = dm.d[0] - 1.0  # (-1, 0, 1), m-mean zero, Lipschitz constant 1
-        cert = concentration_tail(M, dm, 1.5, 2.0, f, r_grid=(0.5, 1.0))
+        cert = concentration_tail(M, dm, 1.5, f, r_grid=(0.5, 1.0))
         assert cert.passed
         # exact tail at either r is the single vertex mass 1/3; the kept
-        # witness is the tighter radius r = 1
+        # witness is the tighter radius r = 1, whose bound is exp(-K / Lambda^2), Lambda = 2
         assert cert.lhs == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert cert.witness["r"] == 1.0
         assert cert.rhs == pytest.approx(np.exp(-1.5 / 4.0), abs=1e-15)
@@ -143,13 +143,13 @@ class TestTailBound:
             if K <= 0:
                 continue
             for f in centered_lipschitz_samples(M, dm, 20, rng):
-                assert concentration_tail(M, dm, K, float(dm.lam), f).passed
+                assert concentration_tail(M, dm, K, f).passed
 
     def test_steep_function_rejected(self, g_c3):
         M = markov_data(g_c3)
         dm = distances(g_c3)
         with pytest.raises(NotLipschitzError):
-            concentration_tail(M, dm, 1.5, 2.0, np.array([0.0, 5.0, 0.0]))
+            concentration_tail(M, dm, 1.5, np.array([0.0, 5.0, 0.0]))
 
 
 class TestChainRuleBounds:
@@ -173,15 +173,13 @@ class TestChainRuleBounds:
 class TestFisherEntropy:
     def test_hand_values_on_tri(self, g_tri):
         M = markov_data(g_tri)
-        rho2 = np.array([0.0, 0.0, 5.0])
-        assert fisher_information(M, rho2) == pytest.approx(
+        rho2 = DensityFixture.of(M, np.array([0.0, 0.0, 5.0]), "rho2")
+        assert rho2.fisher_information == pytest.approx(
             oracles.HAND["tri"]["fisher_rho2"], abs=1e-12
         )
-        assert relative_entropy(M, rho2) == pytest.approx(
-            oracles.HAND["tri"]["entropy_rho2"], abs=1e-12
-        )
-        rho0 = np.array([2.5, 0.0, 0.0])
-        assert relative_entropy(M, rho0) == pytest.approx(
+        assert rho2.entropy == pytest.approx(oracles.HAND["tri"]["entropy_rho2"], abs=1e-12)
+        rho0 = DensityFixture.of(M, np.array([2.5, 0.0, 0.0]), "rho0")
+        assert rho0.entropy == pytest.approx(
             oracles.HAND["tri"]["entropy_rho0"], abs=1e-12
         )
 
@@ -191,27 +189,27 @@ class TestFisherEntropy:
         for g in corpus:
             M = markov_data(g)
             for fixture in random_densities(M, 10, rng):
-                assert fisher_information(M, fixture.rho) <= 8.0 + 1e-12
+                assert fixture.fisher_information <= 8.0 + 1e-12
 
     def test_entropy_nonnegative_zero_iff_uniform(self, corpus, rng):
         for g in corpus[:8]:
             M = markov_data(g)
-            assert relative_entropy(M, np.ones(g.n)) == 0.0
+            assert DensityFixture.of(M, np.ones(g.n), "uniform").entropy == 0.0
             for fixture in random_densities(M, 5, rng):
-                assert relative_entropy(M, fixture.rho) >= 0.0
+                assert fixture.entropy >= 0.0
 
     def test_entropy_handles_zeros(self, g_tri):
         M = markov_data(g_tri)
         rho = np.array([0.0, 2.0, 1.0])
         rho = rho / mean(rho, M.m)
-        value = relative_entropy(M, rho)
+        value = DensityFixture.of(M, rho, "rho").entropy
         assert np.isfinite(value)
         assert value > 0
 
     def test_dual_pairing_never_beats_entropy(self, g_tri, rng):
         M = markov_data(g_tri)
         for fixture in random_densities(M, 10, rng):
-            ent = relative_entropy(M, fixture.rho)
+            ent = fixture.entropy
             for _ in range(5):
                 f = rng.normal(size=3)
                 g_fun = f - np.log(mean(np.exp(f), M.m))  # m(exp g) = 1
@@ -220,9 +218,9 @@ class TestFisherEntropy:
 
     def test_dual_pairing_attained_at_log_density(self, g_tri, rng):
         M = markov_data(g_tri)
-        rho = random_densities(M, 1, rng)[0].rho
-        pairing = oracles.entropy_dual_pairing(M, rho, np.log(rho))
-        assert pairing == pytest.approx(relative_entropy(M, rho), abs=1e-12)
+        fixture = random_densities(M, 1, rng)[0]
+        pairing = oracles.entropy_dual_pairing(M, fixture.rho, np.log(fixture.rho))
+        assert pairing == pytest.approx(fixture.entropy, abs=1e-12)
 
     def test_dual_pairing_rejects_oversized_witness(self, g_tri):
         M = markov_data(g_tri)
@@ -235,9 +233,9 @@ class TestTransportInequalities:
         M, dm, K = tri_setup
         assert K > 0
         rhos = [DensityFixture.of(M, np.array([0.0, 0.0, 5.0]), "hand")]
-        l1 = check_transport_l1_bound(M, dm, K, float(dm.lam), rhos)
-        info = check_transport_information(M, dm, K, float(dm.lam), rhos)
-        ent = check_transport_entropy(M, dm, K, float(dm.lam), rhos)
+        l1 = check_transport_l1_bound(M, dm, K, rhos)
+        info = check_transport_information(M, dm, K, rhos)
+        ent = check_transport_entropy(M, dm, K, rhos)
         assert l1.passed and info.passed and ent.passed
         # every bound sees the same exact transport cost 6/5
         assert l1.lhs == pytest.approx(1.2, abs=1e-9)
@@ -255,34 +253,31 @@ class TestTransportInequalities:
             if K <= 0:
                 continue
             for fixture in random_densities(M, 8, rng):
-                assert check_transport_l1_bound(M, dm, K, float(dm.lam), [fixture]).passed
-                assert check_transport_information(M, dm, K, float(dm.lam), [fixture]).passed
-                assert check_transport_entropy(M, dm, K, float(dm.lam), [fixture]).passed
+                assert check_transport_l1_bound(M, dm, K, [fixture]).passed
+                assert check_transport_information(M, dm, K, [fixture]).passed
+                assert check_transport_entropy(M, dm, K, [fixture]).passed
 
     def test_refined_information_branch_binds(self, tri_setup, rng):
         # with I < 8 the refined bound is strictly tighter, so it is the
         # comparison the certificate keeps as its worst case
         M, dm, K = tri_setup
         rhos = random_densities(M, 1, rng)[:1]
-        assert fisher_information(M, rhos[0].rho) < 8.0
-        cert = check_transport_information(M, dm, K, float(dm.lam), rhos)
+        assert rhos[0].fisher_information < 8.0
+        cert = check_transport_information(M, dm, K, rhos)
         assert cert.witness["form"] == "refined"
 
     def test_uniform_density_trivial(self, tri_setup):
         M, dm, K = tri_setup
         uniform = [DensityFixture.of(M, np.ones(3), "uniform")]
-        cert = check_transport_entropy(M, dm, K, float(dm.lam), uniform)
+        cert = check_transport_entropy(M, dm, K, uniform)
         assert cert.passed
         assert cert.lhs == pytest.approx(0.0, abs=1e-12)
 
     def test_density_mass_is_held_to_the_transport_tolerance(self, g_k3):
         # m-mass 1 + 5e-11 is off by more than transport.MASS_TOL, which W
-        # holds rho m to: every entry point refuses it up front
+        # holds rho m to: the record refuses it up front
         M = markov_data(g_k3)
         rho = (1.0 + 5e-11) * np.ones(3)
-        for entry in (fisher_information, relative_entropy):
-            with pytest.raises(HypothesisUnmetError, match="m-mass 1.00000000005"):
-                entry(M, rho)
         with pytest.raises(HypothesisUnmetError, match="m-mass 1.00000000005"):
             DensityFixture.of(M, rho, "heavy")
         assert DensityFixture.of(M, (1.0 + 1e-13) * np.ones(3), "close").entropy >= 0.0
@@ -299,20 +294,21 @@ class TestSampledImplications:
             M = markov_data(g)
             dm = distances(g)
             K = curvature_matrix(M, dm).K
-            c = 2.0 * K / dm.lam**2
             rhos = random_densities(M, 20, rng)
-            cert = check_bobkov_goetze(M, dm, c, rhos, centered_lipschitz_samples(M, dm, 100, rng))
+            cert = check_bobkov_goetze(M, dm, K, rhos, centered_lipschitz_samples(M, dm, 100, rng))
             assert cert.passed
             assert cert.witness["necessary_conditions_only"] is True
 
-    def test_bobkov_goetze_with_a_tiny_numpy_c_is_vacuous_and_silent(self, g_c3, rng):
-        """c = np.float64(1e-310) overflows both bounds to inf, as a Python float does, silently."""
+    def test_bobkov_goetze_with_a_tiny_numpy_K_is_vacuous_and_silent(self, g_c3, rng):
+        """K = np.float64(2e-310) on C3 (Lambda = 2) makes c = 1e-310, which overflows
+        both bounds to inf, as a Python float does, silently."""
         M, dm = markov_data(g_c3), distances(g_c3)
         rhos = random_densities(M, 5, rng)
         fs = centered_lipschitz_samples(M, dm, 10, rng)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cert = check_bobkov_goetze(M, dm, np.float64(1e-310), rhos, fs)
+            cert = check_bobkov_goetze(M, dm, np.float64(2e-310), rhos, fs)
+        assert cert.hypothesis["c"] == 1e-310
         assert cert.passed and cert.rhs == np.inf
 
     def test_info_to_entropy_on_fixtures(self, g_c3, g_tri, rng):
@@ -320,11 +316,71 @@ class TestSampledImplications:
             M = markov_data(g)
             dm = distances(g)
             K = curvature_matrix(M, dm).K
-            c = np.sqrt(2.0) * K / dm.lam
             rhos = random_densities(M, 20, rng)
-            cert = check_info_to_entropy(M, dm, c, float(dm.lam), rhos)
+            cert = check_info_to_entropy(M, dm, K, rhos)
             assert cert.passed
             assert cert.witness["hypothesis_met"] <= cert.witness["total"]
+
+    @pytest.mark.parametrize("K", [0.0, -0.5])
+    def test_link_checks_need_positive_K(self, g_c3, rng, K):
+        M, dm = markov_data(g_c3), distances(g_c3)
+        rhos = random_densities(M, 2, rng)
+        fs = centered_lipschitz_samples(M, dm, 5, rng)
+        with pytest.raises(HypothesisUnmetError, match="needs K > 0"):
+            check_bobkov_goetze(M, dm, K, rhos, fs)
+        with pytest.raises(HypothesisUnmetError, match="needs K > 0"):
+            check_info_to_entropy(M, dm, K, rhos)
+
+
+def test_every_suite_certificate_states_the_graphs_Lambda(g_c3, g_tri, rng):
+    """The suite's checks read Lambda from dm: each one that states it states dm.lam."""
+    for g in (g_c3, g_tri):
+        M, dm = markov_data(g), distances(g)
+        K = curvature_matrix(M, dm).K
+        assert K > 0
+        config = RunConfig(function_samples=5, density_samples=3)
+        certs = functional_certificates(M, dm, K, config, rng)
+        stated = {cert.name: cert.hypothesis["Lambda"] for cert in certs
+                  if "Lambda" in cert.hypothesis}
+        assert stated == dict.fromkeys(
+            ["laplace_moment_bound", "lipschitz_tail_bound", "transport_edge_variation_bound",
+             "transport_information_bound", "transport_entropy_bound",
+             "information_to_entropy_bound"],
+            dm.lam,
+        )
+
+
+# each case empties one sample family or grid of a check that is otherwise valid
+EMPTY_CASES = {
+    "laplace fs": lambda M, dm, K, fs, rhos: check_laplace_bound(M, dm, K, fs[:0]),
+    "laplace lambda_grid": lambda M, dm, K, fs, rhos: check_laplace_bound(
+        M, dm, K, fs, lambda_grid=()),
+    "tail fs": lambda M, dm, K, fs, rhos: concentration_tail(M, dm, K, fs[:0]),
+    "tail r_grid": lambda M, dm, K, fs, rhos: concentration_tail(M, dm, K, fs, r_grid=()),
+    "exp chain fs": lambda M, dm, K, fs, rhos: check_exp_chain_rule_bound(M, fs[:0]),
+    "exp chain lambda_grid": lambda M, dm, K, fs, rhos: check_exp_chain_rule_bound(
+        M, fs, lambda_grid=()),
+    "exp square fs": lambda M, dm, K, fs, rhos: check_exp_square_chain_rule_bound(M, fs[:0]),
+    "l1 rhos": lambda M, dm, K, fs, rhos: check_transport_l1_bound(M, dm, K, []),
+    "information rhos": lambda M, dm, K, fs, rhos: check_transport_information(M, dm, K, []),
+    "entropy rhos": lambda M, dm, K, fs, rhos: check_transport_entropy(M, dm, K, []),
+    "bobkov-goetze fs": lambda M, dm, K, fs, rhos: check_bobkov_goetze(M, dm, K, rhos, fs[:0]),
+    "bobkov-goetze rhos": lambda M, dm, K, fs, rhos: check_bobkov_goetze(M, dm, K, [], fs),
+    "bobkov-goetze lambda_grid": lambda M, dm, K, fs, rhos: check_bobkov_goetze(
+        M, dm, K, rhos, fs, lambda_grid=()),
+    "gradient estimate fs": lambda M, dm, K, fs, rhos: verify_gradient_estimate(
+        heat_operator(M), dm, K, fs[:0]),
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_CASES))
+def test_an_empty_family_or_grid_is_an_unmet_hypothesis(tri_setup, rng, case):
+    """An empty family or grid certifies nothing: HypothesisUnmetError, from the one reducer."""
+    M, dm, K = tri_setup
+    fs = centered_lipschitz_samples(M, dm, 4, rng)
+    rhos = random_densities(M, 2, rng)
+    with pytest.raises(HypothesisUnmetError, match="needs at least one comparison"):
+        EMPTY_CASES[case](M, dm, K, fs, rhos)
 
 
 @settings(max_examples=25, deadline=None)
@@ -339,18 +395,17 @@ def test_family_checks_are_their_worst_one_sample_check(seed, count, K):
     rng = np.random.default_rng(seed)
     g = random_strongly_connected(rng, n_max=5, n_min=2)
     M, dm = markov_data(g), distances(g)
-    lam = float(dm.lam)
     fs = centered_lipschitz_samples(M, dm, count, rng)
     free_fs = rng.normal(0.0, 2.0, size=(count, g.n))
     rhos = random_densities(M, count, rng)
     # each check with its family, and that family split into families of one
     cases = [
-        (functools.partial(concentration_tail, M, dm, K, lam), fs, list(fs)),
+        (functools.partial(concentration_tail, M, dm, K), fs, list(fs)),
         (functools.partial(check_exp_chain_rule_bound, M), free_fs, list(free_fs)),
         (functools.partial(check_exp_square_chain_rule_bound, M), free_fs, list(free_fs)),
     ]
     cases += [
-        (functools.partial(check, M, dm, K, lam), rhos, [[rho] for rho in rhos])
+        (functools.partial(check, M, dm, K), rhos, [[rho] for rho in rhos])
         for check in (check_transport_l1_bound, check_transport_information,
                       check_transport_entropy)
     ]
@@ -374,8 +429,7 @@ def test_functional_suite_checks_each_density_once(tmp_path, lp_solves, monkeypa
     the five transport checks still solves W(m, rho m) once per density.
 
     DensityFixture.of_stack is where a density is checked and where its
-    I and Ent are computed; fisher_information, relative_entropy and
-    DensityFixture.of all go through it.  So the rows that pass through
+    I and Ent are computed; DensityFixture.of goes through it too.  So the rows that pass through
     it count the density checks, the Fisher informations and the
     entropies alike, and the whole family passes through in one call.
     A transport check solves its densities' W as one wasserstein table,

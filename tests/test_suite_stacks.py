@@ -110,7 +110,6 @@ def test_chain_helpers_on_a_stack_equal_row_by_row_calls(graph, count):
 def test_moment_tail_and_chain_checks_equal_their_per_sample_loops(graph, count, one_d):
     """lhs, rhs, margin, pass and witness of each check equal its loop's, on a stack or one f."""
     M, dm, K, rng = graph
-    lam = float(dm.lam)
     centred = centered_lipschitz_samples(M, dm, count, rng)
     lipschitz = sample_lipschitz_functions(dm, count, rng, scale=(0.5, 1.0))
     free = rng.normal(0.0, 2.0, size=(count, M.n))
@@ -118,10 +117,10 @@ def test_moment_tail_and_chain_checks_equal_their_per_sample_loops(graph, count,
         centred, lipschitz, free = centred[0], lipschitz[0], free[0]
     # K / 2 and 4 K bracket the curvature, so both verdicts occur
     for k in (K / 2.0, K, 4.0 * K):
-        assert_same(check_laplace_bound(M, dm, k, lam, centred),
-                    oracles.laplace_bound_per_sample(M, dm, k, lam, centred))
-        assert_same(concentration_tail(M, dm, k, lam, lipschitz),
-                    oracles.tail_per_sample(M, dm, k, lam, lipschitz))
+        assert_same(check_laplace_bound(M, dm, k, centred),
+                    oracles.laplace_bound_per_sample(M, dm, k, centred))
+        assert_same(concentration_tail(M, dm, k, lipschitz),
+                    oracles.tail_per_sample(M, dm, k, lipschitz))
     assert_same(check_exp_chain_rule_bound(M, free), oracles.exp_chain_rule_per_sample(M, free))
     assert_same(check_exp_chain_rule_bound(M, free, lambda_grid=(0, 1, 2.5)),
                 oracles.exp_chain_rule_per_sample(M, free, lambda_grid=(0, 1, 2.5)))
@@ -133,9 +132,10 @@ def test_moment_tail_and_chain_checks_equal_their_per_sample_loops(graph, count,
     assert_same(check_exp_square_chain_rule_bound(M, free),
                 oracles.exp_square_chain_rule_per_sample(M, free))
     rhos = random_densities(M, 2, rng)
-    for c in (K / lam**2, 2.0 * K / lam**2, 20.0 * K / lam**2):
-        assert_same(check_bobkov_goetze(M, dm, c, rhos, centred),
-                    oracles.bobkov_goetze_per_sample(M, dm, c, rhos, centred))
+    # c = 2K / Lambda^2 at K / 2, K and 10 K
+    for k in (K / 2.0, K, 10.0 * K):
+        assert_same(check_bobkov_goetze(M, dm, k, rhos, centred),
+                    oracles.bobkov_goetze_per_sample(M, dm, k, rhos, centred))
 
 
 @STACK_SETTINGS
@@ -249,10 +249,10 @@ def test_tail_names_the_first_steep_index(graph, count, data):
     for i in steep:
         fs[i] = 3.0 * dm.d[i % M.n]
     with pytest.raises(NotLipschitzError) as expected:
-        oracles.tail_per_sample(M, dm, K, float(dm.lam), fs)
+        oracles.tail_per_sample(M, dm, K, fs)
     assert str(expected.value).endswith(f"at f_index {steep[0]}")
     with pytest.raises(NotLipschitzError) as error:
-        concentration_tail(M, dm, K, float(dm.lam), fs)
+        concentration_tail(M, dm, K, fs)
     assert str(error.value) == str(expected.value)
 
 
