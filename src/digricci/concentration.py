@@ -476,6 +476,8 @@ def check_info_to_entropy(
     check_bobkov_goetze floors its c.  Samples failing the hypothesis
     are skipped and counted; the verdict covers only those where the
     hypothesis held, and is a vacuous pass at margin 0 when none did.
+    An empty family certifies nothing: HypothesisUnmetError, as every
+    other suite check raises for it.
     """
     _require_positive_K(K)
     lam_max = float(dm.lam)
@@ -491,8 +493,10 @@ def check_info_to_entropy(
             rhs = float(np.sqrt(2.0) * lam_max / c * record.entropy)
         comparisons.append((w2, rhs, {"rho": record.provenance}))
     counts = {"hypothesis_met": len(comparisons), "total": len(rhos)}
-    # no sample met the hypothesis: a vacuous pass
-    comparisons = comparisons or [(0.0, 0.0, {})]
+    # samples given, none of which met the hypothesis: a vacuous pass; no sample
+    # at all leaves comparisons empty, which certificate_from_samples refuses
+    if rhos and not comparisons:
+        comparisons = [(0.0, 0.0, {})]
     certificate = certificate_from_samples(
         "information_to_entropy_bound", {"c": c, "Lambda": lam_max}, comparisons, tol
     )

@@ -28,9 +28,15 @@ incidence, B^-1 and the tableau rows [B^-1 A ; c - c_B B^-1 A], built
 and checked once.  The virtual arc is never a tree arc; with the row of
 x dropped its column is the unit vector of y, so each program adds to
 that start one tableau column, column y of B^-1 over the virtual arc's
-reduced cost, which is the one new entry to check
-(lp.Start.with_column).  A solve then forms B^-1 b and pivots.  The
-root's transport.RootBasis maps c onto the rows and reads the witness
+reduced cost.  kappa_lp takes a whole row of targets y at once and sets
+its programs up together: the objectives c are one array, and the
+virtual columns' entries and reduced costs are formed as one stack and
+checked once (lp.Start.with_columns).  Each program is then one solve,
+which forms B^-1 b and pivots, and after the row the duals of all the
+final bases are one product and the witness checks run over the stack.
+curvature_matrix asks for one row per root, verify-functional one per
+tail over its out-neighbours, and a single pair is a row of one.  The
+root's transport.RootBasis maps c onto the rows and reads the witnesses
 back off the duals, so this module indexes no row.
 """
 
@@ -77,26 +83,39 @@ def smoothed_measure(x: int, eps: float, M: MarkovData) -> np.ndarray:
 
 
 def kappa_lp(
-    x: int, y: int, M: MarkovData, dm: DistanceMatrix
-) -> tuple[float, np.ndarray]:
-    """Exact curvature by the limit-free program, with an optimal witness.
+    x: int, ys: int | np.ndarray, M: MarkovData, dm: DistanceMatrix
+) -> tuple[float, np.ndarray] | tuple[np.ndarray, np.ndarray]:
+    """Exact curvature by the limit-free program, with an optimal witness, for one pair or a row.
 
-    The program minimises grad_xy (L f) over f with f(x) = 0, one
-    Lipschitz row f(w) - f(z) <= 1 per arc z -> w, and f(y) = d(x, y).
-    The hop metric is a path metric, so the arc rows already imply
-    f(w) - f(z) <= d(z, w) for every ordered pair (sum them along a
-    geodesic).  One solve of its dual flow (see the module docstring),
-    by a dual simplex from the BFS out-tree of x, gives kappa as minus
-    the flow optimum and the witness f as minus the row duals, with
-    f(x) = 0 (transport.RootBasis.potential).  Every basis is a spanning
-    tree plus the virtual arc and every cost an integer, so f is an
-    integer vector, and three checks are exact: NumericsError unless f
-    is integral, f(w) - f(z) <= 1 on every arc and f(y) == d(x, y).
-    The value gap is the one check with a tolerance, as the rounding of
-    the right-hand side enters there: NumericsError unless
-    |kappa - grad_xy (L f)| <= lp.GAP_TOL.  For an arc (d(x, y) = 1) the
-    optimal solve is kept on dm as a transport.ArcStart, as it stands:
-    the heat module's W chains of the arc start from it.
+    The program of (x, y) minimises grad_xy (L f) over f with f(x) = 0,
+    one Lipschitz row f(w) - f(z) <= 1 per arc z -> w, and
+    f(y) = d(x, y).  The hop metric is a path metric, so the arc rows
+    already imply f(w) - f(z) <= d(z, w) for every ordered pair (sum
+    them along a geodesic).  One solve of its dual flow (see the module
+    docstring), by a dual simplex from the BFS out-tree of x, gives
+    kappa as minus the flow optimum and the witness f as minus the row
+    duals, with f(x) = 0 (transport.RootBasis.potentials).  Every basis
+    is a spanning tree plus the virtual arc and every cost an integer,
+    so f is an integer vector, and three checks are exact:
+    NumericsError unless f is integral, f(w) - f(z) <= 1 on every arc
+    and f(y) == d(x, y).  The value gap is the one check with a
+    tolerance, as the rounding of the right-hand side enters there:
+    NumericsError unless |kappa - grad_xy (L f)| <= lp.GAP_TOL.  For an
+    arc (d(x, y) = 1) the optimum is kept on dm as a
+    transport.ArcStart, its final basis and tableau as they stand: the
+    heat module's W chains of the arc start from it.
+
+    ys is one vertex y, an int, which returns (kappa, witness), or an
+    array of them, a row of root x, which returns kappa of shape (k,)
+    and the witnesses of shape (k, n), one row per y (empty for an
+    empty row).  SameVertexError if x is among them.  The programs of a
+    row share x's start, so they are set up once: the objectives c are
+    one array, the virtual columns are added to the start and checked as
+    one stack (lp.Start.with_columns), and after the solves the duals of
+    all of them are one product and the checks above run over the
+    stack.  Each program is still its own lp.solve_lp, called from here:
+    the name stays the one span a tracer attributes every curvature
+    solve to, whether a caller asks for one pair or a row.
 
     kappa is unique, the witness is not: the optimal potentials of the
     program often form a face, and the witness is the one integer
@@ -107,23 +126,36 @@ def kappa_lp(
     kappa witness among its Lipschitz samples, and curvature --pairs
     prints it.
     """
-    if x == y:
+    single = isinstance(ys, (int, np.integer))
+    ys = np.array(ys, dtype=int, ndmin=1)
+    if not ys.size:
+        return np.empty(0), np.empty((0, M.n))
+    d = dm.d[x][ys]
+    # d(x, y) = 0 exactly when y = x
+    if not d.all():
         raise SameVertexError("curvature needs two distinct vertices")
-    dxy = float(dm.d[x, y])
-    c = (M.L[y] - M.L[x]) / dxy
+    c = (M.L.take(ys, axis=0) - M.L[x]) / d[:, None]
     tree = transport.root_basis(dm, x)
-    # the virtual arc y -> x: +1 in the row of y, and x's row is dropped
-    solution = tree.solve(c, tree.start.with_column(-dxy, (tree.vertices == y).astype(float)))
+    # each virtual arc y -> x: +1 in the row of y, and x's row is dropped
+    starts = tree.start.with_columns(-d, (tree.vertices[:, None] == ys).astype(float))
+    solutions = [tree.solve(balance, start) for balance, start in zip(c, starts)]
     # 0.0 - v, not -v: a zero optimum must not become -0.0
-    kappa = 0.0 - float(solution.value)
-    witness = tree.potential(solution, dm.arcs)
-    if witness[y] != dxy:
-        raise NumericsError(f"curvature witness has f(y) = {witness[y]:.17g}, not {dxy:g}")
-    gap = abs(kappa - float(c @ witness))
+    kappa = 0.0 - np.array([solution.value for solution in solutions])
+    witness = tree.potentials(solutions)
+    fy = witness[:, ys].diagonal()
+    if (fy != d).any():
+        i = (fy != d).argmax()
+        raise NumericsError(f"curvature witness has f(y) = {fy[i]:.17g}, not {d[i]:g}")
+    gap = np.abs(kappa - (c * witness).sum(axis=1)).max()
     if gap > lp.GAP_TOL:
         raise NumericsError(f"curvature duality gap {gap:.3e} exceeds {lp.GAP_TOL:.1e}")
-    if dxy == 1.0:
-        dm._arc_starts[(x, y)] = transport.ArcStart(x, solution, tree.start)
+    for y, dxy, solution in zip(ys.tolist(), d.tolist(), solutions):
+        if dxy == 1.0:
+            dm._arc_starts[(x, y)] = transport.ArcStart(
+                x, y, solution.basis, solution._tableau, tree.start
+            )
+    if single:
+        return float(kappa[0]), witness[0]
     return kappa, witness
 
 
@@ -167,11 +199,11 @@ def curvature_matrix(
     witnesses: dict[tuple[int, int], np.ndarray] = {}
     residuals = np.full((n, n), np.nan) if cross_check else None
     for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            kappa[x, y], witnesses[(x, y)] = kappa_lp(x, y, M, dm)
-            if cross_check:
+        ys = np.flatnonzero(np.arange(n) != x)
+        kappa[x, ys], row = kappa_lp(x, ys, M, dm)
+        witnesses.update(zip([(x, y) for y in ys.tolist()], row))
+        if cross_check:
+            for y in ys.tolist():
                 limit, _spread = kappa_limit(x, y, M, dm)
                 residuals[x, y] = abs(kappa[x, y] - limit)
     K = float(np.nanmin(kappa))

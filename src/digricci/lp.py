@@ -13,10 +13,12 @@ feasibility.  There is no standard form and no phase 1, and the
 optimal duals are one product of the final cost row with the start's
 inverse, formed only when read, so solve_lp factorises nothing.
 Starts come four ways: Start.from_basis multiplies out the tableau
-of a given basis and its inverse; with_column adds one column to a
-start and checks that column's reduced cost alone; an optimal
-solution's warm_start makes its final basis the start of the next b,
-so a caller that solves one c and A for a sequence of right-hand
+of a given basis and its inverse; with_columns makes one start per
+added column, each the start plus that column, forming every new
+column's tableau entries as one product and checking their reduced
+costs, and nothing else, once (one column is a stack of one); an
+optimal solution's warm_start makes its final basis the start of the
+next b, so a caller that solves one c and A for a sequence of right-hand
 sides starts each solve from the previous optimum without multiplying
 B^-1 A again: a solve that took no pivot ended on its start and hands
 that start on unchanged, and one that pivoted carries its final
@@ -32,9 +34,10 @@ library's two programs, the flow behind the Wasserstein distance and
 the dual of each per-pair curvature program, start from a
 shortest-path tree (into or out of a root) whose start the transport
 module builds once per graph, root and direction, with the tree's path
-matrix as its exact inverse; each curvature program adds its virtual
-column to that start, and the smoothing W of one pair go on from the
-previous smoothing's warm start.  The heat-flow W of an arc start from
+matrix as its exact inverse; the curvature programs of a root add
+their virtual columns to that start as one stack (a single pair is a
+stack of one), and the smoothing W of one pair go on from the previous
+smoothing's warm start.  The heat-flow W of an arc start from
 its curvature optimum, the virtual column swapped for the arc (a
 carried start, checked once), and go on from the previous time's.
 Two reference programs the tests hold those to take the same path: the
@@ -90,7 +93,7 @@ class Start:
     shape (m + 1) x n; the basis columns are the unit vectors over a
     zero reduced cost.  A dual-feasible basis stays dual feasible for
     every b, so one start serves every program min c.x, A x = b,
-    x >= 0.  from_basis, with_column, carried and LpSolution.warm_start
+    x >= 0.  from_basis, with_columns, carried and LpSolution.warm_start
     build starts and check them; nothing changes a start after that, so
     a start is handed on as it stands when a solve from it takes no pivot.
     """
@@ -131,22 +134,31 @@ class Start:
         _check(off, T[-1].min(initial=0.0))
         return cls(c, A, basis, basis_inverse, T)
 
-    def with_column(self, cost: float, column: np.ndarray) -> Start:
-        """This start with one more column of A, priced at cost.
+    def with_columns(self, costs: np.ndarray, columns: np.ndarray) -> list[Start]:
+        """One start per column of columns: this start with that column added to A, at its cost.
 
-        The basis and its inverse stay, so the new column's tableau
-        entries are B^-1 column, and its reduced cost is the one check:
-        NumericsError unless it is at least -RC_TOL.
+        columns has one row per row of A and costs one entry per column.
+        The basis and its inverse stay, so the new columns' tableau
+        entries are B^-1 columns, one product for all of them, and their
+        reduced costs are the one check, made once: NumericsError unless
+        each is at least -RC_TOL.  The starts are views of one stack each
+        of c, A and tableaus, so a start kept keeps the whole stack.
         """
         m, n = self.A.shape
-        T = np.empty((m + 1, n + 1))
-        T[:, :n] = self.tableau
-        T[:m, n] = self.inverse @ column
-        T[m, n] = cost - self.c[self.basis] @ T[:m, n]
-        _check(0.0, T[m, n])
-        c = np.concatenate((self.c, [cost]))
-        A = np.concatenate((self.A, column[:, None]), axis=1)
-        return Start(c, A, self.basis, self.inverse, T)
+        k = len(costs)
+        entries = self.inverse @ columns
+        T = np.empty((k, m + 1, n + 1))
+        T[:, :, :n] = self.tableau
+        T[:, :m, n] = entries.T
+        T[:, m, n] = costs - self.c[self.basis] @ entries
+        _check(0.0, T[:, m, n].min())
+        c = np.empty((k, n + 1))
+        c[:, :n] = self.c
+        c[:, n] = costs
+        A = np.empty((k, m, n + 1))
+        A[:, :, :n] = self.A
+        A[:, :, n] = columns.T
+        return [Start(c[i], A[i], self.basis, self.inverse, T[i]) for i in range(k)]
 
     @classmethod
     def carried(cls, c, A, basis, inverse, tableau) -> Start:

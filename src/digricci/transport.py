@@ -34,8 +34,8 @@ spanning tree's inverse incidence is its path matrix, so B^-1 comes
 from one walk down the tree, with no factorisation; a solve from the
 tree then only forms B^-1 b, and its right-hand side, potential and
 coupling are indexed through the row vertices.  The curvature
-module's dual flows from x add their virtual column to the out-tree
-start of x.
+module's dual flows from x add their virtual columns to the out-tree
+start of x, a row of them at once (lp.Start.with_columns).
 
 A solve may start from another solve's final basis instead.  The
 program's cost and incidence depend on the graph and r alone, so the
@@ -81,11 +81,12 @@ f(w) - f(z) <= 1 on every arc; summing along geodesics, that is
 f(w) - f(z) <= d(z, w) on every ordered pair, so one solve yields both
 sides of the duality and certifies each distance computed in verify
 mode.  The basis is a spanning tree and every cost an integer, so f
-is an integer vector, and RootBasis.potential checks integrality and
-the arc rows exactly; the curvature module reads its witness the same
-way.  kantorovich_dual keeps every ordered pair instead (one flow
-column per pair, started from the star of pairs 0 -> w); it is the
-reference the tests pin the flow potential to.
+is an integer vector, and RootBasis.potentials checks integrality and
+the arc rows exactly; the curvature module reads its witnesses the
+same way, a row of solves' duals as one product.  kantorovich_dual
+keeps every ordered pair instead (one flow column per pair, started
+from the star of pairs 0 -> w); it is the reference the tests pin the
+flow potential to.
 """
 
 from __future__ import annotations
@@ -153,46 +154,54 @@ class TransportTable:
 class ArcStart:
     """kappa_lp's optimum of an arc x -> y, kept as the start of the arc's W chains.
 
-    The curvature program of the arc is the arc-flow program of root x
-    (program, root_basis's out-tree start of x) plus the virtual arc
-    y -> x, whose column is +1 in the row of y at cost -1; the arc
-    x -> y is -1 there at cost +1.  So when the virtual column is basic
-    in kappa's final basis B_f, in row i say, swapping it for x -> y
-    multiplies B_f by the sign flip of row i: B^-1 and the tableau rows
-    [B^-1 A] get row i negated, the duals c_B B^-1 stay, and with them
-    every reduced cost.  The swapped basis is dual feasible for W, and
-    it is the optimum of W(delta_x, delta_y), the limit t -> 0 of the
-    heat-flow W of the arc, whose first-order term is kappa's own
-    right-hand side.  When the virtual column is nonbasic, B_f is a
-    basis of W already and stays as it is.  warm_start forms that start
-    on first use in one step, off kappa's final basis, its inverse and
-    its final tableau without the virtual and b columns, checks it once
-    (lp.Start.carried) and keeps it; kappa_lp pays for none of it.
-    A column of wasserstein's table form starts from it on root x's
+    The curvature program of the arc (root x, head y) is the arc-flow
+    program of root x (program, root_basis's out-tree start of x) plus
+    the virtual arc y -> x, whose column is +1 in the row of y at cost
+    -1; the arc x -> y is -1 there at cost +1.  So when the virtual
+    column is basic in kappa's final basis B_f, in row i say, swapping
+    it for x -> y multiplies B_f by the sign flip of row i: B^-1 and the
+    tableau rows [B^-1 A] get row i negated, the duals c_B B^-1 stay,
+    and with them every reduced cost.  The swapped basis is dual
+    feasible for W, and it is the optimum of W(delta_x, delta_y), the
+    limit t -> 0 of the heat-flow W of the arc, whose first-order term
+    is kappa's own right-hand side.  When the virtual column is
+    nonbasic, B_f is a basis of W already and stays as it is.  The
+    record keeps kappa's final basis and final tableau alone, not the
+    solve and its start, which share one stack with the other programs
+    of x's row.  warm_start forms the W start on first use in one step,
+    off that basis, its inverse (B_f^-1 B_0) B_0^-1 and the final
+    tableau without the virtual and b columns, checks it once
+    (lp.Start.carried) and keeps it; kappa_lp pays for none of it.  A
+    column of wasserstein's table form starts from it on root x's
     out-tree.
     """
 
     root: int
-    kappa: lp.LpSolution = field(repr=False)
+    head: int
+    basis: np.ndarray = field(repr=False)
+    tableau: np.ndarray = field(repr=False)
     program: lp.Start = field(repr=False)
     _start: lp.Start | None = field(default=None, init=False, repr=False)
 
     def warm_start(self) -> lp.Start:
         """The W start of kappa's final basis; lp.Start.carried checks it, once."""
         if self._start is None:
-            kappa = self.kappa
-            c, A = self.program.c, self.program.A
+            program, basis = self.program, self.basis
+            # B_f^-1 off the final rows' start-basis columns, as lp.LpSolution.basis_inverse
+            inverse = self.tableau[:-1, program.basis] @ program.inverse
             # drop the virtual and b columns, the last two; every other column is W's
-            basis, inverse, tableau = kappa.basis, kappa.basis_inverse, kappa._tableau[:, :-2]
-            rows = np.flatnonzero(basis == len(c))
+            tableau = self.tableau[:, :-2]
+            rows = np.flatnonzero(basis == len(program.c))
             if rows.size:
-                basis, inverse, tableau = basis.copy(), inverse.copy(), tableau.copy()
-                # the arc x -> y, whose column is the virtual one's negative
-                basis[rows] = np.flatnonzero((A == -kappa.start.A[:, -1, None]).all(axis=0))
+                basis, tableau = basis.copy(), tableau.copy()
+                # the arc x -> y: -1 in the row of y (x's row is dropped), 0 elsewhere
+                arc = np.zeros(len(program.A))
+                arc[self.head - (self.head > self.root)] = -1.0
+                basis[rows] = np.flatnonzero((program.A == arc[:, None]).all(axis=0))
                 # 0.0 - v, not -v: a zero entry must not become -0.0
                 inverse[rows] = 0.0 - inverse[rows]
                 tableau[rows] = 0.0 - tableau[rows]
-            self._start = lp.Start.carried(c, A, basis, inverse, tableau)
+            self._start = lp.Start.carried(program.c, program.A, basis, inverse, tableau)
         return self._start
 
 
@@ -302,7 +311,7 @@ class RootBasis(NamedTuple):
     for w is +1 on the rows of the tree arcs on the path w -> r.  Every
     array of the record is read-only.  The record holds the program's
     rows: solve maps a balance onto them (wasserstein's table form maps
-    a whole column's balances at once, through vertices), and potential
+    a whole column's balances at once, through vertices), and potentials
     reads the duals back as a vertex function.
     """
 
@@ -318,22 +327,34 @@ class RootBasis(NamedTuple):
         """
         return lp.solve_lp(self.start if start is None else start, balance[self.vertices])
 
-    def potential(self, solution: lp.LpSolution, arcs: np.ndarray) -> np.ndarray:
-        """The potential f = -(row duals) of solution, with f(r) = 0.
+    def potentials(self, solutions: Sequence[lp.LpSolution]) -> np.ndarray:
+        """The potentials f = -(row duals) of solutions, one row each, with f(r) = 0.
 
-        Every basis is a spanning tree (plus a curvature program's
-        virtual arc) and every cost an integer, so f is an integer
-        vector (Ahuja, Magnanti & Orlin, ch. 11); a dual with
-        f(head) - f(tail) <= 1 on every arc of arcs is 1-Lipschitz for
-        the hop metric.  Both are checked exactly: NumericsError unless
-        f is integral and no arc is stretched.
+        Each solution began on this tree's basis B_0 and inverse: from
+        its start, or from the start plus columns that are not basic in
+        it (lp.Start.with_columns).  So its duals y = c_B B_f^-1 are
+        (c[b0] - its final cost row at b0) B_0^-1, as
+        lp.LpSolution.duals forms them, and the duals of all of them
+        are one product.  Every basis is a spanning tree (plus a
+        curvature program's virtual arc) and every cost an integer, so
+        each f is an integer vector (Ahuja, Magnanti & Orlin, ch. 11); a
+        dual with f(head) - f(tail) <= 1 on every arc is 1-Lipschitz for
+        the hop metric.  Both are checked exactly, over the stack at
+        once: NumericsError unless every f is integral and none
+        stretches an arc.  y A is f(head) - f(tail) on every arc, as
+        the incidence A is +1 at the tail and -1 at the head, and an
+        arc at r loses nothing with r's row, as f(r) = 0.
         """
-        f = np.zeros(len(self.vertices) + 1)
+        start = self.start
+        b0 = start.basis
+        costs = np.array([solution._tableau[-1] for solution in solutions])[:, b0]
+        duals = (start.c[b0] - costs) @ start.inverse
+        f = np.zeros((len(solutions), len(self.vertices) + 1))
         # 0.0 - v, not -v: a zero dual must not become -0.0
-        f[self.vertices] = 0.0 - solution.duals
+        f[:, self.vertices] = 0.0 - duals
         if not (f == f.round()).all():
             raise NumericsError(f"flow potential has a non-integral entry {f[f != f.round()][0]!r}")
-        stretch = (f[arcs[:, 1]] - f[arcs[:, 0]]).max(initial=0.0)
+        stretch = (duals @ start.A).max()
         if stretch > 1.0:
             raise NumericsError(f"flow potential stretches an arc to {stretch:.17g}")
         return f
@@ -367,14 +388,17 @@ def root_basis(dm: DistanceMatrix, r: int, inward: bool = False) -> RootBasis:
         _far, first = np.unique(far[tree], return_index=True)
         tree = tree[first]
         vertices = np.flatnonzero(np.arange(n) != r)
-        row = np.arange(n) - (np.arange(n) > r)  # the row of vertex v once r's is dropped
         inverse = np.zeros((n - 1, n - 1))
-        # in BFS order, the path of w is the path of its tree parent plus w's own arc
-        for w in np.argsort(depth, kind="stable")[1:]:
-            parent = near[tree[row[w]]]
+        # the tree parent of the vertex of each row, walked as Python ints
+        parents = near[tree].tolist()
+        # in BFS order, the path of w is the path of its tree parent plus w's own arc;
+        # vertex v's row is v - (v > r) once r's is dropped
+        for w in np.argsort(depth, kind="stable")[1:].tolist():
+            i = w - (w > r)
+            parent = parents[i]
             if parent != r:
-                inverse[:, row[w]] = inverse[:, row[parent]]
-            inverse[row[w], row[w]] = sign
+                inverse[:, i] = inverse[:, parent - (parent > r)]
+            inverse[i, i] = sign
         A = _incidence(n, arcs)[vertices]
         if not np.array_equal(inverse @ A[:, tree], np.eye(n - 1)):
             raise NumericsError(f"the tree path matrix of root {r} does not invert its basis")
@@ -518,7 +542,7 @@ def wasserstein(
     largest deficit or the out-tree of the largest excess of
     nu0 - nu1, whichever is larger (the out-tree on a tie; see the
     module docstring), with the row of that tree's root dropped.  The
-    potential is read off that solve (RootBasis.potential, which
+    potential is read off that solve (RootBasis.potentials, which
     raises NumericsError unless it is integral and f(w) - f(z) <= 1 on
     every arc, both exactly), shifted to f(0) = 0, and NumericsError
     unless |W - f.(nu1 - nu0)| <= lp.GAP_TOL, the one check where
@@ -552,7 +576,7 @@ def wasserstein(
     nu1 = _check_probability(nu1, n, "nu1")
     ((tree, solution),) = _chains((nu0 - nu1)[None, None], dm, (None,))
     value = float(solution.value)
-    f = tree.potential(solution, dm.arcs)
+    f = tree.potentials([solution])[0]
     f = f - f[0]
     gap = abs(value - float(f @ (nu1 - nu0)))
     if gap > lp.GAP_TOL:

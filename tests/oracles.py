@@ -25,7 +25,9 @@ bit for bit, carried_warm_start and two_step_arc_start the warm starts
 re-formed and re-checked at every step, which the W chains' starts
 must match bit for bit, w_chain the chain of single solves each
 column of a W table must make, and lu_duals the dense solve its duals,
-read off the final cost row, are held to.
+read off the final cost row, are held to.  kappa_pair solves one
+curvature program alone, from its own start (with_column), the route
+each program of a kappa_lp row must match bit for bit.
 At the end sit second routes to library quantities, built on the
 library's primitives: gradient and gradient_matrix (difference
 quotients over every pair), reversed_graph, label (a vertex's name),
@@ -567,21 +569,75 @@ def carried_warm_start(solution) -> lp.Start:
 def two_step_arc_start(arc_start) -> lp.Start:
     """An ArcStart's W start in two checked steps: kappa's own warm start, then the swap.
 
-    carried_warm_start makes kappa's final basis the start of its own
-    program; dropping the virtual column and, where that column is
-    basic, putting the arc x -> y in its place with its row negated
-    gives the start of W, which Start.carried checks again.
+    kappa's program is the root's program plus the virtual arc y -> x,
+    whose column is +1 in the row of y and whose cost is -1.  The final
+    basis and tableau the ArcStart keeps are made the start of that
+    program, with the inverse (B_f^-1 B_0) B_0^-1 as carried_warm_start
+    forms it, and Start.carried checks it; dropping the virtual column
+    and, where that column is basic, putting the arc x -> y in its
+    place with its row negated gives the start of W, which
+    Start.carried checks again.
     """
-    kappa = carried_warm_start(arc_start.kappa)
-    c, A = arc_start.program.c, arc_start.program.A
+    program, T = arc_start.program, arc_start.tableau
+    c = np.append(program.c, -1.0)
+    rows = np.flatnonzero(np.arange(len(program.A) + 1) != arc_start.root)
+    A = np.column_stack((program.A, (rows == arc_start.head).astype(float)))
+    inverse = T[:-1, program.basis] @ program.inverse
+    kappa = lp.Start.carried(c, A, arc_start.basis, inverse, T[:, :-1])
     basis, inverse, tableau = kappa.basis, kappa.inverse, kappa.tableau[:, :-1]
-    rows = np.flatnonzero(basis == len(c))
+    rows = np.flatnonzero(basis == len(program.c))
     if rows.size:
         basis, inverse, tableau = basis.copy(), inverse.copy(), tableau.copy()
-        basis[rows] = np.flatnonzero((A == -kappa.A[:, -1, None]).all(axis=0))
+        basis[rows] = np.flatnonzero((program.A == -kappa.A[:, -1, None]).all(axis=0))
         inverse[rows] = 0.0 - inverse[rows]
         tableau[rows] = 0.0 - tableau[rows]
-    return lp.Start.carried(c, A, basis, inverse, tableau)
+    return lp.Start.carried(program.c, program.A, basis, inverse, tableau)
+
+
+def with_column(start: lp.Start, cost: float, column: np.ndarray) -> lp.Start:
+    """start with one more column of A, priced at cost, formed and checked on its own.
+
+    The basis and its inverse stay, so the column's tableau entries are
+    B^-1 column and its reduced cost is the one new entry to check:
+    NumericsError unless it is at least -RC_TOL.  The start of one
+    curvature program as kappa_pair builds it, which the starts of a
+    kappa_lp row, formed as one stack, must match bit for bit.
+    """
+    m, n = start.A.shape
+    T = np.empty((m + 1, n + 1))
+    T[:, :n] = start.tableau
+    T[:m, n] = start.inverse @ column
+    T[m, n] = cost - start.c[start.basis] @ T[:m, n]
+    if T[m, n] < -lp.RC_TOL:
+        raise NumericsError(f"starting basis is not dual feasible: reduced cost {T[m, n]:.3e}")
+    c = np.concatenate((start.c, [cost]))
+    A = np.concatenate((start.A, column[:, None]), axis=1)
+    return lp.Start(c, A, start.basis, start.inverse, T)
+
+
+def kappa_pair(x: int, y: int, M: MarkovData, dm: DistanceMatrix):
+    """kappa(x, y) by one program alone: (kappa, witness, its solve).
+
+    The program is root x's out-tree start with the virtual arc y -> x
+    added by with_column, solved by lp.solve_lp; the witness is minus
+    its solve's own duals (LpSolution.duals), with f(x) = 0, and
+    NumericsError unless it is integral, stretches no arc, has
+    f(y) = d(x, y) and closes the gap to lp.GAP_TOL.  The per-pair route
+    each program of a kappa_lp row must match bit for bit.
+    """
+    dxy = float(dm.d[x, y])
+    c = (M.L[y] - M.L[x]) / dxy
+    tree = transport.root_basis(dm, x)
+    solution = tree.solve(c, with_column(tree.start, -dxy, (tree.vertices == y).astype(float)))
+    kappa = 0.0 - float(solution.value)
+    f = np.zeros(M.n)
+    f[tree.vertices] = 0.0 - solution.duals
+    stretch = (f[dm.arcs[:, 1]] - f[dm.arcs[:, 0]]).max(initial=0.0)
+    if not (f == f.round()).all() or stretch > 1.0 or f[y] != dxy:
+        raise NumericsError(f"curvature witness {f} is not an integral 1-Lipschitz f(y) = {dxy:g}")
+    if abs(kappa - float(c @ f)) > lp.GAP_TOL:
+        raise NumericsError("curvature duality gap exceeds lp.GAP_TOL")
+    return kappa, f, solution
 
 
 def w_chain(dm, nu0, nu1, arc_start=None, re_form=False) -> list:

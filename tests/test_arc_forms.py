@@ -72,7 +72,7 @@ from digricci import (
     wasserstein,
 )
 from digricci import transport
-from digricci.errors import LpFailureError
+from digricci.errors import LpFailureError, SameVertexError
 from digricci.heat import DEFAULT_LIMIT_GRID, DEFAULT_TIME_GRID
 from digricci.transport import root_basis
 
@@ -374,6 +374,51 @@ def test_kappa_started_chain_matches_cold_solves_and_scipy(instance):
 
 
 @PROPERTY_SETTINGS
+@given(graphs(), st.data())
+def test_a_kappa_row_solves_each_program_as_the_per_pair_route(g, data):
+    """A kappa_lp row makes, program by program, the solves of oracles.kappa_pair, bit for bit.
+
+    The row sets up its programs as one stack and reads their duals as
+    one product; the reference gives each program its own start
+    (oracles.with_column) and reads each solve's own duals.  Rows over
+    every other vertex, over one, and over the root's out-neighbours
+    agree with it in kappa, witness, final basis and pivot count, one
+    lp.solve_lp per program, and each arc's ArcStart gives the W start
+    that oracles.two_step_arc_start forms off the reference solve.  An
+    int y is a row of one that returns (kappa, witness), a row that
+    holds x raises, and an empty row returns empty arrays.
+    """
+    M, dm = markov_data(g), distances(g)
+    x = data.draw(st.integers(0, g.n - 1))
+    others = [y for y in range(g.n) if y != x]
+    ys = data.draw(st.sampled_from([
+        others, [data.draw(st.sampled_from(others))], dm.arcs[dm.arcs[:, 0] == x, 1].tolist(),
+    ]))
+    (kappas, witnesses), solves = recorded_solves(lambda: kappa_lp(x, np.array(ys), M, dm))
+    assert kappas.shape == (len(ys),) and witnesses.shape == (len(ys), g.n)
+    ref_dm = distances(g)
+    arcs = dm.arcs.tolist()
+    for y, kappa, witness, solution in zip(ys, kappas, witnesses, solves, strict=True):
+        ref_kappa, ref_witness, ref = oracles.kappa_pair(x, y, M, ref_dm)
+        assert np.float64(kappa).tobytes() == np.float64(ref_kappa).tobytes()
+        assert witness.tobytes() == ref_witness.tobytes()
+        assert solution.basis.tobytes() == ref.basis.tobytes()
+        assert solution.iterations == ref.iterations
+        value, single = kappa_lp(x, y, M, distances(g))
+        assert type(value) is float and value == kappa and single.tobytes() == witness.tobytes()
+        if [x, y] in arcs:
+            program = root_basis(ref_dm, x).start
+            ref_start = transport.ArcStart(x, y, ref.basis, ref._tableau, program)
+            assert same_start(dm._arc_starts[(x, y)].warm_start(),
+                              oracles.two_step_arc_start(ref_start))
+    assert sorted(dm._arc_starts) == sorted((x, y) for y in ys if [x, y] in arcs)
+    with pytest.raises(SameVertexError):
+        kappa_lp(x, np.array([*ys, x]), M, dm)
+    kappas, witnesses = kappa_lp(x, np.array([], dtype=int), M, dm)
+    assert kappas.shape == (0,) and witnesses.shape == (0, g.n)
+
+
+@PROPERTY_SETTINGS
 @given(graphs())
 def test_kappa_start_is_the_start_its_basis_multiplies_out(g):
     """Each arc's W start, formed off kappa's final tableau, is Start.from_basis's, bit for bit.
@@ -415,10 +460,10 @@ def test_kappa_start_with_the_virtual_arc_nonbasic_is_kappas_basis_as_it_stands(
     dm, M = distances(g_tri), markov_data(g_tri)
     x, y = (int(v) for v in dm.arcs[0])
     tree = root_basis(dm, x)
-    program = tree.start.with_column(-1.0, (tree.vertices == y).astype(float))
+    program = oracles.with_column(tree.start, -1.0, (tree.vertices == y).astype(float))
     kappa = solve_lp(program, program.A[:, program.basis].sum(axis=1))
     assert kappa.iterations == 0 and len(tree.start.c) not in kappa.basis
-    arc_start = transport.ArcStart(x, kappa, tree.start)
+    arc_start = transport.ArcStart(x, y, kappa.basis, kappa._tableau, tree.start)
     start = arc_start.warm_start()
     for name in ("c", "A", "basis", "inverse", "tableau"):
         assert getattr(start, name).tobytes() == getattr(tree.start, name).tobytes(), name
@@ -656,12 +701,15 @@ def test_a_dual_moved_off_the_integers_raises(g_tri, monkeypatch, solve, move, e
     That move is far inside lp.GAP_TOL, so a check within that
     tolerance would pass it.  Moved by -2 instead, the dual stays
     integral but lifts f at vertex 1 by 2, which stretches its in-arcs.
+    Both routes read the duals off the final cost row c - y A (a kappa
+    row reads all of its rows as one stack), so the move goes there:
+    y + move in row 0 is the cost row less move times A's row 0.
     """
     lp_solve = lp.solve_lp
 
     def moved_solve(start, b):
         solution = lp_solve(start, b)
-        solution.duals = solution.duals + move * np.eye(len(solution.duals))[0]
+        solution._tableau[-1, :-1] -= move * start.A[0]
         return solution
 
     M, dm = markov_data(g_tri), distances(g_tri)

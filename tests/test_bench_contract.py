@@ -138,6 +138,34 @@ def test_traced_analyze_sparse_keeps_its_solve_counts(bench, run, tmp_path, caps
     assert (len(solves), via_w) == (2 * 56 + 7 * 43, 7 * 43) == (413, 301)
 
 
+def test_traced_curvature_sparse_solves_every_program_under_kappa_lp(bench, run, tmp_path, capsys):
+    """curvature_sparse seed 1, traced: 528 LP solves and 3,427 pivots, all under kappa_lp.
+
+    Its four ring+chords n=12 make 4 x 132 curvature programs, one row
+    of 11 per root, and each program is one lp.solve_lp inside the
+    kappa_lp span of its row.  A row whose solves ran outside that span
+    would move them to "other".
+    """
+    workload = bench.workloads.build("curvature_sparse", 1)
+    paths = write_graphs(workload, tmp_path)
+    tracer = run.Tracer()
+    try:
+        tracer.install(digricci)
+        for i, request in enumerate(workload.requests):
+            assert request.kind == "curvature"
+            tracer.request = i
+            argv = ["curvature", paths[request.graph]]
+            assert tracer.call("cli.main.curvature", cli.main, argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = run.layer_metrics(tracer)
+    assert metrics["lp.solve_lp.calls"] == metrics["lp.solves.by.kappa_lp"] == 4 * 12 * 11 == 528
+    assert metrics["lp.solves.by.other"] == 0
+    assert metrics["curvature.kappa_lp.calls"] == 4 * 12
+    assert metrics["lp.pivots"] == 3427
+
+
 def test_analyze_dense_passes_the_benchmark_checks(bench, tmp_path, capsys):
     """analyze_dense is one K_8 (K > 0): the one workload graph that runs the functional suite."""
     workload = bench.workloads.build("analyze_dense", 1)

@@ -321,6 +321,20 @@ class TestSampledImplications:
             assert cert.passed
             assert cert.witness["hypothesis_met"] <= cert.witness["total"]
 
+    def test_info_to_entropy_passes_vacuously_when_no_density_meets_its_hypothesis(
+        self, g_c3, rng
+    ):
+        """K = 1000 on C_3 shrinks the hypothesis bound I/c^2 below every density's W^2.
+
+        Densities were given, so the check passes at margin 0 and counts
+        them; an empty family raises instead (EMPTY_CASES).
+        """
+        M, dm = markov_data(g_c3), distances(g_c3)
+        rhos = random_densities(M, 2, rng)
+        cert = check_info_to_entropy(M, dm, 1e3, rhos)
+        assert cert.passed and (cert.lhs, cert.rhs, cert.margin) == (0.0, 0.0, 0.0)
+        assert cert.witness == {"hypothesis_met": 0, "total": len(rhos)} and rhos
+
     @pytest.mark.parametrize("K", [0.0, -0.5])
     def test_link_checks_need_positive_K(self, g_c3, rng, K):
         M, dm = markov_data(g_c3), distances(g_c3)
@@ -364,6 +378,7 @@ EMPTY_CASES = {
     "l1 rhos": lambda M, dm, K, fs, rhos: check_transport_l1_bound(M, dm, K, []),
     "information rhos": lambda M, dm, K, fs, rhos: check_transport_information(M, dm, K, []),
     "entropy rhos": lambda M, dm, K, fs, rhos: check_transport_entropy(M, dm, K, []),
+    "info-to-entropy rhos": lambda M, dm, K, fs, rhos: check_info_to_entropy(M, dm, K, []),
     "bobkov-goetze fs": lambda M, dm, K, fs, rhos: check_bobkov_goetze(M, dm, K, rhos, fs[:0]),
     "bobkov-goetze rhos": lambda M, dm, K, fs, rhos: check_bobkov_goetze(M, dm, K, [], fs),
     "bobkov-goetze lambda_grid": lambda M, dm, K, fs, rhos: check_bobkov_goetze(

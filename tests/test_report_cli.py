@@ -526,15 +526,30 @@ class TestCliOther:
         assert "lipschitz_contraction" not in names
 
     def test_verify_functional_solves_kappa_on_the_arcs_only(self, tri_file, capsys, monkeypatch):
-        """K is the least arc kappa: 4 solves on the triangle, not one per ordered pair."""
-        pairs = []
-        kappa_lp = curvature.kappa_lp
+        """K is the least arc kappa: 4 solves on the triangle, not one per ordered pair.
 
-        def recording_kappa_lp(x, y, M, dm):
-            pairs.append((x, y))
-            return kappa_lp(x, y, M, dm)
+        A kappa_lp call may be a row, so the solves made under it are
+        counted, each named by its own program: the call's root x, and
+        the y whose row holds the virtual column's +1 (x's row is dropped).
+        """
+        pairs, roots = [], []
+        kappa_lp, solve_lp = curvature.kappa_lp, lp.solve_lp
+
+        def recording_kappa_lp(x, ys, M, dm):
+            roots.append(x)
+            try:
+                return kappa_lp(x, ys, M, dm)
+            finally:
+                roots.pop()
+
+        def recording_solve(start, b):
+            if roots:
+                row = int(start.A[:, -1].argmax())
+                pairs.append((roots[-1], row + (row >= roots[-1])))
+            return solve_lp(start, b)
 
         monkeypatch.setattr(curvature, "kappa_lp", recording_kappa_lp)
+        monkeypatch.setattr(lp, "solve_lp", recording_solve)
         assert main(["verify-functional", tri_file]) == 0
         payload = json.loads(capsys.readouterr().out)
         g = load_graph(tri_file)
