@@ -42,12 +42,12 @@ from .concentration import (
     concentration_tail,
     random_densities,
 )
-from .curvature import DEFAULT_EPS_GRID, SMOOTHING_AGREEMENT_TOL, curvature_matrix, kappa_limit
+from .curvature import EPS_GRID, SMOOTHING_AGREEMENT_TOL, curvature_matrix, kappa_limit
 from .digraph import DirectedGraph, distances, load_graph, sample_lipschitz_functions
 from .errors import GraphCurvatureError, ParseError
 from .heat import (
-    DEFAULT_LIMIT_GRID,
     HEAT_LIMIT_AGREEMENT_TOL,
+    LIMIT_GRID,
     curvature_time_limit,
     heat_kernel_matrix,
     heat_operator,
@@ -150,7 +150,7 @@ def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
         report.certificates.append(
             certificate_from_samples(
                 "curvature_smoothing_agreement",
-                {"eps_grid": list(DEFAULT_EPS_GRID)},
+                {"eps_grid": list(EPS_GRID)},
                 [
                     (residuals[x][y], SMOOTHING_AGREEMENT_TOL, {"pair": [x, y]})
                     for x in range(g.n)
@@ -175,7 +175,7 @@ def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
     report.certificates.append(
         certificate_from_samples(
             "curvature_heat_limit_agreement",
-            {"time_grid": list(DEFAULT_LIMIT_GRID), "pairs": "arcs"},
+            {"time_grid": list(LIMIT_GRID), "pairs": "arcs"},
             deviations,
             tol=0.0,
         )

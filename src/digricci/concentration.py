@@ -11,10 +11,12 @@ relative entropy.  Every statement here is certified numerically on a
 sample family: a stack of functions, the vertex on the last axis (a 1-D
 f is a family of one), or a list of DensityFixture.  Each check returns
 one certificate whose witness names the binding sample, by f_index or
-by the density's provenance under "rho".  An empty family or grid
-certifies nothing and raises HypothesisUnmetError, except in
-check_info_to_entropy, which passes vacuously when no sample meets its
-hypothesis.
+by the density's provenance under "rho".  An empty family certifies
+nothing and raises HypothesisUnmetError; check_info_to_entropy passes
+vacuously when densities were given and none meets its hypothesis.
+The grids the checks sample their parameter on are fixed: lam over
+LAMBDA_GRID for the moment, chain-rule and link checks, and r over
+R_GRID for the tail.
 
 A check takes the curvature level K alone.  Lambda is a constant of
 the graph, so each check reads it from dm.lam; the two link checks,
@@ -50,10 +52,10 @@ from .errors import HypothesisUnmetError, NotLipschitzError
 LIPSCHITZ_SLACK = 1e-12
 # the two carre-du-champ routes to the Fisher information must agree this well
 FISHER_CROSSCHECK_TOL = 1e-12
-# default exponential-moment grid
-DEFAULT_LAMBDA_GRID = (0.5, 1.0, 2.0)
-# default tail radii
-DEFAULT_R_GRID = tuple(0.25 * k for k in range(1, 13))
+# exponential-moment grid
+LAMBDA_GRID = (0.5, 1.0, 2.0)
+# tail radii
+R_GRID = tuple(0.25 * k for k in range(1, 13))
 
 
 @dataclass(frozen=True)
@@ -215,15 +217,14 @@ def check_laplace_bound(
     dm: DistanceMatrix,
     K: float,
     fs: np.ndarray,
-    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
-    """m(exp(lam f)) <= exp(lam^2 Lambda^2 / 4K) on the centred functions fs."""
+    """m(exp(lam f)) <= exp(lam^2 Lambda^2 / 4K) on the centred functions fs, lam of LAMBDA_GRID."""
     _require_positive_K(K)
     lam_max = float(dm.lam)
     fs = _stack(fs)
     comparisons = []
-    for lam in lambda_grid:
+    for lam in LAMBDA_GRID:
         # a small K overflows the bound to inf: vacuous, and correct
         with np.errstate(over="ignore"):
             bound = float(np.exp(lam * lam * lam_max * lam_max / (4.0 * K)))
@@ -233,7 +234,7 @@ def check_laplace_bound(
         ]
     return certificate_from_samples(
         "laplace_moment_bound",
-        {"K": K, "Lambda": lam_max, "lambda_grid": list(lambda_grid), "samples": len(fs)},
+        {"K": K, "Lambda": lam_max, "lambda_grid": list(LAMBDA_GRID), "samples": len(fs)},
         comparisons,
         tol,
     )
@@ -242,17 +243,13 @@ def check_laplace_bound(
 def check_exp_chain_rule_bound(
     M: MarkovData,
     fs: np.ndarray,
-    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
     tol: float = 1e-10,
 ) -> InequalityCertificate:
-    """m(Gamma(f, exp(lam f))) <= lam (exp(lam f), Gamma(f)) for each f and lam."""
-    lambda_grid = list(lambda_grid)
-    if min(lambda_grid, default=0.0) < 0:
-        raise HypothesisUnmetError(f"lambda must be non-negative, got {min(lambda_grid)}")
+    """m(Gamma(f, exp(lam f))) <= lam (exp(lam f), Gamma(f)) for each f and lam of LAMBDA_GRID."""
     fs = _stack(fs)
     gamma_f = gamma(fs, fs, M)
     lhs, rhs = [], []
-    for lam in lambda_grid:
+    for lam in LAMBDA_GRID:
         ef = np.exp(lam * fs)
         lhs.append(mean(gamma(fs, ef, M), M.m))
         rhs.append(lam * inner(ef, gamma_f, M.m))
@@ -261,9 +258,9 @@ def check_exp_chain_rule_bound(
     comparisons = [
         (left, right, {"f_index": i, "lambda": lam})
         for i, (lefts, rights) in enumerate(zip(lhs, rhs))
-        for left, right, lam in zip(lefts, rights, lambda_grid)
+        for left, right, lam in zip(lefts, rights, LAMBDA_GRID)
     ]
-    hypothesis = {"lambda_grid": lambda_grid, "samples": len(fs)}
+    hypothesis = {"lambda_grid": list(LAMBDA_GRID), "samples": len(fs)}
     return certificate_from_samples("exp_chain_rule_bound", hypothesis, comparisons, tol)
 
 
@@ -286,26 +283,25 @@ def concentration_tail(
     dm: DistanceMatrix,
     K: float,
     fs: np.ndarray,
-    r_grid: tuple[float, ...] = DEFAULT_R_GRID,
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
-    """Exact tail masses m({f >= m(f) + r}) against exp(-K r^2 / Lambda^2)."""
+    """Exact tail masses m({f >= m(f) + r}) against exp(-K r^2 / Lambda^2), r in R_GRID."""
     _require_positive_K(K)
     lam_max = float(dm.lam)
     fs = _stack(fs)
-    bounds = [float(np.exp(-K * r * r / (lam_max * lam_max))) for r in r_grid]
+    bounds = [float(np.exp(-K * r * r / (lam_max * lam_max))) for r in R_GRID]
     lips = lipschitz_constant(fs, dm)
     steep = lips > 1.0 + LIPSCHITZ_SLACK
     if steep.any():
         i = int(steep.argmax())
         raise NotLipschitzError(f"tail bound needs Lip f <= 1, got {lips[i]:.17g} at f_index {i}")
-    levels = mean(fs, M.m)[:, None] + np.asarray(r_grid, dtype=float)
+    levels = mean(fs, M.m)[:, None] + np.asarray(R_GRID)
     above = fs[:, None, :] >= levels[:, :, None]
     masses = _masses(M.m, above.reshape(-1, M.n)).reshape(levels.shape).tolist()
     comparisons = [
         (mass, bound, {"f_index": i, "r": r})
         for i, row in enumerate(masses)
-        for mass, r, bound in zip(row, r_grid, bounds)
+        for mass, r, bound in zip(row, R_GRID, bounds)
     ]
     hypothesis = {"K": K, "Lambda": lam_max, "samples": len(fs)}
     return certificate_from_samples("lipschitz_tail_bound", hypothesis, comparisons, tol)
@@ -398,7 +394,6 @@ def check_bobkov_goetze(
     K: float,
     rhos: list[DensityFixture],
     fs: np.ndarray,
-    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Sample-level link between the Laplace bound and transport-entropy at c = 2K / Lambda^2.
@@ -421,9 +416,9 @@ def check_bobkov_goetze(
     fs = _stack(fs)
 
     name = "transport_entropy_laplace_link"
-    hypothesis = {"c": c, "lambda_grid": list(lambda_grid)}
+    hypothesis = {"c": c, "lambda_grid": list(LAMBDA_GRID)}
     comparisons = []
-    for lam in lambda_grid:
+    for lam in LAMBDA_GRID:
         # a small c overflows the bound to inf: vacuous, and correct
         with np.errstate(over="ignore"):
             bound = float(np.exp(lam * lam / (2.0 * c)))

@@ -51,9 +51,9 @@ from .chain import MarkovData
 from .digraph import DistanceMatrix
 from .errors import EpsOutOfRangeError, NumericsError, SameVertexError
 
-# default smoothing grid: small enough to sit in the linear regime,
-# two points so the spread reports whether that actually happened
-DEFAULT_EPS_GRID = (1e-3, 5e-4)
+# smoothing grid: small enough to sit in the linear regime, two points
+# so the spread reports whether that actually happened
+EPS_GRID = (1e-3, 5e-4)
 # largest |exact - smoothing limit| over the pairs that counts as agreement
 SMOOTHING_AGREEMENT_TOL = 1e-4
 
@@ -159,27 +159,18 @@ def kappa_lp(
     return kappa, witness
 
 
-def kappa_limit(
-    x: int,
-    y: int,
-    M: MarkovData,
-    dm: DistanceMatrix,
-    eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID,
-) -> tuple[float, float]:
-    """The smoothed curvature over eps at the smallest eps, and the spread.
+def kappa_limit(x: int, y: int, M: MarkovData, dm: DistanceMatrix) -> tuple[float, float]:
+    """The smoothed curvature over eps at the smallest eps of EPS_GRID, and the spread.
 
     The smoothed curvature is 1 - W(nu_x_eps, nu_y_eps) / d(x, y).
     Near zero it is linear in eps, so the quotients stabilise; the
     spread (max - min over the grid) reports how far into that regime
-    the grid reached.  EpsOutOfRangeError unless the grid is non-empty
-    and every eps lies in (0, 1].  The W of the grid are one program
-    with moving measures, so they are solved as one column of a table
-    (transport.wasserstein), once per distinct eps in ascending order,
-    each from the previous eps's optimal basis.
+    the grid reached.  The W of the grid are one program with moving
+    measures, so they are solved as one column of a table
+    (transport.wasserstein), in ascending eps, each from the previous
+    eps's optimal basis.
     """
-    grid = sorted(set(eps_grid))
-    if not grid or not grid[0] > 0:
-        raise EpsOutOfRangeError("eps grid must be non-empty and positive")
+    grid = sorted(EPS_GRID)
     if x == y:
         raise SameVertexError("curvature needs two distinct vertices")
     # one column of pairs: axes (vertex x or y, eps, column, entry)

@@ -49,11 +49,16 @@ BFS tree.  The table runs inside wasserstein, under the certificate
 that asked for it, so the solves stay counted under that certificate
 and under wasserstein.  Each time's kernel matrix is built once per
 operator.
+
+The times are fixed: TIME_GRID for the two contraction certificates
+and LIMIT_GRID for the small-time limit, both positive.  Reports state
+each grid in its own order; a W table runs over it in ascending order.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,10 +69,10 @@ from .chain import MarkovData
 from .digraph import DistanceMatrix, lipschitz_constant
 from .errors import NegativeTimeError, SameVertexError
 
-# default times for the contraction certificates
-DEFAULT_TIME_GRID = (0.01, 0.1, 1.0, 5.0)
-# default times for the small-time curvature limit
-DEFAULT_LIMIT_GRID = (1e-2, 1e-3, 1e-4)
+# times of the contraction certificates, ascending: their W table solves them in this order
+TIME_GRID = (0.01, 0.1, 1.0, 5.0)
+# times of the small-time curvature limit, in the order reports state them
+LIMIT_GRID = (1e-2, 1e-3, 1e-4)
 # largest |exact - heat limit| over the arcs that counts as agreement
 HEAT_LIMIT_AGREEMENT_TOL = 1e-3
 
@@ -145,19 +150,16 @@ def verify_gradient_estimate(
     dm: DistanceMatrix,
     K: float,
     fs: np.ndarray,
-    ts: tuple[float, ...] = DEFAULT_TIME_GRID,
     tol: float = 1e-9,
 ) -> InequalityCertificate:
-    """Check Lip(P_t f) <= exp(-K t) Lip(f) on every sample and time.
+    """Check Lip(P_t f) <= exp(-K t) Lip(f) on every sample and every time of TIME_GRID.
 
     Each time smooths the whole stack of samples in one apply.
-    NegativeTimeError, before any kernel is built, if ts is empty.
     """
-    _require_times(ts)
     fs = np.atleast_2d(fs)
     lip_fs = lipschitz_constant(fs, dm).tolist()
     comparisons = []
-    for t in ts:
+    for t in TIME_GRID:
         lip_heats = lipschitz_constant(H.apply(t, fs), dm).tolist()
         # a large negative K overflows the bound to inf: vacuous, and correct
         with np.errstate(over="ignore"):
@@ -167,18 +169,12 @@ def verify_gradient_estimate(
             for i, (lip_heat, lip_f) in enumerate(zip(lip_heats, lip_fs))
         ]
     return certificate_from_samples(
-        "lipschitz_contraction", {"K": K, "times": list(ts)}, comparisons, tol
+        "lipschitz_contraction", {"K": K, "times": list(TIME_GRID)}, comparisons, tol
     )
 
 
-def _require_times(ts: tuple[float, ...]) -> None:
-    """NegativeTimeError unless the time grid holds a time."""
-    if not len(ts):
-        raise NegativeTimeError("time grid must contain a time")
-
-
 def _heat_flow_w(
-    H: HeatOperator, dm: DistanceMatrix, times: list[float], xs: np.ndarray, ys: np.ndarray
+    H: HeatOperator, dm: DistanceMatrix, times: Sequence[float], xs: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
     """W(p_x_t, p_y_t) at each of the ascending times (rows) for each pair (columns).
 
@@ -196,10 +192,9 @@ def verify_transport_contraction(
     H: HeatOperator,
     dm: DistanceMatrix,
     K: float,
-    ts: tuple[float, ...] = DEFAULT_TIME_GRID,
     tol: float = 1e-9,
 ) -> InequalityCertificate:
-    """Check W(p_x_t, p_y_t) <= exp(-K t) d(x, y) over all ordered pairs.
+    """Check W(p_x_t, p_y_t) <= exp(-K t) d(x, y) over all ordered pairs, t in TIME_GRID.
 
     The loop runs over the arcs (d(x, y) = 1) only; the module docstring
     says why that covers every pair.  A pair at distance k has at least
@@ -210,31 +205,25 @@ def verify_transport_contraction(
     exp(-K t) d(x, y) within d(x, y) * tol.  When an arc fails, a pair at
     distance k may fail by up to k times the reported margin.
 
-    The W form one table (transport.wasserstein): a column per arc, its
-    distinct times in ascending order, the first solve from the arc's
-    kappa optimum when dm holds one, each later one from the previous
-    time's optimal basis (see the module docstring); the comparisons
-    are listed as ts gives the times, arcs in order within each.  Every
-    kernel is built before the first solve, so an empty grid or a
-    negative time raises NegativeTimeError (the latter from
-    heat_kernel_matrix) before any W is solved.
+    The W form one table (transport.wasserstein): a column per arc, the
+    times in ascending order, the first solve from the arc's kappa
+    optimum when dm holds one, each later one from the previous time's
+    optimal basis (see the module docstring); the comparisons are listed
+    time by time, arcs in order within each.
     """
-    _require_times(ts)
-    times = sorted(set(ts))
-    values = _heat_flow_w(H, dm, times, *dm.arcs.T).tolist()
+    values = _heat_flow_w(H, dm, TIME_GRID, *dm.arcs.T).tolist()
     arcs = dm.arcs.tolist()
     comparisons = []
-    for t in ts:
+    for t, row in zip(TIME_GRID, values):
         # a large negative K overflows the bound to inf: vacuous, and correct
         with np.errstate(over="ignore"):
             shrink = float(np.exp(-K * t))
         comparisons += [
-            (value, shrink, {"t": t, "pair": (x, y)})
-            for value, (x, y) in zip(values[times.index(t)], arcs)
+            (value, shrink, {"t": t, "pair": (x, y)}) for value, (x, y) in zip(row, arcs)
         ]
     return certificate_from_samples(
         "transport_contraction",
-        {"K": K, "times": list(ts), "pairs": "arcs"},
+        {"K": K, "times": list(TIME_GRID), "pairs": "arcs"},
         comparisons,
         tol,
     )
@@ -245,32 +234,25 @@ def curvature_time_limit(
     dm: DistanceMatrix,
     xs: np.ndarray,
     ys: np.ndarray,
-    t_grid: tuple[float, ...] = DEFAULT_LIMIT_GRID,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Small-time curvature (1/t)(1 - W(p_x_t, p_y_t) / d(x, y)) of each pair (xs[j], ys[j]).
 
-    Returns, per pair, the two-point Richardson extrapolation through
-    the two smallest distinct grid times together with the spread
-    (max - min) of the finite-time estimates, which reports how settled
-    the limit is; a grid of one distinct time gives its estimate and
-    spread 0.  The W form one table (transport.wasserstein): a column
-    per pair over the distinct times in ascending order, the first from
-    the arc's kappa optimum when x -> y is an arc whose kappa dm holds,
-    each later one from the previous time's optimal basis (see the
-    module docstring).  NegativeTimeError unless the grid holds a time
-    and every time is positive; SameVertexError if a pair repeats a
-    vertex.
+    The times are those of LIMIT_GRID.  Returns, per pair, the two-point
+    Richardson extrapolation through the two smallest times together
+    with the spread (max - min) of the finite-time estimates, which
+    reports how settled the limit is.  The W form one table
+    (transport.wasserstein): a column per pair over the times in
+    ascending order, the first from the arc's kappa optimum when x -> y
+    is an arc whose kappa dm holds, each later one from the previous
+    time's optimal basis (see the module docstring).  SameVertexError if
+    a pair repeats a vertex.
     """
-    ts = sorted(set(t_grid))
-    if not ts or ts[0] <= 0:
-        raise NegativeTimeError("limit grid must contain positive times")
+    ts = sorted(LIMIT_GRID)
     xs, ys = np.asarray(xs, dtype=int), np.asarray(ys, dtype=int)
     if (xs == ys).any():
         raise SameVertexError("curvature needs two distinct vertices")
     w = _heat_flow_w(H, dm, ts, xs, ys)
     estimates = (1.0 - w / dm.d[xs, ys].astype(float)) / np.asarray(ts)[:, None]
-    if len(ts) == 1:
-        return estimates[0], np.zeros(len(xs))
     t1, t2 = ts[1], ts[0]
     g1, g2 = estimates[1], estimates[0]
     extrapolated = (t1 * g2 - t2 * g1) / (t1 - t2)

@@ -312,7 +312,7 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[
         if not entering.size:
             return "infeasible", iterations
         ratios = costs[entering] / -row[entering]
-        best = ratios.min()
+        best = ratios[ratios.argmin()]
         j = entering[(ratios <= best + 1e-12 * max(1.0, abs(best))).argmax()]
         if stalled < m:
             stalled = stalled + 1 if best <= 0.0 else 0

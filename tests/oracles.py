@@ -69,12 +69,7 @@ from digricci import (
     wasserstein,
 )
 from digricci.certificates import DEFAULT_TOL
-from digricci.concentration import (
-    DEFAULT_LAMBDA_GRID,
-    DEFAULT_R_GRID,
-    FISHER_CROSSCHECK_TOL,
-    LIPSCHITZ_SLACK,
-)
+from digricci.concentration import FISHER_CROSSCHECK_TOL, LAMBDA_GRID, LIPSCHITZ_SLACK, R_GRID
 from digricci.errors import (
     GraphCurvatureError,
     HypothesisUnmetError,
@@ -83,7 +78,7 @@ from digricci.errors import (
     NumericsError,
     SameVertexError,
 )
-from digricci.heat import DEFAULT_TIME_GRID
+from digricci.heat import TIME_GRID
 from digricci.transport import MASS_TOL
 
 INF = float("inf")
@@ -253,11 +248,11 @@ def mu_of(g) -> np.ndarray:
     return np.asarray(g.mu)
 
 
-def transport_contraction_all_pairs(H, dm, K: float, ts=DEFAULT_TIME_GRID, tol=1e-9):
+def transport_contraction_all_pairs(H, dm, K: float, tol=1e-9):
     """W(p_x_t, p_y_t) <= exp(-K t) d(x, y) checked over every ordered pair."""
     n = H.Pmean.shape[0]
     comparisons = []
-    for t in ts:
+    for t in TIME_GRID:
         kernel = heat_kernel_matrix(H, t)
         shrink = float(np.exp(-K * t))
         for x in range(n):
@@ -269,11 +264,11 @@ def transport_contraction_all_pairs(H, dm, K: float, ts=DEFAULT_TIME_GRID, tol=1
                     (plan.value, shrink * float(dm.d[x, y]), {"t": t, "pair": (x, y)})
                 )
     return certificate_from_samples(
-        "transport_contraction", {"K": K, "times": list(ts)}, comparisons, tol
+        "transport_contraction", {"K": K, "times": list(TIME_GRID)}, comparisons, tol
     )
 
 
-def gradient_estimate_per_sample(H, dm, K: float, fs, ts=DEFAULT_TIME_GRID, tol=1e-9):
+def gradient_estimate_per_sample(H, dm, K: float, fs, ts=TIME_GRID, tol=1e-9):
     """The gradient-estimate certificate with one apply per sample and time.
 
     The loop verify_gradient_estimate ran before it smoothed the whole
@@ -361,13 +356,12 @@ def density_record_per_row(M: MarkovData, rho, provenance: str) -> DensityFixtur
     )
 
 
-def laplace_bound_per_sample(M, dm, K: float, fs, lambda_grid=DEFAULT_LAMBDA_GRID,
-                             tol=DEFAULT_TOL):
+def laplace_bound_per_sample(M, dm, K: float, fs, tol=DEFAULT_TOL):
     """check_laplace_bound with one moment per sample and lambda (K > 0 assumed)."""
     lam_max = float(dm.lam)
     fs = np.atleast_2d(fs)
     comparisons = []
-    for lam in lambda_grid:
+    for lam in LAMBDA_GRID:
         with np.errstate(over="ignore"):
             bound = float(np.exp(lam * lam * lam_max * lam_max / (4.0 * K)))
         for i, f in enumerate(fs):
@@ -376,25 +370,24 @@ def laplace_bound_per_sample(M, dm, K: float, fs, lambda_grid=DEFAULT_LAMBDA_GRI
             )
     return certificate_from_samples(
         "laplace_moment_bound",
-        {"K": K, "Lambda": lam_max, "lambda_grid": list(lambda_grid), "samples": len(fs)},
+        {"K": K, "Lambda": lam_max, "lambda_grid": list(LAMBDA_GRID), "samples": len(fs)},
         comparisons,
         tol,
     )
 
 
-def exp_chain_rule_per_sample(M, fs, lambda_grid=DEFAULT_LAMBDA_GRID, tol=1e-10):
+def exp_chain_rule_per_sample(M, fs, tol=1e-10):
     """check_exp_chain_rule_bound with two Gamma products per sample and lambda."""
-    lambda_grid = list(lambda_grid)
     fs = np.atleast_2d(fs)
     comparisons = []
     for i, f in enumerate(fs):
         gamma_f = gamma_dense(f, f, M)
-        for lam in lambda_grid:
+        for lam in LAMBDA_GRID:
             ef = np.exp(lam * f)
             lhs = mean(gamma_dense(f, ef, M), M.m)
             rhs = lam * inner(ef, gamma_f, M.m)
             comparisons.append((lhs, rhs, {"f_index": i, "lambda": lam}))
-    hypothesis = {"lambda_grid": lambda_grid, "samples": len(fs)}
+    hypothesis = {"lambda_grid": list(LAMBDA_GRID), "samples": len(fs)}
     return certificate_from_samples("exp_chain_rule_bound", hypothesis, comparisons, tol)
 
 
@@ -412,11 +405,11 @@ def exp_square_chain_rule_per_sample(M, fs, tol=1e-10):
     )
 
 
-def tail_per_sample(M, dm, K: float, fs, r_grid=DEFAULT_R_GRID, tol=DEFAULT_TOL):
+def tail_per_sample(M, dm, K: float, fs, tol=DEFAULT_TOL):
     """concentration_tail with one Lipschitz test and one tail mass per sample and radius."""
     lam_max = float(dm.lam)
     fs = np.atleast_2d(fs)
-    bounds = [float(np.exp(-K * r * r / (lam_max * lam_max))) for r in r_grid]
+    bounds = [float(np.exp(-K * r * r / (lam_max * lam_max))) for r in R_GRID]
     comparisons = []
     for i, f in enumerate(fs):
         lip = lipschitz_constant(f, dm)
@@ -425,21 +418,20 @@ def tail_per_sample(M, dm, K: float, fs, r_grid=DEFAULT_R_GRID, tol=DEFAULT_TOL)
         mu_f = mean(f, M.m)
         comparisons += [
             (float(M.m[f >= mu_f + r].sum()), bound, {"f_index": i, "r": r})
-            for r, bound in zip(r_grid, bounds)
+            for r, bound in zip(R_GRID, bounds)
         ]
     hypothesis = {"K": K, "Lambda": lam_max, "samples": len(fs)}
     return certificate_from_samples("lipschitz_tail_bound", hypothesis, comparisons, tol)
 
 
-def bobkov_goetze_per_sample(M, dm, K: float, rhos, fs, lambda_grid=DEFAULT_LAMBDA_GRID,
-                             tol=DEFAULT_TOL):
+def bobkov_goetze_per_sample(M, dm, K: float, rhos, fs, tol=DEFAULT_TOL):
     """check_bobkov_goetze with its moment side one sample at a time (K > 0, c > 0 assumed)."""
     c = 2.0 * K / float(dm.lam) ** 2
     fs = np.atleast_2d(fs)
     name = "transport_entropy_laplace_link"
-    hypothesis = {"c": c, "lambda_grid": list(lambda_grid)}
+    hypothesis = {"c": c, "lambda_grid": list(LAMBDA_GRID)}
     comparisons = []
-    for lam in lambda_grid:
+    for lam in LAMBDA_GRID:
         with np.errstate(over="ignore"):
             bound = float(np.exp(lam * lam / (2.0 * c)))
         for i, f in enumerate(fs):

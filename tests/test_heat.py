@@ -22,9 +22,7 @@ from digricci import (
     verify_gradient_estimate,
     verify_transport_contraction,
 )
-from digricci import transport
 from digricci.cli import main
-from digricci.heat import DEFAULT_LIMIT_GRID
 
 
 # the times every kernel is pinned at: zero, the least positive float,
@@ -212,35 +210,6 @@ class TestContractionCertificates:
         assert not cert.passed
         assert cert.name == "transport_contraction"
 
-    def test_transport_contraction_rejects_a_negative_time_before_any_solve(
-        self, g_tri, monkeypatch
-    ):
-        M = markov_data(g_tri)
-        dm = distances(g_tri)
-        H = heat_operator(M)
-        calls = []
-        wasserstein = transport.wasserstein
-        monkeypatch.setattr(
-            transport, "wasserstein", lambda *a, **k: calls.append(1) or wasserstein(*a, **k)
-        )
-        with pytest.raises(NegativeTimeError, match="time must be non-negative, got -1"):
-            verify_transport_contraction(H, dm, 0.1, ts=(0.5, -1.0, 1.0))
-        assert calls == []
-
-    @pytest.mark.parametrize("certificate", ["contraction", "gradient"])
-    def test_an_empty_time_grid_raises_before_any_kernel_or_solve(
-        self, g_tri, lp_solves, certificate
-    ):
-        """An empty grid is a bad time grid, a GraphCurvatureError, not a ValueError of the reducer."""
-        dm = distances(g_tri)
-        H = heat_operator(markov_data(g_tri))
-        with pytest.raises(NegativeTimeError, match="time grid must contain a time"):
-            if certificate == "contraction":
-                verify_transport_contraction(H, dm, 0.1, ts=())
-            else:
-                verify_gradient_estimate(H, dm, 0.1, np.eye(3), ts=())
-        assert H._kernels == {} and lp_solves == []
-
     def test_certificate_carries_worst_witness(self, g_tri, rng):
         M = markov_data(g_tri)
         dm = distances(g_tri)
@@ -298,14 +267,3 @@ class TestTimeLimit:
         H, dm = heat_operator(markov_data(g_tri)), distances(g_tri)
         with pytest.raises(SameVertexError):
             curvature_time_limit(H, dm, [0, 1], [1, 1])
-
-    def test_repeated_time_counts_once(self, g_tri):
-        H = heat_operator(markov_data(g_tri))
-        dm = distances(g_tri)
-        def limit(grid):
-            return np.array(curvature_time_limit(H, dm, [0], [1], grid)).tobytes()
-
-        single = curvature_time_limit(H, dm, [0], [1], (1e-3,))
-        assert single[1].tolist() == [0.0]
-        assert limit((1e-3, 1e-3)) == np.array(single).tobytes()
-        assert limit((1e-4, 1e-2, 1e-3, 1e-4)) == limit(DEFAULT_LIMIT_GRID)

@@ -1,4 +1,8 @@
-"""Source hygiene that a linter would check: no module imports a name it never uses."""
+"""Source hygiene that a linter would check.
+
+No module imports a name it never uses, and no private top-level
+function of the package outlives its last caller in src/.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,8 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "digricci").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "digricci").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,6 +34,32 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """The private top-level functions of sources (by module name) that no other statement reads.
+
+    A function counts as read where its name appears as a name or an
+    attribute in any top-level statement of any module but its own def,
+    so a helper that only calls itself is still unreferenced.
+    """
+    defined, read = [], []
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            if (isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and statement.name.startswith("_")
+                    and not statement.name.startswith("__")):
+                defined.append((module, statement))
+            read.append((statement, {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(statement) if isinstance(node, (ast.Name, ast.Attribute))
+            }))
+    return [
+        f"{module}: {definition.name}"
+        for module, definition in defined
+        if not any(definition.name in names for statement, names in read
+                   if statement is not definition)
+    ]
+
+
 def test_unused_imports_are_found():
     source = "import os\nimport numpy as np\nfrom a.b import c, d as e\nfrom f import g\n"
     source += "__all__ = ['g']\nprint(np.pi, c)\n"
@@ -39,3 +70,18 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {path.relative_to(ROOT).as_posix(): unused_imports(path.read_text(encoding="utf-8"))
              for path in SOURCES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_unreferenced_private_functions_are_found():
+    sources = {
+        "a": "def _used():\n    pass\n\n\ndef _dead(k):\n    return _dead(k - 1)\n\n\n"
+             "def __getattr__(name):\n    pass\n\n\ndef _by_attribute():\n    pass\n\n\n"
+             "def public():\n    return _used()\n",
+        "b": "import a\n\nVALUE = a._by_attribute()\n",
+    }
+    assert unreferenced_private_functions(sources) == ["a: _dead"]
+
+
+def test_no_private_function_outlives_its_callers():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert unreferenced_private_functions(sources) == []

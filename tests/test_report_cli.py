@@ -28,8 +28,9 @@ from digricci import (
     render_json,
 )
 from digricci.cli import main
-from digricci.curvature import SMOOTHING_AGREEMENT_TOL
-from digricci.heat import HEAT_LIMIT_AGREEMENT_TOL
+from digricci.concentration import LAMBDA_GRID
+from digricci.curvature import EPS_GRID, SMOOTHING_AGREEMENT_TOL
+from digricci.heat import HEAT_LIMIT_AGREEMENT_TOL, LIMIT_GRID, TIME_GRID
 from digricci.report import RunConfig, VerificationReport, certificate_to_dict
 
 
@@ -349,6 +350,23 @@ class TestCliAnalyze:
         # verify-functional checks no curvature agreement
         assert main(["verify-functional", c3_file]) == 0
         assert set(json.loads(capsys.readouterr().out)["tolerances"]) == common
+
+    def test_reports_state_the_module_grids(self, c3_file, capsys):
+        """Each grid a K > 0 cross-checked report states is the constant its check samples."""
+        assert main(["analyze", c3_file, "--cross-check"]) == 0
+        certs = json.loads(capsys.readouterr().out)["certificates"]
+        hypotheses = {cert["name"]: cert["hypothesis"] for cert in certs}
+        grids = {
+            ("lipschitz_contraction", "times"): TIME_GRID,
+            ("transport_contraction", "times"): TIME_GRID,
+            ("curvature_heat_limit_agreement", "time_grid"): LIMIT_GRID,
+            ("curvature_smoothing_agreement", "eps_grid"): EPS_GRID,
+            ("laplace_moment_bound", "lambda_grid"): LAMBDA_GRID,
+            ("exp_chain_rule_bound", "lambda_grid"): LAMBDA_GRID,
+            ("transport_entropy_laplace_link", "lambda_grid"): LAMBDA_GRID,
+        }
+        stated = {(name, key): hypotheses[name][key] for name, key in grids}
+        assert stated == {pair: list(grid) for pair, grid in grids.items()}
 
     def test_reports_the_lp_tolerances_the_dual_simplex_uses(self, c3_file, capsys):
         # lp_feasibility is the threshold below which a basic variable leaves

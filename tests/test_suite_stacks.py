@@ -122,13 +122,13 @@ def test_moment_tail_and_chain_checks_equal_their_per_sample_loops(graph, count,
         assert_same(concentration_tail(M, dm, k, lipschitz),
                     oracles.tail_per_sample(M, dm, k, lipschitz))
     assert_same(check_exp_chain_rule_bound(M, free), oracles.exp_chain_rule_per_sample(M, free))
-    assert_same(check_exp_chain_rule_bound(M, free, lambda_grid=(0, 1, 2.5)),
-                oracles.exp_chain_rule_per_sample(M, free, lambda_grid=(0, 1, 2.5)))
-    # a constant row ties at margin 0 with every lambda, and so does every row at lambda 0:
-    # the sample-major order makes the first row at lambda 0 bind, not the constant at 0.5
-    tied = np.vstack([free, np.full(M.n, 0.3)])
-    assert_same(check_exp_chain_rule_bound(M, tied, lambda_grid=(0.5, 0.0)),
-                oracles.exp_chain_rule_per_sample(M, tied, lambda_grid=(0.5, 0.0)))
+    # a constant row ties at margin 0 with every lambda, and so does a copy of it: the
+    # sample-major order makes the first copy bind at the first lambda of LAMBDA_GRID,
+    # not the second copy there nor the first at a later lambda
+    tied = np.vstack([free, np.full((2, M.n), 0.3)])
+    cert = check_exp_chain_rule_bound(M, tied)
+    assert_same(cert, oracles.exp_chain_rule_per_sample(M, tied))
+    assert cert.witness == {"f_index": len(tied) - 2, "lambda": concentration.LAMBDA_GRID[0]}
     assert_same(check_exp_square_chain_rule_bound(M, free),
                 oracles.exp_square_chain_rule_per_sample(M, free))
     rhos = random_densities(M, 2, rng)
