@@ -16,7 +16,7 @@ nothing and raises HypothesisUnmetError; check_info_to_entropy passes
 vacuously when densities were given and none meets its hypothesis.
 The grids the checks sample their parameter on are fixed: lam over
 LAMBDA_GRID for the moment, chain-rule and link checks, and r over
-R_GRID for the tail.
+R_GRID for the tail.  Each certificate's hypothesis states its grid.
 
 A check takes the curvature level K alone.  Lambda is a constant of
 the graph, so each check reads it from dm.lam; the two link checks,
@@ -303,7 +303,7 @@ def concentration_tail(
         for i, row in enumerate(masses)
         for mass, r, bound in zip(row, R_GRID, bounds)
     ]
-    hypothesis = {"K": K, "Lambda": lam_max, "samples": len(fs)}
+    hypothesis = {"K": K, "Lambda": lam_max, "samples": len(fs), "r_grid": list(R_GRID)}
     return certificate_from_samples("lipschitz_tail_bound", hypothesis, comparisons, tol)
 
 

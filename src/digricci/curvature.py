@@ -77,7 +77,7 @@ def smoothed_measure(x: int, eps: float, M: MarkovData) -> np.ndarray:
     """(1 - eps) delta_x + eps Pbar(x, .); a probability vector for eps in [0, 1]."""
     if not 0.0 <= eps <= 1.0:
         raise EpsOutOfRangeError(f"eps must lie in [0, 1], got {eps}")
-    nu = eps * M.Pmean[x].copy()
+    nu = eps * M.Pmean[x]
     nu[x] += 1.0 - eps
     return nu
 
@@ -130,7 +130,7 @@ def kappa_lp(
     ys = np.array(ys, dtype=int, ndmin=1)
     if not ys.size:
         return np.empty(0), np.empty((0, M.n))
-    d = dm.d[x][ys]
+    d = dm.d[x, ys]
     # d(x, y) = 0 exactly when y = x
     if not d.all():
         raise SameVertexError("curvature needs two distinct vertices")

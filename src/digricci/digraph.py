@@ -14,7 +14,8 @@ out-weight sums, and strongly connected.  Every DirectedGraph holds
 these by construction, so it has n >= 2 and an in- and an out-arc at
 every vertex, and nothing downstream checks them again.  Strong
 connectivity takes one search from vertex 0 along the arcs and one
-against them, each linear in the vertices and arcs.  The hop counts of
+against them, each linear in the vertices and arcs, both over the arc
+list of one nonzero() of the weight matrix.  The hop counts of
 all ordered pairs are built only by distances, by one frontier
 expansion over all sources at once, one matrix product per
 breadth-first level; the heat flow and the Perron measure never read
@@ -90,8 +91,9 @@ def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> Direct
     past the float range or labels does not name n vertices, and
     NotStronglyConnectedError when some vertex cannot reach another.
     That last check is one search from vertex 0 along the arcs and one
-    against them: the graph is strongly connected exactly when 0 reaches
-    every vertex and every vertex reaches 0.  Otherwise the error names
+    against them, both over the arcs of one mu.nonzero(): the graph is
+    strongly connected exactly when 0 reaches every vertex and every
+    vertex reaches 0.  Otherwise the error names
     the first ordered pair in row-major order with no path, which is
     (0, v) for the least v that 0 cannot reach, or failing that (v, 0)
     for the least v that cannot reach 0.
@@ -103,10 +105,10 @@ def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> Direct
     if not np.isfinite(mu).all():
         x, y = np.argwhere(~np.isfinite(mu))[0]
         raise ParseError(f"arc {x} -> {y} has non-finite weight {mu[x, y]}")
-    if np.any(mu < 0):
+    if (mu < 0).any():
         x, y = np.argwhere(mu < 0)[0]
         raise NegativeWeightError(f"arc {x} -> {y} has negative weight {mu[x, y]}")
-    if np.any(np.diag(mu) != 0):
+    if mu.diagonal().any():
         x = int(np.nonzero(np.diag(mu))[0][0])
         raise SelfLoopError(f"vertex {x} has a self loop")
     if not mu.any():
@@ -122,8 +124,9 @@ def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> Direct
             raise ParseError(f"expected {n} labels, got {len(labels)}")
     mu = mu.copy()
     mu.flags.writeable = False
+    tails, heads = (ends.tolist() for ends in mu.nonzero())
     for forward in (True, False):
-        v = _first_unreached(mu if forward else mu.T)
+        v = _first_unreached(n, tails, heads) if forward else _first_unreached(n, heads, tails)
         if v is not None:
             x, y = (0, v) if forward else (v, 0)
             raise NotStronglyConnectedError(
@@ -132,17 +135,19 @@ def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> Direct
     return DirectedGraph(n=n, mu=mu, labels=labels)
 
 
-def _first_unreached(mu: np.ndarray) -> int | None:
-    """The least vertex that 0 cannot reach along the arcs of mu, or None.
+def _first_unreached(n: int, tails: list[int], heads: list[int]) -> int | None:
+    """The least of n vertices that 0 cannot reach along the arcs tails[k] -> heads[k], or None.
 
     One depth-first search over adjacency lists, linear in the vertices
     and arcs.
     """
-    heads = [row.nonzero()[0].tolist() for row in mu]
-    seen = [True] + [False] * (len(heads) - 1)
+    out: list[list[int]] = [[] for _ in range(n)]
+    for x, y in zip(tails, heads):
+        out[x].append(y)
+    seen = [True] + [False] * (n - 1)
     stack = [0]
     while stack:
-        for y in heads[stack.pop()]:
+        for y in out[stack.pop()]:
             if not seen[y]:
                 seen[y] = True
                 stack.append(y)
@@ -273,14 +278,19 @@ def _add_arc(
 
 
 def _parse_edge_list(text: str) -> tuple[np.ndarray, None]:
+    """The weight matrix of edge-list text, one line at a time; ParseError at the first bad line.
+
+    A line's fields are its whitespace-separated tokens before any '#',
+    so a line of none is skipped; the vertex count is one past the
+    largest id of any arc.
+    """
     arcs: dict[tuple[int, int], float] = {}
-    max_vertex = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = (raw[: raw.index("#")] if "#" in raw else raw).split()
+        if not parts:
             continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
+        fields = len(parts)
+        if fields != 2 and fields != 3:
             raise ParseError(f"line {lineno}: expected 'src dst [weight]', got {raw!r}")
         try:
             src, dst = int(parts[0]), int(parts[1])
@@ -288,15 +298,12 @@ def _parse_edge_list(text: str) -> tuple[np.ndarray, None]:
             raise ParseError(f"line {lineno}: vertex ids must be integers") from None
         if src < 0 or dst < 0:
             raise ParseError(f"line {lineno}: vertex ids must be non-negative")
-        weight = 1.0
-        if len(parts) == 3:
-            try:
-                weight = float(parts[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad weight {parts[2]!r}") from None
+        try:
+            weight = float(parts[2]) if fields == 3 else 1.0
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad weight {parts[2]!r}") from None
         _add_arc(arcs, src, dst, weight, "line ", lineno)
-        max_vertex = max(max_vertex, src, dst)
-    return _weight_matrix(max_vertex + 1, arcs), None
+    return _weight_matrix(max(map(max, arcs), default=-1) + 1, arcs), None
 
 
 def _is_int(value) -> bool:

@@ -8,12 +8,17 @@ with its inverse and the b-independent part of its tableau,
 must invert the basis columns to within INVERSE_TOL, and every reduced
 cost must be at least -RC_TOL.  A basis dual feasible for c and A stays
 so for every b, so one start serves every right-hand side, and a solve
-only forms B^-1 b and its cost entry before it pivots to primal
-feasibility.  There is no standard form and no phase 1, and the
-optimal duals are one product of the final cost row with the start's
-inverse, formed only when read, so solve_lp factorises nothing.
-Starts come four ways: Start.from_basis multiplies out the tableau
-of a given basis and its inverse; with_columns makes one start per
+only forms B^-1 b: when no entry is short the start is optimal and
+the solve returns at once, and otherwise it sets B^-1 b and its cost
+entry beside the start's rows and pivots to primal feasibility.  There
+is no standard form and no phase 1, and the final tableau of a solve
+that took no pivot and the optimal duals of any solve, one product of
+the final cost row with the start's inverse, are formed only when
+read, so solve_lp factorises nothing.
+Starts come five ways: Start.from_basis multiplies out the tableau
+of a given basis and its inverse; transport.root_basis forms a
+spanning tree's tableau exactly, with no product, checks it itself
+and builds the Start as it stands; with_columns makes one start per
 added column, each the start plus that column, forming every new
 column's tableau entries as one product and checking their reduced
 costs, and nothing else, once (one column is a stack of one); an
@@ -93,9 +98,10 @@ class Start:
     shape (m + 1) x n; the basis columns are the unit vectors over a
     zero reduced cost.  A dual-feasible basis stays dual feasible for
     every b, so one start serves every program min c.x, A x = b,
-    x >= 0.  from_basis, with_columns, carried and LpSolution.warm_start
-    build starts and check them; nothing changes a start after that, so
-    a start is handed on as it stands when a solve from it takes no pivot.
+    x >= 0.  from_basis, with_columns, carried, LpSolution.warm_start
+    and transport.root_basis build starts and check them; nothing
+    changes a start after that, so a start is handed on as it stands
+    when a solve from it takes no pivot.
     """
 
     c: np.ndarray
@@ -187,11 +193,14 @@ class LpSolution:
     """An optimal solve, with the optimality certificate pieces.
 
     It keeps the start it began from, its right-hand side b, its final
-    basis, one column index per row, and its final tableau.  x and
-    value are formed by the solve; the certificate pieces are formed on
-    first read, off the final tableau, so a caller that reads only the
-    value pays for none of them.  duals has one multiplier per row of
-    the program: y = c_B B^-1 on the final basis, read off the final
+    basis, one column index per row, and its final basic values
+    B_f^-1 b.  x and value are formed by the solve; the final tableau
+    and the certificate pieces are formed on first read, so a caller
+    that reads only the value pays for none of them.  A solve that
+    pivoted keeps the tableau it pivoted; one that took no pivot ended
+    on its start, whose tableau rows beside B^-1 b are its final
+    tableau, formed only when read.  duals has one multiplier per row
+    of the program: y = c_B B^-1 on the final basis, read off the final
     cost row c - y A through the start's inverse.  duality_gap is
     |c.x - y.b|, which certifies optimality on that basis.
     feasibility_residual is the largest violation of A x = b and x >= 0
@@ -211,8 +220,22 @@ class LpSolution:
     start: Start = field(repr=False)
     b: np.ndarray = field(repr=False)
     basis: np.ndarray
-    # the final tableau, [B_f^-1 A | B_f^-1 b ; c - c_B B_f^-1 A | -c_B B_f^-1 b]
-    _tableau: np.ndarray = field(repr=False)
+    # B_f^-1 b as the solve left it, before x clips it
+    _basic: np.ndarray = field(repr=False)
+    # the final tableau: the one the solve pivoted, or for a solve that took no
+    # pivot None until _tableau first forms it
+    _final: np.ndarray | None = field(repr=False)
+
+    @property
+    def _tableau(self) -> np.ndarray:
+        """The final tableau, [B_f^-1 A | B_f^-1 b ; c - c_B B_f^-1 A | -c_B B_f^-1 b].
+
+        A solve that took no pivot ended on its start, so it is the
+        start's rows beside B^-1 b, formed on first read and kept.
+        """
+        if self._final is None:
+            self._final = _start_tableau(self.start, self._basic)
+        return self._final
 
     @cached_property
     def duals(self) -> np.ndarray:
@@ -328,12 +351,12 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[
             raise NumericsError(f"dual simplex exceeded {max_iter} pivots; tableau may be cycling")
 
 
-def _tableau(start: Start, b: np.ndarray) -> np.ndarray:
-    """The start tableau of the program of b: start's rows beside B^-1 b, over -c_B B^-1 b."""
+def _start_tableau(start: Start, basic: np.ndarray) -> np.ndarray:
+    """The start tableau of a program: start's rows beside basic = B^-1 b, over -c_B B^-1 b."""
     m, n = start.A.shape
     T = np.empty((m + 1, n + 1))
     T[:, :n] = start.tableau
-    T[:m, n] = start.inverse @ b
+    T[:m, n] = basic
     T[m, n] = 0.0 - start.c[start.basis] @ T[:m, n]
     return T
 
@@ -343,26 +366,36 @@ def solve_lp(start: Start, b: np.ndarray) -> LpSolution:
 
     ValueError unless b has one entry per row of A.  The start was
     checked when it was built (see Start), so the solve forms B^-1 b
-    and pivots.  LpFailureError, naming the status and the pivot count,
-    when the solve ends without an optimum: a leaving row has no entry
-    that can enter, so the program is infeasible.  Every program the
-    library solves is feasible by construction, so that end is a
-    numerical fault.  The solution carries b, x, its value, its final
-    basis B_f and final tableau, and forms its duals and residuals when
-    they are read; its warm_start starts a solve of the same c and A
-    with another b from B_f.
+    first.  When no entry is below -PRIMAL_TOL the start's basis is
+    optimal and the solve returns at once, with no tableau formed;
+    otherwise it sets B^-1 b beside the start's rows and pivots.
+    LpFailureError, naming the status and the pivot count, when the
+    solve ends without an optimum: a leaving row has no entry that can
+    enter, so the program is infeasible.  Every program the library
+    solves is feasible by construction, so that end is a numerical
+    fault.  The solution carries b, x, its value, its final basis B_f
+    and final basic values, and forms its tableau, duals and residuals
+    when they are read; its warm_start starts a solve of the same c and
+    A with another b from B_f.
     """
     b = np.array(b, dtype=float)  # a copy: the certificate pieces read it later
     m, n = start.A.shape
     if b.shape != (m,):
         raise ValueError("the right-hand side does not match the matrix")
-    basis = start.basis.copy()
-    T = _tableau(start, b)
-    status, iterations = _run_dual_simplex(T, basis, 1000 + 50 * (m + n))
-    if status != "optimal":
-        raise LpFailureError(f"solve ended with status {status!r} after {iterations} pivots")
+    basic = start.inverse @ b
+    T = None
+    basis = start.basis
+    iterations = 0
+    # the pivot loop's own first test, on the least entry (the first NaN, if any)
+    if m and basic[basic.argmin()] < -PRIMAL_TOL:
+        T = _start_tableau(start, basic)
+        basis = basis.copy()
+        status, iterations = _run_dual_simplex(T, basis, 1000 + 50 * (m + n))
+        if status != "optimal":
+            raise LpFailureError(f"solve ended with status {status!r} after {iterations} pivots")
+        basic = T[:m, -1]
     x = np.zeros(n)
-    x[basis] = np.maximum(T[:m, -1], 0.0)
+    x[basis] = np.maximum(basic, 0.0)
     return LpSolution(
         x=x,
         value=float(start.c @ x),
@@ -370,7 +403,8 @@ def solve_lp(start: Start, b: np.ndarray) -> LpSolution:
         start=start,
         b=b,
         basis=basis,
-        _tableau=T,
+        _basic=basic,
+        _final=T,
     )
 
 

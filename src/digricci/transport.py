@@ -28,14 +28,16 @@ and take the out-tree, whose tree path is already optimal.  A tree
 depends on its root and direction alone, so root_basis builds its
 start once (lp.Start: the incidence without the root's row, the tree,
 B^-1 and the tableau rows [B^-1 A ; c - c_B B^-1 A] with every cost
-c 1), checks it once and
-keeps it on the DistanceMatrix, with the vertex of each row.  A
-spanning tree's inverse incidence is its path matrix, so B^-1 comes
-from one walk down the tree, with no factorisation; a solve from the
-tree then only forms B^-1 b, and its right-hand side, potential and
-coupling are indexed through the row vertices.  The curvature
-module's dual flows from x add their virtual columns to the out-tree
-start of x, a row of them at once (lp.Start.with_columns).
+c 1), checks it once and keeps it on the DistanceMatrix, with the
+vertex of each row.  A spanning tree's inverse incidence is its path
+matrix, so B^-1 comes from one walk down the tree, with no
+factorisation, and B^-1 A is the path column of each arc's tail
+minus that of its head: the tableau is exact path differences, formed
+with no product.  A solve from the tree then only forms B^-1 b, and
+its right-hand side, potential and coupling are indexed through the
+row vertices.  The curvature module's dual flows from x add their
+virtual columns to the out-tree start of x, a row of them at once
+(lp.Start.with_columns).
 
 A solve may start from another solve's final basis instead.  The
 program's cost and incidence depend on the graph and r alone, so the
@@ -367,42 +369,60 @@ def root_basis(dm: DistanceMatrix, r: int, inward: bool = False) -> RootBasis:
     in-tree.  One builder makes both on the forward arcs: an arc's near
     end is its tail in the out-tree and its head in the in-tree, its far
     end the other, and the depth is d(r, .) or d(., r).  The tree holds
-    the first arc into each far end one level deeper than its near end,
-    and B^-1, walked down the tree in order of depth, puts -1 (out-tree)
-    or +1 (in-tree) on the rows of the tree path.  NumericsError unless
-    B^-1 B is exactly I.  Every W solve from that tree and every
-    curvature program of a pair (r, y), which uses the out-tree, starts
-    from it; the record lives as long as dm.
+    the first arc into each far end one level deeper than its near end.
+    Walked down the tree in order of depth, the path of a vertex is its
+    parent's plus its own arc, and -1 (out-tree) or +1 (in-tree) on the
+    rows of that path is its column of B^-1, zero for r.  A's column of
+    an arc is the unit row of its tail minus that of its head, so B^-1
+    A's is the B^-1 column of its tail minus that of its head: A and
+    B^-1 A are one difference of two column gathers, every entry -1, 0
+    or 1, formed exactly with no product.  Every cost is 1, so a reduced
+    cost is 1 minus a column sum of B^-1 A.  NumericsError unless B^-1
+    B, the tree's columns of B^-1 A, is exactly I and no reduced cost is
+    negative, which a BFS tree's never is.  Every W solve from that tree
+    and every curvature program of a pair (r, y), which uses the
+    out-tree, starts from it; the record lives as long as dm.
     """
     key = (r, inward)
     basis = dm._root_bases.get(key)
     if basis is None:
         arcs = dm.arcs
         n = len(dm.d)
+        m = n - 1
         if inward:
             near, far, depth, sign = arcs[:, 1], arcs[:, 0], dm.d[:, r], 1.0
         else:
             near, far, depth, sign = arcs[:, 0], arcs[:, 1], dm.d[r], -1.0
-        tree = np.flatnonzero(depth[near] == depth[far] - 1)
-        # far ends of the tree arcs cover every w != r; keep the first arc per far end
-        _far, first = np.unique(far[tree], return_index=True)
-        tree = tree[first]
-        vertices = np.flatnonzero(np.arange(n) != r)
-        inverse = np.zeros((n - 1, n - 1))
-        # the tree parent of the vertex of each row, walked as Python ints
-        parents = near[tree].tolist()
-        # in BFS order, the path of w is the path of its tree parent plus w's own arc;
-        # vertex v's row is v - (v > r) once r's is dropped
+        down = (depth[near] == depth[far] - 1).nonzero()[0]
+        # the first arc down into each far end, with its near end, as Python ints
+        into: dict[int, tuple[int, int]] = {}
+        for k, z, w in zip(down.tolist(), near[down].tolist(), far[down].tolist()):
+            into.setdefault(w, (k, z))
+        # the vertex of each row: every vertex but r, in order
+        vertices = np.arange(1, n)
+        vertices[:r] -= 1
+        # a column per vertex: its unit row (r's row dropped) over its column of B^-1
+        # over a spare row; the row of v is v - (v > r), and r's columns are zero
+        ends = np.zeros((2 * m + 1, n))
+        ends[np.arange(m), vertices] = 1.0
+        # the rows of ends that hold each vertex's tree path, in BFS order
+        path: dict[int, list[int]] = {r: []}
+        on_path: list[int] = []
         for w in np.argsort(depth, kind="stable")[1:].tolist():
-            i = w - (w > r)
-            parent = parents[i]
-            if parent != r:
-                inverse[:, i] = inverse[:, parent - (parent > r)]
-            inverse[i, i] = sign
-        A = _incidence(n, arcs)[vertices]
-        if not np.array_equal(inverse @ A[:, tree], np.eye(n - 1)):
+            path[w] = path[into[w][1]] + [m + w - (w > r)]
+            on_path += [row * n + w for row in path[w]]
+        ends.put(on_path, sign)
+        # [A ; B^-1 A ; spare row], the last of which becomes the reduced costs
+        differences = ends.take(arcs[:, 0], axis=1) - ends.take(arcs[:, 1], axis=1)
+        A, tableau = differences[:m], differences[m:]
+        tree = np.array([into[w][0] for w in vertices.tolist()])
+        if not (tableau[:-1].take(tree, axis=1) == np.eye(m)).all():
             raise NumericsError(f"the tree path matrix of root {r} does not invert its basis")
-        start = lp.Start.from_basis(np.ones(len(arcs)), A, tree, inverse)
+        np.subtract(1.0, tableau[:-1].sum(axis=0), out=tableau[-1])
+        if tableau[-1].min() < 0.0:
+            raise NumericsError(f"the tree of root {r} is not dual feasible")
+        inverse = ends[m:-1].take(vertices, axis=1)
+        start = lp.Start(np.ones(len(arcs)), A, tree, inverse, tableau)
         basis = RootBasis(start=start, vertices=vertices)
         for a in (*vars(start).values(), vertices):
             a.flags.writeable = False
@@ -420,30 +440,34 @@ def _flow_to_coupling(
     origin; it keeps nu1 of it and sends the rest down its out-arcs,
     every share mixing the origins in the same proportion.  Mass moves
     only along support arcs, and an optimal flow uses those only on
-    geodesics, so the coupling costs exactly sum(flow).
+    geodesics, so the coupling costs exactly sum(flow).  The support's
+    arcs are walked as Python lists, and the mass at a vertex is one
+    row of held, by origin.
     """
     n = nu0.shape[0]
-    used = flow > 0
-    tails, heads, amounts = arcs[used, 0], arcs[used, 1], flow[used]
-    waiting = np.bincount(heads, minlength=n)
-    ready = [v for v in range(n) if waiting[v] == 0]
-    held = np.diag(nu0)  # held[s, v]: mass from origin s present at v
+    used = (flow > 0).nonzero()[0]
+    out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    waiting = [0] * n
+    for z, w, g in zip(arcs[used, 0].tolist(), arcs[used, 1].tolist(), flow[used].tolist()):
+        out[z].append((w, g))
+        waiting[w] += 1
+    ready = [v for v in range(n) if not waiting[v]]
+    held = np.diag(nu0)  # held[v, s]: mass from origin s present at v
     pi = np.zeros((n, n))
     visited = 0
     while ready:
         v = ready.pop()
         visited += 1
-        out = tails == v
-        total = held[:, v].sum()
+        total = held[v].sum()
         if total > 0:
-            share = held[:, v] / total
+            share = held[v] / total
             pi[:, v] = share * nu1[v]
-            for w, g in zip(heads[out], amounts[out]):
-                held[:, w] += share * g
-        for w in heads[out]:
+            for w, g in out[v]:
+                held[w] += share * g
+        for w, _g in out[v]:
             waiting[w] -= 1
-            if waiting[w] == 0:
-                ready.append(int(w))
+            if not waiting[w]:
+                ready.append(w)
     if visited < n:
         raise NumericsError("optimal transport flow has a cycle in its support")
     return pi

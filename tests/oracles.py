@@ -10,8 +10,10 @@ gradient_estimate_per_sample, the per-sample loop its batched gradient
 estimate is pinned to; both reuse the library's heat flow so that the
 two sides agree to roundoff.  lipschitz_samples_per_sample is the
 per-sample loop the array-drawn Lipschitz family must match bit for
-bit, and eager_certificate the duals, gap and residual of a solve
-formed at once, which the ones LpSolution forms on read must match.
+bit, eager_certificate the duals, gap and residual of a solve
+formed at once, which the ones LpSolution forms on read must match,
+and eager_solve a solve that forms its tableau before it tests B^-1 b,
+which a solve that took no pivot must match once its tableau is read.
 The suite's per-sample loops stay here as the references its array
 forms must match bit for bit: gamma_dense (Gamma as one n x n product),
 density_record_per_row (one density checked and measured alone),
@@ -28,6 +30,14 @@ column of a W table must make, and lu_duals the dense solve its duals,
 read off the final cost row, are held to.  kappa_pair solves one
 curvature program alone, from its own start (with_column), the route
 each program of a kappa_lp row must match bit for bit.
+root_basis_reference builds a root's tree start by products:
+np.unique picks the tree, B^-1 is walked column by column and checked
+by a product, and Start.from_basis multiplies B^-1 A out;
+transport.root_basis, which forms B^-1 A as path differences, must
+match it bit for bit.  parse_edge_list_reference is the edge-list
+parser with a comment split, a strip and a running maximum per line,
+and render_json_reference the JSON writer with one recursive call per
+leaf; the library's must accept, refuse and write exactly as they do.
 At the end sit second routes to library quantities, built on the
 library's primitives: gradient and gradient_matrix (difference
 quotients over every pair), reversed_graph, label (a vertex's name),
@@ -45,6 +55,7 @@ reversibility and self-adjointness tests allow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,15 +81,18 @@ from digricci import (
 )
 from digricci.certificates import DEFAULT_TOL
 from digricci.concentration import FISHER_CROSSCHECK_TOL, LAMBDA_GRID, LIPSCHITZ_SLACK, R_GRID
+from digricci.digraph import _add_arc, _weight_matrix
 from digricci.errors import (
     GraphCurvatureError,
     HypothesisUnmetError,
     NegativeTimeError,
     NotLipschitzError,
     NumericsError,
+    ParseError,
     SameVertexError,
 )
 from digricci.heat import TIME_GRID
+from digricci.report import _json_string
 from digricci.transport import MASS_TOL
 
 INF = float("inf")
@@ -420,7 +434,7 @@ def tail_per_sample(M, dm, K: float, fs, tol=DEFAULT_TOL):
             (float(M.m[f >= mu_f + r].sum()), bound, {"f_index": i, "r": r})
             for r, bound in zip(R_GRID, bounds)
         ]
-    hypothesis = {"K": K, "Lambda": lam_max, "samples": len(fs)}
+    hypothesis = {"K": K, "Lambda": lam_max, "samples": len(fs), "r_grid": list(R_GRID)}
     return certificate_from_samples("lipschitz_tail_bound", hypothesis, comparisons, tol)
 
 
@@ -482,6 +496,32 @@ def eager_certificate(solution) -> tuple[np.ndarray, float, float]:
     return y, gap, max(0.0, err, float(-basic.min(initial=0.0)))
 
 
+def eager_solve(start: lp.Start, b: np.ndarray) -> lp.LpSolution:
+    """A solve that forms its tableau before it tests B^-1 b, and keeps it.
+
+    start's rows beside B^-1 b, over -c_B B^-1 b, go through the
+    library's pivot kernel even when no pivot is due, and the solution
+    keeps that tableau as its final one; a zero-pivot solve of
+    solve_lp, which forms its tableau only when read, must match it bit
+    for bit.
+    """
+    b = np.array(b, dtype=float)
+    m, n = start.A.shape
+    T = np.empty((m + 1, n + 1))
+    T[:, :n] = start.tableau
+    T[:m, n] = start.inverse @ b
+    T[m, n] = 0.0 - start.c[start.basis] @ T[:m, n]
+    basis = start.basis.copy()
+    status, iterations = lp._run_dual_simplex(T, basis, 1000 + 50 * (m + n))
+    assert status == "optimal"
+    x = np.zeros(n)
+    x[basis] = np.maximum(T[:m, -1], 0.0)
+    return lp.LpSolution(
+        x=x, value=float(start.c @ x), iterations=iterations, start=start, b=b, basis=basis,
+        _basic=T[:m, -1], _final=T,
+    )
+
+
 def flow_balance_residual(arcs, g, nu0, nu1) -> float:
     """The largest error in any vertex's balance outflow - inflow = nu0 - nu1 of the arc flow g.
 
@@ -511,7 +551,7 @@ def assert_kernel_matches_reference(start, b, duals_tol: float = 0.0) -> bool:
     be within duals_tol of lu_duals on the final basis.  Returns whether
     the reference switched to Bland's rule.
     """
-    T = lp._tableau(start, b)
+    T = lp._start_tableau(start, start.inverse @ b)
     ref_T = T.copy()
     basis, ref_basis = start.basis.copy(), start.basis.copy()
     max_iter = 1000 + 50 * sum(start.A.shape)
@@ -658,6 +698,117 @@ def w_chain(dm, nu0, nu1, arc_start=None, re_form=False) -> list:
         solutions.append(tree.solve(e, start))
         start = (carried_warm_start if re_form else lp.LpSolution.warm_start)(solutions[-1])
     return solutions
+
+
+def root_basis_reference(
+    dm: DistanceMatrix, r: int, inward: bool = False
+) -> tuple[lp.Start, np.ndarray]:
+    """The tree start of root r and the vertex of each row, built by products, not kept.
+
+    The first arc one level down into each far end, by np.unique over
+    the candidate arcs; B^-1 walked down the tree a column at a time,
+    NumericsError unless B^-1 B is exactly I by a product; and
+    Start.from_basis, which multiplies B^-1 A and the reduced costs out
+    and checks them.  transport.root_basis must build the same start bit
+    for bit.
+    """
+    arcs = dm.arcs
+    n = len(dm.d)
+    if inward:
+        near, far, depth, sign = arcs[:, 1], arcs[:, 0], dm.d[:, r], 1.0
+    else:
+        near, far, depth, sign = arcs[:, 0], arcs[:, 1], dm.d[r], -1.0
+    tree = np.flatnonzero(depth[near] == depth[far] - 1)
+    _far, first = np.unique(far[tree], return_index=True)
+    tree = tree[first]
+    vertices = np.flatnonzero(np.arange(n) != r)
+    inverse = np.zeros((n - 1, n - 1))
+    parents = near[tree].tolist()
+    for w in np.argsort(depth, kind="stable")[1:].tolist():
+        i = w - (w > r)
+        parent = parents[i]
+        if parent != r:
+            inverse[:, i] = inverse[:, parent - (parent > r)]
+        inverse[i, i] = sign
+    A = np.zeros((n, len(arcs)))
+    A[arcs[:, 0], np.arange(len(arcs))] = 1.0
+    A[arcs[:, 1], np.arange(len(arcs))] = -1.0
+    A = A[vertices]
+    if not np.array_equal(inverse @ A[:, tree], np.eye(n - 1)):
+        raise NumericsError(f"the tree path matrix of root {r} does not invert its basis")
+    return lp.Start.from_basis(np.ones(len(arcs)), A, tree, inverse), vertices
+
+
+def parse_edge_list_reference(text: str) -> tuple[np.ndarray, None]:
+    """The edge-list parser with its per-line comment split, strip and running max."""
+    arcs: dict[tuple[int, int], float] = {}
+    max_vertex = -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ParseError(f"line {lineno}: expected 'src dst [weight]', got {raw!r}")
+        try:
+            src, dst = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: vertex ids must be integers") from None
+        if src < 0 or dst < 0:
+            raise ParseError(f"line {lineno}: vertex ids must be non-negative")
+        weight = 1.0
+        if len(parts) == 3:
+            try:
+                weight = float(parts[2])
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad weight {parts[2]!r}") from None
+        _add_arc(arcs, src, dst, weight, "line ", lineno)
+        max_vertex = max(max_vertex, src, dst)
+    return _weight_matrix(max_vertex + 1, arcs), None
+
+
+def format_float_reference(x: float) -> str:
+    """A float as a report writes it: null for NaN, a string for an infinity, else 17 digits."""
+    if math.isnan(x):
+        return "null"
+    if math.isinf(x):
+        return '"Infinity"' if x > 0 else '"-Infinity"'
+    return f"{x:.17g}"
+
+
+def render_json_reference(value, indent: int = 0) -> str:
+    """report.render_json with one recursive call per leaf, every list entry included."""
+    if isinstance(value, float):
+        return format_float_reference(value)
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [
+            f'{inner}{render_json_reference(str(k))}: {render_json_reference(v, indent + 1)}'
+            for k, v in value.items()
+        ]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        seq = list(value)
+        if not seq:
+            return "[]"
+        parts = [f"{inner}{render_json_reference(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, bool) or isinstance(value, np.bool_):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, np.floating):
+        return format_float_reference(float(value))
+    if isinstance(value, np.ndarray):
+        return render_json_reference(value.tolist(), indent)
+    raise TypeError(f"cannot serialise {type(value)!r}")
 
 
 def lu_duals(start, basis: np.ndarray) -> np.ndarray:

@@ -9,7 +9,9 @@ The flow program is solved by a dual simplex from a BFS-tree basis,
 the out-tree of the largest excess or the in-tree of the largest
 deficit, built once per root and direction with its inverse, the
 tree's path matrix; further properties pin that inverse to be exact
-for every root, the solve from either tree to scipy and the pivot
+for every root, each start, formed as path differences, to the one
+products built (oracles.root_basis_reference), a tree that is not
+dual feasible to fail, the solve from either tree to scipy and the pivot
 kernel to the reference loop, and unit tests pin how bad starting
 bases and inverses fail.  Each tree's start tableau is built once and
 reused, and each curvature program adds its virtual column to it; a
@@ -37,7 +39,9 @@ all-pairs difference quotients, and the gradient estimate smooths its
 whole stack of samples at once, pinned to the per-sample loop.  A
 solve forms its duals, gap and residual only when read, and a W table
 its marginal residual: a table forms none of them, and each one read
-is the eager formula's, bit for bit.
+is the eager formula's, bit for bit.  A solve that took no pivot forms
+its final tableau only when read, and every piece then read is that of
+a solve that formed it before it tested B^-1 b (oracles.eager_solve).
 """
 
 from __future__ import annotations
@@ -505,6 +509,38 @@ def test_the_lp_certificate_is_formed_on_read_as_it_was_at_once(instance, verify
 
 
 @PROPERTY_SETTINGS
+@given(warm_chains())
+def test_a_zero_pivot_solve_reads_its_pieces_as_an_eager_solve(instance):
+    """A solve that took no pivot forms no tableau until read; then every piece is the eager one.
+
+    The chain's last pair repeats the one before it, so at least its
+    last solve takes no pivot.  Each solve of the column is held, bit
+    for bit, to oracles.eager_solve of its start and b: x, value,
+    basis, the final tableau, duals, gap, residual, the final inverse
+    and the warm start.
+    """
+    g, _arc, pairs = instance
+    _table, solves = recorded_solves(lambda: chain_table([*pairs, pairs[-1]], distances(g)))
+    assert solves[-1].iterations == 0
+    for flow in solves:
+        eager = oracles.eager_solve(flow.start, flow.b)
+        assert flow.iterations == eager.iterations
+        if not flow.iterations:
+            assert flow._final is None
+        assert flow.x.tobytes() == eager.x.tobytes()
+        assert np.float64(flow.value).tobytes() == np.float64(eager.value).tobytes()
+        assert np.array_equal(flow.basis, eager.basis)
+        for piece in ("_tableau", "duals", "basis_inverse"):
+            assert getattr(flow, piece).tobytes() == getattr(eager, piece).tobytes(), piece
+        for piece in ("duality_gap", "feasibility_residual"):
+            assert np.float64(getattr(flow, piece)).tobytes() == np.float64(
+                getattr(eager, piece)).tobytes(), piece
+        warm, eager_warm = flow.warm_start(), eager.warm_start()
+        for piece in ("basis", "inverse", "tableau"):
+            assert getattr(warm, piece).tobytes() == getattr(eager_warm, piece).tobytes(), piece
+
+
+@PROPERTY_SETTINGS
 @given(transport_instances())
 def test_warm_start_from_its_own_optimum_takes_no_pivot(instance):
     """The final basis is optimal for its own measures: 0 pivots, the same basis and W.
@@ -533,7 +569,8 @@ def test_warm_start_carries_the_tableau_its_final_basis_multiplies_out(instance)
     _table, solves = recorded_solves(lambda: chain_table(pairs, distances(g)))
     for flow, b in zip(solves, [later.b for later in solves[1:]]):
         ref = oracles.start_tableau(flow.start.c, flow.start.A, b, flow.basis, flow.basis_inverse)
-        T = lp._tableau(flow.warm_start(), b)
+        warm = flow.warm_start()
+        T = lp._start_tableau(warm, warm.inverse @ b)
         assert T[:, :-1].tobytes() == ref[:, :-1].tobytes()
         assert T[:-1, -1].tobytes() == ref[:-1, -1].tobytes()
 
@@ -786,7 +823,7 @@ class TestWarmStart:
         tableau = np.zeros((3, 6))
         tableau[:2, :5] = rows
         tableau[2, :5] = 1.0 - rows.sum(axis=0)
-        flow = dataclasses.replace(solved, iterations=1, basis=tree, _tableau=tableau)
+        flow = dataclasses.replace(solved, iterations=1, basis=tree, _final=tableau)
         with pytest.raises(NumericsError, match="not dual feasible"):
             flow.warm_start()
 
@@ -839,10 +876,25 @@ def test_tree_basis_plan_has_the_marginals_and_costs_w(instance):
     assert abs(float((pi * dm.d).sum()) - plan.value) <= 1e-12
 
 
+def assert_root_basis_is_the_reference(dm, r: int, inward: bool) -> None:
+    """root_basis's start of (r, inward) is oracles.root_basis_reference's, bit for bit."""
+    record = root_basis(dm, r, inward)
+    ref, vertices = oracles.root_basis_reference(dm, r, inward)
+    for piece in ("c", "A", "basis", "inverse", "tableau"):
+        new, old = getattr(record.start, piece), getattr(ref, piece)
+        assert (new.dtype, new.shape) == (old.dtype, old.shape), piece
+        assert new.tobytes() == old.tobytes(), piece
+    assert record.vertices.dtype == vertices.dtype
+    assert record.vertices.tobytes() == vertices.tobytes()
+
+
 @PROPERTY_SETTINGS
 @given(graphs())
 def test_root_basis_inverts_the_tree_exactly_for_every_root(g):
-    """The path matrix is B^-1 with no rounding, and the record is the one of r."""
+    """The path matrix is B^-1 with no rounding, and the record is the one of r.
+
+    The start is oracles.root_basis_reference's, bit for bit.
+    """
     dm = distances(g)
     n, arcs = g.n, dm.arcs
     incidence = np.zeros((n, len(arcs)))
@@ -860,12 +912,16 @@ def test_root_basis_inverts_the_tree_exactly_for_every_root(g):
         assert np.array_equal(basis.inverse @ basis.A[:, basis.basis], np.eye(n - 1))
         assert set(np.unique(basis.inverse)) <= {-1.0, 0.0}
         assert not any(a.flags.writeable for a in (*vars(basis).values(), record.vertices))
+        assert_root_basis_is_the_reference(dm, r, False)
 
 
 @PROPERTY_SETTINGS
 @given(graphs())
 def test_in_tree_basis_inverts_the_tree_exactly_for_every_sink(g):
-    """The in-tree of s: one arc out of each w != s, one BFS level toward s."""
+    """The in-tree of s: one arc out of each w != s, one BFS level toward s.
+
+    The start is oracles.root_basis_reference's, bit for bit.
+    """
     dm = distances(g)
     n, arcs = g.n, dm.arcs
     incidence = np.zeros((n, len(arcs)))
@@ -889,6 +945,40 @@ def test_in_tree_basis_inverts_the_tree_exactly_for_every_sink(g):
         assert not any(a.flags.writeable for a in (*vars(basis).values(), record.vertices))
         assert root_basis(dm, s, inward=True) is record
         assert root_basis(dm, s) is not record
+        assert_root_basis_is_the_reference(dm, s, True)
+
+
+def test_root_basis_is_the_product_built_start_over_the_corpus(corpus):
+    """Path differences give the start that products give, for every root, out and in.
+
+    B^-1 A formed as differences of path columns, and the reduced costs
+    as 1 minus its column sums, are exact, so the start must be the
+    reference's bit for bit: basis, inverse, tableau, incidence and the
+    vertex of each row.
+    """
+    for g in corpus:
+        dm = distances(g)
+        for r in range(g.n):
+            for inward in (False, True):
+                assert_root_basis_is_the_reference(dm, r, inward)
+
+
+def test_root_basis_refuses_a_tree_that_is_not_dual_feasible():
+    """Distances that are no BFS distances give a tree with a negative reduced cost.
+
+    On 0 -> 1 -> 2 -> 0 plus the chord 0 -> 2, a row d(0, .) = (0, 1, 2)
+    makes 0 -> 1 -> 2 the out-tree of 0, a true spanning tree whose
+    path matrix inverts it, but prices the chord at 1 + 0 - 2 = -1.
+    """
+    mu = np.zeros((3, 3))
+    for x, y in ((0, 1), (0, 2), (1, 2), (2, 0)):
+        mu[x, y] = 1.0
+    dm = distances(build_graph(mu))
+    d = dm.d.copy()
+    d[0, 2] = 2
+    with pytest.raises(NumericsError, match="not dual feasible"):
+        root_basis(dataclasses.replace(dm, d=d), 0)
+
 
 
 @PROPERTY_SETTINGS
@@ -914,7 +1004,7 @@ def test_starts_are_the_start_tableau_of_each_program(g):
             A, rhs = np.delete(incidence, r, axis=0), np.delete(b, r)
             ref = oracles.start_tableau(np.ones(len(arcs)), A, rhs, start.basis, start.inverse)
             assert start.tableau.tobytes() == ref[:, :-1].tobytes()
-            T = lp._tableau(start, rhs)
+            T = lp._start_tableau(start, start.inverse @ rhs)
             assert T[:-1, -1].tobytes() == ref[:-1, -1].tobytes()
     problems = []
     solve = lp.solve_lp
@@ -938,7 +1028,7 @@ def test_starts_are_the_start_tableau_of_each_program(g):
         assert np.array_equal(start.A, A) and np.array_equal(start.c, c)
         assert b.tobytes() == rhs.tobytes()
         assert start.tableau.tobytes() == ref[:, :-1].tobytes()
-        assert lp._tableau(start, b)[:-1, -1].tobytes() == ref[:-1, -1].tobytes()
+        assert (start.inverse @ b).tobytes() == ref[:-1, -1].tobytes()
 
 
 def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatch):
@@ -947,28 +1037,31 @@ def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatc
     Every later solve from that tree reuses its start; a kappa program
     adds its column to it, and a warm start carries the final tableau
     (or, after no pivot, is the start itself), so neither multiplies
-    B^-1 A out again.  Each Start.from_basis call here builds one
-    root's start, and built() names the (root, inward) record that
-    holds it.
+    B^-1 A out again.  Each DistanceMatrix here keeps its records in a
+    dict that notes every record stored in it: each note is one root's
+    start built, and built() names the (root, inward) of each.
     """
-    starts, solved_from = [], []
-    from_basis, solve = lp.Start.from_basis, lp.solve_lp
+    builds, solved_from = [], []
+    solve = lp.solve_lp
 
-    def recording_from_basis(*args):
-        starts.append(from_basis(*args))
-        return starts[-1]
+    class Recording(dict):
+        def __setitem__(self, key, record):
+            builds.append((key, record.start))
+            super().__setitem__(key, record)
+
+    def recorded(dm):
+        object.__setattr__(dm, "_root_bases", Recording())
+        return dm
 
     def recording_solve(start, b):
         solved_from.append(start)
         return solve(start, b)
 
-    def built(*dms):
-        records = {id(rec.start): key for d in dms for key, rec in d._root_bases.items()}
-        return [records[id(start)] for start in starts]
+    def built():
+        return [key for key, _start in builds]
 
-    monkeypatch.setattr(lp.Start, "from_basis", recording_from_basis)
     monkeypatch.setattr(lp, "solve_lp", recording_solve)
-    dm = distances(g_tri)
+    dm = recorded(distances(g_tri))
     M = markov_data(g_tri)
     nu0, nu1 = np.eye(3)[0], np.eye(3)[2]
     plan = wasserstein(nu0, nu1, dm, verify=True)
@@ -978,26 +1071,26 @@ def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatc
     assert table.values[0, 0] == plan.value
     kappa_lp(0, 1, M, dm)
     kappa_lp(0, 2, M, dm)
-    assert built(dm) == [(0, False)]
-    (start,) = starts
+    assert built() == [(0, False)]
+    ((_key, start),) = builds
     assert start is root_basis(dm, 0).start
     assert all(solved is start for solved in solved_from[:3])
     # each kappa start is the root's tableau with the virtual column beside it
     for kappa_start in solved_from[3:]:
         assert kappa_start.tableau[:, :-1].tobytes() == start.tableau.tobytes()
     kappa_lp(1, 0, M, dm)
-    assert built(dm) == [(0, False), (1, False)]
+    assert built() == [(0, False), (1, False)]
     # the in-tree of 2 has its own record, built once too
     third = np.full(3, 1 / 3)
     for _ in range(2):
         wasserstein(third, nu1, dm, verify=True)
         assert solved_from[-1] is root_basis(dm, 2, inward=True).start
-    assert built(dm) == [(0, False), (1, False), (2, True)] and len(starts) == 3
+    assert built() == [(0, False), (1, False), (2, True)]
     # a second distances() result holds its own records
-    other = distances(g_tri)
+    other = recorded(distances(g_tri))
     assert root_basis(other, 0) is not root_basis(dm, 0)
-    assert built(dm, other) == [(0, False), (1, False), (2, True), (0, False)]
-    assert starts[-1] is root_basis(other, 0).start and len(starts) == 4
+    assert built() == [(0, False), (1, False), (2, True), (0, False)]
+    assert builds[-1][1] is root_basis(other, 0).start and len(builds) == 4
 
 
 class TestStartingBasis:

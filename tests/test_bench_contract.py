@@ -3,12 +3,13 @@
 bench/tracing.py wraps library functions at each module that looks
 them up; a rename or a moved import makes install() raise, and the
 traced K_8 analyze must make the solve counts bench/run.py expects, as
-the traced analyze_sparse requests must make theirs.  The
-output checks of bench/checks.py hold analyze, the curvature matrix,
-the exact Dirac plan and potential, the pair curvature witness, heat
-rows and the Perron vector to values the benchmark computes itself; each
-workload runs some of its requests through them.  Running both here
-catches a break in the unit tests instead of in a benchmark run.
+the traced analyze_sparse, curvature_sparse and queries requests must
+make theirs.  The output checks of bench/checks.py hold analyze, the
+curvature matrix, the exact Dirac plan and potential, the pair
+curvature witness, heat rows and the Perron vector to values the
+benchmark computes itself; each workload runs some of its requests
+through them.  Running both here catches a break in the unit tests
+instead of in a benchmark run.
 """
 
 from __future__ import annotations
@@ -164,6 +165,35 @@ def test_traced_curvature_sparse_solves_every_program_under_kappa_lp(bench, run,
     assert metrics["lp.solves.by.other"] == 0
     assert metrics["curvature.kappa_lp.calls"] == 4 * 12
     assert metrics["lp.pivots"] == 3427
+
+
+def test_traced_queries_keep_the_pair_path_solve_counts(bench, run, tmp_path, capsys):
+    """queries seed 1, traced: 400 LP solves and 1,204 pivots over its 100 pair questions.
+
+    Each question asks curvature --pairs with --cross-check, one kappa
+    program under kappa_lp and a column of two smoothing W under
+    kappa_limit, and wasserstein --plan, one verify-mode W under the
+    wasserstein subcommand; heat and perron solve none.  A solve that
+    left its caller's span would move to "other".
+    """
+    workload = bench.workloads.build("queries", 1)
+    runner = run.Runner(digricci, workload, write_graphs(workload, tmp_path))
+    tracer = run.Tracer()
+    try:
+        tracer.install(digricci)
+        for i in range(len(workload.requests)):
+            runner.run_request(i, tracer)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert runner.problems == []
+    metrics = run.layer_metrics(tracer)
+    by_caller = {key: metrics[f"lp.solves.by.{key}"]
+                 for key in ("kappa_lp", "kappa_limit", "main.wasserstein", "other")}
+    assert len(workload.requests) == 100
+    assert by_caller == {"kappa_lp": 100, "kappa_limit": 200, "main.wasserstein": 100, "other": 0}
+    assert metrics["lp.solve_lp.calls"] == 400
+    assert metrics["lp.pivots"] == 1204
 
 
 def test_analyze_dense_passes_the_benchmark_checks(bench, tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from digricci import digraph
 from digricci import (
+    GraphCurvatureError,
     NegativeWeightError,
     NotStronglyConnectedError,
     ParseError,
@@ -22,6 +23,66 @@ from digricci import (
     sample_lipschitz_functions,
 )
 from conftest import random_strongly_connected
+
+
+# tokens an edge-list field may hold: ids int() takes or refuses, weights float() takes or refuses
+ID_TOKENS = ["0", "1", "2", "3", "+1", "1_0", "-0", "1e3", "-1", "01", "x", "1.0", "\u0661"]
+WEIGHT_TOKENS = ["nan", "inf", "-inf", "0", "-0.0", "-1.5", "2", "1e-300", "0x1", "1_0.5", "+.5", "w"]
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\u2028"]
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """Edge-list text with comments, blank lines, every line break, 1-4 fields and odd tokens."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["arc", "arc", "arc", "blank", "comment"]))
+        if kind == "blank":
+            line = draw(st.sampled_from(["", "   ", "\t"]))
+        elif kind == "comment":
+            line = draw(st.sampled_from(["#", "# note", "  # 0 1 2"]))
+        else:
+            # one token in four is an odd one, and one line in six has 1 or 4 fields
+            odd = st.integers(0, 3).map(lambda k: k == 0)
+            ids = [draw(st.sampled_from(ID_TOKENS)) if draw(odd) else str(draw(st.integers(0, 5)))
+                   for _ in range(2)]
+            weights = [draw(st.sampled_from(WEIGHT_TOKENS)) if draw(odd)
+                       else repr(draw(st.floats(0.1, 3.0))) for _ in range(2)]
+            count = draw(st.sampled_from([1, 2, 2, 3, 3, 4]))
+            fields = (ids + weights)[:count]
+            line = draw(st.sampled_from([" ", "\t", "  "])).join(fields)
+            line = draw(st.sampled_from(["", " "])) + line
+            line += draw(st.sampled_from(["", " ", "#c", " # 1 2"]))
+        lines.append(line + draw(st.sampled_from(LINE_BREAKS)))
+    return "".join(lines)
+
+
+def parse_outcome(parse, text: str):
+    """The weight matrix's shape and bits, or the error's type and message."""
+    try:
+        mu, labels = parse(text)
+    except GraphCurvatureError as exc:
+        return type(exc), str(exc)
+    return mu.shape, mu.tobytes(), labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts())
+@example("0 1\r\n1 0 # back\x0b\x1c2 2\n")
+@example("+1 1_0 nan\n1_0 0\n0 +1 -0.0\n")
+@example("0 1 2 3\n1 1\n")
+@example("0 1\n0 1 2.5\n")
+@example("-1 2 w\n")
+@example("1 1 -2\n")
+def test_edge_list_parser_is_the_reference_parser(text):
+    """The per-line parser accepts exactly what the reference does, with the same matrix bits.
+
+    Otherwise it raises the same error type with the same message,
+    which names the first bad line.
+    """
+    assert parse_outcome(digraph._parse_edge_list, text) == parse_outcome(
+        oracles.parse_edge_list_reference, text
+    )
 
 
 class TestParsing:

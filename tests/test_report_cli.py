@@ -12,7 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import C3_EDGES, K3_EDGES, SEED, TRI_EDGES
 from digricci import (
     InequalityCertificate,
@@ -28,7 +31,7 @@ from digricci import (
     render_json,
 )
 from digricci.cli import main
-from digricci.concentration import LAMBDA_GRID
+from digricci.concentration import LAMBDA_GRID, R_GRID
 from digricci.curvature import EPS_GRID, SMOOTHING_AGREEMENT_TOL
 from digricci.heat import HEAT_LIMIT_AGREEMENT_TOL, LIMIT_GRID, TIME_GRID
 from digricci.report import RunConfig, VerificationReport, certificate_to_dict
@@ -156,6 +159,30 @@ class TestRenderJson:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             render_json(object())
+
+
+JSON_LEAVES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, True, False, np.True_]),
+    st.integers(-(2**70), 2**70),
+    st.integers(-5, 5).map(np.int64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), children, max_size=3),
+    ),
+    max_leaves=40,
+))
+def test_render_json_is_the_recursive_route(value):
+    """Nested lists of floats, np.float64, NaN, infinities, -0.0, ints and bools: the same bytes."""
+    assert render_json(value) == oracles.render_json_reference(value)
 
 
 class TestReportShape:
@@ -364,6 +391,7 @@ class TestCliAnalyze:
             ("laplace_moment_bound", "lambda_grid"): LAMBDA_GRID,
             ("exp_chain_rule_bound", "lambda_grid"): LAMBDA_GRID,
             ("transport_entropy_laplace_link", "lambda_grid"): LAMBDA_GRID,
+            ("lipschitz_tail_bound", "r_grid"): R_GRID,
         }
         stated = {(name, key): hypotheses[name][key] for name, key in grids}
         assert stated == {pair: list(grid) for pair, grid in grids.items()}
