@@ -43,7 +43,7 @@ from .concentration import (
     random_densities,
 )
 from .curvature import EPS_GRID, SMOOTHING_AGREEMENT_TOL, curvature_matrix, kappa_limit
-from .digraph import DirectedGraph, distances, load_graph, sample_lipschitz_functions
+from .digraph import DirectedGraph, distances, load_graph
 from .errors import GraphCurvatureError, ParseError
 from .heat import (
     HEAT_LIMIT_AGREEMENT_TOL,
@@ -110,11 +110,13 @@ def functional_certificates(
     ]
 
 
-def _functional_suite(
-    report: VerificationReport, M, dm, K: float, config: RunConfig, rng: np.random.Generator
-) -> None:
-    """Add the functional suite at level K to report, or say why it was skipped."""
+def _functional_suite(report: VerificationReport, M, dm, K: float, config: RunConfig) -> None:
+    """Add the functional suite at level K to report, or say why it was skipped.
+
+    Its samples are the only ones a run draws, from config.seed.
+    """
     if K > 0:
+        rng = np.random.default_rng(config.seed)
         report.certificates.extend(functional_certificates(M, dm, K, config, rng))
     else:
         report.sections["functional_suite"] = f"skipped: needs K > 0, computed K = {K:.17g}"
@@ -124,7 +126,6 @@ def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
     dm = distances(g)
     M = markov_data(g)
     H = heat_operator(M)
-    rng = np.random.default_rng(config.seed)
     applied = {"curvature_limit": HEAT_LIMIT_AGREEMENT_TOL}
     if config.cross_check:
         applied["smoothing_agreement"] = SMOOTHING_AGREEMENT_TOL
@@ -181,24 +182,21 @@ def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
         )
     )
 
-    fs = sample_lipschitz_functions(dm, config.lipschitz_samples, rng, scale=(0.5, 2.0))
-    witness_fs = np.asarray(list(curv.witnesses.values()))
-    all_fs = np.vstack([fs, witness_fs])
+    # the gradient estimate's family is the contraction table's potentials f*,
+    # one per time, at which Lip(P_t f) reaches its sup (heat module docstring)
+    contraction, potentials = verify_transport_contraction(H, dm, K, tol=config.certificate_tol)
     report.certificates.append(
-        verify_gradient_estimate(H, dm, K, all_fs, tol=config.certificate_tol)
+        verify_gradient_estimate(H, dm, K, potentials, tol=config.certificate_tol)
     )
-    report.certificates.append(
-        verify_transport_contraction(H, dm, K, tol=config.certificate_tol)
-    )
+    report.certificates.append(contraction)
 
-    _functional_suite(report, M, dm, K, config, rng)
+    _functional_suite(report, M, dm, K, config)
     return report
 
 
 def run_functional(g: DirectedGraph, config: RunConfig) -> VerificationReport:
     dm = distances(g)
     M = markov_data(g)
-    rng = np.random.default_rng(config.seed)
     # K is the least arc kappa: the hop metric is a path metric, so a pair's kappa is at
     # least the mean kappa of a geodesic's arcs (Ollivier, J. Funct. Anal. 256, 2009).
     # One row of kappa_lp per tail, over its out-neighbours.
@@ -209,7 +207,7 @@ def run_functional(g: DirectedGraph, config: RunConfig) -> VerificationReport:
     report = _new_report("verify-functional", g, config)
     report.sections["curvature"] = {"K": K_arcs, "K_used": K}
     report.sections["distance"] = {"lambda": dm.lam}
-    _functional_suite(report, M, dm, K, config, rng)
+    _functional_suite(report, M, dm, K, config)
     return report
 
 
@@ -353,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross-check", action="store_true",
                    help="also compare the exact curvature against the smoothing route")
     _add_suite_options(p)
-    p.add_argument("--lipschitz-samples", type=_checked(int, "--lipschitz-samples", 0),
-                   default=200)
 
     p = sub.add_parser("curvature", help="curvature matrix and K")
     _add_common(p, ("json", "table", "csv"))

@@ -62,14 +62,13 @@ SMOOTHING_AGREEMENT_TOL = 1e-4
 class CurvatureReport:
     """All ordered-pair curvatures with the global lower bound K.
 
-    kappa has NaN on the diagonal.  witnesses maps (x, y) to an optimal
-    potential of the exact program, normalised to f(x) = 0.  When the
-    smoothing cross-check ran, cross_check holds |lp - limit| per pair.
+    kappa has NaN on the diagonal.  When the smoothing cross-check ran,
+    cross_check holds |lp - limit| per pair.  kappa_lp returns each
+    pair's witness; the matrix keeps none.
     """
 
     kappa: np.ndarray
     K: float
-    witnesses: dict[tuple[int, int], np.ndarray]
     cross_check: np.ndarray | None = None
 
 
@@ -122,9 +121,8 @@ def kappa_lp(
     vertex of it that the pivot sequence ends on (the duals of the
     final basis).  A change of pivot rule may return another witness
     with the same kappa.  What reads the witness itself sees that
-    choice: analyze's lipschitz_contraction certificate takes every
-    kappa witness among its Lipschitz samples, and curvature --pairs
-    prints it.
+    choice: curvature --pairs prints it.  No report of analyze or
+    verify-functional reads a witness, only kappa.
     """
     single = isinstance(ys, (int, np.integer))
     ys = np.array(ys, dtype=int, ndmin=1)
@@ -187,15 +185,13 @@ def curvature_matrix(
     """kappa over all ordered pairs; K is the minimum entry."""
     n = M.n
     kappa = np.full((n, n), np.nan)
-    witnesses: dict[tuple[int, int], np.ndarray] = {}
     residuals = np.full((n, n), np.nan) if cross_check else None
     for x in range(n):
         ys = np.flatnonzero(np.arange(n) != x)
-        kappa[x, ys], row = kappa_lp(x, ys, M, dm)
-        witnesses.update(zip([(x, y) for y in ys.tolist()], row))
+        kappa[x, ys] = kappa_lp(x, ys, M, dm)[0]
         if cross_check:
             for y in ys.tolist():
                 limit, _spread = kappa_limit(x, y, M, dm)
                 residuals[x, y] = abs(kappa[x, y] - limit)
     K = float(np.nanmin(kappa))
-    return CurvatureReport(kappa=kappa, K=K, witnesses=witnesses, cross_check=residuals)
+    return CurvatureReport(kappa=kappa, K=K, cross_check=residuals)

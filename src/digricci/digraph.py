@@ -211,25 +211,24 @@ def lipschitz_constant(f: np.ndarray, dm: DistanceMatrix) -> float | np.ndarray:
 
 
 def sample_lipschitz_functions(
-    dm: DistanceMatrix,
-    count: int,
-    rng: np.random.Generator,
-    scale: tuple[float, float] | None = None,
+    dm: DistanceMatrix, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """count random 1-Lipschitz functions, optionally rescaled, one per row.
+    """count random 1-Lipschitz functions, one per row.
 
     Each sample is f(z) = min over a random anchor set A of d(a, z) + c_a
     with random offsets c_a.  Every piece satisfies the directed triangle
     inequality, and a pointwise min of 1-Lipschitz functions is again
-    1-Lipschitz, so Lip f <= 1 by construction.  When scale = (lo, hi)
-    each sample is multiplied by an independent uniform draw from it.
+    1-Lipschitz, so Lip f <= 1 by construction.  The functional suite
+    draws its Lipschitz samples here (concentration's
+    centered_lipschitz_samples); a caller that wants another Lipschitz
+    constant scales the rows itself.
 
     The family is drawn as arrays, in this order: the anchor counts
     k ~ U{1, ..., n}, one per sample; keys U[0, 1) of shape (count, n),
-    whose k smallest in a row pick a uniform k-subset of anchors; offsets
-    U[0, lam + 1) of shape (count, n), of which the anchors' are used;
-    and with scale, one factor U[lo, hi) per sample.  The min runs over
-    the n anchor rows in turn, so no count x n x n array is formed.
+    whose k smallest in a row pick a uniform k-subset of anchors; and
+    offsets U[0, lam + 1) of shape (count, n), of which the anchors' are
+    used.  The min runs over the n anchor rows in turn, so no
+    count x n x n array is formed.
     """
     n = dm.d.shape[0]
     k = rng.integers(1, n + 1, size=count)
@@ -241,8 +240,6 @@ def sample_lipschitz_functions(
     out = np.full((count, n), np.inf)
     for a in range(n):
         np.minimum(out, offsets[:, a, None] + dm.d[a], out=out)
-    if scale is not None:
-        out *= rng.uniform(scale[0], scale[1], size=count)[:, None]
     return out
 
 

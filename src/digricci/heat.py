@@ -31,6 +31,16 @@ W over those arcs.  If every arc satisfies W <= exp(-K t), every pair
 satisfies W <= exp(-K t) d(x, y), so the contraction certificate is
 checked over the arcs alone (Ollivier, J. Funct. Anal. 256, 2009).
 
+The gradient estimate Lip(P_t f) <= exp(-K t) Lip(f) is the dual face
+of that inequality (Kuwada, J. Funct. Anal. 258, 2010).  For
+Lip f <= 1 and an arc x -> y, (P_t f)(y) - (P_t f)(x) is
+f.(p_y_t - p_x_t) <= W(p_x_t, p_y_t), so no such f has Lip(P_t f)
+above the largest arc W, and the Kantorovich potential f* of that
+arc's W attains it.  verify_transport_contraction reads one f* per
+time off its own table's solves, and analyze passes those to
+verify_gradient_estimate as its whole family: the certificate's lhs
+at each time is the exact sup, not a sampled one.
+
 Both W certificates, the contraction and the small-time limit, solve
 each arc at several times of one program: its cost and constraint
 matrix do not depend on t, only the right-hand side p_x_t - p_y_t
@@ -152,9 +162,13 @@ def verify_gradient_estimate(
     fs: np.ndarray,
     tol: float = 1e-9,
 ) -> InequalityCertificate:
-    """Check Lip(P_t f) <= exp(-K t) Lip(f) on every sample and every time of TIME_GRID.
+    """Check Lip(P_t f) <= exp(-K t) Lip(f) on every function of fs and every time of TIME_GRID.
 
-    Each time smooths the whole stack of samples in one apply.
+    Each time smooths the whole stack in one apply.  analyze passes the
+    potentials verify_transport_contraction returns, so f_index i is
+    the potential f* of TIME_GRID[i]'s binding arc, and at each time
+    the largest Lip(P_t f) / Lip(f) of the family is the sup over every
+    Lipschitz f (module docstring).
     """
     fs = np.atleast_2d(fs)
     lip_fs = lipschitz_constant(fs, dm).tolist()
@@ -175,8 +189,8 @@ def verify_gradient_estimate(
 
 def _heat_flow_w(
     H: HeatOperator, dm: DistanceMatrix, times: Sequence[float], xs: np.ndarray, ys: np.ndarray
-) -> np.ndarray:
-    """W(p_x_t, p_y_t) at each of the ascending times (rows) for each pair (columns).
+) -> transport.TransportTable:
+    """W(p_x_t, p_y_t) at each of the ascending times (rows) for each pair (columns), as a table.
 
     One table (transport.wasserstein): every kernel is built before the
     first solve, and a pair's column starts from its arc's kappa
@@ -184,8 +198,7 @@ def _heat_flow_w(
     """
     kernels = np.stack([heat_kernel_matrix(H, t) for t in times])
     starts = [dm._arc_starts.get(pair) for pair in zip(xs.tolist(), ys.tolist())]
-    table = transport.wasserstein(kernels[:, xs], kernels[:, ys], dm, verify=False, start=starts)
-    return table.values
+    return transport.wasserstein(kernels[:, xs], kernels[:, ys], dm, verify=False, start=starts)
 
 
 def verify_transport_contraction(
@@ -193,7 +206,7 @@ def verify_transport_contraction(
     dm: DistanceMatrix,
     K: float,
     tol: float = 1e-9,
-) -> InequalityCertificate:
+) -> tuple[InequalityCertificate, np.ndarray]:
     """Check W(p_x_t, p_y_t) <= exp(-K t) d(x, y) over all ordered pairs, t in TIME_GRID.
 
     The loop runs over the arcs (d(x, y) = 1) only; the module docstring
@@ -210,8 +223,17 @@ def verify_transport_contraction(
     optimum when dm holds one, each later one from the previous time's
     optimal basis (see the module docstring); the comparisons are listed
     time by time, arcs in order within each.
+
+    Returns the certificate and the potentials f*, shape
+    (len(TIME_GRID), n): row i is the Kantorovich potential of the
+    largest arc W at TIME_GRID[i], the first arc in order of equal ones,
+    read off that arc's own solve (transport.TransportTable.potentials)
+    with no solve added.  It is integral and 1-Lipschitz, both checked
+    exactly, and Lip(P_t f*) is that largest W: the exact family of
+    verify_gradient_estimate.
     """
-    values = _heat_flow_w(H, dm, TIME_GRID, *dm.arcs.T).tolist()
+    table = _heat_flow_w(H, dm, TIME_GRID, *dm.arcs.T)
+    values = table.values.tolist()
     arcs = dm.arcs.tolist()
     comparisons = []
     for t, row in zip(TIME_GRID, values):
@@ -221,12 +243,13 @@ def verify_transport_contraction(
         comparisons += [
             (value, shrink, {"t": t, "pair": (x, y)}) for value, (x, y) in zip(row, arcs)
         ]
-    return certificate_from_samples(
+    certificate = certificate_from_samples(
         "transport_contraction",
         {"K": K, "times": list(TIME_GRID), "pairs": "arcs"},
         comparisons,
         tol,
     )
+    return certificate, table.potentials
 
 
 def curvature_time_limit(
@@ -251,7 +274,7 @@ def curvature_time_limit(
     xs, ys = np.asarray(xs, dtype=int), np.asarray(ys, dtype=int)
     if (xs == ys).any():
         raise SameVertexError("curvature needs two distinct vertices")
-    w = _heat_flow_w(H, dm, ts, xs, ys)
+    w = _heat_flow_w(H, dm, ts, xs, ys).values
     estimates = (1.0 - w / dm.d[xs, ys].astype(float)) / np.asarray(ts)[:, None]
     t1, t2 = ts[1], ts[0]
     g1, g2 = estimates[1], estimates[0]

@@ -25,7 +25,6 @@ class RunConfig:
     """What the analyze and verify-functional options set."""
 
     seed: int = DEFAULT_SEED
-    lipschitz_samples: int = 200
     density_samples: int = 100
     function_samples: int = 100
     k_override: float | None = None

@@ -85,10 +85,11 @@ sides of the duality and certifies each distance computed in verify
 mode.  The basis is a spanning tree and every cost an integer, so f
 is an integer vector, and RootBasis.potentials checks integrality and
 the arc rows exactly; the curvature module reads its witnesses the
-same way, a row of solves' duals as one product.  kantorovich_dual
-keeps every ordered pair instead (one flow column per pair, started
-from the star of pairs 0 -> w); it is the reference the tests pin the
-flow potential to.
+same way, a row of solves' duals as one product, and a table reads
+the potential of each row's largest W on demand
+(TransportTable.potentials).  kantorovich_dual keeps every ordered
+pair instead (one flow column per pair, started from the star of pairs
+0 -> w); it is the reference the tests pin the flow potential to.
 """
 
 from __future__ import annotations
@@ -132,9 +133,14 @@ class TransportTable:
     largest flow-balance error over every solve of the table, every
     vertex's outflow - inflow against its excess, formed on first read
     from the excess and the flows the table keeps, so a caller that
-    reads only the values pays for none of it.  The table keeps no
-    solve itself: a column of one pair per density would hold a final
-    tableau per density.
+    reads only the values pays for none of it.  Of its solves the table
+    keeps one per row, the first of the row's largest W, with its tree:
+    a column of one pair per density would otherwise hold a final
+    tableau per density.  potentials, formed on first read, is that
+    solve's Kantorovich potential f* for each row, read by
+    RootBasis.potentials with its exact checks (integral, no arc
+    stretched), f*(r) = 0 at its tree's root r: f*.(nu1 - nu0) is the
+    row's largest W.  A table of no column has no solve to read.
     """
 
     values: np.ndarray
@@ -142,6 +148,8 @@ class TransportTable:
     # every solve's flow, column by column
     _x: list = field(repr=False)
     _arcs: np.ndarray = field(repr=False)
+    # (tree, solve) of each row's largest W, the first of equal ones
+    _binding: list = field(repr=False)
 
     @cached_property
     def marginal_residual(self) -> float:
@@ -150,6 +158,11 @@ class TransportTable:
         excess = self._excess.transpose(1, 0, 2).reshape(-1, n)
         flows = np.array(self._x).reshape(len(excess), len(self._arcs))
         return _balance_residual(flows, excess, self._arcs)
+
+    @cached_property
+    def potentials(self) -> np.ndarray:
+        """f* of each row, shape (k, n): the potential of its largest W, f*(r) = 0 at its root."""
+        return np.array([tree.potentials([solution])[0] for tree, solution in self._binding])
 
 
 @dataclass(eq=False)
@@ -332,20 +345,22 @@ class RootBasis(NamedTuple):
     def potentials(self, solutions: Sequence[lp.LpSolution]) -> np.ndarray:
         """The potentials f = -(row duals) of solutions, one row each, with f(r) = 0.
 
-        Each solution began on this tree's basis B_0 and inverse: from
-        its start, or from the start plus columns that are not basic in
-        it (lp.Start.with_columns).  So its duals y = c_B B_f^-1 are
-        (c[b0] - its final cost row at b0) B_0^-1, as
-        lp.LpSolution.duals forms them, and the duals of all of them
-        are one product.  Every basis is a spanning tree (plus a
-        curvature program's virtual arc) and every cost an integer, so
-        each f is an integer vector (Ahuja, Magnanti & Orlin, ch. 11); a
-        dual with f(head) - f(tail) <= 1 on every arc is 1-Lipschitz for
-        the hop metric.  Both are checked exactly, over the stack at
-        once: NumericsError unless every f is integral and none
-        stretches an arc.  y A is f(head) - f(tail) on every arc, as
-        the incidence A is +1 at the tail and -1 at the head, and an
-        arc at r loses nothing with r's row, as f(r) = 0.
+        Each solution solved this tree's program, or it with added
+        columns (lp.Start.with_columns), from whatever start: the tree's
+        own, a warm start carried off another solve of the program, or
+        an arc's curvature optimum.  Its final cost row is c - y A for
+        its duals y = c_B B_f^-1 whatever the start, so on this tree's
+        basis B_0 it is c[b0] - y B_0: y is (c[b0] - that row at b0)
+        B_0^-1, as lp.LpSolution.duals forms it off its own start, and
+        the duals of all of them are one product.  Every basis is a
+        spanning tree (plus a curvature program's virtual arc) and every
+        cost an integer, so each f is an integer vector (Ahuja, Magnanti
+        & Orlin, ch. 11); a dual with f(head) - f(tail) <= 1 on every
+        arc is 1-Lipschitz for the hop metric.  Both are checked
+        exactly, over the stack at once: NumericsError unless every f is
+        integral and none stretches an arc.  y A is f(head) - f(tail) on
+        every arc, as the incidence A is +1 at the tail and -1 at the
+        head, and an arc at r loses nothing with r's row, as f(r) = 0.
         """
         start = self.start
         b0 = start.basis
@@ -542,12 +557,15 @@ def _table(
     if len(starts) != a:
         raise ValueError(f"a table of {a} columns takes {a} starts, got {len(starts)}")
     excess = nu0 - nu1
-    solutions = [solution for _tree, solution in _chains(excess, dm, starts)]
+    solves = list(_chains(excess, dm, starts))
+    values = np.array([solution.value for _tree, solution in solves]).reshape(a, k).T
     return TransportTable(
-        values=np.array([s.value for s in solutions]).reshape(a, k).T,
+        values=values,
         _excess=excess,
-        _x=[s.x for s in solutions],
+        _x=[solution.x for _tree, solution in solves],
         _arcs=dm.arcs,
+        _binding=[solves[j * k + i] for i, j in enumerate(values.argmax(axis=1).tolist())]
+        if a else [],
     )
 
 
@@ -583,8 +601,9 @@ def wasserstein(
     was solved on another DistanceMatrix, whose program is another
     one.  Each row of both stacks is checked as a single measure is,
     once per table; the error names the first bad row, nu0[i, j] say.
-    It returns a TransportTable: values of shape (k, a) and the
-    residual over every solve.
+    It returns a TransportTable: values of shape (k, a), the residual
+    over every solve and the potential of each row's largest W, the
+    last two formed on first read.
     """
     if np.ndim(nu0) == 3:
         if verify:

@@ -8,7 +8,9 @@ The exceptions are transport_contraction_all_pairs, the all-pairs
 loop the library's arc-only contraction check is pinned to, and
 gradient_estimate_per_sample, the per-sample loop its batched gradient
 estimate is pinned to; both reuse the library's heat flow so that the
-two sides agree to roundoff.  lipschitz_samples_per_sample is the
+two sides agree to roundoff.  sampled_gradient_family rebuilds, with
+the library's sampler and kappa_lp, the sampled family analyze's
+gradient estimate once took.  lipschitz_samples_per_sample is the
 per-sample loop the array-drawn Lipschitz family must match bit for
 bit, eager_certificate the duals, gap and residual of a solve
 formed at once, which the ones LpSolution forms on read must match,
@@ -73,9 +75,11 @@ from digricci import (
     gamma,
     heat_kernel_matrix,
     inner,
+    kappa_lp,
     lipschitz_constant,
     lp,
     mean,
+    sample_lipschitz_functions,
     transport,
     wasserstein,
 )
@@ -301,24 +305,33 @@ def gradient_estimate_per_sample(H, dm, K: float, fs, ts=TIME_GRID, tol=1e-9):
     )
 
 
-def lipschitz_samples_per_sample(dm, count: int, rng: np.random.Generator, scale=None):
-    """sample_lipschitz_functions one sample at a time, from the same four draws.
+def sampled_gradient_family(M, dm, rng: np.random.Generator, count: int = 200) -> np.ndarray:
+    """The gradient-estimate family analyze drew before it took the contraction's potentials.
+
+    count Lipschitz samples, each times its own U[0.5, 2) factor, then
+    the kappa witness of every ordered pair in row-major order.  The
+    exact family's ratio at each time must be at least each of these.
+    """
+    fs = sample_lipschitz_functions(dm, count, rng) * rng.uniform(0.5, 2.0, size=(count, 1))
+    rows = [kappa_lp(x, np.flatnonzero(np.arange(M.n) != x), M, dm)[1] for x in range(M.n)]
+    return np.vstack([fs, *rows])
+
+
+def lipschitz_samples_per_sample(dm, count: int, rng: np.random.Generator):
+    """sample_lipschitz_functions one sample at a time, from the same three draws.
 
     The anchors of sample i are the k[i] vertices of smallest key, taken
     by sorting that row alone, and f is the min of their offset
-    distance rows, times the sample's factor under scale.
+    distance rows.
     """
     n = dm.d.shape[0]
     k = rng.integers(1, n + 1, size=count)
     keys = rng.random((count, n))
     offsets = rng.uniform(0.0, dm.lam + 1.0, size=(count, n))
-    factors = rng.uniform(scale[0], scale[1], size=count) if scale is not None else None
     out = np.empty((count, n))
     for i in range(count):
         anchors = np.argsort(keys[i])[: k[i]]
         out[i] = (dm.d[anchors] + offsets[i, anchors][:, None]).min(axis=0)
-        if factors is not None:
-            out[i] *= factors[i]
     return out
 
 

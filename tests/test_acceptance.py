@@ -35,7 +35,6 @@ from digricci import (
     markov_data,
     perron_measure,
     random_densities,
-    sample_lipschitz_functions,
     solve_transport,
     transition_kernel,
     verify_gradient_estimate,
@@ -115,7 +114,6 @@ def test_criterion_2_route_equivalence(bundles):
 
 def test_criterion_3_contraction_certificates(bundles):
     start = time.perf_counter()
-    rng = np.random.default_rng(SEED)
     all_pass = True
     sharp_fail = True
     degenerate = 0
@@ -123,12 +121,9 @@ def test_criterion_3_contraction_certificates(bundles):
     for b in bundles:
         K = b.curv.K
         pairs = [(x, y) for x in range(b.g.n) for y in range(b.g.n) if x != y]
-        witness_fs = np.asarray([b.curv.witnesses[p] for p in pairs])
-        fs = np.vstack(
-            [sample_lipschitz_functions(b.dm, 200, rng, scale=(0.5, 2.0)), witness_fs]
-        )
-        grad = verify_gradient_estimate(b.H, b.dm, K, fs)
-        trans = verify_transport_contraction(b.H, b.dm, K)
+        # the exact family: the potential f* of each time's binding arc, as analyze takes it
+        trans, potentials = verify_transport_contraction(b.H, b.dm, K)
+        grad = verify_gradient_estimate(b.H, b.dm, K, potentials)
         all_pass = all_pass and grad.passed and trans.passed
 
         # sharpness: does some check break at the rate K + 0.1?  At the
@@ -138,8 +133,8 @@ def test_criterion_3_contraction_certificates(bundles):
         # otherwise the graph is skipped and counted.
         argmins = [p for p in pairs if abs(b.curv.kappa[p] - K) <= 1e-9]
         nondegenerate = False
-        for p in argmins:
-            f_w = b.curv.witnesses[p]
+        for x, y in argmins:
+            f_w = kappa_lp(x, y, b.M, b.dm)[1]
             ratio = lipschitz_constant(
                 b.H.apply(t_min, f_w), b.dm
             ) / lipschitz_constant(f_w, b.dm)
@@ -150,8 +145,8 @@ def test_criterion_3_contraction_certificates(bundles):
         if not nondegenerate:
             degenerate += 1
             continue
-        grad_up = verify_gradient_estimate(b.H, b.dm, K + 0.1, witness_fs)
-        trans_up = verify_transport_contraction(b.H, b.dm, K + 0.1)
+        trans_up, potentials_up = verify_transport_contraction(b.H, b.dm, K + 0.1)
+        grad_up = verify_gradient_estimate(b.H, b.dm, K + 0.1, potentials_up)
         sharp_fail = sharp_fail and not (grad_up.passed and trans_up.passed)
     elapsed = time.perf_counter() - start
     ok = all_pass and sharp_fail and elapsed < 300.0

@@ -42,11 +42,10 @@ JUNK = ("nan", "inf", "-inf", "1e400", "-1", "0", "-0", "7", "1.5", "x", "#", ",
 # a value it reads as an option; none abbreviates --help, --version or --out
 JUNK_OPTIONS = ("--bogus", "-x", "--", "-", "7", "nan", "-inf", "--seed", "--seed=-1",
                 "--format", "--format=xml", "--k-override", "--cross-check=1", "--pairs",
-                "--t", "--kernel", "--lipschitz-samples")
+                "--t", "--kernel", "--function-samples")
 
 # analyze with few samples, so one example stays cheap
-SMALL_ANALYZE = ("--lipschitz-samples", "4", "--density-samples", "3",
-                 "--function-samples", "3")
+SMALL_ANALYZE = ("--density-samples", "3", "--function-samples", "3")
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

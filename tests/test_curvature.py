@@ -132,7 +132,6 @@ class TestCurvatureMatrix:
         assert np.abs(report.kappa[off] - 1.5).max() <= 1e-6
         assert np.isnan(report.kappa[~off]).all()
         assert report.K == pytest.approx(1.5, abs=1e-6)
-        assert set(report.witnesses) == {(x, y) for x in range(3) for y in range(3) if x != y}
 
     def test_cross_check_residuals(self, g_tri):
         M = markov_data(g_tri)

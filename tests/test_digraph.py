@@ -387,16 +387,9 @@ class TestLipschitzSampler:
                 assert lipschitz_constant(f, dm) <= 1.0 + 1e-12
                 assert oracles.is_one_lipschitz(f, dm.d)
 
-    def test_scaled_samples_bounded_by_scale(self, g_tri, rng):
-        dm = distances(g_tri)
-        for f in sample_lipschitz_functions(dm, 50, rng, scale=(0.5, 2.0)):
-            assert lipschitz_constant(f, dm) <= 2.0 + 1e-12
-
     def test_no_samples_is_an_empty_stack(self, g_tri):
         dm = distances(g_tri)
-        for scale in (None, (0.5, 2.0)):
-            fs = sample_lipschitz_functions(dm, 0, np.random.default_rng(7), scale=scale)
-            assert fs.shape == (0, 3)
+        assert sample_lipschitz_functions(dm, 0, np.random.default_rng(7)).shape == (0, 3)
 
     def test_deterministic_given_seed(self, g_tri):
         dm = distances(g_tri)
@@ -406,25 +399,19 @@ class TestLipschitzSampler:
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**31 - 1),
-    st.integers(min_value=0, max_value=30),
-    st.sampled_from([None, (0.5, 2.0), (0.25, 1.0)]),
-)
-def test_array_drawn_samples_are_the_per_sample_loop(seed, count, scale):
-    """Bit for bit the per-sample oracle, from the same four draws in the same order.
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=0, max_value=30))
+def test_array_drawn_samples_are_the_per_sample_loop(seed, count):
+    """Bit for bit the per-sample oracle, from the same three draws in the same order.
 
-    Every sample is 1-Lipschitz times its factor, so at most the scale's
-    top: 1-Lipschitz without a scale or under (0.25, 1.0).
+    Every sample is 1-Lipschitz.
     """
     g = random_strongly_connected(np.random.default_rng(seed), n_max=7)
     dm = distances(g)
-    fs = sample_lipschitz_functions(dm, count, np.random.default_rng(seed), scale=scale)
-    ref = oracles.lipschitz_samples_per_sample(dm, count, np.random.default_rng(seed), scale)
+    fs = sample_lipschitz_functions(dm, count, np.random.default_rng(seed))
+    ref = oracles.lipschitz_samples_per_sample(dm, count, np.random.default_rng(seed))
     assert fs.shape == ref.shape == (count, g.n)
     assert fs.tobytes() == ref.tobytes()
-    top = 1.0 if scale is None else scale[1]
-    assert (lipschitz_constant(fs, dm) <= top + 1e-12).all()
+    assert (lipschitz_constant(fs, dm) <= 1.0 + 1e-12).all()
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,13 +1,26 @@
-"""Heat semigroup: the series route against its oracles, and the contraction certificates."""
+"""Heat semigroup: the series route against its oracles, and the contraction certificates.
+
+The gradient estimate's family is the contraction table's potentials
+f*, one per time.  Kuwada's duality makes it exact: each f* is
+integral and 1-Lipschitz, attains its binding arc's W, and
+Lip(P_t f*) is the largest arc W, on random graphs and on the
+benchmark's graphs; and no function of the sampled family analyze
+took before (oracles.sampled_gradient_family) has a larger ratio.
+"""
 
 from __future__ import annotations
 
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from conftest import random_strongly_connected
 from digricci import (
     NegativeTimeError,
     SameVertexError,
@@ -17,12 +30,18 @@ from digricci import (
     heat_kernel_matrix,
     heat_operator,
     kappa_lp,
+    lipschitz_constant,
+    load_graph,
     markov_data,
     sample_lipschitz_functions,
     verify_gradient_estimate,
     verify_transport_contraction,
+    wasserstein,
 )
 from digricci.cli import main
+from digricci.heat import TIME_GRID
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 # the times every kernel is pinned at: zero, the least positive float,
@@ -186,7 +205,7 @@ class TestContractionCertificates:
         M = markov_data(g_c3)
         dm = distances(g_c3)
         H = heat_operator(M)
-        fs = sample_lipschitz_functions(dm, 50, rng, scale=(0.5, 2.0))
+        fs = sample_lipschitz_functions(dm, 50, rng) * rng.uniform(0.5, 2.0, size=(50, 1))
         cert = verify_gradient_estimate(H, dm, 1.5, fs)
         assert cert.passed
         assert cert.name == "lipschitz_contraction"
@@ -205,8 +224,8 @@ class TestContractionCertificates:
         M = markov_data(g_c3)
         dm = distances(g_c3)
         H = heat_operator(M)
-        assert verify_transport_contraction(H, dm, 1.5).passed
-        cert = verify_transport_contraction(H, dm, 1.6)
+        assert verify_transport_contraction(H, dm, 1.5)[0].passed
+        cert, _potentials = verify_transport_contraction(H, dm, 1.6)
         assert not cert.passed
         assert cert.name == "transport_contraction"
 
@@ -259,7 +278,7 @@ class TestTimeLimit:
             xs, ys = kappa.arcs.T
             limits = [np.array(curvature_time_limit(H, dm, xs, ys)) for dm in (bfs, kappa)]
             assert np.abs(np.subtract(*limits)).max() <= 1e-9
-            certs = [verify_transport_contraction(H, dm, 0.1) for dm in (bfs, kappa)]
+            certs = [verify_transport_contraction(H, dm, 0.1)[0] for dm in (bfs, kappa)]
             assert certs[0].passed == certs[1].passed
             assert abs(certs[0].margin - certs[1].margin) <= 1e-14
 
@@ -267,3 +286,80 @@ class TestTimeLimit:
         H, dm = heat_operator(markov_data(g_tri)), distances(g_tri)
         with pytest.raises(SameVertexError):
             curvature_time_limit(H, dm, [0, 1], [1, 1])
+
+
+def exact_family(g):
+    """analyze's set-up on g, the arc kappa optima kept on dm, and the contraction's f*."""
+    M, dm = markov_data(g), distances(g)
+    H = heat_operator(M)
+    tails, heads = dm.arcs.T
+    for x in range(g.n):
+        kappa_lp(x, heads[tails == x], M, dm)
+    _certificate, potentials = verify_transport_contraction(H, dm, 0.0)
+    return H, dm, potentials
+
+
+def family_ratios(H, dm, fs) -> np.ndarray:
+    """Lip(P_t f) / Lip(f) of each f of fs (0 for a constant f), one row per time of TIME_GRID."""
+    lip_fs = lipschitz_constant(fs, dm)
+    return np.array([
+        np.divide(lipschitz_constant(H.apply(t, fs), dm), lip_fs, out=np.zeros(len(fs)),
+                  where=lip_fs > 0)
+        for t in TIME_GRID
+    ])
+
+
+def assert_kuwada_duality(g) -> None:
+    """Each f*_t is integral and 1-Lipschitz, attains the largest arc W_t, and Lip(P_t f*_t) = W_t.
+
+    The arc W are solved apart, as a table from BFS trees, not from
+    the kappa optima the contraction table starts from.  The
+    gradient estimate's lhs at each time, the family's largest ratio,
+    is that W too.
+    """
+    H, dm, potentials = exact_family(g)
+    tails, heads = dm.arcs.T
+    kernels = np.stack([heat_kernel_matrix(H, t) for t in TIME_GRID])
+    w = wasserstein(kernels[:, tails], kernels[:, heads], dm, verify=False).values
+    largest = w.max(axis=1)
+    assert potentials.shape == (len(TIME_GRID), g.n)
+    for f, kernel, w_t, top in zip(potentials, kernels, w, largest):
+        assert (f == f.round()).all()
+        assert (f[heads] - f[tails] <= 1.0).all()
+        paired = (kernel[heads] - kernel[tails]) @ f
+        assert (paired <= w_t + 1e-12).all()
+        # f* attains W on some arcs, and among them on one of the largest W
+        attained = np.abs(paired - w_t) <= 1e-12
+        assert abs(w_t[attained].max(initial=-np.inf) - top) <= 1e-12
+    lips = [lipschitz_constant(H.apply(t, f), dm) for t, f in zip(TIME_GRID, potentials)]
+    assert np.abs(np.array(lips) - largest).max() <= 1e-12
+    assert np.abs(family_ratios(H, dm, potentials).max(axis=1) - largest).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_the_contraction_potentials_attain_the_lipschitz_sup(seed):
+    assert_kuwada_duality(random_strongly_connected(np.random.default_rng(seed), n_min=2))
+
+
+def test_the_contraction_potentials_attain_the_lipschitz_sup_on_the_bench_graphs(monkeypatch):
+    """The 44 graphs of the benchmark's four workloads at seeds 1-4."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    graphs = [graph for name in ("analyze_dense", "analyze_sparse", "curvature_sparse", "queries")
+              for seed in (1, 2, 3, 4) for graph in workloads.build(name, seed).graphs]
+    assert len(graphs) == 44
+    for graph in graphs:
+        assert_kuwada_duality(load_graph(graph.text()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_the_exact_family_bounds_every_sampled_ratio(seed):
+    """At each time the exact lhs is at least every ratio of the 200 scaled samples and witnesses."""
+    rng = np.random.default_rng(seed)
+    g = random_strongly_connected(rng, n_min=2)
+    H, dm, potentials = exact_family(g)
+    exact = family_ratios(H, dm, potentials).max(axis=1)
+    sampled = family_ratios(H, dm, oracles.sampled_gradient_family(markov_data(g), dm, rng))
+    assert (sampled <= exact[:, None] + 1e-12).all()

@@ -1,7 +1,8 @@
 """Source hygiene that a linter would check.
 
-No module imports a name it never uses, and no private top-level
-function of the package outlives its last caller in src/.
+No module imports a name it never uses, no private top-level function
+of the package outlives its last caller in src/, and no field of
+RunConfig outlives its last reader there.
 """
 
 from __future__ import annotations
@@ -60,6 +61,19 @@ def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def unread_config_fields(sources: dict[str, str]) -> list[str]:
+    """The fields of class RunConfig in sources that no source reads as config.<field>."""
+    fields, read = [], set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and node.name == "RunConfig":
+                fields += [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name) and node.value.id == "config"):
+                read.add(node.attr)
+    return [name for name in fields if name not in read]
+
+
 def test_unused_imports_are_found():
     source = "import os\nimport numpy as np\nfrom a.b import c, d as e\nfrom f import g\n"
     source += "__all__ = ['g']\nprint(np.pi, c)\n"
@@ -85,3 +99,16 @@ def test_unreferenced_private_functions_are_found():
 def test_no_private_function_outlives_its_callers():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert unreferenced_private_functions(sources) == []
+
+
+def test_unread_config_fields_are_found():
+    sources = {
+        "report": "class RunConfig:\n    seed: int = 1\n    dead: int = 2\n    other: int = 3\n",
+        "cli": "def run(config, spec):\n    config.dead = 0\n    return config.seed, spec.other\n",
+    }
+    assert unread_config_fields(sources) == ["dead", "other"]
+
+
+def test_every_run_config_field_has_a_reader():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert unread_config_fields(sources) == []

@@ -249,11 +249,10 @@ class TestCliAnalyze:
 
     def test_every_run_config_field_is_set_by_an_analyze_option(self, c3_file):
         argv = ["analyze", c3_file, "--seed", "7", "--k-override", "0.5", "--cross-check",
-                "--certificate-tol", "1e-6", "--lipschitz-samples", "3",
-                "--density-samples", "4", "--function-samples", "5"]
+                "--certificate-tol", "1e-6", "--density-samples", "4", "--function-samples", "5"]
         config = cli._config_from_args(cli._parser().parse_args(argv))
         expected = {"seed": 7, "k_override": 0.5, "cross_check": True, "certificate_tol": 1e-6,
-                    "lipschitz_samples": 3, "density_samples": 4, "function_samples": 5}
+                    "density_samples": 4, "function_samples": 5}
         assert dataclasses.asdict(config) == expected
         assert all(expected[field.name] != field.default for field in dataclasses.fields(RunConfig))
 
@@ -571,6 +570,27 @@ class TestCliOther:
         assert "transport_entropy_bound" in names
         assert "lipschitz_contraction" not in names
 
+    def test_analyze_runs_verify_functionals_suite(self, tmp_path, capsys, monkeypatch):
+        """analyze's 9 suite certificates are verify-functional's, byte for byte, at one seed.
+
+        Neither command draws a sample before its suite.  On K_3 and on
+        the K_8 of the analyze_dense workload at seeds 1-4.
+        """
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        workloads = importlib.import_module("workloads")
+        k8s = [workloads.build("analyze_dense", seed).graphs for seed in (1, 2, 3, 4)]
+        assert all(graph.n == 8 for (graph,) in k8s)
+        for i, text in enumerate([K3_EDGES, *(graph.text() for (graph,) in k8s)]):
+            path = tmp_path / f"graph{i}.edges"
+            path.write_text(text, encoding="utf-8")
+            reports = []
+            for command in ("analyze", "verify-functional"):
+                assert main([command, str(path)]) == 0
+                reports.append(json.loads(capsys.readouterr().out)["certificates"])
+            analyze, functional = reports
+            assert len(functional) == 9
+            assert render_json(analyze[-9:]) == render_json(functional)
+
     def test_verify_functional_solves_kappa_on_the_arcs_only(self, tri_file, capsys, monkeypatch):
         """K is the least arc kappa: 4 solves on the triangle, not one per ordered pair.
 
@@ -809,8 +829,10 @@ class TestCliInputContract:
             ["analyze"],
             [],
             ["analyze", "{g}", "--format", "xml"],
+            ["analyze", "{g}", "--lipschitz-samples", "5"],
         ],
-        ids=["option-like value", "unknown option", "no graph", "no subcommand", "bad choice"],
+        ids=["option-like value", "unknown option", "no graph", "no subcommand", "bad choice",
+             "removed option"],
     )
     def test_usage_error(self, c3_file, capsys, argv):
         """argparse's own errors keep the contract too: exit 2, one error: line."""
@@ -824,12 +846,8 @@ class TestCliInputContract:
         out = capsys.readouterr().out
         assert "usage: digricci analyze" in out and out.endswith(f"digricci {__version__}\n")
 
-    def test_bad_lipschitz_sample_count(self, c3_file, capsys):
-        assert_input_error(main(["analyze", c3_file, "--lipschitz-samples", "-1"]), capsys)
-
     def test_smallest_sample_counts_and_zero_tolerance_run(self, c3_file, capsys):
-        argv = ["analyze", c3_file, "--function-samples", "1", "--density-samples", "0",
-                "--lipschitz-samples", "0"]
+        argv = ["analyze", c3_file, "--function-samples", "1", "--density-samples", "0"]
         assert main(argv) == 0
         capsys.readouterr()
         # a zero tolerance is valid input: the report comes back, whatever its verdict
@@ -857,7 +875,7 @@ def test_hop_counts_are_built_once_and_only_where_read(c3_file, monkeypatch, cap
 
 
 @pytest.mark.parametrize("workload, carried, solves, pivots", [
-    ("analyze_dense", 64, 988, 2772),
+    ("analyze_dense", 64, 988, 2917),
     ("analyze_sparse", 77, 413, 549),
 ])
 def test_warm_starts_are_checked_only_where_a_solve_pivoted(
@@ -870,7 +888,9 @@ def test_warm_starts_are_checked_only_where_a_solve_pivoted(
     A solve that took no pivot hands its own start on unchecked, and an
     arc's start off its kappa optimum is checked once, so of 392 and 301
     warm starts formed, 64 and 77 are checked; the solves and pivots are
-    those of re-forming and re-checking every start.
+    those of re-forming and re-checking every start.  The K_8's pivots
+    include the functional suite's, whose densities are the first draws
+    of the seed's rng, as verify-functional's are.
     """
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     workloads = importlib.import_module("workloads")

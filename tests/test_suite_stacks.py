@@ -111,7 +111,7 @@ def test_moment_tail_and_chain_checks_equal_their_per_sample_loops(graph, count,
     """lhs, rhs, margin, pass and witness of each check equal its loop's, on a stack or one f."""
     M, dm, K, rng = graph
     centred = centered_lipschitz_samples(M, dm, count, rng)
-    lipschitz = sample_lipschitz_functions(dm, count, rng, scale=(0.5, 1.0))
+    lipschitz = sample_lipschitz_functions(dm, count, rng) * rng.uniform(0.5, 1.0, size=(count, 1))
     free = rng.normal(0.0, 2.0, size=(count, M.n))
     if one_d:
         centred, lipschitz, free = centred[0], lipschitz[0], free[0]
