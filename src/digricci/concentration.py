@@ -15,8 +15,13 @@ by the density's provenance under "rho".  An empty family certifies
 nothing and raises HypothesisUnmetError; check_info_to_entropy passes
 vacuously when densities were given and none meets its hypothesis.
 The grids the checks sample their parameter on are fixed: lam over
-LAMBDA_GRID for the moment, chain-rule and link checks, and r over
-R_GRID for the tail.  Each certificate's hypothesis states its grid.
+LAMBDA_GRID for the moment and chain-rule checks, and r over R_GRID
+for the tail.  Each certificate's hypothesis states its grid.
+
+Each bound is checked once.  The Bobkov-Goetze link's moment bound at
+c = 2K / Lambda^2 is the Laplace bound, so check_bobkov_goetze takes
+check_laplace_bound's certificate as its moment side and computes only
+its transport side.
 
 A check takes the curvature level K alone.  Lambda is a constant of
 the graph, so each check reads it from dm.lam; the two link checks,
@@ -191,11 +196,6 @@ def _stack(fs: np.ndarray) -> np.ndarray:
     return np.atleast_2d(np.asarray(fs, dtype=float))
 
 
-def _moments(M: MarkovData, fs: np.ndarray, lam: float) -> list[float]:
-    """m(exp(lam f)) for each row f of fs."""
-    return mean(np.exp(lam * fs), M.m).tolist()
-
-
 def _masses(m: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """sum of m over the True entries of each row of mask, with the bits of m[row].sum().
 
@@ -230,7 +230,7 @@ def check_laplace_bound(
             bound = float(np.exp(lam * lam * lam_max * lam_max / (4.0 * K)))
         comparisons += [
             (moment, bound, {"lambda": lam, "f_index": i})
-            for i, moment in enumerate(_moments(M, fs, lam))
+            for i, moment in enumerate(mean(np.exp(lam * fs), M.m).tolist())
         ]
     return certificate_from_samples(
         "laplace_moment_bound",
@@ -393,7 +393,7 @@ def check_bobkov_goetze(
     dm: DistanceMatrix,
     K: float,
     rhos: list[DensityFixture],
-    fs: np.ndarray,
+    laplace: InequalityCertificate,
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Sample-level link between the Laplace bound and transport-entropy at c = 2K / Lambda^2.
@@ -403,30 +403,28 @@ def check_bobkov_goetze(
         (moment)     m(exp(lam f)) <= exp(lam^2 / 2c) for centred Lip-1 f
         (transport)  W(m, rho m)^2 <= (2/c) Ent(rho)  for densities rho
 
-    hold together or fail together.  On samples only necessary
-    conditions are visible, so the certificate checks both implications:
-    whenever one side holds on every sample, the other must too.  The
-    witness records which sides held, with their worst margins.
+    hold together or fail together.  At this c the moment bound is the
+    Laplace bound exp(lam^2 Lambda^2 / 4K), so the moment side is
+    laplace, check_laplace_bound's certificate at the same K: its
+    binding sample, under "side": "moment", read at this check's tol.
+    Any other certificate raises HypothesisUnmetError.  On samples only
+    necessary conditions are visible, so the certificate checks both
+    implications: whenever one side holds on every sample, the other
+    must too.  The witness records which sides held, with their worst
+    margins.
     """
     _require_positive_K(K)
+    if (laplace.name, laplace.hypothesis.get("K")) != ("laplace_moment_bound", K):
+        raise HypothesisUnmetError(f"the link needs the Laplace certificate at K = {K}")
     lam_max = float(dm.lam)
     # a tiny K underflows c to 0; the least positive float, a rate at
     # least as strong, keeps every bound it enters a vacuous inf
     c = max(2.0 * K / (lam_max * lam_max), math.ulp(0.0))
-    fs = _stack(fs)
 
     name = "transport_entropy_laplace_link"
     hypothesis = {"c": c, "lambda_grid": list(LAMBDA_GRID)}
-    comparisons = []
-    for lam in LAMBDA_GRID:
-        # a small c overflows the bound to inf: vacuous, and correct
-        with np.errstate(over="ignore"):
-            bound = float(np.exp(lam * lam / (2.0 * c)))
-        comparisons += [
-            (moment, bound, {"side": "moment", "lambda": lam, "f_index": i})
-            for i, moment in enumerate(_moments(M, fs, lam))
-        ]
-    moment_side = certificate_from_samples(name, hypothesis, comparisons, tol)
+    moment = (laplace.lhs, laplace.rhs, {"side": "moment", **laplace.witness})
+    moment_side = certificate_from_samples(name, hypothesis, [moment], tol)
 
     # a small numpy-scalar c overflows 2 / c to inf, as a Python float does silently
     with np.errstate(over="ignore"):

@@ -1,7 +1,27 @@
 """Exception types shared across the library.
 
-Every error raised on purpose derives from GraphCurvatureError so callers
-can catch one base class at the boundary (the CLI maps them to exit code 2).
+Errors fall in two kinds.  An input fault, a graph, measure, time or
+hypothesis that the mathematics does not accept, raises a subclass of
+GraphCurvatureError, so callers can catch one base class at the
+boundary (the CLI maps them to exit code 2).  A contract break, a call
+whose arguments break the documented shape or pairing of the function
+itself, raises Python's own ValueError or TypeError instead; it is a
+fault of the calling code, not of its data.  The CLI builds every such
+argument itself and reaches none of them (tests/test_cli_fuzz.py).
+The contract breaks are:
+
+  lp.Start.from_basis   ValueError: an objective that does not match the
+                        matrix, a basis that is not one column index per
+                        row, or a basis inverse that is not m x m
+  lp.solve_lp           ValueError: a right-hand side that does not
+                        match the matrix
+  transport._table      ValueError: a table given other than one start
+                        per column
+  transport._warm_tree  ValueError: an arc start solved on another
+                        DistanceMatrix
+  transport.wasserstein ValueError: a table asked for in verify mode, or
+                        a single pair in fast mode or with a start
+  report.render_json    TypeError: a value of a type it cannot serialise
 """
 
 

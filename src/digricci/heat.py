@@ -37,9 +37,10 @@ Lip f <= 1 and an arc x -> y, (P_t f)(y) - (P_t f)(x) is
 f.(p_y_t - p_x_t) <= W(p_x_t, p_y_t), so no such f has Lip(P_t f)
 above the largest arc W, and the Kantorovich potential f* of that
 arc's W attains it.  verify_transport_contraction reads one f* per
-time off its own table's solves, and analyze passes those to
-verify_gradient_estimate as its whole family: the certificate's lhs
-at each time is the exact sup, not a sampled one.
+time off its own table's solves, and verify_gradient_estimate smooths
+each f* at its own time alone: the certificate's lhs at each time is
+the exact sup, not a sampled one, and another time's f* can reach it
+only up to roundoff, so one comparison per time is the whole check.
 
 Both W certificates, the contraction and the small-time limit, solve
 each arc at several times of one program: its cost and constraint
@@ -77,7 +78,7 @@ from . import transport
 from .certificates import InequalityCertificate, certificate_from_samples
 from .chain import MarkovData
 from .digraph import DistanceMatrix, lipschitz_constant
-from .errors import NegativeTimeError, SameVertexError
+from .errors import HypothesisUnmetError, NegativeTimeError, SameVertexError
 
 # times of the contraction certificates, ascending: their W table solves them in this order
 TIME_GRID = (0.01, 0.1, 1.0, 5.0)
@@ -159,29 +160,28 @@ def verify_gradient_estimate(
     H: HeatOperator,
     dm: DistanceMatrix,
     K: float,
-    fs: np.ndarray,
+    potentials: np.ndarray,
     tol: float = 1e-9,
 ) -> InequalityCertificate:
-    """Check Lip(P_t f) <= exp(-K t) Lip(f) on every function of fs and every time of TIME_GRID.
+    """Check Lip(P_t f*) <= exp(-K t) Lip(f*) at each time t of TIME_GRID, on that time's f*.
 
-    Each time smooths the whole stack in one apply.  analyze passes the
-    potentials verify_transport_contraction returns, so f_index i is
-    the potential f* of TIME_GRID[i]'s binding arc, and at each time
-    the largest Lip(P_t f) / Lip(f) of the family is the sup over every
-    Lipschitz f (module docstring).
+    potentials holds one function per time of TIME_GRID, row i for
+    TIME_GRID[i]: the potentials verify_transport_contraction returns,
+    at which Lip(P_t f) reaches its sup over every Lipschitz f (module
+    docstring).  Each time makes one comparison, with f_index i the
+    time's own row.  HypothesisUnmetError for any other row count.
     """
-    fs = np.atleast_2d(fs)
-    lip_fs = lipschitz_constant(fs, dm).tolist()
+    potentials = np.atleast_2d(potentials)
+    if len(potentials) != len(TIME_GRID):
+        raise HypothesisUnmetError(f"need one potential per time, got {len(potentials)}")
+    smoothed = [H.apply(t, f) for t, f in zip(TIME_GRID, potentials)]
+    lip_fs, lip_heats = lipschitz_constant(np.stack([potentials, smoothed]), dm).tolist()
     comparisons = []
-    for t in TIME_GRID:
-        lip_heats = lipschitz_constant(H.apply(t, fs), dm).tolist()
+    for i, (t, lip_f, lip_heat) in enumerate(zip(TIME_GRID, lip_fs, lip_heats)):
         # a large negative K overflows the bound to inf: vacuous, and correct
         with np.errstate(over="ignore"):
             shrink = float(np.exp(-K * t))
-        comparisons += [
-            (lip_heat, shrink * lip_f, {"t": t, "f_index": i, "lip_f": lip_f})
-            for i, (lip_heat, lip_f) in enumerate(zip(lip_heats, lip_fs))
-        ]
+        comparisons.append((lip_heat, shrink * lip_f, {"t": t, "f_index": i, "lip_f": lip_f}))
     return certificate_from_samples(
         "lipschitz_contraction", {"K": K, "times": list(TIME_GRID)}, comparisons, tol
     )
@@ -229,8 +229,8 @@ def verify_transport_contraction(
     largest arc W at TIME_GRID[i], the first arc in order of equal ones,
     read off that arc's own solve (transport.TransportTable.potentials)
     with no solve added.  It is integral and 1-Lipschitz, both checked
-    exactly, and Lip(P_t f*) is that largest W: the exact family of
-    verify_gradient_estimate.
+    exactly, and Lip(P_t f*) is that largest W: the potentials
+    verify_gradient_estimate checks, each at its own time.
     """
     table = _heat_flow_w(H, dm, TIME_GRID, *dm.arcs.T)
     values = table.values.tolist()

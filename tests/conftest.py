@@ -18,6 +18,8 @@ SEED = 424242
 C3_EDGES = "0 1\n1 2\n2 0\n"
 TRI_EDGES = "0 1\n1 0\n1 2\n2 0\n"
 K3_EDGES = "0 1\n1 0\n1 2\n2 1\n0 2\n2 0\n"
+# the bidirected 4-cycle, unit weights: K = 1, and W = exp(-t) on every arc at every time
+C4_EDGES = "".join(f"{x} {(x + step) % 4}\n" for x in range(4) for step in (1, 3))
 
 
 def _mu_from_edges(text: str, n: int) -> np.ndarray:

@@ -452,15 +452,21 @@ def tail_per_sample(M, dm, K: float, fs, tol=DEFAULT_TOL):
 
 
 def bobkov_goetze_per_sample(M, dm, K: float, rhos, fs, tol=DEFAULT_TOL):
-    """check_bobkov_goetze with its moment side one sample at a time (K > 0, c > 0 assumed)."""
-    c = 2.0 * K / float(dm.lam) ** 2
+    """check_bobkov_goetze with its moment side one sample at a time (K > 0, c > 0 assumed).
+
+    At c = 2K / Lambda^2 the moment bound exp(lam^2 / 2c) is the Laplace
+    bound exp(lam^2 Lambda^2 / 4K), so the moment side lists the
+    comparisons of laplace_bound_per_sample, each under "side": "moment".
+    """
+    lam_max = float(dm.lam)
+    c = 2.0 * K / lam_max ** 2
     fs = np.atleast_2d(fs)
     name = "transport_entropy_laplace_link"
     hypothesis = {"c": c, "lambda_grid": list(LAMBDA_GRID)}
     comparisons = []
     for lam in LAMBDA_GRID:
         with np.errstate(over="ignore"):
-            bound = float(np.exp(lam * lam / (2.0 * c)))
+            bound = float(np.exp(lam * lam * lam_max * lam_max / (4.0 * K)))
         for i, f in enumerate(fs):
             witness = {"side": "moment", "lambda": lam, "f_index": i}
             comparisons.append((mean(np.exp(lam * f), M.m), bound, witness))

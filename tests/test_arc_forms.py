@@ -35,8 +35,8 @@ bit.
 Transport contraction along the heat flow is checked over the arcs
 only; a property pins its verdict and margin to the all-pairs loop.
 The Lipschitz constant is taken over the arcs too, pinned to the
-all-pairs difference quotients, and the gradient estimate smooths its
-whole stack of samples at once, pinned to the per-sample loop.  A
+all-pairs difference quotients, and the gradient estimate smooths each
+time's function at that time alone, pinned to the per-sample loop.  A
 solve forms its duals, gap and residual only when read, and a W table
 its marginal residual: a table forms none of them, and each one read
 is the eager formula's, bit for bit.  A solve that took no pivot forms
@@ -50,7 +50,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -1174,29 +1174,25 @@ def test_lipschitz_constant_over_arcs_matches_all_pairs(data):
 
 
 @PROPERTY_SETTINGS
-@given(graphs(), st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(-2.0, 2.0))
-# a near tie of two samples with lhs 3.8e-6 and 0.216, which roundoff breaks both ways
-@example(build_graph(np.array([[0.0, 1.0], [1.0, 0.0]])), 0, 2, 2.0)
-def test_batched_gradient_estimate_matches_the_per_sample_loop(g, seed, count, K):
-    """One apply per time over the stack of samples: the per-sample loop's certificate.
+@given(graphs(), st.integers(0, 2**32 - 1), st.floats(-2.0, 2.0))
+def test_batched_gradient_estimate_matches_the_per_sample_loop(g, seed, K):
+    """One comparison per time, row i at TIME_GRID[i]: the per-sample loop's, bit for bit.
 
-    Same verdict and margin within 1e-12.  The witness, and with it the
-    lhs, is the same but on a near tie, which roundoff may break the
-    other way: the sample it names then has a per-sample margin within
-    1e-12 of the worst, and the lhs is that sample's.
+    Each time's comparison is the certificate the per-sample loop
+    builds for that time's row alone, and the certificate is the first
+    of them at least margin, its witness naming the row.
     """
     dm = distances(g)
     H = heat_operator(markov_data(g))
     rng = np.random.default_rng(seed)
+    count = len(TIME_GRID)
     fs = sample_lipschitz_functions(dm, count, rng) * rng.uniform(0.5, 2.0, size=(count, 1))
-    batched = verify_gradient_estimate(H, dm, K, fs)
-    ref = oracles.gradient_estimate_per_sample(H, dm, K, fs)
-    assert batched.passed == ref.passed
-    assert abs(batched.margin - ref.margin) <= 1e-12
-    if batched.witness == ref.witness:
-        assert abs(batched.lhs - ref.lhs) <= 1e-12
-    else:
-        t, i = batched.witness["t"], batched.witness["f_index"]
-        named = oracles.gradient_estimate_per_sample(H, dm, K, fs[[i]], ts=(t,))
-        assert abs(named.margin - ref.margin) <= 1e-12
-        assert abs(named.lhs - batched.lhs) <= 1e-12
+    cert = verify_gradient_estimate(H, dm, K, fs)
+    alone = [oracles.gradient_estimate_per_sample(H, dm, K, fs[[i]], ts=(t,))
+             for i, t in enumerate(TIME_GRID)]
+    i = int(np.argmin([ref.margin for ref in alone]))
+    ref = alone[i]
+    assert repr((cert.lhs, cert.rhs, cert.margin)) == repr((ref.lhs, ref.rhs, ref.margin))
+    assert cert.passed == ref.passed
+    assert cert.witness == {**ref.witness, "f_index": i}
+    assert cert.hypothesis == {"K": K, "times": list(TIME_GRID)}

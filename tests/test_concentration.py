@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import functools
+import importlib
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_strongly_connected
+from conftest import C4_EDGES, random_strongly_connected
 from digricci import (
     DensityFixture,
     HypothesisUnmetError,
@@ -31,6 +33,7 @@ from digricci import (
     distances,
     heat_operator,
     lipschitz_constant,
+    load_graph,
     markov_data,
     random_densities,
     verify_gradient_estimate,
@@ -39,6 +42,8 @@ from digricci.chain import mean
 from digricci.cli import functional_certificates, main
 from digricci.concentration import R_GRID
 from digricci.report import RunConfig
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -299,19 +304,22 @@ class TestSampledImplications:
             dm = distances(g)
             K = curvature_matrix(M, dm).K
             rhos = random_densities(M, 20, rng)
-            cert = check_bobkov_goetze(M, dm, K, rhos, centered_lipschitz_samples(M, dm, 100, rng))
+            laplace = check_laplace_bound(M, dm, K, centered_lipschitz_samples(M, dm, 100, rng))
+            cert = check_bobkov_goetze(M, dm, K, rhos, laplace)
             assert cert.passed
             assert cert.witness["necessary_conditions_only"] is True
 
     def test_bobkov_goetze_with_a_tiny_numpy_K_is_vacuous_and_silent(self, g_c3, rng):
         """K = np.float64(2e-310) on C3 (Lambda = 2) makes c = 1e-310, which overflows
-        both bounds to inf, as a Python float does, silently."""
+        both bounds to inf, as a Python float does, silently; so does the
+        Laplace certificate the link takes as its moment side."""
         M, dm = markov_data(g_c3), distances(g_c3)
         rhos = random_densities(M, 5, rng)
         fs = centered_lipschitz_samples(M, dm, 10, rng)
+        K = np.float64(2e-310)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cert = check_bobkov_goetze(M, dm, np.float64(2e-310), rhos, fs)
+            cert = check_bobkov_goetze(M, dm, K, rhos, check_laplace_bound(M, dm, K, fs))
         assert cert.hypothesis["c"] == 1e-310
         assert cert.passed and cert.rhs == np.inf
 
@@ -343,11 +351,40 @@ class TestSampledImplications:
     def test_link_checks_need_positive_K(self, g_c3, rng, K):
         M, dm = markov_data(g_c3), distances(g_c3)
         rhos = random_densities(M, 2, rng)
-        fs = centered_lipschitz_samples(M, dm, 5, rng)
+        laplace = check_laplace_bound(M, dm, 1.0, centered_lipschitz_samples(M, dm, 5, rng))
         with pytest.raises(HypothesisUnmetError, match="needs K > 0"):
-            check_bobkov_goetze(M, dm, K, rhos, fs)
+            check_bobkov_goetze(M, dm, K, rhos, laplace)
         with pytest.raises(HypothesisUnmetError, match="needs K > 0"):
             check_info_to_entropy(M, dm, K, rhos)
+
+
+def test_the_links_moment_side_is_the_laplace_certificate(g_k3, g_c3, monkeypatch):
+    """The suite's link reports the Laplace certificate's margin and verdict as its moment side.
+
+    On K3, C3, the bidirected C4 and the K8 of the benchmark's
+    analyze_dense workload at seeds 1-4, bit for bit.  A Laplace
+    certificate at another K, or any other certificate, raises.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    graphs = [g_k3, g_c3, load_graph(C4_EDGES)]
+    graphs += [load_graph(workloads.build("analyze_dense", seed).graphs[0].text())
+               for seed in (1, 2, 3, 4)]
+    for g in graphs:
+        M, dm = markov_data(g), distances(g)
+        K = curvature_matrix(M, dm).K
+        certs = functional_certificates(M, dm, K, RunConfig(density_samples=5),
+                                        np.random.default_rng(7))
+        laplace, link = certs[0], certs[7]
+        assert (laplace.name, link.name) == ("laplace_moment_bound",
+                                             "transport_entropy_laplace_link")
+        assert repr(link.witness["moment_worst_margin"]) == repr(laplace.margin)
+        assert link.witness["moment_holds_on_samples"] is laplace.passed
+        rhos = random_densities(M, 2, np.random.default_rng(8))
+        fs = centered_lipschitz_samples(M, dm, 5, np.random.default_rng(9))
+        for other in (check_laplace_bound(M, dm, 2.0 * K, fs), certs[1], link):
+            with pytest.raises(HypothesisUnmetError, match="needs the Laplace certificate"):
+                check_bobkov_goetze(M, dm, K, rhos, other)
 
 
 def test_every_suite_certificate_states_the_graphs_Lambda(g_c3, g_tri, rng):
@@ -378,20 +415,29 @@ EMPTY_CASES = {
     "information rhos": lambda M, dm, K, fs, rhos: check_transport_information(M, dm, K, []),
     "entropy rhos": lambda M, dm, K, fs, rhos: check_transport_entropy(M, dm, K, []),
     "info-to-entropy rhos": lambda M, dm, K, fs, rhos: check_info_to_entropy(M, dm, K, []),
-    "bobkov-goetze fs": lambda M, dm, K, fs, rhos: check_bobkov_goetze(M, dm, K, rhos, fs[:0]),
-    "bobkov-goetze rhos": lambda M, dm, K, fs, rhos: check_bobkov_goetze(M, dm, K, [], fs),
-    "gradient estimate fs": lambda M, dm, K, fs, rhos: verify_gradient_estimate(
-        heat_operator(M), dm, K, fs[:0]),
+    "bobkov-goetze rhos": lambda M, dm, K, fs, rhos: check_bobkov_goetze(
+        M, dm, K, [], check_laplace_bound(M, dm, K, fs)),
 }
+# the gradient estimate takes one potential per time of TIME_GRID, no fewer, no more
+EMPTY_CASES.update({
+    f"gradient estimate {rows} potentials": lambda M, dm, K, fs, rhos, rows=rows:
+        verify_gradient_estimate(heat_operator(M), dm, K, np.resize(fs, (rows, M.n)))
+    for rows in (0, 3, 5)
+})
 
 
 @pytest.mark.parametrize("case", list(EMPTY_CASES))
 def test_an_empty_family_or_grid_is_an_unmet_hypothesis(tri_setup, rng, case):
-    """An empty family certifies nothing: HypothesisUnmetError, from the one reducer."""
+    """An empty family certifies nothing: HypothesisUnmetError, from the one reducer.
+
+    The gradient estimate raises it before it reduces, for any family
+    but one potential per time.
+    """
     M, dm, K = tri_setup
     fs = centered_lipschitz_samples(M, dm, 4, rng)
     rhos = random_densities(M, 2, rng)
-    with pytest.raises(HypothesisUnmetError, match="needs at least one comparison"):
+    match = "one potential per time" if "potentials" in case else "needs at least one comparison"
+    with pytest.raises(HypothesisUnmetError, match=match):
         EMPTY_CASES[case](M, dm, K, fs, rhos)
 
 

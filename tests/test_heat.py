@@ -1,11 +1,14 @@
 """Heat semigroup: the series route against its oracles, and the contraction certificates.
 
-The gradient estimate's family is the contraction table's potentials
-f*, one per time.  Kuwada's duality makes it exact: each f* is
+The gradient estimate checks the contraction table's potentials f*,
+each at its own time.  Kuwada's duality makes that exact: each f* is
 integral and 1-Lipschitz, attains its binding arc's W, and
 Lip(P_t f*) is the largest arc W, on random graphs and on the
-benchmark's graphs; and no function of the sampled family analyze
-took before (oracles.sampled_gradient_family) has a larger ratio.
+benchmark's graphs; no other time's f* smooths to a larger Lipschitz
+constant at t beyond roundoff, and no function of the sampled family
+analyze took before (oracles.sampled_gradient_family) has a larger
+ratio.  On the bidirected 4-cycle both contraction certificates are
+tight at every time: W = exp(-t) on every arc, and K = 1.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_strongly_connected
+from conftest import C4_EDGES, random_strongly_connected
 from digricci import (
     NegativeTimeError,
     SameVertexError,
@@ -33,7 +36,6 @@ from digricci import (
     lipschitz_constant,
     load_graph,
     markov_data,
-    sample_lipschitz_functions,
     verify_gradient_estimate,
     verify_transport_contraction,
     wasserstein,
@@ -201,23 +203,23 @@ class TestKernelProperties:
 
 
 class TestContractionCertificates:
-    def test_gradient_estimate_at_exact_rate(self, g_c3, rng):
+    def test_gradient_estimate_at_exact_rate(self, g_c3):
         M = markov_data(g_c3)
         dm = distances(g_c3)
         H = heat_operator(M)
-        fs = sample_lipschitz_functions(dm, 50, rng) * rng.uniform(0.5, 2.0, size=(50, 1))
-        cert = verify_gradient_estimate(H, dm, 1.5, fs)
+        _contraction, potentials = verify_transport_contraction(H, dm, 1.5)
+        cert = verify_gradient_estimate(H, dm, 1.5, potentials)
         assert cert.passed
         assert cert.name == "lipschitz_contraction"
         # on the cycle the bound is an equality, so the margin is ~0
         assert abs(cert.margin) <= 1e-12
 
-    def test_gradient_estimate_fails_above_rate(self, g_c3, rng):
+    def test_gradient_estimate_fails_above_rate(self, g_c3):
         M = markov_data(g_c3)
         dm = distances(g_c3)
         H = heat_operator(M)
-        fs = sample_lipschitz_functions(dm, 10, rng)
-        cert = verify_gradient_estimate(H, dm, 1.6, fs)
+        _contraction, potentials = verify_transport_contraction(H, dm, 1.6)
+        cert = verify_gradient_estimate(H, dm, 1.6, potentials)
         assert not cert.passed
 
     def test_transport_contraction_both_sides_of_rate(self, g_c3):
@@ -229,14 +231,16 @@ class TestContractionCertificates:
         assert not cert.passed
         assert cert.name == "transport_contraction"
 
-    def test_certificate_carries_worst_witness(self, g_tri, rng):
+    def test_certificate_carries_worst_witness(self, g_tri):
+        """The witness names the binding time and that time's own potential."""
         M = markov_data(g_tri)
         dm = distances(g_tri)
         H = heat_operator(M)
-        fs = sample_lipschitz_functions(dm, 10, rng)
-        cert = verify_gradient_estimate(H, dm, 0.1, fs)
+        _contraction, potentials = verify_transport_contraction(H, dm, 0.1)
+        cert = verify_gradient_estimate(H, dm, 0.1, potentials)
         assert cert.passed
-        assert "t" in cert.witness
+        assert set(cert.witness) == {"t", "f_index", "lip_f"}
+        assert cert.witness["f_index"] == TIME_GRID.index(cert.witness["t"])
 
 
 class TestTimeLimit:
@@ -334,6 +338,10 @@ def assert_kuwada_duality(g) -> None:
     lips = [lipschitz_constant(H.apply(t, f), dm) for t, f in zip(TIME_GRID, potentials)]
     assert np.abs(np.array(lips) - largest).max() <= 1e-12
     assert np.abs(family_ratios(H, dm, potentials).max(axis=1) - largest).max() <= 1e-12
+    # the gradient estimate smooths f*_i at t_i alone: another time's f*_j may reach
+    # Lip(P_t_i f*_i) there, but never exceeds it beyond roundoff
+    smoothed = np.array([lipschitz_constant(H.apply(t, potentials), dm) for t in TIME_GRID])
+    assert (smoothed <= np.diag(smoothed)[:, None] + 1e-12).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -363,3 +371,37 @@ def test_the_exact_family_bounds_every_sampled_ratio(seed):
     exact = family_ratios(H, dm, potentials).max(axis=1)
     sampled = family_ratios(H, dm, oracles.sampled_gradient_family(markov_data(g), dm, rng))
     assert (sampled <= exact[:, None] + 1e-12).all()
+
+
+def test_the_4_cycle_contracts_at_exactly_exp_minus_t(tmp_path, capsys):
+    """On C4, K = 1 and every arc has W(p_x_t, p_y_t) = exp(-t) at every time of TIME_GRID.
+
+    Each time's Lip(P_t f*_t) is exp(-t) too, so both contraction
+    certificates are tight at every time: analyze at a rate 1e-6 above
+    K fails both, at t = 1 by exp(-1) 1e-6, and 1e-6 below passes both,
+    at t = 0.01 by exp(-0.01) 1e-8.
+    """
+    g = load_graph(C4_EDGES)
+    M, dm = markov_data(g), distances(g)
+    H = heat_operator(M)
+    assert curvature_matrix(M, dm).K == 1.0
+    tails, heads = dm.arcs.T
+    kernels = np.stack([heat_kernel_matrix(H, t) for t in TIME_GRID])
+    w = wasserstein(kernels[:, tails], kernels[:, heads], dm, verify=False).values
+    decay = np.exp(-np.asarray(TIME_GRID))
+    assert np.abs(w - decay[:, None]).max() <= 1e-15
+    _certificate, potentials = verify_transport_contraction(H, dm, 1.0)
+    lips = [lipschitz_constant(H.apply(t, f), dm) for t, f in zip(TIME_GRID, potentials)]
+    assert np.abs(np.array(lips) - decay).max() <= 1e-15
+
+    path = tmp_path / "c4.edges"
+    path.write_text(C4_EDGES, encoding="utf-8")
+    for rate, code, margin in (("1.000001", 1, -np.exp(-1.0) * 1e-6),
+                               ("0.999999", 0, np.exp(-0.01) * 1e-8)):
+        argv = ["analyze", str(path), "--k-override", rate, "--certificate-tol", "1e-12"]
+        assert main(argv) == code
+        report = json.loads(capsys.readouterr().out)
+        certificates = {cert["name"]: cert for cert in report["certificates"]}
+        for name in ("lipschitz_contraction", "transport_contraction"):
+            assert certificates[name]["pass"] is (code == 0)
+            assert abs(certificates[name]["margin"] - margin) <= 1e-3 * abs(margin)

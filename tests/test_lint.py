@@ -2,12 +2,16 @@
 
 No module imports a name it never uses, no private top-level function
 of the package outlives its last caller in src/, and no field of
-RunConfig outlives its last reader there.
+RunConfig outlives its last reader there.  numpy is the package's only
+runtime dependency: a module in src/ imports numpy, its own package by
+a relative import, or the standard library, and nothing else (scipy,
+pytest and hypothesis are for the tests alone).
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,6 +37,22 @@ def unused_imports(source: str) -> list[str]:
         ):
             used.update(ast.literal_eval(node.value))
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The modules source imports, at any depth, that are not numpy, relative or standard."""
+    allowed = {"numpy", *sys.stdlib_module_names}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {module}" for module in modules
+                  if module.split(".")[0] not in allowed]
+    return found
 
 
 def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
@@ -84,6 +104,22 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {path.relative_to(ROOT).as_posix(): unused_imports(path.read_text(encoding="utf-8"))
              for path in SOURCES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_foreign_imports_are_found():
+    source = "from __future__ import annotations\nimport os.path, scipy.linalg\n"
+    source += "import numpy as np\nfrom numpy.linalg import norm\nfrom . import lp\n"
+    source += "from .chain import mean\nfrom collections import abc\nfrom pytest import raises\n"
+    source += "def f():\n    import hypothesis\n"
+    assert foreign_imports(source) == [
+        "line 2: scipy.linalg", "line 8: pytest", "line 10: hypothesis"
+    ]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    found = {path.relative_to(ROOT).as_posix(): foreign_imports(path.read_text(encoding="utf-8"))
+             for path in PACKAGE}
+    assert {path: modules for path, modules in found.items() if modules} == {}
 
 
 def test_unreferenced_private_functions_are_found():

@@ -8,6 +8,8 @@ one built from its row alone, and a stack with bad rows must raise what
 the row-by-row check raises first.  The moment, tail and chain-rule
 checks build lhs and rhs over the whole family; each certificate must
 equal the one its per-sample loop in oracles.py builds, field for field.
+So must the Bobkov-Goetze link, whose moment side is the Laplace
+certificate it is given.
 Every graph here is strongly connected with K > 0, the suite's domain.
 """
 
@@ -132,9 +134,10 @@ def test_moment_tail_and_chain_checks_equal_their_per_sample_loops(graph, count,
     assert_same(check_exp_square_chain_rule_bound(M, free),
                 oracles.exp_square_chain_rule_per_sample(M, free))
     rhos = random_densities(M, 2, rng)
-    # c = 2K / Lambda^2 at K / 2, K and 10 K
+    # c = 2K / Lambda^2 at K / 2, K and 10 K; the link's moment side is the Laplace certificate
     for k in (K / 2.0, K, 10.0 * K):
-        assert_same(check_bobkov_goetze(M, dm, k, rhos, centred),
+        laplace = check_laplace_bound(M, dm, k, centred)
+        assert_same(check_bobkov_goetze(M, dm, k, rhos, laplace),
                     oracles.bobkov_goetze_per_sample(M, dm, k, rhos, centred))
 
 
