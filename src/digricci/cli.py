@@ -432,12 +432,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.pairs is not None:
                 records = []
                 for x, y in [_parse_pair(spec, g.n) for spec in args.pairs]:
-                    value, witness = curvature.kappa_lp(x, y, M, dm)
+                    (value,), (witness,) = curvature.kappa_lp(x, [y], M, dm)
                     record = {"pair": [x, y], "kappa": value, "witness": witness.tolist()}
                     if args.cross_check:
-                        limit, spread = kappa_limit(x, y, M, dm)
-                        record["kappa_limit"] = limit
-                        record["limit_spread"] = spread
+                        (limit,), (spread,) = kappa_limit(x, [y], M, dm)
+                        record.update(kappa_limit=limit, limit_spread=spread)
                     records.append(record)
                 text = render_json(records[0] if len(records) == 1 else records) + "\n"
             else:

@@ -28,16 +28,22 @@ incidence, B^-1 and the tableau rows [B^-1 A ; c - c_B B^-1 A], built
 and checked once.  The virtual arc is never a tree arc; with the row of
 x dropped its column is the unit vector of y, so each program adds to
 that start one tableau column, column y of B^-1 over the virtual arc's
-reduced cost.  kappa_lp takes a whole row of targets y at once and sets
-its programs up together: the objectives c are one array, and the
-virtual columns' entries and reduced costs are formed as one stack and
-checked once (lp.Start.with_columns).  Each program is then one solve,
-which forms B^-1 b and pivots, and after the row the duals of all the
-final bases are one product and the witness checks run over the stack.
-curvature_matrix asks for one row per root, verify-functional one per
-tail over its out-neighbours, and a single pair is a row of one.  The
-root's transport.RootBasis maps c onto the rows and reads the witnesses
-back off the duals, so this module indexes no row.
+reduced cost.  kappa_lp takes a row of targets y of root x, always an
+array, and sets its programs up together: the objectives c are one
+array, and the virtual columns' entries and reduced costs are formed as
+one stack and checked once (lp.Start.with_columns).  Each program is
+then one solve, which forms B^-1 b and pivots, and after the row the
+duals of all the final bases are one product and the witness checks
+run over the stack.  The root's transport.RootBasis maps c onto the
+rows and reads the witnesses back off the duals, so this module
+indexes no row.
+
+kappa_limit takes the same rows and solves each as one W table, a
+column per target, each column the warm chain over EPS_GRID that the
+pair's own row of one solves.  Both functions return arrays, one entry
+per target.  curvature_matrix asks each for one row per root,
+verify-functional asks kappa_lp for one per tail over its
+out-neighbours, and curvature --pairs asks rows of one.
 """
 
 from __future__ import annotations
@@ -81,10 +87,23 @@ def smoothed_measure(x: int, eps: float, M: MarkovData) -> np.ndarray:
     return nu
 
 
+def _row(x: int, ys: np.ndarray, dm: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """A row of targets of root x as an int array, and d(x, y) over it.
+
+    SameVertexError if x is among the targets.
+    """
+    ys = np.array(ys, dtype=int, ndmin=1)
+    d = dm.d[x, ys]
+    # d(x, y) = 0 exactly when y = x
+    if not d.all():
+        raise SameVertexError("curvature needs two distinct vertices")
+    return ys, d
+
+
 def kappa_lp(
-    x: int, ys: int | np.ndarray, M: MarkovData, dm: DistanceMatrix
-) -> tuple[float, np.ndarray] | tuple[np.ndarray, np.ndarray]:
-    """Exact curvature by the limit-free program, with an optimal witness, for one pair or a row.
+    x: int, ys: np.ndarray, M: MarkovData, dm: DistanceMatrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact curvature by the limit-free program, with an optimal witness, over a row of root x.
 
     The program of (x, y) minimises grad_xy (L f) over f with f(x) = 0,
     one Lipschitz row f(w) - f(z) <= 1 per arc z -> w, and
@@ -104,17 +123,17 @@ def kappa_lp(
     transport.ArcStart, its final basis and tableau as they stand: the
     heat module's W chains of the arc start from it.
 
-    ys is one vertex y, an int, which returns (kappa, witness), or an
-    array of them, a row of root x, which returns kappa of shape (k,)
-    and the witnesses of shape (k, n), one row per y (empty for an
-    empty row).  SameVertexError if x is among them.  The programs of a
-    row share x's start, so they are set up once: the objectives c are
-    one array, the virtual columns are added to the start and checked as
-    one stack (lp.Start.with_columns), and after the solves the duals of
-    all of them are one product and the checks above run over the
-    stack.  Each program is still its own lp.solve_lp, called from here:
-    the name stays the one span a tracer attributes every curvature
-    solve to, whether a caller asks for one pair or a row.
+    ys is a row of targets, a 1-d array; a single pair is the row [y].
+    It returns kappa of shape (k,) and the witnesses of shape (k, n),
+    one row per y, both empty for an empty row.  SameVertexError if x
+    is among them.  The programs of a row share x's start, so they are
+    set up once: the objectives c are one array, the virtual columns
+    are added to the start and checked as one stack
+    (lp.Start.with_columns), and after the solves the duals of all of
+    them are one product and the checks above run over the stack.  Each
+    program is still its own lp.solve_lp, called from here: the name
+    stays the one span a tracer attributes every curvature solve to,
+    however long the row.
 
     kappa is unique, the witness is not: the optimal potentials of the
     program often form a face, and the witness is the one integer
@@ -124,14 +143,9 @@ def kappa_lp(
     choice: curvature --pairs prints it.  No report of analyze or
     verify-functional reads a witness, only kappa.
     """
-    single = isinstance(ys, (int, np.integer))
-    ys = np.array(ys, dtype=int, ndmin=1)
+    ys, d = _row(x, ys, dm)
     if not ys.size:
         return np.empty(0), np.empty((0, M.n))
-    d = dm.d[x, ys]
-    # d(x, y) = 0 exactly when y = x
-    if not d.all():
-        raise SameVertexError("curvature needs two distinct vertices")
     c = (M.L.take(ys, axis=0) - M.L[x]) / d[:, None]
     tree = transport.root_basis(dm, x)
     # each virtual arc y -> x: +1 in the row of y, and x's row is dropped
@@ -152,31 +166,36 @@ def kappa_lp(
             dm._arc_starts[(x, y)] = transport.ArcStart(
                 x, y, solution.basis, solution._tableau, tree.start
             )
-    if single:
-        return float(kappa[0]), witness[0]
     return kappa, witness
 
 
-def kappa_limit(x: int, y: int, M: MarkovData, dm: DistanceMatrix) -> tuple[float, float]:
-    """The smoothed curvature over eps at the smallest eps of EPS_GRID, and the spread.
+def kappa_limit(
+    x: int, ys: np.ndarray, M: MarkovData, dm: DistanceMatrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """Over a row, the smoothed curvature over eps at the smallest eps of EPS_GRID, and the spread.
 
-    The smoothed curvature is 1 - W(nu_x_eps, nu_y_eps) / d(x, y).
+    The smoothed curvature of (x, y) is 1 - W(nu_x_eps, nu_y_eps) / d(x, y).
     Near zero it is linear in eps, so the quotients stabilise; the
     spread (max - min over the grid) reports how far into that regime
-    the grid reached.  The W of the grid are one program with moving
-    measures, so they are solved as one column of a table
-    (transport.wasserstein), in ascending eps, each from the previous
-    eps's optimal basis.
+    the grid reached.  ys is a row of targets of root x, as kappa_lp
+    takes it, and the limits and the spreads come back as two arrays
+    of shape (k,), both empty for an empty row; SameVertexError if x is
+    among the targets.  The row is one table (transport.wasserstein)
+    with a column per target: column y is the W of (x, y) over the
+    grid, in ascending eps, each from the previous eps's optimal basis,
+    the same chain a row of one solves, so a target's limit and spread
+    do not depend on the rest of its row.
     """
+    ys, d = _row(x, ys, dm)
+    if not ys.size:
+        return np.empty(0), np.empty(0)
     grid = sorted(EPS_GRID)
-    if x == y:
-        raise SameVertexError("curvature needs two distinct vertices")
-    # one column of pairs: axes (vertex x or y, eps, column, entry)
-    nu = np.array([[[smoothed_measure(v, e, M)] for e in grid] for v in (x, y)])
-    w = transport.wasserstein(nu[0], nu[1], dm, verify=False).values[:, 0].tolist()
-    dxy = float(dm.d[x, y])
-    quotients = [(1.0 - value / dxy) / e for value, e in zip(w, grid)]
-    return quotients[0], float(max(quotients) - min(quotients))
+    # the table's axes: (eps, column y, entry); every column starts at x
+    nu_x = np.array([[smoothed_measure(x, e, M)] * len(ys) for e in grid])
+    nu_y = np.array([[smoothed_measure(y, e, M) for y in ys.tolist()] for e in grid])
+    w = transport.wasserstein(nu_x, nu_y, dm, verify=False).values
+    quotients = (1.0 - w / d) / np.array(grid)[:, None]
+    return quotients[0], quotients.max(axis=0) - quotients.min(axis=0)
 
 
 def curvature_matrix(
@@ -190,8 +209,5 @@ def curvature_matrix(
         ys = np.flatnonzero(np.arange(n) != x)
         kappa[x, ys] = kappa_lp(x, ys, M, dm)[0]
         if cross_check:
-            for y in ys.tolist():
-                limit, _spread = kappa_limit(x, y, M, dm)
-                residuals[x, y] = abs(kappa[x, y] - limit)
-    K = float(np.nanmin(kappa))
-    return CurvatureReport(kappa=kappa, K=K, cross_check=residuals)
+            residuals[x, ys] = np.abs(kappa[x, ys] - kappa_limit(x, ys, M, dm)[0])
+    return CurvatureReport(kappa=kappa, K=float(np.nanmin(kappa)), cross_check=residuals)

@@ -73,9 +73,9 @@ def test_criterion_1_fixture_exactness(g_c3, g_k3, g_tri):
             for y in range(3):
                 if x == y:
                     continue
-                value, _ = kappa_lp(x, y, M, dm)
+                (value,), _ = kappa_lp(x, [y], M, dm)
                 worst_lp = max(worst_lp, abs(value - 1.5))
-                limit, _ = kappa_limit(x, y, M, dm)
+                (limit,), _ = kappa_limit(x, [y], M, dm)
                 worst_limit = max(worst_limit, abs(limit - 1.5))
     m = perron_measure(transition_kernel(g_tri))
     perron_err = float(np.abs(m - np.array([0.4, 0.4, 0.2])).max())
@@ -99,7 +99,7 @@ def test_criterion_2_route_equivalence(bundles):
             for y in range(b.g.n):
                 if x == y:
                     continue
-                limit, _ = kappa_limit(x, y, b.M, b.dm)
+                (limit,), _ = kappa_limit(x, [y], b.M, b.dm)
                 worst = max(worst, abs(b.curv.kappa[x, y] - limit))
                 pairs += 1
     elapsed = time.perf_counter() - start
@@ -134,7 +134,7 @@ def test_criterion_3_contraction_certificates(bundles):
         argmins = [p for p in pairs if abs(b.curv.kappa[p] - K) <= 1e-9]
         nondegenerate = False
         for x, y in argmins:
-            f_w = kappa_lp(x, y, b.M, b.dm)[1]
+            f_w = kappa_lp(x, [y], b.M, b.dm)[1][0]
             ratio = lipschitz_constant(
                 b.H.apply(t_min, f_w), b.dm
             ) / lipschitz_constant(f_w, b.dm)

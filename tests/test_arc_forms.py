@@ -166,7 +166,7 @@ def test_decomposed_plan_is_an_optimal_coupling(instance):
 def test_kappa_arc_rows_match_all_pairs_rows_and_scipy(instance):
     g, x, y = instance
     dm = distances(g)
-    value, witness = kappa_lp(x, y, markov_data(g), dm)
+    (value,), (witness,) = kappa_lp(x, [y], markov_data(g), dm)
 
     _P, _m, Pmean, _mxy = oracles.reference_chain(oracles.mu_of(g))
     L = np.eye(g.n) - Pmean
@@ -184,7 +184,7 @@ def test_kappa_arc_rows_match_all_pairs_rows_and_scipy(instance):
 @given(curvature_instances())
 def test_kappa_witness_is_an_optimal_potential(instance):
     g, x, y = instance
-    value, f = kappa_lp(x, y, markov_data(g), distances(g))
+    (value,), (f,) = kappa_lp(x, [y], markov_data(g), distances(g))
     mu = oracles.mu_of(g)
     d = oracles.hop_distances(mu)
     _P, _m, Pmean, _mxy = oracles.reference_chain(mu)
@@ -200,7 +200,7 @@ def test_kappa_witness_is_an_optimal_potential(instance):
 def test_least_arc_kappa_is_the_all_pairs_k(g):
     """verify-functional's K over the arcs is analyze's K over every ordered pair, bit for bit."""
     M, dm = markov_data(g), distances(g)
-    arc_k = min(kappa_lp(x, y, M, dm)[0] for x, y in dm.arcs.tolist())
+    arc_k = min(kappa_lp(x, [y], M, dm)[0][0] for x, y in dm.arcs.tolist())
     assert arc_k == curvature_matrix(M, dm).K
 
 
@@ -214,7 +214,7 @@ def test_kappa_lp_solves_the_flow_dual_from_a_basis(g_tri, monkeypatch):
         return solve_lp(start, b)
 
     monkeypatch.setattr(lp, "solve_lp", recording_solve)
-    kappa_lp(0, 2, markov_data(g_tri), distances(g_tri))
+    kappa_lp(0, [2], markov_data(g_tri), distances(g_tri))
     ((start, b),) = problems
     assert start.basis is not None
     assert start.A.shape == (g_tri.n - 1, g_tri.arc_count + 1)
@@ -369,7 +369,7 @@ def test_kappa_started_chain_matches_cold_solves_and_scipy(instance):
     """
     g, (x, y), pairs = instance
     dm = distances(g)
-    kappa_lp(x, y, markov_data(g), dm)
+    kappa_lp(x, [y], markov_data(g), dm)
     table, solves = recorded_solves(lambda: chain_table(pairs, dm, dm._arc_starts[(x, y)]))
     assert all(solution.start.A is root_basis(dm, x).start.A for solution in solves)
     for (nu0, nu1), value in zip(pairs, table.values[:, 0], strict=True):
@@ -388,9 +388,10 @@ def test_a_kappa_row_solves_each_program_as_the_per_pair_route(g, data):
     every other vertex, over one, and over the root's out-neighbours
     agree with it in kappa, witness, final basis and pivot count, one
     lp.solve_lp per program, and each arc's ArcStart gives the W start
-    that oracles.two_step_arc_start forms off the reference solve.  An
-    int y is a row of one that returns (kappa, witness), a row that
-    holds x raises, and an empty row returns empty arrays.
+    that oracles.two_step_arc_start forms off the reference solve.  A
+    row of one [y] returns the same kappa and witness as arrays of one
+    entry, a row that holds x raises, and an empty row returns empty
+    arrays.
     """
     M, dm = markov_data(g), distances(g)
     x = data.draw(st.integers(0, g.n - 1))
@@ -408,8 +409,9 @@ def test_a_kappa_row_solves_each_program_as_the_per_pair_route(g, data):
         assert witness.tobytes() == ref_witness.tobytes()
         assert solution.basis.tobytes() == ref.basis.tobytes()
         assert solution.iterations == ref.iterations
-        value, single = kappa_lp(x, y, M, distances(g))
-        assert type(value) is float and value == kappa and single.tobytes() == witness.tobytes()
+        values, singles = kappa_lp(x, [y], M, distances(g))
+        assert values.shape == (1,) and singles.shape == (1, g.n)
+        assert values[0] == kappa and singles[0].tobytes() == witness.tobytes()
         if [x, y] in arcs:
             program = root_basis(ref_dm, x).start
             ref_start = transport.ArcStart(x, y, ref.basis, ref._tableau, program)
@@ -598,7 +600,7 @@ def test_warm_chains_match_the_chains_that_re_form_every_start(instance, from_ka
     dm = distances(g)
     arc_start = None
     if from_kappa:
-        kappa_lp(x, y, markov_data(g), dm)
+        kappa_lp(x, [y], markov_data(g), dm)
         arc_start = dm._arc_starts[(x, y)]
     _table, solves = recorded_solves(lambda: chain_table(pairs, dm, arc_start))
     nu0, nu1 = np.array(pairs).transpose(1, 0, 2)
@@ -672,7 +674,7 @@ def test_a_table_solves_each_column_as_the_chain_of_single_solves(k, a, data):
     starts = []
     for kind, (x, y) in zip(kinds, arcs):
         if kind == "arc":
-            kappa_lp(x, y, M, dm)
+            kappa_lp(x, [y], M, dm)
             starts.append(dm._arc_starts[(x, y)])
         else:
             starts.append(None)
@@ -726,7 +728,7 @@ def test_flow_tableaus_stay_integral(instance):
 @pytest.mark.parametrize(
     "solve",
     [
-        lambda M, dm: kappa_lp(0, 1, M, dm),
+        lambda M, dm: kappa_lp(0, [1], M, dm),
         lambda M, dm: wasserstein(np.eye(3)[0], np.eye(3)[2], dm, verify=True),
     ],
     ids=["kappa_lp", "wasserstein"],
@@ -770,7 +772,7 @@ def test_start_from_an_arc_start_of_another_distance_matrix_raises():
 
     g1 = graph((0, 2))
     dm1, dm2 = distances(g1), distances(graph((0, 3)))
-    kappa_lp(0, 1, markov_data(g1), dm1)
+    kappa_lp(0, [1], markov_data(g1), dm1)
     start = [dm1._arc_starts[(0, 1)]]
     nu0, nu1 = np.eye(4)[0][None, None], np.eye(4)[3][None, None]
     assert wasserstein(nu0, nu1, dm1, verify=False, start=start).values[0, 0] == 2.0
@@ -1069,8 +1071,8 @@ def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatc
     # so its warm start is the root's start, handed on to the second
     table = wasserstein(np.stack([[nu0], [nu1]]), np.stack([[nu1], [nu0]]), dm, verify=False)
     assert table.values[0, 0] == plan.value
-    kappa_lp(0, 1, M, dm)
-    kappa_lp(0, 2, M, dm)
+    kappa_lp(0, [1], M, dm)
+    kappa_lp(0, [2], M, dm)
     assert built() == [(0, False)]
     ((_key, start),) = builds
     assert start is root_basis(dm, 0).start
@@ -1078,7 +1080,7 @@ def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatc
     # each kappa start is the root's tableau with the virtual column beside it
     for kappa_start in solved_from[3:]:
         assert kappa_start.tableau[:, :-1].tobytes() == start.tableau.tobytes()
-    kappa_lp(1, 0, M, dm)
+    kappa_lp(1, [0], M, dm)
     assert built() == [(0, False), (1, False)]
     # the in-tree of 2 has its own record, built once too
     third = np.full(3, 1 / 3)

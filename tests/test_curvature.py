@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_strongly_connected
@@ -16,10 +21,13 @@ from digricci import (
     kappa_limit,
     kappa_lp,
     lipschitz_constant,
+    load_graph,
     markov_data,
     smoothed_measure,
     wasserstein,
 )
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def smoothed_quotients(x, y, eps_grid, M, dm) -> np.ndarray:
@@ -56,7 +64,7 @@ class TestFixtureExactness:
         for x in range(3):
             for y in range(3):
                 if x != y:
-                    value, _ = kappa_lp(x, y, M, dm)
+                    (value,), _ = kappa_lp(x, [y], M, dm)
                     assert abs(value - oracles.HAND["c3"]["kappa"]) <= 1e-6
 
     def test_k3_lp_value(self, g_k3):
@@ -65,7 +73,7 @@ class TestFixtureExactness:
         for x in range(3):
             for y in range(3):
                 if x != y:
-                    value, _ = kappa_lp(x, y, M, dm)
+                    (value,), _ = kappa_lp(x, [y], M, dm)
                     assert abs(value - oracles.HAND["k3"]["kappa"]) <= 1e-6
 
     def test_c3_smoothing_is_exactly_linear(self, g_c3):
@@ -82,7 +90,7 @@ class TestFixtureExactness:
             for x in range(3):
                 for y in range(3):
                     if x != y:
-                        limit, spread = kappa_limit(x, y, M, dm)
+                        (limit,), (spread,) = kappa_limit(x, [y], M, dm)
                         assert abs(limit - oracles.HAND[key]["kappa"]) <= 1e-4
                         assert spread <= 1e-6
 
@@ -96,7 +104,7 @@ class TestLpWitness:
                 for y in range(g.n):
                     if x == y:
                         continue
-                    value, f = kappa_lp(x, y, M, dm)
+                    (value,), (f,) = kappa_lp(x, [y], M, dm)
                     assert f[x] == pytest.approx(0.0, abs=1e-12)
                     assert oracles.gradient(f, x, y, dm) == pytest.approx(1.0, abs=1e-9)
                     assert lipschitz_constant(f, dm) <= 1.0 + 1e-9
@@ -112,7 +120,7 @@ class TestLpWitness:
                 for y in range(g.n):
                     if x == y:
                         continue
-                    value, _ = kappa_lp(x, y, M, dm)
+                    (value,), _ = kappa_lp(x, [y], M, dm)
                     lf = M.L @ dm.d[x]
                     assert value <= oracles.gradient(lf, x, y, dm) + 1e-9
 
@@ -120,7 +128,7 @@ class TestLpWitness:
         M = markov_data(g_c3)
         dm = distances(g_c3)
         with pytest.raises(SameVertexError):
-            kappa_lp(1, 1, M, dm)
+            kappa_lp(1, [1], M, dm)
 
 
 class TestCurvatureMatrix:
@@ -170,8 +178,8 @@ class TestEpsRoute:
             for y in range(3):
                 if x == y:
                     continue
-                lp_value, _ = kappa_lp(x, y, M, dm)
-                limit, spread = kappa_limit(x, y, M, dm)
+                (lp_value,), _ = kappa_lp(x, [y], M, dm)
+                (limit,), (spread,) = kappa_limit(x, [y], M, dm)
                 assert abs(limit - lp_value) <= 1e-4
                 assert spread <= 1e-6
 
@@ -181,3 +189,50 @@ class TestEpsRoute:
         (value,) = smoothed_quotients(0, 1, (1.0,), M, dm)
         # nu_x^1 = Pbar(x, .); on the bidirected triangle these couple at cost 1/2
         assert value == pytest.approx(0.5, abs=1e-9)
+
+
+def assert_rows_are_rows_of_one(g):
+    """Each root's kappa_limit row is its rows of one bit for bit, and so is the cross-check.
+
+    The rows of one run on a DistanceMatrix of their own, so no record
+    the row leaves on dm reaches them.
+    """
+    M, dm = markov_data(g), distances(g)
+    report = curvature_matrix(M, dm, cross_check=True)
+    ref_dm = distances(g)
+    for x in range(g.n):
+        ys = np.flatnonzero(np.arange(g.n) != x)
+        limits, spreads = kappa_limit(x, ys, M, dm)
+        assert limits.shape == spreads.shape == ys.shape
+        ones = np.array([kappa_limit(x, [y], M, ref_dm) for y in ys.tolist()])[:, :, 0]
+        assert limits.tobytes() == ones[:, 0].tobytes()
+        assert spreads.tobytes() == ones[:, 1].tobytes()
+        kappas = np.array([kappa_lp(x, [y], M, ref_dm)[0][0] for y in ys.tolist()])
+        assert report.cross_check[x, ys].tobytes() == np.abs(kappas - ones[:, 0]).tobytes()
+
+
+class TestLimitRows:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_a_row_is_its_rows_of_one(self, seed):
+        assert_rows_are_rows_of_one(
+            random_strongly_connected(np.random.default_rng(seed), n_min=2)
+        )
+
+    def test_a_row_is_its_rows_of_one_on_the_bench_graphs(self, monkeypatch):
+        """The 44 graphs of the benchmark's four workloads at seeds 1-4."""
+        monkeypatch.syspath_prepend(str(BENCH))
+        workloads = importlib.import_module("workloads")
+        graphs = [graph for name in ("analyze_dense", "analyze_sparse", "curvature_sparse",
+                                     "queries")
+                  for seed in (1, 2, 3, 4) for graph in workloads.build(name, seed).graphs]
+        assert len(graphs) == 44
+        for graph in graphs:
+            assert_rows_are_rows_of_one(load_graph(graph.text()))
+
+    def test_an_empty_row_and_a_row_through_the_root(self, g_tri):
+        M, dm = markov_data(g_tri), distances(g_tri)
+        limits, spreads = kappa_limit(0, [], M, dm)
+        assert limits.shape == spreads.shape == (0,)
+        with pytest.raises(SameVertexError):
+            kappa_limit(0, [1, 0], M, dm)

@@ -263,7 +263,7 @@ class TestTimeLimit:
         for x in range(3):
             for y in range(3):
                 if x != y:
-                    value, _ = kappa_lp(x, y, M, dm)
+                    (value,), _ = kappa_lp(x, [y], M, dm)
                     (limit,), _ = curvature_time_limit(H, dm, [x], [y])
                     assert abs(limit - value) <= 1e-3
 

@@ -248,7 +248,7 @@ class TestCertificate:
             return solutions[-1]
 
         monkeypatch.setattr(lp, "solve_lp", keep)
-        kappa_lp(1, 11, markov_data(g), distances(g))
+        kappa_lp(1, [11], markov_data(g), distances(g))
         (solution,) = solutions
         basic = solution._tableau[:-1, -1]
         inverse = solution.basis_inverse

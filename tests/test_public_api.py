@@ -70,3 +70,18 @@ def test_python_m_digricci_runs_the_cli():
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+
+
+def test_the_readme_python_blocks_run(capsys):
+    """README.md's python blocks run in order in one namespace, as a reader would paste them.
+
+    A documented call form that stops working then fails here rather
+    than in the reader's session.
+    """
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
+    assert capsys.readouterr().out
