@@ -38,6 +38,10 @@ Ent(rho), I(rho) and the edge variation for every row in one pass;
 DensityFixture.of is that builder on one row.  The transport checks
 read those fields and solve only W(m, rho m) themselves, in fast mode,
 each check its whole family as one table of transport.wasserstein.
+Five checks ask the same family, so the first to solve it keeps each
+column's optimum on dm, and every later one starts each column there:
+its solve is one B^-1 b and a sign test, with no pivot, and still
+certifies its W (_transports).
 """
 
 from __future__ import annotations
@@ -310,12 +314,24 @@ def concentration_tail(
 def _transports(M: MarkovData, dm: DistanceMatrix, rhos: list[DensityFixture]):
     """(record, W(m, rho m)) for each density record.
 
-    The W are one table in fast mode (transport.wasserstein), a cold
-    column of one pair per density.
+    The W are one table in fast mode (transport.wasserstein), a column
+    of one pair per density.  The first table of a family, keyed by the
+    exact bytes of m and of the measures, is solved cold, each column
+    from its BFS tree, and its optima are kept on dm as ColumnStarts
+    (transport.TransportTable.column_starts).  Every later table of the
+    same family starts each column from its optimum, which is optimal
+    for those measures already: one B^-1 b and a sign test, no pivot.
+    W then comes from the same basis by another product and may move in
+    its last bits against the cold solve's.
     """
     measures = np.array([record.measure for record in rhos]).reshape(1, len(rhos), M.n)
     nu0 = np.broadcast_to(M.m, measures.shape)
-    return zip(rhos, transport.wasserstein(nu0, measures, dm, verify=False).values[0].tolist())
+    key = (M.m.tobytes(), measures.tobytes())
+    starts = dm._density_starts.get(key)
+    table = transport.wasserstein(nu0, measures, dm, verify=False, start=starts)
+    if starts is None:
+        dm._density_starts[key] = table.column_starts
+    return zip(rhos, table.values[0].tolist())
 
 
 def check_transport_l1_bound(

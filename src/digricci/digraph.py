@@ -70,7 +70,11 @@ class DistanceMatrix:
     and tree direction, built on first use.  _arc_starts holds, per arc
     (x, y) whose curvature kappa_lp solved, that optimum as a
     transport.ArcStart, the start of the arc's heat-flow W chains.
-    Neither is compared.
+    _density_starts holds, per family of densities a transport check of
+    the concentration module solved, keyed by the exact bytes of m and
+    of the stack of measures rho m, the table's optima as
+    transport.ColumnStarts, the starts of the same family's W in every
+    later check.  None of them is compared.
     """
 
     d: np.ndarray
@@ -79,6 +83,7 @@ class DistanceMatrix:
     arcs: np.ndarray
     _root_bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _arc_starts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _density_starts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_graph(mu: np.ndarray, labels: tuple[str, ...] | None = None) -> DirectedGraph:

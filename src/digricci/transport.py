@@ -61,22 +61,34 @@ W at t -> 0 and usually still at the first t.  The start belongs to
 the DistanceMatrix kappa_lp solved on, and one of another is refused.
 Without it the chain starts from the BFS tree above.
 
+A column may also start from a column of an earlier table (ColumnStart:
+the tree of that column and its last solve's warm start, formed once
+when the earlier table's column_starts is read).  Its basis is dual
+feasible for every right-hand side of the tree's program, so any
+measures solve from it to their optimum; when they are the measures
+that column ended on, the basis is already optimal and the solve is one
+B^-1 b and a sign test, with no pivot.  The concentration module's
+transport checks ask the same densities five times over and start
+every check after the first from the first one's optima.  A ColumnStart,
+like an ArcStart, belongs to the DistanceMatrix it was solved on.
+
 Those chains are wasserstein's table form: given nu0 and nu1 of shape
 (k, a, n), fast mode only, it solves column j as a chain of k measure
-pairs, the first from start[j] (an ArcStart, or None for the column's
-own BFS tree) and each later one from the previous pair's optimum.
-Both stacks are checked once, the excess is formed once and gathered
-onto each column's rows once, and a step hands its
-LpSolution.warm_start() on; a column's last step forms no start.  The
-heat module's time grids over the arcs, the curvature module's eps
-grid and the concentration module's densities (cold columns of one
-pair) are one table each.  A single pair is verify mode only, solved
-by the same loop as a table of one pair, and reads its potential and
-coupling off that solve.  The table is a form of wasserstein rather
-than a function of its own so that every W solve runs under
-wasserstein, called by the certificate that needs it: a tracer that
-attributes each LP solve to the caller of wasserstein sees the same
-solves under the same callers, one wasserstein call per table.
+pairs, the first from start[j] (an ArcStart, a ColumnStart, or None
+for the column's own BFS tree) and each later one from the previous
+pair's optimum.  Both stacks are checked once, the excess is formed
+once and gathered onto each column's rows once, and a step hands its
+LpSolution.warm_start() on; a column's last step forms no start until
+column_starts is read.  The heat module's time grids over the arcs,
+the curvature module's eps grid and the concentration module's
+densities (columns of one pair) are one table each.  A single pair is
+verify mode only, solved by the same loop as a table of one pair, and
+reads its potential and coupling off that solve.  The table is a form
+of wasserstein rather than a function of its own so that every W solve
+runs under wasserstein, called by the certificate that needs it: a
+tracer that attributes each LP solve to the caller of wasserstein sees
+the same solves under the same callers, one wasserstein call per
+table.
 
 The row duals of the final basis are a Kantorovich potential f with
 f(w) - f(z) <= 1 on every arc; summing along geodesics, that is
@@ -134,13 +146,17 @@ class TransportTable:
     vertex's outflow - inflow against its excess, formed on first read
     from the excess and the flows the table keeps, so a caller that
     reads only the values pays for none of it.  Of its solves the table
-    keeps one per row, the first of the row's largest W, with its tree:
-    a column of one pair per density would otherwise hold a final
-    tableau per density.  potentials, formed on first read, is that
-    solve's Kantorovich potential f* for each row, read by
-    RootBasis.potentials with its exact checks (integral, no arc
-    stretched), f*(r) = 0 at its tree's root r: f*.(nu1 - nu0) is the
-    row's largest W.  A table of no column has no solve to read.
+    keeps two kinds: per row, the first of the row's largest W, with its
+    tree, and per column, its last solve, with its tree's root and
+    direction.  potentials, formed on first read, is the first kind's
+    Kantorovich potential f* for each row, read by RootBasis.potentials
+    with its exact checks (integral, no arc stretched), f*(r) = 0 at its
+    tree's root r: f*.(nu1 - nu0) is the row's largest W.  A table of no
+    column has no solve to read.  column_starts, formed on first read,
+    is the second kind as ColumnStarts, each the start of its column in
+    a later table.  A table holds its solves only as long as it is
+    kept; the concentration module keeps the column_starts of its
+    density table, no other caller keeps any.
     """
 
     values: np.ndarray
@@ -150,6 +166,8 @@ class TransportTable:
     _arcs: np.ndarray = field(repr=False)
     # (tree, solve) of each row's largest W, the first of equal ones
     _binding: list = field(repr=False)
+    # ((root, inward) of the tree, solve) of each column's last pair
+    _last: list = field(repr=False)
 
     @cached_property
     def marginal_residual(self) -> float:
@@ -163,6 +181,32 @@ class TransportTable:
     def potentials(self) -> np.ndarray:
         """f* of each row, shape (k, n): the potential of its largest W, f*(r) = 0 at its root."""
         return np.array([tree.potentials([solution])[0] for tree, solution in self._binding])
+
+    @cached_property
+    def column_starts(self) -> list[ColumnStart]:
+        """Each column's last optimum as a ColumnStart, its warm_start() formed and checked once."""
+        return [ColumnStart(*key, solution.warm_start()) for key, solution in self._last]
+
+
+class ColumnStart(NamedTuple):
+    """A table column's last optimum, kept as the start of a column of a later table.
+
+    root and inward name the BFS tree the column solved on
+    (root_basis(dm, root, inward)), and start is the last solve's
+    LpSolution.warm_start(): its final basis, inverse and tableau rows,
+    checked once.  The program of a tree does not depend on the
+    measures, so the basis is dual feasible for any pair: a column
+    started from it solves every pair to its optimum, and the pair it
+    ended on with no pivot.
+    """
+
+    root: int
+    inward: bool
+    start: lp.Start
+
+    def warm_start(self) -> lp.Start:
+        """The start, as it was checked when the earlier table's column_starts formed it."""
+        return self.start
 
 
 @dataclass(eq=False)
@@ -191,6 +235,8 @@ class ArcStart:
     out-tree.
     """
 
+    # kappa's programs of root x are on x's out-tree
+    inward = False
     root: int
     head: int
     basis: np.ndarray = field(repr=False)
@@ -503,23 +549,23 @@ def _start_trees(excess: np.ndarray) -> list[tuple[int, bool]]:
     return list(zip(np.where(inward, s, r).tolist(), inward.tolist()))
 
 
-def _warm_tree(dm: DistanceMatrix, start: ArcStart) -> tuple[RootBasis, lp.Start]:
-    """The out-tree of start's root on dm, and start's warm start.
+def _warm_tree(dm: DistanceMatrix, start: ArcStart | ColumnStart) -> tuple[RootBasis, lp.Start]:
+    """The tree of start's root and direction on dm, and start's warm start.
 
     ValueError if start was solved on another DistanceMatrix, whose
     program is another one.
     """
-    tree = dm._root_bases.get((start.root, False))
+    tree = dm._root_bases.get((start.root, start.inward))
     warm = start.warm_start()
     if tree is None or tree.start.A is not warm.A:
-        raise ValueError("start is an arc's curvature optimum on another DistanceMatrix")
+        raise ValueError("start was solved on another DistanceMatrix")
     return tree, warm
 
 
 def _chains(
-    excess: np.ndarray, dm: DistanceMatrix, starts: Sequence[ArcStart | None]
-) -> Iterator[tuple[RootBasis, lp.LpSolution]]:
-    """Each solve of a table, column by column: its tree and its optimum.
+    excess: np.ndarray, dm: DistanceMatrix, starts: Sequence[ArcStart | ColumnStart | None]
+) -> Iterator[tuple[tuple[int, bool], RootBasis, lp.LpSolution]]:
+    """Each solve of a table, column by column: its tree's (root, inward), the tree and the optimum.
 
     excess has shape (k, a, n).  Column j is a warm chain of k solves,
     the first from starts[j] (the BFS tree of _start_trees when None)
@@ -527,23 +573,25 @@ def _chains(
     """
     for column, first, cold in zip(excess.transpose(1, 0, 2), starts, _start_trees(excess[0])):
         if first is None:
+            key = cold
             tree = root_basis(dm, *cold)
             warm = tree.start
         else:
+            key = (first.root, first.inward)
             tree, warm = _warm_tree(dm, first)
         solution = None
         for b in column[:, tree.vertices]:
             if solution is not None:
                 warm = solution.warm_start()
             solution = lp.solve_lp(warm, b)
-            yield tree, solution
+            yield key, tree, solution
 
 
 def _table(
     nu0: np.ndarray,
     nu1: np.ndarray,
     dm: DistanceMatrix,
-    start: Sequence[ArcStart | None] | None,
+    start: Sequence[ArcStart | ColumnStart | None] | None,
 ) -> TransportTable:
     """wasserstein's table form: column j is a warm chain of pairs from start[j]."""
     n = dm.d.shape[0]
@@ -558,14 +606,15 @@ def _table(
         raise ValueError(f"a table of {a} columns takes {a} starts, got {len(starts)}")
     excess = nu0 - nu1
     solves = list(_chains(excess, dm, starts))
-    values = np.array([solution.value for _tree, solution in solves]).reshape(a, k).T
+    values = np.array([solution.value for _key, _tree, solution in solves]).reshape(a, k).T
     return TransportTable(
         values=values,
         _excess=excess,
-        _x=[solution.x for _tree, solution in solves],
+        _x=[solution.x for _key, _tree, solution in solves],
         _arcs=dm.arcs,
-        _binding=[solves[j * k + i] for i, j in enumerate(values.argmax(axis=1).tolist())]
+        _binding=[solves[j * k + i][1:] for i, j in enumerate(values.argmax(axis=1).tolist())]
         if a else [],
+        _last=[(key, solution) for key, _tree, solution in solves[k - 1 :: k]],
     )
 
 
@@ -574,7 +623,7 @@ def wasserstein(
     nu1: np.ndarray,
     dm: DistanceMatrix,
     verify: bool = True,
-    start: Sequence[ArcStart | None] | None = None,
+    start: Sequence[ArcStart | ColumnStart | None] | None = None,
 ) -> TransportPlan | TransportTable:
     """Directed transport distance between two probability vectors, or over a table of pairs.
 
@@ -593,17 +642,18 @@ def wasserstein(
 
     The table form, fast mode only (ValueError with verify=True), takes
     nu0 and nu1 of shape (k, a, n), k >= 1, and start as None or one
-    start per column, each the ArcStart kappa_lp kept on dm for an arc
-    or None.  Column j is a chain: pair 0 solves from start[j] (its
-    warm_start on the out-tree of its root, checked once when it is
-    formed) or, for None, from the BFS tree a single pair would take,
-    and pair i from pair i - 1's optimal basis.  ValueError if a start
-    was solved on another DistanceMatrix, whose program is another
-    one.  Each row of both stacks is checked as a single measure is,
-    once per table; the error names the first bad row, nu0[i, j] say.
-    It returns a TransportTable: values of shape (k, a), the residual
-    over every solve and the potential of each row's largest W, the
-    last two formed on first read.
+    start per column, each the ArcStart kappa_lp kept on dm for an arc,
+    a ColumnStart of an earlier table's column, or None.  Column j is a
+    chain: pair 0 solves from start[j] (its warm_start on the tree of
+    its root, checked once when it was formed) or, for None, from the
+    BFS tree a single pair would take, and pair i from pair i - 1's
+    optimal basis.  ValueError if a start was solved on another
+    DistanceMatrix, whose program is another one.  Each row of both
+    stacks is checked as a single measure is, once per table; the error
+    names the first bad row, nu0[i, j] say.  It returns a
+    TransportTable: values of shape (k, a), the residual over every
+    solve, the potential of each row's largest W and each column's last
+    optimum as a ColumnStart, the last three formed on first read.
     """
     if np.ndim(nu0) == 3:
         if verify:
@@ -617,7 +667,7 @@ def wasserstein(
     n = dm.d.shape[0]
     nu0 = _check_probability(nu0, n, "nu0")
     nu1 = _check_probability(nu1, n, "nu1")
-    ((tree, solution),) = _chains((nu0 - nu1)[None, None], dm, (None,))
+    ((_key, tree, solution),) = _chains((nu0 - nu1)[None, None], dm, (None,))
     value = float(solution.value)
     f = tree.potentials([solution])[0]
     f = f - f[0]

@@ -113,6 +113,28 @@ def test_traced_k8_analyze_keeps_the_count_canary(bench, run, tmp_path, capsys):
                          "verify_transport_contraction": 224, "transport_checks": 540, "other": 0}
 
 
+def test_traced_k8_analyze_keeps_its_pivot_count(bench, run, tmp_path, capsys):
+    """The traced K_8 request of analyze_dense takes 949 pivots over its 988 solves.
+
+    The count canary counts solves, so it cannot see a solve that pivots
+    again.  Of the 540 functional-suite W, the first transport check's
+    108 pivot from their BFS trees and the other four checks' 432 start
+    from those optima and take none; re-solving them cold would take
+    2,917 pivots in all.
+    """
+    workload = bench.workloads.build("analyze_dense", 1)
+    (path,) = write_graphs(workload, tmp_path)
+    tracer = run.Tracer()
+    try:
+        tracer.install(digricci)
+        assert tracer.call("cli.main.analyze", cli.main, ["analyze", path]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = run.layer_metrics(tracer)
+    assert (metrics["lp.solve_lp.calls"], metrics["lp.pivots"]) == (988, 949)
+
+
 def test_traced_analyze_sparse_keeps_its_solve_counts(bench, run, tmp_path, capsys):
     """analyze_sparse seed 1, traced: 413 LP solves, 301 of them under wasserstein.
 

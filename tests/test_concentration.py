@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,6 +19,7 @@ from digricci import (
     DensityFixture,
     HypothesisUnmetError,
     NotLipschitzError,
+    build_graph,
     centered_lipschitz_samples,
     check_bobkov_goetze,
     check_exp_chain_rule_bound,
@@ -37,7 +38,9 @@ from digricci import (
     markov_data,
     random_densities,
     verify_gradient_estimate,
+    wasserstein,
 )
+from digricci import concentration
 from digricci.chain import mean
 from digricci.cli import functional_certificates, main
 from digricci.concentration import R_GRID
@@ -513,3 +516,54 @@ def test_functional_suite_checks_each_density_once(tmp_path, lp_solves, monkeypa
     counts["W solves"] = sum(w for w, _pivots in lp_solves)
     assert counts == {"of_stack calls": 1, "density rows": densities,
                       "W solves": 5 * densities}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 6))
+def test_the_later_transport_checks_start_from_the_first_ones_optima(seed, n, count):
+    """The first check of a family keeps its optima on dm; a later check re-solves from them.
+
+    On a complete graph with weights U(0.5, 2) and K > 0: the re-solved
+    W are within 1e-15 of the cold ones.  Another family started from
+    those optima, dual feasible whatever the measures, gets the W of a
+    cold table, to within 2e-15: another optimal basis may form the
+    same W by another product.  A DistanceMatrix of the same graph
+    computed again is another program, and refuses the starts.
+    """
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(0.5, 2.0, size=(n, n))
+    np.fill_diagonal(mu, 0.0)
+    g = build_graph(mu)
+    M, dm = markov_data(g), distances(g)
+    assume(curvature_matrix(M, dm).K > 0)
+    family, other = random_densities(M, count, rng), random_densities(M, count, rng)
+    first = [w for _record, w in concentration._transports(M, dm, family)]
+    (starts,) = dm._density_starts.values()
+    again = [w for _record, w in concentration._transports(M, dm, family)]
+    assert np.abs(np.subtract(again, first)).max() <= 1e-15
+    measures = np.array([record.measure for record in other])[None]
+    nu0 = np.broadcast_to(M.m, measures.shape)
+    fresh = distances(g)
+    cold = wasserstein(nu0, measures, fresh, verify=False).values
+    warm = wasserstein(nu0, measures, dm, verify=False, start=starts).values
+    assert np.abs(warm - cold).max() <= 2e-15
+    with pytest.raises(ValueError, match="another DistanceMatrix"):
+        wasserstein(nu0, measures, fresh, verify=False, start=starts)
+
+
+def test_the_later_transport_checks_take_no_pivot_on_the_bench_graphs(monkeypatch, lp_solves):
+    """The K_8 of analyze_dense at seeds 1-4: the suite's five transport checks solve
+    the same 108 densities, the first cold and the other four from its optima, so of
+    the 540 W solves only the first 108 pivot."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    for seed in (1, 2, 3, 4):
+        (graph,) = workloads.build("analyze_dense", seed).graphs
+        g = load_graph(graph.text())
+        M, dm = markov_data(g), distances(g)
+        K = curvature_matrix(M, dm).K
+        del lp_solves[:]
+        functional_certificates(M, dm, K, RunConfig(), np.random.default_rng(seed))
+        pivots = [p for under_w, p in lp_solves if under_w]
+        assert len(pivots) == 5 * (100 + 8)
+        assert sum(pivots[:108]) > 0 and not any(pivots[108:])

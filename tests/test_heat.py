@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -363,14 +363,25 @@ def test_the_contraction_potentials_attain_the_lipschitz_sup_on_the_bench_graphs
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(2618963476)
 def test_the_exact_family_bounds_every_sampled_ratio(seed):
-    """At each time the exact lhs is at least every ratio of the 200 scaled samples and witnesses."""
+    """At each time the exact lhs W_t bounds every ratio of the 200 scaled samples and witnesses.
+
+    It is checked undivided, Lip(P_t f) <= W_t Lip(f), to within
+    1e-13 |f|_inf: the rounding of P_t f, and of W_t Lip(f), scales
+    with the size of f, not with 1 / Lip(f).  At n <= 7 it is below
+    about (2n + 4n(n - 1)) eps |f|_inf = 4e-14 |f|_inf.  Divided, a
+    sample of Lip f = 1.7e-4 and |f|_inf = 2.5 on K_2 (the example)
+    turned a 3.9e-16 rounding into a 2.3e-12 excess of the ratio.
+    """
     rng = np.random.default_rng(seed)
     g = random_strongly_connected(rng, n_min=2)
     H, dm, potentials = exact_family(g)
     exact = family_ratios(H, dm, potentials).max(axis=1)
-    sampled = family_ratios(H, dm, oracles.sampled_gradient_family(markov_data(g), dm, rng))
-    assert (sampled <= exact[:, None] + 1e-12).all()
+    fs = oracles.sampled_gradient_family(markov_data(g), dm, rng)
+    lip_fs, rounding = lipschitz_constant(fs, dm), 1e-13 * np.abs(fs).max(axis=1)
+    for t, top in zip(TIME_GRID, exact.tolist()):
+        assert (lipschitz_constant(H.apply(t, fs), dm) <= top * lip_fs + rounding).all()
 
 
 def test_the_4_cycle_contracts_at_exactly_exp_minus_t(tmp_path, capsys):

@@ -875,7 +875,7 @@ def test_hop_counts_are_built_once_and_only_where_read(c3_file, monkeypatch, cap
 
 
 @pytest.mark.parametrize("workload, carried, solves, pivots", [
-    ("analyze_dense", 64, 988, 2917),
+    ("analyze_dense", 164, 988, 949),
     ("analyze_sparse", 77, 413, 549),
 ])
 def test_warm_starts_are_checked_only_where_a_solve_pivoted(
@@ -886,11 +886,15 @@ def test_warm_starts_are_checked_only_where_a_solve_pivoted(
     One analyze on each graph of the benchmark workload (seed 1): the
     K_8 of analyze_dense, and the two ring+chords n=8 of analyze_sparse.
     A solve that took no pivot hands its own start on unchecked, and an
-    arc's start off its kappa optimum is checked once, so of 392 and 301
-    warm starts formed, 64 and 77 are checked; the solves and pivots are
-    those of re-forming and re-checking every start.  The K_8's pivots
-    include the functional suite's, whose densities are the first draws
-    of the seed's rng, as verify-functional's are.
+    arc's start off its kappa optimum is checked once, so of the 392
+    and 301 heat-flow warm starts formed, 64 and 77 are checked.  The
+    K_8 also runs the functional suite: its first transport check
+    solves the 108 densities cold, and each of the 100 columns that
+    pivoted has its optimum checked once as the start of the four later
+    checks, whose 432 solves then take no pivot.  The solves and pivots
+    are those of re-forming and re-checking every start.  The
+    densities are the first draws of the seed's rng, as
+    verify-functional's are.
     """
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     workloads = importlib.import_module("workloads")
