@@ -169,16 +169,18 @@ def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
         )
 
     # the arc kappa are the ones that set K; kappa_lp certified every entry.
-    # certificate_from_samples keeps the first of equal margins, so the arcs
+    # Each arc's W chain runs on from kappa's optimum through the limit
+    # times to the contraction times (heat module docstring).
+    # certificate_from_samples keeps the first of equal margins, so the comparisons
     # go in reversed: of equal deviations, the last arc in row-major order binds.
-    xs, ys = dm.arcs[::-1].T
-    limits, _spreads = curvature_time_limit(H, dm, xs, ys)
+    xs, ys = dm.arcs.T
+    limits, _spreads, starts = curvature_time_limit(H, dm, xs, ys, curv.arc_starts)
     deviations = [
         (deviation, HEAT_LIMIT_AGREEMENT_TOL, {"pair": [x, y]})
         for deviation, x, y in zip(
             np.abs(limits - curv.kappa[xs, ys]).tolist(), xs.tolist(), ys.tolist()
         )
-    ]
+    ][::-1]
     report.certificates.append(
         certificate_from_samples(
             "curvature_heat_limit_agreement",
@@ -190,7 +192,7 @@ def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
 
     # the gradient estimate checks each time's contraction potential f* at that
     # time, where Lip(P_t f) reaches its sup (heat module docstring)
-    contraction, potentials = verify_transport_contraction(H, dm, K, tol=config.certificate_tol)
+    contraction, potentials = verify_transport_contraction(H, dm, K, config.certificate_tol, starts)
     report.certificates.append(
         verify_gradient_estimate(H, dm, K, potentials, tol=config.certificate_tol)
     )
@@ -432,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.pairs is not None:
                 records = []
                 for x, y in [_parse_pair(spec, g.n) for spec in args.pairs]:
-                    (value,), (witness,) = curvature.kappa_lp(x, [y], M, dm)
+                    (value,), (witness,), _starts = curvature.kappa_lp(x, [y], M, dm)
                     record = {"pair": [x, y], "kappa": value, "witness": witness.tolist()}
                     if args.cross_check:
                         (limit,), (spread,) = kappa_limit(x, [y], M, dm)

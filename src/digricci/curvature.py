@@ -41,14 +41,17 @@ indexes no row.
 kappa_limit takes the same rows and solves each as one W table, a
 column per target, each column the warm chain over EPS_GRID that the
 pair's own row of one solves.  Both functions return arrays, one entry
-per target.  curvature_matrix asks each for one row per root,
-verify-functional asks kappa_lp for one per tail over its
-out-neighbours, and curvature --pairs asks rows of one.
+per target, and kappa_lp also a list of starts, each arc target's
+optimum as a transport.ArcStart: the heat module's W tables of the arc
+may start from it, and curvature_matrix returns those of every arc.
+curvature_matrix asks each for one row per root, verify-functional
+asks kappa_lp for one per tail over its out-neighbours, and
+curvature --pairs asks rows of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,12 +73,15 @@ class CurvatureReport:
 
     kappa has NaN on the diagonal.  When the smoothing cross-check ran,
     cross_check holds |lp - limit| per pair.  kappa_lp returns each
-    pair's witness; the matrix keeps none.
+    pair's witness; the matrix keeps none.  arc_starts holds kappa_lp's
+    optimum of each arc as a transport.ArcStart, aligned with dm.arcs:
+    the starts of the arcs' heat-flow W tables.
     """
 
     kappa: np.ndarray
     K: float
     cross_check: np.ndarray | None = None
+    arc_starts: list = field(default_factory=list, repr=False, compare=False)
 
 
 def smoothed_measure(x: int, eps: float, M: MarkovData) -> np.ndarray:
@@ -102,7 +108,7 @@ def _row(x: int, ys: np.ndarray, dm: DistanceMatrix) -> tuple[np.ndarray, np.nda
 
 def kappa_lp(
     x: int, ys: np.ndarray, M: MarkovData, dm: DistanceMatrix
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[transport.ArcStart | None]]:
     """Exact curvature by the limit-free program, with an optimal witness, over a row of root x.
 
     The program of (x, y) minimises grad_xy (L f) over f with f(x) = 0,
@@ -118,14 +124,16 @@ def kappa_lp(
     NumericsError unless f is integral, f(w) - f(z) <= 1 on every arc
     and f(y) == d(x, y).  The value gap is the one check with a
     tolerance, as the rounding of the right-hand side enters there:
-    NumericsError unless |kappa - grad_xy (L f)| <= lp.GAP_TOL.  For an
-    arc (d(x, y) = 1) the optimum is kept on dm as a
-    transport.ArcStart, its final basis and tableau as they stand: the
-    heat module's W chains of the arc start from it.
+    NumericsError unless |kappa - grad_xy (L f)| <= lp.GAP_TOL.
 
     ys is a row of targets, a 1-d array; a single pair is the row [y].
-    It returns kappa of shape (k,) and the witnesses of shape (k, n),
-    one row per y, both empty for an empty row.  SameVertexError if x
+    It returns kappa of shape (k,), the witnesses of shape (k, n), one
+    row per y, and a list of k starts: for an arc (d(x, y) = 1) its
+    optimum as a transport.ArcStart, its final basis and tableau as
+    they stand, which a heat-flow W table of the arc may start from,
+    and None for any other target.  An ArcStart forms its W start only
+    when a table reads it, so a caller that drops it pays for none of
+    it.  All three are empty for an empty row.  SameVertexError if x
     is among them.  The programs of a row share x's start, so they are
     set up once: the objectives c are one array, the virtual columns
     are added to the start and checked as one stack
@@ -145,7 +153,7 @@ def kappa_lp(
     """
     ys, d = _row(x, ys, dm)
     if not ys.size:
-        return np.empty(0), np.empty((0, M.n))
+        return np.empty(0), np.empty((0, M.n)), []
     c = (M.L.take(ys, axis=0) - M.L[x]) / d[:, None]
     tree = transport.root_basis(dm, x)
     # each virtual arc y -> x: +1 in the row of y, and x's row is dropped
@@ -161,12 +169,12 @@ def kappa_lp(
     gap = np.abs(kappa - (c * witness).sum(axis=1)).max()
     if gap > lp.GAP_TOL:
         raise NumericsError(f"curvature duality gap {gap:.3e} exceeds {lp.GAP_TOL:.1e}")
-    for y, dxy, solution in zip(ys.tolist(), d.tolist(), solutions):
-        if dxy == 1.0:
-            dm._arc_starts[(x, y)] = transport.ArcStart(
-                x, y, solution.basis, solution._tableau, tree.start
-            )
-    return kappa, witness
+    arc_starts = [
+        transport.ArcStart(x, y, solution.basis, solution._tableau, tree.start)
+        if dxy == 1.0 else None
+        for y, dxy, solution in zip(ys.tolist(), d.tolist(), solutions)
+    ]
+    return kappa, witness, arc_starts
 
 
 def kappa_limit(
@@ -201,13 +209,19 @@ def kappa_limit(
 def curvature_matrix(
     M: MarkovData, dm: DistanceMatrix, cross_check: bool = False
 ) -> CurvatureReport:
-    """kappa over all ordered pairs; K is the minimum entry."""
+    """kappa over all ordered pairs; K is the minimum entry.
+
+    The rows run in root order and each over its targets in order, so
+    the arcs' ArcStarts come out row-major, in the order of dm.arcs.
+    """
     n = M.n
     kappa = np.full((n, n), np.nan)
     residuals = np.full((n, n), np.nan) if cross_check else None
+    arc_starts = []
     for x in range(n):
         ys = np.flatnonzero(np.arange(n) != x)
-        kappa[x, ys] = kappa_lp(x, ys, M, dm)[0]
+        kappa[x, ys], _witness, starts = kappa_lp(x, ys, M, dm)
+        arc_starts += [start for start in starts if start is not None]
         if cross_check:
             residuals[x, ys] = np.abs(kappa[x, ys] - kappa_limit(x, ys, M, dm)[0])
-    return CurvatureReport(kappa=kappa, K=float(np.nanmin(kappa)), cross_check=residuals)
+    return CurvatureReport(kappa, float(np.nanmin(kappa)), residuals, arc_starts)

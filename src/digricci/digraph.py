@@ -67,14 +67,14 @@ class DistanceMatrix:
     arcs[k]    (tail, head) of the k-th arc, the pairs with d = 1 in row-major order
 
     _root_bases holds transport.root_basis's flow starts, one per root
-    and tree direction, built on first use.  _arc_starts holds, per arc
-    (x, y) whose curvature kappa_lp solved, that optimum as a
-    transport.ArcStart, the start of the arc's heat-flow W chains.
+    and tree direction, built on first use: a function of d alone.
     _density_starts holds, per family of densities a transport check of
     the concentration module solved, keyed by the exact bytes of m and
     of the stack of measures rho m, the table's optima as
     transport.ColumnStarts, the starts of the same family's W in every
-    later check.  None of them is compared.
+    later check.  Neither is compared.  Every other warm start, a
+    curvature optimum's or a heat-flow table's, is passed from the
+    solve that made it to the table that starts from it as a value.
     """
 
     d: np.ndarray
@@ -82,7 +82,6 @@ class DistanceMatrix:
     lam: int
     arcs: np.ndarray
     _root_bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _arc_starts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _density_starts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 

@@ -51,15 +51,18 @@ times in ascending order, each solve starting from the previous time's
 optimal basis, which stays dual feasible and at small t is usually
 optimal already: a solve that took no pivot hands its start on
 unchanged, so such a step costs neither a product nor a check.  The
-table checks every kernel row once.  The first time starts from the
-arc's curvature optimum when kappa_lp has solved the arc on the same
-DistanceMatrix (transport.ArcStart, formed and checked once): the
-curvature program is the first-order problem of W as t -> 0, so that
-basis is nearly optimal for every time.  Otherwise it starts from a
-BFS tree.  The table runs inside wasserstein, under the certificate
-that asked for it, so the solves stay counted under that certificate
-and under wasserstein.  Each time's kernel matrix is built once per
-operator.
+table checks every kernel row once.  Each certificate takes the first
+time's starts as a value, one per column, and a column without one
+starts from a BFS tree.  analyze chains them along each arc:
+curvature_time_limit starts from the arc's curvature optimum, the
+transport.ArcStart that kappa_lp returns (the curvature program is the
+first-order problem of W as t -> 0, so that basis is nearly optimal
+for every time), and returns its columns' last optima, at t = 0.01;
+verify_transport_contraction starts from those, and its first time is
+0.01, so that solve is already optimal and takes no pivot.  The table
+runs inside wasserstein, under the certificate that asked for it, so
+the solves stay counted under that certificate and under wasserstein.
+Each time's kernel matrix is built once per operator.
 
 The times are fixed: TIME_GRID for the two contraction certificates
 and LIMIT_GRID for the small-time limit, both positive.  Reports state
@@ -188,16 +191,16 @@ def verify_gradient_estimate(
 
 
 def _heat_flow_w(
-    H: HeatOperator, dm: DistanceMatrix, times: Sequence[float], xs: np.ndarray, ys: np.ndarray
+    H: HeatOperator, dm: DistanceMatrix, times: Sequence[float], xs: np.ndarray, ys: np.ndarray,
+    starts: Sequence[transport.ArcStart | transport.ColumnStart | None] | None,
 ) -> transport.TransportTable:
     """W(p_x_t, p_y_t) at each of the ascending times (rows) for each pair (columns), as a table.
 
     One table (transport.wasserstein): every kernel is built before the
-    first solve, and a pair's column starts from its arc's kappa
-    optimum when dm holds one, otherwise from a BFS tree.
+    first solve, and a pair's column starts from its entry of starts,
+    or from a BFS tree when that is None or starts is.
     """
     kernels = np.stack([heat_kernel_matrix(H, t) for t in times])
-    starts = [dm._arc_starts.get(pair) for pair in zip(xs.tolist(), ys.tolist())]
     return transport.wasserstein(kernels[:, xs], kernels[:, ys], dm, verify=False, start=starts)
 
 
@@ -206,6 +209,7 @@ def verify_transport_contraction(
     dm: DistanceMatrix,
     K: float,
     tol: float = 1e-9,
+    starts: Sequence[transport.ArcStart | transport.ColumnStart | None] | None = None,
 ) -> tuple[InequalityCertificate, np.ndarray]:
     """Check W(p_x_t, p_y_t) <= exp(-K t) d(x, y) over all ordered pairs, t in TIME_GRID.
 
@@ -219,10 +223,12 @@ def verify_transport_contraction(
     distance k may fail by up to k times the reported margin.
 
     The W form one table (transport.wasserstein): a column per arc, the
-    times in ascending order, the first solve from the arc's kappa
-    optimum when dm holds one, each later one from the previous time's
-    optimal basis (see the module docstring); the comparisons are listed
-    time by time, arcs in order within each.
+    times in ascending order, the first solve from the arc's entry of
+    starts (one per arc of dm.arcs, in its order: the column_starts
+    curvature_time_limit returns for the arcs, an ArcStart, or None for
+    a BFS tree; all BFS trees without starts), each later one from the
+    previous time's optimal basis (see the module docstring); the
+    comparisons are listed time by time, arcs in order within each.
 
     Returns the certificate and the potentials f*, shape
     (len(TIME_GRID), n): row i is the Kantorovich potential of the
@@ -232,7 +238,7 @@ def verify_transport_contraction(
     exactly, and Lip(P_t f*) is that largest W: the potentials
     verify_gradient_estimate checks, each at its own time.
     """
-    table = _heat_flow_w(H, dm, TIME_GRID, *dm.arcs.T)
+    table = _heat_flow_w(H, dm, TIME_GRID, *dm.arcs.T, starts)
     values = table.values.tolist()
     arcs = dm.arcs.tolist()
     comparisons = []
@@ -257,26 +263,31 @@ def curvature_time_limit(
     dm: DistanceMatrix,
     xs: np.ndarray,
     ys: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    starts: Sequence[transport.ArcStart | transport.ColumnStart | None] | None = None,
+) -> tuple[np.ndarray, np.ndarray, list[transport.ColumnStart]]:
     """Small-time curvature (1/t)(1 - W(p_x_t, p_y_t) / d(x, y)) of each pair (xs[j], ys[j]).
 
     The times are those of LIMIT_GRID.  Returns, per pair, the two-point
     Richardson extrapolation through the two smallest times together
     with the spread (max - min) of the finite-time estimates, which
-    reports how settled the limit is.  The W form one table
+    reports how settled the limit is, and the pair's last optimum, at
+    the largest time, as a transport.ColumnStart.  The W form one table
     (transport.wasserstein): a column per pair over the times in
-    ascending order, the first from the arc's kappa optimum when x -> y
-    is an arc whose kappa dm holds, each later one from the previous
-    time's optimal basis (see the module docstring).  SameVertexError if
-    a pair repeats a vertex.
+    ascending order, the first from the pair's entry of starts (the
+    ArcStart kappa_lp returns for an arc x -> y, or None for a BFS
+    tree; all BFS trees without starts), each later one from the
+    previous time's optimal basis (see the module docstring).  The
+    largest time is TIME_GRID's first, so on the arcs the ColumnStarts
+    are verify_transport_contraction's starts.  SameVertexError if a
+    pair repeats a vertex.
     """
     ts = sorted(LIMIT_GRID)
     xs, ys = np.asarray(xs, dtype=int), np.asarray(ys, dtype=int)
     if (xs == ys).any():
         raise SameVertexError("curvature needs two distinct vertices")
-    w = _heat_flow_w(H, dm, ts, xs, ys).values
-    estimates = (1.0 - w / dm.d[xs, ys].astype(float)) / np.asarray(ts)[:, None]
+    table = _heat_flow_w(H, dm, ts, xs, ys, starts)
+    estimates = (1.0 - table.values / dm.d[xs, ys].astype(float)) / np.asarray(ts)[:, None]
     t1, t2 = ts[1], ts[0]
     g1, g2 = estimates[1], estimates[0]
     extrapolated = (t1 * g2 - t2 * g1) / (t1 - t2)
-    return extrapolated, estimates.max(axis=0) - estimates.min(axis=0)
+    return extrapolated, estimates.max(axis=0) - estimates.min(axis=0), table.column_starts

@@ -51,9 +51,9 @@ final tableau, and checked with them.  The heat module solves each arc
 along increasing t, and the curvature module each pair along
 increasing smoothing, each solve from the previous optimum: the
 measures move little, and at small t the optimal tree mostly stops
-changing.  The first heat-flow solve of an arc x -> y starts from the
-arc's curvature optimum instead, when kappa_lp has solved it on the
-same DistanceMatrix (ArcStart): as t -> 0,
+changing.  The first heat-flow solve of an arc x -> y may start from
+the arc's curvature optimum instead, the ArcStart that kappa_lp
+returns beside kappa: as t -> 0,
 p_x_t - p_y_t = (delta_x - delta_y) + t (L[y] - L[x]) + O(t^2), and
 the curvature program is that first-order problem, so its optimal
 basis, with the virtual arc y -> x swapped for x -> y, is optimal for
@@ -67,10 +67,12 @@ when the earlier table's column_starts is read).  Its basis is dual
 feasible for every right-hand side of the tree's program, so any
 measures solve from it to their optimum; when they are the measures
 that column ended on, the basis is already optimal and the solve is one
-B^-1 b and a sign test, with no pivot.  The concentration module's
-transport checks ask the same densities five times over and start
-every check after the first from the first one's optima.  A ColumnStart,
-like an ArcStart, belongs to the DistanceMatrix it was solved on.
+B^-1 b and a sign test, with no pivot.  The heat module's contraction
+table starts each arc from the small-time limit table's last optimum
+of it, at the same time, and the concentration module's transport
+checks ask the same densities five times over and start every check
+after the first from the first one's optima.  A ColumnStart, like an
+ArcStart, belongs to the DistanceMatrix it was solved on.
 
 Those chains are wasserstein's table form: given nu0 and nu1 of shape
 (k, a, n), fast mode only, it solves column j as a chain of k measure
@@ -155,8 +157,9 @@ class TransportTable:
     column has no solve to read.  column_starts, formed on first read,
     is the second kind as ColumnStarts, each the start of its column in
     a later table.  A table holds its solves only as long as it is
-    kept; the concentration module keeps the column_starts of its
-    density table, no other caller keeps any.
+    kept.  The heat module's small-time limit returns its column_starts
+    to its caller, which may hand them to the contraction table; the
+    concentration module keeps the column_starts of its density table.
     """
 
     values: np.ndarray
@@ -211,7 +214,7 @@ class ColumnStart(NamedTuple):
 
 @dataclass(eq=False)
 class ArcStart:
-    """kappa_lp's optimum of an arc x -> y, kept as the start of the arc's W chains.
+    """kappa_lp's optimum of an arc x -> y, as the start of the arc's W chains.
 
     The curvature program of the arc (root x, head y) is the arc-flow
     program of root x (program, root_basis's out-tree start of x) plus
@@ -227,12 +230,12 @@ class ArcStart:
     nonbasic, B_f is a basis of W already and stays as it is.  The
     record keeps kappa's final basis and final tableau alone, not the
     solve and its start, which share one stack with the other programs
-    of x's row.  warm_start forms the W start on first use in one step,
-    off that basis, its inverse (B_f^-1 B_0) B_0^-1 and the final
-    tableau without the virtual and b columns, checks it once
-    (lp.Start.carried) and keeps it; kappa_lp pays for none of it.  A
-    column of wasserstein's table form starts from it on root x's
-    out-tree.
+    of x's row; kappa_lp returns it beside kappa.  warm_start forms the
+    W start on first use in one step, off that basis, its inverse
+    (B_f^-1 B_0) B_0^-1 and the final tableau without the virtual and b
+    columns, checks it once (lp.Start.carried) and keeps it; kappa_lp
+    pays for none of it.  A column of wasserstein's table form starts
+    from it on root x's out-tree.
     """
 
     # kappa's programs of root x are on x's out-tree
@@ -642,8 +645,8 @@ def wasserstein(
 
     The table form, fast mode only (ValueError with verify=True), takes
     nu0 and nu1 of shape (k, a, n), k >= 1, and start as None or one
-    start per column, each the ArcStart kappa_lp kept on dm for an arc,
-    a ColumnStart of an earlier table's column, or None.  Column j is a
+    start per column, each the ArcStart kappa_lp returned for an arc, a
+    ColumnStart of an earlier table's column, or None.  Column j is a
     chain: pair 0 solves from start[j] (its warm_start on the tree of
     its root, checked once when it was formed) or, for None, from the
     BFS tree a single pair would take, and pair i from pair i - 1's

@@ -73,7 +73,7 @@ def test_criterion_1_fixture_exactness(g_c3, g_k3, g_tri):
             for y in range(3):
                 if x == y:
                     continue
-                (value,), _ = kappa_lp(x, [y], M, dm)
+                (value,), _, _ = kappa_lp(x, [y], M, dm)
                 worst_lp = max(worst_lp, abs(value - 1.5))
                 (limit,), _ = kappa_limit(x, [y], M, dm)
                 worst_limit = max(worst_limit, abs(limit - 1.5))
@@ -171,7 +171,7 @@ def test_criterion_4_time_limit(bundles, g_c3, g_tri, g_k3):
         )
     for b in fixture_bundles + list(bundles[:10]):
         xs, ys = np.nonzero(~np.eye(b.g.n, dtype=bool))
-        limits, _ = curvature_time_limit(b.H, b.dm, xs, ys)
+        limits, _, _ = curvature_time_limit(b.H, b.dm, xs, ys)
         worst = max(worst, float(np.abs(limits - b.curv.kappa[xs, ys]).max()))
     ok = worst <= 1e-3
     assert verdict(

@@ -27,7 +27,12 @@ the swapped start to the one its basis multiplies out, and a start of
 another graph fails.  A solve that took no pivot hands its own start
 on, and an arc's start is formed and checked once: each column is
 pinned, step by step and bit for bit, to the chain of single solves
-and to a chain that re-forms and re-checks every start.
+and to a chain that re-forms and re-checks every start.  The heat-flow
+certificates take their starts as arguments: a table's values and
+pivots do not depend on what ran on its DistanceMatrix before, and the
+contraction table started from the small-time limit's last optima
+takes no pivot at its first time and keeps each W within 1e-15 of the
+tables started from the kappa optima and from BFS trees.
 The curvature program is solved through its dual flow from the same
 kind of basis; its witness is checked for optimality on its own, and
 the least arc kappa, verify-functional's K, is the all-pairs K bit for
@@ -60,6 +65,7 @@ from digricci import (
     ParseError,
     build_graph,
     curvature_matrix,
+    curvature_time_limit,
     distances,
     heat_kernel_matrix,
     heat_operator,
@@ -166,7 +172,7 @@ def test_decomposed_plan_is_an_optimal_coupling(instance):
 def test_kappa_arc_rows_match_all_pairs_rows_and_scipy(instance):
     g, x, y = instance
     dm = distances(g)
-    (value,), (witness,) = kappa_lp(x, [y], markov_data(g), dm)
+    (value,), (witness,), _ = kappa_lp(x, [y], markov_data(g), dm)
 
     _P, _m, Pmean, _mxy = oracles.reference_chain(oracles.mu_of(g))
     L = np.eye(g.n) - Pmean
@@ -184,7 +190,7 @@ def test_kappa_arc_rows_match_all_pairs_rows_and_scipy(instance):
 @given(curvature_instances())
 def test_kappa_witness_is_an_optimal_potential(instance):
     g, x, y = instance
-    (value,), (f,) = kappa_lp(x, [y], markov_data(g), distances(g))
+    (value,), (f,), _ = kappa_lp(x, [y], markov_data(g), distances(g))
     mu = oracles.mu_of(g)
     d = oracles.hop_distances(mu)
     _P, _m, Pmean, _mxy = oracles.reference_chain(mu)
@@ -369,8 +375,8 @@ def test_kappa_started_chain_matches_cold_solves_and_scipy(instance):
     """
     g, (x, y), pairs = instance
     dm = distances(g)
-    kappa_lp(x, [y], markov_data(g), dm)
-    table, solves = recorded_solves(lambda: chain_table(pairs, dm, dm._arc_starts[(x, y)]))
+    (arc_start,) = kappa_lp(x, [y], markov_data(g), dm)[2]
+    table, solves = recorded_solves(lambda: chain_table(pairs, dm, arc_start))
     assert all(solution.start.A is root_basis(dm, x).start.A for solution in solves)
     for (nu0, nu1), value in zip(pairs, table.values[:, 0], strict=True):
         assert abs(value - wasserstein(nu0, nu1, dm, verify=True).value) <= 1e-12
@@ -388,10 +394,10 @@ def test_a_kappa_row_solves_each_program_as_the_per_pair_route(g, data):
     every other vertex, over one, and over the root's out-neighbours
     agree with it in kappa, witness, final basis and pivot count, one
     lp.solve_lp per program, and each arc's ArcStart gives the W start
-    that oracles.two_step_arc_start forms off the reference solve.  A
-    row of one [y] returns the same kappa and witness as arrays of one
-    entry, a row that holds x raises, and an empty row returns empty
-    arrays.
+    that oracles.two_step_arc_start forms off the reference solve; a
+    target that is no arc gets None.  A row of one [y] returns the same
+    kappa, witness and start kind as arrays of one entry, a row that
+    holds x raises, and an empty row returns empty arrays.
     """
     M, dm = markov_data(g), distances(g)
     x = data.draw(st.integers(0, g.n - 1))
@@ -399,29 +405,33 @@ def test_a_kappa_row_solves_each_program_as_the_per_pair_route(g, data):
     ys = data.draw(st.sampled_from([
         others, [data.draw(st.sampled_from(others))], dm.arcs[dm.arcs[:, 0] == x, 1].tolist(),
     ]))
-    (kappas, witnesses), solves = recorded_solves(lambda: kappa_lp(x, np.array(ys), M, dm))
+    (kappas, witnesses, starts), solves = recorded_solves(
+        lambda: kappa_lp(x, np.array(ys), M, dm)
+    )
     assert kappas.shape == (len(ys),) and witnesses.shape == (len(ys), g.n)
     ref_dm = distances(g)
     arcs = dm.arcs.tolist()
-    for y, kappa, witness, solution in zip(ys, kappas, witnesses, solves, strict=True):
+    for y, kappa, witness, start, solution in zip(
+        ys, kappas, witnesses, starts, solves, strict=True
+    ):
         ref_kappa, ref_witness, ref = oracles.kappa_pair(x, y, M, ref_dm)
         assert np.float64(kappa).tobytes() == np.float64(ref_kappa).tobytes()
         assert witness.tobytes() == ref_witness.tobytes()
         assert solution.basis.tobytes() == ref.basis.tobytes()
         assert solution.iterations == ref.iterations
-        values, singles = kappa_lp(x, [y], M, distances(g))
+        values, singles, (single,) = kappa_lp(x, [y], M, distances(g))
         assert values.shape == (1,) and singles.shape == (1, g.n)
         assert values[0] == kappa and singles[0].tobytes() == witness.tobytes()
-        if [x, y] in arcs:
+        assert (start is None) == (single is None) == ([x, y] not in arcs)
+        if start is not None:
+            assert (start.root, start.head) == (x, y)
             program = root_basis(ref_dm, x).start
             ref_start = transport.ArcStart(x, y, ref.basis, ref._tableau, program)
-            assert same_start(dm._arc_starts[(x, y)].warm_start(),
-                              oracles.two_step_arc_start(ref_start))
-    assert sorted(dm._arc_starts) == sorted((x, y) for y in ys if [x, y] in arcs)
+            assert same_start(start.warm_start(), oracles.two_step_arc_start(ref_start))
     with pytest.raises(SameVertexError):
         kappa_lp(x, np.array([*ys, x]), M, dm)
-    kappas, witnesses = kappa_lp(x, np.array([], dtype=int), M, dm)
-    assert kappas.shape == (0,) and witnesses.shape == (0, g.n)
+    kappas, witnesses, starts = kappa_lp(x, np.array([], dtype=int), M, dm)
+    assert kappas.shape == (0,) and witnesses.shape == (0, g.n) and starts == []
 
 
 @PROPERTY_SETTINGS
@@ -429,19 +439,20 @@ def test_a_kappa_row_solves_each_program_as_the_per_pair_route(g, data):
 def test_kappa_start_is_the_start_its_basis_multiplies_out(g):
     """Each arc's W start, formed off kappa's final tableau, is Start.from_basis's, bit for bit.
 
-    kappa_lp keeps its optimum for the arcs alone.  The virtual column
-    y -> x is basic in each (the nonbasic case has its own test), so the
-    start holds the arc x -> y in its place, on root x's own c and A.
+    curvature_matrix returns the optima of the arcs alone, in the order
+    of dm.arcs.  The virtual column y -> x is basic in each (the
+    nonbasic case has its own test), so the start holds the arc x -> y
+    in its place, on root x's own c and A.
     The inverse is the swapped basis's exact inverse (its entries are
     integers, so the rounded LU inverse is exact), and the tableau is
     the one from_basis multiplies out with it.  The start is formed on
     first use, once.
     """
     dm = distances(g)
-    curvature_matrix(markov_data(g), dm)
+    report = curvature_matrix(markov_data(g), dm)
     arcs = dm.arcs.tolist()
-    assert sorted(dm._arc_starts) == sorted(map(tuple, arcs))
-    for (x, y), arc_start in dm._arc_starts.items():
+    for (x, y), arc_start in zip(arcs, report.arc_starts, strict=True):
+        assert (arc_start.root, arc_start.head) == (x, y)
         assert arc_start._start is None
         start = arc_start.warm_start()
         program = root_basis(dm, x).start
@@ -600,8 +611,7 @@ def test_warm_chains_match_the_chains_that_re_form_every_start(instance, from_ka
     dm = distances(g)
     arc_start = None
     if from_kappa:
-        kappa_lp(x, [y], markov_data(g), dm)
-        arc_start = dm._arc_starts[(x, y)]
+        (arc_start,) = kappa_lp(x, [y], markov_data(g), dm)[2]
     _table, solves = recorded_solves(lambda: chain_table(pairs, dm, arc_start))
     nu0, nu1 = np.array(pairs).transpose(1, 0, 2)
     refs = oracles.w_chain(dm, nu0, nu1, arc_start, re_form=True)
@@ -674,8 +684,7 @@ def test_a_table_solves_each_column_as_the_chain_of_single_solves(k, a, data):
     starts = []
     for kind, (x, y) in zip(kinds, arcs):
         if kind == "arc":
-            kappa_lp(x, [y], M, dm)
-            starts.append(dm._arc_starts[(x, y)])
+            starts += kappa_lp(x, [y], M, dm)[2]
         else:
             starts.append(None)
 
@@ -693,6 +702,68 @@ def test_a_table_solves_each_column_as_the_chain_of_single_solves(k, a, data):
         for i in range(k) for j in range(a)
     )
     assert np.float64(table.marginal_residual).tobytes() == np.float64(residual).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_the_contraction_table_runs_on_from_the_limit_tables_optima(g):
+    """Each arc's contraction column starts from its small-time limit column's last optimum.
+
+    That optimum is at t = 0.01, the contraction's first time, on the
+    same kernel, so the column's first solve takes no pivot, and the
+    table still makes one solve per arc and time.  Its W are those of
+    the table started from the arcs' kappa optima and from BFS trees
+    within 1e-15: the bases differ, the programs do not.
+    """
+    M, dm = markov_data(g), distances(g)
+    H = heat_operator(M)
+    xs, ys = dm.arcs.T
+    kappa = curvature_matrix(M, dm).arc_starts
+    chained = curvature_time_limit(H, dm, xs, ys, kappa)[2]
+    assert LIMIT_GRID[0] == TIME_GRID[0] == max(LIMIT_GRID)
+    solves = {}
+    for name, starts in (("chained", chained), ("kappa", kappa), ("bfs", None)):
+        _run, solves[name] = recorded_solves(
+            lambda: verify_transport_contraction(H, dm, 0.0, starts=starts)
+        )
+        assert len(solves[name]) == len(TIME_GRID) * len(dm.arcs)
+    firsts = solves["chained"][:: len(TIME_GRID)]
+    assert all(first.start is start.start for first, start in zip(firsts, chained, strict=True))
+    assert [first.iterations for first in firsts] == [0] * len(dm.arcs)
+    values = {name: np.array([solution.value for solution in run]) for name, run in solves.items()}
+    assert np.abs(values["chained"] - values["kappa"]).max() <= 1e-15
+    assert np.abs(values["chained"] - values["bfs"]).max() <= 1e-15
+
+
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_a_heat_flow_table_does_not_depend_on_what_ran_on_dm_before(g):
+    """A table's starts are its arguments: curvature_matrix on dm first moves no bit or pivot.
+
+    Both heat-flow tables run from BFS trees and from the arcs' kappa
+    optima (one kappa_lp row per tail), before and after
+    curvature_matrix solved every pair on the same dm, and each value,
+    potential and pivot count of the second run is the first's.
+    """
+    M, dm = markov_data(g), distances(g)
+    H = heat_operator(M)
+    xs, ys = dm.arcs.T
+    kappa = [start for x in range(g.n) for start in kappa_lp(x, ys[xs == x], M, dm)[2]]
+    runs = []
+    for kappa_ran in (False, True):
+        if kappa_ran:
+            curvature_matrix(M, dm)
+        for starts in (None, kappa):
+            (limits, spreads, _), limit_solves = recorded_solves(
+                lambda: curvature_time_limit(H, dm, xs, ys, starts)
+            )
+            (cert, potentials), solves = recorded_solves(
+                lambda: verify_transport_contraction(H, dm, 0.1, starts=starts)
+            )
+            pivots = [solution.iterations for solution in limit_solves + solves]
+            runs.append((limits.tobytes(), spreads.tobytes(), repr(cert), potentials.tobytes(),
+                         pivots))
+    assert runs[2:] == runs[:2]
 
 
 @PROPERTY_SETTINGS
@@ -772,8 +843,7 @@ def test_start_from_an_arc_start_of_another_distance_matrix_raises():
 
     g1 = graph((0, 2))
     dm1, dm2 = distances(g1), distances(graph((0, 3)))
-    kappa_lp(0, [1], markov_data(g1), dm1)
-    start = [dm1._arc_starts[(0, 1)]]
+    start = kappa_lp(0, [1], markov_data(g1), dm1)[2]
     nu0, nu1 = np.eye(4)[0][None, None], np.eye(4)[3][None, None]
     assert wasserstein(nu0, nu1, dm1, verify=False, start=start).values[0, 0] == 2.0
     with pytest.raises(ValueError, match="another DistanceMatrix"):

@@ -136,11 +136,14 @@ def test_traced_k8_analyze_keeps_its_pivot_count(bench, run, tmp_path, capsys):
 
 
 def test_traced_analyze_sparse_keeps_its_solve_counts(bench, run, tmp_path, capsys):
-    """analyze_sparse seed 1, traced: 413 LP solves, 301 of them under wasserstein.
+    """analyze_sparse seed 1, traced: 413 LP solves, 301 of them under wasserstein, 537 pivots.
 
     Its two ring+chords n=8 have 43 arcs and K < 0, so no functional
     suite runs: 2 x 56 curvature programs and one W per arc at each of
-    the 3 heat-limit and 4 contraction times.
+    the 3 heat-limit and 4 contraction times.  Each arc's contraction
+    column starts from the heat limit's last optimum of the arc, at the
+    same time 0.01, and its first solve takes no pivot; started from
+    the arc's kappa optimum instead, the run takes 549.
     """
     workload = bench.workloads.build("analyze_sparse", 1)
     paths = write_graphs(workload, tmp_path)
@@ -159,6 +162,7 @@ def test_traced_analyze_sparse_keeps_its_solve_counts(bench, run, tmp_path, caps
     via_w = sum(1 for s in solves
                 if any(a.name == "transport.wasserstein" for a in tracer.ancestors(s)))
     assert (len(solves), via_w) == (2 * 56 + 7 * 43, 7 * 43) == (413, 301)
+    assert run.layer_metrics(tracer)["lp.pivots"] == 537
 
 
 def test_traced_curvature_sparse_solves_every_program_under_kappa_lp(bench, run, tmp_path, capsys):

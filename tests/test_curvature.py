@@ -64,7 +64,7 @@ class TestFixtureExactness:
         for x in range(3):
             for y in range(3):
                 if x != y:
-                    (value,), _ = kappa_lp(x, [y], M, dm)
+                    (value,), _, _ = kappa_lp(x, [y], M, dm)
                     assert abs(value - oracles.HAND["c3"]["kappa"]) <= 1e-6
 
     def test_k3_lp_value(self, g_k3):
@@ -73,7 +73,7 @@ class TestFixtureExactness:
         for x in range(3):
             for y in range(3):
                 if x != y:
-                    (value,), _ = kappa_lp(x, [y], M, dm)
+                    (value,), _, _ = kappa_lp(x, [y], M, dm)
                     assert abs(value - oracles.HAND["k3"]["kappa"]) <= 1e-6
 
     def test_c3_smoothing_is_exactly_linear(self, g_c3):
@@ -104,7 +104,7 @@ class TestLpWitness:
                 for y in range(g.n):
                     if x == y:
                         continue
-                    (value,), (f,) = kappa_lp(x, [y], M, dm)
+                    (value,), (f,), _ = kappa_lp(x, [y], M, dm)
                     assert f[x] == pytest.approx(0.0, abs=1e-12)
                     assert oracles.gradient(f, x, y, dm) == pytest.approx(1.0, abs=1e-9)
                     assert lipschitz_constant(f, dm) <= 1.0 + 1e-9
@@ -120,7 +120,7 @@ class TestLpWitness:
                 for y in range(g.n):
                     if x == y:
                         continue
-                    (value,), _ = kappa_lp(x, [y], M, dm)
+                    (value,), _, _ = kappa_lp(x, [y], M, dm)
                     lf = M.L @ dm.d[x]
                     assert value <= oracles.gradient(lf, x, y, dm) + 1e-9
 
@@ -178,7 +178,7 @@ class TestEpsRoute:
             for y in range(3):
                 if x == y:
                     continue
-                (lp_value,), _ = kappa_lp(x, [y], M, dm)
+                (lp_value,), _, _ = kappa_lp(x, [y], M, dm)
                 (limit,), (spread,) = kappa_limit(x, [y], M, dm)
                 assert abs(limit - lp_value) <= 1e-4
                 assert spread <= 1e-6

@@ -250,7 +250,7 @@ class TestTimeLimit:
             dm = distances(g)
             H = heat_operator(M)
             xs, ys = np.nonzero(~np.eye(3, dtype=bool))
-            limits, spreads = curvature_time_limit(H, dm, xs, ys)
+            limits, spreads, _ = curvature_time_limit(H, dm, xs, ys)
             assert limits.shape == spreads.shape == (6,)
             assert (np.abs(limits - oracles.HAND[key]["kappa"]) <= 1e-3).all()
             # raw finite-time estimates drift at order t * kappa^2 / 2
@@ -263,26 +263,27 @@ class TestTimeLimit:
         for x in range(3):
             for y in range(3):
                 if x != y:
-                    (value,), _ = kappa_lp(x, [y], M, dm)
-                    (limit,), _ = curvature_time_limit(H, dm, [x], [y])
+                    (value,), _, _ = kappa_lp(x, [y], M, dm)
+                    (limit,), _, _ = curvature_time_limit(H, dm, [x], [y])
                     assert abs(limit - value) <= 1e-3
 
     def test_kappa_started_chains_move_w_by_roundoff_only(self, corpus):
-        """With kappa on dm, each arc's W chains start from its optimum instead of a BFS tree.
+        """Started from the arcs' kappa optima instead of BFS trees, each arc's W moves by roundoff.
 
         The bases differ, so W may differ in its last bits; the heat
         limit divides that by t and extrapolates, and the contraction
         margin takes it as it is.
         """
         for g in corpus[:8]:
-            M = markov_data(g)
+            M, dm = markov_data(g), distances(g)
             H = heat_operator(M)
-            bfs, kappa = distances(g), distances(g)
-            curvature_matrix(M, kappa)
-            xs, ys = kappa.arcs.T
-            limits = [np.array(curvature_time_limit(H, dm, xs, ys)) for dm in (bfs, kappa)]
+            kappa = curvature_matrix(M, dm).arc_starts
+            xs, ys = dm.arcs.T
+            limits = [np.array(curvature_time_limit(H, dm, xs, ys, starts)[:2])
+                      for starts in (None, kappa)]
             assert np.abs(np.subtract(*limits)).max() <= 1e-9
-            certs = [verify_transport_contraction(H, dm, 0.1)[0] for dm in (bfs, kappa)]
+            certs = [verify_transport_contraction(H, dm, 0.1, starts=starts)[0]
+                     for starts in (None, kappa)]
             assert certs[0].passed == certs[1].passed
             assert abs(certs[0].margin - certs[1].margin) <= 1e-14
 
@@ -293,13 +294,17 @@ class TestTimeLimit:
 
 
 def exact_family(g):
-    """analyze's set-up on g, the arc kappa optima kept on dm, and the contraction's f*."""
+    """analyze's set-up on g and the contraction's f*.
+
+    As in analyze, each arc's W chain runs from its kappa optimum
+    through the small-time limit's times to the contraction's.
+    """
     M, dm = markov_data(g), distances(g)
     H = heat_operator(M)
     tails, heads = dm.arcs.T
-    for x in range(g.n):
-        kappa_lp(x, heads[tails == x], M, dm)
-    _certificate, potentials = verify_transport_contraction(H, dm, 0.0)
+    kappa = [start for x in range(g.n) for start in kappa_lp(x, heads[tails == x], M, dm)[2]]
+    starts = curvature_time_limit(H, dm, tails, heads, kappa)[2]
+    _certificate, potentials = verify_transport_contraction(H, dm, 0.0, starts=starts)
     return H, dm, potentials
 
 
@@ -317,7 +322,7 @@ def assert_kuwada_duality(g) -> None:
     """Each f*_t is integral and 1-Lipschitz, attains the largest arc W_t, and Lip(P_t f*_t) = W_t.
 
     The arc W are solved apart, as a table from BFS trees, not from
-    the kappa optima the contraction table starts from.  The
+    the small-time limit's optima the contraction table starts from.  The
     gradient estimate's lhs at each time, the family's largest ratio,
     is that W too.
     """

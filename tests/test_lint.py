@@ -5,7 +5,11 @@ of the package outlives its last caller in src/, and no field of
 RunConfig outlives its last reader there.  numpy is the package's only
 runtime dependency: a module in src/ imports numpy, its own package by
 a relative import, or the standard library, and nothing else (scipy,
-pytest and hypothesis are for the tests alone).
+pytest and hypothesis are for the tests alone).  A DistanceMatrix is
+distances, not a place to leave state: of its private fields, only
+transport.root_basis writes into _root_bases, a cache of a function of
+d alone, and concentration._transports into _density_starts; every
+other warm start is passed as a value.
 """
 
 from __future__ import annotations
@@ -92,6 +96,66 @@ def unread_config_fields(sources: dict[str, str]) -> list[str]:
                   and isinstance(node.value, ast.Name) and node.value.id == "config"):
                 read.add(node.attr)
     return [name for name in fields if name not in read]
+
+
+def private_fields(source: str, name: str) -> set[str]:
+    """The fields of class name in source whose names start with an underscore."""
+    classes = [node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef) and node.name == name]
+    return {item.target.id for node in classes for item in node.body
+            if isinstance(item, ast.AnnAssign) and item.target.id.startswith("_")}
+
+
+def private_field_writes(sources: dict[str, str], fields: set[str]) -> list[str]:
+    """Where sources (by module name) write into one of fields, as "module.function: field", sorted.
+
+    A write is an assignment or a del into x.<field>[...], in any form
+    (plain, augmented, annotated or inside a tuple), or an
+    object.__setattr__(x, name, value), whose name counts as any field
+    unless it is a string constant.  The function is the top-level
+    statement's name, <module> for a statement that has none.
+    """
+    found = set()
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            scope = getattr(statement, "name", "<module>")
+            for node in ast.walk(statement):
+                if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                        and isinstance(node.value, ast.Attribute)):
+                    names = {node.value.attr} & fields
+                elif isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+                    name = node.args[1] if len(node.args) > 1 else None
+                    names = ({name.value} & fields if isinstance(name, ast.Constant)
+                             else fields)
+                else:
+                    continue
+                found.update(f"{module}.{scope}: {field}" for field in names)
+    return sorted(found)
+
+
+def test_private_field_writes_are_found():
+    assert private_fields("class D:\n    d: int\n    _cache: dict\n    _other: dict\n"
+                          "class E:\n    _own: dict\n", "D") == {"_cache", "_other"}
+    sources = {
+        "a": "def f(dm, H, k):\n    dm._cache[k] = 1\n    dm._cache[k] += 1\n"
+             "    x, dm._other[k] = 1, 2\n    H._kernels[k] = 0\n    dm.d[k] = 0\n"
+             "    return dm._cache[k]\n\n\ndef g(dm, k):\n    del dm._cache[k]\n",
+        "b": "object.__setattr__(dm, '_cache', {})\nobject.__setattr__(dm, 'd', None)\n"
+             "def h(dm, name):\n    object.__setattr__(dm, name, None)\n",
+    }
+    assert private_field_writes(sources, {"_cache", "_other"}) == [
+        "a.f: _cache", "a.f: _other", "a.g: _cache", "b.<module>: _cache",
+        "b.h: _cache", "b.h: _other",
+    ]
+
+
+def test_only_the_two_caches_write_into_a_distance_matrix():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    fields = private_fields(sources["digraph"], "DistanceMatrix")
+    assert fields == {"_root_bases", "_density_starts"}
+    assert private_field_writes(sources, fields) == [
+        "concentration._transports: _density_starts", "transport.root_basis: _root_bases",
+    ]
 
 
 def test_unused_imports_are_found():

@@ -876,7 +876,7 @@ def test_hop_counts_are_built_once_and_only_where_read(c3_file, monkeypatch, cap
 
 @pytest.mark.parametrize("workload, carried, solves, pivots", [
     ("analyze_dense", 164, 988, 949),
-    ("analyze_sparse", 77, 413, 549),
+    ("analyze_sparse", 66, 413, 537),
 ])
 def test_warm_starts_are_checked_only_where_a_solve_pivoted(
     workload, carried, solves, pivots, tmp_path, monkeypatch, capsys
@@ -887,7 +887,7 @@ def test_warm_starts_are_checked_only_where_a_solve_pivoted(
     K_8 of analyze_dense, and the two ring+chords n=8 of analyze_sparse.
     A solve that took no pivot hands its own start on unchecked, and an
     arc's start off its kappa optimum is checked once, so of the 392
-    and 301 heat-flow warm starts formed, 64 and 77 are checked.  The
+    and 301 heat-flow warm starts formed, 64 and 66 are checked.  The
     K_8 also runs the functional suite: its first transport check
     solves the 108 densities cold, and each of the 100 columns that
     pivoted has its optimum checked once as the start of the four later
@@ -947,14 +947,16 @@ def test_sparse_analyze_solves_kappa_per_pair_and_heat_flow_per_arc(
 
 
 def test_sparse_analyze_heat_flow_pivots(tmp_path, lp_solves, capsys):
-    """The 63 heat-flow W of the 8-cycle + chord take 10 pivots in all.
+    """The 63 heat-flow W of the 8-cycle + chord take 5 pivots in all.
 
-    Each arc's two chains (the heat limit's times, then the contraction's)
-    start from the arc's kappa optimum, the optimal basis of W as t -> 0,
-    and go along increasing t, each solve from the previous time's
-    optimal basis.  Started from a BFS tree instead, the chains took 28,
-    and with a BFS tree every time 91.  K < 0 skips the functional
-    suite, so every W of the run is a heat-flow W.
+    Each arc's W are one chain along increasing t, each solve from the
+    previous one's optimal basis: the heat limit's times from the arc's
+    kappa optimum, the optimal basis of W as t -> 0, then the
+    contraction's from the heat limit's last optimum, whose time 0.01 is
+    the contraction's first, so that solve takes no pivot.  With both
+    tables started from the kappa optima the chains took 10, from a BFS
+    tree 28, and with a BFS tree every time 91.  K < 0 skips the
+    functional suite, so every W of the run is a heat-flow W.
     """
     rng = np.random.default_rng(SEED)
     arcs = [(x, (x + 1) % 8) for x in range(8)] + [(0, 4)]
@@ -965,7 +967,7 @@ def test_sparse_analyze_heat_flow_pivots(tmp_path, lp_solves, capsys):
     assert main(["analyze", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["curvature"]["K"] < 0
     pivots = [p for under_w, p in lp_solves if under_w]
-    assert (len(pivots), sum(pivots)) == (7 * 9, 10)
+    assert (len(pivots), sum(pivots)) == (7 * 9, 5)
 
 
 def test_k8_analyze_solve_count(tmp_path, lp_solves, capsys):
