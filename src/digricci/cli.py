@@ -55,7 +55,7 @@ from .heat import (
     verify_transport_contraction,
 )
 from .report import DEFAULT_SEED, RunConfig, VerificationReport, render_json
-from .transport import wasserstein
+from .transport import ColumnStart, wasserstein
 
 
 def _new_report(
@@ -128,15 +128,14 @@ def _functional_suite(report: VerificationReport, M, dm, K: float, config: RunCo
         report.sections["functional_suite"] = f"skipped: needs K > 0, computed K = {K:.17g}"
 
 
-def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
-    dm = distances(g)
-    M = markov_data(g)
-    H = heat_operator(M)
-    applied = {"curvature_limit": HEAT_LIMIT_AGREEMENT_TOL}
-    if config.cross_check:
-        applied["smoothing_agreement"] = SMOOTHING_AGREEMENT_TOL
-    report = _new_report("analyze", g, config, **applied)
+def _curvature_and_limit(report, M, dm, H, config: RunConfig) -> tuple[float, list[ColumnStart]]:
+    """The kappa matrix, its report sections and certificates, and the small-time heat limit.
 
+    This stage owns kappa's arc optima (CurvatureReport.arc_starts), the
+    starts of the limit table, which die with it.  It returns the K the
+    later checks use and the limit table's last optimum of each arc,
+    the starts of the contraction table.
+    """
     curv = curvature_matrix(M, dm, cross_check=config.cross_check)
     K = curv.K if config.k_override is None else config.k_override
     report.sections["distance"] = {
@@ -160,8 +159,8 @@ def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
                 {"eps_grid": list(EPS_GRID)},
                 [
                     (residuals[x][y], SMOOTHING_AGREEMENT_TOL, {"pair": [x, y]})
-                    for x in range(g.n)
-                    for y in range(g.n)
+                    for x in range(M.n)
+                    for y in range(M.n)
                     if x != y
                 ],
                 tol=0.0,
@@ -189,7 +188,17 @@ def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
             tol=0.0,
         )
     )
+    return K, starts
 
+
+def _heat_flow(report, M, dm, H, config: RunConfig) -> float:
+    """kappa and the heat limit (_curvature_and_limit), then the contraction and gradient estimate.
+
+    This stage owns the limit table's column starts, which start the
+    contraction table and die with this stage, before the functional
+    suite runs.  It returns K.
+    """
+    K, starts = _curvature_and_limit(report, M, dm, H, config)
     # the gradient estimate checks each time's contraction potential f* at that
     # time, where Lip(P_t f) reaches its sup (heat module docstring)
     contraction, potentials = verify_transport_contraction(H, dm, K, config.certificate_tol, starts)
@@ -197,7 +206,23 @@ def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
         verify_gradient_estimate(H, dm, K, potentials, tol=config.certificate_tol)
     )
     report.certificates.append(contraction)
+    return K
 
+
+def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
+    """The analyze report: the heat-flow chain of checks, then the functional suite at K.
+
+    Each stage is a function whose locals are its warm starts, so they
+    die once the next stage has read them (_heat_flow).
+    """
+    dm = distances(g)
+    M = markov_data(g)
+    H = heat_operator(M)
+    applied = {"curvature_limit": HEAT_LIMIT_AGREEMENT_TOL}
+    if config.cross_check:
+        applied["smoothing_agreement"] = SMOOTHING_AGREEMENT_TOL
+    report = _new_report("analyze", g, config, **applied)
+    K = _heat_flow(report, M, dm, H, config)
     _functional_suite(report, M, dm, K, config)
     return report
 

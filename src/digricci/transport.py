@@ -81,9 +81,13 @@ for the column's own BFS tree) and each later one from the previous
 pair's optimum.  Both stacks are checked once, the excess is formed
 once and gathered onto each column's rows once, and a step hands its
 LpSolution.warm_start() on; a column's last step forms no start until
-column_starts is read.  The heat module's time grids over the arcs,
-the curvature module's eps grid and the concentration module's
-densities (columns of one pair) are one table each.  A single pair is
+column_starts is read.  The table takes the solves as the chains make
+them and keeps of each its value and flow; of the LpSolutions, which
+hold their tableaux, it keeps only each row's first largest W and each
+column's last, so at most a + k + 1 are alive while it runs.  The heat
+module's time grids over the arcs, the curvature module's eps grid and
+the concentration module's densities (columns of one pair) are one
+table each.  A single pair is
 verify mode only, solved by the same loop as a table of one pair, and
 reads its potential and coupling off that solve.  The table is a form
 of wasserstein rather than a function of its own so that every W solve
@@ -148,18 +152,21 @@ class TransportTable:
     vertex's outflow - inflow against its excess, formed on first read
     from the excess and the flows the table keeps, so a caller that
     reads only the values pays for none of it.  Of its solves the table
-    keeps two kinds: per row, the first of the row's largest W, with its
-    tree, and per column, its last solve, with its tree's root and
-    direction.  potentials, formed on first read, is the first kind's
-    Kantorovich potential f* for each row, read by RootBasis.potentials
-    with its exact checks (integral, no arc stretched), f*(r) = 0 at its
-    tree's root r: f*.(nu1 - nu0) is the row's largest W.  A table of no
+    keeps two kinds, and while it is built holds no other but the one
+    that starts the next solve: per row, the first of the row's largest
+    W, with its tree, and per column, its last solve, with its tree's
+    root and direction.  potentials, formed on first read, is the first
+    kind's Kantorovich potential f* for each row, read by
+    RootBasis.potentials with its exact checks (integral, no arc
+    stretched), f*(r) = 0 at its tree's root r: f*.(nu1 - nu0) is the
+    row's largest W.  A table of no
     column has no solve to read.  column_starts, formed on first read,
     is the second kind as ColumnStarts, each the start of its column in
     a later table.  A table holds its solves only as long as it is
     kept.  The heat module's small-time limit returns its column_starts
-    to its caller, which may hand them to the contraction table; the
-    concentration module keeps the column_starts of its density table.
+    to its caller, which may hand them to the contraction table (analyze
+    drops them once that table has returned); the concentration module
+    keeps the column_starts of its density table.
     """
 
     values: np.ndarray
@@ -608,17 +615,20 @@ def _table(
     if len(starts) != a:
         raise ValueError(f"a table of {a} columns takes {a} starts, got {len(starts)}")
     excess = nu0 - nu1
-    solves = list(_chains(excess, dm, starts))
-    values = np.array([solution.value for _key, _tree, solution in solves]).reshape(a, k).T
-    return TransportTable(
-        values=values,
-        _excess=excess,
-        _x=[solution.x for _key, _tree, solution in solves],
-        _arcs=dm.arcs,
-        _binding=[solves[j * k + i][1:] for i, j in enumerate(values.argmax(axis=1).tolist())]
-        if a else [],
-        _last=[(key, solution) for key, _tree, solution in solves[k - 1 :: k]],
-    )
+    # the solves stream in column by column; of each only what the table keeps stays
+    values = np.empty((a, k))
+    flows, binding, last = [], {}, []
+    for index, (key, tree, solution) in enumerate(_chains(excess, dm, starts)):
+        j, i = divmod(index, k)
+        values[j, i] = solution.value
+        flows.append(solution.x)
+        # strictly larger: of equal W the first column's stays
+        if not j or solution.value > binding[i][1].value:
+            binding[i] = (tree, solution)
+        if i == k - 1:
+            last.append((key, solution))
+    return TransportTable(values=values.T, _excess=excess, _x=flows, _arcs=dm.arcs,
+                          _binding=list(binding.values()), _last=last)
 
 
 def wasserstein(

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import importlib
 import json
 import math
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -874,10 +876,22 @@ def test_hop_counts_are_built_once_and_only_where_read(c3_file, monkeypatch, cap
     assert len(counted) == calls
 
 
+def _workload_files(workload: str, tmp_path, monkeypatch) -> list[str]:
+    """The graph files of a benchmark workload at seed 1, as analyze reads them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    paths = []
+    for graph in importlib.import_module("workloads").build(workload, 1).graphs:
+        path = tmp_path / f"{graph.name}.edges"
+        path.write_text(graph.text(), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+# the counts stay out of the test ids, so that a change that moves them fails under the same name
 @pytest.mark.parametrize("workload, carried, solves, pivots", [
     ("analyze_dense", 164, 988, 949),
     ("analyze_sparse", 66, 413, 537),
-])
+], ids=["analyze_dense", "analyze_sparse"])
 def test_warm_starts_are_checked_only_where_a_solve_pivoted(
     workload, carried, solves, pivots, tmp_path, monkeypatch, capsys
 ):
@@ -896,8 +910,6 @@ def test_warm_starts_are_checked_only_where_a_solve_pivoted(
     densities are the first draws of the seed's rng, as
     verify-functional's are.
     """
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    workloads = importlib.import_module("workloads")
     counts = {"carried": 0, "solves": 0, "pivots": 0}
     carried_start, solve_lp = lp.Start.carried.__func__, lp.solve_lp
 
@@ -913,12 +925,109 @@ def test_warm_starts_are_checked_only_where_a_solve_pivoted(
 
     monkeypatch.setattr(lp.Start, "carried", classmethod(counting_carried))
     monkeypatch.setattr(lp, "solve_lp", counting_solve)
-    for graph in workloads.build(workload, 1).graphs:
-        path = tmp_path / f"{graph.name}.edges"
-        path.write_text(graph.text(), encoding="utf-8")
-        assert main(["analyze", str(path)]) == 0
+    for path in _workload_files(workload, tmp_path, monkeypatch):
+        assert main(["analyze", path]) == 0
     capsys.readouterr()
     assert counts == {"carried": carried, "solves": solves, "pivots": pivots}
+
+
+def test_a_table_keeps_only_what_it_reads_of_its_solves(tmp_path, monkeypatch, capsys):
+    """While the heat-limit table of analyze_dense's K_8 runs, at most a + k + 1 solves live.
+
+    The table, k = 3 times over a = 56 arcs, keeps each row's first
+    largest W and each column's last solve; beyond those only the solve
+    that starts the next one and the one just made are alive.  A table
+    that held every solve until it returned would reach all 3 x 56.
+    The solves are counted through weak references, not bytes, so the
+    allocator cannot move the count.
+    """
+    (path,) = _workload_files("analyze_dense", tmp_path, monkeypatch)
+    solves, alive, in_limit = [], [], [False]
+    solve_lp, limit = lp.solve_lp, cli.curvature_time_limit
+
+    def watching_solve(start, b):
+        solution = solve_lp(start, b)
+        if in_limit[0]:
+            solves.append(weakref.ref(solution))
+            alive.append(sum(ref() is not None for ref in solves))
+        return solution
+
+    def watching_limit(*args, **kwargs):
+        in_limit[0] = True
+        try:
+            return limit(*args, **kwargs)
+        finally:
+            in_limit[0] = False
+
+    monkeypatch.setattr(lp, "solve_lp", watching_solve)
+    monkeypatch.setattr(cli, "curvature_time_limit", watching_limit)
+    assert main(["analyze", path]) == 0
+    capsys.readouterr()
+    k, a = len(LIMIT_GRID), 56
+    assert len(alive) == k * a
+    assert max(alive) <= a + k + 1
+
+
+def _watch_arc_starts(monkeypatch) -> list[weakref.ref]:
+    """Weak references to every ArcStart cli.curvature_matrix returns from here on."""
+    refs, matrix = [], cli.curvature_matrix
+
+    def keeping_matrix(*args, **kwargs):
+        curv = matrix(*args, **kwargs)
+        refs.extend(weakref.ref(start) for start in curv.arc_starts)
+        return curv
+
+    monkeypatch.setattr(cli, "curvature_matrix", keeping_matrix)
+    return refs
+
+
+def _alive_on_entry(monkeypatch, name: str, refs: list[weakref.ref]) -> list[int]:
+    """How many of refs are alive, after gc.collect(), at each entry to cli's function name."""
+    seen, original = [], getattr(cli, name)
+
+    def watching(*args, **kwargs):
+        gc.collect()
+        seen.append(sum(ref() is not None for ref in refs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, watching)
+    return seen
+
+
+def test_analyze_drops_the_kappa_and_limit_starts_before_the_suite(
+    tmp_path, monkeypatch, capsys
+):
+    """No kappa arc optimum and no start of the heat-limit table outlives the heat-flow stage.
+
+    On analyze_dense's K_8 (K > 0), kappa's 56 ArcStarts start the limit
+    table and its 56 column starts the contraction table; by the time the
+    functional suite runs, nothing holds any of them.  A ColumnStart is a
+    tuple and takes no weak reference, so its lp.Start is watched.
+    """
+    (path,) = _workload_files("analyze_dense", tmp_path, monkeypatch)
+    refs, limit = _watch_arc_starts(monkeypatch), cli.curvature_time_limit
+
+    def keeping_limit(*args, **kwargs):
+        limits, spreads, starts = limit(*args, **kwargs)
+        refs.extend(weakref.ref(start.start) for start in starts)
+        return limits, spreads, starts
+
+    monkeypatch.setattr(cli, "curvature_time_limit", keeping_limit)
+    seen = _alive_on_entry(monkeypatch, "functional_certificates", refs)
+    assert main(["analyze", path]) == 0
+    capsys.readouterr()
+    assert (len(refs), seen) == (2 * 56, [0])
+
+
+def test_analyze_drops_the_kappa_starts_before_the_contraction(tmp_path, monkeypatch, capsys):
+    """On analyze_sparse's graphs (K < 0, no suite) kappa's ArcStarts die with the limit table."""
+    paths = _workload_files("analyze_sparse", tmp_path, monkeypatch)
+    refs = _watch_arc_starts(monkeypatch)
+    seen = _alive_on_entry(monkeypatch, "verify_transport_contraction", refs)
+    for path in paths:
+        assert main(["analyze", path]) == 0
+    capsys.readouterr()
+    assert (bool(refs), seen) == (True, [0, 0])
 
 
 def test_sparse_analyze_solves_kappa_per_pair_and_heat_flow_per_arc(
