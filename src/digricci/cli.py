@@ -54,7 +54,7 @@ from .heat import (
     verify_gradient_estimate,
     verify_transport_contraction,
 )
-from .report import DEFAULT_SEED, RunConfig, VerificationReport, render_json
+from .report import RunConfig, VerificationReport, render_json
 from .transport import ColumnStart, wasserstein
 
 
@@ -125,7 +125,7 @@ def _functional_suite(report: VerificationReport, M, dm, K: float, config: RunCo
         rng = np.random.default_rng(config.seed)
         report.certificates.extend(functional_certificates(M, dm, K, config, rng))
     else:
-        report.sections["functional_suite"] = f"skipped: needs K > 0, computed K = {K:.17g}"
+        report.sections["functional_suite"] = f"skipped: needs K > 0, K_used = {K:.17g}"
 
 
 def _curvature_and_limit(report, M, dm, H, config: RunConfig) -> tuple[float, list[ColumnStart]]:
@@ -360,13 +360,15 @@ def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> No
 
 
 def _add_suite_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_checked(int, "--seed", 0), default=DEFAULT_SEED)
+    """The options of the suite's RunConfig fields, each defaulting to its field's default."""
+    defaults = RunConfig()
+    p.add_argument("--seed", type=_checked(int, "--seed", 0), default=defaults.seed)
     p.add_argument("--certificate-tol", type=_checked(float, "--certificate-tol", 0),
-                   default=1e-9)
+                   default=defaults.certificate_tol)
     p.add_argument("--density-samples", type=_checked(int, "--density-samples", 0),
-                   default=100)
+                   default=defaults.density_samples)
     p.add_argument("--function-samples", type=_checked(int, "--function-samples", 1),
-                   default=100)
+                   default=defaults.function_samples)
 
 
 def build_parser() -> argparse.ArgumentParser:

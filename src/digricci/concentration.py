@@ -247,7 +247,7 @@ def check_laplace_bound(
 def check_exp_chain_rule_bound(
     M: MarkovData,
     fs: np.ndarray,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """m(Gamma(f, exp(lam f))) <= lam (exp(lam f), Gamma(f)) for each f and lam of LAMBDA_GRID."""
     fs = _stack(fs)
@@ -269,7 +269,7 @@ def check_exp_chain_rule_bound(
 
 
 def check_exp_square_chain_rule_bound(
-    M: MarkovData, fs: np.ndarray, tol: float = 1e-10
+    M: MarkovData, fs: np.ndarray, tol: float = DEFAULT_TOL
 ) -> InequalityCertificate:
     """m(Gamma(exp f)) <= (exp 2f, Gamma(f)) for each f."""
     fs = _stack(fs)

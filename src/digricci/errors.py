@@ -17,10 +17,10 @@ The contract breaks are:
                         match the matrix
   transport._table      ValueError: a table given other than one start
                         per column
-  transport._warm_tree  ValueError: an arc or column start solved on
+  transport.wasserstein ValueError: a table asked for in verify mode, a
+                        single pair in fast mode or with a start, or, in
+                        the table form, an arc or column start solved on
                         another DistanceMatrix
-  transport.wasserstein ValueError: a table asked for in verify mode, or
-                        a single pair in fast mode or with a start
   report.render_json    TypeError: a value of a type it cannot serialise
 """
 

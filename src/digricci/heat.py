@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import transport
-from .certificates import InequalityCertificate, certificate_from_samples
+from .certificates import DEFAULT_TOL, InequalityCertificate, certificate_from_samples
 from .chain import MarkovData
 from .digraph import DistanceMatrix, lipschitz_constant
 from .errors import HypothesisUnmetError, NegativeTimeError, SameVertexError
@@ -164,7 +164,7 @@ def verify_gradient_estimate(
     dm: DistanceMatrix,
     K: float,
     potentials: np.ndarray,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Check Lip(P_t f*) <= exp(-K t) Lip(f*) at each time t of TIME_GRID, on that time's f*.
 
@@ -208,7 +208,7 @@ def verify_transport_contraction(
     H: HeatOperator,
     dm: DistanceMatrix,
     K: float,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     starts: Sequence[transport.ArcStart | transport.ColumnStart | None] | None = None,
 ) -> tuple[InequalityCertificate, np.ndarray]:
     """Check W(p_x_t, p_y_t) <= exp(-K t) d(x, y) over all ordered pairs, t in TIME_GRID.

@@ -57,7 +57,11 @@ instances are heavily degenerate, though, and that rule alone can
 cycle, so after as many pivots in a row as there are rows that leave
 the objective unchanged the solve finishes under Bland's rule, which
 terminates.  The entering column is the lowest index of minimum ratio
-under both rules.  The pivot loop keeps the numpy calls per pivot few:
+under both rules.  The pivot loop is the one place a solve ends: it
+returns its pivot count at an optimum, and raises LpFailureError when a
+leaving row has no entering column, which proves the program
+infeasible, and NumericsError past its cap of 1000 + 50 (m + n) pivots;
+solve_lp lets both through.  It keeps the numpy calls per pivot few:
 one argmin picks the leaving row, the ratio test runs on the candidate
 columns alone, and the pivot is one broadcast rank-1 update of the
 whole tableau.  The tests hold it, bit for bit, to a plain reference
@@ -294,29 +298,32 @@ class TransportSolution:
     iterations: int
 
 
-def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int]:
-    """Pivot a dual-feasible tableau to primal feasibility.
+def _run_dual_simplex(T: np.ndarray, basis: np.ndarray) -> int:
+    """Pivot a dual-feasible tableau of at least one row to primal feasibility; the pivot count.
 
     Leaving: the most negative basic variable below -PRIMAL_TOL, the
     lowest row on a tie.  Entering: among the columns with a negative
     entry in its row, the lowest index of minimum ratio
     (reduced cost) / -(entry), which keeps every reduced cost
     non-negative.  A leaving row with no negative entry proves the
-    program infeasible.  The most-infeasible rule alone can cycle, so
-    after m consecutive pivots of ratio 0 (the objective did not move),
-    m the row count, the leaving row becomes the lowest-index short
-    basic variable for the rest of the solve: Bland's rule, which
-    terminates from any dual-feasible basis.  Each pivot is one rank-1
-    update of the whole tableau; the entering column is then written
-    exactly.  The loop calls ndarray methods on views taken once, and
-    keeps numpy scalars as they come: the same arithmetic, fewer calls.
+    program infeasible: LpFailureError, naming the status and the pivot
+    count.  Every program the library solves is feasible by
+    construction, so that end is a numerical fault, as is running past
+    1000 + 50 (m + n) pivots for m rows and n columns: NumericsError.
+    The most-infeasible rule alone can cycle, so after m consecutive
+    pivots of ratio 0 (the objective did not move), the leaving row
+    becomes the lowest-index short basic variable for the rest of the
+    solve: Bland's rule, which terminates from any dual-feasible basis.
+    Each pivot is one rank-1 update of the whole tableau; the entering
+    column is then written exactly.  The loop calls ndarray methods on
+    views taken once, and keeps numpy scalars as they come: the same
+    arithmetic, fewer calls.
     """
     iterations = 0
     stalled = 0  # consecutive ratio-0 pivots; Bland's rule from m on
     m = T.shape[0] - 1
     n = T.shape[1] - 1  # no column index reaches n, so it marks "no row is short"
-    if not m:  # no rows: x = 0 is the basic solution, and nothing is short
-        return "optimal", 0
+    max_iter = 1000 + 50 * (m + n)
     rows = T[:, :-1]
     costs = rows[-1]
     rhs = T[:m, -1]
@@ -324,16 +331,16 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[
         if stalled < m:
             r = rhs.argmin()
             if not rhs[r] < -PRIMAL_TOL:
-                return "optimal", iterations
+                return iterations
         else:
             leaving = np.where(rhs < -PRIMAL_TOL, basis, n)
             r = leaving.argmin()
             if leaving[r] == n:
-                return "optimal", iterations
+                return iterations
         row = rows[r]
         entering = (row < -PIVOT_TOL).nonzero()[0]
         if not entering.size:
-            return "infeasible", iterations
+            raise LpFailureError(f"solve ended with status 'infeasible' after {iterations} pivots")
         ratios = costs[entering] / -row[entering]
         best = ratios[ratios.argmin()]
         j = entering[(ratios <= best + 1e-12 * max(1.0, abs(best))).argmax()]
@@ -368,15 +375,13 @@ def solve_lp(start: Start, b: np.ndarray) -> LpSolution:
     checked when it was built (see Start), so the solve forms B^-1 b
     first.  When no entry is below -PRIMAL_TOL the start's basis is
     optimal and the solve returns at once, with no tableau formed;
-    otherwise it sets B^-1 b beside the start's rows and pivots.
-    LpFailureError, naming the status and the pivot count, when the
-    solve ends without an optimum: a leaving row has no entry that can
-    enter, so the program is infeasible.  Every program the library
-    solves is feasible by construction, so that end is a numerical
-    fault.  The solution carries b, x, its value, its final basis B_f
-    and final basic values, and forms its tableau, duals and residuals
-    when they are read; its warm_start starts a solve of the same c and
-    A with another b from B_f.
+    otherwise it sets B^-1 b beside the start's rows and pivots them
+    with _run_dual_simplex, whose LpFailureError (the program is
+    infeasible) and NumericsError (the pivot cap) pass through as they
+    are, so every solution returned is optimal.  The solution carries b,
+    x, its value, its final basis B_f and final basic values, and forms
+    its tableau, duals and residuals when they are read; its warm_start
+    starts a solve of the same c and A with another b from B_f.
     """
     b = np.array(b, dtype=float)  # a copy: the certificate pieces read it later
     m, n = start.A.shape
@@ -390,9 +395,7 @@ def solve_lp(start: Start, b: np.ndarray) -> LpSolution:
     if m and basic[basic.argmin()] < -PRIMAL_TOL:
         T = _start_tableau(start, basic)
         basis = basis.copy()
-        status, iterations = _run_dual_simplex(T, basis, 1000 + 50 * (m + n))
-        if status != "optimal":
-            raise LpFailureError(f"solve ended with status {status!r} after {iterations} pivots")
+        iterations = _run_dual_simplex(T, basis)
         basic = T[:m, -1]
     x = np.zeros(n)
     x[basis] = np.maximum(basic, 0.0)

@@ -14,21 +14,20 @@ from typing import Any
 
 import numpy as np
 
-from .certificates import InequalityCertificate
+from .certificates import DEFAULT_TOL, InequalityCertificate
 
 SCHEMA_VERSION = 3
-DEFAULT_SEED = 424242
 
 
 @dataclass
 class RunConfig:
-    """What the analyze and verify-functional options set."""
+    """What the analyze and verify-functional options set; each default is its option's default."""
 
-    seed: int = DEFAULT_SEED
+    seed: int = 424242
     density_samples: int = 100
     function_samples: int = 100
     k_override: float | None = None
-    certificate_tol: float = 1e-9
+    certificate_tol: float = DEFAULT_TOL
     cross_check: bool = False
 
 

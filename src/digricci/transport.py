@@ -72,16 +72,20 @@ table starts each arc from the small-time limit table's last optimum
 of it, at the same time, and the concentration module's transport
 checks ask the same densities five times over and start every check
 after the first from the first one's optima.  A ColumnStart, like an
-ArcStart, belongs to the DistanceMatrix it was solved on.
+ArcStart, belongs to the DistanceMatrix it was solved on, and both hand
+a column their W start the same way, as .start: a ColumnStart's is a
+field, formed with the earlier table's column_starts, and an ArcStart's
+is formed on first read.
 
 Those chains are wasserstein's table form: given nu0 and nu1 of shape
 (k, a, n), fast mode only, it solves column j as a chain of k measure
-pairs, the first from start[j] (an ArcStart, a ColumnStart, or None
-for the column's own BFS tree) and each later one from the previous
-pair's optimum.  Both stacks are checked once, the excess is formed
-once and gathered onto each column's rows once, and a step hands its
-LpSolution.warm_start() on; a column's last step forms no start until
-column_starts is read.  The table takes the solves as the chains make
+pairs, the first from start[j].start (start[j] an ArcStart or a
+ColumnStart, or None for the column's own BFS tree) and each later one
+from the previous pair's optimum.  The table checks that start[j]
+belongs to its DistanceMatrix as it reads the start.  Both stacks are
+checked once, the excess is formed once and gathered onto each column's
+rows once, and a step hands its LpSolution.warm_start() on; a column's
+last step forms no start until column_starts is read.  The table takes the solves as the chains make
 them and keeps of each its value and flow; of the LpSolutions, which
 hold their tableaux, it keeps only each row's first largest W and each
 column's last, so at most a + k + 1 are alive while it runs.  The heat
@@ -194,7 +198,7 @@ class TransportTable:
 
     @cached_property
     def column_starts(self) -> list[ColumnStart]:
-        """Each column's last optimum as a ColumnStart, its warm_start() formed and checked once."""
+        """Each column's last optimum as a ColumnStart, its start formed and checked once."""
         return [ColumnStart(*key, solution.warm_start()) for key, solution in self._last]
 
 
@@ -204,7 +208,8 @@ class ColumnStart(NamedTuple):
     root and inward name the BFS tree the column solved on
     (root_basis(dm, root, inward)), and start is the last solve's
     LpSolution.warm_start(): its final basis, inverse and tableau rows,
-    checked once.  The program of a tree does not depend on the
+    checked once.  A column of a later table reads start as it reads an
+    ArcStart's.  The program of a tree does not depend on the
     measures, so the basis is dual feasible for any pair: a column
     started from it solves every pair to its optimum, and the pair it
     ended on with no pivot.
@@ -213,10 +218,6 @@ class ColumnStart(NamedTuple):
     root: int
     inward: bool
     start: lp.Start
-
-    def warm_start(self) -> lp.Start:
-        """The start, as it was checked when the earlier table's column_starts formed it."""
-        return self.start
 
 
 @dataclass(eq=False)
@@ -237,12 +238,12 @@ class ArcStart:
     nonbasic, B_f is a basis of W already and stays as it is.  The
     record keeps kappa's final basis and final tableau alone, not the
     solve and its start, which share one stack with the other programs
-    of x's row; kappa_lp returns it beside kappa.  warm_start forms the
-    W start on first use in one step, off that basis, its inverse
+    of x's row; kappa_lp returns it beside kappa.  start, the W start,
+    is formed on first read in one step, off that basis, its inverse
     (B_f^-1 B_0) B_0^-1 and the final tableau without the virtual and b
-    columns, checks it once (lp.Start.carried) and keeps it; kappa_lp
-    pays for none of it.  A column of wasserstein's table form starts
-    from it on root x's out-tree.
+    columns, checked once (lp.Start.carried) and kept; kappa_lp pays for
+    none of it.  A column of wasserstein's table form starts from it on
+    root x's out-tree, as it starts from a ColumnStart's start.
     """
 
     # kappa's programs of root x are on x's out-tree
@@ -252,28 +253,26 @@ class ArcStart:
     basis: np.ndarray = field(repr=False)
     tableau: np.ndarray = field(repr=False)
     program: lp.Start = field(repr=False)
-    _start: lp.Start | None = field(default=None, init=False, repr=False)
 
-    def warm_start(self) -> lp.Start:
+    @cached_property
+    def start(self) -> lp.Start:
         """The W start of kappa's final basis; lp.Start.carried checks it, once."""
-        if self._start is None:
-            program, basis = self.program, self.basis
-            # B_f^-1 off the final rows' start-basis columns, as lp.LpSolution.basis_inverse
-            inverse = self.tableau[:-1, program.basis] @ program.inverse
-            # drop the virtual and b columns, the last two; every other column is W's
-            tableau = self.tableau[:, :-2]
-            rows = np.flatnonzero(basis == len(program.c))
-            if rows.size:
-                basis, tableau = basis.copy(), tableau.copy()
-                # the arc x -> y: -1 in the row of y (x's row is dropped), 0 elsewhere
-                arc = np.zeros(len(program.A))
-                arc[self.head - (self.head > self.root)] = -1.0
-                basis[rows] = np.flatnonzero((program.A == arc[:, None]).all(axis=0))
-                # 0.0 - v, not -v: a zero entry must not become -0.0
-                inverse[rows] = 0.0 - inverse[rows]
-                tableau[rows] = 0.0 - tableau[rows]
-            self._start = lp.Start.carried(program.c, program.A, basis, inverse, tableau)
-        return self._start
+        program, basis = self.program, self.basis
+        # B_f^-1 off the final rows' start-basis columns, as lp.LpSolution.basis_inverse
+        inverse = self.tableau[:-1, program.basis] @ program.inverse
+        # drop the virtual and b columns, the last two; every other column is W's
+        tableau = self.tableau[:, :-2]
+        rows = np.flatnonzero(basis == len(program.c))
+        if rows.size:
+            basis, tableau = basis.copy(), tableau.copy()
+            # the arc x -> y: -1 in the row of y (x's row is dropped), 0 elsewhere
+            arc = np.zeros(len(program.A))
+            arc[self.head - (self.head > self.root)] = -1.0
+            basis[rows] = np.flatnonzero((program.A == arc[:, None]).all(axis=0))
+            # 0.0 - v, not -v: a zero entry must not become -0.0
+            inverse[rows] = 0.0 - inverse[rows]
+            tableau[rows] = 0.0 - tableau[rows]
+        return lp.Start.carried(program.c, program.A, basis, inverse, tableau)
 
 
 def _check_probability(nu: np.ndarray, n: int, name: str, lead: tuple = ()) -> np.ndarray:
@@ -559,27 +558,17 @@ def _start_trees(excess: np.ndarray) -> list[tuple[int, bool]]:
     return list(zip(np.where(inward, s, r).tolist(), inward.tolist()))
 
 
-def _warm_tree(dm: DistanceMatrix, start: ArcStart | ColumnStart) -> tuple[RootBasis, lp.Start]:
-    """The tree of start's root and direction on dm, and start's warm start.
-
-    ValueError if start was solved on another DistanceMatrix, whose
-    program is another one.
-    """
-    tree = dm._root_bases.get((start.root, start.inward))
-    warm = start.warm_start()
-    if tree is None or tree.start.A is not warm.A:
-        raise ValueError("start was solved on another DistanceMatrix")
-    return tree, warm
-
-
 def _chains(
     excess: np.ndarray, dm: DistanceMatrix, starts: Sequence[ArcStart | ColumnStart | None]
 ) -> Iterator[tuple[tuple[int, bool], RootBasis, lp.LpSolution]]:
     """Each solve of a table, column by column: its tree's (root, inward), the tree and the optimum.
 
     excess has shape (k, a, n).  Column j is a warm chain of k solves,
-    the first from starts[j] (the BFS tree of _start_trees when None)
-    and each later one from the previous solve's optimum.
+    the first from starts[j].start on the tree of its root and direction
+    (the BFS tree of _start_trees when None) and each later one from the
+    previous solve's optimum.  ValueError if a start was solved on
+    another DistanceMatrix, whose program is another one: dm has no tree
+    of its root and direction, or one whose incidence is not the start's.
     """
     for column, first, cold in zip(excess.transpose(1, 0, 2), starts, _start_trees(excess[0])):
         if first is None:
@@ -588,7 +577,9 @@ def _chains(
             warm = tree.start
         else:
             key = (first.root, first.inward)
-            tree, warm = _warm_tree(dm, first)
+            tree, warm = dm._root_bases.get(key), first.start
+            if tree is None or tree.start.A is not warm.A:
+                raise ValueError("start was solved on another DistanceMatrix")
         solution = None
         for b in column[:, tree.vertices]:
             if solution is not None:
@@ -657,8 +648,8 @@ def wasserstein(
     nu0 and nu1 of shape (k, a, n), k >= 1, and start as None or one
     start per column, each the ArcStart kappa_lp returned for an arc, a
     ColumnStart of an earlier table's column, or None.  Column j is a
-    chain: pair 0 solves from start[j] (its warm_start on the tree of
-    its root, checked once when it was formed) or, for None, from the
+    chain: pair 0 solves from start[j].start (on the tree of its root,
+    checked once when it was formed) or, for None, from the
     BFS tree a single pair would take, and pair i from pair i - 1's
     optimal basis.  ValueError if a start was solved on another
     DistanceMatrix, whose program is another one.  Each row of both

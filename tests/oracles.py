@@ -89,6 +89,7 @@ from digricci.digraph import _add_arc, _weight_matrix
 from digricci.errors import (
     GraphCurvatureError,
     HypothesisUnmetError,
+    LpFailureError,
     NegativeTimeError,
     NotLipschitzError,
     NumericsError,
@@ -403,7 +404,7 @@ def laplace_bound_per_sample(M, dm, K: float, fs, tol=DEFAULT_TOL):
     )
 
 
-def exp_chain_rule_per_sample(M, fs, tol=1e-10):
+def exp_chain_rule_per_sample(M, fs, tol=DEFAULT_TOL):
     """check_exp_chain_rule_bound with two Gamma products per sample and lambda."""
     fs = np.atleast_2d(fs)
     comparisons = []
@@ -418,7 +419,7 @@ def exp_chain_rule_per_sample(M, fs, tol=1e-10):
     return certificate_from_samples("exp_chain_rule_bound", hypothesis, comparisons, tol)
 
 
-def exp_square_chain_rule_per_sample(M, fs, tol=1e-10):
+def exp_square_chain_rule_per_sample(M, fs, tol=DEFAULT_TOL):
     """check_exp_square_chain_rule_bound with its Gamma products one sample at a time."""
     fs = np.atleast_2d(fs)
     comparisons = []
@@ -531,8 +532,7 @@ def eager_solve(start: lp.Start, b: np.ndarray) -> lp.LpSolution:
     T[:m, n] = start.inverse @ b
     T[m, n] = 0.0 - start.c[start.basis] @ T[:m, n]
     basis = start.basis.copy()
-    status, iterations = lp._run_dual_simplex(T, basis, 1000 + 50 * (m + n))
-    assert status == "optimal"
+    iterations = lp._run_dual_simplex(T, basis)
     x = np.zeros(n)
     x[basis] = np.maximum(T[:m, -1], 0.0)
     return lp.LpSolution(
@@ -566,22 +566,31 @@ def assert_kernel_matches_reference(start, b, duals_tol: float = 0.0) -> bool:
 
     Both run from the start tableau of the program of start and b; the
     final tableaus must agree byte for byte (signed zeros included), and
-    so must the bases, statuses and pivot counts.  On an optimal end, solve_lp's duals must
-    be within duals_tol of lu_duals on the final basis.  Returns whether
+    so must the bases and pivot counts.  Where the reference ends
+    infeasible the kernel must raise LpFailureError naming that status
+    and the reference's pivot count, and where it ends optimal the
+    kernel must return its pivot count, and solve_lp's duals must be
+    within duals_tol of lu_duals on the final basis.  Returns whether
     the reference switched to Bland's rule.
     """
     T = lp._start_tableau(start, start.inverse @ b)
     ref_T = T.copy()
     basis, ref_basis = start.basis.copy(), start.basis.copy()
     max_iter = 1000 + 50 * sum(start.A.shape)
-    outcome = lp._run_dual_simplex(T, basis, max_iter)
-    *ref_outcome, switched = reference_dual_simplex(ref_T, ref_basis, max_iter)
-    assert outcome == tuple(ref_outcome)
-    assert T.tobytes() == ref_T.tobytes()
-    assert np.array_equal(basis, ref_basis)
-    if outcome[0] == "optimal":
+    status, pivots, switched = reference_dual_simplex(ref_T, ref_basis, max_iter)
+    if status == "optimal":
+        assert lp._run_dual_simplex(T, basis) == pivots
         duals = lp.solve_lp(start, b).duals
         assert np.abs(duals - lu_duals(start, basis)).max(initial=0.0) <= duals_tol
+    else:
+        try:
+            lp._run_dual_simplex(T, basis)
+        except LpFailureError as error:
+            assert str(error) == f"solve ended with status {status!r} after {pivots} pivots"
+        else:
+            raise AssertionError(f"the kernel ended optimal where the reference ended {status}")
+    assert T.tobytes() == ref_T.tobytes()
+    assert np.array_equal(basis, ref_basis)
     return switched
 
 
@@ -711,7 +720,7 @@ def w_chain(dm, nu0, nu1, arc_start=None, re_form=False) -> list:
         start = tree.start
     else:
         tree = transport.root_basis(dm, arc_start.root)
-        start = two_step_arc_start(arc_start) if re_form else arc_start.warm_start()
+        start = two_step_arc_start(arc_start) if re_form else arc_start.start
     solutions = []
     for e in excess:
         solutions.append(tree.solve(e, start))

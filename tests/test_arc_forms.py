@@ -427,7 +427,7 @@ def test_a_kappa_row_solves_each_program_as_the_per_pair_route(g, data):
             assert (start.root, start.head) == (x, y)
             program = root_basis(ref_dm, x).start
             ref_start = transport.ArcStart(x, y, ref.basis, ref._tableau, program)
-            assert same_start(start.warm_start(), oracles.two_step_arc_start(ref_start))
+            assert same_start(start.start, oracles.two_step_arc_start(ref_start))
     with pytest.raises(SameVertexError):
         kappa_lp(x, np.array([*ys, x]), M, dm)
     kappas, witnesses, starts = kappa_lp(x, np.array([], dtype=int), M, dm)
@@ -453,8 +453,8 @@ def test_kappa_start_is_the_start_its_basis_multiplies_out(g):
     arcs = dm.arcs.tolist()
     for (x, y), arc_start in zip(arcs, report.arc_starts, strict=True):
         assert (arc_start.root, arc_start.head) == (x, y)
-        assert arc_start._start is None
-        start = arc_start.warm_start()
+        assert "start" not in vars(arc_start)
+        start = arc_start.start
         program = root_basis(dm, x).start
         assert start.c is program.c and start.A is program.A
         assert arcs.index([x, y]) in start.basis
@@ -462,7 +462,7 @@ def test_kappa_start_is_the_start_its_basis_multiplies_out(g):
         ref = lp.Start.from_basis(program.c, program.A, start.basis, inverse)
         assert start.inverse.tobytes() == ref.inverse.tobytes()
         assert start.tableau.tobytes() == ref.tableau.tobytes()
-        assert arc_start.warm_start() is start
+        assert arc_start.start is start
 
 
 def test_kappa_start_with_the_virtual_arc_nonbasic_is_kappas_basis_as_it_stands(g_tri):
@@ -481,7 +481,7 @@ def test_kappa_start_with_the_virtual_arc_nonbasic_is_kappas_basis_as_it_stands(
     kappa = solve_lp(program, program.A[:, program.basis].sum(axis=1))
     assert kappa.iterations == 0 and len(tree.start.c) not in kappa.basis
     arc_start = transport.ArcStart(x, y, kappa.basis, kappa._tableau, tree.start)
-    start = arc_start.warm_start()
+    start = arc_start.start
     for name in ("c", "A", "basis", "inverse", "tableau"):
         assert getattr(start, name).tobytes() == getattr(tree.start, name).tobytes(), name
     H = heat_operator(M)

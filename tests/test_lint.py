@@ -9,7 +9,9 @@ pytest and hypothesis are for the tests alone).  A DistanceMatrix is
 distances, not a place to leave state: of its private fields, only
 transport.root_basis writes into _root_bases, a cache of a function of
 d alone, and concentration._transports into _density_starts; every
-other warm start is passed as a value.
+other warm start is passed as a value.  A tolerance has one default: no
+tol parameter in src/ defaults to a number written at the parameter,
+so each takes a named constant, certificates.DEFAULT_TOL or its own.
 """
 
 from __future__ import annotations
@@ -96,6 +98,29 @@ def unread_config_fields(sources: dict[str, str]) -> list[str]:
                   and isinstance(node.value, ast.Name) and node.value.id == "config"):
                 read.add(node.attr)
     return [name for name in fields if name not in read]
+
+
+def literal_tol_defaults(source: str) -> list[str]:
+    """The functions of source whose parameter tol defaults to a number literal, signed or not.
+
+    Each is "line <def line>: <name>", a lambda's name "<lambda>"; a
+    default that is a name, an attribute or a call is not a literal.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        defaults = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                    *zip(args.kwonlyargs, args.kw_defaults)]
+        for arg, default in defaults:
+            if isinstance(default, ast.UnaryOp) and isinstance(default.op, (ast.UAdd, ast.USub)):
+                default = default.operand
+            if (arg.arg == "tol" and isinstance(default, ast.Constant)
+                    and type(default.value) in (int, float)):
+                found.append(f"line {node.lineno}: {getattr(node, 'name', '<lambda>')}")
+    return found
 
 
 def private_fields(source: str, name: str) -> set[str]:
@@ -212,3 +237,31 @@ def test_unread_config_fields_are_found():
 def test_every_run_config_field_has_a_reader():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert unread_config_fields(sources) == []
+
+
+def test_literal_tol_defaults_are_found():
+    source = "\n".join([
+        "def f(x, tol=1e-9):",
+        "    pass",
+        "def g(x, /, tol=-1, *, other=2.0):",
+        "    pass",
+        "def h(x, tol=DEFAULT_TOL, eps=1e-3, *, rtol=0.5):",
+        "    pass",
+        "class C:",
+        "    def m(self, *, tol: float = +0.0):",
+        "        pass",
+        "    def n(self, tol=lp.GAP_TOL, flag=True):",
+        "        pass",
+        "k = lambda tol=2: tol",
+        "b = lambda tol=True: tol",
+        "def late(a, b=1, tol=None):",
+        "    pass",
+    ])
+    assert literal_tol_defaults(source) == [
+        "line 1: f", "line 3: g", "line 8: m", "line 12: <lambda>",
+    ]
+
+
+def test_every_tol_default_is_a_named_constant():
+    found = {path.name: literal_tol_defaults(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    assert {name: functions for name, functions in found.items() if functions} == {}

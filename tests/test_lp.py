@@ -147,6 +147,22 @@ class TestKernel:
         expected = oracles.linprog_general(c, A_eq=A, b_eq=b).fun
         assert_solved_under_blands_rule(start, b, expected, pivots=4)
 
+    def test_raises_an_infeasible_end_after_a_pivot_on_the_reference_tableau(self):
+        """min x2 over x0 - x2 = -1, x1 + x2 = 1/2, x >= 0, from the slack basis.
+
+        Row 0 is short and x2 enters.  The pivot sets x2 = 1 + x0, which
+        leaves row 1 at x0 + x1 = -1/2 with no negative entry: x2 >= 1
+        and x2 <= 1/2 cannot both hold.  The kernel raises from inside
+        its loop after 1 pivot, on the reference loop's tableau and
+        basis, bit for bit.
+        """
+        A = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 1.0]])
+        start = lp.Start.from_basis([0.0, 0.0, 1.0], A, basis=(0, 1), basis_inverse=np.eye(2))
+        b = np.array([-1.0, 0.5])
+        with pytest.raises(LpFailureError, match=NOT_OPTIMAL.replace("0 pivots", "1 pivots")):
+            lp.solve_lp(start, b)
+        assert not oracles.assert_kernel_matches_reference(start, b)
+
 
 def assert_solved_under_blands_rule(start, b, expected: float, pivots: int) -> None:
     """The reference switches; the kernel matches it bit for bit and scipy within 1e-9."""

@@ -258,6 +258,40 @@ class TestCliAnalyze:
         assert dataclasses.asdict(config) == expected
         assert all(expected[field.name] != field.default for field in dataclasses.fields(RunConfig))
 
+    @pytest.mark.parametrize("command", ["analyze", "verify-functional"])
+    def test_option_defaults_are_the_run_config_defaults(self, command):
+        args = vars(cli.build_parser().parse_args([command, "graph.edges"]))
+        defaults = dataclasses.asdict(RunConfig())
+        given = {name: args[name] for name in defaults if name in args}
+        assert given == {name: defaults[name] for name in given}
+        assert set(defaults) - set(given) == (set() if command == "analyze" else {"cross_check"})
+
+    @pytest.mark.parametrize("command", ["analyze", "verify-functional"])
+    @pytest.mark.parametrize(
+        "edges, override, K, K_used",
+        [
+            pytest.param(C3_EDGES, ["--k-override", "-1"], 1.5, -1.0, id="c3-override"),
+            pytest.param("0 1\n1 2\n2 3\n3 0\n", [], 0.0, 0.0, id="directed-c4"),
+            pytest.param("0 1\n1 2\n2 3\n3 0\n", ["--k-override=0.5"], 0.0, 0.5,
+                         id="directed-c4-override"),
+        ],
+    )
+    def test_the_suite_runs_or_is_skipped_at_k_used(
+        self, tmp_path, capsys, command, edges, override, K, K_used
+    ):
+        """The suite needs K_used > 0, and a skip names K_used, computed or overridden."""
+        path = tmp_path / "g.edges"
+        path.write_text(edges)
+        main([command, str(path), *override])
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["curvature"]["K"], payload["curvature"]["K_used"]) == (K, K_used)
+        ran = any(c["name"] == "laplace_moment_bound" for c in payload["certificates"])
+        if K_used > 0:
+            assert ran and "functional_suite" not in payload
+        else:
+            assert not ran
+            assert payload["functional_suite"] == f"skipped: needs K > 0, K_used = {K_used:.17g}"
+
     def test_vacuous_moment_bounds_print_no_warning(self, tmp_path, capsys):
         """A tiny K overflows exp(lam^2 Lambda^2 / 4K) and exp(lam^2 / 2c) to inf."""
         path = tmp_path / "k4.edges"
