@@ -282,16 +282,14 @@ def _parse_measure(spec: str, n: int) -> np.ndarray:
         values.append(value)
     nu = np.asarray(values, dtype=float)
     if nu.shape != (n,):
-        raise GraphCurvatureError(f"measure file {spec} has {nu.size} entries, expected {n}")
+        raise ParseError(f"measure file {spec} has {nu.size} entries, expected {n}")
     return nu
 
 
 def _report_table(report: VerificationReport) -> str:
-    lines = [f"graph: n={report.graph['n']} arcs={report.graph['arcs']}"]
-    if "distance" in report.sections:
-        lines.append(f"Lambda = {report.sections['distance']['lambda']}")
-    if "curvature" in report.sections and "K" in report.sections["curvature"]:
-        lines.append(f"K = {report.sections['curvature']['K']:.12g}")
+    lines = [f"graph: n={report.graph['n']} arcs={report.graph['arcs']}",
+             f"Lambda = {report.sections['distance']['lambda']}",
+             f"K = {report.sections['curvature']['K']:.12g}"]
     for cert in report.certificates:
         verdict = "PASS" if cert.passed else "FAIL"
         lines.append(
@@ -302,10 +300,7 @@ def _report_table(report: VerificationReport) -> str:
 
 
 def _csv_matrix(matrix: np.ndarray) -> str:
-    rows = []
-    for row in matrix:
-        rows.append(",".join("nan" if np.isnan(v) else f"{v:.17g}" for v in row))
-    return "\n".join(rows) + "\n"
+    return "\n".join(",".join(f"{v:.17g}" for v in row) for row in matrix) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -473,8 +468,7 @@ def main(argv: list[str] | None = None) -> int:
                 if args.format == "csv":
                     text = _csv_matrix(curv.kappa)
                 elif args.format == "table":
-                    rows = ("  ".join("   nan" if np.isnan(v) else f"{v:6.3f}" for v in row)
-                            for row in curv.kappa)
+                    rows = ("  ".join(f"{v:6.3f}" for v in row) for row in curv.kappa)
                     text = "\n".join([f"K = {curv.K:.12g}", *rows]) + "\n"
                 else:
                     payload = {"kappa": curv.kappa.tolist(), "K": curv.K, "method": "lp"}

@@ -21,12 +21,19 @@ for the tail.  Each certificate's hypothesis states its grid.
 Each bound is checked once.  The Bobkov-Goetze link's moment bound at
 c = 2K / Lambda^2 is the Laplace bound, so check_bobkov_goetze takes
 check_laplace_bound's certificate as its moment side and computes only
-its transport side.
+its transport side.  check_transport_information compares each density
+with the refined information bound alone, which I <= 4 makes the
+tighter one.
 
 A check takes the curvature level K alone.  Lambda is a constant of
 the graph, so each check reads it from dm.lam; the two link checks,
 check_bobkov_goetze and check_info_to_entropy, form their constants
-c = 2K / Lambda^2 and sqrt 2 K / Lambda from K and Lambda.
+c = 2K / Lambda^2 and sqrt 2 K / Lambda from K and Lambda, as computed.
+A tiny K overflows a bound's factor to inf, or underflows c to 0 and
+so makes inf every bound that divides by c: such a bound is vacuous,
+reported as Infinity.  A bound that is a factor times a sample quantity (the edge
+variation, I and 1 - I/8, Ent) is 0 where the quantity is 0, so an
+inf factor never meets a zero quantity as inf * 0 = nan (_bound).
 
 The suite computes on stacks.  A moment, tail or chain-rule check forms
 its lhs and rhs as arrays over the whole family, through the stacked
@@ -311,6 +318,15 @@ def concentration_tail(
     return certificate_from_samples("lipschitz_tail_bound", hypothesis, comparisons, tol)
 
 
+def _bound(factor: float, quantity: float) -> float:
+    """factor * quantity, and 0 for a zero quantity.
+
+    A tiny K overflows a factor to inf, a vacuous bound, which a zero
+    quantity would turn into inf * 0 = nan; it bounds at 0 instead.
+    """
+    return float(factor) * quantity if quantity else 0.0
+
+
 def _transports(M: MarkovData, dm: DistanceMatrix, rhos: list[DensityFixture]):
     """(record, W(m, rho m)) for each density record.
 
@@ -346,7 +362,7 @@ def check_transport_l1_bound(
     lam_max = float(dm.lam)
     factor = lam_max / (2.0 * K)
     comparisons = [
-        (w, factor * record.edge_variation, {"rho": record.provenance, "W": w})
+        (w, _bound(factor, record.edge_variation), {"rho": record.provenance, "W": w})
         for record, w in _transports(M, dm, rhos)
     ]
     hypothesis = {"K": K, "Lambda": lam_max, "samples": len(rhos)}
@@ -360,11 +376,13 @@ def check_transport_information(
     rhos: list[DensityFixture],
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
-    """W(m, rho m)^2 against the Fisher information, for each density.
+    """W(m, rho m)^2 <= (Lambda^2 / 2K^2) I (1 - I/8) for each density.
 
-    The refined bound (Lambda^2 / 2K^2) I (1 - I/8) is checked whenever
-    I <= 8 (the normalisation forces that in exact arithmetic) and the
-    relaxed bound (Lambda^2 / 2K^2) I always.
+    This refined bound is never weaker than the relaxed (Lambda^2 / 2K^2) I,
+    as I <= 4 for every density of m: (sqrt a - sqrt b)^2 <= a + b and
+    sum_y m_xy = m(x) give I = 2 sum (sqrt rho(y) - sqrt rho(x))^2 m_xy
+    <= 4 m(rho) = 4, which point masses attain.  The witness names it
+    "form": "refined".
     """
     _require_positive_K(K)
     lam_max = float(dm.lam)
@@ -373,14 +391,9 @@ def check_transport_information(
         factor = float(np.float64(lam_max * lam_max) / (2.0 * K * K))
     comparisons = []
     for record, w in _transports(M, dm, rhos):
-        w2 = w * w
         info = record.fisher_information
-        witness = {"rho": record.provenance, "fisher_information": info}
-        comparisons.append((w2, factor * info, {**witness, "form": "relaxed"}))
-        if info <= 8.0:
-            comparisons.append(
-                (w2, factor * info * (1.0 - info / 8.0), {**witness, "form": "refined"})
-            )
+        witness = {"rho": record.provenance, "fisher_information": info, "form": "refined"}
+        comparisons.append((w * w, _bound(_bound(factor, info), 1.0 - info / 8.0), witness))
     hypothesis = {"K": K, "Lambda": lam_max, "samples": len(rhos)}
     return certificate_from_samples("transport_information_bound", hypothesis, comparisons, tol)
 
@@ -397,7 +410,7 @@ def check_transport_entropy(
     lam_max = float(dm.lam)
     factor = 2.0 * lam_max * lam_max / K
     comparisons = [
-        (w * w, factor * record.entropy, {"rho": record.provenance, "W": w})
+        (w * w, _bound(factor, record.entropy), {"rho": record.provenance, "W": w})
         for record, w in _transports(M, dm, rhos)
     ]
     hypothesis = {"K": K, "Lambda": lam_max, "samples": len(rhos)}
@@ -426,38 +439,36 @@ def check_bobkov_goetze(
     Any other certificate raises HypothesisUnmetError.  On samples only
     necessary conditions are visible, so the certificate checks both
     implications: whenever one side holds on every sample, the other
-    must too.  The witness records which sides held, with their worst
-    margins.
+    must too.  The verdict is then the side of lower margin, which is
+    the failing side if one fails; when neither holds, the check passes
+    vacuously under "side": "none".  The witness records which sides
+    held, with their worst margins.  A tiny K underflows c to 0, which
+    the hypothesis reports, and the transport bound is then inf.
     """
     _require_positive_K(K)
     if (laplace.name, laplace.hypothesis.get("K")) != ("laplace_moment_bound", K):
         raise HypothesisUnmetError(f"the link needs the Laplace certificate at K = {K}")
     lam_max = float(dm.lam)
-    # a tiny K underflows c to 0; the least positive float, a rate at
-    # least as strong, keeps every bound it enters a vacuous inf
-    c = max(2.0 * K / (lam_max * lam_max), math.ulp(0.0))
+    c = 2.0 * K / (lam_max * lam_max)
 
     name = "transport_entropy_laplace_link"
     hypothesis = {"c": c, "lambda_grid": list(LAMBDA_GRID)}
     moment = (laplace.lhs, laplace.rhs, {"side": "moment", **laplace.witness})
     moment_side = certificate_from_samples(name, hypothesis, [moment], tol)
 
-    # a small numpy-scalar c overflows 2 / c to inf, as a Python float does silently
-    with np.errstate(over="ignore"):
-        scale = 2.0 / c
+    # a tiny K underflows c to 0 or overflows 2 / c: the bound is inf, vacuous and correct
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = np.float64(2.0) / c
     comparisons = [
-        (w * w, scale * record.entropy, {"side": "transport", "rho": record.provenance})
+        (w * w, _bound(scale, record.entropy), {"side": "transport", "rho": record.provenance})
         for record, w in _transports(M, dm, rhos)
     ]
     transport_side = certificate_from_samples(name, hypothesis, comparisons, tol)
 
-    # an implication is informative only when its hypothesis held
-    if moment_side.passed and transport_side.passed:
+    # an implication is informative only when its hypothesis held; when one
+    # side fails, its margin is the lower one
+    if moment_side.passed or transport_side.passed:
         verdict = min(moment_side, transport_side, key=lambda cert: cert.margin)
-    elif moment_side.passed:
-        verdict = transport_side
-    elif transport_side.passed:
-        verdict = moment_side
     else:
         verdict = certificate_from_samples(name, hypothesis, [(0.0, 0.0, {"side": "none"})], tol)
     verdict.witness.update(
@@ -481,8 +492,9 @@ def check_info_to_entropy(
 ) -> InequalityCertificate:
     """If W^2 <= I(rho)/c^2 on a sample, then W^2 <= (sqrt 2 Lambda / c) Ent(rho).
 
-    Here c = sqrt 2 K / Lambda, floored at the least positive float as
-    check_bobkov_goetze floors its c.  Samples failing the hypothesis
+    Here c = sqrt 2 K / Lambda, as computed: a tiny K underflows it to
+    0, and every bound it enters is then inf, vacuous.  Either bound of
+    a sample whose I or Ent is 0 is 0.  Samples failing the hypothesis
     are skipped and counted; the verdict covers only those where the
     hypothesis held, and is a vacuous pass at margin 0 when none did.
     An empty family certifies nothing: HypothesisUnmetError, as every
@@ -490,16 +502,16 @@ def check_info_to_entropy(
     """
     _require_positive_K(K)
     lam_max = float(dm.lam)
-    c = max(math.sqrt(2.0) * K / lam_max, math.ulp(0.0))
+    c = math.sqrt(2.0) * K / lam_max
     comparisons = []
     for record, w in _transports(M, dm, rhos):
         w2 = w * w
         info = record.fisher_information
-        # an extreme c over- or underflows c^2: the hypothesis bound is 0 or inf
+        # an extreme c over- or underflows c^2 or 1 / c: a bound is then 0 or inf
         with np.errstate(divide="ignore", over="ignore"):
-            if w2 > info / np.square(c) + tol:
+            if w2 > (info / np.square(c) if info else 0.0) + tol:
                 continue
-            rhs = float(np.sqrt(2.0) * lam_max / c * record.entropy)
+            rhs = _bound(np.sqrt(2.0) * lam_max / c, record.entropy)
         comparisons.append((w2, rhs, {"rho": record.provenance}))
     counts = {"hypothesis_met": len(comparisons), "total": len(rhos)}
     # samples given, none of which met the hypothesis: a vacuous pass; no sample

@@ -12,6 +12,10 @@ d alone, and concentration._transports into _density_starts; every
 other warm start is passed as a value.  A tolerance has one default: no
 tol parameter in src/ defaults to a number written at the parameter,
 so each takes a named constant, certificates.DEFAULT_TOL or its own.
+No np.errstate or np.seterr in src/ silences invalid, by its own
+keyword or by all: pytest turns a RuntimeWarning into an error, and an
+invalid warning is how a bound of inf * 0 or 0 / 0, a nan, shows in
+the tests.
 """
 
 from __future__ import annotations
@@ -121,6 +125,26 @@ def literal_tol_defaults(source: str) -> list[str]:
                     and type(default.value) in (int, float)):
                 found.append(f"line {node.lineno}: {getattr(node, 'name', '<lambda>')}")
     return found
+
+
+def silenced_invalid_errstates(source: str) -> list[str]:
+    """The errstate or seterr calls of source that set all, or invalid to other than warn or raise.
+
+    Each is "line <call line>", in line order; a call counts by its name alone, so
+    np.errstate, numpy.errstate and a bare errstate all count, and an
+    invalid that is not a string constant counts as silenced.
+    """
+    def silences(keyword: ast.keyword) -> bool:
+        loud = isinstance(keyword.value, ast.Constant) and keyword.value.value in ("warn", "raise")
+        return keyword.arg == "all" or (keyword.arg == "invalid" and not loud)
+
+    return [
+        f"line {node.lineno}"
+        for node in sorted(ast.walk(ast.parse(source)), key=lambda node: getattr(node, "lineno", 0))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1] in ("errstate", "seterr")
+        and any(silences(keyword) for keyword in node.keywords)
+    ]
 
 
 def private_fields(source: str, name: str) -> set[str]:
@@ -265,3 +289,26 @@ def test_literal_tol_defaults_are_found():
 def test_every_tol_default_is_a_named_constant():
     found = {path.name: literal_tol_defaults(path.read_text(encoding="utf-8")) for path in PACKAGE}
     assert {name: functions for name, functions in found.items() if functions} == {}
+
+
+def test_silenced_invalid_errstates_are_found():
+    source = "\n".join([
+        "with np.errstate(divide='ignore', over='ignore'):",
+        "    pass",
+        "with np.errstate(invalid='ignore'):",
+        "    pass",
+        "with numpy.errstate(all='ignore'):",
+        "    pass",
+        "with errstate(over='ignore', invalid=mode):",
+        "    pass",
+        "with np.errstate(invalid='raise'), np.errstate(invalid='warn'):",
+        "    pass",
+        "np.seterr(invalid='ignore')",
+    ])
+    assert silenced_invalid_errstates(source) == ["line 3", "line 5", "line 7", "line 11"]
+
+
+def test_no_errstate_silences_invalid():
+    found = {path.name: silenced_invalid_errstates(path.read_text(encoding="utf-8"))
+             for path in PACKAGE}
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -21,6 +21,7 @@ import oracles
 from conftest import C3_EDGES, K3_EDGES, SEED, TRI_EDGES
 from digricci import (
     InequalityCertificate,
+    ParseError,
     __version__,
     cli,
     curvature,
@@ -563,11 +564,14 @@ class TestCliWasserstein:
         assert main(["wasserstein", c3_file, str(mfile), "dirac:0"]) == 2
 
     @pytest.mark.parametrize(
-        "contents", ["0.5\nnan\n0.5\n", "0.5\ninf\n0.5\n", "0.5\nabc\n0.5\n"]
+        "contents", ["0.5\nnan\n0.5\n", "0.5\ninf\n0.5\n", "0.5\nabc\n0.5\n", "0.5\n0.5\n"]
     )
     def test_bad_measure_file_exits_2(self, c3_file, tmp_path, capsys, contents):
+        """A junk, non-finite or short measure file is a ParseError, and main exits 2."""
         mfile = tmp_path / "nu.txt"
         mfile.write_text(contents, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"measure file {mfile}"):
+            cli._parse_measure(str(mfile), 3)
         assert main(["wasserstein", c3_file, str(mfile), "dirac:0"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
