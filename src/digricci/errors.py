@@ -12,7 +12,10 @@ The contract breaks are:
 
   lp.Start.from_basis   ValueError: an objective that does not match the
                         matrix, a basis that is not one column index per
-                        row, or a basis inverse that is not m x m
+                        row, a basis inverse that is not m x m, or a
+                        column that is not an arc's (at most one 1 and
+                        one -1, zero elsewhere)
+  lp.Start.with_columns ValueError: an added column that is not an arc's
   lp.solve_lp           ValueError: a right-hand side that does not
                         match the matrix
   transport._table      ValueError: a table given other than one start

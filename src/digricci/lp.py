@@ -1,9 +1,10 @@
-"""Dense dual simplex, started from a given dual-feasible basis.
+"""Dense dual simplex for min-cost flow, started from a given dual-feasible basis.
 
 One pivot core backs every optimisation in the package: solve_lp
 minimises c.x subject to A x = b, x >= 0, by a dual simplex from a
-start.  A start is a basis of c and A that is dual feasible, together
-with its inverse and the b-independent part of its tableau,
+start, where every column of A is an arc's: at most one 1 and one -1,
+zero elsewhere.  A start is a basis of c and A that is dual feasible,
+together with its inverse and the b-independent part of its tableau,
 [B^-1 A ; c - c_B B^-1 A].  It is built and checked once: the inverse
 must invert the basis columns to within INVERSE_TOL, and every reduced
 cost must be at least -RC_TOL.  A basis dual feasible for c and A stays
@@ -34,7 +35,12 @@ from_basis checks its own.
 
 Every program solved is a flow on a graph whose balance rows sum to
 zero, with one of them dropped, and a spanning tree of that graph is a
-basis (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 11).  The
+basis (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 11).  Its A
+is an incidence, totally unimodular, so every B^-1 A holds only -1, 0
+and 1, and the pivot loop counts on it.  from_basis and with_columns
+refuse any column that is not an arc's (ValueError), root_basis's tree
+incidence is made of arcs, and carried and warm_start keep the A of a
+start built by one of those, so no other program reaches the loop.  The
 library's two programs, the flow behind the Wasserstein distance and
 the dual of each per-pair curvature program, start from a
 shortest-path tree (into or out of a root) whose start the transport
@@ -56,16 +62,23 @@ leaves, which takes fewer pivots than the lowest-index one; transport
 instances are heavily degenerate, though, and that rule alone can
 cycle, so after as many pivots in a row as there are rows that leave
 the objective unchanged the solve finishes under Bland's rule, which
-terminates.  The entering column is the lowest index of minimum ratio
-under both rules.  The pivot loop is the one place a solve ends: it
-returns its pivot count at an optimum, and raises LpFailureError when a
-leaving row has no entering column, which proves the program
-infeasible, and NumericsError past its cap of 1000 + 50 (m + n) pivots;
-solve_lp lets both through.  It keeps the numpy calls per pivot few:
-one argmin picks the leaving row, the ratio test runs on the candidate
-columns alone, and the pivot is one broadcast rank-1 update of the
-whole tableau.  The tests hold it, bit for bit, to a plain reference
-loop.
+terminates.  Under both rules every entry of the leaving row that
+can enter is -1, so a candidate's ratio (reduced cost) / -(entry) is
+its reduced cost, and the entering column is the lowest index of the
+exact least one, with no slack for near ties: a ratio read off the
+cost row carries no division's rounding to allow for, and the least
+one keeps every reduced cost non-negative.  The pivot element is -1,
+so the pivot row is the row negated, with no division.  The pivot loop
+is the one place a solve ends: it returns its pivot count at an
+optimum, and raises LpFailureError when a leaving row has no entering
+column, which proves the program infeasible, and NumericsError past its
+cap of 1000 + 50 (m + n) pivots; solve_lp lets both through.  It keeps
+the numpy calls per pivot few: one argmin picks the leaving row, one
+argmin over the candidates' reduced costs the entering column, and the
+pivot is one negated row and one broadcast rank-1 update of the whole
+tableau.  The tests hold it, bit for bit, to a plain reference loop
+that divides by the entry and the pivot element as a general tableau
+would.
 """
 
 from __future__ import annotations
@@ -79,7 +92,8 @@ from .errors import LpFailureError, MarginalMismatchError, NumericsError
 
 # primal-dual agreement required of an optimal basis
 GAP_TOL = 1e-8
-# smallest pivot element the tableau will accept
+# an entry of the leaving row below -PIVOT_TOL enters as -1: a flow
+# tableau holds only -1, 0 and 1, so this only tells -1 from 0
 PIVOT_TOL = 1e-9
 # reduced-cost threshold below which the starting basis is not dual feasible
 RC_TOL = 1e-10
@@ -119,9 +133,10 @@ class Start:
         """The start of a basis and its inverse, with B^-1 A and the reduced costs multiplied out.
 
         ValueError unless c has one entry per column of A, basis one
-        column index per row and basis_inverse one row and column per
-        row.  NumericsError unless basis_inverse inverts A[:, basis] to
-        within INVERSE_TOL and every reduced cost is at least -RC_TOL.
+        column index per row, basis_inverse one row and column per row
+        and every column of A an arc's.  NumericsError unless
+        basis_inverse inverts A[:, basis] to within INVERSE_TOL and
+        every reduced cost is at least -RC_TOL.
         """
         c = np.asarray(c, dtype=float)
         A = np.asarray(A, dtype=float)
@@ -134,6 +149,7 @@ class Start:
         basis_inverse = np.asarray(basis_inverse, dtype=float)
         if basis_inverse.shape != (m, m):
             raise ValueError("basis_inverse must be square, one row per constraint")
+        _check_arcs(A)
         T = np.empty((m + 1, n))
         T[:m] = basis_inverse @ A
         eye = np.eye(m)
@@ -147,13 +163,15 @@ class Start:
     def with_columns(self, costs: np.ndarray, columns: np.ndarray) -> list[Start]:
         """One start per column of columns: this start with that column added to A, at its cost.
 
-        columns has one row per row of A and costs one entry per column.
-        The basis and its inverse stay, so the new columns' tableau
-        entries are B^-1 columns, one product for all of them, and their
-        reduced costs are the one check, made once: NumericsError unless
-        each is at least -RC_TOL.  The starts are views of one stack each
+        columns has one row per row of A and costs one entry per column;
+        ValueError unless each column is an arc's.  The basis and its
+        inverse stay, so the new columns' tableau entries are B^-1
+        columns, one product for all of them, and their reduced costs
+        are the one check, made once: NumericsError unless each is at
+        least -RC_TOL.  The starts are views of one stack each
         of c, A and tableaus, so a start kept keeps the whole stack.
         """
+        _check_arcs(columns)
         m, n = self.A.shape
         k = len(costs)
         entries = self.inverse @ columns
@@ -181,6 +199,18 @@ class Start:
         off = np.abs(inverse @ A[:, basis] - np.eye(len(inverse))).max(initial=0.0)
         _check(off, tableau[-1].min(initial=0.0))
         return cls(c, A, basis, inverse, tableau)
+
+
+def _check_arcs(A: np.ndarray) -> None:
+    """ValueError unless every column of A is an arc's: at most one 1 and one -1, zero elsewhere."""
+    tails = A == 1.0
+    heads = A == -1.0
+    if not (
+        (tails | heads | (A == 0.0)).all()
+        and tails.sum(axis=0).max(initial=0) <= 1
+        and heads.sum(axis=0).max(initial=0) <= 1
+    ):
+        raise ValueError("a column is not an arc's: at most one 1 and one -1, zero elsewhere")
 
 
 def _check(off: float, worst: float) -> None:
@@ -301,23 +331,27 @@ class TransportSolution:
 def _run_dual_simplex(T: np.ndarray, basis: np.ndarray) -> int:
     """Pivot a dual-feasible tableau of at least one row to primal feasibility; the pivot count.
 
-    Leaving: the most negative basic variable below -PRIMAL_TOL, the
-    lowest row on a tie.  Entering: among the columns with a negative
-    entry in its row, the lowest index of minimum ratio
-    (reduced cost) / -(entry), which keeps every reduced cost
-    non-negative.  A leaving row with no negative entry proves the
-    program infeasible: LpFailureError, naming the status and the pivot
-    count.  Every program the library solves is feasible by
-    construction, so that end is a numerical fault, as is running past
-    1000 + 50 (m + n) pivots for m rows and n columns: NumericsError.
-    The most-infeasible rule alone can cycle, so after m consecutive
-    pivots of ratio 0 (the objective did not move), the leaving row
-    becomes the lowest-index short basic variable for the rest of the
-    solve: Bland's rule, which terminates from any dual-feasible basis.
-    Each pivot is one rank-1 update of the whole tableau; the entering
-    column is then written exactly.  The loop calls ndarray methods on
-    views taken once, and keeps numpy scalars as they come: the same
-    arithmetic, fewer calls.
+    The tableau is a flow program's, so every entry of B^-1 A is -1, 0
+    or 1 (see the module docstring).  Leaving: the most negative basic
+    variable below -PRIMAL_TOL, the lowest row on a tie.  Entering:
+    among the columns with an entry below -PIVOT_TOL in its row, each
+    -1, so that its ratio (reduced cost) / -(entry) is its reduced
+    cost, the lowest index of the least reduced cost, exactly, which
+    keeps every reduced cost non-negative.  A leaving row with no such
+    entry proves the program infeasible: LpFailureError, naming the
+    status and the pivot count.  Every program the library solves is
+    feasible by construction, so that end is a numerical fault, as is
+    running past 1000 + 50 (m + n) pivots for m rows and n columns:
+    NumericsError.  The most-infeasible rule alone can cycle, so after
+    m consecutive pivots of ratio 0 (the objective did not move), the
+    leaving row becomes the lowest-index short basic variable for the
+    rest of the solve: Bland's rule, which terminates from any
+    dual-feasible basis.  The pivot element is -1, so the pivot row is
+    the row negated, 0.0 - T[r], which writes no -0.0; each pivot is
+    one rank-1 update of the whole tableau by it, and the entering
+    column and row r are then written exactly.  The loop calls ndarray
+    methods on views taken once, and keeps numpy scalars as they come:
+    the same arithmetic, fewer calls.
     """
     iterations = 0
     stalled = 0  # consecutive ratio-0 pivots; Bland's rule from m on
@@ -337,21 +371,19 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray) -> int:
             r = leaving.argmin()
             if leaving[r] == n:
                 return iterations
-        row = rows[r]
-        entering = (row < -PIVOT_TOL).nonzero()[0]
+        entering = (rows[r] < -PIVOT_TOL).nonzero()[0]
         if not entering.size:
             raise LpFailureError(f"solve ended with status 'infeasible' after {iterations} pivots")
-        ratios = costs[entering] / -row[entering]
-        best = ratios[ratios.argmin()]
-        j = entering[(ratios <= best + 1e-12 * max(1.0, abs(best))).argmax()]
+        # every entry in entering is -1, so each ratio is the reduced cost itself
+        j = entering[costs[entering].argmin()]
         if stalled < m:
-            stalled = stalled + 1 if best <= 0.0 else 0
-        pivot_row = T[r] / T[r, j]
+            stalled = stalled + 1 if costs[j] <= 0.0 else 0
+        # T[r] / T[r, j] with T[r, j] = -1, and 0.0 where that would be -0.0
+        pivot_row = 0.0 - T[r]
         T -= T[:, j, None] * pivot_row
-        # + 0.0 turns -0.0 into 0.0, as subtracting 0 * pivot_row from it would
-        np.add(pivot_row, 0.0, out=T[r])
         T[:, j] = 0.0
-        T[r, j] = 1.0
+        # its entry j is 1.0, so row r is written exactly
+        T[r] = pivot_row
         basis[r] = j
         iterations += 1
         if iterations > max_iter:
@@ -418,15 +450,19 @@ def assemble_transport_lp(
 
     Variables are the n0*n1 entries of the coupling, row-major.  The
     rows fix the row sums of rows 1, ..., n0 - 1 to nu0[1:], then the
-    column sums to nu1; the row sum of row 0 follows from these and the
-    equal masses, so it is dropped.  The basis is a spanning tree of the
-    complete bipartite graph: every entry (0, j), and in each row i > 0
-    the entry (i, j*) with j* = argmin_j (c[i, j] - c[0, j]).  Its
+    column sums, negated, to -nu1; the row sum of row 0 follows from
+    these and the equal masses, so it is dropped.  Entry (i, j) is then
+    the arc from row i to column j, +1 in the row of i and -1 in that of
+    j, and A is the incidence of the complete bipartite graph without
+    row 0's row, which Start.from_basis accepts.  The basis is a
+    spanning tree of that graph: every entry (0, j), and in each row
+    i > 0 the entry (i, j*) with j* = argmin_j (c[i, j] - c[0, j]).  Its
     potentials u = (0, min_j (c[i, j] - c[0, j])) and v = c[0] make
     every tree entry tight and price every entry at
     c[i, j] - u[i] - v[j] >= 0, so the basis is dual feasible for any
-    cost, square or rectangular.  Its inverse is np.linalg.inv of the
-    tree columns, which Start.from_basis checks.
+    cost, square or rectangular; the duals of the program are u[1:] and
+    -v.  Its inverse is np.linalg.inv of the tree columns, which
+    Start.from_basis checks.
     """
     cost = np.asarray(cost, dtype=float)
     n0, n1 = cost.shape
@@ -434,18 +470,20 @@ def assemble_transport_lp(
     for i in range(1, n0):
         A[i - 1, i * n1 : (i + 1) * n1] = 1.0
     for j in range(n1):
-        A[n0 - 1 + j, j::n1] = 1.0
+        A[n0 - 1 + j, j::n1] = -1.0
     rest = np.arange(1, n0) * n1 + np.argmin(cost[1:] - cost[0], axis=1)
     tree = np.concatenate([np.arange(n1), rest])
     start = Start.from_basis(cost.ravel(), A, tree, np.linalg.inv(A[:, tree]))
-    return start, np.concatenate([nu0[1:], nu1])
+    # 0.0 - v, not -v: a zero mass must not become -0.0
+    return start, np.concatenate([nu0[1:], 0.0 - nu1])
 
 
 def solve_transport(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> TransportSolution:
     """Optimal transport between two equal-mass non-negative vectors.
 
     One solve_lp from the tree basis of assemble_transport_lp; the
-    marginal residual covers row 0's row sum, which the program drops.
+    marginal residual covers row 0's row sum, which the program drops,
+    and the column sums' duals are the program's negated.
     """
     cost = np.asarray(cost, dtype=float)
     nu0 = np.asarray(nu0, dtype=float)
@@ -469,7 +507,7 @@ def solve_transport(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> Trans
         value=float(solution.value),
         pi=pi,
         row_duals=np.concatenate([[0.0], solution.duals[: n0 - 1]]),
-        col_duals=solution.duals[n0 - 1 :],
+        col_duals=0.0 - solution.duals[n0 - 1 :],
         marginal_residual=marginal_residual,
         duality_gap=float(solution.duality_gap),
         iterations=solution.iterations,

@@ -854,8 +854,12 @@ def reference_dual_simplex(
     row count), the lowest-index short basic variable for the rest of
     the solve (Bland's rule).  Entering: the lowest index of minimum
     ratio (reduced cost) / -(entry) among the columns with an entry
-    below -PIVOT_TOL in its row.  Pivots T and basis in place; returns
-    (status, pivots, whether it switched to Bland's rule).
+    below -PIVOT_TOL in its row, the exact minimum with no tie slack.
+    It divides by the entry and by the pivot element as a general
+    tableau would, where the kernel takes every such entry to be -1, so
+    matching it bit for bit checks that shortcut.  Pivots T and basis
+    in place; returns (status, pivots, whether it switched to Bland's
+    rule).
     """
     iterations = 0
     stalled = 0
@@ -872,8 +876,8 @@ def reference_dual_simplex(
         if not negative.any():
             return "infeasible", iterations, bland
         ratios = np.where(negative, T[-1, :-1] / np.where(negative, -row, 1.0), np.inf)
-        best = float(ratios.min())
-        j = int(np.argmax(ratios <= best + 1e-12 * max(1.0, abs(best))))
+        j = int(np.argmin(ratios))
+        best = float(ratios[j])
         if not bland:
             stalled = stalled + 1 if best <= 0.0 else 0
         _reference_pivot(T, r, j)

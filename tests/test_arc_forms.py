@@ -796,6 +796,38 @@ def test_flow_tableaus_stay_integral(instance):
         assert np.array_equal(costs, np.round(costs))
 
 
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_the_pivot_loop_meets_only_unit_entries(g):
+    """Every tableau the pivot loop gets holds only -1, 0 and 1 in its arc columns, exactly.
+
+    The loop reads each ratio off the cost row and negates the pivot
+    row, which is exact only where every entering entry is -1.  The
+    tableaus are those of curvature_matrix with its smoothing
+    cross-check (kappa_limit's rows) and of both heat-flow tables,
+    started as analyze starts them; each is held before and after its
+    solve, so no pivot takes an entry off the units.
+    """
+    M, dm = markov_data(g), distances(g)
+    H = heat_operator(M)
+    bodies = []
+    pivot = lp._run_dual_simplex
+
+    def recording_pivot(T, basis):
+        bodies.append(T[:-1, :-1].copy())
+        iterations = pivot(T, basis)
+        bodies.append(T[:-1, :-1].copy())
+        return iterations
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_run_dual_simplex", recording_pivot)
+        report = curvature_matrix(M, dm, cross_check=True)
+        starts = curvature_time_limit(H, dm, *dm.arcs.T, report.arc_starts)[2]
+        verify_transport_contraction(H, dm, report.K, starts=starts)
+    for body in bodies:
+        assert ((body == -1.0) | (body == 0.0) | (body == 1.0)).all()
+
+
 @pytest.mark.parametrize(
     "solve",
     [
@@ -1190,16 +1222,36 @@ class TestStartingBasis:
             solve_lp(*self.program(basis=(1,)))
 
     def test_wrong_basis_inverse_raises(self):
-        # the columns of a singular basis have no inverse; any matrix offered is wrong
-        A = np.array([[1.0, 1.0], [2.0, 2.0]])
+        # the arcs 1 -> 2 and 2 -> 1 (root 0's row dropped) close a cycle, so they are
+        # a singular basis with no inverse; any matrix offered is wrong
+        A = np.array([[1.0, -1.0], [-1.0, 1.0]])
         with pytest.raises(NumericsError, match="does not invert"):
             lp.Start.from_basis([1.0, 1.0], A, basis=(0, 1), basis_inverse=np.linalg.pinv(A))
-        # an inverse of other columns, here of a permuted basis
-        A = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
+        # an inverse of other columns, here of a permuted basis: the arcs 1 -> 0 and
+        # 2 -> 0 of the star into root 0 are I, and the inverse offered is of I's columns swapped
+        A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
         with pytest.raises(NumericsError, match="does not invert"):
             lp.Start.from_basis(
                 [1.0, 1.0, 1.0], A, basis=(0, 1), basis_inverse=np.linalg.inv(A[:, [1, 0]])
             )
+
+    def test_a_column_that_is_not_an_arcs_raises(self):
+        # an arc's column holds at most one 1 and one -1, zero elsewhere; an entry of 2, 0.5
+        # or NaN, a second 1 or a second -1 is refused by whichever constructor meets it
+        start, _b = self.program()
+        for column in ([2.0], [0.5], [np.nan]):
+            with pytest.raises(ValueError, match="not an arc's"):
+                lp.Start.from_basis([1.0, 2.0], [[1.0, column[0]]], (0,), [[1.0]])
+            with pytest.raises(ValueError, match="not an arc's"):
+                start.with_columns(np.zeros(1), np.array([column]))
+        tree = lp.Start.from_basis([1.0, 1.0], np.eye(2), (0, 1), np.eye(2))
+        for column in ([1.0, 1.0], [-1.0, -1.0]):
+            with pytest.raises(ValueError, match="not an arc's"):
+                lp.Start.from_basis([1.0, 1.0, 1.0], np.c_[np.eye(2), column], (0, 1), np.eye(2))
+            with pytest.raises(ValueError, match="not an arc's"):
+                tree.with_columns(np.zeros(1), np.array([column]).T)
+        # the arcs 1 -> 2 and 2 -> 1, root 0's row dropped, are arcs' columns
+        assert len(tree.with_columns(np.ones(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))) == 2
 
     def test_basis_needs_its_inverse(self):
         with pytest.raises((TypeError, ValueError), match="basis_inverse"):

@@ -15,7 +15,10 @@ so each takes a named constant, certificates.DEFAULT_TOL or its own.
 No np.errstate or np.seterr in src/ silences invalid, by its own
 keyword or by all: pytest turns a RuntimeWarning into an error, and an
 invalid warning is how a bound of inf * 0 or 0 / 0, a nan, shows in
-the tests.
+the tests.  An lp.Start is built through a checked constructor: only
+Start's own methods and transport.root_basis, whose tree incidence is
+made of arcs by construction and which checks its tableau itself, call
+Start directly, so no program that is not a flow reaches the pivot loop.
 """
 
 from __future__ import annotations
@@ -145,6 +148,22 @@ def silenced_invalid_errstates(source: str) -> list[str]:
         and ast.unparse(node.func).split(".")[-1] in ("errstate", "seterr")
         and any(silences(keyword) for keyword in node.keywords)
     ]
+
+
+def direct_start_calls(sources: dict[str, str]) -> list[str]:
+    """Where sources (by module name) call Start by name, as "module.scope", sorted and unique.
+
+    A call counts by the last part of its name, so Start and lp.Start
+    both count and ColumnStart does not; the scope is the top-level
+    statement's name, <module> for a statement that has none.
+    """
+    return sorted({
+        f"{module}.{getattr(statement, 'name', '<module>')}"
+        for module, source in sources.items()
+        for statement in ast.parse(source).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Start"
+    })
 
 
 def private_fields(source: str, name: str) -> set[str]:
@@ -312,3 +331,17 @@ def test_no_errstate_silences_invalid():
     found = {path.name: silenced_invalid_errstates(path.read_text(encoding="utf-8"))
              for path in PACKAGE}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_direct_start_calls_are_found():
+    sources = {
+        "lp": "class Start:\n    def with_columns(self):\n        return [Start(1)]\n",
+        "a": "from . import lp\n\n\ndef f():\n    return lp.Start(0), lp.ColumnStart(1)\n\n\n"
+             "def g():\n    return lp.Start.from_basis(0)\n\n\nSTART = lp.Start(2)\n",
+    }
+    assert direct_start_calls(sources) == ["a.<module>", "a.f", "lp.Start"]
+
+
+def test_only_root_basis_builds_a_start_unchecked():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert direct_start_calls(sources) == ["lp.Start", "transport.root_basis"]

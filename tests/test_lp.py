@@ -132,20 +132,34 @@ class TestKernel:
         assert_solved_under_blands_rule(start, b, expected, pivots=19)
 
     def test_blands_rule_picks_the_leaving_row_after_the_switch(self):
-        """min x4 + x7 over [I | N] x = b, x >= 0, from the slack basis.
+        """W(nu0, nu1) on a 7-vertex graph of 27 arcs, from the BFS in-tree of vertex 6.
 
-        The first three pivots have ratio 0.  Then rows 1 and 2 are short,
-        holding x5 = -11/3 and x3 = -10/3.  The most-infeasible rule would
-        take row 1 and need two more pivots.  Bland's rule takes row 2,
-        the lower variable index, and ends in one.
+        Pivots 3 to 8 have ratio 0, as many as the program has rows, so
+        the ninth is under Bland's rule.  Rows 1 and 2 are short then,
+        holding arc 3 (1 -> 2) at -3/63 and arc 1 (0 -> 5) at -2/63.  The
+        most-infeasible rule would take row 1 and end in two more pivots,
+        10 in all.  Bland's rule takes row 2, the lower arc index, and
+        ends in three, 11 in all, at W = 11/63.
         """
-        N = np.array([[2, -2, 1, 2, 3], [0, 2, -3, -3, 1], [-3, -2, 3, 0, -1]], dtype=float)
-        A = np.hstack([np.eye(3), N])
-        c = np.array([0, 0, 0, 0, 1, 0, 0, 1], dtype=float)
-        start = lp.Start.from_basis(c, A, basis=np.arange(3), basis_inverse=np.eye(3))
-        b = np.array([-1, -3, -1], dtype=float)
-        expected = oracles.linprog_general(c, A_eq=A, b_eq=b).fun
-        assert_solved_under_blands_rule(start, b, expected, pivots=4)
+        mu = np.array(
+            [
+                [0, 1, 0, 0, 0, 2, 1],
+                [0, 0, 1, 2, 2, 1, 0],
+                [1, 0, 0, 2, 2, 1, 1],
+                [1, 2, 0, 0, 1, 1, 1],
+                [0, 2, 0, 2, 0, 2, 2],
+                [2, 2, 1, 0, 0, 0, 1],
+                [2, 0, 2, 0, 0, 0, 0],
+            ],
+            dtype=float,
+        )
+        nu0 = np.array([1, 2, 1, 0, 2, 1, 2]) / 9
+        nu1 = np.array([1, 2, 1, 0, 1, 1, 1]) / 7
+        tree = transport.root_basis(distances(build_graph(mu)), 6, inward=True)
+        start, b = tree.start, (nu0 - nu1)[tree.vertices]
+        expected = oracles.linprog_general(start.c, A_eq=start.A, b_eq=b).fun
+        assert expected == pytest.approx(11 / 63, abs=1e-12)
+        assert_solved_under_blands_rule(start, b, expected, pivots=11)
 
     def test_raises_an_infeasible_end_after_a_pivot_on_the_reference_tableau(self):
         """min x2 over x0 - x2 = -1, x1 + x2 = 1/2, x >= 0, from the slack basis.
