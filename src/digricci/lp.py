@@ -6,32 +6,33 @@ start, where every column of A is an arc's: at most one 1 and one -1,
 zero elsewhere.  A start is a basis of c and A that is dual feasible,
 together with its inverse and the b-independent part of its tableau,
 [B^-1 A ; c - c_B B^-1 A].  It is built and checked once: the inverse
-must invert the basis columns to within INVERSE_TOL, and every reduced
-cost must be at least -RC_TOL.  A basis dual feasible for c and A stays
-so for every b, so one start serves every right-hand side, and a solve
-only forms B^-1 b: when no entry is short the start is optimal and
-the solve returns at once, and otherwise it sets B^-1 b and its cost
-entry beside the start's rows and pivots to primal feasibility.  There
-is no standard form and no phase 1, and the final tableau of a solve
-that took no pivot and the optimal duals of any solve, one product of
-the final cost row with the start's inverse, are formed only when
-read, so solve_lp factorises nothing.
-Starts come five ways: Start.from_basis multiplies out the tableau
-of a given basis and its inverse; transport.root_basis forms a
-spanning tree's tableau exactly, with no product, checks it itself
-and builds the Start as it stands; with_columns makes one start per
-added column, each the start plus that column, forming every new
-column's tableau entries as one product and checking their reduced
-costs, and nothing else, once (one column is a stack of one); an
-optimal solution's warm_start makes its final basis the start of the
-next b, so a caller that solves one c and A for a sequence of right-hand
-sides starts each solve from the previous optimum without multiplying
-B^-1 A again: a solve that took no pivot ended on its start and hands
-that start on unchanged, and one that pivoted carries its final
-tableau over, with the one m x m product T[:m, b0] B0^-1 as its
-inverse; and Start.carried takes a basis, inverse and tableau that a
-caller formed off another solve's final tableau, and checks them as
-from_basis checks its own.
+must invert the basis columns exactly, B^-1 B = I bit for bit, and
+every reduced cost must be at least -RC_TOL.  A basis dual feasible
+for c and A stays so for every b, so one start serves every right-hand
+side, and a solve only forms B^-1 b: when no entry is short the start
+is optimal and the solve returns at once, and otherwise it sets B^-1 b
+and its cost entry beside the start's rows and pivots to primal
+feasibility.  There is no standard form and no phase 1, and the final
+tableau of a solve that took no pivot and the optimal duals of any
+solve, one product of the final cost row with the start's inverse, are
+formed only when read, so solve_lp factorises nothing.  Starts come
+five ways, and all but with_columns' pass the one start check,
+Start.carried's: Start.from_basis multiplies out the tableau of a
+given basis and its inverse; transport.root_basis forms a spanning
+tree's tableau exactly, with no product; with_columns makes one start
+per added column, each the start plus that column, whose basis and
+inverse stay, forming every new column's tableau entries as one
+product and checking their reduced costs, and nothing else, once (one
+column is a stack of one); an optimal solution's warm_start makes its
+final basis the start of the next b, so a caller that solves one c and
+A for a sequence of right-hand sides starts each solve from the
+previous optimum without multiplying B^-1 A again: a solve that took
+no pivot ended on its start and hands that start on unchanged, and one
+that pivoted carries its final tableau over, with the one m x m
+product T[:m, b0] B0^-1 as its inverse; and Start.carried takes a
+basis, inverse and tableau that a caller formed, off another solve's
+final tableau or as from_basis and root_basis form them, and checks
+them as they stand.
 
 Every program solved is a flow on a graph whose balance rows sum to
 zero, with one of them dropped, and a spanning tree of that graph is a
@@ -40,45 +41,49 @@ is an incidence, totally unimodular, so every B^-1 A holds only -1, 0
 and 1, and the pivot loop counts on it.  from_basis and with_columns
 refuse any column that is not an arc's (ValueError), root_basis's tree
 incidence is made of arcs, and carried and warm_start keep the A of a
-start built by one of those, so no other program reaches the loop.  The
-library's two programs, the flow behind the Wasserstein distance and
-the dual of each per-pair curvature program, start from a
-shortest-path tree (into or out of a root) whose start the transport
-module builds once per graph, root and direction, with the tree's path
-matrix as its exact inverse; the curvature programs of a root add
-their virtual columns to that start as one stack (a single pair is a
-stack of one), and the smoothing W of one pair go on from the previous
-smoothing's warm start.  The heat-flow W of an arc start from
-its curvature optimum, the virtual column swapped for the arc (a
-carried start, checked once), and go on from the previous time's.
-Two reference programs the tests hold those to take the same path: the
-coupling program of solve_transport, a flow on the complete bipartite
-graph of the two supports, drops the row sum of row 0 and starts from
-the tree that assemble_transport_lp builds, and
-transport.kantorovich_dual starts its all-pairs flow from a star.  Problems stay small (hundreds of
-variables at the target scale), so a dense tableau is simpler than a
-revised method and fast enough.  The most negative basic variable
-leaves, which takes fewer pivots than the lowest-index one; transport
-instances are heavily degenerate, though, and that rule alone can
-cycle, so after as many pivots in a row as there are rows that leave
-the objective unchanged the solve finishes under Bland's rule, which
-terminates.  Under both rules every entry of the leaving row that
-can enter is -1, so a candidate's ratio (reduced cost) / -(entry) is
-its reduced cost, and the entering column is the lowest index of the
-exact least one, with no slack for near ties: a ratio read off the
-cost row carries no division's rounding to allow for, and the least
-one keeps every reduced cost non-negative.  The pivot element is -1,
-so the pivot row is the row negated, with no division.  The pivot loop
-is the one place a solve ends: it returns its pivot count at an
-optimum, and raises LpFailureError when a leaving row has no entering
-column, which proves the program infeasible, and NumericsError past its
-cap of 1000 + 50 (m + n) pivots; solve_lp lets both through.  It keeps
-the numpy calls per pivot few: one argmin picks the leaving row, one
-argmin over the candidates' reduced costs the entering column, and the
-pivot is one negated row and one broadcast rank-1 update of the whole
-tableau.  The tests hold it, bit for bit, to a plain reference loop
-that divides by the entry and the pivot element as a general tableau
-would.
+start built by one of those, so no other program reaches the loop.
+Every B^-1 is integral too, and the start check takes no tolerance:
+an inverse off the integers by less than any tolerance would still
+lead the loop's exact arithmetic astray.  Nor does the loop take one:
+an entry of B^-1 A below 0 is -1.  The library's two programs, the
+flow behind the Wasserstein distance and the dual of each per-pair
+curvature program, start from a shortest-path tree (into or out of a
+root) whose start the transport module builds once per graph, root
+and direction, with the tree's path matrix as its exact inverse; the
+curvature programs of a root add their virtual columns to that start
+as one stack (a single pair is a stack of one), and the smoothing W of
+one pair go on from the previous smoothing's warm start.  The
+heat-flow W of an arc start from its curvature optimum, the virtual
+column swapped for the arc (a carried start, checked once), and go on
+from the previous time's.  Two reference programs the tests hold
+those to take the same path: the coupling program of solve_transport,
+a flow on the complete bipartite graph of the two supports, drops the
+row sum of row 0 and starts from the tree that assemble_transport_lp
+builds, with LAPACK's inverse rounded to the integers it stands for,
+and transport.kantorovich_dual starts its all-pairs flow from a star.
+Problems stay small (hundreds of variables at the target scale), so a
+dense tableau is simpler than a revised method and fast enough.  The
+most negative basic variable leaves, which takes fewer pivots than the
+lowest-index one; transport instances are heavily degenerate, though,
+and that rule alone can cycle, so after as many pivots in a row as
+there are rows that leave the objective unchanged the solve finishes
+under Bland's rule, which terminates.  Under both rules every entry of
+the leaving row that can enter is -1, so a candidate's ratio (reduced
+cost) / -(entry) is its reduced cost, and the entering column is the
+lowest index of the exact least one, with no slack for near ties: a
+ratio read off the cost row carries no division's rounding to allow
+for, and the least one keeps every reduced cost non-negative.  The
+pivot element is -1, so the pivot row is the row negated, with no
+division.  The pivot loop is the one place a solve ends: it returns
+its pivot count at an optimum, and raises LpFailureError when a
+leaving row has no entering column, which proves the program
+infeasible, and NumericsError past its cap of 1000 + 50 (m + n)
+pivots; solve_lp lets both through.  It keeps the numpy calls per
+pivot few: one argmin picks the leaving row, one argmin over the
+candidates' reduced costs the entering column, and the pivot is one
+negated row and one broadcast rank-1 update of the whole tableau.  The
+tests hold it, bit for bit, to a plain reference loop that divides by
+the entry and the pivot element as a general tableau would.
 """
 
 from __future__ import annotations
@@ -92,18 +97,14 @@ from .errors import LpFailureError, MarginalMismatchError, NumericsError
 
 # primal-dual agreement required of an optimal basis
 GAP_TOL = 1e-8
-# an entry of the leaving row below -PIVOT_TOL enters as -1: a flow
-# tableau holds only -1, 0 and 1, so this only tells -1 from 0
-PIVOT_TOL = 1e-9
-# reduced-cost threshold below which the starting basis is not dual feasible
+# reduced-cost threshold below which the starting basis is not dual feasible;
+# the library's costs are integers, but solve_transport takes real ones
 RC_TOL = 1e-10
 # a basic variable below -PRIMAL_TOL leaves; smaller negatives are
 # rounding in B^-1 b (values are masses of order 1) and are read as zero
 PRIMAL_TOL = 1e-15
 # marginal mass agreement for transport instances
 MARGINAL_TOL = 1e-12
-# largest entry of |B^-1 B - I| accepted from a supplied basis inverse
-INVERSE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +118,10 @@ class Start:
     zero reduced cost.  A dual-feasible basis stays dual feasible for
     every b, so one start serves every program min c.x, A x = b,
     x >= 0.  from_basis, with_columns, carried, LpSolution.warm_start
-    and transport.root_basis build starts and check them; nothing
-    changes a start after that, so a start is handed on as it stands
-    when a solve from it takes no pivot.
+    and transport.root_basis build starts, and every one but
+    with_columns' through carried's check; nothing changes a start
+    after that, so a start is handed on as it stands when a solve from
+    it takes no pivot.
     """
 
     c: np.ndarray
@@ -134,9 +136,10 @@ class Start:
 
         ValueError unless c has one entry per column of A, basis one
         column index per row, basis_inverse one row and column per row
-        and every column of A an arc's.  NumericsError unless
-        basis_inverse inverts A[:, basis] to within INVERSE_TOL and
-        every reduced cost is at least -RC_TOL.
+        and every column of A an arc's.  The start is then checked as
+        carried checks one: NumericsError unless basis_inverse times
+        A[:, basis] is I exactly and every reduced cost is at least
+        -RC_TOL.
         """
         c = np.asarray(c, dtype=float)
         A = np.asarray(A, dtype=float)
@@ -152,13 +155,9 @@ class Start:
         _check_arcs(A)
         T = np.empty((m + 1, n))
         T[:m] = basis_inverse @ A
-        eye = np.eye(m)
-        off = np.abs(T[:m, basis] - eye).max(initial=0.0)
-        T[:m, basis] = eye
         T[-1] = c - c[basis] @ T[:m]
         T[-1, basis] = 0.0
-        _check(off, T[-1].min(initial=0.0))
-        return cls(c, A, basis, basis_inverse, T)
+        return cls.carried(c, A, basis, basis_inverse, T)
 
     def with_columns(self, costs: np.ndarray, columns: np.ndarray) -> list[Start]:
         """One start per column of columns: this start with that column added to A, at its cost.
@@ -179,7 +178,7 @@ class Start:
         T[:, :, :n] = self.tableau
         T[:, :m, n] = entries.T
         T[:, m, n] = costs - self.c[self.basis] @ entries
-        _check(0.0, T[:, m, n].min())
+        _check(T[:, m, n].min())
         c = np.empty((k, n + 1))
         c[:, :n] = self.c
         c[:, n] = costs
@@ -190,14 +189,20 @@ class Start:
 
     @classmethod
     def carried(cls, c, A, basis, inverse, tableau) -> Start:
-        """The start of a basis whose inverse and tableau another solve formed, taken as they stand.
+        """The start of a basis whose inverse and tableau a caller formed, taken as they stand.
 
-        Nothing is multiplied out again; the checks are from_basis's:
-        NumericsError unless inverse inverts A[:, basis] to within
-        INVERSE_TOL and every reduced cost is at least -RC_TOL.
+        The one start check, which from_basis, transport.root_basis,
+        LpSolution.warm_start and transport.ArcStart.start all end in;
+        nothing is multiplied out but B^-1 B.  NumericsError unless
+        inverse @ A[:, basis] is I bit for bit, with no tolerance (every
+        basis of a flow program has an integral inverse), and every
+        reduced cost is at least -RC_TOL.
         """
+        # zero only where the product is I bit for bit; a NaN is not zero
         off = np.abs(inverse @ A[:, basis] - np.eye(len(inverse))).max(initial=0.0)
-        _check(off, tableau[-1].min(initial=0.0))
+        if off != 0.0:
+            raise NumericsError(f"basis_inverse does not invert the starting basis: off by {off:.3e}")
+        _check(tableau[-1].min(initial=0.0))
         return cls(c, A, basis, inverse, tableau)
 
 
@@ -213,11 +218,8 @@ def _check_arcs(A: np.ndarray) -> None:
         raise ValueError("a column is not an arc's: at most one 1 and one -1, zero elsewhere")
 
 
-def _check(off: float, worst: float) -> None:
-    """NumericsError unless off, the largest entry of |B^-1 B - I|, is within
-    INVERSE_TOL and worst, the least reduced cost, is at least -RC_TOL."""
-    if not off <= INVERSE_TOL:
-        raise NumericsError(f"basis_inverse does not invert the starting basis: off by {off:.3e}")
+def _check(worst: float) -> None:
+    """NumericsError unless worst, the least reduced cost of a start, is at least -RC_TOL."""
     if worst < -RC_TOL:
         raise NumericsError(f"starting basis is not dual feasible: reduced cost {worst:.3e}")
 
@@ -334,24 +336,24 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray) -> int:
     The tableau is a flow program's, so every entry of B^-1 A is -1, 0
     or 1 (see the module docstring).  Leaving: the most negative basic
     variable below -PRIMAL_TOL, the lowest row on a tie.  Entering:
-    among the columns with an entry below -PIVOT_TOL in its row, each
-    -1, so that its ratio (reduced cost) / -(entry) is its reduced
-    cost, the lowest index of the least reduced cost, exactly, which
-    keeps every reduced cost non-negative.  A leaving row with no such
-    entry proves the program infeasible: LpFailureError, naming the
-    status and the pivot count.  Every program the library solves is
-    feasible by construction, so that end is a numerical fault, as is
-    running past 1000 + 50 (m + n) pivots for m rows and n columns:
-    NumericsError.  The most-infeasible rule alone can cycle, so after
-    m consecutive pivots of ratio 0 (the objective did not move), the
-    leaving row becomes the lowest-index short basic variable for the
-    rest of the solve: Bland's rule, which terminates from any
-    dual-feasible basis.  The pivot element is -1, so the pivot row is
-    the row negated, 0.0 - T[r], which writes no -0.0; each pivot is
-    one rank-1 update of the whole tableau by it, and the entering
-    column and row r are then written exactly.  The loop calls ndarray
-    methods on views taken once, and keeps numpy scalars as they come:
-    the same arithmetic, fewer calls.
+    among the columns with a negative entry in its row, each exactly -1
+    (the start check leaves no rounding in B^-1 A), so that its ratio
+    (reduced cost) / -(entry) is its reduced cost, the lowest index of
+    the least reduced cost, exactly, which keeps every reduced cost
+    non-negative.  A leaving row with no such entry proves the program
+    infeasible: LpFailureError, naming the status and the pivot count.
+    Every program the library solves is feasible by construction, so
+    that end is a numerical fault, as is running past 1000 + 50 (m + n)
+    pivots for m rows and n columns: NumericsError.  The most-infeasible
+    rule alone can cycle, so after m consecutive pivots of ratio 0 (the
+    objective did not move), the leaving row becomes the lowest-index
+    short basic variable for the rest of the solve: Bland's rule, which
+    terminates from any dual-feasible basis.  The pivot element is -1,
+    so the pivot row is the row negated, 0.0 - T[r], which writes no
+    -0.0; each pivot is one rank-1 update of the whole tableau by it,
+    and the entering column and row r are then written exactly.  The
+    loop calls ndarray methods on views taken once, and keeps numpy
+    scalars as they come: the same arithmetic, fewer calls.
     """
     iterations = 0
     stalled = 0  # consecutive ratio-0 pivots; Bland's rule from m on
@@ -371,7 +373,7 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray) -> int:
             r = leaving.argmin()
             if leaving[r] == n:
                 return iterations
-        entering = (rows[r] < -PIVOT_TOL).nonzero()[0]
+        entering = (rows[r] < 0.0).nonzero()[0]
         if not entering.size:
             raise LpFailureError(f"solve ended with status 'infeasible' after {iterations} pivots")
         # every entry in entering is -1, so each ratio is the reduced cost itself
@@ -461,8 +463,8 @@ def assemble_transport_lp(
     every tree entry tight and price every entry at
     c[i, j] - u[i] - v[j] >= 0, so the basis is dual feasible for any
     cost, square or rectangular; the duals of the program are u[1:] and
-    -v.  Its inverse is np.linalg.inv of the tree columns, which
-    Start.from_basis checks.
+    -v.  Its inverse is np.linalg.inv of the tree columns rounded to
+    the nearest integers, which Start.from_basis checks exactly.
     """
     cost = np.asarray(cost, dtype=float)
     n0, n1 = cost.shape
@@ -473,7 +475,7 @@ def assemble_transport_lp(
         A[n0 - 1 + j, j::n1] = -1.0
     rest = np.arange(1, n0) * n1 + np.argmin(cost[1:] - cost[0], axis=1)
     tree = np.concatenate([np.arange(n1), rest])
-    start = Start.from_basis(cost.ravel(), A, tree, np.linalg.inv(A[:, tree]))
+    start = Start.from_basis(cost.ravel(), A, tree, np.rint(np.linalg.inv(A[:, tree])))
     # 0.0 - v, not -v: a zero mass must not become -0.0
     return start, np.concatenate([nu0[1:], 0.0 - nu1])
 

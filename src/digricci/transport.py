@@ -28,16 +28,16 @@ and take the out-tree, whose tree path is already optimal.  A tree
 depends on its root and direction alone, so root_basis builds its
 start once (lp.Start: the incidence without the root's row, the tree,
 B^-1 and the tableau rows [B^-1 A ; c - c_B B^-1 A] with every cost
-c 1), checks it once and keeps it on the DistanceMatrix, with the
-vertex of each row.  A spanning tree's inverse incidence is its path
-matrix, so B^-1 comes from one walk down the tree, with no
-factorisation, and B^-1 A is the path column of each arc's tail
-minus that of its head: the tableau is exact path differences, formed
-with no product.  A solve from the tree then only forms B^-1 b, and
-its right-hand side, potential and coupling are indexed through the
-row vertices.  The curvature module's dual flows from x add their
-virtual columns to the out-tree start of x, a row of them at once
-(lp.Start.with_columns).
+c 1), checks it once (lp.Start.carried) and keeps it on the
+DistanceMatrix, with the vertex of each row.  A spanning tree's
+inverse incidence is its path matrix, so B^-1 comes from one walk down
+the tree, with no factorisation, and B^-1 A is the path column of each
+arc's tail minus that of its head: the tableau is exact path
+differences, formed with no product.  A solve from the tree then only
+forms B^-1 b, and its right-hand side, potential and coupling are
+indexed through the row vertices.  The curvature module's dual flows
+from x add their virtual columns to the out-tree start of x, a row of
+them at once (lp.Start.with_columns).
 
 A solve may start from another solve's final basis instead.  The
 program's cost and incidence depend on the graph and r alone, so the
@@ -447,11 +447,14 @@ def root_basis(dm: DistanceMatrix, r: int, inward: bool = False) -> RootBasis:
     A's is the B^-1 column of its tail minus that of its head: A and
     B^-1 A are one difference of two column gathers, every entry -1, 0
     or 1, formed exactly with no product.  Every cost is 1, so a reduced
-    cost is 1 minus a column sum of B^-1 A.  NumericsError unless B^-1
-    B, the tree's columns of B^-1 A, is exactly I and no reduced cost is
-    negative, which a BFS tree's never is.  Every W solve from that tree
-    and every curvature program of a pair (r, y), which uses the
-    out-tree, starts from it; the record lives as long as dm.
+    cost is 1 minus a column sum of B^-1 A.  The start is built through
+    lp.Start.carried's check, like every start but a stack of added
+    columns: NumericsError unless B^-1 B is exactly I (the tree's
+    columns of B^-1 A are the same path-matrix columns, so they are I
+    too) and no reduced cost is negative, which a BFS tree's never is.
+    Every W solve from that tree and every curvature program of a pair
+    (r, y), which uses the out-tree, starts from it; the record lives as
+    long as dm.
     """
     key = (r, inward)
     basis = dm._root_bases.get(key)
@@ -486,13 +489,9 @@ def root_basis(dm: DistanceMatrix, r: int, inward: bool = False) -> RootBasis:
         differences = ends.take(arcs[:, 0], axis=1) - ends.take(arcs[:, 1], axis=1)
         A, tableau = differences[:m], differences[m:]
         tree = np.array([into[w][0] for w in vertices.tolist()])
-        if not (tableau[:-1].take(tree, axis=1) == np.eye(m)).all():
-            raise NumericsError(f"the tree path matrix of root {r} does not invert its basis")
         np.subtract(1.0, tableau[:-1].sum(axis=0), out=tableau[-1])
-        if tableau[-1].min() < 0.0:
-            raise NumericsError(f"the tree of root {r} is not dual feasible")
         inverse = ends[m:-1].take(vertices, axis=1)
-        start = lp.Start(np.ones(len(arcs)), A, tree, inverse, tableau)
+        start = lp.Start.carried(np.ones(len(arcs)), A, tree, inverse, tableau)
         basis = RootBasis(start=start, vertices=vertices)
         for a in (*vars(start).values(), vertices):
             a.flags.writeable = False

@@ -20,6 +20,20 @@ TRI_EDGES = "0 1\n1 0\n1 2\n2 0\n"
 K3_EDGES = "0 1\n1 0\n1 2\n2 1\n0 2\n2 0\n"
 # the bidirected 4-cycle, unit weights: K = 1, and W = exp(-t) on every arc at every time
 C4_EDGES = "".join(f"{x} {(x + step) % 4}\n" for x in range(4) for step in (1, 3))
+# 7 vertices, 27 arcs: W from the BFS in-tree of vertex 6 switches to Bland's rule
+# (test_lp.py::TestKernel::test_blands_rule_picks_the_leaving_row_after_the_switch)
+BLAND_MU = np.array(
+    [
+        [0, 1, 0, 0, 0, 2, 1],
+        [0, 0, 1, 2, 2, 1, 0],
+        [1, 0, 0, 2, 2, 1, 1],
+        [1, 2, 0, 0, 1, 1, 1],
+        [0, 2, 0, 2, 0, 2, 2],
+        [2, 2, 1, 0, 0, 0, 1],
+        [2, 0, 2, 0, 0, 0, 0],
+    ],
+    dtype=float,
+)
 
 
 def _mu_from_edges(text: str, n: int) -> np.ndarray:

@@ -33,8 +33,8 @@ read off the final cost row, are held to.  kappa_pair solves one
 curvature program alone, from its own start (with_column), the route
 each program of a kappa_lp row must match bit for bit.
 root_basis_reference builds a root's tree start by products:
-np.unique picks the tree, B^-1 is walked column by column and checked
-by a product, and Start.from_basis multiplies B^-1 A out;
+np.unique picks the tree, B^-1 is walked column by column, and
+Start.from_basis multiplies B^-1 A out and checks B^-1 B by a product;
 transport.root_basis, which forms B^-1 A as path differences, must
 match it bit for bit.  parse_edge_list_reference is the edge-list
 parser with a comment split, a strip and a running maximum per line,
@@ -734,11 +734,11 @@ def root_basis_reference(
     """The tree start of root r and the vertex of each row, built by products, not kept.
 
     The first arc one level down into each far end, by np.unique over
-    the candidate arcs; B^-1 walked down the tree a column at a time,
-    NumericsError unless B^-1 B is exactly I by a product; and
-    Start.from_basis, which multiplies B^-1 A and the reduced costs out
-    and checks them.  transport.root_basis must build the same start bit
-    for bit.
+    the candidate arcs; B^-1 walked down the tree a column at a time;
+    and Start.from_basis, which multiplies B^-1 A and the reduced costs
+    out and checks them (B^-1 B exactly I by a product, and no reduced
+    cost below -RC_TOL).  transport.root_basis must build the same start
+    bit for bit.
     """
     arcs = dm.arcs
     n = len(dm.d)
@@ -762,8 +762,6 @@ def root_basis_reference(
     A[arcs[:, 0], np.arange(len(arcs))] = 1.0
     A[arcs[:, 1], np.arange(len(arcs))] = -1.0
     A = A[vertices]
-    if not np.array_equal(inverse @ A[:, tree], np.eye(n - 1)):
-        raise NumericsError(f"the tree path matrix of root {r} does not invert its basis")
     return lp.Start.from_basis(np.ones(len(arcs)), A, tree, inverse), vertices
 
 
@@ -853,8 +851,8 @@ def reference_dual_simplex(
     lowest row on a tie; after m consecutive pivots of ratio 0 (m the
     row count), the lowest-index short basic variable for the rest of
     the solve (Bland's rule).  Entering: the lowest index of minimum
-    ratio (reduced cost) / -(entry) among the columns with an entry
-    below -PIVOT_TOL in its row, the exact minimum with no tie slack.
+    ratio (reduced cost) / -(entry) among the columns with a negative
+    entry in its row, the exact minimum with no tie slack.
     It divides by the entry and by the pivot element as a general
     tableau would, where the kernel takes every such entry to be -1, so
     matching it bit for bit checks that shortcut.  Pivots T and basis
@@ -872,7 +870,7 @@ def reference_dual_simplex(
         key = basis[short] if bland else T[short, -1]
         r = int(short[np.argmin(key)])
         row = T[r, :-1]
-        negative = row < -lp.PIVOT_TOL
+        negative = row < 0.0
         if not negative.any():
             return "infeasible", iterations, bland
         ratios = np.where(negative, T[-1, :-1] / np.where(negative, -row, 1.0), np.inf)

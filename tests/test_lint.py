@@ -16,9 +16,9 @@ No np.errstate or np.seterr in src/ silences invalid, by its own
 keyword or by all: pytest turns a RuntimeWarning into an error, and an
 invalid warning is how a bound of inf * 0 or 0 / 0, a nan, shows in
 the tests.  An lp.Start is built through a checked constructor: only
-Start's own methods and transport.root_basis, whose tree incidence is
-made of arcs by construction and which checks its tableau itself, call
-Start directly, so no program that is not a flow reaches the pivot loop.
+Start's own methods call Start directly, so every start's inverse
+inverts its basis exactly and no program that is not a flow reaches
+the pivot loop.
 """
 
 from __future__ import annotations
@@ -342,6 +342,6 @@ def test_direct_start_calls_are_found():
     assert direct_start_calls(sources) == ["a.<module>", "a.f", "lp.Start"]
 
 
-def test_only_root_basis_builds_a_start_unchecked():
+def test_only_starts_own_methods_build_a_start_unchecked():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
-    assert direct_start_calls(sources) == ["lp.Start", "transport.root_basis"]
+    assert direct_start_calls(sources) == ["lp.Start"]

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import SEED
+from conftest import BLAND_MU, SEED
 from digricci import (
     MarginalMismatchError,
     build_graph,
@@ -141,21 +141,9 @@ class TestKernel:
         10 in all.  Bland's rule takes row 2, the lower arc index, and
         ends in three, 11 in all, at W = 11/63.
         """
-        mu = np.array(
-            [
-                [0, 1, 0, 0, 0, 2, 1],
-                [0, 0, 1, 2, 2, 1, 0],
-                [1, 0, 0, 2, 2, 1, 1],
-                [1, 2, 0, 0, 1, 1, 1],
-                [0, 2, 0, 2, 0, 2, 2],
-                [2, 2, 1, 0, 0, 0, 1],
-                [2, 0, 2, 0, 0, 0, 0],
-            ],
-            dtype=float,
-        )
         nu0 = np.array([1, 2, 1, 0, 2, 1, 2]) / 9
         nu1 = np.array([1, 2, 1, 0, 1, 1, 1]) / 7
-        tree = transport.root_basis(distances(build_graph(mu)), 6, inward=True)
+        tree = transport.root_basis(distances(build_graph(BLAND_MU)), 6, inward=True)
         start, b = tree.start, (nu0 - nu1)[tree.vertices]
         expected = oracles.linprog_general(start.c, A_eq=start.A, b_eq=b).fun
         assert expected == pytest.approx(11 / 63, abs=1e-12)

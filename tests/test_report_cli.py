@@ -8,6 +8,7 @@ import gc
 import importlib
 import json
 import math
+import sys
 import warnings
 import weakref
 from pathlib import Path
@@ -926,20 +927,23 @@ def _workload_files(workload: str, tmp_path, monkeypatch) -> list[str]:
 
 
 # the counts stay out of the test ids, so that a change that moves them fails under the same name
-@pytest.mark.parametrize("workload, carried, solves, pivots", [
-    ("analyze_dense", 164, 988, 949),
-    ("analyze_sparse", 66, 413, 537),
+@pytest.mark.parametrize("workload, roots, carried, solves, pivots", [
+    ("analyze_dense", 16, 164, 988, 949),
+    ("analyze_sparse", 16, 66, 413, 537),
 ], ids=["analyze_dense", "analyze_sparse"])
 def test_warm_starts_are_checked_only_where_a_solve_pivoted(
-    workload, carried, solves, pivots, tmp_path, monkeypatch, capsys
+    workload, roots, carried, solves, pivots, tmp_path, monkeypatch, capsys
 ):
     """Start.carried runs once per arc start and once per chain step that pivoted.
 
     One analyze on each graph of the benchmark workload (seed 1): the
     K_8 of analyze_dense, and the two ring+chords n=8 of analyze_sparse.
-    A solve that took no pivot hands its own start on unchecked, and an
-    arc's start off its kappa optimum is checked once, so of the 392
-    and 301 heat-flow warm starts formed, 64 and 66 are checked.  The
+    transport.root_basis builds each tree's start through Start.carried
+    once, 16 trees on each workload, and those checks are counted
+    apart.  Of the warm starts, a solve that took no pivot hands its own
+    start on unchecked, and an arc's start off its kappa optimum is
+    checked once, so of the 392 and 301 heat-flow warm starts formed,
+    64 and 66 are checked.  The
     K_8 also runs the functional suite: its first transport check
     solves the 108 densities cold, and each of the 100 columns that
     pivoted has its optimum checked once as the start of the four later
@@ -948,11 +952,11 @@ def test_warm_starts_are_checked_only_where_a_solve_pivoted(
     densities are the first draws of the seed's rng, as
     verify-functional's are.
     """
-    counts = {"carried": 0, "solves": 0, "pivots": 0}
+    counts = {"roots": 0, "carried": 0, "solves": 0, "pivots": 0}
     carried_start, solve_lp = lp.Start.carried.__func__, lp.solve_lp
 
     def counting_carried(cls, *args):
-        counts["carried"] += 1
+        counts["roots" if sys._getframe(1).f_code.co_name == "root_basis" else "carried"] += 1
         return carried_start(cls, *args)
 
     def counting_solve(start, b):
@@ -966,7 +970,7 @@ def test_warm_starts_are_checked_only_where_a_solve_pivoted(
     for path in _workload_files(workload, tmp_path, monkeypatch):
         assert main(["analyze", path]) == 0
     capsys.readouterr()
-    assert counts == {"carried": carried, "solves": solves, "pivots": pivots}
+    assert counts == {"roots": roots, "carried": carried, "solves": solves, "pivots": pivots}
 
 
 def test_a_table_keeps_only_what_it_reads_of_its_solves(tmp_path, monkeypatch, capsys):
