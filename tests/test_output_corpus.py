@@ -3,11 +3,14 @@
 The graphs are the 11 that bench/workloads draws for its four
 workloads at seed 1: K_8 (analyze_dense), two ring+chords n=8
 (analyze_sparse) and four ring+chords n=12 each (curvature_sparse and
-queries).  Each graph runs the ten commands of COMMANDS through
+queries).  Each graph runs the fifteen commands of COMMANDS through
 cli.main in process, and each (graph, command) is pinned as one
 SHA-256 of its exit code, stdout and stderr, with the graph file's path
-replaced by "<graph>" in both streams.  A mismatch names the command,
-so a change can run it at its parent and diff the two outputs.
+replaced by "<graph>" in both streams.  The commands cover every
+output format of every subcommand that has more than one, and
+"analyze --k-override 2" asserts a K that none of the graphs has, so a
+certificate fails and the report exits 1.  A mismatch names the
+command, so a change can run it at its parent and diff the two outputs.
 
 A change that moves an output on purpose updates its pins in the same
 commit and says which commands moved and why; a pin is never loosened
@@ -42,6 +45,11 @@ COMMANDS = (
     "wasserstein dirac:0 dirac:{last} --plan",
     "heat --t 0.5 --kernel 0",
     "perron",
+    "curvature --format csv",
+    "curvature --format table",
+    "verify-functional --format table",
+    "perron --format table",
+    "analyze --k-override 2",
 )
 # "workload/graph" -> command label -> SHA-256 of the run
 PINS = {
@@ -66,6 +74,16 @@ PINS = {
             "1f2d6a3e404a3fe563361d5cb941932ab9235dd5b6dcfbd72682d311033d0448",
         "perron":
             "9e5651d559e5e490113596d2ddf9c3e9cef963ac8717aaebb897d1ec4caf6b4c",
+        "curvature --format csv":
+            "cf7b0c66b7f2cc9c52b490604fd12f96144480d33d9245efafa44d0d4f290f53",
+        "curvature --format table":
+            "b027a0b5cc9d669ce47aa9106813189a4e2425378ff0567297ff186c08830304",
+        "verify-functional --format table":
+            "389d9cc5e495e5a45f0b778b7487d8905ffbe7a69b8b9459bf8c88e63a3dadcf",
+        "perron --format table":
+            "2d0a4cfb3fd668c33076809cb61e1a86663936fc2b5d69b651360227aab75b20",
+        "analyze --k-override 2":
+            "782ec01af52ab4496318f7f483b3f1eafe383dab0f494472aed82ae500a78d16",
     },
     "analyze_sparse/ring8_0": {
         "analyze":
@@ -88,6 +106,16 @@ PINS = {
             "61ce6f1a9e506cfe5de7ccfb296e305f84e27d3eb0627204df42e0f51f37e534",
         "perron":
             "d37d8991c804bf25e76bb43190cd6f9f96ce0f3457a56ff5c196408e50ace2d4",
+        "curvature --format csv":
+            "1f0006ddc82236daae511b926fae0edd89fd92dc2a610101feac5e5d17511182",
+        "curvature --format table":
+            "e3cff90274519a9989a81ff07a4a72b70525a9d056353597ed4e2ca298922c86",
+        "verify-functional --format table":
+            "f5ff5f966ed4c6970526a5e4b5993a4f3f77901a9dd7afbbdd65df6c104b4a71",
+        "perron --format table":
+            "2f47891142e26ed31218efa5e525906994734fbb8019186e6bb1f8d7c2fafb62",
+        "analyze --k-override 2":
+            "cf139fdbbba3a6b0bb68b98ab091fdd103fb09f3a680ac9ce22a2dd6cc603e23",
     },
     "analyze_sparse/ring8_1": {
         "analyze":
@@ -110,6 +138,16 @@ PINS = {
             "765d8a312393bf7c5d75008b1506f044fea3e306e6b12144308202343808a142",
         "perron":
             "1e6d430dc31aea8428783dd52ba7b23cd112d01d34c9543007e144d35572c5f7",
+        "curvature --format csv":
+            "ac3d31c8ba1a46d122b1853a77753580a1c2dea41b78d4e4820a1abfee67b42a",
+        "curvature --format table":
+            "6fa1e8e6194d668e8d3b85c236fbfb6fdef5b54e5464028547728bae8cc03bbe",
+        "verify-functional --format table":
+            "912fc5ccb6a197d39a92d60b35c6ade6fc87e9f9118f3d80fbad2a3aaed3805c",
+        "perron --format table":
+            "1bc35496c3435f55df0d36f759fa6749385dcdfb8e2ee249c445cbb27b921256",
+        "analyze --k-override 2":
+            "53a00fb2cb10cd3b7269e6bba3322cd7b6116af3055af50c083667d053d16eaf",
     },
     "curvature_sparse/ring12_0": {
         "analyze":
@@ -132,6 +170,16 @@ PINS = {
             "5243b0396e4d141720edeb7a0d80f1a6a586125af1f4e65c24a4a824a3893595",
         "perron":
             "5a9a2d411b21f9655b8af989b0ba0ac386ecd0a0797996edb5d18e3e230770db",
+        "curvature --format csv":
+            "6cf87e07878d23db592f4931584f0e6ae661035fcbe9a0443cc38cb586b209a5",
+        "curvature --format table":
+            "a5f036382eadd8a7faf598e69a960182fc4deacfba07b7f1a7c2a90cf793cb91",
+        "verify-functional --format table":
+            "80632ca143da75e41f42441aed05f736ee67a5cea2e83eb63c1dca47f1af9aa9",
+        "perron --format table":
+            "6a7d552e2c2e02f22466d7f250d443b5e77794cece3463e5c44b027e92182d25",
+        "analyze --k-override 2":
+            "acf1a3810aa7eb27444cc72ead01cfcc293f1f62e60fd607447100f43631dd60",
     },
     "curvature_sparse/ring12_1": {
         "analyze":
@@ -154,6 +202,16 @@ PINS = {
             "b16756ac3b4a1e3e963b2d9bdb76d44905d4bba8c43d490dac913e39a640a574",
         "perron":
             "a03fa1992af57d1a1170a2cd706311359e51016021b37fcd4fad01cd0e600fae",
+        "curvature --format csv":
+            "be8e04dc120f9aaf88d62ec2417a5a1153cba6a08704032ac0968fe468e6c3ab",
+        "curvature --format table":
+            "88c849a3a128eccf5361ab6b9ba6500410e5f0680880a129ab9f25d72dbac280",
+        "verify-functional --format table":
+            "4fb47d0f767531c5054352bac1f3fff66427d0ef088eb2504b180198e2276cc1",
+        "perron --format table":
+            "b6a86805b9fabc6b0d3e7cb803627b4c23762714ce23513fb1e87841615ef71b",
+        "analyze --k-override 2":
+            "d8dfb45bc967027726defcae5e0b5106664e19c4f1feb8b9a2c3eb8b32a509a4",
     },
     "curvature_sparse/ring12_2": {
         "analyze":
@@ -176,6 +234,16 @@ PINS = {
             "e35e1c053d0447512af5a901d3a2be63f216dc72b38e54f516e8692bffaeb233",
         "perron":
             "ff74025dd3cc0bcaf22856b1e4a6a67de6688759df2867bbe01ab2a269ef20a4",
+        "curvature --format csv":
+            "59bb2fe3f26cd933332dc0d977e187bda28fabb6aa98cb8640327636d361c88b",
+        "curvature --format table":
+            "f5b9887037fed4becb14ea8795835d774e032704acdf56e5e43a36477a23049c",
+        "verify-functional --format table":
+            "bcb2b7440149ef270ddf5346b8c02eb6d060169436be708bba1f7a295b76cc74",
+        "perron --format table":
+            "6bf25a0ef1d0e628e8fa12b1150e56b94439180c41c3e423750c2d4731d2b985",
+        "analyze --k-override 2":
+            "76cb640c294492f641b54dc03641247a77a9cea5ee70cd2290b40aeb0efa8237",
     },
     "curvature_sparse/ring12_3": {
         "analyze":
@@ -198,6 +266,16 @@ PINS = {
             "9b72f967782b175943fc0350d37721cbbd7dc4d780cd0498cfffb8f47d81f84a",
         "perron":
             "310e320ec5de8623da2b3bace58aa6cb09e536ee4a3b353bc00a86a54d313471",
+        "curvature --format csv":
+            "8a80466377e8a47f8ef2df43025b3ffc0cda4a19fb8e876a994bc868f631ae6d",
+        "curvature --format table":
+            "82aff7ea5da9c42aa41c681cfce8f44194b86bb687308ebde7fa1f7539d8b6df",
+        "verify-functional --format table":
+            "ec3268aaadf4dd0dd7cffb327e48fe14cb644e7d33348a6caa92dd6ad540f6f9",
+        "perron --format table":
+            "19781e68dcf6f633befb13c3d75e30ea19cd430bd665e3963dd8470bcfd51c1e",
+        "analyze --k-override 2":
+            "d96fcd183278d9e0382d592fec4b19cb6b1138eb1bd065752e921e463a0186a0",
     },
     "queries/ring12_0": {
         "analyze":
@@ -220,6 +298,16 @@ PINS = {
             "2951d75abc6767c4ce0a40fa18baf96e98247771e88cbe7a47d4c8fcc7dc981f",
         "perron":
             "8dbba70881599245ff1c01601d1bbe3f1a725fd4c11c8478cafb89d127fde91b",
+        "curvature --format csv":
+            "7341e6a4b4a81c604e5d59062250001e96358e0e39dd77d6c89d7f23cb620601",
+        "curvature --format table":
+            "8a1751702f1206992487bb8aa24966925298202956463710ab9db21c19dc3854",
+        "verify-functional --format table":
+            "73109786de75aa045ee300f9b4f9824441caca9dc3b9542076f8092ae35b06c8",
+        "perron --format table":
+            "2c6b4afc0e9b35215bbba4eba7a027d526f8595c107694b66a7ac525d99d19d4",
+        "analyze --k-override 2":
+            "9409fd705981c7584b8bafaf7a91bcda6d743f718a28c150dd43119954e43577",
     },
     "queries/ring12_1": {
         "analyze":
@@ -242,6 +330,16 @@ PINS = {
             "b16756ac3b4a1e3e963b2d9bdb76d44905d4bba8c43d490dac913e39a640a574",
         "perron":
             "a03fa1992af57d1a1170a2cd706311359e51016021b37fcd4fad01cd0e600fae",
+        "curvature --format csv":
+            "be8e04dc120f9aaf88d62ec2417a5a1153cba6a08704032ac0968fe468e6c3ab",
+        "curvature --format table":
+            "88c849a3a128eccf5361ab6b9ba6500410e5f0680880a129ab9f25d72dbac280",
+        "verify-functional --format table":
+            "4fb47d0f767531c5054352bac1f3fff66427d0ef088eb2504b180198e2276cc1",
+        "perron --format table":
+            "b6a86805b9fabc6b0d3e7cb803627b4c23762714ce23513fb1e87841615ef71b",
+        "analyze --k-override 2":
+            "d8dfb45bc967027726defcae5e0b5106664e19c4f1feb8b9a2c3eb8b32a509a4",
     },
     "queries/ring12_2": {
         "analyze":
@@ -264,6 +362,16 @@ PINS = {
             "ef60fb0a3865c7eb53eb0ce00d5b47916835e5cfaf3289a0a53d3f3620cf16d0",
         "perron":
             "36026f6977f7f0be5336610329ed5155deae490e1ca904c2e264df65ca33bff0",
+        "curvature --format csv":
+            "d0e20c839a70aea0f915b8f06d488f14c6e0435887d5f9568daf765cb751095a",
+        "curvature --format table":
+            "2a53cb83dcdb000d5b1145bb22725c8a6a9f4fb024a95a6b4dab627095072cca",
+        "verify-functional --format table":
+            "a9afcb99bf163cc02fe0897817b8a695f9c7050c9e7ceab88c12bd89a7127245",
+        "perron --format table":
+            "50879af94b94768e7150f224520aeae8f30ecd4f5de90fdb92cd7becd7ce2d19",
+        "analyze --k-override 2":
+            "514077d82ac3d24f6ca42d166e8a8c0018c2baab45e3bb8f2bc1de14bc6da032",
     },
     "queries/ring12_3": {
         "analyze":
@@ -286,6 +394,16 @@ PINS = {
             "9b72f967782b175943fc0350d37721cbbd7dc4d780cd0498cfffb8f47d81f84a",
         "perron":
             "310e320ec5de8623da2b3bace58aa6cb09e536ee4a3b353bc00a86a54d313471",
+        "curvature --format csv":
+            "8a80466377e8a47f8ef2df43025b3ffc0cda4a19fb8e876a994bc868f631ae6d",
+        "curvature --format table":
+            "82aff7ea5da9c42aa41c681cfce8f44194b86bb687308ebde7fa1f7539d8b6df",
+        "verify-functional --format table":
+            "ec3268aaadf4dd0dd7cffb327e48fe14cb644e7d33348a6caa92dd6ad540f6f9",
+        "perron --format table":
+            "19781e68dcf6f633befb13c3d75e30ea19cd430bd665e3963dd8470bcfd51c1e",
+        "analyze --k-override 2":
+            "d96fcd183278d9e0382d592fec4b19cb6b1138eb1bd065752e921e463a0186a0",
     },
 }
 
