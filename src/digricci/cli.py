@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, chain, curvature, lp
-from .certificates import InequalityCertificate, certificate_from_samples
+from . import __version__, certificates, chain, curvature, lp
+from .certificates import InequalityCertificate
 from .chain import markov_data
 from .concentration import (
     centered_lipschitz_samples,
@@ -154,7 +154,7 @@ def _curvature_and_limit(report, M, dm, H, config: RunConfig) -> tuple[float, li
         # every ordered pair in row-major order: of equal residuals, the first binds
         residuals = curv.cross_check.tolist()
         report.certificates.append(
-            certificate_from_samples(
+            certificates.certificate_from_samples(
                 "curvature_smoothing_agreement",
                 {"eps_grid": list(EPS_GRID)},
                 [
@@ -181,7 +181,7 @@ def _curvature_and_limit(report, M, dm, H, config: RunConfig) -> tuple[float, li
         )
     ][::-1]
     report.certificates.append(
-        certificate_from_samples(
+        certificates.certificate_from_samples(
             "curvature_heat_limit_agreement",
             {"time_grid": list(LIMIT_GRID), "pairs": "arcs"},
             deviations,

@@ -12,9 +12,9 @@ The contract breaks are:
 
   lp.Start.from_basis   ValueError: an objective that does not match the
                         matrix, a basis that is not one column index per
-                        row, a basis inverse that is not m x m, or a
-                        column that is not an arc's (at most one 1 and
-                        one -1, zero elsewhere)
+                        row, a column that is not an arc's (at most one
+                        1 and one -1, zero elsewhere), or a basis that
+                        LAPACK finds singular (numpy's LinAlgError)
   lp.Start.with_columns ValueError: an added column that is not an arc's
   lp.solve_lp           ValueError: a right-hand side that does not
                         match the matrix

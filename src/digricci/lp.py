@@ -17,11 +17,13 @@ tableau of a solve that took no pivot and the optimal duals of any
 solve, one product of the final cost row with the start's inverse, are
 formed only when read, so solve_lp factorises nothing.  Starts come
 five ways, and all but with_columns' pass the one start check,
-Start.carried's: Start.from_basis multiplies out the tableau of a
-given basis and its inverse; transport.root_basis forms a spanning
-tree's tableau exactly, with no product; with_columns makes one start
-per added column, each the start plus that column, whose basis and
-inverse stay, forming every new column's tableau entries as one
+Start.carried's: Start.from_basis takes a basis alone, forms its
+inverse by LAPACK, rounded to the integers it stands for, and
+multiplies out its tableau, the one place the package inverts a
+matrix; transport.root_basis forms a spanning tree's inverse and
+tableau exactly, by a walk, with no product; with_columns makes one
+start per added column, each the start plus that column, whose basis
+and inverse stay, forming every new column's tableau entries as one
 product and checking their reduced costs, and nothing else, once (one
 column is a stack of one); an optimal solution's warm_start makes its
 final basis the start of the next b, so a caller that solves one c and
@@ -29,10 +31,10 @@ A for a sequence of right-hand sides starts each solve from the
 previous optimum without multiplying B^-1 A again: a solve that took
 no pivot ended on its start and hands that start on unchanged, and one
 that pivoted carries its final tableau over, with the one m x m
-product T[:m, b0] B0^-1 as its inverse; and Start.carried takes a
-basis, inverse and tableau that a caller formed, off another solve's
-final tableau or as from_basis and root_basis form them, and checks
-them as they stand.
+product T[:m, b0] B0^-1 as its inverse; and Start.carried, the one
+constructor that takes an inverse from its caller, takes a basis,
+inverse and tableau formed off another solve's final tableau or as
+from_basis and root_basis form them, and checks them as they stand.
 
 Every program solved is a flow on a graph whose balance rows sum to
 zero, with one of them dropped, and a spanning tree of that graph is a
@@ -59,8 +61,10 @@ from the previous time's.  Two reference programs the tests hold
 those to take the same path: the coupling program of solve_transport,
 a flow on the complete bipartite graph of the two supports, drops the
 row sum of row 0 and starts from the tree that assemble_transport_lp
-builds, with LAPACK's inverse rounded to the integers it stands for,
-and transport.kantorovich_dual starts its all-pairs flow from a star.
+picks, and transport.kantorovich_dual starts its all-pairs flow from a
+star, both through Start.from_basis; each builds its A with incidence,
+and the two couplings, solve_transport's and wasserstein's, are held
+to their marginals by marginal_residual.
 Problems stay small (hundreds of variables at the target scale), so a
 dense tableau is simpler than a revised method and fast enough.  The
 most negative basic variable leaves, which takes fewer pivots than the
@@ -81,9 +85,11 @@ infeasible, and NumericsError past its cap of 1000 + 50 (m + n)
 pivots; solve_lp lets both through.  It keeps the numpy calls per
 pivot few: one argmin picks the leaving row, one argmin over the
 candidates' reduced costs the entering column, and the pivot is one
-negated row and one broadcast rank-1 update of the whole tableau.  The
-tests hold it, bit for bit, to a plain reference loop that divides by
-the entry and the pivot element as a general tableau would.
+negated row and one broadcast rank-1 update of the whole tableau,
+which leaves the entering column exactly zero, as the negated row is 1
+there; only row r is then written.  The tests hold it, bit for bit, to
+a plain reference loop that divides by the entry and the pivot element
+as a general tableau would.
 """
 
 from __future__ import annotations
@@ -131,15 +137,20 @@ class Start:
     tableau: np.ndarray
 
     @classmethod
-    def from_basis(cls, c, A, basis, basis_inverse) -> Start:
-        """The start of a basis and its inverse, with B^-1 A and the reduced costs multiplied out.
+    def from_basis(cls, c, A, basis) -> Start:
+        """The start of a basis, with its inverse, B^-1 A and the reduced costs multiplied out.
 
         ValueError unless c has one entry per column of A, basis one
-        column index per row, basis_inverse one row and column per row
-        and every column of A an arc's.  The start is then checked as
-        carried checks one: NumericsError unless basis_inverse times
-        A[:, basis] is I exactly and every reduced cost is at least
-        -RC_TOL.
+        column index per row and every column of A an arc's; a basis
+        that LAPACK finds singular raises numpy's LinAlgError, a
+        ValueError too.  The inverse is LAPACK's rounded to the integers
+        it stands for (every basis of a flow program has an integral
+        inverse), 0.0 added as LAPACK writes some zeros as -0.0.  The
+        start is then checked as carried checks one: NumericsError
+        unless that inverse times A[:, basis] is I exactly and every
+        reduced cost is at least -RC_TOL.  So the basis columns of
+        B^-1 A are the unit vectors, and their reduced costs
+        c_b - c_b = 0.0 as formed.
         """
         c = np.asarray(c, dtype=float)
         A = np.asarray(A, dtype=float)
@@ -149,15 +160,12 @@ class Start:
         basis = np.asarray(basis, dtype=int)
         if basis.shape != (m,) or not ((0 <= basis) & (basis < n)).all():
             raise ValueError("a starting basis holds one column index per row")
-        basis_inverse = np.asarray(basis_inverse, dtype=float)
-        if basis_inverse.shape != (m, m):
-            raise ValueError("basis_inverse must be square, one row per constraint")
         _check_arcs(A)
+        inverse = 0.0 + np.rint(np.linalg.inv(A[:, basis]))
         T = np.empty((m + 1, n))
-        T[:m] = basis_inverse @ A
+        T[:m] = inverse @ A
         T[-1] = c - c[basis] @ T[:m]
-        T[-1, basis] = 0.0
-        return cls.carried(c, A, basis, basis_inverse, T)
+        return cls.carried(c, A, basis, inverse, T)
 
     def with_columns(self, costs: np.ndarray, columns: np.ndarray) -> list[Start]:
         """One start per column of columns: this start with that column added to A, at its cost.
@@ -201,7 +209,7 @@ class Start:
         # zero only where the product is I bit for bit; a NaN is not zero
         off = np.abs(inverse @ A[:, basis] - np.eye(len(inverse))).max(initial=0.0)
         if off != 0.0:
-            raise NumericsError(f"basis_inverse does not invert the starting basis: off by {off:.3e}")
+            raise NumericsError(f"the inverse does not invert the starting basis: off by {off:.3e}")
         _check(tableau[-1].min(initial=0.0))
         return cls(c, A, basis, inverse, tableau)
 
@@ -216,6 +224,23 @@ def _check_arcs(A: np.ndarray) -> None:
         and heads.sum(axis=0).max(initial=0) <= 1
     ):
         raise ValueError("a column is not an arc's: at most one 1 and one -1, zero elsewhere")
+
+
+def incidence(n: int, arcs: np.ndarray) -> np.ndarray:
+    """The n x len(arcs) incidence: +1 at the tail, -1 at the head of each arc."""
+    A = np.zeros((n, len(arcs)))
+    k = np.arange(len(arcs))
+    A[arcs[:, 0], k] = 1.0
+    A[arcs[:, 1], k] = -1.0
+    return A
+
+
+def marginal_residual(pi: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> float:
+    """The largest error of the coupling pi's row sums against nu0 and column sums against nu1."""
+    return max(
+        float(np.abs(pi.sum(axis=1) - nu0).max()),
+        float(np.abs(pi.sum(axis=0) - nu1).max()),
+    )
 
 
 def _check(worst: float) -> None:
@@ -350,8 +375,9 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray) -> int:
     short basic variable for the rest of the solve: Bland's rule, which
     terminates from any dual-feasible basis.  The pivot element is -1,
     so the pivot row is the row negated, 0.0 - T[r], which writes no
-    -0.0; each pivot is one rank-1 update of the whole tableau by it,
-    and the entering column and row r are then written exactly.  The
+    -0.0; each pivot is one rank-1 update of the whole tableau by it.
+    Its entry j is 1, so the update leaves every entry x of the entering
+    column x - x * 1 = 0.0 exactly, and only row r is then written.  The
     loop calls ndarray methods on views taken once, and keeps numpy
     scalars as they come: the same arithmetic, fewer calls.
     """
@@ -382,9 +408,9 @@ def _run_dual_simplex(T: np.ndarray, basis: np.ndarray) -> int:
             stalled = stalled + 1 if costs[j] <= 0.0 else 0
         # T[r] / T[r, j] with T[r, j] = -1, and 0.0 where that would be -0.0
         pivot_row = 0.0 - T[r]
+        # pivot_row[j] is 1.0, so column j becomes x - x * 1.0 = 0.0 exactly
         T -= T[:, j, None] * pivot_row
-        T[:, j] = 0.0
-        # its entry j is 1.0, so row r is written exactly
+        # and row r is written exactly
         T[r] = pivot_row
         basis[r] = j
         iterations += 1
@@ -453,29 +479,28 @@ def assemble_transport_lp(
     Variables are the n0*n1 entries of the coupling, row-major.  The
     rows fix the row sums of rows 1, ..., n0 - 1 to nu0[1:], then the
     column sums, negated, to -nu1; the row sum of row 0 follows from
-    these and the equal masses, so it is dropped.  Entry (i, j) is then
-    the arc from row i to column j, +1 in the row of i and -1 in that of
-    j, and A is the incidence of the complete bipartite graph without
-    row 0's row, which Start.from_basis accepts.  The basis is a
-    spanning tree of that graph: every entry (0, j), and in each row
+    these and the equal masses, so it is dropped.  With the rows of the
+    coupling as the vertices 0, ..., n0 - 1 and its columns as
+    n0, ..., n0 + n1 - 1, entry (i, j) is then the arc i -> n0 + j, and
+    A is the incidence of that complete bipartite graph with row 0's
+    row dropped.  The basis is a spanning tree of that graph: every
+    entry (0, j), and in each row
     i > 0 the entry (i, j*) with j* = argmin_j (c[i, j] - c[0, j]).  Its
     potentials u = (0, min_j (c[i, j] - c[0, j])) and v = c[0] make
     every tree entry tight and price every entry at
     c[i, j] - u[i] - v[j] >= 0, so the basis is dual feasible for any
     cost, square or rectangular; the duals of the program are u[1:] and
-    -v.  Its inverse is np.linalg.inv of the tree columns rounded to
-    the nearest integers, which Start.from_basis checks exactly.
+    -v.  Start.from_basis forms its inverse and tableau and checks
+    them.
     """
     cost = np.asarray(cost, dtype=float)
     n0, n1 = cost.shape
-    A = np.zeros((n0 - 1 + n1, n0 * n1))
-    for i in range(1, n0):
-        A[i - 1, i * n1 : (i + 1) * n1] = 1.0
-    for j in range(n1):
-        A[n0 - 1 + j, j::n1] = -1.0
+    # entry (i, j), row-major, is the arc i -> n0 + j; row 0's row is dropped
+    arcs = np.argwhere(np.ones((n0, n1), dtype=bool)) + [0, n0]
+    A = incidence(n0 + n1, arcs)[1:]
     rest = np.arange(1, n0) * n1 + np.argmin(cost[1:] - cost[0], axis=1)
     tree = np.concatenate([np.arange(n1), rest])
-    start = Start.from_basis(cost.ravel(), A, tree, np.rint(np.linalg.inv(A[:, tree])))
+    start = Start.from_basis(cost.ravel(), A, tree)
     # 0.0 - v, not -v: a zero mass must not become -0.0
     return start, np.concatenate([nu0[1:], 0.0 - nu1])
 
@@ -500,17 +525,14 @@ def solve_transport(cost: np.ndarray, nu0: np.ndarray, nu1: np.ndarray) -> Trans
             f"marginal masses differ: {nu0.sum():.17g} vs {nu1.sum():.17g}"
         )
     solution = solve_lp(*assemble_transport_lp(cost, nu0, nu1))
-    pi = np.maximum(solution.x.reshape(n0, n1), 0.0)
-    marginal_residual = max(
-        float(np.abs(pi.sum(axis=1) - nu0).max()),
-        float(np.abs(pi.sum(axis=0) - nu1).max()),
-    )
+    # solve_lp has clipped x to x >= 0 already
+    pi = solution.x.reshape(n0, n1)
     return TransportSolution(
         value=float(solution.value),
         pi=pi,
         row_duals=np.concatenate([[0.0], solution.duals[: n0 - 1]]),
         col_duals=0.0 - solution.duals[n0 - 1 :],
-        marginal_residual=marginal_residual,
+        marginal_residual=marginal_residual(pi, nu0, nu1),
         duality_gap=float(solution.duality_gap),
         iterations=solution.iterations,
     )

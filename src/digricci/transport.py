@@ -325,15 +325,6 @@ def _balance_residual(flows: np.ndarray, excess: np.ndarray, arcs: np.ndarray) -
     return float(np.abs(balance - excess).max(initial=0.0))
 
 
-def _incidence(n: int, arcs: np.ndarray) -> np.ndarray:
-    """The n x len(arcs) incidence: +1 at the tail, -1 at the head of each arc."""
-    A = np.zeros((n, len(arcs)))
-    k = np.arange(len(arcs))
-    A[arcs[:, 0], k] = 1.0
-    A[arcs[:, 1], k] = -1.0
-    return A
-
-
 def kantorovich_dual(
     nu0: np.ndarray, nu1: np.ndarray, dm: DistanceMatrix
 ) -> tuple[float, np.ndarray]:
@@ -341,8 +332,9 @@ def kantorovich_dual(
 
     Solved through its LP dual, a min-cost flow with one column of cost
     d(z, w) per ordered pair z -> w and the balance row of vertex 0
-    dropped.  The start basis is the star of pairs 0 -> w: B = -I, so
-    B^-1 = -I, and its potential d(0, .) prices z -> w at
+    dropped; lp.incidence builds its A.  The start basis is the star of
+    pairs 0 -> w: B = -I, whose inverse Start.from_basis forms, and its
+    potential d(0, .) prices z -> w at
     d(z, w) + d(0, z) - d(0, w) >= 0 by the triangle inequality alone.
     The potential is f = -(row duals) with f(0) = 0; the objective is
     invariant under adding constants because the two measures carry
@@ -358,8 +350,8 @@ def kantorovich_dual(
     nu1 = _check_probability(nu1, n, "nu1")
     # every ordered pair, row-major: the star 0 -> w comes first
     pairs = np.argwhere(~np.eye(n, dtype=bool))
-    A = _incidence(n, pairs)[1:]
-    start = lp.Start.from_basis(d[pairs[:, 0], pairs[:, 1]], A, np.arange(n - 1), -np.eye(n - 1))
+    A = lp.incidence(n, pairs)[1:]
+    start = lp.Start.from_basis(d[pairs[:, 0], pairs[:, 1]], A, np.arange(n - 1))
     solution = lp.solve_lp(start, (nu0 - nu1)[1:])
     f = np.concatenate([[0.0], 0.0 - solution.duals])
     return float(solution.value), f
@@ -678,8 +670,4 @@ def wasserstein(
     if gap > lp.GAP_TOL:
         raise NumericsError(f"transport duality gap {gap:.3e} exceeds {lp.GAP_TOL:.1e}")
     pi = _flow_to_coupling(dm.arcs, solution.x, nu0, nu1)
-    marginal_residual = max(
-        float(np.abs(pi.sum(axis=1) - nu0).max()),
-        float(np.abs(pi.sum(axis=0) - nu1).max()),
-    )
-    return TransportPlan(value, pi, f, gap, marginal_residual)
+    return TransportPlan(value, pi, f, gap, lp.marginal_residual(pi, nu0, nu1))

@@ -33,10 +33,11 @@ read off the final cost row, are held to.  kappa_pair solves one
 curvature program alone, from its own start (with_column), the route
 each program of a kappa_lp row must match bit for bit.
 root_basis_reference builds a root's tree start by products:
-np.unique picks the tree, B^-1 is walked column by column, and
-Start.from_basis multiplies B^-1 A out and checks B^-1 B by a product;
-transport.root_basis, which forms B^-1 A as path differences, must
-match it bit for bit.  parse_edge_list_reference is the edge-list
+np.unique picks the tree, Start.from_basis forms B^-1 by LAPACK,
+rounded, multiplies B^-1 A out and checks B^-1 B by a product, and
+B^-1 walked column by column must be that inverse; transport.root_basis,
+which walks B^-1 and forms B^-1 A as path differences, must match it
+bit for bit.  parse_edge_list_reference is the edge-list
 parser with a comment split, a strip and a running maximum per line,
 and render_json_reference the JSON writer with one recursive call per
 leaf; the library's must accept, refuse and write exactly as they do.
@@ -734,11 +735,12 @@ def root_basis_reference(
     """The tree start of root r and the vertex of each row, built by products, not kept.
 
     The first arc one level down into each far end, by np.unique over
-    the candidate arcs; B^-1 walked down the tree a column at a time;
-    and Start.from_basis, which multiplies B^-1 A and the reduced costs
-    out and checks them (B^-1 B exactly I by a product, and no reduced
-    cost below -RC_TOL).  transport.root_basis must build the same start
-    bit for bit.
+    the candidate arcs, and Start.from_basis, which forms B^-1 by
+    LAPACK, rounded, multiplies B^-1 A and the reduced costs out and
+    checks them (B^-1 B exactly I by a product, and no reduced cost
+    below -RC_TOL).  B^-1 walked down the tree a column at a time, the
+    tree's path matrix, must be that inverse bit for bit, and
+    transport.root_basis must build the same start bit for bit.
     """
     arcs = dm.arcs
     n = len(dm.d)
@@ -762,7 +764,9 @@ def root_basis_reference(
     A[arcs[:, 0], np.arange(len(arcs))] = 1.0
     A[arcs[:, 1], np.arange(len(arcs))] = -1.0
     A = A[vertices]
-    return lp.Start.from_basis(np.ones(len(arcs)), A, tree, inverse), vertices
+    start = lp.Start.from_basis(np.ones(len(arcs)), A, tree)
+    assert inverse.tobytes() == start.inverse.tobytes()
+    return start, vertices
 
 
 def parse_edge_list_reference(text: str) -> tuple[np.ndarray, None]:

@@ -446,10 +446,11 @@ def test_kappa_start_is_the_start_its_basis_multiplies_out(g):
     of dm.arcs.  The virtual column y -> x is basic in each (the
     nonbasic case has its own test), so the start holds the arc x -> y
     in its place, on root x's own c and A.
-    The inverse is the swapped basis's exact inverse (its entries are
-    integers, so the rounded LU inverse is exact), and the tableau is
-    the one from_basis multiplies out with it.  The start is formed on
-    first use, once.
+    Its inverse, formed as a product off kappa's final tableau, is the
+    one from_basis forms by LAPACK and rounds (its entries are
+    integers, so the rounded inverse is exact), and its tableau the one
+    from_basis multiplies out with that.  The start is formed on first
+    use, once.
     """
     dm = distances(g)
     report = curvature_matrix(markov_data(g), dm)
@@ -461,8 +462,7 @@ def test_kappa_start_is_the_start_its_basis_multiplies_out(g):
         program = root_basis(dm, x).start
         assert start.c is program.c and start.A is program.A
         assert arcs.index([x, y]) in start.basis
-        inverse = np.linalg.inv(program.A[:, start.basis]).round() + 0.0
-        ref = lp.Start.from_basis(program.c, program.A, start.basis, inverse)
+        ref = lp.Start.from_basis(program.c, program.A, start.basis)
         assert start.inverse.tobytes() == ref.inverse.tobytes()
         assert start.tableau.tobytes() == ref.tableau.tobytes()
         assert arc_start.start is start
@@ -1248,11 +1248,8 @@ class TestStartingBasis:
     """min x0 + 2 x1 subject to x0 + x1 = b, x >= 0, from a given basis."""
 
     @staticmethod
-    def program(b=1.0, basis=(0,), **kwargs):
-        A = np.array([[1.0, 1.0]])
-        # both columns are 1, so every one-column basis has this inverse
-        kwargs.setdefault("basis_inverse", np.linalg.inv(A[:, :1]))
-        return lp.Start.from_basis([1.0, 2.0], A, basis, **kwargs), [b]
+    def program(b=1.0, basis=(0,)):
+        return lp.Start.from_basis([1.0, 2.0], [[1.0, 1.0]], basis), [b]
 
     def test_dual_feasible_basis_is_the_hand_optimum(self):
         # {x0} prices x1 at 2 - 1 >= 0 and holds x0 = 1: optimal before any pivot
@@ -1270,22 +1267,25 @@ class TestStartingBasis:
 
     def test_wrong_basis_inverse_raises(self):
         # the arcs 1 -> 2 and 2 -> 1 (root 0's row dropped) close a cycle, so they are
-        # a singular basis with no inverse; any matrix offered is wrong
+        # a singular basis with no inverse: from_basis finds none to form, and any
+        # matrix a caller offers carried is wrong
         A = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        with pytest.raises(ValueError):
+            lp.Start.from_basis([1.0, 1.0], A, basis=(0, 1))
         with pytest.raises(NumericsError, match="does not invert"):
-            lp.Start.from_basis([1.0, 1.0], A, basis=(0, 1), basis_inverse=np.linalg.pinv(A))
+            lp.Start.carried(np.ones(2), A, np.array([0, 1]), np.linalg.pinv(A), np.zeros((3, 2)))
         # an inverse of other columns, here of a permuted basis: the arcs 1 -> 0 and
         # 2 -> 0 of the star into root 0 are I, and the inverse offered is of I's columns swapped
         A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
         with pytest.raises(NumericsError, match="does not invert"):
-            lp.Start.from_basis(
-                [1.0, 1.0, 1.0], A, basis=(0, 1), basis_inverse=np.linalg.inv(A[:, [1, 0]])
+            lp.Start.carried(
+                np.ones(3), A, np.array([0, 1]), np.linalg.inv(A[:, [1, 0]]), np.zeros((3, 3))
             )
         # an inverse within 1e-9 of the exact one but not exact: the in-tree of vertex 6 of
         # the graph where Bland's rule takes over, its path matrix scaled by 1 - 3e-11
         tree = root_basis(distances(build_graph(BLAND_MU)), 6, inward=True).start
         with pytest.raises(NumericsError, match="does not invert"):
-            lp.Start.from_basis(tree.c, tree.A, tree.basis, tree.inverse * (1 - 3e-11))
+            lp.Start.carried(tree.c, tree.A, tree.basis, tree.inverse * (1 - 3e-11), tree.tableau)
 
     def test_a_column_that_is_not_an_arcs_raises(self):
         # an arc's column holds at most one 1 and one -1, zero elsewhere; an entry of 2, 0.5
@@ -1293,23 +1293,17 @@ class TestStartingBasis:
         start, _b = self.program()
         for column in ([2.0], [0.5], [np.nan]):
             with pytest.raises(ValueError, match="not an arc's"):
-                lp.Start.from_basis([1.0, 2.0], [[1.0, column[0]]], (0,), [[1.0]])
+                lp.Start.from_basis([1.0, 2.0], [[1.0, column[0]]], (0,))
             with pytest.raises(ValueError, match="not an arc's"):
                 start.with_columns(np.zeros(1), np.array([column]))
-        tree = lp.Start.from_basis([1.0, 1.0], np.eye(2), (0, 1), np.eye(2))
+        tree = lp.Start.from_basis([1.0, 1.0], np.eye(2), (0, 1))
         for column in ([1.0, 1.0], [-1.0, -1.0]):
             with pytest.raises(ValueError, match="not an arc's"):
-                lp.Start.from_basis([1.0, 1.0, 1.0], np.c_[np.eye(2), column], (0, 1), np.eye(2))
+                lp.Start.from_basis([1.0, 1.0, 1.0], np.c_[np.eye(2), column], (0, 1))
             with pytest.raises(ValueError, match="not an arc's"):
                 tree.with_columns(np.zeros(1), np.array([column]).T)
         # the arcs 1 -> 2 and 2 -> 1, root 0's row dropped, are arcs' columns
         assert len(tree.with_columns(np.ones(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))) == 2
-
-    def test_basis_needs_its_inverse(self):
-        with pytest.raises((TypeError, ValueError), match="basis_inverse"):
-            lp.Start.from_basis([1.0, 2.0], [[1.0, 1.0]], basis=(0,))
-        with pytest.raises(ValueError, match="basis_inverse"):
-            self.program(basis_inverse=np.eye(2))
 
     @pytest.mark.parametrize("basis", [(0, 1), (), (2,), (-1,)])
     def test_basis_of_wrong_length_or_range_raises(self, basis):
@@ -1329,7 +1323,7 @@ class TestStartingBasis:
 
     def test_dual_simplex_pivots_to_the_optimum(self):
         # the basis {x0} of x0 - x1 = -1 gives x0 = -1; one pivot brings in x1
-        start = lp.Start.from_basis([1.0, 2.0], [[1.0, -1.0]], basis=(0,), basis_inverse=[[1.0]])
+        start = lp.Start.from_basis([1.0, 2.0], [[1.0, -1.0]], basis=(0,))
         sol = solve_lp(start, [-1.0])
         assert sol.status == "optimal" and sol.iterations == 1
         assert np.array_equal(sol.x, [0.0, 1.0])

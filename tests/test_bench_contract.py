@@ -135,6 +135,29 @@ def test_traced_k8_analyze_keeps_its_pivot_count(bench, run, tmp_path, capsys):
     assert (metrics["lp.solve_lp.calls"], metrics["lp.pivots"]) == (988, 949)
 
 
+@pytest.mark.parametrize("options, calls", [([], 13), (["--cross-check"], 14)])
+def test_traced_k8_analyze_counts_every_certificate_from_samples(
+    bench, run, tmp_path, capsys, options, calls
+):
+    """The traced K_8 analyze counts each certificate that certificate_from_samples builds.
+
+    cli builds the heat-limit agreement, and with --cross-check the
+    smoothing agreement, through the certificates module, whose name
+    the tracer wraps, so they count beside the 12 calls made elsewhere
+    in the package.
+    """
+    workload = bench.workloads.build("analyze_dense", 1)
+    (path,) = write_graphs(workload, tmp_path)
+    tracer = run.Tracer()
+    try:
+        tracer.install(digricci)
+        assert tracer.call("cli.main.analyze", cli.main, ["analyze", path, *options]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert run.layer_metrics(tracer)["certificates.certificate_from_samples.calls"] == calls
+
+
 def test_traced_analyze_sparse_keeps_its_solve_counts(bench, run, tmp_path, capsys):
     """analyze_sparse seed 1, traced: 413 LP solves, 301 of them under wasserstein, 537 pivots.
 

@@ -18,7 +18,9 @@ invalid warning is how a bound of inf * 0 or 0 / 0, a nan, shows in
 the tests.  An lp.Start is built through a checked constructor: only
 Start's own methods call Start directly, so every start's inverse
 inverts its basis exactly and no program that is not a flow reaches
-the pivot loop.
+the pivot loop.  LAPACK inverts a basis in one place: only
+lp.Start.from_basis calls np.linalg.inv, and every other inverse is a
+tree's path matrix or a product off a tableau.
 """
 
 from __future__ import annotations
@@ -164,6 +166,30 @@ def direct_start_calls(sources: dict[str, str]) -> list[str]:
         for node in ast.walk(statement)
         if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Start"
     })
+
+
+def inverse_calls(sources: dict[str, str]) -> list[str]:
+    """Each call of inv in sources (by module name), as "module.scope", sorted.
+
+    A call counts by the last part of its name, so np.linalg.inv,
+    numpy.linalg.inv and a bare inv all count and pinv does not; the
+    scope is the dotted path of the classes and functions around the
+    call, <module> for none.
+    """
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = (*scope, child.name)
+            elif isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == "inv":
+                found.append(".".join(scope if scope[1:] else (*scope, "<module>")))
+            visit(child, inner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), (module,))
+    return sorted(found)
 
 
 def private_fields(source: str, name: str) -> set[str]:
@@ -345,3 +371,19 @@ def test_direct_start_calls_are_found():
 def test_only_starts_own_methods_build_a_start_unchecked():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert direct_start_calls(sources) == ["lp.Start"]
+
+
+def test_inverse_calls_are_found():
+    sources = {
+        "lp": "import numpy as np\n\n\nclass Start:\n    @classmethod\n"
+              "    def from_basis(cls, A):\n        return np.linalg.inv(A)\n\n"
+              "    def other(self):\n        return np.linalg.pinv(self.A)\n",
+        "a": "import numpy\nfrom numpy.linalg import inv\n\n\ndef f(B):\n    def g():\n"
+             "        return inv(B)\n\n    return g, numpy.linalg.inv(B)\n\n\nX = inv(2)\n",
+    }
+    assert inverse_calls(sources) == ["a.<module>", "a.f", "a.f.g", "lp.Start.from_basis"]
+
+
+def test_only_from_basis_calls_a_lapack_inverse():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert inverse_calls(sources) == ["lp.Start.from_basis"]

@@ -159,7 +159,7 @@ class TestKernel:
         basis, bit for bit.
         """
         A = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 1.0]])
-        start = lp.Start.from_basis([0.0, 0.0, 1.0], A, basis=(0, 1), basis_inverse=np.eye(2))
+        start = lp.Start.from_basis([0.0, 0.0, 1.0], A, basis=(0, 1))
         b = np.array([-1.0, 0.5])
         with pytest.raises(LpFailureError, match=NOT_OPTIMAL.replace("0 pivots", "1 pivots")):
             lp.solve_lp(start, b)
@@ -231,7 +231,7 @@ class TestCertificate:
         solve_lp returns optimal solves only, so it raises, naming the
         status and the pivot count, and no certificate is formed.
         """
-        start = lp.Start.from_basis(np.zeros(2), np.ones((1, 2)), [0], np.eye(1))
+        start = lp.Start.from_basis(np.zeros(2), np.ones((1, 2)), [0])
         with pytest.raises(LpFailureError, match=NOT_OPTIMAL):
             lp.solve_lp(start, [-1.0])
 
@@ -242,7 +242,7 @@ class TestCertificate:
         start on for, so solve_lp raises before any solution exists;
         RootBasis.solve lets that error through as it is.
         """
-        start = lp.Start.from_basis([1.0, 1.0], [[1.0, 1.0]], [0], [[1.0]])
+        start = lp.Start.from_basis([1.0, 1.0], [[1.0, 1.0]], [0])
         with pytest.raises(LpFailureError, match=NOT_OPTIMAL):
             lp.solve_lp(start, [-1.0])
         tree = transport.RootBasis(start=start, vertices=np.array([1]))

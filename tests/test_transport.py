@@ -76,7 +76,7 @@ class TestSolverContract:
         # the flow program of one vertex: its row is dropped, so none is left.
         # build_graph refuses a one-vertex graph, so the program is built here;
         # verify also restarts it from its final basis
-        start = lp.Start.from_basis(np.zeros(0), np.zeros((0, 0)), [], np.zeros((0, 0)))
+        start = lp.Start.from_basis(np.zeros(0), np.zeros((0, 0)), [])
         solution = lp.solve_lp(start, np.zeros(0))
         if verify:
             solution = lp.solve_lp(solution.warm_start(), np.zeros(0))
