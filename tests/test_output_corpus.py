@@ -3,13 +3,17 @@
 The graphs are the 11 that bench/workloads draws for its four
 workloads at seed 1: K_8 (analyze_dense), two ring+chords n=8
 (analyze_sparse) and four ring+chords n=12 each (curvature_sparse and
-queries).  Each graph runs the fifteen commands of COMMANDS through
+queries).  Each graph runs the seventeen commands of COMMANDS through
 cli.main in process, and each (graph, command) is pinned as one
-SHA-256 of its exit code, stdout and stderr, with the graph file's path
-replaced by "<graph>" in both streams.  The commands cover every
-output format of every subcommand that has more than one, and
-"analyze --k-override 2" asserts a K that none of the graphs has, so a
-certificate fails and the report exits 1.  A mismatch names the
+SHA-256 of its exit code, stdout and stderr, with the path of each file
+the run reads replaced in both streams: the graph's by "<graph>", and
+those of its two measure files, one proportional to 1, ..., n and its
+reverse, by "<ramp>" and "<reversed>".  The commands cover every
+output format of every subcommand that has more than one and the heat
+of a function (--f); "analyze --k-override 2" asserts a K that none of
+the graphs has, so a certificate fails and the report exits 1, and the
+transport plan between the two measure files takes at least one pivot
+on every graph.  A mismatch names the
 command, so a change can run it at its parent and diff the two outputs.
 
 A change that moves an output on purpose updates its pins in the same
@@ -26,6 +30,7 @@ import importlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from digricci import cli
@@ -33,7 +38,8 @@ from digricci import cli
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SEED = 1
 # each command as its label: the subcommand, then (after the graph path) its
-# options, with {last} the graph's last vertex
+# options, with {last} the graph's last vertex and {ramp} and {reversed} its
+# measure files
 COMMANDS = (
     "analyze",
     "analyze --cross-check",
@@ -50,6 +56,8 @@ COMMANDS = (
     "verify-functional --format table",
     "perron --format table",
     "analyze --k-override 2",
+    "wasserstein {ramp} {reversed} --plan",
+    "heat --t 0.5 --f dirac:0",
 )
 # "workload/graph" -> command label -> SHA-256 of the run
 PINS = {
@@ -84,6 +92,10 @@ PINS = {
             "2d0a4cfb3fd668c33076809cb61e1a86663936fc2b5d69b651360227aab75b20",
         "analyze --k-override 2":
             "782ec01af52ab4496318f7f483b3f1eafe383dab0f494472aed82ae500a78d16",
+        "wasserstein {ramp} {reversed} --plan":
+            "8a70f1eb8597e5b4b6d0b31bd762b6a6d1a67633f1f77ca104dd6214b539e398",
+        "heat --t 0.5 --f dirac:0":
+            "e22946d98283b0f574863ad3c9d5e0e937488fbd20689abb6c513325b0784fd3",
     },
     "analyze_sparse/ring8_0": {
         "analyze":
@@ -116,6 +128,10 @@ PINS = {
             "2f47891142e26ed31218efa5e525906994734fbb8019186e6bb1f8d7c2fafb62",
         "analyze --k-override 2":
             "cf139fdbbba3a6b0bb68b98ab091fdd103fb09f3a680ac9ce22a2dd6cc603e23",
+        "wasserstein {ramp} {reversed} --plan":
+            "02969540d8c91309369999b1e23222fabafb5197c518664895991cf5ca9d9a7e",
+        "heat --t 0.5 --f dirac:0":
+            "1585ef397d606f46707dafd242bbbf8368b8561f0d0dcbba11de0e4a61e32e63",
     },
     "analyze_sparse/ring8_1": {
         "analyze":
@@ -148,6 +164,10 @@ PINS = {
             "1bc35496c3435f55df0d36f759fa6749385dcdfb8e2ee249c445cbb27b921256",
         "analyze --k-override 2":
             "53a00fb2cb10cd3b7269e6bba3322cd7b6116af3055af50c083667d053d16eaf",
+        "wasserstein {ramp} {reversed} --plan":
+            "6e412ba058e02a9517e63eb76e521928b02b8225d4c2f131abbd53f70a2c7ae8",
+        "heat --t 0.5 --f dirac:0":
+            "d2f38406fdeb6f1b62542b1d37572e08f7ae420f63b888d1d1fcf8b08a9dd623",
     },
     "curvature_sparse/ring12_0": {
         "analyze":
@@ -180,6 +200,10 @@ PINS = {
             "6a7d552e2c2e02f22466d7f250d443b5e77794cece3463e5c44b027e92182d25",
         "analyze --k-override 2":
             "acf1a3810aa7eb27444cc72ead01cfcc293f1f62e60fd607447100f43631dd60",
+        "wasserstein {ramp} {reversed} --plan":
+            "89af66443bab73d52871a55b07c77632b0bdc5865d9e8ac37b45ad3b0ff7a247",
+        "heat --t 0.5 --f dirac:0":
+            "fd450f13464369caa9b0c2aace2aa1c8c7478087d95ac876d339fb26bbffe725",
     },
     "curvature_sparse/ring12_1": {
         "analyze":
@@ -212,6 +236,10 @@ PINS = {
             "b6a86805b9fabc6b0d3e7cb803627b4c23762714ce23513fb1e87841615ef71b",
         "analyze --k-override 2":
             "d8dfb45bc967027726defcae5e0b5106664e19c4f1feb8b9a2c3eb8b32a509a4",
+        "wasserstein {ramp} {reversed} --plan":
+            "cf23a32af71ac01744ce91929eea022ac3754550db3e03c7b72c328816977e70",
+        "heat --t 0.5 --f dirac:0":
+            "795faa00147afcc4c44b71ba09e3156f2c287ebb6eea8dd2897ced6143c9406d",
     },
     "curvature_sparse/ring12_2": {
         "analyze":
@@ -244,6 +272,10 @@ PINS = {
             "6bf25a0ef1d0e628e8fa12b1150e56b94439180c41c3e423750c2d4731d2b985",
         "analyze --k-override 2":
             "76cb640c294492f641b54dc03641247a77a9cea5ee70cd2290b40aeb0efa8237",
+        "wasserstein {ramp} {reversed} --plan":
+            "a95312394341ac3b671fa3302a963bb39611eecd0d1424098ce3aa747234b3de",
+        "heat --t 0.5 --f dirac:0":
+            "8a3b117e4b8be5cfb38495dc00c1a0c557bd32adf9b108b7c714a297dde4dff4",
     },
     "curvature_sparse/ring12_3": {
         "analyze":
@@ -276,6 +308,10 @@ PINS = {
             "19781e68dcf6f633befb13c3d75e30ea19cd430bd665e3963dd8470bcfd51c1e",
         "analyze --k-override 2":
             "d96fcd183278d9e0382d592fec4b19cb6b1138eb1bd065752e921e463a0186a0",
+        "wasserstein {ramp} {reversed} --plan":
+            "d7af5bef8b58b73938356e943ac1f0c9504704105744a86531d05663fc75be67",
+        "heat --t 0.5 --f dirac:0":
+            "ba9a606d55e1bfc2dac286002b9ca191b93ba8996c1eaa1569e0845a5c09ef12",
     },
     "queries/ring12_0": {
         "analyze":
@@ -308,6 +344,10 @@ PINS = {
             "2c6b4afc0e9b35215bbba4eba7a027d526f8595c107694b66a7ac525d99d19d4",
         "analyze --k-override 2":
             "9409fd705981c7584b8bafaf7a91bcda6d743f718a28c150dd43119954e43577",
+        "wasserstein {ramp} {reversed} --plan":
+            "b6d946a2851ad64c9f9ef68c0a58e7c3f1e2f0552493ed6be9dad4e22c00dad9",
+        "heat --t 0.5 --f dirac:0":
+            "c543c9664405000be97cc493ef0fa718eeac0c633185317b2f2a3b1497b7c657",
     },
     "queries/ring12_1": {
         "analyze":
@@ -340,6 +380,10 @@ PINS = {
             "b6a86805b9fabc6b0d3e7cb803627b4c23762714ce23513fb1e87841615ef71b",
         "analyze --k-override 2":
             "d8dfb45bc967027726defcae5e0b5106664e19c4f1feb8b9a2c3eb8b32a509a4",
+        "wasserstein {ramp} {reversed} --plan":
+            "cf23a32af71ac01744ce91929eea022ac3754550db3e03c7b72c328816977e70",
+        "heat --t 0.5 --f dirac:0":
+            "795faa00147afcc4c44b71ba09e3156f2c287ebb6eea8dd2897ced6143c9406d",
     },
     "queries/ring12_2": {
         "analyze":
@@ -372,6 +416,10 @@ PINS = {
             "50879af94b94768e7150f224520aeae8f30ecd4f5de90fdb92cd7becd7ce2d19",
         "analyze --k-override 2":
             "514077d82ac3d24f6ca42d166e8a8c0018c2baab45e3bb8f2bc1de14bc6da032",
+        "wasserstein {ramp} {reversed} --plan":
+            "7efdf76bf9f214716e6f821ce3fd1543c9ebf8a0504cae959a4dd2bf346818d1",
+        "heat --t 0.5 --f dirac:0":
+            "d59b32d68bfd3d75dce52ac618921a0f8e5acdbec2546769a8e024b2d97c42a8",
     },
     "queries/ring12_3": {
         "analyze":
@@ -404,6 +452,10 @@ PINS = {
             "19781e68dcf6f633befb13c3d75e30ea19cd430bd665e3963dd8470bcfd51c1e",
         "analyze --k-override 2":
             "d96fcd183278d9e0382d592fec4b19cb6b1138eb1bd065752e921e463a0186a0",
+        "wasserstein {ramp} {reversed} --plan":
+            "d7af5bef8b58b73938356e943ac1f0c9504704105744a86531d05663fc75be67",
+        "heat --t 0.5 --f dirac:0":
+            "ba9a606d55e1bfc2dac286002b9ca191b93ba8996c1eaa1569e0845a5c09ef12",
     },
 }
 
@@ -421,22 +473,39 @@ def graphs() -> dict:
     }
 
 
-def run_hash(argv: list[str], path: str, capsys) -> str:
-    """SHA-256 of cli.main(argv)'s exit code, stdout and stderr, with path replaced by "<graph>"."""
+def run_hash(argv: list[str], paths: dict[str, str], capsys) -> str:
+    """SHA-256 of cli.main(argv)'s exit code, stdout and stderr, each path replaced by its name.
+
+    paths maps a name to the path of a file the run reads, which shows
+    as "<name>" in both streams.
+    """
     code = cli.main(argv)
-    out, err = capsys.readouterr()
-    run = [code, out.replace(path, "<graph>"), err.replace(path, "<graph>")]
-    return hashlib.sha256(json.dumps(run).encode()).hexdigest()
+    streams = capsys.readouterr()
+    for name, path in paths.items():
+        streams = [stream.replace(path, f"<{name}>") for stream in streams]
+    return hashlib.sha256(json.dumps([code, *streams]).encode()).hexdigest()
 
 
 def corpus_hashes(graph, directory: Path, capsys) -> dict[str, str]:
-    """Command label -> the hash of that command's run on graph, written to a file in directory."""
-    path = directory / f"{graph.name}.edges"
-    path.write_text(graph.text(), encoding="utf-8")
+    """Command label -> the hash of that command's run on graph, its files written to directory.
+
+    The graph goes to one file, and the measures proportional to
+    1, ..., n and to n, ..., 1 each to a file of one weight per line.
+    """
+    ramp = np.arange(1, graph.n + 1) / (graph.n * (graph.n + 1) / 2)
+    weights = {"ramp": ramp, "reversed": ramp[::-1]}
+    texts = {"graph": graph.text()} | {
+        name: "".join(f"{weight!r}\n" for weight in nu.tolist()) for name, nu in weights.items()
+    }
+    paths = {}
+    for name, text in texts.items():
+        path = directory / f"{graph.name}.{'edges' if name == 'graph' else name}"
+        path.write_text(text, encoding="utf-8")
+        paths[name] = str(path)
     hashes = {}
     for label in COMMANDS:
-        command, *options = label.format(last=graph.n - 1).split()
-        hashes[label] = run_hash([command, str(path), *options], str(path), capsys)
+        command, *options = label.format(last=graph.n - 1, **paths).split()
+        hashes[label] = run_hash([command, paths["graph"], *options], paths, capsys)
     return hashes
 
 
