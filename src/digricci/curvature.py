@@ -129,11 +129,12 @@ def kappa_lp(
     ys is a row of targets, a 1-d array; a single pair is the row [y].
     It returns kappa of shape (k,), the witnesses of shape (k, n), one
     row per y, and a list of k starts: for an arc (d(x, y) = 1) its
-    optimum as a transport.ArcStart, its final basis and tableau as
-    they stand, which a heat-flow W table of the arc may start from,
-    and None for any other target.  An ArcStart forms its W start only
-    when a table reads it, so a caller that drops it pays for none of
-    it.  All three are empty for an empty row.  SameVertexError if x
+    optimum as a transport.ArcStart, its final basis and a copy of its
+    final rows, which a heat-flow W table of the arc may start from,
+    and None for any other target.  The copy lets the row's stack of
+    starts go once kappa_lp returns.  An ArcStart forms its W start
+    only when a table reads it, so a caller that drops it pays for none
+    of it.  All three are empty for an empty row.  SameVertexError if x
     is among them.  The programs of a row share x's start, so they are
     set up once: the objectives c are one array, the virtual columns
     are added to the start and checked as one stack
@@ -170,7 +171,7 @@ def kappa_lp(
     if gap > lp.GAP_TOL:
         raise NumericsError(f"curvature duality gap {gap:.3e} exceeds {lp.GAP_TOL:.1e}")
     arc_starts = [
-        transport.ArcStart(x, y, solution.basis, solution._tableau, tree.start)
+        transport.ArcStart(x, y, solution.basis, solution.rows.copy(), tree.start)
         if dxy == 1.0 else None
         for y, dxy, solution in zip(ys.tolist(), d.tolist(), solutions)
     ]

@@ -12,29 +12,33 @@ for c and A stays so for every b, so one start serves every right-hand
 side, and a solve only forms B^-1 b: when no entry is short the start
 is optimal and the solve returns at once, and otherwise it sets B^-1 b
 and its cost entry beside the start's rows and pivots to primal
-feasibility.  There is no standard form and no phase 1, and the final
-tableau of a solve that took no pivot and the optimal duals of any
-solve, one product of the final cost row with the start's inverse, are
-formed only when read, so solve_lp factorises nothing.  Starts come
-five ways, and all but with_columns' pass the one start check,
-Start.carried's: Start.from_basis takes a basis alone, forms its
-inverse by LAPACK, rounded to the integers it stands for, and
-multiplies out its tableau, the one place the package inverts a
-matrix; transport.root_basis forms a spanning tree's inverse and
-tableau exactly, by a walk, with no product; with_columns makes one
-start per added column, each the start plus that column, whose basis
-and inverse stay, forming every new column's tableau entries as one
-product and checking their reduced costs, and nothing else, once (one
-column is a stack of one); an optimal solution's warm_start makes its
-final basis the start of the next b, so a caller that solves one c and
+feasibility.  There is no standard form and no phase 1.  A solve
+ends as what the pivot loop leaves: its final basis, final rows
+[B_f^-1 A ; c - c_B B_f^-1 A] and basic values B_f^-1 b, the rows
+being the start's tableau itself when it took no pivot, so no tableau
+is formed after the loop; the optimal duals, one product of the final
+cost row with the start's inverse, are formed only when read, so
+solve_lp factorises nothing.  Starts come five ways, and all but
+with_columns' pass the one start check, Start.carried's:
+Start.from_basis takes a basis alone, forms its inverse by LAPACK,
+rounded to the integers it stands for, and multiplies out its tableau,
+the one place the package inverts a matrix; transport.root_basis forms
+a spanning tree's inverse and tableau exactly, by a walk, with no
+product; with_columns makes one start per added column, each the start
+plus that column, whose basis and inverse stay, forming every new
+column's tableau entries as one product and checking their reduced
+costs, and nothing else, once (one column is a stack of one);
+Start.from_final makes a final basis the start of the next b, off its
+final rows as they stand, with the one m x m product
+(B_f^-1 B_0) B_0^-1 as its inverse, so a caller that solves one c and
 A for a sequence of right-hand sides starts each solve from the
-previous optimum without multiplying B^-1 A again: a solve that took
-no pivot ended on its start and hands that start on unchanged, and one
-that pivoted carries its final tableau over, with the one m x m
-product T[:m, b0] B0^-1 as its inverse; and Start.carried, the one
+previous optimum without multiplying B^-1 A again (an optimal
+solution's warm_start; one that took no pivot ended on its start and
+hands that start on unchanged), and an arc's curvature optimum starts
+its transport chain (transport.ArcStart); and Start.carried, the one
 constructor that takes an inverse from its caller, takes a basis,
-inverse and tableau formed off another solve's final tableau or as
-from_basis and root_basis form them, and checks them as they stand.
+inverse and tableau formed as from_basis, from_final and root_basis
+form them, and checks them as they stand.
 
 Every program solved is a flow on a graph whose balance rows sum to
 zero, with one of them dropped, and a spanning tree of that graph is a
@@ -42,7 +46,7 @@ basis (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 11).  Its A
 is an incidence, totally unimodular, so every B^-1 A holds only -1, 0
 and 1, and the pivot loop counts on it.  from_basis and with_columns
 refuse any column that is not an arc's (ValueError), root_basis's tree
-incidence is made of arcs, and carried and warm_start keep the A of a
+incidence is made of arcs, and carried and from_final keep the A of a
 start built by one of those, so no other program reaches the loop.
 Every B^-1 is integral too, and the start check takes no tolerance:
 an inverse off the integers by less than any tolerance would still
@@ -123,11 +127,11 @@ class Start:
     shape (m + 1) x n; the basis columns are the unit vectors over a
     zero reduced cost.  A dual-feasible basis stays dual feasible for
     every b, so one start serves every program min c.x, A x = b,
-    x >= 0.  from_basis, with_columns, carried, LpSolution.warm_start
-    and transport.root_basis build starts, and every one but
-    with_columns' through carried's check; nothing changes a start
-    after that, so a start is handed on as it stands when a solve from
-    it takes no pivot.
+    x >= 0.  from_basis, with_columns, from_final, carried and
+    transport.root_basis build starts, and every one but with_columns'
+    through carried's check; nothing changes a start after that, so a
+    start is handed on as it stands when a solve from it takes no
+    pivot.
     """
 
     c: np.ndarray
@@ -196,11 +200,25 @@ class Start:
         return [Start(c[i], A[i], self.basis, self.inverse, T[i]) for i in range(k)]
 
     @classmethod
+    def from_final(cls, program: Start, basis, rows) -> Start:
+        """The start of a final basis of program's c and A, off that basis's rows.
+
+        rows is [B_f^-1 A ; c - c_B B_f^-1 A] for the basis B_f, as a
+        solve from program ends with it (LpSolution.rows) or as
+        transport.ArcStart swaps it; it is the start's tableau as it
+        stands.  The inverse is the one m x m product the start needs,
+        B_f^-1 = (B_f^-1 B_0) B_0^-1, off the rows' columns of program's
+        basis B_0, and both are checked as carried checks them.
+        """
+        inverse = rows[:-1, program.basis] @ program.inverse
+        return cls.carried(program.c, program.A, basis, inverse, rows)
+
+    @classmethod
     def carried(cls, c, A, basis, inverse, tableau) -> Start:
         """The start of a basis whose inverse and tableau a caller formed, taken as they stand.
 
-        The one start check, which from_basis, transport.root_basis,
-        LpSolution.warm_start and transport.ArcStart.start all end in;
+        The one start check, which from_basis, from_final and
+        transport.root_basis all end in;
         nothing is multiplied out but B^-1 B.  NumericsError unless
         inverse @ A[:, basis] is I bit for bit, with no tolerance (every
         basis of a flow program has an integral inverse), and every
@@ -253,23 +271,23 @@ def _check(worst: float) -> None:
 class LpSolution:
     """An optimal solve, with the optimality certificate pieces.
 
-    It keeps the start it began from, its right-hand side b, its final
-    basis, one column index per row, and its final basic values
-    B_f^-1 b.  x and value are formed by the solve; the final tableau
-    and the certificate pieces are formed on first read, so a caller
-    that reads only the value pays for none of them.  A solve that
-    pivoted keeps the tableau it pivoted; one that took no pivot ended
-    on its start, whose tableau rows beside B^-1 b are its final
-    tableau, formed only when read.  duals has one multiplier per row
-    of the program: y = c_B B^-1 on the final basis, read off the final
-    cost row c - y A through the start's inverse.  duality_gap is
-    |c.x - y.b|, which certifies optimality on that basis.
-    feasibility_residual is the largest violation of A x = b and x >= 0
-    by the final basic values as the tableau holds them, before x clips
-    the ones PRIMAL_TOL reads as zero, so an exactly infeasible final
-    basis shows.  basis_inverse is the final basis's inverse, and
-    warm_start makes the basis the start of another b.  solve_lp raises
-    instead of returning a solve that is not optimal.
+    It keeps what the solve ends with: the start it began from, its
+    right-hand side b, its final basis, one column index per row, its
+    final rows [B_f^-1 A ; c - c_B B_f^-1 A] and its final basic values
+    B_f^-1 b.  A solve that took no pivot ended on its start, so its
+    rows are the start's tableau itself; one that pivoted keeps the tableau
+    it pivoted, without the b column.  x and value are formed by the
+    solve; the certificate pieces are formed on first read, so a caller
+    that reads only the value pays for none of them.  duals has one
+    multiplier per row of the program: y = c_B B_f^-1 on the final
+    basis, read off the final cost row c - y A through the start's
+    inverse.  duality_gap is |c.x - y.b|, which certifies optimality on
+    that basis.  feasibility_residual is the largest violation of A x =
+    b and x >= 0 by the final basic values as the solve left them,
+    before x clips the ones PRIMAL_TOL reads as zero, so an exactly
+    infeasible final basis shows.  warm_start makes the basis the start
+    of another b.  solve_lp raises instead of returning a solve that is
+    not optimal.
     """
 
     # solve_lp returns optimal solves only; kept because the benchmark tracer
@@ -281,28 +299,15 @@ class LpSolution:
     start: Start = field(repr=False)
     b: np.ndarray = field(repr=False)
     basis: np.ndarray
+    rows: np.ndarray = field(repr=False)
     # B_f^-1 b as the solve left it, before x clips it
     _basic: np.ndarray = field(repr=False)
-    # the final tableau: the one the solve pivoted, or for a solve that took no
-    # pivot None until _tableau first forms it
-    _final: np.ndarray | None = field(repr=False)
-
-    @property
-    def _tableau(self) -> np.ndarray:
-        """The final tableau, [B_f^-1 A | B_f^-1 b ; c - c_B B_f^-1 A | -c_B B_f^-1 b].
-
-        A solve that took no pivot ended on its start, so it is the
-        start's rows beside B^-1 b, formed on first read and kept.
-        """
-        if self._final is None:
-            self._final = _start_tableau(self.start, self._basic)
-        return self._final
 
     @cached_property
     def duals(self) -> np.ndarray:
         """y = c_B B_f^-1: the cost row is c - y A, so on the start basis B0 it is c[b0] - y B0."""
         b0 = self.start.basis
-        return (self.start.c[b0] - self._tableau[-1, b0]) @ self.start.inverse
+        return (self.start.c[b0] - self.rows[-1, b0]) @ self.start.inverse
 
     @cached_property
     def duality_gap(self) -> float:
@@ -312,29 +317,22 @@ class LpSolution:
     @cached_property
     def feasibility_residual(self) -> float:
         """The largest violation of A x = b and x >= 0 by the unclipped basic values."""
-        basic = self._tableau[:-1, -1]
+        basic = self._basic
         err = float(np.abs(self.start.A[:, self.basis] @ basic - self.b).max(initial=0.0))
         return max(0.0, err, float(-basic.min(initial=0.0)))
-
-    @cached_property
-    def basis_inverse(self) -> np.ndarray:
-        """B_f^-1 = (B_f^-1 B_0) B_0^-1: the final rows' start-basis columns times B_0^-1."""
-        return self._tableau[:-1, self.start.basis] @ self.start.inverse
 
     def warm_start(self) -> Start:
         """The final basis as the start of the same c and A with another b.
 
         A solve that took no pivot ended on its start: the same basis,
-        the same tableau rows, bit for bit, and B_f^-1 = I B_0^-1, so
-        that start, checked when it was built, is handed on unchanged.
-        Otherwise the tableau is the final tableau without the b column,
-        carried over as it stands, and the inverse is basis_inverse;
-        both are checked as Start.carried checks them.
+        the same rows, bit for bit, and B_f^-1 = I B_0^-1, so that
+        start, checked when it was built, is handed on unchanged.
+        Otherwise Start.from_final makes the final basis and rows a
+        start, checked as Start.carried checks one.
         """
-        start = self.start
         if not self.iterations:
-            return start
-        return Start.carried(start.c, start.A, self.basis, self.basis_inverse, self._tableau[:, :-1])
+            return self.start
+        return Start.from_final(self.start, self.basis, self.rows)
 
 
 @dataclass
@@ -434,21 +432,22 @@ def solve_lp(start: Start, b: np.ndarray) -> LpSolution:
     ValueError unless b has one entry per row of A.  The start was
     checked when it was built (see Start), so the solve forms B^-1 b
     first.  When no entry is below -PRIMAL_TOL the start's basis is
-    optimal and the solve returns at once, with no tableau formed;
-    otherwise it sets B^-1 b beside the start's rows and pivots them
-    with _run_dual_simplex, whose LpFailureError (the program is
-    infeasible) and NumericsError (the pivot cap) pass through as they
-    are, so every solution returned is optimal.  The solution carries b,
-    x, its value, its final basis B_f and final basic values, and forms
-    its tableau, duals and residuals when they are read; its warm_start
-    starts a solve of the same c and A with another b from B_f.
+    optimal and the solve returns at once, with no tableau formed and
+    the start's rows as its final rows; otherwise it sets B^-1 b beside
+    the start's rows and pivots them with _run_dual_simplex, whose
+    LpFailureError (the program is infeasible) and NumericsError (the
+    pivot cap) pass through as they are, so every solution returned is
+    optimal.  The solution carries b, x, its value, its final basis
+    B_f, final rows and final basic values, and forms its duals and
+    residuals when they are read; its warm_start starts a solve of the
+    same c and A with another b from B_f.
     """
     b = np.array(b, dtype=float)  # a copy: the certificate pieces read it later
     m, n = start.A.shape
     if b.shape != (m,):
         raise ValueError("the right-hand side does not match the matrix")
     basic = start.inverse @ b
-    T = None
+    rows = start.tableau
     basis = start.basis
     iterations = 0
     # the pivot loop's own first test, on the least entry (the first NaN, if any)
@@ -456,7 +455,7 @@ def solve_lp(start: Start, b: np.ndarray) -> LpSolution:
         T = _start_tableau(start, basic)
         basis = basis.copy()
         iterations = _run_dual_simplex(T, basis)
-        basic = T[:m, -1]
+        rows, basic = T[:, :-1], T[:m, -1]
     x = np.zeros(n)
     x[basis] = np.maximum(basic, 0.0)
     return LpSolution(
@@ -466,8 +465,8 @@ def solve_lp(start: Start, b: np.ndarray) -> LpSolution:
         start=start,
         b=b,
         basis=basis,
+        rows=rows,
         _basic=basic,
-        _final=T,
     )
 
 

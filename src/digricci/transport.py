@@ -42,22 +42,25 @@ them at once (lp.Start.with_columns).
 A solve may start from another solve's final basis instead.  The
 program's cost and incidence depend on the graph and r alone, so the
 optimal tree of one pair of measures stays dual feasible for any other
-pair on the same root, and the solve's final tableau is already that
+pair on the same root, and the solve's final rows are already that
 tree's start (lp.LpSolution.warm_start).  A solve that took no pivot,
 as most along a chain do, ended on its own start, which is handed on
 unchanged; otherwise the final rows are carried into the next solve as
 they stand, and only the inverse is formed, one m x m product off the
-final tableau, and checked with them.  The heat module solves each arc
-along increasing t, and the curvature module each pair along
-increasing smoothing, each solve from the previous optimum: the
-measures move little, and at small t the optimal tree mostly stops
-changing.  The first heat-flow solve of an arc x -> y may start from
+final rows, and checked with them (lp.Start.from_final).  The heat
+module solves each arc along increasing t, and the curvature module
+each pair along increasing smoothing, each solve from the previous
+optimum: the measures move little, and at small t the optimal tree
+mostly stops changing.  The first heat-flow solve of an arc x -> y may start from
 the arc's curvature optimum instead, the ArcStart that kappa_lp
 returns beside kappa: as t -> 0,
 p_x_t - p_y_t = (delta_x - delta_y) + t (L[y] - L[x]) + O(t^2), and
 the curvature program is that first-order problem, so its optimal
 basis, with the virtual arc y -> x swapped for x -> y, is optimal for
-W at t -> 0 and usually still at the first t.  The start belongs to
+W at t -> 0 and usually still at the first t.  The ArcStart keeps
+that basis and a copy of its final rows, and forms the W start off
+them through lp.Start.from_final, as a warm start is formed, when a
+table first reads it.  The start belongs to
 the DistanceMatrix kappa_lp solved on, and one of another is refused.
 Without it the chain starts from the BFS tree above.
 
@@ -87,8 +90,8 @@ checked once, the excess is formed once and gathered onto each column's
 rows once, and a step hands its LpSolution.warm_start() on; a column's
 last step forms no start until column_starts is read.  The table takes the solves as the chains make
 them and keeps of each its value and flow; of the LpSolutions, which
-hold their tableaux, it keeps only each row's first largest W and each
-column's last, so at most a + k + 1 are alive while it runs.  The heat
+hold their final rows, it keeps only each row's first largest W and
+each column's last, so at most a + k + 1 are alive while it runs.  The heat
 module's time grids over the arcs, the curvature module's eps grid and
 the concentration module's densities (columns of one pair) are one
 table each.  A single pair is
@@ -207,7 +210,7 @@ class ColumnStart(NamedTuple):
 
     root and inward name the BFS tree the column solved on
     (root_basis(dm, root, inward)), and start is the last solve's
-    LpSolution.warm_start(): its final basis, inverse and tableau rows,
+    LpSolution.warm_start(): its final basis, inverse and final rows,
     checked once.  A column of a later table reads start as it reads an
     ArcStart's.  The program of a tree does not depend on the
     measures, so the basis is dual feasible for any pair: a column
@@ -236,14 +239,16 @@ class ArcStart:
     limit t -> 0 of the heat-flow W of the arc, whose first-order term
     is kappa's own right-hand side.  When the virtual column is
     nonbasic, B_f is a basis of W already and stays as it is.  The
-    record keeps kappa's final basis and final tableau alone, not the
-    solve and its start, which share one stack with the other programs
-    of x's row; kappa_lp returns it beside kappa.  start, the W start,
-    is formed on first read in one step, off that basis, its inverse
-    (B_f^-1 B_0) B_0^-1 and the final tableau without the virtual and b
-    columns, checked once (lp.Start.carried) and kept; kappa_lp pays for
-    none of it.  A column of wasserstein's table form starts from it on
-    root x's out-tree, as it starts from a ColumnStart's start.
+    record keeps kappa's final basis and an owned copy of its final rows,
+    not the solve, its tableau or its start, which share one stack with
+    the other programs of x's row; kappa_lp returns it beside kappa.
+    start, the W start, is formed on first read in one step: the rows
+    without the virtual column, the last, and the swapped row negated,
+    then lp.Start.from_final off them, which forms the inverse
+    (B_f^-1 B_0) B_0^-1 and checks the start once (lp.Start.carried);
+    it is kept, and kappa_lp pays for none of it.  A column of
+    wasserstein's table form starts from it on root x's out-tree, as it
+    starts from a ColumnStart's start.
     """
 
     # kappa's programs of root x are on x's out-tree
@@ -251,28 +256,24 @@ class ArcStart:
     root: int
     head: int
     basis: np.ndarray = field(repr=False)
-    tableau: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
     program: lp.Start = field(repr=False)
 
     @cached_property
     def start(self) -> lp.Start:
         """The W start of kappa's final basis; lp.Start.carried checks it, once."""
-        program, basis = self.program, self.basis
-        # B_f^-1 off the final rows' start-basis columns, as lp.LpSolution.basis_inverse
-        inverse = self.tableau[:-1, program.basis] @ program.inverse
-        # drop the virtual and b columns, the last two; every other column is W's
-        tableau = self.tableau[:, :-2]
-        rows = np.flatnonzero(basis == len(program.c))
-        if rows.size:
-            basis, tableau = basis.copy(), tableau.copy()
+        # every column but the virtual one, the last, is W's
+        program, basis, rows = self.program, self.basis, self.rows[:, :-1]
+        swapped = np.flatnonzero(basis == len(program.c))
+        if swapped.size:
+            basis, rows = basis.copy(), rows.copy()
             # the arc x -> y: -1 in the row of y (x's row is dropped), 0 elsewhere
             arc = np.zeros(len(program.A))
             arc[self.head - (self.head > self.root)] = -1.0
-            basis[rows] = np.flatnonzero((program.A == arc[:, None]).all(axis=0))
+            basis[swapped] = np.flatnonzero((program.A == arc[:, None]).all(axis=0))
             # 0.0 - v, not -v: a zero entry must not become -0.0
-            inverse[rows] = 0.0 - inverse[rows]
-            tableau[rows] = 0.0 - tableau[rows]
-        return lp.Start.carried(program.c, program.A, basis, inverse, tableau)
+            rows[swapped] = 0.0 - rows[swapped]
+        return lp.Start.from_final(program, basis, rows)
 
 
 def _check_probability(nu: np.ndarray, n: int, name: str, lead: tuple = ()) -> np.ndarray:
@@ -411,7 +412,7 @@ class RootBasis(NamedTuple):
         """
         start = self.start
         b0 = start.basis
-        costs = np.array([solution._tableau[-1] for solution in solutions])[:, b0]
+        costs = np.array([solution.rows[-1] for solution in solutions])[:, b0]
         duals = (start.c[b0] - costs) @ start.inverse
         f = np.zeros((len(solutions), len(self.vertices) + 1))
         # 0.0 - v, not -v: a zero dual must not become -0.0

@@ -13,9 +13,11 @@ the library's sampler and kappa_lp, the sampled family analyze's
 gradient estimate once took.  lipschitz_samples_per_sample is the
 per-sample loop the array-drawn Lipschitz family must match bit for
 bit, eager_certificate the duals, gap and residual of a solve
-formed at once, which the ones LpSolution forms on read must match,
-and eager_solve a solve that forms its tableau before it tests B^-1 b,
-which a solve that took no pivot must match once its tableau is read.
+formed at once off its whole final tableau, which the ones
+LpSolution forms on read must match, and eager_solve a solve that
+forms its tableau before it tests B^-1 b, whose final rows and basic
+values a solve that took no pivot, ending on its start's tableau,
+must match.
 The suite's per-sample loops stay here as the references its array
 forms must match bit for bit: gamma_dense (Gamma as one n x n product),
 density_record_per_row (one density checked and measured alone),
@@ -500,15 +502,34 @@ def bobkov_goetze_per_sample(M, dm, K: float, rhos, fs, tol=DEFAULT_TOL):
     return verdict
 
 
+def eager_tableau(start: lp.Start, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The final tableau, basis and pivot count of a solve that forms its tableau at once.
+
+    start's rows beside B^-1 b, over -c_B B^-1 b, go through the
+    library's pivot kernel even when no pivot is due, and the whole
+    final tableau [B_f^-1 A | B_f^-1 b ; c - c_B B_f^-1 A | -c_B B_f^-1 b]
+    is kept.
+    """
+    m, n = start.A.shape
+    T = np.empty((m + 1, n + 1))
+    T[:, :n] = start.tableau
+    T[:m, n] = start.inverse @ b
+    T[m, n] = 0.0 - start.c[start.basis] @ T[:m, n]
+    basis = start.basis.copy()
+    return T, basis, lp._run_dual_simplex(T, basis)
+
+
 def eager_certificate(solution) -> tuple[np.ndarray, float, float]:
     """An optimal solve's duals, duality gap and feasibility residual, formed at once.
 
-    The pieces as solve_lp formed them when every solve paid for them:
+    The pieces as solve_lp formed them when every solve paid for them,
+    off the whole final tableau of the solve run again by eager_tableau:
     y off the final cost row through the start's inverse, |c.x - y.b|,
     and the largest violation of A x = b and x >= 0 by the unclipped
-    basic values of the final tableau.
+    basic values of that tableau.
     """
-    start, T, basis, b = solution.start, solution._tableau, solution.basis, solution.b
+    start, b = solution.start, solution.b
+    T, basis, _iterations = eager_tableau(start, b)
     b0 = start.basis
     y = (start.c[b0] - T[-1, b0]) @ start.inverse
     gap = abs(float(start.c @ solution.x) - float(y @ b))
@@ -518,27 +539,20 @@ def eager_certificate(solution) -> tuple[np.ndarray, float, float]:
 
 
 def eager_solve(start: lp.Start, b: np.ndarray) -> lp.LpSolution:
-    """A solve that forms its tableau before it tests B^-1 b, and keeps it.
+    """A solve that forms its tableau before it tests B^-1 b (eager_tableau), and keeps it.
 
-    start's rows beside B^-1 b, over -c_B B^-1 b, go through the
-    library's pivot kernel even when no pivot is due, and the solution
-    keeps that tableau as its final one; a zero-pivot solve of
-    solve_lp, which forms its tableau only when read, must match it bit
-    for bit.
+    Its rows are that tableau without the b column, and its basic
+    values the b column; a solve of solve_lp, which forms no tableau
+    when no pivot is due, must match it bit for bit.
     """
     b = np.array(b, dtype=float)
+    T, basis, iterations = eager_tableau(start, b)
     m, n = start.A.shape
-    T = np.empty((m + 1, n + 1))
-    T[:, :n] = start.tableau
-    T[:m, n] = start.inverse @ b
-    T[m, n] = 0.0 - start.c[start.basis] @ T[:m, n]
-    basis = start.basis.copy()
-    iterations = lp._run_dual_simplex(T, basis)
     x = np.zeros(n)
     x[basis] = np.maximum(T[:m, -1], 0.0)
     return lp.LpSolution(
         x=x, value=float(start.c @ x), iterations=iterations, start=start, b=b, basis=basis,
-        _basic=T[:m, -1], _final=T,
+        rows=T[:, :-1], _basic=T[:m, -1],
     )
 
 
@@ -618,13 +632,13 @@ def carried_warm_start(solution) -> lp.Start:
     """An optimal solve's warm start, re-formed whatever the solve did.
 
     The final basis, its inverse as the one m x m product
-    (B_f^-1 B_0) B_0^-1 and the final tableau without its b column,
-    checked by Start.carried: the route every warm start took before a
-    solve that took no pivot handed its own start on.
+    (B_f^-1 B_0) B_0^-1 and the final rows, checked by Start.carried:
+    the route every warm start took before a solve that took no pivot
+    handed its own start on.
     """
-    start, T = solution.start, solution._tableau
-    inverse = T[:-1, start.basis] @ start.inverse
-    return lp.Start.carried(start.c, start.A, solution.basis, inverse, T[:, :-1])
+    start, rows = solution.start, solution.rows
+    inverse = rows[:-1, start.basis] @ start.inverse
+    return lp.Start.carried(start.c, start.A, solution.basis, inverse, rows)
 
 
 def two_step_arc_start(arc_start) -> lp.Start:
@@ -632,26 +646,27 @@ def two_step_arc_start(arc_start) -> lp.Start:
 
     kappa's program is the root's program plus the virtual arc y -> x,
     whose column is +1 in the row of y and whose cost is -1.  The final
-    basis and tableau the ArcStart keeps are made the start of that
+    basis and rows the ArcStart keeps are made the start of that
     program, with the inverse (B_f^-1 B_0) B_0^-1 as carried_warm_start
     forms it, and Start.carried checks it; dropping the virtual column
     and, where that column is basic, putting the arc x -> y in its
-    place with its row negated gives the start of W, which
-    Start.carried checks again.
+    place with the row of the inverse and of the tableau negated, each
+    after its product, gives the start of W, which Start.carried checks
+    again.
     """
-    program, T = arc_start.program, arc_start.tableau
+    program, rows = arc_start.program, arc_start.rows
     c = np.append(program.c, -1.0)
-    rows = np.flatnonzero(np.arange(len(program.A) + 1) != arc_start.root)
-    A = np.column_stack((program.A, (rows == arc_start.head).astype(float)))
-    inverse = T[:-1, program.basis] @ program.inverse
-    kappa = lp.Start.carried(c, A, arc_start.basis, inverse, T[:, :-1])
+    vertices = np.flatnonzero(np.arange(len(program.A) + 1) != arc_start.root)
+    A = np.column_stack((program.A, (vertices == arc_start.head).astype(float)))
+    inverse = rows[:-1, program.basis] @ program.inverse
+    kappa = lp.Start.carried(c, A, arc_start.basis, inverse, rows)
     basis, inverse, tableau = kappa.basis, kappa.inverse, kappa.tableau[:, :-1]
-    rows = np.flatnonzero(basis == len(program.c))
-    if rows.size:
+    swapped = np.flatnonzero(basis == len(program.c))
+    if swapped.size:
         basis, inverse, tableau = basis.copy(), inverse.copy(), tableau.copy()
-        basis[rows] = np.flatnonzero((program.A == -kappa.A[:, -1, None]).all(axis=0))
-        inverse[rows] = 0.0 - inverse[rows]
-        tableau[rows] = 0.0 - tableau[rows]
+        basis[swapped] = np.flatnonzero((program.A == -kappa.A[:, -1, None]).all(axis=0))
+        inverse[swapped] = 0.0 - inverse[swapped]
+        tableau[swapped] = 0.0 - tableau[swapped]
     return lp.Start.carried(program.c, program.A, basis, inverse, tableau)
 
 

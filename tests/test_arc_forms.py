@@ -46,14 +46,18 @@ all-pairs difference quotients, and the gradient estimate smooths each
 time's function at that time alone, pinned to the per-sample loop.  A
 solve forms its duals, gap and residual only when read, and a W table
 its marginal residual: a table forms none of them, and each one read
-is the eager formula's, bit for bit.  A solve that took no pivot forms
-its final tableau only when read, and every piece then read is that of
-a solve that formed it before it tested B^-1 b (oracles.eager_solve).
+is the eager formula's, bit for bit.  A solve that took no pivot ends
+on its start's tableau itself, and every piece of a solve is that of a
+solve that formed its tableau before it tested B^-1 b
+(oracles.eager_solve).  Every start off a final basis, a warm start or
+an arc's, goes through Start.carried, and an arc's optimum owns its
+final rows, so no stack of kappa starts outlives kappa_lp.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -429,7 +433,7 @@ def test_a_kappa_row_solves_each_program_as_the_per_pair_route(g, data):
         if start is not None:
             assert (start.root, start.head) == (x, y)
             program = root_basis(ref_dm, x).start
-            ref_start = transport.ArcStart(x, y, ref.basis, ref._tableau, program)
+            ref_start = transport.ArcStart(x, y, ref.basis, ref.rows, program)
             assert same_start(start.start, oracles.two_step_arc_start(ref_start))
     with pytest.raises(SameVertexError):
         kappa_lp(x, np.array([*ys, x]), M, dm)
@@ -483,7 +487,7 @@ def test_kappa_start_with_the_virtual_arc_nonbasic_is_kappas_basis_as_it_stands(
     program = oracles.with_column(tree.start, -1.0, (tree.vertices == y).astype(float))
     kappa = solve_lp(program, program.A[:, program.basis].sum(axis=1))
     assert kappa.iterations == 0 and len(tree.start.c) not in kappa.basis
-    arc_start = transport.ArcStart(x, y, kappa.basis, kappa._tableau, tree.start)
+    arc_start = transport.ArcStart(x, y, kappa.basis, kappa.rows, tree.start)
     start = arc_start.start
     for name in ("c", "A", "basis", "inverse", "tableau"):
         assert getattr(start, name).tobytes() == getattr(tree.start, name).tobytes(), name
@@ -492,6 +496,60 @@ def test_kappa_start_with_the_virtual_arc_nonbasic_is_kappas_basis_as_it_stands(
     pairs = [(kernel[x], kernel[y]) for kernel in kernels]
     for (nu0, nu1), value in zip(pairs, chain_table(pairs, dm, arc_start).values[:, 0]):
         assert abs(value - wasserstein(nu0, nu1, dm, verify=True).value) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_arc_starts_own_their_rows_and_keep_no_stack(g):
+    """Every ArcStart owns its final rows, and each row's with_columns stack dies with kappa_lp.
+
+    kappa_lp copies each arc's final rows, so an ArcStart holds no view of the stack its program's start was
+    one of, nor of the solve's tableau: once kappa_lp returns, the c, A
+    and tableau stacks of its row are gone while its ArcStarts live on.
+    """
+    stacks = []
+    with_columns = lp.Start.with_columns
+
+    def recording(self, costs, columns):
+        starts = with_columns(self, costs, columns)
+        stacks.extend(weakref.ref(getattr(starts[0], name).base) for name in ("c", "A", "tableau"))
+        return starts
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp.Start, "with_columns", recording)
+        report = curvature_matrix(markov_data(g), distances(g))
+    assert len(stacks) == 3 * g.n and all(stack() is None for stack in stacks)
+    assert report.arc_starts and all(start.rows.base is None for start in report.arc_starts)
+
+
+@PROPERTY_SETTINGS
+@given(warm_chains())
+def test_every_start_off_a_final_basis_goes_through_carried(instance):
+    """An ArcStart's start and each warm start of a solve that pivoted are Start.carried's.
+
+    Start.from_final ends in carried, once per start; a solve that took
+    no pivot hands its own start on, with no check.  So along a column
+    started from an arc's kappa optimum, carried returns the arc's
+    start and then the start of each solve after one that pivoted, in
+    order, and nothing else.
+    """
+    g, (x, y), pairs = instance
+    dm = distances(g)
+    (arc_start,) = kappa_lp(x, [y], markov_data(g), dm)[2]
+    carried, checked = lp.Start.carried.__func__, []
+
+    def recording(cls, *args):
+        checked.append(carried(cls, *args))
+        return checked[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp.Start, "carried", classmethod(recording))
+        _table, solves = recorded_solves(lambda: chain_table(pairs, dm, arc_start))
+    expected = [arc_start.start] + [
+        later.start for solve, later in zip(solves, solves[1:]) if solve.iterations
+    ]
+    assert len(checked) == len(expected)
+    assert all(start is ref for start, ref in zip(checked, expected))
 
 
 @PROPERTY_SETTINGS
@@ -527,13 +585,15 @@ def test_the_lp_certificate_is_formed_on_read_as_it_was_at_once(instance, verify
 @PROPERTY_SETTINGS
 @given(warm_chains())
 def test_a_zero_pivot_solve_reads_its_pieces_as_an_eager_solve(instance):
-    """A solve that took no pivot forms no tableau until read; then every piece is the eager one.
+    """A solve that took no pivot ends on its start's tableau; every piece is the eager one.
 
     The chain's last pair repeats the one before it, so at least its
-    last solve takes no pivot.  Each solve of the column is held, bit
-    for bit, to oracles.eager_solve of its start and b: x, value,
-    basis, the final tableau, duals, gap, residual, the final inverse
-    and the warm start.
+    last solve takes no pivot, and its final rows are its start's
+    tableau itself.  Each solve of the column is held, bit for bit, to
+    oracles.eager_solve of its start and b, which forms its tableau and
+    runs the pivot kernel whatever B^-1 b holds: x, value, basis, the
+    final rows and basic values, duals, gap, residual and the warm
+    start.
     """
     g, _arc, pairs = instance
     _table, solves = recorded_solves(lambda: chain_table([*pairs, pairs[-1]], distances(g)))
@@ -541,12 +601,11 @@ def test_a_zero_pivot_solve_reads_its_pieces_as_an_eager_solve(instance):
     for flow in solves:
         eager = oracles.eager_solve(flow.start, flow.b)
         assert flow.iterations == eager.iterations
-        if not flow.iterations:
-            assert flow._final is None
+        assert (flow.rows is flow.start.tableau) == (not flow.iterations)
         assert flow.x.tobytes() == eager.x.tobytes()
         assert np.float64(flow.value).tobytes() == np.float64(eager.value).tobytes()
         assert np.array_equal(flow.basis, eager.basis)
-        for piece in ("_tableau", "duals", "basis_inverse"):
+        for piece in ("rows", "_basic", "duals"):
             assert getattr(flow, piece).tobytes() == getattr(eager, piece).tobytes(), piece
         for piece in ("duality_gap", "feasibility_residual"):
             assert np.float64(getattr(flow, piece)).tobytes() == np.float64(
@@ -584,8 +643,8 @@ def test_warm_start_carries_the_tableau_its_final_basis_multiplies_out(instance)
     g, _arc, pairs = instance
     _table, solves = recorded_solves(lambda: chain_table(pairs, distances(g)))
     for flow, b in zip(solves, [later.b for later in solves[1:]]):
-        ref = oracles.start_tableau(flow.start.c, flow.start.A, b, flow.basis, flow.basis_inverse)
         warm = flow.warm_start()
+        ref = oracles.start_tableau(flow.start.c, flow.start.A, b, flow.basis, warm.inverse)
         T = lp._start_tableau(warm, warm.inverse @ b)
         assert T[:, :-1].tobytes() == ref[:, :-1].tobytes()
         assert T[:-1, -1].tobytes() == ref[:-1, -1].tobytes()
@@ -625,7 +684,8 @@ def test_warm_chains_match_the_chains_that_re_form_every_start(instance, from_ka
         assert np.float64(flow.value).tobytes() == np.float64(ref.value).tobytes()
         assert flow.basis.tobytes() == ref.basis.tobytes()
         assert flow.iterations == ref.iterations
-        assert flow._tableau.tobytes() == ref._tableau.tobytes()
+        assert flow.rows.tobytes() == ref.rows.tobytes()
+        assert flow._basic.tobytes() == ref._basic.tobytes()
 
 
 def recorded_solves(run):
@@ -819,7 +879,7 @@ def test_flow_tableaus_stay_integral(instance):
         chain_table(pairs, dm)
     assert len(solutions) == g.n * (g.n - 1) + len(pairs)
     for solution in solutions:
-        body, costs = solution._tableau[:-1, :-1], solution._tableau[-1, :-1]
+        body, costs = solution.rows[:-1], solution.rows[-1]
         assert set(np.unique(body)) <= {-1.0, 0.0, 1.0}
         assert np.array_equal(costs, np.round(costs))
 
@@ -898,7 +958,9 @@ def test_a_dual_moved_off_the_integers_raises(g_tri, monkeypatch, solve, move, e
 
     def moved_solve(start, b):
         solution = lp_solve(start, b)
-        solution._tableau[-1, :-1] -= move * start.A[0]
+        # a copy: the rows of a solve that took no pivot are its start's
+        solution.rows = solution.rows.copy()
+        solution.rows[-1] -= move * start.A[0]
         return solution
 
     M, dm = markov_data(g_tri), distances(g_tri)
@@ -954,27 +1016,26 @@ class TestWarmStart:
 
     def test_final_inverse_is_the_exact_inverse_of_the_final_basis(self):
         flow = self.flow()
-        assert np.array_equal(flow.basis_inverse @ flow.start.A[:, flow.basis], np.eye(2))
+        start = lp.Start.from_final(flow.start, flow.basis, flow.rows)
+        assert np.array_equal(start.inverse @ flow.start.A[:, flow.basis], np.eye(2))
 
     def test_wrong_inverse_raises(self):
+        # final rows off by 1e-6 make an inverse off by as much
         solved = self.flow()
-        flow = dataclasses.replace(solved, iterations=1)
-        flow.basis_inverse = solved.basis_inverse + 1e-6
+        flow = dataclasses.replace(solved, iterations=1, rows=solved.rows + 1e-6)
         with pytest.raises(NumericsError, match="does not invert"):
             flow.warm_start()
 
     def test_basis_that_is_not_dual_feasible_raises(self):
         # the tree 0 -> 1 -> 2 prices the arc 0 -> 2 at 1 + 0 - 2 < 0.  A warm
-        # start carries the final tableau, so the flow ends on that tree's
-        # tableau here; its basis_inverse follows from it.
+        # start carries the final rows, so the flow ends on that tree's rows
+        # here; the inverse follows from them.
         solved = self.flow()
         tree = np.array([0, 3])
         A = solved.start.A
-        rows = np.linalg.inv(A[:, tree]) @ A
-        tableau = np.zeros((3, 6))
-        tableau[:2, :5] = rows
-        tableau[2, :5] = 1.0 - rows.sum(axis=0)
-        flow = dataclasses.replace(solved, iterations=1, basis=tree, _final=tableau)
+        body = np.linalg.inv(A[:, tree]) @ A
+        rows = np.vstack((body, 1.0 - body.sum(axis=0)))
+        flow = dataclasses.replace(solved, iterations=1, basis=tree, rows=rows)
         with pytest.raises(NumericsError, match="not dual feasible"):
             flow.warm_start()
 

@@ -20,7 +20,9 @@ Start's own methods call Start directly, so every start's inverse
 inverts its basis exactly and no program that is not a flow reaches
 the pivot loop.  LAPACK inverts a basis in one place: only
 lp.Start.from_basis calls np.linalg.inv, and every other inverse is a
-tree's path matrix or a product off a tableau.
+tree's path matrix or a product off a tableau.  An LpSolution's
+private fields are lp's own: no other module in src/ reads or writes
+one, so the final basic values stay inside the solve.
 """
 
 from __future__ import annotations
@@ -225,6 +227,39 @@ def private_field_writes(sources: dict[str, str], fields: set[str]) -> list[str]
                     continue
                 found.update(f"{module}.{scope}: {field}" for field in names)
     return sorted(found)
+
+
+def attribute_uses(sources: dict[str, str], names: set[str]) -> list[str]:
+    """Where sources (by module name) use an attribute in names, as "module.scope: name", sorted.
+
+    A use is any x.<name>, read, written or deleted; a bare name is not
+    an attribute.  The scope is the top-level statement's name,
+    <module> for a statement that has none.
+    """
+    return sorted({
+        f"{module}.{getattr(statement, 'name', '<module>')}: {node.attr}"
+        for module, source in sources.items()
+        for statement in ast.parse(source).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Attribute) and node.attr in names
+    })
+
+
+def test_attribute_uses_are_found():
+    sources = {
+        "a": "def f(s):\n    return s._basic + s.rows + s._other\n\n\nX = g()._basic\n",
+        "b": "class C:\n    def h(self, s):\n        s._basic = _basic\n        del s._other\n",
+    }
+    assert attribute_uses(sources, {"_basic", "_other"}) == [
+        "a.<module>: _basic", "a.f: _basic", "a.f: _other", "b.C: _basic", "b.C: _other",
+    ]
+
+
+def test_only_lp_uses_a_private_field_of_a_solution():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    fields = private_fields(sources.pop("lp"), "LpSolution")
+    assert fields == {"_basic"}
+    assert attribute_uses(sources, fields) == []
 
 
 def test_private_field_writes_are_found():

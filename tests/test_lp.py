@@ -268,8 +268,8 @@ class TestCertificate:
         monkeypatch.setattr(lp, "solve_lp", keep)
         kappa_lp(1, [11], markov_data(g), distances(g))
         (solution,) = solutions
-        basic = solution._tableau[:-1, -1]
-        inverse = solution.basis_inverse
+        basic = solution._basic
+        inverse = solution.rows[:-1, solution.start.basis] @ solution.start.inverse
         assert set(np.unique(inverse)) <= {-1.0, 0.0, 1.0}
         exact = [sum(Fraction(int(a)) * Fraction(float(v)) for a, v in zip(row, solution.b))
                  for row in inverse]
