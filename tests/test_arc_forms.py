@@ -503,9 +503,10 @@ def test_kappa_start_with_the_virtual_arc_nonbasic_is_kappas_basis_as_it_stands(
 def test_arc_starts_own_their_rows_and_keep_no_stack(g):
     """Every ArcStart owns its final rows, and each row's with_columns stack dies with kappa_lp.
 
-    kappa_lp copies each arc's final rows, so an ArcStart holds no view of the stack its program's start was
-    one of, nor of the solve's tableau: once kappa_lp returns, the c, A
-    and tableau stacks of its row are gone while its ArcStarts live on.
+    kappa_lp copies each arc's final rows, so an ArcStart holds no view
+    of the stack its program's start was one of, nor of the solve's
+    tableau: once kappa_lp returns, the c, A and tableau stacks of its
+    row are gone while its ArcStarts live on.
     """
     stacks = []
     with_columns = lp.Start.with_columns
