@@ -32,18 +32,20 @@ reduced cost.  kappa_lp takes a row of targets y of root x, always an
 array, and sets its programs up together: the objectives c are one
 array, and the virtual columns' entries and reduced costs are formed as
 one stack and checked once (lp.Start.with_columns).  Each program is
-then one solve, which forms B^-1 b and pivots, and after the row the
-duals of all the final bases are one product and the witness checks
-run over the stack.  The root's transport.RootBasis maps c onto the
-rows and reads the witnesses back off the duals, so this module
-indexes no row.
+then one solve, which forms B^-1 b and pivots, and of which the row
+keeps the value, the final cost row and, for an arc, the start of its
+W column; after the row the duals of all the final bases are one
+product off the cost rows and the witness checks run over the stack.
+The root's transport.RootBasis maps c onto the rows and reads the
+witnesses back off the duals, so this module indexes no row.
 
 kappa_limit takes the same rows and solves each as one W table, a
 column per target, each column the warm chain over EPS_GRID that the
 pair's own row of one solves.  Both functions return arrays, one entry
 per target, and kappa_lp also a list of starts, each arc target's
-optimum as a transport.ArcStart: the heat module's W tables of the arc
-may start from it, and curvature_matrix returns those of every arc.
+optimum as a transport.ColumnStart of root x's out-tree, the virtual
+arc swapped for the arc: the heat module's W tables of the arc may
+start from it, and curvature_matrix returns those of every arc.
 curvature_matrix asks each for one row per root, verify-functional
 asks kappa_lp for one per tail over its out-neighbours, and
 curvature --pairs asks rows of one.
@@ -74,8 +76,8 @@ class CurvatureReport:
     kappa has NaN on the diagonal.  When the smoothing cross-check ran,
     cross_check holds |lp - limit| per pair.  kappa_lp returns each
     pair's witness; the matrix keeps none.  arc_starts holds kappa_lp's
-    optimum of each arc as a transport.ArcStart, aligned with dm.arcs:
-    the starts of the arcs' heat-flow W tables.
+    optimum of each arc as a transport.ColumnStart, aligned with
+    dm.arcs: the starts of the arcs' heat-flow W tables.
     """
 
     kappa: np.ndarray
@@ -108,7 +110,7 @@ def _row(x: int, ys: np.ndarray, dm: DistanceMatrix) -> tuple[np.ndarray, np.nda
 
 def kappa_lp(
     x: int, ys: np.ndarray, M: MarkovData, dm: DistanceMatrix
-) -> tuple[np.ndarray, np.ndarray, list[transport.ArcStart | None]]:
+) -> tuple[np.ndarray, np.ndarray, list[transport.ColumnStart | None]]:
     """Exact curvature by the limit-free program, with an optimal witness, over a row of root x.
 
     The program of (x, y) minimises grad_xy (L f) over f with f(x) = 0,
@@ -129,17 +131,19 @@ def kappa_lp(
     ys is a row of targets, a 1-d array; a single pair is the row [y].
     It returns kappa of shape (k,), the witnesses of shape (k, n), one
     row per y, and a list of k starts: for an arc (d(x, y) = 1) its
-    optimum as a transport.ArcStart, its final basis and a copy of its
-    final rows, which a heat-flow W table of the arc may start from,
-    and None for any other target.  The copy lets the row's stack of
-    starts go once kappa_lp returns.  An ArcStart forms its W start
-    only when a table reads it, so a caller that drops it pays for none
-    of it.  All three are empty for an empty row.  SameVertexError if x
-    is among them.  The programs of a row share x's start, so they are
-    set up once: the objectives c are one array, the virtual columns
-    are added to the start and checked as one stack
-    (lp.Start.with_columns), and after the solves the duals of all of
-    them are one product and the checks above run over the stack.  Each
+    optimum as a transport.ColumnStart (_arc_start), made as the solve
+    returns, which a heat-flow W table of the arc may start from, and
+    None for any other target.  The record owns its copy of the final
+    rows, so the row's stack of starts goes once kappa_lp returns, and
+    forms its W start only when a table reads it, so a caller that
+    drops it pays for none of it.  All three are empty for an empty
+    row.  SameVertexError if x is among them.  The programs of a row
+    share x's start, so they are set up once: the objectives c are one
+    array, the virtual columns are added to the start and checked as
+    one stack (lp.Start.with_columns).  Of each solve the row keeps its
+    value and final cost row, so one solve is alive at a time, and
+    after the solves the duals of all of them are one product off the
+    cost rows and the checks above run over the stack.  Each
     program is still its own lp.solve_lp, called from here: the name
     stays the one span a tracer attributes every curvature solve to,
     however long the row.
@@ -159,10 +163,18 @@ def kappa_lp(
     tree = transport.root_basis(dm, x)
     # each virtual arc y -> x: +1 in the row of y, and x's row is dropped
     starts = tree.start.with_columns(-d, (tree.vertices[:, None] == ys).astype(float))
-    solutions = [tree.solve(balance, start) for balance, start in zip(c, starts)]
+    # the column of each arc x -> y in x's program, by y
+    out = np.flatnonzero(dm.arcs[:, 0] == x)
+    columns = dict(zip(dm.arcs[out, 1].tolist(), out.tolist()))
+    values, costs = np.empty(len(ys)), np.empty((len(ys), len(dm.arcs) + 1))
+    arc_starts = []
+    for i, (y, balance, start) in enumerate(zip(ys.tolist(), c, starts)):
+        solution = tree.solve(balance, start)
+        values[i], costs[i] = solution.value, solution.rows[-1]
+        arc_starts.append(_arc_start(x, columns[y], tree.start, solution) if y in columns else None)
     # 0.0 - v, not -v: a zero optimum must not become -0.0
-    kappa = 0.0 - np.array([solution.value for solution in solutions])
-    witness = tree.potentials(solutions)
+    kappa = 0.0 - values
+    witness = tree.potentials(costs)
     fy = witness[:, ys].diagonal()
     if (fy != d).any():
         i = (fy != d).argmax()
@@ -170,12 +182,38 @@ def kappa_lp(
     gap = np.abs(kappa - (c * witness).sum(axis=1)).max()
     if gap > lp.GAP_TOL:
         raise NumericsError(f"curvature duality gap {gap:.3e} exceeds {lp.GAP_TOL:.1e}")
-    arc_starts = [
-        transport.ArcStart(x, y, solution.basis, solution.rows.copy(), tree.start)
-        if dxy == 1.0 else None
-        for y, dxy, solution in zip(ys.tolist(), d.tolist(), solutions)
-    ]
     return kappa, witness, arc_starts
+
+
+def _arc_start(
+    x: int, arc: int, program: lp.Start, solution: lp.LpSolution
+) -> transport.ColumnStart:
+    """kappa's optimum of the arc x -> y as the start of the arc's W column, on root x's out-tree.
+
+    program is root x's tree start and arc the column of x -> y in it;
+    solution solved the curvature program of (x, y), program plus the
+    virtual arc y -> x, whose column, the last, is +1 in the row of y
+    at cost -1, where the arc's is -1 at cost +1.  Where that column is
+    basic, in row i say, the arc takes its place: B_f times the sign
+    flip of row i, so row i of B^-1 A is negated, the duals c_B B^-1
+    stay, and with them every reduced cost.  The swapped basis is dual
+    feasible for W, and it is the optimum of W(delta_x, delta_y), the
+    limit t -> 0 of the heat-flow W of the arc, whose first-order term
+    is kappa's own right-hand side.  Where the virtual column is
+    nonbasic, B_f is a basis of W already.  The record owns one copy of
+    the final rows, swapped in place, and its rows are that copy's view
+    without the virtual column, the last: the copy keeps the solve's
+    width, which measured lower in analyze's RSS than a copy one column
+    narrower, whose freed blocks missed the W tableaux of the next
+    stage.
+    """
+    rows, basis = solution.rows.copy(), solution.basis.copy()
+    # the row where the virtual column is basic, if any
+    for i in (basis == len(program.c)).nonzero()[0].tolist():
+        basis[i] = arc
+        # 0.0 - v, not -v: a zero entry must not become -0.0
+        rows[i] = 0.0 - rows[i]
+    return transport.ColumnStart(x, False, program, basis, rows[:, :-1])
 
 
 def kappa_limit(
@@ -213,7 +251,7 @@ def curvature_matrix(
     """kappa over all ordered pairs; K is the minimum entry.
 
     The rows run in root order and each over its targets in order, so
-    the arcs' ArcStarts come out row-major, in the order of dm.arcs.
+    the arcs' ColumnStarts come out row-major, in the order of dm.arcs.
     """
     n = M.n
     kappa = np.full((n, n), np.nan)

@@ -72,9 +72,10 @@ class DistanceMatrix:
     the concentration module solved, keyed by the exact bytes of m and
     of the stack of measures rho m, the table's optima as
     transport.ColumnStarts, the starts of the same family's W in every
-    later check.  Neither is compared.  Every other warm start, a
-    curvature optimum's or a heat-flow table's, is passed from the
-    solve that made it to the table that starts from it as a value.
+    later check.  Neither is compared.  Every other column start, a
+    ColumnStart of an arc's curvature optimum or of a heat-flow table's
+    column, is passed as a value from the solve that made it to the
+    table that starts from it.
     """
 
     d: np.ndarray

@@ -22,8 +22,9 @@ The contract breaks are:
                         per column
   transport.wasserstein ValueError: a table asked for in verify mode, a
                         single pair in fast mode or with a start, or, in
-                        the table form, an arc or column start solved on
-                        another DistanceMatrix
+                        the table form, a column start (an arc's or an
+                        earlier column's) solved on another
+                        DistanceMatrix
   report.render_json    TypeError: a value of a type it cannot serialise
 """
 

@@ -52,12 +52,13 @@ optimal basis, which stays dual feasible and at small t is usually
 optimal already: a solve that took no pivot hands its start on
 unchanged, so such a step costs neither a product nor a check.  The
 table checks every kernel row once.  Each certificate takes the first
-time's starts as a value, one per column, and a column without one
-starts from a BFS tree.  analyze chains them along each arc:
-curvature_time_limit starts from the arc's curvature optimum, the
-transport.ArcStart that kappa_lp returns (the curvature program is the
-first-order problem of W as t -> 0, so that basis is nearly optimal
-for every time), and returns its columns' last optima, at t = 0.01;
+time's starts as a value, one per column, each a
+transport.ColumnStart, and a column without one starts from a BFS
+tree.  analyze chains them along each arc: curvature_time_limit starts
+from the arc's curvature optimum, the record kappa_lp makes of it (the
+curvature program is the first-order problem of W as t -> 0, so that
+basis is nearly optimal for every time), and returns its columns' last
+optima, at t = 0.01, as the records its table made of them;
 verify_transport_contraction starts from those, and its first time is
 0.01, so that solve is already optimal and takes no pivot.  The table
 runs inside wasserstein, under the certificate that asked for it, so
@@ -192,7 +193,7 @@ def verify_gradient_estimate(
 
 def _heat_flow_w(
     H: HeatOperator, dm: DistanceMatrix, times: Sequence[float], xs: np.ndarray, ys: np.ndarray,
-    starts: Sequence[transport.ArcStart | transport.ColumnStart | None] | None,
+    starts: Sequence[transport.ColumnStart | None] | None,
 ) -> transport.TransportTable:
     """W(p_x_t, p_y_t) at each of the ascending times (rows) for each pair (columns), as a table.
 
@@ -209,7 +210,7 @@ def verify_transport_contraction(
     dm: DistanceMatrix,
     K: float,
     tol: float = DEFAULT_TOL,
-    starts: Sequence[transport.ArcStart | transport.ColumnStart | None] | None = None,
+    starts: Sequence[transport.ColumnStart | None] | None = None,
 ) -> tuple[InequalityCertificate, np.ndarray]:
     """Check W(p_x_t, p_y_t) <= exp(-K t) d(x, y) over all ordered pairs, t in TIME_GRID.
 
@@ -224,9 +225,10 @@ def verify_transport_contraction(
 
     The W form one table (transport.wasserstein): a column per arc, the
     times in ascending order, the first solve from the arc's entry of
-    starts (one per arc of dm.arcs, in its order: the column_starts
-    curvature_time_limit returns for the arcs, an ArcStart, or None for
-    a BFS tree; all BFS trees without starts), each later one from the
+    starts (one per arc of dm.arcs, in its order: the ColumnStarts
+    curvature_time_limit returns for the arcs, the ones kappa_lp makes
+    of them, or None for a BFS tree; all BFS trees without starts),
+    each later one from the
     previous time's optimal basis (see the module docstring); the
     comparisons are listed time by time, arcs in order within each.
 
@@ -263,7 +265,7 @@ def curvature_time_limit(
     dm: DistanceMatrix,
     xs: np.ndarray,
     ys: np.ndarray,
-    starts: Sequence[transport.ArcStart | transport.ColumnStart | None] | None = None,
+    starts: Sequence[transport.ColumnStart | None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[transport.ColumnStart]]:
     """Small-time curvature (1/t)(1 - W(p_x_t, p_y_t) / d(x, y)) of each pair (xs[j], ys[j]).
 
@@ -274,7 +276,7 @@ def curvature_time_limit(
     the largest time, as a transport.ColumnStart.  The W form one table
     (transport.wasserstein): a column per pair over the times in
     ascending order, the first from the pair's entry of starts (the
-    ArcStart kappa_lp returns for an arc x -> y, or None for a BFS
+    ColumnStart kappa_lp makes of an arc x -> y, or None for a BFS
     tree; all BFS trees without starts), each later one from the
     previous time's optimal basis (see the module docstring).  The
     largest time is TIME_GRID's first, so on the arcs the ColumnStarts

@@ -28,14 +28,16 @@ product; with_columns makes one start per added column, each the start
 plus that column, whose basis and inverse stay, forming every new
 column's tableau entries as one product and checking their reduced
 costs, and nothing else, once (one column is a stack of one);
-Start.from_final makes a final basis the start of the next b, off its
-final rows as they stand, with the one m x m product
-(B_f^-1 B_0) B_0^-1 as its inverse, so a caller that solves one c and
-A for a sequence of right-hand sides starts each solve from the
-previous optimum without multiplying B^-1 A again (an optimal
-solution's warm_start; one that took no pivot ended on its start and
-hands that start on unchanged), and an arc's curvature optimum starts
-its transport chain (transport.ArcStart); and Start.carried, the one
+Start.from_final, the one route from a final basis to a start, makes
+that basis the start of the next b, off its final rows as they stand,
+with the one m x m product (B_f^-1 B_0) B_0^-1 as its inverse, and
+hands the start a solve began from on unchanged when the rows are that
+start's own tableau, as a solve that took no pivot leaves them: an
+optimal solution's warm_start, so a caller that solves one c and A for
+a sequence of right-hand sides starts each solve from the previous
+optimum without multiplying B^-1 A again, and the first start of a W
+column (transport.ColumnStart), off a table column's last optimum or
+an arc's curvature optimum; and Start.carried, the one
 constructor that takes an inverse from its caller, takes a basis,
 inverse and tableau formed as from_basis, from_final and root_basis
 form them, and checks them as they stand.
@@ -204,12 +206,18 @@ class Start:
         """The start of a final basis of program's c and A, off that basis's rows.
 
         rows is [B_f^-1 A ; c - c_B B_f^-1 A] for the basis B_f, as a
-        solve from program ends with it (LpSolution.rows) or as
-        transport.ArcStart swaps it; it is the start's tableau as it
-        stands.  The inverse is the one m x m product the start needs,
+        solve from program ends with it (LpSolution.rows) or as kappa_lp
+        swaps an arc's into it (transport.ColumnStart); it is the start's
+        tableau as it stands.  rows that are program's tableau itself
+        are those of a solve that took no pivot, which ended on program:
+        the same basis, the same rows, and B_f^-1 = I B_0^-1, so program,
+        checked when it was built, is the start, unchanged.  Otherwise
+        the inverse is the one m x m product the start needs,
         B_f^-1 = (B_f^-1 B_0) B_0^-1, off the rows' columns of program's
         basis B_0, and both are checked as carried checks them.
         """
+        if rows is program.tableau:
+            return program
         inverse = rows[:-1, program.basis] @ program.inverse
         return cls.carried(program.c, program.A, basis, inverse, rows)
 
@@ -317,21 +325,19 @@ class LpSolution:
     @cached_property
     def feasibility_residual(self) -> float:
         """The largest violation of A x = b and x >= 0 by the unclipped basic values."""
-        basic = self._basic
+        # a pivoted solve's basic values are a strided column of its tableau, which
+        # BLAS sums in another order than a contiguous vector: the product reads
+        # them contiguous, so its bits do not depend on whether the solve pivoted
+        basic = np.ascontiguousarray(self._basic)
         err = float(np.abs(self.start.A[:, self.basis] @ basic - self.b).max(initial=0.0))
         return max(0.0, err, float(-basic.min(initial=0.0)))
 
     def warm_start(self) -> Start:
-        """The final basis as the start of the same c and A with another b.
+        """The final basis as the start of the same c and A with another b: Start.from_final's.
 
-        A solve that took no pivot ended on its start: the same basis,
-        the same rows, bit for bit, and B_f^-1 = I B_0^-1, so that
-        start, checked when it was built, is handed on unchanged.
-        Otherwise Start.from_final makes the final basis and rows a
-        start, checked as Start.carried checks one.
+        A solve that took no pivot ended on its start, whose tableau is
+        its rows, so that start is handed on unchanged.
         """
-        if not self.iterations:
-            return self.start
         return Start.from_final(self.start, self.basis, self.rows)
 
 

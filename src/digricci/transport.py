@@ -51,50 +51,50 @@ final rows, and checked with them (lp.Start.from_final).  The heat
 module solves each arc along increasing t, and the curvature module
 each pair along increasing smoothing, each solve from the previous
 optimum: the measures move little, and at small t the optimal tree
-mostly stops changing.  The first heat-flow solve of an arc x -> y may start from
-the arc's curvature optimum instead, the ArcStart that kappa_lp
-returns beside kappa: as t -> 0,
-p_x_t - p_y_t = (delta_x - delta_y) + t (L[y] - L[x]) + O(t^2), and
-the curvature program is that first-order problem, so its optimal
-basis, with the virtual arc y -> x swapped for x -> y, is optimal for
-W at t -> 0 and usually still at the first t.  The ArcStart keeps
-that basis and a copy of its final rows, and forms the W start off
-them through lp.Start.from_final, as a warm start is formed, when a
-table first reads it.  The start belongs to
-the DistanceMatrix kappa_lp solved on, and one of another is refused.
-Without it the chain starts from the BFS tree above.
+mostly stops changing.
 
-A column may also start from a column of an earlier table (ColumnStart:
-the tree of that column and its last solve's warm start, formed once
-when the earlier table's column_starts is read).  Its basis is dual
+The first solve of a column may start from a final basis of an earlier
+solve too, kept as a ColumnStart: the root and direction of the tree
+whose program it solved, a start of that program, the final basis and
+the final rows.  Its start is lp.Start.from_final of those, the route
+of every warm start, formed when a table first reads it and kept, so a
+record nobody reads costs no product and no check.  Its basis is dual
 feasible for every right-hand side of the tree's program, so any
 measures solve from it to their optimum; when they are the measures
-that column ended on, the basis is already optimal and the solve is one
-B^-1 b and a sign test, with no pivot.  The heat module's contraction
-table starts each arc from the small-time limit table's last optimum
-of it, at the same time, and the concentration module's transport
-checks ask the same densities five times over and start every check
-after the first from the first one's optima.  A ColumnStart, like an
-ArcStart, belongs to the DistanceMatrix it was solved on, and both hand
-a column their W start the same way, as .start: a ColumnStart's is a
-field, formed with the earlier table's column_starts, and an ArcStart's
-is formed on first read.
+that basis ended on, it is already optimal and the solve is one B^-1 b
+and a sign test, with no pivot.  A table makes one of each column's
+last solve as it runs (TransportTable.column_starts): the heat
+module's contraction table starts each arc from the small-time limit
+table's last optimum of it, at the same time, and the concentration
+module's transport checks ask the same densities five times over and
+start every check after the first from the first one's optima.  The
+first heat-flow solve of an arc x -> y may start from the arc's
+curvature optimum instead, the ColumnStart that kappa_lp makes of it:
+as t -> 0, p_x_t - p_y_t = (delta_x - delta_y) + t (L[y] - L[x]) +
+O(t^2), and the curvature program is that first-order problem, so its
+optimal basis, with the virtual arc y -> x swapped for x -> y, is
+optimal for W at t -> 0 and usually still at the first t.  kappa_lp
+swaps it in the one copy of the final rows it keeps, on root x's
+out-tree program, and the W start reads that copy without the virtual
+column.  A ColumnStart belongs to the DistanceMatrix it was solved on,
+and one of another is refused; without one a column starts from the
+BFS tree above.
 
 Those chains are wasserstein's table form: given nu0 and nu1 of shape
 (k, a, n), fast mode only, it solves column j as a chain of k measure
-pairs, the first from start[j].start (start[j] an ArcStart or a
-ColumnStart, or None for the column's own BFS tree) and each later one
-from the previous pair's optimum.  The table checks that start[j]
-belongs to its DistanceMatrix as it reads the start.  Both stacks are
-checked once, the excess is formed once and gathered onto each column's
-rows once, and a step hands its LpSolution.warm_start() on; a column's
-last step forms no start until column_starts is read.  The table takes the solves as the chains make
-them and keeps of each its value and flow; of the LpSolutions, which
-hold their final rows, it keeps only each row's first largest W and
-each column's last, so at most a + k + 1 are alive while it runs.  The heat
-module's time grids over the arcs, the curvature module's eps grid and
-the concentration module's densities (columns of one pair) are one
-table each.  A single pair is
+pairs, the first from start[j].start (start[j] a ColumnStart, or None
+for the column's own BFS tree) and each later one from the previous
+pair's optimum.  The table checks that start[j] belongs to its
+DistanceMatrix before it reads the start.  Both stacks are checked
+once, the excess is formed once and gathered onto each column's rows
+once, and a step hands its LpSolution.warm_start() on.  The table takes
+the solves as the chains make them and keeps of each its value and
+flow; of the LpSolutions, which hold their final rows, it keeps only
+each row's first largest W, and of each column's last solve its
+ColumnStart, so at most k + 2 solves are alive while it runs.  The
+heat module's time grids over the arcs, the curvature module's eps
+grid and the concentration module's densities (columns of one pair)
+are one table each.  A single pair is
 verify mode only, solved by the same loop as a table of one pair, and
 reads its potential and coupling off that solve.  The table is a form
 of wasserstein rather than a function of its own so that every W solve
@@ -109,9 +109,10 @@ f(w) - f(z) <= d(z, w) on every ordered pair, so one solve yields both
 sides of the duality and certifies each distance computed in verify
 mode.  The basis is a spanning tree and every cost an integer, so f
 is an integer vector, and RootBasis.potentials checks integrality and
-the arc rows exactly; the curvature module reads its witnesses the
-same way, a row of solves' duals as one product, and a table reads
-the potential of each row's largest W on demand
+the arc rows exactly, off the final cost rows of a stack of solves;
+the curvature module reads its witnesses the same way, a row of
+solves' duals as one product, and a table reads the potential of each
+row's largest W on demand
 (TransportTable.potentials).  kantorovich_dual keeps every ordered
 pair instead (one flow column per pair, started from the star of pairs
 0 -> w); it is the reference the tests pin the flow potential to.
@@ -159,32 +160,29 @@ class TransportTable:
     vertex's outflow - inflow against its excess, formed on first read
     from the excess and the flows the table keeps, so a caller that
     reads only the values pays for none of it.  Of its solves the table
-    keeps two kinds, and while it is built holds no other but the one
-    that starts the next solve: per row, the first of the row's largest
-    W, with its tree, and per column, its last solve, with its tree's
-    root and direction.  potentials, formed on first read, is the first
-    kind's Kantorovich potential f* for each row, read by
-    RootBasis.potentials with its exact checks (integral, no arc
-    stretched), f*(r) = 0 at its tree's root r: f*.(nu1 - nu0) is the
-    row's largest W.  A table of no
-    column has no solve to read.  column_starts, formed on first read,
-    is the second kind as ColumnStarts, each the start of its column in
-    a later table.  A table holds its solves only as long as it is
-    kept.  The heat module's small-time limit returns its column_starts
-    to its caller, which may hand them to the contraction table (analyze
-    drops them once that table has returned); the concentration module
-    keeps the column_starts of its density table.
+    keeps, and while it is built holds no other but the one that starts
+    the next solve, per row the first of the row's largest W, with its
+    tree.  potentials, formed on first read, is each of those solves'
+    Kantorovich potential f*, read by RootBasis.potentials with its
+    exact checks (integral, no arc stretched), f*(r) = 0 at its tree's
+    root r: f*.(nu1 - nu0) is the row's largest W.  A table of no
+    column has no solve to read.  column_starts holds each column's
+    last optimum as a ColumnStart, made as the column ends, the start
+    of its column in a later table.  The heat module's small-time limit
+    returns its column_starts to its caller, which may hand them to the
+    contraction table (analyze drops them once that table has
+    returned); the concentration module keeps the column_starts of its
+    density table.
     """
 
     values: np.ndarray
+    column_starts: list[ColumnStart] = field(repr=False)
     _excess: np.ndarray = field(repr=False)
     # every solve's flow, column by column
     _x: list = field(repr=False)
     _arcs: np.ndarray = field(repr=False)
     # (tree, solve) of each row's largest W, the first of equal ones
     _binding: list = field(repr=False)
-    # ((root, inward) of the tree, solve) of each column's last pair
-    _last: list = field(repr=False)
 
     @cached_property
     def marginal_residual(self) -> float:
@@ -197,83 +195,40 @@ class TransportTable:
     @cached_property
     def potentials(self) -> np.ndarray:
         """f* of each row, shape (k, n): the potential of its largest W, f*(r) = 0 at its root."""
-        return np.array([tree.potentials([solution])[0] for tree, solution in self._binding])
-
-    @cached_property
-    def column_starts(self) -> list[ColumnStart]:
-        """Each column's last optimum as a ColumnStart, its start formed and checked once."""
-        return [ColumnStart(*key, solution.warm_start()) for key, solution in self._last]
+        return np.array([tree.potentials(solve.rows[-1:])[0] for tree, solve in self._binding])
 
 
-class ColumnStart(NamedTuple):
-    """A table column's last optimum, kept as the start of a column of a later table.
+@dataclass(frozen=True, eq=False)
+class ColumnStart:
+    """A final basis of a W program, kept as the first start of a column of a later table.
 
-    root and inward name the BFS tree the column solved on
-    (root_basis(dm, root, inward)), and start is the last solve's
-    LpSolution.warm_start(): its final basis, inverse and final rows,
-    checked once.  A column of a later table reads start as it reads an
-    ArcStart's.  The program of a tree does not depend on the
-    measures, so the basis is dual feasible for any pair: a column
-    started from it solves every pair to its optimum, and the pair it
-    ended on with no pivot.
+    root and inward name the BFS tree of the program (root_basis(dm,
+    root, inward)), program is a start of its c and A, and basis and
+    rows are the final basis and its rows [B_f^-1 A ; c - c_B B_f^-1 A].
+    A table makes one of each column's last solve (its start, final
+    basis and final rows), and kappa_lp one of each arc's optimum, on
+    root x's out-tree program: it swaps the arc in for the virtual
+    column in a copy of the final rows of its own, and rows is that
+    copy without the virtual column.  start is lp.Start.from_final of
+    the three, the route of every warm start: formed on first read and
+    kept, so a record that no table reads costs no product and no
+    check, and a record whose rows are its program's tableau (a last
+    solve that took no pivot) hands that program on.  The program of a
+    tree does not depend on the measures, so the basis is dual feasible
+    for any pair: a column started from it solves every pair to its
+    optimum, and the pair it ended on with no pivot.
     """
 
     root: int
     inward: bool
-    start: lp.Start
-
-
-@dataclass(eq=False)
-class ArcStart:
-    """kappa_lp's optimum of an arc x -> y, as the start of the arc's W chains.
-
-    The curvature program of the arc (root x, head y) is the arc-flow
-    program of root x (program, root_basis's out-tree start of x) plus
-    the virtual arc y -> x, whose column is +1 in the row of y at cost
-    -1; the arc x -> y is -1 there at cost +1.  So when the virtual
-    column is basic in kappa's final basis B_f, in row i say, swapping
-    it for x -> y multiplies B_f by the sign flip of row i: B^-1 and the
-    tableau rows [B^-1 A] get row i negated, the duals c_B B^-1 stay,
-    and with them every reduced cost.  The swapped basis is dual
-    feasible for W, and it is the optimum of W(delta_x, delta_y), the
-    limit t -> 0 of the heat-flow W of the arc, whose first-order term
-    is kappa's own right-hand side.  When the virtual column is
-    nonbasic, B_f is a basis of W already and stays as it is.  The
-    record keeps kappa's final basis and an owned copy of its final rows,
-    not the solve, its tableau or its start, which share one stack with
-    the other programs of x's row; kappa_lp returns it beside kappa.
-    start, the W start, is formed on first read in one step: the rows
-    without the virtual column, the last, and the swapped row negated,
-    then lp.Start.from_final off them, which forms the inverse
-    (B_f^-1 B_0) B_0^-1 and checks the start once (lp.Start.carried);
-    it is kept, and kappa_lp pays for none of it.  A column of
-    wasserstein's table form starts from it on root x's out-tree, as it
-    starts from a ColumnStart's start.
-    """
-
-    # kappa's programs of root x are on x's out-tree
-    inward = False
-    root: int
-    head: int
+    program: lp.Start = field(repr=False)
     basis: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
-    program: lp.Start = field(repr=False)
 
     @cached_property
     def start(self) -> lp.Start:
-        """The W start of kappa's final basis; lp.Start.carried checks it, once."""
-        # every column but the virtual one, the last, is W's
-        program, basis, rows = self.program, self.basis, self.rows[:, :-1]
-        swapped = np.flatnonzero(basis == len(program.c))
-        if swapped.size:
-            basis, rows = basis.copy(), rows.copy()
-            # the arc x -> y: -1 in the row of y (x's row is dropped), 0 elsewhere
-            arc = np.zeros(len(program.A))
-            arc[self.head - (self.head > self.root)] = -1.0
-            basis[swapped] = np.flatnonzero((program.A == arc[:, None]).all(axis=0))
-            # 0.0 - v, not -v: a zero entry must not become -0.0
-            rows[swapped] = 0.0 - rows[swapped]
-        return lp.Start.from_final(program, basis, rows)
+        """The W start of the final basis: program itself, or one lp.Start.carried checks once."""
+        return lp.Start.from_final(self.program, self.basis, self.rows)
 
 
 def _check_probability(nu: np.ndarray, n: int, name: str, lead: tuple = ()) -> np.ndarray:
@@ -390,17 +345,18 @@ class RootBasis(NamedTuple):
         """
         return lp.solve_lp(self.start if start is None else start, balance[self.vertices])
 
-    def potentials(self, solutions: Sequence[lp.LpSolution]) -> np.ndarray:
-        """The potentials f = -(row duals) of solutions, one row each, with f(r) = 0.
+    def potentials(self, costs: np.ndarray) -> np.ndarray:
+        """The potentials f = -(row duals), f(r) = 0, of solves off their final cost rows.
 
-        Each solution solved this tree's program, or it with added
-        columns (lp.Start.with_columns), from whatever start: the tree's
-        own, a warm start carried off another solve of the program, or
-        an arc's curvature optimum.  Its final cost row is c - y A for
-        its duals y = c_B B_f^-1 whatever the start, so on this tree's
-        basis B_0 it is c[b0] - y B_0: y is (c[b0] - that row at b0)
-        B_0^-1, as lp.LpSolution.duals forms it off its own start, and
-        the duals of all of them are one product.  Every basis is a
+        costs stacks the final cost rows (lp.LpSolution.rows[-1]) of
+        solves of this tree's program, or of it with added columns
+        (lp.Start.with_columns), from whatever start: the tree's own, a
+        warm start carried off another solve of the program, or an
+        arc's curvature optimum.  A final cost row is c - y A for its
+        solve's duals y = c_B B_f^-1 whatever the start, so on this
+        tree's basis B_0 it is c[b0] - y B_0: y is (c[b0] - that row at
+        b0) B_0^-1, as lp.LpSolution.duals forms it off its own start,
+        and the duals of all of them are one product.  Every basis is a
         spanning tree (plus a curvature program's virtual arc) and every
         cost an integer, so each f is an integer vector (Ahuja, Magnanti
         & Orlin, ch. 11); a dual with f(head) - f(tail) <= 1 on every
@@ -412,9 +368,8 @@ class RootBasis(NamedTuple):
         """
         start = self.start
         b0 = start.basis
-        costs = np.array([solution.rows[-1] for solution in solutions])[:, b0]
-        duals = (start.c[b0] - costs) @ start.inverse
-        f = np.zeros((len(solutions), len(self.vertices) + 1))
+        duals = (start.c[b0] - costs[:, b0]) @ start.inverse
+        f = np.zeros((len(costs), len(self.vertices) + 1))
         # 0.0 - v, not -v: a zero dual must not become -0.0
         f[:, self.vertices] = 0.0 - duals
         if not (f == f.round()).all():
@@ -551,7 +506,7 @@ def _start_trees(excess: np.ndarray) -> list[tuple[int, bool]]:
 
 
 def _chains(
-    excess: np.ndarray, dm: DistanceMatrix, starts: Sequence[ArcStart | ColumnStart | None]
+    excess: np.ndarray, dm: DistanceMatrix, starts: Sequence[ColumnStart | None]
 ) -> Iterator[tuple[tuple[int, bool], RootBasis, lp.LpSolution]]:
     """Each solve of a table, column by column: its tree's (root, inward), the tree and the optimum.
 
@@ -569,9 +524,10 @@ def _chains(
             warm = tree.start
         else:
             key = (first.root, first.inward)
-            tree, warm = dm._root_bases.get(key), first.start
-            if tree is None or tree.start.A is not warm.A:
+            tree = dm._root_bases.get(key)
+            if tree is None or tree.start.A is not first.program.A:
                 raise ValueError("start was solved on another DistanceMatrix")
+            warm = first.start
         solution = None
         for b in column[:, tree.vertices]:
             if solution is not None:
@@ -584,7 +540,7 @@ def _table(
     nu0: np.ndarray,
     nu1: np.ndarray,
     dm: DistanceMatrix,
-    start: Sequence[ArcStart | ColumnStart | None] | None,
+    start: Sequence[ColumnStart | None] | None,
 ) -> TransportTable:
     """wasserstein's table form: column j is a warm chain of pairs from start[j]."""
     n = dm.d.shape[0]
@@ -600,7 +556,7 @@ def _table(
     excess = nu0 - nu1
     # the solves stream in column by column; of each only what the table keeps stays
     values = np.empty((a, k))
-    flows, binding, last = [], {}, []
+    flows, binding, column_starts = [], {}, []
     for index, (key, tree, solution) in enumerate(_chains(excess, dm, starts)):
         j, i = divmod(index, k)
         values[j, i] = solution.value
@@ -609,9 +565,9 @@ def _table(
         if not j or solution.value > binding[i][1].value:
             binding[i] = (tree, solution)
         if i == k - 1:
-            last.append((key, solution))
-    return TransportTable(values=values.T, _excess=excess, _x=flows, _arcs=dm.arcs,
-                          _binding=list(binding.values()), _last=last)
+            column_starts.append(ColumnStart(*key, solution.start, solution.basis, solution.rows))
+    return TransportTable(values=values.T, column_starts=column_starts, _excess=excess, _x=flows,
+                          _arcs=dm.arcs, _binding=list(binding.values()))
 
 
 def wasserstein(
@@ -619,7 +575,7 @@ def wasserstein(
     nu1: np.ndarray,
     dm: DistanceMatrix,
     verify: bool = True,
-    start: Sequence[ArcStart | ColumnStart | None] | None = None,
+    start: Sequence[ColumnStart | None] | None = None,
 ) -> TransportPlan | TransportTable:
     """Directed transport distance between two probability vectors, or over a table of pairs.
 
@@ -638,18 +594,18 @@ def wasserstein(
 
     The table form, fast mode only (ValueError with verify=True), takes
     nu0 and nu1 of shape (k, a, n), k >= 1, and start as None or one
-    start per column, each the ArcStart kappa_lp returned for an arc, a
-    ColumnStart of an earlier table's column, or None.  Column j is a
-    chain: pair 0 solves from start[j].start (on the tree of its root,
-    checked once when it was formed) or, for None, from the
+    start per column, each a ColumnStart (kappa_lp's of an arc, or an
+    earlier table's of a column) or None.  Column j is a chain: pair 0
+    solves from start[j].start (on the tree of its root, checked once
+    when it was formed) or, for None, from the
     BFS tree a single pair would take, and pair i from pair i - 1's
     optimal basis.  ValueError if a start was solved on another
     DistanceMatrix, whose program is another one.  Each row of both
     stacks is checked as a single measure is, once per table; the error
     names the first bad row, nu0[i, j] say.  It returns a
-    TransportTable: values of shape (k, a), the residual over every
-    solve, the potential of each row's largest W and each column's last
-    optimum as a ColumnStart, the last three formed on first read.
+    TransportTable: values of shape (k, a), each column's last optimum
+    as a ColumnStart, and the residual over every solve and the
+    potential of each row's largest W, both formed on first read.
     """
     if np.ndim(nu0) == 3:
         if verify:
@@ -665,7 +621,7 @@ def wasserstein(
     nu1 = _check_probability(nu1, n, "nu1")
     ((_key, tree, solution),) = _chains((nu0 - nu1)[None, None], dm, (None,))
     value = float(solution.value)
-    f = tree.potentials([solution])[0]
+    f = tree.potentials(solution.rows[-1:])[0]
     f = f - f[0]
     gap = abs(value - float(f @ (nu1 - nu0)))
     if gap > lp.GAP_TOL:

@@ -641,33 +641,28 @@ def carried_warm_start(solution) -> lp.Start:
     return lp.Start.carried(start.c, start.A, solution.basis, inverse, rows)
 
 
-def two_step_arc_start(arc_start) -> lp.Start:
-    """An ArcStart's W start in two checked steps: kappa's own warm start, then the swap.
+def two_step_arc_start(kappa) -> lp.Start:
+    """An arc's W start in two checked steps off kappa's solve: its warm start, then the swap.
 
-    kappa's program is the root's program plus the virtual arc y -> x,
-    whose column is +1 in the row of y and whose cost is -1.  The final
-    basis and rows the ArcStart keeps are made the start of that
-    program, with the inverse (B_f^-1 B_0) B_0^-1 as carried_warm_start
-    forms it, and Start.carried checks it; dropping the virtual column
-    and, where that column is basic, putting the arc x -> y in its
-    place with the row of the inverse and of the tableau negated, each
-    after its product, gives the start of W, which Start.carried checks
-    again.
+    kappa solved the curvature program of the arc x -> y: root x's
+    out-tree program plus the virtual arc y -> x, the last column, +1
+    in the row of y at cost -1.  Its final basis and rows are made the
+    start of that program, with the inverse (B_f^-1 B_0) B_0^-1 as
+    carried_warm_start forms it, and Start.carried checks it; dropping
+    the virtual column and, where that column is basic, putting the arc
+    x -> y (the column of the root's program that is the virtual one
+    negated) in its place with the row of the inverse and of the
+    tableau negated, each after its product, gives the start of W,
+    which Start.carried checks again.
     """
-    program, rows = arc_start.program, arc_start.rows
-    c = np.append(program.c, -1.0)
-    vertices = np.flatnonzero(np.arange(len(program.A) + 1) != arc_start.root)
-    A = np.column_stack((program.A, (vertices == arc_start.head).astype(float)))
-    inverse = rows[:-1, program.basis] @ program.inverse
-    kappa = lp.Start.carried(c, A, arc_start.basis, inverse, rows)
-    basis, inverse, tableau = kappa.basis, kappa.inverse, kappa.tableau[:, :-1]
-    swapped = np.flatnonzero(basis == len(program.c))
-    if swapped.size:
-        basis, inverse, tableau = basis.copy(), inverse.copy(), tableau.copy()
-        basis[swapped] = np.flatnonzero((program.A == -kappa.A[:, -1, None]).all(axis=0))
-        inverse[swapped] = 0.0 - inverse[swapped]
-        tableau[swapped] = 0.0 - tableau[swapped]
-    return lp.Start.carried(program.c, program.A, basis, inverse, tableau)
+    warm = carried_warm_start(kappa)
+    c, A = warm.c[:-1], warm.A[:, :-1]
+    basis, inverse, tableau = warm.basis.copy(), warm.inverse.copy(), warm.tableau[:, :-1].copy()
+    swapped = np.flatnonzero(basis == len(c))
+    basis[swapped] = np.flatnonzero((A == -warm.A[:, -1, None]).all(axis=0))
+    inverse[swapped] = 0.0 - inverse[swapped]
+    tableau[swapped] = 0.0 - tableau[swapped]
+    return lp.Start.carried(c, A, basis, inverse, tableau)
 
 
 def with_column(start: lp.Start, cost: float, column: np.ndarray) -> lp.Start:
@@ -716,7 +711,7 @@ def kappa_pair(x: int, y: int, M: MarkovData, dm: DistanceMatrix):
     return kappa, f, solution
 
 
-def w_chain(dm, nu0, nu1, arc_start=None, re_form=False) -> list:
+def w_chain(dm, nu0, nu1, arc_start=None, re_form=False, kappa=None) -> list:
     """The solves of one W chain, pair by pair: what a column of a W table must make.
 
     nu0 and nu1 hold one measure per row.  Without arc_start the chain
@@ -725,8 +720,8 @@ def w_chain(dm, nu0, nu1, arc_start=None, re_form=False) -> list:
     otherwise the out-tree of the largest excess; with it, from the
     arc's W start on the out-tree of its root.  Each later pair solves
     from the previous optimum's warm start.  re_form re-forms and
-    re-checks every start, the arc's by two_step_arc_start and the
-    others by carried_warm_start.
+    re-checks every start, the arc's by two_step_arc_start off kappa,
+    kappa's solve of the arc, and the others by carried_warm_start.
     """
     excess = np.asarray(nu0) - np.asarray(nu1)
     if arc_start is None:
@@ -736,7 +731,7 @@ def w_chain(dm, nu0, nu1, arc_start=None, re_form=False) -> list:
         start = tree.start
     else:
         tree = transport.root_basis(dm, arc_start.root)
-        start = two_step_arc_start(arc_start) if re_form else arc_start.start
+        start = two_step_arc_start(kappa) if re_form else arc_start.start
     solutions = []
     for e in excess:
         solutions.append(tree.solve(e, start))

@@ -88,7 +88,7 @@ from digricci import (
     verify_transport_contraction,
     wasserstein,
 )
-from digricci import transport
+from digricci import curvature, transport
 from digricci.errors import LpFailureError, SameVertexError
 from digricci.heat import LIMIT_GRID, TIME_GRID
 from digricci.transport import root_basis
@@ -400,9 +400,10 @@ def test_a_kappa_row_solves_each_program_as_the_per_pair_route(g, data):
     (oracles.with_column) and reads each solve's own duals.  Rows over
     every other vertex, over one, and over the root's out-neighbours
     agree with it in kappa, witness, final basis and pivot count, one
-    lp.solve_lp per program, and each arc's ArcStart gives the W start
-    that oracles.two_step_arc_start forms off the reference solve; a
-    target that is no arc gets None.  A row of one [y] returns the same
+    lp.solve_lp per program, and each arc's record, a ColumnStart of
+    root x's out-tree, gives the W start that
+    oracles.two_step_arc_start forms off the reference solve; a target
+    that is no arc gets None.  A row of one [y] returns the same
     kappa, witness and start kind as arrays of one entry, a row that
     holds x raises, and an empty row returns empty arrays.
     """
@@ -431,10 +432,8 @@ def test_a_kappa_row_solves_each_program_as_the_per_pair_route(g, data):
         assert values[0] == kappa and singles[0].tobytes() == witness.tobytes()
         assert (start is None) == (single is None) == ([x, y] not in arcs)
         if start is not None:
-            assert (start.root, start.head) == (x, y)
-            program = root_basis(ref_dm, x).start
-            ref_start = transport.ArcStart(x, y, ref.basis, ref.rows, program)
-            assert same_start(start.start, oracles.two_step_arc_start(ref_start))
+            assert (start.root, start.inward) == (x, False)
+            assert same_start(start.start, oracles.two_step_arc_start(ref))
     with pytest.raises(SameVertexError):
         kappa_lp(x, np.array([*ys, x]), M, dm)
     kappas, witnesses, starts = kappa_lp(x, np.array([], dtype=int), M, dm)
@@ -453,18 +452,20 @@ def test_kappa_start_is_the_start_its_basis_multiplies_out(g):
     Its inverse, formed as a product off kappa's final tableau, is the
     one from_basis forms by LAPACK and rounds (its entries are
     integers, so the rounded inverse is exact), and its tableau the one
-    from_basis multiplies out with that.  The start is formed on first
-    use, once.
+    from_basis multiplies out with that.  The record's rows are a view
+    of its own copy of kappa's final rows, and the start, formed on
+    first use, once, takes them as its tableau with no second copy.
     """
     dm = distances(g)
     report = curvature_matrix(markov_data(g), dm)
     arcs = dm.arcs.tolist()
     for (x, y), arc_start in zip(arcs, report.arc_starts, strict=True):
-        assert (arc_start.root, arc_start.head) == (x, y)
-        assert "start" not in vars(arc_start)
+        assert (arc_start.root, arc_start.inward) == (x, False)
+        assert "start" not in vars(arc_start) and arc_start.rows.base.base is None
         start = arc_start.start
         program = root_basis(dm, x).start
         assert start.c is program.c and start.A is program.A
+        assert start.tableau is arc_start.rows
         assert arcs.index([x, y]) in start.basis
         ref = lp.Start.from_basis(program.c, program.A, start.basis)
         assert start.inverse.tobytes() == ref.inverse.tobytes()
@@ -477,9 +478,10 @@ def test_kappa_start_with_the_virtual_arc_nonbasic_is_kappas_basis_as_it_stands(
 
     No kappa_lp optimum drawn ends that way, so this one is made to: a
     right-hand side that the BFS out-tree of x carries with positive
-    flow is optimal on that tree before any pivot.  The W start is then
-    the tree's own start, bit for bit, and the chain from it gives the
-    cold chain's W.
+    flow is optimal on that tree before any pivot.  kappa_lp's record
+    of it (curvature._arc_start) keeps that basis as it stands, and its
+    W start is then the tree's own start, bit for bit, and the chain
+    from it gives the cold chain's W.
     """
     dm, M = distances(g_tri), markov_data(g_tri)
     x, y = (int(v) for v in dm.arcs[0])
@@ -487,7 +489,8 @@ def test_kappa_start_with_the_virtual_arc_nonbasic_is_kappas_basis_as_it_stands(
     program = oracles.with_column(tree.start, -1.0, (tree.vertices == y).astype(float))
     kappa = solve_lp(program, program.A[:, program.basis].sum(axis=1))
     assert kappa.iterations == 0 and len(tree.start.c) not in kappa.basis
-    arc_start = transport.ArcStart(x, y, kappa.basis, kappa.rows, tree.start)
+    arc_start = curvature._arc_start(x, 0, tree.start, kappa)
+    assert arc_start.basis.tobytes() == kappa.basis.tobytes()
     start = arc_start.start
     for name in ("c", "A", "basis", "inverse", "tableau"):
         assert getattr(start, name).tobytes() == getattr(tree.start, name).tobytes(), name
@@ -501,12 +504,13 @@ def test_kappa_start_with_the_virtual_arc_nonbasic_is_kappas_basis_as_it_stands(
 @PROPERTY_SETTINGS
 @given(graphs())
 def test_arc_starts_own_their_rows_and_keep_no_stack(g):
-    """Every ArcStart owns its final rows, and each row's with_columns stack dies with kappa_lp.
+    """Every arc's record owns its final rows, and each row's with_columns stack dies with kappa_lp.
 
-    kappa_lp copies each arc's final rows, so an ArcStart holds no view
-    of the stack its program's start was one of, nor of the solve's
-    tableau: once kappa_lp returns, the c, A and tableau stacks of its
-    row are gone while its ArcStarts live on.
+    kappa_lp copies each arc's final rows, and an arc's ColumnStart
+    holds a view of that copy alone, not of the stack its program's
+    start was one of, nor of the solve's tableau: once kappa_lp
+    returns, the c, A and tableau stacks of its row are gone while its
+    records live on.
     """
     stacks = []
     with_columns = lp.Start.with_columns
@@ -520,13 +524,13 @@ def test_arc_starts_own_their_rows_and_keep_no_stack(g):
         patch.setattr(lp.Start, "with_columns", recording)
         report = curvature_matrix(markov_data(g), distances(g))
     assert len(stacks) == 3 * g.n and all(stack() is None for stack in stacks)
-    assert report.arc_starts and all(start.rows.base is None for start in report.arc_starts)
+    assert report.arc_starts and all(start.rows.base.base is None for start in report.arc_starts)
 
 
 @PROPERTY_SETTINGS
 @given(warm_chains())
 def test_every_start_off_a_final_basis_goes_through_carried(instance):
-    """An ArcStart's start and each warm start of a solve that pivoted are Start.carried's.
+    """An arc record's start and each warm start of a solve that pivoted are Start.carried's.
 
     Start.from_final ends in carried, once per start; a solve that took
     no pivot hands its own start on, with no check.  So along a column
@@ -666,18 +670,20 @@ def test_warm_chains_match_the_chains_that_re_form_every_start(instance, from_ka
     start is formed off kappa's final solve in one step; the reference
     chain, oracles.w_chain with re_form, re-forms every start by
     oracles.carried_warm_start, and the arc's by
-    oracles.two_step_arc_start.  At every step the start, value, final
-    basis, pivot count and final tableau agree.  The column starts from
-    a BFS tree or from the arc's kappa optimum.
+    oracles.two_step_arc_start off kappa's solve.  At every step the
+    start, value, final basis, pivot count and final tableau agree.
+    The column starts from a BFS tree or from the arc's kappa optimum.
     """
     g, (x, y), pairs = instance
     dm = distances(g)
-    arc_start = None
+    arc_start = kappa = None
     if from_kappa:
-        (arc_start,) = kappa_lp(x, [y], markov_data(g), dm)[2]
+        (_kappa, _witness, (arc_start,)), (kappa,) = recorded_solves(
+            lambda: kappa_lp(x, [y], markov_data(g), dm)
+        )
     _table, solves = recorded_solves(lambda: chain_table(pairs, dm, arc_start))
     nu0, nu1 = np.array(pairs).transpose(1, 0, 2)
-    refs = oracles.w_chain(dm, nu0, nu1, arc_start, re_form=True)
+    refs = oracles.w_chain(dm, nu0, nu1, arc_start, re_form=True, kappa=kappa)
     for i, (flow, ref) in enumerate(zip(solves, refs, strict=True)):
         assert same_start(flow.start, ref.start)
         if i and not solves[i - 1].iterations:
@@ -788,9 +794,11 @@ ROUNDOFF_GRAPH = build_graph(np.array([
 def test_the_contraction_table_runs_on_from_the_limit_tables_optima(g):
     """Each arc's contraction column starts from its small-time limit column's last optimum.
 
-    That optimum is at t = 0.01, the contraction's first time, on the
-    same kernel, so the column's first solve takes no pivot, and the
-    table still makes one solve per arc and time.  Its W are those of
+    That optimum, a ColumnStart the limit table made as the column
+    ended, forms its start only when the contraction table reads it.
+    It is at t = 0.01, the contraction's first time, on the same
+    kernel, so the column's first solve takes no pivot, and the table
+    still makes one solve per arc and time.  Its W are those of
     the table started from the arcs' kappa optima and from BFS trees
     up to roundoff: the bases differ, the programs do not, so the exact
     optima agree and each computed W is off the optimum by roundoff
@@ -808,6 +816,8 @@ def test_the_contraction_table_runs_on_from_the_limit_tables_optima(g):
     xs, ys = dm.arcs.T
     kappa = curvature_matrix(M, dm).arc_starts
     chained = curvature_time_limit(H, dm, xs, ys, kappa)[2]
+    # a record forms its start when a table first reads it, not before
+    assert not any("start" in vars(start) for start in chained)
     assert LIMIT_GRID[0] == TIME_GRID[0] == max(LIMIT_GRID)
     solves = {}
     for name, starts in (("chained", chained), ("kappa", kappa), ("bfs", None)):
@@ -897,7 +907,7 @@ def test_the_pivot_loop_meets_only_unit_entries(g):
     started as analyze starts them; each is held before and after its
     solve, so no pivot takes an entry off the units.  The starts are
     every one those runs form (root_basis's out-trees, with_columns',
-    the warm starts, each arc's ArcStart.start and the limit table's
+    the warm starts, each arc's ColumnStart.start and the limit table's
     column_starts) and root_basis's in- and out-tree of every root:
     each inverse B^-1 holds only -1, 0 and 1, and B^-1 B is I exactly.
     """

@@ -20,9 +20,12 @@ Start's own methods call Start directly, so every start's inverse
 inverts its basis exactly and no program that is not a flow reaches
 the pivot loop.  LAPACK inverts a basis in one place: only
 lp.Start.from_basis calls np.linalg.inv, and every other inverse is a
-tree's path matrix or a product off a tableau.  An LpSolution's
-private fields are lp's own: no other module in src/ reads or writes
-one, so the final basic values stay inside the solve.
+tree's path matrix or a product off a tableau.  A final basis becomes
+a start one way: outside Start's own methods only
+transport.root_basis calls Start.carried, and only
+LpSolution.warm_start and ColumnStart.start call Start.from_final.
+An LpSolution's private fields are lp's own: no other module in src/
+reads or writes one, so the final basic values stay inside the solve.
 """
 
 from __future__ import annotations
@@ -170,13 +173,13 @@ def direct_start_calls(sources: dict[str, str]) -> list[str]:
     })
 
 
-def inverse_calls(sources: dict[str, str]) -> list[str]:
-    """Each call of inv in sources (by module name), as "module.scope", sorted.
+def scoped_calls(sources: dict[str, str], name: str) -> list[str]:
+    """Each call of name in sources (by module name), as "module.scope", sorted.
 
-    A call counts by the last part of its name, so np.linalg.inv,
-    numpy.linalg.inv and a bare inv all count and pinv does not; the
-    scope is the dotted path of the classes and functions around the
-    call, <module> for none.
+    A call counts by the last part of its name, so for inv
+    np.linalg.inv, numpy.linalg.inv and a bare inv all count and pinv
+    does not; the scope is the dotted path of the classes and functions
+    around the call, <module> for none.
     """
     found = []
 
@@ -185,7 +188,7 @@ def inverse_calls(sources: dict[str, str]) -> list[str]:
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = (*scope, child.name)
-            elif isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == "inv":
+            elif isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == name:
                 found.append(".".join(scope if scope[1:] else (*scope, "<module>")))
             visit(child, inner)
 
@@ -416,9 +419,43 @@ def test_inverse_calls_are_found():
         "a": "import numpy\nfrom numpy.linalg import inv\n\n\ndef f(B):\n    def g():\n"
              "        return inv(B)\n\n    return g, numpy.linalg.inv(B)\n\n\nX = inv(2)\n",
     }
-    assert inverse_calls(sources) == ["a.<module>", "a.f", "a.f.g", "lp.Start.from_basis"]
+    assert scoped_calls(sources, "inv") == ["a.<module>", "a.f", "a.f.g", "lp.Start.from_basis"]
 
 
 def test_only_from_basis_calls_a_lapack_inverse():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
-    assert inverse_calls(sources) == ["lp.Start.from_basis"]
+    assert scoped_calls(sources, "inv") == ["lp.Start.from_basis"]
+
+
+def test_start_routes_are_found():
+    sources = {
+        "lp": "class Start:\n    @classmethod\n    def from_final(cls, p, b, r):\n"
+              "        return cls.carried(p, b, r)\n\n\nclass LpSolution:\n"
+              "    def warm_start(self):\n        return Start.from_final(self, 0, 1)\n",
+        "a": "from . import lp\n\n\ndef root_basis(dm):\n    return lp.Start.carried(dm)\n\n\n"
+             "class C:\n    def start(self):\n        return lp.Start.from_final(self, 0, 1)\n\n\n"
+             "X = lp.Start.carried(2), carried(3), lp.Start.carried_on(4)\n",
+    }
+    assert scoped_calls(sources, "carried") == [
+        "a.<module>", "a.<module>", "a.root_basis", "lp.Start.from_final",
+    ]
+    assert scoped_calls(sources, "from_final") == ["a.C.start", "lp.LpSolution.warm_start"]
+
+
+def test_a_final_basis_becomes_a_start_one_way():
+    """Only root_basis calls carried outside Start; only two callers make a final basis a start.
+
+    Start.carried is the one constructor that takes an inverse from its
+    caller: Start's own methods (from_basis, from_final) and
+    transport.root_basis, whose tree inverse is a walk, call it, and
+    nothing else.  Start.from_final is the one route from a final basis
+    to a start, and a warm start (LpSolution.warm_start) and a column's
+    first start (transport.ColumnStart.start) are its only callers.
+    """
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    carried = [scope for scope in scoped_calls(sources, "carried")
+               if not scope.startswith("lp.Start.")]
+    assert carried == ["transport.root_basis"]
+    assert scoped_calls(sources, "from_final") == [
+        "lp.LpSolution.warm_start", "transport.ColumnStart.start",
+    ]

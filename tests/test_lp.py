@@ -238,9 +238,10 @@ class TestCertificate:
     def test_a_solve_that_is_not_optimal_has_no_warm_start(self):
         """x0 + x1 = -1 is infeasible after 0 pivots: no final basis to start from or invert.
 
-        Its pivot count is the one a zero-pivot optimum hands its own
-        start on for, so solve_lp raises before any solution exists;
-        RootBasis.solve lets that error through as it is.
+        A zero-pivot optimum ends on its start's tableau, which its warm
+        start hands on as that start, so solve_lp raises before any
+        solution exists; RootBasis.solve lets that error through as it
+        is.
         """
         start = lp.Start.from_basis([1.0, 1.0], [[1.0, 1.0]], [0])
         with pytest.raises(LpFailureError, match=NOT_OPTIMAL):

@@ -974,14 +974,16 @@ def test_warm_starts_are_checked_only_where_a_solve_pivoted(
 
 
 def test_a_table_keeps_only_what_it_reads_of_its_solves(tmp_path, monkeypatch, capsys):
-    """While the heat-limit table of analyze_dense's K_8 runs, at most a + k + 1 solves live.
+    """While the heat-limit table of analyze_dense's K_8 runs, at most k + 2 solves live.
 
     The table, k = 3 times over a = 56 arcs, keeps each row's first
-    largest W and each column's last solve; beyond those only the solve
-    that starts the next one and the one just made are alive.  A table
-    that held every solve until it returned would reach all 3 x 56.
-    The solves are counted through weak references, not bytes, so the
-    allocator cannot move the count.
+    largest W, and of each column's last solve a ColumnStart, which
+    holds the solve's start, basis and rows but not the solve; beyond
+    those only the solve that starts the next one and the one just made
+    are alive.  A table that kept each column's last solve would reach
+    a + k + 1, and one that held every solve until it returned all
+    3 x 56.  The solves are counted through weak references, not
+    bytes, so the allocator cannot move the count.
     """
     (path,) = _workload_files("analyze_dense", tmp_path, monkeypatch)
     solves, alive, in_limit = [], [], [False]
@@ -1007,11 +1009,48 @@ def test_a_table_keeps_only_what_it_reads_of_its_solves(tmp_path, monkeypatch, c
     capsys.readouterr()
     k, a = len(LIMIT_GRID), 56
     assert len(alive) == k * a
-    assert max(alive) <= a + k + 1
+    assert max(alive) <= k + 2
+
+
+def test_a_kappa_row_keeps_one_solve_at_a_time(tmp_path, monkeypatch, capsys):
+    """While a kappa_lp row of analyze_dense's K_8 solves, at most one earlier solve is alive.
+
+    kappa_lp keeps of each solve its value, its final cost row and, for
+    an arc, a ColumnStart that owns a copy of its rows, so only the
+    solve just made lives while the next one solves.  The 8 rows of 7
+    targets make 56 solves; a row that held its solves until its
+    witnesses were read would reach 6.  The solves are counted through
+    weak references, not bytes, so the allocator cannot move the count.
+    """
+    (path,) = _workload_files("analyze_dense", tmp_path, monkeypatch)
+    solves, alive, in_row = [], [], [False]
+    solve_lp, row = lp.solve_lp, curvature.kappa_lp
+
+    def watching_solve(start, b):
+        if in_row[0]:
+            alive.append(sum(ref() is not None for ref in solves))
+        solution = solve_lp(start, b)
+        if in_row[0]:
+            solves.append(weakref.ref(solution))
+        return solution
+
+    def watching_row(*args, **kwargs):
+        in_row[0] = True
+        try:
+            return row(*args, **kwargs)
+        finally:
+            in_row[0] = False
+
+    monkeypatch.setattr(lp, "solve_lp", watching_solve)
+    monkeypatch.setattr(curvature, "kappa_lp", watching_row)
+    assert main(["analyze", path]) == 0
+    capsys.readouterr()
+    assert len(alive) == 56
+    assert max(alive) <= 1
 
 
 def _watch_arc_starts(monkeypatch) -> list[weakref.ref]:
-    """Weak references to every ArcStart cli.curvature_matrix returns from here on."""
+    """Weak references to every arc's ColumnStart cli.curvature_matrix returns from here on."""
     refs, matrix = [], cli.curvature_matrix
 
     def keeping_matrix(*args, **kwargs):
@@ -1041,17 +1080,16 @@ def test_analyze_drops_the_kappa_and_limit_starts_before_the_suite(
 ):
     """No kappa arc optimum and no start of the heat-limit table outlives the heat-flow stage.
 
-    On analyze_dense's K_8 (K > 0), kappa's 56 ArcStarts start the limit
-    table and its 56 column starts the contraction table; by the time the
-    functional suite runs, nothing holds any of them.  A ColumnStart is a
-    tuple and takes no weak reference, so its lp.Start is watched.
+    On analyze_dense's K_8 (K > 0), kappa's 56 arc records start the
+    limit table and its 56 column records the contraction table; by the
+    time the functional suite runs, nothing holds any of them.
     """
     (path,) = _workload_files("analyze_dense", tmp_path, monkeypatch)
     refs, limit = _watch_arc_starts(monkeypatch), cli.curvature_time_limit
 
     def keeping_limit(*args, **kwargs):
         limits, spreads, starts = limit(*args, **kwargs)
-        refs.extend(weakref.ref(start.start) for start in starts)
+        refs.extend(weakref.ref(start) for start in starts)
         return limits, spreads, starts
 
     monkeypatch.setattr(cli, "curvature_time_limit", keeping_limit)
@@ -1062,7 +1100,7 @@ def test_analyze_drops_the_kappa_and_limit_starts_before_the_suite(
 
 
 def test_analyze_drops_the_kappa_starts_before_the_contraction(tmp_path, monkeypatch, capsys):
-    """On analyze_sparse's graphs (K < 0, no suite) kappa's ArcStarts die with the limit table."""
+    """On analyze_sparse's graphs (K < 0, no suite) kappa's arc records die with the limit table."""
     paths = _workload_files("analyze_sparse", tmp_path, monkeypatch)
     refs = _watch_arc_starts(monkeypatch)
     seen = _alive_on_entry(monkeypatch, "verify_transport_contraction", refs)
