@@ -12,40 +12,56 @@ whose feasible set contains f = d(x, .), so the program always has an
 optimum.  The two must agree in the small-eps limit, which the tests
 and the verification pipeline exercise against each other.
 
-The exact program is solved through its LP dual, a min-cost flow over
-the arcs like the one behind W.  With
-c = (L[y] - L[x]) / d(x, y), it has one variable g >= 0 of cost 1 per
-arc, one virtual arc y -> x carrying lambda >= 0 at cost -d(x, y), and
-one balance row outflow - inflow = c(v) per vertex v != x.  Its row
-duals are -f: the arc columns give f(w) - f(z) <= 1, the virtual one
-f(y) - f(x) >= d(x, y), and the two together pin f(y) = d(x, y), so
-the flow optimum is -kappa.  The BFS out-tree of x is a dual-feasible
-starting basis for every pair: its potential d(x, .) prices each arc
-at 1 + d(x, z) - d(x, w) >= 0 and the virtual arc at exactly 0.  No
-phase 1 is needed.  That tree is the one transport.root_basis builds
-for root x, so the n - 1 programs of a row x share its start: the
-incidence, B^-1 and the tableau rows [B^-1 A ; c - c_B B^-1 A], built
-and checked once.  The virtual arc is never a tree arc; with the row of
-x dropped its column is the unit vector of y, so each program adds to
-that start one tableau column, column y of B^-1 over the virtual arc's
-reduced cost.  kappa_lp takes a row of targets y of root x, always an
-array, and sets its programs up together: the objectives c are one
-array, and the virtual columns' entries and reduced costs are formed as
-one stack and checked once (lp.Start.with_columns).  Each program is
-then one solve, which forms B^-1 b and pivots, and of which the row
-keeps the value, the final cost row and, for an arc, the start of its
-W column; after the row the duals of all the final bases are one
-product off the cost rows and the witness checks run over the stack.
-The root's transport.RootBasis maps c onto the rows and reads the
-witnesses back off the duals, so this module indexes no row.
+The exact program (the limit-free curvature of Muench & Wojciechowski,
+Adv. Math. 356, 2019) is solved through its LP dual, a min-cost flow
+over the arcs, and that flow is W's own: the program of (x, y) is root
+x's arc-flow W program (transport.root_basis(dm, x)), with no added
+column, solved for the excess e = c + Lambda (delta_x - delta_y), with
+c = (L[y] - L[x]) / d(x, y) and
+
+    Lambda = 1 + 2 sum_v |c(v)| max(d(x, v), d(v, x)).
+
+Its row duals are -f with f(x) = 0 and f(w) - f(z) <= 1 on every arc,
+so W(e) = max_f [Lambda f(y) - f.c].  Why Lambda is large enough: the
+graph is strongly connected, so summing the arc rows along a geodesic
+from x to v or from v to x gives |f(v)| <= max(d(x, v), d(v, x)) for
+every such f, hence |f.c| <= (Lambda - 1) / 2, and the objectives f.c
+of any two of them differ by at most Lambda - 1.  The program's A is
+an incidence, so its optimal vertices are integral potentials, with
+f(y) <= d = d(x, y).  One with f(y) <= d - 1 reaches at most
+Lambda (d - 1) + (Lambda - 1) / 2; a tight one (f(y) = d, d(x, .)
+say) at least Lambda d - (Lambda - 1) / 2, more by 1: it loses by
+more than it can gain.  So only tight potentials are optimal, the
+optimum minimises f.c over them, and W(e) = d Lambda - kappa.  For an
+arc this is the heat flow's own problem as t -> 0:
+p_x_t - p_y_t = t [c + (1/t) (delta_x - delta_y)] + O(t^2), with
+Lambda in the role of 1/t.
+
+The BFS out-tree of x, the start root_basis builds and checks once, is
+dual feasible for every excess, so the n - 1 programs of a row x all
+solve from it, each one solve, and no phase 1 is needed.  kappa is
+read off the witness exactly: f is integral, so f.c is the sum of the
+floats c(v), each counted |f(v)| times with the sign of f(v), which
+math.fsum over the support of c rounds once.  kappa is the correctly
+rounded f.c, whatever Lambda, and the primal value d Lambda - W is held
+to it by lp.GAP_TOL.  kappa_lp takes a row of targets y of root x,
+always an array: the objectives c and the excesses are one array
+each, of each solve the row keeps the value, the final cost row and,
+for an arc, its ColumnStart, and after the row the duals of all the
+final bases are one product off the cost rows and the witness checks
+run over the stack.  The root's transport.RootBasis maps the excess
+onto the rows and reads the witnesses back off the duals, so this
+module indexes no row.
 
 kappa_limit takes the same rows and solves each as one W table, a
 column per target, each column the warm chain over EPS_GRID that the
 pair's own row of one solves.  Both functions return arrays, one entry
-per target, and kappa_lp also a list of starts, each arc target's
-optimum as a transport.ColumnStart of root x's out-tree, the virtual
-arc swapped for the arc: the heat module's W tables of the arc may
-start from it, and curvature_matrix returns those of every arc.
+per target, and kappa_lp also a list of starts: an arc target's
+optimum is a final basis of the arc's W program as it stands, so its
+start is the transport.ColumnStart of its solve on root x's out-tree,
+as a W table makes one of a column's last solve.  The heat module's W
+tables of the arc may start from it, and curvature_matrix returns
+those of every arc.
 curvature_matrix asks each for one row per root, verify-functional
 asks kappa_lp for one per tail over its out-neighbours, and
 curvature --pairs asks rows of one.
@@ -53,6 +69,7 @@ curvature --pairs asks rows of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,103 +134,78 @@ def kappa_lp(
     one Lipschitz row f(w) - f(z) <= 1 per arc z -> w, and
     f(y) = d(x, y).  The hop metric is a path metric, so the arc rows
     already imply f(w) - f(z) <= d(z, w) for every ordered pair (sum
-    them along a geodesic).  One solve of its dual flow (see the module
-    docstring), by a dual simplex from the BFS out-tree of x, gives
-    kappa as minus the flow optimum and the witness f as minus the row
-    duals, with f(x) = 0 (transport.RootBasis.potentials).  Every basis
-    is a spanning tree plus the virtual arc and every cost an integer,
-    so f is an integer vector, and three checks are exact:
-    NumericsError unless f is integral, f(w) - f(z) <= 1 on every arc
-    and f(y) == d(x, y).  The value gap is the one check with a
-    tolerance, as the rounding of the right-hand side enters there:
-    NumericsError unless |kappa - grad_xy (L f)| <= lp.GAP_TOL.
+    them along a geodesic).  It is solved as root x's W program of the
+    excess c + Lambda (delta_x - delta_y) (see the module docstring),
+    one solve by a dual simplex from the BFS out-tree of x, whose
+    optimal potential is the witness f, minus the row duals, with
+    f(x) = 0 (transport.RootBasis.potentials).  Every basis is a
+    spanning tree and every cost an integer, so f is an integer vector,
+    and three checks are exact: NumericsError unless f is integral,
+    f(w) - f(z) <= 1 on every arc and f(y) == d(x, y).  kappa is f.c
+    rounded once (math.fsum of c(v) counted |f(v)| times), and the
+    value gap is the one check with a tolerance, as the rounding of the
+    right-hand side enters there: NumericsError unless
+    |d Lambda - W - kappa| <= lp.GAP_TOL.
 
     ys is a row of targets, a 1-d array; a single pair is the row [y].
     It returns kappa of shape (k,), the witnesses of shape (k, n), one
-    row per y, and a list of k starts: for an arc (d(x, y) = 1) its
-    optimum as a transport.ColumnStart (_arc_start), made as the solve
-    returns, which a heat-flow W table of the arc may start from, and
-    None for any other target.  The record owns its copy of the final
-    rows, so the row's stack of starts goes once kappa_lp returns, and
-    forms its W start only when a table reads it, so a caller that
-    drops it pays for none of it.  All three are empty for an empty
-    row.  SameVertexError if x is among them.  The programs of a row
-    share x's start, so they are set up once: the objectives c are one
-    array, the virtual columns are added to the start and checked as
-    one stack (lp.Start.with_columns).  Of each solve the row keeps its
-    value and final cost row, so one solve is alive at a time, and
-    after the solves the duals of all of them are one product off the
-    cost rows and the checks above run over the stack.  Each
-    program is still its own lp.solve_lp, called from here: the name
-    stays the one span a tracer attributes every curvature solve to,
-    however long the row.
+    row per y, and a list of k starts: for an arc (d(x, y) = 1) the
+    transport.ColumnStart of its solve, its start, final basis and
+    final rows, which a heat-flow W table of the arc may start from,
+    and None for any other target.  The record holds the solve's own
+    rows, no copy, and forms its W start only when a table reads it, so
+    a caller that drops it pays for none of it.  All three are empty
+    for an empty row.  SameVertexError if x is among them.  Of each
+    solve the row keeps its value, final cost row and, for an arc, its
+    record, so one solve is alive at a time, and after the solves the
+    duals of all of them are one product off the cost rows and the
+    checks above run over the stack.  Each program is still its own
+    lp.solve_lp, called from here: the name stays the one span a tracer
+    attributes every curvature solve to, however long the row.
 
     kappa is unique, the witness is not: the optimal potentials of the
     program often form a face, and the witness is the one integer
     vertex of it that the pivot sequence ends on (the duals of the
     final basis).  A change of pivot rule may return another witness
-    with the same kappa.  What reads the witness itself sees that
-    choice: curvature --pairs prints it.  No report of analyze or
+    with the same kappa, bit for bit, as kappa is the correctly rounded
+    value of the one exact optimum.  What reads the witness itself sees
+    that choice: curvature --pairs prints it.  No report of analyze or
     verify-functional reads a witness, only kappa.
     """
     ys, d = _row(x, ys, dm)
     if not ys.size:
         return np.empty(0), np.empty((0, M.n)), []
+    k = np.arange(len(ys))
     c = (M.L.take(ys, axis=0) - M.L[x]) / d[:, None]
+    # Lambda of each target: 1 + 2 sum_v |c(v)| max(d(x, v), d(v, x))
+    push = 1.0 + 2.0 * (np.abs(c) @ np.maximum(dm.d[x], dm.d[:, x]))
+    # the push's excess at x lies in the row the program drops
+    excess = c.copy()
+    excess[k, ys] -= push
     tree = transport.root_basis(dm, x)
-    # each virtual arc y -> x: +1 in the row of y, and x's row is dropped
-    starts = tree.start.with_columns(-d, (tree.vertices[:, None] == ys).astype(float))
-    # the column of each arc x -> y in x's program, by y
-    out = np.flatnonzero(dm.arcs[:, 0] == x)
-    columns = dict(zip(dm.arcs[out, 1].tolist(), out.tolist()))
-    values, costs = np.empty(len(ys)), np.empty((len(ys), len(dm.arcs) + 1))
+    values, costs = np.empty(len(ys)), np.empty((len(ys), len(dm.arcs)))
     arc_starts = []
-    for i, (y, balance, start) in enumerate(zip(ys.tolist(), c, starts)):
-        solution = tree.solve(balance, start)
+    for i, (balance, dxy) in enumerate(zip(excess, d.tolist())):
+        solution = tree.solve(balance)
         values[i], costs[i] = solution.value, solution.rows[-1]
-        arc_starts.append(_arc_start(x, columns[y], tree.start, solution) if y in columns else None)
-    # 0.0 - v, not -v: a zero optimum must not become -0.0
-    kappa = 0.0 - values
+        # an arc's optimum is a final basis of the arc's W program as it stands
+        arc_starts.append(transport.ColumnStart(
+            x, False, solution.start, solution.basis, solution.rows) if dxy == 1 else None)
     witness = tree.potentials(costs)
-    fy = witness[:, ys].diagonal()
+    fy = witness[k, ys]
     if (fy != d).any():
         i = (fy != d).argmax()
         raise NumericsError(f"curvature witness has f(y) = {fy[i]:.17g}, not {d[i]:g}")
-    gap = np.abs(kappa - (c * witness).sum(axis=1)).max()
+    # f.c rounded once: each c(v) of the support counted |f(v)| times, with the sign of f(v),
+    # the terms of all the row's targets as one list, split by target
+    counts = np.abs(witness).astype(int) * (c != 0.0)
+    terms = np.repeat(np.sign(witness) * c, counts.ravel()).tolist()
+    ends = counts.sum(axis=1).cumsum().tolist()
+    kappa = np.array([math.fsum(terms[a:b]) for a, b in zip([0, *ends], ends)])
+    gap = np.abs(d * push - values - kappa).max()
     if gap > lp.GAP_TOL:
         raise NumericsError(f"curvature duality gap {gap:.3e} exceeds {lp.GAP_TOL:.1e}")
     return kappa, witness, arc_starts
-
-
-def _arc_start(
-    x: int, arc: int, program: lp.Start, solution: lp.LpSolution
-) -> transport.ColumnStart:
-    """kappa's optimum of the arc x -> y as the start of the arc's W column, on root x's out-tree.
-
-    program is root x's tree start and arc the column of x -> y in it;
-    solution solved the curvature program of (x, y), program plus the
-    virtual arc y -> x, whose column, the last, is +1 in the row of y
-    at cost -1, where the arc's is -1 at cost +1.  Where that column is
-    basic, in row i say, the arc takes its place: B_f times the sign
-    flip of row i, so row i of B^-1 A is negated, the duals c_B B^-1
-    stay, and with them every reduced cost.  The swapped basis is dual
-    feasible for W, and it is the optimum of W(delta_x, delta_y), the
-    limit t -> 0 of the heat-flow W of the arc, whose first-order term
-    is kappa's own right-hand side.  Where the virtual column is
-    nonbasic, B_f is a basis of W already.  The record owns one copy of
-    the final rows, swapped in place, and its rows are that copy's view
-    without the virtual column, the last: the copy keeps the solve's
-    width, which measured lower in analyze's RSS than a copy one column
-    narrower, whose freed blocks missed the W tableaux of the next
-    stage.
-    """
-    rows, basis = solution.rows.copy(), solution.basis.copy()
-    # the row where the virtual column is basic, if any
-    for i in (basis == len(program.c)).nonzero()[0].tolist():
-        basis[i] = arc
-        # 0.0 - v, not -v: a zero entry must not become -0.0
-        rows[i] = 0.0 - rows[i]
-    return transport.ColumnStart(x, False, program, basis, rows[:, :-1])
 
 
 def kappa_limit(

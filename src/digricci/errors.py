@@ -15,7 +15,6 @@ The contract breaks are:
                         row, a column that is not an arc's (at most one
                         1 and one -1, zero elsewhere), or a basis that
                         LAPACK finds singular (numpy's LinAlgError)
-  lp.Start.with_columns ValueError: an added column that is not an arc's
   lp.solve_lp           ValueError: a right-hand side that does not
                         match the matrix
   transport._table      ValueError: a table given other than one start

@@ -55,14 +55,19 @@ table checks every kernel row once.  Each certificate takes the first
 time's starts as a value, one per column, each a
 transport.ColumnStart, and a column without one starts from a BFS
 tree.  analyze chains them along each arc: curvature_time_limit starts
-from the arc's curvature optimum, the record kappa_lp makes of it (the
-curvature program is the first-order problem of W as t -> 0, so that
-basis is nearly optimal for every time), and returns its columns' last
-optima, at t = 0.01, as the records its table made of them;
-verify_transport_contraction starts from those, and its first time is
-0.01, so that solve is already optimal and takes no pivot.  The table
-runs inside wasserstein, under the certificate that asked for it, so
-the solves stay counted under that certificate and under wasserstein.
+from the arc's curvature optimum, the record kappa_lp makes of it.
+The curvature program of the arc is root x's W program of the excess
+c + Lambda (delta_x - delta_y), and p_x_t - p_y_t is
+t [c + (1/t) (delta_x - delta_y)] + O(t^2) with c = L[y] - L[x]: the
+same program with Lambda in the role of 1/t.  So the kappa optimum is
+a basis of the arc's W as it stands, dual feasible at every time and
+nearly optimal at the small ones.  curvature_time_limit returns its
+columns' last optima, at t = 0.01, as the records its table made of
+them; verify_transport_contraction starts from those, and its first
+time is 0.01, so that solve is already optimal and takes no pivot.
+The table runs inside wasserstein, under the certificate that asked
+for it, so the solves stay counted under that certificate and under
+wasserstein.
 Each time's kernel matrix is built once per operator.
 
 The times are fixed: TIME_GRID for the two contraction certificates

@@ -18,53 +18,49 @@ ends as what the pivot loop leaves: its final basis, final rows
 being the start's tableau itself when it took no pivot, so no tableau
 is formed after the loop; the optimal duals, one product of the final
 cost row with the start's inverse, are formed only when read, so
-solve_lp factorises nothing.  Starts come five ways, and all but
-with_columns' pass the one start check, Start.carried's:
+solve_lp factorises nothing.  Starts come four ways, and every one
+passes the one start check, Start.carried's, the one constructor:
 Start.from_basis takes a basis alone, forms its inverse by LAPACK,
 rounded to the integers it stands for, and multiplies out its tableau,
 the one place the package inverts a matrix; transport.root_basis forms
 a spanning tree's inverse and tableau exactly, by a walk, with no
-product; with_columns makes one start per added column, each the start
-plus that column, whose basis and inverse stay, forming every new
-column's tableau entries as one product and checking their reduced
-costs, and nothing else, once (one column is a stack of one);
-Start.from_final, the one route from a final basis to a start, makes
-that basis the start of the next b, off its final rows as they stand,
-with the one m x m product (B_f^-1 B_0) B_0^-1 as its inverse, and
-hands the start a solve began from on unchanged when the rows are that
-start's own tableau, as a solve that took no pivot leaves them: an
-optimal solution's warm_start, so a caller that solves one c and A for
-a sequence of right-hand sides starts each solve from the previous
-optimum without multiplying B^-1 A again, and the first start of a W
-column (transport.ColumnStart), off a table column's last optimum or
-an arc's curvature optimum; and Start.carried, the one
-constructor that takes an inverse from its caller, takes a basis,
-inverse and tableau formed as from_basis, from_final and root_basis
-form them, and checks them as they stand.
+product; Start.from_final, the one route from a final basis to a
+start, makes that basis the start of the next b, off its final rows
+as they stand, with the one m x m product (B_f^-1 B_0) B_0^-1 as its
+inverse, and hands the start a solve began from on unchanged when the
+rows are that start's own tableau, as a solve that took no pivot
+leaves them: an optimal solution's warm_start, so a caller that
+solves one c and A for a sequence of right-hand sides starts each
+solve from the previous optimum without multiplying B^-1 A again, and
+the first start of a W column (transport.ColumnStart), off a table
+column's last optimum or an arc's curvature optimum; and
+Start.carried itself takes a basis, inverse and tableau formed as
+from_basis, from_final and root_basis form them, and checks them as
+they stand.
 
 Every program solved is a flow on a graph whose balance rows sum to
 zero, with one of them dropped, and a spanning tree of that graph is a
 basis (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 11).  Its A
 is an incidence, totally unimodular, so every B^-1 A holds only -1, 0
-and 1, and the pivot loop counts on it.  from_basis and with_columns
-refuse any column that is not an arc's (ValueError), root_basis's tree
+and 1, and the pivot loop counts on it.  from_basis refuses any
+column that is not an arc's (ValueError), root_basis's tree
 incidence is made of arcs, and carried and from_final keep the A of a
 start built by one of those, so no other program reaches the loop.
 Every B^-1 is integral too, and the start check takes no tolerance:
 an inverse off the integers by less than any tolerance would still
 lead the loop's exact arithmetic astray.  Nor does the loop take one:
-an entry of B^-1 A below 0 is -1.  The library's two programs, the
-flow behind the Wasserstein distance and the dual of each per-pair
-curvature program, start from a shortest-path tree (into or out of a
-root) whose start the transport module builds once per graph, root
-and direction, with the tree's path matrix as its exact inverse; the
-curvature programs of a root add their virtual columns to that start
-as one stack (a single pair is a stack of one), and the smoothing W of
-one pair go on from the previous smoothing's warm start.  The
-heat-flow W of an arc start from its curvature optimum, the virtual
-column swapped for the arc (a carried start, checked once), and go on
-from the previous time's.  Two reference programs the tests hold
-those to take the same path: the coupling program of solve_transport,
+an entry of B^-1 A below 0 is -1.  The library solves one program,
+the flow behind the Wasserstein distance, of which each per-pair
+curvature program is an instance (a push from x to y, see the
+curvature module), from a shortest-path tree (into or out of a root)
+whose start the transport module builds once per graph, root and
+direction, with the tree's path matrix as its exact inverse; the
+smoothing W of one pair go on from the previous smoothing's warm
+start.  The heat-flow W of an arc start from its curvature optimum, a
+basis of the arc's W program as it stands (a carried start, checked
+once, or the tree's own when that solve took no pivot), and go on
+from the previous time's.  Two reference programs the tests hold it
+to take the same path: the coupling program of solve_transport,
 a flow on the complete bipartite graph of the two supports, drops the
 row sum of row 0 and starts from the tree that assemble_transport_lp
 picks, and transport.kantorovich_dual starts its all-pairs flow from a
@@ -129,11 +125,10 @@ class Start:
     shape (m + 1) x n; the basis columns are the unit vectors over a
     zero reduced cost.  A dual-feasible basis stays dual feasible for
     every b, so one start serves every program min c.x, A x = b,
-    x >= 0.  from_basis, with_columns, from_final, carried and
-    transport.root_basis build starts, and every one but with_columns'
-    through carried's check; nothing changes a start after that, so a
-    start is handed on as it stands when a solve from it takes no
-    pivot.
+    x >= 0.  from_basis, from_final and transport.root_basis build
+    starts, every one through carried, the one constructor and its
+    check; nothing changes a start after that, so a start is handed on
+    as it stands when a solve from it takes no pivot.
     """
 
     c: np.ndarray
@@ -173,42 +168,14 @@ class Start:
         T[-1] = c - c[basis] @ T[:m]
         return cls.carried(c, A, basis, inverse, T)
 
-    def with_columns(self, costs: np.ndarray, columns: np.ndarray) -> list[Start]:
-        """One start per column of columns: this start with that column added to A, at its cost.
-
-        columns has one row per row of A and costs one entry per column;
-        ValueError unless each column is an arc's.  The basis and its
-        inverse stay, so the new columns' tableau entries are B^-1
-        columns, one product for all of them, and their reduced costs
-        are the one check, made once: NumericsError unless each is at
-        least -RC_TOL.  The starts are views of one stack each
-        of c, A and tableaus, so a start kept keeps the whole stack.
-        """
-        _check_arcs(columns)
-        m, n = self.A.shape
-        k = len(costs)
-        entries = self.inverse @ columns
-        T = np.empty((k, m + 1, n + 1))
-        T[:, :, :n] = self.tableau
-        T[:, :m, n] = entries.T
-        T[:, m, n] = costs - self.c[self.basis] @ entries
-        _check(T[:, m, n].min())
-        c = np.empty((k, n + 1))
-        c[:, :n] = self.c
-        c[:, n] = costs
-        A = np.empty((k, m, n + 1))
-        A[:, :, :n] = self.A
-        A[:, :, n] = columns.T
-        return [Start(c[i], A[i], self.basis, self.inverse, T[i]) for i in range(k)]
-
     @classmethod
     def from_final(cls, program: Start, basis, rows) -> Start:
         """The start of a final basis of program's c and A, off that basis's rows.
 
         rows is [B_f^-1 A ; c - c_B B_f^-1 A] for the basis B_f, as a
-        solve from program ends with it (LpSolution.rows) or as kappa_lp
-        swaps an arc's into it (transport.ColumnStart); it is the start's
-        tableau as it stands.  rows that are program's tableau itself
+        solve from program ends with it (LpSolution.rows, which a
+        transport.ColumnStart keeps); it is the start's tableau as it
+        stands.  rows that are program's tableau itself
         are those of a solve that took no pivot, which ended on program:
         the same basis, the same rows, and B_f^-1 = I B_0^-1, so program,
         checked when it was built, is the start, unchanged.  Otherwise

@@ -35,9 +35,11 @@ the tree, with no factorisation, and B^-1 A is the path column of each
 arc's tail minus that of its head: the tableau is exact path
 differences, formed with no product.  A solve from the tree then only
 forms B^-1 b, and its right-hand side, potential and coupling are
-indexed through the row vertices.  The curvature module's dual flows
-from x add their virtual columns to the out-tree start of x, a row of
-them at once (lp.Start.with_columns).
+indexed through the row vertices.  The curvature program of a pair
+(x, y) is this program too, root x's, for the excess of a push of
+Lambda from x to y beside the first-order term of the heat flow (see
+the curvature module), so it solves from the out-tree start of x as
+it stands.
 
 A solve may start from another solve's final basis instead.  The
 program's cost and incidence depend on the graph and r alone, so the
@@ -70,15 +72,14 @@ module's transport checks ask the same densities five times over and
 start every check after the first from the first one's optima.  The
 first heat-flow solve of an arc x -> y may start from the arc's
 curvature optimum instead, the ColumnStart that kappa_lp makes of it:
-as t -> 0, p_x_t - p_y_t = (delta_x - delta_y) + t (L[y] - L[x]) +
-O(t^2), and the curvature program is that first-order problem, so its
-optimal basis, with the virtual arc y -> x swapped for x -> y, is
-optimal for W at t -> 0 and usually still at the first t.  kappa_lp
-swaps it in the one copy of the final rows it keeps, on root x's
-out-tree program, and the W start reads that copy without the virtual
-column.  A ColumnStart belongs to the DistanceMatrix it was solved on,
-and one of another is refused; without one a column starts from the
-BFS tree above.
+as t -> 0, p_x_t - p_y_t = t [(L[y] - L[x]) + (1/t) (delta_x - delta_y)]
++ O(t^2), and the curvature program is that problem with Lambda in the
+role of 1/t, solved on root x's out-tree program, so its optimal basis
+is a basis of the arc's W as it stands, optimal at t -> 0 and usually
+still at the first t.  kappa_lp makes its record as a table makes one
+of a column's last solve.  A ColumnStart belongs to the
+DistanceMatrix it was solved on, and one of another is refused;
+without one a column starts from the BFS tree above.
 
 Those chains are wasserstein's table form: given nu0 and nu1 of shape
 (k, a, n), fast mode only, it solves column j as a chain of k measure
@@ -206,10 +207,9 @@ class ColumnStart:
     root, inward)), program is a start of its c and A, and basis and
     rows are the final basis and its rows [B_f^-1 A ; c - c_B B_f^-1 A].
     A table makes one of each column's last solve (its start, final
-    basis and final rows), and kappa_lp one of each arc's optimum, on
-    root x's out-tree program: it swaps the arc in for the virtual
-    column in a copy of the final rows of its own, and rows is that
-    copy without the virtual column.  start is lp.Start.from_final of
+    basis and final rows), and kappa_lp one of each arc's optimum the
+    same way, on root x's out-tree program, of which the curvature
+    program of the arc is an instance.  start is lp.Start.from_final of
     the three, the route of every warm start: formed on first read and
     kept, so a record that no table reads costs no product and no
     check, and a record whose rows are its program's tableau (a last
@@ -339,9 +339,9 @@ class RootBasis(NamedTuple):
     def solve(self, balance: np.ndarray, start: lp.Start | None = None) -> lp.LpSolution:
         """The optimal flow of balance, one entry per vertex (r's is dropped).
 
-        start is a start of this program, or of it with added columns;
-        by default the tree's own.  lp.solve_lp raises LpFailureError
-        if the solve ends without an optimum.
+        start is a start of this program, by default the tree's own.
+        lp.solve_lp raises LpFailureError if the solve ends without an
+        optimum.
         """
         return lp.solve_lp(self.start if start is None else start, balance[self.vertices])
 
@@ -349,16 +349,15 @@ class RootBasis(NamedTuple):
         """The potentials f = -(row duals), f(r) = 0, of solves off their final cost rows.
 
         costs stacks the final cost rows (lp.LpSolution.rows[-1]) of
-        solves of this tree's program, or of it with added columns
-        (lp.Start.with_columns), from whatever start: the tree's own, a
-        warm start carried off another solve of the program, or an
-        arc's curvature optimum.  A final cost row is c - y A for its
+        solves of this tree's program, from whatever start: the tree's
+        own, a warm start carried off another solve of the program, or
+        an arc's curvature optimum.  A final cost row is c - y A for its
         solve's duals y = c_B B_f^-1 whatever the start, so on this
         tree's basis B_0 it is c[b0] - y B_0: y is (c[b0] - that row at
         b0) B_0^-1, as lp.LpSolution.duals forms it off its own start,
         and the duals of all of them are one product.  Every basis is a
-        spanning tree (plus a curvature program's virtual arc) and every
-        cost an integer, so each f is an integer vector (Ahuja, Magnanti
+        spanning tree and every cost an integer, so each f is an
+        integer vector (Ahuja, Magnanti
         & Orlin, ch. 11); a dual with f(head) - f(tail) <= 1 on every
         arc is 1-Lipschitz for the hop metric.  Both are checked
         exactly, over the stack at once: NumericsError unless every f is
@@ -396,13 +395,13 @@ def root_basis(dm: DistanceMatrix, r: int, inward: bool = False) -> RootBasis:
     B^-1 A are one difference of two column gathers, every entry -1, 0
     or 1, formed exactly with no product.  Every cost is 1, so a reduced
     cost is 1 minus a column sum of B^-1 A.  The start is built through
-    lp.Start.carried's check, like every start but a stack of added
-    columns: NumericsError unless B^-1 B is exactly I (the tree's
+    lp.Start.carried's check, like every start: NumericsError unless
+    B^-1 B is exactly I (the tree's
     columns of B^-1 A are the same path-matrix columns, so they are I
     too) and no reduced cost is negative, which a BFS tree's never is.
     Every W solve from that tree and every curvature program of a pair
-    (r, y), which uses the out-tree, starts from it; the record lives as
-    long as dm.
+    (r, y), a W program of the out-tree, starts from it; the record
+    lives as long as dm.
     """
     key = (r, inward)
     basis = dm._root_bases.get(key)

@@ -27,13 +27,16 @@ bobkov_goetze_per_sample.
 reference_dual_simplex is the plain pivot loop the library's dual
 simplex kernel must match bit for bit, start_tableau the per-solve
 B^-1 [A | b] the library's starts, built once and reused, must match
-bit for bit, carried_warm_start and two_step_arc_start the warm starts
-re-formed and re-checked at every step, which the W chains' starts
-must match bit for bit, w_chain the chain of single solves each
-column of a W table must make, and lu_duals the dense solve its duals,
-read off the final cost row, are held to.  kappa_pair solves one
-curvature program alone, from its own start (with_column), the route
-each program of a kappa_lp row must match bit for bit.
+bit for bit, carried_warm_start the warm start re-formed and
+re-checked at every step, which the W chains' starts must match bit
+for bit, w_chain the chain of single solves each column of a W table
+must make, and lu_duals the dense solve its duals, read off the final
+cost row, are held to.  kappa_w_pair solves one pair's W program alone
+and reads kappa off its witness in Fractions, the route each program
+of a kappa_lp row must match bit for bit; kappa_virtual_arc solves the
+other form of the curvature program, the arc flow plus a virtual arc
+y -> x at cost -d(x, y) added to the root's start (with_column), the
+reference kappa_lp is held to.
 root_basis_reference builds a root's tree start by products:
 np.unique picks the tree, Start.from_basis forms B^-1 by LAPACK,
 rounded, multiplies B^-1 A out and checks B^-1 B by a product, and
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -641,38 +645,13 @@ def carried_warm_start(solution) -> lp.Start:
     return lp.Start.carried(start.c, start.A, solution.basis, inverse, rows)
 
 
-def two_step_arc_start(kappa) -> lp.Start:
-    """An arc's W start in two checked steps off kappa's solve: its warm start, then the swap.
-
-    kappa solved the curvature program of the arc x -> y: root x's
-    out-tree program plus the virtual arc y -> x, the last column, +1
-    in the row of y at cost -1.  Its final basis and rows are made the
-    start of that program, with the inverse (B_f^-1 B_0) B_0^-1 as
-    carried_warm_start forms it, and Start.carried checks it; dropping
-    the virtual column and, where that column is basic, putting the arc
-    x -> y (the column of the root's program that is the virtual one
-    negated) in its place with the row of the inverse and of the
-    tableau negated, each after its product, gives the start of W,
-    which Start.carried checks again.
-    """
-    warm = carried_warm_start(kappa)
-    c, A = warm.c[:-1], warm.A[:, :-1]
-    basis, inverse, tableau = warm.basis.copy(), warm.inverse.copy(), warm.tableau[:, :-1].copy()
-    swapped = np.flatnonzero(basis == len(c))
-    basis[swapped] = np.flatnonzero((A == -warm.A[:, -1, None]).all(axis=0))
-    inverse[swapped] = 0.0 - inverse[swapped]
-    tableau[swapped] = 0.0 - tableau[swapped]
-    return lp.Start.carried(c, A, basis, inverse, tableau)
-
-
 def with_column(start: lp.Start, cost: float, column: np.ndarray) -> lp.Start:
     """start with one more column of A, priced at cost, formed and checked on its own.
 
     The basis and its inverse stay, so the column's tableau entries are
     B^-1 column and its reduced cost is the one new entry to check:
-    NumericsError unless it is at least -RC_TOL.  The start of one
-    curvature program as kappa_pair builds it, which the starts of a
-    kappa_lp row, formed as one stack, must match bit for bit.
+    NumericsError unless it is at least -RC_TOL.  The start of the
+    virtual-arc program of one pair, as kappa_virtual_arc builds it.
     """
     m, n = start.A.shape
     T = np.empty((m + 1, n + 1))
@@ -686,15 +665,18 @@ def with_column(start: lp.Start, cost: float, column: np.ndarray) -> lp.Start:
     return lp.Start(c, A, start.basis, start.inverse, T)
 
 
-def kappa_pair(x: int, y: int, M: MarkovData, dm: DistanceMatrix):
-    """kappa(x, y) by one program alone: (kappa, witness, its solve).
+def kappa_virtual_arc(x: int, y: int, M: MarkovData, dm: DistanceMatrix):
+    """kappa(x, y) by the virtual-arc program: (kappa, witness, its solve).
 
-    The program is root x's out-tree start with the virtual arc y -> x
-    added by with_column, solved by lp.solve_lp; the witness is minus
-    its solve's own duals (LpSolution.duals), with f(x) = 0, and
-    NumericsError unless it is integral, stretches no arc, has
-    f(y) = d(x, y) and closes the gap to lp.GAP_TOL.  The per-pair route
-    each program of a kappa_lp row must match bit for bit.
+    The dual flow of the curvature program with f(y) = d(x, y) imposed
+    by a column: root x's out-tree start with the virtual arc y -> x at
+    cost -d(x, y) added by with_column, solved by lp.solve_lp for the
+    balance c = (L[y] - L[x]) / d(x, y).  The arc columns give
+    f(w) - f(z) <= 1, the virtual one f(y) - f(x) >= d(x, y), so the
+    flow optimum is -kappa.  The witness is minus the solve's own duals
+    (LpSolution.duals), with f(x) = 0, and NumericsError unless it is
+    integral, stretches no arc, has f(y) = d(x, y) and closes the gap
+    to lp.GAP_TOL.  The reference kappa_lp's W program is held to.
     """
     dxy = float(dm.d[x, y])
     c = (M.L[y] - M.L[x]) / dxy
@@ -711,6 +693,37 @@ def kappa_pair(x: int, y: int, M: MarkovData, dm: DistanceMatrix):
     return kappa, f, solution
 
 
+def kappa_w_pair(x: int, y: int, M: MarkovData, dm: DistanceMatrix, scale: float = 1.0):
+    """kappa(x, y) by its W program alone, with the push scaled: (kappa, witness, its solve).
+
+    The program is root x's out-tree W program of the excess
+    c + scale Lambda (delta_x - delta_y), with c = (L[y] - L[x]) / d(x, y)
+    and Lambda = 1 + 2 sum_v |c(v)| max(d(x, v), d(v, x)), solved by
+    RootBasis.solve from the tree's own start.  The witness is minus
+    the solve's own duals (LpSolution.duals), with f(x) = 0, and kappa
+    is f.c summed in Fractions and rounded once.  NumericsError unless
+    f is integral, stretches no arc and has f(y) = d(x, y).  At scale 1
+    it is the per-pair route each program of a kappa_lp row must match
+    bit for bit; any scale >= 1 leaves only the tight potentials
+    optimal, so kappa keeps its bits.
+    """
+    dxy = float(dm.d[x, y])
+    c = (M.L[y] - M.L[x]) / dxy
+    push = scale * (1.0 + 2.0 * (np.abs(c) @ np.maximum(dm.d[x], dm.d[:, x])))
+    excess = c.copy()
+    excess[x] += push
+    excess[y] -= push
+    tree = transport.root_basis(dm, x)
+    solution = tree.solve(excess)
+    f = np.zeros(M.n)
+    f[tree.vertices] = 0.0 - solution.duals
+    stretch = (f[dm.arcs[:, 1]] - f[dm.arcs[:, 0]]).max(initial=0.0)
+    if not (f == f.round()).all() or stretch > 1.0 or f[y] != dxy:
+        raise NumericsError(f"curvature witness {f} is not an integral 1-Lipschitz f(y) = {dxy:g}")
+    kappa = float(sum(Fraction(int(fv)) * Fraction(float(cv)) for fv, cv in zip(f, c)))
+    return kappa, f, solution
+
+
 def w_chain(dm, nu0, nu1, arc_start=None, re_form=False, kappa=None) -> list:
     """The solves of one W chain, pair by pair: what a column of a W table must make.
 
@@ -720,8 +733,8 @@ def w_chain(dm, nu0, nu1, arc_start=None, re_form=False, kappa=None) -> list:
     otherwise the out-tree of the largest excess; with it, from the
     arc's W start on the out-tree of its root.  Each later pair solves
     from the previous optimum's warm start.  re_form re-forms and
-    re-checks every start, the arc's by two_step_arc_start off kappa,
-    kappa's solve of the arc, and the others by carried_warm_start.
+    re-checks every start by carried_warm_start, the arc's off kappa,
+    kappa's solve of the arc, which ended on a basis of the arc's W.
     """
     excess = np.asarray(nu0) - np.asarray(nu1)
     if arc_start is None:
@@ -731,7 +744,7 @@ def w_chain(dm, nu0, nu1, arc_start=None, re_form=False, kappa=None) -> list:
         start = tree.start
     else:
         tree = transport.root_basis(dm, arc_start.root)
-        start = two_step_arc_start(kappa) if re_form else arc_start.start
+        start = carried_warm_start(kappa) if re_form else arc_start.start
     solutions = []
     for e in excess:
         solutions.append(tree.solve(e, start))

@@ -15,16 +15,17 @@ dual feasible to fail, the solve from either tree to scipy and the pivot
 kernel to the reference loop, and unit tests pin how bad starting
 bases and inverses fail, an inverse off the exact one by 3e-11
 included.  Each tree's start tableau is built once and
-reused, and each curvature program adds its virtual column to it; a
-property pins every such start to the tableau multiplied out for its
-own program.  A column of a W table solves each pair from the previous
+reused, each curvature program's too, as the curvature program is
+root x's own W program of a push of Lambda from x to y; a property
+pins every such start to the tableau multiplied out for its own
+program.  A column of a W table solves each pair from the previous
 pair's final basis, as the heat flow's W of one arc do along t: that
 chain is pinned to cold solves and scipy, the carried final tableau to
 the one its basis multiplies out, and a warm start from a wrong
 inverse or a tableau that is not dual feasible fails.  An arc's column
-may start from the arc's kappa optimum instead, its virtual column
-swapped for the arc: that chain is pinned to cold solves and scipy,
-the swapped start to the one its basis multiplies out, and a start of
+may start from the arc's kappa optimum instead, a final basis of the
+arc's W program as it stands: that chain is pinned to cold solves and
+scipy, the start to the one its basis multiplies out, and a start of
 another graph fails.  A solve that took no pivot hands its own start
 on, and an arc's start is formed and checked once: each column is
 pinned, step by step and bit for bit, to the chain of single solves
@@ -36,7 +37,9 @@ takes no pivot at its first time and keeps each W within roundoff,
 (m + |A|) eps max(1, W), of the tables started from the kappa optima
 and from BFS trees.
 The curvature program is solved through its dual flow from the same
-kind of basis; its witness is checked for optimality on its own, and
+kind of basis; its witness is checked for optimality on its own,
+kappa is the virtual-arc program's to 1e-12 and the correctly rounded
+f.c of its tight witness bit for bit, whatever push past Lambda, and
 the least arc kappa, verify-functional's K, is the all-pairs K bit for
 bit.
 Transport contraction along the heat flow is checked over the arcs
@@ -50,14 +53,15 @@ is the eager formula's, bit for bit.  A solve that took no pivot ends
 on its start's tableau itself, and every piece of a solve is that of a
 solve that formed its tableau before it tested B^-1 b
 (oracles.eager_solve).  Every start off a final basis, a warm start or
-an arc's, goes through Start.carried, and an arc's optimum owns its
-final rows, so no stack of kappa starts outlives kappa_lp.
+an arc's, goes through Start.carried, and an arc's record holds its
+own solve's final rows, so no other kappa tableau outlives kappa_lp.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,7 +92,7 @@ from digricci import (
     verify_transport_contraction,
     wasserstein,
 )
-from digricci import curvature, transport
+from digricci import transport
 from digricci.errors import LpFailureError, SameVertexError
 from digricci.heat import LIMIT_GRID, TIME_GRID
 from digricci.transport import root_basis
@@ -217,8 +221,32 @@ def test_least_arc_kappa_is_the_all_pairs_k(g):
     assert arc_k == curvature_matrix(M, dm).K
 
 
+@PROPERTY_SETTINGS
+@given(graphs(), st.data())
+def test_kappa_is_the_correctly_rounded_value_of_its_tight_witness(g, data):
+    """Over a row of root x, each kappa is exact off its witness and holds against the reference.
+
+    The witness is tight, f(y) = d(x, y) exactly; kappa is f.c summed
+    in Fractions and rounded once, bit for bit; it is the virtual-arc
+    program's (oracles.kappa_virtual_arc) to 1e-12; and the W program
+    with the push doubled to 2 Lambda (oracles.kappa_w_pair) gives the
+    same bits.
+    """
+    M, dm = markov_data(g), distances(g)
+    x = data.draw(st.integers(0, g.n - 1))
+    ys = np.delete(np.arange(g.n), x)
+    for y, kappa, f in zip(ys.tolist(), *kappa_lp(x, ys, M, dm)[:2], strict=True):
+        c = (M.L[y] - M.L[x]) / dm.d[x, y]
+        assert f[y] == dm.d[x, y]
+        exact = float(sum(Fraction(int(v)) * Fraction(float(e)) for v, e in zip(f, c)))
+        assert np.float64(kappa).tobytes() == np.float64(exact).tobytes()
+        assert abs(kappa - oracles.kappa_virtual_arc(x, y, M, dm)[0]) <= 1e-12
+        doubled = oracles.kappa_w_pair(x, y, M, dm, scale=2.0)[0]
+        assert np.float64(doubled).tobytes() == np.float64(kappa).tobytes()
+
+
 def test_kappa_lp_solves_the_flow_dual_from_a_basis(g_tri, monkeypatch):
-    """One solve per pair: n - 1 balance rows, a column per arc plus the virtual one."""
+    """One solve per pair, of root x's own W program: n - 1 balance rows and a column per arc."""
     problems = []
     solve_lp = lp.solve_lp
 
@@ -229,8 +257,7 @@ def test_kappa_lp_solves_the_flow_dual_from_a_basis(g_tri, monkeypatch):
     monkeypatch.setattr(lp, "solve_lp", recording_solve)
     kappa_lp(0, [2], markov_data(g_tri), distances(g_tri))
     ((start, b),) = problems
-    assert start.basis is not None
-    assert start.A.shape == (g_tri.n - 1, g_tri.arc_count + 1)
+    assert start.A.shape == (g_tri.n - 1, g_tri.arc_count) and b.shape == (g_tri.n - 1,)
 
 
 @PROPERTY_SETTINGS
@@ -393,16 +420,16 @@ def test_kappa_started_chain_matches_cold_solves_and_scipy(instance):
 @PROPERTY_SETTINGS
 @given(graphs(), st.data())
 def test_a_kappa_row_solves_each_program_as_the_per_pair_route(g, data):
-    """A kappa_lp row makes, program by program, the solves of oracles.kappa_pair, bit for bit.
+    """A kappa_lp row makes, program by program, the solves of oracles.kappa_w_pair, bit for bit.
 
-    The row sets up its programs as one stack and reads their duals as
-    one product; the reference gives each program its own start
-    (oracles.with_column) and reads each solve's own duals.  Rows over
-    every other vertex, over one, and over the root's out-neighbours
-    agree with it in kappa, witness, final basis and pivot count, one
-    lp.solve_lp per program, and each arc's record, a ColumnStart of
-    root x's out-tree, gives the W start that
-    oracles.two_step_arc_start forms off the reference solve; a target
+    The row reads its solves' duals as one product and kappa off each
+    witness by math.fsum; the reference reads each solve's own duals
+    and sums f.c in Fractions.  Rows over every other vertex, over one,
+    and over the root's out-neighbours agree with it in kappa, witness,
+    final basis and pivot count, one lp.solve_lp per program, and each
+    arc's record, a ColumnStart of root x's out-tree, holds its solve's
+    start, final basis and rows and gives the W start that
+    oracles.carried_warm_start forms off the reference solve; a target
     that is no arc gets None.  A row of one [y] returns the same
     kappa, witness and start kind as arrays of one entry, a row that
     holds x raises, and an empty row returns empty arrays.
@@ -422,7 +449,7 @@ def test_a_kappa_row_solves_each_program_as_the_per_pair_route(g, data):
     for y, kappa, witness, start, solution in zip(
         ys, kappas, witnesses, starts, solves, strict=True
     ):
-        ref_kappa, ref_witness, ref = oracles.kappa_pair(x, y, M, ref_dm)
+        ref_kappa, ref_witness, ref = oracles.kappa_w_pair(x, y, M, ref_dm)
         assert np.float64(kappa).tobytes() == np.float64(ref_kappa).tobytes()
         assert witness.tobytes() == ref_witness.tobytes()
         assert solution.basis.tobytes() == ref.basis.tobytes()
@@ -433,7 +460,9 @@ def test_a_kappa_row_solves_each_program_as_the_per_pair_route(g, data):
         assert (start is None) == (single is None) == ([x, y] not in arcs)
         if start is not None:
             assert (start.root, start.inward) == (x, False)
-            assert same_start(start.start, oracles.two_step_arc_start(ref))
+            assert start.program is solution.start is root_basis(dm, x).start
+            assert start.basis is solution.basis and start.rows is solution.rows
+            assert same_start(start.start, oracles.carried_warm_start(ref))
     with pytest.raises(SameVertexError):
         kappa_lp(x, np.array([*ys, x]), M, dm)
     kappas, witnesses, starts = kappa_lp(x, np.array([], dtype=int), M, dm)
@@ -446,22 +475,24 @@ def test_kappa_start_is_the_start_its_basis_multiplies_out(g):
     """Each arc's W start, formed off kappa's final tableau, is Start.from_basis's, bit for bit.
 
     curvature_matrix returns the optima of the arcs alone, in the order
-    of dm.arcs.  The virtual column y -> x is basic in each (the
-    nonbasic case has its own test), so the start holds the arc x -> y
-    in its place, on root x's own c and A.
-    Its inverse, formed as a product off kappa's final tableau, is the
-    one from_basis forms by LAPACK and rounds (its entries are
-    integers, so the rounded inverse is exact), and its tableau the one
-    from_basis multiplies out with that.  The record's rows are a view
-    of its own copy of kappa's final rows, and the start, formed on
-    first use, once, takes them as its tableau with no second copy.
+    of dm.arcs, each a final basis of root x's own c and A.  The push
+    of Lambda from x to y crosses the arc x -> y, a geodesic, so the
+    arc carries flow and is basic in each.  Its inverse, formed as a
+    product off kappa's final tableau, is the one from_basis forms by
+    LAPACK and rounds (its entries are integers, so the rounded inverse
+    is exact), and its tableau the one from_basis multiplies out with
+    that.  The record's rows are its solve's final rows, with no copy,
+    and the start, formed on first use, once, takes them as its
+    tableau.
     """
     dm = distances(g)
-    report = curvature_matrix(markov_data(g), dm)
+    report, solves = recorded_solves(lambda: curvature_matrix(markov_data(g), dm))
     arcs = dm.arcs.tolist()
-    for (x, y), arc_start in zip(arcs, report.arc_starts, strict=True):
+    pairs = [[x, y] for x in range(g.n) for y in range(g.n) if x != y]
+    arc_solves = [solve for pair, solve in zip(pairs, solves, strict=True) if pair in arcs]
+    for (x, y), arc_start, solve in zip(arcs, report.arc_starts, arc_solves, strict=True):
         assert (arc_start.root, arc_start.inward) == (x, False)
-        assert "start" not in vars(arc_start) and arc_start.rows.base.base is None
+        assert "start" not in vars(arc_start) and arc_start.rows is solve.rows
         start = arc_start.start
         program = root_basis(dm, x).start
         assert start.c is program.c and start.A is program.A
@@ -473,27 +504,24 @@ def test_kappa_start_is_the_start_its_basis_multiplies_out(g):
         assert arc_start.start is start
 
 
-def test_kappa_start_with_the_virtual_arc_nonbasic_is_kappas_basis_as_it_stands(g_tri):
-    """A kappa optimum that holds no virtual column is a basis of W already.
+def test_a_kappa_optimum_that_took_no_pivot_hands_on_the_roots_own_start(g_tri):
+    """A kappa optimum on the BFS out-tree of x itself is the W start of the arc as it stands.
 
-    No kappa_lp optimum drawn ends that way, so this one is made to: a
-    right-hand side that the BFS out-tree of x carries with positive
-    flow is optimal on that tree before any pivot.  kappa_lp's record
-    of it (curvature._arc_start) keeps that basis as it stands, and its
-    W start is then the tree's own start, bit for bit, and the chain
-    from it gives the cold chain's W.
+    On the triangle, the W program of kappa(0, 1) is optimal on root
+    0's out-tree before any pivot, so the solve ends on the tree's
+    start: the arc's record holds that start's basis and tableau, and
+    its W start is the tree's start itself, with no product and no
+    check.  The chain from it gives the cold chain's W.
     """
     dm, M = distances(g_tri), markov_data(g_tri)
     x, y = (int(v) for v in dm.arcs[0])
     tree = root_basis(dm, x)
-    program = oracles.with_column(tree.start, -1.0, (tree.vertices == y).astype(float))
-    kappa = solve_lp(program, program.A[:, program.basis].sum(axis=1))
-    assert kappa.iterations == 0 and len(tree.start.c) not in kappa.basis
-    arc_start = curvature._arc_start(x, 0, tree.start, kappa)
-    assert arc_start.basis.tobytes() == kappa.basis.tobytes()
-    start = arc_start.start
-    for name in ("c", "A", "basis", "inverse", "tableau"):
-        assert getattr(start, name).tobytes() == getattr(tree.start, name).tobytes(), name
+    (_kappa, _witness, (arc_start,)), (kappa,) = recorded_solves(
+        lambda: kappa_lp(x, [y], M, dm)
+    )
+    assert kappa.iterations == 0
+    assert arc_start.basis is tree.start.basis and arc_start.rows is tree.start.tableau
+    assert arc_start.start is tree.start
     H = heat_operator(M)
     kernels = [heat_kernel_matrix(H, t) for t in LIMIT_GRID[::-1] + TIME_GRID]
     pairs = [(kernel[x], kernel[y]) for kernel in kernels]
@@ -503,28 +531,37 @@ def test_kappa_start_with_the_virtual_arc_nonbasic_is_kappas_basis_as_it_stands(
 
 @PROPERTY_SETTINGS
 @given(graphs())
-def test_arc_starts_own_their_rows_and_keep_no_stack(g):
-    """Every arc's record owns its final rows, and each row's with_columns stack dies with kappa_lp.
+def test_arc_starts_hold_their_solves_rows_and_no_other_tableau_lives(g):
+    """Every arc's record holds its own solve's final rows; no other pivoted tableau outlives kappa_lp.
 
-    kappa_lp copies each arc's final rows, and an arc's ColumnStart
-    holds a view of that copy alone, not of the stack its program's
-    start was one of, nor of the solve's tableau: once kappa_lp
-    returns, the c, A and tableau stacks of its row are gone while its
-    records live on.
+    kappa_lp keeps of a solve its value and final cost row and, for an
+    arc, a ColumnStart of its start, final basis and final rows: the
+    tableau the solve pivoted, or its start's when it took none, with
+    no copy.  Once curvature_matrix returns, each tableau pivoted for
+    a target that is no arc is gone, while the arcs' records hold
+    theirs.
     """
-    stacks = []
-    with_columns = lp.Start.with_columns
+    dm = distances(g)
+    rows, solve_lp = [], lp.solve_lp
 
-    def recording(self, costs, columns):
-        starts = with_columns(self, costs, columns)
-        stacks.extend(weakref.ref(getattr(starts[0], name).base) for name in ("c", "A", "tableau"))
-        return starts
+    def recording(start, b):
+        solution = solve_lp(start, b)
+        tableau = weakref.ref(solution.rows.base) if solution.iterations else None
+        rows.append((weakref.ref(solution.rows), tableau))
+        return solution
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp.Start, "with_columns", recording)
-        report = curvature_matrix(markov_data(g), distances(g))
-    assert len(stacks) == 3 * g.n and all(stack() is None for stack in stacks)
-    assert report.arc_starts and all(start.rows.base.base is None for start in report.arc_starts)
+        patch.setattr(lp, "solve_lp", recording)
+        report = curvature_matrix(markov_data(g), dm)
+    records = iter(report.arc_starts)
+    pairs = [(x, y) for x in range(g.n) for y in range(g.n) if x != y]
+    for (x, y), (held, tableau) in zip(pairs, rows, strict=True):
+        if dm.d[x, y] == 1:
+            record = next(records)
+            assert record.rows is held() and (tableau is None or record.rows.base is tableau())
+        elif tableau is not None:
+            assert tableau() is None
+    assert next(records, None) is None
 
 
 @PROPERTY_SETTINGS
@@ -533,10 +570,11 @@ def test_every_start_off_a_final_basis_goes_through_carried(instance):
     """An arc record's start and each warm start of a solve that pivoted are Start.carried's.
 
     Start.from_final ends in carried, once per start; a solve that took
-    no pivot hands its own start on, with no check.  So along a column
-    started from an arc's kappa optimum, carried returns the arc's
-    start and then the start of each solve after one that pivoted, in
-    order, and nothing else.
+    no pivot hands its own start on, with no check, kappa's solve of
+    the arc included.  So along a column started from an arc's kappa
+    optimum, carried returns the arc's start if kappa's solve pivoted,
+    and then the start of each solve after one that pivoted, in order,
+    and nothing else.
     """
     g, (x, y), pairs = instance
     dm = distances(g)
@@ -550,7 +588,8 @@ def test_every_start_off_a_final_basis_goes_through_carried(instance):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp.Start, "carried", classmethod(recording))
         _table, solves = recorded_solves(lambda: chain_table(pairs, dm, arc_start))
-    expected = [arc_start.start] + [
+    pivoted = arc_start.rows is not arc_start.program.tableau
+    expected = [arc_start.start] * pivoted + [
         later.start for solve, later in zip(solves, solves[1:]) if solve.iterations
     ]
     assert len(checked) == len(expected)
@@ -667,10 +706,10 @@ def test_warm_chains_match_the_chains_that_re_form_every_start(instance, from_ka
     """Each W of a table's column solves as from a start re-formed and re-checked, bit for bit.
 
     A solve that took no pivot hands on its own start, and an arc's
-    start is formed off kappa's final solve in one step; the reference
-    chain, oracles.w_chain with re_form, re-forms every start by
-    oracles.carried_warm_start, and the arc's by
-    oracles.two_step_arc_start off kappa's solve.  At every step the
+    start is kappa's final basis of the arc's W program as it stands;
+    the reference chain, oracles.w_chain with re_form, re-forms every
+    start by oracles.carried_warm_start, the arc's off kappa's solve.
+    At every step the
     start, value, final basis, pivot count and final tableau agree.
     The column starts from a BFS tree or from the arc's kappa optimum.
     """
@@ -870,8 +909,8 @@ def test_a_heat_flow_table_does_not_depend_on_what_ran_on_dm_before(g):
 def test_flow_tableaus_stay_integral(instance):
     """After every kappa solve and every warm-chained W solve, B^-1 A is in {-1, 0, 1}.
 
-    Every basis is a spanning tree of the arc incidence, plus the
-    virtual arc for kappa, and every cost is an integer, so the final
+    Every basis is a spanning tree of the arc incidence, kappa's too,
+    and every cost is an integer, so the final
     tableau's body is the incidence seen from a tree and its cost row is
     integral; only the b column carries rounding.
     """
@@ -906,15 +945,15 @@ def test_the_pivot_loop_meets_only_unit_entries(g):
     cross-check (kappa_limit's rows) and of both heat-flow tables,
     started as analyze starts them; each is held before and after its
     solve, so no pivot takes an entry off the units.  The starts are
-    every one those runs form (root_basis's out-trees, with_columns',
-    the warm starts, each arc's ColumnStart.start and the limit table's
+    every one those runs form (root_basis's out-trees, the warm
+    starts, each arc's ColumnStart.start and the limit table's
     column_starts) and root_basis's in- and out-tree of every root:
     each inverse B^-1 holds only -1, 0 and 1, and B^-1 B is I exactly.
     """
     M, dm = markov_data(g), distances(g)
     H = heat_operator(M)
     bodies, starts = [], []
-    pivot, carried, with_columns = lp._run_dual_simplex, lp.Start.carried.__func__, lp.Start.with_columns
+    pivot, carried = lp._run_dual_simplex, lp.Start.carried.__func__
 
     def recording_pivot(T, basis):
         bodies.append(T[:-1, :-1].copy())
@@ -926,15 +965,9 @@ def test_the_pivot_loop_meets_only_unit_entries(g):
         starts.append(carried(cls, *args))
         return starts[-1]
 
-    def recording_with_columns(self, costs, columns):
-        added = with_columns(self, costs, columns)
-        starts.extend(added)
-        return added
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "_run_dual_simplex", recording_pivot)
         patch.setattr(lp.Start, "carried", classmethod(recording_carried))
-        patch.setattr(lp.Start, "with_columns", recording_with_columns)
         report = curvature_matrix(M, dm, cross_check=True)
         column_starts = curvature_time_limit(H, dm, *dm.arcs.T, report.arc_starts)[2]
         verify_transport_contraction(H, dm, report.K, starts=column_starts)
@@ -1210,9 +1243,10 @@ def test_starts_are_the_start_tableau_of_each_program(g):
     """Every root start and every kappa start is oracles.start_tableau, bit for bit.
 
     A start is built once per root and direction, and a kappa program
-    adds its virtual column y -> x to the out-tree start of x; the
-    tableau each solve begins from must still be B^-1 [A | b] of its own
-    program multiplied out, the b column included.
+    is root x's W program, solved from the out-tree start of x for the
+    excess c + Lambda (delta_x - delta_y); the tableau each solve begins
+    from must still be B^-1 [A | b] of its own program multiplied out,
+    the b column included.
     """
     dm = distances(g)
     M = markov_data(g)
@@ -1243,12 +1277,18 @@ def test_starts_are_the_start_tableau_of_each_program(g):
     L = M.L
     for (x, y), (start, b) in zip(pairs, problems, strict=True):
         tree = root_basis(dm, x).start
-        virtual = np.delete(np.eye(n)[y], x)[:, None]
-        A = np.hstack([np.delete(incidence, x, axis=0), virtual])
-        c = np.append(np.ones(len(arcs)), -float(dm.d[x, y]))
-        rhs = np.delete((L[y] - L[x]) / float(dm.d[x, y]), x)
+        A = np.delete(incidence, x, axis=0)
+        c = np.ones(len(arcs))
+        # the W excess: c off y, and c(y) less the push Lambda at y (x's row is dropped)
+        excess = (L[y] - L[x]) / float(dm.d[x, y])
+        push = 1.0 + 2.0 * sum(abs(e) * max(dm.d[x, v], dm.d[v, x]) for v, e in enumerate(excess))
+        at_y = np.delete(np.arange(n), x) == y
+        rhs = np.delete(excess, x)
+        assert b[~at_y].tobytes() == rhs[~at_y].tobytes()
+        assert abs(b[at_y][0] - (rhs[at_y][0] - push)) <= 1e-12
+        rhs = b
         ref = oracles.start_tableau(c, A, rhs, tree.basis, tree.inverse)
-        assert np.array_equal(start.A, A) and np.array_equal(start.c, c)
+        assert start is tree and np.array_equal(start.A, A) and np.array_equal(start.c, c)
         assert b.tobytes() == rhs.tobytes()
         assert start.tableau.tobytes() == ref[:, :-1].tobytes()
         assert (start.inverse @ b).tobytes() == ref[:-1, -1].tobytes()
@@ -1257,8 +1297,8 @@ def test_starts_are_the_start_tableau_of_each_program(g):
 def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatch):
     """One tree and one start per root, direction and DistanceMatrix.
 
-    Every later solve from that tree reuses its start; a kappa program
-    adds its column to it, and a warm start carries the final tableau
+    Every later solve from that tree reuses its start, a kappa
+    program's too, and a warm start carries the final tableau
     (or, after no pivot, is the start itself), so neither multiplies
     B^-1 A out again.  Each DistanceMatrix here keeps its records in a
     dict that notes every record stored in it: each note is one root's
@@ -1297,10 +1337,8 @@ def test_root_basis_is_built_once_per_root_and_distance_matrix(g_tri, monkeypatc
     assert built() == [(0, False)]
     ((_key, start),) = builds
     assert start is root_basis(dm, 0).start
-    assert all(solved is start for solved in solved_from[:3])
-    # each kappa start is the root's tableau with the virtual column beside it
-    for kappa_start in solved_from[3:]:
-        assert kappa_start.tableau[:, :-1].tobytes() == start.tableau.tobytes()
+    # the two kappa programs of root 0 solve from its start too
+    assert len(solved_from) == 5 and all(solved is start for solved in solved_from)
     kappa_lp(1, [0], M, dm)
     assert built() == [(0, False), (1, False)]
     # the in-tree of 2 has its own record, built once too
@@ -1361,21 +1399,16 @@ class TestStartingBasis:
 
     def test_a_column_that_is_not_an_arcs_raises(self):
         # an arc's column holds at most one 1 and one -1, zero elsewhere; an entry of 2, 0.5
-        # or NaN, a second 1 or a second -1 is refused by whichever constructor meets it
-        start, _b = self.program()
+        # or NaN, a second 1 or a second -1 is refused
         for column in ([2.0], [0.5], [np.nan]):
             with pytest.raises(ValueError, match="not an arc's"):
                 lp.Start.from_basis([1.0, 2.0], [[1.0, column[0]]], (0,))
-            with pytest.raises(ValueError, match="not an arc's"):
-                start.with_columns(np.zeros(1), np.array([column]))
-        tree = lp.Start.from_basis([1.0, 1.0], np.eye(2), (0, 1))
         for column in ([1.0, 1.0], [-1.0, -1.0]):
             with pytest.raises(ValueError, match="not an arc's"):
                 lp.Start.from_basis([1.0, 1.0, 1.0], np.c_[np.eye(2), column], (0, 1))
-            with pytest.raises(ValueError, match="not an arc's"):
-                tree.with_columns(np.zeros(1), np.array([column]).T)
         # the arcs 1 -> 2 and 2 -> 1, root 0's row dropped, are arcs' columns
-        assert len(tree.with_columns(np.ones(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))) == 2
+        assert len(lp.Start.from_basis(np.ones(4), np.c_[np.eye(2), [1.0, -1.0], [-1.0, 1.0]],
+                                       (0, 1)).c) == 4
 
     @pytest.mark.parametrize("basis", [(0, 1), (), (2,), (-1,)])
     def test_basis_of_wrong_length_or_range_raises(self, basis):

@@ -114,13 +114,13 @@ def test_traced_k8_analyze_keeps_the_count_canary(bench, run, tmp_path, capsys):
 
 
 def test_traced_k8_analyze_keeps_its_pivot_count(bench, run, tmp_path, capsys):
-    """The traced K_8 request of analyze_dense takes 949 pivots over its 988 solves.
+    """The traced K_8 request of analyze_dense takes 893 pivots over its 988 solves.
 
     The count canary counts solves, so it cannot see a solve that pivots
     again.  Of the 540 functional-suite W, the first transport check's
     108 pivot from their BFS trees and the other four checks' 432 start
     from those optima and take none; re-solving them cold would take
-    2,917 pivots in all.
+    2,861 pivots in all.
     """
     workload = bench.workloads.build("analyze_dense", 1)
     (path,) = write_graphs(workload, tmp_path)
@@ -132,7 +132,7 @@ def test_traced_k8_analyze_keeps_its_pivot_count(bench, run, tmp_path, capsys):
         tracer.uninstall()
     capsys.readouterr()
     metrics = run.layer_metrics(tracer)
-    assert (metrics["lp.solve_lp.calls"], metrics["lp.pivots"]) == (988, 949)
+    assert (metrics["lp.solve_lp.calls"], metrics["lp.pivots"]) == (988, 893)
 
 
 @pytest.mark.parametrize("options, calls", [([], 13), (["--cross-check"], 14)])
@@ -159,14 +159,14 @@ def test_traced_k8_analyze_counts_every_certificate_from_samples(
 
 
 def test_traced_analyze_sparse_keeps_its_solve_counts(bench, run, tmp_path, capsys):
-    """analyze_sparse seed 1, traced: 413 LP solves, 301 of them under wasserstein, 537 pivots.
+    """analyze_sparse seed 1, traced: 413 LP solves, 301 of them under wasserstein, 390 pivots.
 
     Its two ring+chords n=8 have 43 arcs and K < 0, so no functional
     suite runs: 2 x 56 curvature programs and one W per arc at each of
     the 3 heat-limit and 4 contraction times.  Each arc's contraction
     column starts from the heat limit's last optimum of the arc, at the
     same time 0.01, and its first solve takes no pivot; started from
-    the arc's kappa optimum instead, the run takes 549.
+    the arc's kappa optimum instead, the run takes 402.
     """
     workload = bench.workloads.build("analyze_sparse", 1)
     paths = write_graphs(workload, tmp_path)
@@ -185,11 +185,11 @@ def test_traced_analyze_sparse_keeps_its_solve_counts(bench, run, tmp_path, caps
     via_w = sum(1 for s in solves
                 if any(a.name == "transport.wasserstein" for a in tracer.ancestors(s)))
     assert (len(solves), via_w) == (2 * 56 + 7 * 43, 7 * 43) == (413, 301)
-    assert run.layer_metrics(tracer)["lp.pivots"] == 537
+    assert run.layer_metrics(tracer)["lp.pivots"] == 390
 
 
 def test_traced_curvature_sparse_solves_every_program_under_kappa_lp(bench, run, tmp_path, capsys):
-    """curvature_sparse seed 1, traced: 528 LP solves and 3,427 pivots, all under kappa_lp.
+    """curvature_sparse seed 1, traced: 528 LP solves and 2,559 pivots, all under kappa_lp.
 
     Its four ring+chords n=12 make 4 x 132 curvature programs, one row
     of 11 per root, and each program is one lp.solve_lp inside the
@@ -213,11 +213,11 @@ def test_traced_curvature_sparse_solves_every_program_under_kappa_lp(bench, run,
     assert metrics["lp.solve_lp.calls"] == metrics["lp.solves.by.kappa_lp"] == 4 * 12 * 11 == 528
     assert metrics["lp.solves.by.other"] == 0
     assert metrics["curvature.kappa_lp.calls"] == 4 * 12
-    assert metrics["lp.pivots"] == 3427
+    assert metrics["lp.pivots"] == 2559
 
 
 def test_traced_queries_keep_the_pair_path_solve_counts(bench, run, tmp_path, capsys):
-    """queries seed 1, traced: 400 LP solves and 1,204 pivots over its 100 pair questions.
+    """queries seed 1, traced: 400 LP solves and 1,026 pivots over its 100 pair questions.
 
     Each question asks curvature --pairs with --cross-check, one kappa
     program under kappa_lp and a column of two smoothing W under
@@ -242,7 +242,7 @@ def test_traced_queries_keep_the_pair_path_solve_counts(bench, run, tmp_path, ca
     assert len(workload.requests) == 100
     assert by_caller == {"kappa_lp": 100, "kappa_limit": 200, "main.wasserstein": 100, "other": 0}
     assert metrics["lp.solve_lp.calls"] == 400
-    assert metrics["lp.pivots"] == 1204
+    assert metrics["lp.pivots"] == 1026
 
 
 def test_analyze_dense_passes_the_benchmark_checks(bench, tmp_path, capsys):

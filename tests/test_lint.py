@@ -15,10 +15,10 @@ so each takes a named constant, certificates.DEFAULT_TOL or its own.
 No np.errstate or np.seterr in src/ silences invalid, by its own
 keyword or by all: pytest turns a RuntimeWarning into an error, and an
 invalid warning is how a bound of inf * 0 or 0 / 0, a nan, shows in
-the tests.  An lp.Start is built through a checked constructor: only
-Start's own methods call Start directly, so every start's inverse
-inverts its basis exactly and no program that is not a flow reaches
-the pivot loop.  LAPACK inverts a basis in one place: only
+the tests.  An lp.Start is built through its one check: only
+Start.carried constructs one, so every start's inverse inverts its
+basis exactly and no program that is not a flow reaches the pivot
+loop.  LAPACK inverts a basis in one place: only
 lp.Start.from_basis calls np.linalg.inv, and every other inverse is a
 tree's path matrix or a product off a tableau.  A final basis becomes
 a start one way: outside Start's own methods only
@@ -157,22 +157,6 @@ def silenced_invalid_errstates(source: str) -> list[str]:
     ]
 
 
-def direct_start_calls(sources: dict[str, str]) -> list[str]:
-    """Where sources (by module name) call Start by name, as "module.scope", sorted and unique.
-
-    A call counts by the last part of its name, so Start and lp.Start
-    both count and ColumnStart does not; the scope is the top-level
-    statement's name, <module> for a statement that has none.
-    """
-    return sorted({
-        f"{module}.{getattr(statement, 'name', '<module>')}"
-        for module, source in sources.items()
-        for statement in ast.parse(source).body
-        for node in ast.walk(statement)
-        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Start"
-    })
-
-
 def scoped_calls(sources: dict[str, str], name: str) -> list[str]:
     """Each call of name in sources (by module name), as "module.scope", sorted.
 
@@ -195,6 +179,19 @@ def scoped_calls(sources: dict[str, str], name: str) -> list[str]:
     for module, source in sources.items():
         visit(ast.parse(source), (module,))
     return sorted(found)
+
+
+def start_constructions(sources: dict[str, str]) -> list[str]:
+    """Where sources (by module name) construct a Start, as "module.scope", sorted.
+
+    A construction is a call of Start by name anywhere (Start and
+    lp.Start count, ColumnStart does not, as scoped_calls counts), or a
+    call of cls in a method of lp's class Start; the scope is the
+    dotted path of the classes and functions around it.
+    """
+    own = [scope for scope in scoped_calls({"lp": sources.get("lp", "")}, "cls")
+           if scope.startswith("lp.Start.")]
+    return sorted(scoped_calls(sources, "Start") + own)
 
 
 def private_fields(source: str, name: str) -> set[str]:
@@ -397,18 +394,22 @@ def test_no_errstate_silences_invalid():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
-def test_direct_start_calls_are_found():
+def test_start_constructions_are_found():
     sources = {
-        "lp": "class Start:\n    def with_columns(self):\n        return [Start(1)]\n",
+        "lp": "class Start:\n    @classmethod\n    def carried(cls):\n        return cls(0)\n\n"
+              "    def stack(self):\n        return [Start(1)]\n\n\n"
+              "class Other:\n    @classmethod\n    def make(cls):\n        return cls(2)\n",
         "a": "from . import lp\n\n\ndef f():\n    return lp.Start(0), lp.ColumnStart(1)\n\n\n"
              "def g():\n    return lp.Start.from_basis(0)\n\n\nSTART = lp.Start(2)\n",
     }
-    assert direct_start_calls(sources) == ["a.<module>", "a.f", "lp.Start"]
+    assert start_constructions(sources) == [
+        "a.<module>", "a.f", "lp.Start.carried", "lp.Start.stack",
+    ]
 
 
-def test_only_starts_own_methods_build_a_start_unchecked():
+def test_only_carried_constructs_a_start():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
-    assert direct_start_calls(sources) == ["lp.Start"]
+    assert start_constructions(sources) == ["lp.Start.carried"]
 
 
 def test_inverse_calls_are_found():

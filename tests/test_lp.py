@@ -15,7 +15,9 @@ infeasible in exact arithmetic.
 
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,14 +210,12 @@ class TestTransport:
             solve_transport(cost, np.array([-0.1, 1.1]), np.array([0.5, 0.5]))
 
 
-def ring_chords(n: int, seed: int):
-    """A directed n-cycle plus chords random((n, n)) < 3/n, weights U(0.5, 2), one rng."""
-    rng = np.random.default_rng(seed)
-    ring = {(x, (x + 1) % n) for x in range(n)}
-    chords = rng.random((n, n)) < 3.0 / n
-    pairs = sorted(ring | {(x, y) for x in range(n) for y in range(n) if x != y and chords[x, y]})
-    mu = np.zeros((n, n))
-    for (x, y), w in zip(pairs, rng.uniform(0.5, 2.0, size=len(pairs))):
+def bench_graph(workload: str, index: int, seed: int, monkeypatch):
+    """Graph index of the benchmark's workload at seed, as bench/workloads draws it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    graph = importlib.import_module("workloads").build(workload, seed).graphs[index]
+    mu = np.zeros((graph.n, graph.n))
+    for x, y, w in graph.arcs:
         mu[x, y] = w
     return build_graph(mu)
 
@@ -251,14 +251,14 @@ class TestCertificate:
             tree.solve(np.array([0.0, -1.0]))
 
     def test_the_residual_shows_an_exactly_infeasible_final_basis(self, monkeypatch):
-        """kappa(1, 11) on ring+chords n=16 (seed 1) ends on a basis that is infeasible.
+        """kappa(2, 8) on curvature_sparse's second graph (seed 1) ends on an infeasible basis.
 
         One basic variable is negative in exact arithmetic: the basis
         inverse is a 0/+-1 matrix, so B^-1 b is exact in Fractions.  It
         lies above -PRIMAL_TOL, so the solve reads it as zero and clips
         it out of x; the residual is taken before the clip and shows it.
         """
-        g = ring_chords(16, 1)
+        g = bench_graph("curvature_sparse", 1, 1, monkeypatch)
         solutions = []
         solve = lp.solve_lp
 
@@ -267,7 +267,7 @@ class TestCertificate:
             return solutions[-1]
 
         monkeypatch.setattr(lp, "solve_lp", keep)
-        kappa_lp(1, [11], markov_data(g), distances(g))
+        kappa_lp(2, [8], markov_data(g), distances(g))
         (solution,) = solutions
         basic = solution._basic
         inverse = solution.rows[:-1, solution.start.basis] @ solution.start.inverse

@@ -63,19 +63,19 @@ COMMANDS = (
 PINS = {
     "analyze_dense/k8_0": {
         "analyze":
-            "76e149ec64c9ff27ccd450dbc8f59bbd7796a6220e414c4766224240e4415913",
+            "564eaff23a2ce5f5e377c31cbaabc1833a4276510aca975f6e791487eac6617b",
         "analyze --cross-check":
-            "c2b880842779c13ce675c63b96a73a1f04999cee6bc96150799d0831003feded",
+            "c3b91aaf5bca5f9dfd5ec6af9a06d780483a59f7a6dbdb11f628aef671645548",
         "analyze --format table":
             "fa6c8c0d1eb16e9d49dc0e355a527528d28891dead194c191d7faa5065eddfde",
         "verify-functional":
-            "8fa7bbe928684ca2d2b165967f0f32a340ec6122f2f71dc5088d4c0a25860e45",
+            "7e63d2a3e933dc4da15a73f1928392182efc3a08029632e1caceb4c3bd210d65",
         "curvature":
-            "284ad84832f550621a0c40e3661759c50d156d9b3faafb4604425abb06380841",
+            "3348b5865fd51b09ab695364cb2a4a0e68d83c12b26b941ce04e464f70b5ebf1",
         "curvature --cross-check":
-            "a0e94871cb724b514df4541ca318fdc649c72f51b36afb40d3c3e842b52c821b",
+            "9f125cdc0e91da0b3d1a7d786a0190e76e905446d811f2080fbbb8494085e42f",
         "curvature --pairs 0,1 --cross-check":
-            "2253b9367a3467948ea7ee01e99a46e1ba5ac079672fd87dac364a9aced26948",
+            "72ab9a49cce8f1de05c12922f7443feb9de34ae39653d44ddac7b0bffbe7ec41",
         "wasserstein dirac:0 dirac:{last} --plan":
             "50b464f8e01759941e61142e2bf4c3ef5cfce67ae6bcf75f537a739c7841201a",
         "heat --t 0.5 --kernel 0":
@@ -83,7 +83,7 @@ PINS = {
         "perron":
             "9e5651d559e5e490113596d2ddf9c3e9cef963ac8717aaebb897d1ec4caf6b4c",
         "curvature --format csv":
-            "cf7b0c66b7f2cc9c52b490604fd12f96144480d33d9245efafa44d0d4f290f53",
+            "6f74ff30c2662ecaa6f64e398640025992d6d03e4a1128d5d9cbc20d3eec17ea",
         "curvature --format table":
             "b027a0b5cc9d669ce47aa9106813189a4e2425378ff0567297ff186c08830304",
         "verify-functional --format table":
@@ -91,7 +91,7 @@ PINS = {
         "perron --format table":
             "2d0a4cfb3fd668c33076809cb61e1a86663936fc2b5d69b651360227aab75b20",
         "analyze --k-override 2":
-            "782ec01af52ab4496318f7f483b3f1eafe383dab0f494472aed82ae500a78d16",
+            "2263b61724f7602db8799c2f4850b2f032920a448e4fc07712d5987f280cfd66",
         "wasserstein {ramp} {reversed} --plan":
             "8a70f1eb8597e5b4b6d0b31bd762b6a6d1a67633f1f77ca104dd6214b539e398",
         "heat --t 0.5 --f dirac:0":
@@ -99,19 +99,19 @@ PINS = {
     },
     "analyze_sparse/ring8_0": {
         "analyze":
-            "07d5061c42b1a0e4019830217c3362459222ed10e77a4c1b2eed200701d119f5",
+            "fca60f37b90c91d6e8c7a2d2a5a68b776840f310131b51db7df04852e4165dec",
         "analyze --cross-check":
-            "ddffadf3e73cae173275762454559ffd6f68917aff84de4eb0fc76b76f8299e4",
+            "9c7ed1e5546e9427f48833a7a714fce3b9c44e4d09d32213e02f196a46d01a4a",
         "analyze --format table":
-            "ae2042da3cbf746cf8839721df363e5e6f859166548a1134523c4ea37d4cb5c7",
+            "22d23c5804feece23283f4269ae9e9fe5137cb4be791e998f8836c61930346a4",
         "verify-functional":
-            "b78cad754ea7a188b1ea92c32d5f921bc0fffbeb7f9575ccbe72c2fac917f4e3",
+            "9fb366c1bcb3f4b2f582339916115366f44d507b9dd8bdff7507278e6b6cb743",
         "curvature":
-            "9697ffc7c621bcdea61e778acf9fee5505b738e326da635c69b2db27216fed7c",
+            "bbdd7d8b258e011456b8b7d209bfd470364bb67ae5a437c7a26ebee0b99b7bdc",
         "curvature --cross-check":
-            "74330942889f5d2d57027665d6f5e0dab6e3e049bf7d5ad555f13d5f4fdfe88a",
+            "7edcd8b27ac15d58a5dccbc1c7eb81f830e7810194f0808f33c72b10d19966ee",
         "curvature --pairs 0,1 --cross-check":
-            "0e43aba39d08dd0186bb2b4f0f4f458859d0e43a4ca544231d615be6c4ca6c35",
+            "054cccee31cb6eb5f6402518ae1959ed115e7ea432ae19d50f30da6d8243c4ab",
         "wasserstein dirac:0 dirac:{last} --plan":
             "61e12de5cbf3ba50b03452f1dc598ad7d2890d110cad8e3095dd56ed2c53f99a",
         "heat --t 0.5 --kernel 0":
@@ -119,7 +119,7 @@ PINS = {
         "perron":
             "d37d8991c804bf25e76bb43190cd6f9f96ce0f3457a56ff5c196408e50ace2d4",
         "curvature --format csv":
-            "1f0006ddc82236daae511b926fae0edd89fd92dc2a610101feac5e5d17511182",
+            "b46242309b7bcefd03a0f7a1bef93d55251e5629dde94a78778ad3597ffc5627",
         "curvature --format table":
             "e3cff90274519a9989a81ff07a4a72b70525a9d056353597ed4e2ca298922c86",
         "verify-functional --format table":
@@ -127,7 +127,7 @@ PINS = {
         "perron --format table":
             "2f47891142e26ed31218efa5e525906994734fbb8019186e6bb1f8d7c2fafb62",
         "analyze --k-override 2":
-            "cf139fdbbba3a6b0bb68b98ab091fdd103fb09f3a680ac9ce22a2dd6cc603e23",
+            "3cdfc4274fe1a004939b8e5cad9adfb468323ffe0eb1aeabc04cc45490dadb87",
         "wasserstein {ramp} {reversed} --plan":
             "02969540d8c91309369999b1e23222fabafb5197c518664895991cf5ca9d9a7e",
         "heat --t 0.5 --f dirac:0":
@@ -135,19 +135,19 @@ PINS = {
     },
     "analyze_sparse/ring8_1": {
         "analyze":
-            "ff0bdbe606946debea136fefb1d40343c3170fcfef00bbd085fd093b1932dd3f",
+            "ec5030fc6d6c6f75c33db17869b158528626d64ef10a4493e2adf78e37ba9b7b",
         "analyze --cross-check":
-            "e85b4d9730beaf59fd857a6c2afdd5fab5a0692b4abd9c407b21e544c3741cf8",
+            "151da2606179e374a8ae71b1cfd49965b720572d00e6712beb507782cdd9522a",
         "analyze --format table":
-            "1c3e6d6b97ec24c268798617f8fdd1a62c0d8a3ad608ee3fcb674a0bc2cf964a",
+            "79b3b5ad2021b3749230d3d7f50fec73357ef3eb2a217392a5b9b40d6df4fe7d",
         "verify-functional":
-            "a871241e04f7a2a99ab90f0b4cd4f8b496acba8d32dc7bf835b5d85cc2eb14be",
+            "1897b80a23194a39d6f08c0e842b32ec301caa8ff0b581b664836a0c7522949a",
         "curvature":
-            "bdc793ce72f51c7ecb0c0ecf5180a91ff854c078c33919ab05e2a9ff4bee58f9",
+            "407f482cf22984d2d2c203bffbd19e449fe7367213854c0d8ccd0957d021ad1a",
         "curvature --cross-check":
-            "094c3048d929477369e9cfdea99683e76bf8b1a8c6aa1a49c4a8a4da5f448e1e",
+            "617851c3e5bc0cc47e4f9dfd9dc7ed456c9f6086257a3b20ea1635c622b920bc",
         "curvature --pairs 0,1 --cross-check":
-            "4077a34b2f602bd34ffe95a83747d67b9222e45fd84f390a37be6de9f608eac5",
+            "91fbe495247a7098de5b87d2e71dd10678877acc62d8d9533cd73e153c415071",
         "wasserstein dirac:0 dirac:{last} --plan":
             "8774f7cfba7fe302ba7b06d0e495671d9024b6da4581d8389a2956915ece7239",
         "heat --t 0.5 --kernel 0":
@@ -155,7 +155,7 @@ PINS = {
         "perron":
             "1e6d430dc31aea8428783dd52ba7b23cd112d01d34c9543007e144d35572c5f7",
         "curvature --format csv":
-            "ac3d31c8ba1a46d122b1853a77753580a1c2dea41b78d4e4820a1abfee67b42a",
+            "dab8ef23b3fcb41fad8e1b92e8f8e22f61e9077236a6d8f76c1526c8d06a38cd",
         "curvature --format table":
             "6fa1e8e6194d668e8d3b85c236fbfb6fdef5b54e5464028547728bae8cc03bbe",
         "verify-functional --format table":
@@ -163,7 +163,7 @@ PINS = {
         "perron --format table":
             "1bc35496c3435f55df0d36f759fa6749385dcdfb8e2ee249c445cbb27b921256",
         "analyze --k-override 2":
-            "53a00fb2cb10cd3b7269e6bba3322cd7b6116af3055af50c083667d053d16eaf",
+            "060b052f3ffbc42f5078b1d329610651a5455f43a460dd7b4daa5d851271cfe8",
         "wasserstein {ramp} {reversed} --plan":
             "6e412ba058e02a9517e63eb76e521928b02b8225d4c2f131abbd53f70a2c7ae8",
         "heat --t 0.5 --f dirac:0":
@@ -171,17 +171,17 @@ PINS = {
     },
     "curvature_sparse/ring12_0": {
         "analyze":
-            "97944b2bbb1e380bf68307c44143f4bced20078f1b58f6bc26ec32fcfb8db9cf",
+            "a46758add6e460d7bf39e9f1a8067b52f7764b531dfbf12636c4234b694ba35a",
         "analyze --cross-check":
-            "b628b6cd22e32dbc30548bbf3876995968d409399da1afc0a2ef3cff141ce382",
+            "c7d30eb5e03e849e6ccb9d31b8b9672faf14b42b41535fdbd263cb13b9a69aec",
         "analyze --format table":
-            "c0343662295194879fac70c8fa566a012dfd9133d9f448b6cde3d8d038e9e1cb",
+            "186daefa1a634f0f69e53923f620190448615fd386d066bd114da27cd260d1a1",
         "verify-functional":
-            "32cf8df8eff2a73c5786c843271f68e511a7eb3997ffba15c816bbe1f34a0ad4",
+            "ce2d10d59c71c8d2d20f0c326d20ded8746f788e13250cee3d4441b8c926a755",
         "curvature":
-            "09f1c7d2f7bdeeef6b2e1f8ec81488f0cf1a327cc6fd0abb071cbef05c03a136",
+            "1e0ae7cb90de7367a8840894a6af2ccf5bd6b8c81c4b621ddf633b9477b6c93e",
         "curvature --cross-check":
-            "8e7588f82ff46dbb2885fa0d87407e42831fbc5d4887e0cb3f9c3f13134b2d99",
+            "601a8dd5717c780aea4922811acb6949e03c2099d16885440038e14a998a8e8e",
         "curvature --pairs 0,1 --cross-check":
             "86862bd69315a532b8f3e2e418897f4be734a1cd5175b0a406ff70a3383f9bd7",
         "wasserstein dirac:0 dirac:{last} --plan":
@@ -191,7 +191,7 @@ PINS = {
         "perron":
             "5a9a2d411b21f9655b8af989b0ba0ac386ecd0a0797996edb5d18e3e230770db",
         "curvature --format csv":
-            "6cf87e07878d23db592f4931584f0e6ae661035fcbe9a0443cc38cb586b209a5",
+            "80bdf22dfcc9563d19099749d2b6d1c6eda213abc3f45347d560fd5daeb3a95e",
         "curvature --format table":
             "a5f036382eadd8a7faf598e69a960182fc4deacfba07b7f1a7c2a90cf793cb91",
         "verify-functional --format table":
@@ -199,7 +199,7 @@ PINS = {
         "perron --format table":
             "6a7d552e2c2e02f22466d7f250d443b5e77794cece3463e5c44b027e92182d25",
         "analyze --k-override 2":
-            "acf1a3810aa7eb27444cc72ead01cfcc293f1f62e60fd607447100f43631dd60",
+            "7ed45fbf0678718894c9b27aee14d3bcdd3ead3b7886d30b143af0519597284e",
         "wasserstein {ramp} {reversed} --plan":
             "89af66443bab73d52871a55b07c77632b0bdc5865d9e8ac37b45ad3b0ff7a247",
         "heat --t 0.5 --f dirac:0":
@@ -207,19 +207,19 @@ PINS = {
     },
     "curvature_sparse/ring12_1": {
         "analyze":
-            "3b3735f70262be8c60fc6713df7c7a46956bb3e35211651823842f1d07711c71",
+            "8116a42d65e5615a01e9de2a9911a1a9946dd044dc9cc46a9602fba14e18bf4c",
         "analyze --cross-check":
-            "20a9d4bef98276f46b6acf7d683b6193aa48ad29af7e533e5ab317e4e7749505",
+            "0b096e870713cca4e6f2b54e9445e3815f66ca0e37ca7651f21faab7b8035bdc",
         "analyze --format table":
-            "0207f05136de8b7f86d8c21524eb4ae96ebc6dd281b463da43c7ff680e95b342",
+            "44e03ed948db7c7e742c206adbd668016d2f9cf649a99537667bed6d08ce475a",
         "verify-functional":
-            "e0e173eec7b6ecf762975527b31fe8369b6819c2e29971c2e05513a91505d95e",
+            "5d8c004897744c8fb51b5beaea49dd19eb608966be6ce867f57b4ec244011339",
         "curvature":
-            "1b752fdb11bff96f130f6a61a02cfe4409814f940fecb9a1039b5717167fa5d3",
+            "eeb50480d06f7ca06ee056d7b4aa033d81ac170e9df58e3caa28615866ddebf7",
         "curvature --cross-check":
-            "1bbe50cf1ee9407c95b2deaf515032341c2c38a1ca882787baf3a0693f8c2329",
+            "385394149746fbf7f23cd6214e30ee04bcfe17112deda6c4455088e09db95784",
         "curvature --pairs 0,1 --cross-check":
-            "628a80c3c78694161893ec545abac7b6f5342cf5db99b80729c2c461dbc3f4f1",
+            "cf936ad3db94bf3522c9197bc067dd25bb11d733ccb2977bda894bb82c24e45b",
         "wasserstein dirac:0 dirac:{last} --plan":
             "7ccef98f6695483f48e21f2b67393049f0d2ba2ec7fdf2cdac82bf1514ae075e",
         "heat --t 0.5 --kernel 0":
@@ -227,7 +227,7 @@ PINS = {
         "perron":
             "a03fa1992af57d1a1170a2cd706311359e51016021b37fcd4fad01cd0e600fae",
         "curvature --format csv":
-            "be8e04dc120f9aaf88d62ec2417a5a1153cba6a08704032ac0968fe468e6c3ab",
+            "a0afa74e5f65627ec9ca7a7fd69e130651c7c468993733981d23f82de05aada2",
         "curvature --format table":
             "88c849a3a128eccf5361ab6b9ba6500410e5f0680880a129ab9f25d72dbac280",
         "verify-functional --format table":
@@ -235,7 +235,7 @@ PINS = {
         "perron --format table":
             "b6a86805b9fabc6b0d3e7cb803627b4c23762714ce23513fb1e87841615ef71b",
         "analyze --k-override 2":
-            "d8dfb45bc967027726defcae5e0b5106664e19c4f1feb8b9a2c3eb8b32a509a4",
+            "64a25e95f6d8241d6865a634f2c6e4befe6b03969fc7ff39cc9ce4cbb6097d87",
         "wasserstein {ramp} {reversed} --plan":
             "cf23a32af71ac01744ce91929eea022ac3754550db3e03c7b72c328816977e70",
         "heat --t 0.5 --f dirac:0":
@@ -243,19 +243,19 @@ PINS = {
     },
     "curvature_sparse/ring12_2": {
         "analyze":
-            "f417831150414bdae6d0d3a96152cb3c81f2c23c818f804347be4201762c7dc7",
+            "221e357b7f62376db6889e7f8c26947eb9981a6a818ec2de357b70b2792c97fa",
         "analyze --cross-check":
-            "9e5e69c98b31dcbc724b1a9628ddc0049f9dd4646778f45741783ec185e4a5e3",
+            "2bfe9ceceaa9adf75d868c46c48d212218310b2b4205920a9e13eacf2d27192d",
         "analyze --format table":
-            "11a2290c9faa93d893820f478df8fac9ecbf9ba54dc21d1517b3e288e7995a88",
+            "7cc72c4aff399c173b1648fb9e9d9519556de0c2e388b0af3e93b3c063ba0f2e",
         "verify-functional":
-            "626d49a87082fcb3805535d5211a8de812122baf6c1ac56f9f88e6db424cc8c1",
+            "97cf28f33d4a54611528612ea7d9b786817516e497089674762d39f110f55ce6",
         "curvature":
-            "f5a1037af19a9a83d28029f870ba7d174ec88eb9b287f5f13b8670d8c5d767fc",
+            "117dc5e515f1b6a1ea8ea6e93f78c7dae456a165835311f59063c78af60879bc",
         "curvature --cross-check":
-            "82b316d920b2c477840286cdcd9b57431404cd0551a3ebb3a6b14a3d7d7ac2af",
+            "7e5980e3f4b3d55f4d5da61fbfa1a426bfe9bb9d67bfb2a3a040dea9034c8bd9",
         "curvature --pairs 0,1 --cross-check":
-            "3b0fa9f9f0f087fa2acef3b1aae9f9508ca802676151f32581a1ee6b3b25db6c",
+            "bad02a370d42c39b90b3db641e040cc178558cd00edb1c24908e58472d6ad263",
         "wasserstein dirac:0 dirac:{last} --plan":
             "2f6036032c12d192f1cac5947e5f3e027ae3cfee01d45c364ca6027d21830803",
         "heat --t 0.5 --kernel 0":
@@ -263,7 +263,7 @@ PINS = {
         "perron":
             "ff74025dd3cc0bcaf22856b1e4a6a67de6688759df2867bbe01ab2a269ef20a4",
         "curvature --format csv":
-            "59bb2fe3f26cd933332dc0d977e187bda28fabb6aa98cb8640327636d361c88b",
+            "2b5632e93dfc51fd9fb9ff3917129e5681110ed3f002a68660571ceaf3aa46a2",
         "curvature --format table":
             "f5b9887037fed4becb14ea8795835d774e032704acdf56e5e43a36477a23049c",
         "verify-functional --format table":
@@ -271,7 +271,7 @@ PINS = {
         "perron --format table":
             "6bf25a0ef1d0e628e8fa12b1150e56b94439180c41c3e423750c2d4731d2b985",
         "analyze --k-override 2":
-            "76cb640c294492f641b54dc03641247a77a9cea5ee70cd2290b40aeb0efa8237",
+            "d77032187fe8beb6b081f7d1005dd845b0fbc73f0c4bcfe4943844d68ce291ee",
         "wasserstein {ramp} {reversed} --plan":
             "a95312394341ac3b671fa3302a963bb39611eecd0d1424098ce3aa747234b3de",
         "heat --t 0.5 --f dirac:0":
@@ -279,19 +279,19 @@ PINS = {
     },
     "curvature_sparse/ring12_3": {
         "analyze":
-            "1d78f6d4593d2b6e16c519de823d7a5660aa137416c0e53f66e1752bf3378757",
+            "d12f559dc0318ea8fbae8f8cab363daace69793fb14bc04a459f7e23ae8fcdf6",
         "analyze --cross-check":
-            "112f3b7afbd6ee8a57a4371112c6456d65e48be5d393aca6ee0c7c383bfc99bb",
+            "1462a231b33aec6d9d2e6ce996e04e17b504bdeec97906d0aafdf83314667c95",
         "analyze --format table":
-            "fa40f8952c454fd047592d8d0bdd0a59dd3f63c4624960291575f4b09e161eea",
+            "5b5ef0dc7ef3612adda60da37b20ccbc2945f9f3a0256c309bd9c69745b8e5dd",
         "verify-functional":
-            "005feb92a407e9d9a198087f7eb17f6a20e19c37b848576549c313061be31be6",
+            "37cad4370d82cd2844dd7f89f871cc35e3150a1777d4b6c5ec3c0d2d041d9ad0",
         "curvature":
-            "0bc398aacf0efdea4adb20256708fefcc548d541cbbb58048b25289911760ee5",
+            "9ce9f702e720996ea3550ebd56dd7c855c99fa282f63faa6cdcd926f8e2246cb",
         "curvature --cross-check":
-            "9a03f9d213f9a7872bb7ed2f39be25f72292a3ea2d5657260b9df76c2a65b869",
+            "a2b73bf017fa56dc3fc4d300fe7bc3ae4daf8846379b496d82b7e81f49931634",
         "curvature --pairs 0,1 --cross-check":
-            "3f2e18bfeb0cc39d4ea943a946c378d2f7242cd2abd1bd708b52c5d5ff0e762f",
+            "253eb9e0109ef98d336b1f7a96e6a578d897abbcb2d8251c6b67a3edc3974102",
         "wasserstein dirac:0 dirac:{last} --plan":
             "72c99cf352509ced4a7c414442ad1d46e85c48324277714ff867d576774a6196",
         "heat --t 0.5 --kernel 0":
@@ -299,7 +299,7 @@ PINS = {
         "perron":
             "310e320ec5de8623da2b3bace58aa6cb09e536ee4a3b353bc00a86a54d313471",
         "curvature --format csv":
-            "8a80466377e8a47f8ef2df43025b3ffc0cda4a19fb8e876a994bc868f631ae6d",
+            "f2023b8decfe77054b112b0fafe1f83ffa3453734019b05f11d15adcf58538d8",
         "curvature --format table":
             "82aff7ea5da9c42aa41c681cfce8f44194b86bb687308ebde7fa1f7539d8b6df",
         "verify-functional --format table":
@@ -307,7 +307,7 @@ PINS = {
         "perron --format table":
             "19781e68dcf6f633befb13c3d75e30ea19cd430bd665e3963dd8470bcfd51c1e",
         "analyze --k-override 2":
-            "d96fcd183278d9e0382d592fec4b19cb6b1138eb1bd065752e921e463a0186a0",
+            "b6f587b2b5e88f9807b3cafe1998400b6175062af1b0e1a6dda3d0ee2ca50fa1",
         "wasserstein {ramp} {reversed} --plan":
             "d7af5bef8b58b73938356e943ac1f0c9504704105744a86531d05663fc75be67",
         "heat --t 0.5 --f dirac:0":
@@ -315,19 +315,19 @@ PINS = {
     },
     "queries/ring12_0": {
         "analyze":
-            "11810048eb261e10dc1daf27eff0f9c8fec2835aeb872d86b9c6f99ab61375cb",
+            "2e8a3808cddf1231d750192d8f13dbe5eaa05a76f703ee998ae32f42c2434abd",
         "analyze --cross-check":
-            "2c7d13dd1a4b6b82400b78c7306b6973814bc4eb670381369e74534ccbfeb0cc",
+            "6be10636d1238664c2358b172002675947a2ac7c5b9144ef35c0b60aacbfa297",
         "analyze --format table":
-            "cec8d2aaaaaea0819cf64f84a7f703f3a94439b652d548699db60e905e05a400",
+            "8e296dca2bc65520868cbfedab1424dca7aa0bd449dc77ab37ada639e897b3f8",
         "verify-functional":
-            "756698299814d95d0f10ad60ecf1adcf8f9d831ee3605d48b6e8f77c9e219998",
+            "05123a404e8a1f7c31b1ab0b6b88af27e4414ba32a599480de36f3d120a20055",
         "curvature":
-            "471c58f2cb50f111d0257472ac21604be4f3d56ea4d371d2c5a447f3704f7817",
+            "988c59da817daa1e5187c2cb3eace641a98302b5704275226c2fed7b431117d5",
         "curvature --cross-check":
-            "abcfa63fb00ca16867d04d932825b20eda6a32cfe9ddeebd7d4f67ed326d274d",
+            "2c262513c726be315a64fb646c82c370f6fe0bebcaa5e58493de6fd2337f0f30",
         "curvature --pairs 0,1 --cross-check":
-            "37432877d41d4f8217171a449dea9de36e2c6c69dc6aa2a5e93f40c1ea2ac3b2",
+            "7f65c84c6bec0e370c65e6fdc0822c4f48c47be401541c9449fa8851786be389",
         "wasserstein dirac:0 dirac:{last} --plan":
             "eaa920fde7a7cd3d19a0cea5c15a5423322b9ded67a012712f51b3148c80e41f",
         "heat --t 0.5 --kernel 0":
@@ -335,7 +335,7 @@ PINS = {
         "perron":
             "8dbba70881599245ff1c01601d1bbe3f1a725fd4c11c8478cafb89d127fde91b",
         "curvature --format csv":
-            "7341e6a4b4a81c604e5d59062250001e96358e0e39dd77d6c89d7f23cb620601",
+            "fe8b7e6a08b0f830890af15cad2e0f7c04f82203d96e4cb9e9be016688e5d537",
         "curvature --format table":
             "8a1751702f1206992487bb8aa24966925298202956463710ab9db21c19dc3854",
         "verify-functional --format table":
@@ -343,7 +343,7 @@ PINS = {
         "perron --format table":
             "2c6b4afc0e9b35215bbba4eba7a027d526f8595c107694b66a7ac525d99d19d4",
         "analyze --k-override 2":
-            "9409fd705981c7584b8bafaf7a91bcda6d743f718a28c150dd43119954e43577",
+            "243df8772537aa3f7a8429110425ad191ad9a47fdb41a2ef4d3b3d113ade8ce5",
         "wasserstein {ramp} {reversed} --plan":
             "b6d946a2851ad64c9f9ef68c0a58e7c3f1e2f0552493ed6be9dad4e22c00dad9",
         "heat --t 0.5 --f dirac:0":
@@ -351,19 +351,19 @@ PINS = {
     },
     "queries/ring12_1": {
         "analyze":
-            "3b3735f70262be8c60fc6713df7c7a46956bb3e35211651823842f1d07711c71",
+            "8116a42d65e5615a01e9de2a9911a1a9946dd044dc9cc46a9602fba14e18bf4c",
         "analyze --cross-check":
-            "20a9d4bef98276f46b6acf7d683b6193aa48ad29af7e533e5ab317e4e7749505",
+            "0b096e870713cca4e6f2b54e9445e3815f66ca0e37ca7651f21faab7b8035bdc",
         "analyze --format table":
-            "0207f05136de8b7f86d8c21524eb4ae96ebc6dd281b463da43c7ff680e95b342",
+            "44e03ed948db7c7e742c206adbd668016d2f9cf649a99537667bed6d08ce475a",
         "verify-functional":
-            "e0e173eec7b6ecf762975527b31fe8369b6819c2e29971c2e05513a91505d95e",
+            "5d8c004897744c8fb51b5beaea49dd19eb608966be6ce867f57b4ec244011339",
         "curvature":
-            "1b752fdb11bff96f130f6a61a02cfe4409814f940fecb9a1039b5717167fa5d3",
+            "eeb50480d06f7ca06ee056d7b4aa033d81ac170e9df58e3caa28615866ddebf7",
         "curvature --cross-check":
-            "1bbe50cf1ee9407c95b2deaf515032341c2c38a1ca882787baf3a0693f8c2329",
+            "385394149746fbf7f23cd6214e30ee04bcfe17112deda6c4455088e09db95784",
         "curvature --pairs 0,1 --cross-check":
-            "628a80c3c78694161893ec545abac7b6f5342cf5db99b80729c2c461dbc3f4f1",
+            "cf936ad3db94bf3522c9197bc067dd25bb11d733ccb2977bda894bb82c24e45b",
         "wasserstein dirac:0 dirac:{last} --plan":
             "7ccef98f6695483f48e21f2b67393049f0d2ba2ec7fdf2cdac82bf1514ae075e",
         "heat --t 0.5 --kernel 0":
@@ -371,7 +371,7 @@ PINS = {
         "perron":
             "a03fa1992af57d1a1170a2cd706311359e51016021b37fcd4fad01cd0e600fae",
         "curvature --format csv":
-            "be8e04dc120f9aaf88d62ec2417a5a1153cba6a08704032ac0968fe468e6c3ab",
+            "a0afa74e5f65627ec9ca7a7fd69e130651c7c468993733981d23f82de05aada2",
         "curvature --format table":
             "88c849a3a128eccf5361ab6b9ba6500410e5f0680880a129ab9f25d72dbac280",
         "verify-functional --format table":
@@ -379,7 +379,7 @@ PINS = {
         "perron --format table":
             "b6a86805b9fabc6b0d3e7cb803627b4c23762714ce23513fb1e87841615ef71b",
         "analyze --k-override 2":
-            "d8dfb45bc967027726defcae5e0b5106664e19c4f1feb8b9a2c3eb8b32a509a4",
+            "64a25e95f6d8241d6865a634f2c6e4befe6b03969fc7ff39cc9ce4cbb6097d87",
         "wasserstein {ramp} {reversed} --plan":
             "cf23a32af71ac01744ce91929eea022ac3754550db3e03c7b72c328816977e70",
         "heat --t 0.5 --f dirac:0":
@@ -387,19 +387,19 @@ PINS = {
     },
     "queries/ring12_2": {
         "analyze":
-            "9f6b656144114fe06799c022832b8e04ef87d3e15d60a6308c1d14339157f18e",
+            "3d1821b3cee67d93958f35c79e969834c6131d863abf9f3797eec289344b7dab",
         "analyze --cross-check":
-            "8a366b39a1bc8b862831c9043dc95377c5d82b0349d6d25cfc702012ea74f68c",
+            "bdee972e3b34a7e57b8e84c8c7e3560b70b102df7d0d3b0955bdb7b645a45909",
         "analyze --format table":
-            "d7e2ed67c0b8c2b2cf4cc1064d71d245df9e9ab631264634f471c1cfa3de6afe",
+            "8c3a207490cb774c4e717d7210fa22f8c3849c89fbbd2f8d5f7d72d11a73d664",
         "verify-functional":
-            "52ba816ff4b92a6ad5fbe476e9d753d958214a87191d813c9da08157da3b53f7",
+            "e20a41ef091ba79bfc8acbccd31ba012337050aa211c401c97aff705859c5573",
         "curvature":
-            "1fe9856530dbe2529a1ce4cd004d1a07c23005abea5f41df8b3f690c4d3dd92a",
+            "8bb193c384ed5e1260d61ef51928b55d992433a02489836fda96a57266633845",
         "curvature --cross-check":
-            "602ce4443a60d661850bdec2a24a0b75135e629aff63dade7af856abf8471d9b",
+            "e9e68573e2502e8414a3ed22ace59ac3b919a4ce0b7b62a80d78ff4de96bd642",
         "curvature --pairs 0,1 --cross-check":
-            "ecc6135f4c74022cd8b4f95a6a0dd5d13d020e439b7f25a09fc5473c6e5477da",
+            "372abe65ace163d5d15104d5320cbd8dceba94587937deeb73f7acc3ce8dc207",
         "wasserstein dirac:0 dirac:{last} --plan":
             "e9c1a756f1593804838d7e80fbe01265a337372cd879707a4b70eb0a3dff3ea8",
         "heat --t 0.5 --kernel 0":
@@ -407,7 +407,7 @@ PINS = {
         "perron":
             "36026f6977f7f0be5336610329ed5155deae490e1ca904c2e264df65ca33bff0",
         "curvature --format csv":
-            "d0e20c839a70aea0f915b8f06d488f14c6e0435887d5f9568daf765cb751095a",
+            "765592e3a2ceee3a963cb19c8e3aa150c7588a8715f9f37adee17272e06c88fa",
         "curvature --format table":
             "2a53cb83dcdb000d5b1145bb22725c8a6a9f4fb024a95a6b4dab627095072cca",
         "verify-functional --format table":
@@ -415,7 +415,7 @@ PINS = {
         "perron --format table":
             "50879af94b94768e7150f224520aeae8f30ecd4f5de90fdb92cd7becd7ce2d19",
         "analyze --k-override 2":
-            "514077d82ac3d24f6ca42d166e8a8c0018c2baab45e3bb8f2bc1de14bc6da032",
+            "800f03ed07db163142cec07fc43f5a025488f946f70d60ae5d8a66cc4975a050",
         "wasserstein {ramp} {reversed} --plan":
             "7efdf76bf9f214716e6f821ce3fd1543c9ebf8a0504cae959a4dd2bf346818d1",
         "heat --t 0.5 --f dirac:0":
@@ -423,19 +423,19 @@ PINS = {
     },
     "queries/ring12_3": {
         "analyze":
-            "1d78f6d4593d2b6e16c519de823d7a5660aa137416c0e53f66e1752bf3378757",
+            "d12f559dc0318ea8fbae8f8cab363daace69793fb14bc04a459f7e23ae8fcdf6",
         "analyze --cross-check":
-            "112f3b7afbd6ee8a57a4371112c6456d65e48be5d393aca6ee0c7c383bfc99bb",
+            "1462a231b33aec6d9d2e6ce996e04e17b504bdeec97906d0aafdf83314667c95",
         "analyze --format table":
-            "fa40f8952c454fd047592d8d0bdd0a59dd3f63c4624960291575f4b09e161eea",
+            "5b5ef0dc7ef3612adda60da37b20ccbc2945f9f3a0256c309bd9c69745b8e5dd",
         "verify-functional":
-            "005feb92a407e9d9a198087f7eb17f6a20e19c37b848576549c313061be31be6",
+            "37cad4370d82cd2844dd7f89f871cc35e3150a1777d4b6c5ec3c0d2d041d9ad0",
         "curvature":
-            "0bc398aacf0efdea4adb20256708fefcc548d541cbbb58048b25289911760ee5",
+            "9ce9f702e720996ea3550ebd56dd7c855c99fa282f63faa6cdcd926f8e2246cb",
         "curvature --cross-check":
-            "9a03f9d213f9a7872bb7ed2f39be25f72292a3ea2d5657260b9df76c2a65b869",
+            "a2b73bf017fa56dc3fc4d300fe7bc3ae4daf8846379b496d82b7e81f49931634",
         "curvature --pairs 0,1 --cross-check":
-            "3f2e18bfeb0cc39d4ea943a946c378d2f7242cd2abd1bd708b52c5d5ff0e762f",
+            "253eb9e0109ef98d336b1f7a96e6a578d897abbcb2d8251c6b67a3edc3974102",
         "wasserstein dirac:0 dirac:{last} --plan":
             "72c99cf352509ced4a7c414442ad1d46e85c48324277714ff867d576774a6196",
         "heat --t 0.5 --kernel 0":
@@ -443,7 +443,7 @@ PINS = {
         "perron":
             "310e320ec5de8623da2b3bace58aa6cb09e536ee4a3b353bc00a86a54d313471",
         "curvature --format csv":
-            "8a80466377e8a47f8ef2df43025b3ffc0cda4a19fb8e876a994bc868f631ae6d",
+            "f2023b8decfe77054b112b0fafe1f83ffa3453734019b05f11d15adcf58538d8",
         "curvature --format table":
             "82aff7ea5da9c42aa41c681cfce8f44194b86bb687308ebde7fa1f7539d8b6df",
         "verify-functional --format table":
@@ -451,7 +451,7 @@ PINS = {
         "perron --format table":
             "19781e68dcf6f633befb13c3d75e30ea19cd430bd665e3963dd8470bcfd51c1e",
         "analyze --k-override 2":
-            "d96fcd183278d9e0382d592fec4b19cb6b1138eb1bd065752e921e463a0186a0",
+            "b6f587b2b5e88f9807b3cafe1998400b6175062af1b0e1a6dda3d0ee2ca50fa1",
         "wasserstein {ramp} {reversed} --plan":
             "d7af5bef8b58b73938356e943ac1f0c9504704105744a86531d05663fc75be67",
         "heat --t 0.5 --f dirac:0":

@@ -637,7 +637,8 @@ class TestCliOther:
 
         A kappa_lp call may be a row, so the solves made under it are
         counted, each named by its own program: the call's root x, and
-        the y whose row holds the virtual column's +1 (x's row is dropped).
+        the y whose row holds the push's deficit, the least entry of b
+        (x's row is dropped).
         """
         pairs, roots = [], []
         kappa_lp, solve_lp = curvature.kappa_lp, lp.solve_lp
@@ -651,7 +652,7 @@ class TestCliOther:
 
         def recording_solve(start, b):
             if roots:
-                row = int(start.A[:, -1].argmax())
+                row = int(b.argmin())
                 pairs.append((roots[-1], row + (row >= roots[-1])))
             return solve_lp(start, b)
 
@@ -928,22 +929,23 @@ def _workload_files(workload: str, tmp_path, monkeypatch) -> list[str]:
 
 # the counts stay out of the test ids, so that a change that moves them fails under the same name
 @pytest.mark.parametrize("workload, roots, carried, solves, pivots", [
-    ("analyze_dense", 16, 164, 988, 949),
-    ("analyze_sparse", 16, 66, 413, 537),
+    ("analyze_dense", 16, 164, 988, 893),
+    ("analyze_sparse", 16, 65, 413, 390),
 ], ids=["analyze_dense", "analyze_sparse"])
 def test_warm_starts_are_checked_only_where_a_solve_pivoted(
     workload, roots, carried, solves, pivots, tmp_path, monkeypatch, capsys
 ):
-    """Start.carried runs once per arc start and once per chain step that pivoted.
+    """Start.carried runs once per arc start and chain step whose solve pivoted.
 
     One analyze on each graph of the benchmark workload (seed 1): the
     K_8 of analyze_dense, and the two ring+chords n=8 of analyze_sparse.
     transport.root_basis builds each tree's start through Start.carried
     once, 16 trees on each workload, and those checks are counted
     apart.  Of the warm starts, a solve that took no pivot hands its own
-    start on unchecked, and an arc's start off its kappa optimum is
-    checked once, so of the 392 and 301 heat-flow warm starts formed,
-    64 and 66 are checked.  The
+    start on unchecked, the arc's start off its kappa optimum included
+    (that optimum is a basis of the arc's W program as it stands), so
+    of the 392 and 301 heat-flow warm starts formed, 64 and 65 are
+    checked.  The
     K_8 also runs the functional suite: its first transport check
     solves the 108 densities cold, and each of the 100 columns that
     pivoted has its optimum checked once as the start of the four later
@@ -1013,40 +1015,61 @@ def test_a_table_keeps_only_what_it_reads_of_its_solves(tmp_path, monkeypatch, c
 
 
 def test_a_kappa_row_keeps_one_solve_at_a_time(tmp_path, monkeypatch, capsys):
-    """While a kappa_lp row of analyze_dense's K_8 solves, at most one earlier solve is alive.
+    """While a kappa_lp row solves, at most one earlier solve and one non-arc tableau are alive.
 
     kappa_lp keeps of each solve its value, its final cost row and, for
-    an arc, a ColumnStart that owns a copy of its rows, so only the
-    solve just made lives while the next one solves.  The 8 rows of 7
-    targets make 56 solves; a row that held its solves until its
-    witnesses were read would reach 6.  The solves are counted through
-    weak references, not bytes, so the allocator cannot move the count.
+    an arc, a ColumnStart that holds the solve's start, basis and final
+    rows, the tableau it pivoted, but not the solve: so only the solve
+    just made lives while the next one solves, and of a target that is
+    no arc only the tableau just made.  Each arc's record holds its own
+    solve's rows, no copy.  On analyze_sparse's two ring+chords n=8
+    (seed 1) the 16 rows of 7 targets make 112 solves; a row that held
+    its solves until its witnesses were read would reach 6 solves, and
+    as many tableaus as its non-arc targets that pivoted.
+    The solves and tableaus are counted through weak references, not
+    bytes, so the allocator cannot move the counts.
     """
-    (path,) = _workload_files("analyze_dense", tmp_path, monkeypatch)
-    solves, alive, in_row = [], [], [False]
+    paths = _workload_files("analyze_sparse", tmp_path, monkeypatch)
+    solves, tableaus, alive, in_row, rows = [], [], [], [], []
     solve_lp, row = lp.solve_lp, curvature.kappa_lp
 
+    def count(refs) -> int:
+        return sum(ref() is not None for ref in refs)
+
     def watching_solve(start, b):
-        if in_row[0]:
-            alive.append(sum(ref() is not None for ref in solves))
+        if in_row:
+            alive.append((count(solves), count(tableaus)))
         solution = solve_lp(start, b)
-        if in_row[0]:
+        if in_row:
             solves.append(weakref.ref(solution))
+            x, dm = in_row[-1]
+            # the row of y holds the push's deficit; a pivoted solve's rows view its tableau
+            y = int(np.delete(np.arange(len(dm.d)), x)[b.argmin()])
+            if solution.iterations and dm.d[x, y] != 1:
+                tableaus.append(weakref.ref(solution.rows.base))
+            rows.append((y, weakref.ref(solution.rows)))
         return solution
 
-    def watching_row(*args, **kwargs):
-        in_row[0] = True
+    def watching_row(x, ys, M, dm):
+        in_row.append((x, dm))
+        rows.clear()
         try:
-            return row(*args, **kwargs)
+            kappa, witness, starts = row(x, ys, M, dm)
         finally:
-            in_row[0] = False
+            in_row.pop()
+        for (y, solved), start in zip(rows, starts, strict=True):
+            assert (start is None) == (dm.d[x, y] != 1)
+            assert start is None or start.rows is solved()
+        return kappa, witness, starts
 
     monkeypatch.setattr(lp, "solve_lp", watching_solve)
     monkeypatch.setattr(curvature, "kappa_lp", watching_row)
-    assert main(["analyze", path]) == 0
+    for path in paths:
+        assert main(["analyze", path]) == 0
     capsys.readouterr()
-    assert len(alive) == 56
-    assert max(alive) <= 1
+    assert len(alive) == 2 * 56 and tableaus
+    assert max(solve for solve, _tableau in alive) <= 1
+    assert max(tableau for _solve, tableau in alive) <= 1
 
 
 def _watch_arc_starts(monkeypatch) -> list[weakref.ref]:
