@@ -27,7 +27,8 @@ BALANCE_TOL = 1e-12
 class MarkovData:
     """Kernel, stationary measure, mean kernel, edge weights, and L = I - Pbar.
 
-    Every array is read-only.
+    Every array is read-only: markov_data keeps one MarkovData per graph
+    and hands it to every run on that graph.
     """
 
     P: np.ndarray
@@ -97,9 +98,17 @@ def mean_kernel(P: np.ndarray, m: np.ndarray) -> MarkovData:
 
 
 def markov_data(g: DirectedGraph) -> MarkovData:
-    """transition_kernel + perron_measure + mean_kernel in one call."""
-    P = transition_kernel(g)
-    return mean_kernel(P, perron_measure(P))
+    """transition_kernel + perron_measure + mean_kernel in one call.
+
+    Built on the graph's first call and kept on it (DirectedGraph._derived):
+    every later call returns the same read-only MarkovData.
+    """
+    M = g._derived.get("markov")
+    if M is None:
+        P = transition_kernel(g)
+        M = mean_kernel(P, perron_measure(P))
+        g._derived["markov"] = M
+    return M
 
 
 def gamma(f0: np.ndarray, f1: np.ndarray, M: MarkovData) -> np.ndarray:

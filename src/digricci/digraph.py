@@ -20,10 +20,18 @@ all ordered pairs are built only by distances, by one frontier
 expansion over all sources at once, one matrix product per
 breadth-first level; the heat flow and the Perron measure never read
 them, so they never pay for them.
+
+Everything downstream is a function of the graph alone, so a graph
+pays its set-up once: distances and chain.markov_data keep what they
+build on the DirectedGraph, and load_graph keeps the graph of the last
+text it parsed, so that commands asked of one file in one process
+share it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,11 +54,18 @@ class DirectedGraph:
     zero (no self loops), all weights are finite and non-negative, and
     every row sums to a finite positive value.  build_graph, the one
     constructor, checks all of this and strong connectivity, so n >= 2.
+
+    _derived holds what distances and chain.markov_data build of the
+    graph, each on first use and read-only, so a graph pays for its hop
+    counts, its root trees and its Markov data once however many runs
+    read them.  It is not compared, and no run's own state (a family's
+    density starts, a heat operator's kernels, a solve) is kept there.
     """
 
     n: int
     mu: np.ndarray
     labels: tuple[str, ...] | None = None
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def arc_count(self) -> int:
@@ -67,22 +82,25 @@ class DistanceMatrix:
     arcs[k]    (tail, head) of the k-th arc, the pairs with d = 1 in row-major order
 
     _root_bases holds transport.root_basis's flow starts, one per root
-    and tree direction, built on first use: a function of d alone.
-    _density_starts holds, per family of densities a transport check of
-    the concentration module solved, keyed by the exact bytes of m and
-    of the stack of measures rho m, the table's optima as
-    transport.ColumnStarts, the starts of the same family's W in every
-    later check.  Neither is compared.  Every other column start, a
-    ColumnStart of an arc's curvature optimum or of a heat-flow table's
-    column, is passed as a value from the solve that made it to the
-    table that starts from it.
+    and tree direction, built on first use: a function of d alone, so
+    every DistanceMatrix that distances returns for one graph shares
+    the graph's, as it shares the read-only arrays.  _density_starts
+    holds, per family of densities a transport check of the concentration
+    module solved, keyed by the exact bytes of m and of the stack of
+    measures rho m, the table's optima as transport.ColumnStarts, the
+    starts of the same family's W in every later check.  It is this
+    DistanceMatrix's own and starts empty: a W re-solved from another
+    run's optimum may move in its last bits.  Neither is compared.
+    Every other column start, a ColumnStart of an arc's curvature
+    optimum or of a heat-flow table's column, is passed as a value from
+    the solve that made it to the table that starts from it.
     """
 
     d: np.ndarray
     dvert: np.ndarray
     lam: int
     arcs: np.ndarray
-    _root_bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _root_bases: dict = field(default_factory=dict, repr=False, compare=False)
     _density_starts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -187,15 +205,24 @@ def _hop_matrix(mu: np.ndarray) -> np.ndarray:
 
 
 def distances(g: DirectedGraph) -> DistanceMatrix:
-    """All-pairs hop distances (_hop_matrix) and the quantities derived from them."""
-    d = _hop_matrix(g.mu)
-    dsym = np.maximum(d, d.T)
-    nbr = (g.mu > 0) | (g.mu.T > 0)
-    dvert = np.where(nbr, dsym, 0).max(axis=1)
-    arcs = np.argwhere(d == 1)
-    for a in (d, dvert, arcs):
-        a.flags.writeable = False
-    return DistanceMatrix(d=d, dvert=dvert, lam=int(dvert.max()), arcs=arcs)
+    """All-pairs hop distances (_hop_matrix) and the quantities derived from them.
+
+    They are built on the graph's first call and kept on it; each call
+    returns a new DistanceMatrix over the same read-only arrays and root
+    trees, with a _density_starts of its own.
+    """
+    kept = g._derived.get("distances")
+    if kept is None:
+        d = _hop_matrix(g.mu)
+        dsym = np.maximum(d, d.T)
+        nbr = (g.mu > 0) | (g.mu.T > 0)
+        dvert = np.where(nbr, dsym, 0).max(axis=1)
+        arcs = np.argwhere(d == 1)
+        for a in (d, dvert, arcs):
+            a.flags.writeable = False
+        kept = DistanceMatrix(d=d, dvert=dvert, lam=int(dvert.max()), arcs=arcs)
+        g._derived["distances"] = kept
+    return dataclasses.replace(kept)
 
 
 def lipschitz_constant(f: np.ndarray, dm: DistanceMatrix) -> float | np.ndarray:
@@ -351,6 +378,28 @@ def _parse_json_document(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]
     return mu, labels
 
 
+class _Unparsed(Exception):
+    """A parser's error, carried out of the memo so that load_graph can say which source failed."""
+
+
+@functools.lru_cache(maxsize=1)
+def _graph_of_text(text: str) -> DirectedGraph:
+    """The graph of text, kept for the last text that gave one.
+
+    The key is the text itself, so a file rewritten with other arcs is
+    parsed again.  A text that does not parse raises _Unparsed, with
+    the parser's error, and one that builds no graph raises
+    build_graph's error; either way nothing is stored and the graph
+    kept before stays.
+    """
+    parse = _parse_json_document if text.lstrip().startswith("{") else _parse_edge_list
+    try:
+        mu, labels = parse(text)
+    except ParseError as exc:
+        raise _Unparsed(exc) from None
+    return build_graph(mu, labels=labels)
+
+
 def load_graph(source: str | Path) -> DirectedGraph:
     """Parse a graph from edge-list text, a JSON document, or a file path.
 
@@ -362,6 +411,11 @@ def load_graph(source: str | Path) -> DirectedGraph:
     one-line string that names no file and does not parse either raises
     ParseError("no such file and not valid edge text: ...") followed by
     the parser's own message.
+
+    The source is read on every call, but the graph of the last text
+    parsed is kept (_graph_of_text): while the text is unchanged, every
+    call returns that same DirectedGraph, and with it what distances
+    and chain.markov_data keep on it.
     """
     pathlike = False
     if isinstance(source, Path):
@@ -377,16 +431,12 @@ def load_graph(source: str | Path) -> DirectedGraph:
                     pathlike = False
             except OSError:
                 pass
-    stripped = text.lstrip()
-    if not stripped:
+    if not text.strip():
         raise ParseError("empty graph input")
     try:
-        if stripped.startswith("{"):
-            mu, labels = _parse_json_document(text)
-        else:
-            mu, labels = _parse_edge_list(text)
-    except ParseError as exc:
+        return _graph_of_text(text)
+    except _Unparsed as unparsed:
+        (exc,) = unparsed.args
         if pathlike:
             raise ParseError(f"no such file and not valid edge text: {source!r}: {exc}") from None
-        raise
-    return build_graph(mu, labels=labels)
+        raise exc from None

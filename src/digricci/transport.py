@@ -513,8 +513,9 @@ def _chains(
     the first from starts[j].start on the tree of its root and direction
     (the BFS tree of _start_trees when None) and each later one from the
     previous solve's optimum.  ValueError if a start was solved on
-    another DistanceMatrix, whose program is another one: dm has no tree
-    of its root and direction, or one whose incidence is not the start's.
+    another graph's program: dm, whose root trees are its graph's, has
+    no tree of the start's root and direction, or one whose incidence is
+    not the start's.
     """
     for column, first, cold in zip(excess.transpose(1, 0, 2), starts, _start_trees(excess[0])):
         if first is None:

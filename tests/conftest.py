@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from digricci import DirectedGraph, NotStronglyConnectedError, build_graph, lp, transport
+from digricci import DirectedGraph, NotStronglyConnectedError, build_graph, digraph, lp, transport
 
 # default seed everywhere so failures replay exactly
 SEED = 424242
@@ -90,6 +90,12 @@ def corpus() -> list[DirectedGraph]:
 @pytest.fixture(scope="session")
 def small_corpus(corpus) -> list[DirectedGraph]:
     return corpus[:10]
+
+
+@pytest.fixture(autouse=True)
+def fresh_load_graph():
+    """Each test starts with load_graph's memo empty: no test sees a graph another loaded."""
+    digraph._graph_of_text.cache_clear()
 
 
 @pytest.fixture()

@@ -1034,9 +1034,11 @@ def test_start_from_an_arc_start_of_another_distance_matrix_raises():
     with pytest.raises(ValueError, match="another DistanceMatrix"):
         wasserstein(nu0, nu1, dm2, verify=False, start=start)
     assert wasserstein(nu0, nu1, dm2, verify=False).values[0, 0] == 1.0
-    # the same graph's distances computed twice are two DistanceMatrix records
+    # the same graph's distances computed twice share its root trees, so its program;
+    # the same weights built again are another graph, whose program is another one
+    assert wasserstein(nu0, nu1, distances(g1), verify=False, start=start).values[0, 0] == 2.0
     with pytest.raises(ValueError, match="another DistanceMatrix"):
-        wasserstein(nu0, nu1, distances(g1), verify=False, start=start)
+        wasserstein(nu0, nu1, distances(graph((0, 2))), verify=False, start=start)
 
 
 class TestWarmStart:

@@ -561,8 +561,9 @@ def test_the_later_transport_checks_start_from_the_first_ones_optima(seed, n, co
     W are within 1e-15 of the cold ones.  Another family started from
     those optima, dual feasible whatever the measures, gets the W of a
     cold table, to within 2e-15: another optimal basis may form the
-    same W by another product.  A DistanceMatrix of the same graph
-    computed again is another program, and refuses the starts.
+    same W by another product.  The same weights built into a graph
+    again are another graph, whose program is another one, and it
+    refuses the starts.
     """
     rng = np.random.default_rng(seed)
     mu = rng.uniform(0.5, 2.0, size=(n, n))
@@ -577,7 +578,7 @@ def test_the_later_transport_checks_start_from_the_first_ones_optima(seed, n, co
     assert np.abs(np.subtract(again, first)).max() <= 1e-15
     measures = np.array([record.measure for record in other])[None]
     nu0 = np.broadcast_to(M.m, measures.shape)
-    fresh = distances(g)
+    fresh = distances(build_graph(mu))
     cold = wasserstein(nu0, measures, fresh, verify=False).values
     warm = wasserstein(nu0, measures, dm, verify=False, start=starts).values
     assert np.abs(warm - cold).max() <= 2e-15

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from digricci import digraph
+from digricci import cli, concentration, digraph
 from digricci import (
     GraphCurvatureError,
     NegativeWeightError,
@@ -20,9 +20,12 @@ from digricci import (
     distances,
     lipschitz_constant,
     load_graph,
+    markov_data,
+    random_densities,
     sample_lipschitz_functions,
 )
-from conftest import random_strongly_connected
+from digricci.transport import root_basis
+from conftest import C3_EDGES, K3_EDGES, SEED, random_strongly_connected
 
 
 # tokens an edge-list field may hold: ids int() takes or refuses, weights float() takes or refuses
@@ -426,3 +429,90 @@ def test_random_graph_distance_properties(seed):
     assert (off >= 1).all()
     assert (off < g.n).all()
     assert dm.lam >= 1.0
+
+
+def _arrays(obj, path: str):
+    """(path, array) for every numpy array reachable from obj through fields, tuples and dicts."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _arrays(value, f"{path}[{key!r}]")
+    elif isinstance(obj, tuple):
+        for name, value in zip(getattr(obj, "_fields", range(len(obj))), obj):
+            yield from _arrays(value, f"{path}.{name}")
+    elif hasattr(obj, "__dict__"):
+        for name, value in vars(obj).items():
+            yield from _arrays(value, f"{path}.{name}")
+
+
+class TestKeptGraph:
+    """load_graph keeps the graph of the last text; the graph keeps its distances and Markov data."""
+
+    def test_the_same_text_gives_the_same_graph_and_set_up(self, tmp_path):
+        path = tmp_path / "k3.edges"
+        path.write_text(K3_EDGES, encoding="utf-8")
+        g = load_graph(path)
+        assert load_graph(str(path)) is g
+        assert load_graph(K3_EDGES) is g  # the key is the text, not where it came from
+        dm, again = distances(g), distances(load_graph(path))
+        assert dm is not again
+        for name in ("d", "dvert", "arcs"):
+            assert getattr(again, name) is getattr(dm, name)
+        assert markov_data(load_graph(path)) is markov_data(g)
+        assert root_basis(again, 1, inward=True) is root_basis(dm, 1, inward=True)
+
+    def test_a_rewritten_file_is_parsed_again(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text(C3_EDGES, encoding="utf-8")
+        g = load_graph(path)
+        assert distances(g).d[0, 2] == 2
+        path.write_text(K3_EDGES, encoding="utf-8")
+        rewritten = load_graph(path)
+        assert rewritten is not g
+        assert distances(rewritten).d[0, 2] == 1
+        assert np.array_equal(markov_data(rewritten).P, markov_data(build_graph(rewritten.mu)).P)
+
+    @pytest.mark.parametrize("bad, error", [
+        ("0 1\n1 x\n", ParseError),
+        ('{"n": 2, "arcs": [[0, 1, 0]]}', ParseError),
+        ("0 1\n1 2\n", NotStronglyConnectedError),
+        ("0 1 inf\n1 0\n", ParseError),
+    ])
+    def test_a_refused_text_keeps_the_previous_graph_and_stores_nothing(self, bad, error):
+        g = load_graph(C3_EDGES)
+        with pytest.raises(error):
+            load_graph(bad)
+        assert digraph._graph_of_text.cache_info().currsize == 1
+        hits = digraph._graph_of_text.cache_info().hits
+        assert load_graph(C3_EDGES) is g
+        assert digraph._graph_of_text.cache_info().hits == hits + 1
+
+    def test_each_distance_matrix_of_a_graph_starts_its_own_density_starts(self, g_k3):
+        """The root trees are the graph's; the warm starts of a density family are one run's."""
+        M, dm = markov_data(g_k3), distances(g_k3)
+        rhos = random_densities(M, 3, np.random.default_rng(SEED))
+        list(concentration._transports(M, dm, rhos))
+        assert len(dm._density_starts) == 1
+        other = distances(g_k3)
+        assert other._root_bases is dm._root_bases
+        assert other._root_bases
+        assert other._density_starts == {}
+        assert distances(g_k3)._density_starts is not other._density_starts
+
+    def test_every_array_kept_on_a_loaded_graph_is_read_only(self, tmp_path, capsys):
+        """What later commands share cannot be written: mu, d, dvert, arcs, the five
+        Markov arrays, and each root tree's start and vertices."""
+        path = tmp_path / "k3.edges"
+        path.write_text(K3_EDGES, encoding="utf-8")
+        for argv in (["analyze", str(path)], ["wasserstein", str(path), "dirac:0", "dirac:2"]):
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        g = load_graph(path)
+        found = dict(_arrays(g, "g"))
+        bases = g._derived["distances"]._root_bases
+        assert len(bases) == 2 * g.n
+        assert len(found) == 1 + 3 + 5 + 6 * len(bases)
+        assert {"g.mu", "g._derived['distances'].d", "g._derived['markov'].L"} <= set(found)
+        assert [name for name, a in found.items() if a.flags.writeable] == []
+        assert g._derived["distances"]._density_starts == {}

@@ -8,8 +8,11 @@ a relative import, or the standard library, and nothing else (scipy,
 pytest and hypothesis are for the tests alone).  A DistanceMatrix is
 distances, not a place to leave state: of its private fields, only
 transport.root_basis writes into _root_bases, a cache of a function of
-d alone, and concentration._transports into _density_starts; every
-other warm start is passed as a value.  A tolerance has one default: no
+d alone, and concentration._transports into _density_starts, which no
+DistanceMatrix is built with, so each starts its own; every other warm
+start is passed as a value.  A DirectedGraph keeps what is a function
+of the graph alone: only digraph.distances and chain.markov_data write
+into its _derived.  A tolerance has one default: no
 tol parameter in src/ defaults to a number written at the parameter,
 so each takes a named constant, certificates.DEFAULT_TOL or its own.
 No np.errstate or np.seterr in src/ silences invalid, by its own
@@ -31,8 +34,11 @@ reads or writes one, so the final basic values stay inside the solve.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
+
+from digricci.digraph import DistanceMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "digricci").glob("*.py"))
@@ -285,6 +291,11 @@ def test_only_the_two_caches_write_into_a_distance_matrix():
     assert private_field_writes(sources, fields) == [
         "concentration._transports: _density_starts", "transport.root_basis: _root_bases",
     ]
+    assert private_fields(sources["digraph"], "DirectedGraph") == {"_derived"}
+    assert private_field_writes(sources, {"_derived"}) == [
+        "chain.markov_data: _derived", "digraph.distances: _derived",
+    ]
+    assert {f.name for f in dataclasses.fields(DistanceMatrix) if not f.init} == {"_density_starts"}
 
 
 def test_unused_imports_are_found():

@@ -15,6 +15,10 @@ the graphs has, so a certificate fails and the report exits 1, and the
 transport plan between the two measure files takes at least one pivot
 on every graph.  A mismatch names the
 command, so a change can run it at its parent and diff the two outputs.
+A few SEQUENCES run commands back to back on one fresh file, an
+analyze repeated among them, and each must print the pin the same
+command has in PINS: a graph's set-up is kept between commands on the
+same text, and what one run leaves must not move another's output.
 
 A change that moves an output on purpose updates its pins in the same
 commit and says which commands moved and why; a pin is never loosened
@@ -58,6 +62,17 @@ COMMANDS = (
     "analyze --k-override 2",
     "wasserstein {ramp} {reversed} --plan",
     "heat --t 0.5 --f dirac:0",
+)
+# commands run back to back on one file of a graph, each pinned to its own pin in
+# PINS: what ran before on the same graph in the process must not move an output.
+# The K_8 runs analyze again after the functional suite has run on that graph; the
+# queries graphs run the four commands of a question, in the benchmark's order.
+SEQUENCES = (
+    ("analyze_dense/k8_0",
+     ("analyze", "verify-functional", "curvature --pairs 0,1 --cross-check", "analyze")),
+    *((f"queries/ring12_{i}",
+       ("wasserstein dirac:0 dirac:{last} --plan", "curvature --pairs 0,1 --cross-check",
+        "heat --t 0.5 --kernel 0", "perron")) for i in range(4)),
 )
 # "workload/graph" -> command label -> SHA-256 of the run
 PINS = {
@@ -486,8 +501,8 @@ def run_hash(argv: list[str], paths: dict[str, str], capsys) -> str:
     return hashlib.sha256(json.dumps([code, *streams]).encode()).hexdigest()
 
 
-def corpus_hashes(graph, directory: Path, capsys) -> dict[str, str]:
-    """Command label -> the hash of that command's run on graph, its files written to directory.
+def corpus_hashes(graph, directory: Path, capsys, labels=COMMANDS) -> list[str]:
+    """The hash of each command of labels run in turn on graph, its files written to directory.
 
     The graph goes to one file, and the measures proportional to
     1, ..., n and to n, ..., 1 each to a file of one weight per line.
@@ -502,10 +517,10 @@ def corpus_hashes(graph, directory: Path, capsys) -> dict[str, str]:
         path = directory / f"{graph.name}.{'edges' if name == 'graph' else name}"
         path.write_text(text, encoding="utf-8")
         paths[name] = str(path)
-    hashes = {}
-    for label in COMMANDS:
+    hashes = []
+    for label in labels:
         command, *options = label.format(last=graph.n - 1, **paths).split()
-        hashes[label] = run_hash([command, paths["graph"], *options], paths, capsys)
+        hashes.append(run_hash([command, paths["graph"], *options], paths, capsys))
     return hashes
 
 
@@ -513,7 +528,18 @@ def corpus_hashes(graph, directory: Path, capsys) -> dict[str, str]:
 def test_every_command_prints_its_pinned_output(key, graphs, tmp_path, capsys):
     """Each command's exit code, stdout and stderr on the graph hash to its pin."""
     hashes = corpus_hashes(graphs[key], tmp_path, capsys)
-    moved = [label for label in COMMANDS if hashes[label] != PINS[key][label]]
+    moved = [label for label, sha in zip(COMMANDS, hashes) if sha != PINS[key][label]]
+    assert not moved, f"{key}: the output of {moved} moved"
+
+
+@pytest.mark.parametrize("key, labels", SEQUENCES, ids=[key for key, _ in SEQUENCES])
+def test_a_command_prints_its_pin_whatever_ran_before_on_the_graph(
+    key, labels, graphs, tmp_path, capsys
+):
+    """Commands run back to back on one file each hash to the pin of the command alone."""
+    hashes = corpus_hashes(graphs[key], tmp_path, capsys, labels)
+    moved = [(k, label) for k, (label, sha) in enumerate(zip(labels, hashes))
+             if sha != PINS[key][label]]
     assert not moved, f"{key}: the output of {moved} moved"
 
 

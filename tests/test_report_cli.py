@@ -907,13 +907,25 @@ class TestCliInputContract:
     (["wasserstein", "dirac:0", "dirac:1"], 1),
 ])
 def test_hop_counts_are_built_once_and_only_where_read(c3_file, monkeypatch, capsys, argv, calls):
-    """distances builds the hop matrix; the heat flow and the Perron measure never read it."""
+    """distances builds the hop matrix once per graph; the heat flow and the Perron measure never read it.
+
+    A second command on the same file builds none: load_graph returns
+    the graph it kept, which keeps its distances.  The file rewritten
+    with other arcs is another graph, and the command builds its hop
+    matrix again.
+    """
     counted = []
     hop_matrix = digraph._hop_matrix
     monkeypatch.setattr(digraph, "_hop_matrix", lambda mu: counted.append(1) or hop_matrix(mu))
-    assert main([argv[0], c3_file, *argv[1:]]) == 0
-    capsys.readouterr()
+    command = [argv[0], c3_file, *argv[1:]]
+    assert main(command) == 0
     assert len(counted) == calls
+    assert main(command) == 0
+    assert len(counted) == calls
+    Path(c3_file).write_text(K3_EDGES, encoding="utf-8")
+    assert main(command) == 0
+    capsys.readouterr()
+    assert len(counted) == 2 * calls
 
 
 def _workload_files(workload: str, tmp_path, monkeypatch) -> list[str]:
