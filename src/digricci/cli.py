@@ -42,7 +42,7 @@ from .concentration import (
     concentration_tail,
     random_densities,
 )
-from .curvature import EPS_GRID, SMOOTHING_AGREEMENT_TOL, curvature_matrix, kappa_limit
+from .curvature import EPS_MAX, curvature_matrix, kappa_limit
 from .digraph import DirectedGraph, distances, load_graph
 from .errors import GraphCurvatureError, ParseError
 from .heat import (
@@ -55,17 +55,15 @@ from .heat import (
     verify_transport_contraction,
 )
 from .report import RunConfig, VerificationReport, render_json
-from .transport import ColumnStart, wasserstein
+from .transport import ColumnStart, handed_over, wasserstein
 
 
-def _new_report(
-    command: str, g: DirectedGraph, config: RunConfig, **applied: float
-) -> VerificationReport:
+def _new_report(command: str, g: DirectedGraph, config: RunConfig) -> VerificationReport:
     """A report of command on g with its header: the graph's shape, seed and tolerances.
 
-    The tolerances are the ones every run applies, then applied, those
-    only this run's checks apply.  main sets the graph's "source", which
-    stays its first key.
+    The tolerances are the ones every run applies; a stage that applies
+    one of its own adds it as it runs.  main sets the graph's "source",
+    which stays its first key.
     """
     return VerificationReport(
         command=command,
@@ -82,7 +80,6 @@ def _new_report(
             "lp_feasibility": lp.PRIMAL_TOL,
             "lp_gap": lp.GAP_TOL,
             "certificate": config.certificate_tol,
-            **applied,
         },
     )
 
@@ -138,6 +135,7 @@ def _curvature_and_limit(report, M, dm, H, config: RunConfig) -> tuple[float, li
     """
     curv = curvature_matrix(M, dm, cross_check=config.cross_check)
     K = curv.K if config.k_override is None else config.k_override
+    report.tolerances["curvature_limit"] = HEAT_LIMIT_AGREEMENT_TOL
     report.sections["distance"] = {
         "lambda": dm.lam,
         "vertex_reach": dm.dvert.tolist(),
@@ -151,18 +149,17 @@ def _curvature_and_limit(report, M, dm, H, config: RunConfig) -> tuple[float, li
     }
 
     if config.cross_check:
-        # every ordered pair in row-major order: of equal residuals, the first binds
-        residuals = curv.cross_check.tolist()
+        # each pair is held to its own rounding bound, the header states the largest;
+        # every ordered pair in row-major order: of equal margins, the first binds
+        off = ~np.eye(M.n, dtype=bool)
+        report.tolerances["smoothing_agreement"] = float(curv.cross_check_tol[off].max())
+        samples = zip(curv.cross_check[off].tolist(), curv.cross_check_tol[off].tolist(),
+                      ({"pair": pair} for pair in np.argwhere(off).tolist()))
         report.certificates.append(
             certificates.certificate_from_samples(
                 "curvature_smoothing_agreement",
-                {"eps_grid": list(EPS_GRID)},
-                [
-                    (residuals[x][y], SMOOTHING_AGREEMENT_TOL, {"pair": [x, y]})
-                    for x in range(M.n)
-                    for y in range(M.n)
-                    if x != y
-                ],
+                {"eps": f"min({EPS_MAX:g}, 1/(d Lambda))"},
+                list(samples),
                 tol=0.0,
             )
         )
@@ -195,13 +192,15 @@ def _heat_flow(report, M, dm, H, config: RunConfig) -> float:
     """kappa and the heat limit (_curvature_and_limit), then the contraction and gradient estimate.
 
     This stage owns the limit table's column starts, which start the
-    contraction table and die with this stage, before the functional
-    suite runs.  It returns K.
+    contraction table, handed over, so each dies after its column's
+    first solve.  It returns K.
     """
     K, starts = _curvature_and_limit(report, M, dm, H, config)
-    # the gradient estimate checks each time's contraction potential f* at that
+    # handed over, each start dies after its column's first solve, not with the table.
+    # The gradient estimate checks each time's contraction potential f* at that
     # time, where Lip(P_t f) reaches its sup (heat module docstring)
-    contraction, potentials = verify_transport_contraction(H, dm, K, config.certificate_tol, starts)
+    contraction, potentials = verify_transport_contraction(
+        H, dm, K, config.certificate_tol, handed_over(starts))
     report.certificates.append(
         verify_gradient_estimate(H, dm, K, potentials, tol=config.certificate_tol)
     )
@@ -218,10 +217,7 @@ def run_analysis(g: DirectedGraph, config: RunConfig) -> VerificationReport:
     dm = distances(g)
     M = markov_data(g)
     H = heat_operator(M)
-    applied = {"curvature_limit": HEAT_LIMIT_AGREEMENT_TOL}
-    if config.cross_check:
-        applied["smoothing_agreement"] = SMOOTHING_AGREEMENT_TOL
-    report = _new_report("analyze", g, config, **applied)
+    report = _new_report("analyze", g, config)
     K = _heat_flow(report, M, dm, H, config)
     _functional_suite(report, M, dm, K, config)
     return report
@@ -311,13 +307,15 @@ class _Parser(argparse.ArgumentParser):
     argparse takes a token for a negative number, a value rather than
     an option name, only in the forms -1 and -.5; this parser also
     takes exponents (-1e3, -1E-3, -.5e1), inf and nan, so that an
-    option's type decides whether the value is good.
+    option's type decides whether the value is good, and a pair x,y
+    whose x is negative (-1,2), so that the pair's parse names the
+    vertex out of range.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$|^-\d+,", re.IGNORECASE
         )
 
     def error(self, message: str):
@@ -379,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-override", type=_checked(float, "--k-override"), default=None,
                    help="verify the contraction statements at this rate instead of the computed K")
     p.add_argument("--cross-check", action="store_true",
-                   help="also compare the exact curvature against the smoothing route")
+                   help="also check kappa against the smoothing route at eps <= 1/(d Lambda)")
     _add_suite_options(p)
 
     p = sub.add_parser("curvature", help="curvature matrix and K")
@@ -387,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", nargs="+", metavar="X,Y", default=None,
                    help="restrict to these ordered pairs, each written x,y (json only)")
     p.add_argument("--cross-check", action="store_true",
-                   help="also compare kappa with the smoothing route (json only)")
+                   help="also compare with the smoothing route at eps <= 1/(d Lambda) (json only)")
 
     p = sub.add_parser("wasserstein", help="transport distance between two measures")
     _add_common(p)
@@ -459,8 +457,7 @@ def main(argv: list[str] | None = None) -> int:
                     (value,), (witness,), _starts = curvature.kappa_lp(x, [y], M, dm)
                     record = {"pair": [x, y], "kappa": value, "witness": witness.tolist()}
                     if args.cross_check:
-                        (limit,), (spread,) = kappa_limit(x, [y], M, dm)
-                        record.update(kappa_limit=limit, limit_spread=spread)
+                        (record["kappa_limit"],) = kappa_limit(x, [y], M, dm)
                     records.append(record)
                 text = render_json(records[0] if len(records) == 1 else records) + "\n"
             else:

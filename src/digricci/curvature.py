@@ -9,8 +9,14 @@ the exact route solves a single linear program
     kappa(x, y) = inf { grad_xy (L f) : Lip f <= 1, grad_xy f = 1 }
 
 whose feasible set contains f = d(x, .), so the program always has an
-optimum.  The two must agree in the small-eps limit, which the tests
-and the verification pipeline exercise against each other.
+optimum.  The smoothed curvature over eps tends to kappa as eps -> 0,
+and on the hop metric it reaches it: the quotient is kappa exactly
+once eps <= 1 / (d(x, y) Lambda), with Lambda as below (the directed
+form of the linear idleness regime of Bourne, Cushing, Liu, Muench &
+Peyerimhoff, SIAM J. Discrete Math. 32, 2018).  So the smoothing route
+solves each pair once, at eps = min(EPS_MAX, 1 / (d Lambda)), and
+agrees with the exact one up to rounding, which the tests and the
+verification pipeline hold each against the other.
 
 The exact program (the limit-free curvature of Muench & Wojciechowski,
 Adv. Math. 356, 2019) is solved through its LP dual, a min-cost flow
@@ -53,9 +59,41 @@ run over the stack.  The root's transport.RootBasis maps the excess
 onto the rows and reads the witnesses back off the duals, so this
 module indexes no row.
 
+Why the smoothing quotient is kappa.  Pbar(x, .) = delta_x - L[x], so
+nu_x_eps - nu_y_eps = (delta_x - delta_y) + eps (L[y] - L[x]), which is
+eps d times the excess c + (1 / (eps d)) (delta_x - delta_y): kappa's
+program with 1 / (eps d) in the place of Lambda.  The argument above
+needs only a push above Lambda - 1, so for eps <= 1 / (d Lambda) that
+W is eps d (d / (eps d) - kappa), hence
+W(nu_x_eps, nu_y_eps) = d - eps d kappa and
+(1 - W / d) / eps = kappa, with no limit taken.  EPS_MAX caps eps at
+1e-3, so the smoothed measures stay close to the point masses on every
+graph; the bench graphs' d Lambda <= 37.3 puts every pair of them there.
+
+Its rounding.  The quotient amplifies W's rounding by 1 / (eps d):
+kappa_limit - kappa = (W - W~) / (eps d) plus the quotient's own
+rounding, at most 2 u / eps, with u = 2^-52 and W~ the computed W.
+W = d - eps d kappa lies in [0, d + 2 eps], and to first order in u W~
+carries three roundings.  The measures': each entry rounded at most
+twice and the excess once more, 3 u per unit of mass, which W weighs
+by |f(v)|, at most d at x and y and at most n on the rest, whose mass
+is at most 2 eps: 3 u (d + 2 eps n) in all.  The flows': each basic
+value is a signed sum of excess entries (every B^-1 of the program
+holds 0 and +-1, and a pivot adds one basic value to another), so it
+is rounded by at most n u per unit of flow, and the flows cost W: at
+most n u W.  And their sum's, at most n u W.  With d >= 1 that is
+
+    |kappa_limit - kappa| <= ((2 n + 5) / eps + 10 n) u,
+
+the bound curvature_matrix's cross-check holds each pair to
+(CurvatureReport.cross_check_tol; analyze --cross-check's
+curvature_smoothing_agreement).  On the 4,896 ordered pairs of the 44 bench graphs (eps = 1e-3,
+n <= 12) the bound is at most 6.5e-12, |kappa_limit - kappa| at most
+5.1e-13, and no pair's exceeds 7.9 % of its bound.
+
 kappa_limit takes the same rows and solves each as one W table, a
-column per target, each column the warm chain over EPS_GRID that the
-pair's own row of one solves.  Both functions return arrays, one entry
+column per target, each column the one pair of its target at its eps,
+solved from its BFS tree.  Both functions return arrays, one entry
 per target, and kappa_lp also a list of starts: an arc target's
 optimum is a final basis of the arc's W program as it stands, so its
 start is the transport.ColumnStart of its solve on root x's out-tree,
@@ -79,11 +117,8 @@ from .chain import MarkovData
 from .digraph import DistanceMatrix
 from .errors import EpsOutOfRangeError, NumericsError, SameVertexError
 
-# smoothing grid: small enough to sit in the linear regime, two points
-# so the spread reports whether that actually happened
-EPS_GRID = (1e-3, 5e-4)
-# largest |exact - smoothing limit| over the pairs that counts as agreement
-SMOOTHING_AGREEMENT_TOL = 1e-4
+# the largest eps of the smoothing cross-check
+EPS_MAX = 1e-3
 
 
 @dataclass(frozen=True)
@@ -91,15 +126,17 @@ class CurvatureReport:
     """All ordered-pair curvatures with the global lower bound K.
 
     kappa has NaN on the diagonal.  When the smoothing cross-check ran,
-    cross_check holds |lp - limit| per pair.  kappa_lp returns each
-    pair's witness; the matrix keeps none.  arc_starts holds kappa_lp's
-    optimum of each arc as a transport.ColumnStart, aligned with
-    dm.arcs: the starts of the arcs' heat-flow W tables.
+    cross_check holds |lp - limit| per pair and cross_check_tol the
+    rounding bound each is held to (module docstring).  kappa_lp
+    returns each pair's witness; the matrix keeps none.  arc_starts
+    holds kappa_lp's optimum of each arc as a transport.ColumnStart,
+    aligned with dm.arcs: the starts of the arcs' heat-flow W tables.
     """
 
     kappa: np.ndarray
     K: float
     cross_check: np.ndarray | None = None
+    cross_check_tol: np.ndarray | None = None
     arc_starts: list = field(default_factory=list, repr=False, compare=False)
 
 
@@ -112,17 +149,22 @@ def smoothed_measure(x: int, eps: float, M: MarkovData) -> np.ndarray:
     return nu
 
 
-def _row(x: int, ys: np.ndarray, dm: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """A row of targets of root x as an int array, and d(x, y) over it.
+def _row(x: int, ys: np.ndarray, M: MarkovData, dm: DistanceMatrix) -> tuple[np.ndarray, ...]:
+    """A row of targets of root x as an int array, and d(x, y), c, Lambda and eps of each target.
 
-    SameVertexError if x is among the targets.
+    c = (L[y] - L[x]) / d(x, y) has one row per target, Lambda =
+    1 + 2 sum_v |c(v)| max(d(x, v), d(v, x)) and the smoothing's
+    eps = min(EPS_MAX, 1 / (d Lambda)) one entry each (module
+    docstring).  SameVertexError if x is among the targets.
     """
     ys = np.array(ys, dtype=int, ndmin=1)
     d = dm.d[x, ys]
     # d(x, y) = 0 exactly when y = x
     if not d.all():
         raise SameVertexError("curvature needs two distinct vertices")
-    return ys, d
+    c = (M.L.take(ys, axis=0) - M.L[x]) / d[:, None]
+    push = 1.0 + 2.0 * (np.abs(c) @ np.maximum(dm.d[x], dm.d[:, x]))
+    return ys, d, c, push, np.minimum(EPS_MAX, 1.0 / (d * push))
 
 
 def kappa_lp(
@@ -172,13 +214,10 @@ def kappa_lp(
     that choice: curvature --pairs prints it.  No report of analyze or
     verify-functional reads a witness, only kappa.
     """
-    ys, d = _row(x, ys, dm)
+    ys, d, c, push, _eps = _row(x, ys, M, dm)
     if not ys.size:
         return np.empty(0), np.empty((0, M.n)), []
     k = np.arange(len(ys))
-    c = (M.L.take(ys, axis=0) - M.L[x]) / d[:, None]
-    # Lambda of each target: 1 + 2 sum_v |c(v)| max(d(x, v), d(v, x))
-    push = 1.0 + 2.0 * (np.abs(c) @ np.maximum(dm.d[x], dm.d[:, x]))
     # the push's excess at x lies in the row the program drops
     excess = c.copy()
     excess[k, ys] -= push
@@ -210,31 +249,26 @@ def kappa_lp(
 
 def kappa_limit(
     x: int, ys: np.ndarray, M: MarkovData, dm: DistanceMatrix
-) -> tuple[np.ndarray, np.ndarray]:
-    """Over a row, the smoothed curvature over eps at the smallest eps of EPS_GRID, and the spread.
+) -> np.ndarray:
+    """Over a row, the smoothed curvature over eps, (1 - W(nu_x_eps, nu_y_eps) / d(x, y)) / eps.
 
-    The smoothed curvature of (x, y) is 1 - W(nu_x_eps, nu_y_eps) / d(x, y).
-    Near zero it is linear in eps, so the quotients stabilise; the
-    spread (max - min over the grid) reports how far into that regime
-    the grid reached.  ys is a row of targets of root x, as kappa_lp
-    takes it, and the limits and the spreads come back as two arrays
-    of shape (k,), both empty for an empty row; SameVertexError if x is
-    among the targets.  The row is one table (transport.wasserstein)
-    with a column per target: column y is the W of (x, y) over the
-    grid, in ascending eps, each from the previous eps's optimal basis,
-    the same chain a row of one solves, so a target's limit and spread
-    do not depend on the rest of its row.
+    Each target y is solved once, at its own
+    eps = min(EPS_MAX, 1 / (d Lambda)) (module docstring), where the
+    quotient is kappa(x, y) exactly, up to W's rounding, amplified by
+    1 / (eps d).  ys is a row of targets of root x, as kappa_lp takes
+    it, and the quotients come back as an array of shape (k,), empty
+    for an empty row; SameVertexError if x is among the targets.  The
+    row is one table (transport.wasserstein) of one pair per column, a
+    column per target, each solved from its BFS tree, so a target's
+    quotient does not depend on the rest of its row.
     """
-    ys, d = _row(x, ys, dm)
+    ys, d, _c, _push, eps = _row(x, ys, M, dm)
     if not ys.size:
-        return np.empty(0), np.empty(0)
-    grid = sorted(EPS_GRID)
-    # the table's axes: (eps, column y, entry); every column starts at x
-    nu_x = np.array([[smoothed_measure(x, e, M)] * len(ys) for e in grid])
-    nu_y = np.array([[smoothed_measure(y, e, M) for y in ys.tolist()] for e in grid])
-    w = transport.wasserstein(nu_x, nu_y, dm, verify=False).values
-    quotients = (1.0 - w / d) / np.array(grid)[:, None]
-    return quotients[0], quotients.max(axis=0) - quotients.min(axis=0)
+        return np.empty(0)
+    nu_x = np.array([[smoothed_measure(x, e, M) for e in eps.tolist()]])
+    nu_y = np.array([[smoothed_measure(y, e, M) for y, e in zip(ys.tolist(), eps.tolist())]])
+    w = transport.wasserstein(nu_x, nu_y, dm, verify=False).values[0]
+    return (1.0 - w / d) / eps
 
 
 def curvature_matrix(
@@ -247,12 +281,14 @@ def curvature_matrix(
     """
     n = M.n
     kappa = np.full((n, n), np.nan)
-    residuals = np.full((n, n), np.nan) if cross_check else None
+    residuals, tols = np.full((2, n, n), np.nan) if cross_check else (None, None)
     arc_starts = []
     for x in range(n):
         ys = np.flatnonzero(np.arange(n) != x)
         kappa[x, ys], _witness, starts = kappa_lp(x, ys, M, dm)
         arc_starts += [start for start in starts if start is not None]
         if cross_check:
-            residuals[x, ys] = np.abs(kappa[x, ys] - kappa_limit(x, ys, M, dm)[0])
-    return CurvatureReport(kappa, float(np.nanmin(kappa)), residuals, arc_starts)
+            residuals[x, ys] = np.abs(kappa[x, ys] - kappa_limit(x, ys, M, dm))
+            # the rounding bound ((2 n + 5) / eps + 10 n) u of the module docstring
+            tols[x, ys] = ((2 * n + 5) / _row(x, ys, M, dm)[-1] + 10 * n) * np.finfo(float).eps
+    return CurvatureReport(kappa, float(np.nanmin(kappa)), residuals, tols, arc_starts)

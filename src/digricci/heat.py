@@ -78,7 +78,7 @@ each grid in its own order; a W table runs over it in ascending order.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,7 +198,7 @@ def verify_gradient_estimate(
 
 def _heat_flow_w(
     H: HeatOperator, dm: DistanceMatrix, times: Sequence[float], xs: np.ndarray, ys: np.ndarray,
-    starts: Sequence[transport.ColumnStart | None] | None,
+    starts: Iterable[transport.ColumnStart | None] | None,
 ) -> transport.TransportTable:
     """W(p_x_t, p_y_t) at each of the ascending times (rows) for each pair (columns), as a table.
 
@@ -215,7 +215,7 @@ def verify_transport_contraction(
     dm: DistanceMatrix,
     K: float,
     tol: float = DEFAULT_TOL,
-    starts: Sequence[transport.ColumnStart | None] | None = None,
+    starts: Iterable[transport.ColumnStart | None] | None = None,
 ) -> tuple[InequalityCertificate, np.ndarray]:
     """Check W(p_x_t, p_y_t) <= exp(-K t) d(x, y) over all ordered pairs, t in TIME_GRID.
 
@@ -233,9 +233,11 @@ def verify_transport_contraction(
     starts (one per arc of dm.arcs, in its order: the ColumnStarts
     curvature_time_limit returns for the arcs, the ones kappa_lp makes
     of them, or None for a BFS tree; all BFS trees without starts),
-    each later one from the
-    previous time's optimal basis (see the module docstring); the
-    comparisons are listed time by time, arcs in order within each.
+    each later one from the previous time's optimal basis (see the
+    module docstring).  The table holds an entry only until its
+    column's first solve, so starts handed over (transport.handed_over)
+    die one arc at a time.  The comparisons are listed time by time,
+    arcs in order within each.
 
     Returns the certificate and the potentials f*, shape
     (len(TIME_GRID), n): row i is the Kantorovich potential of the
@@ -270,7 +272,7 @@ def curvature_time_limit(
     dm: DistanceMatrix,
     xs: np.ndarray,
     ys: np.ndarray,
-    starts: Sequence[transport.ColumnStart | None] | None = None,
+    starts: Iterable[transport.ColumnStart | None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[transport.ColumnStart]]:
     """Small-time curvature (1/t)(1 - W(p_x_t, p_y_t) / d(x, y)) of each pair (xs[j], ys[j]).
 

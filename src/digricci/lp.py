@@ -54,12 +54,11 @@ the flow behind the Wasserstein distance, of which each per-pair
 curvature program is an instance (a push from x to y, see the
 curvature module), from a shortest-path tree (into or out of a root)
 whose start the transport module builds once per graph, root and
-direction, with the tree's path matrix as its exact inverse; the
-smoothing W of one pair go on from the previous smoothing's warm
-start.  The heat-flow W of an arc start from its curvature optimum, a
-basis of the arc's W program as it stands (a carried start, checked
-once, or the tree's own when that solve took no pivot), and go on
-from the previous time's.  Two reference programs the tests hold it
+direction, with the tree's path matrix as its exact inverse.  The
+heat-flow W of an arc start from its curvature optimum, a basis of the
+arc's W program as it stands (a carried start, checked once, or the
+tree's own when that solve took no pivot), and go on from the previous
+time's.  Two reference programs the tests hold it
 to take the same path: the coupling program of solve_transport,
 a flow on the complete bipartite graph of the two supports, drops the
 row sum of row 0 and starts from the tree that assemble_transport_lp

@@ -50,10 +50,9 @@ as most along a chain do, ended on its own start, which is handed on
 unchanged; otherwise the final rows are carried into the next solve as
 they stand, and only the inverse is formed, one m x m product off the
 final rows, and checked with them (lp.Start.from_final).  The heat
-module solves each arc along increasing t, and the curvature module
-each pair along increasing smoothing, each solve from the previous
-optimum: the measures move little, and at small t the optimal tree
-mostly stops changing.
+module solves each arc along increasing t, each solve from the
+previous optimum: the measures move little, and at small t the optimal
+tree mostly stops changing.
 
 The first solve of a column may start from a final basis of an earlier
 solve too, kept as a ColumnStart: the root and direction of the tree
@@ -83,26 +82,29 @@ without one a column starts from the BFS tree above.
 
 Those chains are wasserstein's table form: given nu0 and nu1 of shape
 (k, a, n), fast mode only, it solves column j as a chain of k measure
-pairs, the first from start[j].start (start[j] a ColumnStart, or None
-for the column's own BFS tree) and each later one from the previous
-pair's optimum.  The table checks that start[j] belongs to its
-DistanceMatrix before it reads the start.  Both stacks are checked
-once, the excess is formed once and gathered onto each column's rows
-once, and a step hands its LpSolution.warm_start() on.  The table takes
-the solves as the chains make them and keeps of each its value and
-flow; of the LpSolutions, which hold their final rows, it keeps only
-each row's first largest W, and of each column's last solve its
-ColumnStart, so at most k + 2 solves are alive while it runs.  The
-heat module's time grids over the arcs, the curvature module's eps
-grid and the concentration module's densities (columns of one pair)
-are one table each.  A single pair is
-verify mode only, solved by the same loop as a table of one pair, and
-reads its potential and coupling off that solve.  The table is a form
-of wasserstein rather than a function of its own so that every W solve
-runs under wasserstein, called by the certificate that needs it: a
-tracer that attributes each LP solve to the caller of wasserstein sees
-the same solves under the same callers, one wasserstein call per
-table.
+pairs, the first from the start of the column's record (a ColumnStart,
+or None for the column's own BFS tree) and each later one from the
+previous pair's optimum.  The table reads the records one per column, as
+the column begins, checks that the record belongs to its DistanceMatrix
+before it reads the start, and holds it only until the column's first
+solve: records handed over (handed_over), as analyze hands the
+contraction table the limit table's, die one column at a time.  Both
+stacks are checked once, the excess is formed once and gathered onto
+each column's rows once, and a step hands its LpSolution.warm_start()
+on.  The table takes the solves as the chains make them and keeps of
+each its value and flow; of the LpSolutions, which hold their final
+rows, it keeps only each row's first largest W, and of each column's
+last solve its ColumnStart, so at most k + 2 solves are alive while it
+runs.  The heat module's time grids over the arcs, the curvature
+module's smoothing row (a column of one pair per target) and the
+concentration module's densities (columns of one pair) are one table
+each.  A single pair is verify mode only, solved by the same loop as a
+table of one pair, and reads its potential and coupling off that solve.
+The table is a form of wasserstein rather than a function of its own so
+that every W solve runs under wasserstein, called by the certificate
+that needs it: a tracer that attributes each LP solve to the caller of
+wasserstein sees the same solves under the same callers, one
+wasserstein call per table.
 
 The row duals of the final basis are a Kantorovich potential f with
 f(w) - f(z) <= 1 on every arc; summing along geodesics, that is
@@ -121,7 +123,7 @@ pair instead (one flow column per pair, started from the star of pairs
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sized
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -504,20 +506,34 @@ def _start_trees(excess: np.ndarray) -> list[tuple[int, bool]]:
     return list(zip(np.where(inward, s, r).tolist(), inward.tolist()))
 
 
+def handed_over(starts: list) -> Iterator:
+    """The entries of starts in order, each dropped from the list as it is read.
+
+    A table reads its starts one per column and holds each only until
+    the column's first solve, so a list handed over this way keeps no
+    record alive past it: the list ends empty.
+    """
+    while starts:
+        yield starts.pop(0)
+
+
 def _chains(
-    excess: np.ndarray, dm: DistanceMatrix, starts: Sequence[ColumnStart | None]
+    excess: np.ndarray, dm: DistanceMatrix, starts: Iterator[ColumnStart | None]
 ) -> Iterator[tuple[tuple[int, bool], RootBasis, lp.LpSolution]]:
     """Each solve of a table, column by column: its tree's (root, inward), the tree and the optimum.
 
     excess has shape (k, a, n).  Column j is a warm chain of k solves,
-    the first from starts[j].start on the tree of its root and direction
-    (the BFS tree of _start_trees when None) and each later one from the
-    previous solve's optimum.  ValueError if a start was solved on
+    the first from the start of the j-th record of starts on the tree of
+    its root and direction (the BFS tree of _start_trees when None), and
+    each later one from the previous solve's optimum.  starts yields one
+    record per column, each read as its column begins and not held past
+    the column's first solve.  ValueError if a start was solved on
     another graph's program: dm, whose root trees are its graph's, has
     no tree of the start's root and direction, or one whose incidence is
     not the start's.
     """
-    for column, first, cold in zip(excess.transpose(1, 0, 2), starts, _start_trees(excess[0])):
+    for column, cold in zip(excess.transpose(1, 0, 2), _start_trees(excess[0])):
+        first = next(starts)
         if first is None:
             key = cold
             tree = root_basis(dm, *cold)
@@ -528,6 +544,8 @@ def _chains(
             if tree is None or tree.start.A is not first.program.A:
                 raise ValueError("start was solved on another DistanceMatrix")
             warm = first.start
+        # the record's start lives on in warm and the first solve, the record no longer
+        del first
         solution = None
         for b in column[:, tree.vertices]:
             if solution is not None:
@@ -540,9 +558,9 @@ def _table(
     nu0: np.ndarray,
     nu1: np.ndarray,
     dm: DistanceMatrix,
-    start: Sequence[ColumnStart | None] | None,
+    start: Iterable[ColumnStart | None] | None,
 ) -> TransportTable:
-    """wasserstein's table form: column j is a warm chain of pairs from start[j]."""
+    """wasserstein's table form: column j is a warm chain of pairs from start's j-th record."""
     n = dm.d.shape[0]
     lead = np.shape(nu0)[:2]
     nu0 = _check_probability(nu0, n, "nu0", lead)
@@ -550,14 +568,15 @@ def _table(
     k, a = lead
     if not k:
         raise MarginalMismatchError("a table needs at least one pair of measures per column")
-    starts = (None,) * a if start is None else tuple(start)
-    if len(starts) != a:
+    starts = (None,) * a if start is None else start
+    # a handed-over start has no len: its columns read it as it stands
+    if isinstance(starts, Sized) and len(starts) != a:
         raise ValueError(f"a table of {a} columns takes {a} starts, got {len(starts)}")
     excess = nu0 - nu1
     # the solves stream in column by column; of each only what the table keeps stays
     values = np.empty((a, k))
     flows, binding, column_starts = [], {}, []
-    for index, (key, tree, solution) in enumerate(_chains(excess, dm, starts)):
+    for index, (key, tree, solution) in enumerate(_chains(excess, dm, iter(starts))):
         j, i = divmod(index, k)
         values[j, i] = solution.value
         flows.append(solution.x)
@@ -575,7 +594,7 @@ def wasserstein(
     nu1: np.ndarray,
     dm: DistanceMatrix,
     verify: bool = True,
-    start: Sequence[ColumnStart | None] | None = None,
+    start: Iterable[ColumnStart | None] | None = None,
 ) -> TransportPlan | TransportTable:
     """Directed transport distance between two probability vectors, or over a table of pairs.
 
@@ -593,16 +612,19 @@ def wasserstein(
     acyclic, is then split into the coupling pi.
 
     The table form, fast mode only (ValueError with verify=True), takes
-    nu0 and nu1 of shape (k, a, n), k >= 1, and start as None or one
-    start per column, each a ColumnStart (kappa_lp's of an arc, or an
-    earlier table's of a column) or None.  Column j is a chain: pair 0
-    solves from start[j].start (on the tree of its root, checked once
-    when it was formed) or, for None, from the
+    nu0 and nu1 of shape (k, a, n), k >= 1, and start as None or an
+    iterable of one start per column, each a ColumnStart (kappa_lp's of
+    an arc, or an earlier table's of a column) or None.  Column j is a
+    chain: pair 0 solves from the j-th record's start (on the tree of
+    its root, checked once when it was formed) or, for None, from the
     BFS tree a single pair would take, and pair i from pair i - 1's
-    optimal basis.  ValueError if a start was solved on another
-    DistanceMatrix, whose program is another one.  Each row of both
-    stacks is checked as a single measure is, once per table; the error
-    names the first bad row, nu0[i, j] say.  It returns a
+    optimal basis.  The table reads each record as its column begins
+    and holds it only until the column's first solve, so records handed
+    over (handed_over) die there, one column at a time.  ValueError if a
+    start of a len does not hold one record per column, or if a start
+    was solved on another DistanceMatrix, whose program is another one.
+    Each row of both stacks is checked as a single measure is, once per
+    table; the error names the first bad row, nu0[i, j] say.  It returns a
     TransportTable: values of shape (k, a), each column's last optimum
     as a ColumnStart, and the residual over every solve and the
     potential of each row's largest W, both formed on first read.
@@ -619,7 +641,7 @@ def wasserstein(
     n = dm.d.shape[0]
     nu0 = _check_probability(nu0, n, "nu0")
     nu1 = _check_probability(nu1, n, "nu1")
-    ((_key, tree, solution),) = _chains((nu0 - nu1)[None, None], dm, (None,))
+    ((_key, tree, solution),) = _chains((nu0 - nu1)[None, None], dm, iter((None,)))
     value = float(solution.value)
     f = tree.potentials(solution.rows[-1:])[0]
     f = f - f[0]

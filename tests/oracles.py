@@ -530,14 +530,16 @@ def eager_certificate(solution) -> tuple[np.ndarray, float, float]:
     off the whole final tableau of the solve run again by eager_tableau:
     y off the final cost row through the start's inverse, |c.x - y.b|,
     and the largest violation of A x = b and x >= 0 by the unclipped
-    basic values of that tableau.
+    basic values of that tableau, read as a contiguous vector, as
+    LpSolution.feasibility_residual defines it: BLAS sums a strided
+    column in another order.
     """
     start, b = solution.start, solution.b
     T, basis, _iterations = eager_tableau(start, b)
     b0 = start.basis
     y = (start.c[b0] - T[-1, b0]) @ start.inverse
     gap = abs(float(start.c @ solution.x) - float(y @ b))
-    basic = T[:-1, -1]
+    basic = np.ascontiguousarray(T[:-1, -1])
     err = float(np.abs(start.A[:, basis] @ basic - b).max(initial=0.0))
     return y, gap, max(0.0, err, float(-basic.min(initial=0.0)))
 

@@ -75,7 +75,7 @@ def test_criterion_1_fixture_exactness(g_c3, g_k3, g_tri):
                     continue
                 (value,), _, _ = kappa_lp(x, [y], M, dm)
                 worst_lp = max(worst_lp, abs(value - 1.5))
-                (limit,), _ = kappa_limit(x, [y], M, dm)
+                (limit,) = kappa_limit(x, [y], M, dm)
                 worst_limit = max(worst_limit, abs(limit - 1.5))
     m = perron_measure(transition_kernel(g_tri))
     perron_err = float(np.abs(m - np.array([0.4, 0.4, 0.2])).max())
@@ -99,7 +99,7 @@ def test_criterion_2_route_equivalence(bundles):
             for y in range(b.g.n):
                 if x == y:
                     continue
-                (limit,), _ = kappa_limit(x, [y], b.M, b.dm)
+                (limit,) = kappa_limit(x, [y], b.M, b.dm)
                 worst = max(worst, abs(b.curv.kappa[x, y] - limit))
                 pairs += 1
     elapsed = time.perf_counter() - start

@@ -611,8 +611,19 @@ def test_fast_mode_residual_is_formed_on_read_as_it_was_at_once(instance):
     assert "marginal_residual" in vars(table)
 
 
+# 0 -> 1, 1 -> 3, 1 -> 4, 1 -> 5, 2 -> 4, 3 -> 2, 3 -> 5, 4 -> 6, 5 -> 1, 5 -> 4, 6 -> 0,
+# 6 -> 1, and measures proportional to (3, 9, 3, 5, 2, 4, 1) and (7, 5, 8, 9, 4, 5, 6): W
+# takes one pivot, and its basic values give the feasibility residual 1.39e-17 read
+# contiguously but 0.0 read as the strided column of the tableau
+STRIDED_MU = np.zeros((7, 7))
+STRIDED_MU[[0, 1, 1, 1, 2, 3, 3, 4, 5, 5, 6, 6], [1, 3, 4, 5, 4, 2, 5, 6, 1, 4, 0, 1]] = 1.0
+STRIDED_NU0, STRIDED_NU1 = (w / w.sum() for w in np.array(
+    [[3, 9, 3, 5, 2, 4, 1], [7, 5, 8, 9, 4, 5, 6]], dtype=float))
+
+
 @PROPERTY_SETTINGS
 @given(tree_basis_instances(), st.booleans())
+@example((build_graph(STRIDED_MU), STRIDED_NU0, STRIDED_NU1), False)
 def test_the_lp_certificate_is_formed_on_read_as_it_was_at_once(instance, verify):
     """A W table forms no duals, gap or residual; once read, each is the eager one, bit for bit."""
     g, nu0, nu1 = instance

@@ -217,11 +217,11 @@ def test_traced_curvature_sparse_solves_every_program_under_kappa_lp(bench, run,
 
 
 def test_traced_queries_keep_the_pair_path_solve_counts(bench, run, tmp_path, capsys):
-    """queries seed 1, traced: 400 LP solves and 1,026 pivots over its 100 pair questions.
+    """queries seed 1, traced: 300 LP solves and 1,026 pivots over its 100 pair questions.
 
     Each question asks curvature --pairs with --cross-check, one kappa
-    program under kappa_lp and a column of two smoothing W under
-    kappa_limit, and wasserstein --plan, one verify-mode W under the
+    program under kappa_lp and one smoothing W, at the pair's own eps,
+    under kappa_limit, and wasserstein --plan, one verify-mode W under the
     wasserstein subcommand; heat and perron solve none.  A solve that
     left its caller's span would move to "other".
     """
@@ -240,8 +240,8 @@ def test_traced_queries_keep_the_pair_path_solve_counts(bench, run, tmp_path, ca
     by_caller = {key: metrics[f"lp.solves.by.{key}"]
                  for key in ("kappa_lp", "kappa_limit", "main.wasserstein", "other")}
     assert len(workload.requests) == 100
-    assert by_caller == {"kappa_lp": 100, "kappa_limit": 200, "main.wasserstein": 100, "other": 0}
-    assert metrics["lp.solve_lp.calls"] == 400
+    assert by_caller == {"kappa_lp": 100, "kappa_limit": 100, "main.wasserstein": 100, "other": 0}
+    assert metrics["lp.solve_lp.calls"] == 300
     assert metrics["lp.pivots"] == 1026
 
 

@@ -197,6 +197,14 @@ def test_a_negative_number_is_a_value_in_either_form(value):
         assert json.loads(out)["curvature"]["K_used"] == float(value)
 
 
+@pytest.mark.parametrize("pairs", [["-1,2"], ["0,1", "-1,0"], ["-3,1", "0,-1"]])
+def test_a_negative_pair_names_its_vertex(pairs):
+    """A pair whose first vertex is negative is a value, so its parse names the vertex."""
+    vertex = next(pair for pair in pairs if pair.startswith("-")).split(",")[0]
+    assert run_cli(["curvature", C3_EDGES, "--pairs", *pairs]) == (
+        2, "", f"error: pair vertex {vertex} out of range for n=3\n")
+
+
 @FUZZ_SETTINGS
 @given(st.data())
 def test_fuzzed_measure_files_exit_by_the_contract(tmp_path_factory, data):

@@ -80,7 +80,7 @@ PINS = {
         "analyze":
             "564eaff23a2ce5f5e377c31cbaabc1833a4276510aca975f6e791487eac6617b",
         "analyze --cross-check":
-            "c3b91aaf5bca5f9dfd5ec6af9a06d780483a59f7a6dbdb11f628aef671645548",
+            "0fcf84b66fef84a54f22da635b85fe690d32314e143561243628dcd8aaa23694",
         "analyze --format table":
             "fa6c8c0d1eb16e9d49dc0e355a527528d28891dead194c191d7faa5065eddfde",
         "verify-functional":
@@ -88,9 +88,9 @@ PINS = {
         "curvature":
             "3348b5865fd51b09ab695364cb2a4a0e68d83c12b26b941ce04e464f70b5ebf1",
         "curvature --cross-check":
-            "9f125cdc0e91da0b3d1a7d786a0190e76e905446d811f2080fbbb8494085e42f",
+            "a255424203ccb2e8c06540c8e7089ad56f6bfe951f147858e63c6f56b5f9d8d3",
         "curvature --pairs 0,1 --cross-check":
-            "72ab9a49cce8f1de05c12922f7443feb9de34ae39653d44ddac7b0bffbe7ec41",
+            "820d7489ff0d01d3b019c6c41cf26ca54537680af051c46fd925a0c92c095ed2",
         "wasserstein dirac:0 dirac:{last} --plan":
             "50b464f8e01759941e61142e2bf4c3ef5cfce67ae6bcf75f537a739c7841201a",
         "heat --t 0.5 --kernel 0":
@@ -116,7 +116,7 @@ PINS = {
         "analyze":
             "fca60f37b90c91d6e8c7a2d2a5a68b776840f310131b51db7df04852e4165dec",
         "analyze --cross-check":
-            "9c7ed1e5546e9427f48833a7a714fce3b9c44e4d09d32213e02f196a46d01a4a",
+            "8eb5d1cbf37f382da1424b4d1ee0c3d39cd38bbdea7de17bec66f8f0ad067793",
         "analyze --format table":
             "22d23c5804feece23283f4269ae9e9fe5137cb4be791e998f8836c61930346a4",
         "verify-functional":
@@ -124,9 +124,9 @@ PINS = {
         "curvature":
             "bbdd7d8b258e011456b8b7d209bfd470364bb67ae5a437c7a26ebee0b99b7bdc",
         "curvature --cross-check":
-            "7edcd8b27ac15d58a5dccbc1c7eb81f830e7810194f0808f33c72b10d19966ee",
+            "34acaef32a3ff48831ecf29b548141404c834e20bff5faf2534228782fdc87df",
         "curvature --pairs 0,1 --cross-check":
-            "054cccee31cb6eb5f6402518ae1959ed115e7ea432ae19d50f30da6d8243c4ab",
+            "12aa6ec69b9e64abaf2174bbf4f4fae21c40077c9371e422771df9ea3840b594",
         "wasserstein dirac:0 dirac:{last} --plan":
             "61e12de5cbf3ba50b03452f1dc598ad7d2890d110cad8e3095dd56ed2c53f99a",
         "heat --t 0.5 --kernel 0":
@@ -152,7 +152,7 @@ PINS = {
         "analyze":
             "ec5030fc6d6c6f75c33db17869b158528626d64ef10a4493e2adf78e37ba9b7b",
         "analyze --cross-check":
-            "151da2606179e374a8ae71b1cfd49965b720572d00e6712beb507782cdd9522a",
+            "bc5fa7b5dbf9309072ca8bc77d40a5a074444e0c18762c6cfee7e5459977a359",
         "analyze --format table":
             "79b3b5ad2021b3749230d3d7f50fec73357ef3eb2a217392a5b9b40d6df4fe7d",
         "verify-functional":
@@ -160,9 +160,9 @@ PINS = {
         "curvature":
             "407f482cf22984d2d2c203bffbd19e449fe7367213854c0d8ccd0957d021ad1a",
         "curvature --cross-check":
-            "617851c3e5bc0cc47e4f9dfd9dc7ed456c9f6086257a3b20ea1635c622b920bc",
+            "d84d16535fcf0d597deda21edee0b9a3afbde8a56739d15c68d5960eb3653348",
         "curvature --pairs 0,1 --cross-check":
-            "91fbe495247a7098de5b87d2e71dd10678877acc62d8d9533cd73e153c415071",
+            "b5cb075149290cfb5364146601d5f5cd41bd3ca58b43e1275157bbad5f3e8df8",
         "wasserstein dirac:0 dirac:{last} --plan":
             "8774f7cfba7fe302ba7b06d0e495671d9024b6da4581d8389a2956915ece7239",
         "heat --t 0.5 --kernel 0":
@@ -188,7 +188,7 @@ PINS = {
         "analyze":
             "a46758add6e460d7bf39e9f1a8067b52f7764b531dfbf12636c4234b694ba35a",
         "analyze --cross-check":
-            "c7d30eb5e03e849e6ccb9d31b8b9672faf14b42b41535fdbd263cb13b9a69aec",
+            "30833924ac0e63d05ed6769396735e691985f272168abc4801e32072d61d192d",
         "analyze --format table":
             "186daefa1a634f0f69e53923f620190448615fd386d066bd114da27cd260d1a1",
         "verify-functional":
@@ -196,9 +196,9 @@ PINS = {
         "curvature":
             "1e0ae7cb90de7367a8840894a6af2ccf5bd6b8c81c4b621ddf633b9477b6c93e",
         "curvature --cross-check":
-            "601a8dd5717c780aea4922811acb6949e03c2099d16885440038e14a998a8e8e",
+            "8a734caa9970db0f06f670bcdc17b3c671925f3cb3bce31647e2c96856975246",
         "curvature --pairs 0,1 --cross-check":
-            "86862bd69315a532b8f3e2e418897f4be734a1cd5175b0a406ff70a3383f9bd7",
+            "073ed103bbe25ad915648b3f6b7bdc14d5f155a5e2c98e6a0e6cf039a94a260e",
         "wasserstein dirac:0 dirac:{last} --plan":
             "2a3b0e492b4ff3c6f30bc874817fa128025f8263a11f4375ce63d676220b31ea",
         "heat --t 0.5 --kernel 0":
@@ -224,7 +224,7 @@ PINS = {
         "analyze":
             "8116a42d65e5615a01e9de2a9911a1a9946dd044dc9cc46a9602fba14e18bf4c",
         "analyze --cross-check":
-            "0b096e870713cca4e6f2b54e9445e3815f66ca0e37ca7651f21faab7b8035bdc",
+            "1cf75fe8b8a8ae97bdf4bcd4459409075e53007135ff9f719c3c613458552b33",
         "analyze --format table":
             "44e03ed948db7c7e742c206adbd668016d2f9cf649a99537667bed6d08ce475a",
         "verify-functional":
@@ -232,9 +232,9 @@ PINS = {
         "curvature":
             "eeb50480d06f7ca06ee056d7b4aa033d81ac170e9df58e3caa28615866ddebf7",
         "curvature --cross-check":
-            "385394149746fbf7f23cd6214e30ee04bcfe17112deda6c4455088e09db95784",
+            "0eff0a499444db2983b72cd659fd24547d9a9439ccb2982321431898ceac46a9",
         "curvature --pairs 0,1 --cross-check":
-            "cf936ad3db94bf3522c9197bc067dd25bb11d733ccb2977bda894bb82c24e45b",
+            "f24dfd6589cc304d414bf0a6a61a7edbc019cd4d0ce68d2b4011ed8999f97b83",
         "wasserstein dirac:0 dirac:{last} --plan":
             "7ccef98f6695483f48e21f2b67393049f0d2ba2ec7fdf2cdac82bf1514ae075e",
         "heat --t 0.5 --kernel 0":
@@ -260,7 +260,7 @@ PINS = {
         "analyze":
             "221e357b7f62376db6889e7f8c26947eb9981a6a818ec2de357b70b2792c97fa",
         "analyze --cross-check":
-            "2bfe9ceceaa9adf75d868c46c48d212218310b2b4205920a9e13eacf2d27192d",
+            "98b46aae7dcf77bbe51a0bff61b6a0b598498494a73d86d3c64a248ba8496245",
         "analyze --format table":
             "7cc72c4aff399c173b1648fb9e9d9519556de0c2e388b0af3e93b3c063ba0f2e",
         "verify-functional":
@@ -268,9 +268,9 @@ PINS = {
         "curvature":
             "117dc5e515f1b6a1ea8ea6e93f78c7dae456a165835311f59063c78af60879bc",
         "curvature --cross-check":
-            "7e5980e3f4b3d55f4d5da61fbfa1a426bfe9bb9d67bfb2a3a040dea9034c8bd9",
+            "e031a6f4782377918441de3dba835c60c9e816c2f6c3032d9ca506cbca231282",
         "curvature --pairs 0,1 --cross-check":
-            "bad02a370d42c39b90b3db641e040cc178558cd00edb1c24908e58472d6ad263",
+            "2c55257f15be1eb3dea45da3cecce9b7c5f580cf56a06bd97e7b5b405631fda7",
         "wasserstein dirac:0 dirac:{last} --plan":
             "2f6036032c12d192f1cac5947e5f3e027ae3cfee01d45c364ca6027d21830803",
         "heat --t 0.5 --kernel 0":
@@ -296,7 +296,7 @@ PINS = {
         "analyze":
             "d12f559dc0318ea8fbae8f8cab363daace69793fb14bc04a459f7e23ae8fcdf6",
         "analyze --cross-check":
-            "1462a231b33aec6d9d2e6ce996e04e17b504bdeec97906d0aafdf83314667c95",
+            "e357768e64047c80409300f3c6b46c50f86a9a43a7624f8b4f3e079b62045650",
         "analyze --format table":
             "5b5ef0dc7ef3612adda60da37b20ccbc2945f9f3a0256c309bd9c69745b8e5dd",
         "verify-functional":
@@ -304,9 +304,9 @@ PINS = {
         "curvature":
             "9ce9f702e720996ea3550ebd56dd7c855c99fa282f63faa6cdcd926f8e2246cb",
         "curvature --cross-check":
-            "a2b73bf017fa56dc3fc4d300fe7bc3ae4daf8846379b496d82b7e81f49931634",
+            "ee387e3447466e8c0787c258fb512d96ed87847c253e44cac4c4ea9a91ec3a9b",
         "curvature --pairs 0,1 --cross-check":
-            "253eb9e0109ef98d336b1f7a96e6a578d897abbcb2d8251c6b67a3edc3974102",
+            "abf002df539511e2eec13297f1d5402d56eb30ddfba79d3b7ffcdea8be047b5d",
         "wasserstein dirac:0 dirac:{last} --plan":
             "72c99cf352509ced4a7c414442ad1d46e85c48324277714ff867d576774a6196",
         "heat --t 0.5 --kernel 0":
@@ -332,7 +332,7 @@ PINS = {
         "analyze":
             "2e8a3808cddf1231d750192d8f13dbe5eaa05a76f703ee998ae32f42c2434abd",
         "analyze --cross-check":
-            "6be10636d1238664c2358b172002675947a2ac7c5b9144ef35c0b60aacbfa297",
+            "41e7a5da37e34f64fd42b048f35d161ba9bedf7b99d90fdf16aaad4ca9a8fb5f",
         "analyze --format table":
             "8e296dca2bc65520868cbfedab1424dca7aa0bd449dc77ab37ada639e897b3f8",
         "verify-functional":
@@ -340,9 +340,9 @@ PINS = {
         "curvature":
             "988c59da817daa1e5187c2cb3eace641a98302b5704275226c2fed7b431117d5",
         "curvature --cross-check":
-            "2c262513c726be315a64fb646c82c370f6fe0bebcaa5e58493de6fd2337f0f30",
+            "f38a56d913bef81b6e9ed1ffbb9e83721b648deffa23462c8acd8454d05e8ed5",
         "curvature --pairs 0,1 --cross-check":
-            "7f65c84c6bec0e370c65e6fdc0822c4f48c47be401541c9449fa8851786be389",
+            "37df843f734c43daa8d2bcf0537b8047cb07d297a6bbeda2ac026d67b79dc57e",
         "wasserstein dirac:0 dirac:{last} --plan":
             "eaa920fde7a7cd3d19a0cea5c15a5423322b9ded67a012712f51b3148c80e41f",
         "heat --t 0.5 --kernel 0":
@@ -368,7 +368,7 @@ PINS = {
         "analyze":
             "8116a42d65e5615a01e9de2a9911a1a9946dd044dc9cc46a9602fba14e18bf4c",
         "analyze --cross-check":
-            "0b096e870713cca4e6f2b54e9445e3815f66ca0e37ca7651f21faab7b8035bdc",
+            "1cf75fe8b8a8ae97bdf4bcd4459409075e53007135ff9f719c3c613458552b33",
         "analyze --format table":
             "44e03ed948db7c7e742c206adbd668016d2f9cf649a99537667bed6d08ce475a",
         "verify-functional":
@@ -376,9 +376,9 @@ PINS = {
         "curvature":
             "eeb50480d06f7ca06ee056d7b4aa033d81ac170e9df58e3caa28615866ddebf7",
         "curvature --cross-check":
-            "385394149746fbf7f23cd6214e30ee04bcfe17112deda6c4455088e09db95784",
+            "0eff0a499444db2983b72cd659fd24547d9a9439ccb2982321431898ceac46a9",
         "curvature --pairs 0,1 --cross-check":
-            "cf936ad3db94bf3522c9197bc067dd25bb11d733ccb2977bda894bb82c24e45b",
+            "f24dfd6589cc304d414bf0a6a61a7edbc019cd4d0ce68d2b4011ed8999f97b83",
         "wasserstein dirac:0 dirac:{last} --plan":
             "7ccef98f6695483f48e21f2b67393049f0d2ba2ec7fdf2cdac82bf1514ae075e",
         "heat --t 0.5 --kernel 0":
@@ -404,7 +404,7 @@ PINS = {
         "analyze":
             "3d1821b3cee67d93958f35c79e969834c6131d863abf9f3797eec289344b7dab",
         "analyze --cross-check":
-            "bdee972e3b34a7e57b8e84c8c7e3560b70b102df7d0d3b0955bdb7b645a45909",
+            "a29febf1076175f757cff8c4207ab79a5aeccec38edeb0d403f1632876e73011",
         "analyze --format table":
             "8c3a207490cb774c4e717d7210fa22f8c3849c89fbbd2f8d5f7d72d11a73d664",
         "verify-functional":
@@ -412,9 +412,9 @@ PINS = {
         "curvature":
             "8bb193c384ed5e1260d61ef51928b55d992433a02489836fda96a57266633845",
         "curvature --cross-check":
-            "e9e68573e2502e8414a3ed22ace59ac3b919a4ce0b7b62a80d78ff4de96bd642",
+            "e205dd1fa27805f20bf74f0868059e6f757a0a4f761f5e616bd28941fab340d7",
         "curvature --pairs 0,1 --cross-check":
-            "372abe65ace163d5d15104d5320cbd8dceba94587937deeb73f7acc3ce8dc207",
+            "9e55ff48c90a8336beb08dfaba903222979b7e8343ac0fe104ae92d3739fb4c6",
         "wasserstein dirac:0 dirac:{last} --plan":
             "e9c1a756f1593804838d7e80fbe01265a337372cd879707a4b70eb0a3dff3ea8",
         "heat --t 0.5 --kernel 0":
@@ -440,7 +440,7 @@ PINS = {
         "analyze":
             "d12f559dc0318ea8fbae8f8cab363daace69793fb14bc04a459f7e23ae8fcdf6",
         "analyze --cross-check":
-            "1462a231b33aec6d9d2e6ce996e04e17b504bdeec97906d0aafdf83314667c95",
+            "e357768e64047c80409300f3c6b46c50f86a9a43a7624f8b4f3e079b62045650",
         "analyze --format table":
             "5b5ef0dc7ef3612adda60da37b20ccbc2945f9f3a0256c309bd9c69745b8e5dd",
         "verify-functional":
@@ -448,9 +448,9 @@ PINS = {
         "curvature":
             "9ce9f702e720996ea3550ebd56dd7c855c99fa282f63faa6cdcd926f8e2246cb",
         "curvature --cross-check":
-            "a2b73bf017fa56dc3fc4d300fe7bc3ae4daf8846379b496d82b7e81f49931634",
+            "ee387e3447466e8c0787c258fb512d96ed87847c253e44cac4c4ea9a91ec3a9b",
         "curvature --pairs 0,1 --cross-check":
-            "253eb9e0109ef98d336b1f7a96e6a578d897abbcb2d8251c6b67a3edc3974102",
+            "abf002df539511e2eec13297f1d5402d56eb30ddfba79d3b7ffcdea8be047b5d",
         "wasserstein dirac:0 dirac:{last} --plan":
             "72c99cf352509ced4a7c414442ad1d46e85c48324277714ff867d576774a6196",
         "heat --t 0.5 --kernel 0":

@@ -76,7 +76,7 @@ def test_arc_curvature_matches_published_value(name):
     assert sorted(expected) == sorted(map(tuple, dm.arcs.tolist()))
     for (x, y), value in expected.items():
         assert abs(kappa_lp(x, [y], M, dm)[0][0] - value) <= 1e-12
-        assert abs(kappa_limit(x, [y], M, dm)[0][0] - value) <= 1e-9
+        assert abs(kappa_limit(x, [y], M, dm)[0] - value) <= 1e-9
     assert abs(curvature_matrix(M, dm).K - min(expected.values())) <= 1e-12
 
 

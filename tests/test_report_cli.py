@@ -36,7 +36,6 @@ from digricci import (
 )
 from digricci.cli import main
 from digricci.concentration import LAMBDA_GRID, R_GRID
-from digricci.curvature import EPS_GRID, SMOOTHING_AGREEMENT_TOL
 from digricci.heat import HEAT_LIMIT_AGREEMENT_TOL, LIMIT_GRID, TIME_GRID
 from digricci.report import RunConfig, VerificationReport, certificate_to_dict
 
@@ -410,7 +409,10 @@ class TestCliAnalyze:
         assert main(["analyze", c3_file, "--cross-check"]) == 0
         tolerances = json.loads(capsys.readouterr().out)["tolerances"]
         assert set(tolerances) == common | {"curvature_limit", "smoothing_agreement"}
-        assert tolerances["smoothing_agreement"] == SMOOTHING_AGREEMENT_TOL
+        # the loosest of the per-pair rounding bounds the certificate applied
+        g = load_graph(c3_file)
+        bounds = curvature_matrix(markov_data(g), distances(g), cross_check=True).cross_check_tol
+        assert tolerances["smoothing_agreement"] == np.nanmax(bounds)
         # verify-functional checks no curvature agreement
         assert main(["verify-functional", c3_file]) == 0
         assert set(json.loads(capsys.readouterr().out)["tolerances"]) == common
@@ -424,7 +426,6 @@ class TestCliAnalyze:
             ("lipschitz_contraction", "times"): TIME_GRID,
             ("transport_contraction", "times"): TIME_GRID,
             ("curvature_heat_limit_agreement", "time_grid"): LIMIT_GRID,
-            ("curvature_smoothing_agreement", "eps_grid"): EPS_GRID,
             ("laplace_moment_bound", "lambda_grid"): LAMBDA_GRID,
             ("exp_chain_rule_bound", "lambda_grid"): LAMBDA_GRID,
             ("transport_entropy_laplace_link", "lambda_grid"): LAMBDA_GRID,
@@ -432,6 +433,8 @@ class TestCliAnalyze:
         }
         stated = {(name, key): hypotheses[name][key] for name, key in grids}
         assert stated == {pair: list(grid) for pair, grid in grids.items()}
+        # the smoothing cross-check has no grid: each pair has its own eps
+        assert hypotheses["curvature_smoothing_agreement"] == {"eps": "min(0.001, 1/(d Lambda))"}
 
     def test_reports_the_lp_tolerances_the_dual_simplex_uses(self, c3_file, capsys):
         # lp_feasibility is the threshold below which a basic variable leaves
@@ -445,11 +448,13 @@ class TestCliAnalyze:
         certs = json.loads(capsys.readouterr().out)["certificates"]
         cert = next(c for c in certs if c["name"] == "curvature_smoothing_agreement")
         g = load_graph(tri_file)
-        residuals = curvature_matrix(markov_data(g), distances(g), cross_check=True).cross_check
+        report = curvature_matrix(markov_data(g), distances(g), cross_check=True)
+        margins = report.cross_check_tol - report.cross_check
         x, y = cert["witness"]["pair"]
         assert x != y
-        assert residuals[x, y] == cert["lhs"] == np.nanmax(residuals)
-        assert cert["rhs"] == SMOOTHING_AGREEMENT_TOL
+        assert (report.cross_check[x, y], report.cross_check_tol[x, y]) == (
+            cert["lhs"], cert["rhs"])
+        assert margins[x, y] == np.nanmin(margins)
 
     def test_not_strongly_connected_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.edges"
@@ -527,6 +532,7 @@ class TestCliCurvature:
         assert code == 0
         assert len(payload) == 2
         for record in payload:
+            assert list(record) == ["pair", "kappa", "witness", "kappa_limit"]
             assert abs(record["kappa_limit"] - record["kappa"]) <= 1e-4
 
     def test_table(self, tri_file, capsys):
@@ -1132,6 +1138,50 @@ def test_analyze_drops_the_kappa_and_limit_starts_before_the_suite(
     assert main(["analyze", path]) == 0
     capsys.readouterr()
     assert (len(refs), seen) == (2 * 56, [0])
+
+
+def test_the_contraction_table_drops_each_limit_start_as_its_column_begins(
+    tmp_path, monkeypatch, capsys
+):
+    """No start of the heat-limit table outlives its column's first contraction solve.
+
+    analyze hands the limit table's 56 column records of analyze_dense's
+    K_8 over to the contraction table, which reads one per column and
+    keeps none: at every solve of column j, the records of the columns
+    after j are alive and no other.  A table that held its starts, or a
+    caller that kept their list, would keep all 56 to the end.  Nothing
+    else moves: the report is the parent's, pinned by the output corpus.
+    """
+    (path,) = _workload_files("analyze_dense", tmp_path, monkeypatch)
+    refs, alive, in_contraction = [], [], [False]
+    solve_lp, limit, contraction = lp.solve_lp, cli.curvature_time_limit, \
+        cli.verify_transport_contraction
+
+    def keeping_limit(*args, **kwargs):
+        limits, spreads, starts = limit(*args, **kwargs)
+        refs.extend(weakref.ref(start) for start in starts)
+        return limits, spreads, starts
+
+    def watching_solve(start, b):
+        if in_contraction[0]:
+            alive.append([j for j, ref in enumerate(refs) if ref() is not None])
+        return solve_lp(start, b)
+
+    def watching_contraction(*args, **kwargs):
+        in_contraction[0] = True
+        try:
+            return contraction(*args, **kwargs)
+        finally:
+            in_contraction[0] = False
+
+    monkeypatch.setattr(lp, "solve_lp", watching_solve)
+    monkeypatch.setattr(cli, "curvature_time_limit", keeping_limit)
+    monkeypatch.setattr(cli, "verify_transport_contraction", watching_contraction)
+    assert main(["analyze", path]) == 0
+    capsys.readouterr()
+    k, a = len(TIME_GRID), 56
+    assert len(refs) == a and len(alive) == k * a
+    assert alive == [list(range(s // k + 1, a)) for s in range(k * a)]
 
 
 def test_analyze_drops_the_kappa_starts_before_the_contraction(tmp_path, monkeypatch, capsys):
